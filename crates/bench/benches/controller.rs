@@ -12,6 +12,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use bench::{ROOFLINE_BASELINE_COMMIT, ROOFLINE_BASELINE_FUSED_768, ROOFLINE_GATE_MAX_REGRESSION};
 use dcsim::{SimDuration, SimTime};
 use dynamo::{Datacenter, DatacenterBuilder, ObsConfig, ParallelMode};
 use dynamo_controller::{
@@ -326,7 +327,6 @@ fn mode_label(mode: ParallelMode) -> &'static str {
     match mode {
         ParallelMode::Pooled => "pooled",
         ParallelMode::PooledAuto => "pooled-auto",
-        ParallelMode::Scoped => "scoped",
     }
 }
 
@@ -589,27 +589,12 @@ fn bench_grid_overhead() -> GridOverhead {
 const GRID_IDLE_BUDGET: f64 = 0.01;
 
 /// The commit whose re-measured bench is baked into
-/// [`PR9_BASELINE`] and whose layout produced
-/// [`ROOFLINE_BASELINE_FUSED_768`]: the PR 9 tip.
+/// [`PR9_BASELINE`]: the PR 9 tip.
 const BASELINE_COMMIT: &str = "b3f5e71";
 
-/// Baked fused-roofline baseline for the worst-case 768-RPP shape
-/// (122,880 servers), in bytes per tick — the value
-/// [`dynamo::Fleet::bytes_per_tick`] reports for this PR's hot/cold
-/// layout. The gate fails the bench when the *current* fused roofline
-/// exceeds this by more than [`ROOFLINE_GATE_MAX_REGRESSION`]: the
-/// model is analytical (derived from live allocation lengths, no
-/// timing involved), so the gate is always armed — a single-core or
-/// noisy host cannot produce a false positive, only a real layout
-/// regression (an array added to the settle stride, a mask unpacked
-/// back to `f64`) can.
-const ROOFLINE_BASELINE_FUSED_768: u64 = 0;
-
-/// Allowed growth of the fused roofline before the gate fails: 5%.
-const ROOFLINE_GATE_MAX_REGRESSION: f64 = 0.05;
-
-/// The worst-case 768-RPP per-tick DRAM roofline, fused and unfused,
-/// with the always-armed regression gate applied. Building the
+/// The worst-case 768-RPP per-tick DRAM roofline, with the always-armed
+/// regression gate applied ([`bench::roofline_gate_passes`] against the
+/// baseline baked in `crates/bench/src/lib.rs`). Building the
 /// 122,880-server site takes a few seconds and no stepping — the
 /// roofline reads allocation lengths, not wall time.
 fn roofline_768() -> dynamo::TickTraffic {
@@ -624,22 +609,17 @@ fn roofline_768() -> dynamo::TickTraffic {
         Workload::WorstCase,
     );
     let t = dc.fleet().bytes_per_tick();
-    let ceiling = ROOFLINE_BASELINE_FUSED_768 as f64 * (1.0 + ROOFLINE_GATE_MAX_REGRESSION);
     println!("\nbytes/tick roofline (768 RPPs, 122880 servers, worst case):");
-    println!("  fused      {:>12} bytes/tick", t.fused);
-    println!("  unfused    {:>12} bytes/tick", t.unfused);
     println!(
-        "  ratio      {:>12.2}x   (baseline fused {} @ {BASELINE_COMMIT}, gate at +{:.0}%)",
-        t.unfused as f64 / t.fused as f64,
-        ROOFLINE_BASELINE_FUSED_768,
+        "  fused      {:>12} bytes/tick   (baseline {ROOFLINE_BASELINE_FUSED_768} @ {ROOFLINE_BASELINE_COMMIT}, gate at +{:.0}%)",
+        t.fused,
         ROOFLINE_GATE_MAX_REGRESSION * 100.0
     );
-    if (t.fused as f64) > ceiling {
+    if !bench::roofline_gate_passes(t.fused) {
         eprintln!(
-            "FAIL: fused roofline {} bytes/tick exceeds the baked baseline {} by more than {:.0}% \
+            "FAIL: roofline {} bytes/tick exceeds the baked baseline {ROOFLINE_BASELINE_FUSED_768} by more than {:.0}% \
              — the hot loop grew a memory pass or the hot set widened",
             t.fused,
-            ROOFLINE_BASELINE_FUSED_768,
             ROOFLINE_GATE_MAX_REGRESSION * 100.0
         );
         std::process::exit(1);
@@ -657,7 +637,7 @@ fn roofline_768() -> dynamo::TickTraffic {
 const FULL_SITE_SMOKE_FLOOR: f64 = 150.0;
 
 /// Regression gate on the worst-case matrix: every 8-thread cell must
-/// stay within 5% of its serial twin. The parallel tick is allowed to
+/// stay within 5% of its one-thread twin. The wider tick is allowed to
 /// not help on a given shape; it is never allowed to meaningfully
 /// hurt. Armed only on multi-core hosts — with every mode clamped to
 /// one worker the two cells are the same configuration and the gate
@@ -674,10 +654,8 @@ const WORST_CASE_GATE_FLOOR: f64 = 0.95;
 /// worker pool, clamped to the host's cores, which is what a real
 /// deployment should run. The headline `speedup_64rpps_8_threads` is a
 /// separate paired interleaved best-of comparison so scheduler noise
-/// cannot bias it; `pool_vs_scoped` isolates the pool's win over the
-/// legacy per-call scoped threads at a fixed (unclamped) 8 threads.
-/// The JSON records the host parallelism and each cell's effective
-/// thread count so every number is interpretable.
+/// cannot bias it. The JSON records the host parallelism and each
+/// cell's effective thread count so every number is interpretable.
 fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
     let roofline = roofline_768();
     let host_cpus = std::thread::available_parallelism()
@@ -729,10 +707,6 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
                 spread,
                 hold,
                 workload,
-            );
-            assert!(
-                threads == 1 || dc.system().supports_parallel_leaves(),
-                "matrix topology must support parallel leaves"
             );
             let servers = dc.fleet().len();
             let effective_threads = dc.effective_worker_threads();
@@ -813,21 +787,8 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
             || matrix_datacenter(1, 8, 8, 8, ParallelMode::PooledAuto, SimDuration::ZERO),
         );
         let speedup = auto8 / serial;
-
-        // The pool's win over the legacy scoped-thread dispatch at a
-        // fixed 8 threads — both sides pay the same oversubscription,
-        // so the difference is persistent-parked-workers vs spawn/join
-        // per call.
-        let (pooled8, scoped8) = paired_best_of(
-            5,
-            || matrix_datacenter(1, 8, 8, 8, ParallelMode::Pooled, SimDuration::ZERO),
-            || matrix_datacenter(1, 8, 8, 8, ParallelMode::Scoped, SimDuration::ZERO),
-        );
-        let pool_vs_scoped = pooled8 / scoped8;
-
         println!("  speedup at 64 RPPs, 8 threads (auto) vs 1: {speedup:.2}x ({auto8:.0} vs {serial:.0} ticks/s)");
-        println!("  pool vs scoped at 64 RPPs, 8 threads: {pool_vs_scoped:.2}x ({pooled8:.0} vs {scoped8:.0} ticks/s)");
-        Some((speedup, pooled8, scoped8, pool_vs_scoped))
+        Some(speedup)
     } else {
         println!("  single-core host: every cell clamped to 1 worker; speedup fields suppressed");
         None
@@ -869,7 +830,7 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
         }) {
             if let Some(serial) = wc_cell(p8.rpps, 1, p8.phase_spread_ms) {
                 let ratio = p8.ticks_per_sec / serial.ticks_per_sec;
-                if worst_gate.map_or(true, |(_, _, w)| ratio < w) {
+                if worst_gate.is_none_or(|(_, _, w)| ratio < w) {
                     worst_gate = Some((p8.rpps, p8.phase_spread_ms, ratio));
                 }
             }
@@ -908,9 +869,9 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
         ));
     }
     json.push_str("  ],\n");
-    if let Some((speedup, pooled8, scoped8, pool_vs_scoped)) = speedups {
+    if let Some(speedup) = speedups {
         json.push_str(&format!(
-            "  \"parallel_speedup\": {{\"speedup_64rpps_8_threads\": {speedup:.3}, \"pool_vs_scoped\": {{\"rpps\": 64, \"threads\": 8, \"pooled_ticks_per_sec\": {pooled8:.1}, \"scoped_ticks_per_sec\": {scoped8:.1}, \"ratio\": {pool_vs_scoped:.3}}}}},\n"
+            "  \"parallel_speedup\": {{\"speedup_64rpps_8_threads\": {speedup:.3}}},\n"
         ));
     } else {
         json.push_str("  \"parallel_speedup\": {\"suppressed_reason\": \"single_core_host\"},\n");
@@ -937,10 +898,8 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
     ));
     json.push_str(&format!("  \"baseline_commit\": \"{BASELINE_COMMIT}\",\n"));
     json.push_str(&format!(
-        "  \"bytes_per_tick\": {{\"rpps\": 768, \"servers\": 122880, \"workload\": \"worst_case\", \"fused\": {}, \"unfused\": {}, \"unfused_over_fused\": {:.3}, \"baseline_fused\": {ROOFLINE_BASELINE_FUSED_768}, \"baseline_commit\": \"{BASELINE_COMMIT}\", \"gate\": {{\"armed\": true, \"max_regression_pct\": {:.1}, \"enforced_by\": \"cargo bench -p bench --bench controller -- --roofline-gate\"}}}},\n",
+        "  \"bytes_per_tick\": {{\"rpps\": 768, \"servers\": 122880, \"workload\": \"worst_case\", \"fused\": {}, \"baseline_fused\": {ROOFLINE_BASELINE_FUSED_768}, \"baseline_commit\": \"{ROOFLINE_BASELINE_COMMIT}\", \"gate\": {{\"armed\": true, \"max_regression_pct\": {:.1}, \"enforced_by\": \"cargo bench -p bench --bench controller -- --roofline-gate\"}}}},\n",
         roofline.fused,
-        roofline.unfused,
-        roofline.unfused as f64 / roofline.fused as f64,
         ROOFLINE_GATE_MAX_REGRESSION * 100.0
     ));
     json.push_str(&format!(
@@ -969,7 +928,7 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
         if ratio < WORST_CASE_GATE_FLOOR {
             eprintln!(
                 "FAIL: worst-case 8-thread cell (rpps={rpps}, spread={spread_ms} ms) is \
-                 {ratio:.3}x its serial twin, below the {WORST_CASE_GATE_FLOOR:.2}x floor"
+                 {ratio:.3}x its one-thread twin, below the {WORST_CASE_GATE_FLOOR:.2}x floor"
             );
             std::process::exit(1);
         }

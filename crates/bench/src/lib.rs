@@ -114,9 +114,49 @@ pub fn workspace_path(file: &str) -> std::path::PathBuf {
     }
 }
 
+/// Baked roofline baseline for the worst-case 768-RPP shape (122,880
+/// servers), in bytes per tick: the value
+/// `dynamo::Fleet::bytes_per_tick().fused` reports for that site at
+/// [`ROOFLINE_BASELINE_COMMIT`]. `benches/controller.rs
+/// --roofline-gate` fails when the *current* roofline exceeds this by
+/// more than [`ROOFLINE_GATE_MAX_REGRESSION`]: the model is analytical
+/// (derived from live allocation lengths, no timing involved), so the
+/// gate is always armed — a single-core or noisy host cannot produce a
+/// false positive, only a real layout regression (an array added to the
+/// settle stride, a mask unpacked back to `f64`) can.
+pub const ROOFLINE_BASELINE_FUSED_768: u64 = 7_422_048;
+
+// A zero baseline makes the ceiling zero and the gate fail for every
+// layout, which is how it shipped once.
+const _: () = assert!(ROOFLINE_BASELINE_FUSED_768 > 0);
+
+/// The commit [`ROOFLINE_BASELINE_FUSED_768`] was read at.
+pub const ROOFLINE_BASELINE_COMMIT: &str = "9efe935";
+
+/// Allowed growth of the roofline before the gate fails: 5%.
+pub const ROOFLINE_GATE_MAX_REGRESSION: f64 = 0.05;
+
+/// Whether a 768-RPP roofline of `fused` bytes per tick passes the
+/// gate. Lives here rather than in the `harness = false` bench binary
+/// so `cargo test` can run it.
+pub fn roofline_gate_passes(fused: u64) -> bool {
+    fused as f64 <= ROOFLINE_BASELINE_FUSED_768 as f64 * (1.0 + ROOFLINE_GATE_MAX_REGRESSION)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn roofline_gate_passes_at_the_baseline_and_fails_past_five_percent() {
+        assert!(roofline_gate_passes(ROOFLINE_BASELINE_FUSED_768));
+        assert!(roofline_gate_passes(
+            ROOFLINE_BASELINE_FUSED_768 * 104 / 100
+        ));
+        assert!(!roofline_gate_passes(
+            ROOFLINE_BASELINE_FUSED_768 * 106 / 100
+        ));
+    }
 
     #[test]
     fn measure_returns_positive_time() {

@@ -72,7 +72,6 @@ struct Args {
     grid_scenario: Option<String>,
     grid_signal_file: Option<PathBuf>,
     profile_ticks: bool,
-    no_fuse: bool,
 }
 
 impl Default for Args {
@@ -107,7 +106,6 @@ impl Default for Args {
             grid_scenario: None,
             grid_signal_file: None,
             profile_ticks: false,
-            no_fuse: false,
         }
     }
 }
@@ -191,7 +189,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--dry-run" => args.dry_run = true,
             "--turbo" => args.turbo = true,
             "--profile-ticks" => args.profile_ticks = true,
-            "--no-fuse" => args.no_fuse = true,
             "--help" | "-h" => return Err("help".to_string()),
             other => return Err(format!("unknown flag '{other}' (try --help)")),
         }
@@ -244,10 +241,6 @@ fn usage() -> &'static str {
      \x20          --profile-ticks (time each tick phase into the\n\
      \x20          dynamo_tick_phase_seconds histograms and print an\n\
      \x20          Amdahl attribution table after the run)\n\
-     perf:      --no-fuse (disable hot-loop fusion: tile-at-a-time\n\
-     \x20          settling, fused control dispatch and the memoized\n\
-     \x20          total-power fold; bit-identical either way — an escape\n\
-     \x20          hatch for bisecting regressions to fusion vs. layout)\n\
      faults:    --fail-leaf MIN (crash the first leaf controller's primary\n\
      \x20          at the start of that minute; the backup takes over)\n\
      snapshots: --checkpoint-every MIN (write a versioned snapshot of every\n\
@@ -473,7 +466,6 @@ fn build_datacenter(args: &Args) -> Result<Datacenter, String> {
         });
     }
     builder = builder.profile_ticks(args.profile_ticks);
-    builder = builder.fuse(!args.no_fuse);
     Ok(builder.build())
 }
 
@@ -556,9 +548,6 @@ fn merge_resume_args(stored: Args, current: &Args, argv: &[String]) -> Result<Ar
     }
     if explicit("--profile-ticks") {
         merged.profile_ticks = current.profile_ticks;
-    }
-    if explicit("--no-fuse") {
-        merged.no_fuse = current.no_fuse;
     }
     merged.checkpoint_every = current.checkpoint_every;
     merged.checkpoint_dir = current.checkpoint_dir.clone();
@@ -1044,22 +1033,6 @@ mod tests {
         // checkpoints (the envelope rejects unknown keys).
         assert!(!envelope_of(&a).contains("profile"));
         assert!(usage().contains("--profile-ticks"));
-    }
-
-    #[test]
-    fn no_fuse_flag_parses_and_stays_out_of_the_envelope() {
-        assert!(!parse(&[]).unwrap().no_fuse);
-        let a = parse(&["--no-fuse"]).unwrap();
-        assert!(a.no_fuse);
-        // Fusion computes bit-identical results, so the flag is
-        // run-control only: it must not enter the checkpoint envelope
-        // (the envelope rejects unknown keys), and a resumed run may
-        // flip it freely.
-        assert!(!envelope_of(&a).contains("fuse"));
-        assert!(usage().contains("--no-fuse"));
-        let argv: Vec<String> = ["--no-fuse"].iter().map(|s| s.to_string()).collect();
-        let merged = merge_resume_args(parse(&[]).unwrap(), &a, &argv).unwrap();
-        assert!(merged.no_fuse);
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub struct DatacenterBuilder {
     worker_threads: usize,
     parallel: ParallelMode,
     profile: bool,
-    fuse: bool,
     demand_hold: u32,
     system: SystemConfig,
     telemetry: TelemetryConfig,
@@ -93,7 +92,6 @@ impl Default for DatacenterBuilder {
             worker_threads: 1,
             parallel: ParallelMode::default(),
             profile: false,
-            fuse: true,
             demand_hold: 1,
             system: SystemConfig::default(),
             telemetry: TelemetryConfig::default(),
@@ -259,11 +257,10 @@ impl DatacenterBuilder {
         self
     }
 
-    /// Parallel dispatch strategy for both hot fan-outs (default
+    /// How the thread count is clamped (default
     /// [`ParallelMode::Pooled`]: a persistent worker pool of exactly
     /// [`DatacenterBuilder::worker_threads`] threads). Use
-    /// [`ParallelMode::PooledAuto`] to clamp at the host's cores, or
-    /// [`ParallelMode::Scoped`] for the legacy per-call threads.
+    /// [`ParallelMode::PooledAuto`] to clamp at the host's cores.
     pub fn parallel_mode(mut self, mode: ParallelMode) -> Self {
         self.parallel = mode;
         self
@@ -276,18 +273,6 @@ impl DatacenterBuilder {
     /// runs. See [`Datacenter::set_profile_ticks`].
     pub fn profile_ticks(mut self, enabled: bool) -> Self {
         self.profile = enabled;
-        self
-    }
-
-    /// Enables or disables hot-loop fusion (default on): the
-    /// tile-at-a-time settle pass, the fused per-leaf control dispatch
-    /// and the memoized total-power fold. Both settings compute
-    /// bit-identical simulations — this is the `--no-fuse` escape
-    /// hatch for bisecting a perf regression to fusion vs. layout, and
-    /// like the profiler it is run-control only (excluded from the
-    /// checkpoint envelope). See [`Datacenter::set_fuse`].
-    pub fn fuse(mut self, on: bool) -> Self {
-        self.fuse = on;
         self
     }
 
@@ -467,7 +452,6 @@ impl DatacenterBuilder {
         dc.set_parallel_mode(self.parallel);
         dc.set_worker_threads(self.worker_threads);
         dc.set_profile_ticks(self.profile);
-        dc.set_fuse(self.fuse);
         dc
     }
 }

@@ -44,12 +44,6 @@ pub struct SystemConfig {
     /// Dry-run mode (§VI): leaf controllers compute and log decisions
     /// but never actuate.
     pub dry_run: bool,
-    /// Worker threads for leaf control cycles (1 = serial). The paper
-    /// runs ~100 leaf controllers as concurrent threads in one
-    /// consolidated binary (§IV); the parallel path is bit-identical to
-    /// the serial one because every leaf owns a disjoint server span
-    /// and a private RPC RNG stream.
-    pub control_threads: usize,
     /// Observability configuration ([`dynobs`]). Disabled by default:
     /// every recording call short-circuits and the exporters render an
     /// all-zero registry.
@@ -68,7 +62,6 @@ impl Default for SystemConfig {
             capping_enabled: true,
             leaf_overhead: Power::ZERO,
             dry_run: false,
-            control_threads: 1,
             obs: ObsConfig::default(),
         }
     }
@@ -93,8 +86,12 @@ pub struct DynamoSystem {
     dispatcher: CycleDispatcher,
     obs: Observability,
     /// Persistent worker pool for same-instant leaf dispatch, shared
-    /// with the fleet by the embedding [`crate::Datacenter`]. Without
-    /// one the parallel path spawns scoped threads per dispatch.
+    /// with the fleet by the embedding [`crate::Datacenter`]; its size
+    /// is the dispatch's shard count (one shard, run inline, without a
+    /// pool). The paper runs ~100 leaf controllers as concurrent
+    /// threads in one consolidated binary (§IV); the result is
+    /// bit-identical at any width because every leaf owns a disjoint
+    /// server span and a private RPC RNG stream.
     pool: Option<Arc<WorkerPool>>,
     /// Reused scratch for the post-elision due list (see
     /// [`LeafTier::filter_quiescent`]).
@@ -154,16 +151,18 @@ impl DynamoSystem {
         self.pool = Some(pool);
     }
 
-    /// Detaches the worker pool; parallel leaf dispatch falls back to
-    /// per-call scoped threads.
+    /// Detaches the worker pool; leaf dispatch runs as one shard on
+    /// the caller.
     pub fn detach_pool(&mut self) {
         self.pool = None;
     }
 
-    /// The control plane's per-leaf server-id spans, when every leaf
-    /// owns a contiguous ascending range tiling the fleet.
-    pub(crate) fn leaf_spans(&self) -> Option<&[std::ops::Range<usize>]> {
-        self.leaves.spans.as_deref()
+    /// The per-leaf server-id spans: every leaf owns a contiguous
+    /// ascending range and the ranges tile the fleet in leaf order.
+    /// The fleet this system ticks must be registered with exactly
+    /// these ([`Fleet::set_leaf_spans`]).
+    pub fn leaf_spans(&self) -> &[std::ops::Range<usize>] {
+        &self.leaves.spans
     }
 
     /// The deployment configuration.
@@ -354,25 +353,6 @@ impl DynamoSystem {
         out
     }
 
-    /// Sets the number of worker threads for leaf control cycles
-    /// (1 = serial; the result is bit-identical at any thread count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn set_control_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "need at least one worker thread");
-        self.config.control_threads = threads;
-    }
-
-    /// True if this system can run leaf cycles in parallel: every leaf
-    /// owns a contiguous server-id span and the spans tile the fleet.
-    /// Standard topologies always qualify; exotic hand-built ones fall
-    /// back to the serial path.
-    pub fn supports_parallel_leaves(&self) -> bool {
-        self.leaves.spans.is_some()
-    }
-
     /// Captures the control plane's full dynamic state for a snapshot:
     /// both tiers, failover bookkeeping, per-controller cycle
     /// schedules, and observability. Pending incident dumps must be
@@ -405,113 +385,59 @@ impl DynamoSystem {
     /// tick; each controller tracks its own cycle schedule on the
     /// dispatcher's event queue, so with a nonzero phase spread
     /// different leaves fire on different ticks. Leaves due at the same
-    /// instant are batched into one parallel dispatch when the parallel
-    /// path is enabled — onto the persistent worker pool when one is
-    /// attached, else onto per-call scoped threads.
+    /// instant are batched into one dispatch, sharded over the attached
+    /// pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fleet`'s leaf spans are not this system's
+    /// ([`DynamoSystem::leaf_spans`]).
     pub fn tick(&mut self, now: SimTime, fleet: &mut Fleet) -> Vec<ControllerEvent> {
         let mut events = Vec::new();
         self.dispatcher.collect_due(now);
-        if !self.dispatcher.leaf_due().is_empty() {
-            let capping = self.config.capping_enabled;
-            // Quiescent-cycle elision: split the due list into leaves
-            // that must run and cycles that are provably no-op
-            // recomputations. The filter runs serially before the
-            // dispatch, so the split — and everything downstream — is
-            // identical at any worker-thread count.
-            let mut live = std::mem::take(&mut self.live_due);
-            let run_due: &[usize] = if capping {
-                self.leaves.filter_quiescent(
-                    self.dispatcher.leaf_due(),
-                    fleet,
-                    &self.failover,
-                    &mut self.obs,
-                    &mut live,
-                );
-                &live
-            } else {
-                self.dispatcher.leaf_due()
-            };
-            if !run_due.is_empty() {
-                // Fused dispatch: each leaf runs its server flush, RPC
-                // cycle and cap absorb back to back while its agents
-                // are hot, instead of three fleet-wide passes. Requires
-                // capping (the monitoring path never syncs), known
-                // spans and a clean power cache; otherwise the
-                // phase-at-a-time passes below bracket the cycles.
-                let fused = capping && fleet.control_fuse_ready() && self.leaves.spans.is_some();
-                if capping && !fused {
-                    // The fleet's batch arrays own server physics
-                    // between steps; push the running leaves' state
-                    // into the scalar server models so the RPC cycles
-                    // below observe fresh power readings.
-                    fleet.sync_servers_for_control(run_due);
-                }
-                let threads = self.config.control_threads.min(run_due.len());
-                if threads > 1 && capping && self.leaves.spans.is_some() {
-                    if let Some(pool) = &self.pool {
-                        let pool = Arc::clone(pool);
-                        self.leaves.run_due_pooled(
-                            now,
-                            run_due,
-                            threads,
-                            fused,
-                            &pool,
-                            &mut self.failover,
-                            fleet,
-                            &mut events,
-                            &mut self.obs,
-                        );
-                    } else {
-                        self.leaves.run_due_scoped(
-                            now,
-                            run_due,
-                            threads,
-                            fused,
-                            &mut self.failover,
-                            fleet,
-                            &mut events,
-                            &mut self.obs,
-                        );
-                    }
-                } else {
-                    self.leaves.run_due_serial(
+        let due = self.dispatcher.leaf_due();
+        if !due.is_empty() {
+            assert!(
+                fleet.leaf_spans() == self.leaf_spans(),
+                "the fleet's leaf spans are not the control plane's: \
+                 call fleet.set_leaf_spans(system.leaf_spans()) first"
+            );
+            if self.config.capping_enabled {
+                // Quiescent-cycle elision: split the due list into
+                // leaves that must run and cycles that are provably
+                // no-op recomputations. The filter runs serially before
+                // the dispatch, so the split — and everything
+                // downstream — is identical at any width.
+                let mut live = std::mem::take(&mut self.live_due);
+                self.leaves
+                    .filter_quiescent(due, fleet, &self.failover, &mut self.obs, &mut live);
+                if !live.is_empty() {
+                    self.leaves.run_due(
                         now,
-                        run_due,
-                        capping,
-                        fused,
+                        &live,
+                        self.pool.as_deref(),
                         &mut self.failover,
                         fleet,
                         &mut events,
                         &mut self.obs,
                     );
                 }
-                if capping {
-                    if fused {
-                        // The workers already flushed and absorbed per
-                        // leaf; apply the deferred shared-state effects
-                        // in due order.
-                        fleet.finish_fused_control(
-                            run_due,
-                            &self.leaves.absorb_changed,
-                            &self.leaves.absorb_delta,
-                        );
-                    } else {
-                        // Pull the RAPL limits the controllers just
-                        // programmed back into the fleet's batch
-                        // arrays.
-                        fleet.absorb_caps(run_due);
-                    }
-                    // Capture the fleet markers the cycles saw.
-                    self.leaves.note_markers(run_due, fleet);
-                }
+                self.live_due = live;
+            } else {
+                self.leaves.monitor_due(
+                    now,
+                    due,
+                    &mut self.failover,
+                    fleet,
+                    &mut events,
+                    &mut self.obs,
+                );
             }
-            self.live_due = live;
             // Fold the due leaves' shards into the registry in leaf
-            // index order — the serial recording order — so the merged
-            // state is bit-identical at any thread count. The full due
-            // list, not the filtered one: elided leaves counted into
-            // their shards above.
-            self.obs.merge_leaves(self.dispatcher.leaf_due());
+            // index order, so the merged state is bit-identical at any
+            // width. The full due list, not the filtered one: elided
+            // leaves counted into their shards above.
+            self.obs.merge_leaves(due);
         }
         if !self.dispatcher.upper_due().is_empty() && self.config.capping_enabled {
             self.uppers.run_due(

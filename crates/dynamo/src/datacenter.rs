@@ -1,4 +1,10 @@
 //! The end-to-end datacenter simulation.
+//!
+//! [`Datacenter::step`] is the one tick: fleet physics, the breaker
+//! pre-fold and the leaf control dispatch are each a single
+//! implementation sharded over one shared [`WorkerPool`]
+//! ([`crate::shard`]); the worker-thread setting only sizes that pool,
+//! and one thread means one shard run inline, not a different path.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -13,27 +19,26 @@ use crate::control_plane::{DynamoSystem, SystemState};
 use crate::fleet::{Fleet, FleetState};
 use crate::grid::{GridLayer, GridLayerState};
 use crate::obs::TickPhase;
+use crate::shard::{self, front, front_mut};
 use crate::telemetry::{BreakerEvent, Telemetry, TelemetryState};
 use crate::validator::{BreakerValidator, ValidatorState};
 
-/// How the datacenter parallelizes its two hot fan-outs — fleet physics
-/// ([`Fleet::step_parallel`]) and same-instant leaf control dispatch.
+/// How the requested worker-thread count becomes the size of the
+/// persistent pool shared by the tick's fan-outs (fleet physics, the
+/// breaker pre-fold, same-instant leaf control dispatch). Workers are
+/// created once, parked between dispatches, and woken through
+/// atomic-flag mailboxes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// Persistent worker pool with exactly the requested thread count
-    /// (the default). Workers are created once, parked between
-    /// dispatches, and woken through atomic-flag mailboxes.
+    /// Exactly the requested thread count (the default), whatever the
+    /// host — tests need exact widths above the host's cores.
     #[default]
     Pooled,
-    /// Persistent worker pool clamped to the host's available
-    /// parallelism: requesting more threads than cores oversubscribes
-    /// the host and slows the run down, so the extra workers are simply
-    /// not created. The simulation stays bit-identical — only wall
-    /// clock changes.
+    /// Clamped to the host's available parallelism: requesting more
+    /// threads than cores oversubscribes the host and slows the run
+    /// down, so the extra workers are simply not created. The
+    /// simulation stays bit-identical — only wall clock changes.
     PooledAuto,
-    /// Legacy dispatch: scoped threads spawned per call, no persistent
-    /// pool. Kept as the baseline the pool is benchmarked against.
-    Scoped,
 }
 
 /// A running datacenter: topology + fleet + control plane + telemetry,
@@ -64,14 +69,13 @@ pub struct Datacenter {
     /// Cross-validation of controller aggregates against coarse breaker
     /// readings (§VI).
     validator: BreakerValidator,
-    /// Requested worker threads for fleet physics and leaf dispatch
-    /// (1 = serial).
+    /// Requested worker threads for the tick's fan-outs.
     worker_threads: usize,
-    /// Parallel dispatch strategy.
+    /// How the request is clamped.
     parallel_mode: ParallelMode,
-    /// Threads actually used after applying the mode's clamping.
-    effective_threads: usize,
-    /// The shared persistent worker pool (pooled modes, threads > 1).
+    /// The shared persistent worker pool, sized to the thread count
+    /// after the mode's clamping (none for one thread: every fan-out is
+    /// then one inline shard).
     pool: Option<Arc<WorkerPool>>,
     /// Contiguous server-id range per device, when its subtree is one —
     /// always true for grid topologies — so subtree power aggregation
@@ -165,12 +169,12 @@ struct DrawCache {
     /// then MSBs), ascending within each level — the level-order SoA
     /// view of the tree. Each device's fold reads only fleet arrays
     /// (never another device's draw), so positions are independent and
-    /// [`Datacenter::precompute_draws_parallel`] chunks them across
+    /// [`Datacenter::precompute_draws`] chunks them across
     /// workers; the order is fixed so chunk boundaries, and therefore
     /// which worker computes what, never affect the result. Empty when
     /// the topology has a device outside the four grid levels, which
-    /// disables the parallel pass rather than stepping a breaker
-    /// against a stale draw.
+    /// disables the pre-fold rather than stepping a breaker against a
+    /// stale draw.
     fold_order: Vec<u32>,
     /// Per-fold-position refold cost estimate (covering leaves for
     /// tiled devices, subtree servers otherwise) used to balance the
@@ -251,8 +255,8 @@ fn cached_subtree_power(
 /// device's draw is bit-stable across cache hits, refolds, and
 /// dirty-window fallbacks within a run. Only meaningful while the
 /// cache's span generation matches the fleet's. Takes the cache's
-/// geometry as plain slices so the parallel precompute can call it
-/// from workers while the owner holds `&mut` scratch.
+/// geometry as plain slices so the pre-fold can call it from workers
+/// while the owner holds `&mut` scratch.
 fn fold_subtree(
     tiled: &[bool],
     leaf_range: &[Option<Range<usize>>],
@@ -302,39 +306,32 @@ impl Datacenter {
         let device_ids: Vec<DeviceId> = topo.iter().map(|d| d.id).collect();
         let breaker_status = vec![BreakerStatus::Nominal; topo.device_count()];
         let mut fleet = fleet;
-        if let Some(spans) = system.leaf_spans() {
-            // Let the fleet maintain per-leaf power partials, so leaf
-            // aggregate pulls are single lookups.
-            fleet.set_leaf_spans(spans);
-        }
+        // The fleet carves its shards, and maintains per-leaf power
+        // partials, over the control plane's leaves.
+        let spans = system.leaf_spans();
+        fleet.set_leaf_spans(spans);
         let n_dev = topo.device_count();
-        let leaf_range = match system.leaf_spans() {
-            Some(spans) => subtree_range
-                .iter()
-                .map(|r: &Option<Range<usize>>| {
-                    r.as_ref().map(|r| {
-                        let l0 = spans.partition_point(|s| s.end <= r.start);
-                        let l1 = spans.partition_point(|s| s.start < r.end);
-                        l0..l1
-                    })
+        let leaf_range: Vec<Option<Range<usize>>> = subtree_range
+            .iter()
+            .map(|r| {
+                r.as_ref().map(|r| {
+                    let l0 = spans.partition_point(|s| s.end <= r.start);
+                    let l1 = spans.partition_point(|s| s.start < r.end);
+                    l0..l1
                 })
-                .collect(),
-            None => vec![None; n_dev],
-        };
-        let tiled = match system.leaf_spans() {
-            Some(spans) => leaf_range
-                .iter()
-                .zip(&subtree_range)
-                .map(|(lr, sr)| match (lr, sr) {
-                    (Some(lr), Some(sr)) if lr.start < lr.end => {
-                        spans[lr.start].start == sr.start && spans[lr.end - 1].end == sr.end
-                    }
-                    _ => false,
-                })
-                .collect(),
-            None => vec![false; n_dev],
-        };
-        // Level-order fold layout for the parallel breaker pass:
+            })
+            .collect();
+        let tiled: Vec<bool> = leaf_range
+            .iter()
+            .zip(&subtree_range)
+            .map(|(lr, sr)| match (lr, sr) {
+                (Some(lr), Some(sr)) if lr.start < lr.end => {
+                    spans[lr.start].start == sr.start && spans[lr.end - 1].end == sr.end
+                }
+                _ => false,
+            })
+            .collect();
+        // Level-order fold layout for the breaker pre-fold:
         // bottom-up so a chunk boundary can only ever split within a
         // level, never interleave levels.
         let mut fold_order: Vec<u32> = Vec::with_capacity(n_dev);
@@ -348,7 +345,7 @@ impl Datacenter {
         }
         if fold_order.len() != n_dev {
             // A device outside the four grid levels: no level-order
-            // view, so the parallel pass stays disabled.
+            // view, so the pre-fold stays disabled.
             fold_order.clear();
         }
         let weight: Vec<u64> = fold_order
@@ -392,7 +389,6 @@ impl Datacenter {
             validator,
             worker_threads: 1,
             parallel_mode: ParallelMode::default(),
-            effective_threads: 1,
             pool: None,
             subtree_range,
             watched_scratch: Vec::new(),
@@ -414,20 +410,10 @@ impl Datacenter {
         self.profile_ticks = enabled;
     }
 
-    /// Enables or disables hot-loop fusion: the tile-at-a-time settle
-    /// pass, the fused per-leaf control dispatch, and the memoized
-    /// total-power fold. On by default; the `--no-fuse` escape hatch
-    /// exists so a regression can be bisected to fusion vs. layout.
-    /// Run-control only — both settings compute bit-identical
-    /// simulations, so the flag stays out of the checkpoint envelope.
-    pub fn set_fuse(&mut self, on: bool) {
-        self.fleet.set_fuse(on);
-    }
-
-    /// Sets the number of worker threads used for fleet physics *and*
-    /// leaf control cycles. The simulation is bit-identical at any
-    /// thread count. Under the pooled modes (the default) this creates
-    /// or resizes the persistent worker pool shared by both fan-outs.
+    /// Sets the number of worker threads used for fleet physics, the
+    /// breaker pre-fold *and* leaf control cycles, creating or resizing
+    /// the persistent worker pool they share. The simulation is
+    /// bit-identical at any thread count.
     ///
     /// # Panics
     ///
@@ -438,8 +424,8 @@ impl Datacenter {
         self.apply_threads();
     }
 
-    /// Sets the parallel dispatch strategy (default
-    /// [`ParallelMode::Pooled`]) and re-applies the current thread
+    /// Sets how the thread count is clamped (default
+    /// [`ParallelMode::Pooled`]: not at all) and re-applies the current
     /// count under it.
     pub fn set_parallel_mode(&mut self, mode: ParallelMode) {
         self.parallel_mode = mode;
@@ -448,35 +434,25 @@ impl Datacenter {
 
     /// The threads actually in use after the mode's clamping —
     /// [`ParallelMode::PooledAuto`] caps at the host's available
-    /// parallelism, the pooled modes at the pool's maximum size.
+    /// parallelism, both modes at the pool's maximum size.
     pub fn effective_worker_threads(&self) -> usize {
-        self.effective_threads
+        self.pool.as_ref().map_or(1, |p| p.workers())
     }
 
-    /// Resolves `(worker_threads, parallel_mode)` into a pool and a
-    /// dispatch width, tearing down or rebuilding the shared pool only
-    /// when the effective size changes.
+    /// Resolves `(worker_threads, parallel_mode)` into the shared
+    /// pool, tearing it down or rebuilding it only when the effective
+    /// size changes.
     fn apply_threads(&mut self) {
-        let requested = self.worker_threads;
-        let (pool_size, dispatch) = match self.parallel_mode {
-            ParallelMode::Scoped => (0, requested),
-            ParallelMode::Pooled => {
-                let e = requested.min(MAX_WORKERS);
-                (e, e)
-            }
-            ParallelMode::PooledAuto => {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                let e = requested.min(cores).min(MAX_WORKERS);
-                (e, e)
-            }
+        let cap = match self.parallel_mode {
+            ParallelMode::Pooled => MAX_WORKERS,
+            ParallelMode::PooledAuto => std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(MAX_WORKERS),
         };
-        self.effective_threads = dispatch;
-        self.system.set_control_threads(dispatch);
-        if pool_size > 1 {
-            if self.pool.as_ref().map(|p| p.workers()) != Some(pool_size) {
-                self.pool = Some(Arc::new(WorkerPool::new(pool_size)));
+        let threads = self.worker_threads.min(cap);
+        if threads > 1 {
+            if self.pool.as_ref().map(|p| p.workers()) != Some(threads) {
+                self.pool = Some(Arc::new(WorkerPool::new(threads)));
             }
             let pool = self.pool.as_ref().expect("pool built above");
             self.fleet.attach_pool(Arc::clone(pool));
@@ -612,29 +588,30 @@ impl Datacenter {
         self.fleet.mean_performance(&self.subtree[device.index()])
     }
 
-    /// Phase A of the parallel breaker pass: computes every device's
-    /// subtree draw into the cache's level-order scratch arrays across
-    /// the worker threads, then folds the results back into the cache
-    /// serially in fold order. Each position's value is exactly what
-    /// the serial pass would have produced for that device *before any
-    /// breaker stepped this tick* — same watermark check, same
-    /// per-device fold association — so the pass is bit-identical at
-    /// any worker count and in either dispatch mode.
+    /// The breaker pre-fold: computes every device's subtree draw into
+    /// the cache's level-order scratch arrays, sharded over the worker
+    /// pool (one inline shard without one), then folds the results back
+    /// into the cache serially in fold order. Each position's value is
+    /// exactly what a live cached fold would produce for that device
+    /// *before any breaker stepped this tick* — same watermark check,
+    /// same per-device fold association — so the pass is bit-identical
+    /// at any width.
     ///
     /// Returns `false` (leaving the cache untouched) when the pass
-    /// cannot run: serial width, a dirty fleet power cache, a stale
-    /// span generation, or no level-order layout. The caller then
-    /// steps breakers against live cached folds exactly as before.
-    fn precompute_draws_parallel(&mut self) -> bool {
+    /// cannot run: a dirty fleet power cache, a stale span generation,
+    /// or no level-order layout. The caller then steps breakers against
+    /// live cached folds.
+    fn precompute_draws(&mut self) -> bool {
         let n = self.draw_cache.fold_order.len();
-        let njobs = self.effective_threads.min(MAX_WORKERS).min(n);
-        if njobs <= 1
+        if n == 0
             || n != self.device_ids.len()
             || self.fleet.power_cache_dirty()
             || self.fleet.leaf_span_generation() != self.draw_cache.generation
         {
             return false;
         }
+        let pool = self.pool.as_deref();
+        let shards = shard::width(pool, n);
         let DrawCache {
             leaf_range,
             tiled,
@@ -649,31 +626,31 @@ impl Datacenter {
             chunks_for,
         } = &mut self.draw_cache;
 
-        if *chunks_for != njobs {
+        if *chunks_for != shards {
             // Re-balance the chunk boundaries by refold cost. Only on a
-            // thread-count change; the steady state reuses them.
+            // width change; the steady state reuses them.
             chunk_ends.clear();
             let total: u64 = weight.iter().sum();
             let mut acc = 0u64;
             for (pos, &w) in weight.iter().enumerate() {
                 acc += w;
-                if chunk_ends.len() < njobs - 1
-                    && acc * njobs as u64 >= (chunk_ends.len() as u64 + 1) * total
+                if chunk_ends.len() < shards - 1
+                    && acc * shards as u64 >= (chunk_ends.len() as u64 + 1) * total
                 {
                     chunk_ends.push(pos + 1);
                 }
             }
-            while chunk_ends.len() < njobs - 1 {
+            while chunk_ends.len() < shards - 1 {
                 chunk_ends.push(n);
             }
             chunk_ends.push(n);
-            *chunks_for = njobs;
+            *chunks_for = shards;
         }
 
         {
-            // Shared immutable context for the workers; `&Fleet` is
+            // Shared immutable context for the shards; `&Fleet` is
             // `Sync` (owned data only), and the cache's draw/watermark
-            // arrays are read-only here — workers write scratch.
+            // arrays are read-only here — shards write scratch.
             let fleet = &self.fleet;
             let epochs = fleet.leaf_epochs();
             let subtree_range = &self.subtree_range[..];
@@ -682,11 +659,10 @@ impl Datacenter {
             let tiled = &tiled[..];
             let draw_w = &draw_w[..];
             let watermark = &watermark[..];
-            let fold_order = &fold_order[..];
 
-            // What the serial pass would compute for device `i` at this
-            // instant: a cache hit when the covering-epoch sum still
-            // matches, the fixed-association refold otherwise.
+            // What a live cached fold would compute for device `i` at
+            // this instant: a cache hit when the covering-epoch sum
+            // still matches, the fixed-association refold otherwise.
             let compute = |i: usize| -> (f64, u64) {
                 if let Some(lr) = &leaf_range[i] {
                     if lr.end <= epochs.len() {
@@ -707,55 +683,31 @@ impl Datacenter {
                 draws: &'a mut [f64],
                 marks: &'a mut [u64],
             }
-            let run_chunk = |job: &mut FoldJob<'_>| {
-                for (k, &idx) in job.order.iter().enumerate() {
-                    let (d, m) = compute(idx as usize);
-                    job.draws[k] = d;
-                    job.marks[k] = m;
-                }
-            };
-
-            // Carve the scratch arrays into per-chunk jobs (stack
-            // slots, no allocation).
-            let mut jobs: [Option<FoldJob>; MAX_WORKERS] = std::array::from_fn(|_| None);
-            let mut order_rest = fold_order;
+            let mut order_rest = &fold_order[..];
             let mut draw_rest = &mut scratch_draw[..];
             let mut mark_rest = &mut scratch_mark[..];
+            let mut ends = chunk_ends.iter();
             let mut start = 0;
-            for (j, &end) in chunk_ends.iter().enumerate() {
+            let carve = || {
+                let end = *ends.next().expect("one chunk end per shard");
                 let take = end - start;
-                let (order, o_rest) = order_rest.split_at(take);
-                let (draws, d_rest) = draw_rest.split_at_mut(take);
-                let (marks, m_rest) = mark_rest.split_at_mut(take);
-                order_rest = o_rest;
-                draw_rest = d_rest;
-                mark_rest = m_rest;
-                jobs[j] = Some(FoldJob {
-                    order,
-                    draws,
-                    marks,
-                });
                 start = end;
-            }
-
-            match &self.pool {
-                Some(pool) => pool.run_on(&mut jobs[..njobs], |_w, slot| {
-                    let job = slot.as_mut().expect("fold chunk slot filled above");
-                    run_chunk(job);
-                }),
-                // Scoped mode: per-call scoped threads, same chunks.
-                None => std::thread::scope(|scope| {
-                    for slot in jobs[..njobs].iter_mut() {
-                        let job = slot.as_mut().expect("fold chunk slot filled above");
-                        scope.spawn(move || run_chunk(job));
-                    }
-                }),
-            }
+                FoldJob {
+                    order: front(&mut order_rest, take),
+                    draws: front_mut(&mut draw_rest, take),
+                    marks: front_mut(&mut mark_rest, take),
+                }
+            };
+            shard::run_sharded(pool, shards, carve, |job| {
+                for (k, &idx) in job.order.iter().enumerate() {
+                    (job.draws[k], job.marks[k]) = compute(idx as usize);
+                }
+            });
         }
 
         // Serial copy-back in fold order: after this, the cache holds
-        // for every device exactly what the serial pass would have
-        // stored while stepping it.
+        // for every device exactly what a live fold would have stored
+        // while stepping it.
         for (pos, &idx) in fold_order.iter().enumerate() {
             let i = idx as usize;
             draw_w[i] = scratch_draw[pos];
@@ -772,37 +724,22 @@ impl Datacenter {
         let mut lap = Lap::new(self.profile_ticks);
         let mut phase_secs = [0.0f64; 7];
 
-        // 1. Workloads and server physics.
-        if self.effective_threads > 1 {
-            self.fleet
-                .step_parallel(now, self.tick, self.effective_threads);
-        } else {
-            self.fleet.step(now, self.tick);
-        }
-        // Fused configurations attribute the settle pass to its own
-        // phase family so fused and unfused profiles are
-        // distinguishable; the `fleet_step` family keeps emitting
-        // (zero observations) either way.
-        lap.mark(
-            &mut phase_secs,
-            if self.fleet.fuse() {
-                TickPhase::FusedTile
-            } else {
-                TickPhase::FleetStep
-            },
-        );
+        // 1. Workloads and server physics, tile by tile. The wall time
+        // lands in the `fused_tile` family; `fleet_step` (the retired
+        // phase-at-a-time pass) stays in the exposition, all zeros.
+        self.fleet.step(now, self.tick);
+        lap.mark(&mut phase_secs, TickPhase::FusedTile);
 
         // 2. Breaker thermal models over true subtree power. Draws go
         // through the epoch cache: with active-set physics on, most
         // leaves' power is bit-unchanged most ticks, so most devices
         // serve their cached fold instead of re-summing the subtree.
-        // With workers available, phase A precomputes every draw in
-        // parallel; breakers then step serially against the
-        // precomputed values, falling back to live folds from the
-        // first trip on so later devices observe the blackout exactly
-        // as the serial pass always has (the kill bumps the victims'
-        // leaf epochs, so a stale precomputed draw is never served).
-        let mut live_draws = !self.precompute_draws_parallel();
+        // The pre-fold computes every draw first, sharded over the
+        // pool; breakers then step serially against those values,
+        // falling back to live folds from the first trip on so later
+        // devices observe the blackout (the kill bumps the victims'
+        // leaf epochs, so a stale pre-folded draw is never served).
+        let mut live_draws = !self.precompute_draws();
         for i in 0..self.device_ids.len() {
             let id = self.device_ids[i];
             let draw = if live_draws {
@@ -907,7 +844,7 @@ impl Datacenter {
         lap.mark(&mut phase_secs, TickPhase::Validator);
 
         // 5. Telemetry sampling. The fleet's total power comes from a
-        // quiescence-keyed memo when fusion is on; every
+        // quiescence-keyed memo; every
         // `TELEMETRY_REFRESH_SAMPLES`-th sample forces a full
         // recomputation (and, in debug builds, cross-checks the memo
         // against the flat fold), so the merged sample stream can
@@ -1016,7 +953,7 @@ impl Datacenter {
     /// [`Datacenter::state`] against an identically-configured
     /// datacenter. After a successful restore the run continues
     /// bit-identically to the run that took the snapshot, at any worker
-    /// thread count and in any [`ParallelMode`].
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -1284,11 +1221,7 @@ mod tests {
         }
         assert_cache_exact(&mut dc);
 
-        let spans: Vec<Range<usize>> = dc
-            .system
-            .leaf_spans()
-            .expect("grid topologies register leaf spans")
-            .to_vec();
+        let spans: Vec<Range<usize>> = dc.system.leaf_spans().to_vec();
         let lag = spans[0].start as u32;
         let lead = spans[1].start as u32;
 
@@ -1349,7 +1282,7 @@ mod tests {
         // at zero and could climb back into coincidence with a stale
         // watermark. The generation mismatch must bypass the cache so
         // every draw is a direct fold.
-        let spans: Vec<Range<usize>> = dc.system.leaf_spans().unwrap().to_vec();
+        let spans: Vec<Range<usize>> = dc.system.leaf_spans().to_vec();
         dc.fleet.set_leaf_spans(&spans);
         for _ in 0..10 {
             dc.fleet.set_server_alive(0, false);

@@ -120,7 +120,7 @@ pub(crate) enum CycleId {
 /// sorted ascending — in reusable scratch buffers. Sorting restores the
 /// serial build order for controllers due at the same instant, so a
 /// phase-zero dispatch is indistinguishable from the old lockstep loop
-/// and the batch hand-off to the scoped-thread leaf path stays
+/// and the batch hand-off to the sharded leaf dispatch stays
 /// deterministic.
 #[derive(Debug)]
 pub(crate) struct CycleDispatcher {

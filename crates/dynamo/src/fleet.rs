@@ -29,20 +29,34 @@
 //! step with the same ascending-index `f64` folds as before, so all
 //! aggregates remain bit-identical at any worker count.
 //!
+//! ## One step
+//!
+//! [`Fleet::step`] is the only physics step. It carves the fleet into
+//! whole-leaf shards — as many as the attached [`WorkerPool`] has
+//! workers, one without a pool — and hands them to [`run_sharded`]:
+//! a single shard runs inline on the caller, more go to the pool's
+//! parked workers. "Serial" is therefore one shard of the same path,
+//! not a second implementation. Within a shard every leaf is walked
+//! tile by tile ([`FUSE_TILE`] servers): demand draw, settle kernel and
+//! power scatter run back to back while the tile is cache-hot.
+//!
 //! ## State ownership
 //!
 //! While the cache is clean, the arrays are authoritative for demand,
 //! output, init flag, and liveness; the scalar [`Server`] models hold
-//! stale copies. Before agent RPC cycles run (which read true power
-//! through the server model), [`Fleet::sync_servers_for_control`]
-//! flushes the due leaves' state back into the servers, and
-//! [`Fleet::absorb_caps`] pulls freshly programmed RAPL limits back
-//! into the `limit_w` array afterwards. Out-of-band mutation through
+//! stale copies. The control plane's per-leaf hand-off brackets each
+//! agent RPC cycle (which reads true power through the server model):
+//! [`fuse_sync_leaf`] flushes the leaf's state back into its servers
+//! right before the cycle, [`fuse_absorb_leaf`] pulls freshly
+//! programmed RAPL limits back into the `limit_w` array right after,
+//! and [`Fleet::finish_fused_control`] applies the shared-state effects
+//! once the shards have joined. Out-of-band mutation through
 //! [`Fleet::agent_mut`] flushes *all* servers first and marks the cache
-//! dirty: queries fall back to live per-agent reads until the next step
-//! resynchronizes the arrays from the servers. The breaker blackout
-//! path uses [`Fleet::set_server_alive`], which keeps the cache exact
-//! instead.
+//! dirty: queries fall back to live per-agent reads, the hand-off skips
+//! its flush and absorb (the servers are the authority), and the next
+//! step resynchronizes the arrays from the servers. The breaker
+//! blackout path uses [`Fleet::set_server_alive`], which keeps the
+//! cache exact instead.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -55,10 +69,12 @@ use dcsim::snap::{
 };
 use dcsim::{SimDuration, SimRng, SimTime};
 use dynamo_agent::Agent;
-use dynpool::{WorkerPool, MAX_WORKERS};
+use dynpool::WorkerPool;
 use powerinfra::Power;
 use serverpower::{kernel, PowerLut, Server, ServerConfig};
 use workloads::{OuCoeffs, ServiceKind, ServiceWorkload, TrafficPattern};
+
+use crate::shard::{self, front, front_mut};
 
 /// Aggregate fleet statistics at an instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,48 +90,20 @@ pub struct FleetStats {
 /// Analytical main-memory roofline of one worst-case tick: the bytes
 /// the hot loop must move through DRAM when every leaf redraws, every
 /// controller cycles, and the tick samples telemetry, assuming the
-/// caches hold nothing across passes (every fleet-wide pass re-streams
-/// its arrays) but everything within one [`FUSE_TILE`] (a tile touched
-/// by consecutive fused stages stays resident).
+/// caches hold nothing across passes but everything within one
+/// `FUSE_TILE` (a tile touched by consecutive stages stays resident).
 ///
 /// Computed from the live allocation sizes, not constants, so a layout
 /// regression — an array added to the settle stride, a mask unpacked
 /// back to `f64` — moves the number even before it shows up in wall
-/// time. `crates/bench` records both flavours in
-/// `BENCH_controlplane.json` and gates the fused roofline against a
-/// baked baseline.
+/// time. `crates/bench` gates it against a baked baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TickTraffic {
-    /// Bytes per worst-case tick with fusion on: one streaming pass
-    /// over the hot set — settle, absorb, telemetry partial and
-    /// per-leaf partial all ride the tile while it is resident — plus
-    /// the memoized total-power fold (O(leaves), counted exactly).
+    /// Bytes per worst-case tick: one streaming pass over the hot set —
+    /// settle, absorb, telemetry partial and per-leaf partial all ride
+    /// the tile while it is resident — plus the memoized total-power
+    /// fold (O(leaves), counted exactly).
     pub fused: u64,
-    /// Bytes per worst-case tick with fusion off: the same hot set
-    /// re-streamed by each phase-at-a-time pass — settle, control
-    /// sync, absorb, and the flat telemetry fold.
-    pub unfused: u64,
-}
-
-/// Precomputed per-worker partitions for [`Fleet::step_parallel`],
-/// cached so the hot path never re-carves chunk boundaries.
-///
-/// When the control plane's leaf spans are known, partitions are
-/// leaf-aligned and built by the same chunking rule the leaf dispatch
-/// uses (`div_ceil` over whole leaves), so a server's worker assignment
-/// is identical across fleet stepping and leaf control cycles. Leaf
-/// alignment also guarantees each worker's id range equals its position
-/// range (the batch permutation is leaf-local), which is what lets a
-/// worker scatter drawn power into its own disjoint id-order slice.
-#[derive(Debug, Default)]
-struct Partition {
-    /// Requested thread count this partition was computed for.
-    threads: usize,
-    /// Per-worker agent index ranges (ascending, tiling `0..n`).
-    agents: Vec<Range<usize>>,
-    /// Per-worker leaf index ranges (empty ranges when the fleet has no
-    /// leaf spans).
-    leaves: Vec<Range<usize>>,
 }
 
 /// One maximal contiguous position range of servers sharing a
@@ -164,8 +152,8 @@ pub struct Fleet {
     /// Crashed agents pending restart: (server, restart time).
     pending_restarts: Vec<(u32, SimTime)>,
     rng: SimRng,
-    /// Position → server id. Identity without leaf spans; with spans, a
-    /// leaf-local stable sort by `(generation, service, turbo)`.
+    /// Position → server id: a leaf-local stable sort by
+    /// `(generation, service, turbo)`.
     perm: Vec<u32>,
     /// Server id → position (inverse of `perm`).
     inv: Vec<u32>,
@@ -180,8 +168,8 @@ pub struct Fleet {
     out_w: Vec<f64>,
     /// Bit-packed first-step mask, one bit per server (bit set = not
     /// yet live-stepped, forcing the exact first-step snap). Packed in
-    /// per-leaf regions (see [`Fleet::mask_base`]) so leaf-aligned
-    /// worker partitions own disjoint words. The hot/cold split: what
+    /// per-leaf regions (see [`Fleet::mask_base`]) so whole-leaf
+    /// shards own disjoint words. The hot/cold split: what
     /// used to be two `f64` arrays in the settle stride is now a
     /// quarter byte per server.
     not_init_bits: Vec<u64>,
@@ -189,8 +177,7 @@ pub struct Fleet {
     /// same region layout as [`Fleet::not_init_bits`].
     alive_bits: Vec<u64>,
     /// Mask region directory: entry `l` is `(first word, first
-    /// position)` of leaf `l`'s mask words (one region covering
-    /// everything when spans are unknown), with a final sentinel of
+    /// position)` of leaf `l`'s mask words, with a final sentinel of
     /// `(total words, server count)`. Every region starts on a fresh
     /// word, so a worker owning whole leaves owns whole words — the
     /// parallel-carving invariant the packed masks rest on.
@@ -209,8 +196,9 @@ pub struct Fleet {
     /// per-agent reads while set; the servers were flushed to be fresh
     /// at the moment the flag was raised.
     power_dirty: bool,
-    /// The control plane's per-leaf server spans (ascending, tiling
-    /// `0..n`), when known. Empty otherwise.
+    /// Per-leaf server spans (ascending, tiling `0..n`, never empty):
+    /// the single span `0..n` until the control plane registers its
+    /// own through [`Fleet::set_leaf_spans`].
     leaf_spans: Vec<Range<usize>>,
     /// Monotone count of [`Fleet::set_leaf_spans`] registrations.
     /// Re-registering spans resets every per-leaf epoch to zero, so any
@@ -221,11 +209,8 @@ pub struct Fleet {
     /// Per-leaf power partial sums (watts), rebuilt by every step as
     /// the ascending flat fold over the leaf's span.
     leaf_power_w: Vec<f64>,
-    /// Cached per-worker partition for the last-used thread count.
-    partition: Partition,
-    /// Persistent worker pool shared with the leaf control plane.
-    /// Without one, [`Fleet::step_parallel`] falls back to per-call
-    /// scoped threads (the legacy dispatch, kept for comparison).
+    /// Persistent worker pool shared with the leaf control plane; its
+    /// size is the step's shard count (one shard without a pool).
     pool: Option<Arc<WorkerPool>>,
     /// Physics ticks completed so far; drives the leaf-phased demand
     /// redraw schedule. Incremented exactly once per step.
@@ -234,7 +219,6 @@ pub struct Fleet {
     /// workload every tick — bit-identical to the always-redraw model.
     /// Larger values hold each leaf's demand between leaf-phased
     /// redraws, which is what lets a fully settled leaf skip physics.
-    /// Only effective once leaf spans are registered.
     demand_hold: u32,
     /// Per-leaf active-set flags, bit-packed (bit `l % 64` of word
     /// `l / 64`): set iff the leaf's last physics pass was a *fixed
@@ -274,8 +258,8 @@ pub struct Fleet {
     agent_epoch: Vec<u64>,
     /// Maintained count of servers with a RAPL limit programmed,
     /// authoritative while the power cache is clean. Caps change only
-    /// through controller RPC cycles — which [`Fleet::absorb_caps`]
-    /// brackets — or through [`Fleet::agent_mut`], which dirties the
+    /// through controller RPC cycles — which [`fuse_absorb_leaf`]
+    /// follows — or through [`Fleet::agent_mut`], which dirties the
     /// cache; [`Fleet::resync_from_servers`] recounts on recovery. Keeps
     /// [`Fleet::stats`] O(1) instead of scanning every agent.
     capped_count: usize,
@@ -283,15 +267,10 @@ pub struct Fleet {
     /// cache contract as [`Fleet::capped_count`]. Crash and watchdog
     /// restart both route through [`Fleet::process_failures`].
     down_count: usize,
-    /// Hot-loop fusion switch (tile-at-a-time stepping plus the
-    /// incremental total-power fold). On by default; run-control only —
-    /// results are bit-identical either way, so the flag is not part of
-    /// the checkpoint envelope.
-    fuse: bool,
     /// Memoized flat fold over `power_w` (the [`Fleet::stats`] total)
     /// as `f64` bits, valid while the generation/epoch-sum marks below
     /// match the live watermark. Interior-mutable (relaxed atomics, not
-    /// `Cell`, so `Fleet` stays `Sync` for the scoped fan-outs) because
+    /// `Cell`, so `Fleet` stays `Sync` for the breaker pre-fold) because
     /// `stats` is a `&self` query; only the simulation thread writes.
     total_power_bits: AtomicU64,
     /// `span_generation` the cached total was folded at.
@@ -303,11 +282,11 @@ pub struct Fleet {
     /// watermark argument the breaker-tree draw cache rests on.
     total_power_esum: AtomicU64,
     /// Whether the memoized fold is populated at all (cleared on
-    /// restore, on fusion toggles, and by the periodic full refresh).
+    /// restore and by the periodic full refresh).
     total_power_valid: AtomicBool,
 }
 
-/// Fused-step tile size in servers: each tile's demand draw, settle
+/// Step tile size in servers: each tile's demand draw, settle
 /// kernel, and power scatter run back-to-back while the tile's slices
 /// are cache-hot, instead of three leaf-wide array passes. A tile
 /// spans ~5 hot `f64` arrays × 8 B × 2048 ≈ 80 KiB — comfortably
@@ -365,10 +344,10 @@ impl Fleet {
             // live read.
             power_w: vec![0.0; n],
             power_dirty: false,
-            leaf_spans: Vec::new(),
+            // One leaf spanning the fleet until spans are registered.
+            leaf_spans: std::iter::once(0..n).collect(),
             span_generation: 0,
             leaf_power_w: Vec::new(),
-            partition: Partition::default(),
             pool: None,
             tick_index: 0,
             demand_hold: 1,
@@ -382,13 +361,12 @@ impl Fleet {
             // Fresh agents are all running with no limit programmed.
             capped_count: 0,
             down_count: 0,
-            fuse: true,
             total_power_bits: AtomicU64::new(0),
             total_power_gen: AtomicU64::new(0),
             total_power_esum: AtomicU64::new(0),
             total_power_valid: AtomicBool::new(false),
         };
-        fleet.rebuild_layout();
+        fleet.reset_leaf_state();
         fleet
     }
 
@@ -432,48 +410,66 @@ impl Fleet {
         self.crash_rate_per_hour = per_hour;
     }
 
-    /// Attaches a persistent worker pool for [`Fleet::step_parallel`].
-    /// The datacenter shares one pool between fleet physics and leaf
+    /// Attaches a persistent worker pool: [`Fleet::step`] carves the
+    /// fleet into as many shards as the pool has workers. The
+    /// datacenter shares one pool between fleet physics and leaf
     /// control cycles so both fan-outs reuse the same parked workers.
     pub fn attach_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pool = Some(pool);
     }
 
-    /// Detaches the worker pool; parallel stepping falls back to
-    /// per-call scoped threads.
+    /// Detaches the worker pool; the step runs as one shard on the
+    /// caller.
     pub fn detach_pool(&mut self) {
         self.pool = None;
     }
 
-    /// Registers the control plane's per-leaf server spans so the step
-    /// maintains per-leaf power partials and leaf-aligned worker
-    /// partitions, and regroups the batch arrays leaf-locally by
-    /// `(generation, service, turbo)`. Spans must ascend and tile
-    /// `0..len`. Also resets the per-leaf active-set state (everything
-    /// starts unsettled and unflushed) and bumps the span generation,
-    /// which invalidates any epoch-keyed aggregate cache built over the
-    /// previous spans (the restarted epochs could otherwise collide
-    /// with stale watermarks).
+    /// Registers the control plane's per-leaf server spans: the step
+    /// maintains per-leaf power partials and carves whole-leaf shards
+    /// over them, and the batch arrays are regrouped leaf-locally by
+    /// `(generation, service, turbo)`. Also resets the per-leaf
+    /// active-set state (everything starts unsettled and unflushed) and
+    /// bumps the span generation, which invalidates any epoch-keyed
+    /// aggregate cache built over the previous spans (the restarted
+    /// epochs could otherwise collide with stale watermarks).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the spans ascend and tile `0..len`.
     pub fn set_leaf_spans(&mut self, spans: &[Range<usize>]) {
-        debug_assert!(spans
-            .iter()
-            .zip(spans.iter().skip(1))
-            .all(|(a, b)| a.end == b.start));
+        let mut next = 0;
+        for (l, span) in spans.iter().enumerate() {
+            assert!(
+                span.start == next && span.end > span.start,
+                "leaf span {l} is {span:?}; spans must ascend and tile the fleet from {next}"
+            );
+            next = span.end;
+        }
+        assert_eq!(next, self.agents.len(), "leaf spans must cover the fleet");
         self.leaf_spans = spans.to_vec();
         self.span_generation += 1;
+        self.reset_leaf_state();
+    }
+
+    /// Rebuilds everything derived from `leaf_spans`: the batch layout
+    /// and the per-leaf partials, active-set flags and epochs.
+    fn reset_leaf_state(&mut self) {
         self.rebuild_layout();
-        self.leaf_power_w = vec![0.0; spans.len()];
-        leaf_partials(&self.power_w, 0, &self.leaf_spans, &mut self.leaf_power_w);
-        self.partition = Partition::default();
-        self.settled_bits = vec![0; spans.len().div_ceil(64)];
-        self.settled_scratch = vec![false; spans.len()];
+        let leaves = self.leaf_spans.len();
+        self.leaf_power_w = self
+            .leaf_spans
+            .iter()
+            .map(|span| self.power_w[span.clone()].iter().sum())
+            .collect();
+        self.settled_bits = vec![0; leaves.div_ceil(64)];
+        self.settled_scratch = vec![false; leaves];
         // Pretend every leaf just redrew: a mid-run re-span must not
         // integrate the whole pre-span history into the next redraw.
-        self.last_draw_tick = vec![self.tick_index; spans.len()];
-        self.leaf_epoch = vec![0; spans.len()];
-        self.flushed_epoch = vec![u64::MAX; spans.len()];
-        self.flushed_draw = vec![u64::MAX; spans.len()];
-        self.agent_epoch = vec![0; spans.len()];
+        self.last_draw_tick = vec![self.tick_index; leaves];
+        self.leaf_epoch = vec![0; leaves];
+        self.flushed_epoch = vec![u64::MAX; leaves];
+        self.flushed_draw = vec![u64::MAX; leaves];
+        self.agent_epoch = vec![0; leaves];
     }
 
     /// Sets the demand redraw period in ticks.
@@ -487,9 +483,6 @@ impl Fleet {
     /// scaling the workload step `dt` by the elapsed tick count.
     /// Between redraws a fully settled leaf's physics pass is the exact
     /// floating-point identity and is skipped outright.
-    ///
-    /// Only effective once leaf spans are registered; fleets without
-    /// spans always redraw.
     ///
     /// # Panics
     ///
@@ -505,24 +498,9 @@ impl Fleet {
     }
 
     /// Number of leaves currently settled (their next physics pass
-    /// would be the exact identity). Zero when leaf spans are unknown.
+    /// would be the exact identity).
     pub fn settled_leaf_count(&self) -> usize {
         self.settled_bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Enables or disables hot-loop fusion: tile-at-a-time stepping and
-    /// the incremental total-power fold. On by default. Run-control
-    /// only — results are bit-identical either way — so the flag stays
-    /// out of the checkpoint envelope; `off` is the bisection reference
-    /// that recomputes everything from scratch each tick.
-    pub fn set_fuse(&mut self, on: bool) {
-        self.fuse = on;
-        self.total_power_valid.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether hot-loop fusion is enabled.
-    pub fn fuse(&self) -> bool {
-        self.fuse
     }
 
     /// Whether leaf `leaf` is settled (bit read of the packed flags).
@@ -597,7 +575,7 @@ impl Fleet {
         &self.leaf_epoch
     }
 
-    /// The registered per-leaf server spans (empty when unknown).
+    /// The per-leaf server spans (`0..len` until registered).
     pub(crate) fn leaf_spans(&self) -> &[Range<usize>] {
         &self.leaf_spans
     }
@@ -625,26 +603,22 @@ impl Fleet {
         &self.last_draw_tick
     }
 
-    /// The maintained per-leaf power partials (watts), when the fleet
-    /// knows the control plane's leaf spans and the cache is clean.
-    /// `partials[l]` is the ascending flat fold over leaf `l`'s span.
+    /// The maintained per-leaf power partials (watts) while the cache
+    /// is clean. `partials[l]` is the ascending flat fold over leaf
+    /// `l`'s span.
     pub(crate) fn leaf_power_partials(&self) -> Option<&[f64]> {
-        (!self.power_dirty && !self.leaf_power_w.is_empty()).then_some(&self.leaf_power_w[..])
+        (!self.power_dirty).then_some(&self.leaf_power_w[..])
     }
 
-    /// Bumps the agent epoch of the leaf owning server `sid` (no-op
-    /// while spans are unknown: without spans the control plane never
-    /// elides, so there is nothing to witness).
+    /// The leaf owning server `sid` (the spans tile the fleet).
+    fn leaf_of(&self, sid: usize) -> usize {
+        self.leaf_spans.partition_point(|s| s.end <= sid)
+    }
+
+    /// Bumps the agent epoch of the leaf owning server `sid`.
     fn bump_agent_epoch(&mut self, sid: usize) {
-        if self.leaf_spans.is_empty() {
-            return;
-        }
-        let leaf = self.leaf_spans.partition_point(|s| s.end <= sid);
-        if let Some(span) = self.leaf_spans.get(leaf) {
-            if span.contains(&sid) {
-                self.agent_epoch[leaf] += 1;
-            }
-        }
+        let leaf = self.leaf_of(sid);
+        self.agent_epoch[leaf] += 1;
     }
 
     /// Test hook: forces every leaf back into the active set, making
@@ -708,9 +682,8 @@ impl Fleet {
             }
         }
         // The new permutation: identity, then a stable sort of each
-        // leaf span by run key. Without spans the layout stays identity
-        // (arbitrary worker chunks must keep id range == position
-        // range).
+        // leaf span by run key (leaf-local, so a whole-leaf shard's id
+        // range equals its position range).
         let mut perm: Vec<u32> = (0..n as u32).collect();
         for span in &self.leaf_spans {
             perm[span.clone()].sort_by_key(|&id| {
@@ -755,23 +728,17 @@ impl Fleet {
     }
 
     /// Rebuilds the mask region directory and zeroes the bit words for
-    /// the current leaf spans: one region per leaf (one covering region
-    /// when spans are unknown), each starting on a fresh word, plus a
-    /// `(total words, server count)` sentinel. Word alignment per leaf
-    /// is what lets leaf-aligned worker partitions carve the packed
-    /// words with safe `split_at_mut`.
+    /// the current leaf spans: one region per leaf, each starting on a
+    /// fresh word, plus a `(total words, server count)` sentinel. Word
+    /// alignment per leaf is what lets whole-leaf shards carve the
+    /// packed words with safe `split_at_mut`.
     fn rebuild_mask_layout(&mut self) {
         let n = self.agents.len();
         self.mask_base.clear();
         let mut w = 0usize;
-        if self.leaf_spans.is_empty() {
-            self.mask_base.push((0, 0));
-            w = n.div_ceil(64);
-        } else {
-            for span in &self.leaf_spans {
-                self.mask_base.push((w, span.start));
-                w += span.len().div_ceil(64);
-            }
+        for span in &self.leaf_spans {
+            self.mask_base.push((w, span.start));
+            w += span.len().div_ceil(64);
         }
         self.mask_base.push((w, n));
         self.alive_bits.clear();
@@ -834,129 +801,22 @@ impl Fleet {
         &mut self.agents[sid as usize]
     }
 
-    /// Mutable access to the whole agent array, indexed by server id.
-    /// The parallel control plane partitions this into disjoint
-    /// per-leaf spans with `split_at_mut`. Does not mark the power
-    /// cache dirty: the controller RPC path only programs RAPL limits,
-    /// which change drawn power at the next physics step, never
-    /// immediately. (The control plane brackets its cycles with
-    /// [`Fleet::sync_servers_for_control`] / [`Fleet::absorb_caps`].)
-    pub(crate) fn agents_mut(&mut self) -> &mut [Agent] {
-        &mut self.agents
-    }
-
-    /// Pushes the batch-owned physics state of the due leaves' servers
-    /// into their [`Server`] models, so the agent RPC cycles about to
-    /// run observe fresh power. With unknown leaf spans every server is
-    /// flushed. A no-op while the cache is dirty (the servers are
-    /// already the authority then).
-    ///
-    /// A leaf whose epoch and redraw tick both match its last flush is
-    /// skipped: `out_w`/`not_init` changes always bump the epoch, and
-    /// utilization changes only on redraw, so matching markers prove
-    /// the server models already hold this exact state.
-    pub(crate) fn sync_servers_for_control(&mut self, due: &[usize]) {
-        if self.power_dirty {
-            return;
-        }
-        if self.leaf_spans.is_empty() {
-            self.flush_span_to_servers(0..self.agents.len());
-        } else {
-            for &leaf in due {
-                if self.flushed_epoch[leaf] == self.leaf_epoch[leaf]
-                    && self.flushed_draw[leaf] == self.last_draw_tick[leaf]
-                {
-                    continue;
-                }
-                self.flush_span_to_servers(self.leaf_spans[leaf].clone());
-                self.flushed_epoch[leaf] = self.leaf_epoch[leaf];
-                self.flushed_draw[leaf] = self.last_draw_tick[leaf];
-            }
-        }
-    }
-
-    /// Pulls the RAPL limits the due leaves' controllers just programmed
-    /// back into the batch `limit_w` array. The counterpart of
-    /// [`Fleet::sync_servers_for_control`], run after the RPC cycles. A
-    /// no-op while the cache is dirty (the next step resynchronizes
-    /// everything from the servers anyway).
-    /// Any limit whose bit pattern actually changed unsettles its leaf
-    /// (the settle target moved, so the next pass is no longer known to
-    /// be the identity). The leaf epoch is *not* bumped here: a limit
-    /// change affects drawn power only at the next physics step, which
-    /// bumps the epoch itself if anything moves.
-    pub(crate) fn absorb_caps(&mut self, due: &[usize]) {
-        if self.power_dirty {
-            return;
-        }
-        if self.leaf_spans.is_empty() {
-            for id in 0..self.agents.len() {
-                let pos = self.inv[id] as usize;
-                let new = self.agents[id]
-                    .current_cap()
-                    .map_or(f64::INFINITY, |l| l.as_watts());
-                let old = self.limit_w[pos];
-                if new.is_finite() != old.is_finite() {
-                    if new.is_finite() {
-                        self.capped_count += 1;
-                    } else {
-                        self.capped_count -= 1;
-                    }
-                }
-                self.limit_w[pos] = new;
-            }
-        } else {
-            for &leaf in due {
-                let mut changed = false;
-                for id in self.leaf_spans[leaf].clone() {
-                    let pos = self.inv[id] as usize;
-                    let new = self.agents[id]
-                        .current_cap()
-                        .map_or(f64::INFINITY, |l| l.as_watts());
-                    let old = self.limit_w[pos];
-                    if new.to_bits() != old.to_bits() {
-                        if new.is_finite() != old.is_finite() {
-                            if new.is_finite() {
-                                self.capped_count += 1;
-                            } else {
-                                self.capped_count -= 1;
-                            }
-                        }
-                        self.limit_w[pos] = new;
-                        changed = true;
-                    }
-                }
-                if changed {
-                    self.set_settled(leaf, false);
-                }
-            }
-        }
-    }
-
-    /// True when the control plane may run its fused per-leaf
-    /// sync → cycle → absorb dispatch instead of the three
-    /// phase-at-a-time passes ([`Fleet::sync_servers_for_control`],
-    /// the RPC cycles, [`Fleet::absorb_caps`]): fusion is on, leaf
-    /// spans are known (the per-leaf flush and the limit carving need
-    /// them), and the power cache is clean (while dirty, sync and
-    /// absorb are deliberate no-ops the fused path does not replicate,
-    /// so the caller must fall back to the unfused passes).
-    pub(crate) fn control_fuse_ready(&self) -> bool {
-        self.fuse && !self.power_dirty && !self.leaf_spans.is_empty()
-    }
-
-    /// Splits the fleet into the parts a fused control dispatch needs:
-    /// the agent array and the RAPL limit array as carvable `&mut`
-    /// slices (the parallel paths partition both at the same leaf-span
-    /// boundaries — leaf-aligned spans make position ranges equal id
-    /// ranges), plus a read-only [`FuseShared`] view of everything
+    /// Splits the fleet into the parts the control hand-off needs: the
+    /// agent array and the RAPL limit array as carvable `&mut` slices
+    /// (the dispatch partitions both at the same leaf-span boundaries —
+    /// leaf-local grouping makes position ranges equal id ranges), plus
+    /// a read-only [`FuseShared`] view of everything
     /// [`fuse_sync_leaf`] and [`fuse_absorb_leaf`] read. All distinct
-    /// fields, so the three borrows coexist.
+    /// fields, so the three borrows coexist. Handing out the agents
+    /// does not dirty the power cache: the controller RPC path only
+    /// programs RAPL limits, which change drawn power at the next
+    /// physics step, never immediately.
     pub(crate) fn fused_control_parts(&mut self) -> (&mut [Agent], &mut [f64], FuseShared<'_>) {
         (
             &mut self.agents,
             &mut self.limit_w,
             FuseShared {
+                dirty: self.power_dirty,
                 perm: &self.perm,
                 inv: &self.inv,
                 util: &self.util,
@@ -972,17 +832,23 @@ impl Fleet {
         )
     }
 
-    /// Applies the side effects a fused dispatch deferred past the
-    /// join: flush markers for every due leaf (each was flushed — or
-    /// proven fresh — by [`fuse_sync_leaf`] before its cycle),
-    /// unsettling for leaves whose limits changed, and the
-    /// capped-server tally folded in ascending due order — exactly the
-    /// mutations [`Fleet::sync_servers_for_control`] and
-    /// [`Fleet::absorb_caps`] would have made. Deferring is safe
-    /// because the control tick never moves epochs or redraw ticks, so
-    /// the markers recorded here equal what the per-leaf flush saw.
+    /// Applies the side effects the hand-off deferred past the join:
+    /// flush markers for every due leaf (each was flushed — or proven
+    /// fresh — by [`fuse_sync_leaf`] before its cycle), unsettling for
+    /// leaves whose limits changed (the settle target moved, so the
+    /// next pass is no longer known to be the identity), and the
+    /// capped-server tally folded in ascending due order. The leaf
+    /// epoch is *not* bumped: a limit change affects drawn power only
+    /// at the next physics step, which bumps the epoch itself if
+    /// anything moves. Deferring is safe because the control tick never
+    /// moves epochs or redraw ticks, so the markers recorded here equal
+    /// what the per-leaf flush saw. A no-op while the cache is dirty:
+    /// nothing was flushed or absorbed, and the next step
+    /// resynchronizes everything from the servers anyway.
     pub(crate) fn finish_fused_control(&mut self, due: &[usize], changed: &[bool], deltas: &[i64]) {
-        debug_assert!(!self.power_dirty, "fused dispatch ran on a dirty cache");
+        if self.power_dirty {
+            return;
+        }
         for &leaf in due {
             self.flushed_epoch[leaf] = self.leaf_epoch[leaf];
             self.flushed_draw[leaf] = self.last_draw_tick[leaf];
@@ -1069,18 +935,12 @@ impl Fleet {
             .server_mut()
             .sync_physics(self.util[pos], self.out_w[pos], initialized);
         self.power_w[i] = if alive { self.out_w[pos] } else { 0.0 };
-        if !self.leaf_spans.is_empty() {
-            let leaf = self.leaf_spans.partition_point(|s| s.end <= i);
-            if let Some(span) = self.leaf_spans.get(leaf) {
-                if span.contains(&i) {
-                    self.leaf_power_w[leaf] = self.power_w[span.clone()].iter().sum();
-                    // The liveness mask is a kernel input and drawn
-                    // power changed right now: unsettle and version.
-                    self.set_settled(leaf, false);
-                    self.leaf_epoch[leaf] += 1;
-                }
-            }
-        }
+        let leaf = self.leaf_of(i);
+        self.leaf_power_w[leaf] = self.power_w[self.leaf_spans[leaf].clone()].iter().sum();
+        // The liveness mask is a kernel input and drawn power changed
+        // right now: unsettle and version.
+        self.set_settled(leaf, false);
+        self.leaf_epoch[leaf] += 1;
     }
 
     /// The true (physics) power of server `sid` right now.
@@ -1114,10 +974,9 @@ impl Fleet {
         Power::from_watts(self.power_w[range].iter().sum())
     }
 
-    /// The maintained power partial of leaf `leaf`, if the fleet knows
-    /// the control plane's leaf spans and the cache is clean. The
-    /// partial is the ascending flat fold over the leaf's span — the
-    /// exact sum [`Fleet::power_sum`] would compute over its ids.
+    /// The maintained power partial of leaf `leaf` while the cache is
+    /// clean: the ascending flat fold over the leaf's span — the exact
+    /// sum [`Fleet::power_sum`] would compute over its ids.
     pub(crate) fn leaf_power(&self, leaf: usize) -> Option<Power> {
         if self.power_dirty {
             return None;
@@ -1167,8 +1026,20 @@ impl Fleet {
 
     /// Advances every server by one tick: samples traffic, draws demand
     /// from each workload process, applies static clamps, steps server
-    /// physics in one batched kernel pass, and processes agent
-    /// crash/restart events.
+    /// physics tile by tile, and processes agent crash/restart events.
+    ///
+    /// The fleet is carved into contiguous whole-leaf shards, one per
+    /// worker of the attached pool ([`Fleet::attach_pool`]; one shard
+    /// without a pool, run inline on the caller). Per-server workload
+    /// processes own independent RNG streams and every fold is a fixed
+    /// ascending one, so the result is bit-identical at any width — this
+    /// mirrors the production deployment where one consolidated binary
+    /// runs ~100 controller/agent threads (§IV). A warm step allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread panics.
     pub fn step(&mut self, now: SimTime, dt: SimDuration) {
         if self.power_dirty {
             self.resync_from_servers();
@@ -1188,283 +1059,15 @@ impl Fleet {
             dt,
             tick: self.tick_index,
             hold: self.demand_hold as u64,
-            tile: if self.fuse { FUSE_TILE } else { usize::MAX },
         };
-        if self.leaf_spans.is_empty() {
-            step_range(
-                &ctx,
-                0,
-                &mut self.generators,
-                &mut self.util,
-                &mut self.demand_w,
-                &self.limit_w,
-                &self.alive_bits,
-                &mut self.not_init_bits,
-                &mut self.out_w,
-                &mut self.power_w,
-            );
-        } else {
-            step_leaves(
-                &ctx,
-                0,
-                0,
-                &self.leaf_spans,
-                &mut self.generators,
-                &mut self.util,
-                &mut self.demand_w,
-                &self.limit_w,
-                &self.alive_bits,
-                &mut self.not_init_bits,
-                &self.mask_base,
-                &mut self.out_w,
-                &mut self.power_w,
-                &mut self.leaf_power_w,
-                &mut self.settled_scratch,
-                &mut self.last_draw_tick,
-                &mut self.leaf_epoch,
-            );
-        }
-        self.pack_settled();
-        self.power_dirty = false;
-        self.tick_index += 1;
-        self.process_failures(now, dt);
-    }
+        let pool = self.pool.as_deref();
+        let leaves = self.leaf_spans.len();
+        let (per, shards) = shard::chunking(pool, leaves);
 
-    /// Like [`Fleet::step`] but advances servers on `threads` workers.
-    /// Per-server workload processes own independent RNG streams, so
-    /// the result is bit-identical to the serial path — this mirrors
-    /// the production deployment where one consolidated binary runs
-    /// ~100 controller/agent threads (§IV).
-    ///
-    /// With a pool attached ([`Fleet::attach_pool`]) the dispatch wakes
-    /// the persistent parked workers over precomputed leaf-aligned
-    /// partitions and allocates nothing once warm; without one it falls
-    /// back to per-call scoped threads over the same partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or a worker thread panics.
-    pub fn step_parallel(&mut self, now: SimTime, dt: SimDuration, threads: usize) {
-        assert!(threads >= 1, "need at least one worker thread");
-        if threads == 1 || self.agents.len() < 64 {
-            return self.step(now, dt);
-        }
-        if self.power_dirty {
-            self.resync_from_servers();
-        }
-        match &self.pool {
-            Some(pool) => {
-                let pool = Arc::clone(pool);
-                self.step_pooled(now, dt, threads, &pool);
-            }
-            None => self.step_scoped(now, dt, threads),
-        }
-        self.power_dirty = false;
-        self.tick_index += 1;
-        self.process_failures(now, dt);
-    }
-
-    /// Pooled parallel step: per-worker jobs over the precomputed
-    /// partition, zero-alloc once the partition is cached.
-    fn step_pooled(&mut self, now: SimTime, dt: SimDuration, threads: usize, pool: &WorkerPool) {
-        let workers = threads.min(pool.workers());
-        self.ensure_partition(workers);
-        self.unpack_settled();
-        let ctx = StepCtx {
-            runs: &self.runs,
-            perm: &self.perm,
-            mults: self.traffic_multipliers(now),
-            caps: self.static_util_caps,
-            ou: ou_coefficients(dt),
-            alpha: kernel::settle_alpha(dt.as_secs_f64(), self.tau_secs),
-            now,
-            dt,
-            tick: self.tick_index,
-            hold: self.demand_hold as u64,
-            tile: if self.fuse { FUSE_TILE } else { usize::MAX },
-        };
-
-        /// One worker's disjoint view of the fleet arrays.
-        struct StepJob<'a> {
-            generators: &'a mut [ServiceWorkload],
-            util: &'a mut [f64],
-            demand_w: &'a mut [f64],
-            /// This worker's packed mask words. Leaf-aligned partitions
-            /// own whole words (every leaf's region starts on a fresh
-            /// word; spanless chunks are rounded to word multiples).
-            not_init_bits: &'a mut [u64],
-            alive_bits: &'a [u64],
-            /// Global mask directory entries for this worker's leaves
-            /// (`lrange.len() + 1` entries, the last the next worker's
-            /// first region / the sentinel).
-            word_base: &'a [(usize, usize)],
-            out_w: &'a mut [f64],
-            power_w: &'a mut [f64],
-            /// This worker's leaves: partial-sum outputs, active-set
-            /// state, and the matching global spans.
-            leaf_power_w: &'a mut [f64],
-            settled: &'a mut [bool],
-            last_draw: &'a mut [u64],
-            leaf_epoch: &'a mut [u64],
-            leaf_spans: &'a [Range<usize>],
-            /// Server id / position of element 0 of the local slices
-            /// (the two coincide on leaf-aligned partitions).
-            base: usize,
-            /// Global index of the first leaf in `leaf_spans`.
-            leaf_base: usize,
-        }
-
-        let limit_w = &self.limit_w;
-        let alive_bits_all = &self.alive_bits;
-        let mask_base = &self.mask_base;
-        let mut jobs: [Option<StepJob>; MAX_WORKERS] = std::array::from_fn(|_| None);
-        let njobs = self.partition.agents.len();
-        {
-            let mut generators = &mut self.generators[..];
-            let mut util = &mut self.util[..];
-            let mut demand_w = &mut self.demand_w[..];
-            let mut not_init_bits = &mut self.not_init_bits[..];
-            let mut out_w = &mut self.out_w[..];
-            let mut power_w = &mut self.power_w[..];
-            let mut leaf_power_w = &mut self.leaf_power_w[..];
-            let mut settled = &mut self.settled_scratch[..];
-            let mut last_draw = &mut self.last_draw_tick[..];
-            let mut leaf_epoch = &mut self.leaf_epoch[..];
-            let mut consumed = 0usize;
-            let mut leaves_consumed = 0usize;
-            let mut words_consumed = 0usize;
-            for (job, (arange, lrange)) in jobs
-                .iter_mut()
-                .zip(self.partition.agents.iter().zip(&self.partition.leaves))
-            {
-                debug_assert_eq!(arange.start, consumed, "partition must tile the fleet");
-                let take = arange.end - arange.start;
-                let (g, rest) = generators.split_at_mut(take);
-                generators = rest;
-                let (u, rest) = util.split_at_mut(take);
-                util = rest;
-                let (d, rest) = demand_w.split_at_mut(take);
-                demand_w = rest;
-                let (o, rest) = out_w.split_at_mut(take);
-                out_w = rest;
-                let (p, rest) = power_w.split_at_mut(take);
-                power_w = rest;
-                // This worker's mask word range: leaf regions when
-                // spans are known, position/64 otherwise (chunk starts
-                // are 64-multiples by construction).
-                let (wlo, whi) = if self.leaf_spans.is_empty() {
-                    (arange.start / 64, arange.end.div_ceil(64))
-                } else {
-                    (mask_base[lrange.start].0, mask_base[lrange.end].0)
-                };
-                debug_assert_eq!(wlo, words_consumed, "mask words must tile the fleet");
-                let (nib, rest) = not_init_bits.split_at_mut(whi - wlo);
-                not_init_bits = rest;
-                words_consumed = whi;
-                debug_assert_eq!(lrange.start, leaves_consumed);
-                let ltake = lrange.end - lrange.start;
-                let (lp, rest) = leaf_power_w.split_at_mut(ltake);
-                leaf_power_w = rest;
-                let (st, rest) = settled.split_at_mut(ltake);
-                settled = rest;
-                let (ld, rest) = last_draw.split_at_mut(ltake);
-                last_draw = rest;
-                let (le, rest) = leaf_epoch.split_at_mut(ltake);
-                leaf_epoch = rest;
-                *job = Some(StepJob {
-                    generators: g,
-                    util: u,
-                    demand_w: d,
-                    not_init_bits: nib,
-                    alive_bits: &alive_bits_all[wlo..whi],
-                    word_base: &mask_base[lrange.start..lrange.end + 1],
-                    out_w: o,
-                    power_w: p,
-                    leaf_power_w: lp,
-                    settled: st,
-                    last_draw: ld,
-                    leaf_epoch: le,
-                    leaf_spans: &self.leaf_spans[lrange.clone()],
-                    base: consumed,
-                    leaf_base: lrange.start,
-                });
-                consumed = arange.end;
-                leaves_consumed = lrange.end;
-            }
-        }
-        let ctx = &ctx;
-        pool.run_on(&mut jobs[..njobs], |_w, slot| {
-            let job = slot.as_mut().expect("partition slot filled above");
-            let lo = job.base;
-            let n = job.generators.len();
-            if job.leaf_spans.is_empty() {
-                step_range(
-                    ctx,
-                    lo,
-                    job.generators,
-                    job.util,
-                    job.demand_w,
-                    &limit_w[lo..lo + n],
-                    job.alive_bits,
-                    job.not_init_bits,
-                    job.out_w,
-                    job.power_w,
-                );
-            } else {
-                step_leaves(
-                    ctx,
-                    lo,
-                    job.leaf_base,
-                    job.leaf_spans,
-                    job.generators,
-                    job.util,
-                    job.demand_w,
-                    &limit_w[lo..lo + n],
-                    job.alive_bits,
-                    job.not_init_bits,
-                    job.word_base,
-                    job.out_w,
-                    job.power_w,
-                    job.leaf_power_w,
-                    job.settled,
-                    job.last_draw,
-                    job.leaf_epoch,
-                );
-            }
-        });
-        self.pack_settled();
-    }
-
-    /// No-pool parallel step: per-call scoped threads over the same
-    /// leaf-aligned partitions the pooled path uses. Kept as the
-    /// fallback and the baseline the pool is benchmarked against.
-    fn step_scoped(&mut self, now: SimTime, dt: SimDuration, threads: usize) {
-        self.ensure_partition(threads);
-        self.unpack_settled();
-        let ctx = StepCtx {
-            runs: &self.runs,
-            perm: &self.perm,
-            mults: self.traffic_multipliers(now),
-            caps: self.static_util_caps,
-            ou: ou_coefficients(dt),
-            alpha: kernel::settle_alpha(dt.as_secs_f64(), self.tau_secs),
-            now,
-            dt,
-            tick: self.tick_index,
-            hold: self.demand_hold as u64,
-            tile: if self.fuse { FUSE_TILE } else { usize::MAX },
-        };
-        let parts: Vec<(Range<usize>, Range<usize>)> = self
-            .partition
-            .agents
-            .iter()
-            .cloned()
-            .zip(self.partition.leaves.iter().cloned())
-            .collect();
-        let limit_w = &self.limit_w;
-        let alive_bits_all = &self.alive_bits;
-        let mask_base = &self.mask_base;
-        let leaf_spans = &self.leaf_spans;
+        let leaf_spans = &self.leaf_spans[..];
+        let mask_base = &self.mask_base[..];
+        let mut limit_w = &self.limit_w[..];
+        let mut alive_bits = &self.alive_bits[..];
         let mut generators = &mut self.generators[..];
         let mut util = &mut self.util[..];
         let mut demand_w = &mut self.demand_w[..];
@@ -1475,127 +1078,41 @@ impl Fleet {
         let mut settled = &mut self.settled_scratch[..];
         let mut last_draw = &mut self.last_draw_tick[..];
         let mut leaf_epoch = &mut self.leaf_epoch[..];
-        let mut words_consumed = 0usize;
-        let ctx = &ctx;
-        std::thread::scope(|scope| {
-            for (arange, lrange) in parts {
-                let take = arange.end - arange.start;
-                let (g, rest) = generators.split_at_mut(take);
-                generators = rest;
-                let (u, rest) = util.split_at_mut(take);
-                util = rest;
-                let (d, rest) = demand_w.split_at_mut(take);
-                demand_w = rest;
-                let (o, rest) = out_w.split_at_mut(take);
-                out_w = rest;
-                let (p, rest) = power_w.split_at_mut(take);
-                power_w = rest;
-                let (wlo, whi) = if leaf_spans.is_empty() {
-                    (arange.start / 64, arange.end.div_ceil(64))
-                } else {
-                    (mask_base[lrange.start].0, mask_base[lrange.end].0)
-                };
-                debug_assert_eq!(wlo, words_consumed, "mask words must tile the fleet");
-                let (nib, rest) = not_init_bits.split_at_mut(whi - wlo);
-                not_init_bits = rest;
-                words_consumed = whi;
-                let ab = &alive_bits_all[wlo..whi];
-                let wb = &mask_base[lrange.start..lrange.end + 1];
-                let ltake = lrange.end - lrange.start;
-                let (lp, rest) = leaf_power_w.split_at_mut(ltake);
-                leaf_power_w = rest;
-                let (st, rest) = settled.split_at_mut(ltake);
-                settled = rest;
-                let (ld, rest) = last_draw.split_at_mut(ltake);
-                last_draw = rest;
-                let (le, rest) = leaf_epoch.split_at_mut(ltake);
-                leaf_epoch = rest;
-                let leaf_base = lrange.start;
-                let spans = &leaf_spans[lrange];
-                let lo = arange.start;
-                scope.spawn(move || {
-                    let n = g.len();
-                    if spans.is_empty() {
-                        step_range(
-                            ctx,
-                            lo,
-                            g,
-                            u,
-                            d,
-                            &limit_w[lo..lo + n],
-                            ab,
-                            nib,
-                            o,
-                            p,
-                        );
-                    } else {
-                        step_leaves(
-                            ctx,
-                            lo,
-                            leaf_base,
-                            spans,
-                            g,
-                            u,
-                            d,
-                            &limit_w[lo..lo + n],
-                            ab,
-                            nib,
-                            wb,
-                            o,
-                            p,
-                            lp,
-                            st,
-                            ld,
-                            le,
-                        );
-                    }
-                });
-            }
-        });
-        self.pack_settled();
-    }
-
-    /// Rebuilds the cached per-worker partition if the thread count
-    /// changed. Leaf-aligned when spans are known — the same
-    /// whole-leaf `div_ceil` chunking the leaf dispatch uses, so a
-    /// server's worker assignment is stable across both fan-outs.
-    fn ensure_partition(&mut self, threads: usize) {
-        let threads = threads.clamp(1, MAX_WORKERS);
-        if self.partition.threads == threads && !self.partition.agents.is_empty() {
-            return;
-        }
-        let mut agents = Vec::new();
-        let mut leaves = Vec::new();
-        if self.leaf_spans.is_empty() {
-            let n = self.agents.len();
-            // Chunk starts must fall on 64-server boundaries so every
-            // worker owns whole packed-mask words. Which partition the
-            // step runs over is unobservable (per-server RNG streams,
-            // ascending folds), so the rounding cannot change results.
-            let per = n.div_ceil(threads).div_ceil(64) * 64;
-            let mut start = 0;
-            while start < n {
-                let end = (start + per).min(n);
-                agents.push(start..end);
-                leaves.push(0..0);
-                start = end;
-            }
-        } else {
-            let l = self.leaf_spans.len();
-            let per = l.div_ceil(threads.min(l));
-            let mut lo = 0;
-            while lo < l {
-                let hi = (lo + per).min(l);
-                agents.push(self.leaf_spans[lo].start..self.leaf_spans[hi - 1].end);
-                leaves.push(lo..hi);
-                lo = hi;
-            }
-        }
-        self.partition = Partition {
-            threads,
-            agents,
-            leaves,
+        let mut lo = 0usize;
+        // Shard `lo..hi` of the leaves: its servers (ids and positions
+        // coincide on whole leaves), its mask words (every leaf's
+        // region starts on a fresh word) and its per-leaf state.
+        let carve = || {
+            let hi = (lo + per).min(leaves);
+            let base = leaf_spans[lo].start;
+            let servers = leaf_spans[hi - 1].end - base;
+            let words = mask_base[hi].0 - mask_base[lo].0;
+            let job = StepJob {
+                generators: front_mut(&mut generators, servers),
+                util: front_mut(&mut util, servers),
+                demand_w: front_mut(&mut demand_w, servers),
+                limit_w: front(&mut limit_w, servers),
+                alive_bits: front(&mut alive_bits, words),
+                not_init_bits: front_mut(&mut not_init_bits, words),
+                word_base: &mask_base[lo..=hi],
+                out_w: front_mut(&mut out_w, servers),
+                power_w: front_mut(&mut power_w, servers),
+                leaf_power_w: front_mut(&mut leaf_power_w, hi - lo),
+                settled: front_mut(&mut settled, hi - lo),
+                last_draw: front_mut(&mut last_draw, hi - lo),
+                leaf_epoch: front_mut(&mut leaf_epoch, hi - lo),
+                spans: &leaf_spans[lo..hi],
+                base,
+                leaf_base: lo,
+            };
+            lo = hi;
+            job
         };
+        shard::run_sharded(pool, shards, carve, |job| step_leaves(&ctx, job));
+        self.pack_settled();
+        self.power_dirty = false;
+        self.tick_index += 1;
+        self.process_failures(now, dt);
     }
 
     /// Per-service traffic multipliers at `now`, indexed by
@@ -1703,18 +1220,15 @@ impl Fleet {
     }
 
     /// The flat ascending fold over `power_w` — the total every sample
-    /// reports. With fusion on, the fold is *incremental*: it is
-    /// memoized against the `(span generation, Σ leaf epoch)` watermark
-    /// and only recomputed when some leaf's drawn power actually moved
-    /// bits, so a quiescent fleet answers telemetry samples in O(leaves)
-    /// instead of O(servers). The cached value is the bit-exact fold it
+    /// reports. The fold is *incremental*: it is memoized against the
+    /// `(span generation, Σ leaf epoch)` watermark and only recomputed
+    /// when some leaf's drawn power actually moved bits, so a quiescent
+    /// fleet answers telemetry samples in O(leaves) instead of
+    /// O(servers). The cached value is the bit-exact fold it
     /// replaced — every `power_w` mutation provably bumps a leaf epoch,
     /// dirties the cache, or bumps the span generation — so the merged
     /// sample stream is byte-identical to full re-sampling.
     fn total_power_w(&self) -> f64 {
-        if !self.fuse || self.leaf_spans.is_empty() {
-            return self.power_w.iter().sum();
-        }
         let esum: u64 = self.leaf_epoch.iter().sum();
         if self.total_power_valid.load(Ordering::Acquire)
             && self.total_power_gen.load(Ordering::Relaxed) == self.span_generation
@@ -1752,14 +1266,12 @@ impl Fleet {
         self.total_power_valid.store(false, Ordering::Relaxed);
     }
 
-    /// The worst-case per-tick DRAM roofline, fused and unfused — see
-    /// [`TickTraffic`]. Every term is derived from the live allocation
-    /// lengths of the arrays the corresponding pass actually streams.
+    /// The worst-case per-tick DRAM roofline — see [`TickTraffic`]. Every
+    /// term is derived from the live allocation lengths of the arrays
+    /// the tick actually streams.
     pub fn bytes_per_tick(&self) -> TickTraffic {
         const F64: u64 = 8;
         const U32: u64 = 4;
-        let n = self.agents.len() as u64;
-        let leaves = self.leaf_spans.len().max(1) as u64;
         let mask_bytes =
             (self.not_init_bits.len() + self.alive_bits.len() + self.settled_bits.len()) as u64 * 8;
         // The settle stride: demand/limit gathered, out/util read and
@@ -1770,23 +1282,13 @@ impl Fleet {
             + self.perm.len() as u64 * U32
             + self.power_w.len() as u64 * F64
             + mask_bytes;
-        // Per-leaf partial sums, written once per step either way.
+        // Per-leaf partial sums, written once per step.
         let partials = self.leaf_power_w.len() as u64 * F64;
-        // Unfused-only re-streams: the control-tick sync pass gathers
-        // `util`/`out_w` through `perm` into the agent models, absorb
-        // re-reads `limit_w`, and every telemetry sample folds the
-        // whole of `power_w` flat.
-        let control_sync = (self.util.len() + self.out_w.len()) as u64 * F64
-            + self.perm.len() as u64 * U32
-            + n * F64; // agent-model writeback, one hot f64 per server
-        let absorb = self.limit_w.len() as u64 * F64;
-        let telemetry_fold = self.power_w.len() as u64 * F64;
-        // Fused: one pass over the hot set (sync/absorb ride the
-        // leaf's resident span, telemetry partials ride the tile) plus
-        // the memoized fold's O(leaves) epoch walk.
+        // One pass over the hot set (the hand-off's sync/absorb ride
+        // the leaf's resident span, telemetry partials ride the tile)
+        // plus the memoized fold's O(leaves) epoch walk.
         TickTraffic {
-            fused: settle + partials + leaves * F64,
-            unfused: settle + partials + control_sync + absorb + telemetry_fold,
+            fused: settle + partials + self.leaf_spans.len() as u64 * F64,
         }
     }
 
@@ -1930,9 +1432,6 @@ impl Fleet {
         self.down_count = state.down_count as usize;
         self.power_dirty = false;
         self.total_power_valid.store(false, Ordering::Relaxed);
-        // The cached worker partition is layout-derived and left as is;
-        // the next parallel step revalidates it against the thread
-        // count.
         Ok(())
     }
 }
@@ -2118,23 +1617,16 @@ fn run_key(server: &Server, service: ServiceKind) -> (u8, u8, u8, u64, u64) {
     )
 }
 
-/// Splits the fleet's agent array into disjoint `&mut` slices, one per
-/// span, for the parallel control plane. Spans must be ascending and
-/// non-overlapping (agents between spans are skipped); each returned
-/// slice starts at its span's `start` server id.
-pub(crate) fn split_agent_spans(
-    agents: &mut [Agent],
-    spans: impl Iterator<Item = std::ops::Range<usize>>,
-) -> Vec<&mut [Agent]> {
-    dynpool::split_spans(agents, spans)
-}
-
-/// Read-only view of the fleet state the fused control dispatch needs,
+/// Read-only view of the fleet state the control hand-off needs,
 /// shareable across workers (`Copy`, all shared borrows). Handed out by
 /// [`Fleet::fused_control_parts`] alongside the carvable agent and
 /// limit arrays.
 #[derive(Clone, Copy)]
 pub(crate) struct FuseShared<'a> {
+    /// The power cache is dirty (out-of-band [`Fleet::agent_mut`]
+    /// edit): the server models are the authority, so neither the
+    /// flush nor the absorb may touch anything.
+    dirty: bool,
     perm: &'a [u32],
     inv: &'a [u32],
     util: &'a [f64],
@@ -2148,57 +1640,67 @@ pub(crate) struct FuseShared<'a> {
     flushed_draw: &'a [u64],
 }
 
-/// Fused per-leaf server flush: [`Fleet::sync_servers_for_control`]'s
-/// body for one leaf, run against a worker's private agent slice
-/// immediately before the leaf's RPC cycle (while the leaf's agents
-/// are about to be hot anyway — the whole point of the fusion). A leaf
-/// whose flush markers match is skipped exactly as the unfused pass
-/// would; the markers themselves are updated after the join by
-/// [`Fleet::finish_fused_control`], which is equivalent because each
-/// due leaf is flushed at most once per control tick.
-pub(crate) fn fuse_sync_leaf(sh: &FuseShared<'_>, leaf: usize, agents: &mut [Agent], agents_base: usize) {
-    if sh.flushed_epoch[leaf] == sh.leaf_epoch[leaf] && sh.flushed_draw[leaf] == sh.last_draw[leaf]
+/// Per-leaf server flush: pushes the batch-owned physics state of one
+/// leaf into its [`Server`] models, against a shard's private agent
+/// slice (`base` = server id of `agents[0]`), immediately before the
+/// leaf's RPC cycle — the cycle reads true power through the model, and
+/// the leaf's agents are about to be hot anyway.
+///
+/// A leaf whose epoch and redraw tick both match its last flush is
+/// skipped: `out_w`/`not_init` changes always bump the epoch, and
+/// utilization changes only on redraw, so matching markers prove the
+/// server models already hold this exact state. The markers themselves
+/// are updated after the join by [`Fleet::finish_fused_control`], which
+/// is equivalent because each due leaf is flushed at most once per
+/// control tick.
+pub(crate) fn fuse_sync_leaf(sh: &FuseShared<'_>, leaf: usize, agents: &mut [Agent], base: usize) {
+    if sh.dirty
+        || (sh.flushed_epoch[leaf] == sh.leaf_epoch[leaf]
+            && sh.flushed_draw[leaf] == sh.last_draw[leaf])
     {
         return;
     }
     for pos in sh.leaf_spans[leaf].clone() {
         let id = sh.perm[pos] as usize;
         let initialized = !bit_at(sh.mask_base, sh.not_init_bits, pos);
-        agents[id - agents_base]
+        agents[id - base]
             .server_mut()
             .sync_physics(sh.util[pos], sh.out_w[pos], initialized);
     }
 }
 
-/// Fused per-leaf cap absorb: [`Fleet::absorb_caps`]'s body for one
-/// leaf, run right after the leaf's RPC cycle against the worker's
-/// private `limit_w` slice (carved at the same span boundaries as the
-/// agents, so `limit_base == agents_base`). Returns whether any limit
-/// bit changed (→ the leaf unsettles) and the signed capped-server
-/// delta; both are recorded per leaf and applied serially after the
-/// join by [`Fleet::finish_fused_control`], keeping the shared tallies
-/// off the worker threads.
+/// Per-leaf cap absorb: pulls the RAPL limits one leaf's controller
+/// just programmed back into the batch `limit_w` array, right after the
+/// leaf's RPC cycle, against the shard's private agent and limit slices
+/// (carved at the same span boundaries, so `base` is both the server id
+/// of `agents[0]` and the position of `limit_w[0]`). Returns whether
+/// any limit bit changed (→ the leaf unsettles) and the signed
+/// capped-server delta; both are recorded per leaf and applied serially
+/// after the join by [`Fleet::finish_fused_control`], keeping the
+/// shared tallies off the worker threads.
 pub(crate) fn fuse_absorb_leaf(
     sh: &FuseShared<'_>,
     leaf: usize,
     agents: &[Agent],
-    agents_base: usize,
     limit_w: &mut [f64],
-    limit_base: usize,
+    base: usize,
 ) -> (bool, i64) {
     let mut changed = false;
     let mut delta = 0i64;
+    if sh.dirty {
+        return (changed, delta);
+    }
     for id in sh.leaf_spans[leaf].clone() {
         let pos = sh.inv[id] as usize;
-        let new = agents[id - agents_base]
+        let new = agents[id - base]
             .current_cap()
             .map_or(f64::INFINITY, |l| l.as_watts());
-        let old = limit_w[pos - limit_base];
+        let old = limit_w[pos - base];
         if new.to_bits() != old.to_bits() {
             if new.is_finite() != old.is_finite() {
                 delta += if new.is_finite() { 1 } else { -1 };
             }
-            limit_w[pos - limit_base] = new;
+            limit_w[pos - base] = new;
             changed = true;
         }
     }
@@ -2218,8 +1720,7 @@ fn ou_coefficients(dt: SimDuration) -> [OuCoeffs; ServiceKind::COUNT] {
     out
 }
 
-/// Per-tick constants of the physics step, shared by the serial, scoped
-/// and pooled paths so their arithmetic cannot drift apart.
+/// Per-tick constants of the physics step, shared by every shard.
 struct StepCtx<'a> {
     /// Maximal equal-key position ranges with hoisted loop constants.
     runs: &'a [Run],
@@ -2241,11 +1742,37 @@ struct StepCtx<'a> {
     tick: u64,
     /// Demand redraw period in ticks (1 = redraw every tick).
     hold: u64,
-    /// Fused-step tile size in servers ([`FUSE_TILE`] with fusion on,
-    /// `usize::MAX` — whole-span passes — with fusion off). Always a
-    /// multiple of 64; tiling is unobservable because every pass is
-    /// elementwise and the per-leaf folds run after all tiles.
-    tile: usize,
+}
+
+/// One shard of [`Fleet::step`]: a contiguous run of whole leaves and
+/// the disjoint views of the fleet arrays that cover it. All slices are
+/// local to the shard — element 0 is server id / position `base` (the
+/// two coincide on whole leaves), mask word 0 is the first word of the
+/// shard's first leaf.
+struct StepJob<'a> {
+    generators: &'a mut [ServiceWorkload],
+    util: &'a mut [f64],
+    demand_w: &'a mut [f64],
+    limit_w: &'a [f64],
+    alive_bits: &'a [u64],
+    not_init_bits: &'a mut [u64],
+    /// Global mask directory entries for the shard's leaves
+    /// (`spans.len() + 1` of them, the last the next shard's first
+    /// region / the sentinel), from which each leaf's local word offset
+    /// is derived.
+    word_base: &'a [(usize, usize)],
+    out_w: &'a mut [f64],
+    power_w: &'a mut [f64],
+    /// Per-leaf outputs and active-set state, one element per leaf.
+    leaf_power_w: &'a mut [f64],
+    settled: &'a mut [bool],
+    last_draw: &'a mut [u64],
+    leaf_epoch: &'a mut [u64],
+    /// The shard's leaves as global server-id ranges.
+    spans: &'a [Range<usize>],
+    base: usize,
+    /// Global index of `spans[0]`.
+    leaf_base: usize,
 }
 
 /// Draws fresh demand for the local subrange `a..b`: per-run workload
@@ -2323,58 +1850,20 @@ fn scatter_power(
     }
 }
 
-/// Advances a contiguous position range of servers with no leaf
-/// structure, tile-at-a-time: per [`StepCtx::tile`]-sized tile, one
-/// demand pass, one packed-mask settle pass, one scatter — the tile's
-/// slices stay cache-hot across all three instead of each pass
-/// re-streaming the whole range from DRAM. The path for fleets without
-/// leaf spans (demand hold and active-set skipping require spans);
-/// `base` must be a multiple of 64 so local words align with positions.
-#[allow(clippy::too_many_arguments)]
-fn step_range(
-    ctx: &StepCtx,
-    base: usize,
-    generators: &mut [ServiceWorkload],
-    util: &mut [f64],
-    demand_w: &mut [f64],
-    limit_w: &[f64],
-    alive_bits: &[u64],
-    not_init_bits: &mut [u64],
-    out_w: &mut [f64],
-    power_w: &mut [f64],
-) {
-    let n = generators.len();
-    let mut t0 = 0;
-    while t0 < n {
-        let t1 = t0.saturating_add(ctx.tile).min(n);
-        demand_pass(ctx, base, t0, t1, generators, util, demand_w, 1);
-        let (wa, wb) = (t0 / 64, t1.div_ceil(64));
-        kernel::step_batch_settled_bits(
-            &demand_w[t0..t1],
-            &limit_w[t0..t1],
-            &alive_bits[wa..wb],
-            &mut not_init_bits[wa..wb],
-            &mut out_w[t0..t1],
-            ctx.alpha,
-        );
-        scatter_power(ctx.perm, base, t0, t1, &alive_bits[wa..wb], out_w, power_w);
-        t0 = t1;
-    }
-}
-
-/// Advances a contiguous range of whole leaves, the active-set hot
-/// path. Per leaf:
+/// Advances one shard of whole leaves, the active-set hot path. Per
+/// leaf:
 ///
 /// 1. **Skip check** — a leaf that is settled (its last pass was a
 ///    fixed point) and not due for a redraw is skipped outright: its
 ///    next pass is provably the exact floating-point identity, so its
 ///    arrays, drawn power, and partial already hold the step's result.
-/// 2. **Tiles** — the leaf is walked in [`StepCtx::tile`]-sized,
+/// 2. **Tiles** — the leaf is walked in [`FUSE_TILE`]-sized,
 ///    word-aligned tiles; per tile the demand redraw (when due under
 ///    the leaf-phased hold schedule, with the elapsed interval folded
 ///    into `dt`), the packed-mask settle kernel, and the power scatter
-///    run back-to-back while the tile is cache-hot. Tiling is
-///    unobservable: every pass is elementwise, so the bits match the
+///    run back-to-back while the tile is cache-hot, instead of three
+///    leaf-wide array passes re-streaming from DRAM. Tiling is
+///    unobservable: every pass is elementwise, so the bits match
 ///    whole-leaf passes exactly.
 /// 3. **Publish** — after all tiles, the leaf partial is re-folded in
 ///    id order over the whole span (same ascending fold as always —
@@ -2382,83 +1871,64 @@ fn step_range(
 ///    the leaf's settled flag becomes the AND of its tiles' fixed-point
 ///    reports, and the leaf epoch is bumped iff any tile changed state
 ///    bits.
-///
-/// All slice arguments from `generators` on are local views of the
-/// worker's position range starting at `base`, except the mask words:
-/// `alive_bits`/`not_init_bits` are the worker's word range and
-/// `word_base` the matching global directory entries
-/// (`spans.len() + 1` of them), from which each leaf's local word
-/// offset is derived. `spans` hold global server-id ranges, `leaf_base`
-/// the global index of `spans[0]`.
-#[allow(clippy::too_many_arguments)]
-fn step_leaves(
-    ctx: &StepCtx,
-    base: usize,
-    leaf_base: usize,
-    spans: &[Range<usize>],
-    generators: &mut [ServiceWorkload],
-    util: &mut [f64],
-    demand_w: &mut [f64],
-    limit_w: &[f64],
-    alive_bits: &[u64],
-    not_init_bits: &mut [u64],
-    word_base: &[(usize, usize)],
-    out_w: &mut [f64],
-    power_w: &mut [f64],
-    leaf_power_w: &mut [f64],
-    settled: &mut [bool],
-    last_draw: &mut [u64],
-    leaf_epoch: &mut [u64],
-) {
-    let w_org = word_base[0].0;
-    for (l, span) in spans.iter().enumerate() {
-        let due = ctx.hold <= 1 || ctx.tick % ctx.hold == (leaf_base + l) as u64 % ctx.hold;
-        if settled[l] && !due {
+fn step_leaves(ctx: &StepCtx, job: &mut StepJob) {
+    let base = job.base;
+    let w_org = job.word_base[0].0;
+    for (l, span) in job.spans.iter().enumerate() {
+        let due = ctx.hold <= 1 || ctx.tick % ctx.hold == (job.leaf_base + l) as u64 % ctx.hold;
+        if job.settled[l] && !due {
             continue;
         }
         let (a, b) = (span.start - base, span.end - base);
         let elapsed = if due {
-            let e = (ctx.tick - last_draw[l]).max(1);
-            last_draw[l] = ctx.tick;
+            let e = (ctx.tick - job.last_draw[l]).max(1);
+            job.last_draw[l] = ctx.tick;
             e
         } else {
             0
         };
-        let lw = word_base[l].0 - w_org;
+        let lw = job.word_base[l].0 - w_org;
         let mut fixed = true;
         let mut t0 = a;
         while t0 < b {
-            let t1 = t0.saturating_add(ctx.tile).min(b);
+            let t1 = (t0 + FUSE_TILE).min(b);
             if due {
-                demand_pass(ctx, base, t0, t1, generators, util, demand_w, elapsed);
+                demand_pass(
+                    ctx,
+                    base,
+                    t0,
+                    t1,
+                    job.generators,
+                    job.util,
+                    job.demand_w,
+                    elapsed,
+                );
             }
             let (wa, wb) = (lw + (t0 - a) / 64, lw + (t1 - a).div_ceil(64));
             fixed &= kernel::step_batch_settled_bits(
-                &demand_w[t0..t1],
-                &limit_w[t0..t1],
-                &alive_bits[wa..wb],
-                &mut not_init_bits[wa..wb],
-                &mut out_w[t0..t1],
+                &job.demand_w[t0..t1],
+                &job.limit_w[t0..t1],
+                &job.alive_bits[wa..wb],
+                &mut job.not_init_bits[wa..wb],
+                &mut job.out_w[t0..t1],
                 ctx.alpha,
             );
-            scatter_power(ctx.perm, base, t0, t1, &alive_bits[wa..wb], out_w, power_w);
+            scatter_power(
+                ctx.perm,
+                base,
+                t0,
+                t1,
+                &job.alive_bits[wa..wb],
+                job.out_w,
+                job.power_w,
+            );
             t0 = t1;
         }
-        leaf_power_w[l] = power_w[a..b].iter().sum();
-        settled[l] = fixed;
+        job.leaf_power_w[l] = job.power_w[a..b].iter().sum();
+        job.settled[l] = fixed;
         if !fixed {
-            leaf_epoch[l] += 1;
+            job.leaf_epoch[l] += 1;
         }
-    }
-}
-
-/// Rebuilds per-leaf power partials from the flat watts array. `base`
-/// is the server id of `power_w[0]`; `spans` hold global server-id
-/// ranges. Each partial is the ascending flat fold over its span — the
-/// same additions, in the same order, at any worker count.
-fn leaf_partials(power_w: &[f64], base: usize, spans: &[Range<usize>], out: &mut [f64]) {
-    for (partial, span) in out.iter_mut().zip(spans) {
-        *partial = power_w[span.start - base..span.end - base].iter().sum();
     }
 }
 
@@ -2597,42 +2067,62 @@ mod tests {
         Fleet::new(configs, services, SimRng::seed_from(seed))
     }
 
-    #[test]
-    fn parallel_step_matches_serial() {
-        let mut serial = mixed_fleet(77);
-        let mut parallel = mixed_fleet(77);
-        let mut t = SimTime::ZERO;
-        for _ in 0..30 {
-            serial.step(t, SimDuration::from_secs(1));
-            parallel.step_parallel(t, SimDuration::from_secs(1), 4);
-            t += SimDuration::from_secs(1);
+    /// Programs `limit` on every server of `leaf` the way a controller
+    /// cycle would (straight into the RAPL model) and runs the
+    /// hand-off's absorb for that leaf.
+    fn cap_leaf(fleet: &mut Fleet, leaf: usize, ids: Range<usize>, limit: Power) {
+        for id in ids {
+            fleet.agents[id].server_mut().rapl_mut().set_limit(limit);
         }
-        for i in 0..200 {
-            assert_eq!(
-                serial.power_of(i).as_watts(),
-                parallel.power_of(i).as_watts(),
-                "server {i} diverged between serial and parallel stepping"
-            );
-        }
+        let leaves = fleet.leaf_spans.len();
+        let (mut changed, mut delta) = (vec![false; leaves], vec![0i64; leaves]);
+        let (agents, limit_w, sh) = fleet.fused_control_parts();
+        (changed[leaf], delta[leaf]) = fuse_absorb_leaf(&sh, leaf, agents, limit_w, 0);
+        fleet.finish_fused_control(&[leaf], &changed, &delta);
     }
 
     #[test]
-    fn pooled_step_matches_serial_and_scoped() {
-        let mut serial = mixed_fleet(78);
-        let mut scoped = mixed_fleet(78);
-        let mut pooled = mixed_fleet(78);
-        pooled.attach_pool(Arc::new(WorkerPool::new(4)));
+    fn step_is_bit_identical_at_every_width() {
+        // Eight 25-server leaves under a demand hold, so the active set
+        // engages: one inline shard vs 2 and 4 pool shards (5 workers
+        // over 8 leaves round up to 2 leaves per shard).
+        let build = |workers: usize| {
+            let mut fleet = mixed_fleet(91);
+            let spans: Vec<Range<usize>> = (0..8).map(|l| l * 25..(l + 1) * 25).collect();
+            fleet.set_leaf_spans(&spans);
+            fleet.set_demand_hold(30);
+            if workers > 1 {
+                fleet.attach_pool(Arc::new(WorkerPool::new(workers)));
+            }
+            fleet
+        };
+        let mut one = build(1);
+        let mut two = build(2);
+        let mut five = build(5);
         let mut t = SimTime::ZERO;
-        for _ in 0..30 {
-            serial.step(t, SimDuration::from_secs(1));
-            scoped.step_parallel(t, SimDuration::from_secs(1), 4);
-            pooled.step_parallel(t, SimDuration::from_secs(1), 4);
+        for step in 0..150 {
+            for f in [&mut one, &mut two, &mut five] {
+                if step == 60 {
+                    f.set_server_alive(30, false);
+                    cap_leaf(f, 4, 100..125, Power::from_watts(140.0));
+                }
+                f.step(t, SimDuration::from_secs(1));
+            }
             t += SimDuration::from_secs(1);
         }
-        for i in 0..200 {
-            let s = serial.power_of(i).as_watts();
-            assert_eq!(s, scoped.power_of(i).as_watts(), "server {i} scoped drift");
-            assert_eq!(s, pooled.power_of(i).as_watts(), "server {i} pooled drift");
+        for wide in [&two, &five] {
+            for i in 0..200 {
+                assert_eq!(
+                    one.power_of(i).as_watts().to_bits(),
+                    wide.power_of(i).as_watts().to_bits(),
+                    "server {i} power"
+                );
+                assert_eq!(one.utilization_of(i), wide.utilization_of(i), "server {i}");
+            }
+            assert_eq!(one.leaf_power_w, wide.leaf_power_w);
+            assert_eq!(one.leaf_epoch, wide.leaf_epoch);
+            assert_eq!(one.settled_bits, wide.settled_bits);
+            assert_eq!(one.stats(), wide.stats());
         }
     }
 
@@ -2644,7 +2134,7 @@ mod tests {
         fleet.attach_pool(Arc::new(WorkerPool::new(3)));
         let mut t = SimTime::ZERO;
         for _ in 0..10 {
-            fleet.step_parallel(t, SimDuration::from_secs(1), 3);
+            fleet.step(t, SimDuration::from_secs(1));
             t += SimDuration::from_secs(1);
         }
         for (l, span) in spans.iter().enumerate() {
@@ -2659,10 +2149,11 @@ mod tests {
 
     #[test]
     fn batched_permutation_is_observationally_invisible() {
-        // With leaf spans, servers are regrouped by (generation,
-        // service, turbo) internally. Per-server RNG streams make the
-        // evaluation order unobservable: every per-id result must be
-        // bit-identical to the unpermuted (no spans) fleet.
+        // Servers are regrouped by (generation, service, turbo) within
+        // each leaf span. Per-server RNG streams make the evaluation
+        // order unobservable: every per-id result must be bit-identical
+        // whether the grouping runs over four leaves or over the
+        // fleet-wide default span.
         let mut plain = mixed_fleet(80);
         let mut grouped = mixed_fleet(80);
         let spans: Vec<Range<usize>> = (0..4).map(|l| l * 50..(l + 1) * 50).collect();
@@ -2797,11 +2288,7 @@ mod tests {
             }
             if step == 300 {
                 for f in [&mut skipping, &mut full] {
-                    f.agents_mut()[60]
-                        .server_mut()
-                        .rapl_mut()
-                        .set_limit(Power::from_watts(140.0));
-                    f.absorb_caps(&[1]);
+                    cap_leaf(f, 1, 60..61, Power::from_watts(140.0));
                 }
             }
             skipping.step(t, SimDuration::from_secs(1));
@@ -2824,37 +2311,6 @@ mod tests {
             );
         }
         assert!(max_settled > 0, "skipping never engaged: vacuous test");
-    }
-
-    #[test]
-    fn demand_hold_is_bit_identical_across_thread_counts() {
-        let mut serial = spanned_fleet(91, 30);
-        let mut scoped2 = spanned_fleet(91, 30);
-        let mut pooled8 = spanned_fleet(91, 30);
-        let mut pooled64 = spanned_fleet(91, 30);
-        pooled8.attach_pool(Arc::new(WorkerPool::new(8)));
-        // A full-width pool: step_parallel clamps the dispatch to
-        // min(threads, pool.workers()), so anything smaller would make
-        // the @64 case repeat the @8 partition.
-        pooled64.attach_pool(Arc::new(WorkerPool::new(64)));
-        let mut t = SimTime::ZERO;
-        for _ in 0..150 {
-            serial.step(t, SimDuration::from_secs(1));
-            scoped2.step_parallel(t, SimDuration::from_secs(1), 2);
-            pooled8.step_parallel(t, SimDuration::from_secs(1), 8);
-            pooled64.step_parallel(t, SimDuration::from_secs(1), 64);
-            t += SimDuration::from_secs(1);
-        }
-        for i in 0..200 {
-            let s = serial.power_of(i).as_watts().to_bits();
-            assert_eq!(s, scoped2.power_of(i).as_watts().to_bits(), "server {i} @2");
-            assert_eq!(s, pooled8.power_of(i).as_watts().to_bits(), "server {i} @8");
-            assert_eq!(
-                s,
-                pooled64.power_of(i).as_watts().to_bits(),
-                "server {i} @64"
-            );
-        }
     }
 
     #[test]
@@ -2891,13 +2347,7 @@ mod tests {
             tick(&mut fleet, &mut t);
         }
         let before_cap = fleet.leaf_power(1).unwrap();
-        for id in 50..100 {
-            fleet.agents_mut()[id]
-                .server_mut()
-                .rapl_mut()
-                .set_limit(Power::from_watts(130.0));
-        }
-        fleet.absorb_caps(&[1]);
+        cap_leaf(&mut fleet, 1, 50..100, Power::from_watts(130.0));
         assert!(!fleet.is_settled(1), "cap change must unsettle its leaf");
         for _ in 0..15 {
             tick(&mut fleet, &mut t);
@@ -2981,13 +2431,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_threads_panics() {
-        small_fleet(100, ServiceKind::Web).step_parallel(
-            SimTime::ZERO,
-            SimDuration::from_secs(1),
-            0,
-        );
+    #[should_panic(expected = "leaf span 1 is 5..8")]
+    fn leaf_spans_with_a_gap_panic_naming_the_leaf() {
+        small_fleet(8, ServiceKind::Web).set_leaf_spans(&[0..4, 5..8]);
     }
 
     #[test]

@@ -1,20 +1,24 @@
-//! The leaf controller tier: one [`LeafController`] per RPP, with
-//! serial, pooled-parallel and scoped-parallel execution paths.
+//! The leaf controller tier: one [`LeafController`] per RPP and the
+//! one dispatch that runs their cycles.
 //!
-//! All paths run only the leaves the [`crate::events::CycleDispatcher`]
-//! marked due this tick. The parallel paths mirror the paper's
-//! consolidated binary running ~100 controller threads (§IV): each
-//! worker owns a private disjoint `&mut [Agent]` slice of the fleet and
-//! every leaf's RPC RNG stream is its own, so each cycle computes
-//! exactly what the serial path would; the post-join merge restores
-//! leaf-index order, making the whole run bit-identical.
+//! [`LeafTier::run_due`] runs only the leaves the
+//! [`crate::events::CycleDispatcher`] marked due this tick (minus the
+//! provably quiescent ones), carved into contiguous shards — as many as
+//! the attached [`WorkerPool`] has workers, one (run inline on the
+//! caller) without a pool. This mirrors the paper's consolidated binary
+//! running ~100 controller threads (§IV): each shard owns a private
+//! disjoint `&mut [Agent]` slice of the fleet and every leaf's RPC RNG
+//! stream is its own, so a cycle computes the same thing in any shard;
+//! events are buffered per leaf and merged in leaf-index order after
+//! the join, making the whole run bit-identical at any width. Shard
+//! jobs are stack slots holding disjoint slices of the tier's parallel
+//! arrays, so a warm steady-state dispatch allocates nothing.
 //!
-//! The pooled path ([`LeafTier::run_due_pooled`]) dispatches onto the
-//! datacenter's persistent [`WorkerPool`]: per-worker jobs are stack
-//! slots holding disjoint slices of the tier's parallel arrays, so a
-//! warm steady-state dispatch allocates nothing. The scoped path
-//! ([`LeafTier::run_due_scoped`]) spawns threads per call and is kept
-//! as the no-pool fallback and the benchmark baseline.
+//! Each leaf's cycle is bracketed by the control hand-off: the fleet's
+//! batch-owned physics state is flushed into the leaf's server models
+//! right before the cycle and freshly programmed RAPL limits are
+//! absorbed right after, while the leaf's agents are hot (see
+//! [`crate::fleet`]'s state-ownership notes).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -30,7 +34,7 @@ use dynamo_controller::{
     ControlAction, LeafConfig, LeafController, LeafControllerState, ServerHandle, ServiceClass,
 };
 use dynobs::{Band, Shard};
-use dynpool::{WorkerPool, MAX_WORKERS};
+use dynpool::WorkerPool;
 use dynrpc::codec::{self, TelemetryEvent, TelemetryEventKind};
 use dynrpc::{Network, NetworkState, Request, RpcError};
 use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
@@ -38,8 +42,9 @@ use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 use crate::control_plane::SystemConfig;
 use crate::events::{ControllerEvent, ControllerEventKind};
 use crate::failover::FailoverState;
-use crate::fleet::{fuse_absorb_leaf, fuse_sync_leaf, split_agent_spans, Fleet};
+use crate::fleet::{fuse_absorb_leaf, fuse_sync_leaf, Fleet};
 use crate::obs::{band_of, record_leaf_cycle, record_leaf_failover, ObsIds, Observability};
+use crate::shard::{self, front_mut};
 
 /// The leaf tier as parallel arrays, so cycles can split borrows.
 pub(crate) struct LeafTier {
@@ -47,22 +52,17 @@ pub(crate) struct LeafTier {
     pub(crate) controllers: Vec<LeafController>,
     networks: Vec<Network>,
     pub(crate) last_aggregate: Vec<Power>,
-    /// Server ids under each leaf, prebuilt at construction so the
-    /// monitoring-only path never rebuilds them per cycle.
-    pub(crate) server_ids: Vec<Vec<u32>>,
-    /// When every leaf owns a contiguous ascending server-id range and
-    /// the ranges tile `0..server_count` in leaf order, the ranges —
-    /// the parallel control plane hands each leaf a private disjoint
-    /// `&mut [Agent]` slice. `None` forces the serial path.
-    pub(crate) spans: Option<Vec<Range<usize>>>,
-    /// Per-leaf event buffers, reused across parallel cycles (cleared,
+    /// Each leaf's contiguous ascending server-id range; the ranges
+    /// tile `0..server_count` in leaf order, so the dispatch can hand
+    /// each leaf a private disjoint `&mut [Agent]` slice.
+    pub(crate) spans: Vec<Range<usize>>,
+    /// Per-leaf event buffers, reused across dispatches (cleared,
     /// capacity kept) and merged in leaf index order after the join.
     event_bufs: Vec<Vec<ControllerEvent>>,
-    /// Per-leaf telemetry wire buffers: parallel workers encode their
-    /// leaf's cycle events as a [`dynrpc::codec`] telemetry batch and
-    /// decode them back inside the shard, so the codec work the
-    /// deployed system pays to ship telemetry rides the worker threads
-    /// instead of the owner. Reused (cleared, capacity kept).
+    /// Per-leaf telemetry wire buffers: each shard encodes its leaf's
+    /// cycle events as a [`dynrpc::codec`] telemetry batch and decodes
+    /// them back, so the codec work the deployed system pays to ship
+    /// telemetry is on the tick. Reused (cleared, capacity kept).
     wire_bufs: Vec<Vec<u8>>,
     /// Per-leaf decode scratch for the wire round-trip.
     wire_events: Vec<Vec<TelemetryEvent>>,
@@ -84,36 +84,13 @@ pub(crate) struct LeafTier {
     seen_power_epoch: Vec<u64>,
     seen_draw_tick: Vec<u64>,
     seen_agent_epoch: Vec<u64>,
-    /// Per-leaf outputs of the fused dispatch's absorb step — whether
-    /// any limit bit changed, and the signed capped-count delta —
-    /// recorded by the workers and applied serially after the join by
+    /// Per-leaf outputs of the hand-off's absorb step — whether any
+    /// limit bit changed, and the signed capped-count delta — recorded
+    /// by the shards and applied serially after the join by
     /// [`Fleet::finish_fused_control`]. Meaningful only for the leaves
-    /// of the last fused dispatch's due set.
-    pub(crate) absorb_changed: Vec<bool>,
-    pub(crate) absorb_delta: Vec<i64>,
-}
-
-/// Everything one parallel worker needs to run one leaf's cycle.
-struct LeafTask<'a> {
-    device: DeviceId,
-    controller: &'a mut LeafController,
-    network: &'a mut Network,
-    aggregate: &'a mut Power,
-    failed: &'a mut bool,
-    buf: &'a mut Vec<ControllerEvent>,
-    wire: &'a mut Vec<u8>,
-    wire_ev: &'a mut Vec<TelemetryEvent>,
-    quiet: &'a mut bool,
-    agents: &'a mut [Agent],
-    span_start: usize,
-    shard: &'a mut Shard,
-    track: u32,
-    /// RAPL limit slice covering the same span as `agents`, written by
-    /// the fused absorb. Unused when unfused.
-    limit: &'a mut [f64],
-    /// Fused absorb outputs for this leaf.
-    absorb_changed: &'a mut bool,
-    absorb_delta: &'a mut i64,
+    /// of the last dispatch's due set.
+    absorb_changed: Vec<bool>,
+    absorb_delta: Vec<i64>,
 }
 
 impl LeafTier {
@@ -121,7 +98,9 @@ impl LeafTier {
     ///
     /// # Panics
     ///
-    /// Panics if the topology has no RPP devices.
+    /// Panics if the topology has no RPP devices, or if the leaves'
+    /// servers do not tile the fleet contiguously in leaf order
+    /// ([`powerinfra::TopologyBuilder`] always lays them out that way).
     pub(crate) fn build(
         topo: &Topology,
         service_of: &dyn Fn(u32) -> ServiceClass,
@@ -162,17 +141,12 @@ impl LeafTier {
 
         let n = devices.len();
         let quotas: Vec<Power> = devices.iter().map(|&d| topo.device(d).quota).collect();
-        let server_ids: Vec<Vec<u32>> = controllers
-            .iter()
-            .map(|c| c.servers().iter().map(|h| h.server_id).collect())
-            .collect();
-        let spans = compute_leaf_spans(&server_ids, topo.server_count());
+        let spans = tile_leaf_spans(&controllers, topo.server_count());
         LeafTier {
             devices,
             controllers,
             networks,
             last_aggregate: vec![Power::ZERO; n],
-            server_ids,
             spans,
             event_bufs: vec![Vec::new(); n],
             wire_bufs: vec![Vec::new(); n],
@@ -217,7 +191,7 @@ impl LeafTier {
         let power_epochs = fleet.leaf_epochs();
         let draw_ticks = fleet.last_draw_ticks();
         let agent_epochs = fleet.agent_epochs();
-        let markers_known = power_epochs.len() == self.len() && !fleet.power_cache_dirty();
+        let markers_known = !fleet.power_cache_dirty();
         let (shards, ids) = obs.shard_ctx();
         for &i in due {
             let elidable = markers_known
@@ -236,13 +210,12 @@ impl LeafTier {
     }
 
     /// Captures the fleet markers for the leaves that just ran a real
-    /// cycle. Call after the dispatch (the control tick does not step
-    /// the fleet, so post-dispatch markers equal what the cycles saw).
-    pub(crate) fn note_markers(&mut self, ran: &[usize], fleet: &Fleet) {
+    /// cycle.
+    fn note_markers(&mut self, ran: &[usize], fleet: &Fleet) {
         let power_epochs = fleet.leaf_epochs();
         let draw_ticks = fleet.last_draw_ticks();
         let agent_epochs = fleet.agent_epochs();
-        if power_epochs.len() != self.len() || fleet.power_cache_dirty() {
+        if fleet.power_cache_dirty() {
             return; // Markers unknown: `seen` stays stale, nothing elides.
         }
         for &i in ran {
@@ -257,139 +230,64 @@ impl LeafTier {
         self.controllers.len()
     }
 
-    /// Runs the due leaves in index order on the calling thread. This is
-    /// the allocation-free steady-state path (`control_threads == 1`).
-    ///
-    /// With `fused` set (capping must be enabled, spans known, cache
-    /// clean — [`Fleet::control_fuse_ready`]) each leaf runs
-    /// sync → cycle → absorb back to back while its agents are hot,
-    /// instead of riding three fleet-wide passes. Legal because a
-    /// leaf's flush reads only fleet arrays no cycle writes, and its
-    /// absorb touches only its own span — so per-leaf interleaving
-    /// computes bit-identical state to the phase-at-a-time order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_due_serial(
+    /// Monitoring-only baseline (capping disabled): no RPC cycle runs;
+    /// each due leaf just tracks its true aggregate so upper tiers and
+    /// telemetry still see power. The fleet's per-leaf partial
+    /// (maintained by its step as the same ascending fold) makes this a
+    /// single lookup.
+    pub(crate) fn monitor_due(
         &mut self,
         now: SimTime,
         due: &[usize],
-        capping_enabled: bool,
-        fused: bool,
         failover: &mut FailoverState,
-        fleet: &mut Fleet,
+        fleet: &Fleet,
         events: &mut Vec<ControllerEvent>,
         obs: &mut Observability,
     ) {
         let (shards, ids) = obs.shard_ctx();
-        if fused {
-            debug_assert!(capping_enabled, "fused dispatch implies capping");
-            let (agents, limit_w, sh) = fleet.fused_control_parts();
-            for &i in due {
-                fuse_sync_leaf(&sh, i, agents, 0);
-                if failover.take_leaf(i) {
-                    self.quiet[i] = false;
-                    let name = self.controllers[i].name_shared();
-                    record_leaf_failover(&mut shards[i], ids, now, i as u32, Arc::clone(&name));
-                    events.push(ControllerEvent {
-                        at: now,
-                        device: self.devices[i],
-                        controller: name,
-                        kind: ControllerEventKind::Failover,
-                    });
-                } else {
-                    self.quiet[i] = run_one_leaf_cycle(
-                        now,
-                        self.devices[i],
-                        &mut self.controllers[i],
-                        &mut self.networks[i],
-                        agents,
-                        0,
-                        &mut self.last_aggregate[i],
-                        events,
-                        &mut shards[i],
-                        ids,
-                        i as u32,
-                    );
-                }
-                let (ch, d) = fuse_absorb_leaf(&sh, i, agents, 0, limit_w, 0);
-                self.absorb_changed[i] = ch;
-                self.absorb_delta[i] = d;
-            }
-            return;
-        }
         for &i in due {
             if failover.take_leaf(i) {
-                // Backup takes over: one cycle of downtime, then the
-                // redundant instance (sharing the same decision state
-                // via its own polling) continues.
-                self.quiet[i] = false;
-                let name = self.controllers[i].name_shared();
-                record_leaf_failover(&mut shards[i], ids, now, i as u32, Arc::clone(&name));
-                events.push(ControllerEvent {
-                    at: now,
-                    device: self.devices[i],
-                    controller: name,
-                    kind: ControllerEventKind::Failover,
-                });
+                events.push(take_over(
+                    now,
+                    self.devices[i],
+                    &self.controllers[i],
+                    &mut shards[i],
+                    ids,
+                    i as u32,
+                ));
                 continue;
             }
-            if !capping_enabled {
-                // Monitoring-only baseline: track the true aggregate so
-                // upper tiers and telemetry still see power. The fleet's
-                // per-leaf partial (maintained by its step as the same
-                // ascending fold) makes this a single lookup.
-                self.last_aggregate[i] = fleet
-                    .leaf_power(i)
-                    .unwrap_or_else(|| fleet.power_sum(&self.server_ids[i]));
-                continue;
-            }
-            let quiescent = run_one_leaf_cycle(
-                now,
-                self.devices[i],
-                &mut self.controllers[i],
-                &mut self.networks[i],
-                fleet.agents_mut(),
-                0,
-                &mut self.last_aggregate[i],
-                events,
-                &mut shards[i],
-                ids,
-                i as u32,
-            );
-            self.quiet[i] = quiescent;
+            self.last_aggregate[i] = fleet
+                .leaf_power(i)
+                .unwrap_or_else(|| fleet.power_sum_range(self.spans[i].clone()));
         }
     }
 
-    /// Runs the due leaves on the persistent worker pool. Each worker
-    /// wakes with one stack-slot job holding a contiguous chunk of the
-    /// due set plus disjoint `&mut` slices of the tier's parallel
-    /// arrays (split once at chunk boundaries), so a warm dispatch
-    /// allocates nothing. Workers buffer events per leaf; the merge
-    /// after the barrier restores leaf index order, so the result is
-    /// bit-identical to [`LeafTier::run_due_serial`] at any worker
-    /// count.
+    /// Runs the due leaves' cycles. The due set is cut into contiguous
+    /// chunks, one shard each ([`shard::chunking`] over `pool`); a
+    /// shard holds disjoint `&mut` slices of the tier's parallel arrays
+    /// and of the fleet's agent and limit arrays, split once at chunk
+    /// boundaries. Per leaf, in the shard: flush the fleet's state into
+    /// the server models, run the cycle (or consume a pending primary
+    /// failure), round-trip the emitted events through the telemetry
+    /// wire format, absorb the programmed caps. After the join, events
+    /// are merged in leaf index order and the hand-off's deferred
+    /// shared-state effects are applied, so the result is bit-identical
+    /// at any width.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_due_pooled(
+    pub(crate) fn run_due(
         &mut self,
         now: SimTime,
         due: &[usize],
-        threads: usize,
-        fused: bool,
-        pool: &WorkerPool,
+        pool: Option<&WorkerPool>,
         failover: &mut FailoverState,
         fleet: &mut Fleet,
         events: &mut Vec<ControllerEvent>,
         obs: &mut Observability,
     ) {
-        let spans = self
-            .spans
-            .as_deref()
-            .expect("parallel path requires leaf spans");
-        let workers = threads.min(pool.workers()).min(due.len()).max(1);
-        let per_chunk = due.len().div_ceil(workers);
-
-        /// One worker's disjoint view of the leaf tier: the arrays are
+        /// One shard's disjoint view of the leaf tier: the arrays are
         /// split at due-chunk boundaries, so slices may include
-        /// non-due leaves — the worker walks only its `due` sublist,
+        /// non-due leaves — the shard walks only its `due` sublist,
         /// indexing relative to `base`.
         struct LeafJob<'a> {
             due: &'a [usize],
@@ -404,342 +302,125 @@ impl LeafTier {
             wire_ev: &'a mut [Vec<TelemetryEvent>],
             shards: &'a mut [Shard],
             quiet: &'a mut [bool],
-            agents: &'a mut [Agent],
-            /// Server id of `agents[0]` (and, the spans being
-            /// leaf-aligned, the position of `limit_w[0]`).
-            agents_base: usize,
-            /// RAPL limit slice covering the same span as `agents`,
-            /// written by the fused absorb. Unused when unfused.
-            limit_w: &'a mut [f64],
-            /// Fused absorb outputs, sliced like `quiet`.
             absorb_changed: &'a mut [bool],
             absorb_delta: &'a mut [i64],
+            agents: &'a mut [Agent],
+            /// RAPL limits of the same servers as `agents`.
+            limit_w: &'a mut [f64],
+            /// Server id of `agents[0]` (and, leaf grouping being
+            /// leaf-local, the position of `limit_w[0]`).
+            server_base: usize,
         }
 
+        let (per, shards) = shard::chunking(pool, due.len());
         {
             let devices = &self.devices;
-            let (all_shards, ids) = obs.shard_ctx();
-            let mut jobs: [Option<LeafJob>; MAX_WORKERS] = std::array::from_fn(|_| None);
-
+            let spans = &self.spans;
+            let (mut obs_shards, ids) = obs.shard_ctx();
             let mut controllers = &mut self.controllers[..];
             let mut networks = &mut self.networks[..];
             let mut aggregates = &mut self.last_aggregate[..];
-            let mut failed = &mut failover.leaf_flags_mut()[..];
+            let mut failed = failover.leaf_flags_mut();
             let mut bufs = &mut self.event_bufs[..];
             let mut wire = &mut self.wire_bufs[..];
             let mut wire_ev = &mut self.wire_events[..];
-            let mut shards = all_shards;
             let mut quiet = &mut self.quiet[..];
             let mut absorb_changed = &mut self.absorb_changed[..];
             let mut absorb_delta = &mut self.absorb_delta[..];
             let (mut agents, mut limits, fsh) = fleet.fused_control_parts();
-            let mut leaves_consumed = 0usize;
-            let mut agents_consumed = 0usize;
-            let mut njobs = 0usize;
-            for (job, chunk) in jobs.iter_mut().zip(due.chunks(per_chunk)) {
+            let mut chunks = due.chunks(per);
+            let mut next_leaf = 0usize;
+            let mut next_server = 0usize;
+            let carve = || {
+                let chunk = chunks.next().expect("one due chunk per shard");
                 let lo = chunk[0];
                 let hi = chunk[chunk.len() - 1] + 1;
-                let skip = lo - leaves_consumed;
-                let take = hi - lo;
-                let (c, rest) = controllers.split_at_mut(skip).1.split_at_mut(take);
-                controllers = rest;
-                let (n, rest) = networks.split_at_mut(skip).1.split_at_mut(take);
-                networks = rest;
-                let (ag, rest) = aggregates.split_at_mut(skip).1.split_at_mut(take);
-                aggregates = rest;
-                let (fl, rest) = failed.split_at_mut(skip).1.split_at_mut(take);
-                failed = rest;
-                let (b, rest) = bufs.split_at_mut(skip).1.split_at_mut(take);
-                bufs = rest;
-                let (wi, rest) = wire.split_at_mut(skip).1.split_at_mut(take);
-                wire = rest;
-                let (we, rest) = wire_ev.split_at_mut(skip).1.split_at_mut(take);
-                wire_ev = rest;
-                let (sh, rest) = shards.split_at_mut(skip).1.split_at_mut(take);
-                shards = rest;
-                let (q, rest) = quiet.split_at_mut(skip).1.split_at_mut(take);
-                quiet = rest;
-                let (ac, rest) = absorb_changed.split_at_mut(skip).1.split_at_mut(take);
-                absorb_changed = rest;
-                let (ad, rest) = absorb_delta.split_at_mut(skip).1.split_at_mut(take);
-                absorb_delta = rest;
-                leaves_consumed = hi;
-
-                let astart = spans[lo].start;
-                let aend = spans[hi - 1].end;
-                let (a, rest) = agents
-                    .split_at_mut(astart - agents_consumed)
-                    .1
-                    .split_at_mut(aend - astart);
-                agents = rest;
-                let (lw, rest) = limits
-                    .split_at_mut(astart - agents_consumed)
-                    .1
-                    .split_at_mut(aend - astart);
-                limits = rest;
-                agents_consumed = aend;
-
-                *job = Some(LeafJob {
+                let (skip, take) = (lo - next_leaf, hi - lo);
+                next_leaf = hi;
+                let server_base = spans[lo].start;
+                let (skip_servers, servers) =
+                    (server_base - next_server, spans[hi - 1].end - server_base);
+                next_server = server_base + servers;
+                LeafJob {
                     due: chunk,
                     base: lo,
-                    controllers: c,
-                    networks: n,
-                    aggregates: ag,
-                    failed: fl,
-                    bufs: b,
-                    wire: wi,
-                    wire_ev: we,
-                    shards: sh,
-                    quiet: q,
-                    agents: a,
-                    agents_base: astart,
-                    limit_w: lw,
-                    absorb_changed: ac,
-                    absorb_delta: ad,
-                });
-                njobs += 1;
-            }
-
-            pool.run_on(&mut jobs[..njobs], |_w, slot| {
-                let job = slot.as_mut().expect("due chunk slot filled above");
+                    controllers: window(&mut controllers, skip, take),
+                    networks: window(&mut networks, skip, take),
+                    aggregates: window(&mut aggregates, skip, take),
+                    failed: window(&mut failed, skip, take),
+                    bufs: window(&mut bufs, skip, take),
+                    wire: window(&mut wire, skip, take),
+                    wire_ev: window(&mut wire_ev, skip, take),
+                    shards: window(&mut obs_shards, skip, take),
+                    quiet: window(&mut quiet, skip, take),
+                    absorb_changed: window(&mut absorb_changed, skip, take),
+                    absorb_delta: window(&mut absorb_delta, skip, take),
+                    agents: window(&mut agents, skip_servers, servers),
+                    limit_w: window(&mut limits, skip_servers, servers),
+                    server_base,
+                }
+            };
+            shard::run_sharded(pool, shards, carve, |job| {
                 for &i in job.due {
                     let r = i - job.base;
                     job.bufs[r].clear();
-                    if fused {
-                        fuse_sync_leaf(&fsh, i, job.agents, job.agents_base);
-                    }
+                    fuse_sync_leaf(&fsh, i, job.agents, job.server_base);
                     if job.failed[r] {
+                        // Backup takes over: one cycle of downtime,
+                        // then the redundant instance (sharing the same
+                        // decision state via its own polling)
+                        // continues. The merge below records it — the
+                        // shard cannot touch the shared counters.
                         job.failed[r] = false;
                         job.quiet[r] = false;
-                        let name = job.controllers[r].name_shared();
-                        record_leaf_failover(
+                        job.bufs[r].push(take_over(
+                            now,
+                            devices[i],
+                            &job.controllers[r],
                             &mut job.shards[r],
                             ids,
-                            now,
                             i as u32,
-                            Arc::clone(&name),
-                        );
-                        job.bufs[r].push(ControllerEvent {
-                            at: now,
-                            device: devices[i],
-                            controller: name,
-                            kind: ControllerEventKind::Failover,
-                        });
-                        wire_roundtrip_events(
-                            &job.controllers[r],
-                            &mut job.bufs[r],
-                            &mut job.wire[r],
-                            &mut job.wire_ev[r],
-                        );
+                        ));
                     } else {
-                        let (aggregate, buf) = (&mut job.aggregates[r], &mut job.bufs[r]);
                         job.quiet[r] = run_one_leaf_cycle(
                             now,
                             devices[i],
                             &mut job.controllers[r],
                             &mut job.networks[r],
                             job.agents,
-                            job.agents_base,
-                            aggregate,
-                            buf,
+                            job.server_base,
+                            &mut job.aggregates[r],
+                            &mut job.bufs[r],
                             &mut job.shards[r],
                             ids,
                             i as u32,
                         );
-                        wire_roundtrip_events(
-                            &job.controllers[r],
-                            &mut job.bufs[r],
-                            &mut job.wire[r],
-                            &mut job.wire_ev[r],
-                        );
                     }
-                    if fused {
-                        let (ch, d) = fuse_absorb_leaf(
-                            &fsh,
-                            i,
-                            job.agents,
-                            job.agents_base,
-                            job.limit_w,
-                            job.agents_base,
-                        );
-                        job.absorb_changed[r] = ch;
-                        job.absorb_delta[r] = d;
-                    }
+                    wire_roundtrip_events(
+                        &job.controllers[r],
+                        &mut job.bufs[r],
+                        &mut job.wire[r],
+                        &mut job.wire_ev[r],
+                    );
+                    (job.absorb_changed[r], job.absorb_delta[r]) =
+                        fuse_absorb_leaf(&fsh, i, job.agents, job.limit_w, job.server_base);
                 }
             });
         }
-        self.merge_parallel_events(due, failover, events);
-    }
-
-    /// Runs the due leaves on `threads` scoped worker threads spawned
-    /// per call. Each worker owns a contiguous chunk of the due set
-    /// and, through the precomputed spans, private disjoint
-    /// `&mut [Agent]` slices. Workers buffer events per leaf; the merge
-    /// after the join restores serial (leaf index) order, so the result
-    /// is bit-identical to [`LeafTier::run_due_serial`]. Kept as the
-    /// no-pool fallback and the baseline the pool is benchmarked
-    /// against.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_due_scoped(
-        &mut self,
-        now: SimTime,
-        due: &[usize],
-        threads: usize,
-        fused: bool,
-        failover: &mut FailoverState,
-        fleet: &mut Fleet,
-        events: &mut Vec<ControllerEvent>,
-        obs: &mut Observability,
-    ) {
-        let spans = self
-            .spans
-            .as_deref()
-            .expect("parallel path requires leaf spans");
-        {
-            let devices = &self.devices;
-            let (all_shards, ids) = obs.shard_ctx();
-            let controllers = carve(&mut self.controllers, due);
-            let networks = carve(&mut self.networks, due);
-            let aggregates = carve(&mut self.last_aggregate, due);
-            let failed = carve(failover.leaf_flags_mut(), due);
-            let bufs = carve(&mut self.event_bufs, due);
-            let wires = carve(&mut self.wire_bufs, due);
-            let wire_evs = carve(&mut self.wire_events, due);
-            let shards = carve(all_shards, due);
-            let quiets = carve(&mut self.quiet, due);
-            let absorb_chs = carve(&mut self.absorb_changed, due);
-            let absorb_ds = carve(&mut self.absorb_delta, due);
-            let (agents_all, limits_all, fsh) = fleet.fused_control_parts();
-            let agent_slices = split_agent_spans(agents_all, due.iter().map(|&i| spans[i].clone()));
-            let limit_slices =
-                dynpool::split_spans(limits_all, due.iter().map(|&i| spans[i].clone()));
-
-            let mut tasks: Vec<LeafTask> = Vec::with_capacity(due.len());
-            for (
-                (
-                    (
-                        (
-                            (((((((((&i, controller), network), aggregate), failed), buf), wire), wire_ev), shard), quiet),
-                            agents,
-                        ),
-                        limit,
-                    ),
-                    absorb_changed,
-                ),
-                absorb_delta,
-            ) in due
-                .iter()
-                .zip(controllers)
-                .zip(networks)
-                .zip(aggregates)
-                .zip(failed)
-                .zip(bufs)
-                .zip(wires)
-                .zip(wire_evs)
-                .zip(shards)
-                .zip(quiets)
-                .zip(agent_slices)
-                .zip(limit_slices)
-                .zip(absorb_chs)
-                .zip(absorb_ds)
-            {
-                tasks.push(LeafTask {
-                    device: devices[i],
-                    controller,
-                    network,
-                    aggregate,
-                    failed,
-                    buf,
-                    wire,
-                    wire_ev,
-                    quiet,
-                    agents,
-                    span_start: spans[i].start,
-                    shard,
-                    track: i as u32,
-                    limit,
-                    absorb_changed,
-                    absorb_delta,
-                });
+        // Deterministic merge: drain the per-leaf event buffers in leaf
+        // index order.
+        for &i in due {
+            for event in self.event_bufs[i].drain(..) {
+                if matches!(event.kind, ControllerEventKind::Failover) {
+                    failover.record_leaf(i);
+                }
+                events.push(event);
             }
-
-            let per_chunk = tasks.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for chunk in tasks.chunks_mut(per_chunk) {
-                    scope.spawn(move || {
-                        for task in chunk {
-                            task.buf.clear();
-                            if fused {
-                                fuse_sync_leaf(
-                                    &fsh,
-                                    task.track as usize,
-                                    task.agents,
-                                    task.span_start,
-                                );
-                            }
-                            if *task.failed {
-                                *task.failed = false;
-                                *task.quiet = false;
-                                let name = task.controller.name_shared();
-                                record_leaf_failover(
-                                    task.shard,
-                                    ids,
-                                    now,
-                                    task.track,
-                                    Arc::clone(&name),
-                                );
-                                task.buf.push(ControllerEvent {
-                                    at: now,
-                                    device: task.device,
-                                    controller: name,
-                                    kind: ControllerEventKind::Failover,
-                                });
-                                wire_roundtrip_events(
-                                    task.controller,
-                                    task.buf,
-                                    task.wire,
-                                    task.wire_ev,
-                                );
-                            } else {
-                                *task.quiet = run_one_leaf_cycle(
-                                    now,
-                                    task.device,
-                                    task.controller,
-                                    task.network,
-                                    task.agents,
-                                    task.span_start,
-                                    task.aggregate,
-                                    task.buf,
-                                    task.shard,
-                                    ids,
-                                    task.track,
-                                );
-                                wire_roundtrip_events(
-                                    task.controller,
-                                    task.buf,
-                                    task.wire,
-                                    task.wire_ev,
-                                );
-                            }
-                            if fused {
-                                let (ch, d) = fuse_absorb_leaf(
-                                    &fsh,
-                                    task.track as usize,
-                                    task.agents,
-                                    task.span_start,
-                                    task.limit,
-                                    task.span_start,
-                                );
-                                *task.absorb_changed = ch;
-                                *task.absorb_delta = d;
-                            }
-                        }
-                    });
-                }
-            });
         }
-
-        self.merge_parallel_events(due, failover, events);
+        fleet.finish_fused_control(due, &self.absorb_changed, &self.absorb_delta);
+        // Capture the fleet markers the cycles saw (the control tick
+        // does not step the fleet, so they have not moved).
+        self.note_markers(due, fleet);
     }
 
     /// Captures the tier's dynamic state for a snapshot. Everything
@@ -784,26 +465,6 @@ impl LeafTier {
         self.seen_draw_tick.clone_from(&state.seen_draw_tick);
         self.seen_agent_epoch.clone_from(&state.seen_agent_epoch);
         Ok(())
-    }
-
-    /// Deterministic merge after a parallel dispatch: drains per-leaf
-    /// event buffers in leaf index order, exactly as the serial loop
-    /// would have emitted. Failovers are recorded here because workers
-    /// cannot touch the shared counters.
-    fn merge_parallel_events(
-        &mut self,
-        due: &[usize],
-        failover: &mut FailoverState,
-        events: &mut Vec<ControllerEvent>,
-    ) {
-        for &i in due {
-            for event in self.event_bufs[i].drain(..) {
-                if matches!(event.kind, ControllerEventKind::Failover) {
-                    failover.record_leaf(i);
-                }
-                events.push(event);
-            }
-        }
     }
 }
 
@@ -877,27 +538,37 @@ impl Snapshot for LeafTierState {
     }
 }
 
-/// Picks the elements of `slice` at the ascending indices `idxs` as
-/// simultaneous `&mut` borrows, via progressive `split_at_mut`.
-fn carve<'a, T>(mut slice: &'a mut [T], idxs: &[usize]) -> Vec<&'a mut T> {
-    let mut out = Vec::with_capacity(idxs.len());
-    let mut consumed = 0;
-    for &i in idxs {
-        let (_, rest) = slice.split_at_mut(i - consumed);
-        let (item, rest) = rest.split_first_mut().expect("index out of range");
-        out.push(item);
-        consumed = i + 1;
-        slice = rest;
+/// Carves elements `skip..skip + take` off the front of `*rest`.
+fn window<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T] {
+    front_mut(rest, skip);
+    front_mut(rest, take)
+}
+
+/// A backup controller taking over after a primary failure: records the
+/// takeover in the leaf's shard and builds its event. The caller skips
+/// the leaf's cycle.
+fn take_over(
+    now: SimTime,
+    device: DeviceId,
+    controller: &LeafController,
+    shard: &mut Shard,
+    ids: &ObsIds,
+    track: u32,
+) -> ControllerEvent {
+    let name = controller.name_shared();
+    record_leaf_failover(shard, ids, now, track, Arc::clone(&name));
+    ControllerEvent {
+        at: now,
+        device,
+        controller: name,
+        kind: ControllerEventKind::Failover,
     }
-    out
 }
 
 /// One leaf controller cycle against its private agent span.
 ///
-/// `agents` is the slice of agents this leaf may touch and `span_start`
-/// the server id of `agents[0]` — the serial path passes the whole
-/// fleet with `span_start == 0`, the parallel path a disjoint per-leaf
-/// slice. Shared by both so they cannot drift apart.
+/// `agents` is the shard's slice of agents and `span_start` the server
+/// id of `agents[0]`.
 ///
 /// Returns whether the cycle was *quiescent* — a clean Hold with no
 /// pull failures and no caps left active — which is the controller-side
@@ -1070,11 +741,10 @@ fn from_wire(ev: &TelemetryEvent, controller: &Arc<str>) -> ControllerEvent {
 }
 
 /// Round-trips one leaf's freshly-buffered cycle events through the
-/// [`dynrpc::codec`] telemetry-batch wire format, inside the worker
-/// shard that produced them. The deployed system serializes telemetry
-/// off the controller host; doing the encode *and* the decode here
-/// keeps that cost off the owner thread (which previously would have
-/// been the only place to put it) and proves the format lossless on
+/// [`dynrpc::codec`] telemetry-batch wire format, inside the shard that
+/// produced them. The deployed system serializes telemetry off the
+/// controller host; doing the encode *and* the decode here keeps that
+/// cost on the tick, in the shard, and proves the format lossless on
 /// every event the simulation ever emits. Quiescent leaves emit no
 /// events and skip entirely, so the steady state stays allocation-free;
 /// churning leaves reuse the warm wire/scratch buffers.
@@ -1103,60 +773,74 @@ fn wire_roundtrip_events(
     }
 }
 
-/// Computes per-leaf agent spans for the parallel control plane.
+/// Each leaf's server ids as one contiguous ascending range, the ranges
+/// tiling `0..server_count` in leaf order — the precondition for
+/// handing each leaf a disjoint `&mut [Agent]` slice via progressive
+/// splits. [`powerinfra::TopologyBuilder`], the only way to construct a
+/// topology, always lays servers out this way.
 ///
-/// Returns `Some` only when every leaf's server ids form a contiguous
-/// ascending run and the runs tile `0..server_count` in leaf order —
-/// the precondition for handing each leaf a disjoint `&mut [Agent]`
-/// slice via `split_at_mut`. Grid topologies built by
-/// [`powerinfra::TopologyBuilder`] always satisfy this.
-fn compute_leaf_spans(
-    leaf_server_ids: &[Vec<u32>],
-    server_count: usize,
-) -> Option<Vec<Range<usize>>> {
-    let mut spans = Vec::with_capacity(leaf_server_ids.len());
+/// # Panics
+///
+/// Panics, naming the offending leaf, if the layout is anything else.
+fn tile_leaf_spans(controllers: &[LeafController], server_count: usize) -> Vec<Range<usize>> {
     let mut next = 0usize;
-    for ids in leaf_server_ids {
-        let first = *ids.first()? as usize;
-        if first != next {
-            return None;
-        }
-        for (k, &sid) in ids.iter().enumerate() {
-            if sid as usize != first + k {
-                return None;
+    let spans = controllers
+        .iter()
+        .map(|c| {
+            let start = next;
+            for h in c.servers() {
+                assert_eq!(
+                    h.server_id as usize,
+                    next,
+                    "leaf {} does not own a contiguous server range in leaf order",
+                    c.name_shared()
+                );
+                next += 1;
             }
-        }
-        next = first + ids.len();
-        spans.push(first..next);
-    }
-    (next == server_count).then_some(spans)
+            assert!(next > start, "leaf {} has no servers", c.name_shared());
+            start..next
+        })
+        .collect();
+    assert_eq!(next, server_count, "leaf spans must cover the fleet");
+    spans
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn carve_yields_disjoint_mut_refs_at_the_requested_indices() {
-        let mut data = [10, 20, 30, 40, 50];
-        let picked = carve(&mut data, &[1, 2, 4]);
-        assert_eq!(picked.iter().map(|r| **r).collect::<Vec<_>>(), [20, 30, 50]);
-        for r in picked {
-            *r += 1;
-        }
-        assert_eq!(data, [10, 21, 31, 40, 51]);
+    fn leaf(name: &str, ids: &[u32]) -> LeafController {
+        let servers = ids
+            .iter()
+            .map(|&server_id| ServerHandle {
+                server_id,
+                service: ServiceClass::new("web", 1, Power::from_watts(200.0)),
+            })
+            .collect();
+        LeafController::new(name, LeafConfig::new(Power::from_kilowatts(100.0)), servers)
     }
 
     #[test]
-    fn spans_require_contiguous_tiling() {
-        // Contiguous tiling: spans exist.
-        let ok = vec![vec![0, 1, 2], vec![3, 4], vec![5]];
-        assert_eq!(compute_leaf_spans(&ok, 6), Some(vec![0..3, 3..5, 5..6]));
-        // A gap, an overlap, or a short tiling all disable the path.
-        let gap = vec![vec![0, 1], vec![3, 4]];
-        assert_eq!(compute_leaf_spans(&gap, 5), None);
-        let non_contig = vec![vec![0, 2], vec![1, 3]];
-        assert_eq!(compute_leaf_spans(&non_contig, 4), None);
-        assert_eq!(compute_leaf_spans(&ok, 7), None);
+    fn contiguous_leaves_tile_the_fleet() {
+        let leaves = [leaf("a", &[0, 1, 2]), leaf("b", &[3, 4]), leaf("c", &[5])];
+        assert_eq!(tile_leaf_spans(&leaves, 6), vec![0..3, 3..5, 5..6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf rpp-b does not own a contiguous server range")]
+    fn a_gap_names_the_offending_leaf() {
+        tile_leaf_spans(&[leaf("rpp-a", &[0, 1]), leaf("rpp-b", &[3, 4])], 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf rpp-b does not own a contiguous server range")]
+    fn interleaved_leaves_name_the_offending_leaf() {
+        tile_leaf_spans(&[leaf("rpp-a", &[0, 1]), leaf("rpp-b", &[3, 2])], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf spans must cover the fleet")]
+    fn a_short_tiling_panics() {
+        tile_leaf_spans(&[leaf("rpp-a", &[0, 1, 2])], 4);
     }
 }

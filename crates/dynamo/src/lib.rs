@@ -49,6 +49,7 @@ mod grid;
 mod leaf_exec;
 mod obs;
 mod report;
+mod shard;
 mod telemetry;
 mod upper_exec;
 mod validator;

@@ -2,12 +2,12 @@
 //! flight recorder wired through the controller hierarchy.
 //!
 //! One [`dynobs::Shard`] per leaf controller travels with the leaf
-//! through both the serial and the scoped-thread parallel execution
-//! paths, so hot-path recording is lock-free and allocation-free; after
-//! every leaf dispatch [`Observability::merge_leaves`] folds the due
-//! shards back in ascending leaf-index order — the same fixed order the
-//! serial path records in — which keeps the merged registry (float
-//! histogram sums included) bit-identical at any worker-thread count.
+//! into whichever shard of the leaf dispatch runs it, so hot-path
+//! recording is lock-free and allocation-free; after every leaf
+//! dispatch [`Observability::merge_leaves`] folds the due shards back
+//! in ascending leaf-index order, which keeps the merged registry
+//! (float histogram sums included) bit-identical at any worker-thread
+//! count.
 //! Upper controllers and datacenter-level sources (breakers, the
 //! validator) always run serially and record into the registry
 //! directly.
@@ -25,7 +25,7 @@ use dynobs::{
 
 /// Tick phases instrumented by the `--profile-ticks` profiler, in the
 /// order `Datacenter::step` runs them. Index positions are frozen:
-/// [`Observability::observe_tick_phase`] takes the index, and the
+/// `Observability::observe_tick_phase` takes the index, and the
 /// exported metric family is `dynamo_tick_phase_seconds_<name>`.
 pub const TICK_PHASES: [&str; 7] = [
     "fleet_step",
@@ -48,11 +48,10 @@ pub enum TickPhase {
     LeafDispatch = 3,
     Validator = 4,
     TelemetryMerge = 5,
-    /// The fused tile-at-a-time settle pass. When fusion is on, phase
-    /// 1 wall time lands here instead of `fleet_step`, so the two
-    /// regimes are distinguishable in the exported histograms; the
-    /// other six families keep emitting (zero-observation `fleet_step`
-    /// included) for unfused configurations and promlint.
+    /// The tile-at-a-time settle pass — the only physics step, so
+    /// phase 1 wall time always lands here. `fleet_step` (the retired
+    /// phase-at-a-time pass) keeps its family, observing zeros, so the
+    /// seven exported names and their order never change.
     FusedTile = 6,
 }
 

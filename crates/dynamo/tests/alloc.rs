@@ -65,7 +65,8 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 /// A 64-server, 2-leaf setup with ample power headroom (Hold band),
 /// reliable RPC, no crashes: the steady state a healthy datacenter
-/// spends almost all of its life in.
+/// spends almost all of its life in. The fleet is registered with the
+/// system's leaf spans (`[0..32, 32..64]`), as `Datacenter` does.
 fn build_with(obs: ObsConfig) -> (Fleet, DynamoSystem) {
     let topo = TopologyBuilder::new()
         .sbs_per_msb(1)
@@ -76,7 +77,7 @@ fn build_with(obs: ObsConfig) -> (Fleet, DynamoSystem) {
     let n = topo.server_count();
     let configs = vec![ServerConfig::new(ServerGeneration::Haswell2015); n];
     let services = vec![ServiceKind::Web; n];
-    let fleet = Fleet::new(configs, services, SimRng::seed_from(11).split("fleet"));
+    let mut fleet = Fleet::new(configs, services, SimRng::seed_from(11).split("fleet"));
     let config = SystemConfig {
         rpc: dynrpc::LinkProfile::reliable(),
         obs,
@@ -89,6 +90,7 @@ fn build_with(obs: ObsConfig) -> (Fleet, DynamoSystem) {
         config,
         &mut SimRng::seed_from(11).split("sys"),
     );
+    fleet.set_leaf_spans(system.leaf_spans());
     (fleet, system)
 }
 
@@ -97,26 +99,16 @@ fn build() -> (Fleet, DynamoSystem) {
 }
 
 /// Warms up, then counts heap operations across 20 leaf-only ticks.
-/// With `threads > 1` the fleet steps through [`Fleet::step_parallel`]
-/// and leaf cycles dispatch in parallel — onto the attached pool, if
-/// any.
-fn measure_steady_state(mut fleet: Fleet, mut system: DynamoSystem, threads: usize) -> u64 {
-    assert!(system.supports_parallel_leaves());
-    system.set_control_threads(threads);
+/// The fleet step and the leaf dispatch are sharded over whatever pool
+/// the caller attached to both (one inline shard without one).
+fn measure_steady_state(mut fleet: Fleet, mut system: DynamoSystem) -> u64 {
     let dt = SimDuration::from_secs(3);
-    let step = |fleet: &mut Fleet, now: SimTime| {
-        if threads > 1 {
-            fleet.step_parallel(now, dt, threads);
-        } else {
-            fleet.step(now, dt);
-        }
-    };
 
     // Warm up: fill scratch buffers, controller state and event
     // vectors, covering both leaf (3 s) and upper (9 s) cycles.
     let mut now = SimTime::ZERO;
     for _ in 0..12 {
-        step(&mut fleet, now);
+        fleet.step(now, dt);
         let events = system.tick(now, &mut fleet);
         assert!(events.is_empty(), "expected a quiet Hold-band run");
         now += dt;
@@ -128,13 +120,13 @@ fn measure_steady_state(mut fleet: Fleet, mut system: DynamoSystem, threads: usi
     let mut total = 0u64;
     while measured < 20 {
         if now.as_secs().is_multiple_of(9) {
-            step(&mut fleet, now);
+            fleet.step(now, dt);
             system.tick(now, &mut fleet);
             now += dt;
             continue;
         }
         total += count_allocs(|| {
-            step(&mut fleet, now);
+            fleet.step(now, dt);
             let events = system.tick(now, &mut fleet);
             assert!(events.is_empty());
         });
@@ -149,7 +141,7 @@ fn steady_state_leaf_ticks_do_not_allocate() {
     let _serial = serialize_test();
     let (fleet, system) = build();
     assert_eq!(
-        measure_steady_state(fleet, system, 1),
+        measure_steady_state(fleet, system),
         0,
         "heap allocations leaked into the steady-state leaf tick path"
     );
@@ -163,16 +155,16 @@ fn steady_state_leaf_ticks_do_not_allocate_with_observability() {
     let _serial = serialize_test();
     let (fleet, system) = build_with(ObsConfig::on());
     assert_eq!(
-        measure_steady_state(fleet, system, 1),
+        measure_steady_state(fleet, system),
         0,
         "observability recording allocated in the steady-state leaf tick path"
     );
 }
 
-/// The zero-alloc guarantee must also hold on the parallel hot path
-/// once the pool is warm: waking parked workers, dispatching stack-slot
-/// jobs over the precomputed partitions and merging results must never
-/// touch the heap — with observability recording live, at 4 threads.
+/// The zero-alloc guarantee must also hold at width 4 once the pool is
+/// warm: waking parked workers, carving stack-slot shards and merging
+/// results must never touch the heap — with observability recording
+/// live.
 #[test]
 fn steady_state_pooled_ticks_do_not_allocate() {
     let _serial = serialize_test();
@@ -181,19 +173,16 @@ fn steady_state_pooled_ticks_do_not_allocate() {
     fleet.attach_pool(Arc::clone(&pool));
     system.attach_pool(pool);
     assert_eq!(
-        measure_steady_state(fleet, system, 4),
+        measure_steady_state(fleet, system),
         0,
         "pooled dispatch allocated in the steady-state leaf tick path"
     );
 }
 
-/// Fleet with the active set engaged: leaf spans mirroring the two RPP
-/// leaves of the test topology (sids are assigned in DFS order, so the
-/// spans are `[0..32, 32..64]`), plus a demand-hold so leaves actually
+/// Fleet with the active set engaged: a demand-hold so leaves actually
 /// settle between redraws.
 fn build_active(obs: ObsConfig, hold: u32) -> (Fleet, DynamoSystem) {
     let (mut fleet, system) = build_with(obs);
-    fleet.set_leaf_spans(&[0..32, 32..64]);
     fleet.set_demand_hold(hold);
     (fleet, system)
 }
@@ -207,14 +196,14 @@ fn steady_state_active_set_ticks_do_not_allocate() {
     let _serial = serialize_test();
     let (fleet, system) = build_active(ObsConfig::on(), 30);
     assert_eq!(
-        measure_steady_state(fleet, system, 1),
+        measure_steady_state(fleet, system),
         0,
         "active-set physics allocated in the steady-state leaf tick path"
     );
 }
 
-/// Same guarantee on the pooled parallel path: the extra per-job
-/// settled/last-draw/epoch slices ride in the same stack-slot jobs.
+/// Same guarantee at width 4: the per-leaf settled/last-draw/epoch
+/// slices ride in the same stack-slot shards.
 #[test]
 fn steady_state_active_set_pooled_ticks_do_not_allocate() {
     let _serial = serialize_test();
@@ -223,7 +212,7 @@ fn steady_state_active_set_pooled_ticks_do_not_allocate() {
     fleet.attach_pool(Arc::clone(&pool));
     system.attach_pool(pool);
     assert_eq!(
-        measure_steady_state(fleet, system, 4),
+        measure_steady_state(fleet, system),
         0,
         "active-set pooled dispatch allocated in the steady-state leaf tick path"
     );
@@ -291,11 +280,11 @@ fn steady_state_grid_ticks_do_not_allocate() {
     );
 }
 
-/// The whole parallel tick at once: pooled 4-thread dispatch (real
-/// workers — `Pooled` does not clamp on small hosts), observability
-/// recording, the grid layer, the sharded telemetry scratch with its
-/// worker-side RPC codec round-trip (warm wire buffers), the parallel
-/// breaker precompute (fixed chunk plan, preallocated scratch) and the
+/// The whole tick at width 4 at once: four real workers (`Pooled` does
+/// not clamp on small hosts), observability recording, the grid layer,
+/// the per-leaf telemetry scratch with its in-shard RPC codec
+/// round-trip (warm wire buffers), the breaker pre-fold (fixed chunk
+/// plan, preallocated scratch) and the
 /// tick-phase profiler (preallocated histograms, `Instant` laps) must
 /// all stay off the heap in the steady state.
 #[test]

@@ -26,12 +26,16 @@ fn build_system(topo: &Topology, config: SystemConfig) -> DynamoSystem {
     DynamoSystem::build(topo, &service_of, config, &mut rng)
 }
 
-fn fleet(n: usize) -> Fleet {
-    Fleet::new(
+/// A fleet registered with `system`'s leaf spans, the way
+/// `Datacenter` wires the pair.
+fn fleet(system: &DynamoSystem, n: usize) -> Fleet {
+    let mut fleet = Fleet::new(
         vec![ServerConfig::new(ServerGeneration::Haswell2015); n],
         vec![ServiceKind::Web; n],
         SimRng::seed_from(2),
-    )
+    );
+    fleet.set_leaf_spans(system.leaf_spans());
+    fleet
 }
 
 #[test]
@@ -76,7 +80,7 @@ fn leaf_controllers_cover_every_server_exactly_once() {
 fn tick_respects_the_schedules() {
     let topo = topo();
     let mut system = build_system(&topo, SystemConfig::default());
-    let mut fleet = fleet(topo.server_count());
+    let mut fleet = fleet(&system, topo.server_count());
     fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
     // t=0: both tiers run. t=1,2: neither. t=3: leaves only.
     system.tick(SimTime::ZERO, &mut fleet);
@@ -96,6 +100,20 @@ fn tick_respects_the_schedules() {
 }
 
 #[test]
+#[should_panic(expected = "the fleet's leaf spans are not the control plane's")]
+fn ticking_an_unregistered_fleet_panics() {
+    let topo = topo();
+    let mut system = build_system(&topo, SystemConfig::default());
+    let n = topo.server_count();
+    let mut unregistered = Fleet::new(
+        vec![ServerConfig::new(ServerGeneration::Haswell2015); n],
+        vec![ServiceKind::Web; n],
+        SimRng::seed_from(2),
+    );
+    system.tick(SimTime::ZERO, &mut unregistered);
+}
+
+#[test]
 fn lockstep_phases_are_all_zero() {
     let topo = topo();
     let system = build_system(&topo, SystemConfig::default());
@@ -112,7 +130,7 @@ fn monitoring_only_mode_tracks_aggregates_without_cycles() {
         ..SystemConfig::default()
     };
     let mut system = build_system(&topo, config);
-    let mut fleet = fleet(topo.server_count());
+    let mut fleet = fleet(&system, topo.server_count());
     for i in 0..fleet.len() as u32 {
         fleet.agent_mut(i).server_mut().set_demand(0.5);
         fleet
@@ -134,7 +152,7 @@ fn monitoring_only_mode_tracks_aggregates_without_cycles() {
 fn failover_is_reported_once_and_recovers() {
     let topo = topo();
     let mut system = build_system(&topo, SystemConfig::default());
-    let mut fleet = fleet(topo.server_count());
+    let mut fleet = fleet(&system, topo.server_count());
     let rpp = system.leaf_devices()[0];
     system.fail_primary(rpp);
     let events = system.tick(SimTime::ZERO, &mut fleet);

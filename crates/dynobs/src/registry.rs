@@ -3,8 +3,8 @@
 //! Every metric is registered once at build time through a
 //! [`RegistryBuilder`]; after [`RegistryBuilder::build`] the set is
 //! frozen and recording a sample is an array write — no hashing, no
-//! locking, no heap. Hot-path writers (the scoped-thread leaf workers
-//! of the control plane) record into private [`Shard`]s; the owner
+//! locking, no heap. Hot-path writers (the leaf-dispatch shards of the
+//! control plane) record into private [`Shard`]s; the owner
 //! merges shards back with [`Registry::merge_shard`] in a fixed order,
 //! which keeps floating-point histogram sums bit-identical at any
 //! worker-thread count.

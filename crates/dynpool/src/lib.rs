@@ -1,10 +1,10 @@
 //! A persistent, deterministic worker pool for lockstep fan-out.
 //!
-//! The simulation's two hot fan-outs — fleet physics and same-instant
-//! leaf control cycles — used to spawn and join fresh
-//! [`std::thread::scope`] workers on **every** dispatch, paying thread
-//! creation (~tens of microseconds per worker) thousands of times per
-//! simulated minute. [`WorkerPool`] spawns its workers once, parks them
+//! The simulation's hot fan-outs — fleet physics, the breaker pre-fold
+//! and same-instant leaf control cycles — dispatch thousands of times
+//! per simulated minute; spawning and joining fresh threads each time
+//! would pay thread creation (~tens of microseconds per worker) on
+//! every one. [`WorkerPool`] spawns its workers once, parks them
 //! between dispatches, and wakes them through per-worker atomic-flag
 //! mailboxes, so a warm dispatch costs two atomic transitions and an
 //! unpark per worker and touches the heap not at all.
@@ -306,56 +306,12 @@ fn worker_loop(shared: &Shared, w: usize) {
     }
 }
 
-/// Splits `items` into disjoint `&mut` slices, one per span, via
-/// progressive `split_at_mut`. Spans must be ascending and
-/// non-overlapping (elements between spans are skipped); each returned
-/// slice starts at its span's `start` index. This is the shard-carving
-/// primitive behind every per-span `&mut` partition the embedder hands
-/// to pool workers — kept here so all carve sites share one proof of
-/// disjointness.
-///
-/// # Panics
-///
-/// Panics if the spans are not ascending and disjoint or run past the
-/// end of `items`.
-pub fn split_spans<T>(
-    mut items: &mut [T],
-    spans: impl Iterator<Item = std::ops::Range<usize>>,
-) -> Vec<&mut [T]> {
-    let mut out = Vec::new();
-    let mut consumed = 0;
-    for span in spans {
-        let (_, rest) = items.split_at_mut(span.start - consumed);
-        let (mine, rest) = rest.split_at_mut(span.end - span.start);
-        out.push(mine);
-        consumed = span.end;
-        items = rest;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
     use std::time::Duration;
-
-    #[test]
-    fn split_spans_carves_disjoint_slices_skipping_gaps() {
-        let mut data: Vec<u32> = (0..10).collect();
-        let slices = split_spans(&mut data, [0..3, 5..6, 8..10].into_iter());
-        assert_eq!(
-            slices.iter().map(|s| s.to_vec()).collect::<Vec<_>>(),
-            [vec![0, 1, 2], vec![5], vec![8, 9]]
-        );
-        for s in slices {
-            for x in s {
-                *x += 100;
-            }
-        }
-        assert_eq!(data, [100, 101, 102, 3, 4, 105, 6, 7, 108, 109]);
-    }
 
     #[test]
     fn runs_every_item_on_its_own_index() {

@@ -116,11 +116,6 @@ pub fn turbo_demand_batch(demand_w: &mut [f64], idle_w: f64, power_factor: f64) 
 /// Drawn power is *not* written here; it is `out_w[i] * alive[i]`, which
 /// callers compute while scattering results back to id order.
 ///
-/// Dispatches to the [`LANES`]-wide vector kernel when the `simd`
-/// feature (on by default) is enabled, and to the plain scalar loop
-/// otherwise; the two are bit-identical (pinned by the kernel-parity
-/// tests), so the feature only changes codegen, never results.
-///
 /// # Panics
 ///
 /// Panics if the slices disagree in length.
@@ -148,64 +143,14 @@ pub fn step_batch(
 /// also covers the rounding dead zone where `out` freezes a few ulps
 /// away from `target` because the increment underflows the ulp of
 /// `out`.
-#[inline]
-pub fn step_batch_settled(
-    demand_w: &[f64],
-    limit_w: &[f64],
-    alive: &[f64],
-    not_init: &mut [f64],
-    out_w: &mut [f64],
-    alpha: f64,
-) -> bool {
-    #[cfg(feature = "simd")]
-    {
-        step_batch_lanes(demand_w, limit_w, alive, not_init, out_w, alpha)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        step_batch_scalar(demand_w, limit_w, alive, not_init, out_w, alpha)
-    }
-}
-
-/// Scalar reference implementation of [`step_batch_settled`]: one plain
-/// loop, no chunking. Always compiled (regardless of the `simd`
-/// feature) so the parity tests can pin scalar ≡ vector bitwise.
-pub fn step_batch_scalar(
-    demand_w: &[f64],
-    limit_w: &[f64],
-    alive: &[f64],
-    not_init: &mut [f64],
-    out_w: &mut [f64],
-    alpha: f64,
-) -> bool {
-    let n = demand_w.len();
-    assert_eq!(limit_w.len(), n);
-    assert_eq!(alive.len(), n);
-    assert_eq!(not_init.len(), n);
-    assert_eq!(out_w.len(), n);
-    let mut changed = 0u64;
-    for i in 0..n {
-        changed |= step_element(
-            demand_w[i],
-            limit_w[i],
-            alive[i],
-            &mut not_init[i],
-            &mut out_w[i],
-            alpha,
-        );
-    }
-    changed == 0
-}
-
-/// [`LANES`]-wide chunked implementation of [`step_batch_settled`] with
-/// a scalar tail. Always compiled (regardless of the `simd` feature)
-/// so the parity tests can pin vector ≡ scalar bitwise.
 ///
-/// Elementwise arithmetic is identical to [`step_batch_scalar`]; the
-/// per-lane change masks are OR-folded, which is associative and
-/// commutative on bits, so lane order cannot affect the result — the
-/// fixed-fold-order argument for cross-host determinism.
-pub fn step_batch_lanes(
+/// Runs in [`LANES`]-wide chunks with a scalar tail. Elementwise
+/// arithmetic is identical to [`step_batch_scalar`] (pinned bitwise by
+/// the kernel-parity tests); the per-lane change masks are OR-folded,
+/// which is associative and commutative on bits, so lane order cannot
+/// affect the result — the fixed-fold-order argument for cross-host
+/// determinism.
+pub fn step_batch_settled(
     demand_w: &[f64],
     limit_w: &[f64],
     alive: &[f64],
@@ -249,6 +194,36 @@ pub fn step_batch_lanes(
     changed.iter().fold(0, |a, &c| a | c) == 0
 }
 
+/// Scalar reference implementation of [`step_batch_settled`]: one plain
+/// loop, no chunking. Not on any shipping path — it exists so the
+/// parity tests can pin scalar ≡ chunked bitwise.
+pub fn step_batch_scalar(
+    demand_w: &[f64],
+    limit_w: &[f64],
+    alive: &[f64],
+    not_init: &mut [f64],
+    out_w: &mut [f64],
+    alpha: f64,
+) -> bool {
+    let n = demand_w.len();
+    assert_eq!(limit_w.len(), n);
+    assert_eq!(alive.len(), n);
+    assert_eq!(not_init.len(), n);
+    assert_eq!(out_w.len(), n);
+    let mut changed = 0u64;
+    for i in 0..n {
+        changed |= step_element(
+            demand_w[i],
+            limit_w[i],
+            alive[i],
+            &mut not_init[i],
+            &mut out_w[i],
+            alpha,
+        );
+    }
+    changed == 0
+}
+
 /// [`step_batch_settled`] over *bit-packed* masks: `alive` and
 /// `not_init` arrive as one bit per server (bit `i % 64` of word
 /// `i / 64`, bit set ⇔ mask value `1.0`) instead of one `f64` each,
@@ -257,7 +232,7 @@ pub fn step_batch_lanes(
 ///
 /// Bit-identity with the `f64`-mask kernel is by construction, not by
 /// rounding luck: each element's mask bits are materialized to exactly
-/// `0.0`/`1.0` and fed through the same [`step_element`] arithmetic, so
+/// `0.0`/`1.0` and fed through the same `step_element` arithmetic, so
 /// every intermediate is the identical `f64` expression. The `not_init`
 /// write-back `ni *= 1 - alive` is computed word-wide as
 /// `ni_word & !alive_word`, which is the same function on {0, 1}-valued
@@ -266,76 +241,15 @@ pub fn step_batch_lanes(
 /// Tail bits of the last word (positions past `demand_w.len()`) must be
 /// zero in both mask words; they are preserved as written.
 ///
+/// Chunked like [`step_batch_settled`]: a word's 64 elements split
+/// evenly into [`LANES`]-wide chunks, so only the final partial word
+/// takes the scalar remainder path.
+///
 /// # Panics
 ///
 /// Panics if the `f64` slices disagree in length or a mask slice has
 /// fewer than `ceil(n / 64)` words.
-#[inline]
 pub fn step_batch_settled_bits(
-    demand_w: &[f64],
-    limit_w: &[f64],
-    alive_bits: &[u64],
-    not_init_bits: &mut [u64],
-    out_w: &mut [f64],
-    alpha: f64,
-) -> bool {
-    #[cfg(feature = "simd")]
-    {
-        step_batch_lanes_bits(demand_w, limit_w, alive_bits, not_init_bits, out_w, alpha)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        step_batch_scalar_bits(demand_w, limit_w, alive_bits, not_init_bits, out_w, alpha)
-    }
-}
-
-/// Scalar reference implementation of [`step_batch_settled_bits`].
-/// Always compiled so the parity tests can pin packed ≡ `f64`-mask
-/// bitwise regardless of the `simd` feature.
-pub fn step_batch_scalar_bits(
-    demand_w: &[f64],
-    limit_w: &[f64],
-    alive_bits: &[u64],
-    not_init_bits: &mut [u64],
-    out_w: &mut [f64],
-    alpha: f64,
-) -> bool {
-    let n = demand_w.len();
-    assert_eq!(limit_w.len(), n);
-    assert_eq!(out_w.len(), n);
-    let words = n.div_ceil(64);
-    assert!(alive_bits.len() >= words);
-    assert!(not_init_bits.len() >= words);
-    let mut changed = 0u64;
-    for w in 0..words {
-        let a_word = alive_bits[w];
-        let ni_word = not_init_bits[w];
-        let lo = w * 64;
-        let hi = (lo + 64).min(n);
-        for i in lo..hi {
-            let b = i - lo;
-            let alive = ((a_word >> b) & 1) as f64;
-            let mut ni = ((ni_word >> b) & 1) as f64;
-            changed |= step_element(
-                demand_w[i],
-                limit_w[i],
-                alive,
-                &mut ni,
-                &mut out_w[i],
-                alpha,
-            );
-        }
-        not_init_bits[w] = ni_word & !a_word;
-    }
-    changed == 0
-}
-
-/// [`LANES`]-wide chunked implementation of
-/// [`step_batch_settled_bits`] with a scalar tail, mirroring
-/// [`step_batch_lanes`]. A word's 64 elements split evenly into
-/// [`LANES`]-wide chunks, so only the final partial word takes the
-/// scalar remainder path. Always compiled for the parity tests.
-pub fn step_batch_lanes_bits(
     demand_w: &[f64],
     limit_w: &[f64],
     alive_bits: &[u64],
@@ -394,9 +308,51 @@ pub fn step_batch_lanes_bits(
     changed.iter().fold(0, |a, &c| a | c) == 0
 }
 
+/// Scalar reference implementation of [`step_batch_settled_bits`]. Not
+/// on any shipping path — it exists so the parity tests can pin
+/// packed ≡ `f64`-mask and scalar ≡ chunked bitwise.
+pub fn step_batch_scalar_bits(
+    demand_w: &[f64],
+    limit_w: &[f64],
+    alive_bits: &[u64],
+    not_init_bits: &mut [u64],
+    out_w: &mut [f64],
+    alpha: f64,
+) -> bool {
+    let n = demand_w.len();
+    assert_eq!(limit_w.len(), n);
+    assert_eq!(out_w.len(), n);
+    let words = n.div_ceil(64);
+    assert!(alive_bits.len() >= words);
+    assert!(not_init_bits.len() >= words);
+    let mut changed = 0u64;
+    for w in 0..words {
+        let a_word = alive_bits[w];
+        let ni_word = not_init_bits[w];
+        let lo = w * 64;
+        let hi = (lo + 64).min(n);
+        for i in lo..hi {
+            let b = i - lo;
+            let alive = ((a_word >> b) & 1) as f64;
+            let mut ni = ((ni_word >> b) & 1) as f64;
+            changed |= step_element(
+                demand_w[i],
+                limit_w[i],
+                alive,
+                &mut ni,
+                &mut out_w[i],
+                alpha,
+            );
+        }
+        not_init_bits[w] = ni_word & !a_word;
+    }
+    changed == 0
+}
+
 /// One element of the batch step: the scalar arithmetic shared verbatim
-/// by both kernel implementations. Returns a nonzero mask iff the
-/// element's state (`out_w`, `not_init`) changed bit pattern.
+/// by the chunked kernels and their scalar references. Returns a
+/// nonzero mask iff the element's state (`out_w`, `not_init`) changed
+/// bit pattern.
 #[inline(always)]
 fn step_element(
     demand_w: f64,
@@ -543,6 +499,7 @@ mod tests {
 
     /// A deterministic awkward-length batch mixing dead, uninitialized,
     /// capped, in-band and far-from-target servers.
+    #[allow(clippy::type_complexity)]
     fn churn_batch(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
         let mut demand = Vec::with_capacity(n);
         let mut limit = Vec::with_capacity(n);
@@ -595,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_scalar_and_lanes_agree_bitwise() {
+    fn packed_scalar_and_chunked_agree_bitwise() {
         let alpha = settle_alpha(1.0, 5.0);
         for n in [7, 64, 130] {
             let (demand, limit, alive, ni_f, out) = churn_batch(n);
@@ -613,7 +570,7 @@ mod tests {
                     &mut out_s,
                     alpha,
                 );
-                let fl = step_batch_lanes_bits(
+                let fl = step_batch_settled_bits(
                     &demand,
                     &limit,
                     &alive_bits,

@@ -2,13 +2,12 @@
 //!
 //! Two families of pins:
 //!
-//! 1. **Parity** — the scalar loop ([`kernel::step_batch_scalar`]), the
-//!    fixed-lane vector kernel ([`kernel::step_batch_lanes`]) and the
-//!    dispatching [`kernel::step_batch`] are bit-identical to each other
-//!    and to the one-element [`kernel::settle`] arithmetic, at every
-//!    slice length (exercising whole chunks and scalar tails). This
-//!    suite runs under the `simd` feature both on and off in CI, so the
-//!    dispatcher is pinned in both states.
+//! 1. **Parity** — the scalar reference loop
+//!    ([`kernel::step_batch_scalar`]) and the fixed-lane chunked kernel
+//!    the fleet runs ([`kernel::step_batch_settled`]) are bit-identical
+//!    to each other and to the one-element [`kernel::settle`]
+//!    arithmetic, at every slice length (exercising whole chunks and
+//!    scalar tails).
 //!
 //! 2. **The active-set premise** — a pass reported as a fixed point by
 //!    [`kernel::step_batch_settled`] is the exact floating-point
@@ -50,7 +49,7 @@ fn random_batch(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>,
 }
 
 #[test]
-fn scalar_lanes_and_dispatcher_are_bit_identical() {
+fn scalar_reference_and_chunked_kernel_are_bit_identical() {
     // Lengths straddling the lane width: tails of every residue class,
     // plus empty and sub-chunk slices.
     for &n in &[0usize, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 160, 257] {
@@ -59,32 +58,22 @@ fn scalar_lanes_and_dispatcher_are_bit_identical() {
             let alpha = kernel::settle_alpha(1.0 + seed as f64, 0.6);
 
             let (mut ni_s, mut out_s) = (ni0.clone(), out0.clone());
-            let (mut ni_l, mut out_l) = (ni0.clone(), out0.clone());
-            let (mut ni_d, mut out_d) = (ni0.clone(), out0.clone());
+            let (mut ni_c, mut out_c) = (ni0.clone(), out0.clone());
             for _ in 0..25 {
                 let fs = kernel::step_batch_scalar(
                     &demand, &limit, &alive, &mut ni_s, &mut out_s, alpha,
                 );
-                let fl =
-                    kernel::step_batch_lanes(&demand, &limit, &alive, &mut ni_l, &mut out_l, alpha);
-                let fd = kernel::step_batch_settled(
-                    &demand, &limit, &alive, &mut ni_d, &mut out_d, alpha,
+                let fc = kernel::step_batch_settled(
+                    &demand, &limit, &alive, &mut ni_c, &mut out_c, alpha,
                 );
-                assert_eq!(fs, fl, "fixed-point verdicts diverged (n={n} seed={seed})");
-                assert_eq!(fs, fd, "dispatcher verdict diverged (n={n} seed={seed})");
+                assert_eq!(fs, fc, "fixed-point verdicts diverged (n={n} seed={seed})");
                 for i in 0..n {
                     assert_eq!(
                         out_s[i].to_bits(),
-                        out_l[i].to_bits(),
-                        "lanes out[{i}] drifted (n={n} seed={seed})"
+                        out_c[i].to_bits(),
+                        "chunked out[{i}] drifted (n={n} seed={seed})"
                     );
-                    assert_eq!(
-                        out_s[i].to_bits(),
-                        out_d[i].to_bits(),
-                        "dispatch out[{i}] drifted (n={n} seed={seed})"
-                    );
-                    assert_eq!(ni_s[i].to_bits(), ni_l[i].to_bits());
-                    assert_eq!(ni_s[i].to_bits(), ni_d[i].to_bits());
+                    assert_eq!(ni_s[i].to_bits(), ni_c[i].to_bits());
                 }
             }
         }

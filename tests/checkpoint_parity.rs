@@ -196,8 +196,7 @@ fn resume_is_bit_identical_across_threads_and_modes() {
     for (threads, mode) in [
         (2, ParallelMode::Pooled),
         (8, ParallelMode::Pooled),
-        (2, ParallelMode::Scoped),
-        (8, ParallelMode::Scoped),
+        (8, ParallelMode::PooledAuto),
     ] {
         let resumed = run_resumed(threads, mode);
         assert_eq!(

@@ -226,13 +226,13 @@ fn fault_churn_is_bit_identical_across_threads_and_modes() {
             "metrics diverged under fault churn at {threads} pooled threads"
         );
     }
-    let scoped = run_fault_churned(8, ParallelMode::Scoped);
+    let auto = run_fault_churned(8, ParallelMode::PooledAuto);
     assert_eq!(
-        baseline.0, scoped.0,
-        "report diverged between pooled and scoped dispatch"
+        baseline.0, auto.0,
+        "report diverged under the host-clamped pool"
     );
     assert_eq!(
-        baseline.1, scoped.1,
-        "metrics diverged between pooled and scoped dispatch"
+        baseline.1, auto.1,
+        "metrics diverged under the host-clamped pool"
     );
 }

@@ -48,7 +48,6 @@ struct Observed {
 /// Runs 5 simulated minutes with two failover injections mid-run.
 fn run(threads: usize) -> Observed {
     let mut dc = build(threads);
-    assert!(dc.system().supports_parallel_leaves());
     dc.run_until(SimTime::from_mins(2));
     let leaves: Vec<_> = dc.system().leaf_devices().to_vec();
     dc.system_mut().fail_primary(leaves[0]);
