@@ -825,9 +825,10 @@ fn bench_control_plane_matrix(obs: &ObsOverhead, grid: &GridOverhead) {
     };
     let mut worst_gate: Option<(usize, u64, f64)> = None;
     if armed {
-        for p8 in points.iter().filter(|p| {
-            p.workload == "worst_case" && p.threads == 8 && p.effective_threads > 1
-        }) {
+        for p8 in points
+            .iter()
+            .filter(|p| p.workload == "worst_case" && p.threads == 8 && p.effective_threads > 1)
+        {
             if let Some(serial) = wc_cell(p8.rpps, 1, p8.phase_spread_ms) {
                 let ratio = p8.ticks_per_sec / serial.ticks_per_sec;
                 if worst_gate.is_none_or(|(_, _, w)| ratio < w) {

@@ -648,7 +648,11 @@ fn print_tick_profile(dc: &Datacenter) {
         } else {
             0.0
         };
-        let share = if total > 0.0 { sum / total * 100.0 } else { 0.0 };
+        let share = if total > 0.0 {
+            sum / total * 100.0
+        } else {
+            0.0
+        };
         println!("  {phase:<16} {count:>10} {sum:>12.4} {mean_us:>11.1} {share:>6.1}%");
     }
     println!("  {:<16} {:>10} {total:>12.4}", "total", "");

@@ -500,7 +500,10 @@ impl Fleet {
     /// Number of leaves currently settled (their next physics pass
     /// would be the exact identity).
     pub fn settled_leaf_count(&self) -> usize {
-        self.settled_bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.settled_bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Whether leaf `leaf` is settled (bit read of the packed flags).
@@ -1238,8 +1241,10 @@ impl Fleet {
         }
         let sum: f64 = self.power_w.iter().sum();
         self.total_power_valid.store(false, Ordering::Relaxed);
-        self.total_power_bits.store(sum.to_bits(), Ordering::Relaxed);
-        self.total_power_gen.store(self.span_generation, Ordering::Relaxed);
+        self.total_power_bits
+            .store(sum.to_bits(), Ordering::Relaxed);
+        self.total_power_gen
+            .store(self.span_generation, Ordering::Relaxed);
         self.total_power_esum.store(esum, Ordering::Relaxed);
         self.total_power_valid.store(true, Ordering::Release);
         sum

@@ -128,9 +128,7 @@ fn register(b: &mut RegistryBuilder) -> ObsIds {
                     "Wall seconds per tick dispatching due controller cycles (both tiers)"
                 }
                 "validator" => "Wall seconds per tick in the breaker validator scan",
-                "fused_tile" => {
-                    "Wall seconds per tick in the fused tile-at-a-time settle pass"
-                }
+                "fused_tile" => "Wall seconds per tick in the fused tile-at-a-time settle pass",
                 _ => "Wall seconds per tick merging telemetry events and samples",
             },
             Buckets::log_linear(1e-6, 1, 16),
@@ -634,7 +632,8 @@ impl Observability {
         if !self.registry.is_enabled() {
             return;
         }
-        self.registry.observe(self.ids.tick_phase[phase as usize], secs);
+        self.registry
+            .observe(self.ids.tick_phase[phase as usize], secs);
     }
 
     /// The profiler's accumulated `(phase, ticks observed, total

@@ -517,7 +517,11 @@ mod tests {
             alive.push(if dead { 0.0 } else { 1.0 });
             let fresh = i % 17 == 8;
             not_init.push(if fresh { 1.0 } else { 0.0 });
-            out.push(if fresh { 0.0 } else { 90.0 + (i % 31) as f64 * 3.25 });
+            out.push(if fresh {
+                0.0
+            } else {
+                90.0 + (i % 31) as f64 * 3.25
+            });
         }
         (demand, limit, alive, not_init, out)
     }
