@@ -172,7 +172,7 @@ impl<E: Snapshot> Snapshot for EventQueue<E> {
             });
         }
         let n = r.get_u64()? as usize;
-        let mut heap = BinaryHeap::with_capacity(n);
+        let mut heap = BinaryHeap::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             let at = SimTime::from_millis(r.get_u64()?);
             let seq = r.get_u64()?;

@@ -259,6 +259,26 @@ impl<'a> SnapReader<'a> {
             Ok(None)
         }
     }
+
+    /// Reads a `u64` element count followed by that many elements, each
+    /// decoded by `elem`.
+    ///
+    /// The count is untrusted: the vector is pre-sized for no more
+    /// elements than fit in the bytes that remain, so a forged count
+    /// fails with [`SnapError::UnexpectedEof`] once the input runs out
+    /// instead of reserving memory the input could never fill.
+    pub fn get_vec<T>(
+        &mut self,
+        mut elem: impl FnMut(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<Vec<T>, SnapError> {
+        let n = self.get_u64()? as usize;
+        let fits = self.remaining() / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(n.min(fits));
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Ok(out)
+    }
 }
 
 /// A type whose state can be written to and restored from a versioned
@@ -363,12 +383,7 @@ pub fn put_u64_slice(w: &mut SnapWriter, xs: &[u64]) {
 
 /// Decodes a `u64` vector written by [`put_u64_slice`].
 pub fn get_u64_vec(r: &mut SnapReader<'_>) -> Result<Vec<u64>, SnapError> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-    for _ in 0..n {
-        out.push(r.get_u64()?);
-    }
-    Ok(out)
+    r.get_vec(|r| r.get_u64())
 }
 
 /// Encodes a slice of `f64`s (raw bits) with a length prefix.
@@ -381,12 +396,7 @@ pub fn put_f64_slice(w: &mut SnapWriter, xs: &[f64]) {
 
 /// Decodes an `f64` vector written by [`put_f64_slice`].
 pub fn get_f64_vec(r: &mut SnapReader<'_>) -> Result<Vec<f64>, SnapError> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-    for _ in 0..n {
-        out.push(r.get_f64()?);
-    }
-    Ok(out)
+    r.get_vec(|r| r.get_f64())
 }
 
 /// Encodes a slice of bools with a length prefix (one byte each).
@@ -399,12 +409,7 @@ pub fn put_bool_slice(w: &mut SnapWriter, xs: &[bool]) {
 
 /// Decodes a bool vector written by [`put_bool_slice`].
 pub fn get_bool_vec(r: &mut SnapReader<'_>) -> Result<Vec<bool>, SnapError> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining() + 1));
-    for _ in 0..n {
-        out.push(r.get_bool()?);
-    }
-    Ok(out)
+    r.get_vec(|r| r.get_bool())
 }
 
 #[cfg(test)]
@@ -538,6 +543,25 @@ mod tests {
             Demo::from_snap_bytes(&extra),
             Err(SnapError::TrailingBytes { .. })
         ));
+    }
+
+    #[test]
+    fn forged_count_fails_without_reserving() {
+        // A count of u64::MAX over 16 bytes of payload: two elements
+        // decode, the third hits end of input.
+        let mut w = SnapWriter::new();
+        w.put_u64(u64::MAX);
+        w.put_u64(7);
+        w.put_u64(8);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            get_u64_vec(&mut SnapReader::new(&bytes)),
+            Err(SnapError::UnexpectedEof { .. })
+        ));
+        // Wide elements are bounded by their in-memory size, not by a
+        // fixed element cap.
+        let wide = SnapReader::new(&bytes).get_vec(|r| Ok([r.get_u64()?; 64]));
+        assert!(matches!(wide, Err(SnapError::UnexpectedEof { .. })));
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //! other — they only answer controller requests, which is why this crate
 //! is small by design.
 //!
+//! The request handler is written once, as [`Host`]'s
+//! [`AgentEndpoint`] implementation: a borrowed view of the host state
+//! one request touches. [`Agent`] — the standalone model, owning a
+//! scalar [`Server`] — serves every request through a `Host` over its
+//! own fields; the fleet in `dynamo` builds the same `Host` over its
+//! per-server columns.
+//!
 //! The agent also models the §III-E failure story: the process can
 //! crash; a watchdog (driven by the harness) restarts it.
 //!
@@ -44,11 +51,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::SimRng;
 use dynrpc::{AgentEndpoint, PowerReading, Request, Response, WireBreakdown};
 use powerinfra::Power;
-use serverpower::{Server, ServerState};
+use serverpower::{Server, ServerModel};
 
 /// The per-server Dynamo agent: owns the host model and services
 /// controller requests.
@@ -137,105 +143,54 @@ impl Agent {
     pub fn current_cap(&self) -> Option<Power> {
         self.server.rapl().limit()
     }
-
-    /// Captures the agent's dynamic state (host scalars, RNG stream,
-    /// liveness, counters).
-    pub fn state(&self) -> AgentState {
-        AgentState {
-            server: self.server.state(),
-            rng: self.rng.clone(),
-            running: self.running,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`Agent::state`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Server::restore`] failures (id or generation
-    /// mismatch).
-    pub fn restore(&mut self, state: &AgentState) -> Result<(), SnapError> {
-        self.server.restore(&state.server)?;
-        self.rng = state.rng.clone();
-        self.running = state.running;
-        self.stats = state.stats;
-        Ok(())
-    }
 }
 
-/// The dynamic state of one [`Agent`]. Implements [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AgentState {
-    /// Host server scalar state.
-    pub server: ServerState,
-    /// Sensor-noise RNG stream.
-    pub rng: SimRng,
+/// The host as its agent sees it for the duration of one request: the
+/// immutable hardware model, the sensor-noise stream, and the few
+/// scalars §III-B reads (drawn power, liveness, whether the agent
+/// process is up) or writes (the RAPL limit). Whoever owns those
+/// scalars builds a `Host` over them, calls
+/// [`handle`](AgentEndpoint::handle) and stores `limit` back.
+#[derive(Debug)]
+pub struct Host<'a> {
+    /// The host's per-configuration model.
+    pub model: &'a ServerModel,
+    /// Sensor-noise stream.
+    pub rng: &'a mut SimRng,
     /// Whether the agent process is up.
     pub running: bool,
-    /// Monitoring counters.
-    pub stats: AgentStats,
+    /// Whether the host itself is powered.
+    pub alive: bool,
+    /// True power drawn right now (zero while the host is dead).
+    pub drawn: Power,
+    /// The programmed RAPL limit; cap requests overwrite it.
+    pub limit: Option<Power>,
 }
 
-impl Snapshot for AgentState {
-    const KIND: &'static str = "dynamo_agent.AgentState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        self.server.encode_body(w);
-        self.rng.encode_body(w);
-        w.put_bool(self.running);
-        w.put_u64(self.stats.reads);
-        w.put_u64(self.stats.cap_ops);
-        w.put_u64(self.stats.rejected);
-        w.put_u64(self.stats.crashes);
-        w.put_u64(self.stats.restarts);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(AgentState {
-            server: ServerState::decode_body(r)?,
-            rng: SimRng::decode_body(r)?,
-            running: r.get_bool()?,
-            stats: AgentStats {
-                reads: r.get_u64()?,
-                cap_ops: r.get_u64()?,
-                rejected: r.get_u64()?,
-                crashes: r.get_u64()?,
-                restarts: r.get_u64()?,
-            },
-        })
-    }
-}
-
-impl AgentEndpoint for Agent {
+impl AgentEndpoint for Host<'_> {
     fn handle(&mut self, req: Request) -> Response {
         if !self.running {
             // A down process answers nothing useful; the transport layer
             // normally turns this into AgentDown before we get here, but
             // guard anyway for direct callers.
-            self.stats.rejected += 1;
             return Response::CapAck { ok: false };
         }
         match req {
             Request::ReadPower => {
-                self.stats.reads += 1;
-                let total = self.server.read_power(&mut self.rng);
-                let from_sensor = self.server.config().has_sensor;
+                let total = self.model.read_power(self.drawn, self.alive, self.rng);
+                let from_sensor = self.model.config().has_sensor;
                 // Breakdown is only available from the sensor firmware
                 // path (§III-B: "If possible, it also returns the
                 // breakdown of the power").
-                let breakdown = if from_sensor {
-                    let b = self.server.breakdown();
-                    Some(WireBreakdown {
+                let breakdown = from_sensor.then(|| {
+                    let b = self.model.breakdown(self.drawn);
+                    WireBreakdown {
                         cpu: b.cpu,
                         memory: b.memory,
                         other: b.other,
                         conversion_loss: b.conversion_loss,
-                    })
-                } else {
-                    None
-                };
+                    }
+                });
                 Response::Power(PowerReading {
                     total,
                     breakdown,
@@ -244,19 +199,41 @@ impl AgentEndpoint for Agent {
             }
             Request::SetCap(limit) => {
                 if !limit.is_valid_draw() || limit.as_watts() <= 0.0 {
-                    self.stats.rejected += 1;
                     return Response::CapAck { ok: false };
                 }
-                self.server.rapl_mut().set_limit(limit);
-                self.stats.cap_ops += 1;
+                self.limit = Some(limit);
                 Response::CapAck { ok: true }
             }
             Request::ClearCap => {
-                self.server.rapl_mut().clear_limit();
-                self.stats.cap_ops += 1;
+                self.limit = None;
                 Response::CapAck { ok: true }
             }
         }
+    }
+}
+
+impl AgentEndpoint for Agent {
+    fn handle(&mut self, req: Request) -> Response {
+        let mut host = Host {
+            model: self.server.model(),
+            rng: &mut self.rng,
+            running: self.running,
+            alive: self.server.is_alive(),
+            drawn: self.server.power(),
+            limit: self.server.rapl().limit(),
+        };
+        let resp = host.handle(req);
+        let limit = host.limit;
+        match limit {
+            Some(l) => self.server.rapl_mut().set_limit(l),
+            None => self.server.rapl_mut().clear_limit(),
+        }
+        match resp {
+            Response::Power(_) => self.stats.reads += 1,
+            Response::CapAck { ok: true } => self.stats.cap_ops += 1,
+            Response::CapAck { ok: false } => self.stats.rejected += 1,
+        }
+        resp
     }
 }
 

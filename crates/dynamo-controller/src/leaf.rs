@@ -545,12 +545,7 @@ fn put_opt_power_slice(w: &mut SnapWriter, xs: &[Option<Power>]) {
 }
 
 fn get_opt_power_vec(r: &mut SnapReader<'_>) -> Result<Vec<Option<Power>>, SnapError> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(r.get_opt_f64()?.map(Power::from_watts));
-    }
-    Ok(out)
+    r.get_vec(|r| Ok(r.get_opt_f64()?.map(Power::from_watts)))
 }
 
 fn put_alerts(w: &mut SnapWriter, alerts: &[Alert]) {
@@ -561,12 +556,7 @@ fn put_alerts(w: &mut SnapWriter, alerts: &[Alert]) {
 }
 
 fn get_alerts(r: &mut SnapReader<'_>) -> Result<Vec<Alert>, SnapError> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(Alert::decode_body(r)?);
-    }
-    Ok(out)
+    r.get_vec(Alert::decode_body)
 }
 
 impl Snapshot for LeafControllerState {

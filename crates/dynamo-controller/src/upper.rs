@@ -424,10 +424,8 @@ impl Snapshot for UpperControllerState {
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_u64()? as usize;
-        let mut active_contracts = Vec::with_capacity(n.min(1 << 20));
         let mut prev: Option<usize> = None;
-        for _ in 0..n {
+        let active_contracts = r.get_vec(|r| {
             let idx = r.get_u64()? as usize;
             if prev.is_some_and(|p| p >= idx) {
                 return Err(SnapError::Corrupt(
@@ -441,8 +439,8 @@ impl Snapshot for UpperControllerState {
                     "contract limit must be positive, got {watts}"
                 )));
             }
-            active_contracts.push((idx, Power::from_watts(watts)));
-        }
+            Ok((idx, Power::from_watts(watts)))
+        })?;
         let contractual_limit = match r.get_opt_f64()? {
             Some(w) if w.is_finite() && w > 0.0 => Some(Power::from_watts(w)),
             Some(w) => {
@@ -452,11 +450,7 @@ impl Snapshot for UpperControllerState {
             }
             None => None,
         };
-        let n_alerts = r.get_u64()? as usize;
-        let mut alerts = Vec::with_capacity(n_alerts.min(1 << 20));
-        for _ in 0..n_alerts {
-            alerts.push(Alert::decode_body(r)?);
-        }
+        let alerts = r.get_vec(Alert::decode_body)?;
         let cycles = r.get_u64()?;
         Ok(UpperControllerState {
             active_contracts,

@@ -641,7 +641,7 @@ mod tests {
             .seed(2)
             .build();
         let sensorless = (0..dc.fleet().len() as u32)
-            .filter(|&s| !dc.fleet().agent(s).server().config().has_sensor)
+            .filter(|&s| !dc.fleet().config_of(s).has_sensor)
             .count();
         let frac = sensorless as f64 / dc.fleet().len() as f64;
         assert!((frac - 0.5).abs() < 0.15, "sensorless fraction {frac}");

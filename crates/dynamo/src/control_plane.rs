@@ -490,16 +490,8 @@ impl Snapshot for SystemState {
         let leaves = LeafTierState::decode_body(r)?;
         let uppers = UpperTierState::decode_body(r)?;
         let failover = FailoverState::decode_body(r)?;
-        let nl = r.get_u64()? as usize;
-        let mut leaf_schedules = Vec::with_capacity(nl.min(1 << 20));
-        for _ in 0..nl {
-            leaf_schedules.push(CycleSchedule::decode_body(r)?);
-        }
-        let nu = r.get_u64()? as usize;
-        let mut upper_schedules = Vec::with_capacity(nu.min(1 << 20));
-        for _ in 0..nu {
-            upper_schedules.push(CycleSchedule::decode_body(r)?);
-        }
+        let leaf_schedules = r.get_vec(CycleSchedule::decode_body)?;
+        let upper_schedules = r.get_vec(CycleSchedule::decode_body)?;
         Ok(SystemState {
             leaves,
             uppers,

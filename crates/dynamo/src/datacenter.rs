@@ -126,9 +126,8 @@ const TELEMETRY_REFRESH_SAMPLES: u32 = 20;
 /// result of the same fold over the same bits, so serving it is
 /// bit-identical to re-folding.
 ///
-/// Bypassed entirely while the fleet's power cache is dirty
-/// (out-of-band mutation), while the fleet's span generation differs
-/// from the one this cache was built against (a mid-run
+/// Bypassed entirely while the fleet's span generation differs from
+/// the one this cache was built against (a mid-run
 /// [`Fleet::set_leaf_spans`] resets leaf epochs and invalidates the
 /// covering-range geometry wholesale), and for devices whose subtree
 /// is not one contiguous id range.
@@ -193,8 +192,8 @@ struct DrawCache {
 }
 
 /// Subtree power of device `i` through the epoch cache; falls back to
-/// the direct fold (and does not populate the cache) while the fleet's
-/// power cache is dirty or the device is uncacheable. A free function
+/// the direct fold (and does not populate the cache) when the spans
+/// were re-registered or the device is uncacheable. A free function
 /// over split field borrows so callers can hold `&mut` topology state.
 fn cached_subtree_power(
     cache: &mut DrawCache,
@@ -211,30 +210,28 @@ fn cached_subtree_power(
             None => fleet.power_sum(&subtree[i]),
         };
     }
-    if !fleet.power_cache_dirty() {
-        if let Some(Some(lr)) = cache.leaf_range.get(i) {
-            let epochs = fleet.leaf_epochs();
-            if lr.end <= epochs.len() {
-                // Keyed on the SUM of covering epochs: each epoch is
-                // monotone, so any leaf bump raises the sum even when
-                // it does not move the covering max (a lagging leaf
-                // catching up must still invalidate).
-                let mark = epochs[lr.clone()].iter().sum::<u64>();
-                if cache.watermark[i] == mark {
-                    return Power::from_watts(cache.draw_w[i]);
-                }
-                let p = fold_subtree(
-                    &cache.tiled,
-                    &cache.leaf_range,
-                    fleet,
-                    subtree_range,
-                    subtree,
-                    i,
-                );
-                cache.draw_w[i] = p.as_watts();
-                cache.watermark[i] = mark;
-                return p;
+    if let Some(Some(lr)) = cache.leaf_range.get(i) {
+        let epochs = fleet.leaf_epochs();
+        if lr.end <= epochs.len() {
+            // Keyed on the SUM of covering epochs: each epoch is
+            // monotone, so any leaf bump raises the sum even when
+            // it does not move the covering max (a lagging leaf
+            // catching up must still invalidate).
+            let mark = epochs[lr.clone()].iter().sum::<u64>();
+            if cache.watermark[i] == mark {
+                return Power::from_watts(cache.draw_w[i]);
             }
+            let p = fold_subtree(
+                &cache.tiled,
+                &cache.leaf_range,
+                fleet,
+                subtree_range,
+                subtree,
+                i,
+            );
+            cache.draw_w[i] = p.as_watts();
+            cache.watermark[i] = mark;
+            return p;
         }
     }
     fold_subtree(
@@ -252,8 +249,8 @@ fn cached_subtree_power(
 /// per covering leaf and then sum the partials, everything else folds
 /// flat. The cached path stores exactly these results, and the fleet's
 /// maintained partials are the same per-leaf ascending folds, so a
-/// device's draw is bit-stable across cache hits, refolds, and
-/// dirty-window fallbacks within a run. Only meaningful while the
+/// device's draw is bit-stable across cache hits and refolds within a
+/// run. Only meaningful while the
 /// cache's span generation matches the fleet's. Takes the cache's
 /// geometry as plain slices so the pre-fold can call it from workers
 /// while the owner holds `&mut` scratch.
@@ -269,18 +266,7 @@ fn fold_subtree(
         let lr = leaf_range[i]
             .clone()
             .expect("tiled devices have covering leaves");
-        if let Some(parts) = fleet.leaf_power_partials() {
-            return Power::from_watts(parts[lr].iter().sum());
-        }
-        // Dirty window: the maintained partials are untrustworthy, so
-        // refold each covering leaf from live reads — same association.
-        let spans = fleet.leaf_spans();
-        return Power::from_watts(
-            spans[lr]
-                .iter()
-                .map(|s| fleet.power_sum_range(s.clone()).as_watts())
-                .sum(),
-        );
+        return Power::from_watts(fleet.leaf_power_partials()[lr].iter().sum());
     }
     match &subtree_range[i] {
         Some(range) => fleet.power_sum_range(range.clone()),
@@ -579,7 +565,7 @@ impl Datacenter {
     pub fn capped_under(&self, device: DeviceId) -> usize {
         self.subtree[device.index()]
             .iter()
-            .filter(|&&s| self.fleet.agent(s).current_cap().is_some())
+            .filter(|&&s| self.fleet.cap_of(s).is_some())
             .count()
     }
 
@@ -598,14 +584,12 @@ impl Datacenter {
     /// at any width.
     ///
     /// Returns `false` (leaving the cache untouched) when the pass
-    /// cannot run: a dirty fleet power cache, a stale span generation,
-    /// or no level-order layout. The caller then steps breakers against
-    /// live cached folds.
+    /// cannot run: a stale span generation or no level-order layout.
+    /// The caller then steps breakers against live cached folds.
     fn precompute_draws(&mut self) -> bool {
         let n = self.draw_cache.fold_order.len();
         if n == 0
             || n != self.device_ids.len()
-            || self.fleet.power_cache_dirty()
             || self.fleet.leaf_span_generation() != self.draw_cache.generation
         {
             return false;
@@ -1038,7 +1022,11 @@ pub struct DatacenterState {
 impl Snapshot for DatacenterState {
     const KIND: &'static str = "dynamo.DatacenterState";
     // v2: appends the optional grid-interactive layer state.
-    const VERSION: u32 = 2;
+    // v3: the fleet section carries per-agent columns (noise stream,
+    // process-up flag, hardware generation) instead of per-agent
+    // objects, drops the control-flush watermarks and stores the masks
+    // as bools.
+    const VERSION: u32 = 3;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_u64(self.now_ms);
@@ -1069,16 +1057,8 @@ impl Snapshot for DatacenterState {
         let fleet = FleetState::decode_body(r)?;
         let system = SystemState::decode_body(r)?;
         let telemetry = TelemetryState::decode_body(r)?;
-        let nb = r.get_u64()? as usize;
-        let mut breakers = Vec::with_capacity(nb.min(1 << 20));
-        for _ in 0..nb {
-            breakers.push(Breaker::decode_body(r)?);
-        }
-        let ns = r.get_u64()? as usize;
-        let mut breaker_status = Vec::with_capacity(ns.min(1 << 20));
-        for _ in 0..ns {
-            breaker_status.push(BreakerStatus::from_snap_code(r.get_u8()?)?);
-        }
+        let breakers = r.get_vec(Breaker::decode_body)?;
+        let breaker_status = r.get_vec(|r| BreakerStatus::from_snap_code(r.get_u8()?))?;
         let validator = ValidatorState::decode_body(r)?;
         let alerts_seen = r.get_u64()?;
         let grid = match r.get_u8()? {
@@ -1247,15 +1227,10 @@ mod tests {
         dc.fleet.set_server_alive(lag, true);
         assert_cache_exact(&mut dc);
 
-        // Out-of-band mutation (a RAPL cap programmed directly) dirties
-        // the fleet's power cache: draws must fall back to live folds
-        // until a step resynchronizes, and stay exact after it.
+        // A RAPL cap programmed out of band moves no power until the
+        // next step: draws stay exact before it and after it.
         dc.fleet
-            .agent_mut(lag)
-            .server_mut()
-            .rapl_mut()
-            .set_limit(Power::from_watts(80.0));
-        assert!(dc.fleet.power_cache_dirty());
+            .agent_rpc(lag, dynrpc::Request::SetCap(Power::from_watts(80.0)));
         assert_cache_exact(&mut dc);
         dc.step();
         assert_cache_exact(&mut dc);

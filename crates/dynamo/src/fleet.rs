@@ -2,13 +2,13 @@
 //!
 //! # Hot-path layout (struct of arrays)
 //!
-//! The per-tick physics step runs entirely over flat parallel arrays —
-//! no `Agent` → [`Server`] → actuator pointer chasing. The mutable
-//! physics of every server (demanded watts, RAPL limit, settled output,
-//! first-step flag, liveness) lives in `f64` arrays owned by the fleet,
-//! and one branchless pass of [`serverpower::kernel::step_batch`]
-//! advances all of them per tick. Power-curve evaluation goes through
-//! the per-generation [`PowerLut`] uniform-grid tables, and the per-tick
+//! The fleet holds no per-server object. The mutable state of every
+//! server (demanded watts, RAPL limit, settled output, first-step flag,
+//! liveness, the agent's sensor-noise stream and process-up bit) lives
+//! in flat parallel columns, and one branchless pass of
+//! [`serverpower::kernel::step_batch`] advances the physics of all of
+//! them per tick. Power-curve evaluation goes through the
+//! per-generation [`PowerLut`] uniform-grid tables, and the per-tick
 //! Ornstein-Uhlenbeck `exp`/`sqrt` coefficients are hoisted per service
 //! ([`OuCoeffs`]) instead of recomputed per server.
 //!
@@ -42,39 +42,43 @@
 //!
 //! ## State ownership
 //!
-//! While the cache is clean, the arrays are authoritative for demand,
-//! output, init flag, and liveness; the scalar [`Server`] models hold
-//! stale copies. The control plane's per-leaf hand-off brackets each
-//! agent RPC cycle (which reads true power through the server model):
-//! [`fuse_sync_leaf`] flushes the leaf's state back into its servers
-//! right before the cycle, [`fuse_absorb_leaf`] pulls freshly
-//! programmed RAPL limits back into the `limit_w` array right after,
-//! and [`Fleet::finish_fused_control`] applies the shared-state effects
-//! once the shards have joined. Out-of-band mutation through
-//! [`Fleet::agent_mut`] flushes *all* servers first and marks the cache
-//! dirty: queries fall back to live per-agent reads, the hand-off skips
-//! its flush and absorb (the servers are the authority), and the next
-//! step resynchronizes the arrays from the servers. The breaker
-//! blackout path uses [`Fleet::set_server_alive`], which keeps the
-//! cache exact instead.
+//! The columns are the only store: every per-server quantity exists
+//! exactly once, here, and what is a pure function of a server's
+//! configuration lives in a small table of shared [`ServerModel`]s.
+//! Nothing is copied out for the control plane. The leaf dispatch
+//! borrows a [`LeafAgents`] view over one leaf's slices
+//! ([`Fleet::agent_columns`]) and serves each RPC through a
+//! [`dynamo_agent::Host`] built over one server's entries — the same
+//! request handler the standalone [`dynamo_agent::Agent`] runs — so
+//! `ReadPower` reads `out_w[pos]` and `SetCap` / `ClearCap` write
+//! `limit_w[pos]` in place. The view notes, at the moment of the write,
+//! whether a limit changed bits and how the capped tally moved; the
+//! only work left past the join is folding those per-leaf notes into
+//! the shared settled flags and tally
+//! ([`Fleet::finish_fused_control`]). Outside a dispatch,
+//! [`Fleet::agent_rpc`] serves one request through the same view, and
+//! the breaker blackout path uses [`Fleet::set_server_alive`]; both
+//! keep every cached aggregate exact.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dcsim::snap::{
-    get_bool_vec, get_f64_vec, get_u64_vec, put_bool_slice, put_f64_slice, put_u64_slice,
-    SnapError, SnapReader, SnapWriter, Snapshot,
-};
 use dcsim::{SimDuration, SimRng, SimTime};
-use dynamo_agent::Agent;
 use dynpool::WorkerPool;
+use dynrpc::{AgentEndpoint, Request, Response};
 use powerinfra::Power;
-use serverpower::{kernel, PowerLut, Server, ServerConfig};
+use serverpower::{kernel, PowerLut, Rapl, ServerConfig, ServerModel};
 use workloads::{OuCoeffs, ServiceKind, ServiceWorkload, TrafficPattern};
 
 use crate::shard::{self, front, front_mut};
+
+mod snapshot;
+mod view;
+
+pub use snapshot::FleetState;
+pub(crate) use view::{AgentColumns, LeafAgents};
 
 /// Aggregate fleet statistics at an instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,8 +104,8 @@ pub struct FleetStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TickTraffic {
     /// Bytes per worst-case tick: one streaming pass over the hot set —
-    /// settle, absorb, telemetry partial and per-leaf partial all ride
-    /// the tile while it is resident — plus the memoized total-power
+    /// settle, telemetry partial and per-leaf partial all ride the tile
+    /// while it is resident — plus the memoized total-power
     /// fold (O(leaves), counted exactly).
     pub fused: u64,
 }
@@ -118,8 +122,6 @@ struct Run {
     idle_w: f64,
     /// Turbo power factor; meaningful only when `turbo` is true.
     turbo_pf: f64,
-    /// Turbo performance factor (1.0 when turbo is off).
-    turbo_perf: f64,
     /// Whether turbo is enabled for this run. A per-run branch, hoisted
     /// out of the element loop: routing non-turbo servers through the
     /// turbo expression with factor 1.0 would not be a float identity.
@@ -129,11 +131,20 @@ struct Run {
     svc: u8,
 }
 
-/// Every server in the datacenter: its [`Agent`] (which owns the
-/// [`Server`] model), its service assignment, its utilization process,
-/// and fleet-level failure injection.
+/// Every server in the datacenter as parallel columns: its hardware
+/// model, its agent's state, its service assignment, its utilization
+/// process and physics, plus fleet-level failure injection.
 pub struct Fleet {
-    agents: Vec<Agent>,
+    /// The fleet's distinct server models — one per distinct
+    /// [`ServerConfig`], shared by every server configured alike.
+    models: Vec<Arc<ServerModel>>,
+    /// Server id → index into `models`.
+    model_ix: Vec<u32>,
+    /// Per-agent sensor-noise streams, server-id order.
+    agent_rng: Vec<SimRng>,
+    /// Bit-packed agent-process-up mask: bit `sid % 64` of word
+    /// `sid / 64` is set while server `sid`'s agent is running.
+    running_bits: Vec<u64>,
     services: Vec<ServiceKind>,
     /// Per-server workload processes, in *position* order (see `perm`).
     generators: Vec<ServiceWorkload>,
@@ -190,12 +201,6 @@ pub struct Fleet {
     /// last physics step, in server-id order (`out_w * alive`, scattered
     /// through `perm`).
     power_w: Vec<f64>,
-    /// Set by [`Fleet::agent_mut`]: an embedder may have changed server
-    /// power outside the step path, so cached sums cannot be trusted
-    /// until the next step rewrites them. Queries fall back to live
-    /// per-agent reads while set; the servers were flushed to be fresh
-    /// at the moment the flag was raised.
-    power_dirty: bool,
     /// Per-leaf server spans (ascending, tiling `0..n`, never empty):
     /// the single span `0..n` until the control plane registers its
     /// own through [`Fleet::set_leaf_spans`].
@@ -224,8 +229,8 @@ pub struct Fleet {
     /// `l / 64`): set iff the leaf's last physics pass was a *fixed
     /// point* (changed no bit of `out_w`/`not_init`), so repeating it
     /// with unchanged inputs is the exact floating-point identity.
-    /// Cleared at every limit / liveness / out-of-band mutation site; a
-    /// redraw steps the leaf regardless.
+    /// Cleared at every limit / liveness mutation site; a redraw steps
+    /// the leaf regardless.
     settled_bits: Vec<u64>,
     /// Unpacked mirror of [`Fleet::settled_bits`], one `bool` per leaf.
     /// The step paths need per-worker `&mut` carving at leaf
@@ -240,32 +245,22 @@ pub struct Fleet {
     /// drawn power may have changed bits. Aggregation layers key cached
     /// subtree sums on epoch watermarks over these.
     leaf_epoch: Vec<u64>,
-    /// Per-leaf [`Fleet::leaf_epoch`] at the last control flush
-    /// (`u64::MAX` = never flushed), used to skip redundant
-    /// server-model flushes for leaves whose state cannot have moved.
-    flushed_epoch: Vec<u64>,
-    /// Per-leaf [`Fleet::last_draw_tick`] at the last control flush
-    /// (utilization changes only on redraw, which an epoch bump does
-    /// not always witness).
-    flushed_draw: Vec<u64>,
     /// Per-leaf monotone *agent* version: bumped whenever something a
     /// leaf controller's pull could observe changes outside the power
     /// epochs — an agent process crashing or restarting, a server's
-    /// liveness flipping, or a full resync after out-of-band mutation.
+    /// liveness flipping.
     /// Together with [`Fleet::leaf_epoch`] and
     /// [`Fleet::last_draw_tick`] this is the control plane's staleness
     /// witness for quiescent-cycle elision.
     agent_epoch: Vec<u64>,
-    /// Maintained count of servers with a RAPL limit programmed,
-    /// authoritative while the power cache is clean. Caps change only
-    /// through controller RPC cycles — which [`fuse_absorb_leaf`]
-    /// follows — or through [`Fleet::agent_mut`], which dirties the
-    /// cache; [`Fleet::resync_from_servers`] recounts on recovery. Keeps
-    /// [`Fleet::stats`] O(1) instead of scanning every agent.
+    /// Maintained count of servers with a RAPL limit programmed. Caps
+    /// change only through the agent view, which reports every flip of
+    /// a limit between finite and `+Inf`. Keeps [`Fleet::stats`] O(1)
+    /// instead of scanning every server.
     capped_count: usize,
-    /// Maintained count of agents whose process is down, same clean
-    /// cache contract as [`Fleet::capped_count`]. Crash and watchdog
-    /// restart both route through [`Fleet::process_failures`].
+    /// Maintained count of agents whose process is down. Crash and
+    /// watchdog restart both route through
+    /// [`Fleet::process_failures`].
     down_count: usize,
     /// Memoized flat fold over `power_w` (the [`Fleet::stats`] total)
     /// as `f64` bits, valid while the generation/epoch-sum marks below
@@ -277,7 +272,7 @@ pub struct Fleet {
     total_power_gen: AtomicU64,
     /// `Σ leaf_epoch` the cached total was folded at. Leaf epochs are
     /// monotone within a span generation and every `power_w` mutation
-    /// bumps one (or dirties the cache / bumps the generation), so sum
+    /// bumps one (or bumps the generation), so sum
     /// equality proves the fold's inputs are byte-identical — the same
     /// watermark argument the breaker-tree draw cache rests on.
     total_power_esum: AtomicU64,
@@ -309,18 +304,30 @@ impl Fleet {
         );
         assert!(!configs.is_empty(), "fleet cannot be empty");
         let n = configs.len();
-        let mut agents = Vec::with_capacity(n);
+        let mut models: Vec<Arc<ServerModel>> = Vec::new();
+        let mut model_ix = Vec::with_capacity(n);
+        let mut agent_rng = Vec::with_capacity(n);
         let mut generators = Vec::with_capacity(n);
-        let mut agent_rng = rng.split("agents");
+        let mut agent_streams = rng.split("agents");
         let mut wl_rng = rng.split("workloads");
         for (i, (config, &service)) in configs.into_iter().zip(&services).enumerate() {
-            let server = Server::new(i as u32, config);
-            agents.push(Agent::new(server, agent_rng.split_index(i as u64)));
+            let ix = models
+                .iter()
+                .position(|m| *m.config() == config)
+                .unwrap_or_else(|| {
+                    models.push(Arc::new(ServerModel::new(config)));
+                    models.len() - 1
+                });
+            model_ix.push(ix as u32);
+            agent_rng.push(agent_streams.split_index(i as u64));
             generators.push(ServiceWorkload::new(service, wl_rng.split_index(i as u64)));
         }
-        let tau_secs = agents[0].server().rapl().tau_secs();
         let mut fleet = Fleet {
-            agents,
+            models,
+            model_ix,
+            agent_rng,
+            // Fresh agents are all running (bits past `n` are never read).
+            running_bits: vec![u64::MAX; n.div_ceil(64)],
             services,
             generators,
             traffic: HashMap::new(),
@@ -339,11 +346,10 @@ impl Fleet {
             alive_bits: Vec::new(),
             mask_base: Vec::new(),
             util: Vec::new(),
-            tau_secs,
+            tau_secs: Rapl::new().tau_secs(),
             // Pre-step, every server's RAPL output is zero, matching a
             // live read.
             power_w: vec![0.0; n],
-            power_dirty: false,
             // One leaf spanning the fleet until spans are registered.
             leaf_spans: std::iter::once(0..n).collect(),
             span_generation: 0,
@@ -355,10 +361,8 @@ impl Fleet {
             settled_scratch: Vec::new(),
             last_draw_tick: Vec::new(),
             leaf_epoch: Vec::new(),
-            flushed_epoch: Vec::new(),
-            flushed_draw: Vec::new(),
             agent_epoch: Vec::new(),
-            // Fresh agents are all running with no limit programmed.
+            // No limit is programmed on a fresh server.
             capped_count: 0,
             down_count: 0,
             total_power_bits: AtomicU64::new(0),
@@ -372,7 +376,7 @@ impl Fleet {
 
     /// Number of servers.
     pub fn len(&self) -> usize {
-        self.agents.len()
+        self.services.len()
     }
 
     /// Always false — construction rejects empty fleets.
@@ -428,8 +432,8 @@ impl Fleet {
     /// maintains per-leaf power partials and carves whole-leaf shards
     /// over them, and the batch arrays are regrouped leaf-locally by
     /// `(generation, service, turbo)`. Also resets the per-leaf
-    /// active-set state (everything starts unsettled and unflushed) and
-    /// bumps the span generation, which invalidates any epoch-keyed
+    /// active-set state (everything starts unsettled) and bumps the
+    /// span generation, which invalidates any epoch-keyed
     /// aggregate cache built over the previous spans (the restarted
     /// epochs could otherwise collide with stale watermarks).
     ///
@@ -445,7 +449,7 @@ impl Fleet {
             );
             next = span.end;
         }
-        assert_eq!(next, self.agents.len(), "leaf spans must cover the fleet");
+        assert_eq!(next, self.len(), "leaf spans must cover the fleet");
         self.leaf_spans = spans.to_vec();
         self.span_generation += 1;
         self.reset_leaf_state();
@@ -467,8 +471,6 @@ impl Fleet {
         // integrate the whole pre-span history into the next redraw.
         self.last_draw_tick = vec![self.tick_index; leaves];
         self.leaf_epoch = vec![0; leaves];
-        self.flushed_epoch = vec![u64::MAX; leaves];
-        self.flushed_draw = vec![u64::MAX; leaves];
         self.agent_epoch = vec![0; leaves];
     }
 
@@ -508,17 +510,12 @@ impl Fleet {
 
     /// Whether leaf `leaf` is settled (bit read of the packed flags).
     fn is_settled(&self, leaf: usize) -> bool {
-        (self.settled_bits[leaf / 64] >> (leaf % 64)) & 1 == 1
+        get_bit(&self.settled_bits, leaf)
     }
 
     /// Sets or clears leaf `leaf`'s settled flag.
     fn set_settled(&mut self, leaf: usize, v: bool) {
-        let (w, b) = (leaf / 64, leaf % 64);
-        if v {
-            self.settled_bits[w] |= 1 << b;
-        } else {
-            self.settled_bits[w] &= !(1 << b);
-        }
+        put_bit(&mut self.settled_bits, leaf, v);
     }
 
     /// Unpacks the settled bits into the per-leaf `bool` scratch the
@@ -526,54 +523,40 @@ impl Fleet {
     /// span registration.
     fn unpack_settled(&mut self) {
         for (l, s) in self.settled_scratch.iter_mut().enumerate() {
-            *s = (self.settled_bits[l / 64] >> (l % 64)) & 1 == 1;
+            *s = get_bit(&self.settled_bits, l);
         }
     }
 
     /// Repacks the step's per-leaf settled results into the bits.
     fn pack_settled(&mut self) {
-        self.settled_bits.fill(0);
         for (l, &s) in self.settled_scratch.iter().enumerate() {
-            if s {
-                self.settled_bits[l / 64] |= 1 << (l % 64);
-            }
+            put_bit(&mut self.settled_bits, l, s);
         }
     }
 
     /// Whether server at position `pos` is alive (packed-mask read).
     fn alive_at(&self, pos: usize) -> bool {
-        bit_at(&self.mask_base, &self.alive_bits, pos)
+        get_bit(&self.alive_bits, mask_bit(&self.mask_base, pos))
     }
 
     /// Whether server at position `pos` still awaits its first live
     /// step (packed-mask read).
     fn not_init_at(&self, pos: usize) -> bool {
-        bit_at(&self.mask_base, &self.not_init_bits, pos)
+        get_bit(&self.not_init_bits, mask_bit(&self.mask_base, pos))
     }
 
     /// Sets or clears the liveness bit of position `pos`.
     fn set_alive_at(&mut self, pos: usize, v: bool) {
-        let (w, b) = bit_addr(&self.mask_base, pos);
-        if v {
-            self.alive_bits[w] |= 1 << b;
-        } else {
-            self.alive_bits[w] &= !(1 << b);
-        }
+        put_bit(&mut self.alive_bits, mask_bit(&self.mask_base, pos), v);
     }
 
     /// Sets or clears the first-step bit of position `pos`.
     fn set_not_init_at(&mut self, pos: usize, v: bool) {
-        let (w, b) = bit_addr(&self.mask_base, pos);
-        if v {
-            self.not_init_bits[w] |= 1 << b;
-        } else {
-            self.not_init_bits[w] &= !(1 << b);
-        }
+        put_bit(&mut self.not_init_bits, mask_bit(&self.mask_base, pos), v);
     }
 
     /// Per-leaf monotone power epochs (see the field docs). Aggregation
-    /// caches key subtree sums on watermarks over these; meaningful
-    /// only while the power cache is clean.
+    /// caches key subtree sums on watermarks over these.
     pub(crate) fn leaf_epochs(&self) -> &[u64] {
         &self.leaf_epoch
     }
@@ -590,12 +573,6 @@ impl Fleet {
         self.span_generation
     }
 
-    /// Whether cached power arrays are currently untrustworthy because
-    /// of out-of-band mutation (see [`Fleet::agent_mut`]).
-    pub(crate) fn power_cache_dirty(&self) -> bool {
-        self.power_dirty
-    }
-
     /// Per-leaf monotone agent versions (see the field docs).
     pub(crate) fn agent_epochs(&self) -> &[u64] {
         &self.agent_epoch
@@ -606,11 +583,10 @@ impl Fleet {
         &self.last_draw_tick
     }
 
-    /// The maintained per-leaf power partials (watts) while the cache
-    /// is clean. `partials[l]` is the ascending flat fold over leaf
-    /// `l`'s span.
-    pub(crate) fn leaf_power_partials(&self) -> Option<&[f64]> {
-        (!self.power_dirty).then_some(&self.leaf_power_w[..])
+    /// The maintained per-leaf power partials (watts): `partials[l]`
+    /// is the ascending flat fold over leaf `l`'s span.
+    pub(crate) fn leaf_power_partials(&self) -> &[f64] {
+        &self.leaf_power_w
     }
 
     /// The leaf owning server `sid` (the spans tile the fleet).
@@ -637,7 +613,7 @@ impl Fleet {
     /// arrays. Existing state (including each server's workload process
     /// and RNG stream) is carried through the re-ordering untouched.
     fn rebuild_layout(&mut self) {
-        let n = self.agents.len();
+        let n = self.len();
         // Gather current state back to id order under the old perm. At
         // construction (`perm` empty) the generators are already in id
         // order and the physics state takes its pre-step defaults.
@@ -646,20 +622,15 @@ impl Fleet {
         let mut demand_id = vec![0.0; n];
         let mut limit_id = vec![f64::INFINITY; n];
         let mut out_id = vec![0.0; n];
-        let mut ni_id = vec![1.0; n];
-        let mut alive_id = vec![1.0; n];
+        let mut ni_id = vec![true; n];
+        let mut alive_id = vec![true; n];
         let mut util_id = vec![0.0; n];
         if self.perm.is_empty() {
             for (id, g) in self.generators.drain(..).enumerate() {
                 gens_id[id] = Some(g);
                 // Pre-step demand power is the idle draw (demand
                 // utilization 0), matching a live `demand_power` read.
-                demand_id[id] = self.agents[id].server().lut().idle_w();
-                alive_id[id] = if self.agents[id].server().is_alive() {
-                    1.0
-                } else {
-                    0.0
-                };
+                demand_id[id] = self.models[self.model_ix[id] as usize].lut().idle_w();
             }
         } else {
             for (pos, g) in self.generators.drain(..).enumerate() {
@@ -671,16 +642,9 @@ impl Fleet {
                 // `mask_base` still describes the old packing here: the
                 // mask words are rebuilt only after the new permutation
                 // is in place, so this gather decodes the old layout.
-                ni_id[id] = if bit_at(&self.mask_base, &self.not_init_bits, pos) {
-                    1.0
-                } else {
-                    0.0
-                };
-                alive_id[id] = if bit_at(&self.mask_base, &self.alive_bits, pos) {
-                    1.0
-                } else {
-                    0.0
-                };
+                let bit = mask_bit(&self.mask_base, pos);
+                ni_id[id] = get_bit(&self.not_init_bits, bit);
+                alive_id[id] = get_bit(&self.alive_bits, bit);
                 util_id[id] = self.util[pos];
             }
         }
@@ -689,12 +653,8 @@ impl Fleet {
         // range equals its position range).
         let mut perm: Vec<u32> = (0..n as u32).collect();
         for span in &self.leaf_spans {
-            perm[span.clone()].sort_by_key(|&id| {
-                run_key(
-                    self.agents[id as usize].server(),
-                    self.services[id as usize],
-                )
-            });
+            perm[span.clone()]
+                .sort_by_key(|&id| run_key(self.config_of(id), self.services[id as usize]));
         }
         let mut inv = vec![0u32; n];
         for (pos, &id) in perm.iter().enumerate() {
@@ -715,19 +675,10 @@ impl Fleet {
         self.rebuild_mask_layout();
         for pos in 0..n {
             let id = self.perm[pos] as usize;
-            if ni_id[id] != 0.0 {
-                self.set_not_init_at(pos, true);
-            }
-            if alive_id[id] != 0.0 {
-                self.set_alive_at(pos, true);
-            }
+            self.set_not_init_at(pos, ni_id[id]);
+            self.set_alive_at(pos, alive_id[id]);
         }
         self.rebuild_runs();
-        // Regrouping permutes `limit_w`; re-derive the maintained
-        // tallies from the rebuilt state so mid-run span registration
-        // cannot skew them.
-        self.capped_count = self.limit_w.iter().filter(|l| l.is_finite()).count();
-        self.down_count = self.agents.iter().filter(|a| !a.is_running()).count();
     }
 
     /// Rebuilds the mask region directory and zeroes the bit words for
@@ -736,7 +687,7 @@ impl Fleet {
     /// alignment per leaf is what lets whole-leaf shards carve the
     /// packed words with safe `split_at_mut`.
     fn rebuild_mask_layout(&mut self) {
-        let n = self.agents.len();
+        let n = self.len();
         self.mask_base.clear();
         let mut w = 0usize;
         for span in &self.leaf_spans {
@@ -753,11 +704,12 @@ impl Fleet {
     /// Scans the position order into maximal equal-key runs with their
     /// hoisted demand-loop constants.
     fn rebuild_runs(&mut self) {
-        let n = self.agents.len();
+        let n = self.len();
         self.runs.clear();
         let key_at = |pos: usize| {
             let id = self.perm[pos] as usize;
-            run_key(self.agents[id].server(), self.services[id])
+            let config = self.models[self.model_ix[id] as usize].config();
+            run_key(config, self.services[id])
         };
         let mut start = 0;
         for pos in 1..=n {
@@ -765,15 +717,13 @@ impl Fleet {
                 continue;
             }
             let id = self.perm[start] as usize;
-            let server = self.agents[id].server();
-            let lut = server.lut().clone();
-            let turbo = server.config().turbo;
+            let lut = self.model_of(id).lut().clone();
+            let turbo = self.model_of(id).config().turbo;
             self.runs.push(Run {
                 range: start..pos,
                 idle_w: lut.idle_w(),
                 lut,
                 turbo_pf: turbo.map_or(1.0, |t| t.power_factor),
-                turbo_perf: turbo.map_or(1.0, |t| t.perf_factor),
                 turbo: turbo.is_some(),
                 svc: self.services[id].index() as u8,
             });
@@ -786,135 +736,65 @@ impl Fleet {
         self.services[sid as usize]
     }
 
-    /// The agent (and host) of server `sid`.
-    pub fn agent(&self, sid: u32) -> &Agent {
-        &self.agents[sid as usize]
+    /// The shared hardware model of server `sid`.
+    fn model_of(&self, sid: usize) -> &ServerModel {
+        &self.models[self.model_ix[sid] as usize]
     }
 
-    /// Mutable agent access (experiment hooks). Flushes the batch-owned
-    /// physics state back into every server model (so the caller
-    /// observes fresh state) and marks the cached power arrays dirty:
-    /// power queries fall back to live per-agent reads until the next
-    /// step resynchronizes the arrays from the servers.
-    pub fn agent_mut(&mut self, sid: u32) -> &mut Agent {
-        if !self.power_dirty {
-            self.flush_span_to_servers(0..self.agents.len());
-            self.power_dirty = true;
-        }
-        &mut self.agents[sid as usize]
+    /// The static configuration of server `sid`.
+    pub fn config_of(&self, sid: u32) -> &ServerConfig {
+        self.model_of(sid as usize).config()
     }
 
-    /// Splits the fleet into the parts the control hand-off needs: the
-    /// agent array and the RAPL limit array as carvable `&mut` slices
-    /// (the dispatch partitions both at the same leaf-span boundaries —
-    /// leaf-local grouping makes position ranges equal id ranges), plus
-    /// a read-only [`FuseShared`] view of everything
-    /// [`fuse_sync_leaf`] and [`fuse_absorb_leaf`] read. All distinct
-    /// fields, so the three borrows coexist. Handing out the agents
-    /// does not dirty the power cache: the controller RPC path only
-    /// programs RAPL limits, which change drawn power at the next
-    /// physics step, never immediately.
-    pub(crate) fn fused_control_parts(&mut self) -> (&mut [Agent], &mut [f64], FuseShared<'_>) {
-        (
-            &mut self.agents,
-            &mut self.limit_w,
-            FuseShared {
-                dirty: self.power_dirty,
-                perm: &self.perm,
-                inv: &self.inv,
-                util: &self.util,
-                out_w: &self.out_w,
-                not_init_bits: &self.not_init_bits,
-                mask_base: &self.mask_base,
-                leaf_spans: &self.leaf_spans,
-                leaf_epoch: &self.leaf_epoch,
-                last_draw: &self.last_draw_tick,
-                flushed_epoch: &self.flushed_epoch,
-                flushed_draw: &self.flushed_draw,
-            },
-        )
+    /// The RAPL limit currently programmed on server `sid`, if any.
+    pub fn cap_of(&self, sid: u32) -> Option<Power> {
+        let limit = self.limit_w[self.inv[sid as usize] as usize];
+        limit.is_finite().then(|| Power::from_watts(limit))
     }
 
-    /// Applies the side effects the hand-off deferred past the join:
-    /// flush markers for every due leaf (each was flushed — or proven
-    /// fresh — by [`fuse_sync_leaf`] before its cycle), unsettling for
-    /// leaves whose limits changed (the settle target moved, so the
-    /// next pass is no longer known to be the identity), and the
-    /// capped-server tally folded in ascending due order. The leaf
-    /// epoch is *not* bumped: a limit change affects drawn power only
-    /// at the next physics step, which bumps the epoch itself if
-    /// anything moves. Deferring is safe because the control tick never
-    /// moves epochs or redraw ticks, so the markers recorded here equal
-    /// what the per-leaf flush saw. A no-op while the cache is dirty:
-    /// nothing was flushed or absorbed, and the next step
-    /// resynchronizes everything from the servers anyway.
+    /// Whether server `sid`'s agent process is up. A crashed agent
+    /// cannot answer RPCs (the dispatch surfaces this as
+    /// [`dynrpc::RpcError::AgentDown`]).
+    pub fn agent_running(&self, sid: u32) -> bool {
+        get_bit(&self.running_bits, sid as usize)
+    }
+
+    /// Serves one request at server `sid`'s agent, outside a control
+    /// dispatch (experiment and test hook) — through the same view and
+    /// bookkeeping the dispatch uses, so every cached aggregate stays
+    /// exact: a programmed cap is what the next [`Fleet::step`] settles
+    /// toward and what [`Fleet::stats`] counts immediately. A crashed
+    /// agent answers `CapAck { ok: false }`.
+    pub fn agent_rpc(&mut self, sid: u32, req: Request) -> Response {
+        let leaf = self.leaf_of(sid as usize);
+        let mut columns = self.agent_columns();
+        let mut agents = columns.leaf(leaf);
+        let resp = agents.agent(sid).handle(req);
+        let (changed, delta) = agents.finish();
+        self.note_cap_writes(leaf, changed, delta);
+        resp
+    }
+
+    /// Applies the side effects the control dispatch deferred past the
+    /// join, per due leaf: unsettling when a limit changed bits (the
+    /// settle target moved, so the next pass is no longer known to be
+    /// the identity) and the capped-server tally, folded in ascending
+    /// due order. The leaf epoch is *not* bumped: a limit change
+    /// affects drawn power only at the next physics step, which bumps
+    /// the epoch itself if anything moves.
     pub(crate) fn finish_fused_control(&mut self, due: &[usize], changed: &[bool], deltas: &[i64]) {
-        if self.power_dirty {
-            return;
-        }
         for &leaf in due {
-            self.flushed_epoch[leaf] = self.leaf_epoch[leaf];
-            self.flushed_draw[leaf] = self.last_draw_tick[leaf];
-            if changed[leaf] {
-                self.set_settled(leaf, false);
-            }
-            self.capped_count = (self.capped_count as i64 + deltas[leaf]) as usize;
+            self.note_cap_writes(leaf, changed[leaf], deltas[leaf]);
         }
     }
 
-    /// Flushes batch state (demand utilization, RAPL output, init flag)
-    /// into the scalar server models for one id/position span (the two
-    /// coincide on leaf spans and on the full fleet).
-    fn flush_span_to_servers(&mut self, span: Range<usize>) {
-        for pos in span {
-            let id = self.perm[pos] as usize;
-            let initialized = !bit_at(&self.mask_base, &self.not_init_bits, pos);
-            self.agents[id]
-                .server_mut()
-                .sync_physics(self.util[pos], self.out_w[pos], initialized);
+    /// Folds what one leaf's [`LeafAgents`] view reported into the
+    /// shared settled flags and capped tally.
+    fn note_cap_writes(&mut self, leaf: usize, changed: bool, delta: i64) {
+        if changed {
+            self.set_settled(leaf, false);
         }
-    }
-
-    /// Rebuilds the batch arrays from the scalar server models after
-    /// out-of-band mutation (the `power_dirty` recovery path).
-    ///
-    /// Unconditionally unsettles every leaf and bumps every epoch: the
-    /// embedder may have changed anything (turbo flips and other config
-    /// edits included), and a post-resync pass can be a fixed point
-    /// while drawn power still changed (e.g. a server killed through
-    /// [`Fleet::agent_mut`] freezes the kernel but zeroes its draw), so
-    /// the bump cannot be left to the step.
-    fn resync_from_servers(&mut self) {
-        for pos in 0..self.agents.len() {
-            let (out, initialized, alive, limit) = {
-                let server = self.agents[self.perm[pos] as usize].server();
-                debug_assert_eq!(server.rapl().tau_secs(), self.tau_secs);
-                (
-                    server.rapl().output().as_watts(),
-                    server.rapl().is_initialized(),
-                    server.is_alive(),
-                    server
-                        .rapl()
-                        .limit()
-                        .map_or(f64::INFINITY, |l| l.as_watts()),
-                )
-            };
-            self.out_w[pos] = out;
-            self.set_not_init_at(pos, !initialized);
-            self.set_alive_at(pos, alive);
-            self.limit_w[pos] = limit;
-        }
-        self.settled_bits.fill(0);
-        for e in &mut self.leaf_epoch {
-            *e += 1;
-        }
-        for e in &mut self.agent_epoch {
-            *e += 1;
-        }
-        // Out-of-band mutation may have programmed limits or toggled
-        // agent processes directly: recount the maintained tallies.
-        self.capped_count = self.limit_w.iter().filter(|l| l.is_finite()).count();
-        self.down_count = self.agents.iter().filter(|a| !a.is_running()).count();
+        self.capped_count = (self.capped_count as i64 + delta) as usize;
     }
 
     /// Powers a server on or off (breaker blackout path), keeping the
@@ -922,21 +802,10 @@ impl Fleet {
     /// immediately, a revived one its retained actuator output.
     pub fn set_server_alive(&mut self, sid: u32, alive: bool) {
         let i = sid as usize;
-        self.agents[i].server_mut().set_alive(alive);
-        // A pull to this server now reads differently regardless of
-        // whether the power cache is clean.
+        // A pull to this server now reads differently.
         self.bump_agent_epoch(i);
-        if self.power_dirty {
-            // Live reads are in effect; the next step resynchronizes.
-            return;
-        }
         let pos = self.inv[i] as usize;
         self.set_alive_at(pos, alive);
-        // Keep the scalar model coherent for any direct observer.
-        let initialized = !self.not_init_at(pos);
-        self.agents[i]
-            .server_mut()
-            .sync_physics(self.util[pos], self.out_w[pos], initialized);
         self.power_w[i] = if alive { self.out_w[pos] } else { 0.0 };
         let leaf = self.leaf_of(i);
         self.leaf_power_w[leaf] = self.power_w[self.leaf_spans[leaf].clone()].iter().sum();
@@ -948,22 +817,12 @@ impl Fleet {
 
     /// The true (physics) power of server `sid` right now.
     pub fn power_of(&self, sid: u32) -> Power {
-        if self.power_dirty {
-            self.agents[sid as usize].server().power()
-        } else {
-            Power::from_watts(self.power_w[sid as usize])
-        }
+        Power::from_watts(self.power_w[sid as usize])
     }
 
     /// Sum of true power over a set of servers: an ascending flat scan
-    /// of the cached watts array, bit-identical to summing live reads.
+    /// of the cached watts array.
     pub fn power_sum(&self, sids: &[u32]) -> Power {
-        if self.power_dirty {
-            return sids
-                .iter()
-                .map(|&s| self.agents[s as usize].server().power())
-                .sum();
-        }
         Power::from_watts(sids.iter().map(|&s| self.power_w[s as usize]).sum())
     }
 
@@ -971,32 +830,19 @@ impl Fleet {
     /// telemetry fast path for grid topologies, where every device's
     /// subtree is one such range.
     pub(crate) fn power_sum_range(&self, range: Range<usize>) -> Power {
-        if self.power_dirty {
-            return self.agents[range].iter().map(|a| a.server().power()).sum();
-        }
         Power::from_watts(self.power_w[range].iter().sum())
     }
 
-    /// The maintained power partial of leaf `leaf` while the cache is
-    /// clean: the ascending flat fold over the leaf's span — the exact
-    /// sum [`Fleet::power_sum`] would compute over its ids.
-    pub(crate) fn leaf_power(&self, leaf: usize) -> Option<Power> {
-        if self.power_dirty {
-            return None;
-        }
-        self.leaf_power_w.get(leaf).map(|&w| Power::from_watts(w))
+    /// The maintained power partial of leaf `leaf`: the ascending flat
+    /// fold over the leaf's span — the exact sum [`Fleet::power_sum`]
+    /// would compute over its ids.
+    pub(crate) fn leaf_power(&self, leaf: usize) -> Power {
+        Power::from_watts(self.leaf_power_w[leaf])
     }
 
     /// Sum of true power over a set of servers, restricted to one
     /// service (Figure 15's per-service breakdown).
     pub fn power_sum_of_service(&self, sids: &[u32], kind: ServiceKind) -> Power {
-        if self.power_dirty {
-            return sids
-                .iter()
-                .filter(|&&s| self.services[s as usize] == kind)
-                .map(|&s| self.agents[s as usize].server().power())
-                .sum();
-        }
         Power::from_watts(
             sids.iter()
                 .filter(|&&s| self.services[s as usize] == kind)
@@ -1012,19 +858,15 @@ impl Fleet {
     }
 
     /// The utilization level server `sid` actually achieves under its
-    /// current cap — [`Server::achieved_utilization`] evaluated against
-    /// the batch-owned drawn power, so it is correct even while the
-    /// scalar model is stale.
+    /// current cap — [`ServerModel::achieved_utilization_at`] its drawn
+    /// power; a dead server achieves nothing.
     pub fn achieved_utilization_of(&self, sid: u32) -> f64 {
         let i = sid as usize;
-        let server = self.agents[i].server();
-        if self.power_dirty {
-            return server.achieved_utilization();
-        }
         if !self.alive_at(self.inv[i] as usize) {
             return 0.0;
         }
-        server.achieved_utilization_at(Power::from_watts(self.power_w[i]))
+        self.model_of(i)
+            .achieved_utilization_at(Power::from_watts(self.power_w[i]))
     }
 
     /// Advances every server by one tick: samples traffic, draws demand
@@ -1044,9 +886,6 @@ impl Fleet {
     ///
     /// Panics if a worker thread panics.
     pub fn step(&mut self, now: SimTime, dt: SimDuration) {
-        if self.power_dirty {
-            self.resync_from_servers();
-        }
         self.unpack_settled();
         // Built inline (not via a &self helper) so `ctx` holds
         // field-precise borrows of `runs`/`perm`, disjoint from the
@@ -1113,7 +952,6 @@ impl Fleet {
         };
         shard::run_sharded(pool, shards, carve, |job| step_leaves(&ctx, job));
         self.pack_settled();
-        self.power_dirty = false;
         self.tick_index += 1;
         self.process_failures(now, dt);
     }
@@ -1136,9 +974,9 @@ impl Fleet {
     fn process_failures(&mut self, now: SimTime, dt: SimDuration) {
         if self.crash_rate_per_hour > 0.0 {
             let p = self.crash_rate_per_hour * dt.as_secs_f64() / 3600.0;
-            for i in 0..self.agents.len() {
-                if self.agents[i].is_running() && self.rng.chance(p) {
-                    self.agents[i].crash();
+            for i in 0..self.len() {
+                if get_bit(&self.running_bits, i) && self.rng.chance(p) {
+                    put_bit(&mut self.running_bits, i, false);
                     self.down_count += 1;
                     self.bump_agent_epoch(i);
                     self.pending_restarts
@@ -1154,28 +992,22 @@ impl Fleet {
             .collect();
         self.pending_restarts.retain(|&(_, t)| t > now);
         for s in due {
-            if !self.agents[s as usize].is_running() {
+            // A restarted agent finds the host's RAPL limit as it left
+            // it — the limit lives in hardware, not in the process.
+            if !get_bit(&self.running_bits, s as usize) {
+                put_bit(&mut self.running_bits, s as usize, true);
                 self.down_count -= 1;
             }
-            self.agents[s as usize].restart();
             self.bump_agent_epoch(s as usize);
         }
     }
 
     /// Mean performance factor over a set of servers (1.0 = turbo-off
-    /// uncapped baseline). Computed from the batch arrays while the
-    /// cache is clean — the same arithmetic as
-    /// [`Server::performance_factor`], against the same post-step state.
+    /// uncapped baseline): [`ServerModel::performance_factor`] of each
+    /// live server's demanded and drawn watts, zero for a dead one.
     pub fn mean_performance(&self, sids: &[u32]) -> f64 {
         if sids.is_empty() {
             return f64::NAN;
-        }
-        if self.power_dirty {
-            return sids
-                .iter()
-                .map(|&s| self.agents[s as usize].server().performance_factor())
-                .sum::<f64>()
-                / sids.len() as f64;
         }
         let sum: f64 = sids
             .iter()
@@ -1185,36 +1017,19 @@ impl Fleet {
                 if !self.alive_at(pos) {
                     return 0.0;
                 }
-                let run = &self.runs[self.runs.partition_point(|r| r.range.end <= pos)];
-                let demand = self.demand_w[pos];
-                let drawn = self.power_w[i];
-                let reduction = if demand <= 0.0 {
-                    0.0
-                } else {
-                    (1.0 - drawn / demand).clamp(0.0, 1.0)
-                };
-                run.turbo_perf / (1.0 + serverpower::capping_slowdown(reduction))
+                self.model_of(i).performance_factor(
+                    Power::from_watts(self.demand_w[pos]),
+                    Power::from_watts(self.power_w[i]),
+                )
             })
             .sum();
         sum / sids.len() as f64
     }
 
-    /// Instantaneous fleet statistics. While the power cache is clean
-    /// this is O(1) in the cap/down tallies (maintained at their
-    /// mutation sites) plus one flat sum over the cached watts; the
-    /// dirty path falls back to live per-agent scans.
+    /// Instantaneous fleet statistics: O(1) in the cap/down tallies
+    /// (maintained at their mutation sites) plus the memoized flat sum
+    /// over the cached watts.
     pub fn stats(&self) -> FleetStats {
-        if self.power_dirty {
-            return FleetStats {
-                capped_servers: self
-                    .agents
-                    .iter()
-                    .filter(|a| a.current_cap().is_some())
-                    .count(),
-                agents_down: self.agents.iter().filter(|a| !a.is_running()).count(),
-                total_power: self.agents.iter().map(|a| a.server().power()).sum(),
-            };
-        }
         FleetStats {
             capped_servers: self.capped_count,
             agents_down: self.down_count,
@@ -1228,8 +1043,8 @@ impl Fleet {
     /// when some leaf's drawn power actually moved bits, so a quiescent
     /// fleet answers telemetry samples in O(leaves) instead of
     /// O(servers). The cached value is the bit-exact fold it
-    /// replaced — every `power_w` mutation provably bumps a leaf epoch,
-    /// dirties the cache, or bumps the span generation — so the merged
+    /// replaced — every `power_w` mutation provably bumps a leaf epoch
+    /// or bumps the span generation — so the merged
     /// sample stream is byte-identical to full re-sampling.
     fn total_power_w(&self) -> f64 {
         let esum: u64 = self.leaf_epoch.iter().sum();
@@ -1258,7 +1073,6 @@ impl Fleet {
     pub(crate) fn refresh_total_power(&self) {
         let esum: u64 = self.leaf_epoch.iter().sum();
         if self.total_power_valid.load(Ordering::Acquire)
-            && !self.power_dirty
             && self.total_power_gen.load(Ordering::Relaxed) == self.span_generation
             && self.total_power_esum.load(Ordering::Relaxed) == esum
         {
@@ -1289,9 +1103,8 @@ impl Fleet {
             + mask_bytes;
         // Per-leaf partial sums, written once per step.
         let partials = self.leaf_power_w.len() as u64 * F64;
-        // One pass over the hot set (the hand-off's sync/absorb ride
-        // the leaf's resident span, telemetry partials ride the tile)
-        // plus the memoized fold's O(leaves) epoch walk.
+        // One pass over the hot set (telemetry partials ride the
+        // tile) plus the memoized fold's O(leaves) epoch walk.
         TickTraffic {
             fused: settle + partials + self.leaf_spans.len() as u64 * F64,
         }
@@ -1304,412 +1117,47 @@ impl Fleet {
             .enumerate()
             .map(|(i, &k)| (i as u32, k))
     }
-
-    /// Captures the fleet's dynamic state for a snapshot.
-    ///
-    /// Must be called at a tick boundary with a clean power cache: the
-    /// SoA arrays are the authority then, and the flush markers
-    /// describe exactly how coherent the scalar server models are.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the power cache is dirty (snapshot between
-    /// [`Fleet::agent_mut`] and the next step would lose the
-    /// out-of-band mutation).
-    pub fn state(&self) -> FleetState {
-        assert!(
-            !self.power_dirty,
-            "fleet snapshot requires a clean power cache (step once after agent_mut)"
-        );
-        let n = self.agents.len();
-        FleetState {
-            agents: self.agents.iter().map(|a| a.state()).collect(),
-            generators: self.generators.iter().map(|g| g.state()).collect(),
-            pending_restarts: self.pending_restarts.clone(),
-            rng: self.rng.clone(),
-            perm: self.perm.clone(),
-            demand_w: self.demand_w.clone(),
-            limit_w: self.limit_w.clone(),
-            out_w: self.out_w.clone(),
-            // Materialize the packed masks back to the f64/bool vectors
-            // the VERSION 1 codec carries: the on-disk envelope is
-            // byte-identical to the pre-packing layout, so old
-            // snapshots restore and new ones replay on old readers.
-            not_init: (0..n)
-                .map(|pos| if self.not_init_at(pos) { 1.0 } else { 0.0 })
-                .collect(),
-            alive_m: (0..n)
-                .map(|pos| if self.alive_at(pos) { 1.0 } else { 0.0 })
-                .collect(),
-            util: self.util.clone(),
-            power_w: self.power_w.clone(),
-            leaf_power_w: self.leaf_power_w.clone(),
-            span_generation: self.span_generation,
-            tick_index: self.tick_index,
-            settled: (0..self.leaf_spans.len())
-                .map(|l| self.is_settled(l))
-                .collect(),
-            last_draw_tick: self.last_draw_tick.clone(),
-            leaf_epoch: self.leaf_epoch.clone(),
-            flushed_epoch: self.flushed_epoch.clone(),
-            flushed_draw: self.flushed_draw.clone(),
-            agent_epoch: self.agent_epoch.clone(),
-            capped_count: self.capped_count as u64,
-            down_count: self.down_count as u64,
-        }
-    }
-
-    /// Restores dynamic state captured by [`Fleet::state`] into a fleet
-    /// rebuilt from the identical configuration (same server configs,
-    /// services, leaf spans and seed). The stored permutation must
-    /// equal the rebuilt one — a mismatch means the topology or server
-    /// mix drifted and the snapshot does not describe this fleet.
-    pub fn restore(&mut self, state: &FleetState) -> Result<(), SnapError> {
-        let n = self.agents.len();
-        if state.agents.len() != n
-            || state.generators.len() != n
-            || state.perm.len() != n
-            || state.demand_w.len() != n
-            || state.limit_w.len() != n
-            || state.out_w.len() != n
-            || state.not_init.len() != n
-            || state.alive_m.len() != n
-            || state.util.len() != n
-            || state.power_w.len() != n
-        {
-            return Err(SnapError::Corrupt(format!(
-                "fleet snapshot server count disagrees with rebuilt fleet of {n}"
-            )));
-        }
-        if state.perm != self.perm {
-            return Err(SnapError::Corrupt(
-                "fleet snapshot permutation differs from the rebuilt layout \
-                 (topology or server mix drifted since the snapshot)"
-                    .into(),
-            ));
-        }
-        let leaves = self.leaf_spans.len();
-        if state.settled.len() != leaves
-            || state.last_draw_tick.len() != leaves
-            || state.leaf_epoch.len() != leaves
-            || state.flushed_epoch.len() != leaves
-            || state.flushed_draw.len() != leaves
-            || state.agent_epoch.len() != leaves
-            || state.leaf_power_w.len() != self.leaf_power_w.len()
-        {
-            return Err(SnapError::Corrupt(format!(
-                "fleet snapshot leaf count disagrees with rebuilt fleet of {leaves} leaves"
-            )));
-        }
-        for (agent, s) in self.agents.iter_mut().zip(&state.agents) {
-            agent.restore(s)?;
-        }
-        for (gen, s) in self.generators.iter_mut().zip(&state.generators) {
-            gen.restore(s)?;
-        }
-        self.pending_restarts.clone_from(&state.pending_restarts);
-        self.rng = state.rng.clone();
-        self.demand_w.clone_from(&state.demand_w);
-        self.limit_w.clone_from(&state.limit_w);
-        self.out_w.clone_from(&state.out_w);
-        // Repack the codec's f64 masks into the bit words (the rebuilt
-        // region directory already matches: spans and permutation were
-        // validated identical above). Every bit is written, so no stale
-        // state survives; tail bits stay zero.
-        for pos in 0..n {
-            self.set_not_init_at(pos, state.not_init[pos] != 0.0);
-            self.set_alive_at(pos, state.alive_m[pos] != 0.0);
-        }
-        self.util.clone_from(&state.util);
-        self.power_w.clone_from(&state.power_w);
-        self.leaf_power_w.clone_from(&state.leaf_power_w);
-        self.span_generation = state.span_generation;
-        self.tick_index = state.tick_index;
-        for (l, &s) in state.settled.iter().enumerate() {
-            self.set_settled(l, s);
-        }
-        self.last_draw_tick.clone_from(&state.last_draw_tick);
-        self.leaf_epoch.clone_from(&state.leaf_epoch);
-        self.flushed_epoch.clone_from(&state.flushed_epoch);
-        self.flushed_draw.clone_from(&state.flushed_draw);
-        self.agent_epoch.clone_from(&state.agent_epoch);
-        self.capped_count = state.capped_count as usize;
-        self.down_count = state.down_count as usize;
-        self.power_dirty = false;
-        self.total_power_valid.store(false, Ordering::Relaxed);
-        Ok(())
-    }
 }
 
-/// Dynamic state of a [`Fleet`], snapshot-serializable. Everything
-/// derivable from configuration (the permutation layout, runs, worker
-/// partitions, traffic patterns, LUTs) is rebuilt, not stored; the
-/// permutation itself is stored only to *verify* the rebuilt layout
-/// matches.
-#[derive(Debug, Clone)]
-pub struct FleetState {
-    /// Per-agent state, server-id order.
-    pub agents: Vec<dynamo_agent::AgentState>,
-    /// Per-server workload processes, *position* order.
-    pub generators: Vec<workloads::WorkloadState>,
-    /// Crashed agents pending watchdog restart.
-    pub pending_restarts: Vec<(u32, SimTime)>,
-    /// Fleet-event RNG stream (crash draws).
-    pub rng: SimRng,
-    /// Position → id permutation at snapshot time (validation only).
-    pub perm: Vec<u32>,
-    /// Batch arrays, position order (see the [`Fleet`] field docs).
-    pub demand_w: Vec<f64>,
-    /// RAPL limits in watts, `+Inf` = uncapped.
-    pub limit_w: Vec<f64>,
-    /// Settled RAPL output watts.
-    pub out_w: Vec<f64>,
-    /// First-step flags (1.0 until first live step).
-    pub not_init: Vec<f64>,
-    /// Liveness mask.
-    pub alive_m: Vec<f64>,
-    /// Post-clamp demand utilization.
-    pub util: Vec<f64>,
-    /// True power draw, server-id order.
-    pub power_w: Vec<f64>,
-    /// Per-leaf power partials.
-    pub leaf_power_w: Vec<f64>,
-    /// Span registration generation.
-    pub span_generation: u64,
-    /// Physics ticks completed.
-    pub tick_index: u64,
-    /// Per-leaf active-set flags.
-    pub settled: Vec<bool>,
-    /// Per-leaf tick of last demand redraw.
-    pub last_draw_tick: Vec<u64>,
-    /// Per-leaf power epochs.
-    pub leaf_epoch: Vec<u64>,
-    /// Per-leaf epoch at last control flush (`u64::MAX` = never).
-    pub flushed_epoch: Vec<u64>,
-    /// Per-leaf redraw tick at last control flush.
-    pub flushed_draw: Vec<u64>,
-    /// Per-leaf agent epochs.
-    pub agent_epoch: Vec<u64>,
-    /// Maintained capped-server tally.
-    pub capped_count: u64,
-    /// Maintained down-agent tally.
-    pub down_count: u64,
-}
-
-impl Snapshot for FleetState {
-    const KIND: &'static str = "dynamo.FleetState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.agents.len() as u64);
-        for a in &self.agents {
-            a.encode_body(w);
-        }
-        w.put_u64(self.generators.len() as u64);
-        for g in &self.generators {
-            g.encode_body(w);
-        }
-        w.put_u64(self.pending_restarts.len() as u64);
-        for &(sid, at) in &self.pending_restarts {
-            w.put_u32(sid);
-            w.put_u64(at.as_millis());
-        }
-        self.rng.encode_body(w);
-        w.put_u64(self.perm.len() as u64);
-        for &p in &self.perm {
-            w.put_u32(p);
-        }
-        put_f64_slice(w, &self.demand_w);
-        put_f64_slice(w, &self.limit_w);
-        put_f64_slice(w, &self.out_w);
-        put_f64_slice(w, &self.not_init);
-        put_f64_slice(w, &self.alive_m);
-        put_f64_slice(w, &self.util);
-        put_f64_slice(w, &self.power_w);
-        put_f64_slice(w, &self.leaf_power_w);
-        w.put_u64(self.span_generation);
-        w.put_u64(self.tick_index);
-        put_bool_slice(w, &self.settled);
-        put_u64_slice(w, &self.last_draw_tick);
-        put_u64_slice(w, &self.leaf_epoch);
-        put_u64_slice(w, &self.flushed_epoch);
-        put_u64_slice(w, &self.flushed_draw);
-        put_u64_slice(w, &self.agent_epoch);
-        w.put_u64(self.capped_count);
-        w.put_u64(self.down_count);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n_agents = r.get_u64()? as usize;
-        let mut agents = Vec::with_capacity(n_agents.min(1 << 24));
-        for _ in 0..n_agents {
-            agents.push(dynamo_agent::AgentState::decode_body(r)?);
-        }
-        let n_gens = r.get_u64()? as usize;
-        let mut generators = Vec::with_capacity(n_gens.min(1 << 24));
-        for _ in 0..n_gens {
-            generators.push(workloads::WorkloadState::decode_body(r)?);
-        }
-        let n_pending = r.get_u64()? as usize;
-        let mut pending_restarts = Vec::with_capacity(n_pending.min(1 << 24));
-        for _ in 0..n_pending {
-            let sid = r.get_u32()?;
-            let at = SimTime::from_millis(r.get_u64()?);
-            pending_restarts.push((sid, at));
-        }
-        let rng = SimRng::decode_body(r)?;
-        let n_perm = r.get_u64()? as usize;
-        let mut perm = Vec::with_capacity(n_perm.min(1 << 24));
-        for _ in 0..n_perm {
-            perm.push(r.get_u32()?);
-        }
-        Ok(FleetState {
-            agents,
-            generators,
-            pending_restarts,
-            rng,
-            perm,
-            demand_w: get_f64_vec(r)?,
-            limit_w: get_f64_vec(r)?,
-            out_w: get_f64_vec(r)?,
-            not_init: get_f64_vec(r)?,
-            alive_m: get_f64_vec(r)?,
-            util: get_f64_vec(r)?,
-            power_w: get_f64_vec(r)?,
-            leaf_power_w: get_f64_vec(r)?,
-            span_generation: r.get_u64()?,
-            tick_index: r.get_u64()?,
-            settled: get_bool_vec(r)?,
-            last_draw_tick: get_u64_vec(r)?,
-            leaf_epoch: get_u64_vec(r)?,
-            flushed_epoch: get_u64_vec(r)?,
-            flushed_draw: get_u64_vec(r)?,
-            agent_epoch: get_u64_vec(r)?,
-            capped_count: r.get_u64()?,
-            down_count: r.get_u64()?,
-        })
-    }
-}
-
-/// Resolves position `pos` to its `(word, bit)` address under a mask
-/// region directory (see [`Fleet::mask_base`]): binary search for the
-/// owning region, then offset from its first word.
+/// Reads bit `i` of a flat packed mask.
 #[inline]
-fn bit_addr(mask_base: &[(usize, usize)], pos: usize) -> (usize, u32) {
+fn get_bit(words: &[u64], i: usize) -> bool {
+    (words[i / 64] >> (i % 64)) & 1 == 1
+}
+
+/// Sets or clears bit `i` of a flat packed mask.
+#[inline]
+fn put_bit(words: &mut [u64], i: usize, v: bool) {
+    let bit = 1u64 << (i % 64);
+    if v {
+        words[i / 64] |= bit;
+    } else {
+        words[i / 64] &= !bit;
+    }
+}
+
+/// Resolves position `pos` to its flat bit index under a mask region
+/// directory (see [`Fleet::mask_base`]): binary search for the owning
+/// region, then offset from its first word.
+#[inline]
+fn mask_bit(mask_base: &[(usize, usize)], pos: usize) -> usize {
     let r = mask_base.partition_point(|&(_, p0)| p0 <= pos) - 1;
     let (w0, p0) = mask_base[r];
-    (w0 + (pos - p0) / 64, ((pos - p0) % 64) as u32)
-}
-
-/// Reads one packed mask bit at position `pos`.
-#[inline]
-fn bit_at(mask_base: &[(usize, usize)], bits: &[u64], pos: usize) -> bool {
-    let (w, b) = bit_addr(mask_base, pos);
-    (bits[w] >> b) & 1 == 1
+    w0 * 64 + (pos - p0)
 }
 
 /// The batching key: servers with equal keys share every hoisted
 /// constant of the demand loop. Stable-sorting a leaf span by this key
 /// groups its servers into maximal runs.
-fn run_key(server: &Server, service: ServiceKind) -> (u8, u8, u8, u64, u64) {
-    let turbo = server.config().turbo;
+fn run_key(config: &ServerConfig, service: ServiceKind) -> (u8, u8, u8, u64, u64) {
+    let turbo = config.turbo;
     (
-        server.config().generation.index() as u8,
+        config.generation.index() as u8,
         service.index() as u8,
         turbo.is_some() as u8,
         turbo.map_or(0, |t| t.power_factor.to_bits()),
         turbo.map_or(0, |t| t.perf_factor.to_bits()),
     )
-}
-
-/// Read-only view of the fleet state the control hand-off needs,
-/// shareable across workers (`Copy`, all shared borrows). Handed out by
-/// [`Fleet::fused_control_parts`] alongside the carvable agent and
-/// limit arrays.
-#[derive(Clone, Copy)]
-pub(crate) struct FuseShared<'a> {
-    /// The power cache is dirty (out-of-band [`Fleet::agent_mut`]
-    /// edit): the server models are the authority, so neither the
-    /// flush nor the absorb may touch anything.
-    dirty: bool,
-    perm: &'a [u32],
-    inv: &'a [u32],
-    util: &'a [f64],
-    out_w: &'a [f64],
-    not_init_bits: &'a [u64],
-    mask_base: &'a [(usize, usize)],
-    leaf_spans: &'a [Range<usize>],
-    leaf_epoch: &'a [u64],
-    last_draw: &'a [u64],
-    flushed_epoch: &'a [u64],
-    flushed_draw: &'a [u64],
-}
-
-/// Per-leaf server flush: pushes the batch-owned physics state of one
-/// leaf into its [`Server`] models, against a shard's private agent
-/// slice (`base` = server id of `agents[0]`), immediately before the
-/// leaf's RPC cycle — the cycle reads true power through the model, and
-/// the leaf's agents are about to be hot anyway.
-///
-/// A leaf whose epoch and redraw tick both match its last flush is
-/// skipped: `out_w`/`not_init` changes always bump the epoch, and
-/// utilization changes only on redraw, so matching markers prove the
-/// server models already hold this exact state. The markers themselves
-/// are updated after the join by [`Fleet::finish_fused_control`], which
-/// is equivalent because each due leaf is flushed at most once per
-/// control tick.
-pub(crate) fn fuse_sync_leaf(sh: &FuseShared<'_>, leaf: usize, agents: &mut [Agent], base: usize) {
-    if sh.dirty
-        || (sh.flushed_epoch[leaf] == sh.leaf_epoch[leaf]
-            && sh.flushed_draw[leaf] == sh.last_draw[leaf])
-    {
-        return;
-    }
-    for pos in sh.leaf_spans[leaf].clone() {
-        let id = sh.perm[pos] as usize;
-        let initialized = !bit_at(sh.mask_base, sh.not_init_bits, pos);
-        agents[id - base]
-            .server_mut()
-            .sync_physics(sh.util[pos], sh.out_w[pos], initialized);
-    }
-}
-
-/// Per-leaf cap absorb: pulls the RAPL limits one leaf's controller
-/// just programmed back into the batch `limit_w` array, right after the
-/// leaf's RPC cycle, against the shard's private agent and limit slices
-/// (carved at the same span boundaries, so `base` is both the server id
-/// of `agents[0]` and the position of `limit_w[0]`). Returns whether
-/// any limit bit changed (→ the leaf unsettles) and the signed
-/// capped-server delta; both are recorded per leaf and applied serially
-/// after the join by [`Fleet::finish_fused_control`], keeping the
-/// shared tallies off the worker threads.
-pub(crate) fn fuse_absorb_leaf(
-    sh: &FuseShared<'_>,
-    leaf: usize,
-    agents: &[Agent],
-    limit_w: &mut [f64],
-    base: usize,
-) -> (bool, i64) {
-    let mut changed = false;
-    let mut delta = 0i64;
-    if sh.dirty {
-        return (changed, delta);
-    }
-    for id in sh.leaf_spans[leaf].clone() {
-        let pos = sh.inv[id] as usize;
-        let new = agents[id - base]
-            .current_cap()
-            .map_or(f64::INFINITY, |l| l.as_watts());
-        let old = limit_w[pos - base];
-        if new.to_bits() != old.to_bits() {
-            if new.is_finite() != old.is_finite() {
-                delta += if new.is_finite() { 1 } else { -1 };
-            }
-            limit_w[pos - base] = new;
-            changed = true;
-        }
-    }
-    (changed, delta)
 }
 
 /// Per-service OU coefficients for this tick length, hoisting the
@@ -1940,7 +1388,7 @@ fn step_leaves(ctx: &StepCtx, job: &mut StepJob) {
 impl std::fmt::Debug for Fleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fleet")
-            .field("servers", &self.agents.len())
+            .field("servers", &self.len())
             .field("crash_rate_per_hour", &self.crash_rate_per_hour)
             .finish()
     }
@@ -2058,12 +1506,11 @@ mod tests {
         let mut fleet = small_fleet(4, ServiceKind::Web);
         run(&mut fleet, 5);
         assert_eq!(fleet.stats().capped_servers, 0);
-        fleet
-            .agent_mut(2)
-            .server_mut()
-            .rapl_mut()
-            .set_limit(Power::from_watts(150.0));
+        let ack = fleet.agent_rpc(2, Request::SetCap(Power::from_watts(150.0)));
+        assert_eq!(ack, Response::CapAck { ok: true });
         assert_eq!(fleet.stats().capped_servers, 1);
+        assert_eq!(fleet.cap_of(2), Some(Power::from_watts(150.0)));
+        assert_eq!(fleet.cap_of(1), None);
     }
 
     fn mixed_fleet(seed: u64) -> Fleet {
@@ -2072,18 +1519,12 @@ mod tests {
         Fleet::new(configs, services, SimRng::seed_from(seed))
     }
 
-    /// Programs `limit` on every server of `leaf` the way a controller
-    /// cycle would (straight into the RAPL model) and runs the
-    /// hand-off's absorb for that leaf.
-    fn cap_leaf(fleet: &mut Fleet, leaf: usize, ids: Range<usize>, limit: Power) {
+    /// Programs `limit` on every server in `ids` the way a controller
+    /// cycle would: one `SetCap` RPC each.
+    fn cap_servers(fleet: &mut Fleet, ids: Range<u32>, limit: Power) {
         for id in ids {
-            fleet.agents[id].server_mut().rapl_mut().set_limit(limit);
+            fleet.agent_rpc(id, Request::SetCap(limit));
         }
-        let leaves = fleet.leaf_spans.len();
-        let (mut changed, mut delta) = (vec![false; leaves], vec![0i64; leaves]);
-        let (agents, limit_w, sh) = fleet.fused_control_parts();
-        (changed[leaf], delta[leaf]) = fuse_absorb_leaf(&sh, leaf, agents, limit_w, 0);
-        fleet.finish_fused_control(&[leaf], &changed, &delta);
     }
 
     #[test]
@@ -2109,7 +1550,7 @@ mod tests {
             for f in [&mut one, &mut two, &mut five] {
                 if step == 60 {
                     f.set_server_alive(30, false);
-                    cap_leaf(f, 4, 100..125, Power::from_watts(140.0));
+                    cap_servers(f, 100..125, Power::from_watts(140.0));
                 }
                 f.step(t, SimDuration::from_secs(1));
             }
@@ -2145,7 +1586,7 @@ mod tests {
         for (l, span) in spans.iter().enumerate() {
             let ids: Vec<u32> = (span.start as u32..span.end as u32).collect();
             assert_eq!(
-                fleet.leaf_power(l).expect("partials maintained").as_watts(),
+                fleet.leaf_power(l).as_watts(),
                 fleet.power_sum(&ids).as_watts(),
                 "leaf {l} partial drifted from its span sum"
             );
@@ -2212,28 +1653,52 @@ mod tests {
     }
 
     #[test]
-    fn agent_mut_falls_back_to_live_reads_until_next_step() {
-        let mut fleet = small_fleet(8, ServiceKind::Web);
-        run(&mut fleet, 10);
-        let before = fleet.power_of(3);
-        assert!(before.as_watts() > 0.0);
-        fleet.agent_mut(3).server_mut().set_alive(false);
-        // Dirty cache: the query must see the live (dead) server.
-        assert_eq!(fleet.power_of(3), Power::ZERO);
-        assert_eq!(fleet.power_sum(&[3]), Power::ZERO);
-        run(&mut fleet, 1);
-        assert_eq!(fleet.power_of(3), Power::ZERO);
-    }
+    fn a_cap_programmed_by_rpc_is_what_the_next_step_settles_toward() {
+        for workers in [1usize, 2, 8] {
+            let mut fleet = small_fleet(8, ServiceKind::Web);
+            fleet.set_leaf_spans(&[0..4, 4..8]);
+            fleet.set_demand_hold(30);
+            if workers > 1 {
+                fleet.attach_pool(Arc::new(WorkerPool::new(workers)));
+            }
+            let t = run(&mut fleet, 40);
+            assert_eq!(fleet.settled_leaf_count(), 2, "fleet failed to settle");
+            let before = fleet.power_of(5);
+            let cap = before - Power::from_watts(30.0);
+            let epoch = fleet.leaf_epoch[1];
 
-    #[test]
-    fn agent_mut_flush_exposes_fresh_state() {
-        // The scalar server models are stale while the arrays own the
-        // physics; agent_mut must flush before handing out the borrow.
-        let mut fleet = small_fleet(8, ServiceKind::Web);
-        run(&mut fleet, 10);
-        let cached = fleet.power_of(5);
-        let live = fleet.agent_mut(5).server().power();
-        assert_eq!(cached, live, "flush must reveal the batch-owned state");
+            let ack = fleet.agent_rpc(5, Request::SetCap(cap));
+            assert_eq!(ack, Response::CapAck { ok: true });
+            // Visible at once, with no step in between…
+            assert_eq!(fleet.cap_of(5), Some(cap));
+            assert_eq!(fleet.stats().capped_servers, 1);
+            assert!(!fleet.is_settled(1), "a new limit must unsettle its leaf");
+            assert!(fleet.is_settled(0), "the other leaf is untouched");
+            // …while drawn power (and so every cached sum) has not moved.
+            assert_eq!(fleet.power_of(5), before);
+            assert_eq!(fleet.leaf_epoch[1], epoch);
+
+            fleet.step(t, SimDuration::from_secs(1));
+            let after = fleet.power_of(5);
+            assert!(
+                cap < after && after < before,
+                "one step moves toward the cap: {before} -> {after} (cap {cap})"
+            );
+            assert!(fleet.leaf_epoch[1] > epoch);
+            for _ in 0..10 {
+                fleet.step(t, SimDuration::from_secs(1));
+            }
+            assert_eq!(fleet.power_of(5), cap, "settles exactly on the cap");
+
+            // Rejected and repeated requests leave the tally alone.
+            let nack = fleet.agent_rpc(5, Request::SetCap(Power::ZERO));
+            assert_eq!(nack, Response::CapAck { ok: false });
+            fleet.agent_rpc(5, Request::SetCap(cap));
+            assert_eq!(fleet.stats().capped_servers, 1);
+            fleet.agent_rpc(5, Request::ClearCap);
+            assert_eq!(fleet.stats().capped_servers, 0);
+            assert_eq!(fleet.cap_of(5), None);
+        }
     }
 
     #[test]
@@ -2242,10 +1707,10 @@ mod tests {
         let spans = vec![0..4, 4..8];
         fleet.set_leaf_spans(&spans);
         run(&mut fleet, 10);
-        let leaf0_before = fleet.leaf_power(0).unwrap();
+        let leaf0_before = fleet.leaf_power(0);
         fleet.set_server_alive(1, false);
         assert_eq!(fleet.power_of(1), Power::ZERO);
-        let leaf0_after = fleet.leaf_power(0).expect("cache stays clean");
+        let leaf0_after = fleet.leaf_power(0);
         assert!(leaf0_after < leaf0_before);
         let ids: Vec<u32> = (0..4).collect();
         assert_eq!(leaf0_after.as_watts(), fleet.power_sum(&ids).as_watts());
@@ -2293,7 +1758,7 @@ mod tests {
             }
             if step == 300 {
                 for f in [&mut skipping, &mut full] {
-                    cap_leaf(f, 1, 60..61, Power::from_watts(140.0));
+                    cap_servers(f, 60..61, Power::from_watts(140.0));
                 }
             }
             skipping.step(t, SimDuration::from_secs(1));
@@ -2310,8 +1775,8 @@ mod tests {
         }
         for l in 0..4 {
             assert_eq!(
-                skipping.leaf_power(l).unwrap().as_watts().to_bits(),
-                full.leaf_power(l).unwrap().as_watts().to_bits(),
+                skipping.leaf_power(l).as_watts().to_bits(),
+                full.leaf_power(l).as_watts().to_bits(),
                 "leaf {l} partial diverged under active-set skipping"
             );
         }
@@ -2346,21 +1811,21 @@ mod tests {
         assert!(!fleet.is_settled(0), "revive must unsettle its leaf");
         assert!(fleet.power_of(0).as_watts() > 0.0);
 
-        // RAPL limit change via the controller absorb path: leaf 1
+        // RAPL limit change via the agent view: leaf 1
         // unsettles and its power settles down toward the cap.
         for _ in 0..10 {
             tick(&mut fleet, &mut t);
         }
-        let before_cap = fleet.leaf_power(1).unwrap();
-        cap_leaf(&mut fleet, 1, 50..100, Power::from_watts(130.0));
+        let before_cap = fleet.leaf_power(1);
+        cap_servers(&mut fleet, 50..100, Power::from_watts(130.0));
         assert!(!fleet.is_settled(1), "cap change must unsettle its leaf");
         for _ in 0..15 {
             tick(&mut fleet, &mut t);
         }
         assert!(
-            fleet.leaf_power(1).unwrap() < before_cap * 0.95,
+            fleet.leaf_power(1) < before_cap * 0.95,
             "cap never bit: {} vs {}",
-            fleet.leaf_power(1).unwrap(),
+            fleet.leaf_power(1),
             before_cap
         );
 
@@ -2384,27 +1849,7 @@ mod tests {
             fleet.leaf_epoch[1], before_spike[1],
             "cap-clamped leaf must stay at its fixed point through the spike"
         );
-        assert_eq!(
-            fleet.leaf_power(1).unwrap(),
-            Power::from_watts(130.0) * 50.0
-        );
-
-        // Out-of-band mutation (the path a turbo flip would take):
-        // agent_mut dirties the cache; the next step resyncs and bumps
-        // every epoch.
-        for _ in 0..60 {
-            tick(&mut fleet, &mut t);
-        }
-        let before_oob: Vec<u64> = fleet.leaf_epoch.clone();
-        fleet.agent_mut(150).server_mut().set_alive(false);
-        tick(&mut fleet, &mut t);
-        for (l, &before) in before_oob.iter().enumerate() {
-            assert!(
-                fleet.leaf_epoch[l] > before,
-                "leaf {l} epoch must bump after out-of-band mutation"
-            );
-        }
-        assert_eq!(fleet.power_of(150), Power::ZERO);
+        assert_eq!(fleet.leaf_power(1), Power::from_watts(130.0) * 50.0);
     }
 
     #[test]

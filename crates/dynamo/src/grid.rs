@@ -293,16 +293,6 @@ impl GridLayer {
         }
     }
 
-    /// The load a bank's reserve floor is computed against: the leaf's
-    /// maintained power partial, or the bank's design load when the
-    /// partials are unavailable (conservative: no discharge headroom).
-    fn bank_load(&self, leaf_loads: Option<&[f64]>, i: usize) -> Power {
-        match leaf_loads.and_then(|l| l.get(i)) {
-            Some(&w) => Power::from_watts(w),
-            None => self.banks[i].design_load(),
-        }
-    }
-
     /// Energy a bank may discharge on purpose: above both the
     /// ride-through floor at `load` and the configured margin.
     fn bank_available_j(&self, i: usize, load: Power) -> f64 {
@@ -319,15 +309,14 @@ impl GridLayer {
     /// the next contract push — the half not planned is that bridge.
     /// The spend therefore decays geometrically toward the floor
     /// instead of slamming into it.
-    fn ride_headroom(&self, leaf_loads: Option<&[f64]>) -> Power {
+    fn ride_headroom(&self, leaf_loads: &[f64]) -> Power {
         if !self.dcups_cfg.enabled || self.banks.is_empty() {
             return Power::ZERO;
         }
         let plan_s = 2.0 * self.econ.config().period.as_millis() as f64 / 1000.0;
         let mut total = 0.0;
-        for i in 0..self.banks.len() {
-            let load = self.bank_load(leaf_loads, i);
-            let avail_w = (self.bank_available_j(i, load) / plan_s)
+        for (i, &load_w) in leaf_loads.iter().enumerate() {
+            let avail_w = (self.bank_available_j(i, Power::from_watts(load_w)) / plan_s)
                 .min(self.banks[i].design_load().as_watts());
             total += avail_w;
         }
@@ -390,14 +379,14 @@ impl GridLayer {
 
     /// Advances the layer by one tick. `site_draw` is the true server
     /// draw at MSB level; `leaf_loads` the fleet's per-leaf power
-    /// partials when clean. Pushes contracts and records metrics
+    /// partials (the load each leaf's bank carries). Pushes contracts and records metrics
     /// through `system`.
     pub(crate) fn step(
         &mut self,
         now: SimTime,
         dt: SimDuration,
         site_draw: Power,
-        leaf_loads: Option<&[f64]>,
+        leaf_loads: &[f64],
         system: &mut DynamoSystem,
     ) {
         let signal = *self.scenario.signal_at(now);
@@ -457,9 +446,8 @@ impl GridLayer {
                 // Proportional take: every bank contributes its share of
                 // available power, so no leaf's reserve drains first.
                 let mut total_avail = 0.0;
-                for i in 0..self.banks.len() {
-                    let load = self.bank_load(leaf_loads, i);
-                    let avail_w = (self.bank_available_j(i, load) / dt_s)
+                for (i, &load_w) in leaf_loads.iter().enumerate() {
+                    let avail_w = (self.bank_available_j(i, Power::from_watts(load_w)) / dt_s)
                         .min(self.banks[i].design_load().as_watts());
                     self.avail_scratch[i] = avail_w;
                     total_avail += avail_w;
@@ -804,11 +792,7 @@ impl Snapshot for GridLayerState {
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let econ = EconControllerState::decode_body(r)?;
-        let n = r.get_u64()? as usize;
-        let mut banks = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            banks.push(Dcups::decode_body(r)?);
-        }
+        let banks = r.get_vec(Dcups::decode_body)?;
         let episode = match r.get_u8()? {
             0 => None,
             1 => {

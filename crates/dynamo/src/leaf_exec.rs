@@ -6,18 +6,21 @@
 //! provably quiescent ones), carved into contiguous shards — as many as
 //! the attached [`WorkerPool`] has workers, one (run inline on the
 //! caller) without a pool. This mirrors the paper's consolidated binary
-//! running ~100 controller threads (§IV): each shard owns a private
-//! disjoint `&mut [Agent]` slice of the fleet and every leaf's RPC RNG
-//! stream is its own, so a cycle computes the same thing in any shard;
-//! events are buffered per leaf and merged in leaf-index order after
-//! the join, making the whole run bit-identical at any width. Shard
-//! jobs are stack slots holding disjoint slices of the tier's parallel
-//! arrays, so a warm steady-state dispatch allocates nothing.
+//! running ~100 controller threads (§IV): each shard owns the entries
+//! of its leaves' servers in the fleet's writable columns and every
+//! leaf's RPC RNG stream is its own, so a cycle computes the same thing
+//! in any shard; events are buffered per leaf and merged in leaf-index
+//! order after the join, making the whole run bit-identical at any
+//! width. Shard jobs are stack slots holding disjoint slices of the
+//! tier's parallel arrays, so a warm steady-state dispatch allocates
+//! nothing.
 //!
-//! Each leaf's cycle is bracketed by the control hand-off: the fleet's
-//! batch-owned physics state is flushed into the leaf's server models
-//! right before the cycle and freshly programmed RAPL limits are
-//! absorbed right after, while the leaf's agents are hot (see
+//! A cycle's RPCs land on the fleet's columns directly: the shard
+//! borrows a [`LeafAgents`] view of the leaf, `ReadPower` reads the
+//! settled output in place and `SetCap` / `ClearCap` write the limit
+//! column in place. Nothing is copied in before the cycle or out after
+//! it; the view hands back only whether a limit changed and how the
+//! capped tally moved, which the fleet folds in after the join (see
 //! [`crate::fleet`]'s state-ownership notes).
 
 use std::collections::HashMap;
@@ -29,7 +32,6 @@ use dcsim::snap::{
     SnapError, SnapReader, SnapWriter, Snapshot,
 };
 use dcsim::{SimDuration, SimRng, SimTime};
-use dynamo_agent::Agent;
 use dynamo_controller::{
     ControlAction, LeafConfig, LeafController, LeafControllerState, ServerHandle, ServiceClass,
 };
@@ -42,7 +44,7 @@ use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 use crate::control_plane::SystemConfig;
 use crate::events::{ControllerEvent, ControllerEventKind};
 use crate::failover::FailoverState;
-use crate::fleet::{fuse_absorb_leaf, fuse_sync_leaf, Fleet};
+use crate::fleet::{AgentColumns, Fleet, LeafAgents};
 use crate::obs::{band_of, record_leaf_cycle, record_leaf_failover, ObsIds, Observability};
 use crate::shard::{self, front_mut};
 
@@ -53,8 +55,8 @@ pub(crate) struct LeafTier {
     networks: Vec<Network>,
     pub(crate) last_aggregate: Vec<Power>,
     /// Each leaf's contiguous ascending server-id range; the ranges
-    /// tile `0..server_count` in leaf order, so the dispatch can hand
-    /// each leaf a private disjoint `&mut [Agent]` slice.
+    /// tile `0..server_count` in leaf order, so the dispatch can carve
+    /// each shard its servers' entries of the fleet's columns.
     pub(crate) spans: Vec<Range<usize>>,
     /// Per-leaf event buffers, reused across dispatches (cleared,
     /// capacity kept) and merged in leaf index order after the join.
@@ -84,13 +86,13 @@ pub(crate) struct LeafTier {
     seen_power_epoch: Vec<u64>,
     seen_draw_tick: Vec<u64>,
     seen_agent_epoch: Vec<u64>,
-    /// Per-leaf outputs of the hand-off's absorb step — whether any
-    /// limit bit changed, and the signed capped-count delta — recorded
-    /// by the shards and applied serially after the join by
-    /// [`Fleet::finish_fused_control`]. Meaningful only for the leaves
-    /// of the last dispatch's due set.
-    absorb_changed: Vec<bool>,
-    absorb_delta: Vec<i64>,
+    /// What each leaf's agent view reported at the end of its cycle —
+    /// whether any limit bit changed, and the signed capped-count
+    /// delta — recorded by the shards and applied serially after the
+    /// join by [`Fleet::finish_fused_control`]. Meaningful only for the
+    /// leaves of the last dispatch's due set.
+    cap_changed: Vec<bool>,
+    cap_delta: Vec<i64>,
 }
 
 impl LeafTier {
@@ -157,8 +159,8 @@ impl LeafTier {
             seen_power_epoch: vec![u64::MAX; n],
             seen_draw_tick: vec![u64::MAX; n],
             seen_agent_epoch: vec![u64::MAX; n],
-            absorb_changed: vec![false; n],
-            absorb_delta: vec![0; n],
+            cap_changed: vec![false; n],
+            cap_delta: vec![0; n],
         }
     }
 
@@ -191,11 +193,9 @@ impl LeafTier {
         let power_epochs = fleet.leaf_epochs();
         let draw_ticks = fleet.last_draw_ticks();
         let agent_epochs = fleet.agent_epochs();
-        let markers_known = !fleet.power_cache_dirty();
         let (shards, ids) = obs.shard_ctx();
         for &i in due {
-            let elidable = markers_known
-                && self.quiet[i]
+            let elidable = self.quiet[i]
                 && !failover.leaf_pending(i)
                 && self.networks[i].profile().is_lossless()
                 && self.seen_power_epoch[i] == power_epochs[i]
@@ -215,9 +215,6 @@ impl LeafTier {
         let power_epochs = fleet.leaf_epochs();
         let draw_ticks = fleet.last_draw_ticks();
         let agent_epochs = fleet.agent_epochs();
-        if fleet.power_cache_dirty() {
-            return; // Markers unknown: `seen` stays stale, nothing elides.
-        }
         for &i in ran {
             self.seen_power_epoch[i] = power_epochs[i];
             self.seen_draw_tick[i] = draw_ticks[i];
@@ -257,23 +254,20 @@ impl LeafTier {
                 ));
                 continue;
             }
-            self.last_aggregate[i] = fleet
-                .leaf_power(i)
-                .unwrap_or_else(|| fleet.power_sum_range(self.spans[i].clone()));
+            self.last_aggregate[i] = fleet.leaf_power(i);
         }
     }
 
     /// Runs the due leaves' cycles. The due set is cut into contiguous
     /// chunks, one shard each ([`shard::chunking`] over `pool`); a
     /// shard holds disjoint `&mut` slices of the tier's parallel arrays
-    /// and of the fleet's agent and limit arrays, split once at chunk
-    /// boundaries. Per leaf, in the shard: flush the fleet's state into
-    /// the server models, run the cycle (or consume a pending primary
-    /// failure), round-trip the emitted events through the telemetry
-    /// wire format, absorb the programmed caps. After the join, events
-    /// are merged in leaf index order and the hand-off's deferred
-    /// shared-state effects are applied, so the result is bit-identical
-    /// at any width.
+    /// and its servers' entries of the fleet's writable columns, split
+    /// once at chunk boundaries. Per leaf, in the shard: run the cycle
+    /// against the leaf's agent view (or consume a pending primary
+    /// failure), then round-trip the emitted events through the
+    /// telemetry wire format. After the join, events are merged in leaf
+    /// index order and the views' cap notes are folded into the fleet,
+    /// so the result is bit-identical at any width.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_due(
         &mut self,
@@ -302,14 +296,10 @@ impl LeafTier {
             wire_ev: &'a mut [Vec<TelemetryEvent>],
             shards: &'a mut [Shard],
             quiet: &'a mut [bool],
-            absorb_changed: &'a mut [bool],
-            absorb_delta: &'a mut [i64],
-            agents: &'a mut [Agent],
-            /// RAPL limits of the same servers as `agents`.
-            limit_w: &'a mut [f64],
-            /// Server id of `agents[0]` (and, leaf grouping being
-            /// leaf-local, the position of `limit_w[0]`).
-            server_base: usize,
+            cap_changed: &'a mut [bool],
+            cap_delta: &'a mut [i64],
+            /// The fleet's columns, carved to this shard's servers.
+            columns: AgentColumns<'a>,
         }
 
         let (per, shards) = shard::chunking(pool, due.len());
@@ -325,22 +315,17 @@ impl LeafTier {
             let mut wire = &mut self.wire_bufs[..];
             let mut wire_ev = &mut self.wire_events[..];
             let mut quiet = &mut self.quiet[..];
-            let mut absorb_changed = &mut self.absorb_changed[..];
-            let mut absorb_delta = &mut self.absorb_delta[..];
-            let (mut agents, mut limits, fsh) = fleet.fused_control_parts();
+            let mut cap_changed = &mut self.cap_changed[..];
+            let mut cap_delta = &mut self.cap_delta[..];
+            let mut columns = fleet.agent_columns();
             let mut chunks = due.chunks(per);
             let mut next_leaf = 0usize;
-            let mut next_server = 0usize;
             let carve = || {
                 let chunk = chunks.next().expect("one due chunk per shard");
                 let lo = chunk[0];
                 let hi = chunk[chunk.len() - 1] + 1;
                 let (skip, take) = (lo - next_leaf, hi - lo);
                 next_leaf = hi;
-                let server_base = spans[lo].start;
-                let (skip_servers, servers) =
-                    (server_base - next_server, spans[hi - 1].end - server_base);
-                next_server = server_base + servers;
                 LeafJob {
                     due: chunk,
                     base: lo,
@@ -353,18 +338,16 @@ impl LeafTier {
                     wire_ev: window(&mut wire_ev, skip, take),
                     shards: window(&mut obs_shards, skip, take),
                     quiet: window(&mut quiet, skip, take),
-                    absorb_changed: window(&mut absorb_changed, skip, take),
-                    absorb_delta: window(&mut absorb_delta, skip, take),
-                    agents: window(&mut agents, skip_servers, servers),
-                    limit_w: window(&mut limits, skip_servers, servers),
-                    server_base,
+                    cap_changed: window(&mut cap_changed, skip, take),
+                    cap_delta: window(&mut cap_delta, skip, take),
+                    columns: columns.carve(spans[lo].start..spans[hi - 1].end),
                 }
             };
             shard::run_sharded(pool, shards, carve, |job| {
                 for &i in job.due {
                     let r = i - job.base;
                     job.bufs[r].clear();
-                    fuse_sync_leaf(&fsh, i, job.agents, job.server_base);
+                    let mut agents = job.columns.leaf(i);
                     if job.failed[r] {
                         // Backup takes over: one cycle of downtime,
                         // then the redundant instance (sharing the same
@@ -387,8 +370,7 @@ impl LeafTier {
                             devices[i],
                             &mut job.controllers[r],
                             &mut job.networks[r],
-                            job.agents,
-                            job.server_base,
+                            &mut agents,
                             &mut job.aggregates[r],
                             &mut job.bufs[r],
                             &mut job.shards[r],
@@ -402,8 +384,7 @@ impl LeafTier {
                         &mut job.wire[r],
                         &mut job.wire_ev[r],
                     );
-                    (job.absorb_changed[r], job.absorb_delta[r]) =
-                        fuse_absorb_leaf(&fsh, i, job.agents, job.limit_w, job.server_base);
+                    (job.cap_changed[r], job.cap_delta[r]) = agents.finish();
                 }
             });
         }
@@ -417,7 +398,7 @@ impl LeafTier {
                 events.push(event);
             }
         }
-        fleet.finish_fused_control(due, &self.absorb_changed, &self.absorb_delta);
+        fleet.finish_fused_control(due, &self.cap_changed, &self.cap_delta);
         // Capture the fleet markers the cycles saw (the control tick
         // does not step the fleet, so they have not moved).
         self.note_markers(due, fleet);
@@ -503,19 +484,9 @@ impl Snapshot for LeafTierState {
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let nc = r.get_u64()? as usize;
-        let mut controllers = Vec::with_capacity(nc.min(1 << 20));
-        for _ in 0..nc {
-            controllers.push(LeafControllerState::decode_body(r)?);
-        }
-        let nn = r.get_u64()? as usize;
-        let mut networks = Vec::with_capacity(nn.min(1 << 20));
-        for _ in 0..nn {
-            networks.push(NetworkState::decode_body(r)?);
-        }
         let state = LeafTierState {
-            controllers,
-            networks,
+            controllers: r.get_vec(LeafControllerState::decode_body)?,
+            networks: r.get_vec(NetworkState::decode_body)?,
             last_aggregate_w: get_f64_vec(r)?,
             quiet: get_bool_vec(r)?,
             seen_power_epoch: get_u64_vec(r)?,
@@ -565,10 +536,7 @@ fn take_over(
     }
 }
 
-/// One leaf controller cycle against its private agent span.
-///
-/// `agents` is the shard's slice of agents and `span_start` the server
-/// id of `agents[0]`.
+/// One leaf controller cycle against the leaf's agent view.
 ///
 /// Returns whether the cycle was *quiescent* — a clean Hold with no
 /// pull failures and no caps left active — which is the controller-side
@@ -580,8 +548,7 @@ fn run_one_leaf_cycle(
     device: DeviceId,
     controller: &mut LeafController,
     network: &mut Network,
-    agents: &mut [Agent],
-    span_start: usize,
+    agents: &mut LeafAgents<'_>,
     last_aggregate: &mut Power,
     events: &mut Vec<ControllerEvent>,
     shard: &mut Shard,
@@ -604,14 +571,14 @@ fn run_one_leaf_cycle(
     let mut rpc_timeouts = 0u64;
     let mut rtt_hist = shard.hist_scope(ids.rpc_rtt);
     let outcome = controller.cycle(now, |sid, req| {
-        let agent = &mut agents[sid as usize - span_start];
+        let mut agent = agents.agent(sid);
         rpc_calls += 1;
         if !agent.is_running() {
             rpc_agent_down += 1;
             return Err(RpcError::AgentDown);
         }
         let pulling = matches!(req, Request::ReadPower);
-        match network.call_with_latency(agent, req) {
+        match network.call_with_latency(&mut agent, req) {
             Ok((resp, rtt)) => {
                 rtt_hist.observe(rtt.as_secs_f64());
                 if pulling {
@@ -775,7 +742,7 @@ fn wire_roundtrip_events(
 
 /// Each leaf's server ids as one contiguous ascending range, the ranges
 /// tiling `0..server_count` in leaf order — the precondition for
-/// handing each leaf a disjoint `&mut [Agent]` slice via progressive
+/// carving each shard its servers' column entries via progressive
 /// splits. [`powerinfra::TopologyBuilder`], the only way to construct a
 /// topology, always lays servers out this way.
 ///

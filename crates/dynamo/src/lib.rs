@@ -6,7 +6,8 @@
 //!
 //! * the [`powerinfra`] topology (MSB → SB → RPP → rack → server) with
 //!   breaker models,
-//! * a [`Fleet`] of simulated servers with [`dynamo_agent::Agent`]s,
+//! * a [`Fleet`] of simulated servers — columns of state served to
+//!   the controllers through the [`dynamo_agent`] request handler —
 //!   driven by [`workloads`] service processes and traffic patterns,
 //! * a [`DynamoSystem`] of controllers — one
 //!   [`dynamo_controller::LeafController`] per RPP (rack level skipped,

@@ -756,11 +756,7 @@ impl Snapshot for ObservabilityState {
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let registry = RegistryState::decode_body(r)?;
-        let n = r.get_u64()? as usize;
-        let mut shard_bands = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            shard_bands.push(r.get_u32()?);
-        }
+        let shard_bands = r.get_vec(|r| r.get_u32())?;
         Ok(ObservabilityState {
             registry,
             shard_bands,

@@ -327,10 +327,8 @@ impl Snapshot for TelemetryState {
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let nt = r.get_u64()? as usize;
-        let mut device_traces = Vec::with_capacity(nt.min(1 << 20));
         let mut prev: Option<u32> = None;
-        for _ in 0..nt {
+        let device_traces = r.get_vec(|r| {
             let idx = r.get_u32()?;
             if prev.is_some_and(|p| p >= idx) {
                 return Err(SnapError::Corrupt(
@@ -338,25 +336,18 @@ impl Snapshot for TelemetryState {
                 ));
             }
             prev = Some(idx);
-            let start_ms = r.get_u64()?;
-            device_traces.push((idx, start_ms, get_f64_vec(r)?));
-        }
+            Ok((idx, r.get_u64()?, get_f64_vec(r)?))
+        })?;
         let capped_servers = (r.get_u64()?, get_f64_vec(r)?);
         let total_power = (r.get_u64()?, get_f64_vec(r)?);
-        let ne = r.get_u64()? as usize;
-        let mut controller_events = Vec::with_capacity(ne.min(1 << 20));
-        for _ in 0..ne {
-            controller_events.push(get_controller_event(r)?);
-        }
-        let nb = r.get_u64()? as usize;
-        let mut breaker_events = Vec::with_capacity(nb.min(1 << 20));
-        for _ in 0..nb {
-            breaker_events.push(BreakerEvent {
+        let controller_events = r.get_vec(get_controller_event)?;
+        let breaker_events = r.get_vec(|r| {
+            Ok(BreakerEvent {
                 at: SimTime::from_millis(r.get_u64()?),
                 device: DeviceId::from_index(r.get_u32()? as usize),
                 status: BreakerStatus::from_snap_code(r.get_u8()?)?,
-            });
-        }
+            })
+        })?;
         Ok(TelemetryState {
             device_traces,
             capped_servers,

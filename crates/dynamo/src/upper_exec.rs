@@ -248,11 +248,7 @@ impl Snapshot for UpperTierState {
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let nc = r.get_u64()? as usize;
-        let mut controllers = Vec::with_capacity(nc.min(1 << 20));
-        for _ in 0..nc {
-            controllers.push(UpperControllerState::decode_body(r)?);
-        }
+        let controllers = r.get_vec(UpperControllerState::decode_body)?;
         let last_total_w = get_f64_vec(r)?;
         if last_total_w.len() != controllers.len() {
             return Err(SnapError::Corrupt(

@@ -221,33 +221,25 @@ impl Snapshot for ValidatorState {
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_u64()? as usize;
-        let mut states = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            states.push(match r.get_u8()? {
-                0 => None,
-                1 => Some(DeviceState {
-                    correction: r.get_f64()?,
-                    bad_streak: r.get_u32()?,
-                    samples: r.get_u64()?,
-                }),
-                other => {
-                    return Err(SnapError::Corrupt(format!(
-                        "bad validator device-state tag {other}"
-                    )))
-                }
-            });
-        }
-        let na = r.get_u64()? as usize;
-        let mut alerts = Vec::with_capacity(na.min(1 << 20));
-        for _ in 0..na {
-            alerts.push(ValidationAlert {
+        let states = r.get_vec(|r| match r.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(DeviceState {
+                correction: r.get_f64()?,
+                bad_streak: r.get_u32()?,
+                samples: r.get_u64()?,
+            })),
+            other => Err(SnapError::Corrupt(format!(
+                "bad validator device-state tag {other}"
+            ))),
+        })?;
+        let alerts = r.get_vec(|r| {
+            Ok(ValidationAlert {
                 at: SimTime::from_millis(r.get_u64()?),
                 device: DeviceId::from_index(r.get_u32()? as usize),
                 breaker: Power::from_watts(r.get_f64()?),
                 aggregate: Power::from_watts(r.get_f64()?),
-            });
-        }
+            })
+        })?;
         Ok(ValidatorState {
             states,
             alerts,

@@ -4,28 +4,36 @@
 //! interned, per-cycle readings live in reusable scratch buffers, and
 //! traffic multipliers are a fixed array — a regression here shows up
 //! as a nonzero count below.
+//!
+//! The counter is process-wide, so this file is its own harness
+//! (`harness = false`): `main` runs the cases one after another on one
+//! thread, with no test-runner threads allocating alongside them. A
+//! failed case panics, which fails the run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
+use dcsim::snap::{SnapError, SnapWriter, Snapshot, SECTION_MAGIC};
 use dcsim::{SimDuration, SimRng, SimTime};
-use dynamo::{DynamoSystem, Fleet, ObsConfig, SystemConfig, WorkerPool};
+use dynamo::{DatacenterState, DynamoSystem, Fleet, ObsConfig, SystemConfig, WorkerPool};
 use powerinfra::TopologyBuilder;
 use serverpower::{ServerConfig, ServerGeneration};
 use workloads::ServiceKind;
 
-/// Counts heap operations while armed; forwards everything to the
-/// system allocator.
+/// Counts heap operations (and the bytes they ask for) while armed;
+/// forwards everything to the system allocator.
 struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
@@ -33,6 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -45,18 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `ARMED` is process-global, so two tests measuring concurrently would
-/// count each other's warmup (and pool worker) allocations. Every test
-/// takes this lock for its whole body; a poisoned lock (an earlier test
-/// failed) is fine — the counter state is reset per measurement.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialize_test() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     f();
     ARMED.store(false, Ordering::SeqCst);
@@ -136,9 +136,7 @@ fn measure_steady_state(mut fleet: Fleet, mut system: DynamoSystem) -> u64 {
     total
 }
 
-#[test]
 fn steady_state_leaf_ticks_do_not_allocate() {
-    let _serial = serialize_test();
     let (fleet, system) = build();
     assert_eq!(
         measure_steady_state(fleet, system),
@@ -150,9 +148,7 @@ fn steady_state_leaf_ticks_do_not_allocate() {
 /// The zero-alloc guarantee must hold with observability recording
 /// live: shards, rings and histogram buckets are all preallocated, and
 /// span/flight scratch reaches steady capacity during warmup.
-#[test]
 fn steady_state_leaf_ticks_do_not_allocate_with_observability() {
-    let _serial = serialize_test();
     let (fleet, system) = build_with(ObsConfig::on());
     assert_eq!(
         measure_steady_state(fleet, system),
@@ -161,15 +157,23 @@ fn steady_state_leaf_ticks_do_not_allocate_with_observability() {
     );
 }
 
+/// A four-worker pool whose workers have all run once. The fleet has
+/// two leaves, so the tick only ever wakes two of them: without this
+/// hand-shake the other two could still be in thread start-up (which
+/// allocates) while a measurement is armed.
+fn warm_pool() -> Arc<WorkerPool> {
+    let pool = Arc::new(WorkerPool::new(4));
+    pool.run_on(&mut [(); 4], |_, _| {});
+    pool
+}
+
 /// The zero-alloc guarantee must also hold at width 4 once the pool is
 /// warm: waking parked workers, carving stack-slot shards and merging
 /// results must never touch the heap — with observability recording
 /// live.
-#[test]
 fn steady_state_pooled_ticks_do_not_allocate() {
-    let _serial = serialize_test();
     let (mut fleet, mut system) = build_with(ObsConfig::on());
-    let pool = Arc::new(WorkerPool::new(4));
+    let pool = warm_pool();
     fleet.attach_pool(Arc::clone(&pool));
     system.attach_pool(pool);
     assert_eq!(
@@ -189,11 +193,9 @@ fn build_active(obs: ObsConfig, hold: u32) -> (Fleet, DynamoSystem) {
 
 /// Active-set skipping must not buy its speed with heap traffic: the
 /// settled-leaf skip, the demand-hold redraw (including the off-grid
-/// OU coefficient recompute when `elapsed > 1`) and the control-flush
-/// epoch check are all allocation-free.
-#[test]
+/// OU coefficient recompute when `elapsed > 1`) and the agent views
+/// the dispatch serves its RPCs through are all allocation-free.
 fn steady_state_active_set_ticks_do_not_allocate() {
-    let _serial = serialize_test();
     let (fleet, system) = build_active(ObsConfig::on(), 30);
     assert_eq!(
         measure_steady_state(fleet, system),
@@ -204,11 +206,9 @@ fn steady_state_active_set_ticks_do_not_allocate() {
 
 /// Same guarantee at width 4: the per-leaf settled/last-draw/epoch
 /// slices ride in the same stack-slot shards.
-#[test]
 fn steady_state_active_set_pooled_ticks_do_not_allocate() {
-    let _serial = serialize_test();
     let (mut fleet, mut system) = build_active(ObsConfig::on(), 30);
-    let pool = Arc::new(WorkerPool::new(4));
+    let pool = warm_pool();
     fleet.attach_pool(Arc::clone(&pool));
     system.attach_pool(pool);
     assert_eq!(
@@ -219,11 +219,9 @@ fn steady_state_active_set_pooled_ticks_do_not_allocate() {
 }
 
 /// The skip must actually engage under measurement conditions, or the
-/// two tests above prove nothing: after warmup, a held fleet spends
+/// two cases above prove nothing: after warmup, a held fleet spends
 /// most ticks with every leaf settled.
-#[test]
 fn active_set_engages_in_steady_state() {
-    let _serial = serialize_test();
     let (mut fleet, mut system) = build_active(ObsConfig::default(), 30);
     let dt = SimDuration::from_secs(3);
     let mut now = SimTime::ZERO;
@@ -247,9 +245,7 @@ fn active_set_engages_in_steady_state() {
 /// Econ-cycle ticks (60 s) and upper-cycle ticks (9 s) are skipped for
 /// the same reason the leaf-only measurement skips them: those paths
 /// build directive lists by design.
-#[test]
 fn steady_state_grid_ticks_do_not_allocate() {
-    let _serial = serialize_test();
     let mut dc = dynamo::DatacenterBuilder::new()
         .sbs_per_msb(1)
         .rpps_per_sb(2)
@@ -287,9 +283,7 @@ fn steady_state_grid_ticks_do_not_allocate() {
 /// plan, preallocated scratch) and the
 /// tick-phase profiler (preallocated histograms, `Instant` laps) must
 /// all stay off the heap in the steady state.
-#[test]
 fn steady_state_parallel_profiled_grid_ticks_do_not_allocate() {
-    let _serial = serialize_test();
     let mut dc = dynamo::DatacenterBuilder::new()
         .sbs_per_msb(1)
         .rpps_per_sb(2)
@@ -327,9 +321,7 @@ fn steady_state_parallel_profiled_grid_ticks_do_not_allocate() {
 
 /// The Hold-band guarantee must survive an active cap: a capped fleet
 /// in steady state (caps placed, nothing to change) is equally hot.
-#[test]
 fn idle_fleet_step_does_not_allocate() {
-    let _serial = serialize_test();
     let (mut fleet, _system) = build();
     let dt = SimDuration::from_secs(3);
     let mut now = SimTime::ZERO;
@@ -343,4 +335,80 @@ fn idle_fleet_step_does_not_allocate() {
         now += dt;
     }
     assert_eq!(total, 0, "fleet physics allocated in steady state");
+}
+
+/// A snapshot is untrusted input: a body that ends right after a forged
+/// element count must come back as a typed error, having asked the heap
+/// for no more than the input's own size — never for what the count
+/// promises.
+fn forged_snapshot_count_allocates_within_the_input() {
+    let mut w = SnapWriter::new();
+    w.put_u32(SECTION_MAGIC);
+    w.put_str(DatacenterState::KIND);
+    w.put_u32(DatacenterState::VERSION);
+    w.put_u64(16);
+    w.put_u64(0); // now_ms
+    w.put_u64(u64::MAX); // the fleet section's first element count
+    let bytes = w.into_bytes();
+    let mut result = None;
+    count_allocs(|| result = Some(DatacenterState::from_snap_bytes(&bytes)));
+    assert!(
+        matches!(result, Some(Err(SnapError::UnexpectedEof { .. }))),
+        "a truncated body must be a typed error"
+    );
+    let asked = BYTES.load(Ordering::SeqCst);
+    assert!(
+        asked <= bytes.len() as u64,
+        "decoding {} hostile bytes asked the heap for {asked}",
+        bytes.len()
+    );
+}
+
+fn main() {
+    let cases: &[(&str, fn())] = &[
+        (
+            "steady_state_leaf_ticks_do_not_allocate",
+            steady_state_leaf_ticks_do_not_allocate,
+        ),
+        (
+            "steady_state_leaf_ticks_do_not_allocate_with_observability",
+            steady_state_leaf_ticks_do_not_allocate_with_observability,
+        ),
+        (
+            "steady_state_pooled_ticks_do_not_allocate",
+            steady_state_pooled_ticks_do_not_allocate,
+        ),
+        (
+            "steady_state_active_set_ticks_do_not_allocate",
+            steady_state_active_set_ticks_do_not_allocate,
+        ),
+        (
+            "steady_state_active_set_pooled_ticks_do_not_allocate",
+            steady_state_active_set_pooled_ticks_do_not_allocate,
+        ),
+        (
+            "active_set_engages_in_steady_state",
+            active_set_engages_in_steady_state,
+        ),
+        (
+            "steady_state_grid_ticks_do_not_allocate",
+            steady_state_grid_ticks_do_not_allocate,
+        ),
+        (
+            "steady_state_parallel_profiled_grid_ticks_do_not_allocate",
+            steady_state_parallel_profiled_grid_ticks_do_not_allocate,
+        ),
+        (
+            "idle_fleet_step_does_not_allocate",
+            idle_fleet_step_does_not_allocate,
+        ),
+        (
+            "forged_snapshot_count_allocates_within_the_input",
+            forged_snapshot_count_allocates_within_the_input,
+        ),
+    ];
+    for (name, case) in cases {
+        case();
+        println!("alloc::{name} ... ok");
+    }
 }

@@ -131,13 +131,7 @@ fn monitoring_only_mode_tracks_aggregates_without_cycles() {
     };
     let mut system = build_system(&topo, config);
     let mut fleet = fleet(&system, topo.server_count());
-    for i in 0..fleet.len() as u32 {
-        fleet.agent_mut(i).server_mut().set_demand(0.5);
-        fleet
-            .agent_mut(i)
-            .server_mut()
-            .step(SimDuration::from_secs(1));
-    }
+    fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
     let events = system.tick(SimTime::ZERO, &mut fleet);
     assert!(events.is_empty());
     // Aggregates still update so telemetry and parents see power.

@@ -1,7 +1,7 @@
 //! One tick at every width.
 //!
-//! The fleet step, the leaf dispatch, the control hand-off and the
-//! breaker pre-fold each exist once; worker threads only change how
+//! The fleet step, the leaf dispatch and the breaker pre-fold each
+//! exist once, over one store of server state; worker threads only change how
 //! many shards that one path is carved into. This suite pins what the
 //! deleted serial / scoped / unfused twins used to cross-check:
 //!
@@ -9,43 +9,41 @@
 //!   recorded at the last commit that still had all the twins;
 //! * the memoized total-power fold equals an independent flat fold at
 //!   every telemetry sample of a capping episode;
-//! * an out-of-band agent edit (dirty power cache) hands off
-//!   identically at every width.
+//! * a cap programmed out of band through `Fleet::agent_rpc` takes
+//!   effect at the next step, identically at every width.
 
-use std::sync::Arc;
-
-use dcsim::{SimDuration, SimRng, SimTime};
-use dynamo::{
-    service_class_of, Datacenter, DatacenterBuilder, DynamoSystem, Fleet, RunReport, SystemConfig,
-    WorkerPool,
-};
+use dcsim::SimDuration;
+use dynamo::{Datacenter, DatacenterBuilder, RunReport};
 use dynobs::ObsConfig;
-use powerinfra::{Power, TopologyBuilder};
-use serverpower::{ServerConfig, ServerGeneration};
+use dynrpc::{Request, Response};
+use powerinfra::Power;
 use workloads::{ServiceKind, TrafficPattern};
 
-/// A 2 SB / 4 RPP / 64-server site squeezed hard enough that leaf
-/// capping engages immediately (tight RPP rating) and the SB breakers
-/// overload faster than the slow upper tier can protect them (tighter
-/// still), so a run exercises caps, trips and blackouts organically.
-fn build(threads: usize) -> Datacenter {
+/// A 2 SB / 4 RPP / 64-server site with an RPP rating tight enough
+/// that leaf capping engages immediately.
+fn site(threads: usize) -> DatacenterBuilder {
     DatacenterBuilder::new()
         .sbs_per_msb(2)
         .rpps_per_sb(2)
         .racks_per_rpp(2)
         .servers_per_rack(8)
         .rpp_rating(Power::from_kilowatts(3.2))
-        .sb_rating(Power::from_kilowatts(4.0))
         .uniform_service(ServiceKind::Web)
         .traffic(ServiceKind::Web, TrafficPattern::flat(1.5))
         .observability(ObsConfig::on())
         .seed(42)
         .worker_threads(threads)
-        .build()
+}
+
+/// [`site`] with the SB breakers squeezed too, so they overload faster
+/// than the slow upper tier can protect them: a run exercises caps,
+/// trips and blackouts organically.
+fn build(threads: usize) -> Datacenter {
+    site(threads).sb_rating(Power::from_kilowatts(4.0)).build()
 }
 
 /// Deterministic fault-churn script: every mutation site that feeds
-/// the hand-off's deferred bookkeeping fires at least once.
+/// the dispatch's deferred bookkeeping fires at least once.
 fn churn(dc: &mut Datacenter) {
     dc.run_for(SimDuration::from_secs(45));
 
@@ -189,23 +187,46 @@ fn memoized_total_power_equals_a_flat_fold_at_every_sample() {
     );
 }
 
-/// An out-of-band agent edit between two datacenter steps dirties the
-/// power cache; the next step resynchronizes from the server models.
-/// What comes out must not depend on the worker count, and the epoch
-/// draw cache must be exact again one step later.
+/// The columns are the only store, so a request served between two
+/// datacenter steps needs no recovery: a cap programmed through
+/// `agent_rpc` is reported at once, moves no power until the next step,
+/// is what that step settles toward — and the epoch draw cache is exact
+/// on both sides of it. What comes out must not depend on the width.
 #[test]
-fn out_of_band_agent_edit_is_width_invariant() {
+fn an_out_of_band_cap_takes_effect_at_the_next_step_at_every_width() {
     let run = |threads: usize| {
-        let mut dc = build(threads);
+        let mut dc = site(threads).build();
         dc.run_for(SimDuration::from_secs(40));
-        dc.fleet_mut()
-            .agent_mut(5)
-            .server_mut()
-            .rapl_mut()
-            .set_limit(Power::from_watts(120.0));
-        dc.fleet_mut().agent_mut(40).server_mut().set_alive(false);
+        // The controllers are capping already: cut one server well
+        // below anything they would program.
+        let sid = 5;
+        let drawn = dc.fleet().power_of(sid);
+        let cap = drawn * 0.7;
+        let capped_before = dc.fleet().stats().capped_servers;
+        let was_capped = dc.fleet().cap_of(sid).is_some();
+
+        let ack = dc.fleet_mut().agent_rpc(sid, Request::SetCap(cap));
+        assert_eq!(ack, Response::CapAck { ok: true });
+        assert_eq!(dc.fleet().cap_of(sid), Some(cap));
+        assert_eq!(
+            dc.fleet().stats().capped_servers,
+            capped_before + usize::from(!was_capped)
+        );
+        assert_eq!(
+            dc.fleet().power_of(sid),
+            drawn,
+            "no power moves before a step"
+        );
+        assert!(dc.draw_cache_is_exact(), "stale draw before the step");
+
         dc.step();
-        assert!(dc.draw_cache_is_exact(), "stale draw at threads={threads}");
+        let after = dc.fleet().power_of(sid);
+        assert!(
+            cap < after && after < drawn,
+            "threads={threads}: one step moves toward the cap: {drawn} -> {after}"
+        );
+        assert!(dc.draw_cache_is_exact(), "stale draw after the step");
+
         dc.run_for(SimDuration::from_secs(40));
         (
             RunReport::from_datacenter(&dc).to_string(),
@@ -215,75 +236,4 @@ fn out_of_band_agent_edit_is_width_invariant() {
     let one = run(1);
     assert_eq!(run(2), one, "threads=2 diverged");
     assert_eq!(run(8), one, "threads=8 diverged");
-}
-
-/// The same edit landing between a fleet step and the control tick: the
-/// hand-off runs on a dirty cache, where the per-leaf flush and absorb
-/// are skipped (the server models are the authority until the next
-/// step). Driven through the bare `Fleet` + `DynamoSystem` pair, since
-/// `Datacenter::step` never leaves that window open.
-#[test]
-fn dirty_hand_off_is_width_invariant() {
-    let run = |width: usize| {
-        let topo = TopologyBuilder::new()
-            .sbs_per_msb(1)
-            .rpps_per_sb(4)
-            .racks_per_rpp(2)
-            .servers_per_rack(8)
-            .rpp_rating(Power::from_kilowatts(3.2))
-            .build();
-        let n = topo.server_count();
-        let mut fleet = Fleet::new(
-            vec![ServerConfig::new(ServerGeneration::Haswell2015); n],
-            vec![ServiceKind::Web; n],
-            SimRng::seed_from(7).split("fleet"),
-        );
-        fleet.set_traffic(ServiceKind::Web, TrafficPattern::flat(1.5));
-        let config = SystemConfig {
-            obs: ObsConfig::on(),
-            ..SystemConfig::default()
-        };
-        let mut system = DynamoSystem::build(
-            &topo,
-            &|_| service_class_of(ServiceKind::Web),
-            config,
-            &mut SimRng::seed_from(7).split("sys"),
-        );
-        fleet.set_leaf_spans(system.leaf_spans());
-        if width > 1 {
-            let pool = Arc::new(WorkerPool::new(width));
-            fleet.attach_pool(Arc::clone(&pool));
-            system.attach_pool(pool);
-        }
-        let dt = SimDuration::from_secs(1);
-        let mut now = SimTime::ZERO;
-        let mut events = Vec::new();
-        for tick in 0..60 {
-            fleet.step(now, dt);
-            if tick == 30 {
-                // A leaf cycle is due at t=30: it runs on the dirty
-                // cache.
-                fleet
-                    .agent_mut(9)
-                    .server_mut()
-                    .rapl_mut()
-                    .set_limit(Power::from_watts(120.0));
-            }
-            events.extend(system.tick(now, &mut fleet));
-            now += dt;
-        }
-        assert!(!events.is_empty(), "tight RPP rating should cap");
-        let power: Vec<u64> = (0..n as u32)
-            .map(|s| fleet.power_of(s).as_watts().to_bits())
-            .collect();
-        (
-            events,
-            power,
-            fleet.stats().capped_servers,
-            dynobs::render_prometheus(system.observability().registry()),
-        )
-    };
-    let one = run(1);
-    assert_eq!(run(2), one, "width 2 diverged");
-    assert_eq!(run(8), one, "width 8 diverged");
 }

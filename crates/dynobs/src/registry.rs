@@ -527,13 +527,10 @@ impl Snapshot for RegistryState {
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let counters = get_u64_vec(r)?;
         let gauges = get_f64_vec(r)?;
-        let n = r.get_u64()? as usize;
-        let mut hist_buckets = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            hist_buckets.push(get_u64_vec(r)?);
-        }
+        let hist_buckets = r.get_vec(get_u64_vec)?;
         let hist_sums = get_f64_vec(r)?;
         let hist_counts = get_u64_vec(r)?;
+        let n = hist_buckets.len();
         if hist_sums.len() != n || hist_counts.len() != n {
             return Err(SnapError::Corrupt(
                 "histogram sum/count arrays disagree with bucket array count".into(),

@@ -106,7 +106,7 @@ pub fn run(scale: Scale) -> Fig15 {
         if s == cap_start_s + cap_hold_s / 2 {
             let mut counts = (0, 0, 0);
             for (sid, kind) in dc.fleet().iter_services() {
-                if dc.fleet().agent(sid).current_cap().is_some() {
+                if dc.fleet().cap_of(sid).is_some() {
                     match kind {
                         ServiceKind::Web => counts.0 += 1,
                         ServiceKind::Cache => counts.1 += 1,

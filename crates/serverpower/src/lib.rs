@@ -11,9 +11,14 @@
 //! * [`PowerSensor`] / [`PowerEstimator`] — on-board sensor readings and
 //!   the CPU-utilization-based estimation model used for sensorless
 //!   machines (§III-B).
-//! * [`Server`] — one simulated host combining all of the above, with
-//!   Turbo Boost (§IV-B: ≈ +20% power for ≈ +13% performance) and the
-//!   capping-slowdown characteristic of Figure 13.
+//! * [`ServerModel`] — everything that is a pure function of a
+//!   [`ServerConfig`] (curve, LUT, sensor, estimator), immutable and
+//!   shared by every server configured alike, with Turbo Boost (§IV-B:
+//!   ≈ +20% power for ≈ +13% performance) and the capping-slowdown
+//!   characteristic of Figure 13; the dynamic scalars are arguments.
+//! * [`Server`] — one simulated host: a model plus its own scalars
+//!   (demand, [`Rapl`] state, liveness). The scalar reference the
+//!   fleet's batched columns are held to.
 //!
 //! # Example
 //!
@@ -47,4 +52,4 @@ mod server;
 pub use curve::{PowerCurve, PowerLut, ServerGeneration};
 pub use rapl::Rapl;
 pub use sensor::{PowerEstimator, PowerSensor};
-pub use server::{capping_slowdown, PowerBreakdown, Server, ServerConfig, ServerState, TurboBoost};
+pub use server::{capping_slowdown, PowerBreakdown, Server, ServerConfig, ServerModel, TurboBoost};

@@ -177,17 +177,6 @@ impl Rapl {
         self.initialized
     }
 
-    /// Overwrites the settling state directly.
-    ///
-    /// This is the simulation-harness hook used by the fleet's batched
-    /// step path: the arrays own the authoritative settling state and
-    /// push it back into the scalar model before agent RPC cycles (or a
-    /// direct caller mutation) observe the server.
-    pub fn force_output(&mut self, output: Power, initialized: bool) {
-        self.output = output;
-        self.initialized = initialized;
-    }
-
     /// The most recent actual power (after dynamics).
     pub fn output(&self) -> Power {
         self.output

@@ -20,7 +20,7 @@ use crate::curve::PowerCurve;
 /// use powerinfra::Power;
 /// use serverpower::PowerSensor;
 ///
-/// let mut sensor = PowerSensor::new(0.01); // 1% noise
+/// let sensor = PowerSensor::new(0.01); // 1% noise
 /// let mut rng = SimRng::seed_from(1);
 /// let reading = sensor.read(Power::from_watts(200.0), &mut rng);
 /// assert!((reading.as_watts() - 200.0).abs() < 10.0);
@@ -59,7 +59,7 @@ impl PowerSensor {
     }
 
     /// Reads `true_power` through the sensor.
-    pub fn read(&mut self, true_power: Power, rng: &mut SimRng) -> Power {
+    pub fn read(&self, true_power: Power, rng: &mut SimRng) -> Power {
         let mut w = true_power.as_watts();
         if self.noise_frac > 0.0 {
             w *= 1.0 + rng.normal(0.0, self.noise_frac);
@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn ideal_sensor_is_exact() {
-        let mut s = PowerSensor::ideal();
+        let s = PowerSensor::ideal();
         let mut rng = SimRng::seed_from(1);
         let p = Power::from_watts(213.7);
         assert_eq!(s.read(p, &mut rng), p);
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn noisy_sensor_is_unbiased() {
-        let mut s = PowerSensor::new(0.02);
+        let s = PowerSensor::new(0.02);
         let mut rng = SimRng::seed_from(2);
         let truth = Power::from_watts(250.0);
         let n = 20_000;
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn sensor_quantizes_to_whole_watts() {
-        let mut s = PowerSensor::new(0.0);
+        let s = PowerSensor::new(0.0);
         let mut rng = SimRng::seed_from(3);
         let r = s.read(Power::from_watts(199.4), &mut rng);
         assert_eq!(r.as_watts(), 199.0);
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn sensor_never_reads_negative() {
-        let mut s = PowerSensor::new(2.0); // absurd noise to force negatives pre-clamp
+        let s = PowerSensor::new(2.0); // absurd noise to force negatives pre-clamp
         let mut rng = SimRng::seed_from(4);
         for _ in 0..1000 {
             assert!(s.read(Power::from_watts(5.0), &mut rng).as_watts() >= 0.0);

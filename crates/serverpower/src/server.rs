@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimDuration, SimRng};
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
@@ -144,7 +143,128 @@ pub fn capping_slowdown(power_reduction: f64) -> f64 {
     }
 }
 
-/// One simulated server.
+/// Everything about a server that is a pure function of its
+/// [`ServerConfig`]: the power curve and its lookup table, the sensor,
+/// the estimation model. Immutable, so one model is shared (behind an
+/// [`Arc`]) by every server with an equal configuration; the dynamic
+/// scalars — drawn power, liveness, demand — are arguments, owned by
+/// whoever steps the physics (a [`Server`], or the fleet's columns).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ServerModel {
+    config: ServerConfig,
+    curve: PowerCurve,
+    lut: Arc<PowerLut>,
+    sensor: PowerSensor,
+    estimator: PowerEstimator,
+}
+
+impl ServerModel {
+    /// Builds the model for `config`.
+    pub fn new(config: ServerConfig) -> Self {
+        let curve = config.generation.power_curve();
+        ServerModel {
+            lut: config.generation.power_lut(),
+            sensor: PowerSensor::new(config.sensor_noise),
+            estimator: PowerEstimator::new(curve.clone()).with_bias(config.estimator_bias),
+            curve,
+            config,
+        }
+    }
+
+    /// The static configuration.
+    pub fn config(&self) -> &ServerConfig {
+        &self.config
+    }
+
+    /// The power curve in use.
+    pub fn curve(&self) -> &PowerCurve {
+        &self.curve
+    }
+
+    /// The shared lookup-table form of the power curve.
+    pub fn lut(&self) -> &Arc<PowerLut> {
+        &self.lut
+    }
+
+    /// Power the workload wants to draw at `demand_util` (before
+    /// capping), including the Turbo Boost premium on the dynamic
+    /// component.
+    pub fn demand_power(&self, demand_util: f64) -> Power {
+        let base = self.lut.power_at_w(demand_util);
+        let w = match self.config.turbo {
+            Some(t) => crate::kernel::turbo_demand_w(base, self.lut.idle_w(), t.power_factor),
+            None => base,
+        };
+        Power::from_watts(w)
+    }
+
+    /// Reads power the way the agent does: through the sensor if there
+    /// is one, otherwise through the estimation model. `drawn` is the
+    /// host's true draw; a dead host reads zero without touching `rng`.
+    pub fn read_power(&self, drawn: Power, alive: bool, rng: &mut SimRng) -> Power {
+        if !alive {
+            return Power::ZERO;
+        }
+        if self.config.has_sensor {
+            self.sensor.read(drawn, rng)
+        } else {
+            // The estimator sees the *achieved* utilization: under a cap
+            // the OS reports the throttled activity level.
+            self.estimator.estimate(self.achieved_utilization_at(drawn))
+        }
+    }
+
+    /// Instantaneous component breakdown of a `drawn` total.
+    ///
+    /// Split: ~8% conversion loss off the top; of the remaining DC power,
+    /// idle is shared evenly while dynamic power is 70% CPU, 20% memory,
+    /// 10% other.
+    pub fn breakdown(&self, drawn: Power) -> PowerBreakdown {
+        let loss = drawn * 0.08;
+        let dc = drawn - loss;
+        let idle_dc = self.curve.idle().min(dc) * 0.92;
+        let dynamic = dc.saturating_sub(idle_dc);
+        PowerBreakdown {
+            cpu: idle_dc * 0.4 + dynamic * 0.7,
+            memory: idle_dc * 0.3 + dynamic * 0.2,
+            other: idle_dc * 0.3 + dynamic * 0.1,
+            conversion_loss: loss,
+        }
+    }
+
+    /// The utilization level a live server achieves while drawing
+    /// `drawn` (inverse of the power curve at the drawn power).
+    pub fn achieved_utilization_at(&self, drawn: Power) -> f64 {
+        // Remove the turbo premium before inverting the base curve.
+        let base_equiv = match self.config.turbo {
+            Some(t) => {
+                let idle = self.curve.idle();
+                idle + (drawn.saturating_sub(idle)) * (1.0 / t.power_factor)
+            }
+            None => drawn,
+        };
+        self.curve.utilization_at(base_equiv)
+    }
+
+    /// Relative performance of a live server wanting `demand` and
+    /// drawing `drawn`, versus a turbo-off, uncapped baseline.
+    ///
+    /// Combines the Turbo Boost speedup with the Figure 13 capping
+    /// slowdown: `perf = turbo_factor / (1 + slowdown)`.
+    pub fn performance_factor(&self, demand: Power, drawn: Power) -> f64 {
+        let turbo = self.config.turbo.map_or(1.0, |t| t.perf_factor);
+        let reduction = if demand.as_watts() <= 0.0 {
+            0.0
+        } else {
+            (1.0 - drawn.as_watts() / demand.as_watts()).clamp(0.0, 1.0)
+        };
+        turbo / (1.0 + capping_slowdown(reduction))
+    }
+}
+
+/// One simulated server: a [`ServerModel`] plus the dynamic scalars it
+/// is evaluated against (demand, RAPL actuator state, liveness). This is
+/// the scalar reference the fleet's batched columns are held to.
 ///
 /// Drive it with [`Server::set_demand`] (the workload layer does this)
 /// and [`Server::step`] every tick; query power, breakdowns and
@@ -164,74 +284,19 @@ pub fn capping_slowdown(power_reduction: f64) -> f64 {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Server {
     id: u32,
-    config: ServerConfig,
-    curve: PowerCurve,
-    lut: Arc<PowerLut>,
+    model: Arc<ServerModel>,
     rapl: Rapl,
-    sensor: PowerSensor,
-    estimator: PowerEstimator,
     demand_util: f64,
     alive: bool,
-}
-
-/// The dynamic state of one [`Server`], detached from the parts rebuilt
-/// from [`ServerConfig`] (power curve, LUT, sensor, estimator).
-///
-/// The generation index doubles as the LUT generation id: the snapshot
-/// refuses to restore onto a server whose configuration would pair the
-/// state with a different lookup table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerState {
-    /// Server id the state was captured from.
-    pub id: u32,
-    /// Generation (= LUT) index at capture time.
-    pub generation: usize,
-    /// Demanded CPU utilization.
-    pub demand_util: f64,
-    /// Liveness flag.
-    pub alive: bool,
-    /// RAPL actuator state.
-    pub rapl: Rapl,
-}
-
-impl Snapshot for ServerState {
-    const KIND: &'static str = "serverpower.ServerState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u32(self.id);
-        w.put_u64(self.generation as u64);
-        w.put_f64(self.demand_util);
-        w.put_bool(self.alive);
-        self.rapl.encode_body(w);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ServerState {
-            id: r.get_u32()?,
-            generation: r.get_u64()? as usize,
-            demand_util: r.get_f64()?,
-            alive: r.get_bool()?,
-            rapl: Rapl::decode_body(r)?,
-        })
-    }
 }
 
 impl Server {
     /// Creates a server with the given id and configuration.
     pub fn new(id: u32, config: ServerConfig) -> Self {
-        let curve = config.generation.power_curve();
-        let sensor = PowerSensor::new(config.sensor_noise);
-        let estimator = PowerEstimator::new(curve.clone()).with_bias(config.estimator_bias);
-        let lut = config.generation.power_lut();
         Server {
             id,
-            config,
-            lut,
-            curve,
+            model: Arc::new(ServerModel::new(config)),
             rapl: Rapl::new(),
-            sensor,
-            estimator,
             demand_util: 0.0,
             alive: true,
         }
@@ -242,73 +307,24 @@ impl Server {
         self.id
     }
 
+    /// The immutable per-configuration model.
+    pub fn model(&self) -> &ServerModel {
+        &self.model
+    }
+
     /// The static configuration.
     pub fn config(&self) -> &ServerConfig {
-        &self.config
+        self.model.config()
     }
 
     /// The power curve in use.
     pub fn curve(&self) -> &PowerCurve {
-        &self.curve
+        self.model.curve()
     }
 
     /// The shared lookup-table form of the power curve.
     pub fn lut(&self) -> &Arc<PowerLut> {
-        &self.lut
-    }
-
-    /// Overwrites the server's hot physics state (demand utilization and
-    /// RAPL settling state) from an external owner.
-    ///
-    /// This is the simulation-harness hook for the fleet's batched step
-    /// path, which keeps the authoritative copies of these fields in
-    /// flat arrays and pushes them back before anything observes the
-    /// scalar model (agent RPC cycles, direct mutation via
-    /// `Fleet::agent_mut`).
-    pub fn sync_physics(&mut self, demand_util: f64, output_w: f64, initialized: bool) {
-        self.demand_util = demand_util.clamp(0.0, 1.0);
-        self.rapl
-            .force_output(Power::from_watts(output_w), initialized);
-    }
-
-    /// Captures the server's dynamic state for a snapshot. Everything
-    /// else (curve, LUT, sensor, estimator) is a pure function of the
-    /// [`ServerConfig`] and is rebuilt, not stored.
-    pub fn state(&self) -> ServerState {
-        ServerState {
-            id: self.id,
-            generation: self.config.generation.index(),
-            demand_util: self.demand_util,
-            alive: self.alive,
-            rapl: self.rapl.clone(),
-        }
-    }
-
-    /// Restores dynamic state captured by [`Server::state`].
-    ///
-    /// Fails with [`SnapError::Corrupt`] if the state was captured from
-    /// a different server id or a different hardware generation — the
-    /// rebuilt LUT would not match the stored settling state.
-    pub fn restore(&mut self, state: &ServerState) -> Result<(), SnapError> {
-        if state.id != self.id {
-            return Err(SnapError::Corrupt(format!(
-                "server state for id {} restored onto server {}",
-                state.id, self.id
-            )));
-        }
-        if state.generation != self.config.generation.index() {
-            return Err(SnapError::Corrupt(format!(
-                "server {} generation changed: snapshot has LUT generation {}, \
-                 config rebuilds generation {}",
-                self.id,
-                state.generation,
-                self.config.generation.index()
-            )));
-        }
-        self.demand_util = state.demand_util;
-        self.alive = state.alive;
-        self.rapl = state.rapl.clone();
-        Ok(())
+        self.model.lut()
     }
 
     /// Sets the workload's demanded CPU utilization (clamped to [0, 1]).
@@ -324,12 +340,7 @@ impl Server {
     /// Power the workload wants to draw right now (before capping),
     /// including the Turbo Boost premium on the dynamic component.
     pub fn demand_power(&self) -> Power {
-        let base = self.lut.power_at_w(self.demand_util);
-        let w = match self.config.turbo {
-            Some(t) => crate::kernel::turbo_demand_w(base, self.lut.idle_w(), t.power_factor),
-            None => base,
-        };
-        Power::from_watts(w)
+        self.model.demand_power(self.demand_util)
     }
 
     /// Advances the server by `dt`; returns actual drawn power.
@@ -361,39 +372,16 @@ impl Server {
         &mut self.rapl
     }
 
-    /// Reads power the way the agent does: through the sensor if there
-    /// is one, otherwise through the estimation model.
-    pub fn read_power(&mut self, rng: &mut SimRng) -> Power {
-        if !self.alive {
-            return Power::ZERO;
-        }
-        if self.config.has_sensor {
-            let truth = self.rapl.output();
-            self.sensor.read(truth, rng)
-        } else {
-            // The estimator sees the *achieved* utilization: under a cap
-            // the OS reports the throttled activity level.
-            self.estimator.estimate(self.achieved_utilization())
-        }
+    /// Reads power the way the agent does — see
+    /// [`ServerModel::read_power`].
+    pub fn read_power(&self, rng: &mut SimRng) -> Power {
+        self.model.read_power(self.power(), self.alive, rng)
     }
 
-    /// Instantaneous component breakdown of the current draw.
-    ///
-    /// Split: ~8% conversion loss off the top; of the remaining DC power,
-    /// idle is shared evenly while dynamic power is 70% CPU, 20% memory,
-    /// 10% other.
+    /// Instantaneous component breakdown of the current draw — see
+    /// [`ServerModel::breakdown`].
     pub fn breakdown(&self) -> PowerBreakdown {
-        let total = self.power();
-        let loss = total * 0.08;
-        let dc = total - loss;
-        let idle_dc = self.curve.idle().min(dc) * 0.92;
-        let dynamic = dc.saturating_sub(idle_dc);
-        PowerBreakdown {
-            cpu: idle_dc * 0.4 + dynamic * 0.7,
-            memory: idle_dc * 0.3 + dynamic * 0.2,
-            other: idle_dc * 0.3 + dynamic * 0.1,
-            conversion_loss: loss,
-        }
+        self.model.breakdown(self.power())
     }
 
     /// The utilization level the server actually achieves under its
@@ -402,41 +390,18 @@ impl Server {
         if !self.alive {
             return 0.0;
         }
-        self.achieved_utilization_at(self.power())
+        self.model.achieved_utilization_at(self.power())
     }
 
-    /// [`Server::achieved_utilization`] evaluated against an externally
-    /// supplied drawn power — for callers (the fleet's batched step
-    /// path) that own the authoritative power state.
-    pub fn achieved_utilization_at(&self, drawn: Power) -> f64 {
-        // Remove the turbo premium before inverting the base curve.
-        let base_equiv = match self.config.turbo {
-            Some(t) => {
-                let idle = self.curve.idle();
-                idle + (drawn.saturating_sub(idle)) * (1.0 / t.power_factor)
-            }
-            None => drawn,
-        };
-        self.curve.utilization_at(base_equiv)
-    }
-
-    /// Relative performance versus a turbo-off, uncapped baseline.
-    ///
-    /// Combines the Turbo Boost speedup with the Figure 13 capping
-    /// slowdown: `perf = turbo_factor / (1 + slowdown)`.
+    /// Relative performance versus a turbo-off, uncapped baseline — see
+    /// [`ServerModel::performance_factor`]. A dead server performs
+    /// nothing.
     pub fn performance_factor(&self) -> f64 {
         if !self.alive {
             return 0.0;
         }
-        let turbo = self.config.turbo.map_or(1.0, |t| t.perf_factor);
-        let demand = self.demand_power();
-        let drawn = self.power();
-        let reduction = if demand.as_watts() <= 0.0 {
-            0.0
-        } else {
-            (1.0 - drawn.as_watts() / demand.as_watts()).clamp(0.0, 1.0)
-        };
-        turbo / (1.0 + capping_slowdown(reduction))
+        self.model
+            .performance_factor(self.demand_power(), self.power())
     }
 
     /// Marks the server dead (hardware failure) or alive. Dead servers

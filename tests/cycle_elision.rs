@@ -245,10 +245,10 @@ fn maintained_stats_match_live_scans_under_caps_and_crashes() {
         let stats = dc.fleet().stats();
         let fleet = dc.fleet();
         let capped = (0..fleet.len() as u32)
-            .filter(|&sid| fleet.agent(sid).current_cap().is_some())
+            .filter(|&sid| fleet.cap_of(sid).is_some())
             .count();
         let down = (0..fleet.len() as u32)
-            .filter(|&sid| !fleet.agent(sid).is_running())
+            .filter(|&sid| !fleet.agent_running(sid))
             .count();
         assert_eq!(stats.capped_servers, capped, "capped tally drifted");
         assert_eq!(stats.agents_down, down, "down tally drifted");

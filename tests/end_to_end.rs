@@ -130,7 +130,7 @@ fn cache_is_protected_web_takes_the_cut() {
     let mut web_capped = 0;
     let mut cache_capped = 0;
     for (sid, kind) in dc.fleet().iter_services() {
-        if dc.fleet().agent(sid).current_cap().is_some() {
+        if dc.fleet().cap_of(sid).is_some() {
             match kind {
                 ServiceKind::Web => web_capped += 1,
                 ServiceKind::Cache => cache_capped += 1,
