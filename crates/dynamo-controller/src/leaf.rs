@@ -82,6 +82,60 @@ impl LeafConfig {
     }
 }
 
+/// How a [`LeafController`] reaches its servers' agents for one cycle.
+///
+/// The one required method performs a single RPC; that is all a
+/// transport has to provide, and [`LeafController::cycle`] wraps a plain
+/// closure in exactly that. [`LeafTransport::pull`] — step 1 of the
+/// cycle, "pull power from all the downstream servers" (§III-C1) — is
+/// provided on top of it as the per-server loop, and a transport that
+/// can serve a whole leaf's reads at once overrides it. Actuation
+/// (`SetCap` / `ClearCap`) always goes through [`LeafTransport::call`].
+pub trait LeafTransport {
+    /// Performs one RPC to server `server_id`'s agent.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the transport's failure surface is: a lost or timed-out
+    /// call, an agent that is down.
+    fn call(&mut self, server_id: u32, req: Request) -> Result<Response, RpcError>;
+
+    /// Reads every server's power, in `servers` order. On return
+    /// `readings[pos]` holds server `pos`'s reading when the pull
+    /// succeeded and returned a valid draw, and stays `None` otherwise,
+    /// with `pos` appended to `failed` (ascending). `readings` arrives
+    /// all `None` and as long as `servers`; `failed` arrives empty.
+    ///
+    /// An override must leave exactly what this loop would have left.
+    fn pull(
+        &mut self,
+        servers: &[ServerHandle],
+        readings: &mut [Option<Power>],
+        failed: &mut Vec<u32>,
+    ) {
+        for (pos, handle) in servers.iter().enumerate() {
+            match self.call(handle.server_id, Request::ReadPower) {
+                Ok(Response::Power(r)) if r.total.is_valid_draw() => {
+                    readings[pos] = Some(r.total);
+                }
+                _ => failed.push(pos as u32),
+            }
+        }
+    }
+}
+
+/// A per-call closure as a [`LeafTransport`].
+struct CallFn<F>(F);
+
+impl<F> LeafTransport for CallFn<F>
+where
+    F: FnMut(u32, Request) -> Result<Response, RpcError>,
+{
+    fn call(&mut self, server_id: u32, req: Request) -> Result<Response, RpcError> {
+        (self.0)(server_id, req)
+    }
+}
+
 /// What one control cycle observed and did.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CycleOutcome {
@@ -102,8 +156,10 @@ pub struct CycleOutcome {
 /// commands (§III-C).
 ///
 /// The controller is transport-agnostic: each cycle takes a closure that
-/// performs one RPC to a given server id, so production Thrift, the
-/// simulated [`dynrpc::Network`], or a scripted fake all plug in.
+/// performs one RPC to a given server id ([`LeafController::cycle`]) or
+/// a [`LeafTransport`] ([`LeafController::cycle_over`]), so production
+/// Thrift, the simulated [`dynrpc::Network`], or a scripted fake all
+/// plug in.
 ///
 /// # Example
 ///
@@ -347,9 +403,19 @@ impl LeafController {
     /// 4. On capping: distribute the cut (priority groups,
     ///    high-bucket-first) and send `SetCap`s; on uncapping: send
     ///    `ClearCap`s.
-    pub fn cycle<F>(&mut self, now: SimTime, mut call: F) -> CycleOutcome
+    pub fn cycle<F>(&mut self, now: SimTime, call: F) -> CycleOutcome
     where
         F: FnMut(u32, Request) -> Result<Response, RpcError>,
+    {
+        self.cycle_over(now, &mut CallFn(call))
+    }
+
+    /// [`LeafController::cycle`] over a [`LeafTransport`]: step 1 is the
+    /// transport's [`pull`](LeafTransport::pull), every actuation its
+    /// [`call`](LeafTransport::call).
+    pub fn cycle_over<T>(&mut self, now: SimTime, transport: &mut T) -> CycleOutcome
+    where
+        T: LeafTransport + ?Sized,
     {
         self.cycles += 1;
         let n = self.servers.len();
@@ -358,14 +424,11 @@ impl LeafController {
         self.scratch_readings.clear();
         self.scratch_readings.resize(n, None);
         self.scratch_failed.clear();
-        for (pos, handle) in self.servers.iter().enumerate() {
-            match call(handle.server_id, Request::ReadPower) {
-                Ok(Response::Power(r)) if r.total.is_valid_draw() => {
-                    self.scratch_readings[pos] = Some(r.total);
-                }
-                _ => self.scratch_failed.push(pos as u32),
-            }
-        }
+        transport.pull(
+            &self.servers,
+            &mut self.scratch_readings,
+            &mut self.scratch_failed,
+        );
         let failures = self.scratch_failed.len();
 
         // -- 2. Failure handling.
@@ -446,7 +509,7 @@ impl LeafController {
                     // Failed actuations are retried implicitly: the next
                     // cycle re-measures and re-decides.
                     if let Ok(Response::CapAck { ok: true }) =
-                        call(cmd.server_id, Request::SetCap(cmd.cap))
+                        transport.call(cmd.server_id, Request::SetCap(cmd.cap))
                     {
                         let pos = self.pos_of[&cmd.server_id];
                         if self.active_caps[pos].is_none() {
@@ -467,7 +530,7 @@ impl LeafController {
                         continue;
                     }
                     if let Ok(Response::CapAck { ok: true }) =
-                        call(self.servers[pos].server_id, Request::ClearCap)
+                        transport.call(self.servers[pos].server_id, Request::ClearCap)
                     {
                         self.active_caps[pos] = None;
                         self.active_cap_count -= 1;
@@ -851,6 +914,63 @@ mod tests {
             }
             other => panic!("expected cap, got {other:?}"),
         }
+    }
+
+    /// A transport that serves the whole pull at once: the cycle must
+    /// take its readings and failed list from the override, never fall
+    /// back to per-server reads, and still actuate through `call`.
+    #[test]
+    fn an_overridden_pull_replaces_only_the_reads() {
+        struct Batched {
+            fleet: Fleet,
+            reads: u32,
+            acts: u32,
+        }
+        impl LeafTransport for Batched {
+            fn call(&mut self, sid: u32, req: Request) -> Result<Response, RpcError> {
+                match req {
+                    Request::ReadPower => self.reads += 1,
+                    _ => self.acts += 1,
+                }
+                self.fleet.call(sid, req)
+            }
+
+            fn pull(
+                &mut self,
+                servers: &[ServerHandle],
+                readings: &mut [Option<Power>],
+                failed: &mut Vec<u32>,
+            ) {
+                for (pos, handle) in servers.iter().enumerate() {
+                    if self.fleet.down.contains(&handle.server_id) {
+                        failed.push(pos as u32);
+                    } else {
+                        readings[pos] = Some(self.fleet.power[&handle.server_id]);
+                    }
+                }
+            }
+        }
+
+        let powers = [(0, 300.0), (1, 300.0), (2, 300.0), (3, 300.0), (4, 300.0)];
+        let mut batched = Batched {
+            fleet: Fleet::new(&powers),
+            reads: 0,
+            acts: 0,
+        };
+        batched.fleet.down = vec![4];
+        let mut scripted = Fleet::new(&powers);
+        scripted.down = vec![4];
+        let mut a = leaf(1500.0, web_servers(5));
+        let mut b = leaf(1500.0, web_servers(5));
+        let over = a.cycle_over(SimTime::ZERO, &mut batched);
+        let per_call = b.cycle(SimTime::ZERO, |s, r| scripted.call(s, r));
+        assert_eq!(over, per_call);
+        assert!(over.action.is_capped());
+        assert_eq!((over.pull_failures, over.estimated), (1, 1));
+        assert_eq!(batched.reads, 0, "the override served every read");
+        assert!(batched.acts > 0, "caps still go through `call`");
+        assert_eq!(batched.fleet.caps, scripted.caps);
+        assert_eq!(a.last_power(), b.last_power());
     }
 
     #[test]

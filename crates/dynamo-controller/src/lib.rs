@@ -44,7 +44,7 @@ mod upper;
 pub use distribution::{
     distribute_power_cut, distribute_power_cut_with_stats, CutAssignment, DistributionStats,
 };
-pub use leaf::{CycleOutcome, LeafConfig, LeafController, LeafControllerState};
+pub use leaf::{CycleOutcome, LeafConfig, LeafController, LeafControllerState, LeafTransport};
 pub use pi::{PiConfig, PiController, PiDecision};
 pub use threeband::{three_band_decision, BandDecision, ThreeBandConfig};
 pub use types::{Alert, CapCommand, ControlAction, ServerHandle, ServiceClass};

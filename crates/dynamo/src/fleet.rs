@@ -3,20 +3,26 @@
 //! # Hot-path layout (struct of arrays)
 //!
 //! The fleet holds no per-server object. The mutable state of every
-//! server (demanded watts, RAPL limit, settled output, first-step flag,
-//! liveness, the agent's sensor-noise stream and process-up bit) lives
-//! in flat parallel columns, and one branchless pass of
-//! [`serverpower::kernel::step_batch`] advances the physics of all of
-//! them per tick. Power-curve evaluation goes through the
-//! per-generation [`PowerLut`] uniform-grid tables, and the per-tick
-//! Ornstein-Uhlenbeck `exp`/`sqrt` coefficients are hoisted per service
-//! ([`OuCoeffs`]) instead of recomputed per server.
+//! server (its workload process — RNG stream, mean-reverting noise,
+//! burst in flight — demanded watts, RAPL limit, settled output,
+//! first-step flag, liveness, the agent's sensor-noise stream and
+//! process-up bit) lives in flat parallel columns, and two kernels walk
+//! them per tick: [`workloads::kernel::draw_batch`] draws every
+//! process's utilization, one call per run with the service's
+//! parameters, traffic target, burst probability and
+//! Ornstein-Uhlenbeck coefficients ([`OuCoeffs`]) hoisted out of the
+//! element loop, and one branchless pass of
+//! [`serverpower::kernel::step_batch`] advances the physics.
+//! Power-curve evaluation in between goes through the per-generation
+//! [`PowerLut`] uniform-grid tables. Each kernel shares its element
+//! step with the scalar model (`ServiceWorkload`, `Rapl`), so column
+//! and scalar are the same arithmetic by construction.
 //!
 //! ## Batched run order (stable permutation)
 //!
 //! At build time servers are grouped into *runs* of equal
 //! `(generation, service, turbo)` so the demand loop has no per-element
-//! branching on multiplier index, static cap, or turbo factor. The
+//! branching on service parameters, static cap, or turbo factor. The
 //! grouping is a *leaf-local stable permutation*: server ids, leaf span
 //! membership, per-server RNG streams, and every externally visible
 //! array stay in server-id order, so results are bit-identical to the
@@ -51,7 +57,10 @@
 //! [`dynamo_agent::Host`] built over one server's entries — the same
 //! request handler the standalone [`dynamo_agent::Agent`] runs — so
 //! `ReadPower` reads `out_w[pos]` and `SetCap` / `ClearCap` write
-//! `limit_w[pos]` in place. The view notes, at the moment of the write,
+//! `limit_w[pos]` in place — and a controller's whole pull reads a
+//! leaf's servers straight off the columns
+//! ([`LeafAgents::read_power`], the same [`ServerModel::read_power`]
+//! the handler calls). The view notes, at the moment of the write,
 //! whether a limit changed bits and how the capped tally moved; the
 //! only work left past the join is folding those per-leaf notes into
 //! the shared settled flags and tally
@@ -70,7 +79,8 @@ use dynpool::WorkerPool;
 use dynrpc::{AgentEndpoint, Request, Response};
 use powerinfra::Power;
 use serverpower::{kernel, PowerLut, Rapl, ServerConfig, ServerModel};
-use workloads::{OuCoeffs, ServiceKind, ServiceWorkload, TrafficPattern};
+use workloads::kernel::{draw_batch, DrawStep};
+use workloads::{OuCoeffs, ServiceKind, TrafficPattern};
 
 use crate::shard::{self, front, front_mut};
 
@@ -146,8 +156,16 @@ pub struct Fleet {
     /// `sid / 64` is set while server `sid`'s agent is running.
     running_bits: Vec<u64>,
     services: Vec<ServiceKind>,
-    /// Per-server workload processes, in *position* order (see `perm`).
-    generators: Vec<ServiceWorkload>,
+    /// Per-server workload processes as columns, *position* order (see
+    /// `perm`): each process's private RNG stream, its mean-reverting
+    /// noise, and its burst in flight as expiry + added utilization
+    /// (`SimTime::ZERO` / `0.0` when none — the
+    /// [`workloads::kernel`] encoding). The parameters are the
+    /// service's calibrated ones, hoisted per [`Run`].
+    wl_rng: Vec<SimRng>,
+    wl_noise: Vec<f64>,
+    wl_burst_until: Vec<SimTime>,
+    wl_burst_add: Vec<f64>,
     /// Per-service traffic patterns; services without an entry see
     /// constant nominal traffic.
     traffic: HashMap<ServiceKind, TrafficPattern>,
@@ -307,10 +325,10 @@ impl Fleet {
         let mut models: Vec<Arc<ServerModel>> = Vec::new();
         let mut model_ix = Vec::with_capacity(n);
         let mut agent_rng = Vec::with_capacity(n);
-        let mut generators = Vec::with_capacity(n);
+        let mut wl_rng = Vec::with_capacity(n);
         let mut agent_streams = rng.split("agents");
-        let mut wl_rng = rng.split("workloads");
-        for (i, (config, &service)) in configs.into_iter().zip(&services).enumerate() {
+        let mut wl_streams = rng.split("workloads");
+        for (i, config) in configs.into_iter().enumerate() {
             let ix = models
                 .iter()
                 .position(|m| *m.config() == config)
@@ -320,8 +338,9 @@ impl Fleet {
                 });
             model_ix.push(ix as u32);
             agent_rng.push(agent_streams.split_index(i as u64));
-            generators.push(ServiceWorkload::new(service, wl_rng.split_index(i as u64)));
+            wl_rng.push(wl_streams.split_index(i as u64));
         }
+        let no_burst = workloads::kernel::burst_to_columns(None);
         let mut fleet = Fleet {
             models,
             model_ix,
@@ -329,7 +348,12 @@ impl Fleet {
             // Fresh agents are all running (bits past `n` are never read).
             running_bits: vec![u64::MAX; n.div_ceil(64)],
             services,
-            generators,
+            // Id order until the first layout build; a fresh process
+            // has no noise and no burst.
+            wl_rng,
+            wl_noise: vec![0.0; n],
+            wl_burst_until: vec![no_burst.0; n],
+            wl_burst_add: vec![no_burst.1; n],
             traffic: HashMap::new(),
             static_util_caps: [None; ServiceKind::COUNT],
             crash_rate_per_hour: 0.0,
@@ -615,10 +639,8 @@ impl Fleet {
     fn rebuild_layout(&mut self) {
         let n = self.len();
         // Gather current state back to id order under the old perm. At
-        // construction (`perm` empty) the generators are already in id
-        // order and the physics state takes its pre-step defaults.
-        let mut gens_id: Vec<Option<ServiceWorkload>> =
-            std::iter::repeat_with(|| None).take(n).collect();
+        // construction (`perm` empty) the workload columns are already
+        // in id order and the physics state takes its pre-step defaults.
         let mut demand_id = vec![0.0; n];
         let mut limit_id = vec![f64::INFINITY; n];
         let mut out_id = vec![0.0; n];
@@ -626,16 +648,14 @@ impl Fleet {
         let mut alive_id = vec![true; n];
         let mut util_id = vec![0.0; n];
         if self.perm.is_empty() {
-            for (id, g) in self.generators.drain(..).enumerate() {
-                gens_id[id] = Some(g);
+            for (id, demand) in demand_id.iter_mut().enumerate() {
                 // Pre-step demand power is the idle draw (demand
                 // utilization 0), matching a live `demand_power` read.
-                demand_id[id] = self.models[self.model_ix[id] as usize].lut().idle_w();
+                *demand = self.models[self.model_ix[id] as usize].lut().idle_w();
             }
         } else {
-            for (pos, g) in self.generators.drain(..).enumerate() {
-                let id = self.perm[pos] as usize;
-                gens_id[id] = Some(g);
+            for (pos, &id) in self.perm.iter().enumerate() {
+                let id = id as usize;
                 demand_id[id] = self.demand_w[pos];
                 limit_id[id] = self.limit_w[pos];
                 out_id[id] = self.out_w[pos];
@@ -660,16 +680,22 @@ impl Fleet {
         for (pos, &id) in perm.iter().enumerate() {
             inv[id as usize] = pos as u32;
         }
-        self.generators = perm
-            .iter()
-            .map(|&id| gens_id[id as usize].take().expect("perm is a permutation"))
-            .collect();
+        // The workload columns move straight from old position to new.
+        let old_inv = std::mem::replace(&mut self.inv, inv);
+        let old_pos = |id: u32| {
+            old_inv
+                .get(id as usize)
+                .map_or(id as usize, |&p| p as usize)
+        };
+        self.wl_rng = regroup(&self.wl_rng, &perm, old_pos);
+        self.wl_noise = regroup(&self.wl_noise, &perm, old_pos);
+        self.wl_burst_until = regroup(&self.wl_burst_until, &perm, old_pos);
+        self.wl_burst_add = regroup(&self.wl_burst_add, &perm, old_pos);
         self.demand_w = perm.iter().map(|&id| demand_id[id as usize]).collect();
         self.limit_w = perm.iter().map(|&id| limit_id[id as usize]).collect();
         self.out_w = perm.iter().map(|&id| out_id[id as usize]).collect();
         self.util = perm.iter().map(|&id| util_id[id as usize]).collect();
         self.perm = perm;
-        self.inv = inv;
         // Repack the bit masks under the new permutation and region
         // directory (one word-aligned region per leaf).
         self.rebuild_mask_layout();
@@ -910,7 +936,10 @@ impl Fleet {
         let mask_base = &self.mask_base[..];
         let mut limit_w = &self.limit_w[..];
         let mut alive_bits = &self.alive_bits[..];
-        let mut generators = &mut self.generators[..];
+        let mut wl_rng = &mut self.wl_rng[..];
+        let mut wl_noise = &mut self.wl_noise[..];
+        let mut wl_burst_until = &mut self.wl_burst_until[..];
+        let mut wl_burst_add = &mut self.wl_burst_add[..];
         let mut util = &mut self.util[..];
         let mut demand_w = &mut self.demand_w[..];
         let mut not_init_bits = &mut self.not_init_bits[..];
@@ -930,7 +959,10 @@ impl Fleet {
             let servers = leaf_spans[hi - 1].end - base;
             let words = mask_base[hi].0 - mask_base[lo].0;
             let job = StepJob {
-                generators: front_mut(&mut generators, servers),
+                wl_rng: front_mut(&mut wl_rng, servers),
+                wl_noise: front_mut(&mut wl_noise, servers),
+                wl_burst_until: front_mut(&mut wl_burst_until, servers),
+                wl_burst_add: front_mut(&mut wl_burst_add, servers),
                 util: front_mut(&mut util, servers),
                 demand_w: front_mut(&mut demand_w, servers),
                 limit_w: front(&mut limit_w, servers),
@@ -1136,6 +1168,13 @@ fn put_bit(words: &mut [u64], i: usize, v: bool) {
     }
 }
 
+/// Re-orders a position-ordered column for a new permutation: element
+/// `pos` of the result is the old column's entry for server
+/// `perm[pos]`, found through `old_pos`.
+fn regroup<T: Clone>(column: &[T], perm: &[u32], old_pos: impl Fn(u32) -> usize) -> Vec<T> {
+    perm.iter().map(|&id| column[old_pos(id)].clone()).collect()
+}
+
 /// Resolves position `pos` to its flat bit index under a mask region
 /// directory (see [`Fleet::mask_base`]): binary search for the owning
 /// region, then offset from its first word.
@@ -1203,7 +1242,11 @@ struct StepCtx<'a> {
 /// two coincide on whole leaves), mask word 0 is the first word of the
 /// shard's first leaf.
 struct StepJob<'a> {
-    generators: &'a mut [ServiceWorkload],
+    /// The workload columns (see the [`Fleet`] field docs).
+    wl_rng: &'a mut [SimRng],
+    wl_noise: &'a mut [f64],
+    wl_burst_until: &'a mut [SimTime],
+    wl_burst_add: &'a mut [f64],
     util: &'a mut [f64],
     demand_w: &'a mut [f64],
     limit_w: &'a [f64],
@@ -1228,28 +1271,23 @@ struct StepJob<'a> {
     leaf_base: usize,
 }
 
-/// Draws fresh demand for the local subrange `a..b`: per-run workload
-/// draw → static clamp into `util`, then the batched LUT evaluation and
-/// (per turbo run) the batched turbo premium — the vector passes feeding
-/// [`kernel::step_batch`], each bit-identical to its scalar form.
+/// Draws fresh demand for the shard-local subrange `a..b`: per run, one
+/// [`draw_batch`] over the workload columns with everything uniform
+/// across the run — the service's parameters, the traffic target, the
+/// burst probability, the OU coefficients — hoisted into one
+/// [`DrawStep`], the static clamp into `util`, then the batched LUT
+/// evaluation and (per turbo run) the batched turbo premium: the vector
+/// passes feeding [`kernel::step_batch`], each bit-identical to its
+/// scalar form.
 ///
 /// `elapsed` is the tick count since this span's last redraw; held
 /// redraws integrate the skipped interval by scaling the workload step
 /// to `dt * elapsed` (OU coefficients recomputed for the longer step).
 /// `elapsed == 1` reuses the hoisted per-tick coefficients and is
 /// bit-identical to the always-redraw demand pass.
-#[allow(clippy::too_many_arguments)]
-fn demand_pass(
-    ctx: &StepCtx,
-    base: usize,
-    a: usize,
-    b: usize,
-    generators: &mut [ServiceWorkload],
-    util: &mut [f64],
-    demand_w: &mut [f64],
-    elapsed: u64,
-) {
+fn demand_pass(ctx: &StepCtx, job: &mut StepJob, a: usize, b: usize, elapsed: u64) {
     let dt_eff = ctx.dt * elapsed;
+    let base = job.base;
     let (glo, ghi) = (base + a, base + b);
     let first = ctx.runs.partition_point(|r| r.range.end <= glo);
     for run in &ctx.runs[first..] {
@@ -1259,23 +1297,33 @@ fn demand_pass(
         let ra = run.range.start.max(glo) - base;
         let rb = run.range.end.min(ghi) - base;
         let k = run.svc as usize;
-        let mult = ctx.mults[k];
-        // `min(1.0)` is a bitwise no-op on the workload's `[0.02, 1.0]`
-        // output, so "no static cap" needs no branch in the loop.
-        let cap = ctx.caps[k].unwrap_or(1.0);
+        // The fleet only builds processes with their service's
+        // calibrated parameters (restore rejects anything else), so one
+        // `params()` per run stands for every element's.
+        let params = ServiceKind::all()[k].params();
         let oc = if elapsed == 1 {
             ctx.ou[k]
         } else {
-            OuCoeffs::for_kind(ServiceKind::all()[k], dt_eff)
+            OuCoeffs::for_params(&params, dt_eff)
         };
-        for j in ra..rb {
-            util[j] = generators[j]
-                .utilization_with(ctx.now, mult, dt_eff, oc)
-                .min(cap);
+        let step = DrawStep::new(&params, ctx.now, ctx.mults[k], dt_eff, oc);
+        draw_batch(
+            &step,
+            &mut job.wl_rng[ra..rb],
+            &mut job.wl_noise[ra..rb],
+            &mut job.wl_burst_until[ra..rb],
+            &mut job.wl_burst_add[ra..rb],
+            &mut job.util[ra..rb],
+        );
+        if let Some(cap) = ctx.caps[k] {
+            for u in &mut job.util[ra..rb] {
+                *u = u.min(cap);
+            }
         }
-        run.lut.power_batch_w(&util[ra..rb], &mut demand_w[ra..rb]);
+        run.lut
+            .power_batch_w(&job.util[ra..rb], &mut job.demand_w[ra..rb]);
         if run.turbo {
-            kernel::turbo_demand_batch(&mut demand_w[ra..rb], run.idle_w, run.turbo_pf);
+            kernel::turbo_demand_batch(&mut job.demand_w[ra..rb], run.idle_w, run.turbo_pf);
         }
     }
 }
@@ -1327,7 +1375,8 @@ fn scatter_power(
 fn step_leaves(ctx: &StepCtx, job: &mut StepJob) {
     let base = job.base;
     let w_org = job.word_base[0].0;
-    for (l, span) in job.spans.iter().enumerate() {
+    let spans = job.spans;
+    for (l, span) in spans.iter().enumerate() {
         let due = ctx.hold <= 1 || ctx.tick % ctx.hold == (job.leaf_base + l) as u64 % ctx.hold;
         if job.settled[l] && !due {
             continue;
@@ -1346,16 +1395,7 @@ fn step_leaves(ctx: &StepCtx, job: &mut StepJob) {
         while t0 < b {
             let t1 = (t0 + FUSE_TILE).min(b);
             if due {
-                demand_pass(
-                    ctx,
-                    base,
-                    t0,
-                    t1,
-                    job.generators,
-                    job.util,
-                    job.demand_w,
-                    elapsed,
-                );
+                demand_pass(ctx, job, t0, t1, elapsed);
             }
             let (wa, wb) = (lw + (t0 - a) / 64, lw + (t1 - a).div_ceil(64));
             fixed &= kernel::step_batch_settled_bits(

@@ -8,10 +8,17 @@ use dcsim::snap::{
     SnapError, SnapReader, SnapWriter, Snapshot,
 };
 use dcsim::{SimRng, SimTime};
+use workloads::kernel::{burst_from_columns, burst_to_columns};
+use workloads::{ServiceKind, WorkloadState};
 
 use super::{get_bit, put_bit, Fleet};
 
 impl Fleet {
+    /// The service of the server stored at position `pos`.
+    fn service_at(&self, pos: usize) -> ServiceKind {
+        self.services[self.perm[pos] as usize]
+    }
+
     /// Captures the fleet's dynamic state for a snapshot. Must be
     /// called at a tick boundary.
     pub fn state(&self) -> FleetState {
@@ -22,7 +29,20 @@ impl Fleet {
             generation: (0..n)
                 .map(|i| self.model_of(i).config().generation.index() as u8)
                 .collect(),
-            generators: self.generators.iter().map(|g| g.state()).collect(),
+            // The wire keeps one `WorkloadState` per process; kind and
+            // parameters are the server's service's.
+            generators: (0..n)
+                .map(|pos| {
+                    let kind = self.service_at(pos);
+                    WorkloadState {
+                        kind: kind.index(),
+                        params: kind.params(),
+                        noise: self.wl_noise[pos],
+                        burst: burst_from_columns(self.wl_burst_until[pos], self.wl_burst_add[pos]),
+                        rng: self.wl_rng[pos].clone(),
+                    }
+                })
+                .collect(),
             pending_restarts: self.pending_restarts.clone(),
             rng: self.rng.clone(),
             perm: self.perm.clone(),
@@ -103,8 +123,22 @@ impl Fleet {
                 "fleet snapshot leaf count disagrees with rebuilt fleet of {leaves} leaves"
             )));
         }
-        for (gen, s) in self.generators.iter_mut().zip(&state.generators) {
-            gen.restore(s)?;
+        // The demand pass hoists each run's service parameters, so a
+        // process may only carry its own service's calibrated ones.
+        for (pos, s) in state.generators.iter().enumerate() {
+            let kind = self.service_at(pos);
+            if s.kind != kind.index() || s.params != kind.params() {
+                return Err(SnapError::Corrupt(format!(
+                    "workload state at position {pos} (service kind {}) is not a calibrated \
+                     {kind} process",
+                    s.kind
+                )));
+            }
+        }
+        for (pos, s) in state.generators.iter().enumerate() {
+            self.wl_rng[pos] = s.rng.clone();
+            self.wl_noise[pos] = s.noise;
+            (self.wl_burst_until[pos], self.wl_burst_add[pos]) = burst_to_columns(s.burst);
         }
         self.agent_rng.clone_from(&state.agent_rng);
         self.pending_restarts.clone_from(&state.pending_restarts);
@@ -155,7 +189,7 @@ pub struct FleetState {
     /// snapshot time, server-id order (validation only).
     pub generation: Vec<u8>,
     /// Per-server workload processes, *position* order.
-    pub generators: Vec<workloads::WorkloadState>,
+    pub generators: Vec<WorkloadState>,
     /// Crashed agents pending watchdog restart.
     pub pending_restarts: Vec<(u32, SimTime)>,
     /// Fleet-event RNG stream (crash draws).
@@ -239,7 +273,7 @@ impl Snapshot for FleetState {
             agent_rng: r.get_vec(SimRng::decode_body)?,
             running: get_bool_vec(r)?,
             generation: r.get_vec(|r| r.get_u8())?,
-            generators: r.get_vec(workloads::WorkloadState::decode_body)?,
+            generators: r.get_vec(WorkloadState::decode_body)?,
             pending_restarts: r
                 .get_vec(|r| Ok((r.get_u32()?, SimTime::from_millis(r.get_u64()?))))?,
             rng: SimRng::decode_body(r)?,
@@ -296,5 +330,51 @@ mod tests {
         build(ServerGeneration::Haswell2015)
             .restore(&state)
             .expect("same generation restores");
+    }
+    /// The demand pass hoists each run's service parameters out of the
+    /// element loop, so a snapshot may not smuggle in a process with
+    /// any others — and the columns must round-trip what they hold.
+    #[test]
+    fn restore_rejects_workload_states_that_are_not_the_services_own() {
+        let build = || {
+            let services: Vec<ServiceKind> = (0..12).map(|i| ServiceKind::all()[i % 6]).collect();
+            let mut f = Fleet::new(
+                vec![ServerConfig::new(ServerGeneration::Haswell2015); 12],
+                services,
+                SimRng::seed_from(19),
+            );
+            f.set_leaf_spans(&[0..6, 6..12]);
+            f
+        };
+        let mut fleet = build();
+        // Long enough that some process is mid-burst in the snapshot.
+        let mut t = SimTime::ZERO;
+        while !fleet.state().generators.iter().any(|g| g.burst.is_some()) {
+            fleet.step(t, SimDuration::from_secs(1));
+            t += SimDuration::from_secs(1);
+            assert!(t < SimTime::from_secs(20_000), "no burst ever started");
+        }
+        let state = fleet.state();
+
+        let mut retuned = state.clone();
+        retuned.generators[3].params.sigma *= 2.0;
+        let mut rekinded = state.clone();
+        rekinded.generators[3].kind = (rekinded.generators[3].kind + 1) % ServiceKind::COUNT;
+        for (bad, what) in [(retuned, "params"), (rekinded, "kind")] {
+            match build().restore(&bad) {
+                Err(SnapError::Corrupt(msg)) => assert!(msg.contains("calibrated"), "{msg}"),
+                other => panic!("foreign workload {what} must be rejected, got {other:?}"),
+            }
+        }
+
+        // The untouched state restores, and what comes back out is what
+        // went in — noise, bursts and streams through the columns.
+        let mut twin = build();
+        twin.restore(&state).expect("own state restores");
+        assert_eq!(twin.state().generators, state.generators);
+        for f in [&mut fleet, &mut twin] {
+            f.step(t, SimDuration::from_secs(1));
+        }
+        assert_eq!(twin.state().generators, fleet.state().generators);
     }
 }

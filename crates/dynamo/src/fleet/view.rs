@@ -129,6 +129,41 @@ impl<'a> LeafAgents<'a> {
         }
     }
 
+    /// The leaf's server ids, ascending.
+    pub(crate) fn server_ids(&self) -> Range<u32> {
+        self.first as u32..(self.first + self.inv.len()) as u32
+    }
+
+    /// Whether server `sid`'s agent process is up.
+    #[inline]
+    pub(crate) fn is_running(&self, sid: u32) -> bool {
+        get_bit(self.running_bits, sid as usize)
+    }
+
+    /// What a delivered `ReadPower` to server `sid` reads: its settled
+    /// output (zero while the host is dead) through its own model's
+    /// [`ServerModel::read_power`] on its own noise stream — the total
+    /// the [`Host`] handler would put on the wire, without building
+    /// the response around it. The caller has already established that
+    /// the agent is running and the call was delivered.
+    #[inline]
+    pub(crate) fn read_power(&mut self, sid: u32) -> Power {
+        let id = sid as usize - self.first;
+        let (alive, drawn) = self.host_power(self.inv[id] as usize - self.first);
+        self.models[self.model_ix[id] as usize].read_power(drawn, alive, &mut self.agent_rng[id])
+    }
+
+    /// Whether the host at leaf-local position `pos` is powered, and
+    /// what it draws right now (zero while dead).
+    #[inline]
+    fn host_power(&self, pos: usize) -> (bool, Power) {
+        let alive = get_bit(self.alive_bits, pos);
+        (
+            alive,
+            Power::from_watts(if alive { self.out_w[pos] } else { 0.0 }),
+        )
+    }
+
     /// Ends the cycle: whether any limit changed bits (→ the leaf
     /// unsettles) and the signed capped-server delta, for
     /// [`Fleet::finish_fused_control`] to apply after the join — the
@@ -147,25 +182,18 @@ pub(crate) struct AgentView<'l, 'a> {
     pos: usize,
 }
 
-impl AgentView<'_, '_> {
-    /// Whether the agent process is up.
-    pub(crate) fn is_running(&self) -> bool {
-        get_bit(self.leaf.running_bits, self.leaf.first + self.id)
-    }
-}
-
 impl AgentEndpoint for AgentView<'_, '_> {
     fn handle(&mut self, req: Request) -> Response {
-        let running = self.is_running();
         let (leaf, pos) = (&mut *self.leaf, self.pos);
-        let alive = get_bit(leaf.alive_bits, pos);
+        let running = leaf.is_running((leaf.first + self.id) as u32);
+        let (alive, drawn) = leaf.host_power(pos);
         let old = leaf.limit_w[pos];
         let mut host = Host {
             model: &leaf.models[leaf.model_ix[self.id] as usize],
             rng: &mut leaf.agent_rng[self.id],
             running,
             alive,
-            drawn: Power::from_watts(if alive { leaf.out_w[pos] } else { 0.0 }),
+            drawn,
             limit: old.is_finite().then(|| Power::from_watts(old)),
         };
         let resp = host.handle(req);

@@ -15,13 +15,25 @@
 //! tier's parallel arrays, so a warm steady-state dispatch allocates
 //! nothing.
 //!
-//! A cycle's RPCs land on the fleet's columns directly: the shard
-//! borrows a [`LeafAgents`] view of the leaf, `ReadPower` reads the
-//! settled output in place and `SetCap` / `ClearCap` write the limit
-//! column in place. Nothing is copied in before the cycle or out after
-//! it; the view hands back only whether a limit changed and how the
-//! capped tally moved, which the fleet folds in after the join (see
-//! [`crate::fleet`]'s state-ownership notes).
+//! A cycle reaches the fleet's columns through a [`LeafLink`] — the
+//! leaf's [`Network`] in front of a borrowed [`LeafAgents`] view —
+//! which is the controller's [`LeafTransport`]. Step 1 of the cycle,
+//! the pull, is not 160 RPC round trips through a handler but two
+//! passes over the leaf's columns: the first walks the leaf's link
+//! stream alone and decides every call's fate ([`Network::attempt`]:
+//! drop, timeout, round trip; a crashed agent costs no draw), the
+//! second reads each delivered server through
+//! [`serverpower::ServerModel::read_power`] on its own noise stream,
+//! writing readings and the failed list in place. The link stream and
+//! the agents' streams are independent and each is consumed in exactly
+//! the per-call order, so the split changes no draw (the test
+//! `two_pass_pull_is_the_per_call_pull` pins it against the trait's
+//! provided per-call loop). `SetCap` / `ClearCap` go one call at a
+//! time through the same link and land on the `dynamo_agent::Host`
+//! handler, writing the limit column in place. Nothing is copied in
+//! before the cycle or out after it; the view hands back only whether a
+//! limit changed and how the capped tally moved, which the fleet folds
+//! in after the join (see [`crate::fleet`]'s state-ownership notes).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -33,12 +45,13 @@ use dcsim::snap::{
 };
 use dcsim::{SimDuration, SimRng, SimTime};
 use dynamo_controller::{
-    ControlAction, LeafConfig, LeafController, LeafControllerState, ServerHandle, ServiceClass,
+    ControlAction, LeafConfig, LeafController, LeafControllerState, LeafTransport, ServerHandle,
+    ServiceClass,
 };
-use dynobs::{Band, Shard};
+use dynobs::{Band, HistScope, Shard};
 use dynpool::WorkerPool;
 use dynrpc::codec::{self, TelemetryEvent, TelemetryEventKind};
-use dynrpc::{Network, NetworkState, Request, RpcError};
+use dynrpc::{AgentEndpoint, Network, NetworkState, Request, Response, RpcError};
 use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 
 use crate::control_plane::SystemConfig;
@@ -536,6 +549,117 @@ fn take_over(
     }
 }
 
+/// One leaf's transport for one cycle: its [`Network`] link in front of
+/// its agent view, plus the cycle's RPC accounting.
+///
+/// Per-RPC recording runs a couple of thousand times per cycle, so the
+/// counters accumulate here (one shard add each at the end — same
+/// totals) and RTTs go through a [`HistScope`], which hoists the
+/// shard's per-observation indirections out of the loop. Same slots,
+/// same sums, same order: the merged registry stays bit-identical to
+/// per-call shard recording.
+struct LeafLink<'c, 'a> {
+    network: &'c mut Network,
+    agents: &'c mut LeafAgents<'a>,
+    rtt_hist: HistScope<'c>,
+    tally: RpcTally,
+}
+
+/// What one cycle's RPCs added up to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct RpcTally {
+    /// Summed round trips of delivered reads / actuations.
+    pull_rtt: SimDuration,
+    act_rtt: SimDuration,
+    calls: u64,
+    agent_down: u64,
+    drops: u64,
+    timeouts: u64,
+}
+
+impl LeafLink<'_, '_> {
+    /// The link half of one call to server `sid`: a crashed agent
+    /// answers nothing and costs no link draw; otherwise the link
+    /// decides ([`Network::attempt`]). Counts the outcome and observes
+    /// a delivered call's round trip.
+    #[inline(always)]
+    fn attempt(&mut self, sid: u32) -> Result<SimDuration, RpcError> {
+        self.tally.calls += 1;
+        if !self.agents.is_running(sid) {
+            self.tally.agent_down += 1;
+            return Err(RpcError::AgentDown);
+        }
+        match self.network.attempt() {
+            Ok(rtt) => {
+                self.rtt_hist.observe(rtt.as_secs_f64());
+                Ok(rtt)
+            }
+            Err(err) => {
+                match err {
+                    RpcError::Dropped => self.tally.drops += 1,
+                    RpcError::Timeout => self.tally.timeouts += 1,
+                    RpcError::AgentDown => {}
+                }
+                Err(err)
+            }
+        }
+    }
+}
+
+impl LeafTransport for LeafLink<'_, '_> {
+    fn call(&mut self, sid: u32, req: Request) -> Result<Response, RpcError> {
+        let rtt = self.attempt(sid)?;
+        if matches!(req, Request::ReadPower) {
+            self.tally.pull_rtt += rtt;
+        } else {
+            self.tally.act_rtt += rtt;
+        }
+        Ok(self.agents.agent(sid).handle(req))
+    }
+
+    /// The pull as two passes over the leaf's columns. Pass 1 walks the
+    /// leaf's link stream alone, deciding every call's fate in server
+    /// order; pass 2 reads each delivered server on its own agent
+    /// stream. The link stream and the agent streams are independent
+    /// and each is consumed in exactly the per-call order, so the split
+    /// changes no draw — it only replaces one long dependent chain per
+    /// server (link draws → handler → response) with a tight serial
+    /// loop on one stream and a loop of independent reads.
+    fn pull(
+        &mut self,
+        servers: &[ServerHandle],
+        readings: &mut [Option<Power>],
+        failed: &mut Vec<u32>,
+    ) {
+        // The leaf's handles are exactly its contiguous server-id span,
+        // in order — [`tile_leaf_spans`] asserts it when the tier is
+        // built — so both passes count ids up from the span's start
+        // instead of streaming the 48-byte handles through the cache.
+        let ids = self.agents.server_ids();
+        assert_eq!(servers.len(), ids.len(), "leaf handles are not its span");
+        debug_assert!(servers.iter().map(|h| h.server_id).eq(ids.clone()));
+        // A delivered call's slot is marked until pass 2 fills it in.
+        const DELIVERED: Option<Power> = Some(Power::ZERO);
+        for (sid, slot) in ids.clone().zip(readings.iter_mut()) {
+            if let Ok(rtt) = self.attempt(sid) {
+                self.tally.pull_rtt += rtt;
+                *slot = DELIVERED;
+            }
+        }
+        for (pos, (sid, slot)) in ids.zip(readings.iter_mut()).enumerate() {
+            if slot.is_some() {
+                let total = self.agents.read_power(sid);
+                if total.is_valid_draw() {
+                    *slot = Some(total);
+                    continue;
+                }
+                *slot = None;
+            }
+            failed.push(pos as u32);
+        }
+    }
+}
+
 /// One leaf controller cycle against the leaf's agent view.
 ///
 /// Returns whether the cycle was *quiescent* — a clean Hold with no
@@ -557,52 +681,27 @@ fn run_one_leaf_cycle(
 ) -> bool {
     let caps_before = controller.active_cap_count();
     let dry_run = controller.config().dry_run;
-    let mut pull_rtt = SimDuration::ZERO;
-    let mut act_rtt = SimDuration::ZERO;
-    // Per-RPC recording runs a couple of thousand times per cycle, so
-    // the counters accumulate in locals (one shard add at the end —
-    // same totals) and RTTs go through a HistScope, which hoists the
-    // shard's per-observation indirections out of the loop. Same
-    // slots, same sums, same order: the merged registry stays
-    // bit-identical to per-call shard recording.
-    let mut rpc_calls = 0u64;
-    let mut rpc_agent_down = 0u64;
-    let mut rpc_drops = 0u64;
-    let mut rpc_timeouts = 0u64;
-    let mut rtt_hist = shard.hist_scope(ids.rpc_rtt);
-    let outcome = controller.cycle(now, |sid, req| {
-        let mut agent = agents.agent(sid);
-        rpc_calls += 1;
-        if !agent.is_running() {
-            rpc_agent_down += 1;
-            return Err(RpcError::AgentDown);
-        }
-        let pulling = matches!(req, Request::ReadPower);
-        match network.call_with_latency(&mut agent, req) {
-            Ok((resp, rtt)) => {
-                rtt_hist.observe(rtt.as_secs_f64());
-                if pulling {
-                    pull_rtt += rtt;
-                } else {
-                    act_rtt += rtt;
-                }
-                Ok(resp)
-            }
-            Err(err) => {
-                match err {
-                    RpcError::Dropped => rpc_drops += 1,
-                    RpcError::Timeout => rpc_timeouts += 1,
-                    RpcError::AgentDown => {}
-                }
-                Err(err)
-            }
-        }
-    });
-    drop(rtt_hist);
-    shard.add(ids.rpc_calls, rpc_calls);
-    shard.add(ids.rpc_agent_down, rpc_agent_down);
-    shard.add(ids.rpc_drops, rpc_drops);
-    shard.add(ids.rpc_timeouts, rpc_timeouts);
+    let mut link = LeafLink {
+        network,
+        agents,
+        rtt_hist: shard.hist_scope(ids.rpc_rtt),
+        tally: RpcTally::default(),
+    };
+    let outcome = controller.cycle_over(now, &mut link);
+    let RpcTally {
+        pull_rtt,
+        act_rtt,
+        calls,
+        agent_down,
+        drops,
+        timeouts,
+    } = link.tally;
+    // Closing the scope folds the buffered round trips into the shard.
+    drop(link);
+    shard.add(ids.rpc_calls, calls);
+    shard.add(ids.rpc_agent_down, agent_down);
+    shard.add(ids.rpc_drops, drops);
+    shard.add(ids.rpc_timeouts, timeouts);
     if let Some(total) = outcome.aggregated {
         *last_aggregate = total;
     }
@@ -785,6 +884,122 @@ mod tests {
             })
             .collect();
         LeafController::new(name, LeafConfig::new(Power::from_kilowatts(100.0)), servers)
+    }
+
+    /// A [`LeafLink`] stripped of its `pull` override: the same per-call
+    /// method under the trait's provided per-server loop.
+    struct PerCall<'x, 'c, 'a>(&'x mut LeafLink<'c, 'a>);
+
+    impl LeafTransport for PerCall<'_, '_, '_> {
+        fn call(&mut self, sid: u32, req: Request) -> Result<Response, RpcError> {
+            self.0.call(sid, req)
+        }
+    }
+
+    /// A one-leaf fleet with one of everything the pull distinguishes:
+    /// sensored, sensorless with estimator bias, turbo, another
+    /// generation with noisier sensors; then a dead host and a few
+    /// crashed agents.
+    fn motley_fleet() -> Fleet {
+        use serverpower::{ServerConfig, ServerGeneration};
+        use workloads::ServiceKind;
+        let base = ServerConfig::new(ServerGeneration::Haswell2015);
+        let configs: Vec<ServerConfig> = (0..48)
+            .map(|i| match i % 4 {
+                0 => base.clone(),
+                1 => base.clone().without_sensor().with_estimator_bias(0.07),
+                2 => base.clone().with_turbo(),
+                _ => ServerConfig::new(ServerGeneration::Westmere2011).with_sensor_noise(0.03),
+            })
+            .collect();
+        let n = configs.len();
+        let mut fleet = Fleet::new(configs, vec![ServiceKind::Web; n], SimRng::seed_from(31));
+        fleet.set_leaf_spans(std::slice::from_ref(&(0..n)));
+        // A crash storm for a few ticks, then calm: some agents stay
+        // down (the watchdog is 30 s away), most stay up.
+        fleet.set_crash_rate(400.0);
+        for s in 0..3 {
+            fleet.step(SimTime::from_secs(s), SimDuration::from_secs(1));
+        }
+        fleet.set_crash_rate(0.0);
+        let down = fleet.stats().agents_down;
+        assert!(0 < down && down < n / 2, "{down} of {n} agents crashed");
+        fleet.set_server_alive(5, false);
+        fleet
+    }
+
+    /// The two-pass pull against the provided per-call loop, on twin
+    /// fleets over a lossy link: same readings, same failed list, same
+    /// link state and statistics, same per-agent noise streams, same
+    /// RPC tally, same RTT histogram.
+    #[test]
+    fn two_pass_pull_is_the_per_call_pull() {
+        use dynrpc::LinkProfile;
+        const ROUNDS: u64 = 40;
+        let run = |batched: bool| {
+            let mut fleet = motley_fleet();
+            let n = fleet.len();
+            let servers: Vec<ServerHandle> = (0..n as u32)
+                .map(|server_id| ServerHandle {
+                    server_id,
+                    service: ServiceClass::new("web", 1, Power::from_watts(200.0)),
+                })
+                .collect();
+            let mut network = Network::new(LinkProfile::lossy(0.05, 0.05), SimRng::seed_from(7));
+            let mut obs = Observability::new(&dynobs::ObsConfig::on(), 1);
+            let mut pulled = Vec::new();
+            let mut tally = RpcTally::default();
+            for round in 0..ROUNDS {
+                fleet.step(SimTime::from_secs(3 + round), SimDuration::from_secs(1));
+                let mut columns = fleet.agent_columns();
+                let mut agents = columns.leaf(0);
+                let (shards, ids) = obs.shard_ctx();
+                let mut link = LeafLink {
+                    network: &mut network,
+                    agents: &mut agents,
+                    rtt_hist: shards[0].hist_scope(ids.rpc_rtt),
+                    tally,
+                };
+                let mut readings = vec![None; n];
+                let mut failed = Vec::new();
+                if batched {
+                    link.pull(&servers, &mut readings, &mut failed);
+                } else {
+                    PerCall(&mut link).pull(&servers, &mut readings, &mut failed);
+                }
+                tally = link.tally;
+                drop(link);
+                obs.merge_leaves(&[0]);
+                let bits: Vec<Option<u64>> = readings
+                    .iter()
+                    .map(|r: &Option<Power>| r.map(|p| p.as_watts().to_bits()))
+                    .collect();
+                pulled.push((bits, failed));
+            }
+            (
+                pulled,
+                network.state(),
+                fleet.state().agent_rng,
+                tally,
+                obs.prometheus_text(),
+            )
+        };
+        let (two_pass, per_call) = (run(true), run(false));
+        assert_eq!(two_pass.0, per_call.0, "readings / failed lists");
+        assert_eq!(two_pass.1, per_call.1, "link stream and statistics");
+        assert_eq!(two_pass.2, per_call.2, "per-agent noise streams");
+        assert_eq!(two_pass.3, per_call.3, "rpc tally");
+        assert_eq!(two_pass.4, per_call.4, "merged registry");
+
+        // Not vacuous: every kind of outcome occurred.
+        let tally = two_pass.3;
+        assert!(tally.agent_down > 0 && tally.drops > 0 && tally.timeouts > 0);
+        assert_eq!(tally.calls, ROUNDS * 48);
+        assert_eq!(two_pass.1.stats.calls, tally.calls - tally.agent_down);
+        let (bits, failed) = &two_pass.0[0];
+        assert_eq!(bits[5], Some(0f64.to_bits()), "a dead host reads zero");
+        assert!(!failed.is_empty() && failed.windows(2).all(|w| w[0] < w[1]));
+        assert!(two_pass.4.contains("rpc_rtt"), "the RTT histogram exported");
     }
 
     #[test]

@@ -708,8 +708,11 @@ impl Observability {
         for (shard, &band) in self.shards.iter_mut().zip(&state.shard_bands) {
             shard.state = band;
         }
-        self.trace = state.trace.clone();
-        self.flight = state.flight.clone();
+        // Into the configured rings' own buffers: a decoded ring is only
+        // as large as what it holds, and installing it would put the
+        // first records after a resume back on the heap.
+        self.trace.restore_from(&state.trace);
+        self.flight.restore_from(&state.flight);
         self.incident_seq = state.incident_seq;
         Ok(())
     }

@@ -337,6 +337,116 @@ fn idle_fleet_step_does_not_allocate() {
     assert_eq!(total, 0, "fleet physics allocated in steady state");
 }
 
+/// A resumed run must be as quiet as the run it resumes. The snapshot
+/// is taken with the span ring part full, decoded from bytes (so its
+/// rings are only as large as what they hold), and restored into a twin
+/// whose scratch is already warm: the very next leaf ticks push spans,
+/// and must find the ring's configured capacity still reserved.
+///
+/// The only heap traffic allowed is the telemetry recorder's: its two
+/// fleet-level series (no device is watched) are growing `Vec`s by
+/// design, a restore leaves each exactly full, and each grows once at
+/// its next sample.
+fn resumed_run_with_a_part_full_ring_does_not_allocate() {
+    const GROWING_SERIES: u64 = 2;
+    let build = || {
+        dynamo::DatacenterBuilder::new()
+            .sbs_per_msb(1)
+            .rpps_per_sb(2)
+            .racks_per_rpp(2)
+            .servers_per_rack(16)
+            .uniform_service(ServiceKind::Web)
+            .traffic(ServiceKind::Web, workloads::TrafficPattern::flat(1.0))
+            .observability(ObsConfig::on())
+            .watch_levels(Vec::new())
+            .seed(11)
+            .build()
+    };
+    let mut source = build();
+    source.run_for(SimDuration::from_secs(130));
+    let trace = source.system().observability().trace();
+    let spans = trace.total_recorded();
+    assert!(
+        !trace.is_empty() && trace.len() < trace.capacity(),
+        "{} spans: the trace ring must be part full",
+        trace.len()
+    );
+    let bytes = source.state().to_snap_bytes();
+    let state = DatacenterState::from_snap_bytes(&bytes).expect("own snapshot decodes");
+
+    let mut twin = build();
+    twin.run_for(SimDuration::from_secs(130));
+    twin.restore(&state).expect("twin restores");
+    let mut measured = 0;
+    let mut total = 0u64;
+    while measured < 20 {
+        if twin.now().as_secs().is_multiple_of(9) {
+            twin.step();
+            continue;
+        }
+        total += count_allocs(|| twin.step());
+        measured += 1;
+    }
+    assert!(
+        twin.system().observability().trace().total_recorded() > spans,
+        "vacuous: no span was recorded after the resume"
+    );
+    assert_eq!(
+        total, GROWING_SERIES,
+        "the first ticks after a resume allocated beyond the telemetry series"
+    );
+}
+
+/// One ring section with a forged header — `cap` and the record count
+/// both `u64::MAX` — and a tail that ends inside the first record.
+fn forged_ring_section(kind: &str, version: u32) -> Vec<u8> {
+    let mut body = SnapWriter::new();
+    for header in [u64::MAX, 0, 0, u64::MAX] {
+        body.put_u64(header);
+    }
+    body.put_raw(&[0; 7]);
+    let body = body.into_bytes();
+    let mut w = SnapWriter::new();
+    w.put_u32(SECTION_MAGIC);
+    w.put_str(kind);
+    w.put_u32(version);
+    w.put_u64(body.len() as u64);
+    w.put_raw(&body);
+    w.into_bytes()
+}
+
+/// The observability rings store their capacity on the wire; like any
+/// count it is untrusted, and decoding must reserve for what the input
+/// can back, not for what the header claims.
+fn forged_ring_capacity_allocates_within_the_input() {
+    use dynobs::{FlightRecorder, TraceRing};
+    let trace = forged_ring_section(TraceRing::KIND, TraceRing::VERSION);
+    let flight = forged_ring_section(FlightRecorder::KIND, FlightRecorder::VERSION);
+    let mut results = (None, None);
+    count_allocs(|| {
+        results = (
+            Some(TraceRing::from_snap_bytes(&trace).map(drop)),
+            Some(FlightRecorder::from_snap_bytes(&flight).map(drop)),
+        )
+    });
+    assert!(
+        matches!(
+            results,
+            (
+                Some(Err(SnapError::UnexpectedEof { .. })),
+                Some(Err(SnapError::UnexpectedEof { .. }))
+            )
+        ),
+        "a truncated ring body must be a typed error, got {results:?}"
+    );
+    let asked = BYTES.load(Ordering::SeqCst);
+    let input = (trace.len() + flight.len()) as u64;
+    assert!(
+        asked <= input,
+        "decoding {input} hostile bytes asked the heap for {asked}"
+    );
+}
+
 /// A snapshot is untrusted input: a body that ends right after a forged
 /// element count must come back as a typed error, having asked the heap
 /// for no more than the input's own size — never for what the count
@@ -403,8 +513,16 @@ fn main() {
             idle_fleet_step_does_not_allocate,
         ),
         (
+            "resumed_run_with_a_part_full_ring_does_not_allocate",
+            resumed_run_with_a_part_full_ring_does_not_allocate,
+        ),
+        (
             "forged_snapshot_count_allocates_within_the_input",
             forged_snapshot_count_allocates_within_the_input,
+        ),
+        (
+            "forged_ring_capacity_allocates_within_the_input",
+            forged_ring_capacity_allocates_within_the_input,
         ),
     ];
     for (name, case) in cases {

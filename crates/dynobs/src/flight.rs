@@ -277,6 +277,19 @@ impl FlightRecorder {
         }
     }
 
+    /// Overwrites this recorder's contents with `other`'s, into this
+    /// recorder's own buffer — see [`crate::TraceRing::restore_from`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn restore_from(&mut self, other: &FlightRecorder) {
+        assert_eq!(self.cap, other.cap, "flight ring capacity mismatch");
+        self.buf.clone_from(&other.buf);
+        self.next = other.next;
+        self.total = other.total;
+    }
+
     /// Appends a record, overwriting the oldest once full.
     pub fn push(&mut self, record: FlightRecord) {
         if self.buf.len() < self.cap {
@@ -358,20 +371,22 @@ impl Snapshot for FlightRecorder {
         let cap = r.get_u64()? as usize;
         let next = r.get_u64()? as usize;
         let total = r.get_u64()?;
-        let len = r.get_u64()? as usize;
-        if cap == 0 || len > cap || next >= cap.max(1) {
-            return Err(SnapError::Corrupt(format!(
-                "flight ring geometry invalid: cap {cap}, len {len}, next {next}"
-            )));
-        }
-        let mut buf = Vec::with_capacity(cap);
-        for _ in 0..len {
-            buf.push(FlightRecord {
+        // `cap` is the ring's logical size and, like the record count,
+        // untrusted: the buffer is reserved for what the input can back
+        // (`get_vec`), never for what the header claims.
+        let buf = r.get_vec(|r| {
+            Ok(FlightRecord {
                 at_ms: r.get_u64()?,
                 track: r.get_u32()?,
                 controller: r.get_str()?.into(),
                 kind: FlightKind::decode_snap(r)?,
-            });
+            })
+        })?;
+        let len = buf.len();
+        if cap == 0 || len > cap || next >= cap {
+            return Err(SnapError::Corrupt(format!(
+                "flight ring geometry invalid: cap {cap}, len {len}, next {next}"
+            )));
         }
         Ok(FlightRecorder {
             buf,
@@ -430,6 +445,43 @@ mod tests {
         let json = fr.incident_json("curtailment-violation", 5000, 1);
         assert!(json.contains("\"kind\":\"curtailment_violation\""));
         assert!(json.contains("\"limit_watts\":24000"));
+    }
+
+    #[test]
+    fn forged_capacity_is_a_typed_error_not_an_allocation() {
+        // `cap` and the record count both promise the moon; the body
+        // ends three bytes into the first record.
+        let mut body = SnapWriter::new();
+        for header in [u64::MAX, 0, 0, u64::MAX] {
+            body.put_u64(header);
+        }
+        body.put_raw(&[0, 1, 2]);
+        let body = body.into_bytes();
+        let mut w = SnapWriter::new();
+        w.put_u32(dcsim::snap::SECTION_MAGIC);
+        w.put_str(FlightRecorder::KIND);
+        w.put_u32(FlightRecorder::VERSION);
+        w.put_u64(body.len() as u64);
+        w.put_raw(&body);
+        assert!(matches!(
+            FlightRecorder::from_snap_bytes(&w.into_bytes()),
+            Err(SnapError::UnexpectedEof { .. })
+        ));
+    }
+
+    #[test]
+    fn restore_from_keeps_the_up_front_allocation() {
+        let mut source = FlightRecorder::new(64);
+        for t in 0..5 {
+            source.push(rec(t, FlightKind::BreakerTrip));
+        }
+        let decoded = FlightRecorder::from_snap_bytes(&source.to_snap_bytes()).unwrap();
+        assert!(decoded.buf.capacity() < 64, "a decoded ring is input-sized");
+        let mut ring = FlightRecorder::new(64);
+        ring.restore_from(&decoded);
+        assert!(ring.buf.capacity() >= 64);
+        assert_eq!(ring.total_recorded(), 5);
+        assert!(ring.records().eq(source.records()));
     }
 
     #[test]

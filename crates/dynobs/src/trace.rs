@@ -110,6 +110,21 @@ impl TraceRing {
         self.total += 1;
     }
 
+    /// Overwrites this ring's contents with `other`'s, into this ring's
+    /// own buffer: a ring restored from a decoded snapshot keeps its
+    /// up-front allocation (a decoded ring's buffer is only as large as
+    /// what it holds), so pushes after a resume stay off the heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn restore_from(&mut self, other: &TraceRing) {
+        assert_eq!(self.cap, other.cap, "trace ring capacity mismatch");
+        self.buf.clone_from(&other.buf);
+        self.next = other.next;
+        self.total = other.total;
+    }
+
     /// Number of spans currently held.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -187,22 +202,24 @@ impl Snapshot for TraceRing {
         let cap = r.get_u64()? as usize;
         let next = r.get_u64()? as usize;
         let total = r.get_u64()?;
-        let len = r.get_u64()? as usize;
-        if cap == 0 || len > cap || next >= cap.max(1) {
-            return Err(SnapError::Corrupt(format!(
-                "trace ring geometry invalid: cap {cap}, len {len}, next {next}"
-            )));
-        }
-        let mut buf = Vec::with_capacity(cap);
-        for _ in 0..len {
+        // `cap` is the ring's logical size and, like the record count,
+        // untrusted: the buffer is reserved for what the input can back
+        // (`get_vec`), never for what the header claims.
+        let buf = r.get_vec(|r| {
             let kind = SpanKind::from_snap_code(r.get_u8()?)?;
-            buf.push(SpanRecord {
+            Ok(SpanRecord {
                 kind,
                 track: r.get_u32()?,
                 start_us: r.get_u64()?,
                 dur_us: r.get_u64()?,
                 name: r.get_str()?.into(),
-            });
+            })
+        })?;
+        let len = buf.len();
+        if cap == 0 || len > cap || next >= cap {
+            return Err(SnapError::Corrupt(format!(
+                "trace ring geometry invalid: cap {cap}, len {len}, next {next}"
+            )));
         }
         Ok(TraceRing {
             buf,
@@ -237,6 +254,65 @@ mod tests {
         assert_eq!(ring.total_recorded(), 5);
         let starts: Vec<u64> = ring.iter().map(|s| s.start_us).collect();
         assert_eq!(starts, vec![2, 3, 4]);
+    }
+
+    /// A ring section whose body is `cap, next, total, count` and then
+    /// whatever `tail` writes.
+    fn section(cap: u64, count: u64, tail: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+        let mut body = SnapWriter::new();
+        body.put_u64(cap);
+        body.put_u64(0);
+        body.put_u64(0);
+        body.put_u64(count);
+        tail(&mut body);
+        let body = body.into_bytes();
+        let mut w = SnapWriter::new();
+        w.put_u32(dcsim::snap::SECTION_MAGIC);
+        w.put_str(TraceRing::KIND);
+        w.put_u32(TraceRing::VERSION);
+        w.put_u64(body.len() as u64);
+        w.put_raw(&body);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn forged_capacity_is_a_typed_error_not_an_allocation() {
+        // Both header fields promise the moon; the body ends three
+        // bytes into the first record.
+        let truncated = section(u64::MAX, u64::MAX, |w| w.put_raw(&[0, 1, 2]));
+        assert!(matches!(
+            TraceRing::from_snap_bytes(&truncated),
+            Err(SnapError::UnexpectedEof { .. })
+        ));
+        // A complete body still has to respect its own geometry.
+        let overfull = section(1, 2, |w| {
+            for s in [span(SpanKind::LeafCycle, 1), span(SpanKind::RpcPull, 2)] {
+                w.put_u8(s.kind.code());
+                w.put_u32(s.track);
+                w.put_u64(s.start_us);
+                w.put_u64(s.dur_us);
+                w.put_str(&s.name);
+            }
+        });
+        assert!(matches!(
+            TraceRing::from_snap_bytes(&overfull),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn restore_from_keeps_the_up_front_allocation() {
+        let mut source = TraceRing::new(64);
+        for t in 0..5 {
+            source.push(span(SpanKind::LeafCycle, t));
+        }
+        let decoded = TraceRing::from_snap_bytes(&source.to_snap_bytes()).unwrap();
+        assert!(decoded.buf.capacity() < 64, "a decoded ring is input-sized");
+        let mut ring = TraceRing::new(64);
+        ring.restore_from(&decoded);
+        assert!(ring.buf.capacity() >= 64);
+        assert_eq!(ring.total_recorded(), 5);
+        assert!(ring.iter().eq(source.iter()));
     }
 
     #[test]

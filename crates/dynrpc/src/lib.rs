@@ -304,27 +304,48 @@ impl Network {
         endpoint: &mut E,
         req: Request,
     ) -> Result<(Response, SimDuration), RpcError> {
+        let rtt = self.attempt()?;
+        Ok((endpoint.handle(req), rtt))
+    }
+
+    /// Decides the fate of one call on the link, with no endpoint
+    /// involved: the only definition of the link's semantics — drop
+    /// draw, then timeout draw, then the latency draw — which
+    /// [`Network::call_with_latency`] runs before handing the request to
+    /// its endpoint, and a batched caller runs for a whole leaf before
+    /// reading any delivered server (the link stream and the agents'
+    /// streams are independent, so the order between them is
+    /// unobservable). `Ok` carries the round-trip latency of a
+    /// delivered call; every outcome is counted in
+    /// [`Network::stats`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpcError::Dropped`] or [`RpcError::Timeout`] according
+    /// to the link profile.
+    // `always`: a batched caller's loop is this body; out of line, every
+    // call reloads the profile and spills the stream's state.
+    #[inline(always)]
+    pub fn attempt(&mut self) -> Result<SimDuration, RpcError> {
         self.stats.calls += 1;
         if self.rng.chance(self.profile.drop_prob) {
             self.stats.drops += 1;
             return Err(RpcError::Dropped);
         }
-        if self.rng.chance(self.profile.timeout_prob) {
-            // The request still went on the wire: consume the attempt's
-            // latency draw so calls after a timeout see exactly the RNG
-            // stream they would have seen after a success. Without this
-            // a single timeout would permanently shift every later draw
-            // on this link.
-            let rtt = self.draw_rtt();
+        let timed_out = self.rng.chance(self.profile.timeout_prob);
+        // A timed-out request still went on the wire: it consumes the
+        // attempt's latency draw, so calls after a timeout see exactly
+        // the RNG stream they would have seen after a success. Without
+        // this a single timeout would permanently shift every later
+        // draw on this link.
+        let rtt = self.draw_rtt();
+        self.stats.latency_sum += rtt;
+        if timed_out {
             self.stats.timeouts += 1;
-            self.stats.latency_sum += rtt;
             return Err(RpcError::Timeout);
         }
-        let rtt = self.draw_rtt();
-        let resp = endpoint.handle(req);
         self.stats.successes += 1;
-        self.stats.latency_sum += rtt;
-        Ok((resp, rtt))
+        Ok(rtt)
     }
 
     /// Draws one exponential round-trip latency. Exactly one draw per
@@ -569,6 +590,24 @@ mod tests {
         assert_eq!(faulty.stats().timeouts, 1);
         // The timed-out attempt's latency is still accounted for.
         assert_eq!(faulty.stats().latency_sum, clean.stats().latency_sum);
+    }
+
+    #[test]
+    fn attempt_is_the_link_half_of_a_call() {
+        // Same seed, same lossy link: deciding each call's fate with no
+        // endpoint must consume the stream and count the outcomes
+        // exactly as the full call does.
+        let mut calls = Network::new(LinkProfile::lossy(0.2, 0.2), SimRng::seed_from(12));
+        let mut fates = calls.clone();
+        let mut a = agent();
+        for _ in 0..500 {
+            let full = calls.call_with_latency(&mut a, Request::ReadPower);
+            assert_eq!(fates.attempt(), full.map(|(_, rtt)| rtt));
+        }
+        assert_eq!(fates.state(), calls.state());
+        let stats = fates.stats();
+        assert!(stats.drops > 0 && stats.timeouts > 0 && stats.successes > 0);
+        assert_eq!(a.reads as u64, stats.successes);
     }
 
     #[test]

@@ -59,6 +59,7 @@ impl PowerSensor {
     }
 
     /// Reads `true_power` through the sensor.
+    #[inline]
     pub fn read(&self, true_power: Power, rng: &mut SimRng) -> Power {
         let mut w = true_power.as_watts();
         if self.noise_frac > 0.0 {

@@ -201,6 +201,7 @@ impl ServerModel {
     /// Reads power the way the agent does: through the sensor if there
     /// is one, otherwise through the estimation model. `drawn` is the
     /// host's true draw; a dead host reads zero without touching `rng`.
+    #[inline]
     pub fn read_power(&self, drawn: Power, alive: bool, rng: &mut SimRng) -> Power {
         if !alive {
             return Power::ZERO;

@@ -8,6 +8,10 @@
 //! have the published shape (e.g. f4 has the lowest median but the
 //! heaviest tail; news feed and web the highest medians).
 //!
+//! One process at a time is [`ServiceWorkload`]; a fleet's worth, as
+//! columns, is [`kernel::draw_batch`] — both step through the same
+//! [`kernel::step_element`].
+//!
 //! It also models cluster-level *traffic*: the diurnal daily cycle plus
 //! the operational events the paper's case studies revolve around —
 //! [`scenarios`] packages the three §IV shapes (production load test,
@@ -34,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod kernel;
 mod perf;
 pub mod scenarios;
 mod service;

@@ -5,6 +5,8 @@ use dcsim::{SimDuration, SimRng, SimTime};
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
+use crate::kernel::{self, DrawStep};
+
 /// The six Facebook services whose power behaviour the paper
 /// characterizes (§II-B, Figure 6), plus their capping priority metadata
 /// (§III-C3).
@@ -209,9 +211,9 @@ pub struct ServiceParams {
 /// and the tick length, so hot loops stepping thousands of generators of
 /// the same service can compute them once per tick
 /// ([`OuCoeffs::for_params`]) and reuse them via
-/// [`ServiceWorkload::utilization_with`]. The expressions are identical
-/// to the inline ones in [`ServiceWorkload::utilization`], so the two
-/// paths are bit-identical.
+/// [`ServiceWorkload::utilization_with`] or a [`DrawStep`].
+/// [`ServiceWorkload::utilization`] computes the same coefficients per
+/// call, so all three are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OuCoeffs {
     /// `exp(-theta * dt)`.
@@ -260,30 +262,28 @@ pub struct ServiceWorkload {
     params: ServiceParams,
     /// Mean-reverting noise state.
     noise: f64,
-    /// Active burst, if any: (expires_at, additional_utilization).
-    burst: Option<(SimTime, f64)>,
+    /// Active burst as the two scalars [`kernel::step_element`] steps:
+    /// expiry (`SimTime::ZERO` when none) and additional utilization.
+    burst_until: SimTime,
+    burst_add: f64,
     rng: SimRng,
 }
 
 impl ServiceWorkload {
     /// Creates the process with its own RNG stream.
     pub fn new(kind: ServiceKind, rng: SimRng) -> Self {
-        ServiceWorkload {
-            kind,
-            params: kind.params(),
-            noise: 0.0,
-            burst: None,
-            rng,
-        }
+        ServiceWorkload::with_params(kind, kind.params(), rng)
     }
 
     /// Creates the process with custom parameters (ablations, tests).
     pub fn with_params(kind: ServiceKind, params: ServiceParams, rng: SimRng) -> Self {
+        let (burst_until, burst_add) = kernel::burst_to_columns(None);
         ServiceWorkload {
             kind,
             params,
             noise: 0.0,
-            burst: None,
+            burst_until,
+            burst_add,
             rng,
         }
     }
@@ -302,8 +302,6 @@ impl ServiceWorkload {
     /// Panics if `traffic_mult` is negative or not finite, or `dt` is
     /// zero.
     pub fn utilization(&mut self, now: SimTime, traffic_mult: f64, dt: SimDuration) -> f64 {
-        // Discretized OU step; sigma is the *stationary* std-dev, so the
-        // per-step innovation is sigma * sqrt(1 - exp(-2 theta dt)).
         let ou = OuCoeffs::for_params(&self.params, dt);
         self.utilization_with(now, traffic_mult, dt, ou)
     }
@@ -312,7 +310,8 @@ impl ServiceWorkload {
     /// by the caller, so batch steppers can hoist the per-tick `exp` /
     /// `sqrt` out of their inner loop. `ou` must equal
     /// [`OuCoeffs::for_params`] of this process's parameters and `dt` for
-    /// the result to match `utilization` bit-for-bit.
+    /// the result to match `utilization` bit-for-bit. The update itself
+    /// is [`kernel::step_element`], shared with the column kernel.
     ///
     /// # Panics
     ///
@@ -325,36 +324,24 @@ impl ServiceWorkload {
         dt: SimDuration,
         ou: OuCoeffs,
     ) -> f64 {
-        assert!(
-            traffic_mult.is_finite() && traffic_mult >= 0.0,
-            "invalid traffic multiplier {traffic_mult}"
-        );
-        assert!(!dt.is_zero(), "dt must be positive");
-        let p = &self.params;
-        let dt_s = dt.as_secs_f64();
-
-        self.noise = self.noise * ou.decay + self.rng.normal(0.0, ou.innovation);
-
-        // Burst lifecycle.
-        if let Some((until, _)) = self.burst {
-            if now >= until {
-                self.burst = None;
-            }
-        }
-        if self.burst.is_none() && self.rng.chance(p.burst_rate * dt_s) {
-            let dur = self.rng.exponential(1.0 / p.burst_dur_secs);
-            let add = self.rng.uniform(p.burst_min, p.burst_max);
-            self.burst = Some((now + SimDuration::from_secs_f64(dur.max(1.0)), add));
-        }
-
-        let target = p.base_util * (1.0 + p.traffic_sensitivity * (traffic_mult - 1.0));
-        let burst_add = self.burst.map_or(0.0, |(_, a)| a);
-        (target + self.noise + burst_add).clamp(0.02, 1.0)
+        let step = DrawStep::new(&self.params, now, traffic_mult, dt, ou);
+        kernel::step_element(
+            &step,
+            &mut self.rng,
+            &mut self.noise,
+            &mut self.burst_until,
+            &mut self.burst_add,
+        )
     }
 
     /// True while a burst is in flight (exposed for tests/telemetry).
     pub fn in_burst(&self) -> bool {
-        self.burst.is_some()
+        self.burst().is_some()
+    }
+
+    /// The burst in flight, if any: (expires_at, additional_utilization).
+    fn burst(&self) -> Option<(SimTime, f64)> {
+        kernel::burst_from_columns(self.burst_until, self.burst_add)
     }
 
     /// Captures the full process state (parameters included, so custom
@@ -364,7 +351,7 @@ impl ServiceWorkload {
             kind: self.kind.index(),
             params: self.params,
             noise: self.noise,
-            burst: self.burst,
+            burst: self.burst(),
             rng: self.rng.clone(),
         }
     }
@@ -383,7 +370,7 @@ impl ServiceWorkload {
         }
         self.params = state.params;
         self.noise = state.noise;
-        self.burst = state.burst;
+        (self.burst_until, self.burst_add) = kernel::burst_to_columns(state.burst);
         self.rng = state.rng.clone();
         Ok(())
     }
