@@ -1,10 +1,24 @@
 //! The end-to-end datacenter simulation.
 //!
-//! [`Datacenter::step`] is the one tick: fleet physics, the breaker
-//! pre-fold and the leaf control dispatch are each a single
-//! implementation sharded over one shared [`WorkerPool`]
-//! ([`crate::shard`]); the worker-thread setting only sizes that pool,
-//! and one thread means one shard run inline, not a different path.
+//! [`Datacenter::step`] is the one tick: fleet physics and the leaf
+//! control dispatch are each a single implementation sharded over one
+//! shared [`WorkerPool`] ([`crate::shard`]); the worker-thread setting
+//! only sizes that pool, and one thread means one shard run inline, not
+//! a different path. Between the two, the breaker pass steps every
+//! device serially against its subtree's power.
+//!
+//! # Subtree power
+//!
+//! The hierarchy aggregates bottom-up (§III-C, §III-D): the fleet keeps
+//! one exact power partial per leaf, refolded by every step and by
+//! [`Fleet::set_server_alive`], and everything on the tick that needs a
+//! device's draw — the breaker pass, the grid layer's site draw, the
+//! §VI validator, the telemetry sample — reads it through
+//! `Subtree::draw`. A device whose covering leaves tile its servers
+//! exactly (every RPP, SB and MSB) sums those partials; a device inside
+//! one leaf (a rack) folds its servers flat and keeps that fold until
+//! the leaf's power epoch moves. See DESIGN.md §12 for the counts
+//! behind that split.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -12,20 +26,19 @@ use std::sync::Arc;
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimDuration, SimTime};
 use dynpool::{WorkerPool, MAX_WORKERS};
-use powerinfra::{Breaker, BreakerStatus, DeviceId, DeviceLevel, Power, Topology};
+use powerinfra::{Breaker, BreakerStatus, DeviceId, Power, Topology};
 use workloads::ServiceKind;
 
 use crate::control_plane::{DynamoSystem, SystemState};
 use crate::fleet::{Fleet, FleetState};
 use crate::grid::{GridLayer, GridLayerState};
 use crate::obs::TickPhase;
-use crate::shard::{self, front, front_mut};
 use crate::telemetry::{BreakerEvent, Telemetry, TelemetryState};
 use crate::validator::{BreakerValidator, ValidatorState};
 
 /// How the requested worker-thread count becomes the size of the
-/// persistent pool shared by the tick's fan-outs (fleet physics, the
-/// breaker pre-fold, same-instant leaf control dispatch). Workers are
+/// persistent pool shared by the tick's fan-outs (fleet physics,
+/// same-instant leaf control dispatch). Workers are
 /// created once, parked between dispatches, and woken through
 /// atomic-flag mailboxes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,8 +71,8 @@ pub struct Datacenter {
     telemetry: Telemetry,
     now: SimTime,
     tick: SimDuration,
-    /// Servers fed by each device, cached by device index.
-    subtree: Vec<Vec<u32>>,
+    /// Where each device's subtree sits in the fleet, by device index.
+    subtrees: Vec<Subtree>,
     /// Device ids in index order.
     device_ids: Vec<DeviceId>,
     /// Devices with telemetry traces.
@@ -77,16 +90,10 @@ pub struct Datacenter {
     /// after the mode's clamping (none for one thread: every fan-out is
     /// then one inline shard).
     pool: Option<Arc<WorkerPool>>,
-    /// Contiguous server-id range per device, when its subtree is one —
-    /// always true for grid topologies — so subtree power aggregation
-    /// is a flat slice scan instead of an id-list walk.
-    subtree_range: Vec<Option<Range<usize>>>,
     /// Reused buffer for per-sample watched-device readings.
     watched_scratch: Vec<(DeviceId, Power)>,
     /// Validator alerts already forwarded to observability.
     alerts_seen: usize,
-    /// Epoch-keyed cache of per-device subtree draws (see [`DrawCache`]).
-    draw_cache: DrawCache,
     /// Grid-interactive layer (utility signals, economic contracts,
     /// DCUPS buffering), when the builder configured one.
     grid: Option<GridLayer>,
@@ -95,182 +102,88 @@ pub struct Datacenter {
     /// default: wall clocks are non-deterministic, so determinism
     /// tests never enable it.
     profile_ticks: bool,
-    /// Telemetry samples recorded since the last forced full refresh
-    /// of the fleet's memoized total-power fold. Run-control state
-    /// like `profile_ticks` (the refresh recomputes a value the memo
-    /// already holds bit-identically, so a reset-on-resume counter
-    /// changes nothing observable) — deliberately not snapshotted.
-    samples_since_refresh: u32,
 }
 
-/// Telemetry samples between forced full recomputations of the
-/// memoized total-power fold: keyed to the sampling cadence (one
-/// refresh per minute of simulated time at the 3 s grid), so a drift
-/// bug could never ride the memo for more than a cadence period.
-const TELEMETRY_REFRESH_SAMPLES: u32 = 20;
-
-/// Epoch-keyed cache of per-device subtree power sums.
-///
-/// The breaker pass folds the subtree draw of *every* device *every*
-/// tick — `servers × tree-depth` additions that would dominate the
-/// full-site hot loop once active-set physics stops touching the
-/// settled majority. The fleet versions each leaf with a monotone
-/// epoch that is bumped whenever the leaf's drawn power may have
-/// changed bits; a device's cached sum therefore stays exact while the
-/// *sum* of the epochs over its covering leaves equals the watermark
-/// recorded when the sum was folded. The sum — not the max — is the
-/// key because leaf epochs advance independently: a lagging leaf can
-/// change without moving the covering max, but every bump raises the
-/// sum, so any covering-leaf change is witnessed. (Overflow would need
-/// 2⁶⁴ total bumps; unreachable.) The cached value *is* the stored
-/// result of the same fold over the same bits, so serving it is
-/// bit-identical to re-folding.
-///
-/// Bypassed entirely while the fleet's span generation differs from
-/// the one this cache was built against (a mid-run
-/// [`Fleet::set_leaf_spans`] resets leaf epochs and invalidates the
-/// covering-range geometry wholesale), and for devices whose subtree
-/// is not one contiguous id range.
-struct DrawCache {
-    /// Per-device covering leaf-index range into the fleet's leaf
-    /// spans (`None` = this device cannot be cached). Devices below
-    /// leaf level (racks) cover a sub-range of one leaf; any change
-    /// inside that leaf bumps its epoch, so the watermark still
-    /// invalidates conservatively.
-    leaf_range: Vec<Option<Range<usize>>>,
-    /// Whether the covering leaf range *exactly* tiles the device's
-    /// server range (true for every device at leaf level and above on
-    /// grid topologies). A refold for such a device sums the fleet's
-    /// per-leaf power partials — O(leaves) instead of O(servers). At
-    /// leaf level this is the very same ascending fold; above it the
-    /// fold associates per leaf instead of flat, which is equally
-    /// deterministic (the partials are maintained in a fixed order) but
-    /// not bit-identical to the pre-0.6 flat scan (an ulp-level,
-    /// documented behavior change — see CHANGELOG 0.6.0). The fallback
-    /// fold uses the same per-leaf association for tiled devices, so a
-    /// device's draw never flips association within a run; the
-    /// leaf-level validator comparison is unaffected either way.
-    tiled: Vec<bool>,
-    /// Cached subtree draw in watts.
-    draw_w: Vec<f64>,
-    /// Sum of covering-leaf epochs at fold time (`u64::MAX` = never
-    /// folded; epochs start at 0 so no real sum collides with it
-    /// before the first fold).
-    watermark: Vec<u64>,
-    /// [`Fleet::leaf_span_generation`] when this cache's geometry
-    /// (`leaf_range`, `tiled`) was derived. A mismatch disables the
-    /// cache: re-registered spans reset leaf epochs and re-index
-    /// leaves, so both the watermarks and the covering ranges are
-    /// meaningless against the new spans.
-    generation: u64,
-    /// Fixed fold order for the parallel breaker pass: device indices
-    /// laid out level-by-level bottom-up (racks, then RPPs, then SBs,
-    /// then MSBs), ascending within each level — the level-order SoA
-    /// view of the tree. Each device's fold reads only fleet arrays
-    /// (never another device's draw), so positions are independent and
-    /// [`Datacenter::precompute_draws`] chunks them across
-    /// workers; the order is fixed so chunk boundaries, and therefore
-    /// which worker computes what, never affect the result. Empty when
-    /// the topology has a device outside the four grid levels, which
-    /// disables the pre-fold rather than stepping a breaker against a
-    /// stale draw.
-    fold_order: Vec<u32>,
-    /// Per-fold-position refold cost estimate (covering leaves for
-    /// tiled devices, subtree servers otherwise) used to balance the
-    /// chunks.
-    weight: Vec<u64>,
-    /// Per-fold-position worker output: the draw in watts…
-    scratch_draw: Vec<f64>,
-    /// …and the covering-epoch watermark it is exact for (`u64::MAX`
-    /// for uncacheable devices).
-    scratch_mark: Vec<u64>,
-    /// Cached chunk ends (exclusive, into `fold_order`) so the
-    /// steady-state dispatch allocates nothing.
-    chunk_ends: Vec<usize>,
-    /// Worker count `chunk_ends` was balanced for (0 = never).
-    chunks_for: usize,
+/// Where one device's subtree sits in the fleet's id space, fixed at
+/// assembly, and how its power is read on the tick.
+struct Subtree {
+    /// The servers the device feeds: always one contiguous ascending id
+    /// range ([`Datacenter::assemble`] asserts it).
+    servers: Range<u32>,
+    /// The fleet leaves overlapping `servers`.
+    leaves: Range<usize>,
+    /// Whether `leaves` tile `servers` exactly — every device at leaf
+    /// level and above. Such a device draws the sum of the fleet's
+    /// maintained per-leaf partials: O(leaves) additions over values
+    /// that are already exact, so there is nothing to cache (a
+    /// watermark over the same leaves would cost as many additions as
+    /// the sum it guards). At leaf level that is the flat ascending
+    /// fold itself; above it the fold associates per leaf, one fixed
+    /// association for the whole run. A device that is not tiled sits
+    /// inside one leaf (a rack) and folds its servers flat.
+    tiled: bool,
+    /// The flat fold of a device inside one leaf, kept while
+    /// `memo_key` still reads what it was folded at: most leaves of a
+    /// settled fleet change no power bit on most ticks, and every rack
+    /// is stepped every tick.
+    memo_w: f64,
+    /// `(span generation, power epoch of the one covering leaf)` at
+    /// fold time. Every change to a server's drawn power bumps its
+    /// leaf's epoch; re-registering spans restarts epochs at zero, so
+    /// the generation is part of the key.
+    memo_key: (u64, u64),
 }
 
-/// Subtree power of device `i` through the epoch cache; falls back to
-/// the direct fold (and does not populate the cache) when the spans
-/// were re-registered or the device is uncacheable. A free function
-/// over split field borrows so callers can hold `&mut` topology state.
-fn cached_subtree_power(
-    cache: &mut DrawCache,
-    fleet: &Fleet,
-    subtree_range: &[Option<Range<usize>>],
-    subtree: &[Vec<u32>],
-    i: usize,
-) -> Power {
-    if fleet.leaf_span_generation() != cache.generation {
-        // Spans were re-registered after this cache's geometry was
-        // derived: covering ranges and watermarks are both stale.
-        return match &subtree_range[i] {
-            Some(range) => fleet.power_sum_range(range.clone()),
-            None => fleet.power_sum(&subtree[i]),
-        };
-    }
-    if let Some(Some(lr)) = cache.leaf_range.get(i) {
-        let epochs = fleet.leaf_epochs();
-        if lr.end <= epochs.len() {
-            // Keyed on the SUM of covering epochs: each epoch is
-            // monotone, so any leaf bump raises the sum even when
-            // it does not move the covering max (a lagging leaf
-            // catching up must still invalidate).
-            let mark = epochs[lr.clone()].iter().sum::<u64>();
-            if cache.watermark[i] == mark {
-                return Power::from_watts(cache.draw_w[i]);
-            }
-            let p = fold_subtree(
-                &cache.tiled,
-                &cache.leaf_range,
-                fleet,
-                subtree_range,
-                subtree,
-                i,
-            );
-            cache.draw_w[i] = p.as_watts();
-            cache.watermark[i] = mark;
-            return p;
+/// A `memo_key` no fold was ever taken at.
+const NEVER_FOLDED: (u64, u64) = (u64::MAX, u64::MAX);
+
+impl Subtree {
+    /// Locates the subtree feeding `ids` (ascending) among the fleet's
+    /// leaf `spans`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the device, unless `ids` is one contiguous
+    /// ascending range that whole leaves tile or one leaf contains —
+    /// the only shapes [`powerinfra::TopologyBuilder`] lays out.
+    fn locate(name: &str, ids: &[u32], spans: &[Range<usize>]) -> Subtree {
+        let start = ids.first().copied().unwrap_or(0);
+        assert!(
+            !ids.is_empty() && ids.iter().zip(start..).all(|(&sid, k)| sid == k),
+            "device {name} does not feed one contiguous ascending server range"
+        );
+        let (lo, hi) = (start as usize, start as usize + ids.len());
+        let leaves =
+            spans.partition_point(|s| s.end <= lo)..spans.partition_point(|s| s.start < hi);
+        let tiled = spans[leaves.start].start == lo && spans[leaves.end - 1].end == hi;
+        assert!(
+            tiled || leaves.len() == 1,
+            "device {name} is neither tiled by whole leaves nor inside one leaf"
+        );
+        Subtree {
+            servers: start..hi as u32,
+            leaves,
+            tiled,
+            memo_w: 0.0,
+            memo_key: NEVER_FOLDED,
         }
     }
-    fold_subtree(
-        &cache.tiled,
-        &cache.leaf_range,
-        fleet,
-        subtree_range,
-        subtree,
-        i,
-    )
-}
 
-/// The uncached subtree fold for device `i`, with one fixed
-/// association per device: tiled devices (leaf level and above) fold
-/// per covering leaf and then sum the partials, everything else folds
-/// flat. The cached path stores exactly these results, and the fleet's
-/// maintained partials are the same per-leaf ascending folds, so a
-/// device's draw is bit-stable across cache hits and refolds within a
-/// run. Only meaningful while the
-/// cache's span generation matches the fleet's. Takes the cache's
-/// geometry as plain slices so the pre-fold can call it from workers
-/// while the owner holds `&mut` scratch.
-fn fold_subtree(
-    tiled: &[bool],
-    leaf_range: &[Option<Range<usize>>],
-    fleet: &Fleet,
-    subtree_range: &[Option<Range<usize>>],
-    subtree: &[Vec<u32>],
-    i: usize,
-) -> Power {
-    if tiled[i] {
-        let lr = leaf_range[i]
-            .clone()
-            .expect("tiled devices have covering leaves");
-        return Power::from_watts(fleet.leaf_power_partials()[lr].iter().sum());
-    }
-    match &subtree_range[i] {
-        Some(range) => fleet.power_sum_range(range.clone()),
-        None => fleet.power_sum(&subtree[i]),
+    /// The subtree's true power right now.
+    fn draw(&mut self, fleet: &Fleet) -> Power {
+        if self.tiled {
+            let partials = &fleet.leaf_power_partials()[self.leaves.clone()];
+            return Power::from_watts(partials.iter().sum());
+        }
+        let key = (
+            fleet.leaf_span_generation(),
+            fleet.leaf_epochs()[self.leaves.start],
+        );
+        if self.memo_key != key {
+            self.memo_w = fleet.power_sum(self.servers.clone()).as_watts();
+            self.memo_key = key;
+        }
+        Power::from_watts(self.memo_w)
     }
 }
 
@@ -286,9 +199,6 @@ impl Datacenter {
         validator: BreakerValidator,
         grid: Option<GridLayer>,
     ) -> Self {
-        let subtree: Vec<Vec<u32>> = topo.iter().map(|d| topo.servers_under(d.id)).collect();
-        let subtree_range: Vec<Option<Range<usize>>> =
-            subtree.iter().map(|ids| contiguous_range(ids)).collect();
         let device_ids: Vec<DeviceId> = topo.iter().map(|d| d.id).collect();
         let breaker_status = vec![BreakerStatus::Nominal; topo.device_count()];
         let mut fleet = fleet;
@@ -296,71 +206,10 @@ impl Datacenter {
         // partials, over the control plane's leaves.
         let spans = system.leaf_spans();
         fleet.set_leaf_spans(spans);
-        let n_dev = topo.device_count();
-        let leaf_range: Vec<Option<Range<usize>>> = subtree_range
+        let subtrees = topo
             .iter()
-            .map(|r| {
-                r.as_ref().map(|r| {
-                    let l0 = spans.partition_point(|s| s.end <= r.start);
-                    let l1 = spans.partition_point(|s| s.start < r.end);
-                    l0..l1
-                })
-            })
+            .map(|d| Subtree::locate(&d.name, &topo.servers_under(d.id), spans))
             .collect();
-        let tiled: Vec<bool> = leaf_range
-            .iter()
-            .zip(&subtree_range)
-            .map(|(lr, sr)| match (lr, sr) {
-                (Some(lr), Some(sr)) if lr.start < lr.end => {
-                    spans[lr.start].start == sr.start && spans[lr.end - 1].end == sr.end
-                }
-                _ => false,
-            })
-            .collect();
-        // Level-order fold layout for the breaker pre-fold:
-        // bottom-up so a chunk boundary can only ever split within a
-        // level, never interleave levels.
-        let mut fold_order: Vec<u32> = Vec::with_capacity(n_dev);
-        for level in [
-            DeviceLevel::Rack,
-            DeviceLevel::Rpp,
-            DeviceLevel::Sb,
-            DeviceLevel::Msb,
-        ] {
-            fold_order.extend(topo.devices_at(level).iter().map(|d| d.index() as u32));
-        }
-        if fold_order.len() != n_dev {
-            // A device outside the four grid levels: no level-order
-            // view, so the pre-fold stays disabled.
-            fold_order.clear();
-        }
-        let weight: Vec<u64> = fold_order
-            .iter()
-            .map(|&idx| {
-                let i = idx as usize;
-                match (&leaf_range[i], tiled[i]) {
-                    (Some(lr), true) => (lr.end - lr.start).max(1) as u64,
-                    _ => subtree[i].len().max(1) as u64,
-                }
-            })
-            .collect();
-        let n_fold = fold_order.len();
-        let draw_cache = DrawCache {
-            leaf_range,
-            tiled,
-            draw_w: vec![0.0; n_dev],
-            watermark: vec![u64::MAX; n_dev],
-            // Captured after the set_leaf_spans call above: any later
-            // re-registration bumps the fleet's generation and disables
-            // this cache rather than risking stale-watermark collisions.
-            generation: fleet.leaf_span_generation(),
-            fold_order,
-            weight,
-            scratch_draw: vec![0.0; n_fold],
-            scratch_mark: vec![u64::MAX; n_fold],
-            chunk_ends: Vec::with_capacity(MAX_WORKERS),
-            chunks_for: 0,
-        };
         Datacenter {
             topo,
             fleet,
@@ -368,7 +217,7 @@ impl Datacenter {
             telemetry,
             now: SimTime::ZERO,
             tick,
-            subtree,
+            subtrees,
             device_ids,
             watched,
             breaker_status,
@@ -376,13 +225,10 @@ impl Datacenter {
             worker_threads: 1,
             parallel_mode: ParallelMode::default(),
             pool: None,
-            subtree_range,
             watched_scratch: Vec::new(),
             alerts_seen: 0,
-            draw_cache,
             grid,
             profile_ticks: false,
-            samples_since_refresh: 0,
         }
     }
 
@@ -396,10 +242,10 @@ impl Datacenter {
         self.profile_ticks = enabled;
     }
 
-    /// Sets the number of worker threads used for fleet physics, the
-    /// breaker pre-fold *and* leaf control cycles, creating or resizing
-    /// the persistent worker pool they share. The simulation is
-    /// bit-identical at any thread count.
+    /// Sets the number of worker threads used for fleet physics *and*
+    /// leaf control cycles, creating or resizing the persistent worker
+    /// pool they share. The simulation is bit-identical at any thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -450,15 +296,9 @@ impl Datacenter {
         }
     }
 
-    /// True subtree power of device index `i`: a flat contiguous scan
-    /// when the subtree is one server-id run (grid topologies), the
-    /// id-list walk otherwise. Both are the same ascending fold, so the
-    /// result is bit-identical either way.
-    fn subtree_power(&self, i: usize) -> Power {
-        match &self.subtree_range[i] {
-            Some(range) => self.fleet.power_sum_range(range.clone()),
-            None => self.fleet.power_sum(&self.subtree[i]),
-        }
+    /// The server ids fed by `device`, ascending.
+    fn servers_under(&self, device: DeviceId) -> Range<u32> {
+        self.subtrees[device.index()].servers.clone()
     }
 
     /// Current simulated time.
@@ -507,199 +347,52 @@ impl Datacenter {
         self.grid.as_ref()
     }
 
-    /// True power currently flowing through `device` (sum of subtree
-    /// servers).
+    /// True power currently flowing through `device`: the flat
+    /// ascending fold over its servers.
     pub fn device_power(&self, device: DeviceId) -> Power {
-        self.subtree_power(device.index())
+        self.fleet.power_sum(self.servers_under(device))
     }
 
-    /// True when every device's epoch-cached draw matches a fresh fold
-    /// bit for bit. Serving a draw through the cache is allowed to
-    /// populate it, so this needs `&mut self`; it never changes what
-    /// any subsequent read returns.
-    ///
-    /// When a mid-run re-span has disabled the cache (generation
-    /// mismatch), serving falls back to flat folds — the audit then
-    /// compares against the same flat association, so the probe stays
-    /// meaningful in every cache regime.
+    /// True when every device's draw, as the tick reads it, equals bit
+    /// for bit an independent fold of the per-server watts in that
+    /// device's association — per covering leaf, then across leaves,
+    /// for a device its leaves tile; flat for one inside a leaf. It
+    /// audits the fleet's maintained partials and the rack memo alike.
+    /// Reading a draw may refresh a memo, so this needs `&mut self`; it
+    /// never changes what any subsequent read returns.
     pub fn draw_cache_is_exact(&mut self) -> bool {
-        let bypassed = self.fleet.leaf_span_generation() != self.draw_cache.generation;
-        for i in 0..self.subtree.len() {
-            let served = cached_subtree_power(
-                &mut self.draw_cache,
-                &self.fleet,
-                &self.subtree_range,
-                &self.subtree,
-                i,
-            );
-            let fresh = if bypassed {
-                match &self.subtree_range[i] {
-                    Some(range) => self.fleet.power_sum_range(range.clone()),
-                    None => self.fleet.power_sum(&self.subtree[i]),
-                }
+        let fleet = &self.fleet;
+        let flat = |r: Range<u32>| fleet.power_sum(r).as_watts();
+        self.subtrees.iter_mut().all(|t| {
+            let fresh: f64 = if t.tiled {
+                fleet.leaf_spans()[t.leaves.clone()]
+                    .iter()
+                    .map(|l| flat(l.start as u32..l.end as u32))
+                    .sum()
             } else {
-                fold_subtree(
-                    &self.draw_cache.tiled,
-                    &self.draw_cache.leaf_range,
-                    &self.fleet,
-                    &self.subtree_range,
-                    &self.subtree,
-                    i,
-                )
+                flat(t.servers.clone())
             };
-            if served.as_watts().to_bits() != fresh.as_watts().to_bits() {
-                return false;
-            }
-        }
-        true
+            t.draw(fleet).as_watts().to_bits() == fresh.to_bits()
+        })
     }
 
     /// Power through `device` attributable to one service (Figure 15's
     /// breakdown view).
     pub fn service_power(&self, device: DeviceId, kind: ServiceKind) -> Power {
         self.fleet
-            .power_sum_of_service(&self.subtree[device.index()], kind)
+            .power_sum_of_service(self.servers_under(device), kind)
     }
 
     /// Number of servers currently capped under `device`.
     pub fn capped_under(&self, device: DeviceId) -> usize {
-        self.subtree[device.index()]
-            .iter()
-            .filter(|&&s| self.fleet.cap_of(s).is_some())
+        self.servers_under(device)
+            .filter(|&s| self.fleet.cap_of(s).is_some())
             .count()
     }
 
     /// Mean performance factor of the servers under `device`.
     pub fn performance_under(&self, device: DeviceId) -> f64 {
-        self.fleet.mean_performance(&self.subtree[device.index()])
-    }
-
-    /// The breaker pre-fold: computes every device's subtree draw into
-    /// the cache's level-order scratch arrays, sharded over the worker
-    /// pool (one inline shard without one), then folds the results back
-    /// into the cache serially in fold order. Each position's value is
-    /// exactly what a live cached fold would produce for that device
-    /// *before any breaker stepped this tick* — same watermark check,
-    /// same per-device fold association — so the pass is bit-identical
-    /// at any width.
-    ///
-    /// Returns `false` (leaving the cache untouched) when the pass
-    /// cannot run: a stale span generation or no level-order layout.
-    /// The caller then steps breakers against live cached folds.
-    fn precompute_draws(&mut self) -> bool {
-        let n = self.draw_cache.fold_order.len();
-        if n == 0
-            || n != self.device_ids.len()
-            || self.fleet.leaf_span_generation() != self.draw_cache.generation
-        {
-            return false;
-        }
-        let pool = self.pool.as_deref();
-        let shards = shard::width(pool, n);
-        let DrawCache {
-            leaf_range,
-            tiled,
-            draw_w,
-            watermark,
-            generation: _,
-            fold_order,
-            weight,
-            scratch_draw,
-            scratch_mark,
-            chunk_ends,
-            chunks_for,
-        } = &mut self.draw_cache;
-
-        if *chunks_for != shards {
-            // Re-balance the chunk boundaries by refold cost. Only on a
-            // width change; the steady state reuses them.
-            chunk_ends.clear();
-            let total: u64 = weight.iter().sum();
-            let mut acc = 0u64;
-            for (pos, &w) in weight.iter().enumerate() {
-                acc += w;
-                if chunk_ends.len() < shards - 1
-                    && acc * shards as u64 >= (chunk_ends.len() as u64 + 1) * total
-                {
-                    chunk_ends.push(pos + 1);
-                }
-            }
-            while chunk_ends.len() < shards - 1 {
-                chunk_ends.push(n);
-            }
-            chunk_ends.push(n);
-            *chunks_for = shards;
-        }
-
-        {
-            // Shared immutable context for the shards; `&Fleet` is
-            // `Sync` (owned data only), and the cache's draw/watermark
-            // arrays are read-only here — shards write scratch.
-            let fleet = &self.fleet;
-            let epochs = fleet.leaf_epochs();
-            let subtree_range = &self.subtree_range[..];
-            let subtree = &self.subtree[..];
-            let leaf_range = &leaf_range[..];
-            let tiled = &tiled[..];
-            let draw_w = &draw_w[..];
-            let watermark = &watermark[..];
-
-            // What a live cached fold would compute for device `i` at
-            // this instant: a cache hit when the covering-epoch sum
-            // still matches, the fixed-association refold otherwise.
-            let compute = |i: usize| -> (f64, u64) {
-                if let Some(lr) = &leaf_range[i] {
-                    if lr.end <= epochs.len() {
-                        let mark = epochs[lr.clone()].iter().sum::<u64>();
-                        if watermark[i] == mark {
-                            return (draw_w[i], mark);
-                        }
-                        let p = fold_subtree(tiled, leaf_range, fleet, subtree_range, subtree, i);
-                        return (p.as_watts(), mark);
-                    }
-                }
-                let p = fold_subtree(tiled, leaf_range, fleet, subtree_range, subtree, i);
-                (p.as_watts(), u64::MAX)
-            };
-
-            struct FoldJob<'a> {
-                order: &'a [u32],
-                draws: &'a mut [f64],
-                marks: &'a mut [u64],
-            }
-            let mut order_rest = &fold_order[..];
-            let mut draw_rest = &mut scratch_draw[..];
-            let mut mark_rest = &mut scratch_mark[..];
-            let mut ends = chunk_ends.iter();
-            let mut start = 0;
-            let carve = || {
-                let end = *ends.next().expect("one chunk end per shard");
-                let take = end - start;
-                start = end;
-                FoldJob {
-                    order: front(&mut order_rest, take),
-                    draws: front_mut(&mut draw_rest, take),
-                    marks: front_mut(&mut mark_rest, take),
-                }
-            };
-            shard::run_sharded(pool, shards, carve, |job| {
-                for (k, &idx) in job.order.iter().enumerate() {
-                    (job.draws[k], job.marks[k]) = compute(idx as usize);
-                }
-            });
-        }
-
-        // Serial copy-back in fold order: after this, the cache holds
-        // for every device exactly what a live fold would have stored
-        // while stepping it.
-        for (pos, &idx) in fold_order.iter().enumerate() {
-            let i = idx as usize;
-            draw_w[i] = scratch_draw[pos];
-            if scratch_mark[pos] != u64::MAX {
-                watermark[i] = scratch_mark[pos];
-            }
-        }
-        true
+        self.fleet.mean_performance(self.servers_under(device))
     }
 
     /// Advances the simulation by one tick.
@@ -714,29 +407,13 @@ impl Datacenter {
         self.fleet.step(now, self.tick);
         lap.mark(&mut phase_secs, TickPhase::FusedTile);
 
-        // 2. Breaker thermal models over true subtree power. Draws go
-        // through the epoch cache: with active-set physics on, most
-        // leaves' power is bit-unchanged most ticks, so most devices
-        // serve their cached fold instead of re-summing the subtree.
-        // The pre-fold computes every draw first, sharded over the
-        // pool; breakers then step serially against those values,
-        // falling back to live folds from the first trip on so later
-        // devices observe the blackout (the kill bumps the victims'
-        // leaf epochs, so a stale pre-folded draw is never served).
-        let mut live_draws = !self.precompute_draws();
+        // 2. Breaker thermal models over true subtree power, in device
+        // order — a parent before its children — each against the draw
+        // read at that moment, so a trip's blackout is seen by every
+        // later device of the same tick.
         for i in 0..self.device_ids.len() {
             let id = self.device_ids[i];
-            let draw = if live_draws {
-                cached_subtree_power(
-                    &mut self.draw_cache,
-                    &self.fleet,
-                    &self.subtree_range,
-                    &self.subtree,
-                    i,
-                )
-            } else {
-                Power::from_watts(self.draw_cache.draw_w[i])
-            };
+            let draw = self.subtrees[i].draw(&self.fleet);
             let status = self.topo.device_mut(id).breaker.step(draw, self.tick);
             if status != self.breaker_status[i] {
                 self.breaker_status[i] = status;
@@ -753,11 +430,11 @@ impl Datacenter {
                     );
                     // A tripped breaker blacks out everything below
                     // it. Routed through the fleet's alive hook so the
-                    // cached power arrays stay exact mid-step.
-                    for &s in &self.subtree[i] {
+                    // power column and the leaf partials stay exact
+                    // mid-pass.
+                    for s in self.servers_under(id) {
                         self.fleet.set_server_alive(s, false);
                     }
-                    live_draws = true;
                 }
             }
         }
@@ -766,20 +443,11 @@ impl Datacenter {
         // 2b. Grid-interactive layer: read the utility signal, run any
         // economic cycle due (pushing contractual limits onto the MSB
         // controllers the next stage will act on), and ride the DCUPS
-        // banks against the utility target. Site draw reuses the epoch
-        // cache populated by the breaker pass above, so this is a few
-        // cache hits per tick.
+        // banks against the utility target.
         if let Some(grid) = self.grid.as_mut() {
             let mut site_w = 0.0;
             for &(d, _) in grid.msbs() {
-                site_w += cached_subtree_power(
-                    &mut self.draw_cache,
-                    &self.fleet,
-                    &self.subtree_range,
-                    &self.subtree,
-                    d.index(),
-                )
-                .as_watts();
+                site_w += self.subtrees[d.index()].draw(&self.fleet).as_watts();
             }
             grid.step(
                 now,
@@ -804,13 +472,7 @@ impl Datacenter {
             for dev in self.system.leaf_devices() {
                 let dev = *dev;
                 if let Some(aggregate) = self.system.leaf_aggregate(dev) {
-                    let true_power = cached_subtree_power(
-                        &mut self.draw_cache,
-                        &self.fleet,
-                        &self.subtree_range,
-                        &self.subtree,
-                        dev.index(),
-                    );
+                    let true_power = self.subtrees[dev.index()].draw(&self.fleet);
                     self.validator.observe(now, dev, true_power, aggregate);
                 }
             }
@@ -827,29 +489,12 @@ impl Datacenter {
         }
         lap.mark(&mut phase_secs, TickPhase::Validator);
 
-        // 5. Telemetry sampling. The fleet's total power comes from a
-        // quiescence-keyed memo; every
-        // `TELEMETRY_REFRESH_SAMPLES`-th sample forces a full
-        // recomputation (and, in debug builds, cross-checks the memo
-        // against the flat fold), so the merged sample stream can
-        // never ride a stale memo for more than a cadence period.
+        // 5. Telemetry sampling.
         if self.telemetry.sample_due(now) {
-            self.samples_since_refresh += 1;
-            if self.samples_since_refresh >= TELEMETRY_REFRESH_SAMPLES {
-                self.samples_since_refresh = 0;
-                self.fleet.refresh_total_power();
-            }
             let mut watched = std::mem::take(&mut self.watched_scratch);
             watched.clear();
             for &d in &self.watched {
-                let p = cached_subtree_power(
-                    &mut self.draw_cache,
-                    &self.fleet,
-                    &self.subtree_range,
-                    &self.subtree,
-                    d.index(),
-                );
-                watched.push((d, p));
+                watched.push((d, self.subtrees[d.index()].draw(&self.fleet)));
             }
             let stats = self.fleet.stats();
             let obs = self.system.observability_mut();
@@ -975,17 +620,18 @@ impl Datacenter {
         }
         self.alerts_seen = state.alerts_seen as usize;
         self.now = SimTime::from_millis(state.now_ms);
-        // The draw cache keys on leaf epochs that just changed under
-        // it: force a refold of every device at the next read.
-        for w in &mut self.draw_cache.watermark {
-            *w = u64::MAX;
+        // The restored epochs are another run's: no memo survives.
+        for t in &mut self.subtrees {
+            t.memo_key = NEVER_FOLDED;
         }
-        self.draw_cache.generation = self.fleet.leaf_span_generation();
         Ok(())
     }
 
     /// Operator action after an outage: resets `device`'s breaker and
-    /// powers its subtree back on.
+    /// powers its subtree back on — except the servers still behind
+    /// another open breaker, above `device` or below it: nothing would
+    /// re-apply that breaker's blackout (a tripped breaker no longer
+    /// steps), so they stay dark until it is reset too.
     ///
     /// # Panics
     ///
@@ -993,8 +639,16 @@ impl Datacenter {
     pub fn reset_breaker(&mut self, device: DeviceId) {
         self.topo.device_mut(device).breaker.reset();
         self.breaker_status[device.index()] = BreakerStatus::Nominal;
-        for &s in &self.subtree[device.index()] {
-            self.fleet.set_server_alive(s, true);
+        // What is still behind an open breaker: an ancestor's range
+        // covers the whole subtree, a descendant's part of it.
+        let dark: Vec<Range<u32>> = (0..self.device_ids.len())
+            .filter(|&j| self.breaker_status[j] == BreakerStatus::Tripped)
+            .map(|j| self.subtrees[j].servers.clone())
+            .collect();
+        for s in self.servers_under(device) {
+            if !dark.iter().any(|r| r.contains(&s)) {
+                self.fleet.set_server_alive(s, true);
+            }
         }
     }
 }
@@ -1122,16 +776,6 @@ impl Lap {
     }
 }
 
-/// `Some(start..end)` when `ids` is the contiguous ascending run
-/// `start..end`, else `None`.
-fn contiguous_range(ids: &[u32]) -> Option<Range<usize>> {
-    let first = *ids.first()? as usize;
-    ids.iter()
-        .enumerate()
-        .all(|(k, &sid)| sid as usize == first + k)
-        .then(|| first..first + ids.len())
-}
-
 impl std::fmt::Debug for Datacenter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Datacenter")
@@ -1146,141 +790,271 @@ impl std::fmt::Debug for Datacenter {
 mod tests {
     use super::*;
     use crate::{DatacenterBuilder, ServicePlan};
-    use workloads::ServiceKind;
+    use powerinfra::DeviceLevel;
+    use workloads::{ServiceKind, TrafficPattern};
 
-    /// 1 MSB / 2 SBs / 4 RPP leaves / 8 racks / 32 servers: every
-    /// device class the cache distinguishes (multi-leaf tiled, exactly
-    /// one leaf, sub-leaf rack).
-    fn small_dc(seed: u64) -> Datacenter {
+    /// 1 MSB / 2 SBs / 4 RPP leaves / 32 servers, with SB breakers so
+    /// tight and no capping, so one trips within seconds. With two
+    /// racks per RPP the tree has a multi-leaf device (MSB, SBs), a
+    /// device that is exactly one leaf (RPP) and a sub-leaf device
+    /// (rack); with one, the rack tiles a leaf too.
+    fn small_dc(seed: u64, racks_per_rpp: usize) -> Datacenter {
         DatacenterBuilder::new()
             .sbs_per_msb(2)
             .rpps_per_sb(2)
-            .racks_per_rpp(2)
-            .servers_per_rack(4)
+            .racks_per_rpp(racks_per_rpp)
+            .servers_per_rack(8 / racks_per_rpp)
+            .sb_rating(Power::from_kilowatts(2.0))
+            .capping_enabled(false)
             .service_plan(ServicePlan::Mix(vec![
                 (ServiceKind::Web, 0.6),
                 (ServiceKind::Cache, 0.4),
             ]))
+            .traffic(ServiceKind::Web, TrafficPattern::flat(1.5))
             .seed(seed)
             .build()
     }
 
-    /// Every device's served draw must equal a fresh fold of the same
-    /// association, bitwise, regardless of which leaves changed since
-    /// its watermark was recorded.
-    fn assert_cache_exact(dc: &mut Datacenter) {
+    /// Device `d`'s draw folded from `power_of` alone, in the
+    /// association the tick promises: per covering leaf and then across
+    /// leaves when whole leaves tile the subtree, flat otherwise.
+    /// Shares nothing with [`Subtree`]: ids come from the topology,
+    /// leaves from the control plane.
+    fn independent_draw(dc: &Datacenter, d: DeviceId) -> f64 {
+        let ids = dc.topo.servers_under(d);
+        let (lo, hi) = (ids[0] as usize, ids[ids.len() - 1] as usize + 1);
+        let flat =
+            |r: Range<usize>| -> f64 { r.map(|s| dc.fleet.power_of(s as u32).as_watts()).sum() };
+        let spans = dc.system.leaf_spans();
+        let inside: Vec<Range<usize>> = spans
+            .iter()
+            .filter(|l| lo <= l.start && l.end <= hi)
+            .cloned()
+            .collect();
+        let tiled = inside.first().is_some_and(|l| l.start == lo)
+            && inside.last().is_some_and(|l| l.end == hi);
+        if tiled {
+            inside.into_iter().map(flat).sum()
+        } else {
+            flat(lo..hi)
+        }
+    }
+
+    /// Every device's draw, as the tick reads it, must carry the bits
+    /// of the independent fold — and the public probe must agree.
+    fn assert_draws_exact(dc: &mut Datacenter, when: &str) {
         for i in 0..dc.device_ids.len() {
-            let fresh = fold_subtree(
-                &dc.draw_cache.tiled,
-                &dc.draw_cache.leaf_range,
-                &dc.fleet,
-                &dc.subtree_range,
-                &dc.subtree,
-                i,
-            );
-            let served = cached_subtree_power(
-                &mut dc.draw_cache,
-                &dc.fleet,
-                &dc.subtree_range,
-                &dc.subtree,
-                i,
-            );
+            let served = dc.subtrees[i].draw(&dc.fleet).as_watts();
+            let fresh = independent_draw(dc, dc.device_ids[i]);
             assert_eq!(
-                served.as_watts().to_bits(),
-                fresh.as_watts().to_bits(),
-                "device {i} served a stale cached draw"
+                served.to_bits(),
+                fresh.to_bits(),
+                "{when}: device {} drew {served} W, its servers fold to {fresh} W",
+                dc.topo.device(dc.device_ids[i]).name
             );
         }
+        assert!(dc.draw_cache_is_exact(), "{when}: probe disagrees");
     }
 
     #[test]
-    fn draw_cache_never_serves_stale_sums_across_mutations() {
-        let mut dc = small_dc(17);
-        for _ in 0..5 {
+    fn device_draw_is_exact_for_every_device_class_under_churn() {
+        for racks_per_rpp in [2, 1] {
+            let mut dc = small_dc(17, racks_per_rpp);
+            let leaves_of = |level| {
+                let ids = dc.topo.devices_at(level);
+                let t = &dc.subtrees[ids[0].index()];
+                (t.tiled, t.leaves.len())
+            };
+            assert_eq!(leaves_of(DeviceLevel::Msb), (true, 4));
+            assert_eq!(leaves_of(DeviceLevel::Sb), (true, 2));
+            assert_eq!(leaves_of(DeviceLevel::Rpp), (true, 1));
+            assert_eq!(leaves_of(DeviceLevel::Rack), (racks_per_rpp == 1, 1));
+
             dc.step();
-        }
-        assert_cache_exact(&mut dc);
-
-        let spans: Vec<Range<usize>> = dc.system.leaf_spans().to_vec();
-        let lag = spans[0].start as u32;
-        let lead = spans[1].start as u32;
-
-        // Run leaf 1's epoch ahead of leaf 0's (kill + revive restores
-        // the exact retained output, so only the epochs move), then
-        // fold everything so watermarks record asymmetric epochs.
-        for _ in 0..4 {
-            dc.fleet.set_server_alive(lead, false);
-            dc.fleet.set_server_alive(lead, true);
-        }
-        assert_cache_exact(&mut dc);
-
-        // The regression: a change in the *lagging* leaf bumps its
-        // epoch without moving the covering max, so a max-keyed
-        // watermark would keep serving the pre-kill sums for the SB,
-        // MSB and root above leaf 0. The sum key must refold.
-        assert!(
-            dc.fleet.power_of(lag).as_watts() > 0.0,
-            "kill must change the subtree draw for the test to bite"
-        );
-        dc.fleet.set_server_alive(lag, false);
-        assert_cache_exact(&mut dc);
-        dc.fleet.set_server_alive(lag, true);
-        assert_cache_exact(&mut dc);
-
-        // A RAPL cap programmed out of band moves no power until the
-        // next step: draws stay exact before it and after it.
-        dc.fleet
-            .agent_rpc(lag, dynrpc::Request::SetCap(Power::from_watts(80.0)));
-        assert_cache_exact(&mut dc);
-        dc.step();
-        assert_cache_exact(&mut dc);
-
-        // Breaker-style churn: kills and restarts in rotating leaves,
-        // interleaved with full steps.
-        for k in 0..6 {
-            let sid = spans[k % spans.len()].start as u32;
-            dc.fleet.set_server_alive(sid, k % 2 == 1);
             dc.step();
-            assert_cache_exact(&mut dc);
+            assert_draws_exact(&mut dc, "warm");
+
+            // Kill and revive out of band, in a leaf whose epoch lags
+            // its sibling's: every device above either must follow.
+            let spans: Vec<Range<usize>> = dc.system.leaf_spans().to_vec();
+            let (lag, lead) = (spans[2].start as u32, spans[3].start as u32);
+            for _ in 0..4 {
+                dc.fleet.set_server_alive(lead, false);
+                dc.fleet.set_server_alive(lead, true);
+            }
+            assert!(dc.fleet.power_of(lag).as_watts() > 0.0);
+            dc.fleet.set_server_alive(lag, false);
+            assert_draws_exact(&mut dc, "after a kill");
+            dc.fleet.set_server_alive(lag, true);
+            assert_draws_exact(&mut dc, "after a revive");
+
+            // A RAPL cap programmed out of band moves no power until
+            // the next step: exact before it and after it.
+            dc.fleet
+                .agent_rpc(lag, dynrpc::Request::SetCap(Power::from_watts(80.0)));
+            assert_draws_exact(&mut dc, "cap programmed");
+            dc.step();
+            assert_draws_exact(&mut dc, "cap stepped");
+
+            // The first SB trips on its own and blacks out its half.
+            let sb = dc.topo.devices_at(DeviceLevel::Sb)[0];
+            while dc.breaker_status[sb.index()] != BreakerStatus::Tripped {
+                dc.step();
+                assert_draws_exact(&mut dc, "stepping toward the trip");
+                assert!(dc.now < SimTime::from_secs(60), "the SB never tripped");
+            }
+            assert_eq!(dc.subtrees[sb.index()].draw(&dc.fleet), Power::ZERO);
+            dc.reset_breaker(sb);
+            assert_draws_exact(&mut dc, "after the reset");
+            assert!(dc.subtrees[sb.index()].draw(&dc.fleet) > Power::ZERO);
+
+            // Re-register the same spans: leaf epochs restart at zero.
+            // Fold every memo at epoch 1, re-span, change a server's
+            // power and walk its leaf's epoch back to 1 — a memo keyed
+            // on the epoch alone would serve the pre-re-span sum.
+            dc.fleet.set_leaf_spans(&spans);
+            dc.fleet.set_server_alive(lag, false);
+            assert_draws_exact(&mut dc, "memos folded at epoch 1");
+            dc.fleet.set_leaf_spans(&spans);
+            dc.fleet.set_server_alive(lag, true);
+            assert_draws_exact(&mut dc, "epoch 1 again, one generation on");
+            for k in 0..6 {
+                dc.fleet
+                    .set_server_alive(spans[k % 4].start as u32, k % 2 == 1);
+                dc.step();
+                assert_draws_exact(&mut dc, "churn after the re-span");
+            }
         }
     }
 
+    /// What stepping breakers against live draws buys: the tick an SB
+    /// trips, the RPPs and racks below it — later in device order —
+    /// already step against the blackout, so their heat stops rising.
     #[test]
-    fn respanning_mid_run_disables_the_draw_cache() {
-        let mut dc = small_dc(23);
-        for _ in 0..3 {
+    fn a_trip_is_visible_to_later_devices_in_the_same_tick() {
+        let mut dc = DatacenterBuilder::new()
+            .sbs_per_msb(1)
+            .rpps_per_sb(2)
+            .racks_per_rpp(2)
+            // ~305 W a server: every rack (12.6 kW) and RPP runs a few
+            // per cent over its rating, the SB at more than twice.
+            .servers_per_rack(48)
+            .sb_rating(Power::from_kilowatts(24.0))
+            .rpp_rating(Power::from_kilowatts(28.0))
+            .capping_enabled(false)
+            .uniform_service(ServiceKind::Web)
+            .traffic(ServiceKind::Web, TrafficPattern::flat(1.5))
+            .seed(1)
+            .build();
+        let sb = dc.topo.devices_at(DeviceLevel::Sb)[0];
+        let below: Vec<DeviceId> = [DeviceLevel::Rpp, DeviceLevel::Rack]
+            .into_iter()
+            .flat_map(|level| dc.topo.devices_at(level))
+            .collect();
+        let heat = |dc: &Datacenter| -> Vec<f64> {
+            below
+                .iter()
+                .map(|&d| dc.topo.device(d).breaker.thermal_state())
+                .collect()
+        };
+        let mut before = heat(&dc);
+        loop {
             dc.step();
-        }
-        assert_cache_exact(&mut dc);
-
-        // Re-register the same spans out of band: leaf epochs restart
-        // at zero and could climb back into coincidence with a stale
-        // watermark. The generation mismatch must bypass the cache so
-        // every draw is a direct fold.
-        let spans: Vec<Range<usize>> = dc.system.leaf_spans().to_vec();
-        dc.fleet.set_leaf_spans(&spans);
-        for _ in 0..10 {
-            dc.fleet.set_server_alive(0, false);
-            dc.fleet.set_server_alive(0, true);
-            for i in 0..dc.device_ids.len() {
-                let served = cached_subtree_power(
-                    &mut dc.draw_cache,
-                    &dc.fleet,
-                    &dc.subtree_range,
-                    &dc.subtree,
-                    i,
-                );
-                let direct = match &dc.subtree_range[i] {
-                    Some(r) => dc.fleet.power_sum_range(r.clone()),
-                    None => dc.fleet.power_sum(&dc.subtree[i]),
-                };
-                assert_eq!(
-                    served.as_watts().to_bits(),
-                    direct.as_watts().to_bits(),
-                    "device {i} served a stale draw after a mid-run re-span"
+            let after = heat(&dc);
+            if dc.breaker_status[sb.index()] == BreakerStatus::Tripped {
+                for (k, &d) in below.iter().enumerate() {
+                    assert!(
+                        before[k] > 0.0 && after[k] < before[k],
+                        "{} heated from {} to {} in the tick its SB tripped",
+                        dc.topo.device(d).name,
+                        before[k],
+                        after[k]
+                    );
+                    assert_eq!(dc.breaker_status[d.index()], BreakerStatus::Nominal);
+                }
+                break;
+            }
+            for (k, &d) in below.iter().enumerate() {
+                assert!(
+                    after[k] > before[k],
+                    "{} should be overloaded until the SB trips",
+                    dc.topo.device(d).name
                 );
             }
-            dc.step();
+            before = after;
+            assert!(dc.now < SimTime::from_secs(60), "the SB never tripped");
         }
+    }
+
+    /// 1 SB / 2 RPPs / 4 racks / 32 servers, nominal load, warmed up.
+    fn idle_row() -> Datacenter {
+        let mut dc = DatacenterBuilder::new()
+            .sbs_per_msb(1)
+            .rpps_per_sb(2)
+            .racks_per_rpp(2)
+            .servers_per_rack(8)
+            .uniform_service(ServiceKind::Web)
+            .seed(1)
+            .build();
+        dc.run_for(SimDuration::from_secs(5));
+        dc
+    }
+
+    /// Trips `d`'s breaker with a surge; the next tick notices and
+    /// blacks its subtree out.
+    fn trip(dc: &mut Datacenter, d: DeviceId) {
+        let dev = dc.topo.device_mut(d);
+        let surge = dev.rating * 100.0;
+        while dev.breaker.step(surge, SimDuration::from_secs(60)) != BreakerStatus::Tripped {}
+        dc.step();
+        assert_eq!(dc.breaker_status[d.index()], BreakerStatus::Tripped);
+        assert_eq!(dc.device_power(d), Power::ZERO);
+    }
+
+    // No server may draw power behind an open breaker, whichever
+    // breaker the operator resets: a tripped breaker no longer steps,
+    // so nothing would black its subtree out again.
+
+    #[test]
+    fn resetting_a_breaker_below_an_open_one_powers_nothing_on() {
+        let mut dc = idle_row();
+        let sb = dc.topo.devices_at(DeviceLevel::Sb)[0];
+        let rpps = dc.topo.devices_at(DeviceLevel::Rpp);
+        trip(&mut dc, sb);
+        dc.reset_breaker(rpps[0]);
+        dc.run_for(SimDuration::from_secs(10));
+        assert_eq!(dc.breaker_status[sb.index()], BreakerStatus::Tripped);
+        assert_eq!(dc.device_power(sb), Power::ZERO);
+        // Resetting the SB itself brings everything back.
+        dc.reset_breaker(sb);
+        assert!(dc.device_power(rpps[0]) > Power::ZERO);
+        assert!(dc.device_power(rpps[1]) > Power::ZERO);
+    }
+
+    #[test]
+    fn resetting_a_breaker_above_an_open_one_skips_its_subtree() {
+        let mut dc = idle_row();
+        let sb = dc.topo.devices_at(DeviceLevel::Sb)[0];
+        let rpps = dc.topo.devices_at(DeviceLevel::Rpp);
+        trip(&mut dc, rpps[0]);
+        trip(&mut dc, sb);
+        dc.reset_breaker(sb);
+        dc.run_for(SimDuration::from_secs(10));
+        assert_eq!(dc.breaker_status[rpps[0].index()], BreakerStatus::Tripped);
+        assert_eq!(dc.device_power(rpps[0]), Power::ZERO);
+        assert!(dc.device_power(rpps[1]) > Power::ZERO);
+        assert_eq!(dc.device_power(sb), dc.device_power(rpps[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "device rack-x does not feed one contiguous")]
+    fn a_subtree_with_a_gap_panics_naming_the_device() {
+        Subtree::locate("rack-x", &[4, 5, 7], &[0..4, 4..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "device pdu-y is neither tiled")]
+    fn a_subtree_straddling_leaves_panics_naming_the_device() {
+        Subtree::locate("pdu-y", &[2, 3, 4, 5], &[0..4, 4..8]);
     }
 }

@@ -46,6 +46,20 @@
 //! tile by tile ([`FUSE_TILE`] servers): demand draw, settle kernel and
 //! power scatter run back to back while the tile is cache-hot.
 //!
+//! ## Aggregates
+//!
+//! The fleet keeps the bottom layer of the hierarchy's bottom-up
+//! aggregation (§III-C): one power partial per leaf, the ascending flat
+//! fold of the leaf's servers, refolded by every step that walks the
+//! leaf and by [`Fleet::set_server_alive`]. Everything above a leaf is
+//! a sum of those partials, taken by the datacenter's breaker pass. No
+//! other sum is stored: [`Fleet::stats`] folds the per-server watts
+//! flat on every call, [`Fleet::power_sum`] over whatever ids it is
+//! given. A per-leaf power epoch versions each leaf's watts for the one
+//! consumer that keeps a sum below leaf level (a rack's draw), and a
+//! snapshot's partials are checked against its per-server watts on the
+//! way back in.
+//!
 //! ## State ownership
 //!
 //! The columns are the only store: every per-server quantity exists
@@ -71,7 +85,6 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dcsim::{SimDuration, SimRng, SimTime};
@@ -115,8 +128,8 @@ pub struct FleetStats {
 pub struct TickTraffic {
     /// Bytes per worst-case tick: one streaming pass over the hot set —
     /// settle, telemetry partial and per-leaf partial all ride the tile
-    /// while it is resident — plus the memoized total-power
-    /// fold (O(leaves), counted exactly).
+    /// while it is resident — plus the breaker pass reading the
+    /// per-leaf partials back (O(leaves), counted exactly).
     pub fused: u64,
 }
 
@@ -225,9 +238,9 @@ pub struct Fleet {
     leaf_spans: Vec<Range<usize>>,
     /// Monotone count of [`Fleet::set_leaf_spans`] registrations.
     /// Re-registering spans resets every per-leaf epoch to zero, so any
-    /// consumer keying cached aggregates on those epochs must also
-    /// compare this generation — a restarted epoch can coincidentally
-    /// reach a pre-re-span watermark.
+    /// consumer keying a cached aggregate on an epoch must also compare
+    /// this generation — a restarted epoch can coincidentally reach its
+    /// pre-re-span value.
     span_generation: u64,
     /// Per-leaf power partial sums (watts), rebuilt by every step as
     /// the ascending flat fold over the leaf's span.
@@ -260,8 +273,8 @@ pub struct Fleet {
     /// workload step `dt` by the elapsed tick count.
     last_draw_tick: Vec<u64>,
     /// Per-leaf monotone power version: bumped whenever the leaf's
-    /// drawn power may have changed bits. Aggregation layers key cached
-    /// subtree sums on epoch watermarks over these.
+    /// drawn power may have changed bits. The datacenter keys each
+    /// rack's memoized draw on its leaf's epoch.
     leaf_epoch: Vec<u64>,
     /// Per-leaf monotone *agent* version: bumped whenever something a
     /// leaf controller's pull could observe changes outside the power
@@ -280,23 +293,6 @@ pub struct Fleet {
     /// watchdog restart both route through
     /// [`Fleet::process_failures`].
     down_count: usize,
-    /// Memoized flat fold over `power_w` (the [`Fleet::stats`] total)
-    /// as `f64` bits, valid while the generation/epoch-sum marks below
-    /// match the live watermark. Interior-mutable (relaxed atomics, not
-    /// `Cell`, so `Fleet` stays `Sync` for the breaker pre-fold) because
-    /// `stats` is a `&self` query; only the simulation thread writes.
-    total_power_bits: AtomicU64,
-    /// `span_generation` the cached total was folded at.
-    total_power_gen: AtomicU64,
-    /// `Σ leaf_epoch` the cached total was folded at. Leaf epochs are
-    /// monotone within a span generation and every `power_w` mutation
-    /// bumps one (or bumps the generation), so sum
-    /// equality proves the fold's inputs are byte-identical — the same
-    /// watermark argument the breaker-tree draw cache rests on.
-    total_power_esum: AtomicU64,
-    /// Whether the memoized fold is populated at all (cleared on
-    /// restore and by the periodic full refresh).
-    total_power_valid: AtomicBool,
 }
 
 /// Step tile size in servers: each tile's demand draw, settle
@@ -389,10 +385,6 @@ impl Fleet {
             // No limit is programmed on a fresh server.
             capped_count: 0,
             down_count: 0,
-            total_power_bits: AtomicU64::new(0),
-            total_power_gen: AtomicU64::new(0),
-            total_power_esum: AtomicU64::new(0),
-            total_power_valid: AtomicBool::new(false),
         };
         fleet.reset_leaf_state();
         fleet
@@ -457,9 +449,9 @@ impl Fleet {
     /// over them, and the batch arrays are regrouped leaf-locally by
     /// `(generation, service, turbo)`. Also resets the per-leaf
     /// active-set state (everything starts unsettled) and bumps the
-    /// span generation, which invalidates any epoch-keyed
-    /// aggregate cache built over the previous spans (the restarted
-    /// epochs could otherwise collide with stale watermarks).
+    /// span generation, which invalidates anything keyed on the
+    /// previous spans' epochs (a restarted epoch could otherwise climb
+    /// back to the value a stale entry was keyed on).
     ///
     /// # Panics
     ///
@@ -579,8 +571,7 @@ impl Fleet {
         put_bit(&mut self.not_init_bits, mask_bit(&self.mask_base, pos), v);
     }
 
-    /// Per-leaf monotone power epochs (see the field docs). Aggregation
-    /// caches key subtree sums on watermarks over these.
+    /// Per-leaf monotone power epochs (see the field docs).
     pub(crate) fn leaf_epochs(&self) -> &[u64] {
         &self.leaf_epoch
     }
@@ -590,9 +581,9 @@ impl Fleet {
         &self.leaf_spans
     }
 
-    /// Monotone count of span registrations; see the field docs. Any
-    /// cache keyed on [`Fleet::leaf_epochs`] watermarks is only valid
-    /// while this matches the generation it was built against.
+    /// Monotone count of span registrations; see the field docs.
+    /// Anything keyed on a [`Fleet::leaf_epochs`] entry is only valid
+    /// while this matches the generation it was keyed at.
     pub(crate) fn leaf_span_generation(&self) -> u64 {
         self.span_generation
     }
@@ -846,17 +837,10 @@ impl Fleet {
         Power::from_watts(self.power_w[sid as usize])
     }
 
-    /// Sum of true power over a set of servers: an ascending flat scan
-    /// of the cached watts array.
-    pub fn power_sum(&self, sids: &[u32]) -> Power {
-        Power::from_watts(sids.iter().map(|&s| self.power_w[s as usize]).sum())
-    }
-
-    /// Sum of true power over a contiguous server-id range — the
-    /// telemetry fast path for grid topologies, where every device's
-    /// subtree is one such range.
-    pub(crate) fn power_sum_range(&self, range: Range<usize>) -> Power {
-        Power::from_watts(self.power_w[range].iter().sum())
+    /// Sum of true power over `sids`, folded flat in the order given
+    /// (ascending ids everywhere in this crate).
+    pub fn power_sum(&self, sids: impl IntoIterator<Item = u32>) -> Power {
+        Power::from_watts(sids.into_iter().map(|s| self.power_w[s as usize]).sum())
     }
 
     /// The maintained power partial of leaf `leaf`: the ascending flat
@@ -866,13 +850,17 @@ impl Fleet {
         Power::from_watts(self.leaf_power_w[leaf])
     }
 
-    /// Sum of true power over a set of servers, restricted to one
-    /// service (Figure 15's per-service breakdown).
-    pub fn power_sum_of_service(&self, sids: &[u32], kind: ServiceKind) -> Power {
+    /// Sum of true power over `sids`, restricted to one service
+    /// (Figure 15's per-service breakdown).
+    pub fn power_sum_of_service(
+        &self,
+        sids: impl IntoIterator<Item = u32>,
+        kind: ServiceKind,
+    ) -> Power {
         Power::from_watts(
-            sids.iter()
-                .filter(|&&s| self.services[s as usize] == kind)
-                .map(|&s| self.power_w[s as usize])
+            sids.into_iter()
+                .filter(|&s| self.services[s as usize] == kind)
+                .map(|s| self.power_w[s as usize])
                 .sum(),
         )
     }
@@ -1034,16 +1022,19 @@ impl Fleet {
         }
     }
 
-    /// Mean performance factor over a set of servers (1.0 = turbo-off
-    /// uncapped baseline): [`ServerModel::performance_factor`] of each
-    /// live server's demanded and drawn watts, zero for a dead one.
-    pub fn mean_performance(&self, sids: &[u32]) -> f64 {
-        if sids.is_empty() {
-            return f64::NAN;
-        }
+    /// Mean performance factor over `sids` (1.0 = turbo-off uncapped
+    /// baseline): [`ServerModel::performance_factor`] of each live
+    /// server's demanded and drawn watts, zero for a dead one; NaN over
+    /// no servers.
+    pub fn mean_performance<I>(&self, sids: I) -> f64
+    where
+        I: IntoIterator<Item = u32>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let sids = sids.into_iter();
+        let count = sids.len();
         let sum: f64 = sids
-            .iter()
-            .map(|&s| {
+            .map(|s| {
                 let i = s as usize;
                 let pos = self.inv[i] as usize;
                 if !self.alive_at(pos) {
@@ -1055,66 +1046,18 @@ impl Fleet {
                 )
             })
             .sum();
-        sum / sids.len() as f64
+        sum / count as f64
     }
 
     /// Instantaneous fleet statistics: O(1) in the cap/down tallies
-    /// (maintained at their mutation sites) plus the memoized flat sum
-    /// over the cached watts.
+    /// (maintained at their mutation sites) plus the flat ascending
+    /// fold over the per-server watts.
     pub fn stats(&self) -> FleetStats {
         FleetStats {
             capped_servers: self.capped_count,
             agents_down: self.down_count,
-            total_power: Power::from_watts(self.total_power_w()),
+            total_power: Power::from_watts(self.power_w.iter().sum()),
         }
-    }
-
-    /// The flat ascending fold over `power_w` — the total every sample
-    /// reports. The fold is *incremental*: it is memoized against the
-    /// `(span generation, Σ leaf epoch)` watermark and only recomputed
-    /// when some leaf's drawn power actually moved bits, so a quiescent
-    /// fleet answers telemetry samples in O(leaves) instead of
-    /// O(servers). The cached value is the bit-exact fold it
-    /// replaced — every `power_w` mutation provably bumps a leaf epoch
-    /// or bumps the span generation — so the merged
-    /// sample stream is byte-identical to full re-sampling.
-    fn total_power_w(&self) -> f64 {
-        let esum: u64 = self.leaf_epoch.iter().sum();
-        if self.total_power_valid.load(Ordering::Acquire)
-            && self.total_power_gen.load(Ordering::Relaxed) == self.span_generation
-            && self.total_power_esum.load(Ordering::Relaxed) == esum
-        {
-            return f64::from_bits(self.total_power_bits.load(Ordering::Relaxed));
-        }
-        let sum: f64 = self.power_w.iter().sum();
-        self.total_power_valid.store(false, Ordering::Relaxed);
-        self.total_power_bits
-            .store(sum.to_bits(), Ordering::Relaxed);
-        self.total_power_gen
-            .store(self.span_generation, Ordering::Relaxed);
-        self.total_power_esum.store(esum, Ordering::Relaxed);
-        self.total_power_valid.store(true, Ordering::Release);
-        sum
-    }
-
-    /// Periodic full-refresh hook for the incremental telemetry fold:
-    /// drops the memoized total so the next sample recomputes it from
-    /// the flat array. Called by the datacenter on a fixed cadence of
-    /// telemetry samples; in debug builds it first cross-checks that
-    /// the memo had not drifted from the array.
-    pub(crate) fn refresh_total_power(&self) {
-        let esum: u64 = self.leaf_epoch.iter().sum();
-        if self.total_power_valid.load(Ordering::Acquire)
-            && self.total_power_gen.load(Ordering::Relaxed) == self.span_generation
-            && self.total_power_esum.load(Ordering::Relaxed) == esum
-        {
-            debug_assert_eq!(
-                self.total_power_bits.load(Ordering::Relaxed),
-                self.power_w.iter().sum::<f64>().to_bits(),
-                "incremental total-power fold drifted from the flat array"
-            );
-        }
-        self.total_power_valid.store(false, Ordering::Relaxed);
     }
 
     /// The worst-case per-tick DRAM roofline — see [`TickTraffic`]. Every
@@ -1136,7 +1079,7 @@ impl Fleet {
         // Per-leaf partial sums, written once per step.
         let partials = self.leaf_power_w.len() as u64 * F64;
         // One pass over the hot set (telemetry partials ride the
-        // tile) plus the memoized fold's O(leaves) epoch walk.
+        // tile) plus the breaker pass reading the partials back.
         TickTraffic {
             fused: settle + partials + self.leaf_spans.len() as u64 * F64,
         }
@@ -1462,12 +1405,7 @@ mod tests {
             assert!(fleet.power_of(i).as_watts() > 90.0, "server {i} idle");
         }
         let total = fleet.stats().total_power;
-        assert!(
-            (total - fleet.power_sum(&(0..8).collect::<Vec<_>>()))
-                .abs()
-                .as_watts()
-                < 1e-9
-        );
+        assert!((total - fleet.power_sum(0..8)).abs().as_watts() < 1e-9);
     }
 
     #[test]
@@ -1483,12 +1421,11 @@ mod tests {
         ];
         let mut fleet = Fleet::new(configs, services, SimRng::seed_from(3));
         run(&mut fleet, 10);
-        let all: Vec<u32> = (0..6).collect();
         let split: Power = [ServiceKind::Web, ServiceKind::Cache, ServiceKind::NewsFeed]
             .iter()
-            .map(|&k| fleet.power_sum_of_service(&all, k))
+            .map(|&k| fleet.power_sum_of_service(0..6, k))
             .sum();
-        assert!((split - fleet.power_sum(&all)).abs().as_watts() < 1e-9);
+        assert!((split - fleet.power_sum(0..6)).abs().as_watts() < 1e-9);
     }
 
     #[test]
@@ -1624,10 +1561,11 @@ mod tests {
             t += SimDuration::from_secs(1);
         }
         for (l, span) in spans.iter().enumerate() {
-            let ids: Vec<u32> = (span.start as u32..span.end as u32).collect();
             assert_eq!(
                 fleet.leaf_power(l).as_watts(),
-                fleet.power_sum(&ids).as_watts(),
+                fleet
+                    .power_sum(span.start as u32..span.end as u32)
+                    .as_watts(),
                 "leaf {l} partial drifted from its span sum"
             );
         }
@@ -1752,8 +1690,7 @@ mod tests {
         assert_eq!(fleet.power_of(1), Power::ZERO);
         let leaf0_after = fleet.leaf_power(0);
         assert!(leaf0_after < leaf0_before);
-        let ids: Vec<u32> = (0..4).collect();
-        assert_eq!(leaf0_after.as_watts(), fleet.power_sum(&ids).as_watts());
+        assert_eq!(leaf0_after.as_watts(), fleet.power_sum(0..4).as_watts());
         fleet.set_server_alive(1, true);
         assert!(fleet.power_of(1).as_watts() > 0.0);
     }

@@ -1,8 +1,6 @@
 //! The fleet's snapshot: its dynamic columns as plain data
 //! ([`FleetState`]) and the `state` / `restore` pair.
 
-use std::sync::atomic::Ordering;
-
 use dcsim::snap::{
     get_bool_vec, get_f64_vec, get_u64_vec, put_bool_slice, put_f64_slice, put_u64_slice,
     SnapError, SnapReader, SnapWriter, Snapshot,
@@ -123,6 +121,19 @@ impl Fleet {
                 "fleet snapshot leaf count disagrees with rebuilt fleet of {leaves} leaves"
             )));
         }
+        // A leaf's partial is the ascending fold of its servers' watts,
+        // and above rack level the partials are all the breaker pass
+        // reads: a stored one that disagrees would mis-state every
+        // RPP, SB and MSB draw.
+        for (l, span) in self.leaf_spans.iter().enumerate() {
+            let folded: f64 = state.power_w[span.clone()].iter().sum();
+            if state.leaf_power_w[l].to_bits() != folded.to_bits() {
+                return Err(SnapError::Corrupt(format!(
+                    "leaf {l} power partial {} W is not the fold of its servers' power ({folded} W)",
+                    state.leaf_power_w[l]
+                )));
+            }
+        }
         // The demand pass hoists each run's service parameters, so a
         // process may only carry its own service's calibrated ones.
         for (pos, s) in state.generators.iter().enumerate() {
@@ -168,7 +179,6 @@ impl Fleet {
         // The tallies are functions of the columns: recount.
         self.capped_count = self.limit_w.iter().filter(|l| l.is_finite()).count();
         self.down_count = state.running.iter().filter(|&&up| !up).count();
-        self.total_power_valid.store(false, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -178,7 +188,8 @@ impl Fleet {
 /// models, traffic patterns, LUTs) or from the columns themselves (the
 /// capped / down tallies) is rebuilt, not stored; the permutation and
 /// the per-server hardware generations are stored only to *verify* the
-/// rebuilt fleet matches.
+/// rebuilt fleet matches, and the per-leaf power partials only to be
+/// verified against the fold of `power_w` they must equal.
 #[derive(Debug, Clone)]
 pub struct FleetState {
     /// Per-agent sensor-noise streams, server-id order.
@@ -210,7 +221,8 @@ pub struct FleetState {
     pub util: Vec<f64>,
     /// True power draw, server-id order.
     pub power_w: Vec<f64>,
-    /// Per-leaf power partials.
+    /// Per-leaf power partials: the ascending fold of `power_w` over
+    /// each leaf span (restore rejects anything else).
     pub leaf_power_w: Vec<f64>,
     /// Span registration generation.
     pub span_generation: u64,
@@ -303,17 +315,19 @@ mod tests {
     use serverpower::{ServerConfig, ServerGeneration};
     use workloads::ServiceKind;
 
+    /// Eight web servers of one generation in two leaves.
+    fn build(generation: ServerGeneration) -> Fleet {
+        let mut f = Fleet::new(
+            vec![ServerConfig::new(generation); 8],
+            vec![ServiceKind::Web; 8],
+            SimRng::seed_from(11),
+        );
+        f.set_leaf_spans(&[0..4, 4..8]);
+        f
+    }
+
     #[test]
     fn restore_rejects_a_snapshot_from_another_hardware_generation() {
-        let build = |generation| {
-            let mut f = Fleet::new(
-                vec![ServerConfig::new(generation); 8],
-                vec![ServiceKind::Web; 8],
-                SimRng::seed_from(11),
-            );
-            f.set_leaf_spans(&[0..4, 4..8]);
-            f
-        };
         let mut haswell = build(ServerGeneration::Haswell2015);
         for s in 0..5 {
             haswell.step(SimTime::from_secs(s), SimDuration::from_secs(1));
@@ -331,6 +345,40 @@ mod tests {
             .restore(&state)
             .expect("same generation restores");
     }
+
+    /// Above rack level the partials are all the breaker pass reads, so
+    /// a stored one may only be the fold of the stored per-server
+    /// watts — off by one ulp is a forgery.
+    #[test]
+    fn restore_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers() {
+        let fresh = || build(ServerGeneration::Haswell2015);
+        let mut fleet = fresh();
+        for s in 0..5 {
+            fleet.step(SimTime::from_secs(s), SimDuration::from_secs(1));
+        }
+        let state = fleet.state();
+
+        let mut forged = state.clone();
+        forged.leaf_power_w[1] = f64::from_bits(forged.leaf_power_w[1].to_bits() + 1);
+        let mut target = fresh();
+        match target.restore(&forged) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains("leaf 1 power partial"), "{msg}"),
+            other => panic!("a forged partial must be rejected, got {other:?}"),
+        }
+        // Rejected before anything was installed.
+        assert_eq!(target.state().power_w, fresh().state().power_w);
+
+        let mut twin = fresh();
+        twin.restore(&state).expect("an honest snapshot restores");
+        for f in [&mut fleet, &mut twin] {
+            f.step(SimTime::from_secs(5), SimDuration::from_secs(1));
+        }
+        let (a, b) = (fleet.state(), twin.state());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.power_w), bits(&b.power_w));
+        assert_eq!(bits(&a.leaf_power_w), bits(&b.leaf_power_w));
+    }
+
     /// The demand pass hoists each run's service parameters out of the
     /// element loop, so a snapshot may not smuggle in a process with
     /// any others — and the columns must round-trip what they hold.

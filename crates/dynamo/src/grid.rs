@@ -20,8 +20,8 @@
 //!   and that recharge power counts *into* utility draw.
 //!
 //! Utility draw is therefore `servers − discharge + recharge`; breaker
-//! thermal models keep seeing true server draw, so the epoch-keyed
-//! draw cache and every determinism invariant are untouched.
+//! thermal models keep seeing true server draw, so the subtree-power
+//! path and every determinism invariant are untouched.
 
 use std::sync::Arc;
 

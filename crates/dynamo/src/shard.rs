@@ -1,8 +1,7 @@
 //! The one dispatch primitive behind every fan-out of the tick.
 //!
-//! Fleet physics, the leaf control dispatch and the breaker pre-fold
-//! all carve their work into contiguous shards and run them through
-//! [`run_sharded`]. Width 1 is not a separate code path: it is the same
+//! Fleet physics and the leaf control dispatch both carve their work
+//! into contiguous shards and run them through [`run_sharded`]. Width 1 is not a separate code path: it is the same
 //! carve producing one shard, which runs inline on the caller instead
 //! of waking a worker.
 
@@ -11,7 +10,7 @@ use dynpool::{WorkerPool, MAX_WORKERS};
 /// How many shards a fan-out over `units` units of work gets: the
 /// pool's worker count (one without a pool), never more than the units
 /// — so none for no work, which [`run_sharded`] treats as a no-op.
-pub(crate) fn width(pool: Option<&WorkerPool>, units: usize) -> usize {
+fn width(pool: Option<&WorkerPool>, units: usize) -> usize {
     pool.map_or(1, WorkerPool::workers).min(units)
 }
 

@@ -279,10 +279,10 @@ fn steady_state_grid_ticks_do_not_allocate() {
 /// The whole tick at width 4 at once: four real workers (`Pooled` does
 /// not clamp on small hosts), observability recording, the grid layer,
 /// the per-leaf telemetry scratch with its in-shard RPC codec
-/// round-trip (warm wire buffers), the breaker pre-fold (fixed chunk
-/// plan, preallocated scratch) and the
-/// tick-phase profiler (preallocated histograms, `Instant` laps) must
-/// all stay off the heap in the steady state.
+/// round-trip (warm wire buffers), the breaker pass (rack memos
+/// allocated at assembly) and the tick-phase profiler (preallocated
+/// histograms, `Instant` laps) must all stay off the heap in the
+/// steady state.
 fn steady_state_parallel_profiled_grid_ticks_do_not_allocate() {
     let mut dc = dynamo::DatacenterBuilder::new()
         .sbs_per_msb(1)

@@ -1,14 +1,15 @@
 //! One tick at every width.
 //!
-//! The fleet step, the leaf dispatch and the breaker pre-fold each
-//! exist once, over one store of server state; worker threads only change how
-//! many shards that one path is carved into. This suite pins what the
-//! deleted serial / scoped / unfused twins used to cross-check:
+//! The fleet step and the leaf dispatch each exist once, over one
+//! store of server state, with one serial breaker pass between them;
+//! worker threads only change how many shards the two fan-outs are
+//! carved into. This suite pins what the deleted serial / scoped /
+//! unfused twins used to cross-check:
 //!
 //! * a fault-churn run reproduces, at threads 1/2/8/64, the fingerprint
 //!   recorded at the last commit that still had all the twins;
-//! * the memoized total-power fold equals an independent flat fold at
-//!   every telemetry sample of a capping episode;
+//! * the sampled total power equals an independent flat fold at every
+//!   telemetry sample of a capping episode;
 //! * a cap programmed out of band through `Fleet::agent_rpc` takes
 //!   effect at the next step, identically at every width.
 
@@ -73,8 +74,7 @@ fn churn(dc: &mut Datacenter) {
     dc.run_for(SimDuration::from_secs(15));
 
     // Mid-run re-span: re-register the same spans out of band, which
-    // restarts every leaf epoch and invalidates the memoized fold's
-    // generation watermark.
+    // restarts every leaf epoch under a new span generation.
     let spans: Vec<std::ops::Range<usize>> = dc
         .system()
         .leaf_devices()
@@ -149,13 +149,12 @@ fn churn_reproduces_the_pre_collapse_golden_at_every_width() {
     }
 }
 
-/// Sampled total power comes from a memo keyed on the fleet's leaf
-/// epochs (with a periodic forced refresh). Across a capping episode —
-/// caps placed, power bent downward, caps released — every recorded
-/// sample must carry the bits of a flat ascending fold over the
-/// per-server draws, computed here without touching the memo.
+/// Across a capping episode — caps placed, power bent downward, caps
+/// released — every recorded total-power sample must carry the bits of
+/// a flat ascending fold over the per-server draws, computed here from
+/// `power_of` alone.
 #[test]
-fn memoized_total_power_equals_a_flat_fold_at_every_sample() {
+fn sampled_total_power_equals_a_flat_fold_at_every_sample() {
     let mut dc = build(1);
     let servers = dc.fleet().len() as u32;
     let mut samples = 0;
@@ -190,7 +189,7 @@ fn memoized_total_power_equals_a_flat_fold_at_every_sample() {
 /// The columns are the only store, so a request served between two
 /// datacenter steps needs no recovery: a cap programmed through
 /// `agent_rpc` is reported at once, moves no power until the next step,
-/// is what that step settles toward — and the epoch draw cache is exact
+/// is what that step settles toward — and every device's draw is exact
 /// on both sides of it. What comes out must not depend on the width.
 #[test]
 fn an_out_of_band_cap_takes_effect_at_the_next_step_at_every_width() {

@@ -2,12 +2,13 @@
 //!
 //! With `demand_hold(30)` the fleet skips the settle pass for leaves
 //! whose batch reached its floating-point fixed point, and the
-//! datacenter folds subtree power through the epoch-keyed draw cache.
-//! Neither optimization may move a single bit: the controller event
-//! stream, leaf aggregates, run report and the merged metrics registry
-//! must be identical at every worker thread count, under agent
-//! crashes, lossy RPC, failover injections and an out-of-band server
-//! kill (the draw-cache invalidation path).
+//! datacenter keeps each rack's draw while its leaf's power epoch
+//! stands still. Neither optimization may move a single bit: the
+//! controller event stream, leaf aggregates, run report and the merged
+//! metrics registry must be identical at every worker thread count,
+//! under agent crashes, lossy RPC, failover injections and an
+//! out-of-band server kill (the path that must invalidate a rack's
+//! memoized draw).
 
 use dcsim::SimTime;
 use dynamo_repro::dynamo::{
@@ -20,6 +21,10 @@ use dynamo_repro::workloads::{ServiceKind, TrafficPattern};
 /// Same stressed configuration as `parallel_determinism`, plus the
 /// demand-hold knob that turns the active set on.
 fn build(threads: usize, hold: u32) -> Datacenter {
+    builder(threads, hold).build()
+}
+
+fn builder(threads: usize, hold: u32) -> DatacenterBuilder {
     DatacenterBuilder::new()
         .sbs_per_msb(2)
         .rpps_per_sb(2)
@@ -38,7 +43,6 @@ fn build(threads: usize, hold: u32) -> Datacenter {
         .worker_threads(threads)
         .demand_hold(hold)
         .seed(41)
-        .build()
 }
 
 struct Observed {
@@ -54,8 +58,8 @@ struct Observed {
 
 /// Five simulated minutes with two failover injections and one
 /// out-of-band server kill + revive through `fleet_mut()` (bumps the
-/// leaf epoch and invalidates the datacenter draw cache without going
-/// through a step).
+/// leaf epoch, and so invalidates the racks' memoized draws, without
+/// going through a step).
 fn run(threads: usize, hold: u32) -> Observed {
     let mut dc = build(threads, hold);
     assert_eq!(dc.fleet().demand_hold(), hold);
@@ -176,42 +180,57 @@ fn hold_of_one_matches_the_default_builder() {
 
 #[test]
 fn draw_cache_tracks_out_of_band_kills() {
-    // The epoch-keyed draw cache must never serve a stale fold after a
-    // mutation that bypasses `step` — `set_server_alive` is exactly
-    // that path.
-    let mut dc = build(1, 30);
+    // What the tick serves — the draw the breaker pass steps against is
+    // the draw a telemetry sample records — must follow a mutation that
+    // bypasses `step`, and `set_server_alive` is exactly that. Racks
+    // are the devices with something to go stale: their draw is kept
+    // while their leaf's power epoch stands still.
+    let mut dc = builder(1, 30)
+        .watch_levels(vec![DeviceLevel::Rack, DeviceLevel::Rpp])
+        .build();
     dc.run_until(SimTime::from_mins(2));
 
-    let rpps = dc.topology().devices_at(DeviceLevel::Rpp);
-    let target = rpps[1];
-    let before = dc.device_power(target);
-    assert!(before > Power::ZERO);
+    let target = dc.topology().devices_at(DeviceLevel::Rpp)[1];
+    let rack = dc.topology().device(target).children[0];
+    let sampled = |dc: &Datacenter, d| {
+        let trace = dc.telemetry().device_trace(d).expect("device is watched");
+        (trace.len(), *trace.values().last().expect("sampled"))
+    };
+    let (samples, rack_before) = sampled(&dc, rack);
+    let (_, rpp_before) = sampled(&dc, target);
+    assert!(rack_before > 0.0 && rpp_before > rack_before);
+    assert!(dc.draw_cache_is_exact());
 
-    // Repeated reads are stable (cache hit path).
-    assert_eq!(before, dc.device_power(target));
-
-    // Kill every server under the RPP out of band; one step later the
-    // subtree must read (near) zero even though the cache had a warm
-    // entry for it.
+    // Kill every server under the RPP out of band. The next sample must
+    // read exactly zero for the RPP and for the rack below it, however
+    // warm the rack's memo was.
     let victims = dc.topology().servers_under(target);
     for &sid in &victims {
         dc.fleet_mut().set_server_alive(sid, false);
     }
-    dc.step();
-    let blacked_out = dc.device_power(target);
-    assert!(
-        blacked_out < before * 0.01,
-        "stale draw cache: {blacked_out} after blackout (was {before})"
-    );
+    assert!(dc.draw_cache_is_exact(), "stale draw right after the kill");
+    for _ in 0..3 {
+        dc.step();
+    }
+    let (now, rack_dark) = sampled(&dc, rack);
+    assert!(now > samples, "no sample landed after the kill");
+    assert_eq!(rack_dark, 0.0, "stale rack draw after the blackout");
+    assert_eq!(sampled(&dc, target).1, 0.0, "stale RPP draw");
 
-    // Revive and settle: power must come back through the same cache.
+    // Revive and settle: power must come back through the same reads.
     for &sid in &victims {
         dc.fleet_mut().set_server_alive(sid, true);
     }
-    dc.run_until(SimTime::from_mins(4));
-    let revived = dc.device_power(target);
     assert!(
-        revived > before * 0.5,
-        "subtree never recovered: {revived} (was {before})"
+        dc.draw_cache_is_exact(),
+        "stale draw right after the revive"
     );
+    dc.run_until(SimTime::from_mins(4));
+    let rack_revived = sampled(&dc, rack).1;
+    assert!(
+        rack_revived > rack_before * 0.5,
+        "rack never recovered: {rack_revived} W (was {rack_before} W)"
+    );
+    assert!(sampled(&dc, target).1 > rpp_before * 0.5);
+    assert!(dc.draw_cache_is_exact());
 }

@@ -1,8 +1,8 @@
 //! Contractual-limit churn (§III-D): limits applied, cleared and
 //! re-applied mid-run — the exact traffic the grid layer's economic
 //! controller generates — must leave the simulation bit-identical at
-//! any thread count, and the epoch-keyed draw cache must never serve a
-//! stale subtree sum across the capping transitions the churn causes.
+//! any thread count, and no device may draw a stale subtree sum across
+//! the capping transitions the churn causes.
 
 use dcsim::SimDuration;
 use dynamo_repro::dynamo::{
@@ -36,7 +36,7 @@ fn build(threads: usize) -> Datacenter {
 /// *measured* draw at t=60 (bit-identical at every thread count, so
 /// every run pushes the same limits), applied at t=120, cleared at
 /// t=240, re-applied tighter at t=360. At each boundary and every
-/// 50 ticks the whole draw cache is audited against fresh folds.
+/// 50 ticks every device's draw is audited against a fresh fold.
 fn run_churned(threads: usize) -> (String, String) {
     let mut dc = build(threads);
     let leaf = dc.system().leaf_devices()[0];
@@ -73,7 +73,7 @@ fn run_churned(threads: usize) -> (String, String) {
         if t % 50 == 0 || t == 120 || t == 240 || t == 360 {
             assert!(
                 dc.draw_cache_is_exact(),
-                "draw cache served a stale sum at t={t} ({threads} threads)"
+                "a device drew a stale sum at t={t} ({threads} threads)"
             );
         }
     }
@@ -154,8 +154,8 @@ fn build_faulty(threads: usize, mode: ParallelMode) -> Datacenter {
         .build()
 }
 
-/// 240 s of trip/kill/revive/re-span churn with the draw cache audited
-/// against fresh folds at every boundary. Returns (report, metrics,
+/// 240 s of trip/kill/revive/re-span churn with every device's draw
+/// audited against a fresh fold at every boundary. Returns (report, metrics,
 /// breaker trips) so callers can both byte-compare runs and assert the
 /// trip actually happened.
 fn run_fault_churned(threads: usize, mode: ParallelMode) -> (String, String, usize) {
@@ -187,7 +187,7 @@ fn run_fault_churned(threads: usize, mode: ParallelMode) -> (String, String, usi
             // the same load).
             120 => dc.reset_breaker(tripped),
             // Re-register the same spans: leaf epochs restart at zero,
-            // so the generation bump must disable the cache outright.
+            // so the generation bump must invalidate every rack memo.
             160 => dc.fleet_mut().set_leaf_spans(&spans),
             _ => {}
         }
@@ -195,7 +195,7 @@ fn run_fault_churned(threads: usize, mode: ParallelMode) -> (String, String, usi
         if t % 20 == 0 || matches!(t, 40 | 80 | 120 | 160) {
             assert!(
                 dc.draw_cache_is_exact(),
-                "draw cache served a stale sum at t={t} ({threads} threads)"
+                "a device drew a stale sum at t={t} ({threads} threads)"
             );
         }
     }
