@@ -1,0 +1,15 @@
+#!/bin/sh
+# Fails when a doc, workflow, skill or source file still names an
+# artefact that was deleted when `dynbench` became the only benchmark,
+# so a stale reference breaks the build instead of waiting for the next
+# reader. Lives here, outside the searched paths, so the pattern does
+# not find itself.
+cd "$(dirname "$0")/.." || exit 2
+grep -rniE 'BENCH_controlplane|paper_scale|PooledAuto|pr[59]_baseline' \
+    README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
+    crates examples tests src
+case $? in
+    0) echo "error: stale references above" >&2; exit 1 ;;
+    1) exit 0 ;;
+    *) exit 2 ;;
+esac

@@ -1,17 +1,15 @@
-//! Benchmark support crate: a minimal self-contained timing harness.
+//! The calibrated timing loop `dynbench` links ([`measure_ns`]), and
+//! the little the two bench binaries left in `benches/` call.
 //!
-//! The actual benchmarks live in `benches/` (all `harness = false`,
-//! plain `fn main()` binaries):
+//! `dynbench` (its own package at the repository root, described by
+//! `BENCHMARK.json`) is the one place a speed number is produced, and
+//! `bench-results/` the one place it is recorded. What remains here:
 //!
-//! * `figures` — one benchmark per paper table/figure, running the
-//!   corresponding `experiments` entry point at quick scale.
-//! * `controller` — microbenchmarks of the decision logic (three-band,
-//!   cut distribution, leaf/upper cycles) across fleet sizes, plus the
-//!   parallel control-plane ticks/sec matrix written to
-//!   `BENCH_controlplane.json`.
-//! * `simulation` — whole-datacenter step throughput and ablations
-//!   (tick granularity, RPC loss, worker threads).
-//! * `substrate` — breaker stepping, PRNG, sliding-window variation.
+//! * `benches/controller.rs` — CI's thread-scaling smoke: a gate that
+//!   needs a clock, so it cannot be a `#[test]`.
+//! * `benches/substrate.rs` — per-server probes of the two shipping
+//!   column kernels, which no `dynbench` metric isolates yet; they move
+//!   there when that package is next editable.
 
 #![forbid(unsafe_code)]
 
@@ -55,45 +53,13 @@ pub fn measure_ns<T, F: FnMut() -> T>(mut f: F) -> f64 {
     }
 }
 
-/// Measures `f` with a fixed number of samples, one call per sample,
-/// reporting the fastest. For second-scale bodies where calibration
-/// would be too slow.
-pub fn measure_samples_ns<T, F: FnMut() -> T>(samples: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples.max(1) {
-        let start = Instant::now();
-        black_box(f());
-        let ns = start.elapsed().as_nanos() as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
-/// Calibrated benchmark: measure, print one `name ... time` line,
-/// return ns/iter.
-pub fn bench<T, F: FnMut() -> T>(name: &str, f: F) -> f64 {
-    let ns = measure_ns(f);
-    report(name, ns);
-    ns
-}
-
-/// Fixed-sample benchmark for slow bodies: measure, print, return
-/// ns/iter.
-pub fn bench_samples<T, F: FnMut() -> T>(name: &str, samples: u32, f: F) -> f64 {
-    let ns = measure_samples_ns(samples, f);
-    report(name, ns);
-    ns
-}
-
 /// Prints one aligned result line with a human-readable time unit.
 pub fn report(name: &str, ns: f64) {
     println!("{name:<44} {:>12}", format_ns(ns));
 }
 
 /// Formats nanoseconds with an adaptive unit.
-pub fn format_ns(ns: f64) -> String {
+fn format_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:.1} ns")
     } else if ns < 1_000_000.0 {
@@ -105,63 +71,14 @@ pub fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Resolves a path at the workspace root (where `BENCH_*.json` files
-/// live), independent of the benchmark binary's working directory.
-pub fn workspace_path(file: &str) -> std::path::PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => std::path::Path::new(&dir).join("../..").join(file),
-        Err(_) => std::path::PathBuf::from(file),
-    }
-}
-
-/// Baked roofline baseline for the worst-case 768-RPP shape (122,880
-/// servers), in bytes per tick: the value
-/// `dynamo::Fleet::bytes_per_tick().fused` reports for that site at
-/// [`ROOFLINE_BASELINE_COMMIT`]. `benches/controller.rs
-/// --roofline-gate` fails when the *current* roofline exceeds this by
-/// more than [`ROOFLINE_GATE_MAX_REGRESSION`]: the model is analytical
-/// (derived from live allocation lengths, no timing involved), so the
-/// gate is always armed — a single-core or noisy host cannot produce a
-/// false positive, only a real layout regression (an array added to the
-/// settle stride, a mask unpacked back to `f64`) can.
-pub const ROOFLINE_BASELINE_FUSED_768: u64 = 7_422_048;
-
-// A zero baseline makes the ceiling zero and the gate fail for every
-// layout, which is how it shipped once.
-const _: () = assert!(ROOFLINE_BASELINE_FUSED_768 > 0);
-
-/// The commit [`ROOFLINE_BASELINE_FUSED_768`] was read at.
-pub const ROOFLINE_BASELINE_COMMIT: &str = "9efe935";
-
-/// Allowed growth of the roofline before the gate fails: 5%.
-pub const ROOFLINE_GATE_MAX_REGRESSION: f64 = 0.05;
-
-/// Whether a 768-RPP roofline of `fused` bytes per tick passes the
-/// gate. Lives here rather than in the `harness = false` bench binary
-/// so `cargo test` can run it.
-pub fn roofline_gate_passes(fused: u64) -> bool {
-    fused as f64 <= ROOFLINE_BASELINE_FUSED_768 as f64 * (1.0 + ROOFLINE_GATE_MAX_REGRESSION)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roofline_gate_passes_at_the_baseline_and_fails_past_five_percent() {
-        assert!(roofline_gate_passes(ROOFLINE_BASELINE_FUSED_768));
-        assert!(roofline_gate_passes(
-            ROOFLINE_BASELINE_FUSED_768 * 104 / 100
-        ));
-        assert!(!roofline_gate_passes(
-            ROOFLINE_BASELINE_FUSED_768 * 106 / 100
-        ));
-    }
-
-    #[test]
-    fn measure_returns_positive_time() {
-        let ns = measure_samples_ns(3, || std::hint::black_box((0..100).sum::<u64>()));
-        assert!(ns > 0.0);
+    fn measure_returns_positive_finite_time() {
+        let ns = measure_ns(|| (0..100).sum::<u64>());
+        assert!(ns.is_finite() && ns > 0.0, "{ns}");
     }
 
     #[test]

@@ -33,9 +33,7 @@ use std::time::Instant;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::SimDuration;
-use dynamo::{
-    Datacenter, DatacenterBuilder, DatacenterState, GridConfig, ObsConfig, ParallelMode, RunReport,
-};
+use dynamo::{Datacenter, DatacenterBuilder, DatacenterState, GridConfig, ObsConfig, RunReport};
 use dyngrid::GridScenario;
 use powerinfra::Power;
 use serverpower::ServerGeneration;
@@ -119,6 +117,57 @@ impl Args {
             // histograms, so it needs recording on.
             || self.profile_ticks
     }
+
+    /// Every range check on the arguments, shared by the command line
+    /// and the checkpoint envelope (which is outside input too), so
+    /// that nothing the builder asserts can be reached from either.
+    fn validate(&self) -> Result<(), String> {
+        for (flag, zero) in [
+            ("--sbs", self.sbs == 0),
+            ("--rpps", self.rpps == 0),
+            ("--racks", self.racks == 0),
+            ("--servers", self.servers == 0),
+            ("--minutes", self.minutes == 0),
+            ("--report-every", self.report_every == 0),
+            ("--threads", self.threads == 0),
+            ("--checkpoint-every", self.checkpoint_every == Some(0)),
+        ] {
+            if zero {
+                return Err(format!("{flag} must be at least 1"));
+            }
+        }
+        for (flag, kw) in [
+            ("--rpp-kw", self.rpp_kw),
+            ("--sb-kw", self.sb_kw),
+            ("--msb-kw", self.msb_kw),
+        ] {
+            if kw.is_some_and(|kw| !kw.is_finite() || kw <= 0.0) {
+                return Err(format!("{flag} must be a positive number of kilowatts"));
+            }
+        }
+        for (flag, x) in [
+            ("--traffic", self.traffic),
+            ("--phase-spread", self.phase_spread),
+        ] {
+            if !x.is_finite() || x < 0.0 {
+                return Err(format!("{flag} must be a finite, non-negative number"));
+            }
+        }
+        if let Some(m) = self.fail_leaf {
+            if m == 0 || m > self.minutes {
+                return Err(format!(
+                    "--fail-leaf must be between 1 and --minutes ({}), got {m}",
+                    self.minutes
+                ));
+            }
+        }
+        if self.grid_scenario.is_some() && self.grid_signal_file.is_some() {
+            return Err(
+                "--grid-scenario and --grid-signal-file are mutually exclusive".to_string(),
+            );
+        }
+        Ok(())
+    }
 }
 
 fn parse_service(name: &str) -> Result<ServiceKind, String> {
@@ -193,29 +242,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}' (try --help)")),
         }
     }
-    if args.minutes == 0 || args.report_every == 0 {
-        return Err("--minutes and --report-every must be positive".to_string());
-    }
-    if args.threads == 0 {
-        return Err("--threads must be at least 1".to_string());
-    }
-    if !args.phase_spread.is_finite() || args.phase_spread < 0.0 {
-        return Err("--phase-spread must be a non-negative number of seconds".to_string());
-    }
-    if let Some(m) = args.fail_leaf {
-        if m == 0 || m > args.minutes {
-            return Err(format!(
-                "--fail-leaf must be between 1 and --minutes ({}), got {m}",
-                args.minutes
-            ));
-        }
-    }
-    if args.checkpoint_every == Some(0) {
-        return Err("--checkpoint-every must be a positive number of minutes".to_string());
-    }
-    if args.grid_scenario.is_some() && args.grid_signal_file.is_some() {
-        return Err("--grid-scenario and --grid-signal-file are mutually exclusive".to_string());
-    }
+    args.validate()?;
     Ok(args)
 }
 
@@ -401,6 +428,7 @@ fn args_from_envelope(envelope: &str) -> Result<Args, String> {
             }
         }
     }
+    args.validate()?;
     Ok(args)
 }
 
@@ -425,6 +453,15 @@ fn grid_scenario_of(args: &Args) -> Result<Option<GridScenario>, String> {
     Ok(None)
 }
 
+/// Worker threads to actually start for a `--threads` request: more
+/// than the host has cores would only oversubscribe it, and the thread
+/// count never changes a result, so the request is capped here — the
+/// library builds exactly the pool it is asked for.
+fn pool_width(requested: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    requested.min(cores)
+}
+
 /// Builds the datacenter exactly as the original invocation did.
 fn build_datacenter(args: &Args) -> Result<Datacenter, String> {
     let mut builder = DatacenterBuilder::new()
@@ -437,10 +474,7 @@ fn build_datacenter(args: &Args) -> Result<Datacenter, String> {
         .traffic(args.service, TrafficPattern::flat(args.traffic))
         .capping_enabled(args.capping)
         .dry_run(args.dry_run)
-        .worker_threads(args.threads)
-        // Requesting more threads than the host has cores would only
-        // oversubscribe it; the auto mode clamps (results unchanged).
-        .parallel_mode(ParallelMode::PooledAuto)
+        .worker_threads(pool_width(args.threads))
         .phase_spread(SimDuration::from_secs_f64(args.phase_spread))
         .seed(args.seed);
     if let Some(kw) = args.rpp_kw {
@@ -552,6 +586,10 @@ fn merge_resume_args(stored: Args, current: &Args, argv: &[String]) -> Result<Ar
     merged.checkpoint_every = current.checkpoint_every;
     merged.checkpoint_dir = current.checkpoint_dir.clone();
     merged.resume = None;
+    // Each side passed alone; the mix (a shorter horizon under a stored
+    // --fail-leaf) must too, or this run writes envelopes it would
+    // itself refuse to resume.
+    merged.validate()?;
     Ok(merged)
 }
 
@@ -994,6 +1032,59 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_values_are_errors_naming_the_flag() {
+        for (flag, bad) in [
+            ("--sbs", "0"),
+            ("--rpps", "0"),
+            ("--racks", "0"),
+            ("--servers", "0"),
+            ("--rpp-kw", "0"),
+            ("--rpp-kw", "-5"),
+            ("--rpp-kw", "inf"),
+            ("--sb-kw", "-1"),
+            ("--msb-kw", "-1"),
+            ("--traffic", "NaN"),
+            ("--traffic", "-1"),
+        ] {
+            let e = parse(&[flag, bad]).unwrap_err();
+            assert!(e.contains(flag), "{flag} {bad}: {e}");
+        }
+        assert!(parse(&["--traffic", "0"]).is_ok());
+    }
+
+    #[test]
+    fn envelope_applies_the_same_range_checks() {
+        let good = envelope_of(&parse(&[]).unwrap());
+        assert!(args_from_envelope(&good).is_ok());
+        for bad in [
+            "threads=0",
+            "minutes=0",
+            "report_every=0",
+            "phase_spread=NaN",
+            "fail_leaf=0",
+            "fail_leaf=11",
+            "servers=0",
+            "sbs=0",
+            "rpp_kw=-5.0",
+            "msb_kw=0.0",
+            "traffic=NaN",
+            "traffic=-1.0",
+        ] {
+            // A later line overrides an earlier one.
+            let r = args_from_envelope(&format!("{good}{bad}\n"));
+            assert!(r.is_err(), "{bad} was accepted");
+        }
+    }
+
+    #[test]
+    fn pool_width_never_exceeds_the_request_or_the_host() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(pool_width(1), 1);
+        assert_eq!(pool_width(64), 64.min(cores));
+        assert_eq!(pool_width(usize::MAX), cores);
+    }
+
+    #[test]
     fn help_is_signalled() {
         assert_eq!(parse(&["--help"]).unwrap_err(), "help");
         assert!(usage().contains("--no-capping"));
@@ -1149,6 +1240,17 @@ mod tests {
         assert_eq!(merged.threads, 8);
         assert_eq!(merged.seed, 0, "stored seed wins");
         assert!(merged.resume.is_none());
+
+        // A horizon cut below the stored fault minute is refused now,
+        // not by the next resume of a checkpoint this run would write.
+        let stored = parse(&["--minutes", "8", "--fail-leaf", "5"]).unwrap();
+        let argv: Vec<String> = ["--resume", "x.snap", "--minutes", "4"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let current = parse(&["--resume", "x.snap", "--minutes", "4"]).unwrap();
+        let e = merge_resume_args(stored, &current, &argv).unwrap_err();
+        assert!(e.contains("--fail-leaf"), "{e}");
     }
 
     #[test]

@@ -67,7 +67,6 @@ pub struct DatacenterBuilder {
     seed: u64,
     tick: SimDuration,
     worker_threads: usize,
-    parallel: ParallelMode,
     profile: bool,
     demand_hold: u32,
     system: SystemConfig,
@@ -90,7 +89,6 @@ impl Default for DatacenterBuilder {
             seed: 0,
             tick: SimDuration::from_secs(1),
             worker_threads: 1,
-            parallel: ParallelMode::default(),
             profile: false,
             demand_hold: 1,
             system: SystemConfig::default(),
@@ -257,12 +255,11 @@ impl DatacenterBuilder {
         self
     }
 
-    /// How the thread count is clamped (default
-    /// [`ParallelMode::Pooled`]: a persistent worker pool of exactly
-    /// [`DatacenterBuilder::worker_threads`] threads). Use
-    /// [`ParallelMode::PooledAuto`] to clamp at the host's cores.
-    pub fn parallel_mode(mut self, mode: ParallelMode) -> Self {
-        self.parallel = mode;
+    /// Frozen surface, a no-op: [`ParallelMode`] has one value, the
+    /// persistent pool of exactly [`DatacenterBuilder::worker_threads`]
+    /// threads that every datacenter runs on. Kept because `dynbench`
+    /// calls it; do not grow it.
+    pub fn parallel_mode(self, _mode: ParallelMode) -> Self {
         self
     }
 
@@ -449,7 +446,6 @@ impl DatacenterBuilder {
         let mut dc = Datacenter::assemble(
             topo, fleet, system, telemetry, watched, self.tick, validator, grid,
         );
-        dc.set_parallel_mode(self.parallel);
         dc.set_worker_threads(self.worker_threads);
         dc.set_profile_ticks(self.profile);
         dc

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimDuration, SimTime};
-use dynpool::{WorkerPool, MAX_WORKERS};
+use dynpool::WorkerPool;
 use powerinfra::{Breaker, BreakerStatus, DeviceId, Power, Topology};
 use workloads::ServiceKind;
 
@@ -36,22 +36,19 @@ use crate::obs::TickPhase;
 use crate::telemetry::{BreakerEvent, Telemetry, TelemetryState};
 use crate::validator::{BreakerValidator, ValidatorState};
 
-/// How the requested worker-thread count becomes the size of the
-/// persistent pool shared by the tick's fan-outs (fleet physics,
-/// same-instant leaf control dispatch). Workers are
-/// created once, parked between dispatches, and woken through
-/// atomic-flag mailboxes.
+/// The one way the tick's fan-outs (fleet physics, same-instant leaf
+/// control dispatch) run: on a persistent pool of exactly the requested
+/// worker threads, created once, parked between dispatches and woken
+/// through atomic-flag mailboxes. Frozen surface: `dynbench` names
+/// [`ParallelMode::Pooled`], so the type stays until that package is
+/// next editable; it selects nothing and must not grow a variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// Exactly the requested thread count (the default), whatever the
-    /// host — tests need exact widths above the host's cores.
+    /// Exactly the requested thread count, whatever the host — tests
+    /// need exact widths above the host's cores. A caller that does not
+    /// want to oversubscribe (`dynamo-sim`) clamps its request itself.
     #[default]
     Pooled,
-    /// Clamped to the host's available parallelism: requesting more
-    /// threads than cores oversubscribes the host and slows the run
-    /// down, so the extra workers are simply not created. The
-    /// simulation stays bit-identical — only wall clock changes.
-    PooledAuto,
 }
 
 /// A running datacenter: topology + fleet + control plane + telemetry,
@@ -82,14 +79,6 @@ pub struct Datacenter {
     /// Cross-validation of controller aggregates against coarse breaker
     /// readings (§VI).
     validator: BreakerValidator,
-    /// Requested worker threads for the tick's fan-outs.
-    worker_threads: usize,
-    /// How the request is clamped.
-    parallel_mode: ParallelMode,
-    /// The shared persistent worker pool, sized to the thread count
-    /// after the mode's clamping (none for one thread: every fan-out is
-    /// then one inline shard).
-    pool: Option<Arc<WorkerPool>>,
     /// Reused buffer for per-sample watched-device readings.
     watched_scratch: Vec<(DeviceId, Power)>,
     /// Validator alerts already forwarded to observability.
@@ -222,9 +211,6 @@ impl Datacenter {
             watched,
             breaker_status,
             validator,
-            worker_threads: 1,
-            parallel_mode: ParallelMode::default(),
-            pool: None,
             watched_scratch: Vec::new(),
             alerts_seen: 0,
             grid,
@@ -244,53 +230,22 @@ impl Datacenter {
 
     /// Sets the number of worker threads used for fleet physics *and*
     /// leaf control cycles, creating or resizing the persistent worker
-    /// pool they share. The simulation is bit-identical at any thread
-    /// count.
+    /// pool they share: exactly `threads` workers, up to
+    /// [`dynpool::MAX_WORKERS`]. The simulation is bit-identical at any
+    /// thread count.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn set_worker_threads(&mut self, threads: usize) {
         assert!(threads >= 1, "need at least one worker thread");
-        self.worker_threads = threads;
-        self.apply_threads();
-    }
-
-    /// Sets how the thread count is clamped (default
-    /// [`ParallelMode::Pooled`]: not at all) and re-applies the current
-    /// count under it.
-    pub fn set_parallel_mode(&mut self, mode: ParallelMode) {
-        self.parallel_mode = mode;
-        self.apply_threads();
-    }
-
-    /// The threads actually in use after the mode's clamping —
-    /// [`ParallelMode::PooledAuto`] caps at the host's available
-    /// parallelism, both modes at the pool's maximum size.
-    pub fn effective_worker_threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.workers())
-    }
-
-    /// Resolves `(worker_threads, parallel_mode)` into the shared
-    /// pool, tearing it down or rebuilding it only when the effective
-    /// size changes.
-    fn apply_threads(&mut self) {
-        let cap = match self.parallel_mode {
-            ParallelMode::Pooled => MAX_WORKERS,
-            ParallelMode::PooledAuto => std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(MAX_WORKERS),
-        };
-        let threads = self.worker_threads.min(cap);
         if threads > 1 {
-            if self.pool.as_ref().map(|p| p.workers()) != Some(threads) {
-                self.pool = Some(Arc::new(WorkerPool::new(threads)));
-            }
-            let pool = self.pool.as_ref().expect("pool built above");
-            self.fleet.attach_pool(Arc::clone(pool));
-            self.system.attach_pool(Arc::clone(pool));
+            // One pool behind both fan-outs, held by the two of them.
+            let pool = Arc::new(WorkerPool::new(threads));
+            self.fleet.attach_pool(Arc::clone(&pool));
+            self.system.attach_pool(pool);
         } else {
-            self.pool = None;
+            // One thread: every fan-out is one inline shard.
             self.fleet.detach_pool();
             self.system.detach_pool();
         }

@@ -73,15 +73,6 @@ use powerstats::{sliding_variation, Trace};
 use serverpower::ServerGeneration;
 use workloads::{ServiceKind, ServiceWorkload};
 
-/// The canonical phase spread for staggered-control experiments and
-/// benches: one full leaf interval (3 s), which spaces the leaf cycles
-/// of a tier maximally instead of firing them in lockstep. Using one
-/// shared constant keeps `BENCH_controlplane.json` rows and experiment
-/// tables comparable across crates.
-pub fn staggered_leaf_spread() -> SimDuration {
-    SimDuration::from_secs(3)
-}
-
 /// Runs `n_servers` independent utilization processes of one service for
 /// `hours` of simulated time (3 s sampling, nominal traffic) and pools
 /// the per-window power variations, normalized to each server's
@@ -155,10 +146,5 @@ mod tests {
     fn fmt_f_rounds() {
         assert_eq!(fmt_f(1.2345, 2), "1.23");
         assert_eq!(fmt_f(10.0, 1), "10.0");
-    }
-
-    #[test]
-    fn staggered_spread_is_one_leaf_interval() {
-        assert_eq!(staggered_leaf_spread(), SimDuration::from_secs(3));
     }
 }

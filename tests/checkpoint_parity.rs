@@ -1,7 +1,7 @@
 //! Checkpoint/restore parity: a run snapshotted at an arbitrary tick
 //! boundary and resumed into a freshly built datacenter must be
 //! bit-identical — report string and Prometheus exposition — to the
-//! unbroken run, at any thread count and in both parallel modes.
+//! unbroken run, at any thread count.
 //!
 //! This is the executable statement of the snapshot contract: every
 //! stateful layer (sim clock, RNG streams, fleet physics, controller
@@ -12,12 +12,12 @@
 use dcsim::snap::Snapshot;
 use dcsim::SimDuration;
 use dynamo_repro::dynamo::{
-    Datacenter, DatacenterBuilder, DatacenterState, ObsConfig, ParallelMode, RunReport, ServicePlan,
+    Datacenter, DatacenterBuilder, DatacenterState, ObsConfig, RunReport, ServicePlan,
 };
 use dynamo_repro::powerinfra::Power;
 use dynamo_repro::workloads::{ServiceKind, TrafficPattern};
 
-fn build(threads: usize, mode: ParallelMode) -> Datacenter {
+fn build(threads: usize) -> Datacenter {
     DatacenterBuilder::new()
         .sbs_per_msb(2)
         .rpps_per_sb(2)
@@ -37,7 +37,6 @@ fn build(threads: usize, mode: ParallelMode) -> Datacenter {
             ..ObsConfig::default()
         })
         .worker_threads(threads)
-        .parallel_mode(mode)
         .seed(41)
         .build()
 }
@@ -53,22 +52,22 @@ fn observable(dc: &Datacenter) -> (String, String) {
 
 /// Runs 500 ticks with a failover injected at t=100 s and t=300 s —
 /// one on each side of the would-be checkpoint.
-fn run_straight(threads: usize, mode: ParallelMode) -> (String, String) {
-    let mut dc = build(threads, mode);
+fn run_straight(threads: usize) -> (String, String) {
+    let mut dc = build(threads);
     run_with_faults(&mut dc, 0, 500);
     observable(&dc)
 }
 
 /// Runs 250 ticks, snapshots through the full binary encoding, restores
 /// into a *separately built* datacenter, and runs the remaining 250.
-fn run_resumed(threads: usize, mode: ParallelMode) -> (String, String) {
-    let mut first = build(threads, mode);
+fn run_resumed(threads: usize) -> (String, String) {
+    let mut first = build(threads);
     run_with_faults(&mut first, 0, 250);
     let bytes = first.state().to_snap_bytes();
     drop(first);
 
     let state = DatacenterState::from_snap_bytes(&bytes).expect("snapshot must decode");
-    let mut resumed = build(threads, mode);
+    let mut resumed = build(threads);
     resumed.restore(&state).expect("snapshot must restore");
     assert_eq!(resumed.now().as_secs(), 250);
     run_with_faults(&mut resumed, 250, 500);
@@ -94,7 +93,7 @@ fn run_with_faults(dc: &mut Datacenter, from: u64, to: u64) {
 /// t=400 s lands mid-curtailment (window is 300..900 s), so the open
 /// episode, settlement accumulators, bank charge and pushed contract
 /// all cross the snapshot boundary.
-fn build_grid(threads: usize, mode: ParallelMode) -> Datacenter {
+fn build_grid(threads: usize) -> Datacenter {
     DatacenterBuilder::new()
         .sbs_per_msb(2)
         .rpps_per_sb(2)
@@ -114,19 +113,18 @@ fn build_grid(threads: usize, mode: ParallelMode) -> Datacenter {
             ..ObsConfig::default()
         })
         .worker_threads(threads)
-        .parallel_mode(mode)
         .seed(47)
         .build()
 }
 
-fn run_straight_grid(threads: usize, mode: ParallelMode) -> (String, String) {
-    let mut dc = build_grid(threads, mode);
+fn run_straight_grid(threads: usize) -> (String, String) {
+    let mut dc = build_grid(threads);
     run_with_faults(&mut dc, 0, 700);
     observable(&dc)
 }
 
-fn run_resumed_grid(threads: usize, mode: ParallelMode) -> (String, String) {
-    let mut first = build_grid(threads, mode);
+fn run_resumed_grid(threads: usize) -> (String, String) {
+    let mut first = build_grid(threads);
     run_with_faults(&mut first, 0, 400);
     assert!(
         first.grid().expect("grid configured").curtailment_active(),
@@ -136,7 +134,7 @@ fn run_resumed_grid(threads: usize, mode: ParallelMode) -> (String, String) {
     drop(first);
 
     let state = DatacenterState::from_snap_bytes(&bytes).expect("snapshot must decode");
-    let mut resumed = build_grid(threads, mode);
+    let mut resumed = build_grid(threads);
     resumed.restore(&state).expect("snapshot must restore");
     assert!(resumed.grid().unwrap().curtailment_active());
     run_with_faults(&mut resumed, 400, 700);
@@ -145,36 +143,32 @@ fn run_resumed_grid(threads: usize, mode: ParallelMode) -> (String, String) {
 
 #[test]
 fn grid_resume_mid_curtailment_is_bit_identical() {
-    let baseline = run_straight_grid(1, ParallelMode::Pooled);
+    let baseline = run_straight_grid(1);
     assert!(
         baseline.0.contains("grid [curtailment-window]"),
         "report must carry the grid section:\n{}",
         baseline.0
     );
-    for (threads, mode) in [
-        (1, ParallelMode::Pooled),
-        (2, ParallelMode::Pooled),
-        (8, ParallelMode::Pooled),
-    ] {
-        let resumed = run_resumed_grid(threads, mode);
+    for threads in [1, 2, 8] {
+        let resumed = run_resumed_grid(threads);
         assert_eq!(
             baseline.0, resumed.0,
-            "grid report diverged after resume at {threads} threads ({mode:?})"
+            "grid report diverged after resume at {threads} threads"
         );
         assert_eq!(
             baseline.1, resumed.1,
-            "grid metrics diverged after resume at {threads} threads ({mode:?})"
+            "grid metrics diverged after resume at {threads} threads"
         );
     }
 }
 
 #[test]
 fn grid_restore_rejects_gridless_snapshot() {
-    let mut plain = build(1, ParallelMode::Pooled);
+    let mut plain = build(1);
     plain.run_for(SimDuration::from_secs(10));
     let bytes = plain.state().to_snap_bytes();
     let state = DatacenterState::from_snap_bytes(&bytes).unwrap();
-    let mut gridded = build_grid(1, ParallelMode::Pooled);
+    let mut gridded = build_grid(1);
     let err = gridded.restore(&state).unwrap_err();
     assert!(
         err.to_string().contains("grid"),
@@ -184,35 +178,28 @@ fn grid_restore_rejects_gridless_snapshot() {
 
 #[test]
 fn resume_is_bit_identical_serial() {
-    assert_eq!(
-        run_straight(1, ParallelMode::Pooled),
-        run_resumed(1, ParallelMode::Pooled)
-    );
+    assert_eq!(run_straight(1), run_resumed(1));
 }
 
 #[test]
 fn resume_is_bit_identical_across_threads_and_modes() {
-    let baseline = run_straight(1, ParallelMode::Pooled);
-    for (threads, mode) in [
-        (2, ParallelMode::Pooled),
-        (8, ParallelMode::Pooled),
-        (8, ParallelMode::PooledAuto),
-    ] {
-        let resumed = run_resumed(threads, mode);
+    let baseline = run_straight(1);
+    for threads in [2, 8] {
+        let resumed = run_resumed(threads);
         assert_eq!(
             baseline.0, resumed.0,
-            "report diverged after resume at {threads} threads ({mode:?})"
+            "report diverged after resume at {threads} threads"
         );
         assert_eq!(
             baseline.1, resumed.1,
-            "metrics diverged after resume at {threads} threads ({mode:?})"
+            "metrics diverged after resume at {threads} threads"
         );
     }
 }
 
 #[test]
 fn snapshot_bytes_are_stable_across_encode_cycles() {
-    let mut dc = build(1, ParallelMode::Pooled);
+    let mut dc = build(1);
     run_with_faults(&mut dc, 0, 250);
     let bytes = dc.state().to_snap_bytes();
     let decoded = DatacenterState::from_snap_bytes(&bytes).unwrap();
@@ -225,7 +212,7 @@ fn snapshot_bytes_are_stable_across_encode_cycles() {
 
 #[test]
 fn restore_rejects_topology_mismatch() {
-    let mut small = build(1, ParallelMode::Pooled);
+    let mut small = build(1);
     small.run_for(SimDuration::from_secs(30));
     let state_bytes = small.state().to_snap_bytes();
     let state = DatacenterState::from_snap_bytes(&state_bytes).unwrap();

@@ -5,9 +5,7 @@
 //! the capping transitions the churn causes.
 
 use dcsim::SimDuration;
-use dynamo_repro::dynamo::{
-    Datacenter, DatacenterBuilder, ObsConfig, ParallelMode, RunReport, ServicePlan,
-};
+use dynamo_repro::dynamo::{Datacenter, DatacenterBuilder, ObsConfig, RunReport, ServicePlan};
 use dynamo_repro::powerinfra::Power;
 use dynamo_repro::workloads::{ServiceKind, TrafficPattern};
 
@@ -131,7 +129,7 @@ fn contract_churn_is_bit_identical_across_threads() {
 /// on, and a mid-run re-registration of the same leaf spans (which
 /// restarts leaf epochs and must disable the epoch-keyed cache rather
 /// than risk watermark collisions).
-fn build_faulty(threads: usize, mode: ParallelMode) -> Datacenter {
+fn build_faulty(threads: usize) -> Datacenter {
     DatacenterBuilder::new()
         .sbs_per_msb(2)
         .rpps_per_sb(2)
@@ -149,7 +147,6 @@ fn build_faulty(threads: usize, mode: ParallelMode) -> Datacenter {
             ..ObsConfig::default()
         })
         .worker_threads(threads)
-        .parallel_mode(mode)
         .seed(77)
         .build()
 }
@@ -158,8 +155,8 @@ fn build_faulty(threads: usize, mode: ParallelMode) -> Datacenter {
 /// audited against a fresh fold at every boundary. Returns (report, metrics,
 /// breaker trips) so callers can both byte-compare runs and assert the
 /// trip actually happened.
-fn run_fault_churned(threads: usize, mode: ParallelMode) -> (String, String, usize) {
-    let mut dc = build_faulty(threads, mode);
+fn run_fault_churned(threads: usize) -> (String, String, usize) {
+    let mut dc = build_faulty(threads);
     let tripped = dc.system().leaf_devices()[0];
     let span_len = dc.fleet().len() / dc.system().leaf_devices().len();
     let spans: Vec<std::ops::Range<usize>> = (0..dc.system().leaf_devices().len())
@@ -209,14 +206,14 @@ fn run_fault_churned(threads: usize, mode: ParallelMode) -> (String, String, usi
 
 #[test]
 fn fault_churn_is_bit_identical_across_threads_and_modes() {
-    let baseline = run_fault_churned(1, ParallelMode::Pooled);
+    let baseline = run_fault_churned(1);
     assert!(
         baseline.2 > 0,
         "fault-churn scenario never tripped a breaker:\n{}",
         baseline.0
     );
     for threads in [2, 8, 64] {
-        let other = run_fault_churned(threads, ParallelMode::Pooled);
+        let other = run_fault_churned(threads);
         assert_eq!(
             baseline.0, other.0,
             "report diverged under fault churn at {threads} pooled threads"
@@ -226,13 +223,4 @@ fn fault_churn_is_bit_identical_across_threads_and_modes() {
             "metrics diverged under fault churn at {threads} pooled threads"
         );
     }
-    let auto = run_fault_churned(8, ParallelMode::PooledAuto);
-    assert_eq!(
-        baseline.0, auto.0,
-        "report diverged under the host-clamped pool"
-    );
-    assert_eq!(
-        baseline.1, auto.1,
-        "metrics diverged under the host-clamped pool"
-    );
 }

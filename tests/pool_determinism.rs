@@ -1,22 +1,20 @@
 //! The persistent worker pool must change wall clock only, never
 //! results: the run report and the full Prometheus registry rendering
-//! must be bit-identical to the one-thread run at any thread count and
-//! under every [`ParallelMode`] — including thread counts that don't
-//! divide the leaf count and counts exceeding it. (Pool shutdown is
+//! must be bit-identical to the one-thread run at any thread count —
+//! including thread counts that don't divide the leaf count and counts
+//! exceeding it. (Pool shutdown is
 //! covered by `tests/pool_shutdown.rs`, which needs a process of its
 //! own to count threads reliably.)
 
 use dcsim::SimTime;
-use dynamo_repro::dynamo::{
-    Datacenter, DatacenterBuilder, ObsConfig, ParallelMode, RunReport, ServicePlan,
-};
+use dynamo_repro::dynamo::{Datacenter, DatacenterBuilder, ObsConfig, RunReport, ServicePlan};
 use dynamo_repro::dynrpc::LinkProfile;
 use dynamo_repro::powerinfra::Power;
 use dynamo_repro::workloads::{ServiceKind, TrafficPattern};
 
 /// A stressed datacenter (tight RPP rating, crashes, lossy RPC) so the
 /// comparison covers capping, failover and estimation paths.
-fn build(threads: usize, mode: ParallelMode) -> Datacenter {
+fn build(threads: usize) -> Datacenter {
     DatacenterBuilder::new()
         .sbs_per_msb(2)
         .rpps_per_sb(2)
@@ -33,15 +31,14 @@ fn build(threads: usize, mode: ParallelMode) -> Datacenter {
         .rpc_profile(LinkProfile::lossy(0.05, 0.05))
         .observability(ObsConfig::on())
         .worker_threads(threads)
-        .parallel_mode(mode)
         .seed(41)
         .build()
 }
 
 /// Runs 4 simulated minutes with a failover injection mid-run and
 /// returns (run report, Prometheus registry rendering).
-fn run(threads: usize, mode: ParallelMode) -> (RunReport, String) {
-    let mut dc = build(threads, mode);
+fn run(threads: usize) -> (RunReport, String) {
+    let mut dc = build(threads);
     dc.run_until(SimTime::from_mins(2));
     let leaf = dc.system().leaf_devices()[1];
     dc.system_mut().fail_primary(leaf);
@@ -54,7 +51,7 @@ fn run(threads: usize, mode: ParallelMode) -> (RunReport, String) {
 
 #[test]
 fn pooled_runs_are_bit_identical_at_odd_thread_counts() {
-    let (serial_report, serial_metrics) = run(1, ParallelMode::Pooled);
+    let (serial_report, serial_metrics) = run(1);
     assert!(
         serial_report.leaf_cap_events > 0,
         "no capping activity:\n{serial_report}"
@@ -63,7 +60,7 @@ fn pooled_runs_are_bit_identical_at_odd_thread_counts() {
     // and the ascending-order merge are both exercised off the easy
     // power-of-two path.
     for threads in [3usize, 5, 7] {
-        let (report, metrics) = run(threads, ParallelMode::Pooled);
+        let (report, metrics) = run(threads);
         assert_eq!(
             serial_report, report,
             "run report diverged at {threads} pooled threads"
@@ -77,19 +74,9 @@ fn pooled_runs_are_bit_identical_at_odd_thread_counts() {
 
 #[test]
 fn more_pool_workers_than_leaves_is_safe_and_identical() {
-    let (serial_report, serial_metrics) = run(1, ParallelMode::Pooled);
+    let (serial_report, serial_metrics) = run(1);
     // 16 workers, 4 leaves: the dispatch clamps to the due set.
-    let (report, metrics) = run(16, ParallelMode::Pooled);
+    let (report, metrics) = run(16);
     assert_eq!(serial_report, report);
     assert_eq!(serial_metrics, metrics);
-}
-
-#[test]
-fn every_parallel_mode_agrees() {
-    let pooled = run(8, ParallelMode::Pooled);
-    let auto = run(8, ParallelMode::PooledAuto);
-    assert_eq!(
-        pooled, auto,
-        "auto-clamped dispatch must produce identical runs"
-    );
 }
