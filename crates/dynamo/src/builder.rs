@@ -59,7 +59,6 @@ pub struct DatacenterBuilder {
     plan: ServicePlan,
     traffic: Vec<(ServiceKind, TrafficPattern)>,
     turbo_services: HashSet<ServiceKind>,
-    static_caps: Vec<(ServiceKind, f64)>,
     generation: ServerGeneration,
     sensorless_fraction: f64,
     estimation_bias: f64,
@@ -81,7 +80,6 @@ impl Default for DatacenterBuilder {
             plan: ServicePlan::Uniform(ServiceKind::Web),
             traffic: Vec::new(),
             turbo_services: HashSet::new(),
-            static_caps: Vec::new(),
             generation: ServerGeneration::Haswell2015,
             sensorless_fraction: 0.02,
             estimation_bias: 0.0,
@@ -180,13 +178,6 @@ impl DatacenterBuilder {
     /// Enables Turbo Boost on all servers of a service (§IV-B).
     pub fn turbo(mut self, kind: ServiceKind) -> Self {
         self.turbo_services.insert(kind);
-        self
-    }
-
-    /// Applies the static frequency-limit baseline to a service
-    /// (§IV-D's pre-Dynamo search cluster).
-    pub fn static_util_cap(mut self, kind: ServiceKind, cap: f64) -> Self {
-        self.static_caps.push((kind, cap));
         self
     }
 
@@ -346,12 +337,6 @@ impl DatacenterBuilder {
         self
     }
 
-    /// Replaces the whole control-plane configuration.
-    pub fn system_config(mut self, config: SystemConfig) -> Self {
-        self.system = config;
-        self
-    }
-
     /// Configures the observability subsystem ([`dynobs`]): metrics
     /// registry, cycle tracing, flight recorder and incident dumps.
     /// Disabled by default; `ObsConfig::on()` enables everything with
@@ -420,9 +405,6 @@ impl DatacenterBuilder {
         let mut fleet = Fleet::new(configs, services.clone(), rng.split("fleet"));
         for (kind, pattern) in self.traffic {
             fleet.set_traffic(kind, pattern);
-        }
-        for (kind, cap) in self.static_caps {
-            fleet.set_static_util_cap(kind, Some(cap));
         }
         fleet.set_crash_rate(self.crash_rate_per_hour);
         fleet.set_demand_hold(self.demand_hold);

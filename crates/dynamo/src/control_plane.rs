@@ -11,7 +11,7 @@ use dynrpc::LinkProfile;
 use powerinfra::{DeviceId, Power, Topology};
 
 use crate::events::{ControllerEvent, CycleDispatcher, PhasePolicy};
-use crate::failover::FailoverState;
+use crate::failover::{Failover, FailoverState};
 use crate::fleet::Fleet;
 use crate::leaf_exec::{LeafTier, LeafTierState};
 use crate::obs::{Observability, ObservabilityState};
@@ -82,7 +82,7 @@ pub struct DynamoSystem {
     config: SystemConfig,
     leaves: LeafTier,
     uppers: UpperTier,
-    failover: FailoverState,
+    failover: Failover,
     dispatcher: CycleDispatcher,
     obs: Observability,
     /// Persistent worker pool for same-instant leaf dispatch, shared
@@ -111,7 +111,8 @@ impl DynamoSystem {
         config: SystemConfig,
         rng: &mut SimRng,
     ) -> Self {
-        let leaves = LeafTier::build(topo, service_of, &config, rng);
+        let obs = Observability::new(&config.obs);
+        let leaves = LeafTier::build(topo, service_of, &config, rng, &obs);
         let uppers = UpperTier::build(topo, &config, &leaves);
         // Phase draws happen after the per-leaf network splits, and only
         // the jittered policy consumes randomness — a lockstep build's
@@ -128,9 +129,8 @@ impl DynamoSystem {
             .into_iter()
             .map(|o| CycleSchedule::with_phase(config.upper_interval, o))
             .collect();
-        let failover = FailoverState::new(leaves.len(), uppers.len());
+        let failover = Failover::new(leaves.len(), uppers.len());
         let dispatcher = CycleDispatcher::new(leaf_cycles, upper_cycles);
-        let obs = Observability::new(&config.obs, leaves.len());
         DynamoSystem {
             config,
             leaves,
@@ -185,7 +185,7 @@ impl DynamoSystem {
         self.leaves
             .index_of
             .get(&device)
-            .map(|&i| &self.leaves.controllers[i])
+            .map(|&i| &self.leaves.leaves[i].controller)
     }
 
     /// The upper controller protecting `device`, if any.
@@ -202,7 +202,7 @@ impl DynamoSystem {
         self.leaves
             .index_of
             .get(&device)
-            .map(|&i| self.leaves.last_aggregate[i])
+            .map(|&i| self.leaves.leaves[i].last_aggregate)
     }
 
     /// All leaf-protected devices, in build order.
@@ -244,13 +244,11 @@ impl DynamoSystem {
         };
         let n = self.leaves.len();
         let active = ((n as f64 * frac).ceil() as usize).clamp(1, n);
-        for (i, leaf) in self.leaves.controllers.iter_mut().enumerate() {
-            leaf.set_dry_run(i >= active);
-        }
-        // Conservatively force a real cycle everywhere after a rollout
-        // change; dry-run flips are rare operator actions.
-        for q in &mut self.leaves.quiet {
-            *q = false;
+        for (i, leaf) in self.leaves.leaves.iter_mut().enumerate() {
+            leaf.controller.set_dry_run(i >= active);
+            // Conservatively force a real cycle everywhere after a
+            // rollout change; dry-run flips are rare operator actions.
+            leaf.quiet = false;
         }
         active
     }
@@ -269,8 +267,9 @@ impl DynamoSystem {
             .index_of
             .get(&device)
             .unwrap_or_else(|| panic!("no leaf controller protects {device}"));
-        self.leaves.quiet[i] = false;
-        self.leaves.controllers[i].set_contractual_limit(limit);
+        let leaf = &mut self.leaves.leaves[i];
+        leaf.quiet = false;
+        leaf.controller.set_contractual_limit(limit);
     }
 
     /// Pushes (or clears) a contractual limit on the upper controller
@@ -306,10 +305,10 @@ impl DynamoSystem {
     /// `(controller name, skipped cycles)` in leaf build order.
     pub fn skipped_cycles_per_leaf(&self) -> Vec<(String, u64)> {
         self.leaves
-            .controllers
+            .leaves
             .iter()
             .zip(self.failover.leaf_skipped())
-            .map(|(c, &n)| (c.name_shared().to_string(), n))
+            .map(|(l, &n)| (l.controller.name_shared().to_string(), n))
             .collect()
     }
 
@@ -333,7 +332,7 @@ impl DynamoSystem {
     /// Panics if no controller protects `device`.
     pub fn fail_primary(&mut self, device: DeviceId) {
         if let Some(&i) = self.leaves.index_of.get(&device) {
-            self.failover.fail_leaf(i);
+            self.leaves.leaves[i].failed = true;
         } else if let Some(&i) = self.uppers.index_of.get(&device) {
             self.failover.fail_upper(i);
         } else {
@@ -344,8 +343,8 @@ impl DynamoSystem {
     /// All alerts raised by any controller.
     pub fn alerts(&self) -> Vec<dynamo_controller::Alert> {
         let mut out = Vec::new();
-        for c in &self.leaves.controllers {
-            out.extend_from_slice(c.alerts());
+        for leaf in &self.leaves.leaves {
+            out.extend_from_slice(leaf.controller.alerts());
         }
         for c in &self.uppers.controllers {
             out.extend_from_slice(c.alerts());
@@ -355,24 +354,35 @@ impl DynamoSystem {
 
     /// Captures the control plane's full dynamic state for a snapshot:
     /// both tiers, failover bookkeeping, per-controller cycle
-    /// schedules, and observability. Pending incident dumps must be
-    /// flushed first (see [`crate::Datacenter`]'s checkpoint path).
+    /// schedules, and observability. The sections are the flat wire
+    /// structs they have always been; what a leaf owns of the failover
+    /// and observability sections (its pending-failure flag, its
+    /// shard's band word) is gathered here and split back by
+    /// [`LeafTier::restore`]. Pending incident dumps must be flushed
+    /// first (see [`crate::Datacenter`]'s checkpoint path).
     pub(crate) fn state(&self) -> SystemState {
         let (leaf_schedules, upper_schedules) = self.dispatcher.schedules();
+        let leaves = &self.leaves.leaves;
+        let failed = leaves.iter().map(|l| l.failed).collect();
+        let shard_bands = leaves.iter().map(|l| l.obs.state).collect();
         SystemState {
             leaves: self.leaves.state(),
             uppers: self.uppers.state(),
-            failover: self.failover.clone(),
+            failover: self.failover.state(failed),
             leaf_schedules: leaf_schedules.to_vec(),
             upper_schedules: upper_schedules.to_vec(),
-            obs: self.obs.state(),
+            obs: self.obs.state(shard_bands),
         }
     }
 
     /// Restores the control plane from a decoded snapshot taken against
     /// an identically-configured system.
     pub(crate) fn restore(&mut self, state: &SystemState) -> Result<(), SnapError> {
-        self.leaves.restore(&state.leaves)?;
+        self.leaves.restore(
+            &state.leaves,
+            &state.failover.leaf_failed,
+            &state.obs.shard_bands,
+        )?;
         self.uppers.restore(&state.uppers)?;
         self.failover.restore(&state.failover)?;
         self.dispatcher
@@ -398,7 +408,7 @@ impl DynamoSystem {
         let due = self.dispatcher.leaf_due();
         if !due.is_empty() {
             assert!(
-                fleet.leaf_spans() == self.leaf_spans(),
+                fleet.leaf_spans().eq(self.leaf_spans().iter().cloned()),
                 "the fleet's leaf spans are not the control plane's: \
                  call fleet.set_leaf_spans(system.leaf_spans()) first"
             );
@@ -410,7 +420,7 @@ impl DynamoSystem {
                 // downstream — is identical at any width.
                 let mut live = std::mem::take(&mut self.live_due);
                 self.leaves
-                    .filter_quiescent(due, fleet, &self.failover, &mut self.obs, &mut live);
+                    .filter_quiescent(due, fleet, self.obs.ids(), &mut live);
                 if !live.is_empty() {
                     self.leaves.run_due(
                         now,
@@ -419,7 +429,7 @@ impl DynamoSystem {
                         &mut self.failover,
                         fleet,
                         &mut events,
-                        &mut self.obs,
+                        self.obs.ids(),
                     );
                 }
                 self.live_due = live;
@@ -430,20 +440,21 @@ impl DynamoSystem {
                     &mut self.failover,
                     fleet,
                     &mut events,
-                    &mut self.obs,
+                    self.obs.ids(),
                 );
             }
             // Fold the due leaves' shards into the registry in leaf
             // index order, so the merged state is bit-identical at any
             // width. The full due list, not the filtered one: elided
             // leaves counted into their shards above.
-            self.obs.merge_leaves(due);
+            self.obs
+                .merge_leaves(due, &mut self.leaves.leaves, |l| &mut l.obs);
         }
         if !self.dispatcher.upper_due().is_empty() && self.config.capping_enabled {
             self.uppers.run_due(
                 now,
                 self.dispatcher.upper_due(),
-                &mut self.leaves,
+                &mut self.leaves.leaves,
                 &mut self.failover,
                 &mut events,
                 &mut self.obs,

@@ -160,16 +160,13 @@ impl Subtree {
 
     /// The subtree's true power right now.
     fn draw(&mut self, fleet: &Fleet) -> Power {
+        let leaves = &fleet.leaves()[self.leaves.clone()];
         if self.tiled {
-            let partials = &fleet.leaf_power_partials()[self.leaves.clone()];
-            return Power::from_watts(partials.iter().sum());
+            return Power::from_watts(leaves.iter().map(|l| l.power().as_watts()).sum());
         }
-        let key = (
-            fleet.leaf_span_generation(),
-            fleet.leaf_epochs()[self.leaves.start],
-        );
+        let key = (fleet.leaf_span_generation(), leaves[0].power_epoch());
         if self.memo_key != key {
-            self.memo_w = fleet.power_sum(self.servers.clone()).as_watts();
+            self.memo_w = leaves[0].power_sum(self.servers.clone());
             self.memo_key = key;
         }
         Power::from_watts(self.memo_w)
@@ -191,8 +188,7 @@ impl Datacenter {
         let device_ids: Vec<DeviceId> = topo.iter().map(|d| d.id).collect();
         let breaker_status = vec![BreakerStatus::Nominal; topo.device_count()];
         let mut fleet = fleet;
-        // The fleet carves its shards, and maintains per-leaf power
-        // partials, over the control plane's leaves.
+        // The fleet is partitioned into the control plane's leaves.
         let spans = system.leaf_spans();
         fleet.set_leaf_spans(spans);
         let subtrees = topo
@@ -261,11 +257,6 @@ impl Datacenter {
         self.now
     }
 
-    /// The simulation tick.
-    pub fn tick_interval(&self) -> SimDuration {
-        self.tick
-    }
-
     /// The power topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
@@ -320,9 +311,10 @@ impl Datacenter {
         let flat = |r: Range<u32>| fleet.power_sum(r).as_watts();
         self.subtrees.iter_mut().all(|t| {
             let fresh: f64 = if t.tiled {
-                fleet.leaf_spans()[t.leaves.clone()]
+                fleet.leaves()[t.leaves.clone()]
                     .iter()
-                    .map(|l| flat(l.start as u32..l.end as u32))
+                    .map(|l| l.span())
+                    .map(|s| flat(s.start as u32..s.end as u32))
                     .sum()
             } else {
                 flat(t.servers.clone())
@@ -408,7 +400,7 @@ impl Datacenter {
                 now,
                 self.tick,
                 Power::from_watts(site_w),
-                self.fleet.leaf_power_partials(),
+                self.fleet.leaves(),
                 &mut self.system,
             );
         }

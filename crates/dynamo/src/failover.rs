@@ -4,31 +4,38 @@
 //! when a primary dies, the backup — which polls the same devices and
 //! keeps its own copy of the decision state — takes over at the next
 //! cycle. The simulator models that as one skipped cycle per induced
-//! failure: [`FailoverState`] holds the pending-failure flag per
-//! controller, the running takeover count, and per-controller
-//! skipped-cycle tallies for reporting.
+//! failure. A leaf's pending-failure flag lives with the leaf (its
+//! cycle consumes it, in whichever shard runs it); [`Failover`] holds
+//! what is shared — the upper tier's flags, the per-controller
+//! skipped-cycle tallies for reporting, and the running takeover count
+//! — and [`FailoverState`] is the flat wire form of both.
 
 use dcsim::snap::{
     get_bool_vec, get_u64_vec, put_bool_slice, put_u64_slice, SnapError, SnapReader, SnapWriter,
     Snapshot,
 };
 
-/// Pending primary failures and the cumulative failover count for both
-/// controller tiers.
+/// Pending upper-tier primary failures, skipped-cycle tallies and the
+/// cumulative failover count for both controller tiers.
 #[derive(Debug, Clone)]
-pub(crate) struct FailoverState {
-    leaf_failed: Vec<bool>,
+pub(crate) struct Failover {
     upper_failed: Vec<bool>,
     leaf_skipped: Vec<u64>,
     upper_skipped: Vec<u64>,
     count: u64,
 }
 
-impl FailoverState {
+/// The leaves' pending-failure flags plus [`Failover`], as snapshotted.
+#[derive(Debug, Clone)]
+pub(crate) struct FailoverState {
+    pub(crate) leaf_failed: Vec<bool>,
+    shared: Failover,
+}
+
+impl Failover {
     /// No failures pending, zero failovers recorded.
     pub(crate) fn new(leaf_count: usize, upper_count: usize) -> Self {
-        FailoverState {
-            leaf_failed: vec![false; leaf_count],
+        Failover {
             upper_failed: vec![false; upper_count],
             leaf_skipped: vec![0; leaf_count],
             upper_skipped: vec![0; upper_count],
@@ -36,35 +43,14 @@ impl FailoverState {
         }
     }
 
-    /// Marks leaf `i`'s primary as crashed.
-    pub(crate) fn fail_leaf(&mut self, i: usize) {
-        self.leaf_failed[i] = true;
-    }
-
     /// Marks upper `i`'s primary as crashed.
     pub(crate) fn fail_upper(&mut self, i: usize) {
         self.upper_failed[i] = true;
     }
 
-    /// Whether leaf `i` has a pending, unconsumed primary failure.
-    pub(crate) fn leaf_pending(&self, i: usize) -> bool {
-        self.leaf_failed[i]
-    }
-
-    /// If leaf `i` has a pending failure, consumes it (the backup takes
-    /// over), records the failover, and returns `true`: the caller
-    /// skips this cycle.
-    pub(crate) fn take_leaf(&mut self, i: usize) -> bool {
-        if self.leaf_failed[i] {
-            self.leaf_failed[i] = false;
-            self.record_leaf(i);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Upper-tier counterpart of [`FailoverState::take_leaf`].
+    /// If upper `i` has a pending failure, consumes it (the backup
+    /// takes over), records the failover, and returns `true`: the
+    /// caller skips this cycle.
     pub(crate) fn take_upper(&mut self, i: usize) -> bool {
         if self.upper_failed[i] {
             self.upper_failed[i] = false;
@@ -76,16 +62,8 @@ impl FailoverState {
         }
     }
 
-    /// The leaf pending-failure flags, for the parallel leaf path:
-    /// workers clear their own flags and the merge records each
-    /// takeover afterwards via [`FailoverState::record_leaf`], because
-    /// workers cannot touch the shared counters.
-    pub(crate) fn leaf_flags_mut(&mut self) -> &mut [bool] {
-        &mut self.leaf_failed
-    }
-
-    /// Records a leaf takeover observed outside [`FailoverState::take_leaf`]
-    /// (the parallel merge consumes flags in the workers).
+    /// Records that leaf `i`'s backup took over (the leaf consumed its
+    /// own flag).
     pub(crate) fn record_leaf(&mut self, i: usize) {
         self.leaf_skipped[i] += 1;
         self.count += 1;
@@ -101,26 +79,31 @@ impl FailoverState {
         self.count
     }
 
+    /// The wire form, with the leaves' pending-failure flags.
+    pub(crate) fn state(&self, leaf_failed: Vec<bool>) -> FailoverState {
+        FailoverState {
+            leaf_failed,
+            shared: self.clone(),
+        }
+    }
+
     /// Overwrites this state from a decoded snapshot, validating that
-    /// the tier sizes match the rebuilt control plane.
-    pub(crate) fn restore(&mut self, other: &FailoverState) -> Result<(), SnapError> {
-        if other.leaf_failed.len() != self.leaf_failed.len()
-            || other.upper_failed.len() != self.upper_failed.len()
+    /// the tier sizes match the rebuilt control plane. The caller
+    /// installs `state.leaf_failed` on the leaves.
+    pub(crate) fn restore(&mut self, state: &FailoverState) -> Result<(), SnapError> {
+        if state.leaf_failed.len() != self.leaf_skipped.len()
+            || state.shared.upper_failed.len() != self.upper_failed.len()
         {
             return Err(SnapError::Corrupt(format!(
                 "failover snapshot tier sizes ({} leaves, {} uppers) disagree with the \
                  rebuilt control plane ({} leaves, {} uppers)",
-                other.leaf_failed.len(),
-                other.upper_failed.len(),
-                self.leaf_failed.len(),
+                state.leaf_failed.len(),
+                state.shared.upper_failed.len(),
+                self.leaf_skipped.len(),
                 self.upper_failed.len()
             )));
         }
-        self.leaf_failed.clone_from(&other.leaf_failed);
-        self.upper_failed.clone_from(&other.upper_failed);
-        self.leaf_skipped.clone_from(&other.leaf_skipped);
-        self.upper_skipped.clone_from(&other.upper_skipped);
-        self.count = other.count;
+        self.clone_from(&state.shared);
         Ok(())
     }
 }
@@ -131,10 +114,10 @@ impl Snapshot for FailoverState {
 
     fn encode_body(&self, w: &mut SnapWriter) {
         put_bool_slice(w, &self.leaf_failed);
-        put_bool_slice(w, &self.upper_failed);
-        put_u64_slice(w, &self.leaf_skipped);
-        put_u64_slice(w, &self.upper_skipped);
-        w.put_u64(self.count);
+        put_bool_slice(w, &self.shared.upper_failed);
+        put_u64_slice(w, &self.shared.leaf_skipped);
+        put_u64_slice(w, &self.shared.upper_skipped);
+        w.put_u64(self.shared.count);
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -149,10 +132,12 @@ impl Snapshot for FailoverState {
         }
         Ok(FailoverState {
             leaf_failed,
-            upper_failed,
-            leaf_skipped,
-            upper_skipped,
-            count: r.get_u64()?,
+            shared: Failover {
+                upper_failed,
+                leaf_skipped,
+                upper_skipped,
+                count: r.get_u64()?,
+            },
         })
     }
 }
@@ -163,29 +148,25 @@ mod tests {
 
     #[test]
     fn take_consumes_the_flag_and_counts_once() {
-        let mut f = FailoverState::new(2, 1);
-        f.fail_leaf(1);
-        assert!(!f.take_leaf(0));
-        assert!(f.take_leaf(1));
-        assert!(!f.take_leaf(1), "flag is consumed by the takeover");
+        let mut f = Failover::new(2, 1);
+        f.record_leaf(1);
         f.fail_upper(0);
         assert!(f.take_upper(0));
+        assert!(!f.take_upper(0), "flag is consumed by the takeover");
         assert_eq!(f.count(), 2);
         assert_eq!(f.leaf_skipped(), &[0, 1]);
     }
 
     #[test]
-    fn parallel_merge_records_per_leaf() {
-        let mut f = FailoverState::new(3, 0);
-        f.fail_leaf(0);
-        f.fail_leaf(2);
-        for flag in f.leaf_flags_mut() {
-            *flag = false; // workers consume their own flags
-        }
-        f.record_leaf(0);
+    fn state_carries_the_leaf_flags_and_restore_checks_their_count() {
+        let mut f = Failover::new(3, 1);
         f.record_leaf(2);
-        assert_eq!(f.count(), 2);
-        assert_eq!(f.leaf_skipped(), &[1, 0, 1]);
-        assert!(!f.take_leaf(0) && !f.take_leaf(2));
+        let state = f.state(vec![true, false, true]);
+        let back = FailoverState::from_snap_bytes(&state.to_snap_bytes()).expect("round-trips");
+        assert_eq!(back.leaf_failed, [true, false, true]);
+        let mut twin = Failover::new(3, 1);
+        twin.restore(&back).expect("same tier sizes");
+        assert_eq!((twin.count(), twin.leaf_skipped()), (1, &[0, 0, 1][..]));
+        assert!(Failover::new(2, 1).restore(&back).is_err());
     }
 }

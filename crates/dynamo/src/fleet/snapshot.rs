@@ -7,59 +7,89 @@ use dcsim::snap::{
 };
 use dcsim::{SimRng, SimTime};
 use workloads::kernel::{burst_from_columns, burst_to_columns};
-use workloads::{ServiceKind, WorkloadState};
+use workloads::WorkloadState;
 
-use super::{get_bit, put_bit, Fleet};
+use super::leaf::{get_bit, put_bit};
+use super::{Fleet, LeafColumns};
 
 impl Fleet {
-    /// The service of the server stored at position `pos`.
-    fn service_at(&self, pos: usize) -> ServiceKind {
-        self.services[self.perm[pos] as usize]
+    /// One column gathered across the leaves, in leaf order.
+    fn column<T: Clone>(&self, col: impl Fn(&LeafColumns) -> &[T]) -> Vec<T> {
+        let mut column = Vec::with_capacity(self.len());
+        for leaf in &self.leaves {
+            column.extend_from_slice(col(leaf));
+        }
+        column
     }
 
-    /// Captures the fleet's dynamic state for a snapshot. Must be
-    /// called at a tick boundary.
+    /// One packed mask gathered across the leaves, a flag per server.
+    fn flags(&self, mask: impl Fn(&LeafColumns) -> &[u64]) -> Vec<bool> {
+        let mut flags = Vec::with_capacity(self.len());
+        for leaf in &self.leaves {
+            flags.extend((0..leaf.len()).map(|i| get_bit(mask(leaf), i)));
+        }
+        flags
+    }
+
+    /// Position → server id over the whole fleet: each leaf's
+    /// permutation, offset to fleet ids (a leaf's positions are its id
+    /// range).
+    fn permutation(&self) -> impl Iterator<Item = u32> + '_ {
+        self.leaves
+            .iter()
+            .flat_map(|l| l.perm.iter().map(|&id| l.first as u32 + id))
+    }
+
+    /// [`serverpower::ServerGeneration::index`] of every server, id
+    /// order.
+    fn generations(&self) -> impl Iterator<Item = usize> + '_ {
+        self.leaves
+            .iter()
+            .flat_map(|l| &l.model_ix)
+            .map(|&ix| self.models[ix as usize].config().generation.index())
+    }
+
+    /// Captures the fleet's dynamic state for a snapshot: the leaves'
+    /// columns gathered into flat fleet-wide ones. Must be called at a
+    /// tick boundary.
     pub fn state(&self) -> FleetState {
-        let n = self.len();
+        let mut generators = Vec::with_capacity(self.len());
+        for leaf in &self.leaves {
+            for (pos, &id) in leaf.perm.iter().enumerate() {
+                // The wire keeps one `WorkloadState` per process; kind
+                // and parameters are the server's service's.
+                let kind = self.services[leaf.first + id as usize];
+                generators.push(WorkloadState {
+                    kind: kind.index(),
+                    params: kind.params(),
+                    noise: leaf.wl_noise[pos],
+                    burst: burst_from_columns(leaf.wl_burst_until[pos], leaf.wl_burst_add[pos]),
+                    rng: leaf.wl_rng[pos].clone(),
+                });
+            }
+        }
         FleetState {
-            agent_rng: self.agent_rng.clone(),
-            running: (0..n).map(|i| get_bit(&self.running_bits, i)).collect(),
-            generation: (0..n)
-                .map(|i| self.model_of(i).config().generation.index() as u8)
-                .collect(),
-            // The wire keeps one `WorkloadState` per process; kind and
-            // parameters are the server's service's.
-            generators: (0..n)
-                .map(|pos| {
-                    let kind = self.service_at(pos);
-                    WorkloadState {
-                        kind: kind.index(),
-                        params: kind.params(),
-                        noise: self.wl_noise[pos],
-                        burst: burst_from_columns(self.wl_burst_until[pos], self.wl_burst_add[pos]),
-                        rng: self.wl_rng[pos].clone(),
-                    }
-                })
-                .collect(),
+            agent_rng: self.column(|l| &l.agent_rng),
+            running: self.flags(|l| &l.running),
+            generation: self.generations().map(|g| g as u8).collect(),
+            generators,
             pending_restarts: self.pending_restarts.clone(),
             rng: self.rng.clone(),
-            perm: self.perm.clone(),
-            demand_w: self.demand_w.clone(),
-            limit_w: self.limit_w.clone(),
-            out_w: self.out_w.clone(),
-            not_init: (0..n).map(|pos| self.not_init_at(pos)).collect(),
-            alive: (0..n).map(|pos| self.alive_at(pos)).collect(),
-            util: self.util.clone(),
-            power_w: self.power_w.clone(),
-            leaf_power_w: self.leaf_power_w.clone(),
+            perm: self.permutation().collect(),
+            demand_w: self.column(|l| &l.demand_w),
+            limit_w: self.column(|l| &l.limit_w),
+            out_w: self.column(|l| &l.out_w),
+            not_init: self.flags(|l| &l.not_init),
+            alive: self.flags(|l| &l.alive),
+            util: self.column(|l| &l.util),
+            power_w: self.column(|l| &l.power_w),
+            leaf_power_w: self.leaves.iter().map(|l| l.partial_w).collect(),
             span_generation: self.span_generation,
             tick_index: self.tick_index,
-            settled: (0..self.leaf_spans.len())
-                .map(|l| self.is_settled(l))
-                .collect(),
-            last_draw_tick: self.last_draw_tick.clone(),
-            leaf_epoch: self.leaf_epoch.clone(),
-            agent_epoch: self.agent_epoch.clone(),
+            settled: self.leaves.iter().map(|l| l.settled).collect(),
+            last_draw_tick: self.leaves.iter().map(|l| l.last_draw_tick).collect(),
+            leaf_epoch: self.leaves.iter().map(|l| l.power_epoch).collect(),
+            agent_epoch: self.leaves.iter().map(|l| l.agent_epoch).collect(),
         }
     }
 
@@ -68,7 +98,9 @@ impl Fleet {
     /// services, leaf spans and seed). The stored permutation and
     /// hardware generations must equal the rebuilt ones — a mismatch
     /// means the topology or server mix drifted and the snapshot does
-    /// not describe this fleet.
+    /// not describe this fleet. Everything is checked before anything
+    /// is installed; the flat columns are then cut at the leaves'
+    /// spans, so no length or id from the file is used unchecked.
     pub fn restore(&mut self, state: &FleetState) -> Result<(), SnapError> {
         let n = self.len();
         if state.agent_rng.len() != n
@@ -88,7 +120,7 @@ impl Fleet {
                 "fleet snapshot server count disagrees with rebuilt fleet of {n}"
             )));
         }
-        if state.perm != self.perm {
+        if !self.permutation().eq(state.perm.iter().copied()) {
             return Err(SnapError::Corrupt(
                 "fleet snapshot permutation differs from the rebuilt layout \
                  (topology or server mix drifted since the snapshot)"
@@ -97,8 +129,8 @@ impl Fleet {
         }
         // The settling state is only meaningful against the curve and
         // LUT it was stepped with.
-        for (sid, &stored) in state.generation.iter().enumerate() {
-            let rebuilt = self.model_of(sid).config().generation.index();
+        for (sid, (&stored, rebuilt)) in state.generation.iter().zip(self.generations()).enumerate()
+        {
             if stored as usize != rebuilt {
                 return Err(SnapError::Corrupt(format!(
                     "server {sid} generation changed: snapshot has LUT generation {stored}, \
@@ -110,7 +142,7 @@ impl Fleet {
         if let Some(bad) = state.limit_w.iter().find(|l| l.is_nan() || **l <= 0.0) {
             return Err(SnapError::Corrupt(format!("bad RAPL limit {bad} W")));
         }
-        let leaves = self.leaf_spans.len();
+        let leaves = self.leaves.len();
         if state.settled.len() != leaves
             || state.last_draw_tick.len() != leaves
             || state.leaf_epoch.len() != leaves
@@ -121,23 +153,31 @@ impl Fleet {
                 "fleet snapshot leaf count disagrees with rebuilt fleet of {leaves} leaves"
             )));
         }
-        // A leaf's partial is the ascending fold of its servers' watts,
-        // and above rack level the partials are all the breaker pass
-        // reads: a stored one that disagrees would mis-state every
-        // RPP, SB and MSB draw.
-        for (l, span) in self.leaf_spans.iter().enumerate() {
-            let folded: f64 = state.power_w[span.clone()].iter().sum();
+        for (l, leaf) in self.leaves.iter().enumerate() {
+            // A leaf's partial is the ascending fold of its servers'
+            // watts, and above rack level the partials are all the
+            // breaker pass reads: a stored one that disagrees would
+            // mis-state every RPP, SB and MSB draw.
+            let folded: f64 = state.power_w[leaf.span()].iter().sum();
             if state.leaf_power_w[l].to_bits() != folded.to_bits() {
                 return Err(SnapError::Corrupt(format!(
                     "leaf {l} power partial {} W is not the fold of its servers' power ({folded} W)",
                     state.leaf_power_w[l]
                 )));
             }
+            // A redraw integrates the ticks since the last one: it
+            // cannot have happened in the future.
+            if state.last_draw_tick[l] > state.tick_index {
+                return Err(SnapError::Corrupt(format!(
+                    "leaf {l} last redrew at tick {}, after the snapshot's tick {}",
+                    state.last_draw_tick[l], state.tick_index
+                )));
+            }
         }
         // The demand pass hoists each run's service parameters, so a
         // process may only carry its own service's calibrated ones.
-        for (pos, s) in state.generators.iter().enumerate() {
-            let kind = self.service_at(pos);
+        for (pos, (s, &sid)) in state.generators.iter().zip(&state.perm).enumerate() {
+            let kind = self.services[sid as usize];
             if s.kind != kind.index() || s.params != kind.params() {
                 return Err(SnapError::Corrupt(format!(
                     "workload state at position {pos} (service kind {}) is not a calibrated \
@@ -146,38 +186,45 @@ impl Fleet {
                 )));
             }
         }
-        for (pos, s) in state.generators.iter().enumerate() {
-            self.wl_rng[pos] = s.rng.clone();
-            self.wl_noise[pos] = s.noise;
-            (self.wl_burst_until[pos], self.wl_burst_add[pos]) = burst_to_columns(s.burst);
+        // The watchdog restarts by server id.
+        if let Some(&(sid, _)) = state.pending_restarts.iter().find(|r| r.0 as usize >= n) {
+            return Err(SnapError::Corrupt(format!(
+                "pending restart of server {sid} in a fleet of {n}"
+            )));
         }
-        self.agent_rng.clone_from(&state.agent_rng);
+        for (l, leaf) in self.leaves.iter_mut().enumerate() {
+            let span = leaf.span();
+            for (pos, s) in state.generators[span.clone()].iter().enumerate() {
+                leaf.wl_rng[pos] = s.rng.clone();
+                leaf.wl_noise[pos] = s.noise;
+                (leaf.wl_burst_until[pos], leaf.wl_burst_add[pos]) = burst_to_columns(s.burst);
+            }
+            leaf.agent_rng
+                .clone_from_slice(&state.agent_rng[span.clone()]);
+            leaf.demand_w.copy_from_slice(&state.demand_w[span.clone()]);
+            leaf.limit_w.copy_from_slice(&state.limit_w[span.clone()]);
+            leaf.out_w.copy_from_slice(&state.out_w[span.clone()]);
+            leaf.util.copy_from_slice(&state.util[span.clone()]);
+            leaf.power_w.copy_from_slice(&state.power_w[span.clone()]);
+            // Every bit is written, so no stale state survives; tail
+            // bits stay zero.
+            for i in 0..span.len() {
+                put_bit(&mut leaf.running, i, state.running[span.start + i]);
+                put_bit(&mut leaf.not_init, i, state.not_init[span.start + i]);
+                put_bit(&mut leaf.alive, i, state.alive[span.start + i]);
+            }
+            leaf.partial_w = state.leaf_power_w[l];
+            leaf.settled = state.settled[l];
+            leaf.last_draw_tick = state.last_draw_tick[l];
+            leaf.power_epoch = state.leaf_epoch[l];
+            leaf.agent_epoch = state.agent_epoch[l];
+            // The tally is a function of the column: recount.
+            leaf.capped = leaf.limit_w.iter().filter(|w| w.is_finite()).count();
+        }
         self.pending_restarts.clone_from(&state.pending_restarts);
         self.rng = state.rng.clone();
-        self.demand_w.clone_from(&state.demand_w);
-        self.limit_w.clone_from(&state.limit_w);
-        self.out_w.clone_from(&state.out_w);
-        // Every bit is written, so no stale state survives; tail bits
-        // stay zero. The rebuilt region directory already matches:
-        // spans and permutation were validated identical above.
-        for i in 0..n {
-            put_bit(&mut self.running_bits, i, state.running[i]);
-            self.set_not_init_at(i, state.not_init[i]);
-            self.set_alive_at(i, state.alive[i]);
-        }
-        self.util.clone_from(&state.util);
-        self.power_w.clone_from(&state.power_w);
-        self.leaf_power_w.clone_from(&state.leaf_power_w);
         self.span_generation = state.span_generation;
         self.tick_index = state.tick_index;
-        for (l, &s) in state.settled.iter().enumerate() {
-            self.set_settled(l, s);
-        }
-        self.last_draw_tick.clone_from(&state.last_draw_tick);
-        self.leaf_epoch.clone_from(&state.leaf_epoch);
-        self.agent_epoch.clone_from(&state.agent_epoch);
-        // The tallies are functions of the columns: recount.
-        self.capped_count = self.limit_w.iter().filter(|l| l.is_finite()).count();
         self.down_count = state.running.iter().filter(|&&up| !up).count();
         Ok(())
     }
@@ -377,6 +424,47 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.power_w), bits(&b.power_w));
         assert_eq!(bits(&a.leaf_power_w), bits(&b.leaf_power_w));
+    }
+
+    /// `restore` hands `forged` to a fresh fleet and must refuse it,
+    /// naming `what`, before installing anything — and the fleet must
+    /// then still step (each forgery below used to restore `Ok` and
+    /// panic in the next step).
+    fn assert_refused(forged: &FleetState, what: &str) {
+        let fresh = || build(ServerGeneration::Haswell2015);
+        let mut target = fresh();
+        match target.restore(forged) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a refusal naming {what:?}, got {other:?}"),
+        }
+        target.step(SimTime::ZERO, SimDuration::from_secs(1));
+        let mut twin = fresh();
+        twin.step(SimTime::ZERO, SimDuration::from_secs(1));
+        assert_eq!(target.state().power_w, twin.state().power_w);
+    }
+
+    /// The watchdog restarts agents by server id: a pending restart of
+    /// a server the fleet does not have is an index out of bounds one
+    /// step later.
+    #[test]
+    fn restore_rejects_a_pending_restart_of_a_server_it_does_not_have() {
+        let mut fleet = build(ServerGeneration::Haswell2015);
+        fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
+        let mut forged = fleet.state();
+        forged.pending_restarts.push((8, SimTime::from_secs(1)));
+        assert_refused(&forged, "pending restart of server 8");
+    }
+
+    /// A redraw integrates the ticks since the leaf's last one: a last
+    /// redraw dated after the snapshot's own tick underflows that
+    /// subtraction.
+    #[test]
+    fn restore_rejects_a_redraw_dated_after_the_snapshot() {
+        let mut fleet = build(ServerGeneration::Haswell2015);
+        fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
+        let mut forged = fleet.state();
+        forged.last_draw_tick[1] = forged.tick_index + 1;
+        assert_refused(&forged, "leaf 1 last redrew at tick 2");
     }
 
     /// The demand pass hoists each run's service parameters out of the

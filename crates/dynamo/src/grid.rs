@@ -31,6 +31,7 @@ use dyngrid::{EconConfig, EconController, EconControllerState, GridScenario};
 use powerinfra::{Dcups, DeviceId, DeviceLevel, Power, Topology};
 
 use crate::control_plane::DynamoSystem;
+use crate::fleet::LeafColumns;
 
 /// Configuration of the per-leaf DCUPS banks the grid layer may ride.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -309,14 +310,14 @@ impl GridLayer {
     /// the next contract push — the half not planned is that bridge.
     /// The spend therefore decays geometrically toward the floor
     /// instead of slamming into it.
-    fn ride_headroom(&self, leaf_loads: &[f64]) -> Power {
+    fn ride_headroom(&self, leaves: &[LeafColumns]) -> Power {
         if !self.dcups_cfg.enabled || self.banks.is_empty() {
             return Power::ZERO;
         }
         let plan_s = 2.0 * self.econ.config().period.as_millis() as f64 / 1000.0;
         let mut total = 0.0;
-        for (i, &load_w) in leaf_loads.iter().enumerate() {
-            let avail_w = (self.bank_available_j(i, Power::from_watts(load_w)) / plan_s)
+        for (i, leaf) in leaves.iter().enumerate() {
+            let avail_w = (self.bank_available_j(i, leaf.power()) / plan_s)
                 .min(self.banks[i].design_load().as_watts());
             total += avail_w;
         }
@@ -378,15 +379,15 @@ impl GridLayer {
     }
 
     /// Advances the layer by one tick. `site_draw` is the true server
-    /// draw at MSB level; `leaf_loads` the fleet's per-leaf power
-    /// partials (the load each leaf's bank carries). Pushes contracts and records metrics
-    /// through `system`.
+    /// draw at MSB level; `leaves` the fleet's leaves, whose power
+    /// partials are the load each leaf's bank carries. Pushes contracts
+    /// and records metrics through `system`.
     pub(crate) fn step(
         &mut self,
         now: SimTime,
         dt: SimDuration,
         site_draw: Power,
-        leaf_loads: &[f64],
+        leaves: &[LeafColumns],
         system: &mut DynamoSystem,
     ) {
         let signal = *self.scenario.signal_at(now);
@@ -421,7 +422,7 @@ impl GridLayer {
         // economic cycle.
         if self.econ.due(now) {
             self.settle_period(now, curtail_w, system);
-            let headroom = self.ride_headroom(leaf_loads);
+            let headroom = self.ride_headroom(leaves);
             let decision = self.econ.cycle(now, &signal, headroom);
             if decision.changed {
                 for &(dev, share) in &self.msbs {
@@ -446,8 +447,8 @@ impl GridLayer {
                 // Proportional take: every bank contributes its share of
                 // available power, so no leaf's reserve drains first.
                 let mut total_avail = 0.0;
-                for (i, &load_w) in leaf_loads.iter().enumerate() {
-                    let avail_w = (self.bank_available_j(i, Power::from_watts(load_w)) / dt_s)
+                for (i, leaf) in leaves.iter().enumerate() {
+                    let avail_w = (self.bank_available_j(i, leaf.power()) / dt_s)
                         .min(self.banks[i].design_load().as_watts());
                     self.avail_scratch[i] = avail_w;
                     total_avail += avail_w;

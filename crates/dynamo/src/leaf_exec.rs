@@ -1,21 +1,22 @@
-//! The leaf controller tier: one [`LeafController`] per RPP and the
-//! one dispatch that runs their cycles.
+//! The leaf controller tier: one [`Leaf`] per RPP — its
+//! [`LeafController`] with everything a cycle mutates — and the one
+//! dispatch that runs their cycles.
 //!
 //! [`LeafTier::run_due`] runs only the leaves the
 //! [`crate::events::CycleDispatcher`] marked due this tick (minus the
-//! provably quiescent ones), carved into contiguous shards — as many as
+//! provably quiescent ones), cut into contiguous shards — as many as
 //! the attached [`WorkerPool`] has workers, one (run inline on the
 //! caller) without a pool. This mirrors the paper's consolidated binary
-//! running ~100 controller threads (§IV): each shard owns the entries
-//! of its leaves' servers in the fleet's writable columns and every
-//! leaf's RPC RNG stream is its own, so a cycle computes the same thing
-//! in any shard; events are buffered per leaf and merged in leaf-index
-//! order after the join, making the whole run bit-identical at any
-//! width. Shard jobs are stack slots holding disjoint slices of the
-//! tier's parallel arrays, so a warm steady-state dispatch allocates
-//! nothing.
+//! running ~100 controller threads (§IV). A shard is two sub-slices:
+//! its leaves here and the same leaves of the fleet
+//! ([`Fleet::agent_leaves`]). A leaf on either side owns its state, so
+//! a cycle computes the same thing in any shard and leaves nothing to
+//! apply after the join except what is shared: events are buffered per
+//! leaf and merged in leaf-index order, making the whole run
+//! bit-identical at any width, and a warm steady-state dispatch
+//! allocates nothing.
 //!
-//! A cycle reaches the fleet's columns through a [`LeafLink`] — the
+//! A cycle reaches its leaf's columns through a [`LeafLink`] — the
 //! leaf's [`Network`] in front of a borrowed [`LeafAgents`] view —
 //! which is the controller's [`LeafTransport`]. Step 1 of the cycle,
 //! the pull, is not 160 RPC round trips through a handler but two
@@ -30,10 +31,7 @@
 //! `two_pass_pull_is_the_per_call_pull` pins it against the trait's
 //! provided per-call loop). `SetCap` / `ClearCap` go one call at a
 //! time through the same link and land on the `dynamo_agent::Host`
-//! handler, writing the limit column in place. Nothing is copied in
-//! before the cycle or out after it; the view hands back only whether a
-//! limit changed and how the capped tally moved, which the fleet folds
-//! in after the join (see [`crate::fleet`]'s state-ownership notes).
+//! handler, writing the limit column in place (see [`crate::fleet`]).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -56,60 +54,70 @@ use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 
 use crate::control_plane::SystemConfig;
 use crate::events::{ControllerEvent, ControllerEventKind};
-use crate::failover::FailoverState;
-use crate::fleet::{AgentColumns, Fleet, LeafAgents};
+use crate::failover::Failover;
+use crate::fleet::{Fleet, LeafAgents, LeafColumns, Markers};
 use crate::obs::{band_of, record_leaf_cycle, record_leaf_failover, ObsIds, Observability};
 use crate::shard::{self, front_mut};
 
-/// The leaf tier as parallel arrays, so cycles can split borrows.
-pub(crate) struct LeafTier {
-    pub(crate) devices: Vec<DeviceId>,
-    pub(crate) controllers: Vec<LeafController>,
-    networks: Vec<Network>,
-    pub(crate) last_aggregate: Vec<Power>,
-    /// Each leaf's contiguous ascending server-id range; the ranges
-    /// tile `0..server_count` in leaf order, so the dispatch can carve
-    /// each shard its servers' entries of the fleet's columns.
-    pub(crate) spans: Vec<Range<usize>>,
-    /// Per-leaf event buffers, reused across dispatches (cleared,
-    /// capacity kept) and merged in leaf index order after the join.
-    event_bufs: Vec<Vec<ControllerEvent>>,
-    /// Per-leaf telemetry wire buffers: each shard encodes its leaf's
+/// One leaf controller and everything its cycle mutates.
+pub(crate) struct Leaf {
+    pub(crate) controller: LeafController,
+    /// The controller's link to its agents, with its own RNG stream.
+    network: Network,
+    /// The last aggregate the controller computed; upper tiers read it.
+    pub(crate) last_aggregate: Power,
+    /// Planned-peak quota from topology metadata.
+    pub(crate) quota: Power,
+    /// The leaf's last real cycle was a clean Hold — no pull failures,
+    /// no active caps, no failover takeover — so, as long as `seen`
+    /// still matches the fleet and the link is lossless, re-running the
+    /// cycle would observe the same fleet state and decide Hold again.
+    /// Cleared by anything that could change the next decision from
+    /// outside the fleet: an upper directive, an operator contract
+    /// override, a rollout-phase flip, a primary failover.
+    pub(crate) quiet: bool,
+    /// The fleet leaf's markers as of the last real cycle
+    /// ([`NEVER_RAN`] before the first). See
+    /// [`LeafTier::filter_quiescent`].
+    seen: Markers,
+    /// The primary has crashed: the next cycle is skipped while the
+    /// backup takes over (§III-E).
+    pub(crate) failed: bool,
+    /// The leaf's recording shard (see [`crate::obs`]).
+    pub(crate) obs: Shard,
+    /// The cycle's events, merged in leaf index order after the join.
+    /// Reused across dispatches (cleared, capacity kept).
+    events: Vec<ControllerEvent>,
+    /// Telemetry wire buffer and decode scratch: the leaf encodes its
     /// cycle events as a [`dynrpc::codec`] telemetry batch and decodes
     /// them back, so the codec work the deployed system pays to ship
     /// telemetry is on the tick. Reused (cleared, capacity kept).
-    wire_bufs: Vec<Vec<u8>>,
-    /// Per-leaf decode scratch for the wire round-trip.
-    wire_events: Vec<Vec<TelemetryEvent>>,
-    /// Planned-peak quotas from topology metadata, by leaf index.
-    pub(crate) quotas: Vec<Power>,
+    wire: Vec<u8>,
+    wire_events: Vec<TelemetryEvent>,
+}
+
+/// [`Leaf::seen`] before the leaf's first real cycle.
+const NEVER_RAN: Markers = Markers {
+    power_epoch: u64::MAX,
+    draw_tick: u64::MAX,
+    agent_epoch: u64::MAX,
+};
+
+/// The leaf tier: its leaves, plus the immutable per-leaf geometry the
+/// public accessors return as slices.
+pub(crate) struct LeafTier {
+    pub(crate) leaves: Vec<Leaf>,
+    pub(crate) devices: Vec<DeviceId>,
+    /// Each leaf's contiguous ascending server-id range; the ranges
+    /// tile `0..server_count` in leaf order, and the fleet is
+    /// partitioned on exactly these.
+    pub(crate) spans: Vec<Range<usize>>,
     pub(crate) index_of: HashMap<DeviceId, usize>,
-    /// Per-leaf quiescence flag: the leaf's last real cycle was a clean
-    /// Hold — no pull failures, no active caps, no failover takeover —
-    /// so, as long as the fleet-side markers below are unchanged and
-    /// the link is lossless, re-running the cycle would observe the
-    /// same fleet state and decide Hold again. Cleared by anything that
-    /// could change the next decision from outside the fleet: an upper
-    /// directive, an operator contract override, a rollout-phase flip,
-    /// a primary failover.
-    pub(crate) quiet: Vec<bool>,
-    /// Fleet markers captured after each leaf's last real cycle
-    /// (`u64::MAX` = never ran): power epoch, demand-redraw tick and
-    /// agent epoch. See [`LeafTier::filter_quiescent`].
-    seen_power_epoch: Vec<u64>,
-    seen_draw_tick: Vec<u64>,
-    seen_agent_epoch: Vec<u64>,
-    /// What each leaf's agent view reported at the end of its cycle —
-    /// whether any limit bit changed, and the signed capped-count
-    /// delta — recorded by the shards and applied serially after the
-    /// join by [`Fleet::finish_fused_control`]. Meaningful only for the
-    /// leaves of the last dispatch's due set.
-    cap_changed: Vec<bool>,
-    cap_delta: Vec<i64>,
 }
 
 impl LeafTier {
-    /// Builds one leaf controller per RPP in `topo`, in device order.
+    /// Builds one leaf controller per RPP in `topo`, in device order,
+    /// each recording into its own shard of `obs`.
     ///
     /// # Panics
     ///
@@ -121,15 +129,14 @@ impl LeafTier {
         service_of: &dyn Fn(u32) -> ServiceClass,
         config: &SystemConfig,
         rng: &mut SimRng,
+        obs: &Observability,
     ) -> Self {
-        let rpps = topo.devices_at(DeviceLevel::Rpp);
-        assert!(!rpps.is_empty(), "topology has no RPPs to protect");
+        let devices = topo.devices_at(DeviceLevel::Rpp);
+        assert!(!devices.is_empty(), "topology has no RPPs to protect");
 
-        let mut devices = Vec::new();
-        let mut controllers = Vec::new();
-        let mut networks = Vec::new();
+        let mut leaves = Vec::new();
         let mut index_of = HashMap::new();
-        for rpp in rpps {
+        for &rpp in &devices {
             let dev = topo.device(rpp);
             let servers: Vec<ServerHandle> = topo
                 .servers_under(rpp)
@@ -148,32 +155,27 @@ impl LeafTier {
                 non_server_overhead: config.leaf_overhead,
                 dry_run: config.dry_run,
             };
-            index_of.insert(rpp, controllers.len());
-            controllers.push(LeafController::new(dev.name.clone(), leaf_config, servers));
-            networks.push(Network::new(config.rpc, rng.split(&dev.name)));
-            devices.push(rpp);
+            index_of.insert(rpp, leaves.len());
+            leaves.push(Leaf {
+                controller: LeafController::new(dev.name.clone(), leaf_config, servers),
+                network: Network::new(config.rpc, rng.split(&dev.name)),
+                last_aggregate: Power::ZERO,
+                quota: dev.quota,
+                quiet: false,
+                seen: NEVER_RAN,
+                failed: false,
+                obs: obs.new_shard(),
+                events: Vec::new(),
+                wire: Vec::new(),
+                wire_events: Vec::new(),
+            });
         }
-
-        let n = devices.len();
-        let quotas: Vec<Power> = devices.iter().map(|&d| topo.device(d).quota).collect();
-        let spans = tile_leaf_spans(&controllers, topo.server_count());
+        let spans = tile_leaf_spans(leaves.iter().map(|l| &l.controller), topo.server_count());
         LeafTier {
+            leaves,
             devices,
-            controllers,
-            networks,
-            last_aggregate: vec![Power::ZERO; n],
             spans,
-            event_bufs: vec![Vec::new(); n],
-            wire_bufs: vec![Vec::new(); n],
-            wire_events: vec![Vec::new(); n],
-            quotas,
             index_of,
-            quiet: vec![false; n],
-            seen_power_epoch: vec![u64::MAX; n],
-            seen_draw_tick: vec![u64::MAX; n],
-            seen_agent_epoch: vec![u64::MAX; n],
-            cap_changed: vec![false; n],
-            cap_delta: vec![0; n],
         }
     }
 
@@ -185,279 +187,189 @@ impl LeafTier {
     ///
     /// A leaf's cycle is elided only when it is *provably* a no-op
     /// recomputation: the leaf decided a clean Hold last time
-    /// ([`LeafTier::quiet`]), its link cannot drop or time out, no
-    /// failover is pending, and every fleet-side marker — power epoch,
-    /// demand-redraw tick, agent epoch — still reads what the last real
-    /// cycle captured. The elided cycle's RPC and sensor-noise RNG
-    /// draws are *not* consumed, so elision (like the demand hold that
-    /// enables it — with `demand_hold == 1` the redraw tick changes
-    /// every tick and nothing ever elides) changes the trajectory
-    /// relative to a run without it, while remaining deterministic and
-    /// thread-count independent.
+    /// ([`Leaf::quiet`]), its link cannot drop or time out, no
+    /// failover is pending, and every marker of its fleet leaf — power
+    /// epoch, demand-redraw tick, agent epoch — still reads what the
+    /// last real cycle captured. The elided cycle's RPC and
+    /// sensor-noise RNG draws are *not* consumed, so elision (like the
+    /// demand hold that enables it — with `demand_hold == 1` the redraw
+    /// tick changes every tick and nothing ever elides) changes the
+    /// trajectory relative to a run without it, while remaining
+    /// deterministic and thread-count independent.
     pub(crate) fn filter_quiescent(
-        &self,
+        &mut self,
         due: &[usize],
         fleet: &Fleet,
-        failover: &FailoverState,
-        obs: &mut Observability,
+        ids: &ObsIds,
         out: &mut Vec<usize>,
     ) {
         out.clear();
-        let power_epochs = fleet.leaf_epochs();
-        let draw_ticks = fleet.last_draw_ticks();
-        let agent_epochs = fleet.agent_epochs();
-        let (shards, ids) = obs.shard_ctx();
         for &i in due {
-            let elidable = self.quiet[i]
-                && !failover.leaf_pending(i)
-                && self.networks[i].profile().is_lossless()
-                && self.seen_power_epoch[i] == power_epochs[i]
-                && self.seen_draw_tick[i] == draw_ticks[i]
-                && self.seen_agent_epoch[i] == agent_epochs[i];
+            let leaf = &mut self.leaves[i];
+            let elidable = leaf.quiet
+                && !leaf.failed
+                && leaf.network.profile().is_lossless()
+                && leaf.seen == fleet.leaves()[i].markers();
             if elidable {
-                shards[i].inc(ids.leaf_cycles_elided);
+                leaf.obs.inc(ids.leaf_cycles_elided);
             } else {
                 out.push(i);
             }
         }
     }
 
-    /// Captures the fleet markers for the leaves that just ran a real
-    /// cycle.
-    fn note_markers(&mut self, ran: &[usize], fleet: &Fleet) {
-        let power_epochs = fleet.leaf_epochs();
-        let draw_ticks = fleet.last_draw_ticks();
-        let agent_epochs = fleet.agent_epochs();
-        for &i in ran {
-            self.seen_power_epoch[i] = power_epochs[i];
-            self.seen_draw_tick[i] = draw_ticks[i];
-            self.seen_agent_epoch[i] = agent_epochs[i];
-        }
-    }
-
     /// Number of leaf controllers.
     pub(crate) fn len(&self) -> usize {
-        self.controllers.len()
+        self.leaves.len()
     }
 
     /// Monitoring-only baseline (capping disabled): no RPC cycle runs;
     /// each due leaf just tracks its true aggregate so upper tiers and
-    /// telemetry still see power. The fleet's per-leaf partial
-    /// (maintained by its step as the same ascending fold) makes this a
-    /// single lookup.
+    /// telemetry still see power. The fleet leaf's partial (maintained
+    /// by its step as the same ascending fold) makes this a single
+    /// lookup.
     pub(crate) fn monitor_due(
         &mut self,
         now: SimTime,
         due: &[usize],
-        failover: &mut FailoverState,
+        failover: &mut Failover,
         fleet: &Fleet,
         events: &mut Vec<ControllerEvent>,
-        obs: &mut Observability,
+        ids: &ObsIds,
     ) {
-        let (shards, ids) = obs.shard_ctx();
         for &i in due {
-            if failover.take_leaf(i) {
-                events.push(take_over(
-                    now,
-                    self.devices[i],
-                    &self.controllers[i],
-                    &mut shards[i],
-                    ids,
-                    i as u32,
-                ));
+            let leaf = &mut self.leaves[i];
+            if std::mem::take(&mut leaf.failed) {
+                failover.record_leaf(i);
+                events.push(leaf.take_over(now, self.devices[i], ids, i as u32));
                 continue;
             }
-            self.last_aggregate[i] = fleet.leaf_power(i);
+            leaf.last_aggregate = fleet.leaf_power(i);
         }
     }
 
     /// Runs the due leaves' cycles. The due set is cut into contiguous
     /// chunks, one shard each ([`shard::chunking`] over `pool`); a
-    /// shard holds disjoint `&mut` slices of the tier's parallel arrays
-    /// and its servers' entries of the fleet's writable columns, split
-    /// once at chunk boundaries. Per leaf, in the shard: run the cycle
-    /// against the leaf's agent view (or consume a pending primary
-    /// failure), then round-trip the emitted events through the
-    /// telemetry wire format. After the join, events are merged in leaf
-    /// index order and the views' cap notes are folded into the fleet,
-    /// so the result is bit-identical at any width.
+    /// shard holds the sub-slice of the tier's leaves and of the
+    /// fleet's leaves from its first due leaf to its last, so it may
+    /// include non-due leaves — it walks only its `due` sublist. Per
+    /// leaf, in the shard: [`Leaf::run`] against the leaf's agent view.
+    /// After the join, events are merged in leaf index order, so the
+    /// result is bit-identical at any width.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_due(
         &mut self,
         now: SimTime,
         due: &[usize],
         pool: Option<&WorkerPool>,
-        failover: &mut FailoverState,
+        failover: &mut Failover,
         fleet: &mut Fleet,
         events: &mut Vec<ControllerEvent>,
-        obs: &mut Observability,
+        ids: &ObsIds,
     ) {
-        /// One shard's disjoint view of the leaf tier: the arrays are
-        /// split at due-chunk boundaries, so slices may include
-        /// non-due leaves — the shard walks only its `due` sublist,
-        /// indexing relative to `base`.
         struct LeafJob<'a> {
             due: &'a [usize],
-            /// Leaf index of element 0 of the sliced arrays.
+            /// Leaf index of element 0 of both slices.
             base: usize,
-            controllers: &'a mut [LeafController],
-            networks: &'a mut [Network],
-            aggregates: &'a mut [Power],
-            failed: &'a mut [bool],
-            bufs: &'a mut [Vec<ControllerEvent>],
-            wire: &'a mut [Vec<u8>],
-            wire_ev: &'a mut [Vec<TelemetryEvent>],
-            shards: &'a mut [Shard],
-            quiet: &'a mut [bool],
-            cap_changed: &'a mut [bool],
-            cap_delta: &'a mut [i64],
-            /// The fleet's columns, carved to this shard's servers.
-            columns: AgentColumns<'a>,
+            leaves: &'a mut [Leaf],
+            columns: &'a mut [LeafColumns],
         }
 
         let (per, shards) = shard::chunking(pool, due.len());
-        {
-            let devices = &self.devices;
-            let spans = &self.spans;
-            let (mut obs_shards, ids) = obs.shard_ctx();
-            let mut controllers = &mut self.controllers[..];
-            let mut networks = &mut self.networks[..];
-            let mut aggregates = &mut self.last_aggregate[..];
-            let mut failed = failover.leaf_flags_mut();
-            let mut bufs = &mut self.event_bufs[..];
-            let mut wire = &mut self.wire_bufs[..];
-            let mut wire_ev = &mut self.wire_events[..];
-            let mut quiet = &mut self.quiet[..];
-            let mut cap_changed = &mut self.cap_changed[..];
-            let mut cap_delta = &mut self.cap_delta[..];
-            let mut columns = fleet.agent_columns();
-            let mut chunks = due.chunks(per);
-            let mut next_leaf = 0usize;
-            let carve = || {
-                let chunk = chunks.next().expect("one due chunk per shard");
-                let lo = chunk[0];
-                let hi = chunk[chunk.len() - 1] + 1;
-                let (skip, take) = (lo - next_leaf, hi - lo);
-                next_leaf = hi;
-                LeafJob {
-                    due: chunk,
-                    base: lo,
-                    controllers: window(&mut controllers, skip, take),
-                    networks: window(&mut networks, skip, take),
-                    aggregates: window(&mut aggregates, skip, take),
-                    failed: window(&mut failed, skip, take),
-                    bufs: window(&mut bufs, skip, take),
-                    wire: window(&mut wire, skip, take),
-                    wire_ev: window(&mut wire_ev, skip, take),
-                    shards: window(&mut obs_shards, skip, take),
-                    quiet: window(&mut quiet, skip, take),
-                    cap_changed: window(&mut cap_changed, skip, take),
-                    cap_delta: window(&mut cap_delta, skip, take),
-                    columns: columns.carve(spans[lo].start..spans[hi - 1].end),
-                }
-            };
-            shard::run_sharded(pool, shards, carve, |job| {
-                for &i in job.due {
-                    let r = i - job.base;
-                    job.bufs[r].clear();
-                    let mut agents = job.columns.leaf(i);
-                    if job.failed[r] {
-                        // Backup takes over: one cycle of downtime,
-                        // then the redundant instance (sharing the same
-                        // decision state via its own polling)
-                        // continues. The merge below records it — the
-                        // shard cannot touch the shared counters.
-                        job.failed[r] = false;
-                        job.quiet[r] = false;
-                        job.bufs[r].push(take_over(
-                            now,
-                            devices[i],
-                            &job.controllers[r],
-                            &mut job.shards[r],
-                            ids,
-                            i as u32,
-                        ));
-                    } else {
-                        job.quiet[r] = run_one_leaf_cycle(
-                            now,
-                            devices[i],
-                            &mut job.controllers[r],
-                            &mut job.networks[r],
-                            &mut agents,
-                            &mut job.aggregates[r],
-                            &mut job.bufs[r],
-                            &mut job.shards[r],
-                            ids,
-                            i as u32,
-                        );
-                    }
-                    wire_roundtrip_events(
-                        &job.controllers[r],
-                        &mut job.bufs[r],
-                        &mut job.wire[r],
-                        &mut job.wire_ev[r],
-                    );
-                    (job.cap_changed[r], job.cap_delta[r]) = agents.finish();
-                }
-            });
-        }
+        let devices = &self.devices;
+        let mut leaves = &mut self.leaves[..];
+        let (mut columns, models) = fleet.agent_leaves();
+        let mut chunks = due.chunks(per);
+        let mut next_leaf = 0usize;
+        let carve = || {
+            let chunk = chunks.next().expect("one due chunk per shard");
+            let lo = chunk[0];
+            let hi = chunk[chunk.len() - 1] + 1;
+            let (skip, take) = (lo - next_leaf, hi - lo);
+            next_leaf = hi;
+            LeafJob {
+                due: chunk,
+                base: lo,
+                leaves: window(&mut leaves, skip, take),
+                columns: window(&mut columns, skip, take),
+            }
+        };
+        shard::run_sharded(pool, shards, carve, |job| {
+            for &i in job.due {
+                let r = i - job.base;
+                let mut agents = LeafAgents::new(&mut job.columns[r], models);
+                job.leaves[r].run(now, devices[i], &mut agents, ids, i as u32);
+            }
+        });
         // Deterministic merge: drain the per-leaf event buffers in leaf
-        // index order.
+        // index order, counting each takeover into the shared tallies
+        // the shards cannot touch.
         for &i in due {
-            for event in self.event_bufs[i].drain(..) {
+            for event in self.leaves[i].events.drain(..) {
                 if matches!(event.kind, ControllerEventKind::Failover) {
                     failover.record_leaf(i);
                 }
                 events.push(event);
             }
         }
-        fleet.finish_fused_control(due, &self.cap_changed, &self.cap_delta);
-        // Capture the fleet markers the cycles saw (the control tick
-        // does not step the fleet, so they have not moved).
-        self.note_markers(due, fleet);
     }
 
-    /// Captures the tier's dynamic state for a snapshot. Everything
+    /// Captures the tier's dynamic state for a snapshot, gathered from
+    /// the leaves into flat arrays (the pending-failure flags and shard
+    /// band words travel in the failover and observability sections —
+    /// see [`crate::control_plane::DynamoSystem::state`]). Everything
     /// else — devices, quotas, spans, server ids — is topology-derived
     /// and rebuilt from config on restore. Event buffers are drained by
     /// every dispatch, so at a tick boundary they are empty and not
     /// saved.
     pub(crate) fn state(&self) -> LeafTierState {
+        let leaves = &self.leaves;
         LeafTierState {
-            controllers: self.controllers.iter().map(|c| c.state()).collect(),
-            networks: self.networks.iter().map(|n| n.state()).collect(),
-            last_aggregate_w: self.last_aggregate.iter().map(|p| p.as_watts()).collect(),
-            quiet: self.quiet.clone(),
-            seen_power_epoch: self.seen_power_epoch.clone(),
-            seen_draw_tick: self.seen_draw_tick.clone(),
-            seen_agent_epoch: self.seen_agent_epoch.clone(),
+            controllers: leaves.iter().map(|l| l.controller.state()).collect(),
+            networks: leaves.iter().map(|l| l.network.state()).collect(),
+            last_aggregate_w: leaves.iter().map(|l| l.last_aggregate.as_watts()).collect(),
+            quiet: leaves.iter().map(|l| l.quiet).collect(),
+            seen_power_epoch: leaves.iter().map(|l| l.seen.power_epoch).collect(),
+            seen_draw_tick: leaves.iter().map(|l| l.seen.draw_tick).collect(),
+            seen_agent_epoch: leaves.iter().map(|l| l.seen.agent_epoch).collect(),
         }
     }
 
     /// Restores the tier's dynamic state from a decoded snapshot taken
-    /// against an identically-configured control plane.
-    pub(crate) fn restore(&mut self, state: &LeafTierState) -> Result<(), SnapError> {
+    /// against an identically-configured control plane: the flat
+    /// arrays, the failover section's pending-failure flags and the
+    /// observability section's shard band words, split back into the
+    /// leaves.
+    pub(crate) fn restore(
+        &mut self,
+        state: &LeafTierState,
+        failed: &[bool],
+        shard_bands: &[u32],
+    ) -> Result<(), SnapError> {
         let n = self.len();
-        if state.controllers.len() != n {
+        // `decode_body` held the state's other arrays to this length.
+        if state.controllers.len() != n || failed.len() != n || shard_bands.len() != n {
             return Err(SnapError::Corrupt(format!(
-                "leaf tier snapshot has {} controllers, rebuilt control plane has {}",
+                "snapshot has {} leaf controllers, {} leaf failover flags and {} leaf shards, \
+                 rebuilt control plane has {n} leaves",
                 state.controllers.len(),
-                n
+                failed.len(),
+                shard_bands.len()
             )));
         }
-        for (c, s) in self.controllers.iter_mut().zip(&state.controllers) {
-            c.restore(s)?;
+        for (i, leaf) in self.leaves.iter_mut().enumerate() {
+            leaf.controller.restore(&state.controllers[i])?;
+            leaf.network.restore(&state.networks[i]);
+            leaf.last_aggregate = Power::from_watts(state.last_aggregate_w[i]);
+            leaf.quiet = state.quiet[i];
+            leaf.seen = Markers {
+                power_epoch: state.seen_power_epoch[i],
+                draw_tick: state.seen_draw_tick[i],
+                agent_epoch: state.seen_agent_epoch[i],
+            };
+            leaf.failed = failed[i];
+            leaf.obs.state = shard_bands[i];
         }
-        for (net, s) in self.networks.iter_mut().zip(&state.networks) {
-            net.restore(s);
-        }
-        for (p, &w) in self.last_aggregate.iter_mut().zip(&state.last_aggregate_w) {
-            *p = Power::from_watts(w);
-        }
-        self.quiet.clone_from(&state.quiet);
-        self.seen_power_epoch.clone_from(&state.seen_power_epoch);
-        self.seen_draw_tick.clone_from(&state.seen_draw_tick);
-        self.seen_agent_epoch.clone_from(&state.seen_agent_epoch);
         Ok(())
     }
 }
@@ -528,24 +440,170 @@ fn window<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T
     front_mut(rest, take)
 }
 
-/// A backup controller taking over after a primary failure: records the
-/// takeover in the leaf's shard and builds its event. The caller skips
-/// the leaf's cycle.
-fn take_over(
-    now: SimTime,
-    device: DeviceId,
-    controller: &LeafController,
-    shard: &mut Shard,
-    ids: &ObsIds,
-    track: u32,
-) -> ControllerEvent {
-    let name = controller.name_shared();
-    record_leaf_failover(shard, ids, now, track, Arc::clone(&name));
-    ControllerEvent {
-        at: now,
-        device,
-        controller: name,
-        kind: ControllerEventKind::Failover,
+impl Leaf {
+    /// One due cycle, in whichever shard the leaf landed: the cycle
+    /// against the leaf's agent view (or the backup's takeover), the
+    /// events' wire round trip, and the markers the cycle saw (the
+    /// control tick does not step the fleet, and a cap write moves no
+    /// marker, so they read the same before and after it).
+    fn run(
+        &mut self,
+        now: SimTime,
+        device: DeviceId,
+        agents: &mut LeafAgents<'_>,
+        ids: &ObsIds,
+        track: u32,
+    ) {
+        self.events.clear();
+        if std::mem::take(&mut self.failed) {
+            // One cycle of downtime, then the redundant instance
+            // (sharing the same decision state via its own polling)
+            // continues.
+            self.quiet = false;
+            let event = self.take_over(now, device, ids, track);
+            self.events.push(event);
+        } else {
+            self.quiet = self.cycle(now, device, agents, ids, track);
+        }
+        self.wire_roundtrip();
+        self.seen = agents.markers();
+    }
+
+    /// The backup controller taking over after a primary failure:
+    /// records the takeover in the leaf's shard and builds its event.
+    /// The caller skips the leaf's cycle.
+    fn take_over(
+        &mut self,
+        now: SimTime,
+        device: DeviceId,
+        ids: &ObsIds,
+        track: u32,
+    ) -> ControllerEvent {
+        let name = self.controller.name_shared();
+        record_leaf_failover(&mut self.obs, ids, now, track, Arc::clone(&name));
+        ControllerEvent {
+            at: now,
+            device,
+            controller: name,
+            kind: ControllerEventKind::Failover,
+        }
+    }
+
+    /// One controller cycle against the leaf's agent view, its event
+    /// (if any) buffered in `events`.
+    ///
+    /// Returns whether the cycle was *quiescent* — a clean Hold with no
+    /// pull failures and no caps left active — which is the
+    /// controller-side half of the elision precondition (see
+    /// [`LeafTier::filter_quiescent`]).
+    fn cycle(
+        &mut self,
+        now: SimTime,
+        device: DeviceId,
+        agents: &mut LeafAgents<'_>,
+        ids: &ObsIds,
+        track: u32,
+    ) -> bool {
+        let caps_before = self.controller.active_cap_count();
+        let dry_run = self.controller.config().dry_run;
+        let mut link = LeafLink {
+            network: &mut self.network,
+            agents,
+            rtt_hist: self.obs.hist_scope(ids.rpc_rtt),
+            tally: RpcTally::default(),
+        };
+        let outcome = self.controller.cycle_over(now, &mut link);
+        let RpcTally {
+            pull_rtt,
+            act_rtt,
+            calls,
+            agent_down,
+            drops,
+            timeouts,
+        } = link.tally;
+        // Closing the scope folds the buffered round trips into the shard.
+        drop(link);
+        let shard = &mut self.obs;
+        shard.add(ids.rpc_calls, calls);
+        shard.add(ids.rpc_agent_down, agent_down);
+        shard.add(ids.rpc_drops, drops);
+        shard.add(ids.rpc_timeouts, timeouts);
+        if let Some(total) = outcome.aggregated {
+            self.last_aggregate = total;
+        }
+        shard.inc(ids.leaf_cycles);
+        shard.add(ids.pull_failures, outcome.pull_failures as u64);
+        shard.add(ids.estimated_readings, outcome.estimated as u64);
+        shard.inc(match band_of(&outcome.action) {
+            Band::Hold => ids.band_hold,
+            Band::Cap => ids.band_cap,
+            Band::Uncap => ids.band_uncap,
+            Band::Invalid => ids.band_invalid,
+        });
+        if shard.is_enabled() {
+            record_leaf_cycle(
+                shard,
+                ids,
+                now,
+                track,
+                &self.controller,
+                &outcome,
+                caps_before,
+                dry_run,
+                pull_rtt,
+                act_rtt,
+            );
+        }
+        let kind = match &outcome.action {
+            ControlAction::Capped {
+                total_cut,
+                commands,
+            } => Some(ControllerEventKind::LeafCapped {
+                total_cut: *total_cut,
+                servers: commands.len(),
+            }),
+            ControlAction::Uncapped => Some(ControllerEventKind::LeafUncapped),
+            ControlAction::Invalid => Some(ControllerEventKind::LeafInvalid {
+                failures: outcome.pull_failures,
+            }),
+            ControlAction::Hold => None,
+        };
+        if let Some(kind) = kind {
+            self.events.push(ControllerEvent {
+                at: now,
+                device,
+                controller: self.controller.name_shared(),
+                kind,
+            });
+        }
+        matches!(outcome.action, ControlAction::Hold)
+            && outcome.pull_failures == 0
+            && self.controller.active_cap_count() == 0
+    }
+
+    /// Round-trips the freshly-buffered cycle events through the
+    /// [`dynrpc::codec`] telemetry-batch wire format, inside the shard
+    /// that produced them. The deployed system serializes telemetry off
+    /// the controller host; doing the encode *and* the decode here
+    /// keeps that cost on the tick, in the shard, and proves the format
+    /// lossless on every event the simulation ever emits. Quiescent
+    /// leaves emit no events and skip entirely, so the steady state
+    /// stays allocation-free; churning leaves reuse the warm buffers.
+    fn wire_roundtrip(&mut self) {
+        if self.events.is_empty() {
+            return;
+        }
+        self.wire.clear();
+        self.wire_events.clear();
+        self.wire_events.extend(self.events.iter().map(to_wire));
+        codec::encode_telemetry_batch_into(&mut self.wire, &self.wire_events);
+        self.wire_events.clear();
+        codec::decode_telemetry_batch_into(&*self.wire, &mut self.wire_events)
+            .expect("self-encoded telemetry batch must decode");
+        let name = self.controller.name_shared();
+        self.events.clear();
+        let rebuilt = self.wire_events.iter().map(|ev| from_wire(ev, &name));
+        self.events.extend(rebuilt);
     }
 }
 
@@ -660,101 +718,6 @@ impl LeafTransport for LeafLink<'_, '_> {
     }
 }
 
-/// One leaf controller cycle against the leaf's agent view.
-///
-/// Returns whether the cycle was *quiescent* — a clean Hold with no
-/// pull failures and no caps left active — which is the controller-side
-/// half of the elision precondition (see
-/// [`LeafTier::filter_quiescent`]).
-#[allow(clippy::too_many_arguments)]
-fn run_one_leaf_cycle(
-    now: SimTime,
-    device: DeviceId,
-    controller: &mut LeafController,
-    network: &mut Network,
-    agents: &mut LeafAgents<'_>,
-    last_aggregate: &mut Power,
-    events: &mut Vec<ControllerEvent>,
-    shard: &mut Shard,
-    ids: &ObsIds,
-    track: u32,
-) -> bool {
-    let caps_before = controller.active_cap_count();
-    let dry_run = controller.config().dry_run;
-    let mut link = LeafLink {
-        network,
-        agents,
-        rtt_hist: shard.hist_scope(ids.rpc_rtt),
-        tally: RpcTally::default(),
-    };
-    let outcome = controller.cycle_over(now, &mut link);
-    let RpcTally {
-        pull_rtt,
-        act_rtt,
-        calls,
-        agent_down,
-        drops,
-        timeouts,
-    } = link.tally;
-    // Closing the scope folds the buffered round trips into the shard.
-    drop(link);
-    shard.add(ids.rpc_calls, calls);
-    shard.add(ids.rpc_agent_down, agent_down);
-    shard.add(ids.rpc_drops, drops);
-    shard.add(ids.rpc_timeouts, timeouts);
-    if let Some(total) = outcome.aggregated {
-        *last_aggregate = total;
-    }
-    shard.inc(ids.leaf_cycles);
-    shard.add(ids.pull_failures, outcome.pull_failures as u64);
-    shard.add(ids.estimated_readings, outcome.estimated as u64);
-    shard.inc(match band_of(&outcome.action) {
-        Band::Hold => ids.band_hold,
-        Band::Cap => ids.band_cap,
-        Band::Uncap => ids.band_uncap,
-        Band::Invalid => ids.band_invalid,
-    });
-    if shard.is_enabled() {
-        record_leaf_cycle(
-            shard,
-            ids,
-            now,
-            track,
-            controller,
-            &outcome,
-            caps_before,
-            dry_run,
-            pull_rtt,
-            act_rtt,
-        );
-    }
-    let kind = match &outcome.action {
-        ControlAction::Capped {
-            total_cut,
-            commands,
-        } => Some(ControllerEventKind::LeafCapped {
-            total_cut: *total_cut,
-            servers: commands.len(),
-        }),
-        ControlAction::Uncapped => Some(ControllerEventKind::LeafUncapped),
-        ControlAction::Invalid => Some(ControllerEventKind::LeafInvalid {
-            failures: outcome.pull_failures,
-        }),
-        ControlAction::Hold => None,
-    };
-    if let Some(kind) = kind {
-        events.push(ControllerEvent {
-            at: now,
-            device,
-            controller: controller.name_shared(),
-            kind,
-        });
-    }
-    matches!(outcome.action, ControlAction::Hold)
-        && outcome.pull_failures == 0
-        && controller.active_cap_count() == 0
-}
-
 /// One controller event as a wire telemetry event. Lossless: the watt
 /// field crosses as the raw `f64` bit pattern and the counts are far
 /// below `u32::MAX`, so [`from_wire`] rebuilds an equal event.
@@ -806,52 +769,22 @@ fn from_wire(ev: &TelemetryEvent, controller: &Arc<str>) -> ControllerEvent {
     }
 }
 
-/// Round-trips one leaf's freshly-buffered cycle events through the
-/// [`dynrpc::codec`] telemetry-batch wire format, inside the shard that
-/// produced them. The deployed system serializes telemetry off the
-/// controller host; doing the encode *and* the decode here keeps that
-/// cost on the tick, in the shard, and proves the format lossless on
-/// every event the simulation ever emits. Quiescent leaves emit no
-/// events and skip entirely, so the steady state stays allocation-free;
-/// churning leaves reuse the warm wire/scratch buffers.
-fn wire_roundtrip_events(
-    controller: &LeafController,
-    buf: &mut Vec<ControllerEvent>,
-    wire: &mut Vec<u8>,
-    scratch: &mut Vec<TelemetryEvent>,
-) {
-    if buf.is_empty() {
-        return;
-    }
-    wire.clear();
-    scratch.clear();
-    for ev in buf.iter() {
-        scratch.push(to_wire(ev));
-    }
-    codec::encode_telemetry_batch_into(wire, scratch);
-    scratch.clear();
-    codec::decode_telemetry_batch_into(&*wire, scratch)
-        .expect("self-encoded telemetry batch must decode");
-    let name = controller.name_shared();
-    buf.clear();
-    for ev in scratch.iter() {
-        buf.push(from_wire(ev, &name));
-    }
-}
-
 /// Each leaf's server ids as one contiguous ascending range, the ranges
 /// tiling `0..server_count` in leaf order — the precondition for
-/// carving each shard its servers' column entries via progressive
-/// splits. [`powerinfra::TopologyBuilder`], the only way to construct a
+/// partitioning the fleet into one leaf per controller.
+/// [`powerinfra::TopologyBuilder`], the only way to construct a
 /// topology, always lays servers out this way.
 ///
 /// # Panics
 ///
 /// Panics, naming the offending leaf, if the layout is anything else.
-fn tile_leaf_spans(controllers: &[LeafController], server_count: usize) -> Vec<Range<usize>> {
+fn tile_leaf_spans<'a>(
+    controllers: impl IntoIterator<Item = &'a LeafController>,
+    server_count: usize,
+) -> Vec<Range<usize>> {
     let mut next = 0usize;
     let spans = controllers
-        .iter()
+        .into_iter()
         .map(|c| {
             let start = next;
             for h in c.servers() {
@@ -946,18 +879,18 @@ mod tests {
                 })
                 .collect();
             let mut network = Network::new(LinkProfile::lossy(0.05, 0.05), SimRng::seed_from(7));
-            let mut obs = Observability::new(&dynobs::ObsConfig::on(), 1);
+            let mut obs = Observability::new(&dynobs::ObsConfig::on());
+            let mut shard = [obs.new_shard()];
             let mut pulled = Vec::new();
             let mut tally = RpcTally::default();
             for round in 0..ROUNDS {
                 fleet.step(SimTime::from_secs(3 + round), SimDuration::from_secs(1));
-                let mut columns = fleet.agent_columns();
-                let mut agents = columns.leaf(0);
-                let (shards, ids) = obs.shard_ctx();
+                let (leaves, models) = fleet.agent_leaves();
+                let mut agents = LeafAgents::new(&mut leaves[0], models);
                 let mut link = LeafLink {
                     network: &mut network,
                     agents: &mut agents,
-                    rtt_hist: shards[0].hist_scope(ids.rpc_rtt),
+                    rtt_hist: shard[0].hist_scope(obs.ids().rpc_rtt),
                     tally,
                 };
                 let mut readings = vec![None; n];
@@ -969,7 +902,7 @@ mod tests {
                 }
                 tally = link.tally;
                 drop(link);
-                obs.merge_leaves(&[0]);
+                obs.merge_leaves(&[0], &mut shard, |s| s);
                 let bits: Vec<Option<u64>> = readings
                     .iter()
                     .map(|r: &Option<Power>| r.map(|p| p.as_watts().to_bits()))

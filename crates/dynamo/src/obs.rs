@@ -1,13 +1,13 @@
 //! Control-plane observability: the [`dynobs`] registry, trace ring and
 //! flight recorder wired through the controller hierarchy.
 //!
-//! One [`dynobs::Shard`] per leaf controller travels with the leaf
-//! into whichever shard of the leaf dispatch runs it, so hot-path
-//! recording is lock-free and allocation-free; after every leaf
-//! dispatch [`Observability::merge_leaves`] folds the due shards back
-//! in ascending leaf-index order, which keeps the merged registry
-//! (float histogram sums included) bit-identical at any worker-thread
-//! count.
+//! Every leaf controller owns one [`dynobs::Shard`]
+//! ([`Observability::new_shard`]), which travels with the leaf into
+//! whichever shard of the leaf dispatch runs it, so hot-path recording
+//! is lock-free and allocation-free; after every leaf dispatch
+//! [`Observability::merge_leaves`] folds the due leaves' shards back in
+//! ascending leaf-index order, which keeps the merged registry (float
+//! histogram sums included) bit-identical at any worker-thread count.
 //! Upper controllers and datacenter-level sources (breakers, the
 //! validator) always run serially and record into the registry
 //! directly.
@@ -283,8 +283,8 @@ fn register(b: &mut RegistryBuilder) -> ObsIds {
     }
 }
 
-/// The control plane's observability state: metrics registry, per-leaf
-/// shards, span ring, flight recorder, and pending incident dumps.
+/// The control plane's observability state: metrics registry, span
+/// ring, flight recorder, and pending incident dumps.
 ///
 /// Obtain a shared reference through
 /// [`crate::DynamoSystem::observability`]. With observability disabled
@@ -293,7 +293,6 @@ fn register(b: &mut RegistryBuilder) -> ObsIds {
 pub struct Observability {
     registry: Registry,
     ids: ObsIds,
-    shards: Vec<Shard>,
     trace: TraceRing,
     flight: FlightRecorder,
     incident_dir: Option<PathBuf>,
@@ -304,16 +303,13 @@ pub struct Observability {
 }
 
 impl Observability {
-    /// Builds the registry and one shard per leaf controller.
-    pub(crate) fn new(config: &ObsConfig, leaf_count: usize) -> Self {
+    /// Builds the registry, rings and recorder.
+    pub(crate) fn new(config: &ObsConfig) -> Self {
         let mut b = RegistryBuilder::new();
         let ids = register(&mut b);
-        let registry = b.build(config.enabled);
-        let shards = (0..leaf_count).map(|_| registry.shard()).collect();
         Observability {
-            registry,
+            registry: b.build(config.enabled),
             ids,
-            shards,
             trace: TraceRing::new(config.trace_capacity),
             flight: FlightRecorder::new(config.flight_capacity),
             incident_dir: config
@@ -350,11 +346,6 @@ impl Observability {
         dynobs::render_prometheus(&self.registry)
     }
 
-    /// Renders the registry as a JSON snapshot.
-    pub fn json_snapshot(&self) -> String {
-        dynobs::render_json(&self.registry)
-    }
-
     /// Renders the span ring as chrome-tracing JSON.
     pub fn chrome_trace(&self) -> String {
         self.trace.to_chrome_json()
@@ -389,18 +380,28 @@ impl Observability {
         Ok(written)
     }
 
-    /// The per-leaf shards and the metric ids, borrowed together for a
-    /// leaf dispatch (serial or carved across workers).
-    pub(crate) fn shard_ctx(&mut self) -> (&mut [Shard], &ObsIds) {
-        (&mut self.shards, &self.ids)
+    /// A recording shard for one leaf controller to own.
+    pub(crate) fn new_shard(&self) -> Shard {
+        self.registry.shard()
     }
 
-    /// Folds the due leaves' shards into the registry and drains their
-    /// span/flight buffers, in ascending leaf-index order (`due` is
-    /// sorted). Incident triggers found among the flight records
-    /// (failovers, capping-episode starts) fire here, after the record
-    /// is in the ring, so the dump contains its own trigger.
-    pub(crate) fn merge_leaves(&mut self, due: &[usize]) {
+    /// The metric ids a leaf records into its shard with.
+    pub(crate) fn ids(&self) -> &ObsIds {
+        &self.ids
+    }
+
+    /// Folds the due leaves' shards (`shard_of` a leaf) into the
+    /// registry and drains their span/flight buffers, in ascending
+    /// leaf-index order (`due` is sorted). Incident triggers found
+    /// among the flight records (failovers, capping-episode starts)
+    /// fire here, after the record is in the ring, so the dump contains
+    /// its own trigger.
+    pub(crate) fn merge_leaves<L>(
+        &mut self,
+        due: &[usize],
+        leaves: &mut [L],
+        shard_of: impl Fn(&mut L) -> &mut Shard,
+    ) {
         if !self.registry.is_enabled() {
             return;
         }
@@ -409,11 +410,12 @@ impl Observability {
         // buffer only allocates in ticks that actually trigger.
         let mut triggers: Vec<(&'static str, u64)> = Vec::new();
         for &i in due {
-            self.registry.merge_shard(&mut self.shards[i]);
-            for span in self.shards[i].take_spans() {
+            let shard = shard_of(&mut leaves[i]);
+            self.registry.merge_shard(shard);
+            for span in shard.take_spans() {
                 self.trace.push(span);
             }
-            for record in self.shards[i].take_flights() {
+            for record in shard.take_flights() {
                 let at_ms = record.at_ms;
                 let trigger = match &record.kind {
                     FlightKind::Failover => Some("failover"),
@@ -658,8 +660,8 @@ impl Observability {
     }
 
     /// Captures the observability state for a snapshot: registry
-    /// values, per-shard band words, both rings, and the incident
-    /// sequence counter. Shard metric deltas are zero at tick
+    /// values, the leaves' shard band words, both rings, and the
+    /// incident sequence counter. Shard metric deltas are zero at tick
     /// boundaries (every dispatch merges them), so only the band word
     /// survives per shard.
     ///
@@ -668,14 +670,14 @@ impl Observability {
     /// Panics if incident dumps are pending — callers flush to disk
     /// before snapshotting so a resume cannot silently drop or
     /// duplicate an incident file.
-    pub(crate) fn state(&self) -> ObservabilityState {
+    pub(crate) fn state(&self, shard_bands: Vec<u32>) -> ObservabilityState {
         assert!(
             self.pending.is_empty(),
             "flush_incidents() before snapshotting observability"
         );
         ObservabilityState {
             registry: self.registry.state(),
-            shard_bands: self.shards.iter().map(|s| s.state).collect(),
+            shard_bands,
             trace: self.trace.clone(),
             flight: self.flight.clone(),
             incident_seq: self.incident_seq,
@@ -683,15 +685,9 @@ impl Observability {
     }
 
     /// Restores the observability state from a decoded snapshot taken
-    /// against an identically-configured control plane.
+    /// against an identically-configured control plane. The caller
+    /// installs `state.shard_bands` on the leaves' shards.
     pub(crate) fn restore(&mut self, state: &ObservabilityState) -> Result<(), SnapError> {
-        if state.shard_bands.len() != self.shards.len() {
-            return Err(SnapError::Corrupt(format!(
-                "observability snapshot has {} leaf shards, rebuilt control plane has {}",
-                state.shard_bands.len(),
-                self.shards.len()
-            )));
-        }
         if state.trace.capacity() != self.trace.capacity()
             || state.flight.capacity() != self.flight.capacity()
         {
@@ -705,9 +701,6 @@ impl Observability {
             )));
         }
         self.registry.restore(&state.registry)?;
-        for (shard, &band) in self.shards.iter_mut().zip(&state.shard_bands) {
-            shard.state = band;
-        }
         // Into the configured rings' own buffers: a decoded ring is only
         // as large as what it holds, and installing it would put the
         // first records after a resume back on the heap.

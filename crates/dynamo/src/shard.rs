@@ -1,9 +1,10 @@
 //! The one dispatch primitive behind every fan-out of the tick.
 //!
-//! Fleet physics and the leaf control dispatch both carve their work
-//! into contiguous shards and run them through [`run_sharded`]. Width 1 is not a separate code path: it is the same
-//! carve producing one shard, which runs inline on the caller instead
-//! of waking a worker.
+//! Fleet physics and the leaf control dispatch both cut their leaves
+//! into contiguous shards — sub-slices of the `Vec`s that own the
+//! leaves' state — and run them through [`run_sharded`]. Width 1 is not
+//! a separate code path: it is the same cut producing one shard, which
+//! runs inline on the caller instead of waking a worker.
 
 use dynpool::{WorkerPool, MAX_WORKERS};
 
@@ -26,16 +27,10 @@ pub(crate) fn chunking(pool: Option<&WorkerPool>, units: usize) -> (usize, usize
     (per, units.div_ceil(per))
 }
 
-/// Splits the first `n` elements off `*rest`: the progressive-carve
-/// step every shard builder repeats per array.
+/// Splits the first `n` elements off `*rest`: the step a shard builder
+/// repeats to cut disjoint `&mut` sub-slices in order.
 pub(crate) fn front_mut<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
     rest.split_off_mut(..n)
-        .expect("carve past the end of the array")
-}
-
-/// Shared-slice counterpart of [`front_mut`].
-pub(crate) fn front<'a, T>(rest: &mut &'a [T], n: usize) -> &'a [T] {
-    rest.split_off(..n)
         .expect("carve past the end of the array")
 }
 

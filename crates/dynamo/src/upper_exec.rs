@@ -12,8 +12,8 @@ use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 
 use crate::control_plane::SystemConfig;
 use crate::events::{ControllerEvent, ControllerEventKind};
-use crate::failover::FailoverState;
-use crate::leaf_exec::LeafTier;
+use crate::failover::Failover;
+use crate::leaf_exec::{Leaf, LeafTier};
 use crate::obs::Observability;
 
 /// Which tier an upper controller's child belongs to.
@@ -139,8 +139,8 @@ impl UpperTier {
         &mut self,
         now: SimTime,
         due: &[usize],
-        leaves: &mut LeafTier,
-        failover: &mut FailoverState,
+        leaves: &mut [Leaf],
+        failover: &mut Failover,
         events: &mut Vec<ControllerEvent>,
         obs: &mut Observability,
     ) {
@@ -162,9 +162,9 @@ impl UpperTier {
             for &child in &self.children[i] {
                 self.report_scratch.push(match child {
                     ChildRef::Leaf(j) => ChildReport {
-                        power: leaves.last_aggregate[j],
-                        quota: leaves.quotas[j],
-                        physical_limit: leaves.controllers[j].config().physical_limit,
+                        power: leaves[j].last_aggregate,
+                        quota: leaves[j].quota,
+                        physical_limit: leaves[j].controller.config().physical_limit,
                     },
                     ChildRef::Upper(j) => ChildReport {
                         power: self.last_total[j],
@@ -194,8 +194,8 @@ impl UpperTier {
                     ChildRef::Leaf(j) => {
                         // The leaf's effective limit moved from outside
                         // the fleet: its next cycle must run for real.
-                        leaves.quiet[j] = false;
-                        leaves.controllers[j].set_contractual_limit(limit);
+                        leaves[j].quiet = false;
+                        leaves[j].controller.set_contractual_limit(limit);
                     }
                     ChildRef::Upper(j) => self.controllers[j].set_contractual_limit(limit),
                 }

@@ -13,6 +13,7 @@
 //! * a cap programmed out of band through `Fleet::agent_rpc` takes
 //!   effect at the next step, identically at every width.
 
+use dcsim::snap::Snapshot;
 use dcsim::SimDuration;
 use dynamo::{Datacenter, DatacenterBuilder, RunReport};
 use dynobs::ObsConfig;
@@ -145,6 +146,27 @@ fn churn_reproduces_the_pre_collapse_golden_at_every_width() {
             fingerprint(&dc),
             CHURN_GOLDEN,
             "churn run diverged from the golden at threads={threads}"
+        );
+    }
+}
+
+/// FNV-1a of the framed snapshot bytes after the churn run, recorded at
+/// ca5d916 — the last commit where server state was fleet-wide columns
+/// and controller state parallel arrays. The snapshot is the flat wire
+/// form of both; however storage is divided among leaves, it must
+/// gather back into these bytes.
+const CHURN_SNAPSHOT_GOLDEN: u64 = 0x7718_3eb5_54aa_f23d;
+
+#[test]
+fn churn_snapshot_bytes_are_pinned_at_every_width() {
+    for threads in [1usize, 2, 8] {
+        let mut dc = build(threads);
+        churn(&mut dc);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        fnv1a(&mut hash, &dc.state().to_snap_bytes());
+        assert_eq!(
+            hash, CHURN_SNAPSHOT_GOLDEN,
+            "snapshot bytes moved at threads={threads}: {hash:#018x}"
         );
     }
 }

@@ -12,7 +12,11 @@ use dynamo::DatacenterBuilder;
 /// What the full ~30 MW site streams per tick, in bytes. Growth fails
 /// the test; a change that widens the hot set on purpose (a new power
 /// domain's columns, say) re-baselines this constant in the same diff.
-const SITE_FUSED_BYTES_PER_TICK: u64 = 7_422_048;
+///
+/// Restated once, from 7,422,048, by exactly one term: a leaf's
+/// settled flag is a `bool` the leaf owns (768 x 1 B) where it was a
+/// bit of twelve fleet-wide packed words (96 B) — +672 B.
+const SITE_FUSED_BYTES_PER_TICK: u64 = 7_422_720;
 
 #[test]
 fn site_roofline_has_not_grown() {

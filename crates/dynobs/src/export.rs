@@ -67,53 +67,6 @@ pub fn render_prometheus(registry: &Registry) -> String {
     out
 }
 
-/// Renders the registry as a single JSON snapshot object with
-/// `counters`, `gauges`, and `histograms` maps.
-pub fn render_json(registry: &Registry) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"counters\":{");
-    for (i, (name, _, value)) in registry.counters().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{value}", escape_json(name)));
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, _, value)) in registry.gauges().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", escape_json(name), fmt_f64(value)));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, _, view)) in registry.histograms().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{{\"bounds\":[", escape_json(name)));
-        for (j, b) in view.bounds.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&fmt_f64(*b));
-        }
-        out.push_str("],\"buckets\":[");
-        for (j, c) in view.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{c}"));
-        }
-        out.push_str(&format!(
-            "],\"sum\":{},\"count\":{}}}",
-            fmt_f64(view.sum),
-            view.count
-        ));
-    }
-    out.push_str("}}");
-    out
-}
-
 /// The type of a parsed metric family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParsedKind {
@@ -381,16 +334,6 @@ mod tests {
         );
         assert_eq!(h.count, 4);
         assert_eq!(h.sum, 0.0005 + 0.004 + 0.05 + 0.5);
-    }
-
-    #[test]
-    fn json_snapshot_mentions_every_family() {
-        let r = sample_registry();
-        let json = render_json(&r);
-        assert!(json.contains("\"rpc_calls_total\":42"));
-        assert!(json.contains("\"fleet_power_watts\":123456.789"));
-        assert!(json.contains("\"rpc_rtt_seconds\":{\"bounds\":[0.001,0.01,0.1]"));
-        assert!(json.contains("\"count\":4"));
     }
 
     #[test]

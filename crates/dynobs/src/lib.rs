@@ -14,8 +14,8 @@
 //!   most recent control-plane [`FlightRecord`]s, dumped as a
 //!   structured JSON incident file on triggers like failovers.
 //!
-//! Exporters ([`render_prometheus`], [`render_json`],
-//! [`TraceRing::to_chrome_json`]) serialise everything; the strict
+//! Exporters ([`render_prometheus`], [`TraceRing::to_chrome_json`])
+//! serialise everything; the strict
 //! [`parse_prometheus`] parser backs the `promlint` validator binary
 //! and the round-trip property tests.
 //!
@@ -49,9 +49,7 @@ pub mod flight;
 pub mod registry;
 pub mod trace;
 
-pub use export::{
-    parse_prometheus, render_json, render_prometheus, ParsedFamily, ParsedHistogram, ParsedKind,
-};
+pub use export::{parse_prometheus, render_prometheus, ParsedFamily, ParsedHistogram, ParsedKind};
 pub use flight::{Band, FlightKind, FlightRecord, FlightRecorder};
 pub use registry::{
     Buckets, CounterId, GaugeId, HistScope, HistogramId, HistogramView, Registry, RegistryBuilder,

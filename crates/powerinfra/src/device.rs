@@ -123,14 +123,6 @@ pub struct Device {
     pub servers: Vec<u32>,
 }
 
-impl Device {
-    /// Sum of the ratings of this device's children, i.e. the worst-case
-    /// downstream demand relevant to oversubscription.
-    pub fn child_rating_sum(&self, topo: &crate::Topology) -> Power {
-        self.children.iter().map(|&c| topo.device(c).rating).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -172,11 +172,6 @@ impl Rapl {
         self.tau_secs
     }
 
-    /// True once the first `step` has snapped the output to its target.
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
     /// The most recent actual power (after dynamics).
     pub fn output(&self) -> Power {
         self.output
