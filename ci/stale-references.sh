@@ -2,13 +2,15 @@
 # Fails when a doc, workflow, skill or source file still names an
 # artefact that was deleted — when `dynbench` became the only benchmark
 # (first line of the pattern), when a leaf came to own its state
-# (second), or as a dead knob (third) — so a stale reference breaks the
+# (second), as a dead knob (third), or when `dynobs` came down to one
+# accumulator and one ring (fourth) — so a stale reference breaks the
 # build instead of waiting for the next reader. Lives here, outside the
 # searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
 grep -rniE 'BENCH_controlplane|paper_scale|PooledAuto|pr[59]_baseline
 StepJob|AgentColumns|mask_base|settled_scratch|finish_fused_control
-static_util_cap|json_snapshot' \
+static_util_cap|json_snapshot
+HistScope|hist_scope|wire_roundtrip|shard_hot|trace_capacity|flight_capacity|leaf_overhead' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! dynamo-sim [--sbs N] [--rpps N] [--racks N] [--servers N]
-//!            [--rpp-kw KW] [--sb-kw KW] [--msb-kw KW] [--service NAME] [--traffic X]
+//!            [--rpp-kw KW] [--sb-kw KW] [--msb-kw KW] [--service NAME]
+//!            [--generation NAME] [--traffic X]
 //!            [--minutes N] [--seed N] [--threads N] [--phase-spread SECS]
 //!            [--no-capping] [--dry-run] [--turbo] [--report-every N]
 //!            [--metrics-out FILE] [--trace-out FILE] [--incident-dir DIR]
@@ -165,6 +166,28 @@ impl Args {
             return Err(
                 "--grid-scenario and --grid-signal-file are mutually exclusive".to_string(),
             );
+        }
+        // The envelope is one `key=value` per line: a line break inside
+        // a value would read back as further keys.
+        fn path(p: &Option<PathBuf>) -> Option<std::borrow::Cow<'_, str>> {
+            p.as_ref().map(|p| p.to_string_lossy())
+        }
+        for (flag, text) in [
+            ("--metrics-out", path(&self.metrics_out)),
+            ("--trace-out", path(&self.trace_out)),
+            ("--incident-dir", path(&self.incident_dir)),
+            ("--report-out", path(&self.report_out)),
+            ("--checkpoint-dir", path(&self.checkpoint_dir)),
+            ("--resume", path(&self.resume)),
+            (
+                "--grid-scenario",
+                self.grid_scenario.as_deref().map(Into::into),
+            ),
+            ("--grid-signal-file", path(&self.grid_signal_file)),
+        ] {
+            if text.is_some_and(|t| t.contains(char::is_control)) {
+                return Err(format!("{flag} must not contain control characters"));
+            }
         }
         Ok(())
     }
@@ -379,9 +402,11 @@ fn envelope_of(args: &Args) -> String {
 
 /// Parses an envelope back into [`Args`]. Unknown keys are an error —
 /// an envelope written by a newer binary must fail loudly, not be
-/// half-applied.
+/// half-applied — and so is a repeated key: [`envelope_of`] writes each
+/// once, so a second occurrence is not its work.
 fn args_from_envelope(envelope: &str) -> Result<Args, String> {
     let mut args = Args::default();
+    let mut seen: Vec<&str> = Vec::new();
     for line in envelope.lines() {
         if line.is_empty() {
             continue;
@@ -389,6 +414,10 @@ fn args_from_envelope(envelope: &str) -> Result<Args, String> {
         let (k, v) = line
             .split_once('=')
             .ok_or_else(|| format!("malformed envelope line '{line}'"))?;
+        if seen.contains(&k) {
+            return Err(format!("envelope key '{k}' appears twice"));
+        }
+        seen.push(k);
         fn num<T: std::str::FromStr>(v: &str, k: &str) -> Result<T, String> {
             v.parse()
                 .map_err(|_| format!("invalid envelope value '{v}' for {k}"))
@@ -496,7 +525,6 @@ fn build_datacenter(args: &Args) -> Result<Datacenter, String> {
         builder = builder.observability(ObsConfig {
             enabled: true,
             incident_dir: args.incident_dir.clone(),
-            ..ObsConfig::default()
         });
     }
     builder = builder.profile_ticks(args.profile_ticks);
@@ -1070,10 +1098,128 @@ mod tests {
             "traffic=NaN",
             "traffic=-1.0",
         ] {
-            // A later line overrides an earlier one.
-            let r = args_from_envelope(&format!("{good}{bad}\n"));
+            let key = bad.split_once('=').unwrap().0;
+            let mut lines: Vec<&str> = good
+                .lines()
+                .filter(|l| l.split_once('=').unwrap().0 != key)
+                .collect();
+            lines.push(bad);
+            let r = args_from_envelope(&lines.join("\n"));
             assert!(r.is_err(), "{bad} was accepted");
         }
+    }
+
+    /// A line break in a path would write an envelope whose extra lines
+    /// read back as keys of their own — a resumed run on another
+    /// universe.
+    #[test]
+    fn a_path_cannot_forge_envelope_keys() {
+        for (flag, value) in [
+            ("--trace-out", "t.json\ntraffic=0.1"),
+            ("--metrics-out", "out.prom\nservers=9"),
+            ("--incident-dir", "inc\r"),
+            ("--report-out", "r\u{85}.txt"),
+            ("--checkpoint-dir", "cps\t"),
+            ("--resume", "cp\n.snap"),
+            ("--grid-signal-file", "sig\n.txt"),
+        ] {
+            let e = parse(&[flag, value]).unwrap_err();
+            assert!(e.contains(flag), "{flag}: {e}");
+        }
+        let e = args_from_envelope("grid_scenario=brown\tout\n").unwrap_err();
+        assert!(e.contains("--grid-scenario"), "{e}");
+        // Whoever wrote it, a key is read once.
+        let e = args_from_envelope("traffic=1.2\ntraffic=0.1\n").unwrap_err();
+        assert!(e.contains("'traffic' appears twice"), "{e}");
+    }
+
+    /// Arguments drawn to sit on every side of every check, with the
+    /// fields the envelope does not carry left at their defaults.
+    fn random_args(rng: &mut dcsim::SimRng) -> Args {
+        fn count(rng: &mut dcsim::SimRng) -> u64 {
+            rng.next_below(12)
+        }
+        fn real(rng: &mut dcsim::SimRng) -> f64 {
+            const REALS: [f64; 10] = [
+                0.0,
+                -0.0,
+                0.1,
+                0.30000000000000004,
+                1.5,
+                5e-324,
+                f64::MAX,
+                -1.0,
+                f64::NAN,
+                f64::INFINITY,
+            ];
+            let valid_only = rng.chance(0.9);
+            REALS[rng.next_below(if valid_only { 7 } else { 10 }) as usize]
+        }
+        fn text(rng: &mut dcsim::SimRng) -> String {
+            const CHARS: [char; 12] = [
+                'a', 'Z', '7', '/', '.', '=', ' ', 'é', '\u{2028}', '\n', '\r', '\u{85}',
+            ];
+            let hazards = if rng.chance(0.8) { 9 } else { 12 };
+            (0..rng.next_below(6))
+                .map(|_| CHARS[rng.next_below(hazards) as usize])
+                .collect()
+        }
+        fn maybe<T>(rng: &mut dcsim::SimRng, draw: fn(&mut dcsim::SimRng) -> T) -> Option<T> {
+            rng.chance(0.5).then(|| draw(rng))
+        }
+        let mut a = Args {
+            sbs: count(rng) as usize,
+            rpps: count(rng) as usize,
+            racks: count(rng) as usize,
+            servers: count(rng) as usize,
+            rpp_kw: maybe(rng, real),
+            sb_kw: maybe(rng, real),
+            msb_kw: maybe(rng, real),
+            service: ServiceKind::all()[rng.next_below(ServiceKind::COUNT as u64) as usize],
+            generation: ServerGeneration::all()[rng.next_below(4) as usize],
+            traffic: real(rng),
+            minutes: count(rng),
+            seed: rng.next_u64(),
+            threads: count(rng) as usize,
+            phase_spread: real(rng),
+            capping: rng.chance(0.5),
+            dry_run: rng.chance(0.5),
+            turbo: rng.chance(0.5),
+            report_every: count(rng),
+            metrics_out: maybe(rng, text).map(PathBuf::from),
+            trace_out: maybe(rng, text).map(PathBuf::from),
+            incident_dir: maybe(rng, text).map(PathBuf::from),
+            fail_leaf: maybe(rng, count),
+            ..Args::default()
+        };
+        match rng.next_below(4) {
+            0 => a.grid_scenario = Some(text(rng)),
+            1 => a.grid_signal_file = Some(PathBuf::from(text(rng))),
+            _ => {}
+        }
+        a
+    }
+
+    #[test]
+    fn the_envelope_reproduces_every_accepted_argument_set() {
+        let mut rng = dcsim::SimRng::seed_from(20);
+        let (mut accepted, mut refused_for_text) = (0, 0);
+        for case in 0..4000 {
+            let a = random_args(&mut rng);
+            match a.validate() {
+                Ok(()) => {
+                    let back = args_from_envelope(&envelope_of(&a))
+                        .unwrap_or_else(|e| panic!("case {case}: {a:?} read back as: {e}"));
+                    assert_eq!(format!("{back:?}"), format!("{a:?}"), "case {case}");
+                    accepted += 1;
+                }
+                Err(e) => refused_for_text += usize::from(e.contains("control characters")),
+            }
+        }
+        assert!(
+            accepted > 200 && refused_for_text > 50,
+            "{accepted} / {refused_for_text}"
+        );
     }
 
     #[test]

@@ -300,13 +300,6 @@ impl DatacenterBuilder {
         self
     }
 
-    /// Constant non-server draw (top-of-rack switches etc.) charged to
-    /// every leaf device (§III-C1): monitored and budgeted, not capped.
-    pub fn leaf_overhead(mut self, overhead: Power) -> Self {
-        self.system.leaf_overhead = overhead;
-        self
-    }
-
     /// Staggers controller cycle phases evenly across `spread`:
     /// controller `i` of an `n`-instance tier starts its cycles at
     /// `spread · i / n`. Zero spread (the default) is the lockstep
@@ -339,8 +332,7 @@ impl DatacenterBuilder {
 
     /// Configures the observability subsystem ([`dynobs`]): metrics
     /// registry, cycle tracing, flight recorder and incident dumps.
-    /// Disabled by default; `ObsConfig::on()` enables everything with
-    /// default capacities.
+    /// Disabled by default; `ObsConfig::on()` enables everything.
     pub fn observability(mut self, config: dynobs::ObsConfig) -> Self {
         self.system.obs = config;
         self

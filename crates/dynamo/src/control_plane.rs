@@ -39,8 +39,6 @@ pub struct SystemConfig {
     /// the baseline configuration for "what if we had no Dynamo"
     /// experiments.
     pub capping_enabled: bool,
-    /// Constant non-server draw charged to every leaf device.
-    pub leaf_overhead: Power,
     /// Dry-run mode (§VI): leaf controllers compute and log decisions
     /// but never actuate.
     pub dry_run: bool,
@@ -60,7 +58,6 @@ impl Default for SystemConfig {
             phase: PhasePolicy::Lockstep,
             rpc: LinkProfile::datacenter(),
             capping_enabled: true,
-            leaf_overhead: Power::ZERO,
             dry_run: false,
             obs: ObsConfig::default(),
         }
@@ -356,15 +353,15 @@ impl DynamoSystem {
     /// both tiers, failover bookkeeping, per-controller cycle
     /// schedules, and observability. The sections are the flat wire
     /// structs they have always been; what a leaf owns of the failover
-    /// and observability sections (its pending-failure flag, its
-    /// shard's band word) is gathered here and split back by
+    /// and observability sections (its pending-failure flag, its last
+    /// band) is gathered here and split back by
     /// [`LeafTier::restore`]. Pending incident dumps must be flushed
     /// first (see [`crate::Datacenter`]'s checkpoint path).
     pub(crate) fn state(&self) -> SystemState {
         let (leaf_schedules, upper_schedules) = self.dispatcher.schedules();
         let leaves = &self.leaves.leaves;
         let failed = leaves.iter().map(|l| l.failed).collect();
-        let shard_bands = leaves.iter().map(|l| l.obs.state).collect();
+        let shard_bands = leaves.iter().map(|l| l.band.code()).collect();
         SystemState {
             leaves: self.leaves.state(),
             uppers: self.uppers.state(),
@@ -412,15 +409,16 @@ impl DynamoSystem {
                 "the fleet's leaf spans are not the control plane's: \
                  call fleet.set_leaf_spans(system.leaf_spans()) first"
             );
-            if self.config.capping_enabled {
+            let mut live = std::mem::take(&mut self.live_due);
+            let ran: &[usize] = if self.config.capping_enabled {
                 // Quiescent-cycle elision: split the due list into
                 // leaves that must run and cycles that are provably
                 // no-op recomputations. The filter runs serially before
                 // the dispatch, so the split — and everything
                 // downstream — is identical at any width.
-                let mut live = std::mem::take(&mut self.live_due);
-                self.leaves
-                    .filter_quiescent(due, fleet, self.obs.ids(), &mut live);
+                self.leaves.filter_quiescent(due, fleet, &mut live);
+                self.obs
+                    .record_elided_cycles((due.len() - live.len()) as u64);
                 if !live.is_empty() {
                     self.leaves.run_due(
                         now,
@@ -432,7 +430,7 @@ impl DynamoSystem {
                         self.obs.ids(),
                     );
                 }
-                self.live_due = live;
+                &live
             } else {
                 self.leaves.monitor_due(
                     now,
@@ -442,13 +440,14 @@ impl DynamoSystem {
                     &mut events,
                     self.obs.ids(),
                 );
-            }
-            // Fold the due leaves' shards into the registry in leaf
-            // index order, so the merged state is bit-identical at any
-            // width. The full due list, not the filtered one: elided
-            // leaves counted into their shards above.
+                due
+            };
+            // Fold the shards of the leaves that ran into the registry
+            // in leaf index order, so the merged state is bit-identical
+            // at any width. An elided leaf wrote nothing to its shard.
             self.obs
-                .merge_leaves(due, &mut self.leaves.leaves, |l| &mut l.obs);
+                .merge_leaves(ran, &mut self.leaves.leaves, |l| &mut l.obs);
+            self.live_due = live;
         }
         if !self.dispatcher.upper_due().is_empty() && self.config.capping_enabled {
             self.uppers.run_due(

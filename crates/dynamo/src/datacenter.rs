@@ -994,6 +994,19 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_band_code_no_band_has() {
+        let mut dc = small_dc(3, 2);
+        let mut state = dc.state();
+        assert!(dc.restore(&state).is_ok());
+        state.system.obs.shard_bands[1] = 4;
+        let err = dc.restore(&state).unwrap_err();
+        assert!(
+            err.to_string().contains("leaf 1 has unknown band code 4"),
+            "{err}"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "device rack-x does not feed one contiguous")]
     fn a_subtree_with_a_gap_panics_naming_the_device() {
         Subtree::locate("rack-x", &[4, 5, 7], &[0..4, 4..8]);

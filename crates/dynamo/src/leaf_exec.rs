@@ -12,9 +12,12 @@
 //! ([`Fleet::agent_leaves`]). A leaf on either side owns its state, so
 //! a cycle computes the same thing in any shard and leaves nothing to
 //! apply after the join except what is shared: events are buffered per
-//! leaf and merged in leaf-index order, making the whole run
-//! bit-identical at any width, and a warm steady-state dispatch
-//! allocates nothing.
+//! leaf and merged in leaf-index order, and so is what the cycle
+//! recorded — the leaf's [`dynobs::Shard`], filled from the cycle's RPC
+//! tally and round-trip buffer when the cycle ends and merged, for the
+//! leaves that ran, by [`Observability::merge_leaves`] — making the
+//! whole run bit-identical at any width, and a warm steady-state
+//! dispatch allocates nothing.
 //!
 //! A cycle reaches its leaf's columns through a [`LeafLink`] — the
 //! leaf's [`Network`] in front of a borrowed [`LeafAgents`] view —
@@ -46,9 +49,8 @@ use dynamo_controller::{
     ControlAction, LeafConfig, LeafController, LeafControllerState, LeafTransport, ServerHandle,
     ServiceClass,
 };
-use dynobs::{Band, HistScope, Shard};
+use dynobs::{Band, Shard};
 use dynpool::WorkerPool;
-use dynrpc::codec::{self, TelemetryEvent, TelemetryEventKind};
 use dynrpc::{AgentEndpoint, Network, NetworkState, Request, Response, RpcError};
 use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 
@@ -83,17 +85,20 @@ pub(crate) struct Leaf {
     /// The primary has crashed: the next cycle is skipped while the
     /// backup takes over (§III-E).
     pub(crate) failed: bool,
-    /// The leaf's recording shard (see [`crate::obs`]).
+    /// The leaf's recording shard (see [`crate::obs`]): written by the
+    /// leaf's cycle, merged and emptied after the dispatch that ran it.
     pub(crate) obs: Shard,
+    /// The band the leaf's last recorded cycle landed in, to tell a
+    /// band transition from a repeat.
+    pub(crate) band: Band,
+    /// The round trips of the cycle's delivered RPCs, in call order,
+    /// handed to the shard in one batch when the cycle ends. Reused
+    /// across cycles (cleared, capacity kept); untouched with
+    /// observability off.
+    rtts: Vec<f64>,
     /// The cycle's events, merged in leaf index order after the join.
     /// Reused across dispatches (cleared, capacity kept).
     events: Vec<ControllerEvent>,
-    /// Telemetry wire buffer and decode scratch: the leaf encodes its
-    /// cycle events as a [`dynrpc::codec`] telemetry batch and decodes
-    /// them back, so the codec work the deployed system pays to ship
-    /// telemetry is on the tick. Reused (cleared, capacity kept).
-    wire: Vec<u8>,
-    wire_events: Vec<TelemetryEvent>,
 }
 
 /// [`Leaf::seen`] before the leaf's first real cycle.
@@ -152,7 +157,7 @@ impl LeafTier {
                 poll_interval: config.leaf_interval,
                 bucket_width: Power::from_watts(20.0),
                 max_failure_frac: 0.20,
-                non_server_overhead: config.leaf_overhead,
+                non_server_overhead: Power::ZERO,
                 dry_run: config.dry_run,
             };
             index_of.insert(rpp, leaves.len());
@@ -165,9 +170,9 @@ impl LeafTier {
                 seen: NEVER_RAN,
                 failed: false,
                 obs: obs.new_shard(),
+                band: Band::Hold,
+                rtts: Vec::new(),
                 events: Vec::new(),
-                wire: Vec::new(),
-                wire_events: Vec::new(),
             });
         }
         let spans = tile_leaf_spans(leaves.iter().map(|l| &l.controller), topo.server_count());
@@ -181,9 +186,7 @@ impl LeafTier {
 
     /// Splits `due` into the leaves that must run and the cycles that
     /// can be elided, pushing the former into `out` (cleared first) in
-    /// the same ascending order and counting the latter into each
-    /// leaf's shard (merged later with the full due list, so the
-    /// registry stays bit-identical at any thread count).
+    /// the same ascending order; the rest of `due` is the elided tally.
     ///
     /// A leaf's cycle is elided only when it is *provably* a no-op
     /// recomputation: the leaf decided a clean Hold last time
@@ -196,23 +199,15 @@ impl LeafTier {
     /// tick changes every tick and nothing ever elides) changes the
     /// trajectory relative to a run without it, while remaining
     /// deterministic and thread-count independent.
-    pub(crate) fn filter_quiescent(
-        &mut self,
-        due: &[usize],
-        fleet: &Fleet,
-        ids: &ObsIds,
-        out: &mut Vec<usize>,
-    ) {
+    pub(crate) fn filter_quiescent(&self, due: &[usize], fleet: &Fleet, out: &mut Vec<usize>) {
         out.clear();
         for &i in due {
-            let leaf = &mut self.leaves[i];
+            let leaf = &self.leaves[i];
             let elidable = leaf.quiet
                 && !leaf.failed
                 && leaf.network.profile().is_lossless()
                 && leaf.seen == fleet.leaves()[i].markers();
-            if elidable {
-                leaf.obs.inc(ids.leaf_cycles_elided);
-            } else {
+            if !elidable {
                 out.push(i);
             }
         }
@@ -315,8 +310,8 @@ impl LeafTier {
     }
 
     /// Captures the tier's dynamic state for a snapshot, gathered from
-    /// the leaves into flat arrays (the pending-failure flags and shard
-    /// band words travel in the failover and observability sections —
+    /// the leaves into flat arrays (the pending-failure flags and last
+    /// bands travel in the failover and observability sections —
     /// see [`crate::control_plane::DynamoSystem::state`]). Everything
     /// else — devices, quotas, spans, server ids — is topology-derived
     /// and rebuilt from config on restore. Event buffers are drained by
@@ -338,8 +333,7 @@ impl LeafTier {
     /// Restores the tier's dynamic state from a decoded snapshot taken
     /// against an identically-configured control plane: the flat
     /// arrays, the failover section's pending-failure flags and the
-    /// observability section's shard band words, split back into the
-    /// leaves.
+    /// observability section's band codes, split back into the leaves.
     pub(crate) fn restore(
         &mut self,
         state: &LeafTierState,
@@ -358,6 +352,9 @@ impl LeafTier {
             )));
         }
         for (i, leaf) in self.leaves.iter_mut().enumerate() {
+            leaf.band = Band::from_code(shard_bands[i]).ok_or_else(|| {
+                SnapError::Corrupt(format!("leaf {i} has unknown band code {}", shard_bands[i]))
+            })?;
             leaf.controller.restore(&state.controllers[i])?;
             leaf.network.restore(&state.networks[i]);
             leaf.last_aggregate = Power::from_watts(state.last_aggregate_w[i]);
@@ -368,7 +365,6 @@ impl LeafTier {
                 agent_epoch: state.seen_agent_epoch[i],
             };
             leaf.failed = failed[i];
-            leaf.obs.state = shard_bands[i];
         }
         Ok(())
     }
@@ -442,10 +438,10 @@ fn window<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T
 
 impl Leaf {
     /// One due cycle, in whichever shard the leaf landed: the cycle
-    /// against the leaf's agent view (or the backup's takeover), the
-    /// events' wire round trip, and the markers the cycle saw (the
-    /// control tick does not step the fleet, and a cap write moves no
-    /// marker, so they read the same before and after it).
+    /// against the leaf's agent view (or the backup's takeover), and
+    /// the markers the cycle saw (the control tick does not step the
+    /// fleet, and a cap write moves no marker, so they read the same
+    /// before and after it).
     fn run(
         &mut self,
         now: SimTime,
@@ -465,7 +461,6 @@ impl Leaf {
         } else {
             self.quiet = self.cycle(now, device, agents, ids, track);
         }
-        self.wire_roundtrip();
         self.seen = agents.markers();
     }
 
@@ -506,10 +501,11 @@ impl Leaf {
     ) -> bool {
         let caps_before = self.controller.active_cap_count();
         let dry_run = self.controller.config().dry_run;
+        let shard = &mut self.obs;
         let mut link = LeafLink {
             network: &mut self.network,
             agents,
-            rtt_hist: self.obs.hist_scope(ids.rpc_rtt),
+            rtts: shard.is_enabled().then_some(&mut self.rtts),
             tally: RpcTally::default(),
         };
         let outcome = self.controller.cycle_over(now, &mut link);
@@ -521,9 +517,8 @@ impl Leaf {
             drops,
             timeouts,
         } = link.tally;
-        // Closing the scope folds the buffered round trips into the shard.
-        drop(link);
-        let shard = &mut self.obs;
+        shard.observe_batch(ids.rpc_rtt, &self.rtts);
+        self.rtts.clear();
         shard.add(ids.rpc_calls, calls);
         shard.add(ids.rpc_agent_down, agent_down);
         shard.add(ids.rpc_drops, drops);
@@ -543,6 +538,7 @@ impl Leaf {
         if shard.is_enabled() {
             record_leaf_cycle(
                 shard,
+                &mut self.band,
                 ids,
                 now,
                 track,
@@ -580,46 +576,23 @@ impl Leaf {
             && outcome.pull_failures == 0
             && self.controller.active_cap_count() == 0
     }
-
-    /// Round-trips the freshly-buffered cycle events through the
-    /// [`dynrpc::codec`] telemetry-batch wire format, inside the shard
-    /// that produced them. The deployed system serializes telemetry off
-    /// the controller host; doing the encode *and* the decode here
-    /// keeps that cost on the tick, in the shard, and proves the format
-    /// lossless on every event the simulation ever emits. Quiescent
-    /// leaves emit no events and skip entirely, so the steady state
-    /// stays allocation-free; churning leaves reuse the warm buffers.
-    fn wire_roundtrip(&mut self) {
-        if self.events.is_empty() {
-            return;
-        }
-        self.wire.clear();
-        self.wire_events.clear();
-        self.wire_events.extend(self.events.iter().map(to_wire));
-        codec::encode_telemetry_batch_into(&mut self.wire, &self.wire_events);
-        self.wire_events.clear();
-        codec::decode_telemetry_batch_into(&*self.wire, &mut self.wire_events)
-            .expect("self-encoded telemetry batch must decode");
-        let name = self.controller.name_shared();
-        self.events.clear();
-        let rebuilt = self.wire_events.iter().map(|ev| from_wire(ev, &name));
-        self.events.extend(rebuilt);
-    }
 }
 
 /// One leaf's transport for one cycle: its [`Network`] link in front of
 /// its agent view, plus the cycle's RPC accounting.
 ///
-/// Per-RPC recording runs a couple of thousand times per cycle, so the
+/// Per-RPC recording runs a couple of hundred times per cycle, so the
 /// counters accumulate here (one shard add each at the end — same
-/// totals) and RTTs go through a [`HistScope`], which hoists the
-/// shard's per-observation indirections out of the loop. Same slots,
-/// same sums, same order: the merged registry stays bit-identical to
-/// per-call shard recording.
+/// totals) and a delivered call's round trip is one store into the
+/// leaf's buffer, folded into the RTT histogram in one batch when the
+/// cycle ends ([`Shard::observe_batch`]). Same slots, same sums, same
+/// order: the merged registry stays bit-identical to per-call shard
+/// recording.
 struct LeafLink<'c, 'a> {
     network: &'c mut Network,
     agents: &'c mut LeafAgents<'a>,
-    rtt_hist: HistScope<'c>,
+    /// [`Leaf::rtts`]; `None` with observability off.
+    rtts: Option<&'c mut Vec<f64>>,
     tally: RpcTally,
 }
 
@@ -649,7 +622,9 @@ impl LeafLink<'_, '_> {
         }
         match self.network.attempt() {
             Ok(rtt) => {
-                self.rtt_hist.observe(rtt.as_secs_f64());
+                if let Some(rtts) = &mut self.rtts {
+                    rtts.push(rtt.as_secs_f64());
+                }
                 Ok(rtt)
             }
             Err(err) => {
@@ -715,57 +690,6 @@ impl LeafTransport for LeafLink<'_, '_> {
             }
             failed.push(pos as u32);
         }
-    }
-}
-
-/// One controller event as a wire telemetry event. Lossless: the watt
-/// field crosses as the raw `f64` bit pattern and the counts are far
-/// below `u32::MAX`, so [`from_wire`] rebuilds an equal event.
-fn to_wire(ev: &ControllerEvent) -> TelemetryEvent {
-    TelemetryEvent {
-        at_ms: ev.at.as_millis(),
-        device: ev.device.index() as u32,
-        kind: match ev.kind {
-            ControllerEventKind::LeafCapped { total_cut, servers } => TelemetryEventKind::Capped {
-                cut_watts: total_cut.as_watts(),
-                servers: servers as u32,
-            },
-            ControllerEventKind::LeafUncapped => TelemetryEventKind::Uncapped,
-            ControllerEventKind::LeafInvalid { failures } => TelemetryEventKind::Invalid {
-                failures: failures as u32,
-            },
-            ControllerEventKind::UpperCapped { contracts } => TelemetryEventKind::UpperCapped {
-                contracts: contracts as u32,
-            },
-            ControllerEventKind::UpperUncapped => TelemetryEventKind::UpperUncapped,
-            ControllerEventKind::Failover => TelemetryEventKind::Failover,
-        },
-    }
-}
-
-/// Rebuilds a controller event from its wire form. Controller identity
-/// travels out of band — the batch is per-controller — so the caller
-/// passes the leaf's interned name and the rebuild allocates nothing.
-fn from_wire(ev: &TelemetryEvent, controller: &Arc<str>) -> ControllerEvent {
-    ControllerEvent {
-        at: SimTime::from_millis(ev.at_ms),
-        device: DeviceId::from_index(ev.device as usize),
-        controller: Arc::clone(controller),
-        kind: match ev.kind {
-            TelemetryEventKind::Capped { cut_watts, servers } => ControllerEventKind::LeafCapped {
-                total_cut: Power::from_watts(cut_watts),
-                servers: servers as usize,
-            },
-            TelemetryEventKind::Uncapped => ControllerEventKind::LeafUncapped,
-            TelemetryEventKind::Invalid { failures } => ControllerEventKind::LeafInvalid {
-                failures: failures as usize,
-            },
-            TelemetryEventKind::UpperCapped { contracts } => ControllerEventKind::UpperCapped {
-                contracts: contracts as usize,
-            },
-            TelemetryEventKind::UpperUncapped => ControllerEventKind::UpperUncapped,
-            TelemetryEventKind::Failover => ControllerEventKind::Failover,
-        },
     }
 }
 
@@ -881,6 +805,7 @@ mod tests {
             let mut network = Network::new(LinkProfile::lossy(0.05, 0.05), SimRng::seed_from(7));
             let mut obs = Observability::new(&dynobs::ObsConfig::on());
             let mut shard = [obs.new_shard()];
+            let mut rtts = Vec::new();
             let mut pulled = Vec::new();
             let mut tally = RpcTally::default();
             for round in 0..ROUNDS {
@@ -890,7 +815,7 @@ mod tests {
                 let mut link = LeafLink {
                     network: &mut network,
                     agents: &mut agents,
-                    rtt_hist: shard[0].hist_scope(obs.ids().rpc_rtt),
+                    rtts: Some(&mut rtts),
                     tally,
                 };
                 let mut readings = vec![None; n];
@@ -901,7 +826,8 @@ mod tests {
                     PerCall(&mut link).pull(&servers, &mut readings, &mut failed);
                 }
                 tally = link.tally;
-                drop(link);
+                shard[0].observe_batch(obs.ids().rpc_rtt, &rtts);
+                rtts.clear();
                 obs.merge_leaves(&[0], &mut shard, |s| s);
                 let bits: Vec<Option<u64>> = readings
                     .iter()

@@ -5,12 +5,13 @@
 //! ([`Observability::new_shard`]), which travels with the leaf into
 //! whichever shard of the leaf dispatch runs it, so hot-path recording
 //! is lock-free and allocation-free; after every leaf dispatch
-//! [`Observability::merge_leaves`] folds the due leaves' shards back in
-//! ascending leaf-index order, which keeps the merged registry (float
-//! histogram sums included) bit-identical at any worker-thread count.
-//! Upper controllers and datacenter-level sources (breakers, the
-//! validator) always run serially and record into the registry
-//! directly.
+//! [`Observability::merge_leaves`] folds the shards of the leaves that
+//! ran back in ascending leaf-index order, which keeps the merged
+//! registry (float histogram sums included) bit-identical at any
+//! worker-thread count. Everything that runs serially — elided cycles
+//! (counted once per dispatch, before it), upper controllers, and
+//! datacenter-level sources (breakers, the validator) — records into
+//! the registry directly.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -288,8 +289,9 @@ fn register(b: &mut RegistryBuilder) -> ObsIds {
 ///
 /// Obtain a shared reference through
 /// [`crate::DynamoSystem::observability`]. With observability disabled
-/// (the default) every recording call is an early-returning no-op and
-/// the exporters render an all-zero registry.
+/// (the default) every recording call is a no-op — the registry
+/// ignores writes, and a method that also pushes to a ring returns
+/// first — and the exporters render an all-zero registry.
 pub struct Observability {
     registry: Registry,
     ids: ObsIds,
@@ -302,6 +304,11 @@ pub struct Observability {
     pending: Vec<(PathBuf, String)>,
 }
 
+/// Spans retained for trace export.
+const TRACE_SPANS: usize = 16_384;
+/// Flight records retained per incident dump.
+const FLIGHT_RECORDS: usize = 256;
+
 impl Observability {
     /// Builds the registry, rings and recorder.
     pub(crate) fn new(config: &ObsConfig) -> Self {
@@ -310,8 +317,8 @@ impl Observability {
         Observability {
             registry: b.build(config.enabled),
             ids,
-            trace: TraceRing::new(config.trace_capacity),
-            flight: FlightRecorder::new(config.flight_capacity),
+            trace: TraceRing::new(TRACE_SPANS),
+            flight: FlightRecorder::new(FLIGHT_RECORDS),
             incident_dir: config
                 .enabled
                 .then(|| config.incident_dir.clone())
@@ -390,26 +397,32 @@ impl Observability {
         &self.ids
     }
 
-    /// Folds the due leaves' shards (`shard_of` a leaf) into the
-    /// registry and drains their span/flight buffers, in ascending
-    /// leaf-index order (`due` is sorted). Incident triggers found
-    /// among the flight records (failovers, capping-episode starts)
-    /// fire here, after the record is in the ring, so the dump contains
-    /// its own trigger.
+    /// Counts `n` leaf cycles elided as provably quiescent (serial
+    /// context: the filter runs before the dispatch).
+    pub(crate) fn record_elided_cycles(&mut self, n: u64) {
+        self.registry.add(self.ids.leaf_cycles_elided, n);
+    }
+
+    /// Folds the shards (`shard_of` a leaf) of the leaves that `ran`
+    /// into the registry and drains their span/flight buffers, in
+    /// ascending leaf-index order (`ran` is sorted). Incident triggers
+    /// found among the flight records (failovers, capping-episode
+    /// starts) fire here, after the record is in the ring, so the dump
+    /// contains its own trigger.
     pub(crate) fn merge_leaves<L>(
         &mut self,
-        due: &[usize],
+        ran: &[usize],
         leaves: &mut [L],
         shard_of: impl Fn(&mut L) -> &mut Shard,
     ) {
         if !self.registry.is_enabled() {
             return;
         }
-        // Incident triggers are deferred until every due shard is in
-        // the ring, so a dump carries the full tick's context. The
-        // buffer only allocates in ticks that actually trigger.
+        // Incident triggers are deferred until every shard is in the
+        // ring, so a dump carries the full tick's context. The buffer
+        // only allocates in ticks that actually trigger.
         let mut triggers: Vec<(&'static str, u64)> = Vec::new();
-        for &i in due {
+        for &i in ran {
             let shard = shard_of(&mut leaves[i]);
             self.registry.merge_shard(shard);
             for span in shard.take_spans() {
@@ -545,9 +558,6 @@ impl Observability {
         site_contract_watts: f64,
         dcups_charge_fraction: f64,
     ) {
-        if !self.registry.is_enabled() {
-            return;
-        }
         self.registry.set_gauge(self.ids.grid_price, price_per_mwh);
         self.registry
             .set_gauge(self.ids.grid_frequency, frequency_hz);
@@ -563,9 +573,6 @@ impl Observability {
 
     /// Records one economic-controller cycle (serial context).
     pub(crate) fn record_grid_econ_cycle(&mut self, changed: bool) {
-        if !self.registry.is_enabled() {
-            return;
-        }
         self.registry.inc(self.ids.grid_econ_cycles);
         if changed {
             self.registry.inc(self.ids.grid_limit_changes);
@@ -574,31 +581,25 @@ impl Observability {
 
     /// Records a curtailment window opening.
     pub(crate) fn record_grid_curtailment_start(&mut self) {
-        if self.registry.is_enabled() {
-            self.registry.inc(self.ids.grid_curtailments);
-        }
+        self.registry.inc(self.ids.grid_curtailments);
     }
 
     /// Records a curtailment window closing, contained or not.
     pub(crate) fn record_grid_curtailment_end(&mut self, contained: bool) {
-        if self.registry.is_enabled() && contained {
+        if contained {
             self.registry.inc(self.ids.grid_curtailments_contained);
         }
     }
 
     /// Accumulates a tick of intentional DCUPS discharge.
     pub(crate) fn record_dcups_discharge(&mut self, secs: u64) {
-        if self.registry.is_enabled() {
-            self.registry.add(self.ids.dcups_discharge_seconds, secs);
-        }
+        self.registry.add(self.ids.dcups_discharge_seconds, secs);
     }
 
     /// Accumulates a tick of utility draw above an active curtailment
     /// limit past the containment budget.
     pub(crate) fn record_grid_violation_tick(&mut self, secs: u64) {
-        if self.registry.is_enabled() {
-            self.registry.add(self.ids.grid_violation_seconds, secs);
-        }
+        self.registry.add(self.ids.grid_violation_seconds, secs);
     }
 
     /// Records the first budget-exceeding breach of a curtailment
@@ -631,9 +632,6 @@ impl Observability {
     /// inherently non-deterministic, which is why the profiler is
     /// opt-in and stays off in every determinism test.
     pub(crate) fn observe_tick_phase(&mut self, phase: TickPhase, secs: f64) {
-        if !self.registry.is_enabled() {
-            return;
-        }
         self.registry
             .observe(self.ids.tick_phase[phase as usize], secs);
     }
@@ -660,10 +658,10 @@ impl Observability {
     }
 
     /// Captures the observability state for a snapshot: registry
-    /// values, the leaves' shard band words, both rings, and the
-    /// incident sequence counter. Shard metric deltas are zero at tick
-    /// boundaries (every dispatch merges them), so only the band word
-    /// survives per shard.
+    /// values, the leaves' last decision bands, both rings, and the
+    /// incident sequence counter. Shards are empty at tick boundaries
+    /// (every dispatch merges what it wrote), so nothing of them is
+    /// saved.
     ///
     /// # Panics
     ///
@@ -686,24 +684,20 @@ impl Observability {
 
     /// Restores the observability state from a decoded snapshot taken
     /// against an identically-configured control plane. The caller
-    /// installs `state.shard_bands` on the leaves' shards.
+    /// installs `state.shard_bands` on the leaves.
     pub(crate) fn restore(&mut self, state: &ObservabilityState) -> Result<(), SnapError> {
-        if state.trace.capacity() != self.trace.capacity()
-            || state.flight.capacity() != self.flight.capacity()
-        {
+        if state.trace.capacity() != TRACE_SPANS || state.flight.capacity() != FLIGHT_RECORDS {
             return Err(SnapError::Corrupt(format!(
-                "observability snapshot ring capacities (trace {}, flight {}) disagree with \
-                 the rebuilt configuration (trace {}, flight {})",
+                "observability snapshot ring capacities (trace {}, flight {}) are not this \
+                 build's (trace {TRACE_SPANS}, flight {FLIGHT_RECORDS})",
                 state.trace.capacity(),
                 state.flight.capacity(),
-                self.trace.capacity(),
-                self.flight.capacity()
             )));
         }
         self.registry.restore(&state.registry)?;
-        // Into the configured rings' own buffers: a decoded ring is only
-        // as large as what it holds, and installing it would put the
-        // first records after a resume back on the heap.
+        // Into the live rings' own buffers: a decoded ring is only as
+        // large as what it holds, and installing it would put the first
+        // records after a resume back on the heap.
         self.trace.restore_from(&state.trace);
         self.flight.restore_from(&state.flight);
         self.incident_seq = state.incident_seq;
@@ -727,8 +721,7 @@ impl Observability {
 /// The observability subsystem's dynamic state.
 pub(crate) struct ObservabilityState {
     pub(crate) registry: RegistryState,
-    /// Per-shard decision-band words (the only shard state that
-    /// survives a merge).
+    /// Each leaf's last decision band ([`Band::code`]).
     pub(crate) shard_bands: Vec<u32>,
     pub(crate) trace: TraceRing,
     pub(crate) flight: FlightRecorder,
@@ -802,14 +795,16 @@ pub(crate) fn band_of(action: &ControlAction) -> Band {
 }
 
 /// Records the detailed (enabled-only) telemetry of one leaf cycle into
-/// the leaf's shard: band transitions, capping flights, distribution
-/// stats and the cycle/pull/distribution/actuation spans. The cheap
-/// always-on counters are recorded at the call site; callers gate this
-/// behind [`Shard::is_enabled`] so the disabled path never clones a
-/// name.
+/// the leaf's shard: band transitions (moving `last_band`, the leaf's
+/// band after its previous recorded cycle), capping flights,
+/// distribution stats and the cycle/pull/distribution/actuation spans.
+/// The cheap always-on counters are recorded at the call site; callers
+/// gate this behind [`Shard::is_enabled`] so the disabled path never
+/// clones a name.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn record_leaf_cycle(
     shard: &mut Shard,
+    last_band: &mut Band,
     ids: &ObsIds,
     now: SimTime,
     track: u32,
@@ -824,7 +819,7 @@ pub(crate) fn record_leaf_cycle(
     let at_ms = now.as_millis();
     let start_us = at_ms * 1000;
     let band = band_of(&outcome.action);
-    let prev = Band::from_code(shard.state);
+    let prev = std::mem::replace(last_band, band);
     if prev != band {
         shard.flight(FlightRecord {
             at_ms,
@@ -835,7 +830,6 @@ pub(crate) fn record_leaf_cycle(
                 to: band,
             },
         });
-        shard.state = band.code();
     }
     match &outcome.action {
         ControlAction::Capped {

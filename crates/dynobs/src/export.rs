@@ -1,12 +1,11 @@
-//! Exporters: Prometheus text exposition, a JSON snapshot, and the
-//! strict parser the `promlint` tool and the round-trip property tests
-//! are built on.
+//! Exporters: Prometheus text exposition and the strict parser the
+//! `promlint` tool and the round-trip property tests are built on.
 //!
 //! Values are formatted with Rust's shortest-roundtrip `{}` `f64`
 //! display, so parsing an export back yields bit-identical values —
 //! the property the round-trip tests pin.
 
-use crate::registry::Registry;
+use crate::registry::{valid_metric_name, Registry};
 
 /// Escapes a string for embedding inside a JSON string literal.
 pub(crate) fn escape_json(s: &str) -> String {
@@ -101,15 +100,6 @@ pub struct ParsedFamily {
     pub value: f64,
     /// Histogram payload (histograms only).
     pub histogram: Option<ParsedHistogram>,
-}
-
-fn valid_metric_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
 fn parse_value(s: &str) -> Result<f64, String> {

@@ -5,9 +5,10 @@
 
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::export::escape_json;
+use crate::ring::{Ring, RingRecord};
 
 /// A leaf controller's three-band decision state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +24,7 @@ pub enum Band {
 }
 
 impl Band {
-    /// Compact code for storage in a shard's `state` word.
+    /// Compact code, as stored in snapshots.
     pub fn code(self) -> u32 {
         match self {
             Band::Hold => 0,
@@ -33,13 +34,14 @@ impl Band {
         }
     }
 
-    /// Inverse of [`Band::code`]. Unknown codes decode to `Hold`.
-    pub fn from_code(code: u32) -> Self {
+    /// Inverse of [`Band::code`]; `None` for a code no band has.
+    pub fn from_code(code: u32) -> Option<Self> {
         match code {
-            1 => Band::Cap,
-            2 => Band::Uncap,
-            3 => Band::Invalid,
-            _ => Band::Hold,
+            0 => Some(Band::Hold),
+            1 => Some(Band::Cap),
+            2 => Some(Band::Uncap),
+            3 => Some(Band::Invalid),
+            _ => None,
         }
     }
 
@@ -180,16 +182,14 @@ impl FlightKind {
             4 => FlightKind::UpperUncapped,
             5 => FlightKind::Failover,
             6 => {
-                let from = r.get_u32()?;
-                let to = r.get_u32()?;
-                if from > 3 || to > 3 {
-                    return Err(SnapError::Corrupt(format!(
-                        "unknown band code in transition {from}->{to}"
-                    )));
-                }
-                FlightKind::BandTransition {
-                    from: Band::from_code(from),
-                    to: Band::from_code(to),
+                let (from, to) = (r.get_u32()?, r.get_u32()?);
+                match (Band::from_code(from), Band::from_code(to)) {
+                    (Some(from), Some(to)) => FlightKind::BandTransition { from, to },
+                    _ => {
+                        return Err(SnapError::Corrupt(format!(
+                            "unknown band code in transition {from}->{to}"
+                        )))
+                    }
                 }
             }
             7 => FlightKind::ValidatorAlert,
@@ -257,89 +257,40 @@ impl FlightRecord {
     }
 }
 
-/// Fixed-capacity ring of the last N flight records.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    buf: Vec<FlightRecord>,
-    cap: usize,
-    next: usize,
-    total: u64,
+impl RingRecord for FlightRecord {
+    const KIND: &'static str = "dynobs.FlightRecorder";
+
+    fn encode(&self, w: &mut SnapWriter) {
+        w.put_u64(self.at_ms);
+        w.put_u32(self.track);
+        w.put_str(&self.controller);
+        self.kind.encode_snap(w);
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(FlightRecord {
+            at_ms: r.get_u64()?,
+            track: r.get_u32()?,
+            controller: r.get_str()?.into(),
+            kind: FlightKind::decode_snap(r)?,
+        })
+    }
 }
 
-impl FlightRecorder {
-    /// A recorder retaining at most `cap` records, allocated up front.
-    pub fn new(cap: usize) -> Self {
-        FlightRecorder {
-            buf: Vec::with_capacity(cap),
-            cap: cap.max(1),
-            next: 0,
-            total: 0,
-        }
-    }
+/// The flight recorder: the most recent [`FlightRecord`]s, dumped on an
+/// incident trigger.
+pub type FlightRecorder = Ring<FlightRecord>;
 
-    /// Overwrites this recorder's contents with `other`'s, into this
-    /// recorder's own buffer — see [`crate::TraceRing::restore_from`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn restore_from(&mut self, other: &FlightRecorder) {
-        assert_eq!(self.cap, other.cap, "flight ring capacity mismatch");
-        self.buf.clone_from(&other.buf);
-        self.next = other.next;
-        self.total = other.total;
-    }
-
-    /// Appends a record, overwriting the oldest once full.
-    pub fn push(&mut self, record: FlightRecord) {
-        if self.buf.len() < self.cap {
-            self.buf.push(record);
-        } else {
-            self.buf[self.next] = record;
-        }
-        self.next = (self.next + 1) % self.cap;
-        self.total += 1;
-    }
-
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The recorder's fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total records ever pushed (including overwritten ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterates the retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &FlightRecord> {
-        let split = if self.buf.len() < self.cap {
-            0
-        } else {
-            self.next
-        };
-        self.buf[split..].iter().chain(self.buf[..split].iter())
-    }
-
+impl Ring<FlightRecord> {
     /// Renders an incident dump: the trigger, when it fired, and the
     /// ring's full contents (oldest first) as structured JSON.
     pub fn incident_json(&self, trigger: &str, at_ms: u64, seq: u64) -> String {
-        let mut out = String::with_capacity(128 + self.buf.len() * 128);
+        let mut out = String::with_capacity(128 + self.len() * 128);
         out.push_str(&format!(
             "{{\"incident\":{seq},\"trigger\":\"{}\",\"at_ms\":{at_ms},\"records\":[",
             escape_json(trigger)
         ));
-        for (i, r) in self.records().enumerate() {
+        for (i, r) in self.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -350,56 +301,10 @@ impl FlightRecorder {
     }
 }
 
-impl Snapshot for FlightRecorder {
-    const KIND: &'static str = "dynobs.FlightRecorder";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.cap as u64);
-        w.put_u64(self.next as u64);
-        w.put_u64(self.total);
-        w.put_u64(self.buf.len() as u64);
-        for rec in &self.buf {
-            w.put_u64(rec.at_ms);
-            w.put_u32(rec.track);
-            w.put_str(&rec.controller);
-            rec.kind.encode_snap(w);
-        }
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let cap = r.get_u64()? as usize;
-        let next = r.get_u64()? as usize;
-        let total = r.get_u64()?;
-        // `cap` is the ring's logical size and, like the record count,
-        // untrusted: the buffer is reserved for what the input can back
-        // (`get_vec`), never for what the header claims.
-        let buf = r.get_vec(|r| {
-            Ok(FlightRecord {
-                at_ms: r.get_u64()?,
-                track: r.get_u32()?,
-                controller: r.get_str()?.into(),
-                kind: FlightKind::decode_snap(r)?,
-            })
-        })?;
-        let len = buf.len();
-        if cap == 0 || len > cap || next >= cap {
-            return Err(SnapError::Corrupt(format!(
-                "flight ring geometry invalid: cap {cap}, len {len}, next {next}"
-            )));
-        }
-        Ok(FlightRecorder {
-            buf,
-            cap,
-            next,
-            total,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcsim::snap::Snapshot;
 
     fn rec(at_ms: u64, kind: FlightKind) -> FlightRecord {
         FlightRecord {
@@ -413,20 +318,9 @@ mod tests {
     #[test]
     fn band_codes_round_trip() {
         for b in [Band::Hold, Band::Cap, Band::Uncap, Band::Invalid] {
-            assert_eq!(Band::from_code(b.code()), b);
+            assert_eq!(Band::from_code(b.code()), Some(b));
         }
-    }
-
-    #[test]
-    fn ring_keeps_most_recent() {
-        let mut fr = FlightRecorder::new(2);
-        fr.push(rec(1, FlightKind::LeafUncapped));
-        fr.push(rec(2, FlightKind::Failover));
-        fr.push(rec(3, FlightKind::BreakerTrip));
-        assert_eq!(fr.len(), 2);
-        assert_eq!(fr.total_recorded(), 3);
-        let ats: Vec<u64> = fr.records().map(|r| r.at_ms).collect();
-        assert_eq!(ats, vec![2, 3]);
+        assert_eq!(Band::from_code(4), None);
     }
 
     #[test]
@@ -441,47 +335,10 @@ mod tests {
         ));
         let bytes = fr.to_snap_bytes();
         let decoded = FlightRecorder::from_snap_bytes(&bytes).unwrap();
-        assert_eq!(decoded.records().next(), fr.records().next());
+        assert_eq!(decoded.iter().next(), fr.iter().next());
         let json = fr.incident_json("curtailment-violation", 5000, 1);
         assert!(json.contains("\"kind\":\"curtailment_violation\""));
         assert!(json.contains("\"limit_watts\":24000"));
-    }
-
-    #[test]
-    fn forged_capacity_is_a_typed_error_not_an_allocation() {
-        // `cap` and the record count both promise the moon; the body
-        // ends three bytes into the first record.
-        let mut body = SnapWriter::new();
-        for header in [u64::MAX, 0, 0, u64::MAX] {
-            body.put_u64(header);
-        }
-        body.put_raw(&[0, 1, 2]);
-        let body = body.into_bytes();
-        let mut w = SnapWriter::new();
-        w.put_u32(dcsim::snap::SECTION_MAGIC);
-        w.put_str(FlightRecorder::KIND);
-        w.put_u32(FlightRecorder::VERSION);
-        w.put_u64(body.len() as u64);
-        w.put_raw(&body);
-        assert!(matches!(
-            FlightRecorder::from_snap_bytes(&w.into_bytes()),
-            Err(SnapError::UnexpectedEof { .. })
-        ));
-    }
-
-    #[test]
-    fn restore_from_keeps_the_up_front_allocation() {
-        let mut source = FlightRecorder::new(64);
-        for t in 0..5 {
-            source.push(rec(t, FlightKind::BreakerTrip));
-        }
-        let decoded = FlightRecorder::from_snap_bytes(&source.to_snap_bytes()).unwrap();
-        assert!(decoded.buf.capacity() < 64, "a decoded ring is input-sized");
-        let mut ring = FlightRecorder::new(64);
-        ring.restore_from(&decoded);
-        assert!(ring.buf.capacity() >= 64);
-        assert_eq!(ring.total_recorded(), 5);
-        assert!(ring.records().eq(source.records()));
     }
 
     #[test]

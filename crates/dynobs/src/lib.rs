@@ -6,13 +6,19 @@
 //! - a **metrics registry** ([`Registry`]) of counters, gauges and
 //!   fixed-bucket histograms, registered once through a
 //!   [`RegistryBuilder`] and updated lock-free from worker threads via
-//!   per-worker [`Shard`]s merged back in a fixed order (which keeps
-//!   float histogram sums bit-identical at any thread count);
+//!   per-writer [`Shard`]s merged back in a fixed order (which keeps
+//!   float histogram sums bit-identical at any thread count). Registry
+//!   totals and shard deltas are the same accumulator over one shared
+//!   bucket layout, so there is one `add`, one `observe` /
+//!   [`Shard::observe_batch`] and one merge;
 //! - **cycle tracing** ([`TraceRing`]): bounded ring of sim-time
 //!   [`SpanRecord`]s, exportable as chrome-tracing JSON;
 //! - a **flight recorder** ([`FlightRecorder`]): fixed ring of the
 //!   most recent control-plane [`FlightRecord`]s, dumped as a
 //!   structured JSON incident file on triggers like failovers.
+//!
+//! Both rings are the one generic [`Ring`] over a [`RingRecord`]: a
+//! new record type and sink costs one `impl`.
 //!
 //! Exporters ([`render_prometheus`], [`TraceRing::to_chrome_json`])
 //! serialise everything; the strict
@@ -47,52 +53,39 @@
 pub mod export;
 pub mod flight;
 pub mod registry;
+pub mod ring;
 pub mod trace;
 
 pub use export::{parse_prometheus, render_prometheus, ParsedFamily, ParsedHistogram, ParsedKind};
 pub use flight::{Band, FlightKind, FlightRecord, FlightRecorder};
 pub use registry::{
-    Buckets, CounterId, GaugeId, HistScope, HistogramId, HistogramView, Registry, RegistryBuilder,
+    Buckets, CounterId, GaugeId, HistogramId, HistogramView, Registry, RegistryBuilder,
     RegistryState, Shard,
 };
+pub use ring::{Ring, RingRecord};
 pub use trace::{SpanKind, SpanRecord, TraceRing};
 
 use std::path::PathBuf;
 
 /// Configuration knob for the whole subsystem, threaded through
 /// `DatacenterBuilder::observability` / `SystemConfig`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObsConfig {
     /// Master switch. When `false`, registries/shards/rings are built
     /// with their layout intact (ids stay valid) but every record
     /// operation early-returns.
     pub enabled: bool,
-    /// Span ring capacity (spans retained for trace export).
-    pub trace_capacity: usize,
-    /// Flight-recorder ring capacity (records retained per dump).
-    pub flight_capacity: usize,
     /// Directory incident dumps are written to; `None` disables
     /// writing files (incidents are still counted).
     pub incident_dir: Option<PathBuf>,
 }
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: false,
-            trace_capacity: 16_384,
-            flight_capacity: 256,
-            incident_dir: None,
-        }
-    }
-}
-
 impl ObsConfig {
-    /// Enabled, with default capacities and no incident directory.
+    /// Enabled, with no incident directory.
     pub fn on() -> Self {
         ObsConfig {
             enabled: true,
-            ..ObsConfig::default()
+            incident_dir: None,
         }
     }
 }

@@ -3,12 +3,15 @@
 //! Every metric is registered once at build time through a
 //! [`RegistryBuilder`]; after [`RegistryBuilder::build`] the set is
 //! frozen and recording a sample is an array write — no hashing, no
-//! locking, no heap. Hot-path writers (the leaf-dispatch shards of the
-//! control plane) record into private [`Shard`]s; the owner
-//! merges shards back with [`Registry::merge_shard`] in a fixed order,
-//! which keeps floating-point histogram sums bit-identical at any
+//! locking, no heap. Counters and histograms live in one accumulator
+//! shape over one shared bounds layout: the [`Registry`] holds one as
+//! its totals, and every hot-path writer (a leaf of the control plane)
+//! records into a private [`Shard`] holding another. The owner merges
+//! shards back with [`Registry::merge_shard`] in a fixed order, which
+//! keeps floating-point histogram sums bit-identical at any
 //! worker-thread count.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use dcsim::snap::{
@@ -42,7 +45,7 @@ pub(crate) struct MetricDef {
 /// `+Inf` bucket is implicit.
 #[derive(Debug, Clone)]
 pub struct Buckets {
-    bounds: Arc<[f64]>,
+    bounds: Vec<f64>,
 }
 
 impl Buckets {
@@ -62,7 +65,7 @@ impl Buckets {
             "bucket bounds must be finite and positive"
         );
         Buckets {
-            bounds: bounds.into(),
+            bounds: bounds.to_vec(),
         }
     }
 
@@ -93,9 +96,7 @@ impl Buckets {
             }
         }
         bounds.push(start * f64::powi(2.0, doublings as i32));
-        Buckets {
-            bounds: bounds.into(),
-        }
+        Buckets { bounds }
     }
 
     /// The upper bounds (excluding the implicit `+Inf`).
@@ -134,8 +135,127 @@ fn bucket_slot(bounds: &[f64], value: f64) -> usize {
     slot
 }
 
+/// The bucket bounds of every histogram, concatenated: histogram `i`
+/// owns `bounds[off[i]..off[i + 1]]`. One layout is shared (refcounted)
+/// by the registry's totals and every shard, so bucketing is a single
+/// contiguous scan with no per-histogram indirection.
+#[derive(Debug)]
+struct Layout {
+    bounds: Vec<f64>,
+    /// One more offset than there are histograms; starts at 0.
+    off: Vec<u32>,
+}
+
+impl Default for Layout {
+    fn default() -> Self {
+        Layout {
+            bounds: Vec::new(),
+            off: vec![0],
+        }
+    }
+}
+
+impl Layout {
+    fn hists(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    fn bounds(&self, i: usize) -> &[f64] {
+        &self.bounds[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    /// Histogram `i`'s slots in an accumulator's flat bucket array. A
+    /// histogram has one more bucket (the `+Inf` slot) than bounds, so
+    /// its slots sit `i` past its bounds.
+    fn slots(&self, i: usize) -> Range<usize> {
+        self.off[i] as usize + i..self.off[i + 1] as usize + i + 1
+    }
+}
+
+/// Counter and histogram values over a [`Layout`] — the one recording
+/// representation. A disabled accumulator keeps its shape (ids stay
+/// valid) and ignores every operation.
+#[derive(Debug, Clone)]
+struct Accumulator {
+    enabled: bool,
+    layout: Arc<Layout>,
+    counters: Vec<u64>,
+    /// Every histogram's buckets, flat (see [`Layout::slots`]).
+    buckets: Vec<u64>,
+    sums: Vec<f64>,
+    counts: Vec<u64>,
+}
+
+impl Accumulator {
+    fn zeroed(enabled: bool, counters: usize, layout: Arc<Layout>) -> Self {
+        let hists = layout.hists();
+        Accumulator {
+            enabled,
+            counters: vec![0; counters],
+            buckets: vec![0; layout.bounds.len() + hists],
+            sums: vec![0.0; hists],
+            counts: vec![0; hists],
+            layout,
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, id: CounterId, n: u64) {
+        if self.enabled {
+            self.counters[id.0 as usize] += n;
+        }
+    }
+
+    #[inline]
+    fn observe(&mut self, id: HistogramId, value: f64) {
+        self.observe_batch(id, std::slice::from_ref(&value));
+    }
+
+    /// Folds `values` into histogram `id` in order. The sum accumulates
+    /// in a local seeded from the stored sum, so a batch leaves exactly
+    /// the bits the same values observed one at a time would.
+    #[inline]
+    fn observe_batch(&mut self, id: HistogramId, values: &[f64]) {
+        if !self.enabled {
+            return;
+        }
+        let i = id.0 as usize;
+        let bounds = self.layout.bounds(i);
+        let buckets = &mut self.buckets[self.layout.slots(i)];
+        let mut sum = self.sums[i];
+        for &value in values {
+            buckets[bucket_slot(bounds, value)] += 1;
+            sum += value;
+        }
+        self.sums[i] = sum;
+        self.counts[i] += values.len() as u64;
+    }
+
+    /// Adds `part` into `self` and zeroes `part`.
+    fn merge(&mut self, part: &mut Accumulator) {
+        if !self.enabled {
+            return;
+        }
+        for (total, p) in self.counters.iter_mut().zip(&mut part.counters) {
+            *total += std::mem::take(p);
+        }
+        for i in 0..self.counts.len() {
+            if part.counts[i] == 0 {
+                continue;
+            }
+            let slots = self.layout.slots(i);
+            let totals = &mut self.buckets[slots.clone()];
+            for (total, p) in totals.iter_mut().zip(&mut part.buckets[slots]) {
+                *total += std::mem::take(p);
+            }
+            self.sums[i] += std::mem::take(&mut part.sums[i]);
+            self.counts[i] += std::mem::take(&mut part.counts[i]);
+        }
+    }
+}
+
 /// True if `name` is a valid Prometheus metric name.
-fn valid_metric_name(name: &str) -> bool {
+pub(crate) fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
@@ -151,7 +271,7 @@ pub struct RegistryBuilder {
     counters: Vec<MetricDef>,
     gauges: Vec<MetricDef>,
     hists: Vec<MetricDef>,
-    hist_bounds: Vec<Arc<[f64]>>,
+    layout: Layout,
 }
 
 impl RegistryBuilder {
@@ -210,7 +330,8 @@ impl RegistryBuilder {
             name: name.to_string(),
             help: help.to_string(),
         });
-        self.hist_bounds.push(buckets.bounds);
+        self.layout.bounds.extend_from_slice(&buckets.bounds);
+        self.layout.off.push(self.layout.bounds.len() as u32);
         HistogramId(self.hists.len() as u32 - 1)
     }
 
@@ -218,26 +339,13 @@ impl RegistryBuilder {
     /// ids stay valid) but every record operation is an early-returning
     /// no-op, and so are the shards it hands out.
     pub fn build(self, enabled: bool) -> Registry {
-        let hist_buckets = self
-            .hist_bounds
-            .iter()
-            .map(|b| vec![0u64; b.len() + 1])
-            .collect();
         Registry {
-            enabled,
+            gauges: vec![0.0; self.gauges.len()],
+            totals: Accumulator::zeroed(enabled, self.counters.len(), Arc::new(self.layout)),
             counter_defs: self.counters,
             gauge_defs: self.gauges,
             hist_defs: self.hists,
-            hist_bounds: self.hist_bounds,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            hist_buckets,
-            hist_sums: Vec::new(),
-            hist_counts: Vec::new(),
-            bounds_flat: Vec::new().into(),
-            bounds_off: Vec::new().into(),
         }
-        .init()
     }
 }
 
@@ -255,92 +363,56 @@ pub struct HistogramView<'a> {
     pub count: u64,
 }
 
-/// The frozen metric set with its current values.
+/// The frozen metric set with its current values: the metric
+/// definitions, the gauges, and an accumulator of totals.
 #[derive(Debug, Clone)]
 pub struct Registry {
-    enabled: bool,
     counter_defs: Vec<MetricDef>,
     gauge_defs: Vec<MetricDef>,
     hist_defs: Vec<MetricDef>,
-    hist_bounds: Vec<Arc<[f64]>>,
-    counters: Vec<u64>,
     gauges: Vec<f64>,
-    hist_buckets: Vec<Vec<u64>>,
-    hist_sums: Vec<f64>,
-    hist_counts: Vec<u64>,
-    /// All bucket bounds concatenated; histogram `i` owns
-    /// `bounds_flat[bounds_off[i] as usize..bounds_off[i + 1] as usize]`.
-    /// Shared (refcounted) with every shard so hot-path bucketing is a
-    /// single contiguous scan with no per-histogram indirection.
-    bounds_flat: Arc<[f64]>,
-    /// `hist_defs.len() + 1` offsets into `bounds_flat`.
-    bounds_off: Arc<[u32]>,
+    totals: Accumulator,
 }
 
 impl Registry {
-    fn init(mut self) -> Self {
-        self.counters = vec![0; self.counter_defs.len()];
-        self.gauges = vec![0.0; self.gauge_defs.len()];
-        self.hist_sums = vec![0.0; self.hist_defs.len()];
-        self.hist_counts = vec![0; self.hist_defs.len()];
-        let mut off = Vec::with_capacity(self.hist_bounds.len() + 1);
-        let mut flat = Vec::new();
-        off.push(0u32);
-        for bounds in &self.hist_bounds {
-            flat.extend_from_slice(bounds);
-            off.push(flat.len() as u32);
-        }
-        self.bounds_flat = flat.into();
-        self.bounds_off = off.into();
-        self
-    }
-
     /// Whether recording is live. A disabled registry ignores all
     /// record and merge operations.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.totals.enabled
     }
 
     /// Creates a zeroed shard matching this registry's layout, for one
     /// hot-path writer.
     pub fn shard(&self) -> Shard {
+        let totals = &self.totals;
         Shard {
-            enabled: self.enabled,
-            counters: vec![0; self.counter_defs.len()],
-            // One flat bucket array: histogram i has one more bucket
-            // (the +Inf slot) than bounds, hence the `+ i` skew.
-            buckets: vec![0; self.bounds_flat.len() + self.hist_defs.len()],
-            hist_sums: vec![0.0; self.hist_defs.len()],
-            hist_counts: vec![0; self.hist_defs.len()],
-            bounds_flat: self.bounds_flat.clone(),
-            bounds_off: self.bounds_off.clone(),
+            acc: Accumulator::zeroed(
+                totals.enabled,
+                totals.counters.len(),
+                Arc::clone(&totals.layout),
+            ),
             spans: Vec::new(),
             flights: Vec::new(),
-            hist_scratch: Vec::new(),
-            state: 0,
         }
     }
 
     /// Increments a counter by one (owner-side serial recording).
     #[inline]
     pub fn inc(&mut self, id: CounterId) {
-        self.add(id, 1);
+        self.totals.add(id, 1);
     }
 
     /// Adds to a counter (owner-side serial recording).
     #[inline]
     pub fn add(&mut self, id: CounterId, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.counters[id.0 as usize] += n;
+        self.totals.add(id, n);
     }
 
     /// Sets a gauge. Gauges are owner-side only — they describe global
     /// state (fleet power, simulated time) that no shard owns.
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, value: f64) {
-        if !self.enabled {
+        if !self.totals.enabled {
             return;
         }
         self.gauges[id.0 as usize] = value;
@@ -349,14 +421,7 @@ impl Registry {
     /// Records one histogram observation (owner-side serial recording).
     #[inline]
     pub fn observe(&mut self, id: HistogramId, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let i = id.0 as usize;
-        let slot = bucket_slot(&self.hist_bounds[i], value);
-        self.hist_buckets[i][slot] += 1;
-        self.hist_sums[i] += value;
-        self.hist_counts[i] += 1;
+        self.totals.observe(id, value);
     }
 
     /// Folds a shard's deltas into the registry and zeroes the shard.
@@ -366,33 +431,12 @@ impl Registry {
     /// a fixed order is what makes the merged registry bit-identical no
     /// matter how many worker threads recorded the shards.
     pub fn merge_shard(&mut self, shard: &mut Shard) {
-        if !self.enabled {
-            return;
-        }
-        for (total, part) in self.counters.iter_mut().zip(&mut shard.counters) {
-            *total += *part;
-            *part = 0;
-        }
-        for i in 0..self.hist_defs.len() {
-            if shard.hist_counts[i] == 0 {
-                continue;
-            }
-            let lo = shard.bounds_off[i] as usize + i;
-            let part = &mut shard.buckets[lo..];
-            for (total, p) in self.hist_buckets[i].iter_mut().zip(part.iter_mut()) {
-                *total += *p;
-                *p = 0;
-            }
-            self.hist_sums[i] += shard.hist_sums[i];
-            self.hist_counts[i] += shard.hist_counts[i];
-            shard.hist_sums[i] = 0.0;
-            shard.hist_counts[i] = 0;
-        }
+        self.totals.merge(&mut shard.acc);
     }
 
     /// Current value of a counter.
     pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize]
+        self.totals.counters[id.0 as usize]
     }
 
     /// Current value of a gauge.
@@ -403,11 +447,12 @@ impl Registry {
     /// Borrowed view of a histogram's state.
     pub fn histogram(&self, id: HistogramId) -> HistogramView<'_> {
         let i = id.0 as usize;
+        let totals = &self.totals;
         HistogramView {
-            bounds: &self.hist_bounds[i],
-            buckets: &self.hist_buckets[i],
-            sum: self.hist_sums[i],
-            count: self.hist_counts[i],
+            bounds: totals.layout.bounds(i),
+            buckets: &totals.buckets[totals.layout.slots(i)],
+            sum: totals.sums[i],
+            count: totals.counts[i],
         }
     }
 
@@ -416,7 +461,7 @@ impl Registry {
     pub fn counters(&self) -> impl Iterator<Item = (&str, &str, u64)> {
         self.counter_defs
             .iter()
-            .zip(&self.counters)
+            .zip(&self.totals.counters)
             .map(|(d, &v)| (d.name.as_str(), d.help.as_str(), v))
     }
 
@@ -446,49 +491,62 @@ impl Registry {
     /// and is not part of the state — a restored registry must be
     /// rebuilt with the identical metric set first.
     pub fn state(&self) -> RegistryState {
+        let totals = &self.totals;
         RegistryState {
-            counters: self.counters.clone(),
+            counters: totals.counters.clone(),
             gauges: self.gauges.clone(),
-            hist_buckets: self.hist_buckets.clone(),
-            hist_sums: self.hist_sums.clone(),
-            hist_counts: self.hist_counts.clone(),
+            hist_buckets: (0..totals.counts.len())
+                .map(|i| totals.buckets[totals.layout.slots(i)].to_vec())
+                .collect(),
+            hist_sums: totals.sums.clone(),
+            hist_counts: totals.counts.clone(),
         }
     }
 
     /// Restores metric values captured by [`Registry::state`] into a
     /// registry rebuilt with the same layout. Fails with
-    /// [`SnapError::Corrupt`] if any array length disagrees with the
-    /// frozen layout.
+    /// [`SnapError::Corrupt`], before anything is installed, if an
+    /// array length disagrees with the frozen layout, or if a
+    /// histogram is not one observations could have produced: its
+    /// buckets must sum (without overflow) to its count and its sum
+    /// must be finite — anything else renders an exposition
+    /// [`crate::parse_prometheus`] rejects.
     pub fn restore(&mut self, state: &RegistryState) -> Result<(), SnapError> {
-        if state.counters.len() != self.counters.len()
+        let totals = &mut self.totals;
+        let hists = totals.counts.len();
+        if state.counters.len() != totals.counters.len()
             || state.gauges.len() != self.gauges.len()
-            || state.hist_sums.len() != self.hist_sums.len()
-            || state.hist_counts.len() != self.hist_counts.len()
-            || state.hist_buckets.len() != self.hist_buckets.len()
+            || state.hist_sums.len() != hists
+            || state.hist_counts.len() != hists
+            || state.hist_buckets.len() != hists
         {
             return Err(SnapError::Corrupt(
                 "registry state does not match the frozen metric layout".into(),
             ));
         }
-        for (i, (have, want)) in state
-            .hist_buckets
-            .iter()
-            .zip(&self.hist_buckets)
-            .enumerate()
-        {
-            if have.len() != want.len() {
+        for (i, have) in state.hist_buckets.iter().enumerate() {
+            let want = totals.layout.slots(i).len();
+            if have.len() != want {
                 return Err(SnapError::Corrupt(format!(
-                    "histogram {i} bucket count mismatch: snapshot {}, layout {}",
-                    have.len(),
-                    want.len()
+                    "histogram {i} bucket count mismatch: snapshot {}, layout {want}",
+                    have.len()
+                )));
+            }
+            let bucketed = have.iter().try_fold(0u64, |sum, &b| sum.checked_add(b));
+            if bucketed != Some(state.hist_counts[i]) || !state.hist_sums[i].is_finite() {
+                return Err(SnapError::Corrupt(format!(
+                    "histogram {i} is inconsistent: buckets sum to {bucketed:?}, count {}, sum {}",
+                    state.hist_counts[i], state.hist_sums[i]
                 )));
             }
         }
-        self.counters.clone_from(&state.counters);
+        totals.counters.clone_from(&state.counters);
         self.gauges.clone_from(&state.gauges);
-        self.hist_buckets.clone_from(&state.hist_buckets);
-        self.hist_sums.clone_from(&state.hist_sums);
-        self.hist_counts.clone_from(&state.hist_counts);
+        for (i, have) in state.hist_buckets.iter().enumerate() {
+            totals.buckets[totals.layout.slots(i)].copy_from_slice(have);
+        }
+        totals.sums.clone_from(&state.hist_sums);
+        totals.counts.clone_from(&state.hist_counts);
         Ok(())
     }
 }
@@ -546,108 +604,56 @@ impl Snapshot for RegistryState {
     }
 }
 
-/// A private, lock-free accumulator for one hot-path writer. All
-/// record operations are plain array writes; a disabled shard
-/// early-returns from every one of them.
-///
-/// Besides metric deltas a shard buffers [`SpanRecord`]s and
-/// [`FlightRecord`]s (drained by the owner after the merge, in the
-/// same fixed order) and carries one persistent `state` word for
-/// writer-local bookkeeping — the control plane stores each leaf's
-/// last band there to detect band transitions.
+/// One hot-path writer's private recorder: an accumulator of metric
+/// deltas plus buffers of [`SpanRecord`]s and [`FlightRecord`]s, all
+/// handed to the owner after the writer's work (the merge, then the two
+/// drains, in the same fixed order). Recording is plain array writes; a
+/// disabled shard ignores every operation.
 #[derive(Debug, Clone)]
 pub struct Shard {
-    enabled: bool,
-    counters: Vec<u64>,
-    /// All histograms' buckets in one flat array: histogram `i` owns
-    /// `buckets[bounds_off[i] as usize + i..]` for `bounds + 1` slots
-    /// (the `+ i` skew accounts for each histogram's extra `+Inf`
-    /// bucket).
-    buckets: Vec<u64>,
-    hist_sums: Vec<f64>,
-    hist_counts: Vec<u64>,
-    bounds_flat: Arc<[f64]>,
-    bounds_off: Arc<[u32]>,
+    acc: Accumulator,
     spans: Vec<SpanRecord>,
     flights: Vec<FlightRecord>,
-    /// Deferred observations buffered by an open [`HistScope`] and
-    /// drained at scope close. Kept on the shard so its capacity
-    /// persists across cycles (no steady-state allocation).
-    hist_scratch: Vec<f64>,
-    /// Persistent writer-local state word, untouched by merges.
-    pub state: u32,
 }
 
 impl Shard {
     /// Whether recording is live.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.acc.enabled
     }
 
     /// Increments a counter by one.
     #[inline]
     pub fn inc(&mut self, id: CounterId) {
-        self.add(id, 1);
+        self.acc.add(id, 1);
     }
 
     /// Adds to a counter.
     #[inline]
     pub fn add(&mut self, id: CounterId, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.counters[id.0 as usize] += n;
+        self.acc.add(id, n);
     }
 
     /// Records one histogram observation.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let i = id.0 as usize;
-        let lo = self.bounds_off[i] as usize;
-        let hi = self.bounds_off[i + 1] as usize;
-        let slot = bucket_slot(&self.bounds_flat[lo..hi], value);
-        self.buckets[lo + i + slot] += 1;
-        self.hist_sums[i] += value;
-        self.hist_counts[i] += 1;
+        self.acc.observe(id, value);
     }
 
-    /// Splits off a [`HistScope`] over one histogram plus the counter
-    /// bank, hoisting every per-observation indirection (offset table,
-    /// bounds slicing, enabled load) out of the caller's hot loop.
-    ///
-    /// The control plane opens one scope per leaf cycle and records
-    /// each RPC through it; a recording is then one buffered store,
-    /// and the scope folds the buffer into the histogram when it
-    /// closes. Observations land in the same slots, sums and order as
-    /// the equivalent [`Shard::observe`] calls, so the merged registry
-    /// is bit-identical either way.
+    /// Records a run of observations of one histogram, in order —
+    /// bit-identical to one [`Shard::observe`] per value, with the
+    /// bounds and buckets resolved once. The control plane buffers a
+    /// leaf cycle's RPC round trips and hands them over here.
     #[inline]
-    pub fn hist_scope(&mut self, id: HistogramId) -> HistScope<'_> {
-        let i = id.0 as usize;
-        let lo = self.bounds_off[i] as usize;
-        let hi = self.bounds_off[i + 1] as usize;
-        debug_assert!(self.hist_scratch.is_empty());
-        HistScope {
-            enabled: self.enabled,
-            counters: &mut self.counters,
-            bounds: &self.bounds_flat[lo..hi],
-            // `+ i` skew: each earlier histogram owns one extra +Inf
-            // bucket; this histogram's slots are `bounds + 1` wide.
-            buckets: &mut self.buckets[lo + i..hi + i + 1],
-            pending: &mut self.hist_scratch,
-            sum_slot: &mut self.hist_sums[i],
-            count_slot: &mut self.hist_counts[i],
-        }
+    pub fn observe_batch(&mut self, id: HistogramId, values: &[f64]) {
+        self.acc.observe_batch(id, values);
     }
 
     /// Buffers a trace span (drained by the owner after the merge).
     #[inline]
     pub fn span(&mut self, record: SpanRecord) {
-        if !self.enabled {
+        if !self.acc.enabled {
             return;
         }
         self.spans.push(record);
@@ -657,7 +663,7 @@ impl Shard {
     /// the merge).
     #[inline]
     pub fn flight(&mut self, record: FlightRecord) {
-        if !self.enabled {
+        if !self.acc.enabled {
             return;
         }
         self.flights.push(record);
@@ -672,80 +678,6 @@ impl Shard {
     /// capacity.
     pub fn take_flights(&mut self) -> std::vec::Drain<'_, FlightRecord> {
         self.flights.drain(..)
-    }
-}
-
-/// A borrow-split view of one shard histogram plus the shard's counter
-/// bank, built by [`Shard::hist_scope`] for a hot recording loop.
-///
-/// All the per-call indirections of [`Shard::observe`] — the offset
-/// table loads, the bounds re-slicing — are resolved once at
-/// construction, and [`HistScope::observe`] only appends the value to
-/// a shard-owned buffer (one store; the buffer keeps its capacity
-/// across cycles, so steady-state recording does not allocate).
-/// Closing the scope folds the buffer into the histogram in one tight
-/// loop with the bounds and buckets cache-hot, applying the same
-/// additions in the same order as per-call recording would — the
-/// result is bit-identical.
-#[derive(Debug)]
-pub struct HistScope<'a> {
-    enabled: bool,
-    counters: &'a mut [u64],
-    bounds: &'a [f64],
-    /// This histogram's `bounds + 1` slots (last is `+Inf`).
-    buckets: &'a mut [u64],
-    pending: &'a mut Vec<f64>,
-    sum_slot: &'a mut f64,
-    count_slot: &'a mut u64,
-}
-
-impl HistScope<'_> {
-    /// Whether recording is live.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one observation into the scoped histogram.
-    #[inline]
-    pub fn observe(&mut self, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.pending.push(value);
-    }
-
-    /// Adds to a counter (same bank as [`Shard::add`]).
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.counters[id.0 as usize] += n;
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-}
-
-impl Drop for HistScope<'_> {
-    fn drop(&mut self) {
-        // Fold the buffered observations in arrival order; the sum
-        // accumulates in a local seeded from the shard slot, so the
-        // stores below are the only memory traffic besides the bucket
-        // increments.
-        let mut sum = *self.sum_slot;
-        for &value in self.pending.iter() {
-            let slot = bucket_slot(self.bounds, value);
-            self.buckets[slot] += 1;
-            sum += value;
-        }
-        *self.sum_slot = sum;
-        *self.count_slot += self.pending.len() as u64;
-        self.pending.clear();
     }
 }
 
@@ -806,59 +738,106 @@ mod tests {
         assert_eq!(direct.histogram(h), sharded.histogram(h2));
     }
 
+    /// Batches of every size a leaf cycle produces (one pull of up to
+    /// 160 servers plus an actuation), of RTT-shaped values salted with
+    /// every exact bucket bound and zero, against one `observe` per
+    /// value: same buckets, same count, same sum bits.
     #[test]
-    fn hist_scope_matches_direct_shard_recording() {
-        // Two histograms so the scoped one sits at a nonzero offset in
-        // the flat bucket array (exercises the +Inf skew arithmetic).
+    fn batch_observation_is_per_call_observation_bit_for_bit() {
+        // Two histograms so the batched one sits at a nonzero offset in
+        // the flat bucket array.
         let build = || {
             let mut b = RegistryBuilder::new();
-            let c = b.counter("calls_total", "calls");
             let _ = b.histogram("first", "first", Buckets::explicit(&[0.5, 5.0]));
-            let h = b.histogram(
-                "latency_seconds",
-                "latency",
-                Buckets::log_linear(0.001, 2, 8),
-            );
-            (b.build(true), c, h)
+            let h = b.histogram("rtt_seconds", "rtt", Buckets::log_linear(0.001, 2, 8));
+            (b.build(true), h)
         };
-        let vals = [0.0004, 0.001, 0.0017, 0.02, 0.3, 7.0];
-        let (mut direct_reg, c1, h1) = build();
-        let mut direct = direct_reg.shard();
-        for v in vals {
-            direct.inc(c1);
-            direct.observe(h1, v);
+        let bounds = Buckets::log_linear(0.001, 2, 8);
+        let mut rng = dcsim::SimRng::seed_from(20);
+        let (mut per_call_reg, h1) = build();
+        let (mut batched_reg, h2) = build();
+        let (mut per_call, mut batched) = (per_call_reg.shard(), batched_reg.shard());
+        let mut total = 0u64;
+        for n in 1..=161 {
+            let values: Vec<f64> = (0..n)
+                .map(|k| match rng.next_below(8) {
+                    0 => bounds.bounds()[(n + k) % bounds.bounds().len()],
+                    1 => 0.0,
+                    2 => 1.0, // past the top bound
+                    _ => rng.exponential(250.0),
+                })
+                .collect();
+            for &v in &values {
+                per_call.observe(h1, v);
+            }
+            batched.observe_batch(h2, &values);
+            total += n as u64;
+            // Merge on some rounds only, so batches also land on a
+            // nonzero running sum.
+            if n % 3 == 0 {
+                per_call_reg.merge_shard(&mut per_call);
+                batched_reg.merge_shard(&mut batched);
+            }
         }
-        let (mut scoped_reg, c2, h2) = build();
-        let mut scoped = scoped_reg.shard();
-        let mut scope = scoped.hist_scope(h2);
-        assert!(scope.is_enabled());
-        for v in vals {
-            scope.inc(c2);
-            scope.observe(v);
-        }
-        drop(scope);
-        direct_reg.merge_shard(&mut direct);
-        scoped_reg.merge_shard(&mut scoped);
-        assert_eq!(direct_reg.counter_value(c1), scoped_reg.counter_value(c2));
-        assert_eq!(direct_reg.histogram(h1), scoped_reg.histogram(h2));
+        per_call_reg.merge_shard(&mut per_call);
+        batched_reg.merge_shard(&mut batched);
+        let (a, b) = (per_call_reg.histogram(h1), batched_reg.histogram(h2));
+        assert_eq!(a.buckets, b.buckets);
+        assert_eq!((a.count, b.count), (total, total));
+        assert_eq!(a.sum.to_bits(), b.sum.to_bits());
+        assert!(a.buckets.iter().all(|&c| c > 0), "every bucket was hit");
     }
 
     #[test]
-    fn disabled_shard_hist_scope_records_nothing() {
+    fn restore_round_trips_and_rejects_another_layout() {
+        let (mut r, c, g, h) = small();
+        r.add(c, 3);
+        r.set_gauge(g, -1.5);
+        r.observe(h, 0.5);
+        r.observe(h, 7.0);
+        let state = r.state();
+        assert_eq!(state.hist_buckets, vec![vec![0, 1, 1]]);
+        let (mut twin, ..) = small();
+        twin.restore(&state).unwrap();
+        assert_eq!(twin.state(), state);
+
         let mut b = RegistryBuilder::new();
-        let c = b.counter("calls_total", "calls");
-        let h = b.histogram("lat", "lat", Buckets::explicit(&[1.0]));
-        let mut r = b.build(false);
-        let mut s = r.shard();
-        let mut scope = s.hist_scope(h);
-        assert!(!scope.is_enabled());
-        scope.inc(c);
-        scope.add(c, 5);
-        scope.observe(0.5);
-        drop(scope);
-        r.merge_shard(&mut s);
-        assert_eq!(r.counter_value(c), 0);
-        assert_eq!(r.histogram(h).count, 0);
+        b.counter("calls_total", "calls");
+        b.gauge("power_watts", "power");
+        b.histogram("latency_seconds", "latency", Buckets::explicit(&[0.1]));
+        let err = b.build(true).restore(&state).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err}");
+    }
+
+    /// A histogram no sequence of observations produces restores as a
+    /// typed error, not as an exposition `parse_prometheus` rejects or
+    /// a render that overflows its cumulative count.
+    #[test]
+    fn restore_rejects_an_inconsistent_histogram() {
+        let (mut r, _, _, h) = small();
+        r.observe(h, 0.5);
+        let good = r.state();
+        let forge = |edit: &dyn Fn(&mut RegistryState)| {
+            let mut state = good.clone();
+            edit(&mut state);
+            let (mut victim, ..) = small();
+            let result = victim.restore(&state);
+            if result.is_err() {
+                assert_eq!(victim.state(), small().0.state(), "nothing was installed");
+            }
+            result
+        };
+        for (what, result) in [
+            ("count", forge(&|s| s.hist_buckets[0] = vec![3, 4, 1])),
+            (
+                "overflow",
+                forge(&|s| s.hist_buckets[0] = vec![u64::MAX, 2, 0]),
+            ),
+            ("sum", forge(&|s| s.hist_sums[0] = f64::NAN)),
+        ] {
+            assert!(matches!(result, Err(SnapError::Corrupt(_))), "{what}");
+        }
+        assert!(forge(&|_| ()).is_ok());
     }
 
     #[test]

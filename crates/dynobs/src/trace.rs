@@ -4,9 +4,10 @@
 
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::export::escape_json;
+use crate::ring::{Ring, RingRecord};
 
 /// What a span measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,90 +78,38 @@ pub struct SpanRecord {
     pub name: Arc<str>,
 }
 
-/// Fixed-capacity span ring: `push` overwrites the oldest record once
-/// full, so steady-state tracing never allocates.
-#[derive(Debug, Clone)]
-pub struct TraceRing {
-    buf: Vec<SpanRecord>,
-    cap: usize,
-    next: usize,
-    total: u64,
+impl RingRecord for SpanRecord {
+    const KIND: &'static str = "dynobs.TraceRing";
+
+    fn encode(&self, w: &mut SnapWriter) {
+        w.put_u8(self.kind.code());
+        w.put_u32(self.track);
+        w.put_u64(self.start_us);
+        w.put_u64(self.dur_us);
+        w.put_str(&self.name);
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(SpanRecord {
+            kind: SpanKind::from_snap_code(r.get_u8()?)?,
+            track: r.get_u32()?,
+            start_us: r.get_u64()?,
+            dur_us: r.get_u64()?,
+            name: r.get_str()?.into(),
+        })
+    }
 }
 
-impl TraceRing {
-    /// A ring holding at most `cap` spans. Capacity is allocated up
-    /// front.
-    pub fn new(cap: usize) -> Self {
-        TraceRing {
-            buf: Vec::with_capacity(cap),
-            cap: cap.max(1),
-            next: 0,
-            total: 0,
-        }
-    }
+/// The span ring: the most recent [`SpanRecord`]s, for trace export.
+pub type TraceRing = Ring<SpanRecord>;
 
-    /// Appends a span, overwriting the oldest once the ring is full.
-    pub fn push(&mut self, record: SpanRecord) {
-        if self.buf.len() < self.cap {
-            self.buf.push(record);
-        } else {
-            self.buf[self.next] = record;
-        }
-        self.next = (self.next + 1) % self.cap;
-        self.total += 1;
-    }
-
-    /// Overwrites this ring's contents with `other`'s, into this ring's
-    /// own buffer: a ring restored from a decoded snapshot keeps its
-    /// up-front allocation (a decoded ring's buffer is only as large as
-    /// what it holds), so pushes after a resume stay off the heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn restore_from(&mut self, other: &TraceRing) {
-        assert_eq!(self.cap, other.cap, "trace ring capacity mismatch");
-        self.buf.clone_from(&other.buf);
-        self.next = other.next;
-        self.total = other.total;
-    }
-
-    /// Number of spans currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The ring's fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// True if no spans were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total spans ever pushed (including overwritten ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterates the retained spans, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
-        let split = if self.buf.len() < self.cap {
-            0
-        } else {
-            self.next
-        };
-        self.buf[split..].iter().chain(self.buf[..split].iter())
-    }
-
+impl Ring<SpanRecord> {
     /// Renders the retained spans as chrome-tracing JSON
     /// (`traceEvents` array of complete `"ph":"X"` events; `ts`/`dur`
     /// are microseconds of simulated time, `tid` is the controller
     /// track).
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.buf.len() * 128);
+        let mut out = String::with_capacity(64 + self.len() * 128);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         for (i, s) in self.iter().enumerate() {
             if i > 0 {
@@ -180,56 +129,6 @@ impl TraceRing {
     }
 }
 
-impl Snapshot for TraceRing {
-    const KIND: &'static str = "dynobs.TraceRing";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.cap as u64);
-        w.put_u64(self.next as u64);
-        w.put_u64(self.total);
-        w.put_u64(self.buf.len() as u64);
-        for s in &self.buf {
-            w.put_u8(s.kind.code());
-            w.put_u32(s.track);
-            w.put_u64(s.start_us);
-            w.put_u64(s.dur_us);
-            w.put_str(&s.name);
-        }
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let cap = r.get_u64()? as usize;
-        let next = r.get_u64()? as usize;
-        let total = r.get_u64()?;
-        // `cap` is the ring's logical size and, like the record count,
-        // untrusted: the buffer is reserved for what the input can back
-        // (`get_vec`), never for what the header claims.
-        let buf = r.get_vec(|r| {
-            let kind = SpanKind::from_snap_code(r.get_u8()?)?;
-            Ok(SpanRecord {
-                kind,
-                track: r.get_u32()?,
-                start_us: r.get_u64()?,
-                dur_us: r.get_u64()?,
-                name: r.get_str()?.into(),
-            })
-        })?;
-        let len = buf.len();
-        if cap == 0 || len > cap || next >= cap {
-            return Err(SnapError::Corrupt(format!(
-                "trace ring geometry invalid: cap {cap}, len {len}, next {next}"
-            )));
-        }
-        Ok(TraceRing {
-            buf,
-            cap,
-            next,
-            total,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,77 +141,6 @@ mod tests {
             dur_us: 10,
             name: "leaf-3".into(),
         }
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_and_iterates_in_order() {
-        let mut ring = TraceRing::new(3);
-        for t in 0..5 {
-            ring.push(span(SpanKind::LeafCycle, t));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_recorded(), 5);
-        let starts: Vec<u64> = ring.iter().map(|s| s.start_us).collect();
-        assert_eq!(starts, vec![2, 3, 4]);
-    }
-
-    /// A ring section whose body is `cap, next, total, count` and then
-    /// whatever `tail` writes.
-    fn section(cap: u64, count: u64, tail: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
-        let mut body = SnapWriter::new();
-        body.put_u64(cap);
-        body.put_u64(0);
-        body.put_u64(0);
-        body.put_u64(count);
-        tail(&mut body);
-        let body = body.into_bytes();
-        let mut w = SnapWriter::new();
-        w.put_u32(dcsim::snap::SECTION_MAGIC);
-        w.put_str(TraceRing::KIND);
-        w.put_u32(TraceRing::VERSION);
-        w.put_u64(body.len() as u64);
-        w.put_raw(&body);
-        w.into_bytes()
-    }
-
-    #[test]
-    fn forged_capacity_is_a_typed_error_not_an_allocation() {
-        // Both header fields promise the moon; the body ends three
-        // bytes into the first record.
-        let truncated = section(u64::MAX, u64::MAX, |w| w.put_raw(&[0, 1, 2]));
-        assert!(matches!(
-            TraceRing::from_snap_bytes(&truncated),
-            Err(SnapError::UnexpectedEof { .. })
-        ));
-        // A complete body still has to respect its own geometry.
-        let overfull = section(1, 2, |w| {
-            for s in [span(SpanKind::LeafCycle, 1), span(SpanKind::RpcPull, 2)] {
-                w.put_u8(s.kind.code());
-                w.put_u32(s.track);
-                w.put_u64(s.start_us);
-                w.put_u64(s.dur_us);
-                w.put_str(&s.name);
-            }
-        });
-        assert!(matches!(
-            TraceRing::from_snap_bytes(&overfull),
-            Err(SnapError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn restore_from_keeps_the_up_front_allocation() {
-        let mut source = TraceRing::new(64);
-        for t in 0..5 {
-            source.push(span(SpanKind::LeafCycle, t));
-        }
-        let decoded = TraceRing::from_snap_bytes(&source.to_snap_bytes()).unwrap();
-        assert!(decoded.buf.capacity() < 64, "a decoded ring is input-sized");
-        let mut ring = TraceRing::new(64);
-        ring.restore_from(&decoded);
-        assert!(ring.buf.capacity() >= 64);
-        assert_eq!(ring.total_recorded(), 5);
-        assert!(ring.iter().eq(source.iter()));
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn main() {
     // trips, validator alerts) dump it to JSON automatically when
     // ObsConfig::incident_dir is set.
     println!("flight recorder tail:");
-    let records: Vec<_> = obs.flight().records().collect();
+    let records: Vec<_> = obs.flight().iter().collect();
     for record in &records[records.len().saturating_sub(5)..] {
         println!(
             "  t={:>7}ms {:<24} {}",

@@ -78,8 +78,16 @@ fn elision_engages_and_changes_nothing_across_threads() {
         serial.1
     );
     assert!(serial.1 > 0, "no real cycles at all — schedule broken");
+    // Every due cycle is counted exactly once, as run (in the leaf's
+    // shard) or as elided (straight into the registry): 8 leaves on a
+    // lockstep 3 s cycle for 5 minutes.
+    assert_eq!(
+        serial.0 + serial.1,
+        8 * (5 * 60 / 3),
+        "a due cycle went uncounted"
+    );
 
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let parallel = run(threads);
         assert_eq!(serial.0, parallel.0, "elided count diverged at {threads}");
         assert_eq!(serial.2, parallel.2, "aggregates diverged at {threads}");
