@@ -54,9 +54,17 @@ impl Snapshot for SimRng {
         for s in &mut state {
             *s = r.get_u64()?;
         }
+        // Box-Muller yields finite variates only, and the cached one is
+        // handed out unchecked.
+        let spare_normal = r.get_opt_f64()?;
+        if spare_normal.is_some_and(|z| !z.is_finite()) {
+            return Err(SnapError::Corrupt(format!(
+                "cached normal variate {spare_normal:?} is not finite"
+            )));
+        }
         Ok(SimRng {
             state,
-            spare_normal: r.get_opt_f64()?,
+            spare_normal,
         })
     }
 }
@@ -226,12 +234,6 @@ impl SimRng {
     pub fn exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0, "exponential rate must be positive, got {rate}");
         -(1.0 - self.next_f64()).ln() / rate
-    }
-
-    /// Returns a lognormal variate with the given parameters of the
-    /// underlying normal distribution.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
     }
 
     /// Returns a Pareto variate with scale `x_min` and shape `alpha`.

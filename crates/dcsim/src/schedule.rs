@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use crate::{SimDuration, SimRng, SimTime};
+use crate::{SimDuration, SimTime};
 
 /// Tracks a fixed-period task inside a time-stepped simulation.
 ///
@@ -84,6 +84,21 @@ impl PeriodicSchedule {
             self.next += self.period;
         }
         true
+    }
+
+    /// This schedule moved to where `saved` stood. The period is
+    /// configuration: `saved` must carry this schedule's own, and a
+    /// firing time on this schedule's grid.
+    pub fn restored(&self, saved: &PeriodicSchedule) -> Result<PeriodicSchedule, SnapError> {
+        let period = self.period.as_millis();
+        if saved.period != self.period
+            || saved.next.as_millis() % period != self.next.as_millis() % period
+        {
+            return Err(SnapError::Corrupt(format!(
+                "schedule {saved:?} in snapshot is not a position of the configured {self:?}"
+            )));
+        }
+        Ok(*saved)
     }
 }
 
@@ -167,23 +182,6 @@ impl CycleSchedule {
         }
     }
 
-    /// Creates a schedule with a deterministic random phase drawn
-    /// uniformly from `[0, spread)` at millisecond resolution. A zero
-    /// `spread` yields phase zero without consuming randomness, so a
-    /// lockstep configuration never perturbs the RNG stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn jittered(period: SimDuration, spread: SimDuration, rng: &mut SimRng) -> Self {
-        let phase = if spread.is_zero() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_millis(rng.next_u64() % spread.as_millis())
-        };
-        Self::with_phase(period, phase)
-    }
-
     /// The period.
     pub fn period(&self) -> SimDuration {
         self.period
@@ -214,6 +212,23 @@ impl CycleSchedule {
             self.next += self.period;
         }
         true
+    }
+
+    /// This schedule moved to where `saved` stood. Period and phase are
+    /// configuration: `saved` must carry this schedule's own, and a
+    /// firing time on their grid.
+    pub fn restored(&self, saved: &CycleSchedule) -> Result<CycleSchedule, SnapError> {
+        let on_grid = saved
+            .next
+            .as_millis()
+            .checked_sub(self.phase.as_millis())
+            .is_some_and(|since| since % self.period.as_millis() == 0);
+        if (saved.period, saved.phase) != (self.period, self.phase) || !on_grid {
+            return Err(SnapError::Corrupt(format!(
+                "schedule {saved:?} in snapshot is not a position of the configured {self:?}"
+            )));
+        }
+        Ok(*saved)
     }
 }
 
@@ -325,26 +340,5 @@ mod tests {
         // Oversleep past three boundaries: one firing, grid preserved.
         assert!(s.fire(SimTime::from_secs(11)));
         assert_eq!(s.next_at(), SimTime::from_secs(13));
-    }
-
-    #[test]
-    fn jittered_phase_is_deterministic_and_bounded() {
-        let draw = |seed| {
-            let mut rng = SimRng::seed_from(seed);
-            CycleSchedule::jittered(
-                SimDuration::from_secs(3),
-                SimDuration::from_secs(3),
-                &mut rng,
-            )
-            .phase()
-        };
-        assert_eq!(draw(7), draw(7));
-        assert!(draw(7) < SimDuration::from_secs(3));
-        // Zero spread draws nothing from the stream.
-        let mut rng = SimRng::seed_from(3);
-        let before = rng.clone();
-        let s = CycleSchedule::jittered(SimDuration::from_secs(3), SimDuration::ZERO, &mut rng);
-        assert_eq!(s.phase(), SimDuration::ZERO);
-        assert_eq!(rng, before, "zero spread must not consume randomness");
     }
 }

@@ -102,6 +102,17 @@ impl fmt::Display for SnapError {
     }
 }
 
+impl SnapError {
+    /// Names the part of the live object a [`SnapError::Corrupt`] was
+    /// found in.
+    pub fn within(self, part: impl fmt::Display) -> SnapError {
+        match self {
+            SnapError::Corrupt(msg) => SnapError::Corrupt(format!("{part}: {msg}")),
+            other => other,
+        }
+    }
+}
+
 impl std::error::Error for SnapError {}
 
 /// Little-endian binary writer backing [`Snapshot::encode_body`].
@@ -222,6 +233,16 @@ impl<'a> SnapReader<'a> {
     pub fn get_u64(&mut self) -> Result<u64, SnapError> {
         let b = self.take(8, "u64")?;
         Ok(u64::from_le_bytes(b.try_into().unwrap()))
+    }
+
+    /// Reads a `u64` that counts what a run did: events, epochs,
+    /// simulated milliseconds. The top half of the range is no such
+    /// count, and the arithmetic done on it would overflow.
+    pub fn get_count(&mut self) -> Result<u64, SnapError> {
+        match self.get_u64()? {
+            n if n <= u64::MAX >> 1 => Ok(n),
+            n => Err(SnapError::Corrupt(format!("count {n} is out of range"))),
+        }
     }
 
     /// Reads an `f64` stored as raw bits.
@@ -384,6 +405,12 @@ pub fn put_u64_slice(w: &mut SnapWriter, xs: &[u64]) {
 /// Decodes a `u64` vector written by [`put_u64_slice`].
 pub fn get_u64_vec(r: &mut SnapReader<'_>) -> Result<Vec<u64>, SnapError> {
     r.get_vec(|r| r.get_u64())
+}
+
+/// Decodes a vector of [counts](SnapReader::get_count) written by
+/// [`put_u64_slice`].
+pub fn get_count_vec(r: &mut SnapReader<'_>) -> Result<Vec<u64>, SnapError> {
+    r.get_vec(|r| r.get_count())
 }
 
 /// Encodes a slice of `f64`s (raw bits) with a length prefix.

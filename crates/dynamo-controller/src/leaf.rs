@@ -382,6 +382,7 @@ impl LeafController {
                 state.active_caps.len()
             )));
         }
+        check_contract(state.contractual_limit)?;
         self.last_power.clone_from(&state.last_power);
         self.active_caps.clone_from(&state.active_caps);
         self.active_cap_count = self.active_caps.iter().filter(|c| c.is_some()).count();
@@ -607,6 +608,17 @@ fn put_opt_power_slice(w: &mut SnapWriter, xs: &[Option<Power>]) {
     }
 }
 
+/// A stored contract is what [`LeafController::set_contractual_limit`]
+/// would have accepted.
+pub(crate) fn check_contract(limit: Option<Power>) -> Result<(), SnapError> {
+    match limit {
+        Some(l) if l.as_watts().is_nan() || l.as_watts() <= 0.0 => Err(SnapError::Corrupt(
+            format!("contractual limit {l} in snapshot is not positive"),
+        )),
+        _ => Ok(()),
+    }
+}
+
 fn get_opt_power_vec(r: &mut SnapReader<'_>) -> Result<Vec<Option<Power>>, SnapError> {
     r.get_vec(|r| Ok(r.get_opt_f64()?.map(Power::from_watts)))
 }
@@ -645,7 +657,7 @@ impl Snapshot for LeafControllerState {
             active_caps: get_opt_power_vec(r)?,
             contractual_limit: r.get_opt_f64()?.map(Power::from_watts),
             alerts: get_alerts(r)?,
-            cycles: r.get_u64()?,
+            cycles: r.get_count()?,
             last_distribution: DistributionStats {
                 groups_touched: r.get_u32()?,
                 buckets_expanded: r.get_u32()?,

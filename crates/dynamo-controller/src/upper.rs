@@ -265,6 +265,7 @@ impl UpperController {
                 )));
             }
         }
+        crate::leaf::check_contract(state.contractual_limit)?;
         self.active_contracts = state.active_contracts.iter().copied().collect();
         self.contractual_limit = state.contractual_limit;
         self.alerts = state.alerts.clone();
@@ -451,7 +452,7 @@ impl Snapshot for UpperControllerState {
             None => None,
         };
         let alerts = r.get_vec(Alert::decode_body)?;
-        let cycles = r.get_u64()?;
+        let cycles = r.get_count()?;
         Ok(UpperControllerState {
             active_contracts,
             contractual_limit,

@@ -103,12 +103,6 @@ impl DatacenterBuilder {
         Self::default()
     }
 
-    /// Number of suites. See [`TopologyBuilder::suites`].
-    pub fn suites(mut self, n: usize) -> Self {
-        self.topo = self.topo.suites(n);
-        self
-    }
-
     /// MSBs per suite.
     pub fn msbs_per_suite(mut self, n: usize) -> Self {
         self.topo = self.topo.msbs_per_suite(n);
@@ -313,19 +307,6 @@ impl DatacenterBuilder {
             crate::PhasePolicy::Lockstep
         } else {
             crate::PhasePolicy::EvenSpread(spread)
-        };
-        self
-    }
-
-    /// Draws each controller's cycle phase uniformly from
-    /// `[0, spread)` out of the deterministic system RNG — same seed,
-    /// same phases. Zero spread falls back to lockstep and consumes no
-    /// randomness.
-    pub fn phase_jitter(mut self, spread: SimDuration) -> Self {
-        self.system.phase = if spread.is_zero() {
-            crate::PhasePolicy::Lockstep
-        } else {
-            crate::PhasePolicy::Jittered(spread)
         };
         self
     }

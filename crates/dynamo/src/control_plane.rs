@@ -111,18 +111,15 @@ impl DynamoSystem {
         let obs = Observability::new(&config.obs);
         let leaves = LeafTier::build(topo, service_of, &config, rng, &obs);
         let uppers = UpperTier::build(topo, &config, &leaves);
-        // Phase draws happen after the per-leaf network splits, and only
-        // the jittered policy consumes randomness — a lockstep build's
-        // RNG stream is exactly the legacy one.
         let leaf_cycles: Vec<CycleSchedule> = config
             .phase
-            .offsets(leaves.len(), "leaf-phase", rng)
+            .offsets(leaves.len())
             .into_iter()
             .map(|o| CycleSchedule::with_phase(config.leaf_interval, o))
             .collect();
         let upper_cycles: Vec<CycleSchedule> = config
             .phase
-            .offsets(uppers.len(), "upper-phase", rng)
+            .offsets(uppers.len())
             .into_iter()
             .map(|o| CycleSchedule::with_phase(config.upper_interval, o))
             .collect();

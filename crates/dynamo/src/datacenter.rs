@@ -554,16 +554,42 @@ impl Datacenter {
             }
             _ => {}
         }
+        // Every step advances the clock by one tick and the fleet by one
+        // physics tick: two words of the file that must agree, or every
+        // schedule and redraw interval is measured against a forged one.
+        let ticks = state.fleet.tick_index;
+        if ticks.checked_mul(self.tick.as_millis()) != Some(state.now_ms) {
+            return Err(SnapError::Corrupt(format!(
+                "snapshot clock t={} ms is not its fleet's {ticks} ticks of {}",
+                state.now_ms, self.tick
+            )));
+        }
+        // Ticks deliver controller events in time order and the recorder
+        // asserts it: none stored may be dated at or after the clock.
+        let events = &state.telemetry.controller_events;
+        if let Some(e) = events.iter().find(|e| e.at.as_millis() >= state.now_ms) {
+            return Err(SnapError::Corrupt(format!(
+                "controller event at {:?} in a snapshot taken at t={} ms",
+                e.at, state.now_ms
+            )));
+        }
+        // A breaker's rating and trip curve are this build's, not the
+        // file's: only the thermal state moves.
+        let mut breakers = Vec::with_capacity(self.device_ids.len());
+        for (&id, saved) in self.device_ids.iter().zip(&state.breakers) {
+            let restored = self.topo.device(id).breaker.restored(saved);
+            breakers.push(restored.map_err(|e| e.within(id))?);
+        }
         self.fleet.restore(&state.fleet)?;
         self.system.restore(&state.system)?;
         self.telemetry.restore(&state.telemetry)?;
-        for (i, &id) in self.device_ids.iter().enumerate() {
-            self.topo.device_mut(id).breaker = state.breakers[i].clone();
+        for (&id, breaker) in self.device_ids.iter().zip(breakers) {
+            self.topo.device_mut(id).breaker = breaker;
         }
         self.breaker_status.clone_from(&state.breaker_status);
         self.validator.restore(&state.validator)?;
         if let (Some(grid), Some(gs)) = (&mut self.grid, &state.grid) {
-            grid.restore(gs)?;
+            grid.restore(gs, SimTime::from_millis(state.now_ms))?;
         }
         self.alerts_seen = state.alerts_seen as usize;
         self.now = SimTime::from_millis(state.now_ms);
@@ -737,7 +763,8 @@ impl std::fmt::Debug for Datacenter {
 mod tests {
     use super::*;
     use crate::{DatacenterBuilder, ServicePlan};
-    use powerinfra::DeviceLevel;
+    use dcsim::{CycleSchedule, PeriodicSchedule};
+    use powerinfra::{DeviceLevel, TripCurve};
     use workloads::{ServiceKind, TrafficPattern};
 
     /// 1 MSB / 2 SBs / 4 RPP leaves / 32 servers, with SB breakers so
@@ -1004,6 +1031,71 @@ mod tests {
             err.to_string().contains("leaf 1 has unknown band code 4"),
             "{err}"
         );
+    }
+
+    /// `restore` must refuse `forged`, naming `what`, with nothing of
+    /// it installed: the datacenter still snapshots to `before`.
+    fn assert_refused(dc: &mut Datacenter, forged: &DatacenterState, what: &str) {
+        let before = dc.state().to_snap_bytes();
+        match dc.restore(forged) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a refusal naming {what:?}, got {other:?}"),
+        }
+        assert_eq!(dc.state().to_snap_bytes(), before);
+    }
+
+    /// A breaker's rating is configuration. Restored from the file, an
+    /// RPP rewritten from 900 W to 1800 W resumed into a report of one
+    /// trip where the unbroken run has two.
+    #[test]
+    fn restore_rejects_a_breaker_that_is_not_the_configured_one() {
+        let mut dc = small_dc(3, 2);
+        dc.run_for(SimDuration::from_secs(5));
+        let rpp = dc.topo.devices_at(DeviceLevel::Rpp)[1];
+        let honest = dc.topo.device(rpp).breaker.clone();
+        let mut state = dc.state();
+        state.breakers[rpp.index()] = Breaker::new(honest.rating() * 2.0, *honest.curve());
+        assert_refused(&mut dc, &state, &format!("{rpp}: breaker in snapshot"));
+        let mut state = dc.state();
+        state.breakers[rpp.index()] = Breaker::new(honest.rating(), TripCurve::msb());
+        assert_refused(&mut dc, &state, &format!("{rpp}: breaker in snapshot"));
+        let honest = dc.state();
+        assert!(dc.restore(&honest).is_ok());
+    }
+
+    /// So is every schedule's period and phase: a leaf that cycles
+    /// every 3 s does not resume cycling every 4.
+    #[test]
+    fn restore_rejects_a_schedule_that_is_not_the_configured_one() {
+        let mut dc = small_dc(3, 2);
+        dc.run_for(SimDuration::from_secs(5));
+        let period = SimDuration::from_secs(4);
+        let mut state = dc.state();
+        state.system.leaf_schedules[2] = CycleSchedule::new(period);
+        assert_refused(&mut dc, &state, "leaf controller 2: schedule");
+        let mut state = dc.state();
+        state.system.upper_schedules[0] =
+            CycleSchedule::with_phase(SimDuration::from_secs(9), SimDuration::from_secs(1));
+        assert_refused(&mut dc, &state, "upper controller 0: schedule");
+        let mut state = dc.state();
+        state.telemetry.schedule = PeriodicSchedule::new(period);
+        assert_refused(&mut dc, &state, "schedule");
+    }
+
+    /// The clock and the fleet's tick count advance together; a file
+    /// that moves one (found by the forge loop of
+    /// `tests/snapshot_roundtrip.rs`: a run-until-killed, or a
+    /// `duration overflow` panic in the next redraw) is refused.
+    #[test]
+    fn restore_rejects_a_clock_that_is_not_the_fleets_tick_count() {
+        let mut dc = small_dc(3, 2);
+        dc.run_for(SimDuration::from_secs(5));
+        let mut state = dc.state();
+        state.now_ms = 0xfff0_0000_0000_0000;
+        assert_refused(&mut dc, &state, "snapshot clock");
+        let mut state = dc.state();
+        state.fleet.tick_index = 1 << 40;
+        assert_refused(&mut dc, &state, "snapshot clock");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use dcsim::{CycleSchedule, EventQueue, SimDuration, SimRng, SimTime};
+use dcsim::{CycleSchedule, EventQueue, SimDuration, SimTime};
 use powerinfra::{DeviceId, Power};
 
 /// A notable controller action, for telemetry and assertions.
@@ -67,36 +67,18 @@ pub enum PhasePolicy {
     /// `spread · i / n`, staggering cycles evenly across the window.
     /// A spread of one leaf period spaces leaves maximally.
     EvenSpread(SimDuration),
-    /// Each controller draws a deterministic offset uniformly from
-    /// `[0, spread)` out of the system RNG — the "nothing synchronizes
-    /// ~100 independent daemons" deployment shape.
-    Jittered(SimDuration),
 }
 
 impl PhasePolicy {
     /// The phase offsets for an `n`-instance tier under this policy.
-    ///
-    /// Only [`PhasePolicy::Jittered`] consumes randomness: a lockstep or
-    /// even-spread build leaves `rng` untouched, which is what keeps the
-    /// phase-zero configuration bit-identical to the legacy path.
-    pub(crate) fn offsets(self, n: usize, label: &str, rng: &mut SimRng) -> Vec<SimDuration> {
+    pub(crate) fn offsets(self, n: usize) -> Vec<SimDuration> {
         match self {
             PhasePolicy::Lockstep => vec![SimDuration::ZERO; n],
+            // Widened: a saturated spread times an index leaves `u64`.
             PhasePolicy::EvenSpread(spread) => (0..n)
-                .map(|i| SimDuration::from_millis(spread.as_millis() * i as u64 / n.max(1) as u64))
+                .map(|i| spread.as_millis() as u128 * i as u128 / n as u128)
+                .map(|ms| SimDuration::from_millis(ms as u64))
                 .collect(),
-            PhasePolicy::Jittered(spread) => {
-                let mut phase_rng = rng.split(label);
-                (0..n)
-                    .map(|_| {
-                        if spread.is_zero() {
-                            SimDuration::ZERO
-                        } else {
-                            SimDuration::from_millis(phase_rng.next_u64() % spread.as_millis())
-                        }
-                    })
-                    .collect()
-            }
         }
     }
 }
@@ -220,6 +202,14 @@ impl CycleDispatcher {
                 self.upper_cycles.len()
             )));
         }
+        for (i, saved) in leaf.iter().enumerate() {
+            let checked = self.leaf_cycles[i].restored(saved);
+            checked.map_err(|e| e.within(format_args!("leaf controller {i}")))?;
+        }
+        for (i, saved) in upper.iter().enumerate() {
+            let checked = self.upper_cycles[i].restored(saved);
+            checked.map_err(|e| e.within(format_args!("upper controller {i}")))?;
+        }
         self.leaf_cycles = leaf;
         self.upper_cycles = upper;
         let mut queue = EventQueue::new();
@@ -299,26 +289,12 @@ mod tests {
 
     #[test]
     fn even_spread_offsets_partition_the_window() {
-        let mut rng = SimRng::seed_from(1);
-        let offsets =
-            PhasePolicy::EvenSpread(SimDuration::from_secs(3)).offsets(4, "leaf", &mut rng);
+        let offsets = PhasePolicy::EvenSpread(SimDuration::from_secs(3)).offsets(4);
         let ms: Vec<u64> = offsets.iter().map(|o| o.as_millis()).collect();
         assert_eq!(ms, vec![0, 750, 1500, 2250]);
-        // Lockstep and even-spread must not consume randomness.
-        let pristine = SimRng::seed_from(1);
-        let mut untouched = SimRng::seed_from(1);
-        PhasePolicy::Lockstep.offsets(4, "leaf", &mut untouched);
-        PhasePolicy::EvenSpread(SimDuration::from_secs(3)).offsets(4, "leaf", &mut untouched);
-        assert_eq!(untouched, pristine);
-    }
-
-    #[test]
-    fn jittered_offsets_are_deterministic_per_seed() {
-        let draw = || {
-            let mut rng = SimRng::seed_from(9);
-            PhasePolicy::Jittered(SimDuration::from_secs(3)).offsets(8, "leaf", &mut rng)
-        };
-        assert_eq!(draw(), draw());
-        assert!(draw().iter().all(|o| *o < SimDuration::from_secs(3)));
+        // `--phase-spread 1e19` saturates the spread; the offsets still
+        // partition it.
+        let offsets = PhasePolicy::EvenSpread(SimDuration::from_millis(u64::MAX)).offsets(4);
+        assert_eq!(offsets[3].as_millis(), (u64::MAX as u128 * 3 / 4) as u64);
     }
 }

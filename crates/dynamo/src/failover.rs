@@ -11,7 +11,7 @@
 //! — and [`FailoverState`] is the flat wire form of both.
 
 use dcsim::snap::{
-    get_bool_vec, get_u64_vec, put_bool_slice, put_u64_slice, SnapError, SnapReader, SnapWriter,
+    get_bool_vec, get_count_vec, put_bool_slice, put_u64_slice, SnapError, SnapReader, SnapWriter,
     Snapshot,
 };
 
@@ -123,8 +123,8 @@ impl Snapshot for FailoverState {
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let leaf_failed = get_bool_vec(r)?;
         let upper_failed = get_bool_vec(r)?;
-        let leaf_skipped = get_u64_vec(r)?;
-        let upper_skipped = get_u64_vec(r)?;
+        let leaf_skipped = get_count_vec(r)?;
+        let upper_skipped = get_count_vec(r)?;
         if leaf_skipped.len() != leaf_failed.len() || upper_skipped.len() != upper_failed.len() {
             return Err(SnapError::Corrupt(
                 "failover skipped tallies disagree with flag arrays".into(),
@@ -136,7 +136,7 @@ impl Snapshot for FailoverState {
                 upper_failed,
                 leaf_skipped,
                 upper_skipped,
-                count: r.get_u64()?,
+                count: r.get_count()?,
             },
         })
     }

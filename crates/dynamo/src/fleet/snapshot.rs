@@ -2,8 +2,8 @@
 //! ([`FleetState`]) and the `state` / `restore` pair.
 
 use dcsim::snap::{
-    get_bool_vec, get_f64_vec, get_u64_vec, put_bool_slice, put_f64_slice, put_u64_slice,
-    SnapError, SnapReader, SnapWriter, Snapshot,
+    get_bool_vec, get_count_vec, get_f64_vec, get_u64_vec, put_bool_slice, put_f64_slice,
+    put_u64_slice, SnapError, SnapReader, SnapWriter, Snapshot,
 };
 use dcsim::{SimRng, SimTime};
 use workloads::kernel::{burst_from_columns, burst_to_columns};
@@ -141,6 +141,19 @@ impl Fleet {
         // `+Inf` is "uncapped"; anything else must be a positive limit.
         if let Some(bad) = state.limit_w.iter().find(|l| l.is_nan() || **l <= 0.0) {
             return Err(SnapError::Corrupt(format!("bad RAPL limit {bad} W")));
+        }
+        // The breaker pass asserts on the draws folded from these.
+        for (name, column) in [
+            ("demand_w", &state.demand_w),
+            ("out_w", &state.out_w),
+            ("util", &state.util),
+            ("power_w", &state.power_w),
+        ] {
+            if let Some(bad) = column.iter().find(|x| !(x.is_finite() && **x >= 0.0)) {
+                return Err(SnapError::Corrupt(format!(
+                    "fleet column {name} holds {bad}, not a finite non-negative value"
+                )));
+            }
         }
         let leaves = self.leaves.len();
         if state.settled.len() != leaves
@@ -345,12 +358,12 @@ impl Snapshot for FleetState {
             util: get_f64_vec(r)?,
             power_w: get_f64_vec(r)?,
             leaf_power_w: get_f64_vec(r)?,
-            span_generation: r.get_u64()?,
-            tick_index: r.get_u64()?,
+            span_generation: r.get_count()?,
+            tick_index: r.get_count()?,
             settled: get_bool_vec(r)?,
             last_draw_tick: get_u64_vec(r)?,
-            leaf_epoch: get_u64_vec(r)?,
-            agent_epoch: get_u64_vec(r)?,
+            leaf_epoch: get_count_vec(r)?,
+            agent_epoch: get_count_vec(r)?,
         })
     }
 }
@@ -441,6 +454,23 @@ mod tests {
         let mut twin = fresh();
         twin.step(SimTime::ZERO, SimDuration::from_secs(1));
         assert_eq!(target.state().power_w, twin.state().power_w);
+    }
+
+    /// The breaker pass folds these columns and asserts on the result:
+    /// one forged watt used to restore `Ok` and panic a step later as
+    /// `invalid breaker draw`.
+    #[test]
+    fn restore_rejects_a_watt_column_that_is_negative_or_not_a_number() {
+        let mut fleet = build(ServerGeneration::Haswell2015);
+        fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
+        for bad in [-3.06e210, f64::NAN, f64::INFINITY] {
+            let mut forged = fleet.state();
+            forged.out_w[3] = bad;
+            assert_refused(&forged, "fleet column out_w");
+            let mut forged = fleet.state();
+            forged.demand_w[0] = bad;
+            assert_refused(&forged, "fleet column demand_w");
+        }
     }
 
     /// The watchdog restarts agents by server id: a pending restart of

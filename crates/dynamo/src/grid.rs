@@ -536,7 +536,19 @@ impl GridLayer {
     }
 
     /// Restores dynamic state captured by [`GridLayer::state`].
-    pub(crate) fn restore(&mut self, state: &GridLayerState) -> Result<(), SnapError> {
+    pub(crate) fn restore(
+        &mut self,
+        state: &GridLayerState,
+        now: SimTime,
+    ) -> Result<(), SnapError> {
+        // A window opened, and was contained, before the snapshot.
+        let episode = state.episode.iter();
+        let times = episode.flat_map(|e| [Some(e.started_ms), e.contained_at_ms]);
+        if let Some(ms) = times.flatten().find(|&ms| ms > now.as_millis()) {
+            return Err(SnapError::Corrupt(format!(
+                "curtailment episode dated t={ms} ms in a snapshot taken at {now:?}"
+            )));
+        }
         if state.banks.len() != self.banks.len() {
             return Err(SnapError::Corrupt(format!(
                 "grid snapshot has {} DCUPS banks, rebuilt layer has {}",
@@ -544,8 +556,15 @@ impl GridLayer {
                 self.banks.len()
             )));
         }
+        // A bank's sizing is this build's, not the file's: only charge
+        // and state move.
+        let mut banks = Vec::with_capacity(self.banks.len());
+        for (i, (bank, saved)) in self.banks.iter().zip(&state.banks).enumerate() {
+            let restored = bank.restored(saved);
+            banks.push(restored.map_err(|e| e.within(format_args!("leaf {i} bank")))?);
+        }
         self.econ.restore(&state.econ)?;
-        self.banks.clone_from(&state.banks);
+        self.banks = banks;
         self.episode = state.episode.as_ref().map(|e| Episode {
             started: SimTime::from_millis(e.started_ms),
             contained_at: e.contained_at_ms.map(SimTime::from_millis),
@@ -707,6 +726,31 @@ mod tests {
         assert_eq!(s1, s2);
     }
 
+    /// A bank's sizing is configuration: a file that doubles a
+    /// battery's capacity (or says it holds more than it can) is not a
+    /// state of this site.
+    #[test]
+    fn restore_rejects_a_bank_that_is_not_the_configured_one() {
+        let scenario = GridScenario::preset("curtailment-window").unwrap();
+        let mut dc = grid_dc(39, GridConfig::for_scenario(scenario));
+        dc.run_for(SimDuration::from_secs(400));
+        let refused = |dc: &mut Datacenter, bank: Dcups, what: &str| {
+            let mut state = dc.state();
+            state.grid.as_mut().unwrap().banks[1] = bank;
+            match dc.restore(&state) {
+                Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("expected a refusal naming {what:?}, got {other:?}"),
+            }
+        };
+        let honest = dc.grid().unwrap().banks()[1].clone();
+        let doubled = Dcups::with_recharge_frac(honest.design_load() * 2.0, honest.recharge_frac());
+        refused(&mut dc, doubled, "leaf 1 bank: DCUPS in snapshot");
+        let faster = Dcups::with_recharge_frac(honest.design_load(), 1.0);
+        refused(&mut dc, faster, "leaf 1 bank: DCUPS in snapshot");
+        let honest = dc.state();
+        assert!(dc.restore(&honest).is_ok());
+    }
+
     #[test]
     fn grid_layer_state_round_trips_mid_curtailment() {
         let scenario = GridScenario::preset("curtailment-window").unwrap();
@@ -797,10 +841,10 @@ impl Snapshot for GridLayerState {
         let episode = match r.get_u8()? {
             0 => None,
             1 => {
-                let started_ms = r.get_u64()?;
+                let started_ms = r.get_count()?;
                 let contained_at_ms = match r.get_u8()? {
                     0 => None,
-                    1 => Some(r.get_u64()?),
+                    1 => Some(r.get_count()?),
                     other => {
                         return Err(SnapError::Corrupt(format!("bad containment tag {other}")))
                     }
@@ -817,18 +861,18 @@ impl Snapshot for GridLayerState {
             econ,
             banks,
             episode,
-            curtailments: r.get_u64()?,
-            contained: r.get_u64()?,
-            violation_ms: r.get_u64()?,
-            discharge_ms: r.get_u64()?,
+            curtailments: r.get_count()?,
+            contained: r.get_count()?,
+            violation_ms: r.get_count()?,
+            discharge_ms: r.get_count()?,
             charge_low_water: r.get_f64()?,
             utility_draw_w: r.get_f64()?,
             any_below_full: r.get_bool()?,
             period_energy_j: r.get_f64()?,
-            period_ms: r.get_u64()?,
+            period_ms: r.get_count()?,
             last_containment_ms: match r.get_u8()? {
                 0 => None,
-                1 => Some(r.get_u64()?),
+                1 => Some(r.get_count()?),
                 other => {
                     return Err(SnapError::Corrupt(format!(
                         "bad containment-time tag {other}"

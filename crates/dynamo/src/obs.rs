@@ -751,7 +751,7 @@ impl Snapshot for ObservabilityState {
             shard_bands,
             trace: TraceRing::decode_body(r)?,
             flight: FlightRecorder::decode_body(r)?,
-            incident_seq: r.get_u64()?,
+            incident_seq: r.get_count()?,
         })
     }
 }

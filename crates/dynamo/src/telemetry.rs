@@ -206,6 +206,7 @@ impl Telemetry {
     /// same topology and telemetry configuration.
     pub fn restore(&mut self, state: &TelemetryState) -> Result<(), SnapError> {
         let interval = self.config.sample_interval;
+        let schedule = self.schedule.restored(&state.schedule)?;
         self.device_traces.clear();
         for (idx, start_ms, values) in &state.device_traces {
             let trace =
@@ -219,7 +220,7 @@ impl Telemetry {
             .with_start(SimTime::from_millis(state.total_power.0));
         self.controller_events.clone_from(&state.controller_events);
         self.breaker_events.clone_from(&state.breaker_events);
-        self.schedule = state.schedule;
+        self.schedule = schedule;
         Ok(())
     }
 }

@@ -176,9 +176,17 @@ impl BreakerValidator {
                 self.states.len()
             )));
         }
+        // A streak counts samples.
+        let mut observed = state.states.iter().flatten();
+        if let Some(s) = observed.find(|s| u64::from(s.bad_streak) > s.samples) {
+            return Err(SnapError::Corrupt(format!(
+                "validator streak of {} in {} samples",
+                s.bad_streak, s.samples
+            )));
+        }
+        self.schedule = self.schedule.restored(&state.schedule)?;
         self.states.clone_from(&state.states);
         self.alerts.clone_from(&state.alerts);
-        self.schedule = state.schedule;
         self.rng = state.rng.clone();
         Ok(())
     }
@@ -226,7 +234,7 @@ impl Snapshot for ValidatorState {
             1 => Ok(Some(DeviceState {
                 correction: r.get_f64()?,
                 bad_streak: r.get_u32()?,
-                samples: r.get_u64()?,
+                samples: r.get_count()?,
             })),
             other => Err(SnapError::Corrupt(format!(
                 "bad validator device-state tag {other}"

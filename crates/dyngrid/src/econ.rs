@@ -319,17 +319,10 @@ impl EconController {
     ///
     /// # Errors
     ///
-    /// Rejects a schedule whose period disagrees with this controller's
-    /// configuration.
+    /// Rejects a schedule whose period or phase disagrees with this
+    /// controller's configuration.
     pub fn restore(&mut self, state: &EconControllerState) -> Result<(), SnapError> {
-        if state.schedule.period() != self.config.period {
-            return Err(SnapError::Corrupt(format!(
-                "economic schedule period {:?} in snapshot, {:?} configured",
-                state.schedule.period(),
-                self.config.period
-            )));
-        }
-        self.schedule = state.schedule;
+        self.schedule = self.schedule.restored(&state.schedule)?;
         self.pushed_w = state.pushed_w;
         self.utility_target_w = state.utility_target_w;
         self.cycles = state.cycles;
@@ -388,8 +381,8 @@ impl Snapshot for EconControllerState {
             schedule: CycleSchedule::decode_body(r)?,
             pushed_w: get_opt_f64(r)?,
             utility_target_w: get_opt_f64(r)?,
-            cycles: r.get_u64()?,
-            limit_changes: r.get_u64()?,
+            cycles: r.get_count()?,
+            limit_changes: r.get_count()?,
         })
     }
 }

@@ -208,16 +208,25 @@ impl GridScenario {
                     .map_err(|_| format!("line {}: bad {what} '{s}'", lineno + 1))
             };
             let start = parse_f(fields[0], "start")?;
-            if start < 0.0 || start.fract() != 0.0 {
+            // Whole seconds that fit `SimTime`'s milliseconds.
+            if start < 0.0 || start.fract() != 0.0 || start >= (u64::MAX / 1000) as f64 {
                 return Err(format!(
                     "line {}: start must be a non-negative whole second",
                     lineno + 1
                 ));
             }
+            // What `from_segments` asserts: `nan` and `inf` parse as
+            // floats, and `freq <= 0.0` alone lets NaN through.
             let price = parse_f(fields[1], "price")?;
+            if !price.is_finite() {
+                return Err(format!("line {}: non-finite price", lineno + 1));
+            }
             let freq = parse_f(fields[2], "frequency")?;
-            if freq <= 0.0 {
-                return Err(format!("line {}: non-positive frequency", lineno + 1));
+            if !(freq.is_finite() && freq > 0.0) {
+                return Err(format!(
+                    "line {}: frequency must be finite and positive",
+                    lineno + 1
+                ));
             }
             let curtail = if fields[3] == "-" {
                 None
@@ -350,6 +359,11 @@ mod tests {
             ("0 40 60", "4 fields"),
             ("0 forty 60 -", "bad price"),
             ("0 40 0 -", "frequency"),
+            ("0 40 60 -\n1e300 40 60 -", "line 2: start"),
+            ("0 nan 60 -", "line 1: non-finite price"),
+            ("0 40 60 -\n60 inf 60 -", "line 2: non-finite price"),
+            ("0 42 inf -", "line 1: frequency"),
+            ("0 42 NaN 1", "line 1: frequency"),
         ] {
             let err = GridScenario::parse("bad", text).unwrap_err();
             assert!(err.contains(needle), "{text:?} -> {err}");

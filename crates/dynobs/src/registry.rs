@@ -15,7 +15,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use dcsim::snap::{
-    get_f64_vec, get_u64_vec, put_f64_slice, put_u64_slice, SnapError, SnapReader, SnapWriter,
+    get_count_vec, get_f64_vec, put_f64_slice, put_u64_slice, SnapError, SnapReader, SnapWriter,
     Snapshot,
 };
 
@@ -583,11 +583,11 @@ impl Snapshot for RegistryState {
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let counters = get_u64_vec(r)?;
+        let counters = get_count_vec(r)?;
         let gauges = get_f64_vec(r)?;
-        let hist_buckets = r.get_vec(get_u64_vec)?;
+        let hist_buckets = r.get_vec(get_count_vec)?;
         let hist_sums = get_f64_vec(r)?;
-        let hist_counts = get_u64_vec(r)?;
+        let hist_counts = get_count_vec(r)?;
         let n = hist_buckets.len();
         if hist_sums.len() != n || hist_counts.len() != n {
             return Err(SnapError::Corrupt(

@@ -113,7 +113,7 @@ impl<T: RingRecord> Snapshot for Ring<T> {
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let cap = r.get_u64()? as usize;
         let next = r.get_u64()? as usize;
-        let total = r.get_u64()?;
+        let total = r.get_count()?;
         // `cap` is the ring's logical size and, like the record count,
         // untrusted: the buffer is reserved for what the input can back
         // (`get_vec`), never for what the header claims.

@@ -416,11 +416,11 @@ impl Snapshot for NetworkState {
         Ok(NetworkState {
             rng: SimRng::decode_body(r)?,
             stats: NetworkStats {
-                calls: r.get_u64()?,
-                successes: r.get_u64()?,
-                timeouts: r.get_u64()?,
-                drops: r.get_u64()?,
-                latency_sum: SimDuration::from_millis(r.get_u64()?),
+                calls: r.get_count()?,
+                successes: r.get_count()?,
+                timeouts: r.get_count()?,
+                drops: r.get_count()?,
+                latency_sum: SimDuration::from_millis(r.get_count()?),
             },
         })
     }

@@ -285,6 +285,25 @@ impl Breaker {
         self.heat = 0.0;
         self.status = BreakerStatus::Nominal;
     }
+
+    /// This breaker in the thermal state of `saved`: heat and status
+    /// are taken from it and nothing else. Rating, trip curve and
+    /// cooling constant are configuration, so `saved` must carry this
+    /// breaker's own, and a thermal level in `[0, 1]`.
+    pub fn restored(&self, saved: &Breaker) -> Result<Breaker, SnapError> {
+        let restored = Breaker {
+            heat: saved.heat,
+            status: saved.status,
+            ..self.clone()
+        };
+        // `!=` also refuses a NaN anywhere in `saved`.
+        if restored != *saved || !(0.0..=1.0).contains(&saved.heat) {
+            return Err(SnapError::Corrupt(format!(
+                "breaker in snapshot ({saved:?}) is not a state of the configured one ({self:?})"
+            )));
+        }
+        Ok(restored)
+    }
 }
 
 impl Snapshot for Breaker {
@@ -304,7 +323,7 @@ impl Snapshot for Breaker {
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let rating = Power::from_watts(r.get_f64()?);
-        if rating.as_watts() <= 0.0 {
+        if !(rating.as_watts() > 0.0 && rating.as_watts().is_finite()) {
             return Err(SnapError::Corrupt(format!("bad breaker rating {rating}")));
         }
         let curve = TripCurve {
@@ -498,5 +517,34 @@ mod tests {
     #[should_panic(expected = "invalid breaker draw")]
     fn nan_draw_panics() {
         rpp_breaker().step(Power::from_watts(f64::NAN), SimDuration::from_secs(1));
+    }
+
+    /// `<= 0.0` lets NaN through, and a NaN rating panics the next
+    /// step's `ratio_of`.
+    #[test]
+    fn a_rating_that_is_not_a_number_does_not_decode() {
+        let mut w = SnapWriter::new();
+        rpp_breaker().encode_body(&mut w);
+        let mut bytes = w.into_bytes();
+        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            bytes[..8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            let decoded = Breaker::decode_body(&mut SnapReader::new(&bytes));
+            assert!(matches!(decoded, Err(SnapError::Corrupt(_))), "{bad}");
+        }
+    }
+
+    #[test]
+    fn restored_takes_the_thermal_state_and_nothing_else() {
+        let mut hot = rpp_breaker();
+        hot.step(Power::from_kilowatts(266.0), SimDuration::from_secs(10));
+        let restored = rpp_breaker().restored(&hot).unwrap();
+        assert_eq!(restored, hot);
+        let mut overheated = hot.clone();
+        overheated.heat = 1.5;
+        assert!(rpp_breaker().restored(&overheated).is_err());
+        overheated.heat = f64::NAN;
+        assert!(rpp_breaker().restored(&overheated).is_err());
+        let other = Breaker::new(Power::from_kilowatts(380.0), TripCurve::rpp());
+        assert!(other.restored(&hot).is_err());
     }
 }

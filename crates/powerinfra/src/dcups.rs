@@ -79,7 +79,7 @@ impl Snapshot for Dcups {
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let design_load = Power::from_watts(r.get_f64()?);
-        if design_load.as_watts() <= 0.0 {
+        if !(design_load.as_watts() > 0.0 && design_load.as_watts().is_finite()) {
             return Err(SnapError::Corrupt(format!(
                 "bad DCUPS design load {design_load}"
             )));
@@ -142,6 +142,25 @@ impl Dcups {
             recharge_frac,
             state: DcupsState::Standby,
         }
+    }
+
+    /// This unit in the battery state of `saved`: charge and state are
+    /// taken from it and nothing else. Design load, capacity and
+    /// recharge rate are configuration, so `saved` must carry this
+    /// unit's own, and a charge within the capacity.
+    pub fn restored(&self, saved: &Dcups) -> Result<Dcups, SnapError> {
+        let restored = Dcups {
+            charge_j: saved.charge_j,
+            state: saved.state,
+            ..self.clone()
+        };
+        // `!=` also refuses a NaN anywhere in `saved`.
+        if restored != *saved || !(0.0..=self.capacity_j).contains(&saved.charge_j) {
+            return Err(SnapError::Corrupt(format!(
+                "DCUPS in snapshot ({saved:?}) is not a state of the configured one ({self:?})"
+            )));
+        }
+        Ok(restored)
     }
 
     /// The design load.
@@ -392,5 +411,20 @@ mod tests {
         assert_eq!(decoded, ups);
         assert_eq!(bytes, decoded.to_snap_bytes());
         assert_eq!(Dcups::VERSION, 1, "byte layout unchanged: same version");
+    }
+
+    #[test]
+    fn restored_takes_charge_and_state_and_nothing_else() {
+        let mut drained = six_racks();
+        drained.step(false, drained.design_load(), SimDuration::from_secs(30));
+        assert_eq!(six_racks().restored(&drained).unwrap(), drained);
+        // More charge than the battery holds, or none that is a number.
+        for bad in [drained.capacity_j * 2.0, -1.0, f64::NAN] {
+            let mut forged = drained.clone();
+            forged.charge_j = bad;
+            assert!(six_racks().restored(&forged).is_err(), "{bad}");
+        }
+        let bigger = Dcups::new(Power::from_kilowatts(100.0));
+        assert!(bigger.restored(&drained).is_err());
     }
 }

@@ -437,6 +437,12 @@ impl Snapshot for WorkloadState {
         } else {
             None
         };
+        // Both are summed into a utilization every redraw.
+        if !noise.is_finite() || burst.is_some_and(|(_, add)| !add.is_finite()) {
+            return Err(SnapError::Corrupt(format!(
+                "workload noise {noise} / burst {burst:?} is not finite"
+            )));
+        }
         Ok(WorkloadState {
             kind,
             params,

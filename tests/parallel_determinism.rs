@@ -93,7 +93,10 @@ fn parallel_control_plane_is_bit_identical() {
         );
     }
 
-    for threads in [2usize, 8] {
+    // 3, 5 and 7 do not divide the 4-leaf tier, so the shard carve and
+    // the ascending-order merge leave the power-of-two path; 16 is
+    // more workers than leaves.
+    for threads in [2usize, 3, 5, 7, 8, 16] {
         let parallel = run(threads);
         assert_eq!(
             serial.events.len(),

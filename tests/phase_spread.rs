@@ -133,26 +133,3 @@ fn staggered_control_plane_is_bit_identical_across_threads() {
         );
     }
 }
-
-#[test]
-fn jittered_phases_are_seed_deterministic_and_bounded() {
-    let phases = |seed: u64| {
-        let dc = DatacenterBuilder::new()
-            .sbs_per_msb(1)
-            .rpps_per_sb(4)
-            .racks_per_rpp(1)
-            .servers_per_rack(4)
-            .uniform_service(ServiceKind::Web)
-            .phase_jitter(SimDuration::from_secs(3))
-            .seed(seed)
-            .build();
-        dc.system()
-            .leaf_devices()
-            .iter()
-            .map(|&d| dc.system().leaf_phase(d).unwrap())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(phases(5), phases(5), "jitter must be seed-deterministic");
-    assert!(phases(5).iter().all(|&p| p < SimDuration::from_secs(3)));
-    assert_ne!(phases(5), phases(6), "different seeds, different phases");
-}

@@ -335,3 +335,90 @@ fn truncated_and_padded_sections_are_rejected() {
         "trailing garbage must not decode"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Hostile state: a checkpoint is outside input.
+// ---------------------------------------------------------------------------
+
+/// A forged checkpoint may be refused or may run; it may not panic.
+/// Overwrites one random 8-byte window of a live state's bytes with a
+/// value a range check is likeliest to have missed, then decodes,
+/// restores into a fresh twin and steps it.
+#[test]
+fn a_forged_state_is_a_typed_error_or_a_run_never_a_panic() {
+    use dynamo_repro::dynamo::{Datacenter, DatacenterState};
+    const FORGERIES: [u64; 9] = [
+        0x7ff8_0000_0000_0000, // NaN
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0xbff0_0000_0000_0000, // -1.0
+        0x7fe1_ccf3_85eb_c8a0, // 1e308
+        1,                     // 5e-324
+        u64::MAX,
+        1 << 40,
+        0,
+    ];
+    let small = || {
+        DatacenterBuilder::new()
+            .sbs_per_msb(1)
+            .rpps_per_sb(2)
+            .racks_per_rpp(2)
+            .servers_per_rack(8)
+            .rpp_rating(Power::from_kilowatts(4.2))
+            .uniform_service(ServiceKind::Web)
+            .traffic(ServiceKind::Web, TrafficPattern::flat(1.4))
+            .observability(ObsConfig::on())
+    };
+    let gridless = || small().agent_crash_rate(1.0).seed(13).build();
+    let gridded = || {
+        small()
+            .msb_rating(Power::from_kilowatts(8.4))
+            .grid_scenario("curtailment-window")
+            .seed(17)
+            .build()
+    };
+    let cases: [(&str, &dyn Fn() -> Datacenter, u64, u64); 2] = [
+        ("grid-less", &gridless, 5, 0x21),
+        ("grid-layer", &gridded, 7, 0x22),
+    ];
+    let mut panics = Vec::new();
+    for (name, build, warmup_mins, seed) in cases {
+        let mut dc = build();
+        dc.run_for(SimDuration::from_mins(warmup_mins));
+        let bytes = dc.state().to_snap_bytes();
+        let mut rng = SimRng::seed_from(seed);
+        let (mut refused, mut ran) = (0, 0);
+        for case in 0..1500 {
+            let at = rng.next_below((bytes.len() - 7) as u64) as usize;
+            let value = FORGERIES[rng.next_below(FORGERIES.len() as u64) as usize];
+            let mut forged = bytes.clone();
+            forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let Ok(state) = DatacenterState::from_snap_bytes(&forged) else {
+                    return false;
+                };
+                let mut twin = build();
+                if twin.restore(&state).is_err() {
+                    return false;
+                }
+                for _ in 0..30 {
+                    twin.step();
+                }
+                true
+            }));
+            match outcome {
+                Ok(true) => ran += 1,
+                Ok(false) => refused += 1,
+                Err(_) => panics.push(format!(
+                    "{name} (seed {seed:#x}) case {case}: {value:#018x} over bytes {at}..{}",
+                    at + 8
+                )),
+            }
+        }
+        assert!(
+            refused > 50 && ran > 50,
+            "vacuity: {name} refused {refused}, ran {ran}"
+        );
+    }
+    assert!(panics.is_empty(), "{}", panics.join("\n"));
+}
