@@ -196,6 +196,10 @@ pub struct LeafController {
     servers: Vec<ServerHandle>,
     /// Position of each server id in `servers` (cold-path lookups).
     pos_of: HashMap<u32, usize>,
+    /// Each position's service group: the first position whose service
+    /// has the same name. Fixed at construction, so the §III-C1
+    /// estimator finds a failed pull's peers by comparing integers.
+    service_group: Vec<u32>,
     /// Most recent reading (or estimate) per server, indexed by
     /// position in `servers`.
     last_power: Vec<Option<Power>>,
@@ -234,11 +238,32 @@ impl LeafController {
             .enumerate()
             .map(|(i, h)| (h.server_id, i))
             .collect();
+        // A leaf runs a handful of services: scanning the groups seen
+        // so far beats hashing every name. Their first positions are
+        // collected in the failed-pull scratch list, idle until the
+        // first cycle, so construction frees nothing it allocated.
+        let mut scratch_failed: Vec<u32> = Vec::new();
+        let service_group = servers
+            .iter()
+            .enumerate()
+            .map(|(i, h)| {
+                let seen = scratch_failed
+                    .iter()
+                    .copied()
+                    .find(|&f| servers[f as usize].service.name == h.service.name);
+                seen.unwrap_or_else(|| {
+                    scratch_failed.push(i as u32);
+                    i as u32
+                })
+            })
+            .collect();
+        scratch_failed.clear();
         LeafController {
             name: name.into(),
             config,
             servers,
             pos_of,
+            service_group,
             last_power: vec![None; n],
             active_caps: vec![None; n],
             active_cap_count: 0,
@@ -246,7 +271,7 @@ impl LeafController {
             alerts: Vec::new(),
             cycles: 0,
             scratch_readings: Vec::with_capacity(n),
-            scratch_failed: Vec::new(),
+            scratch_failed,
             last_distribution: DistributionStats::default(),
         }
     }
@@ -455,9 +480,12 @@ impl LeafController {
         let mut estimated = 0;
         for k in 0..self.scratch_failed.len() {
             let pos = self.scratch_failed[k] as usize;
-            if let Some(est) =
-                estimate_for(&self.servers, &self.last_power, &self.scratch_readings, pos)
-            {
+            if let Some(est) = estimate_for(
+                &self.service_group,
+                &self.last_power,
+                &self.scratch_readings,
+                pos,
+            ) {
                 self.scratch_readings[pos] = Some(est);
                 estimated += 1;
             }
@@ -556,21 +584,22 @@ impl LeafController {
 /// neighboring servers running similar workloads" (§III-C1): the mean
 /// of this cycle's successful same-service readings (including earlier
 /// estimates), falling back to the server's own last known value. All
-/// slices are indexed by position in `servers`.
+/// slices are indexed by position in `servers`; two positions run the
+/// same service when their `service_group` entries are equal.
 fn estimate_for(
-    servers: &[ServerHandle],
+    service_group: &[u32],
     last_power: &[Option<Power>],
     readings: &[Option<Power>],
     pos: usize,
 ) -> Option<Power> {
-    let service = &servers[pos].service;
+    let group = service_group[pos];
     let mut sum = Power::ZERO;
     let mut peers = 0usize;
-    for (i, handle) in servers.iter().enumerate() {
-        if i == pos || handle.service.name != service.name {
+    for (i, reading) in readings.iter().enumerate() {
+        if i == pos || service_group[i] != group {
             continue;
         }
-        if let Some(p) = readings[i] {
+        if let Some(p) = *reading {
             sum += p;
             peers += 1;
         }
@@ -843,6 +872,45 @@ mod tests {
         assert_eq!(out.estimated, 1);
         // The db server's last known 320 W reading fills the gap.
         assert_eq!(out.aggregated, Some(watts(5.0 * 260.0 + 320.0)));
+    }
+
+    #[test]
+    fn peers_are_the_same_service_wherever_they_sit() {
+        // web, db, web, db, web interleaved: the failed db server at
+        // position 3 is estimated from the db server at position 1
+        // alone, the failed web server at 0 from positions 2 and 4.
+        let mut fleet = Fleet::new(&[
+            (0, 200.0),
+            (1, 320.0),
+            (2, 210.0),
+            (3, 330.0),
+            (4, 220.0),
+            (5, 230.0),
+            (6, 240.0),
+            (7, 250.0),
+            (8, 260.0),
+            (9, 270.0),
+        ]);
+        let servers = (0..10)
+            .map(|i| ServerHandle {
+                server_id: i,
+                service: if i == 1 || i == 3 {
+                    ServiceClass::new("db", 2, watts(250.0))
+                } else {
+                    ServiceClass::new("web", 1, watts(150.0))
+                },
+            })
+            .collect();
+        fleet.down = vec![0, 3];
+        let mut c = LeafController::new("rpp", LeafConfig::new(watts(10_000.0)), servers);
+        let out = c.cycle(SimTime::ZERO, |s, r| fleet.call(s, r));
+        assert_eq!((out.pull_failures, out.estimated), (2, 2));
+        // Seven live web servers averaging 240 W, one live db at 320 W:
+        // whole watts throughout, so the sum is exact in any order.
+        assert_eq!(
+            out.aggregated,
+            Some(watts(240.0 + 7.0 * 240.0 + 2.0 * 320.0))
+        );
     }
 
     #[test]

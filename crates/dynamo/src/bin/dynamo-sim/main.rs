@@ -110,7 +110,7 @@ fn grid_scenario_of(args: &Args) -> Result<Option<GridScenario>, String> {
 /// Worker threads to actually start for a `--threads` request: more
 /// than the host has cores would only oversubscribe it, and the thread
 /// count never changes a result, so the request is capped here — the
-/// library builds exactly the pool it is asked for.
+/// library clamps a pool at the leaf count, never at the host's cores.
 fn pool_width(requested: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     requested.min(cores)

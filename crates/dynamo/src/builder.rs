@@ -227,9 +227,10 @@ impl DatacenterBuilder {
         self
     }
 
-    /// Worker threads for fleet physics and leaf control cycles
-    /// (default 1; the simulation is bit-identical at any thread
-    /// count).
+    /// Worker threads for fleet physics and leaf control cycles,
+    /// the stepping thread included (default 1; clamped at the leaf
+    /// count, see [`Datacenter::set_worker_threads`]; the simulation is
+    /// bit-identical at any thread count).
     ///
     /// # Panics
     ///
@@ -241,9 +242,9 @@ impl DatacenterBuilder {
     }
 
     /// Frozen surface, a no-op: [`ParallelMode`] has one value, the
-    /// persistent pool of exactly [`DatacenterBuilder::worker_threads`]
-    /// threads that every datacenter runs on. Kept because `dynbench`
-    /// calls it; do not grow it.
+    /// persistent pool [`DatacenterBuilder::worker_threads`] wide that
+    /// every datacenter runs on. Kept because `dynbench` calls it; do
+    /// not grow it.
     pub fn parallel_mode(self, _mode: ParallelMode) -> Self {
         self
     }

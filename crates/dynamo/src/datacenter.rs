@@ -37,16 +37,18 @@ use crate::telemetry::{BreakerEvent, Telemetry, TelemetryState};
 use crate::validator::{BreakerValidator, ValidatorState};
 
 /// The one way the tick's fan-outs (fleet physics, same-instant leaf
-/// control dispatch) run: on a persistent pool of exactly the requested
-/// worker threads, created once, parked between dispatches and woken
-/// through atomic-flag mailboxes. Frozen surface: `dynbench` names
-/// [`ParallelMode::Pooled`], so the type stays until that package is
-/// next editable; it selects nothing and must not grow a variant.
+/// control dispatch) run: on a persistent pool as wide as the requested
+/// worker threads (the stepping thread included; at most one per
+/// leaf), created once and asleep while idle. Frozen surface:
+/// `dynbench` names [`ParallelMode::Pooled`], so the type stays until
+/// that package is next editable; it selects nothing and must not grow
+/// a variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// Exactly the requested thread count, whatever the host — tests
-    /// need exact widths above the host's cores. A caller that does not
-    /// want to oversubscribe (`dynamo-sim`) clamps its request itself.
+    /// The requested width whatever the host's core count — tests need
+    /// widths above the host's cores. A caller that does not want to
+    /// oversubscribe (`dynamo-sim`, `repro`) asks for no more than the
+    /// host has.
     #[default]
     Pooled,
 }
@@ -224,24 +226,29 @@ impl Datacenter {
         self.profile_ticks = enabled;
     }
 
-    /// Sets the number of worker threads used for fleet physics *and*
-    /// leaf control cycles, creating or resizing the persistent worker
-    /// pool they share: exactly `threads` workers, up to
-    /// [`dynpool::MAX_WORKERS`]. The simulation is bit-identical at any
-    /// thread count.
+    /// Sets how many threads fleet physics *and* leaf control cycles
+    /// fan out over, creating or replacing the persistent pool they
+    /// share. The pool's width is `threads` clamped at the leaf count —
+    /// both fan-outs shard leaves, so a wider pool would hold threads
+    /// no shard ever runs on — and at [`dynpool::MAX_WORKERS`]; it
+    /// counts the thread that calls [`Datacenter::step`], which runs
+    /// the first shard itself, so width 1 (one thread asked for, or a
+    /// one-leaf datacenter) spawns nothing and builds no pool. The
+    /// simulation is bit-identical at any thread count.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn set_worker_threads(&mut self, threads: usize) {
         assert!(threads >= 1, "need at least one worker thread");
-        if threads > 1 {
+        let width = threads.min(self.system.leaf_count());
+        if width > 1 {
             // One pool behind both fan-outs, held by the two of them.
-            let pool = Arc::new(WorkerPool::new(threads));
+            let pool = Arc::new(WorkerPool::new(width));
             self.fleet.attach_pool(Arc::clone(&pool));
             self.system.attach_pool(pool);
         } else {
-            // One thread: every fan-out is one inline shard.
+            // Every fan-out is one inline shard.
             self.fleet.detach_pool();
             self.system.detach_pool();
         }

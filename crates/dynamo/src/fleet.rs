@@ -22,8 +22,8 @@
 //! [`Fleet::step`] is the only physics step. A shard is a contiguous
 //! sub-slice of the leaves — as many shards as the attached
 //! [`WorkerPool`] has workers, one without a pool — handed to
-//! [`shard::run_sharded`]: a single shard runs inline on the caller,
-//! more go to the pool's parked workers. "Serial" is therefore one
+//! [`shard::run_sharded`]: the first shard runs inline on the caller,
+//! the rest on the pool's threads. "Serial" is therefore one
 //! shard of the same path, not a second implementation. Per-server
 //! workload processes own independent RNG streams and every fold is a
 //! fixed ascending one, so the result is bit-identical at any width.
@@ -250,7 +250,7 @@ impl Fleet {
     /// Attaches a persistent worker pool: [`Fleet::step`] cuts the
     /// leaves into as many shards as the pool has workers. The
     /// datacenter shares one pool between fleet physics and leaf
-    /// control cycles so both fan-outs reuse the same parked workers.
+    /// control cycles so both fan-outs reuse the same threads.
     pub fn attach_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pool = Some(pool);
     }

@@ -3,13 +3,13 @@
 //! Fleet physics and the leaf control dispatch both cut their leaves
 //! into contiguous shards — sub-slices of the `Vec`s that own the
 //! leaves' state — and run them through [`run_sharded`]. Width 1 is not
-//! a separate code path: it is the same cut producing one shard, which
-//! runs inline on the caller instead of waking a worker.
+//! a separate code path: it is the same cut producing one shard, and
+//! the first shard of any cut runs inline on the caller.
 
 use dynpool::{WorkerPool, MAX_WORKERS};
 
 /// How many shards a fan-out over `units` units of work gets: the
-/// pool's worker count (one without a pool), never more than the units
+/// pool's width (one without a pool), never more than the units
 /// — so none for no work, which [`run_sharded`] treats as a no-op.
 fn width(pool: Option<&WorkerPool>, units: usize) -> usize {
     pool.map_or(1, WorkerPool::workers).min(units)
@@ -41,14 +41,15 @@ pub(crate) fn front_mut<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] 
 /// No shards is a no-op (`carve` is never called). A single shard is
 /// carved and run inline on the caller: no slot array, no wake-up. More
 /// are carved into stack slots (a warm dispatch allocates nothing) and
-/// run one per pool worker; which worker runs which shard is fixed by
-/// index, so callers that merge shard outputs in shard order get
-/// results independent of scheduling.
+/// run by the pool — the first on the caller, the rest one per pool
+/// thread; which thread runs which shard is fixed by index, so callers
+/// that merge shard outputs in shard order get results independent of
+/// scheduling.
 ///
 /// # Panics
 ///
 /// Panics if more than one shard is requested without a pool, or more
-/// shards than the pool has workers.
+/// shards than the pool is wide.
 pub(crate) fn run_sharded<T, C, F>(pool: Option<&WorkerPool>, shards: usize, mut carve: C, run: F)
 where
     T: Send,

@@ -157,10 +157,10 @@ fn steady_state_leaf_ticks_do_not_allocate_with_observability() {
     );
 }
 
-/// A four-worker pool whose workers have all run once. The fleet has
-/// two leaves, so the tick only ever wakes two of them: without this
-/// hand-shake the other two could still be in thread start-up (which
-/// allocates) while a measurement is armed.
+/// A four-wide pool whose three spawned threads have all run once. The
+/// fleet has two leaves, so the tick only ever arms one of them: without
+/// this hand-shake the other two could still be in thread start-up
+/// (which allocates) while a measurement is armed.
 fn warm_pool() -> Arc<WorkerPool> {
     let pool = Arc::new(WorkerPool::new(4));
     pool.run_on(&mut [(); 4], |_, _| {});
@@ -168,7 +168,8 @@ fn warm_pool() -> Arc<WorkerPool> {
 }
 
 /// The zero-alloc guarantee must also hold at width 4 once the pool is
-/// warm: waking parked workers, carving stack-slot shards and merging
+/// warm: arming pool threads (spinning or parked), carving stack-slot
+/// shards, running the first shard on the caller and merging
 /// results must never touch the heap — with observability recording
 /// live.
 fn steady_state_pooled_ticks_do_not_allocate() {

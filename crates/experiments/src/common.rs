@@ -26,6 +26,16 @@ impl Scale {
     }
 }
 
+/// The builder every experiment starts from: the library's defaults on
+/// as many threads as the host has cores. A result never depends on the
+/// width (every target prints the same bytes at any), a one-core host
+/// builds no pool, and a datacenter never holds more threads than it
+/// has leaves ([`dynamo::Datacenter::set_worker_threads`]).
+pub fn datacenter() -> DatacenterBuilder {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    DatacenterBuilder::new().worker_threads(cores)
+}
+
 /// Renders an aligned text table: a header row plus data rows.
 ///
 /// # Panics
@@ -69,6 +79,7 @@ pub fn fmt_f(value: f64, decimals: usize) -> String {
 }
 
 use dcsim::{SimDuration, SimRng, SimTime};
+use dynamo::DatacenterBuilder;
 use powerstats::{sliding_variation, Trace};
 use serverpower::ServerGeneration;
 use workloads::{ServiceKind, ServiceWorkload};

@@ -4,11 +4,11 @@
 
 use dcsim::{SimDuration, SimTime};
 
-use dynamo::{ControllerEventKind, DatacenterBuilder};
+use dynamo::ControllerEventKind;
 use powerinfra::{DeviceLevel, Power};
 use workloads::ServiceKind;
 
-use crate::common::{fmt_f, render_table, Scale};
+use crate::common::{datacenter, fmt_f, render_table, Scale};
 
 /// One five-minute sample of the Figure 11 timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +55,7 @@ pub fn run(scale: Scale) -> Fig11 {
         2.5,
     );
 
-    let mut dc = DatacenterBuilder::new()
+    let mut dc = datacenter()
         .sbs_per_msb(1)
         .rpps_per_sb(1)
         .racks_per_rpp(racks)

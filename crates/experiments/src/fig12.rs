@@ -4,11 +4,11 @@
 //! offender rows.
 
 use dcsim::{SimDuration, SimTime};
-use dynamo::{ControllerEventKind, DatacenterBuilder};
+use dynamo::ControllerEventKind;
 use powerinfra::{DeviceLevel, Power};
 use workloads::ServiceKind;
 
-use crate::common::{fmt_f, render_table, Scale};
+use crate::common::{datacenter, fmt_f, render_table, Scale};
 
 /// One two-minute sample of the Figure 12 timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,7 +51,7 @@ pub fn run(scale: Scale) -> Fig12 {
     // recovery surge at minute 102, load shifted away at minute 149.
     let pattern = workloads::scenarios::site_recovery(SimTime::from_mins(54), 1.5);
 
-    let mut dc = DatacenterBuilder::new()
+    let mut dc = datacenter()
         .sbs_per_msb(1)
         .rpps_per_sb(4)
         .racks_per_rpp(racks)

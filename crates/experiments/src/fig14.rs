@@ -4,11 +4,10 @@
 
 use dcsim::SimDuration;
 use dcsim::SimTime;
-use dynamo::DatacenterBuilder;
 use powerinfra::{DeviceLevel, Power};
 use workloads::{ServiceKind, TrafficEvent, TrafficPattern};
 
-use crate::common::{fmt_f, render_table, Scale};
+use crate::common::{datacenter, fmt_f, render_table, Scale};
 
 /// One hourly sample of the Figure 14 timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +77,7 @@ pub fn run(scale: Scale) -> Fig14 {
         }
     }
 
-    let mut dc = DatacenterBuilder::new()
+    let mut dc = datacenter()
         .sbs_per_msb(1)
         .rpps_per_sb(rpps)
         .racks_per_rpp(racks)

@@ -3,11 +3,11 @@
 //! servers while cache servers (higher priority group) are untouched.
 
 use dcsim::SimTime;
-use dynamo::{Datacenter, DatacenterBuilder, ServicePlan};
+use dynamo::{Datacenter, ServicePlan};
 use powerinfra::{DeviceId, DeviceLevel, Power};
 use workloads::{ServiceKind, TrafficPattern};
 
-use crate::common::{fmt_f, render_table, Scale};
+use crate::common::{datacenter, fmt_f, render_table, Scale};
 
 /// One 15-second sample of the Figure 15 series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,7 +44,7 @@ pub struct Fig15 {
 pub fn row_scenario(scale: Scale) -> (Datacenter, DeviceId) {
     let (web_n, cache_n, feed_n, racks, per_rack) =
         scale.pick((50, 50, 10, 11, 10), (200, 200, 40, 11, 40));
-    let dc = DatacenterBuilder::new()
+    let dc = datacenter()
         .sbs_per_msb(1)
         .rpps_per_sb(1)
         .racks_per_rpp(racks)

@@ -2,13 +2,12 @@
 //! SB, MSB) across time windows from 3 s to 600 s, reported as p99s.
 
 use dcsim::SimDuration;
-use dynamo::DatacenterBuilder;
-use dynamo::ServicePlan;
+use dynamo::{Datacenter, ServicePlan};
 use powerinfra::DeviceLevel;
-use powerstats::{sliding_variation, Cdf};
+use powerstats::{quantile_of, sliding_variation, Trace};
 use workloads::{ServiceKind, TrafficPattern};
 
-use crate::common::{fmt_f, render_table, Scale};
+use crate::common::{datacenter, fmt_f, render_table, Scale};
 
 /// The window sizes of the paper's Figure 5.
 pub const WINDOWS_SECS: [u64; 6] = [3, 30, 60, 150, 300, 600];
@@ -43,11 +42,18 @@ pub struct Fig5 {
     pub hours: u64,
 }
 
-/// Regenerates Figure 5 by running a mixed-service suite with Dynamo in
-/// monitoring-only mode and pooling per-device sliding variations.
-pub fn run(scale: Scale) -> Fig5 {
+/// The simulated suite Figure 5 is read from: a mixed-service suite
+/// with Dynamo in monitoring-only mode, every level's devices traced.
+pub struct Fig5Suite {
+    dc: Datacenter,
+    hours: u64,
+}
+
+/// Simulates the Figure 5 suite — the expensive half of [`run`], shared
+/// with the §II-C analysis, which reads one window of it.
+pub fn simulate(scale: Scale) -> Fig5Suite {
     let hours = scale.pick(2, 12);
-    let mut dc = DatacenterBuilder::new()
+    let mut dc = datacenter()
         .sbs_per_msb(scale.pick(2, 4))
         .rpps_per_sb(scale.pick(2, 4))
         .racks_per_rpp(4)
@@ -80,36 +86,56 @@ pub fn run(scale: Scale) -> Fig5 {
         ])
         .seed(5)
         .build();
-    let servers = dc.fleet().len();
     dc.run_for(SimDuration::from_hours(hours));
+    Fig5Suite { dc, hours }
+}
 
+impl Fig5Suite {
+    /// The p99 of the variations of every `level` device pooled, in %
+    /// of each device's peak-hour mean, for each window (seconds).
+    pub fn p99_variation<const N: usize>(&self, level: DeviceLevel, windows: [u64; N]) -> [f64; N] {
+        let normalized: Vec<(&Trace, f64)> = self
+            .dc
+            .topology()
+            .devices_at(level)
+            .iter()
+            .map(|&dev| {
+                let trace = self
+                    .dc
+                    .telemetry()
+                    .device_trace(dev)
+                    .expect("level was watched");
+                (trace, trace.peak_mean(0.3))
+            })
+            .collect();
+        windows.map(|wsecs| {
+            let mut pooled = Vec::new();
+            for &(trace, norm) in &normalized {
+                for v in sliding_variation(trace, SimDuration::from_secs(wsecs)) {
+                    pooled.push(v / norm * 100.0);
+                }
+            }
+            quantile_of(&mut pooled, 0.99)
+        })
+    }
+}
+
+/// Regenerates Figure 5 by running a mixed-service suite with Dynamo in
+/// monitoring-only mode and pooling per-device sliding variations.
+pub fn run(scale: Scale) -> Fig5 {
+    let suite = simulate(scale);
     let rows = PAPER_P99
         .iter()
-        .map(|&(level, paper_p99)| {
-            let mut p99 = [0.0f64; 6];
-            for (wi, &wsecs) in WINDOWS_SECS.iter().enumerate() {
-                let mut pooled = Vec::new();
-                for dev in dc.topology().devices_at(level) {
-                    let trace = dc.telemetry().device_trace(dev).expect("level was watched");
-                    let norm = trace.peak_mean(0.3);
-                    for v in sliding_variation(trace, SimDuration::from_secs(wsecs)) {
-                        pooled.push(v / norm * 100.0);
-                    }
-                }
-                p99[wi] = Cdf::from_samples(pooled).p99();
-            }
-            Fig5Row {
-                level,
-                p99,
-                paper_p99,
-            }
+        .map(|&(level, paper_p99)| Fig5Row {
+            level,
+            p99: suite.p99_variation(level, WINDOWS_SECS),
+            paper_p99,
         })
         .collect();
-
     Fig5 {
         rows,
-        servers,
-        hours,
+        servers: suite.dc.fleet().len(),
+        hours: suite.hours,
     }
 }
 

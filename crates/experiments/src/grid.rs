@@ -17,7 +17,7 @@ use dynamo::{Datacenter, DatacenterBuilder, GridSummary, ServicePlan};
 use powerinfra::{DeviceLevel, Power};
 use workloads::ServiceKind;
 
-use crate::common::{fmt_f, render_table, Scale};
+use crate::common::{datacenter, fmt_f, render_table, Scale};
 
 /// Window sampling for one run: mean utility draw and mean performance
 /// over the curtailment window.
@@ -59,7 +59,7 @@ impl GridExperiment {
 }
 
 fn base(scale: Scale, seed: u64) -> DatacenterBuilder {
-    DatacenterBuilder::new()
+    datacenter()
         .sbs_per_msb(2)
         .rpps_per_sb(2)
         .racks_per_rpp(2)

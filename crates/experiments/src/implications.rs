@@ -39,28 +39,26 @@ pub struct Implications {
 /// Derives the control-loop deadlines from the measured Figure 5
 /// variations and the Figure 3 trip curves.
 pub fn run(scale: Scale) -> Implications {
-    let fig5 = fig5::run(scale);
+    let suite = fig5::simulate(scale);
     let curve_of = |level: DeviceLevel| match level {
         DeviceLevel::Rack => TripCurve::rack(),
         DeviceLevel::Rpp => TripCurve::rpp(),
         DeviceLevel::Sb => TripCurve::sb(),
         DeviceLevel::Msb => TripCurve::msb(),
     };
-    let rows: Vec<ImplicationRow> = fig5
-        .rows
+    let rows: Vec<ImplicationRow> = fig5::PAPER_P99
         .iter()
-        .map(|r| {
-            // Index 2 of WINDOWS_SECS is the 60 s window.
-            let rise = r.p99[2];
+        .map(|&(level, _)| {
+            let [rise] = suite.p99_variation(level, [60]);
             // A device at 100% of its rating hit by a `rise`% surge
             // lands at (1 + rise/100)x — the §II-C worst case under
             // full subscription.
             let overload = 1.0 + rise / 100.0;
-            let trip_secs = curve_of(r.level)
+            let trip_secs = curve_of(level)
                 .trip_time(overload)
                 .map(|d: SimDuration| d.as_secs_f64());
             ImplicationRow {
-                level: r.level,
+                level,
                 rise_60s_pct: rise,
                 trip_secs,
             }

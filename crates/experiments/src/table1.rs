@@ -10,12 +10,11 @@
 //! | Fine-grained monitoring        | 3 s readings | the telemetry sampling interval |
 
 use dcsim::SimDuration;
-use dynamo::DatacenterBuilder;
 use powerinfra::{DeviceLevel, Power};
 use serverpower::{ServerGeneration, TurboBoost};
 use workloads::{ServiceKind, TrafficPattern};
 
-use crate::common::{fmt_f, render_table, Scale};
+use crate::common::{datacenter, fmt_f, render_table, Scale};
 
 /// The regenerated Table I.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +52,7 @@ impl Table1 {
 /// A surge scenario: a web row whose traffic surges past the breaker's
 /// sustainable level. Returns true if a breaker tripped.
 fn surge_trips(capping: bool, surge: f64, seed: u64, secs: u64) -> bool {
-    let mut dc = DatacenterBuilder::new()
+    let mut dc = datacenter()
         .sbs_per_msb(1)
         .rpps_per_sb(1)
         .racks_per_rpp(2)
@@ -86,7 +85,7 @@ fn outages_prevented(scale: Scale) -> (usize, usize) {
 
 fn hadoop_perf(scale: Scale) -> (f64, f64) {
     let measure = |turbo: bool| {
-        let mut b = DatacenterBuilder::new()
+        let mut b = datacenter()
             .sbs_per_msb(1)
             .rpps_per_sb(scale.pick(1, 2))
             .racks_per_rpp(4)
@@ -137,7 +136,7 @@ fn search_qps(scale: Scale) -> (f64, f64) {
     let clock_limit = ((budget_w - idle) / dynamic_peak).cbrt();
 
     let measure = |dynamo: bool| {
-        let mut b = DatacenterBuilder::new()
+        let mut b = datacenter()
             .sbs_per_msb(1)
             .rpps_per_sb(1)
             .racks_per_rpp(4)
@@ -191,7 +190,7 @@ fn servers_per_rpp(scale: Scale) -> (usize, usize) {
     let mut n = conservative;
     loop {
         n += 1;
-        let mut dc = DatacenterBuilder::new()
+        let mut dc = datacenter()
             .sbs_per_msb(1)
             .rpps_per_sb(1)
             .racks_per_rpp(1)

@@ -6,7 +6,8 @@
 //! * [`sliding_variation`] — the Figure 4 metric: worst-case max-minus-min
 //!   power variation within a sliding time window.
 //! * [`Cdf`] — empirical cumulative distributions with percentile lookup
-//!   (the p50/p99 values quoted throughout Figures 5 and 6).
+//!   (the p50/p99 values quoted throughout Figures 5 and 6);
+//!   [`quantile_of`] reads one quantile of a pool nobody keeps.
 //! * [`episodes_above`] — activity-episode detection (Figure 14's "seven
 //!   capping episodes").
 //! * [`power_slope`] — the rate at which power can rise in a window.
@@ -35,7 +36,7 @@ mod summary;
 mod trace;
 mod variation;
 
-pub use cdf::Cdf;
+pub use cdf::{quantile_of, Cdf};
 pub use episodes::{episodes_above, Episode};
 pub use summary::Summary;
 pub use trace::Trace;

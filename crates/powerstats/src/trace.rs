@@ -135,10 +135,16 @@ impl Trace {
         if self.values.is_empty() {
             return f64::NAN;
         }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).expect("NaN in trace"));
-        let k = ((sorted.len() as f64 * fraction).ceil() as usize).max(1);
-        sorted[..k].iter().sum::<f64>() / k as f64
+        let descending = |a: &f64, b: &f64| b.partial_cmp(a).expect("NaN in trace");
+        let mut values = self.values.clone();
+        let k = ((values.len() as f64 * fraction).ceil() as usize).max(1);
+        // Only the top `k` are read: select them, then sort just those,
+        // so the sum runs over the same values in the same descending
+        // order a full sort would give.
+        values.select_nth_unstable_by(k - 1, descending);
+        let top = &mut values[..k];
+        top.sort_unstable_by(descending);
+        top.iter().sum::<f64>() / k as f64
     }
 
     /// Sums aligned traces sample-by-sample (aggregating servers up to a
@@ -243,6 +249,37 @@ mod tests {
         assert_eq!(t.peak_mean(0.5), 35.0); // top 2 samples
         assert_eq!(t.peak_mean(0.25), 40.0); // top 1
         assert_eq!(t.peak_mean(1.0), 25.0); // all
+    }
+
+    /// Selecting the top `k` before sorting them changes no bit of the
+    /// mean a full descending sort gives, ties included.
+    #[test]
+    fn peak_mean_matches_a_full_sort_bit_for_bit() {
+        let mut rng = dcsim::SimRng::seed_from(0x9eac);
+        for case in 0..200 {
+            let n = 1 + rng.next_below(400) as usize;
+            let values: Vec<f64> = (0..n)
+                .map(|_| {
+                    let v = rng.normal(250.0, 40.0);
+                    if case % 2 == 0 {
+                        v.round()
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let fraction = [0.3, 1.0, 1e-9, rng.uniform(0.01, 1.0)][case % 4];
+            let mut sorted = values.clone();
+            sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            let k = ((n as f64 * fraction).ceil() as usize).max(1);
+            let expected = sorted[..k].iter().sum::<f64>() / k as f64;
+            let got = Trace::new(SimDuration::from_secs(3), values).peak_mean(fraction);
+            assert_eq!(
+                got.to_bits(),
+                expected.to_bits(),
+                "case {case}: n {n} k {k}"
+            );
+        }
     }
 
     #[test]
