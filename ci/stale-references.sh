@@ -8,7 +8,9 @@
 # and sixth; an example is named by its path or its `--example`, since
 # tests and metrics share some of the words), or when the pool's caller
 # took the first shard and its waiters began to spin before they park
-# (seventh: what the park-only, exactly-as-asked pool was said to do) —
+# (seventh: what the park-only, exactly-as-asked pool was said to do),
+# or when the leaf controller stopped storing a handle and a hash entry
+# per server and the fleet came to be built in its leaves (eighth) —
 # so a stale reference breaks the build instead of waiting for the next
 # reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
@@ -19,7 +21,8 @@ static_util_cap|json_snapshot
 HistScope|hist_scope|wire_roundtrip|shard_hot|trace_capacity|flight_capacity|leaf_overhead
 phase_jitter|jittered|pool_determinism|FROZEN_ON_RESUME|set_fuse|no-fuse
 (examples/|--example +)(surge_protection|turbo_oversubscription|characterize_workloads|grid_curtailment|full_datacenter|staggered_control|staged_rollout)
-parked between dispatches|parks the owner|exactly the pool it is asked|breaks even at suite scale' \
+parked between dispatches|parks the owner|exactly the pool it is asked|breaks even at suite scale
+pos_of|service_group|\.servers\(\)|builds one id-ordered' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -14,6 +14,8 @@
 //!   tracking for time-stepped loops (the 3 s / 9 s / 60 s cadences of
 //!   the control plane); `CycleSchedule` adds the per-instance phase
 //!   offset the event-driven control plane schedules controllers with.
+//! * [`OptF64`] — an `Option<f64>` in eight bytes, for per-server
+//!   columns and cached values that are never NaN.
 //!
 //! # Example
 //!
@@ -35,11 +37,13 @@
 mod queue;
 mod rng;
 mod schedule;
+mod slot;
 pub mod snap;
 mod time;
 
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use schedule::{CycleSchedule, PeriodicSchedule};
+pub use slot::OptF64;
 pub use snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub use time::{SimDuration, SimTime};

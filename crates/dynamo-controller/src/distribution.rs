@@ -14,7 +14,7 @@
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
-use crate::types::{CapCommand, ServerHandle};
+use crate::types::ServerHandle;
 
 /// One server's computed share of a power cut.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -26,16 +26,6 @@ pub struct CutAssignment {
     /// The resulting cap (`current power − cut`, never below the SLA
     /// floor).
     pub cap: Power,
-}
-
-impl CutAssignment {
-    /// Converts to the wire-level command.
-    pub fn to_command(self) -> CapCommand {
-        CapCommand {
-            server_id: self.server_id,
-            cap: self.cap,
-        }
-    }
 }
 
 /// How a power-cut distribution unfolded — which knobs the bucket walk
@@ -101,7 +91,9 @@ pub fn distribute_power_cut(
 }
 
 /// Like [`distribute_power_cut`], additionally reporting
-/// [`DistributionStats`] describing how the distribution unfolded.
+/// [`DistributionStats`] describing how the distribution unfolded. An
+/// adapter from server handles to the position-indexed walk the
+/// controllers run.
 ///
 /// # Panics
 ///
@@ -117,6 +109,42 @@ pub fn distribute_power_cut_with_stats(
         powers.len(),
         "servers/powers length mismatch"
     );
+    let mut assignments = Vec::new();
+    let (leftover, stats) = distribute_cut(
+        servers.len(),
+        |i| (servers[i].service.priority, servers[i].service.sla_min_cap),
+        |i| powers[i],
+        total_cut,
+        bucket_width,
+        &mut |i, cut, cap| {
+            assignments.push(CutAssignment {
+                server_id: servers[i].server_id,
+                cut,
+                cap,
+            })
+        },
+    );
+    (assignments, leftover, stats)
+}
+
+/// The one cut distribution, over positions `0..n`: `class(i)` is
+/// position `i`'s priority group and SLA floor, `power(i)` its latest
+/// reading. Each victim is reported as `assign(position, cut, cap)` in
+/// the order the walk reaches it; returns the unabsorbed remainder and
+/// the walk's stats.
+///
+/// # Panics
+///
+/// Panics if `bucket_width` is not positive or `total_cut` is
+/// negative/non-finite.
+pub(crate) fn distribute_cut(
+    n: usize,
+    class: impl Fn(usize) -> (u8, Power),
+    power: impl Fn(usize) -> Power,
+    total_cut: Power,
+    bucket_width: Power,
+    assign: &mut dyn FnMut(usize, Power, Power),
+) -> (Power, DistributionStats) {
     assert!(
         bucket_width.as_watts() > 0.0,
         "bucket width must be positive"
@@ -125,60 +153,45 @@ pub fn distribute_power_cut_with_stats(
         total_cut.as_watts().is_finite() && total_cut.as_watts() >= 0.0,
         "invalid total cut {total_cut:?}"
     );
-    if total_cut == Power::ZERO || servers.is_empty() {
-        let stats = DistributionStats {
-            leftover_watts: total_cut.as_watts(),
-            ..DistributionStats::default()
-        };
-        return (Vec::new(), total_cut, stats);
+    let mut stats = DistributionStats::default();
+    if total_cut == Power::ZERO || n == 0 {
+        stats.leftover_watts = total_cut.as_watts();
+        return (total_cut, stats);
     }
 
     // Priority groups, lowest first.
-    let mut priorities: Vec<u8> = servers.iter().map(|s| s.service.priority).collect();
+    let mut priorities: Vec<u8> = (0..n).map(|i| class(i).0).collect();
     priorities.sort_unstable();
     priorities.dedup();
 
-    let mut assignments: Vec<CutAssignment> = Vec::new();
     let mut remaining = total_cut;
-    let mut stats = DistributionStats::default();
-
     for prio in priorities {
         if remaining.as_watts() <= f64::EPSILON {
             break;
         }
         // (index, power, headroom above SLA floor) for this group.
-        let members: Vec<(usize, Power, Power)> = servers
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.service.priority == prio)
-            .map(|(i, s)| {
-                (
-                    i,
-                    powers[i],
-                    powers[i].saturating_sub(s.service.sla_min_cap),
-                )
+        let members: Vec<(usize, Power, Power)> = (0..n)
+            .filter_map(|i| {
+                let (priority, floor) = class(i);
+                (priority == prio).then(|| (i, power(i), power(i).saturating_sub(floor)))
             })
             .collect();
-        let victims_before = assignments.len();
+        let victims_before = stats.victims;
         let (absorbed, buckets) =
             cut_within_group(&members, remaining, bucket_width, &mut |idx, cut| {
-                let cap = (powers[idx] - cut).max(servers[idx].service.sla_min_cap);
-                assignments.push(CutAssignment {
-                    server_id: servers[idx].server_id,
-                    cut,
-                    cap,
-                });
+                let cap = (power(idx) - cut).max(class(idx).1);
+                stats.victims += 1;
+                assign(idx, cut, cap);
             });
-        if assignments.len() > victims_before {
+        if stats.victims > victims_before {
             stats.groups_touched += 1;
         }
         stats.buckets_expanded += buckets;
         remaining = remaining.saturating_sub(absorbed);
     }
 
-    stats.victims = assignments.len() as u32;
     stats.leftover_watts = remaining.as_watts();
-    (assignments, remaining, stats)
+    (remaining, stats)
 }
 
 /// High-bucket-first within one priority group. Returns the power

@@ -8,9 +8,9 @@ use dcsim::{SimDuration, SimTime};
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
-use crate::distribution::{distribute_power_cut_with_stats, DistributionStats};
+use crate::distribution::{distribute_cut, DistributionStats};
 use crate::threeband::{three_band_decision, BandDecision, ThreeBandConfig};
-use crate::types::{Alert, ControlAction, ServerHandle};
+use crate::types::{Alert, CapCommand, ControlAction, PowerSlot, ServerHandle, ServiceClass};
 use dynrpc::{Request, Response, RpcError};
 
 /// Configuration of a [`LeafController`].
@@ -100,23 +100,19 @@ pub trait LeafTransport {
     /// call, an agent that is down.
     fn call(&mut self, server_id: u32, req: Request) -> Result<Response, RpcError>;
 
-    /// Reads every server's power, in `servers` order. On return
-    /// `readings[pos]` holds server `pos`'s reading when the pull
-    /// succeeded and returned a valid draw, and stays `None` otherwise,
-    /// with `pos` appended to `failed` (ascending). `readings` arrives
-    /// all `None` and as long as `servers`; `failed` arrives empty.
+    /// Reads every server's power, in `ids` order (position `pos` is
+    /// server `ids[pos]`). On return `readings[pos]` holds the reading
+    /// when the pull succeeded and returned a valid draw, and stays
+    /// [`PowerSlot::NONE`] otherwise, with `pos` appended to `failed`
+    /// (ascending). `readings` arrives all none and as long as `ids`;
+    /// `failed` arrives empty.
     ///
     /// An override must leave exactly what this loop would have left.
-    fn pull(
-        &mut self,
-        servers: &[ServerHandle],
-        readings: &mut [Option<Power>],
-        failed: &mut Vec<u32>,
-    ) {
-        for (pos, handle) in servers.iter().enumerate() {
-            match self.call(handle.server_id, Request::ReadPower) {
+    fn pull(&mut self, ids: &[u32], readings: &mut [PowerSlot], failed: &mut Vec<u32>) {
+        for (pos, &sid) in ids.iter().enumerate() {
+            match self.call(sid, Request::ReadPower) {
                 Ok(Response::Power(r)) if r.total.is_valid_draw() => {
-                    readings[pos] = Some(r.total);
+                    readings[pos] = PowerSlot::some(r.total);
                 }
                 _ => failed.push(pos as u32),
             }
@@ -161,6 +157,12 @@ pub struct CycleOutcome {
 /// Thrift, the simulated [`dynrpc::Network`], or a scripted fake all
 /// plug in.
 ///
+/// Per server it keeps what §III-C needs and no more: the id, which of
+/// the leaf's few distinct [`ServiceClass`]es the server runs (an index
+/// into a per-leaf table), and the last reading and the cap in force as
+/// [`PowerSlot`]s — everything position-indexed, in the order the
+/// handles were given.
+///
 /// # Example
 ///
 /// ```
@@ -193,85 +195,96 @@ pub struct LeafController {
     /// bump, not a heap allocation.
     name: Arc<str>,
     config: LeafConfig,
-    servers: Vec<ServerHandle>,
-    /// Position of each server id in `servers` (cold-path lookups).
-    pos_of: HashMap<u32, usize>,
-    /// Each position's service group: the first position whose service
-    /// has the same name. Fixed at construction, so the §III-C1
-    /// estimator finds a failed pull's peers by comparing integers.
-    service_group: Vec<u32>,
-    /// Most recent reading (or estimate) per server, indexed by
-    /// position in `servers`.
-    last_power: Vec<Option<Power>>,
-    /// Caps currently in force, indexed by position in `servers`.
-    active_caps: Vec<Option<Power>>,
-    /// Number of `Some` entries in `active_caps`.
+    /// Each position's server id.
+    ids: Vec<u32>,
+    /// The distinct service classes of the leaf, in order of first
+    /// appearance.
+    classes: Vec<ServiceClass>,
+    /// Each class's estimation group: the first class with the same
+    /// service name. Fixed at construction, so the §III-C1 estimator
+    /// finds a failed pull's peers by comparing integers.
+    peer_group: Vec<u32>,
+    /// Each position's index into `classes`.
+    class_of: Vec<u32>,
+    /// Most recent reading (or estimate) per position.
+    last_power: Vec<PowerSlot>,
+    /// Caps currently in force, per position.
+    active_caps: Vec<PowerSlot>,
+    /// Number of filled slots in `active_caps`.
     active_cap_count: usize,
     /// Contractual limit pushed down by the parent controller (§III-D).
     contractual_limit: Option<Power>,
     alerts: Vec<Alert>,
     cycles: u64,
-    /// Per-cycle pull results, reused across cycles so the steady-state
-    /// (Hold) cycle path allocates nothing.
-    scratch_readings: Vec<Option<Power>>,
-    /// Positions whose pull failed this cycle, reused across cycles.
+    /// Per-cycle pull results, swapped with `last_power` when the
+    /// cycle's aggregation is valid, so the steady-state (Hold) cycle
+    /// path allocates and copies nothing.
+    scratch_readings: Vec<PowerSlot>,
+    /// Positions whose pull failed this cycle, reused across cycles and
+    /// sized for the most failures a valid cycle can have, so that no
+    /// valid cycle grows it.
     scratch_failed: Vec<u32>,
     /// Stats of the most recent cut distribution (observability).
     last_distribution: DistributionStats,
 }
 
 impl LeafController {
-    /// Creates a controller protecting one leaf device.
+    /// Creates a controller protecting one leaf device. Only each
+    /// handle's id and an index into the leaf's table of distinct
+    /// service classes are kept; two servers are estimation peers when
+    /// their services have the same name.
     ///
     /// # Panics
     ///
     /// Panics if `servers` is empty — a leaf controller with nothing to
-    /// control is a configuration error.
+    /// control is a configuration error — or names a server twice,
+    /// which would count its draw twice.
     pub fn new(name: impl Into<Arc<str>>, config: LeafConfig, servers: Vec<ServerHandle>) -> Self {
+        let name = name.into();
         assert!(
             !servers.is_empty(),
             "leaf controller needs at least one server"
         );
         let n = servers.len();
-        let pos_of = servers
-            .iter()
-            .enumerate()
-            .map(|(i, h)| (h.server_id, i))
-            .collect();
-        // A leaf runs a handful of services: scanning the groups seen
-        // so far beats hashing every name. Their first positions are
-        // collected in the failed-pull scratch list, idle until the
-        // first cycle, so construction frees nothing it allocated.
-        let mut scratch_failed: Vec<u32> = Vec::new();
-        let service_group = servers
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                let seen = scratch_failed
-                    .iter()
-                    .copied()
-                    .find(|&f| servers[f as usize].service.name == h.service.name);
-                seen.unwrap_or_else(|| {
-                    scratch_failed.push(i as u32);
-                    i as u32
-                })
+        let mut ids = Vec::with_capacity(n);
+        let mut class_of = Vec::with_capacity(n);
+        // A leaf runs a handful of services: scanning the classes seen
+        // so far beats hashing every name.
+        let mut classes: Vec<ServiceClass> = Vec::new();
+        for ServerHandle { server_id, service } in servers {
+            let class = classes.iter().position(|c| *c == service);
+            class_of.push(class.unwrap_or(classes.len()) as u32);
+            if class.is_none() {
+                classes.push(service);
+            }
+            ids.push(server_id);
+        }
+        if let Some(dup) = first_duplicate(&ids) {
+            panic!("leaf controller {name} is given server {dup} twice");
+        }
+        let peer_group = (0..classes.len())
+            .map(|k| {
+                let earlier = classes[..k].iter().position(|c| c.name == classes[k].name);
+                earlier.unwrap_or(k) as u32
             })
             .collect();
-        scratch_failed.clear();
+        // The most failed pulls a cycle can have and still be valid.
+        let most_failures = ((n as f64 * config.max_failure_frac) as usize).min(n);
         LeafController {
-            name: name.into(),
+            name,
             config,
-            servers,
-            pos_of,
-            service_group,
-            last_power: vec![None; n],
-            active_caps: vec![None; n],
+            ids,
+            classes,
+            peer_group,
+            class_of,
+            last_power: vec![PowerSlot::NONE; n],
+            active_caps: vec![PowerSlot::NONE; n],
             active_cap_count: 0,
             contractual_limit: None,
             alerts: Vec::new(),
             cycles: 0,
             scratch_readings: Vec::with_capacity(n),
-            scratch_failed,
+            scratch_failed: Vec::with_capacity(most_failures),
             last_distribution: DistributionStats::default(),
         }
     }
@@ -291,9 +304,10 @@ impl LeafController {
         &self.config
     }
 
-    /// The servers under this controller.
-    pub fn servers(&self) -> &[ServerHandle] {
-        &self.servers
+    /// The ids of the servers under this controller, in the order
+    /// they were given.
+    pub fn server_ids(&self) -> &[u32] {
+        &self.ids
     }
 
     /// The effective limit: `min(physical, contractual)` (§III-D).
@@ -334,11 +348,7 @@ impl LeafController {
     /// controller stores caps position-indexed internally, so this is a
     /// cold-path convenience view.
     pub fn active_caps(&self) -> HashMap<u32, Power> {
-        self.servers
-            .iter()
-            .zip(&self.active_caps)
-            .filter_map(|(h, cap)| cap.map(|c| (h.server_id, c)))
-            .collect()
+        by_id(&self.ids, &self.active_caps)
     }
 
     /// Number of caps currently in force (allocation-free).
@@ -349,11 +359,7 @@ impl LeafController {
     /// The last aggregated per-server readings (server → power). Built
     /// on demand, like [`LeafController::active_caps`].
     pub fn last_power(&self) -> HashMap<u32, Power> {
-        self.servers
-            .iter()
-            .zip(&self.last_power)
-            .filter_map(|(h, p)| p.map(|v| (h.server_id, v)))
-            .collect()
+        by_id(&self.ids, &self.last_power)
     }
 
     /// Alerts raised so far.
@@ -380,8 +386,8 @@ impl LeafController {
     /// are rebuilt by the owner.
     pub fn state(&self) -> LeafControllerState {
         LeafControllerState {
-            last_power: self.last_power.clone(),
-            active_caps: self.active_caps.clone(),
+            last_power: self.last_power.iter().map(|p| p.get()).collect(),
+            active_caps: self.active_caps.iter().map(|c| c.get()).collect(),
             contractual_limit: self.contractual_limit,
             alerts: self.alerts.clone(),
             cycles: self.cycles,
@@ -394,10 +400,13 @@ impl LeafController {
     ///
     /// # Errors
     ///
-    /// Fails with [`SnapError::Corrupt`] if the state was captured from
-    /// a controller with a different server count.
+    /// Fails with [`SnapError::Corrupt`], before changing anything, if
+    /// the state was captured from a controller with a different server
+    /// count, or holds a reading that is no valid draw (every later
+    /// failed pull without live peers would be estimated from it) or a
+    /// cap or contract that is not a finite positive power.
     pub fn restore(&mut self, state: &LeafControllerState) -> Result<(), SnapError> {
-        let n = self.servers.len();
+        let n = self.ids.len();
         if state.last_power.len() != n || state.active_caps.len() != n {
             return Err(SnapError::Corrupt(format!(
                 "leaf '{}' has {} servers; state was captured with {}/{}",
@@ -407,10 +416,27 @@ impl LeafController {
                 state.active_caps.len()
             )));
         }
+        for (pos, (p, c)) in state.last_power.iter().zip(&state.active_caps).enumerate() {
+            let bad = match (*p, *c) {
+                (Some(p), _) if !p.is_valid_draw() => format!("reading {p} is not a valid draw"),
+                (_, Some(c)) if !(c.as_watts().is_finite() && c.as_watts() > 0.0) => {
+                    format!("cap {c} is not a finite positive power")
+                }
+                _ => continue,
+            };
+            return Err(SnapError::Corrupt(format!(
+                "leaf '{}' position {pos}: {bad}",
+                self.name
+            )));
+        }
         check_contract(state.contractual_limit)?;
-        self.last_power.clone_from(&state.last_power);
-        self.active_caps.clone_from(&state.active_caps);
-        self.active_cap_count = self.active_caps.iter().filter(|c| c.is_some()).count();
+        for (slot, &p) in self.last_power.iter_mut().zip(&state.last_power) {
+            *slot = p.into();
+        }
+        for (slot, &c) in self.active_caps.iter_mut().zip(&state.active_caps) {
+            *slot = c.into();
+        }
+        self.active_cap_count = state.active_caps.iter().filter(|c| c.is_some()).count();
         self.contractual_limit = state.contractual_limit;
         self.alerts.clone_from(&state.alerts);
         self.cycles = state.cycles;
@@ -444,14 +470,14 @@ impl LeafController {
         T: LeafTransport + ?Sized,
     {
         self.cycles += 1;
-        let n = self.servers.len();
+        let n = self.ids.len();
 
         // -- 1. Pull power readings into reusable scratch buffers.
         self.scratch_readings.clear();
-        self.scratch_readings.resize(n, None);
+        self.scratch_readings.resize(n, PowerSlot::NONE);
         self.scratch_failed.clear();
         transport.pull(
-            &self.servers,
+            &self.ids,
             &mut self.scratch_readings,
             &mut self.scratch_failed,
         );
@@ -478,24 +504,22 @@ impl LeafController {
             };
         }
         let mut estimated = 0;
-        for k in 0..self.scratch_failed.len() {
-            let pos = self.scratch_failed[k] as usize;
-            if let Some(est) = estimate_for(
-                &self.service_group,
-                &self.last_power,
-                &self.scratch_readings,
-                pos,
-            ) {
-                self.scratch_readings[pos] = Some(est);
+        let group = |i: usize| self.peer_group[self.class_of[i] as usize];
+        for &pos in &self.scratch_failed {
+            let pos = pos as usize;
+            if let Some(est) = estimate_for(group, &self.last_power, &self.scratch_readings, pos) {
+                self.scratch_readings[pos] = PowerSlot::some(est);
                 estimated += 1;
             }
         }
-        self.last_power.clone_from(&self.scratch_readings);
+        // This cycle's readings become the last ones; the old buffer is
+        // the next cycle's scratch.
+        std::mem::swap(&mut self.last_power, &mut self.scratch_readings);
 
         // -- 3. Aggregate and decide.
         let mut total = self.config.non_server_overhead;
-        for reading in &self.scratch_readings {
-            if let Some(p) = *reading {
+        for reading in &self.last_power {
+            if let Some(p) = reading.get() {
                 total += p;
             }
         }
@@ -506,16 +530,18 @@ impl LeafController {
         // -- 4. Act.
         let action = match decision {
             BandDecision::Cap { total_cut } => {
-                let powers: Vec<Power> = self
-                    .scratch_readings
-                    .iter()
-                    .map(|r| r.unwrap_or(Power::ZERO))
-                    .collect();
-                let (cuts, leftover, dist_stats) = distribute_power_cut_with_stats(
-                    &self.servers,
-                    &powers,
+                // (position, cap) per victim, in the walk's order.
+                let mut cuts: Vec<(usize, Power)> = Vec::new();
+                let (leftover, dist_stats) = distribute_cut(
+                    n,
+                    |i| {
+                        let class = &self.classes[self.class_of[i] as usize];
+                        (class.priority, class.sla_min_cap)
+                    },
+                    |i| self.last_power[i].get().unwrap_or(Power::ZERO),
                     total_cut,
                     self.config.bucket_width,
+                    &mut |i, _, cap| cuts.push((i, cap)),
                 );
                 self.last_distribution = dist_stats;
                 if leftover.as_watts() > 1.0 {
@@ -528,8 +554,11 @@ impl LeafController {
                     });
                 }
                 let mut commands = Vec::with_capacity(cuts.len());
-                for cut in cuts {
-                    let cmd = cut.to_command();
+                for (pos, cap) in cuts {
+                    let cmd = CapCommand {
+                        server_id: self.ids[pos],
+                        cap,
+                    };
                     if self.config.dry_run {
                         // Log the decision without touching the fleet.
                         commands.push(cmd);
@@ -538,13 +567,12 @@ impl LeafController {
                     // Failed actuations are retried implicitly: the next
                     // cycle re-measures and re-decides.
                     if let Ok(Response::CapAck { ok: true }) =
-                        transport.call(cmd.server_id, Request::SetCap(cmd.cap))
+                        transport.call(cmd.server_id, Request::SetCap(cap))
                     {
-                        let pos = self.pos_of[&cmd.server_id];
-                        if self.active_caps[pos].is_none() {
+                        if !self.active_caps[pos].is_some() {
                             self.active_cap_count += 1;
                         }
-                        self.active_caps[pos] = Some(cmd.cap);
+                        self.active_caps[pos] = PowerSlot::some(cap);
                         commands.push(cmd);
                     }
                 }
@@ -555,13 +583,13 @@ impl LeafController {
             }
             BandDecision::Uncap => {
                 for pos in 0..n {
-                    if self.active_caps[pos].is_none() || self.config.dry_run {
+                    if !self.active_caps[pos].is_some() || self.config.dry_run {
                         continue;
                     }
                     if let Ok(Response::CapAck { ok: true }) =
-                        transport.call(self.servers[pos].server_id, Request::ClearCap)
+                        transport.call(self.ids[pos], Request::ClearCap)
                     {
-                        self.active_caps[pos] = None;
+                        self.active_caps[pos] = PowerSlot::NONE;
                         self.active_cap_count -= 1;
                     }
                 }
@@ -583,23 +611,23 @@ impl LeafController {
 /// Estimates power for a failed pull "using power readings from
 /// neighboring servers running similar workloads" (§III-C1): the mean
 /// of this cycle's successful same-service readings (including earlier
-/// estimates), falling back to the server's own last known value. All
-/// slices are indexed by position in `servers`; two positions run the
-/// same service when their `service_group` entries are equal.
+/// estimates), falling back to the server's own last known value. Both
+/// slices are position-indexed; two positions run the same service when
+/// their `group`s are equal.
 fn estimate_for(
-    service_group: &[u32],
-    last_power: &[Option<Power>],
-    readings: &[Option<Power>],
+    group: impl Fn(usize) -> u32,
+    last_power: &[PowerSlot],
+    readings: &[PowerSlot],
     pos: usize,
 ) -> Option<Power> {
-    let group = service_group[pos];
+    let own = group(pos);
     let mut sum = Power::ZERO;
     let mut peers = 0usize;
     for (i, reading) in readings.iter().enumerate() {
-        if i == pos || service_group[i] != group {
+        if i == pos || group(i) != own {
             continue;
         }
-        if let Some(p) = *reading {
+        if let Some(p) = reading.get() {
             sum += p;
             peers += 1;
         }
@@ -607,7 +635,26 @@ fn estimate_for(
     if peers > 0 {
         return Some(sum / peers as f64);
     }
-    last_power[pos]
+    last_power[pos].get()
+}
+
+/// The filled slots of a position-indexed column, by server id.
+fn by_id(ids: &[u32], slots: &[PowerSlot]) -> HashMap<u32, Power> {
+    ids.iter()
+        .zip(slots)
+        .filter_map(|(&id, slot)| slot.get().map(|p| (id, p)))
+        .collect()
+}
+
+/// The first id that occurs twice, if any. Leaves are usually handed
+/// their servers in ascending order, which needs no copy to check.
+fn first_duplicate(ids: &[u32]) -> Option<u32> {
+    if ids.windows(2).all(|w| w[0] < w[1]) {
+        return None;
+    }
+    let mut sorted = ids.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 /// The dynamic state of one [`LeafController`]. Implements
@@ -1015,17 +1062,12 @@ mod tests {
                 self.fleet.call(sid, req)
             }
 
-            fn pull(
-                &mut self,
-                servers: &[ServerHandle],
-                readings: &mut [Option<Power>],
-                failed: &mut Vec<u32>,
-            ) {
-                for (pos, handle) in servers.iter().enumerate() {
-                    if self.fleet.down.contains(&handle.server_id) {
+            fn pull(&mut self, ids: &[u32], readings: &mut [PowerSlot], failed: &mut Vec<u32>) {
+                for (pos, sid) in ids.iter().enumerate() {
+                    if self.fleet.down.contains(sid) {
                         failed.push(pos as u32);
                     } else {
-                        readings[pos] = Some(self.fleet.power[&handle.server_id]);
+                        readings[pos] = PowerSlot::some(self.fleet.power[sid]);
                     }
                 }
             }
@@ -1051,6 +1093,110 @@ mod tests {
         assert!(batched.acts > 0, "caps still go through `call`");
         assert_eq!(batched.fleet.caps, scripted.caps);
         assert_eq!(a.last_power(), b.last_power());
+    }
+
+    /// A server listed twice would be pulled and counted twice: the
+    /// constructor names it instead.
+    #[test]
+    #[should_panic(expected = "leaf controller rpp is given server 7 twice")]
+    fn a_duplicate_server_id_panics_with_the_id() {
+        let mut servers = web_servers(9);
+        servers[2].server_id = 7;
+        LeafController::new("rpp", LeafConfig::new(watts(1000.0)), servers);
+    }
+
+    /// Estimation peers are the same service *name*: a web server in
+    /// another priority group (another class) is still a peer, a cache
+    /// server with web's priority is not.
+    #[test]
+    fn peers_share_a_name_across_priorities() {
+        let servers = vec![
+            ServerHandle {
+                server_id: 0,
+                service: ServiceClass::new("web", 1, watts(150.0)),
+            },
+            ServerHandle {
+                server_id: 1,
+                service: ServiceClass::new("web", 2, watts(150.0)),
+            },
+            ServerHandle {
+                server_id: 2,
+                service: ServiceClass::new("cache", 1, watts(150.0)),
+            },
+            ServerHandle {
+                server_id: 3,
+                service: ServiceClass::new("web", 1, watts(150.0)),
+            },
+            ServerHandle {
+                server_id: 4,
+                service: ServiceClass::new("cache", 1, watts(150.0)),
+            },
+            ServerHandle {
+                server_id: 5,
+                service: ServiceClass::new("web", 1, watts(150.0)),
+            },
+        ];
+        let mut fleet = Fleet::new(&[
+            (0, 200.0),
+            (1, 300.0),
+            (2, 500.0),
+            (3, 0.0),
+            (4, 700.0),
+            (5, 220.0),
+        ]);
+        fleet.down = vec![3];
+        let mut c = LeafController::new("rpp", LeafConfig::new(watts(10_000.0)), servers);
+        let out = c.cycle(SimTime::ZERO, |s, r| fleet.call(s, r));
+        assert_eq!((out.pull_failures, out.estimated), (1, 1));
+        // Server 3 is estimated as the mean of webs 0, 1 and 5: 240 W.
+        assert_eq!(c.last_power()[&3], watts(240.0));
+    }
+
+    /// A snapshot's readings become estimates and its caps become the
+    /// cap state: a NaN or negative reading, or a cap that is no finite
+    /// positive power, is refused naming the leaf and the position, and
+    /// nothing is installed.
+    #[test]
+    fn restore_refuses_readings_and_caps_no_cycle_could_have_stored() {
+        let mut fleet = Fleet::new(&[(0, 300.0), (1, 300.0), (2, 300.0), (3, 300.0)]);
+        let mut c = leaf(1200.0, web_servers(4));
+        c.cycle(SimTime::ZERO, |s, r| fleet.call(s, r));
+        let honest = c.state();
+        assert!(c.active_cap_count() > 0);
+        let forgeries = [
+            (
+                true,
+                Some(watts(f64::NAN)),
+                "position 2: reading NaN W is not a valid draw",
+            ),
+            (true, Some(watts(-5.0)), "position 2: reading -5"),
+            (false, Some(watts(0.0)), "position 2: cap 0"),
+            (false, Some(watts(f64::INFINITY)), "position 2: cap inf"),
+            (false, Some(watts(f64::NAN)), "position 2: cap NaN"),
+        ];
+        for (reading, value, what) in forgeries {
+            let mut forged = honest.clone();
+            if reading {
+                forged.last_power[2] = value;
+            } else {
+                forged.active_caps[2] = value;
+            }
+            let mut target = leaf(1200.0, web_servers(4));
+            match target.restore(&forged) {
+                Err(SnapError::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains("leaf 'rpp-test'") && msg.contains(what),
+                        "{msg}"
+                    )
+                }
+                other => panic!("{what}: expected a refusal, got {other:?}"),
+            }
+            assert_eq!(target.state(), leaf(1200.0, web_servers(4)).state());
+        }
+        let mut twin = leaf(1200.0, web_servers(4));
+        twin.restore(&honest).expect("an honest state restores");
+        assert_eq!(twin.state(), honest);
+        assert_eq!(twin.active_caps(), c.active_caps());
     }
 
     #[test]

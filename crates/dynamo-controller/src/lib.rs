@@ -47,7 +47,7 @@ pub use distribution::{
 pub use leaf::{CycleOutcome, LeafConfig, LeafController, LeafControllerState, LeafTransport};
 pub use pi::{PiConfig, PiController, PiDecision};
 pub use threeband::{three_band_decision, BandDecision, ThreeBandConfig};
-pub use types::{Alert, CapCommand, ControlAction, ServerHandle, ServiceClass};
+pub use types::{Alert, CapCommand, ControlAction, PowerSlot, ServerHandle, ServiceClass};
 pub use upper::{
     ChildDirective, ChildReport, CoordinationPolicy, UpperConfig, UpperController,
     UpperControllerState, UpperOutcome,

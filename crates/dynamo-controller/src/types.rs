@@ -1,7 +1,7 @@
 //! Shared controller-facing types.
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use dcsim::SimTime;
+use dcsim::{OptF64, SimTime};
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
@@ -36,6 +36,42 @@ impl ServiceClass {
             priority,
             sla_min_cap,
         }
+    }
+}
+
+/// An `Option<Power>` in eight bytes — a reading, an estimate or a cap,
+/// or none — so a leaf controller's per-server columns are one `f64`
+/// each where an `Option<Power>` is sixteen bytes. An [`OptF64`] of
+/// watts: no valid draw and no cap is NaN.
+#[derive(Debug, Clone, Copy)]
+pub struct PowerSlot(OptF64);
+
+impl PowerSlot {
+    /// No value.
+    pub const NONE: PowerSlot = PowerSlot(OptF64::NONE);
+
+    /// A slot holding `power`, which must not be NaN.
+    #[inline]
+    pub const fn some(power: Power) -> Self {
+        PowerSlot(OptF64::some(power.as_watts()))
+    }
+
+    /// The value held, if any.
+    #[inline]
+    pub fn get(self) -> Option<Power> {
+        self.0.get().map(Power::from_watts)
+    }
+
+    /// Whether the slot holds a value.
+    #[inline]
+    pub fn is_some(self) -> bool {
+        self.0.is_some()
+    }
+}
+
+impl From<Option<Power>> for PowerSlot {
+    fn from(power: Option<Power>) -> Self {
+        power.map_or(PowerSlot::NONE, PowerSlot::some)
     }
 }
 
@@ -130,6 +166,17 @@ mod tests {
     #[should_panic(expected = "SLA floor must be positive")]
     fn zero_sla_panics() {
         ServiceClass::new("x", 0, Power::ZERO);
+    }
+
+    #[test]
+    fn a_power_slot_is_an_option_in_eight_bytes() {
+        assert_eq!(std::mem::size_of::<PowerSlot>(), 8);
+        assert_eq!(PowerSlot::NONE.get(), None);
+        for w in [0.0, 210.0] {
+            let p = Power::from_watts(w);
+            assert_eq!(PowerSlot::from(Some(p)).get(), Some(p));
+        }
+        assert!(!PowerSlot::from(None).is_some());
     }
 
     #[test]

@@ -8,9 +8,9 @@ use dcsim::{SimDuration, SimTime};
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
-use crate::distribution::distribute_power_cut;
+use crate::distribution::{distribute_cut, CutAssignment};
 use crate::threeband::{three_band_decision, BandDecision, ThreeBandConfig};
-use crate::types::{Alert, ServerHandle, ServiceClass};
+use crate::types::Alert;
 
 /// How an upper controller distributes a needed power cut among its
 /// children.
@@ -318,27 +318,30 @@ impl UpperController {
                         // children form group 1 with a floor at half
                         // their current power, touched only if the
                         // offenders cannot absorb the cut.
-                        let handles: Vec<ServerHandle> = reports
-                            .iter()
-                            .enumerate()
-                            .map(|(i, r)| {
-                                let offender = r.power > r.quota;
-                                let (priority, floor) = if offender {
-                                    (0, r.quota)
-                                } else {
-                                    (1, (r.power * 0.5).max(Power::from_watts(1.0)))
-                                };
-                                ServerHandle {
+                        let class = |i: usize| {
+                            let r = &reports[i];
+                            if r.power > r.quota {
+                                (0, r.quota)
+                            } else {
+                                (1, (r.power * 0.5).max(Power::from_watts(1.0)))
+                            }
+                        };
+                        let mut cuts = Vec::new();
+                        let (leftover, _) = distribute_cut(
+                            reports.len(),
+                            class,
+                            |i| powers[i],
+                            total_cut,
+                            self.config.bucket_width,
+                            &mut |i, cut, cap| {
+                                cuts.push(CutAssignment {
                                     server_id: i as u32,
-                                    service: ServiceClass::new(
-                                        if offender { "offender" } else { "compliant" },
-                                        priority,
-                                        floor,
-                                    ),
-                                }
-                            })
-                            .collect();
-                        distribute_power_cut(&handles, &powers, total_cut, self.config.bucket_width)
+                                    cut,
+                                    cap,
+                                })
+                            },
+                        );
+                        (cuts, leftover)
                     }
                     CoordinationPolicy::UniformScale => uniform_scale_cuts(&powers, total_cut),
                 };
@@ -466,19 +469,19 @@ impl Snapshot for UpperControllerState {
 /// power, floored at half the child's draw (matching the compliant-child
 /// floor of the offender-first path). Returns per-child cuts and any
 /// unabsorbable remainder.
-fn uniform_scale_cuts(powers: &[Power], total_cut: Power) -> (Vec<crate::CutAssignment>, Power) {
+fn uniform_scale_cuts(powers: &[Power], total_cut: Power) -> (Vec<CutAssignment>, Power) {
     let total: Power = powers.iter().copied().sum();
     if total.as_watts() <= 0.0 {
         return (Vec::new(), total_cut);
     }
     let frac = (total_cut.as_watts() / total.as_watts()).min(0.5);
-    let cuts: Vec<crate::CutAssignment> = powers
+    let cuts: Vec<CutAssignment> = powers
         .iter()
         .enumerate()
         .filter(|(_, p)| p.as_watts() > 0.0)
         .map(|(i, &p)| {
             let cut = p * frac;
-            crate::CutAssignment {
+            CutAssignment {
                 server_id: i as u32,
                 cut,
                 cap: p - cut,

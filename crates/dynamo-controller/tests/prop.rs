@@ -3,11 +3,12 @@
 //! from the deterministic [`SimRng`] stream, so every run checks the
 //! same reproducible inputs.
 
-use dcsim::SimRng;
+use dcsim::{SimRng, SimTime};
 use dynamo_controller::{
-    distribute_power_cut, three_band_decision, BandDecision, ServerHandle, ServiceClass,
-    ThreeBandConfig,
+    distribute_power_cut, distribute_power_cut_with_stats, three_band_decision, BandDecision,
+    ControlAction, LeafConfig, LeafController, ServerHandle, ServiceClass, ThreeBandConfig,
 };
+use dynrpc::{PowerReading, Request, Response};
 use powerinfra::Power;
 
 const CASES: usize = 300;
@@ -123,6 +124,87 @@ fn at_most_one_cut_per_server() {
         ids.dedup();
         assert_eq!(ids.len(), n, "case {case}: duplicate cut assignments");
     }
+}
+
+/// The leaf controller keeps a class index per server, not a handle,
+/// and cuts by position; `distribute_power_cut_with_stats` is an adapter
+/// from handles to the same walk. On random leaves — mixed priorities,
+/// one name under two priorities, powers on a coarse grid so buckets tie,
+/// floors close enough to bind, ids that are not positions — the
+/// controller's cap commands must be the adapter's cuts: the same
+/// servers in the same order, the same cap bits, the same leftover and
+/// the same stats.
+#[test]
+fn the_controllers_cut_is_the_adapters() {
+    let classes = [
+        ("web", 1, 210.0),
+        ("web", 2, 190.0),
+        ("cache", 3, 260.0),
+        ("hadoop", 0, 140.0),
+        ("hadoop", 0, 230.0),
+    ];
+    let mut rng = SimRng::seed_from(0xC0_11).split("adapter");
+    let (mut escalated, mut short, mut tied) = (0, 0, 0);
+    for case in 0..CASES {
+        let n = 1 + rng.next_below(60) as usize;
+        let mut ids: Vec<u32> = (0..n as u32).map(|i| 1000 + 7 * i).collect();
+        rng.shuffle(&mut ids);
+        let handles: Vec<ServerHandle> = ids
+            .iter()
+            .map(|&server_id| {
+                let (name, prio, sla) = classes[rng.next_below(classes.len() as u64) as usize];
+                ServerHandle {
+                    server_id,
+                    service: ServiceClass::new(name, prio, watts(sla)),
+                }
+            })
+            .collect();
+        let powers: Vec<Power> = (0..n)
+            .map(|_| watts(150.0 + 10.0 * rng.next_below(20) as f64))
+            .collect();
+        let total: f64 = powers.iter().map(|p| p.as_watts()).sum();
+        let limit = watts(total * rng.uniform(0.5, 0.98));
+        let mut leaf = LeafController::new("prop", LeafConfig::new(limit), handles.clone());
+        let outcome = leaf.cycle(SimTime::ZERO, |sid, req| match req {
+            Request::ReadPower => {
+                let pos = ids.iter().position(|&id| id == sid).expect("a leaf server");
+                Ok(Response::Power(PowerReading::total_only(powers[pos])))
+            }
+            _ => Ok(Response::CapAck { ok: true }),
+        });
+        let ControlAction::Capped {
+            total_cut,
+            commands,
+        } = outcome.action
+        else {
+            panic!("case {case}: expected a cap, got {:?}", outcome.action);
+        };
+        let (cuts, leftover, stats) =
+            distribute_power_cut_with_stats(&handles, &powers, total_cut, watts(20.0));
+        let ours: Vec<(u32, u64)> = commands
+            .iter()
+            .map(|c| (c.server_id, c.cap.as_watts().to_bits()))
+            .collect();
+        let theirs: Vec<(u32, u64)> = cuts
+            .iter()
+            .map(|c| (c.server_id, c.cap.as_watts().to_bits()))
+            .collect();
+        assert_eq!(ours, theirs, "case {case}: victims and caps");
+        let dist = leaf.last_distribution();
+        assert_eq!(dist, stats, "case {case}: stats");
+        assert_eq!(
+            dist.leftover_watts.to_bits(),
+            leftover.as_watts().to_bits(),
+            "case {case}: leftover"
+        );
+        escalated += (stats.groups_touched > 1) as u32;
+        short += (leftover > Power::ZERO) as u32;
+        tied += (stats.victims > stats.buckets_expanded) as u32;
+    }
+    assert!(
+        escalated > 10 && short > 10 && tied > 10,
+        "vacuous: {escalated} escalations, {short} binding floors, {tied} tied buckets"
+    );
 }
 
 /// Three-band decisions are exhaustive and consistent: capping only

@@ -362,29 +362,36 @@ impl DatacenterBuilder {
         assert_eq!(services.len(), n);
 
         let mut sensor_rng = rng.split("sensors");
-        let configs: Vec<ServerConfig> = services
-            .iter()
-            .map(|kind| {
-                let mut c = ServerConfig::new(self.generation);
-                if sensor_rng.chance(self.sensorless_fraction) {
-                    c = c.without_sensor().with_estimator_bias(self.estimation_bias);
-                }
-                if self.turbo_services.contains(kind) {
-                    c = c.with_turbo();
-                }
-                c
-            })
-            .collect();
+        let fleet_rng = rng.split("fleet");
+        let service_of = |sid: u32| crate::service_class_of(services[sid as usize]);
+        let system = DynamoSystem::build(&topo, &service_of, self.system, &mut rng.split("system"));
 
-        let mut fleet = Fleet::new(configs, services.clone(), rng.split("fleet"));
+        // The fleet is built straight into the control plane's leaves,
+        // each server's configuration drawn as the build reaches it (in
+        // id order, as the sensor stream requires).
+        let (generation, sensorless, bias) = (
+            self.generation,
+            self.sensorless_fraction,
+            self.estimation_bias,
+        );
+        let turbo = &self.turbo_services;
+        let configs = services.iter().map(|kind| {
+            let mut c = ServerConfig::new(generation);
+            if sensor_rng.chance(sensorless) {
+                c = c.without_sensor().with_estimator_bias(bias);
+            }
+            if turbo.contains(kind) {
+                c = c.with_turbo();
+            }
+            c
+        });
+        let mut fleet =
+            Fleet::with_leaf_spans(configs, services.clone(), fleet_rng, system.leaf_spans());
         for (kind, pattern) in self.traffic {
             fleet.set_traffic(kind, pattern);
         }
         fleet.set_crash_rate(self.crash_rate_per_hour);
         fleet.set_demand_hold(self.demand_hold);
-
-        let service_of = move |sid: u32| crate::service_class_of(services[sid as usize]);
-        let system = DynamoSystem::build(&topo, &service_of, self.system, &mut rng.split("system"));
 
         let watched: Vec<_> = self
             .telemetry

@@ -153,8 +153,9 @@ impl DynamoSystem {
 
     /// The per-leaf server-id spans: every leaf owns a contiguous
     /// ascending range and the ranges tile the fleet in leaf order.
-    /// The fleet this system ticks must be registered with exactly
-    /// these ([`Fleet::set_leaf_spans`]).
+    /// The fleet this system ticks must be partitioned into exactly
+    /// these: built in them, as the datacenter builder does, or
+    /// registered with [`Fleet::set_leaf_spans`].
     pub fn leaf_spans(&self) -> &[std::ops::Range<usize>] {
         &self.leaves.spans
     }

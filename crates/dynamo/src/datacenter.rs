@@ -189,10 +189,11 @@ impl Datacenter {
     ) -> Self {
         let device_ids: Vec<DeviceId> = topo.iter().map(|d| d.id).collect();
         let breaker_status = vec![BreakerStatus::Nominal; topo.device_count()];
-        let mut fleet = fleet;
-        // The fleet is partitioned into the control plane's leaves.
         let spans = system.leaf_spans();
-        fleet.set_leaf_spans(spans);
+        assert!(
+            fleet.leaf_spans().eq(spans.iter().cloned()),
+            "the fleet is not built in the control plane's leaves"
+        );
         let subtrees = topo
             .iter()
             .map(|d| Subtree::locate(&d.name, &topo.servers_under(d.id), spans))
@@ -1103,6 +1104,67 @@ mod tests {
         let mut state = dc.state();
         state.fleet.tick_index = 1 << 40;
         assert_refused(&mut dc, &state, "snapshot clock");
+    }
+
+    /// A leaf controller's stored readings become the estimate for every
+    /// later failed pull without live peers, and its stored caps its cap
+    /// state: forged bytes holding a NaN or negative reading, or a cap
+    /// that is no finite positive power, decode and are then refused by
+    /// `restore` as a typed error naming the leaf and the position.
+    #[test]
+    fn restore_rejects_leaf_readings_and_caps_no_cycle_could_have_stored() {
+        let build = || {
+            DatacenterBuilder::new()
+                .sbs_per_msb(1)
+                .rpps_per_sb(2)
+                .racks_per_rpp(2)
+                .servers_per_rack(8)
+                .seed(4)
+                .build()
+        };
+        let mut dc = build();
+        dc.run_for(SimDuration::from_secs(7));
+        let leaf = dc.system().leaf_devices()[1];
+        let name = dc
+            .system()
+            .leaf_for(leaf)
+            .expect("a leaf")
+            .name()
+            .to_string();
+        let honest = dc.state();
+        assert!(honest.system.leaves.controllers[1].last_power[5].is_some());
+        let forgeries = [
+            (true, f64::NAN, "reading NaN W is not a valid draw"),
+            (true, -5.0, "reading -5"),
+            (false, 0.0, "cap 0"),
+            (false, -1.0, "cap -1"),
+            (false, f64::INFINITY, "cap inf"),
+            (false, f64::NAN, "cap NaN"),
+        ];
+        for (reading, watts, what) in forgeries {
+            let mut forged = dc.state();
+            let controller = &mut forged.system.leaves.controllers[1];
+            let slot = if reading {
+                &mut controller.last_power[5]
+            } else {
+                &mut controller.active_caps[5]
+            };
+            *slot = Some(Power::from_watts(watts));
+            let bytes = forged.to_snap_bytes();
+            let decoded = DatacenterState::from_snap_bytes(&bytes).expect("forged bytes decode");
+            let mut target = build();
+            match target.restore(&decoded) {
+                Err(SnapError::Corrupt(msg)) => assert!(
+                    msg.contains(&format!("leaf '{name}' position 5: {what}")),
+                    "{msg}"
+                ),
+                other => panic!("{what}: expected a refusal, got {other:?}"),
+            }
+        }
+        let decoded = DatacenterState::from_snap_bytes(&honest.to_snap_bytes()).expect("decodes");
+        build()
+            .restore(&decoded)
+            .expect("the honest state restores");
     }
 
     #[test]

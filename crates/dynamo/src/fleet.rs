@@ -4,9 +4,10 @@
 //! # Storage
 //!
 //! The fleet holds no per-server object and no fleet-wide column. It
-//! is a `Vec` of leaves ([`LeafColumns`], one per leaf controller; one
-//! spanning the fleet until [`Fleet::set_leaf_spans`] registers the
-//! control plane's), and a leaf owns everything about its servers that
+//! is a `Vec` of leaves ([`LeafColumns`], one per leaf controller, built
+//! in place in the control plane's spans by [`Fleet::with_leaf_spans`];
+//! [`Fleet::new`] builds one spanning the fleet), and a leaf owns
+//! everything about its servers that
 //! a tick mutates: the workload processes, demand, RAPL limit, settled
 //! output, utilization, drawn watts, the agents' noise streams, the
 //! packed liveness / first-step / process-up masks, its layout, and
@@ -116,7 +117,8 @@ pub struct Fleet {
     services: Vec<ServiceKind>,
     /// The leaves, ascending and tiling `0..len`, never empty.
     leaves: Vec<LeafColumns>,
-    /// Monotone count of [`Fleet::set_leaf_spans`] registrations.
+    /// Monotone count of span registrations: 1 for a fleet built in
+    /// its leaves, plus one per [`Fleet::set_leaf_spans`].
     /// Re-registering spans resets every per-leaf epoch to zero, so any
     /// consumer keying a cached aggregate on an epoch must also compare
     /// this generation — a restarted epoch can coincidentally reach its
@@ -152,61 +154,85 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Assembles a fleet. `configs[i]` and `services[i]` describe server
-    /// `i`; workload processes get independent RNG streams from `rng`.
+    /// Assembles a fleet in one leaf spanning it, until
+    /// [`Fleet::set_leaf_spans`] registers the control plane's.
+    /// `configs` yields server `i`'s configuration `i`-th and
+    /// `services[i]` is its service; workload processes get independent
+    /// RNG streams from `rng`.
     ///
     /// # Panics
     ///
-    /// Panics if `configs` and `services` differ in length or are empty.
-    pub fn new(configs: Vec<ServerConfig>, services: Vec<ServiceKind>, mut rng: SimRng) -> Self {
-        assert_eq!(
-            configs.len(),
-            services.len(),
-            "configs/services length mismatch"
-        );
-        assert!(!configs.is_empty(), "fleet cannot be empty");
-        let n = configs.len();
+    /// Panics if `services` is empty or `configs` yields a different
+    /// number of configurations.
+    pub fn new(
+        configs: impl IntoIterator<Item = ServerConfig>,
+        services: Vec<ServiceKind>,
+        rng: SimRng,
+    ) -> Self {
+        let n = services.len();
+        let mut fleet =
+            Fleet::with_leaf_spans(configs, services, rng, std::slice::from_ref(&(0..n)));
+        // Built in one leaf, not registered with a control plane's.
+        fleet.span_generation = 0;
+        fleet
+    }
+
+    /// [`Fleet::new`] built directly in the leaves of `spans` — the one
+    /// build of a fleet's columns: each server's model and agent stream
+    /// drawn in id order, every leaf laid out, then the step's columns
+    /// written where they will live (`leaf::start`), so there is no
+    /// fleet-wide staging column and no re-partition. The result is the
+    /// fleet `new` followed by [`Fleet::set_leaf_spans`] gives, span
+    /// generation 1 included.
+    ///
+    /// # Panics
+    ///
+    /// As [`Fleet::new`], and unless `spans` ascend and tile the fleet.
+    pub(crate) fn with_leaf_spans(
+        configs: impl IntoIterator<Item = ServerConfig>,
+        services: Vec<ServiceKind>,
+        mut rng: SimRng,
+        spans: &[Range<usize>],
+    ) -> Self {
+        assert!(!services.is_empty(), "fleet cannot be empty");
+        check_spans(spans, services.len());
+        let mut configs = configs.into_iter();
         let mut models: Vec<Arc<ServerModel>> = Vec::new();
-        // A fresh fleet in id order: every agent running, every server
-        // alive and awaiting its first step, no noise, no burst, no
-        // limit, zero output (matching a live read) and idle demand
-        // (demand utilization 0, matching a live `demand_power` read).
-        let mut seed = LeafColumns::blank(0, 0..n, 0);
-        seed.model_ix.reserve(n);
-        seed.demand_w.reserve(n);
-        seed.agent_rng.reserve(n);
-        seed.wl_rng.reserve(n);
         let mut agent_streams = rng.split("agents");
         let mut wl_streams = rng.split("workloads");
-        for (i, config) in configs.into_iter().enumerate() {
-            let ix = models
-                .iter()
-                .position(|m| *m.config() == config)
-                .unwrap_or_else(|| {
-                    models.push(Arc::new(ServerModel::new(config)));
-                    models.len() - 1
-                });
-            seed.model_ix.push(ix as u32);
-            seed.demand_w.push(models[ix].lut().idle_w());
-            seed.agent_rng.push(agent_streams.split_index(i as u64));
-            seed.wl_rng.push(wl_streams.split_index(i as u64));
+        let mut leaves: Vec<LeafColumns> = spans
+            .iter()
+            .enumerate()
+            .map(|(index, span)| LeafColumns::blank(index, span.clone(), 0))
+            .collect();
+        for leaf in &mut leaves {
+            leaf.model_ix.reserve_exact(leaf.len());
+            leaf.agent_rng.reserve_exact(leaf.len());
+            for sid in leaf.span() {
+                let config = configs.next().expect("configs/services length mismatch");
+                let ix = models
+                    .iter()
+                    .position(|m| *m.config() == config)
+                    .unwrap_or_else(|| {
+                        models.push(Arc::new(ServerModel::new(config)));
+                        models.len() - 1
+                    });
+                leaf.model_ix.push(ix as u32);
+                leaf.agent_rng.push(agent_streams.split_index(sid as u64));
+            }
         }
-        let no_burst = workloads::kernel::burst_to_columns(None);
-        seed.wl_noise = vec![0.0; n];
-        seed.wl_burst_until = vec![no_burst.0; n];
-        seed.wl_burst_add = vec![no_burst.1; n];
-        seed.util = vec![0.0; n];
-        seed.limit_w = vec![f64::INFINITY; n];
-        seed.out_w = vec![0.0; n];
-        seed.power_w = vec![0.0; n];
-        seed.not_init = vec![u64::MAX; n.div_ceil(64)];
-        seed.alive = seed.not_init.clone();
-        seed.running = seed.not_init.clone();
-        let mut fleet = Fleet {
+        // A loop of its own, so the leaves' small run tables, which the
+        // step reads once per leaf, are allocated side by side.
+        for leaf in &mut leaves {
+            leaf.lay_out(&models, &services[leaf.span()]);
+        }
+        leaf::start(&mut leaves, &models, &mut wl_streams);
+        assert!(configs.next().is_none(), "configs/services length mismatch");
+        Fleet {
             models,
             services,
-            leaves: vec![seed],
-            span_generation: 0,
+            leaves,
+            span_generation: 1,
             traffic: HashMap::new(),
             crash_rate_per_hour: 0.0,
             watchdog_delay: SimDuration::from_secs(30),
@@ -217,10 +243,7 @@ impl Fleet {
             tick_index: 0,
             demand_hold: 1,
             down_count: 0,
-        };
-        // One leaf spanning the fleet until spans are registered.
-        fleet.repartition(std::slice::from_ref(&(0..n)));
-        fleet
+        }
     }
 
     /// Number of servers.
@@ -273,22 +296,8 @@ impl Fleet {
     ///
     /// Panics unless the spans ascend and tile `0..len`.
     pub fn set_leaf_spans(&mut self, spans: &[Range<usize>]) {
-        let mut next = 0;
-        for (l, span) in spans.iter().enumerate() {
-            assert!(
-                span.start == next && span.end > span.start,
-                "leaf span {l} is {span:?}; spans must ascend and tile the fleet from {next}"
-            );
-            next = span.end;
-        }
-        assert_eq!(next, self.len(), "leaf spans must cover the fleet");
+        check_spans(spans, self.len());
         self.span_generation += 1;
-        self.repartition(spans);
-    }
-
-    /// Replaces the leaves with one per span (which must tile the
-    /// fleet), carrying all server state across.
-    fn repartition(&mut self, spans: &[Range<usize>]) {
         let old = std::mem::take(&mut self.leaves);
         self.leaves = leaf::repartition(old, spans, &self.models, &self.services, self.tick_index);
     }
@@ -624,6 +633,19 @@ impl Fleet {
             .enumerate()
             .map(|(i, &k)| (i as u32, k))
     }
+}
+
+/// Asserts that `spans` ascend and tile `0..n`, none empty.
+fn check_spans(spans: &[Range<usize>], n: usize) {
+    let mut next = 0;
+    for (l, span) in spans.iter().enumerate() {
+        assert!(
+            span.start == next && span.end > span.start,
+            "leaf span {l} is {span:?}; spans must ascend and tile the fleet from {next}"
+        );
+        next = span.end;
+    }
+    assert_eq!(next, n, "leaf spans must cover the fleet");
 }
 
 /// Per-service OU coefficients for this tick length, hoisting the
@@ -1165,6 +1187,110 @@ mod tests {
         }
     }
 
+    /// `(leaf, mask name, tail bits)` of every packed mask with a bit
+    /// set past its leaf's last server.
+    fn dirty_tails(fleet: &Fleet) -> Vec<(usize, &'static str, u64)> {
+        let mut dirty = Vec::new();
+        for (l, leaf) in fleet.leaves.iter().enumerate() {
+            let n = leaf.len();
+            for (name, mask) in [
+                ("alive", &leaf.alive),
+                ("not_init", &leaf.not_init),
+                ("running", &leaf.running),
+            ] {
+                assert_eq!(mask.len(), n.div_ceil(64), "leaf {l} {name} length");
+                let tail = mask[n / 64..].first().copied().unwrap_or(0) >> (n % 64);
+                if n % 64 != 0 && tail != 0 {
+                    dirty.push((l, name, tail));
+                }
+            }
+        }
+        dirty
+    }
+
+    /// The settle kernel reads a leaf's masks word by word and requires
+    /// the bits past its last server to be zero: built in place, re-spanned
+    /// mid-run, and after a kill and a revive near the edge.
+    #[test]
+    fn packed_masks_have_zero_tail_bits() {
+        let n = 200;
+        let spans = |sizes: &[usize]| -> Vec<Range<usize>> {
+            let mut start = 0;
+            sizes
+                .iter()
+                .map(|&len| {
+                    start += len;
+                    start - len..start
+                })
+                .collect()
+        };
+        let configs = vec![ServerConfig::new(ServerGeneration::Haswell2015); n];
+        let services: Vec<ServiceKind> = (0..n).map(|i| ServiceKind::all()[i % 6]).collect();
+        let mut fleet = Fleet::with_leaf_spans(
+            configs,
+            services,
+            SimRng::seed_from(5),
+            &spans(&[1, 63, 64, 65, 7]),
+        );
+        assert_eq!(dirty_tails(&fleet), vec![]);
+        let t = run(&mut fleet, 5);
+        fleet.set_server_alive(63, false);
+        fleet.set_server_alive(64, true);
+        fleet.set_leaf_spans(&spans(&[3, 100, 97]));
+        assert_eq!(dirty_tails(&fleet), vec![]);
+        fleet.step(t, SimDuration::from_secs(1));
+        assert_eq!(dirty_tails(&fleet), vec![]);
+    }
+
+    /// The datacenter's in-place build is the fleet `new` gives after
+    /// `set_leaf_spans`: the same snapshot to the byte (span generation
+    /// included), the same columns after a run, and every leaf's
+    /// columns sized to the leaf.
+    #[test]
+    fn the_in_place_build_is_new_then_a_re_span() {
+        use dcsim::snap::Snapshot;
+        let n = 4200;
+        let cuts: Vec<Range<usize>> = vec![0..2047, 2047..2049, 2049..4000, 4000..4200];
+        let configs = || {
+            let base = ServerConfig::new(ServerGeneration::Haswell2015);
+            (0..n).map(move |i| match i % 3 {
+                0 => base.clone(),
+                1 => base.clone().with_turbo(),
+                _ => base.clone().without_sensor(),
+            })
+        };
+        let services = || {
+            (0..n)
+                .map(|i| ServiceKind::all()[i % 6])
+                .collect::<Vec<_>>()
+        };
+        let mut built = Fleet::with_leaf_spans(configs(), services(), SimRng::seed_from(8), &cuts);
+        let mut spanned = Fleet::new(configs(), services(), SimRng::seed_from(8));
+        assert_eq!(spanned.leaf_span_generation(), 0);
+        spanned.set_leaf_spans(&cuts);
+        assert_eq!(built.leaf_span_generation(), 1);
+        let bytes = |f: &Fleet| f.state().to_snap_bytes();
+        assert_eq!(bytes(&built), bytes(&spanned));
+        for f in [&built, &spanned] {
+            for leaf in &f.leaves {
+                let n = leaf.len();
+                assert_eq!(
+                    (leaf.model_ix.capacity(), leaf.agent_rng.capacity()),
+                    (n, n)
+                );
+                assert_eq!((leaf.wl_rng.capacity(), leaf.power_w.capacity()), (n, n));
+            }
+        }
+        let mut t = SimTime::ZERO;
+        for _ in 0..12 {
+            for f in [&mut built, &mut spanned] {
+                f.step(t, SimDuration::from_secs(1));
+            }
+            t += SimDuration::from_secs(1);
+        }
+        assert_eq!(bytes(&built), bytes(&spanned));
+    }
+
     #[test]
     #[should_panic(expected = "demand hold")]
     fn zero_demand_hold_panics() {
@@ -1181,8 +1307,8 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_construction_panics() {
         Fleet::new(
-            vec![ServerConfig::new(ServerGeneration::Haswell2015)],
-            vec![],
+            vec![ServerConfig::new(ServerGeneration::Haswell2015); 2],
+            vec![ServiceKind::Web],
             SimRng::seed_from(1),
         );
     }

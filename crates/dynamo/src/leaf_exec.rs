@@ -46,8 +46,8 @@ use dcsim::snap::{
 };
 use dcsim::{SimDuration, SimRng, SimTime};
 use dynamo_controller::{
-    ControlAction, LeafConfig, LeafController, LeafControllerState, LeafTransport, ServerHandle,
-    ServiceClass,
+    ControlAction, LeafConfig, LeafController, LeafControllerState, LeafTransport, PowerSlot,
+    ServerHandle, ServiceClass,
 };
 use dynobs::{Band, Shard};
 use dynpool::WorkerPool;
@@ -658,35 +658,30 @@ impl LeafTransport for LeafLink<'_, '_> {
     /// changes no draw — it only replaces one long dependent chain per
     /// server (link draws → handler → response) with a tight serial
     /// loop on one stream and a loop of independent reads.
-    fn pull(
-        &mut self,
-        servers: &[ServerHandle],
-        readings: &mut [Option<Power>],
-        failed: &mut Vec<u32>,
-    ) {
-        // The leaf's handles are exactly its contiguous server-id span,
-        // in order — [`tile_leaf_spans`] asserts it when the tier is
-        // built — so both passes count ids up from the span's start
-        // instead of streaming the 48-byte handles through the cache.
-        let ids = self.agents.server_ids();
-        assert_eq!(servers.len(), ids.len(), "leaf handles are not its span");
-        debug_assert!(servers.iter().map(|h| h.server_id).eq(ids.clone()));
+    fn pull(&mut self, ids: &[u32], readings: &mut [PowerSlot], failed: &mut Vec<u32>) {
+        // The leaf's ids are exactly its contiguous server-id span, in
+        // order — [`tile_leaf_spans`] asserts it when the tier is built
+        // — so both passes count ids up from the span's start instead
+        // of streaming the id column through the cache.
+        let span = self.agents.server_ids();
+        assert_eq!(ids.len(), span.len(), "leaf ids are not its span");
+        debug_assert!(ids.iter().copied().eq(span.clone()));
         // A delivered call's slot is marked until pass 2 fills it in.
-        const DELIVERED: Option<Power> = Some(Power::ZERO);
-        for (sid, slot) in ids.clone().zip(readings.iter_mut()) {
+        const DELIVERED: PowerSlot = PowerSlot::some(Power::ZERO);
+        for (sid, slot) in span.clone().zip(readings.iter_mut()) {
             if let Ok(rtt) = self.attempt(sid) {
                 self.tally.pull_rtt += rtt;
                 *slot = DELIVERED;
             }
         }
-        for (pos, (sid, slot)) in ids.zip(readings.iter_mut()).enumerate() {
+        for (pos, (sid, slot)) in span.zip(readings.iter_mut()).enumerate() {
             if slot.is_some() {
                 let total = self.agents.read_power(sid);
                 if total.is_valid_draw() {
-                    *slot = Some(total);
+                    *slot = PowerSlot::some(total);
                     continue;
                 }
-                *slot = None;
+                *slot = PowerSlot::NONE;
             }
             failed.push(pos as u32);
         }
@@ -711,9 +706,9 @@ fn tile_leaf_spans<'a>(
         .into_iter()
         .map(|c| {
             let start = next;
-            for h in c.servers() {
+            for &sid in c.server_ids() {
                 assert_eq!(
-                    h.server_id as usize,
+                    sid as usize,
                     next,
                     "leaf {} does not own a contiguous server range in leaf order",
                     c.name_shared()
@@ -796,12 +791,7 @@ mod tests {
         let run = |batched: bool| {
             let mut fleet = motley_fleet();
             let n = fleet.len();
-            let servers: Vec<ServerHandle> = (0..n as u32)
-                .map(|server_id| ServerHandle {
-                    server_id,
-                    service: ServiceClass::new("web", 1, Power::from_watts(200.0)),
-                })
-                .collect();
+            let ids: Vec<u32> = (0..n as u32).collect();
             let mut network = Network::new(LinkProfile::lossy(0.05, 0.05), SimRng::seed_from(7));
             let mut obs = Observability::new(&dynobs::ObsConfig::on());
             let mut shard = [obs.new_shard()];
@@ -818,12 +808,12 @@ mod tests {
                     rtts: Some(&mut rtts),
                     tally,
                 };
-                let mut readings = vec![None; n];
+                let mut readings = vec![PowerSlot::NONE; n];
                 let mut failed = Vec::new();
                 if batched {
-                    link.pull(&servers, &mut readings, &mut failed);
+                    link.pull(&ids, &mut readings, &mut failed);
                 } else {
-                    PerCall(&mut link).pull(&servers, &mut readings, &mut failed);
+                    PerCall(&mut link).pull(&ids, &mut readings, &mut failed);
                 }
                 tally = link.tally;
                 shard[0].observe_batch(obs.ids().rpc_rtt, &rtts);
@@ -831,7 +821,7 @@ mod tests {
                 obs.merge_leaves(&[0], &mut shard, |s| s);
                 let bits: Vec<Option<u64>> = readings
                     .iter()
-                    .map(|r: &Option<Power>| r.map(|p| p.as_watts().to_bits()))
+                    .map(|r| r.get().map(|p| p.as_watts().to_bits()))
                     .collect();
                 pulled.push((bits, failed));
             }

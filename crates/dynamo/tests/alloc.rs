@@ -3,7 +3,8 @@
 //! Hold band) must not touch the heap at all. Controller names are
 //! interned, per-cycle readings live in reusable scratch buffers, and
 //! traffic multipliers are a fixed array — a regression here shows up
-//! as a nonzero count below.
+//! as a nonzero count below. The same allocator keeps the live and
+//! peak-live byte counts behind the site footprint gate.
 //!
 //! The counter is process-wide, so this file is its own harness
 //! (`harness = false`): `main` runs the cases one after another on one
@@ -16,18 +17,32 @@ use std::sync::Arc;
 
 use dcsim::snap::{SnapError, SnapWriter, Snapshot, SECTION_MAGIC};
 use dcsim::{SimDuration, SimRng, SimTime};
-use dynamo::{DatacenterState, DynamoSystem, Fleet, ObsConfig, SystemConfig, WorkerPool};
-use powerinfra::TopologyBuilder;
+use dynamo::{
+    DatacenterBuilder, DatacenterState, DynamoSystem, Fleet, ObsConfig, SystemConfig, WorkerPool,
+};
+use powerinfra::{Topology, TopologyBuilder};
 use serverpower::{ServerConfig, ServerGeneration};
 use workloads::ServiceKind;
 
-/// Counts heap operations (and the bytes they ask for) while armed;
-/// forwards everything to the system allocator.
+/// Counts heap operations (and the bytes they ask for) while armed, and
+/// the bytes live and their high-water mark always; forwards everything
+/// to the system allocator.
 struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -35,7 +50,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -43,12 +62,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            grow(new_size);
+            shrink(layout.size());
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
+}
+
+/// Heap bytes `f` leaves live, and the most it held live above the
+/// starting point at any moment, as `(live, peak)`.
+fn live_and_peak<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let value = f();
+    let live = LIVE.load(Ordering::SeqCst) - before;
+    (value, live, PEAK.load(Ordering::SeqCst) - before)
 }
 
 #[global_allocator]
@@ -475,8 +510,124 @@ fn forged_snapshot_count_allocates_within_the_input() {
     );
 }
 
+/// A leaf controller's failed-pull list is sized for the most failures a
+/// valid cycle can have: the very first cycle, losing a fifth of its
+/// pulls and estimating every one from peers, touches no heap.
+fn a_first_cycle_losing_a_fifth_of_its_pulls_does_not_allocate() {
+    use dynamo_controller::{ControlAction, LeafConfig, LeafController, ServerHandle};
+    use dynrpc::{PowerReading, Response, RpcError};
+    let servers = (0..160)
+        .map(|server_id| ServerHandle {
+            server_id,
+            service: dynamo::service_class_of(ServiceKind::Web),
+        })
+        .collect();
+    let limit = powerinfra::Power::from_kilowatts(100.0);
+    let mut leaf = LeafController::new("rpp", LeafConfig::new(limit), servers);
+    let mut outcome = None;
+    let allocations = count_allocs(|| {
+        outcome = Some(leaf.cycle(SimTime::ZERO, |sid, _| match sid % 5 {
+            0 => Err(RpcError::Timeout),
+            _ => Ok(Response::Power(PowerReading::total_only(
+                powerinfra::Power::from_watts(250.0),
+            ))),
+        }))
+    });
+    let outcome = outcome.expect("the cycle ran");
+    assert_eq!(
+        (outcome.pull_failures, outcome.estimated, outcome.action),
+        (32, 32, ControlAction::Hold)
+    );
+    assert_eq!(allocations, 0, "a valid cycle's failed pulls allocated");
+}
+
+/// The full ~30 MW site: 12 MSBs x 4 SBs x 16 RPPs x 4 racks x 40
+/// servers = 768 leaves, 122,880 servers (Web, the builder's default) —
+/// the shape of `dynbench`'s two site workloads.
+fn site() -> DatacenterBuilder {
+    DatacenterBuilder::new()
+        .msbs_per_suite(12)
+        .sbs_per_msb(4)
+        .rpps_per_sb(16)
+        .racks_per_rpp(4)
+        .servers_per_rack(40)
+}
+
+fn site_topology() -> Topology {
+    TopologyBuilder::new()
+        .msbs_per_suite(12)
+        .sbs_per_msb(4)
+        .rpps_per_sb(16)
+        .racks_per_rpp(4)
+        .servers_per_rack(40)
+        .build()
+}
+
+/// Live heap bytes of the site's control plane right after it is built
+/// (58.6 B a server): per server an id, a service-class index and three
+/// eight-byte power slots (reading, cap, scratch) — 32 B — plus per
+/// leaf its controller, network link, recording shard and a failed-pull
+/// list sized for the most failures a valid cycle can have (~4.2 KB).
+/// Growth fails the gate; a change that adds per-server state on
+/// purpose re-baselines it in the same diff (DESIGN.md §7, "What a
+/// server costs").
+const SITE_CONTROL_PLANE_BYTES: u64 = 7_206_773;
+
+/// Live heap bytes of the rest of the built site (182.3 B a server) —
+/// the fleet's columns (~157 B a server, two 40-byte RNG streams among
+/// them), topology, subtrees, breakers, telemetry and validator — under
+/// the same discipline.
+const SITE_FLEET_BYTES: u64 = 22_404_471;
+
+/// The memory a site datacenter costs once built, split into control
+/// plane and fleet, against the baked constants; and the build's
+/// high-water mark, which must stay within 5% of what it leaves live —
+/// no staging copy of the fleet, no fleet-sized buffer freed at the
+/// end. Live bytes, not RSS: exact, and independent of the allocator's
+/// habits of returning memory.
+fn site_build_footprint_has_not_grown() {
+    let topo = site_topology();
+    let service_of = |_: u32| dynamo::service_class_of(ServiceKind::Web);
+    let (system, control_plane, _) = live_and_peak(|| {
+        DynamoSystem::build(
+            &topo,
+            &service_of,
+            SystemConfig::default(),
+            &mut SimRng::seed_from(0),
+        )
+    });
+    let servers = topo.server_count() as u64;
+    drop((system, topo));
+    let (dc, live, peak) = live_and_peak(|| site().build());
+    assert_eq!(dc.fleet().len() as u64, servers);
+    let fleet = live - control_plane;
+    let per_server = |bytes: u64| bytes as f64 / servers as f64;
+    println!(
+        "alloc::site_build_footprint: control plane {control_plane} B ({:.1} B/server), \
+         fleet and the rest {fleet} B ({:.1} B/server), peak {peak} B during the build",
+        per_server(control_plane),
+        per_server(fleet)
+    );
+    assert!(
+        control_plane <= SITE_CONTROL_PLANE_BYTES,
+        "the site's control plane grew: {control_plane} B live, baseline {SITE_CONTROL_PLANE_BYTES}"
+    );
+    assert!(
+        fleet <= SITE_FLEET_BYTES,
+        "the site's fleet grew: {fleet} B live, baseline {SITE_FLEET_BYTES}"
+    );
+    assert!(
+        peak as f64 <= 1.05 * live as f64,
+        "building the site peaked at {peak} B live for {live} B kept: a staging copy is back"
+    );
+}
+
 fn main() {
     let cases: &[(&str, fn())] = &[
+        (
+            "site_build_footprint_has_not_grown",
+            site_build_footprint_has_not_grown,
+        ),
         (
             "steady_state_leaf_ticks_do_not_allocate",
             steady_state_leaf_ticks_do_not_allocate,
@@ -524,6 +675,10 @@ fn main() {
         (
             "forged_ring_capacity_allocates_within_the_input",
             forged_ring_capacity_allocates_within_the_input,
+        ),
+        (
+            "a_first_cycle_losing_a_fifth_of_its_pulls_does_not_allocate",
+            a_first_cycle_losing_a_fifth_of_its_pulls_does_not_allocate,
         ),
     ];
     for (name, case) in cases {

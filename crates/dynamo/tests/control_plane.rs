@@ -62,14 +62,7 @@ fn leaf_controllers_cover_every_server_exactly_once() {
     let mut covered: Vec<u32> = system
         .leaf_devices()
         .iter()
-        .flat_map(|&d| {
-            system
-                .leaf_for(d)
-                .unwrap()
-                .servers()
-                .iter()
-                .map(|h| h.server_id)
-        })
+        .flat_map(|&d| system.leaf_for(d).unwrap().server_ids().to_vec())
         .collect();
     covered.sort_unstable();
     let expected: Vec<u32> = (0..topo.server_count() as u32).collect();
