@@ -10,8 +10,10 @@
 # took the first shard and its waiters began to spin before they park
 # (seventh: what the park-only, exactly-as-asked pool was said to do),
 # or when the leaf controller stopped storing a handle and a hash entry
-# per server and the fleet came to be built in its leaves (eighth) —
-# so a stale reference breaks the build instead of waiting for the next
+# per server and the fleet came to be built in its leaves (eighth), or
+# when a fleet came to be partitioned once, at build, and mid-run
+# re-spanning went with its span generation (ninth) — so a stale
+# reference breaks the build instead of waiting for the next
 # reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
@@ -22,7 +24,8 @@ HistScope|hist_scope|wire_roundtrip|shard_hot|trace_capacity|flight_capacity|lea
 phase_jitter|jittered|pool_determinism|FROZEN_ON_RESUME|set_fuse|no-fuse
 (examples/|--example +)(surge_protection|turbo_oversubscription|characterize_workloads|grid_curtailment|full_datacenter|staggered_control|staged_rollout)
 parked between dispatches|parks the owner|exactly the pool it is asked|breaks even at suite scale
-pos_of|service_group|\.servers\(\)|builds one id-ordered' \
+pos_of|service_group|\.servers\(\)|builds one id-ordered
+set_leaf_spans|repartition|rechunk|leaf_span_generation|with_leaf_spans|re-span' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -56,8 +56,8 @@ fn bench_leaf_pull() {
         vec![ServerConfig::new(ServerGeneration::Haswell2015); LEAF_SERVERS],
         vec![ServiceKind::Web; LEAF_SERVERS],
         SimRng::seed_from(6),
+        system.leaf_spans(),
     );
-    fleet.set_leaf_spans(system.leaf_spans());
     fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
     let mut t = SimTime::ZERO;
     let ns = bench::measure_ns(|| {

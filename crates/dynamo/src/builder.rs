@@ -385,8 +385,7 @@ impl DatacenterBuilder {
             }
             c
         });
-        let mut fleet =
-            Fleet::with_leaf_spans(configs, services.clone(), fleet_rng, system.leaf_spans());
+        let mut fleet = Fleet::new(configs, services.clone(), fleet_rng, system.leaf_spans());
         for (kind, pattern) in self.traffic {
             fleet.set_traffic(kind, pattern);
         }

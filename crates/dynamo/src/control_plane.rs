@@ -153,9 +153,8 @@ impl DynamoSystem {
 
     /// The per-leaf server-id spans: every leaf owns a contiguous
     /// ascending range and the ranges tile the fleet in leaf order.
-    /// The fleet this system ticks must be partitioned into exactly
-    /// these: built in them, as the datacenter builder does, or
-    /// registered with [`Fleet::set_leaf_spans`].
+    /// The fleet this system ticks must be built in exactly these
+    /// ([`Fleet::new`]), as the datacenter builder does.
     pub fn leaf_spans(&self) -> &[std::ops::Range<usize>] {
         &self.leaves.spans
     }
@@ -405,7 +404,7 @@ impl DynamoSystem {
             assert!(
                 fleet.leaf_spans().eq(self.leaf_spans().iter().cloned()),
                 "the fleet's leaf spans are not the control plane's: \
-                 call fleet.set_leaf_spans(system.leaf_spans()) first"
+                 build it with Fleet::new(.., system.leaf_spans())"
             );
             let mut live = std::mem::take(&mut self.live_due);
             let ran: &[usize] = if self.config.capping_enabled {

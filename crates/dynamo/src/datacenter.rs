@@ -118,15 +118,15 @@ struct Subtree {
     /// settled fleet change no power bit on most ticks, and every rack
     /// is stepped every tick.
     memo_w: f64,
-    /// `(span generation, power epoch of the one covering leaf)` at
-    /// fold time. Every change to a server's drawn power bumps its
-    /// leaf's epoch; re-registering spans restarts epochs at zero, so
-    /// the generation is part of the key.
-    memo_key: (u64, u64),
+    /// The power epoch of the one covering leaf at fold time. Every
+    /// change to a server's drawn power bumps its leaf's epoch, and a
+    /// leaf keeps its epoch for the run; only a restore installs
+    /// another run's, and it drops every memo.
+    memo_key: u64,
 }
 
 /// A `memo_key` no fold was ever taken at.
-const NEVER_FOLDED: (u64, u64) = (u64::MAX, u64::MAX);
+const NEVER_FOLDED: u64 = u64::MAX;
 
 impl Subtree {
     /// Locates the subtree feeding `ids` (ascending) among the fleet's
@@ -166,7 +166,7 @@ impl Subtree {
         if self.tiled {
             return Power::from_watts(leaves.iter().map(|l| l.power().as_watts()).sum());
         }
-        let key = (fleet.leaf_span_generation(), leaves[0].power_epoch());
+        let key = leaves[0].power_epoch();
         if self.memo_key != key {
             self.memo_w = leaves[0].power_sum(self.servers.clone());
             self.memo_key = key;
@@ -889,24 +889,38 @@ mod tests {
             dc.reset_breaker(sb);
             assert_draws_exact(&mut dc, "after the reset");
             assert!(dc.subtrees[sb.index()].draw(&dc.fleet) > Power::ZERO);
-
-            // Re-register the same spans: leaf epochs restart at zero.
-            // Fold every memo at epoch 1, re-span, change a server's
-            // power and walk its leaf's epoch back to 1 — a memo keyed
-            // on the epoch alone would serve the pre-re-span sum.
-            dc.fleet.set_leaf_spans(&spans);
-            dc.fleet.set_server_alive(lag, false);
-            assert_draws_exact(&mut dc, "memos folded at epoch 1");
-            dc.fleet.set_leaf_spans(&spans);
-            dc.fleet.set_server_alive(lag, true);
-            assert_draws_exact(&mut dc, "epoch 1 again, one generation on");
-            for k in 0..6 {
-                dc.fleet
-                    .set_server_alive(spans[k % 4].start as u32, k % 2 == 1);
-                dc.step();
-                assert_draws_exact(&mut dc, "churn after the re-span");
-            }
         }
+    }
+
+    /// A rack's memo is keyed on its leaf's power epoch alone, so a key
+    /// recurs only when a restore installs another run's epochs. Two
+    /// same-shape runs on different seeds, stepped alike, reach the
+    /// same epochs with different watts: restoring one into the other
+    /// must not serve the sums the memos folded before it.
+    #[test]
+    fn a_restore_drops_every_rack_memo() {
+        let build = |seed| {
+            DatacenterBuilder::new()
+                .sbs_per_msb(2)
+                .rpps_per_sb(2)
+                .racks_per_rpp(2)
+                .servers_per_rack(4)
+                .uniform_service(ServiceKind::Web)
+                .seed(seed)
+                .build()
+        };
+        let (mut a, mut b) = (build(17), build(18));
+        for _ in 0..3 {
+            a.step();
+            b.step();
+        }
+        let epochs = |dc: &Datacenter| -> Vec<u64> {
+            dc.fleet.leaves().iter().map(|l| l.power_epoch()).collect()
+        };
+        assert_eq!(epochs(&a), epochs(&b), "vacuous: the epochs differ");
+        assert_ne!(a.fleet.stats().total_power, b.fleet.stats().total_power);
+        b.restore(&a.state()).expect("a same-shape state restores");
+        assert_draws_exact(&mut b, "right after the restore");
     }
 
     /// What stepping breakers against live draws buys: the tick an SB

@@ -1,13 +1,13 @@
 //! The simulated server fleet: configuration, the leaves that own its
-//! state, by-server-id accessors, failure injection, re-span.
+//! state, by-server-id accessors, failure injection.
 //!
 //! # Storage
 //!
 //! The fleet holds no per-server object and no fleet-wide column. It
-//! is a `Vec` of leaves ([`LeafColumns`], one per leaf controller, built
-//! in place in the control plane's spans by [`Fleet::with_leaf_spans`];
-//! [`Fleet::new`] builds one spanning the fleet), and a leaf owns
-//! everything about its servers that
+//! is a `Vec` of leaves ([`LeafColumns`], one per leaf controller,
+//! built in place in the control plane's spans by [`Fleet::new`] and
+//! fixed for the fleet's life, as an RPP's servers are), and a leaf
+//! owns everything about its servers that
 //! a tick mutates: the workload processes, demand, RAPL limit, settled
 //! output, utilization, drawn watts, the agents' noise streams, the
 //! packed liveness / first-step / process-up masks, its layout, and
@@ -117,13 +117,6 @@ pub struct Fleet {
     services: Vec<ServiceKind>,
     /// The leaves, ascending and tiling `0..len`, never empty.
     leaves: Vec<LeafColumns>,
-    /// Monotone count of span registrations: 1 for a fleet built in
-    /// its leaves, plus one per [`Fleet::set_leaf_spans`].
-    /// Re-registering spans resets every per-leaf epoch to zero, so any
-    /// consumer keying a cached aggregate on an epoch must also compare
-    /// this generation — a restarted epoch can coincidentally reach its
-    /// pre-re-span value.
-    span_generation: u64,
     /// Per-service traffic patterns; services without an entry see
     /// constant nominal traffic.
     traffic: HashMap<ServiceKind, TrafficPattern>,
@@ -154,41 +147,21 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Assembles a fleet in one leaf spanning it, until
-    /// [`Fleet::set_leaf_spans`] registers the control plane's.
+    /// Builds a fleet in the leaves of `spans` — the control plane's
+    /// ([`crate::DynamoSystem::leaf_spans`]), which it keeps for life.
     /// `configs` yields server `i`'s configuration `i`-th and
     /// `services[i]` is its service; workload processes get independent
-    /// RNG streams from `rng`.
+    /// RNG streams from `rng`. Each server's model and agent stream are
+    /// drawn in id order, every leaf is laid out, then the step's
+    /// columns are written where they will live (`leaf::start`), so
+    /// there is no fleet-wide staging column.
     ///
     /// # Panics
     ///
-    /// Panics if `services` is empty or `configs` yields a different
-    /// number of configurations.
+    /// Panics if `services` is empty, if `configs` yields a different
+    /// number of configurations, or unless `spans` ascend and tile the
+    /// fleet.
     pub fn new(
-        configs: impl IntoIterator<Item = ServerConfig>,
-        services: Vec<ServiceKind>,
-        rng: SimRng,
-    ) -> Self {
-        let n = services.len();
-        let mut fleet =
-            Fleet::with_leaf_spans(configs, services, rng, std::slice::from_ref(&(0..n)));
-        // Built in one leaf, not registered with a control plane's.
-        fleet.span_generation = 0;
-        fleet
-    }
-
-    /// [`Fleet::new`] built directly in the leaves of `spans` — the one
-    /// build of a fleet's columns: each server's model and agent stream
-    /// drawn in id order, every leaf laid out, then the step's columns
-    /// written where they will live (`leaf::start`), so there is no
-    /// fleet-wide staging column and no re-partition. The result is the
-    /// fleet `new` followed by [`Fleet::set_leaf_spans`] gives, span
-    /// generation 1 included.
-    ///
-    /// # Panics
-    ///
-    /// As [`Fleet::new`], and unless `spans` ascend and tile the fleet.
-    pub(crate) fn with_leaf_spans(
         configs: impl IntoIterator<Item = ServerConfig>,
         services: Vec<ServiceKind>,
         mut rng: SimRng,
@@ -203,7 +176,7 @@ impl Fleet {
         let mut leaves: Vec<LeafColumns> = spans
             .iter()
             .enumerate()
-            .map(|(index, span)| LeafColumns::blank(index, span.clone(), 0))
+            .map(|(index, span)| LeafColumns::blank(index, span.clone()))
             .collect();
         for leaf in &mut leaves {
             leaf.model_ix.reserve_exact(leaf.len());
@@ -232,7 +205,6 @@ impl Fleet {
             models,
             services,
             leaves,
-            span_generation: 1,
             traffic: HashMap::new(),
             crash_rate_per_hour: 0.0,
             watchdog_delay: SimDuration::from_secs(30),
@@ -284,24 +256,6 @@ impl Fleet {
         self.pool = None;
     }
 
-    /// Registers the control plane's per-leaf server spans: the fleet
-    /// is re-partitioned into one leaf per span, every column carried
-    /// across and regrouped leaf-locally by `(generation, service,
-    /// turbo)`. Every leaf starts over unsettled with zero epochs, and
-    /// the span generation is bumped, which invalidates anything keyed
-    /// on the previous leaves' epochs (a restarted epoch could
-    /// otherwise climb back to the value a stale entry was keyed on).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the spans ascend and tile `0..len`.
-    pub fn set_leaf_spans(&mut self, spans: &[Range<usize>]) {
-        check_spans(spans, self.len());
-        self.span_generation += 1;
-        let old = std::mem::take(&mut self.leaves);
-        self.leaves = leaf::repartition(old, spans, &self.models, &self.services, self.tick_index);
-    }
-
     /// Sets the demand redraw period in ticks.
     ///
     /// `1` (the default) redraws every workload every tick and is
@@ -344,16 +298,9 @@ impl Fleet {
         (&mut self.leaves, &self.models)
     }
 
-    /// The per-leaf server spans (`0..len` until registered).
+    /// The per-leaf server spans the fleet was built in.
     pub(crate) fn leaf_spans(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         self.leaves.iter().map(LeafColumns::span)
-    }
-
-    /// Monotone count of span registrations; see the field docs.
-    /// Anything keyed on a leaf's power epoch is only valid while this
-    /// matches the generation it was keyed at.
-    pub(crate) fn leaf_span_generation(&self) -> u64 {
-        self.span_generation
     }
 
     /// The leaf owning server `sid` (the leaves tile the fleet) and
@@ -675,10 +622,23 @@ mod tests {
     use super::*;
     use serverpower::ServerGeneration;
 
-    fn small_fleet(n: usize, kind: ServiceKind) -> Fleet {
+    /// Consecutive spans of the given sizes from server 0.
+    fn spans(sizes: &[usize]) -> Vec<Range<usize>> {
+        let mut start = 0;
+        sizes
+            .iter()
+            .map(|&len| {
+                start += len;
+                start - len..start
+            })
+            .collect()
+    }
+
+    /// `kind` servers in the leaves of `spans`.
+    fn small_fleet(spans: &[Range<usize>], kind: ServiceKind) -> Fleet {
+        let n = spans.last().map_or(0, |s| s.end);
         let configs = vec![ServerConfig::new(ServerGeneration::Haswell2015); n];
-        let services = vec![kind; n];
-        Fleet::new(configs, services, SimRng::seed_from(11))
+        Fleet::new(configs, vec![kind; n], SimRng::seed_from(11), spans)
     }
 
     /// Forces every leaf back into the active set, making the next step
@@ -701,7 +661,7 @@ mod tests {
 
     #[test]
     fn servers_draw_power_after_stepping() {
-        let mut fleet = small_fleet(8, ServiceKind::Web);
+        let mut fleet = small_fleet(&spans(&[8]), ServiceKind::Web);
         run(&mut fleet, 10);
         for i in 0..8 {
             assert!(fleet.power_of(i).as_watts() > 90.0, "server {i} idle");
@@ -721,7 +681,7 @@ mod tests {
             ServiceKind::NewsFeed,
             ServiceKind::NewsFeed,
         ];
-        let mut fleet = Fleet::new(configs, services, SimRng::seed_from(3));
+        let mut fleet = Fleet::new(configs, services, SimRng::seed_from(3), &spans(&[6]));
         run(&mut fleet, 10);
         let split: Power = [ServiceKind::Web, ServiceKind::Cache, ServiceKind::NewsFeed]
             .iter()
@@ -732,11 +692,11 @@ mod tests {
 
     #[test]
     fn traffic_pattern_modulates_demand() {
-        let mut fleet = small_fleet(10, ServiceKind::Web);
+        let mut fleet = small_fleet(&spans(&[10]), ServiceKind::Web);
         fleet.set_traffic(ServiceKind::Web, TrafficPattern::flat(0.4));
         run(&mut fleet, 30);
         let low = fleet.stats().total_power;
-        let mut busy = small_fleet(10, ServiceKind::Web);
+        let mut busy = small_fleet(&spans(&[10]), ServiceKind::Web);
         busy.set_traffic(ServiceKind::Web, TrafficPattern::flat(1.3));
         run(&mut busy, 30);
         assert!(busy.stats().total_power > low * 1.1);
@@ -744,7 +704,7 @@ mod tests {
 
     #[test]
     fn crashes_and_watchdog_restarts() {
-        let mut fleet = small_fleet(50, ServiceKind::Web);
+        let mut fleet = small_fleet(&spans(&[50]), ServiceKind::Web);
         fleet.set_crash_rate(3600.0); // ~1 per server-second: crash storm
         let mut t = SimTime::ZERO;
         for _ in 0..5 {
@@ -767,7 +727,7 @@ mod tests {
 
     #[test]
     fn capped_server_count_tracks_rapl() {
-        let mut fleet = small_fleet(4, ServiceKind::Web);
+        let mut fleet = small_fleet(&spans(&[4]), ServiceKind::Web);
         run(&mut fleet, 5);
         assert_eq!(fleet.stats().capped_servers, 0);
         let ack = fleet.agent_rpc(2, Request::SetCap(Power::from_watts(150.0)));
@@ -777,14 +737,13 @@ mod tests {
         assert_eq!(fleet.cap_of(1), None);
     }
 
-    fn mixed_fleet_of(n: usize, seed: u64) -> Fleet {
+    /// Servers cycling through all six services, in the leaves of
+    /// `spans`.
+    fn mixed_fleet(spans: &[Range<usize>], seed: u64) -> Fleet {
+        let n = spans.last().map_or(0, |s| s.end);
         let configs = vec![ServerConfig::new(ServerGeneration::Haswell2015); n];
         let services: Vec<ServiceKind> = (0..n).map(|i| ServiceKind::all()[i % 6]).collect();
-        Fleet::new(configs, services, SimRng::seed_from(seed))
-    }
-
-    fn mixed_fleet(seed: u64) -> Fleet {
-        mixed_fleet_of(200, seed)
+        Fleet::new(configs, services, SimRng::seed_from(seed), spans)
     }
 
     /// Programs `limit` on every server in `ids` the way a controller
@@ -801,9 +760,7 @@ mod tests {
         // engages: one inline shard vs 2 and 4 pool shards (5 workers
         // over 8 leaves round up to 2 leaves per shard).
         let build = |workers: usize| {
-            let mut fleet = mixed_fleet(91);
-            let spans: Vec<Range<usize>> = (0..8).map(|l| l * 25..(l + 1) * 25).collect();
-            fleet.set_leaf_spans(&spans);
+            let mut fleet = mixed_fleet(&spans(&[25; 8]), 91);
             fleet.set_demand_hold(30);
             if workers > 1 {
                 fleet.attach_pool(Arc::new(WorkerPool::new(workers)));
@@ -843,10 +800,9 @@ mod tests {
     }
 
     #[test]
-    fn pooled_step_with_leaf_spans_maintains_partials() {
-        let mut fleet = mixed_fleet(79);
-        let spans: Vec<Range<usize>> = (0..4).map(|l| l * 50..(l + 1) * 50).collect();
-        fleet.set_leaf_spans(&spans);
+    fn pooled_step_maintains_leaf_partials() {
+        let spans = spans(&[50; 4]);
+        let mut fleet = mixed_fleet(&spans, 79);
         fleet.attach_pool(Arc::new(WorkerPool::new(3)));
         let mut t = SimTime::ZERO;
         for _ in 0..10 {
@@ -866,7 +822,7 @@ mod tests {
 
     #[test]
     fn batched_permutation_is_observationally_invisible() {
-        // Servers are regrouped by (generation, service, turbo) within
+        // Servers are sorted by (generation, service, turbo) within
         // each leaf, and every leaf packs its own mask words from bit
         // 0. Per-server RNG streams make the evaluation order
         // unobservable: every per-id result must be bit-identical to
@@ -881,17 +837,8 @@ mod tests {
         ];
         for (n, sizes) in cases {
             for workers in [1usize, 4] {
-                let mut plain = mixed_fleet_of(n, 80);
-                let mut grouped = mixed_fleet_of(n, 80);
-                let mut start = 0;
-                let spans: Vec<Range<usize>> = sizes
-                    .iter()
-                    .map(|&len| {
-                        start += len;
-                        start - len..start
-                    })
-                    .collect();
-                grouped.set_leaf_spans(&spans);
+                let mut plain = mixed_fleet(&spans(&[n]), 80);
+                let mut grouped = mixed_fleet(&spans(sizes), 80);
                 if workers > 1 {
                     grouped.attach_pool(Arc::new(WorkerPool::new(workers)));
                 }
@@ -933,38 +880,9 @@ mod tests {
     }
 
     #[test]
-    fn regrouping_mid_run_preserves_state() {
-        // set_leaf_spans after stepping must carry all physics state
-        // through the permutation rebuild.
-        let mut plain = mixed_fleet(81);
-        let mut regrouped = mixed_fleet(81);
-        let mut t = SimTime::ZERO;
-        for _ in 0..10 {
-            plain.step(t, SimDuration::from_secs(1));
-            regrouped.step(t, SimDuration::from_secs(1));
-            t += SimDuration::from_secs(1);
-        }
-        let spans: Vec<Range<usize>> = (0..4).map(|l| l * 50..(l + 1) * 50).collect();
-        regrouped.set_leaf_spans(&spans);
-        for _ in 0..10 {
-            plain.step(t, SimDuration::from_secs(1));
-            regrouped.step(t, SimDuration::from_secs(1));
-            t += SimDuration::from_secs(1);
-        }
-        for i in 0..200 {
-            assert_eq!(
-                plain.power_of(i).as_watts(),
-                regrouped.power_of(i).as_watts(),
-                "server {i} diverged after mid-run regrouping"
-            );
-        }
-    }
-
-    #[test]
     fn a_cap_programmed_by_rpc_is_what_the_next_step_settles_toward() {
         for workers in [1usize, 2, 8] {
-            let mut fleet = small_fleet(8, ServiceKind::Web);
-            fleet.set_leaf_spans(&[0..4, 4..8]);
+            let mut fleet = small_fleet(&[0..4, 4..8], ServiceKind::Web);
             fleet.set_demand_hold(30);
             if workers > 1 {
                 fleet.attach_pool(Arc::new(WorkerPool::new(workers)));
@@ -1014,9 +932,7 @@ mod tests {
 
     #[test]
     fn set_server_alive_keeps_cache_exact() {
-        let mut fleet = small_fleet(8, ServiceKind::Web);
-        let spans = vec![0..4, 4..8];
-        fleet.set_leaf_spans(&spans);
+        let mut fleet = small_fleet(&[0..4, 4..8], ServiceKind::Web);
         run(&mut fleet, 10);
         let leaf0_before = fleet.leaf_power(0);
         fleet.set_server_alive(1, false);
@@ -1031,9 +947,7 @@ mod tests {
     /// A 200-server, 4-leaf mixed fleet with a demand-hold period — the
     /// configuration where active-set skipping can actually engage.
     fn spanned_fleet(seed: u64, hold: u32) -> Fleet {
-        let mut fleet = mixed_fleet(seed);
-        let spans: Vec<Range<usize>> = (0..4).map(|l| l * 50..(l + 1) * 50).collect();
-        fleet.set_leaf_spans(&spans);
+        let mut fleet = mixed_fleet(&spans(&[50; 4]), seed);
         fleet.set_demand_hold(hold);
         fleet
     }
@@ -1209,98 +1123,46 @@ mod tests {
     }
 
     /// The settle kernel reads a leaf's masks word by word and requires
-    /// the bits past its last server to be zero: built in place, re-spanned
-    /// mid-run, and after a kill and a revive near the edge.
+    /// the bits past its last server to be zero: as built, and after a
+    /// kill and a revive near the edge.
     #[test]
     fn packed_masks_have_zero_tail_bits() {
-        let n = 200;
-        let spans = |sizes: &[usize]| -> Vec<Range<usize>> {
-            let mut start = 0;
-            sizes
-                .iter()
-                .map(|&len| {
-                    start += len;
-                    start - len..start
-                })
-                .collect()
-        };
-        let configs = vec![ServerConfig::new(ServerGeneration::Haswell2015); n];
-        let services: Vec<ServiceKind> = (0..n).map(|i| ServiceKind::all()[i % 6]).collect();
-        let mut fleet = Fleet::with_leaf_spans(
-            configs,
-            services,
-            SimRng::seed_from(5),
-            &spans(&[1, 63, 64, 65, 7]),
-        );
+        let mut fleet = mixed_fleet(&spans(&[1, 63, 64, 65, 7]), 5);
         assert_eq!(dirty_tails(&fleet), vec![]);
         let t = run(&mut fleet, 5);
         fleet.set_server_alive(63, false);
         fleet.set_server_alive(64, true);
-        fleet.set_leaf_spans(&spans(&[3, 100, 97]));
         assert_eq!(dirty_tails(&fleet), vec![]);
         fleet.step(t, SimDuration::from_secs(1));
         assert_eq!(dirty_tails(&fleet), vec![]);
     }
 
-    /// The datacenter's in-place build is the fleet `new` gives after
-    /// `set_leaf_spans`: the same snapshot to the byte (span generation
-    /// included), the same columns after a run, and every leaf's
-    /// columns sized to the leaf.
+    /// The build writes every column where it will live, each into a
+    /// buffer of its leaf's size — across the step-tile edge and for a
+    /// two-server leaf alike.
     #[test]
-    fn the_in_place_build_is_new_then_a_re_span() {
-        use dcsim::snap::Snapshot;
-        let n = 4200;
-        let cuts: Vec<Range<usize>> = vec![0..2047, 2047..2049, 2049..4000, 4000..4200];
-        let configs = || {
-            let base = ServerConfig::new(ServerGeneration::Haswell2015);
-            (0..n).map(move |i| match i % 3 {
-                0 => base.clone(),
-                1 => base.clone().with_turbo(),
-                _ => base.clone().without_sensor(),
-            })
-        };
-        let services = || {
-            (0..n)
-                .map(|i| ServiceKind::all()[i % 6])
-                .collect::<Vec<_>>()
-        };
-        let mut built = Fleet::with_leaf_spans(configs(), services(), SimRng::seed_from(8), &cuts);
-        let mut spanned = Fleet::new(configs(), services(), SimRng::seed_from(8));
-        assert_eq!(spanned.leaf_span_generation(), 0);
-        spanned.set_leaf_spans(&cuts);
-        assert_eq!(built.leaf_span_generation(), 1);
-        let bytes = |f: &Fleet| f.state().to_snap_bytes();
-        assert_eq!(bytes(&built), bytes(&spanned));
-        for f in [&built, &spanned] {
-            for leaf in &f.leaves {
-                let n = leaf.len();
-                assert_eq!(
-                    (leaf.model_ix.capacity(), leaf.agent_rng.capacity()),
-                    (n, n)
-                );
-                assert_eq!((leaf.wl_rng.capacity(), leaf.power_w.capacity()), (n, n));
-            }
+    fn every_leaf_column_is_sized_to_its_leaf() {
+        let fleet = mixed_fleet(&spans(&[2047, 2, 1951, 200]), 8);
+        for leaf in &fleet.leaves {
+            let n = leaf.len();
+            assert_eq!(
+                (leaf.model_ix.capacity(), leaf.agent_rng.capacity()),
+                (n, n)
+            );
+            assert_eq!((leaf.wl_rng.capacity(), leaf.power_w.capacity()), (n, n));
         }
-        let mut t = SimTime::ZERO;
-        for _ in 0..12 {
-            for f in [&mut built, &mut spanned] {
-                f.step(t, SimDuration::from_secs(1));
-            }
-            t += SimDuration::from_secs(1);
-        }
-        assert_eq!(bytes(&built), bytes(&spanned));
     }
 
     #[test]
     #[should_panic(expected = "demand hold")]
     fn zero_demand_hold_panics() {
-        small_fleet(1, ServiceKind::Web).set_demand_hold(0);
+        small_fleet(&spans(&[1]), ServiceKind::Web).set_demand_hold(0);
     }
 
     #[test]
     #[should_panic(expected = "leaf span 1 is 5..8")]
     fn leaf_spans_with_a_gap_panic_naming_the_leaf() {
-        small_fleet(8, ServiceKind::Web).set_leaf_spans(&[0..4, 5..8]);
+        small_fleet(&[0..4, 5..8], ServiceKind::Web);
     }
 
     #[test]
@@ -1310,6 +1172,7 @@ mod tests {
             vec![ServerConfig::new(ServerGeneration::Haswell2015); 2],
             vec![ServiceKind::Web],
             SimRng::seed_from(1),
+            &spans(&[1]),
         );
     }
 }

@@ -2,7 +2,9 @@
 //! columns it owns — their layout, their physics step, and the view
 //! through which the leaf's controller reads and caps them.
 //!
-//! Every index in here is leaf-local: server `first + id` is the leaf's
+//! A leaf's span is fixed when the fleet is built ([`start`] writes its
+//! columns once) and nothing moves a server to another leaf. Every
+//! index in here is leaf-local: server `first + id` is the leaf's
 //! server `id`, stored at position `inv[id]`. Only [`Fleet`]'s by-`sid`
 //! accessors translate.
 //!
@@ -189,19 +191,15 @@ fn run_key(config: &ServerConfig, service: ServiceKind) -> (u8, u8, u8, u64, u64
 }
 
 impl LeafColumns {
-    /// A leaf over `span` in id order with no columns yet: every
-    /// aggregate and version at its post-registration value —
-    /// unsettled, epochs zero, and `tick` as the last redraw (a mid-run
-    /// re-span must not integrate the whole pre-span history into the
-    /// next redraw).
-    pub(super) fn blank(index: usize, span: Range<usize>, tick: u64) -> Self {
+    /// A leaf over `span` in id order with no columns yet: unsettled,
+    /// epochs zero, last redrawn at tick 0.
+    pub(super) fn blank(index: usize, span: Range<usize>) -> Self {
         let ids: Vec<u32> = (0..span.len() as u32).collect();
         LeafColumns {
             index,
             first: span.start,
             inv: ids.clone(),
             perm: ids,
-            last_draw_tick: tick,
             ..Default::default()
         }
     }
@@ -432,9 +430,8 @@ impl LeafColumns {
 /// noise, no burst, no limit, zero output (matching a live read) and
 /// idle demand (matching a live `demand_power` read); each workload
 /// stream is split from `wl_streams` in id order and stored at its
-/// server's position. One column at a time across all the leaves, as
-/// [`repartition`] moves them, so a column's leaves sit end to end in
-/// memory: the step then reads each column as one long stream, which
+/// server's position. One column at a time across all the leaves, so
+/// a column's leaves sit end to end in memory: the step then reads each column as one long stream, which
 /// the hardware prefetcher follows far better than a leaf's dozen
 /// short ones (a site step ran ~10% slower with each leaf's columns
 /// side by side).
@@ -497,113 +494,6 @@ fn fill<T>(
     for leaf in leaves {
         let column = (0..leaf.len()).map(|i| value(leaf, i)).collect();
         *col(leaf) = column;
-    }
-}
-
-/// Re-partitions the fleet's servers into one leaf per span, carrying
-/// every column across: id-ordered columns are re-chunked, each new
-/// leaf is laid out (`services` in fleet id order), and the
-/// position-ordered columns follow their servers to their new
-/// positions. Both partitions tile `0..n` in order. One column moves at
-/// a time, so the transient is a column, not a second fleet.
-pub(super) fn repartition(
-    mut old: Vec<LeafColumns>,
-    spans: &[Range<usize>],
-    models: &[Arc<ServerModel>],
-    services: &[ServiceKind],
-    tick: u64,
-) -> Vec<LeafColumns> {
-    let mut new: Vec<LeafColumns> = spans
-        .iter()
-        .enumerate()
-        .map(|(index, span)| LeafColumns::blank(index, span.clone(), tick))
-        .collect();
-    rechunk(&mut old, &mut new, |l| &mut l.model_ix);
-    rechunk(&mut old, &mut new, |l| &mut l.agent_rng);
-    rechunk(&mut old, &mut new, |l| &mut l.power_w);
-    for leaf in &mut new {
-        leaf.lay_out(models, &services[leaf.span()]);
-    }
-    // Where the server at each new position sits now, as (old leaf,
-    // old position), indexed by `first + position`.
-    let from: Vec<(u32, u32)> = {
-        let mut at = vec![(0, 0); services.len()];
-        for (l, leaf) in old.iter().enumerate() {
-            for (pos, &id) in leaf.perm.iter().enumerate() {
-                at[leaf.first + id as usize] = (l as u32, pos as u32);
-            }
-        }
-        let mut from = Vec::with_capacity(at.len());
-        for leaf in &new {
-            from.extend(leaf.perm.iter().map(|&id| at[leaf.first + id as usize]));
-        }
-        from
-    };
-    regroup(&mut old, &mut new, &from, |l| &mut l.wl_rng);
-    regroup(&mut old, &mut new, &from, |l| &mut l.wl_noise);
-    regroup(&mut old, &mut new, &from, |l| &mut l.wl_burst_until);
-    regroup(&mut old, &mut new, &from, |l| &mut l.wl_burst_add);
-    regroup(&mut old, &mut new, &from, |l| &mut l.util);
-    regroup(&mut old, &mut new, &from, |l| &mut l.demand_w);
-    regroup(&mut old, &mut new, &from, |l| &mut l.limit_w);
-    regroup(&mut old, &mut new, &from, |l| &mut l.out_w);
-    let running: Vec<bool> = old
-        .iter()
-        .flat_map(|l| (0..l.len()).map(|id| get_bit(&l.running, id)))
-        .collect();
-    for leaf in &mut new {
-        let words = leaf.len().div_ceil(64);
-        leaf.not_init = vec![0; words];
-        leaf.alive = vec![0; words];
-        leaf.running = vec![0; words];
-        for i in 0..leaf.len() {
-            let (l, p) = from[leaf.first + i];
-            let (was, p) = (&old[l as usize], p as usize);
-            put_bit(&mut leaf.not_init, i, get_bit(&was.not_init, p));
-            put_bit(&mut leaf.alive, i, get_bit(&was.alive, p));
-            put_bit(&mut leaf.running, i, running[leaf.first + i]);
-        }
-        leaf.partial_w = leaf.power_w.iter().sum();
-        leaf.capped = leaf.limit_w.iter().filter(|w| w.is_finite()).count();
-    }
-    new
-}
-
-/// Moves an id-ordered column from the old leaves to the new: both
-/// tile the fleet in order, so the column is joined (onto the first
-/// leaf's own buffer) and cut again at the new boundaries (from the
-/// back, so each cut copies one leaf into a buffer of its own size —
-/// the first leaf too, where `split_off(0)` would keep the fleet-sized
-/// buffer).
-fn rechunk<T>(
-    old: &mut [LeafColumns],
-    new: &mut [LeafColumns],
-    col: impl Fn(&mut LeafColumns) -> &mut Vec<T>,
-) {
-    let (head, rest) = old.split_first_mut().expect("a fleet has a leaf");
-    let mut flat = std::mem::take(col(head));
-    for leaf in rest {
-        flat.append(col(leaf));
-    }
-    for leaf in new.iter_mut().rev() {
-        *col(leaf) = flat.drain(leaf.first..).collect();
-    }
-}
-
-/// Moves a position-ordered column from the old leaves to the new:
-/// each new position takes the entry `from` says its server has now.
-fn regroup<T: Clone>(
-    old: &mut [LeafColumns],
-    new: &mut [LeafColumns],
-    from: &[(u32, u32)],
-    col: impl Fn(&mut LeafColumns) -> &mut Vec<T>,
-) {
-    for leaf in new {
-        let entry = |&(l, p): &(u32, u32)| col(&mut old[l as usize])[p as usize].clone();
-        *col(leaf) = from[leaf.span()].iter().map(entry).collect();
-    }
-    for leaf in old {
-        *col(leaf) = Vec::new();
     }
 }
 
@@ -740,6 +630,7 @@ mod tests {
             configs.clone(),
             vec![ServiceKind::Web; n],
             SimRng::seed_from(23),
+            std::slice::from_ref(&(0..n)),
         );
         // The standalone twins get the fleet's own per-agent streams.
         let mut streams = SimRng::seed_from(23).split("agents");

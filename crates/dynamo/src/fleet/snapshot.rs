@@ -84,7 +84,6 @@ impl Fleet {
             util: self.column(|l| &l.util),
             power_w: self.column(|l| &l.power_w),
             leaf_power_w: self.leaves.iter().map(|l| l.partial_w).collect(),
-            span_generation: self.span_generation,
             tick_index: self.tick_index,
             settled: self.leaves.iter().map(|l| l.settled).collect(),
             last_draw_tick: self.leaves.iter().map(|l| l.last_draw_tick).collect(),
@@ -236,7 +235,6 @@ impl Fleet {
         }
         self.pending_restarts.clone_from(&state.pending_restarts);
         self.rng = state.rng.clone();
-        self.span_generation = state.span_generation;
         self.tick_index = state.tick_index;
         self.down_count = state.running.iter().filter(|&&up| !up).count();
         Ok(())
@@ -284,8 +282,6 @@ pub struct FleetState {
     /// Per-leaf power partials: the ascending fold of `power_w` over
     /// each leaf span (restore rejects anything else).
     pub leaf_power_w: Vec<f64>,
-    /// Span registration generation.
-    pub span_generation: u64,
     /// Physics ticks completed.
     pub tick_index: u64,
     /// Per-leaf active-set flags.
@@ -332,7 +328,9 @@ impl Snapshot for FleetState {
         put_f64_slice(w, &self.util);
         put_f64_slice(w, &self.power_w);
         put_f64_slice(w, &self.leaf_power_w);
-        w.put_u64(self.span_generation);
+        // The slot of the retired span generation: a fleet is built in
+        // its leaves once, which the wire has always called 1.
+        w.put_u64(1);
         w.put_u64(self.tick_index);
         put_bool_slice(w, &self.settled);
         put_u64_slice(w, &self.last_draw_tick);
@@ -358,8 +356,10 @@ impl Snapshot for FleetState {
             util: get_f64_vec(r)?,
             power_w: get_f64_vec(r)?,
             leaf_power_w: get_f64_vec(r)?,
-            span_generation: r.get_count()?,
-            tick_index: r.get_count()?,
+            tick_index: {
+                r.get_u64()?; // the retired span-generation slot
+                r.get_count()?
+            },
             settled: get_bool_vec(r)?,
             last_draw_tick: get_u64_vec(r)?,
             leaf_epoch: get_count_vec(r)?,
@@ -377,13 +377,12 @@ mod tests {
 
     /// Eight web servers of one generation in two leaves.
     fn build(generation: ServerGeneration) -> Fleet {
-        let mut f = Fleet::new(
+        Fleet::new(
             vec![ServerConfig::new(generation); 8],
             vec![ServiceKind::Web; 8],
             SimRng::seed_from(11),
-        );
-        f.set_leaf_spans(&[0..4, 4..8]);
-        f
+            &[0..4, 4..8],
+        )
     }
 
     #[test]
@@ -504,13 +503,12 @@ mod tests {
     fn restore_rejects_workload_states_that_are_not_the_services_own() {
         let build = || {
             let services: Vec<ServiceKind> = (0..12).map(|i| ServiceKind::all()[i % 6]).collect();
-            let mut f = Fleet::new(
+            Fleet::new(
                 vec![ServerConfig::new(ServerGeneration::Haswell2015); 12],
                 services,
                 SimRng::seed_from(19),
-            );
-            f.set_leaf_spans(&[0..6, 6..12]);
-            f
+                &[0..6, 6..12],
+            )
         };
         let mut fleet = build();
         // Long enough that some process is mid-burst in the snapshot.

@@ -765,8 +765,12 @@ mod tests {
             })
             .collect();
         let n = configs.len();
-        let mut fleet = Fleet::new(configs, vec![ServiceKind::Web; n], SimRng::seed_from(31));
-        fleet.set_leaf_spans(std::slice::from_ref(&(0..n)));
+        let mut fleet = Fleet::new(
+            configs,
+            vec![ServiceKind::Web; n],
+            SimRng::seed_from(31),
+            std::slice::from_ref(&(0..n)),
+        );
         // A crash storm for a few ticks, then calm: some agents stay
         // down (the watchdog is 30 s away), most stay up.
         fleet.set_crash_rate(400.0);

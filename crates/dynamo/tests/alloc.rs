@@ -100,7 +100,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 /// A 64-server, 2-leaf setup with ample power headroom (Hold band),
 /// reliable RPC, no crashes: the steady state a healthy datacenter
-/// spends almost all of its life in. The fleet is registered with the
+/// spends almost all of its life in. The fleet is built in the
 /// system's leaf spans (`[0..32, 32..64]`), as `Datacenter` does.
 fn build_with(obs: ObsConfig) -> (Fleet, DynamoSystem) {
     let topo = TopologyBuilder::new()
@@ -112,7 +112,6 @@ fn build_with(obs: ObsConfig) -> (Fleet, DynamoSystem) {
     let n = topo.server_count();
     let configs = vec![ServerConfig::new(ServerGeneration::Haswell2015); n];
     let services = vec![ServiceKind::Web; n];
-    let mut fleet = Fleet::new(configs, services, SimRng::seed_from(11).split("fleet"));
     let config = SystemConfig {
         rpc: dynrpc::LinkProfile::reliable(),
         obs,
@@ -125,7 +124,12 @@ fn build_with(obs: ObsConfig) -> (Fleet, DynamoSystem) {
         config,
         &mut SimRng::seed_from(11).split("sys"),
     );
-    fleet.set_leaf_spans(system.leaf_spans());
+    let fleet = Fleet::new(
+        configs,
+        services,
+        SimRng::seed_from(11).split("fleet"),
+        system.leaf_spans(),
+    );
     (fleet, system)
 }
 

@@ -26,16 +26,20 @@ fn build_system(topo: &Topology, config: SystemConfig) -> DynamoSystem {
     DynamoSystem::build(topo, &service_of, config, &mut rng)
 }
 
-/// A fleet registered with `system`'s leaf spans, the way
-/// `Datacenter` wires the pair.
-fn fleet(system: &DynamoSystem, n: usize) -> Fleet {
-    let mut fleet = Fleet::new(
+/// A fleet of `n` servers in the leaves of `spans`.
+fn fleet_in(spans: &[std::ops::Range<usize>], n: usize) -> Fleet {
+    Fleet::new(
         vec![ServerConfig::new(ServerGeneration::Haswell2015); n],
         vec![ServiceKind::Web; n],
         SimRng::seed_from(2),
-    );
-    fleet.set_leaf_spans(system.leaf_spans());
-    fleet
+        spans,
+    )
+}
+
+/// A fleet built in `system`'s leaf spans, the way `Datacenter` wires
+/// the pair.
+fn fleet(system: &DynamoSystem, n: usize) -> Fleet {
+    fleet_in(system.leaf_spans(), n)
 }
 
 #[test]
@@ -94,16 +98,12 @@ fn tick_respects_the_schedules() {
 
 #[test]
 #[should_panic(expected = "the fleet's leaf spans are not the control plane's")]
-fn ticking_an_unregistered_fleet_panics() {
+fn ticking_a_fleet_built_in_other_leaves_panics() {
     let topo = topo();
     let mut system = build_system(&topo, SystemConfig::default());
     let n = topo.server_count();
-    let mut unregistered = Fleet::new(
-        vec![ServerConfig::new(ServerGeneration::Haswell2015); n],
-        vec![ServiceKind::Web; n],
-        SimRng::seed_from(2),
-    );
-    system.tick(SimTime::ZERO, &mut unregistered);
+    let mut one_leaf = fleet_in(std::slice::from_ref(&(0..n)), n);
+    system.tick(SimTime::ZERO, &mut one_leaf);
 }
 
 #[test]
