@@ -12,9 +12,11 @@
 # or when the leaf controller stopped storing a handle and a hash entry
 # per server and the fleet came to be built in its leaves (eighth), or
 # when a fleet came to be partitioned once, at build, and mid-run
-# re-spanning went with its span generation (ninth) — so a stale
-# reference breaks the build instead of waiting for the next
-# reader. Lives here,
+# re-spanning went with its span generation (ninth), or when every
+# periodic loop came to be one `CycleSchedule`, due controllers a scan
+# of them, and the controllers' unread cadence and the validator's
+# tolerance knob went (tenth) — so a stale reference breaks the build
+# instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
 grep -rniE 'BENCH_controlplane|paper_scale|PooledAuto|pr[59]_baseline
@@ -25,7 +27,8 @@ phase_jitter|jittered|pool_determinism|FROZEN_ON_RESUME|set_fuse|no-fuse
 (examples/|--example +)(surge_protection|turbo_oversubscription|characterize_workloads|grid_curtailment|full_datacenter|staggered_control|staged_rollout)
 parked between dispatches|parks the owner|exactly the pool it is asked|breaks even at suite scale
 pos_of|service_group|\.servers\(\)|builds one id-ordered
-set_leaf_spans|repartition|rechunk|leaf_span_generation|with_leaf_spans|re-span' \
+set_leaf_spans|repartition|rechunk|leaf_span_generation|with_leaf_spans|re-span
+EventQueue|PeriodicSchedule|PhasePolicy|EvenSpread|CycleId|poll_interval|pop_before|with_tolerance' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

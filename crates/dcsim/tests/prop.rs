@@ -1,53 +1,49 @@
 //! Randomized property tests for the simulation kernel, driven by the
 //! kernel's own deterministic [`SimRng`] stream.
 
-use dcsim::{EventQueue, SimDuration, SimRng, SimTime};
+use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime, Snapshot};
 
 const CASES: usize = 200;
 
-/// Events always dequeue in non-decreasing time order, with FIFO order
-/// among ties, regardless of the insertion order.
+/// A schedule fires at a tick exactly when its grid `phase + k·period`
+/// has a point since the previous tick (at or before the first), at any
+/// period, phase and tick size; and a copy decoded from its snapshot
+/// bytes mid-run fires on the same ticks.
 #[test]
-fn queue_dequeues_in_time_then_fifo_order() {
-    let mut rng = SimRng::seed_from(0xD_51).split("queue-order");
+fn schedule_fires_on_the_ticks_that_reach_its_grid() {
+    let mut rng = SimRng::seed_from(0xD_51).split("cycle-grid");
     for _ in 0..CASES {
-        let n = 1 + rng.next_below(199) as usize;
-        let times: Vec<u64> = (0..n).map(|_| rng.next_below(1000)).collect();
-        let mut q = EventQueue::new();
-        for (seq, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_millis(t), (t, seq));
-        }
-        let mut prev: Option<(u64, usize)> = None;
-        while let Some((at, (t, seq))) = q.pop() {
-            assert_eq!(at.as_millis(), t);
-            if let Some((pt, pseq)) = prev {
-                assert!(t >= pt);
-                if t == pt {
-                    assert!(seq > pseq, "FIFO violated for simultaneous events");
-                }
+        let period = 1 + rng.next_below(20_000);
+        let phase = match rng.next_below(4) {
+            0 => 0,
+            1 => u64::MAX - rng.next_below(1 << 20),
+            _ => rng.next_below(60_000),
+        };
+        let tick = 1 + rng.next_below(10_000);
+        let resume_at = rng.next_below(200);
+        let mut s = CycleSchedule::with_phase(
+            SimDuration::from_millis(period),
+            SimDuration::from_millis(phase),
+        );
+        let mut copy = None;
+        let mut prev: Option<u64> = None;
+        for k in 0..200 {
+            if k == resume_at {
+                copy = Some(CycleSchedule::from_snap_bytes(&s.to_snap_bytes()).unwrap());
             }
-            prev = Some((t, seq));
+            let now = k * tick;
+            let reached = now.checked_sub(phase).is_some_and(|since| {
+                let last = u128::from(phase) + u128::from(since / period * period);
+                prev.is_none_or(|p| last > u128::from(p))
+            });
+            let t = SimTime::from_millis(now);
+            assert_eq!(s.fire(t), reached, "period {period} phase {phase} t={now}");
+            assert!(!s.fire(t), "fired twice at t={now}");
+            if let Some(c) = &mut copy {
+                assert_eq!(c.fire(t), reached, "decoded copy diverged at t={now}");
+            }
+            prev = Some(now);
         }
-    }
-}
-
-/// The queue never loses or duplicates events.
-#[test]
-fn queue_conserves_events() {
-    let mut rng = SimRng::seed_from(0xD_51).split("queue-conserve");
-    for _ in 0..CASES {
-        let n = rng.next_below(100) as usize;
-        let times: Vec<u64> = (0..n).map(|_| rng.next_below(100)).collect();
-        let mut q = EventQueue::new();
-        for &t in &times {
-            q.schedule(SimTime::from_millis(t), t);
-        }
-        assert_eq!(q.len(), times.len());
-        let mut drained: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        let mut expect = times.clone();
-        drained.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(drained, expect);
     }
 }
 

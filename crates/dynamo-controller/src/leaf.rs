@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use dcsim::{SimDuration, SimTime};
+use dcsim::SimTime;
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
@@ -20,9 +20,6 @@ pub struct LeafConfig {
     pub physical_limit: Power,
     /// Three-band thresholds (fractions of the *effective* limit).
     pub bands: ThreeBandConfig,
-    /// Power pulling cycle. Paper: 3 s — fast enough for sub-minute
-    /// variations, slow enough for RAPL to settle between actions.
-    pub poll_interval: SimDuration,
     /// High-bucket-first bucket width. Paper: "a bucket size between 10
     /// and 30 W works well ... a bucket size of 20 W is used".
     pub bucket_width: Power,
@@ -55,7 +52,6 @@ impl LeafConfig {
         LeafConfig {
             physical_limit,
             bands: ThreeBandConfig::default(),
-            poll_interval: SimDuration::from_secs(3),
             bucket_width: Power::from_watts(20.0),
             max_failure_frac: 0.20,
             non_server_overhead: Power::ZERO,
@@ -66,12 +62,6 @@ impl LeafConfig {
     /// Enables dry-run mode (compute and log decisions, never actuate).
     pub fn with_dry_run(mut self) -> Self {
         self.dry_run = true;
-        self
-    }
-
-    /// Overrides the three-band thresholds.
-    pub fn with_bands(mut self, bands: ThreeBandConfig) -> Self {
-        self.bands = bands;
         self
     }
 

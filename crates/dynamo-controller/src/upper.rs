@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use dcsim::{SimDuration, SimTime};
+use dcsim::SimTime;
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
@@ -34,10 +34,6 @@ pub struct UpperConfig {
     pub physical_limit: Power,
     /// Three-band thresholds.
     pub bands: ThreeBandConfig,
-    /// Pulling cycle. Paper: 9 s — "3× the pulling cycle of the leaf
-    /// power controller", longer than the downstream settling time to
-    /// ensure control stability [Hellerstein et al.].
-    pub poll_interval: SimDuration,
     /// Bucket width for high-bucket-first among multiple offenders.
     /// Scales with the device (defaults to 1% of the physical limit).
     pub bucket_width: Power,
@@ -60,7 +56,6 @@ impl UpperConfig {
         UpperConfig {
             physical_limit,
             bands: ThreeBandConfig::default(),
-            poll_interval: SimDuration::from_secs(9),
             bucket_width: physical_limit * 0.01,
             policy: CoordinationPolicy::PunishOffenderFirst,
         }
@@ -69,12 +64,6 @@ impl UpperConfig {
     /// Overrides the coordination policy.
     pub fn with_policy(mut self, policy: CoordinationPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Overrides the three-band thresholds.
-    pub fn with_bands(mut self, bands: ThreeBandConfig) -> Self {
-        self.bands = bands;
         self
     }
 }
@@ -694,11 +683,5 @@ mod tests {
             .sum();
         // total 360 -> cut to target 285 = 75 kW.
         assert!((contracted - 75.0).abs() < 1e-6, "cut sum {contracted}");
-    }
-
-    #[test]
-    fn poll_interval_is_three_times_leaf_default() {
-        let cfg = UpperConfig::new(kw(1250.0));
-        assert_eq!(cfg.poll_interval, SimDuration::from_secs(9));
     }
 }

@@ -168,6 +168,11 @@ fn write_checkpoint(dc: &mut Datacenter, args: &Args, minute: u64) -> Result<Pat
         .unwrap_or_else(|| PathBuf::from("checkpoints"));
     std::fs::create_dir_all(&dir)
         .map_err(|e| format!("could not create {}: {e}", dir.display()))?;
+    // A snapshot carries no pending dump: write them out first.
+    dc.system_mut()
+        .observability_mut()
+        .flush_incidents()
+        .map_err(|e| format!("could not write incident dumps: {e}"))?;
     let cp = Checkpoint {
         envelope: envelope_of(args),
         schedule_digest: schedule_digest(dc),
@@ -576,6 +581,44 @@ mod tests {
         std::fs::write(&signal, "0 30 60 -\n").unwrap();
         let e = restore_datacenter(&stored, &cp, &path).unwrap_err();
         assert!(e.contains("--grid-signal-file"), "{e}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An incident directory that cannot be created fails a checkpoint
+    /// with the error a run without checkpoints gives, not a panic.
+    #[test]
+    fn a_checkpoint_under_an_unwritable_incident_dir_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("dynamo-sim-incidents-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("not-a-dir");
+        std::fs::write(&file, "").unwrap();
+        let incidents = file.join("inc");
+        let words = [
+            "--rpps",
+            "2",
+            "--racks",
+            "2",
+            "--servers",
+            "16",
+            "--rpp-kw",
+            "7.5",
+            "--traffic",
+            "1.6",
+            "--minutes",
+            "2",
+            "--incident-dir",
+            incidents.to_str().unwrap(),
+            "--checkpoint-dir",
+            dir.to_str().unwrap(),
+        ];
+        let args = parse_args(&words.map(String::from)).unwrap();
+        let mut dc = build_datacenter(&args).unwrap();
+        // A failover leaves an incident dump pending.
+        let victim = dc.system().leaf_devices()[0];
+        dc.system_mut().fail_primary(victim);
+        dc.run_for(SimDuration::from_mins(2));
+        let e = write_checkpoint(&mut dc, &args, 2).unwrap_err();
+        assert!(e.starts_with("could not write incident dumps"), "{e}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -297,18 +297,13 @@ impl DatacenterBuilder {
 
     /// Staggers controller cycle phases evenly across `spread`:
     /// controller `i` of an `n`-instance tier starts its cycles at
-    /// `spread · i / n`. Zero spread (the default) is the lockstep
-    /// mode, bit-identical to the legacy global-schedule control
-    /// plane; a spread of one leaf interval spaces the leaf cycles
-    /// maximally, like the unsynchronized daemons of the deployed
-    /// system (§IV). Per-leaf cadence is unaffected — only the phase
-    /// moves.
+    /// `spread · i / n`. Zero spread (the default) is lockstep: every
+    /// controller of a tier cycles at the same instants. A spread of
+    /// one leaf interval spaces the leaf cycles maximally, like the
+    /// unsynchronized daemons of the deployed system (§IV). Per-leaf
+    /// cadence is unaffected — only the phase moves.
     pub fn phase_spread(mut self, spread: SimDuration) -> Self {
-        self.system.phase = if spread.is_zero() {
-            crate::PhasePolicy::Lockstep
-        } else {
-            crate::PhasePolicy::EvenSpread(spread)
-        };
+        self.system.phase_spread = spread;
         self
     }
 

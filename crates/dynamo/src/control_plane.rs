@@ -1,5 +1,5 @@
-//! The deployed controller hierarchy, driven by per-controller
-//! scheduled cycles on the `dcsim` event queue.
+//! The deployed controller hierarchy, each controller on its own cycle
+//! schedule.
 
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use dynobs::ObsConfig;
 use dynrpc::LinkProfile;
 use powerinfra::{DeviceId, Power, Topology};
 
-use crate::events::{ControllerEvent, CycleDispatcher, PhasePolicy};
+use crate::events::{collect_due, restored_tier, tier_schedules, ControllerEvent};
 use crate::failover::{Failover, FailoverState};
 use crate::fleet::Fleet;
 use crate::leaf_exec::{LeafTier, LeafTierState};
@@ -29,10 +29,10 @@ pub struct SystemConfig {
     pub leaf_interval: SimDuration,
     /// Upper pulling cycle (paper: 9 s).
     pub upper_interval: SimDuration,
-    /// How per-controller cycle phases are assigned within each tier.
-    /// [`PhasePolicy::Lockstep`] (the default) reproduces the legacy
-    /// global-schedule control plane bit-for-bit.
-    pub phase: PhasePolicy,
+    /// The window each tier's cycle phases are staggered evenly over:
+    /// controller `i` of an `n`-instance tier first fires at
+    /// `phase_spread · i / n`. Zero (the default) is lockstep.
+    pub phase_spread: SimDuration,
     /// Controller↔agent link characteristics.
     pub rpc: LinkProfile,
     /// Master switch: with capping disabled Dynamo only monitors —
@@ -55,7 +55,7 @@ impl Default for SystemConfig {
             upper_bands: ThreeBandConfig::default(),
             leaf_interval: SimDuration::from_secs(3),
             upper_interval: SimDuration::from_secs(9),
-            phase: PhasePolicy::Lockstep,
+            phase_spread: SimDuration::ZERO,
             rpc: LinkProfile::datacenter(),
             capping_enabled: true,
             dry_run: false,
@@ -69,18 +69,19 @@ impl Default for SystemConfig {
 /// production configuration ("we configure RPPs or PDU Breakers as the
 /// leaf controllers and skip rack-level power monitoring").
 ///
-/// Each controller instance owns its own [`CycleSchedule`] on a
-/// cycle-dispatcher event queue, like the independent daemons of the
-/// deployed system; nothing forces cycles to coincide. Under the default
-/// [`PhasePolicy::Lockstep`] every schedule has phase zero, all cycles
-/// of a tier fall due at the same instants, and the output is
-/// bit-identical to the pre-event-driven lockstep control plane.
+/// Each controller instance owns its own [`CycleSchedule`], like the
+/// independent daemons of the deployed system; nothing forces cycles to
+/// coincide. Under the default zero phase spread every schedule has
+/// phase zero and all cycles of a tier fall due at the same instants.
 pub struct DynamoSystem {
     config: SystemConfig,
     leaves: LeafTier,
     uppers: UpperTier,
     failover: Failover,
-    dispatcher: CycleDispatcher,
+    /// One cycle schedule per leaf controller, by leaf index.
+    leaf_cycles: Vec<CycleSchedule>,
+    /// One cycle schedule per upper controller, by upper index.
+    upper_cycles: Vec<CycleSchedule>,
     obs: Observability,
     /// Persistent worker pool for same-instant leaf dispatch, shared
     /// with the fleet by the embedding [`crate::Datacenter`]; its size
@@ -90,6 +91,10 @@ pub struct DynamoSystem {
     /// bit-identical at any width because every leaf owns a disjoint
     /// server span and a private RPC RNG stream.
     pool: Option<Arc<WorkerPool>>,
+    /// Scratch: leaf indices due this tick, ascending. Reused.
+    leaf_due: Vec<usize>,
+    /// Scratch: upper indices due this tick, ascending. Reused.
+    upper_due: Vec<usize>,
     /// Reused scratch for the post-elision due list (see
     /// [`LeafTier::filter_quiescent`]).
     live_due: Vec<usize>,
@@ -111,28 +116,20 @@ impl DynamoSystem {
         let obs = Observability::new(&config.obs);
         let leaves = LeafTier::build(topo, service_of, &config, rng, &obs);
         let uppers = UpperTier::build(topo, &config, &leaves);
-        let leaf_cycles: Vec<CycleSchedule> = config
-            .phase
-            .offsets(leaves.len())
-            .into_iter()
-            .map(|o| CycleSchedule::with_phase(config.leaf_interval, o))
-            .collect();
-        let upper_cycles: Vec<CycleSchedule> = config
-            .phase
-            .offsets(uppers.len())
-            .into_iter()
-            .map(|o| CycleSchedule::with_phase(config.upper_interval, o))
-            .collect();
+        let leaf_cycles = tier_schedules(config.leaf_interval, config.phase_spread, leaves.len());
+        let upper_cycles = tier_schedules(config.upper_interval, config.phase_spread, uppers.len());
         let failover = Failover::new(leaves.len(), uppers.len());
-        let dispatcher = CycleDispatcher::new(leaf_cycles, upper_cycles);
         DynamoSystem {
             config,
             leaves,
             uppers,
             failover,
-            dispatcher,
+            leaf_cycles,
+            upper_cycles,
             obs,
             pool: None,
+            leaf_due: Vec::new(),
+            upper_due: Vec::new(),
             live_due: Vec::new(),
         }
     }
@@ -205,12 +202,12 @@ impl DynamoSystem {
     }
 
     /// The cycle phase offset of the leaf controller for `device`, if
-    /// the device has one. Zero under [`PhasePolicy::Lockstep`].
+    /// the device has one. Zero at a zero phase spread.
     pub fn leaf_phase(&self, device: DeviceId) -> Option<SimDuration> {
         self.leaves
             .index_of
             .get(&device)
-            .map(|&i| self.dispatcher.leaf_cycle(i).phase())
+            .map(|&i| self.leaf_cycles[i].phase())
     }
 
     /// §VI staged rollout: "we use a four-phase staged roll-out for new
@@ -355,7 +352,6 @@ impl DynamoSystem {
     /// [`LeafTier::restore`]. Pending incident dumps must be flushed
     /// first (see [`crate::Datacenter`]'s checkpoint path).
     pub(crate) fn state(&self) -> SystemState {
-        let (leaf_schedules, upper_schedules) = self.dispatcher.schedules();
         let leaves = &self.leaves.leaves;
         let failed = leaves.iter().map(|l| l.failed).collect();
         let shard_bands = leaves.iter().map(|l| l.band.code()).collect();
@@ -363,8 +359,8 @@ impl DynamoSystem {
             leaves: self.leaves.state(),
             uppers: self.uppers.state(),
             failover: self.failover.state(failed),
-            leaf_schedules: leaf_schedules.to_vec(),
-            upper_schedules: upper_schedules.to_vec(),
+            leaf_schedules: self.leaf_cycles.clone(),
+            upper_schedules: self.upper_cycles.clone(),
             obs: self.obs.state(shard_bands),
         }
     }
@@ -379,18 +375,19 @@ impl DynamoSystem {
         )?;
         self.uppers.restore(&state.uppers)?;
         self.failover.restore(&state.failover)?;
-        self.dispatcher
-            .restore_schedules(state.leaf_schedules.clone(), state.upper_schedules.clone())?;
+        let leaf_cycles = restored_tier(&self.leaf_cycles, &state.leaf_schedules, "leaf")?;
+        let upper_cycles = restored_tier(&self.upper_cycles, &state.upper_schedules, "upper")?;
+        self.leaf_cycles = leaf_cycles;
+        self.upper_cycles = upper_cycles;
         self.obs.restore(&state.obs)?;
         Ok(())
     }
 
     /// Runs any controller cycles due at `now`. Call once per simulation
-    /// tick; each controller tracks its own cycle schedule on the
-    /// dispatcher's event queue, so with a nonzero phase spread
-    /// different leaves fire on different ticks. Leaves due at the same
-    /// instant are batched into one dispatch, sharded over the attached
-    /// pool.
+    /// tick; each controller tracks its own cycle schedule, so with a
+    /// nonzero phase spread different leaves fire on different ticks.
+    /// Leaves due at the same instant are batched into one dispatch,
+    /// sharded over the attached pool.
     ///
     /// # Panics
     ///
@@ -398,8 +395,9 @@ impl DynamoSystem {
     /// ([`DynamoSystem::leaf_spans`]).
     pub fn tick(&mut self, now: SimTime, fleet: &mut Fleet) -> Vec<ControllerEvent> {
         let mut events = Vec::new();
-        self.dispatcher.collect_due(now);
-        let due = self.dispatcher.leaf_due();
+        collect_due(&mut self.leaf_cycles, now, &mut self.leaf_due);
+        collect_due(&mut self.upper_cycles, now, &mut self.upper_due);
+        let due = &self.leaf_due;
         if !due.is_empty() {
             assert!(
                 fleet.leaf_spans().eq(self.leaf_spans().iter().cloned()),
@@ -446,10 +444,10 @@ impl DynamoSystem {
                 .merge_leaves(ran, &mut self.leaves.leaves, |l| &mut l.obs);
             self.live_due = live;
         }
-        if !self.dispatcher.upper_due().is_empty() && self.config.capping_enabled {
+        if !self.upper_due.is_empty() && self.config.capping_enabled {
             self.uppers.run_due(
                 now,
-                self.dispatcher.upper_due(),
+                &self.upper_due,
                 &mut self.leaves.leaves,
                 &mut self.failover,
                 &mut events,

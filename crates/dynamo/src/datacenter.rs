@@ -771,7 +771,7 @@ impl std::fmt::Debug for Datacenter {
 mod tests {
     use super::*;
     use crate::{DatacenterBuilder, ServicePlan};
-    use dcsim::{CycleSchedule, PeriodicSchedule};
+    use dcsim::CycleSchedule;
     use powerinfra::{DeviceLevel, TripCurve};
     use workloads::{ServiceKind, TrafficPattern};
 
@@ -1100,7 +1100,7 @@ mod tests {
             CycleSchedule::with_phase(SimDuration::from_secs(9), SimDuration::from_secs(1));
         assert_refused(&mut dc, &state, "upper controller 0: schedule");
         let mut state = dc.state();
-        state.telemetry.schedule = PeriodicSchedule::new(period);
+        state.telemetry.schedule = CycleSchedule::new(period);
         assert_refused(&mut dc, &state, "schedule");
     }
 

@@ -1,18 +1,17 @@
-//! Control-plane event types and the per-controller cycle dispatcher.
+//! Control-plane event types and the per-controller cycle schedules.
 //!
 //! Deployed Dynamo has no global tick: every leaf controller runs its
 //! own 3 s pulling cycle and every upper controller a slower multiple of
 //! it (§III-C, §IV), with nothing forcing the ~100 instances of a
-//! datacenter to fire at the same instant. The [`CycleDispatcher`] here
-//! is that architecture in miniature — one [`CycleSchedule`] per
-//! controller instance, keyed on a deterministic [`EventQueue`] — while
-//! [`PhasePolicy::Lockstep`] (all offsets zero) keeps the default
-//! configuration bit-identical to the legacy global-schedule control
-//! plane.
+//! datacenter to fire at the same instant. The control plane models
+//! exactly that: one [`CycleSchedule`] per controller instance, a tier
+//! of them per controller level, and [`collect_due`] — a scan of a tier
+//! in index order — to find the controllers due at a tick. A zero phase
+//! spread puts every schedule of a tier on the same grid (lockstep).
 
 use std::sync::Arc;
 
-use dcsim::{CycleSchedule, EventQueue, SimDuration, SimTime};
+use dcsim::{CycleSchedule, SimDuration, SimTime, SnapError};
 use powerinfra::{DeviceId, Power};
 
 /// A notable controller action, for telemetry and assertions.
@@ -56,216 +55,87 @@ pub enum ControllerEventKind {
     Failover,
 }
 
-/// How per-controller cycle phases are assigned within a tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhasePolicy {
-    /// Every controller fires at `0, period, 2·period, …` — the
-    /// legacy global-schedule behaviour. Bit-identical output to the
-    /// pre-event-driven control plane; the default.
-    Lockstep,
-    /// Controller `i` of an `n`-instance tier gets offset
-    /// `spread · i / n`, staggering cycles evenly across the window.
-    /// A spread of one leaf period spaces leaves maximally.
-    EvenSpread(SimDuration),
+/// The schedules of an `n`-instance tier cycling every `period`,
+/// staggered evenly over `spread`: controller `i` first fires at
+/// `spread · i / n`. A zero spread is lockstep — every controller of the
+/// tier on the grid `0, period, 2·period, …`.
+pub(crate) fn tier_schedules(
+    period: SimDuration,
+    spread: SimDuration,
+    n: usize,
+) -> Vec<CycleSchedule> {
+    (0..n)
+        // Widened: a saturated spread times an index leaves `u64`.
+        .map(|i| spread.as_millis() as u128 * i as u128 / n as u128)
+        .map(|ms| CycleSchedule::with_phase(period, SimDuration::from_millis(ms as u64)))
+        .collect()
 }
 
-impl PhasePolicy {
-    /// The phase offsets for an `n`-instance tier under this policy.
-    pub(crate) fn offsets(self, n: usize) -> Vec<SimDuration> {
-        match self {
-            PhasePolicy::Lockstep => vec![SimDuration::ZERO; n],
-            // Widened: a saturated spread times an index leaves `u64`.
-            PhasePolicy::EvenSpread(spread) => (0..n)
-                .map(|i| spread.as_millis() as u128 * i as u128 / n as u128)
-                .map(|ms| SimDuration::from_millis(ms as u64))
-                .collect(),
+/// Fires every schedule of `tier` due at `now`, in index order, and
+/// leaves the indices of those that fired in `due` — ascending, so a
+/// same-instant batch runs in build order (SBs before MSBs in the upper
+/// tier). Boundaries a coarse tick skipped coalesce: a controller fires
+/// at most once per call.
+pub(crate) fn collect_due(tier: &mut [CycleSchedule], now: SimTime, due: &mut Vec<usize>) {
+    due.clear();
+    for (i, schedule) in tier.iter_mut().enumerate() {
+        if schedule.fire(now) {
+            due.push(i);
         }
     }
 }
 
-/// Identifies one controller instance on the dispatcher's event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CycleId {
-    /// Leaf controller by tier index.
-    Leaf(usize),
-    /// Upper controller by tier index.
-    Upper(usize),
-}
-
-/// The event-driven heart of the control plane: one pending queue entry
-/// per controller instance, popped and re-armed each simulation tick.
-///
-/// [`CycleDispatcher::collect_due`] pops everything due at `now`,
-/// coalesces boundaries a coarse outer tick may have skipped (each
-/// controller still runs at most once per tick, like a real poller that
-/// overslept), re-arms each schedule, and leaves the due indices —
-/// sorted ascending — in reusable scratch buffers. Sorting restores the
-/// serial build order for controllers due at the same instant, so a
-/// phase-zero dispatch is indistinguishable from the old lockstep loop
-/// and the batch hand-off to the sharded leaf dispatch stays
-/// deterministic.
-#[derive(Debug)]
-pub(crate) struct CycleDispatcher {
-    queue: EventQueue<CycleId>,
-    leaf_cycles: Vec<CycleSchedule>,
-    upper_cycles: Vec<CycleSchedule>,
-    /// Scratch: leaf indices due this tick, ascending. Reused.
-    leaf_due: Vec<usize>,
-    /// Scratch: upper indices due this tick, ascending. Reused.
-    upper_due: Vec<usize>,
-}
-
-impl CycleDispatcher {
-    /// Arms one queue entry per controller at its first firing time.
-    pub(crate) fn new(leaf_cycles: Vec<CycleSchedule>, upper_cycles: Vec<CycleSchedule>) -> Self {
-        let mut queue = EventQueue::new();
-        for (i, s) in leaf_cycles.iter().enumerate() {
-            queue.schedule(s.next_at(), CycleId::Leaf(i));
-        }
-        for (i, s) in upper_cycles.iter().enumerate() {
-            queue.schedule(s.next_at(), CycleId::Upper(i));
-        }
-        CycleDispatcher {
-            queue,
-            leaf_cycles,
-            upper_cycles,
-            leaf_due: Vec::new(),
-            upper_due: Vec::new(),
-        }
+/// `tier` moved to the positions of `saved`, checked schedule by
+/// schedule against the configured one ([`CycleSchedule::restored`]).
+pub(crate) fn restored_tier(
+    tier: &[CycleSchedule],
+    saved: &[CycleSchedule],
+    level: &str,
+) -> Result<Vec<CycleSchedule>, SnapError> {
+    if saved.len() != tier.len() {
+        return Err(SnapError::Corrupt(format!(
+            "snapshot has {} {level} controller schedules, the rebuilt control plane {}",
+            saved.len(),
+            tier.len()
+        )));
     }
-
-    /// Pops every cycle due at `now` into the due buffers and re-arms
-    /// its schedule. Call once per simulation tick, then read
-    /// [`CycleDispatcher::leaf_due`] / [`CycleDispatcher::upper_due`].
-    pub(crate) fn collect_due(&mut self, now: SimTime) {
-        self.leaf_due.clear();
-        self.upper_due.clear();
-        while let Some((_, id)) = self.queue.pop_before(now) {
-            match id {
-                CycleId::Leaf(i) => {
-                    self.leaf_cycles[i].fire(now);
-                    self.queue.schedule(self.leaf_cycles[i].next_at(), id);
-                    self.leaf_due.push(i);
-                }
-                CycleId::Upper(i) => {
-                    self.upper_cycles[i].fire(now);
-                    self.queue.schedule(self.upper_cycles[i].next_at(), id);
-                    self.upper_due.push(i);
-                }
-            }
-        }
-        self.leaf_due.sort_unstable();
-        self.upper_due.sort_unstable();
-    }
-
-    /// Leaf indices due at the last [`CycleDispatcher::collect_due`],
-    /// ascending.
-    pub(crate) fn leaf_due(&self) -> &[usize] {
-        &self.leaf_due
-    }
-
-    /// Upper indices due at the last [`CycleDispatcher::collect_due`],
-    /// ascending — SBs sort before MSBs, preserving the
-    /// children-before-parents evaluation order.
-    pub(crate) fn upper_due(&self) -> &[usize] {
-        &self.upper_due
-    }
-
-    /// The cycle schedule of leaf `i` (phase introspection).
-    pub(crate) fn leaf_cycle(&self, i: usize) -> &CycleSchedule {
-        &self.leaf_cycles[i]
-    }
-
-    /// The per-tier cycle schedules, for snapshotting. The event queue
-    /// itself is derived state: one armed entry per schedule at its
-    /// `next_at`, so the schedules alone reconstruct it.
-    pub(crate) fn schedules(&self) -> (&[CycleSchedule], &[CycleSchedule]) {
-        (&self.leaf_cycles, &self.upper_cycles)
-    }
-
-    /// Restores the per-tier schedules from a snapshot and re-arms the
-    /// event queue from them. Fresh queue sequence numbers are
-    /// behaviourally identical: [`CycleDispatcher::collect_due`] sorts
-    /// each tier's due list ascending, erasing pop order.
-    pub(crate) fn restore_schedules(
-        &mut self,
-        leaf: Vec<CycleSchedule>,
-        upper: Vec<CycleSchedule>,
-    ) -> Result<(), dcsim::SnapError> {
-        if leaf.len() != self.leaf_cycles.len() || upper.len() != self.upper_cycles.len() {
-            return Err(dcsim::SnapError::Corrupt(format!(
-                "dispatcher snapshot tier sizes ({}, {}) disagree with the rebuilt control \
-                 plane ({}, {})",
-                leaf.len(),
-                upper.len(),
-                self.leaf_cycles.len(),
-                self.upper_cycles.len()
-            )));
-        }
-        for (i, saved) in leaf.iter().enumerate() {
-            let checked = self.leaf_cycles[i].restored(saved);
-            checked.map_err(|e| e.within(format_args!("leaf controller {i}")))?;
-        }
-        for (i, saved) in upper.iter().enumerate() {
-            let checked = self.upper_cycles[i].restored(saved);
-            checked.map_err(|e| e.within(format_args!("upper controller {i}")))?;
-        }
-        self.leaf_cycles = leaf;
-        self.upper_cycles = upper;
-        let mut queue = EventQueue::new();
-        for (i, s) in self.leaf_cycles.iter().enumerate() {
-            queue.schedule(s.next_at(), CycleId::Leaf(i));
-        }
-        for (i, s) in self.upper_cycles.iter().enumerate() {
-            queue.schedule(s.next_at(), CycleId::Upper(i));
-        }
-        self.queue = queue;
-        Ok(())
-    }
+    let restored = tier.iter().zip(saved).enumerate().map(|(i, (s, saved))| {
+        s.restored(saved)
+            .map_err(|e| e.within(format_args!("{level} controller {i}")))
+    });
+    restored.collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcsim::snap::{SnapReader, SnapWriter, Snapshot};
+    use dcsim::SimRng;
 
-    fn dispatcher(leaf_phases_ms: &[u64], upper_phases_ms: &[u64]) -> CycleDispatcher {
-        let leaf = leaf_phases_ms
-            .iter()
-            .map(|&ms| {
-                CycleSchedule::with_phase(SimDuration::from_secs(3), SimDuration::from_millis(ms))
-            })
-            .collect();
-        let upper = upper_phases_ms
-            .iter()
-            .map(|&ms| {
-                CycleSchedule::with_phase(SimDuration::from_secs(9), SimDuration::from_millis(ms))
-            })
-            .collect();
-        CycleDispatcher::new(leaf, upper)
+    fn due_at(tier: &mut [CycleSchedule], ms: u64) -> Vec<usize> {
+        let mut due = Vec::new();
+        collect_due(tier, SimTime::from_millis(ms), &mut due);
+        due
     }
 
     #[test]
-    fn phase_zero_fires_every_tier_on_its_grid() {
-        let mut d = dispatcher(&[0, 0, 0], &[0]);
-        d.collect_due(SimTime::ZERO);
-        assert_eq!(d.leaf_due(), &[0, 1, 2]);
-        assert_eq!(d.upper_due(), &[0]);
-        d.collect_due(SimTime::from_secs(1));
-        assert!(d.leaf_due().is_empty() && d.upper_due().is_empty());
-        d.collect_due(SimTime::from_secs(3));
-        assert_eq!(d.leaf_due(), &[0, 1, 2]);
-        assert!(d.upper_due().is_empty());
-        d.collect_due(SimTime::from_secs(9));
-        assert_eq!(d.upper_due(), &[0]);
+    fn lockstep_fires_every_tier_on_its_grid() {
+        let mut leaves = tier_schedules(SimDuration::from_secs(3), SimDuration::ZERO, 3);
+        let mut uppers = tier_schedules(SimDuration::from_secs(9), SimDuration::ZERO, 1);
+        assert_eq!(due_at(&mut leaves, 0), [0, 1, 2]);
+        assert_eq!(due_at(&mut uppers, 0), [0]);
+        assert!(due_at(&mut leaves, 1_000).is_empty());
+        assert_eq!(due_at(&mut leaves, 3_000), [0, 1, 2]);
+        assert!(due_at(&mut uppers, 3_000).is_empty());
+        assert_eq!(due_at(&mut uppers, 9_000), [0]);
     }
 
     #[test]
     fn spread_phases_fire_at_distinct_instants() {
-        let mut d = dispatcher(&[0, 1000, 2000], &[0]);
+        let mut leaves = tier_schedules(SimDuration::from_secs(3), SimDuration::from_secs(3), 3);
         let mut fired_at: Vec<Vec<u64>> = vec![Vec::new(); 3];
         for t in 0..12 {
-            d.collect_due(SimTime::from_secs(t));
-            for &i in d.leaf_due() {
+            for i in due_at(&mut leaves, t * 1_000) {
                 fired_at[i].push(t);
             }
         }
@@ -276,25 +146,110 @@ mod tests {
 
     #[test]
     fn coarse_ticks_coalesce_to_one_firing_per_controller() {
-        let mut d = dispatcher(&[0, 750], &[]);
-        d.collect_due(SimTime::ZERO);
-        assert_eq!(d.leaf_due(), &[0]);
+        let mut leaves = tier_schedules(
+            SimDuration::from_secs(3),
+            SimDuration::from_millis(1_500),
+            2,
+        );
+        assert_eq!(due_at(&mut leaves, 0), [0]);
         // Jump 10 s: each leaf missed multiple boundaries, runs once.
-        d.collect_due(SimTime::from_secs(10));
-        assert_eq!(d.leaf_due(), &[0, 1]);
+        assert_eq!(due_at(&mut leaves, 10_000), [0, 1]);
         // Grids recovered: 12 s for leaf 0, 12.75 s for leaf 1.
-        assert_eq!(d.leaf_cycle(0).next_at(), SimTime::from_secs(12));
-        assert_eq!(d.leaf_cycle(1).next_at(), SimTime::from_millis(12_750));
+        assert_eq!(leaves[0].next_at(), SimTime::from_secs(12));
+        assert_eq!(leaves[1].next_at(), SimTime::from_millis(12_750));
     }
 
     #[test]
     fn even_spread_offsets_partition_the_window() {
-        let offsets = PhasePolicy::EvenSpread(SimDuration::from_secs(3)).offsets(4);
-        let ms: Vec<u64> = offsets.iter().map(|o| o.as_millis()).collect();
-        assert_eq!(ms, vec![0, 750, 1500, 2250]);
+        let phases = |spread: SimDuration| -> Vec<u64> {
+            let tier = tier_schedules(SimDuration::from_secs(3), spread, 4);
+            tier.iter().map(|s| s.phase().as_millis()).collect()
+        };
+        assert_eq!(phases(SimDuration::ZERO), [0; 4]);
+        assert_eq!(phases(SimDuration::from_secs(3)), [0, 750, 1500, 2250]);
         // `--phase-spread 1e19` saturates the spread; the offsets still
         // partition it.
-        let offsets = PhasePolicy::EvenSpread(SimDuration::from_millis(u64::MAX)).offsets(4);
-        assert_eq!(offsets[3].as_millis(), (u64::MAX as u128 * 3 / 4) as u64);
+        let saturated = phases(SimDuration::from_secs_f64(1e19));
+        assert_eq!(saturated[3], (u64::MAX as u128 * 3 / 4) as u64);
+    }
+
+    /// Whether the grid `phase + k·period` has a point in `(prev, now]`
+    /// (`[0, now]` at the first tick): what firing at `now` means.
+    fn grid_point_in(schedule: &CycleSchedule, prev: Option<u64>, now: u64) -> bool {
+        let (period, phase) = (schedule.period().as_millis(), schedule.phase().as_millis());
+        let Some(since) = now.checked_sub(phase) else {
+            return false;
+        };
+        let last = u128::from(phase) + u128::from(since / period * period);
+        prev.is_none_or(|prev| last > u128::from(prev))
+    }
+
+    /// A tier through the snapshot codec and into a freshly built twin.
+    fn snapshot_restore(tier: &[CycleSchedule], twin: &[CycleSchedule]) -> Vec<CycleSchedule> {
+        let mut w = SnapWriter::new();
+        for s in tier {
+            s.encode_body(&mut w);
+        }
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let saved: Vec<CycleSchedule> = (0..tier.len())
+            .map(|_| CycleSchedule::decode_body(&mut r).unwrap())
+            .collect();
+        restored_tier(twin, &saved, "leaf").unwrap()
+    }
+
+    /// The scan against a brute-force reference, over random periods,
+    /// spreads (lockstep and a saturated `--phase-spread 1e19` among
+    /// them) and tick sizes from 1 ms to 10 s: each tier's due list is
+    /// exactly the controllers with a grid point since the previous
+    /// tick, ascending and without repeats, and a tier snapshotted and
+    /// restored into a fresh build mid-run goes on with the same lists.
+    #[test]
+    fn due_lists_are_the_grid_points_each_tick_reaches() {
+        let mut rng = SimRng::seed_from(0xD_29).split("tier-scan");
+        for case in 0..400 {
+            let leaf_period = SimDuration::from_millis(1 + rng.next_below(20_000));
+            let spread = match rng.next_below(4) {
+                0 => SimDuration::ZERO,
+                1 => SimDuration::from_secs_f64(1e19),
+                _ => SimDuration::from_millis(rng.next_below(60_000)),
+            };
+            let n = 1 + rng.next_below(48) as usize;
+            let tick = 10f64.powf(rng.uniform(0.0, 4.0)).round() as u64;
+            let ticks = 1 + rng.next_below(300);
+            let restore_at = rng.next_below(ticks);
+            let build = || {
+                let upper_period = leaf_period * 3;
+                [
+                    tier_schedules(leaf_period, spread, n),
+                    tier_schedules(upper_period, spread, n.div_ceil(4)),
+                ]
+            };
+            let mut tiers = build();
+            let mut twins: Option<[Vec<CycleSchedule>; 2]> = None;
+            let mut prev = None;
+            for k in 0..ticks {
+                let now = k * tick;
+                if k == restore_at {
+                    let fresh = build();
+                    twins = Some([
+                        snapshot_restore(&tiers[0], &fresh[0]),
+                        snapshot_restore(&tiers[1], &fresh[1]),
+                    ]);
+                }
+                for (level, tier) in tiers.iter_mut().enumerate() {
+                    let expected: Vec<usize> = (0..tier.len())
+                        .filter(|&i| grid_point_in(&tier[i], prev, now))
+                        .collect();
+                    let due = due_at(tier, now);
+                    assert_eq!(due, expected, "case {case}, tier {level}, t={now} ms");
+                    assert!(due.windows(2).all(|w| w[0] < w[1]), "case {case}: {due:?}");
+                    if let Some(twins) = &mut twins {
+                        assert_eq!(due_at(&mut twins[level], now), due, "case {case}, restored");
+                    }
+                }
+                prev = Some(now);
+            }
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! [`LeafController`] with everything a cycle mutates — and the one
 //! dispatch that runs their cycles.
 //!
-//! [`LeafTier::run_due`] runs only the leaves the
-//! [`crate::events::CycleDispatcher`] marked due this tick (minus the
+//! [`LeafTier::run_due`] runs only the leaves whose cycle schedules
+//! fell due this tick ([`crate::events::collect_due`]; minus the
 //! provably quiescent ones), cut into contiguous shards — as many as
 //! the attached [`WorkerPool`] has workers, one (run inline on the
 //! caller) without a pool. This mirrors the paper's consolidated binary
@@ -154,7 +154,6 @@ impl LeafTier {
             let leaf_config = LeafConfig {
                 physical_limit: dev.rating,
                 bands: config.leaf_bands,
-                poll_interval: config.leaf_interval,
                 bucket_width: Power::from_watts(20.0),
                 max_failure_frac: 0.20,
                 non_server_overhead: Power::ZERO,

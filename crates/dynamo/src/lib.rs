@@ -60,7 +60,7 @@ pub use control_plane::{DynamoSystem, SystemConfig};
 pub use datacenter::{Datacenter, DatacenterState, ParallelMode};
 pub use dynobs::ObsConfig;
 pub use dynpool::WorkerPool;
-pub use events::{ControllerEvent, ControllerEventKind, PhasePolicy};
+pub use events::{ControllerEvent, ControllerEventKind};
 pub use fleet::{Fleet, FleetState, FleetStats, TickTraffic};
 pub use grid::{DcupsBankConfig, GridConfig, GridLayer, GridSummary};
 pub use obs::{Observability, TickPhase, TICK_PHASES};

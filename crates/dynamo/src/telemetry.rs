@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dcsim::snap::{get_f64_vec, put_f64_slice, SnapError, SnapReader, SnapWriter, Snapshot};
-use dcsim::{PeriodicSchedule, SimDuration, SimTime};
+use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::{BreakerStatus, DeviceId, DeviceLevel, Power};
 use powerstats::Trace;
 
@@ -53,7 +53,7 @@ pub struct Telemetry {
     total_power: Trace,
     controller_events: Vec<ControllerEvent>,
     breaker_events: Vec<BreakerEvent>,
-    schedule: PeriodicSchedule,
+    schedule: CycleSchedule,
 }
 
 impl Telemetry {
@@ -67,7 +67,7 @@ impl Telemetry {
             total_power: Trace::empty(interval),
             controller_events: Vec::new(),
             breaker_events: Vec::new(),
-            schedule: PeriodicSchedule::new(interval),
+            schedule: CycleSchedule::new(interval),
         }
     }
 
@@ -108,10 +108,10 @@ impl Telemetry {
     /// `(at, device)`.
     ///
     /// The parallel leaf path merges per-leaf buffers in leaf-index
-    /// order and the event-driven dispatcher can interleave tiers, so a
+    /// order and a tick runs the leaf tier before the upper one, so a
     /// batch arrives grouped by controller, not by key; sorting here
     /// gives consumers one canonical order regardless of thread count
-    /// or phase policy.
+    /// or phase spread.
     ///
     /// # Panics
     ///
@@ -239,8 +239,9 @@ pub struct TelemetryState {
     pub controller_events: Vec<ControllerEvent>,
     /// All breaker events recorded so far.
     pub breaker_events: Vec<BreakerEvent>,
-    /// The sampling schedule (next due time).
-    pub schedule: PeriodicSchedule,
+    /// The sampling schedule (next due time). Always phase zero: the
+    /// section stores its period and next firing time only.
+    pub schedule: CycleSchedule,
 }
 
 fn put_controller_event(w: &mut SnapWriter, e: &ControllerEvent) {
@@ -324,7 +325,8 @@ impl Snapshot for TelemetryState {
             w.put_u32(e.device.index() as u32);
             w.put_u8(e.status.snap_code());
         }
-        self.schedule.encode_body(w);
+        w.put_u64(self.schedule.period().as_millis());
+        w.put_u64(self.schedule.next_at().as_millis());
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -349,13 +351,15 @@ impl Snapshot for TelemetryState {
                 status: BreakerStatus::from_snap_code(r.get_u8()?)?,
             })
         })?;
+        let period = SimDuration::from_millis(r.get_u64()?);
+        let next = SimTime::from_millis(r.get_u64()?);
         Ok(TelemetryState {
             device_traces,
             capped_servers,
             total_power,
             controller_events,
             breaker_events,
-            schedule: PeriodicSchedule::decode_body(r)?,
+            schedule: CycleSchedule::from_parts(period, SimDuration::ZERO, next)?,
         })
     }
 }

@@ -267,7 +267,6 @@ fn upper_config(config: &SystemConfig, rating: Power) -> UpperConfig {
     UpperConfig {
         physical_limit: rating,
         bands: config.upper_bands,
-        poll_interval: config.upper_interval,
         bucket_width: rating * 0.01,
         policy: dynamo_controller::CoordinationPolicy::PunishOffenderFirst,
     }

@@ -78,20 +78,6 @@ impl BreakerValidator {
         }
     }
 
-    /// Overrides the disagreement tolerance (fraction).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < tolerance < 1`.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(
-            tolerance > 0.0 && tolerance < 1.0,
-            "invalid tolerance {tolerance}"
-        );
-        self.tolerance = tolerance;
-        self
-    }
-
     /// True when a validation pass is due at `now`.
     pub fn due(&self, now: SimTime) -> bool {
         self.schedule.due(now)
@@ -361,11 +347,5 @@ mod tests {
         v.advance(SimTime::ZERO);
         assert!(!v.due(SimTime::from_secs(59)));
         assert!(v.due(SimTime::from_secs(60)));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid tolerance")]
-    fn bad_tolerance_panics() {
-        let _ = validator().with_tolerance(0.0);
     }
 }

@@ -14,7 +14,7 @@
 //! whose encoding nests every one of their bodies.
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use dcsim::{CycleSchedule, PeriodicSchedule, SimDuration, SimRng, SimTime};
+use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
 use dynamo_repro::dynamo::{DatacenterBuilder, ObsConfig};
 use dynamo_repro::dynrpc::{LinkProfile, Network};
 use dynamo_repro::powerinfra::{Breaker, Dcups, Power, TripCurve};
@@ -57,10 +57,6 @@ fn dcsim_types_roundtrip() {
     let mut cycle = CycleSchedule::with_phase(SimDuration::from_secs(3), SimDuration::from_secs(1));
     cycle.fire(SimTime::from_secs(4));
     roundtrip(&cycle);
-
-    let mut periodic = PeriodicSchedule::new(SimDuration::from_secs(60));
-    periodic.fire(SimTime::from_secs(60));
-    roundtrip(&periodic);
 }
 
 #[test]
