@@ -15,8 +15,10 @@
 # re-spanning went with its span generation (ninth), or when every
 # periodic loop came to be one `CycleSchedule`, due controllers a scan
 # of them, and the controllers' unread cadence and the validator's
-# tolerance knob went (tenth) — so a stale reference breaks the build
-# instead of waiting for the next reader. Lives here,
+# tolerance knob went (tenth), or when a link came to hand back its
+# round trip unconverted and its call counters, latency sum and
+# latency-returning call went (eleventh) — so a stale reference breaks
+# the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
 grep -rniE 'BENCH_controlplane|paper_scale|PooledAuto|pr[59]_baseline
@@ -28,7 +30,8 @@ phase_jitter|jittered|pool_determinism|FROZEN_ON_RESUME|set_fuse|no-fuse
 parked between dispatches|parks the owner|exactly the pool it is asked|breaks even at suite scale
 pos_of|service_group|\.servers\(\)|builds one id-ordered
 set_leaf_spans|repartition|rechunk|leaf_span_generation|with_leaf_spans|re-span
-EventQueue|PeriodicSchedule|PhasePolicy|EvenSpread|CycleId|poll_interval|pop_before|with_tolerance' \
+EventQueue|PeriodicSchedule|PhasePolicy|EvenSpread|CycleId|poll_interval|pop_before|with_tolerance
+NetworkStats|latency_sum|failure_rate|call_with_latency' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -49,7 +49,7 @@ mod slot;
 pub mod snap;
 mod time;
 
-pub use rng::SimRng;
+pub use rng::{exponential_quantile, SimRng};
 pub use schedule::CycleSchedule;
 pub use slot::OptF64;
 pub use snap::{SnapError, SnapReader, SnapWriter, Snapshot};

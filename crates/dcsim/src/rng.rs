@@ -73,6 +73,16 @@ impl Snapshot for SimRng {
     }
 }
 
+/// The exponential distribution's inverse CDF: the variate at rate
+/// `rate` that a uniform `u` in `[0, 1)` maps to. The one expression
+/// behind [`SimRng::exponential`], for a caller that draws the uniform
+/// now and converts it later, or never. `rate` is the caller's to
+/// check (positive); the result is finite and non-negative.
+#[inline]
+pub fn exponential_quantile(u: f64, rate: f64) -> f64 {
+    -(1.0 - u).ln() / rate
+}
+
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 step, used for seeding and label hashing.
@@ -230,14 +240,15 @@ impl SimRng {
         mean + std_dev * self.next_normal()
     }
 
-    /// Returns an exponential variate with the given rate parameter.
+    /// Returns an exponential variate with the given rate parameter:
+    /// [`exponential_quantile`] of one [`SimRng::next_f64`].
     ///
     /// # Panics
     ///
     /// Panics if `rate` is not strictly positive.
     pub fn exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0, "exponential rate must be positive, got {rate}");
-        -(1.0 - self.next_f64()).ln() / rate
+        exponential_quantile(self.next_f64(), rate)
     }
 
     /// Returns a Pareto variate with scale `x_min` and shape `alpha`.

@@ -48,7 +48,9 @@ impl Snapshot for Checkpoint {
     // v2: grid_scenario/grid_signal_file envelope keys, grid layer in
     // the datacenter state.
     // v3: the schedule digest.
-    const VERSION: u32 = 3;
+    // v4: the datacenter state's leaf links lost their counters
+    // (`dynamo.DatacenterState` v4).
+    const VERSION: u32 = 4;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_str(&self.envelope);

@@ -474,7 +474,9 @@ pub(crate) struct SystemState {
 
 impl Snapshot for SystemState {
     const KIND: &'static str = "dynamo.SystemState";
-    const VERSION: u32 = 1;
+    // v2: the leaf tier's links carry their streams alone
+    // (`dynamo.LeafTierState` v2).
+    const VERSION: u32 = 2;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         self.leaves.encode_body(w);

@@ -661,7 +661,9 @@ impl Snapshot for DatacenterState {
     // process-up flag, hardware generation) instead of per-agent
     // objects, drops the control-flush watermarks and stores the masks
     // as bools.
-    const VERSION: u32 = 3;
+    // v4: each leaf link's call counters and latency sum (five `u64`)
+    // left the control-plane section (`dynamo.SystemState` v2).
+    const VERSION: u32 = 4;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_u64(self.now_ms);
@@ -1191,5 +1193,38 @@ mod tests {
     #[should_panic(expected = "device pdu-y is neither tiled")]
     fn a_subtree_straddling_leaves_panics_naming_the_device() {
         Subtree::locate("pdu-y", &[2, 3, 4, 5], &[0..4, 4..8]);
+    }
+
+    /// Observability converts round trips the unobserved run never
+    /// converts, and must move nothing else: the same script — lossy
+    /// links, a capping episode, a primary failover — observed and not
+    /// ends with every leaf's link stream and the report equal.
+    #[test]
+    fn observing_a_run_moves_no_link_draw() {
+        let run = |obs: crate::ObsConfig| {
+            let mut dc = DatacenterBuilder::new()
+                .sbs_per_msb(1)
+                .rpps_per_sb(2)
+                .racks_per_rpp(2)
+                .servers_per_rack(8)
+                .rpp_rating(Power::from_kilowatts(4.2))
+                .uniform_service(ServiceKind::Web)
+                .traffic(ServiceKind::Web, TrafficPattern::flat(1.4))
+                .rpc_profile(dynrpc::LinkProfile::lossy(0.05, 0.05))
+                .observability(obs)
+                .seed(23)
+                .build();
+            dc.run_for(SimDuration::from_mins(2));
+            let victim = dc.system().leaf_devices()[0];
+            dc.system_mut().fail_primary(victim);
+            dc.run_for(SimDuration::from_mins(2));
+            let report = crate::RunReport::from_datacenter(&dc);
+            assert!(report.leaf_cap_events > 0, "vacuous: nothing capped");
+            assert!(report.failovers > 0, "vacuous: no failover");
+            (dc.state().system.leaves.networks, report.to_string())
+        };
+        let (observed, unobserved) = (run(crate::ObsConfig::on()), run(Default::default()));
+        assert_eq!(observed.0, unobserved.0, "leaf link streams");
+        assert_eq!(observed.1, unobserved.1, "run report");
     }
 }

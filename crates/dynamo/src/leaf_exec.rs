@@ -25,8 +25,9 @@
 //! the pull, is not 160 RPC round trips through a handler but two
 //! passes over the leaf's columns: the first walks the leaf's link
 //! stream alone and decides every call's fate ([`Network::attempt`]:
-//! drop, timeout, round trip; a crashed agent costs no draw), the
-//! second reads each delivered server through
+//! drop, timeout, round trip; a crashed agent costs no draw; the round
+//! trip is converted only when the leaf records it), the second reads
+//! each delivered server through
 //! [`serverpower::ServerModel::read_power`] on its own noise stream,
 //! writing readings and the failed list in place. The link stream and
 //! the agents' streams are independent and each is consumed in exactly
@@ -385,7 +386,8 @@ pub(crate) struct LeafTierState {
 
 impl Snapshot for LeafTierState {
     const KIND: &'static str = "dynamo.LeafTierState";
-    const VERSION: u32 = 1;
+    // v2: a link's state is its stream alone (`dynrpc.NetworkState` v2).
+    const VERSION: u32 = 2;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_u64(self.controllers.len() as u64);
@@ -586,7 +588,9 @@ impl Leaf {
 /// leaf's buffer, folded into the RTT histogram in one batch when the
 /// cycle ends ([`Shard::observe_batch`]). Same slots, same sums, same
 /// order: the merged registry stays bit-identical to per-call shard
-/// recording.
+/// recording. A round trip is converted to simulated time only here,
+/// for the buffer and the RTT sums, so with observability off the link
+/// draws it and nothing converts it.
 struct LeafLink<'c, 'a> {
     network: &'c mut Network,
     agents: &'c mut LeafAgents<'a>,
@@ -598,7 +602,8 @@ struct LeafLink<'c, 'a> {
 /// What one cycle's RPCs added up to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct RpcTally {
-    /// Summed round trips of delivered reads / actuations.
+    /// Summed round trips of delivered reads / actuations; summed only
+    /// when [`LeafLink::rtts`] records them, zero otherwise.
     pull_rtt: SimDuration,
     act_rtt: SimDuration,
     calls: u64,
@@ -610,10 +615,11 @@ struct RpcTally {
 impl LeafLink<'_, '_> {
     /// The link half of one call to server `sid`: a crashed agent
     /// answers nothing and costs no link draw; otherwise the link
-    /// decides ([`Network::attempt`]). Counts the outcome and observes
-    /// a delivered call's round trip.
+    /// decides ([`Network::attempt`]). Counts the outcome and, when
+    /// recording, converts a delivered call's round trip into the
+    /// buffer and the read (`pull`) or actuation sum.
     #[inline(always)]
-    fn attempt(&mut self, sid: u32) -> Result<SimDuration, RpcError> {
+    fn attempt(&mut self, sid: u32, pull: bool) -> Result<(), RpcError> {
         self.tally.calls += 1;
         if !self.agents.is_running(sid) {
             self.tally.agent_down += 1;
@@ -622,9 +628,15 @@ impl LeafLink<'_, '_> {
         match self.network.attempt() {
             Ok(rtt) => {
                 if let Some(rtts) = &mut self.rtts {
+                    let rtt = rtt.duration();
                     rtts.push(rtt.as_secs_f64());
+                    if pull {
+                        self.tally.pull_rtt += rtt;
+                    } else {
+                        self.tally.act_rtt += rtt;
+                    }
                 }
-                Ok(rtt)
+                Ok(())
             }
             Err(err) => {
                 match err {
@@ -640,12 +652,7 @@ impl LeafLink<'_, '_> {
 
 impl LeafTransport for LeafLink<'_, '_> {
     fn call(&mut self, sid: u32, req: Request) -> Result<Response, RpcError> {
-        let rtt = self.attempt(sid)?;
-        if matches!(req, Request::ReadPower) {
-            self.tally.pull_rtt += rtt;
-        } else {
-            self.tally.act_rtt += rtt;
-        }
+        self.attempt(sid, matches!(req, Request::ReadPower))?;
         Ok(self.agents.agent(sid).handle(req))
     }
 
@@ -668,8 +675,7 @@ impl LeafTransport for LeafLink<'_, '_> {
         // A delivered call's slot is marked until pass 2 fills it in.
         const DELIVERED: PowerSlot = PowerSlot::some(Power::ZERO);
         for (sid, slot) in span.clone().zip(readings.iter_mut()) {
-            if let Ok(rtt) = self.attempt(sid) {
-                self.tally.pull_rtt += rtt;
+            if self.attempt(sid, true).is_ok() {
                 *slot = DELIVERED;
             }
         }
@@ -785,8 +791,8 @@ mod tests {
 
     /// The two-pass pull against the provided per-call loop, on twin
     /// fleets over a lossy link: same readings, same failed list, same
-    /// link state and statistics, same per-agent noise streams, same
-    /// RPC tally, same RTT histogram.
+    /// link stream, same per-agent noise streams, same RPC tally, same
+    /// RTT histogram.
     #[test]
     fn two_pass_pull_is_the_per_call_pull() {
         use dynrpc::LinkProfile;
@@ -838,7 +844,7 @@ mod tests {
         };
         let (two_pass, per_call) = (run(true), run(false));
         assert_eq!(two_pass.0, per_call.0, "readings / failed lists");
-        assert_eq!(two_pass.1, per_call.1, "link stream and statistics");
+        assert_eq!(two_pass.1, per_call.1, "link stream");
         assert_eq!(two_pass.2, per_call.2, "per-agent noise streams");
         assert_eq!(two_pass.3, per_call.3, "rpc tally");
         assert_eq!(two_pass.4, per_call.4, "merged registry");
@@ -847,7 +853,7 @@ mod tests {
         let tally = two_pass.3;
         assert!(tally.agent_down > 0 && tally.drops > 0 && tally.timeouts > 0);
         assert_eq!(tally.calls, ROUNDS * 48);
-        assert_eq!(two_pass.1.stats.calls, tally.calls - tally.agent_down);
+        assert!(tally.pull_rtt > SimDuration::ZERO, "recorded round trips");
         let (bits, failed) = &two_pass.0[0];
         assert_eq!(bits[5], Some(0f64.to_bits()), "a dead host reads zero");
         assert!(!failed.is_empty() && failed.windows(2).all(|w| w[0] < w[1]));

@@ -146,7 +146,11 @@ fn churn_reproduces_the_pre_collapse_golden_at_every_width() {
 /// state was fleet-wide columns and controller state parallel arrays.
 /// The snapshot is the flat wire form of both; however storage is
 /// divided among leaves, it must gather back into these bytes.
-const CHURN_SNAPSHOT_GOLDEN: u64 = 0x3653_08a5_b2da_ec9a;
+/// Re-recorded when each leaf link's five `u64` — calls, successes,
+/// timeouts, drops and the latency sum — left the wire and the
+/// `DatacenterState` version went 3 → 4 (it was `0x365308a5b2daec9a`);
+/// `CHURN_GOLDEN` did not move.
+const CHURN_SNAPSHOT_GOLDEN: u64 = 0x9593_66f1_146a_e94c;
 
 #[test]
 fn churn_snapshot_bytes_are_pinned_at_every_width() {

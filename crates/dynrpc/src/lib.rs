@@ -12,7 +12,9 @@
 //! * [`AgentEndpoint`] — the server-side handler trait the Dynamo agent
 //!   implements.
 //! * [`Network`] — a fallible transport with configurable drop/timeout
-//!   probabilities and latency, deterministic under a seed.
+//!   probabilities and latency, deterministic under a seed. Every call
+//!   draws its round trip; a [`RoundTrip`] is converted to simulated
+//!   time only by a caller that records it.
 //! * [`codec`] — the compact binary wire format (one tag byte +
 //!   little-endian fields), the simulator's stand-in for Thrift binary.
 //!
@@ -51,7 +53,7 @@
 pub mod codec;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use dcsim::{SimDuration, SimRng};
+use dcsim::{exponential_quantile, SimDuration, SimRng};
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
@@ -218,52 +220,47 @@ impl LinkProfile {
     }
 }
 
-/// Running counters kept by a [`Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct NetworkStats {
-    /// Calls attempted.
-    pub calls: u64,
-    /// Calls that returned a response.
-    pub successes: u64,
-    /// Calls that timed out.
-    pub timeouts: u64,
-    /// Calls dropped.
-    pub drops: u64,
-    /// Total simulated round-trip latency across successful and
-    /// timed-out attempts (a timed-out request still occupied the wire
-    /// until its deadline).
-    pub latency_sum: SimDuration,
-}
-
-impl NetworkStats {
-    /// Fraction of calls that failed (0.0 when no calls were made).
-    pub fn failure_rate(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            (self.timeouts + self.drops) as f64 / self.calls as f64
-        }
-    }
-}
-
 /// A fallible, deterministic transport between one controller and its
 /// agents.
 #[derive(Debug, Clone)]
 pub struct Network {
     profile: LinkProfile,
     /// Exponential rate matching `profile.mean_latency`, precomputed at
-    /// profile-set time: `draw_rtt` runs once per RPC attempt and the
-    /// rate only changes when the profile does.
+    /// profile-set time: every RPC attempt's [`RoundTrip`] carries it,
+    /// and it only changes when the profile does.
     rtt_rate: f64,
     rng: SimRng,
-    stats: NetworkStats,
 }
 
-/// The exponential rate parameter for a profile's mean latency. Kept
-/// as a named helper so the cached value and a from-scratch derivation
-/// are the same expression (bit-identical draws either way).
+/// The exponential rate parameter for a profile's mean latency: checked
+/// here, where a profile is set, and never again on a conversion.
 fn rtt_rate_of(profile: &LinkProfile) -> f64 {
-    1.0 / profile.mean_latency.as_secs_f64().max(1e-6)
+    let rate = 1.0 / profile.mean_latency.as_secs_f64().max(1e-6);
+    assert!(rate > 0.0, "round-trip rate must be positive, got {rate}");
+    rate
+}
+
+/// The round trip of one call that went on the wire, drawn but not yet
+/// converted: the attempt's latency uniform and the link's rate when it
+/// was drawn. Converting is an `ln` and a rounding, so a caller that
+/// records round trips calls [`RoundTrip::duration`] and every other
+/// caller drops the token for free.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoundTrip {
+    u: f64,
+    rate: f64,
+}
+
+impl RoundTrip {
+    /// The simulated round trip: twice one exponential one-way latency
+    /// at the link's mean, to the millisecond — bit for bit
+    /// `SimDuration::from_secs_f64(2.0 * rng.exponential(rate))` on the
+    /// stream that drew the uniform, and well below the 3 s pulling
+    /// cycle.
+    #[inline]
+    pub fn duration(self) -> SimDuration {
+        SimDuration::from_secs_f64(2.0 * exponential_quantile(self.u, self.rate))
+    }
 }
 
 impl Network {
@@ -273,13 +270,11 @@ impl Network {
             rtt_rate: rtt_rate_of(&profile),
             profile,
             rng,
-            stats: NetworkStats::default(),
         }
     }
 
-    /// Performs one call. On success returns the response and the
-    /// simulated round-trip latency (always well below the 3 s pulling
-    /// cycle).
+    /// Performs one call: [`Network::attempt`], then the endpoint
+    /// handles a delivered request.
     ///
     /// # Errors
     ///
@@ -290,34 +285,19 @@ impl Network {
         endpoint: &mut E,
         req: Request,
     ) -> Result<Response, RpcError> {
-        self.call_with_latency(endpoint, req).map(|(resp, _)| resp)
-    }
-
-    /// Like [`Network::call`] but also reports the simulated round-trip
-    /// latency.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Network::call`].
-    pub fn call_with_latency<E: AgentEndpoint>(
-        &mut self,
-        endpoint: &mut E,
-        req: Request,
-    ) -> Result<(Response, SimDuration), RpcError> {
-        let rtt = self.attempt()?;
-        Ok((endpoint.handle(req), rtt))
+        self.attempt()?;
+        Ok(endpoint.handle(req))
     }
 
     /// Decides the fate of one call on the link, with no endpoint
     /// involved: the only definition of the link's semantics — drop
     /// draw, then timeout draw, then the latency draw — which
-    /// [`Network::call_with_latency`] runs before handing the request to
-    /// its endpoint, and a batched caller runs for a whole leaf before
+    /// [`Network::call`] runs before handing the request to its
+    /// endpoint, and a batched caller runs for a whole leaf before
     /// reading any delivered server (the link stream and the agents'
     /// streams are independent, so the order between them is
-    /// unobservable). `Ok` carries the round-trip latency of a
-    /// delivered call; every outcome is counted in
-    /// [`Network::stats`].
+    /// unobservable). `Ok` carries the [`RoundTrip`] of a delivered
+    /// call, unconverted.
     ///
     /// # Errors
     ///
@@ -326,10 +306,8 @@ impl Network {
     // `always`: a batched caller's loop is this body; out of line, every
     // call reloads the profile and spills the stream's state.
     #[inline(always)]
-    pub fn attempt(&mut self) -> Result<SimDuration, RpcError> {
-        self.stats.calls += 1;
+    pub fn attempt(&mut self) -> Result<RoundTrip, RpcError> {
         if self.rng.chance(self.profile.drop_prob) {
-            self.stats.drops += 1;
             return Err(RpcError::Dropped);
         }
         let timed_out = self.rng.chance(self.profile.timeout_prob);
@@ -338,26 +316,14 @@ impl Network {
         // the RNG stream they would have seen after a success. Without
         // this a single timeout would permanently shift every later
         // draw on this link.
-        let rtt = self.draw_rtt();
-        self.stats.latency_sum += rtt;
+        let rtt = RoundTrip {
+            u: self.rng.next_f64(),
+            rate: self.rtt_rate,
+        };
         if timed_out {
-            self.stats.timeouts += 1;
             return Err(RpcError::Timeout);
         }
-        self.stats.successes += 1;
         Ok(rtt)
-    }
-
-    /// Draws one exponential round-trip latency. Exactly one draw per
-    /// non-dropped attempt, success or timeout — the stream-stability
-    /// invariant the regression tests pin.
-    fn draw_rtt(&mut self) -> SimDuration {
-        SimDuration::from_secs_f64(2.0 * self.rng.exponential(self.rtt_rate))
-    }
-
-    /// The accumulated call statistics.
-    pub fn stats(&self) -> NetworkStats {
-        self.stats
     }
 
     /// The link profile in use.
@@ -372,56 +338,41 @@ impl Network {
         self.profile = profile;
     }
 
-    /// Captures the transport's dynamic state (RNG stream position and
-    /// call counters). The profile and its derived `rtt_rate` are
-    /// configuration, rebuilt by the owner.
+    /// Captures the transport's dynamic state: its RNG stream position.
+    /// The profile and its derived `rtt_rate` are configuration, rebuilt
+    /// by the owner.
     pub fn state(&self) -> NetworkState {
         NetworkState {
             rng: self.rng.clone(),
-            stats: self.stats,
         }
     }
 
     /// Restores state captured by [`Network::state`].
     pub fn restore(&mut self, state: &NetworkState) {
         self.rng = state.rng.clone();
-        self.stats = state.stats;
     }
 }
 
-/// The dynamic state of one [`Network`]: the in-flight RNG stream and the
-/// latency/outcome counters. Implements [`Snapshot`].
+/// The dynamic state of one [`Network`]: the RNG stream every drop,
+/// timeout and latency draw comes from. Implements [`Snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkState {
     /// RNG stream driving drop/timeout/latency draws.
     pub rng: SimRng,
-    /// Accumulated call statistics.
-    pub stats: NetworkStats,
 }
 
 impl Snapshot for NetworkState {
     const KIND: &'static str = "dynrpc.NetworkState";
-    const VERSION: u32 = 1;
+    // v2: the call counters and the latency sum left; the stream alone.
+    const VERSION: u32 = 2;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         self.rng.encode_body(w);
-        w.put_u64(self.stats.calls);
-        w.put_u64(self.stats.successes);
-        w.put_u64(self.stats.timeouts);
-        w.put_u64(self.stats.drops);
-        w.put_u64(self.stats.latency_sum.as_millis());
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(NetworkState {
             rng: SimRng::decode_body(r)?,
-            stats: NetworkStats {
-                calls: r.get_count()?,
-                successes: r.get_count()?,
-                timeouts: r.get_count()?,
-                drops: r.get_count()?,
-                latency_sum: SimDuration::from_millis(r.get_count()?),
-            },
         })
     }
 }
@@ -468,8 +419,6 @@ mod tests {
                 other => panic!("unexpected response {other:?}"),
             }
         }
-        assert_eq!(net.stats().successes, 1000);
-        assert_eq!(net.stats().failure_rate(), 0.0);
         assert_eq!(a.reads, 1000);
     }
 
@@ -487,7 +436,7 @@ mod tests {
         let rate = failures as f64 / n as f64;
         // drop 10% + timeout 10% of the remainder ≈ 19%.
         assert!((rate - 0.19).abs() < 0.02, "failure rate {rate}");
-        assert_eq!(net.stats().failure_rate(), rate);
+        assert_eq!(a.reads, n - failures);
     }
 
     #[test]
@@ -501,12 +450,11 @@ mod tests {
     #[test]
     fn latency_is_reported_and_small() {
         let mut net = Network::new(LinkProfile::datacenter(), SimRng::seed_from(4));
-        let mut a = agent();
         let mut total = SimDuration::ZERO;
         let mut n = 0;
         for _ in 0..1000 {
-            if let Ok((_, rtt)) = net.call_with_latency(&mut a, Request::ReadPower) {
-                total += rtt;
+            if let Ok(rtt) = net.attempt() {
+                total += rtt.duration();
                 n += 1;
             }
         }
@@ -568,58 +516,126 @@ mod tests {
         let mut faulty = clean.clone();
         let mut a = agent();
         let mut b = agent();
+        let mut timeouts = 0;
         for call in 0..10 {
-            let lhs = clean.call_with_latency(&mut a, Request::ReadPower).unwrap();
+            assert!(clean.call(&mut a, Request::ReadPower).is_ok());
             if call == 2 {
                 faulty.set_profile(LinkProfile {
                     timeout_prob: 1.0,
                     ..faulty.profile()
                 });
-                assert_eq!(
-                    faulty.call_with_latency(&mut b, Request::ReadPower),
-                    Err(RpcError::Timeout)
-                );
+                if faulty.call(&mut b, Request::ReadPower) == Err(RpcError::Timeout) {
+                    timeouts += 1;
+                }
                 faulty.set_profile(clean.profile());
-                continue;
+            } else {
+                assert!(faulty.call(&mut b, Request::ReadPower).is_ok());
             }
-            let rhs = faulty
-                .call_with_latency(&mut b, Request::ReadPower)
-                .unwrap();
-            assert_eq!(lhs.1, rhs.1, "call {call}: latency streams diverged");
+            assert_eq!(
+                faulty.state(),
+                clean.state(),
+                "call {call}: streams diverged"
+            );
         }
-        assert_eq!(faulty.stats().timeouts, 1);
-        // The timed-out attempt's latency is still accounted for.
-        assert_eq!(faulty.stats().latency_sum, clean.stats().latency_sum);
+        assert_eq!(timeouts, 1);
+        assert_eq!((a.reads, b.reads), (10, 9));
+        // Aligned streams draw the same round trips from here on.
+        for _ in 0..10 {
+            assert_eq!(faulty.attempt(), clean.attempt());
+        }
     }
 
     #[test]
     fn attempt_is_the_link_half_of_a_call() {
         // Same seed, same lossy link: deciding each call's fate with no
-        // endpoint must consume the stream and count the outcomes
-        // exactly as the full call does.
+        // endpoint must consume the stream exactly as the full call does
+        // and reach the same outcomes.
         let mut calls = Network::new(LinkProfile::lossy(0.2, 0.2), SimRng::seed_from(12));
         let mut fates = calls.clone();
         let mut a = agent();
+        let (mut drops, mut timeouts, mut delivered) = (0u32, 0u32, 0u32);
         for _ in 0..500 {
-            let full = calls.call_with_latency(&mut a, Request::ReadPower);
-            assert_eq!(fates.attempt(), full.map(|(_, rtt)| rtt));
+            let full = calls.call(&mut a, Request::ReadPower).map(|_| ());
+            assert_eq!(fates.attempt().map(|_| ()), full);
+            match full {
+                Ok(()) => delivered += 1,
+                Err(RpcError::Dropped) => drops += 1,
+                Err(RpcError::Timeout) => timeouts += 1,
+                Err(RpcError::AgentDown) => unreachable!("a link never answers for an agent"),
+            }
         }
         assert_eq!(fates.state(), calls.state());
-        let stats = fates.stats();
-        assert!(stats.drops > 0 && stats.timeouts > 0 && stats.successes > 0);
-        assert_eq!(a.reads as u64, stats.successes);
+        assert!(drops > 0 && timeouts > 0 && delivered > 0);
+        assert_eq!(a.reads, delivered);
     }
 
+    /// A round trip converted late is the one the link used to convert
+    /// on the spot: over a lossy link whose profile changes mid-run,
+    /// each delivered call's token equals the exponential a twin stream
+    /// draws in the same place, bit for bit, and a dropped or timed-out
+    /// call consumes exactly the twin's draws.
     #[test]
-    fn latency_sum_accumulates_on_success() {
-        let mut net = Network::new(LinkProfile::reliable(), SimRng::seed_from(8));
-        let mut a = agent();
-        let mut expect = SimDuration::ZERO;
-        for _ in 0..50 {
-            let (_, rtt) = net.call_with_latency(&mut a, Request::ReadPower).unwrap();
-            expect += rtt;
+    fn round_trips_convert_like_the_exponential_they_defer() {
+        const ATTEMPTS: u32 = 100_000;
+        let first = LinkProfile::lossy(0.1, 0.1);
+        let second = LinkProfile {
+            mean_latency: SimDuration::from_millis(37),
+            ..LinkProfile::lossy(0.05, 0.2)
+        };
+        let mut net = Network::new(first, SimRng::seed_from(77));
+        let mut twin = SimRng::seed_from(77);
+        let mut profile = first;
+        let (mut drops, mut timeouts, mut delivered) = (0u32, 0u32, 0u32);
+        for i in 0..ATTEMPTS {
+            if i == ATTEMPTS / 2 {
+                net.set_profile(second);
+                profile = second;
+            }
+            let got = net.attempt();
+            if twin.chance(profile.drop_prob) {
+                assert_eq!(got, Err(RpcError::Dropped), "attempt {i}");
+                drops += 1;
+                continue;
+            }
+            let timed_out = twin.chance(profile.timeout_prob);
+            let rate = 1.0 / profile.mean_latency.as_secs_f64();
+            let rtt = SimDuration::from_secs_f64(2.0 * twin.exponential(rate));
+            if timed_out {
+                assert_eq!(got, Err(RpcError::Timeout), "attempt {i}");
+                timeouts += 1;
+            } else {
+                assert_eq!(got.map(RoundTrip::duration), Ok(rtt), "attempt {i}");
+                delivered += 1;
+            }
         }
-        assert_eq!(net.stats().latency_sum, expect);
+        assert_eq!(net.state().rng, twin, "streams ended apart");
+        assert!(drops > 1000 && timeouts > 1000 && delivered > 1000);
+    }
+
+    /// A link state written before the counters left the wire — the
+    /// stream, then five `u64` — is refused by version.
+    #[test]
+    fn a_v1_network_state_is_a_version_mismatch() {
+        let mut body = SnapWriter::new();
+        SimRng::seed_from(1).encode_body(&mut body);
+        for counter in [10, 8, 1, 1, 24] {
+            body.put_u64(counter);
+        }
+        let body = body.into_bytes();
+        let mut w = SnapWriter::new();
+        w.put_u32(dcsim::snap::SECTION_MAGIC);
+        w.put_str(NetworkState::KIND);
+        w.put_u32(1);
+        w.put_u64(body.len() as u64);
+        w.put_raw(&body);
+        assert_eq!(
+            NetworkState::from_snap_bytes(&w.into_bytes()),
+            Err(SnapError::VersionMismatch {
+                kind: NetworkState::KIND.to_string(),
+                found: 1,
+                supported: 2,
+            })
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use dcsim::SimRng;
 use dynrpc::codec::{decode_request, decode_response, encode_request, encode_response};
-use dynrpc::{LinkProfile, Network, PowerReading, Request, Response, WireBreakdown};
+use dynrpc::{LinkProfile, Network, PowerReading, Request, Response, RpcError, WireBreakdown};
 use powerinfra::Power;
 
 const CASES: usize = 300;
@@ -86,13 +86,16 @@ fn truncation_is_detected() {
     }
 }
 
-/// Network failure statistics stay internally consistent at any
-/// configured drop/timeout rates.
+/// Network outcomes stay internally consistent at any configured
+/// drop/timeout rates: every call is delivered, dropped or timed out,
+/// the endpoint sees exactly the delivered ones, and the link stream
+/// ends where a twin deciding the same fates without an endpoint ends.
 #[test]
 fn network_stats_are_consistent() {
-    struct Null;
-    impl dynrpc::AgentEndpoint for Null {
+    struct Counting(u32);
+    impl dynrpc::AgentEndpoint for Counting {
         fn handle(&mut self, _: Request) -> Response {
+            self.0 += 1;
             Response::CapAck { ok: true }
         }
     }
@@ -102,12 +105,21 @@ fn network_stats_are_consistent() {
         let drop = meta.uniform(0.0, 0.5);
         let timeout = meta.uniform(0.0, 0.5);
         let mut net = Network::new(LinkProfile::lossy(drop, timeout), SimRng::seed_from(seed));
+        let mut twin = net.clone();
+        let mut endpoint = Counting(0);
+        let (mut delivered, mut drops, mut timeouts) = (0u32, 0u32, 0u32);
         for _ in 0..300 {
-            let _ = net.call(&mut Null, Request::ReadPower);
+            let outcome = net.call(&mut endpoint, Request::ReadPower);
+            assert_eq!(outcome.is_ok(), twin.attempt().is_ok());
+            match outcome {
+                Ok(_) => delivered += 1,
+                Err(RpcError::Dropped) => drops += 1,
+                Err(RpcError::Timeout) => timeouts += 1,
+                Err(RpcError::AgentDown) => panic!("the link answered for an agent"),
+            }
         }
-        let stats = net.stats();
-        assert_eq!(stats.calls, 300);
-        assert_eq!(stats.successes + stats.drops + stats.timeouts, 300);
-        assert!((0.0..=1.0).contains(&stats.failure_rate()));
+        assert_eq!(delivered + drops + timeouts, 300);
+        assert_eq!(endpoint.0, delivered);
+        assert_eq!(net.state(), twin.state());
     }
 }

@@ -269,10 +269,14 @@ impl Breaker {
                 self.status = BreakerStatus::Overloaded;
             }
         } else {
-            // Exponential cool-down toward zero.
-            self.heat *= (-dt_secs / self.cooling_tau_secs).exp();
-            if self.heat < 1e-9 {
-                self.heat = 0.0;
+            // Exponential cool-down toward zero. A cold breaker — nearly
+            // every device, nearly every tick — stays at +0.0 whatever
+            // the factor, so it skips the `exp`.
+            if self.heat != 0.0 {
+                self.heat *= (-dt_secs / self.cooling_tau_secs).exp();
+                if self.heat < 1e-9 {
+                    self.heat = 0.0;
+                }
             }
             self.status = BreakerStatus::Nominal;
         }
@@ -490,6 +494,73 @@ mod tests {
             }
         }
         assert!(tripped, "duty-cycled overload should eventually trip");
+    }
+
+    /// [`Breaker::step`] with the cool-down applied to every breaker,
+    /// cold or not: the reference the guarded step must match bit for
+    /// bit.
+    fn unconditional_step(b: &mut Breaker, draw: Power, dt: SimDuration) -> BreakerStatus {
+        if b.status == BreakerStatus::Tripped {
+            return b.status;
+        }
+        let ratio = draw.ratio_of(b.rating);
+        let dt_secs = dt.as_secs_f64();
+        if ratio > 1.0 {
+            b.heat += b.curve.heat_rate(ratio) * dt_secs;
+            if b.heat >= 1.0 {
+                b.heat = 1.0;
+                b.status = BreakerStatus::Tripped;
+            } else {
+                b.status = BreakerStatus::Overloaded;
+            }
+        } else {
+            b.heat *= (-dt_secs / b.cooling_tau_secs).exp();
+            if b.heat < 1e-9 {
+                b.heat = 0.0;
+            }
+            b.status = BreakerStatus::Nominal;
+        }
+        b.status
+    }
+
+    /// Overload, cool-down and rest episodes, replayed step by step on
+    /// twin breakers: skipping the cold `exp` moves no bit of heat and
+    /// no status, through snaps to zero, trips and resets.
+    #[test]
+    fn skipping_the_cold_cool_down_changes_no_bit() {
+        let mut rng = dcsim::SimRng::seed_from(0xB4EA);
+        let (mut fast, mut slow) = (rpp_breaker(), rpp_breaker());
+        let rating_w = fast.rating().as_watts();
+        let (mut snaps, mut trips, mut cold) = (0, 0, 0);
+        for _ in 0..400 {
+            let phases = [
+                (rng.uniform(1.01, 1.8), rng.next_below(90) + 1, 1),
+                (rng.uniform(0.3, 1.0), rng.next_below(600) + 1, 1),
+                (0.0, rng.next_below(60) + 1, 60),
+            ];
+            for (ratio, steps, dt_secs) in phases {
+                let (draw, dt) = (
+                    Power::from_watts(rating_w * ratio),
+                    SimDuration::from_secs(dt_secs),
+                );
+                for _ in 0..steps {
+                    let was_hot = slow.heat != 0.0;
+                    assert_eq!(fast.step(draw, dt), unconditional_step(&mut slow, draw, dt));
+                    assert_eq!(fast.heat.to_bits(), slow.heat.to_bits());
+                    snaps += u32::from(was_hot && slow.heat == 0.0);
+                    cold += u32::from(!was_hot && ratio <= 1.0);
+                }
+                if slow.status == BreakerStatus::Tripped {
+                    trips += 1;
+                    fast.reset();
+                    slow.reset();
+                }
+            }
+        }
+        assert!(
+            snaps > 0 && trips > 0 && cold > 0,
+            "vacuous: {snaps} snaps, {trips} trips, {cold} cold steps"
+        );
     }
 
     #[test]

@@ -281,16 +281,15 @@ fn bumped_version_is_rejected_with_a_clear_error() {
     );
 }
 
-/// Snapshots are same-build resume legs: a file written before the
-/// fleet section became columns (envelope version 2) is refused by
-/// version, before a single body byte is interpreted.
-#[test]
-fn a_v2_datacenter_envelope_is_a_version_mismatch() {
+/// Decodes a `DatacenterState` section framed at `version` around an
+/// eight-byte body and expects it refused by version, before a single
+/// body byte is interpreted.
+fn assert_datacenter_version_refused(version: u32) {
     use dynamo_repro::dynamo::DatacenterState;
     let mut w = SnapWriter::new();
     w.put_u32(dcsim::snap::SECTION_MAGIC);
     w.put_str(DatacenterState::KIND);
-    w.put_u32(2);
+    w.put_u32(version);
     w.put_u64(8);
     w.put_u64(0);
     match DatacenterState::from_snap_bytes(&w.into_bytes()) {
@@ -300,11 +299,25 @@ fn a_v2_datacenter_envelope_is_a_version_mismatch() {
             supported,
         }) => {
             assert_eq!(kind, DatacenterState::KIND);
-            assert_eq!((found, supported), (2, 3));
+            assert_eq!((found, supported), (version, 4));
         }
         Err(other) => panic!("expected VersionMismatch, got {other}"),
-        Ok(_) => panic!("a v2 envelope must not decode"),
+        Ok(_) => panic!("a v{version} envelope must not decode"),
     }
+}
+
+/// Snapshots are same-build resume legs: a file written before the
+/// fleet section became columns (envelope version 2) is refused.
+#[test]
+fn a_v2_datacenter_envelope_is_a_version_mismatch() {
+    assert_datacenter_version_refused(2);
+}
+
+/// A file written while each leaf link still carried its call counters
+/// and latency sum (envelope version 3) is refused.
+#[test]
+fn a_v3_datacenter_envelope_is_a_version_mismatch() {
+    assert_datacenter_version_refused(3);
 }
 
 #[test]
