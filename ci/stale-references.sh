@@ -17,7 +17,9 @@
 # of them, and the controllers' unread cadence and the validator's
 # tolerance knob went (tenth), or when a link came to hand back its
 # round trip unconverted and its call counters, latency sum and
-# latency-returning call went (eleventh) — so a stale reference breaks
+# latency-returning call went (eleventh), or when §II-C came to read
+# the table Figure 5 records and the suite type and its simulate call
+# folded into `fig5::run` (twelfth) — so a stale reference breaks
 # the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
@@ -31,7 +33,8 @@ parked between dispatches|parks the owner|exactly the pool it is asked|breaks ev
 pos_of|service_group|\.servers\(\)|builds one id-ordered
 set_leaf_spans|repartition|rechunk|leaf_span_generation|with_leaf_spans|re-span
 EventQueue|PeriodicSchedule|PhasePolicy|EvenSpread|CycleId|poll_interval|pop_before|with_tolerance
-NetworkStats|latency_sum|failure_rate|call_with_latency' \
+NetworkStats|latency_sum|failure_rate|call_with_latency
+Fig5Suite|fig5::simulate' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -112,9 +112,12 @@ fn parse_value(s: &str) -> Result<f64, String> {
 
 /// Strictly parses Prometheus text exposition and validates it:
 /// every sample must follow a `# TYPE` line for its family, names
-/// must be valid, and each histogram must carry monotone cumulative
-/// buckets ending in `+Inf`, a `_sum`, and a `_count` equal to the
-/// `+Inf` bucket. Returns the families in file order.
+/// must be valid, a counter must be finite and non-negative, and each
+/// histogram must carry monotone cumulative buckets under strictly
+/// ascending bounds ending in `+Inf`, a `_sum`, and a `_count` equal
+/// to the `+Inf` bucket. Returns the families in file order. Any
+/// input, however malformed, is an `Ok` keeping this contract or an
+/// `Err`, never a panic.
 pub fn parse_prometheus(text: &str) -> Result<Vec<ParsedFamily>, String> {
     struct Pending {
         name: String,
@@ -235,7 +238,8 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<ParsedFamily>, String> {
             return Err(at(format!("invalid metric name '{sample_name}'")));
         }
         if p.kind == ParsedKind::Histogram {
-            if sample_name == format!("{}_bucket", p.name) {
+            let suffix = sample_name.strip_prefix(p.name.as_str());
+            if suffix == Some("_bucket") {
                 let labels = rest
                     .split_once('}')
                     .ok_or_else(|| at("bucket sample missing '}'".into()))?;
@@ -245,15 +249,18 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<ParsedFamily>, String> {
                     .and_then(|s| s.strip_suffix('"'))
                     .ok_or_else(|| at("bucket sample missing le label".into()))?;
                 let bound = parse_value(le).map_err(&at)?;
+                if bound.is_nan() {
+                    return Err(at("bucket bound is not a number".into()));
+                }
                 let count: u64 = labels
                     .1
                     .trim()
                     .parse()
                     .map_err(|_| at(format!("bad bucket count '{}'", labels.1.trim())))?;
                 p.buckets.push((bound, count));
-            } else if sample_name == format!("{}_sum", p.name) {
+            } else if suffix == Some("_sum") {
                 p.sum = Some(parse_value(rest.trim()).map_err(&at)?);
-            } else if sample_name == format!("{}_count", p.name) {
+            } else if suffix == Some("_count") {
                 p.count = Some(
                     rest.trim()
                         .parse()
@@ -356,6 +363,15 @@ mod tests {
     #[test]
     fn invalid_names_are_rejected() {
         assert!(parse_prometheus("# TYPE 9lives counter\n9lives 1\n").is_err());
+    }
+
+    /// Found by the forge loop: `NaN` compares false both ways, so a
+    /// `NaN` bound slipped past the ascending-bounds check.
+    #[test]
+    fn a_bound_that_is_not_a_number_is_rejected() {
+        let text = "# TYPE h histogram\nh_bucket{le=\"NaN\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n";
+        let err = parse_prometheus(text).unwrap_err();
+        assert!(err.contains("not a number"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Figure 5: power-variation CDFs at each hierarchy level (rack, RPP,
 //! SB, MSB) across time windows from 3 s to 600 s, reported as p99s.
 
+use std::sync::{Mutex, PoisonError};
+
 use dcsim::SimDuration;
 use dynamo::{Datacenter, ServicePlan};
 use powerinfra::DeviceLevel;
@@ -19,6 +21,10 @@ pub const PAPER_P99: [(DeviceLevel, [f64; 6]); 4] = [
     (DeviceLevel::Sb, [1.5, 3.4, 3.9, 4.5, 5.1, 5.9]),
     (DeviceLevel::Msb, [1.4, 2.9, 3.3, 3.9, 4.4, 5.2]),
 ];
+
+/// A Figure 5 table: p99 variation (%) per level, in [`PAPER_P99`]
+/// order, per window, in [`WINDOWS_SECS`] order.
+pub type Table = [[f64; 6]; 4];
 
 /// One level's regenerated p99 row.
 #[derive(Debug, Clone)]
@@ -42,16 +48,32 @@ pub struct Fig5 {
     pub hours: u64,
 }
 
-/// The simulated suite Figure 5 is read from: a mixed-service suite
-/// with Dynamo in monitoring-only mode, every level's devices traced.
-pub struct Fig5Suite {
-    dc: Datacenter,
-    hours: u64,
+impl Fig5 {
+    /// The measured p99s, without the paper's (NaN where a row is
+    /// missing).
+    pub fn table(&self) -> Table {
+        std::array::from_fn(|i| self.rows.get(i).map_or([f64::NAN; 6], |r| r.p99))
+    }
 }
 
-/// Simulates the Figure 5 suite — the expensive half of [`run`], shared
-/// with the §II-C analysis, which reads one window of it.
-pub fn simulate(scale: Scale) -> Fig5Suite {
+/// The table the last [`run`] in this process computed, and its scale.
+/// A table is a pure function of its scale (the suite's seed and shape
+/// are fixed here), so whoever reads it cannot tell when it was made.
+static LAST: Mutex<Option<(Scale, Table)>> = Mutex::new(None);
+
+/// The table the last [`run`] in this process computed, if it ran at
+/// `scale`. [`run`] itself never reads it: every call simulates.
+pub fn recorded(scale: Scale) -> Option<Table> {
+    // The slot holds a `Copy` value, so a poisoned lock still holds a
+    // whole table.
+    let last = *LAST.lock().unwrap_or_else(PoisonError::into_inner);
+    last.filter(|&(at, _)| at == scale).map(|(_, table)| table)
+}
+
+/// Simulates the suite Figure 5 is read from: a mixed-service suite
+/// with Dynamo in monitoring-only mode, every level's devices traced.
+/// Returns it with the hours it ran.
+fn suite(scale: Scale) -> (Datacenter, u64) {
     let hours = scale.pick(2, 12);
     let mut dc = datacenter()
         .sbs_per_msb(scale.pick(2, 4))
@@ -87,56 +109,50 @@ pub fn simulate(scale: Scale) -> Fig5Suite {
         .seed(5)
         .build();
     dc.run_for(SimDuration::from_hours(hours));
-    Fig5Suite { dc, hours }
-}
-
-impl Fig5Suite {
-    /// The p99 of the variations of every `level` device pooled, in %
-    /// of each device's peak-hour mean, for each window (seconds).
-    pub fn p99_variation<const N: usize>(&self, level: DeviceLevel, windows: [u64; N]) -> [f64; N] {
-        let normalized: Vec<(&Trace, f64)> = self
-            .dc
-            .topology()
-            .devices_at(level)
-            .iter()
-            .map(|&dev| {
-                let trace = self
-                    .dc
-                    .telemetry()
-                    .device_trace(dev)
-                    .expect("level was watched");
-                (trace, trace.peak_mean(0.3))
-            })
-            .collect();
-        windows.map(|wsecs| {
-            let mut pooled = Vec::new();
-            for &(trace, norm) in &normalized {
-                for v in sliding_variation(trace, SimDuration::from_secs(wsecs)) {
-                    pooled.push(v / norm * 100.0);
-                }
-            }
-            quantile_of(&mut pooled, 0.99)
-        })
-    }
+    (dc, hours)
 }
 
 /// Regenerates Figure 5 by running a mixed-service suite with Dynamo in
-/// monitoring-only mode and pooling per-device sliding variations.
+/// monitoring-only mode and pooling per-device sliding variations, and
+/// records its table for [`recorded`].
 pub fn run(scale: Scale) -> Fig5 {
-    let suite = simulate(scale);
+    let (dc, hours) = suite(scale);
     let rows = PAPER_P99
         .iter()
-        .map(|&(level, paper_p99)| Fig5Row {
-            level,
-            p99: suite.p99_variation(level, WINDOWS_SECS),
-            paper_p99,
+        .map(|&(level, paper_p99)| {
+            // Each device's variations in % of its own peak-hour mean.
+            let normalized: Vec<(&Trace, f64)> = dc
+                .topology()
+                .devices_at(level)
+                .iter()
+                .map(|&dev| {
+                    let trace = dc.telemetry().device_trace(dev).expect("level was watched");
+                    (trace, trace.peak_mean(0.3))
+                })
+                .collect();
+            let p99 = WINDOWS_SECS.map(|wsecs| {
+                let mut pooled = Vec::new();
+                for &(trace, norm) in &normalized {
+                    for v in sliding_variation(trace, SimDuration::from_secs(wsecs)) {
+                        pooled.push(v / norm * 100.0);
+                    }
+                }
+                quantile_of(&mut pooled, 0.99)
+            });
+            Fig5Row {
+                level,
+                p99,
+                paper_p99,
+            }
         })
         .collect();
-    Fig5 {
+    let fig = Fig5 {
         rows,
-        servers: suite.dc.fleet().len(),
-        hours: suite.hours,
-    }
+        servers: dc.fleet().len(),
+        hours,
+    };
+    *LAST.lock().unwrap_or_else(PoisonError::into_inner) = Some((scale, fig.table()));
+    fig
 }
 
 impl std::fmt::Display for Fig5 {
@@ -172,6 +188,7 @@ impl std::fmt::Display for Fig5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::implications;
 
     #[test]
     fn variation_shapes_match_paper() {
@@ -196,6 +213,48 @@ mod tests {
             assert!(rack > rpp, "rack {rack} <= rpp {rpp} at window {wi}");
             assert!(rpp > msb, "rpp {rpp} <= msb {msb} at window {wi}");
         }
+    }
+
+    /// §II-C reads the table Figure 5 records. Whether it finds one or
+    /// simulates, it prints what the pre-slot derivation printed: each
+    /// level's 60 s p99 computed on its own from a fresh suite. Other
+    /// tests share the slot, so nothing here assumes what it holds.
+    #[test]
+    fn implications_read_this_table_bit_for_bit() {
+        let from_fresh = implications::from_table(&run(Scale::Quick).table());
+        // No test runs the full scale, so nothing may serve it.
+        assert!(recorded(Scale::Full).is_none());
+        let served = implications::run(Scale::Quick);
+        let (dc, _) = suite(Scale::Quick);
+        // Only the 60 s column is filled: a read of any other is NaN.
+        assert_eq!(WINDOWS_SECS[2], 60);
+        let reference: Table = PAPER_P99.map(|(level, _)| {
+            let mut pooled = Vec::new();
+            let devices = dc.topology().devices_at(level);
+            for trace in devices
+                .iter()
+                .filter_map(|&dev| dc.telemetry().device_trace(dev))
+            {
+                let norm = trace.peak_mean(0.3);
+                for v in sliding_variation(trace, SimDuration::from_secs(60)) {
+                    pooled.push(v / norm * 100.0);
+                }
+            }
+            let mut row = [f64::NAN; 6];
+            row[2] = quantile_of(&mut pooled, 0.99);
+            row
+        });
+        let reference = implications::from_table(&reference);
+        let bits = |imp: &implications::Implications| {
+            let rows: Vec<(u64, Option<u64>)> = imp
+                .rows
+                .iter()
+                .map(|r| (r.rise_60s_pct.to_bits(), r.trip_secs.map(f64::to_bits)))
+                .collect();
+            (rows, imp.binding_deadline_secs.to_bits(), imp.to_string())
+        };
+        assert_eq!(bits(&from_fresh), bits(&reference));
+        assert_eq!(bits(&served), bits(&reference));
     }
 
     #[test]

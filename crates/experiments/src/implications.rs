@@ -7,7 +7,8 @@
 //! therefore a datacenter-wide capping system must sample at sub-minute
 //! granularity and complete capping within two minutes (Dynamo targets
 //! 10 s). This module recomputes the same chain from *our measured*
-//! variations and trip curves.
+//! variations and trip curves. It is a derivation, not an experiment:
+//! the rises are the 60 s column of the table Figure 5 computed.
 
 use dcsim::SimDuration;
 use powerinfra::{DeviceLevel, TripCurve};
@@ -36,10 +37,21 @@ pub struct Implications {
     pub binding_deadline_secs: f64,
 }
 
-/// Derives the control-loop deadlines from the measured Figure 5
-/// variations and the Figure 3 trip curves.
+/// The column of a Figure 5 table that holds the 60 s window.
+const RISE_WINDOW: usize = 2;
+const _: () = assert!(fig5::WINDOWS_SECS[RISE_WINDOW] == 60);
+
+/// Derives the control-loop deadlines from Figure 5's 60 s rises and the
+/// Figure 3 trip curves. The rises are the table the last
+/// [`fig5::run`] at `scale` recorded; only when there is none does this
+/// run Figure 5's simulation itself.
 pub fn run(scale: Scale) -> Implications {
-    let suite = fig5::simulate(scale);
+    from_table(&fig5::recorded(scale).unwrap_or_else(|| fig5::run(scale).table()))
+}
+
+/// Derives the control-loop deadlines from the 60 s column of a Figure 5
+/// table and the Figure 3 trip curves.
+pub fn from_table(table: &fig5::Table) -> Implications {
     let curve_of = |level: DeviceLevel| match level {
         DeviceLevel::Rack => TripCurve::rack(),
         DeviceLevel::Rpp => TripCurve::rpp(),
@@ -48,8 +60,9 @@ pub fn run(scale: Scale) -> Implications {
     };
     let rows: Vec<ImplicationRow> = fig5::PAPER_P99
         .iter()
-        .map(|&(level, _)| {
-            let [rise] = suite.p99_variation(level, [60]);
+        .zip(table)
+        .map(|(&(level, _), p99)| {
+            let rise = p99[RISE_WINDOW];
             // A device at 100% of its rating hit by a `rise`% surge
             // lands at (1 + rise/100)x — the §II-C worst case under
             // full subscription.
