@@ -19,7 +19,9 @@
 # round trip unconverted and its call counters, latency sum and
 # latency-returning call went (eleventh), or when §II-C came to read
 # the table Figure 5 records and the suite type and its simulate call
-# folded into `fig5::run` (twelfth) — so a stale reference breaks
+# folded into `fig5::run` (twelfth), or when each stateful layer came to
+# save and load itself and its plain-data `*State` mirror went
+# (thirteenth) — so a stale reference breaks
 # the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
@@ -34,7 +36,8 @@ pos_of|service_group|\.servers\(\)|builds one id-ordered
 set_leaf_spans|repartition|rechunk|leaf_span_generation|with_leaf_spans|re-span
 EventQueue|PeriodicSchedule|PhasePolicy|EvenSpread|CycleId|poll_interval|pop_before|with_tolerance
 NetworkStats|latency_sum|failure_rate|call_with_latency
-Fig5Suite|fig5::simulate' \
+Fig5Suite|fig5::simulate
+\b(Fleet|System|LeafTier|UpperTier|Failover|Observability|Telemetry|Validator|GridLayer|Episode|LeafController|UpperController|Registry|EconController|Network|Workload)State\b|restored_tier' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -1,8 +1,7 @@
 //! Versioned binary snapshots of simulation state.
 //!
-//! Every stateful layer of the simulator implements [`Snapshot`]: a small
-//! hand-rolled binary codec (the workspace `serde` is a no-op shim, so
-//! nothing here derives anything). A snapshot *section* is:
+//! A small hand-rolled binary codec (the workspace `serde` is a no-op
+//! shim, so nothing here derives anything). A snapshot *section* is:
 //!
 //! ```text
 //! magic  : u32  (0x534E4150, "SNAP")
@@ -19,6 +18,15 @@
 //! length lets a reader skip sections it cannot interpret and guarantees
 //! a decoder consumed exactly what the encoder produced
 //! ([`SnapError::TrailingBytes`] otherwise).
+//!
+//! Plain values — a clock, a stream, a schedule, a breaker — implement
+//! [`Snapshot`] on themselves. A layer that holds parts rebuilt from
+//! configuration (a fleet, a controller tier) cannot be made from bytes
+//! alone, so it has no type of its own on the wire: it writes its body
+//! with a `save(&self, &mut SnapWriter)` and reads one back into itself,
+//! rebuilt from the same configuration, with a `load(&mut self, &mut
+//! SnapReader) -> Result<(), SnapError>` that checks each value against
+//! the rebuilt object as it reads it. Nested bodies are never framed.
 //!
 //! Floating-point values are stored as raw IEEE-754 bits
 //! ([`f64::to_bits`]), which is what makes *snapshot → restore → run*
@@ -115,7 +123,8 @@ impl SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// Little-endian binary writer backing [`Snapshot::encode_body`].
+/// Little-endian binary writer backing [`Snapshot::encode_body`] and
+/// every layer's `save`.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -130,6 +139,11 @@ impl SnapWriter {
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Bytes written so far.
@@ -192,16 +206,30 @@ impl SnapWriter {
 }
 
 /// Bounds-checked little-endian reader over a snapshot byte slice.
+///
+/// A `load` that finds a stored value disagreeing with the
+/// configuration of the object it loads into — a schedule's period, a
+/// breaker's rating, the server mix — notes it ([`SnapReader::adopt`],
+/// [`SnapReader::mismatch`]) and reads on; [`SnapReader::finish`]
+/// reports the first one noted. So a file written under another
+/// configuration is refused for the first difference in its *shape*
+/// (a count, a tag, a section present or absent) wherever that lies,
+/// and for its first differing value only when the shapes agree.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    mismatch: Option<SnapError>,
 }
 
 impl<'a> SnapReader<'a> {
     /// A reader over `bytes`, positioned at the start.
     pub fn new(bytes: &'a [u8]) -> Self {
-        SnapReader { buf: bytes, pos: 0 }
+        SnapReader {
+            buf: bytes,
+            pos: 0,
+            mismatch: None,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -272,6 +300,48 @@ impl<'a> SnapReader<'a> {
         self.take(n, "raw bytes")
     }
 
+    /// Reads a `u64` element count that must be `expected`: the length
+    /// of the live column the elements load into. Nothing is reserved
+    /// for a count, so a forged one costs no memory.
+    pub fn get_len(&mut self, expected: usize, what: &str) -> Result<(), SnapError> {
+        match self.get_u64()? {
+            n if n == expected as u64 => Ok(()),
+            n => Err(SnapError::Corrupt(format!(
+                "snapshot has {n} {what}, this build has {expected}"
+            ))),
+        }
+    }
+
+    /// Notes `e`, a stored value that disagrees with the configuration
+    /// of the object being loaded, and reads on. The first one noted is
+    /// what [`SnapReader::finish`] returns.
+    pub fn mismatch(&mut self, e: SnapError) {
+        self.mismatch.get_or_insert(e);
+    }
+
+    /// Puts `restored` — the rebuilt value with what a snapshot may
+    /// move of it — in `slot`, or, if the stored value disagrees with
+    /// the configuration, notes the mismatch and leaves `slot` as
+    /// built.
+    pub fn adopt<T>(&mut self, slot: &mut T, restored: Result<T, SnapError>) {
+        match restored {
+            Ok(v) => *slot = v,
+            Err(e) => self.mismatch(e),
+        }
+    }
+
+    /// Ends a load of a section of `kind`: every byte read, and no
+    /// mismatch noted.
+    pub fn finish(self, kind: &str) -> Result<(), SnapError> {
+        if self.remaining() != 0 {
+            return Err(SnapError::TrailingBytes {
+                kind: kind.to_string(),
+                extra: self.remaining(),
+            });
+        }
+        self.mismatch.map_or(Ok(()), Err)
+    }
+
     /// Reads an optional `f64` written by [`SnapWriter::put_opt_f64`].
     pub fn get_opt_f64(&mut self) -> Result<Option<f64>, SnapError> {
         if self.get_bool()? {
@@ -302,15 +372,16 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// A type whose state can be written to and restored from a versioned
+/// A value that can be written to and made again from a versioned
 /// binary section.
 ///
 /// Implementors provide only the body codec; the trait supplies the
 /// section framing (magic + kind + version + length) and the version
-/// forward-check. Types that cannot be reconstructed from bytes alone
-/// (they hold rebuilt-from-config parts) instead expose a plain-data
-/// `XxxState` companion that implements `Snapshot`, plus
-/// `state()`/`restore()` methods on the live type.
+/// forward-check. It is for types whose bytes are the whole value. A
+/// layer that holds parts rebuilt from configuration does not implement
+/// it: it saves its body into a [`SnapWriter`] and loads one into
+/// itself from a [`SnapReader`] (see the module docs), and its body
+/// nests, unframed, in the body of the section that owns it.
 pub trait Snapshot: Sized {
     /// Stable section identifier, e.g. `"dcsim.SimRng"`. Namespaced by
     /// crate so kinds never collide across the workspace.
@@ -402,17 +473,6 @@ pub fn put_u64_slice(w: &mut SnapWriter, xs: &[u64]) {
     }
 }
 
-/// Decodes a `u64` vector written by [`put_u64_slice`].
-pub fn get_u64_vec(r: &mut SnapReader<'_>) -> Result<Vec<u64>, SnapError> {
-    r.get_vec(|r| r.get_u64())
-}
-
-/// Decodes a vector of [counts](SnapReader::get_count) written by
-/// [`put_u64_slice`].
-pub fn get_count_vec(r: &mut SnapReader<'_>) -> Result<Vec<u64>, SnapError> {
-    r.get_vec(|r| r.get_count())
-}
-
 /// Encodes a slice of `f64`s (raw bits) with a length prefix.
 pub fn put_f64_slice(w: &mut SnapWriter, xs: &[f64]) {
     w.put_u64(xs.len() as u64);
@@ -432,11 +492,6 @@ pub fn put_bool_slice(w: &mut SnapWriter, xs: &[bool]) {
     for &x in xs {
         w.put_bool(x);
     }
-}
-
-/// Decodes a bool vector written by [`put_bool_slice`].
-pub fn get_bool_vec(r: &mut SnapReader<'_>) -> Result<Vec<bool>, SnapError> {
-    r.get_vec(|r| r.get_bool())
 }
 
 #[cfg(test)]
@@ -582,13 +637,47 @@ mod tests {
         w.put_u64(8);
         let bytes = w.into_bytes();
         assert!(matches!(
-            get_u64_vec(&mut SnapReader::new(&bytes)),
+            SnapReader::new(&bytes).get_vec(|r| r.get_u64()),
             Err(SnapError::UnexpectedEof { .. })
         ));
         // Wide elements are bounded by their in-memory size, not by a
         // fixed element cap.
         let wide = SnapReader::new(&bytes).get_vec(|r| Ok([r.get_u64()?; 64]));
         assert!(matches!(wide, Err(SnapError::UnexpectedEof { .. })));
+    }
+
+    /// A count must be the live length; a configuration mismatch is
+    /// noted, read past, and reported by `finish` after the bytes are
+    /// checked.
+    #[test]
+    fn lengths_mismatches_and_finish() {
+        let mut w = SnapWriter::new();
+        w.put_u64(3);
+        w.put_u64(u64::MAX);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.get_len(3, "leaves"), Ok(()));
+        let err = r.get_len(3, "leaves").unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("snapshot has 18446744073709551615 leaves, this build has 3"));
+
+        let mut slot = 1;
+        let mut r = SnapReader::new(&bytes);
+        r.adopt(&mut slot, Ok(2));
+        r.adopt(&mut slot, Err(SnapError::Corrupt("first".into())));
+        r.mismatch(SnapError::Corrupt("second".into()));
+        assert_eq!(slot, 2, "a mismatch leaves the slot as it was");
+        r.get_u64().unwrap();
+        r.get_u64().unwrap();
+        assert_eq!(r.finish("k"), Err(SnapError::Corrupt("first".into())));
+        let mut r = SnapReader::new(&bytes);
+        r.mismatch(SnapError::Corrupt("first".into()));
+        assert!(matches!(
+            r.finish("k"),
+            Err(SnapError::TrailingBytes { extra: 16, .. })
+        ));
+        assert_eq!(SnapReader::new(&[]).finish("k"), Ok(()));
     }
 
     #[test]
@@ -599,12 +688,12 @@ mod tests {
         put_bool_slice(&mut w, &[true, false]);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(get_u64_vec(&mut r).unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.get_vec(|r| r.get_u64()).unwrap(), vec![1, 2, 3]);
         let fs = get_f64_vec(&mut r).unwrap();
         assert_eq!(fs[0], f64::INFINITY);
         assert_eq!(fs[1].to_bits(), (-0.0f64).to_bits());
         assert_eq!(fs[2], 3.25);
-        assert_eq!(get_bool_vec(&mut r).unwrap(), vec![true, false]);
+        assert_eq!(r.get_vec(|r| r.get_bool()).unwrap(), vec![true, false]);
         assert_eq!(r.remaining(), 0);
     }
 }

@@ -369,69 +369,76 @@ impl LeafController {
         self.last_distribution
     }
 
-    /// Captures the controller's dynamic state: Hold-band trackers
+    /// Saves the controller's dynamic state: Hold-band trackers
     /// (`last_power`), capping-episode state (`active_caps`), the pushed
     /// contract, alerts, cycle count, distribution stats and the
     /// runtime-mutable dry-run flag. Static config and server handles
     /// are rebuilt by the owner.
-    pub fn state(&self) -> LeafControllerState {
-        LeafControllerState {
-            last_power: self.last_power.iter().map(|p| p.get()).collect(),
-            active_caps: self.active_caps.iter().map(|c| c.get()).collect(),
-            contractual_limit: self.contractual_limit,
-            alerts: self.alerts.clone(),
-            cycles: self.cycles,
-            last_distribution: self.last_distribution,
-            dry_run: self.config.dry_run,
+    pub fn save(&self, w: &mut SnapWriter) {
+        for column in [&self.last_power, &self.active_caps] {
+            w.put_u64(column.len() as u64);
+            for slot in column {
+                w.put_opt_f64(slot.get().map(Power::as_watts));
+            }
         }
+        w.put_opt_f64(self.contractual_limit.map(Power::as_watts));
+        w.put_u64(self.alerts.len() as u64);
+        for a in &self.alerts {
+            a.encode_body(w);
+        }
+        w.put_u64(self.cycles);
+        w.put_u32(self.last_distribution.groups_touched);
+        w.put_u32(self.last_distribution.buckets_expanded);
+        w.put_u32(self.last_distribution.victims);
+        w.put_f64(self.last_distribution.leftover_watts);
+        w.put_bool(self.config.dry_run);
     }
 
-    /// Restores state captured by [`LeafController::state`].
+    /// Loads state written by [`LeafController::save`] into a
+    /// controller built with the same servers.
     ///
     /// # Errors
     ///
-    /// Fails with [`SnapError::Corrupt`], before changing anything, if
-    /// the state was captured from a controller with a different server
-    /// count, or holds a reading that is no valid draw (every later
-    /// failed pull without live peers would be estimated from it) or a
-    /// cap or contract that is not a finite positive power.
-    pub fn restore(&mut self, state: &LeafControllerState) -> Result<(), SnapError> {
-        let n = self.ids.len();
-        if state.last_power.len() != n || state.active_caps.len() != n {
-            return Err(SnapError::Corrupt(format!(
-                "leaf '{}' has {} servers; state was captured with {}/{}",
-                self.name,
-                n,
-                state.last_power.len(),
-                state.active_caps.len()
-            )));
+    /// Fails with [`SnapError::Corrupt`] if the state was saved by a
+    /// controller with a different server count, or holds a reading
+    /// that is no valid draw (every later failed pull without live
+    /// peers would be estimated from it) or a cap or contract that is
+    /// not a finite positive power.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let refuse = |pos: usize, bad: String| {
+            SnapError::Corrupt(format!("leaf '{}' position {pos}: {bad}", self.name))
+        };
+        let servers = |e: SnapError| e.within(format_args!("leaf '{}' servers", self.name));
+        r.get_len(self.ids.len(), "readings").map_err(servers)?;
+        for (pos, slot) in self.last_power.iter_mut().enumerate() {
+            let reading = r.get_opt_f64()?.map(Power::from_watts);
+            if let Some(p) = reading.filter(|p| !p.is_valid_draw()) {
+                return Err(refuse(pos, format!("reading {p} is not a valid draw")));
+            }
+            *slot = reading.into();
         }
-        for (pos, (p, c)) in state.last_power.iter().zip(&state.active_caps).enumerate() {
-            let bad = match (*p, *c) {
-                (Some(p), _) if !p.is_valid_draw() => format!("reading {p} is not a valid draw"),
-                (_, Some(c)) if !(c.as_watts().is_finite() && c.as_watts() > 0.0) => {
-                    format!("cap {c} is not a finite positive power")
-                }
-                _ => continue,
-            };
-            return Err(SnapError::Corrupt(format!(
-                "leaf '{}' position {pos}: {bad}",
-                self.name
-            )));
+        r.get_len(self.ids.len(), "caps").map_err(servers)?;
+        for (pos, slot) in self.active_caps.iter_mut().enumerate() {
+            let cap = r.get_opt_f64()?.map(Power::from_watts);
+            if let Some(c) = cap.filter(|c| !(c.as_watts().is_finite() && c.as_watts() > 0.0)) {
+                return Err(refuse(
+                    pos,
+                    format!("cap {c} is not a finite positive power"),
+                ));
+            }
+            *slot = cap.into();
         }
-        check_contract(state.contractual_limit)?;
-        for (slot, &p) in self.last_power.iter_mut().zip(&state.last_power) {
-            *slot = p.into();
-        }
-        for (slot, &c) in self.active_caps.iter_mut().zip(&state.active_caps) {
-            *slot = c.into();
-        }
-        self.active_cap_count = state.active_caps.iter().filter(|c| c.is_some()).count();
-        self.contractual_limit = state.contractual_limit;
-        self.alerts.clone_from(&state.alerts);
-        self.cycles = state.cycles;
-        self.last_distribution = state.last_distribution;
-        self.config.dry_run = state.dry_run;
+        self.active_cap_count = self.active_caps.iter().filter(|c| c.is_some()).count();
+        self.contractual_limit = get_contract(r)?;
+        self.alerts = r.get_vec(Alert::decode_body)?;
+        self.cycles = r.get_count()?;
+        self.last_distribution = DistributionStats {
+            groups_touched: r.get_u32()?,
+            buckets_expanded: r.get_u32()?,
+            victims: r.get_u32()?,
+            leftover_watts: r.get_f64()?,
+        };
+        self.config.dry_run = r.get_bool()?;
         Ok(())
     }
 
@@ -647,91 +654,14 @@ fn first_duplicate(ids: &[u32]) -> Option<u32> {
     sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
-/// The dynamic state of one [`LeafController`]. Implements
-/// [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeafControllerState {
-    /// Most recent per-server reading, position-indexed.
-    pub last_power: Vec<Option<Power>>,
-    /// Caps in force, position-indexed.
-    pub active_caps: Vec<Option<Power>>,
-    /// Contract pushed down by the parent.
-    pub contractual_limit: Option<Power>,
-    /// Alerts raised so far.
-    pub alerts: Vec<Alert>,
-    /// Completed cycle count.
-    pub cycles: u64,
-    /// Stats of the most recent cut distribution.
-    pub last_distribution: DistributionStats,
-    /// Runtime dry-run flag (staged rollouts mutate it mid-run).
-    pub dry_run: bool,
-}
-
-fn put_opt_power_slice(w: &mut SnapWriter, xs: &[Option<Power>]) {
-    w.put_u64(xs.len() as u64);
-    for x in xs {
-        w.put_opt_f64(x.map(Power::as_watts));
-    }
-}
-
-/// A stored contract is what [`LeafController::set_contractual_limit`]
-/// would have accepted.
-pub(crate) fn check_contract(limit: Option<Power>) -> Result<(), SnapError> {
-    match limit {
+/// Reads a stored contract: none, or what
+/// [`LeafController::set_contractual_limit`] would have accepted.
+pub(crate) fn get_contract(r: &mut SnapReader<'_>) -> Result<Option<Power>, SnapError> {
+    match r.get_opt_f64()?.map(Power::from_watts) {
         Some(l) if l.as_watts().is_nan() || l.as_watts() <= 0.0 => Err(SnapError::Corrupt(
             format!("contractual limit {l} in snapshot is not positive"),
         )),
-        _ => Ok(()),
-    }
-}
-
-fn get_opt_power_vec(r: &mut SnapReader<'_>) -> Result<Vec<Option<Power>>, SnapError> {
-    r.get_vec(|r| Ok(r.get_opt_f64()?.map(Power::from_watts)))
-}
-
-fn put_alerts(w: &mut SnapWriter, alerts: &[Alert]) {
-    w.put_u64(alerts.len() as u64);
-    for a in alerts {
-        a.encode_body(w);
-    }
-}
-
-fn get_alerts(r: &mut SnapReader<'_>) -> Result<Vec<Alert>, SnapError> {
-    r.get_vec(Alert::decode_body)
-}
-
-impl Snapshot for LeafControllerState {
-    const KIND: &'static str = "dynamo_controller.LeafControllerState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        put_opt_power_slice(w, &self.last_power);
-        put_opt_power_slice(w, &self.active_caps);
-        w.put_opt_f64(self.contractual_limit.map(Power::as_watts));
-        put_alerts(w, &self.alerts);
-        w.put_u64(self.cycles);
-        w.put_u32(self.last_distribution.groups_touched);
-        w.put_u32(self.last_distribution.buckets_expanded);
-        w.put_u32(self.last_distribution.victims);
-        w.put_f64(self.last_distribution.leftover_watts);
-        w.put_bool(self.dry_run);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(LeafControllerState {
-            last_power: get_opt_power_vec(r)?,
-            active_caps: get_opt_power_vec(r)?,
-            contractual_limit: r.get_opt_f64()?.map(Power::from_watts),
-            alerts: get_alerts(r)?,
-            cycles: r.get_count()?,
-            last_distribution: DistributionStats {
-                groups_touched: r.get_u32()?,
-                buckets_expanded: r.get_u32()?,
-                victims: r.get_u32()?,
-                leftover_watts: r.get_f64()?,
-            },
-            dry_run: r.get_bool()?,
-        })
+        limit => Ok(limit),
     }
 }
 
@@ -1142,37 +1072,55 @@ mod tests {
         assert_eq!(c.last_power()[&3], watts(240.0));
     }
 
+    fn saved(c: &LeafController) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// `bytes`, a saved controller, with slot `pos` of its readings
+    /// (`column` 0) or its caps (1) rewritten to hold `watts`.
+    fn forge_slot(bytes: &[u8], column: usize, pos: u64, watts: f64) -> Vec<u8> {
+        let (mut r, mut w) = (SnapReader::new(bytes), SnapWriter::new());
+        for c in 0..2 {
+            let n = r.get_u64().unwrap();
+            w.put_u64(n);
+            for p in 0..n {
+                let slot = r.get_opt_f64().unwrap();
+                w.put_opt_f64(if (c, p) == (column, pos) {
+                    Some(watts)
+                } else {
+                    slot
+                });
+            }
+        }
+        w.put_raw(r.get_raw(r.remaining()).unwrap());
+        w.into_bytes()
+    }
+
     /// A snapshot's readings become estimates and its caps become the
     /// cap state: a NaN or negative reading, or a cap that is no finite
-    /// positive power, is refused naming the leaf and the position, and
-    /// nothing is installed.
+    /// positive power, is refused naming the leaf and the position.
+    /// (Leaving nothing of the forgery behind is the datacenter's
+    /// rollback, tested there.)
     #[test]
-    fn restore_refuses_readings_and_caps_no_cycle_could_have_stored() {
+    fn load_refuses_readings_and_caps_no_cycle_could_have_stored() {
         let mut fleet = Fleet::new(&[(0, 300.0), (1, 300.0), (2, 300.0), (3, 300.0)]);
         let mut c = leaf(1200.0, web_servers(4));
         c.cycle(SimTime::ZERO, |s, r| fleet.call(s, r));
-        let honest = c.state();
+        let honest = saved(&c);
         assert!(c.active_cap_count() > 0);
         let forgeries = [
-            (
-                true,
-                Some(watts(f64::NAN)),
-                "position 2: reading NaN W is not a valid draw",
-            ),
-            (true, Some(watts(-5.0)), "position 2: reading -5"),
-            (false, Some(watts(0.0)), "position 2: cap 0"),
-            (false, Some(watts(f64::INFINITY)), "position 2: cap inf"),
-            (false, Some(watts(f64::NAN)), "position 2: cap NaN"),
+            (0, f64::NAN, "position 2: reading NaN W is not a valid draw"),
+            (0, -5.0, "position 2: reading -5"),
+            (1, 0.0, "position 2: cap 0"),
+            (1, f64::INFINITY, "position 2: cap inf"),
+            (1, f64::NAN, "position 2: cap NaN"),
         ];
-        for (reading, value, what) in forgeries {
-            let mut forged = honest.clone();
-            if reading {
-                forged.last_power[2] = value;
-            } else {
-                forged.active_caps[2] = value;
-            }
+        for (column, watts, what) in forgeries {
+            let forged = forge_slot(&honest, column, 2, watts);
             let mut target = leaf(1200.0, web_servers(4));
-            match target.restore(&forged) {
+            match target.load(&mut SnapReader::new(&forged)) {
                 Err(SnapError::Corrupt(msg)) => {
                     assert!(
                         msg.contains("leaf 'rpp-test'") && msg.contains(what),
@@ -1181,11 +1129,12 @@ mod tests {
                 }
                 other => panic!("{what}: expected a refusal, got {other:?}"),
             }
-            assert_eq!(target.state(), leaf(1200.0, web_servers(4)).state());
         }
         let mut twin = leaf(1200.0, web_servers(4));
-        twin.restore(&honest).expect("an honest state restores");
-        assert_eq!(twin.state(), honest);
+        let mut r = SnapReader::new(&honest);
+        twin.load(&mut r).expect("an honest state loads");
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(saved(&twin), honest);
         assert_eq!(twin.active_caps(), c.active_caps());
     }
 

@@ -44,11 +44,10 @@ mod upper;
 pub use distribution::{
     distribute_power_cut, distribute_power_cut_with_stats, CutAssignment, DistributionStats,
 };
-pub use leaf::{CycleOutcome, LeafConfig, LeafController, LeafControllerState, LeafTransport};
+pub use leaf::{CycleOutcome, LeafConfig, LeafController, LeafTransport};
 pub use pi::{PiConfig, PiController, PiDecision};
 pub use threeband::{three_band_decision, BandDecision, ThreeBandConfig};
 pub use types::{Alert, CapCommand, ControlAction, PowerSlot, ServerHandle, ServiceClass};
 pub use upper::{
-    ChildDirective, ChildReport, CoordinationPolicy, UpperConfig, UpperController,
-    UpperControllerState, UpperOutcome,
+    ChildDirective, ChildReport, CoordinationPolicy, UpperConfig, UpperController, UpperOutcome,
 };

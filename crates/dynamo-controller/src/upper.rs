@@ -226,39 +226,66 @@ impl UpperController {
         self.cycles
     }
 
-    /// Captures the controller's dynamic state for a snapshot.
-    pub fn state(&self) -> UpperControllerState {
+    /// Saves the controller's dynamic state, contracts in child-index
+    /// order so the bytes do not depend on the map's.
+    pub fn save(&self, w: &mut SnapWriter) {
         let mut contracts: Vec<(usize, Power)> = self
             .active_contracts
             .iter()
             .map(|(&i, &p)| (i, p))
             .collect();
         contracts.sort_unstable_by_key(|&(i, _)| i);
-        UpperControllerState {
-            active_contracts: contracts,
-            contractual_limit: self.contractual_limit,
-            alerts: self.alerts.clone(),
-            cycles: self.cycles,
+        w.put_u64(contracts.len() as u64);
+        for (idx, p) in contracts {
+            w.put_u64(idx as u64);
+            w.put_f64(p.as_watts());
         }
+        w.put_opt_f64(self.contractual_limit.map(|p| p.as_watts()));
+        w.put_u64(self.alerts.len() as u64);
+        for alert in &self.alerts {
+            alert.encode_body(w);
+        }
+        w.put_u64(self.cycles);
     }
 
-    /// Restores dynamic state from a snapshot. Configuration (name,
-    /// limits, policy, child count) is not part of the state — the
+    /// Loads state written by [`UpperController::save`]. Configuration
+    /// (name, limits, policy, child count) is not part of it — the
     /// controller must be rebuilt from the same config first.
-    pub fn restore(&mut self, state: &UpperControllerState) -> Result<(), SnapError> {
-        for &(idx, _) in &state.active_contracts {
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let positive = |what: &str, watts: f64| {
+            if watts.is_finite() && watts > 0.0 {
+                Ok(Power::from_watts(watts))
+            } else {
+                Err(SnapError::Corrupt(format!(
+                    "{what} must be positive, got {watts}"
+                )))
+            }
+        };
+        self.active_contracts.clear();
+        let mut prev: Option<usize> = None;
+        for _ in 0..r.get_u64()? {
+            let idx = r.get_u64()? as usize;
+            if prev.is_some_and(|p| p >= idx) {
+                return Err(SnapError::Corrupt(
+                    "upper contracts not strictly index-sorted".into(),
+                ));
+            }
+            prev = Some(idx);
+            let limit = positive("contract limit", r.get_f64()?)?;
             if idx >= self.child_count {
                 return Err(SnapError::Corrupt(format!(
                     "contract child index {idx} out of range for {} children",
                     self.child_count
                 )));
             }
+            self.active_contracts.insert(idx, limit);
         }
-        crate::leaf::check_contract(state.contractual_limit)?;
-        self.active_contracts = state.active_contracts.iter().copied().collect();
-        self.contractual_limit = state.contractual_limit;
-        self.alerts = state.alerts.clone();
-        self.cycles = state.cycles;
+        self.contractual_limit = r
+            .get_opt_f64()?
+            .map(|w| positive("contractual limit", w))
+            .transpose()?;
+        self.alerts = r.get_vec(Alert::decode_body)?;
+        self.cycles = r.get_count()?;
         Ok(())
     }
 
@@ -381,76 +408,6 @@ impl UpperController {
             uncapped,
             directives,
         }
-    }
-}
-
-/// Dynamic state of an [`UpperController`], snapshot-serializable.
-/// Contracts are kept index-sorted so encoding is deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UpperControllerState {
-    /// Active child contracts as sorted `(child index, limit)` pairs.
-    pub active_contracts: Vec<(usize, Power)>,
-    /// Contractual limit imposed by this controller's parent.
-    pub contractual_limit: Option<Power>,
-    /// Alerts raised so far.
-    pub alerts: Vec<Alert>,
-    /// Completed cycles.
-    pub cycles: u64,
-}
-
-impl Snapshot for UpperControllerState {
-    const KIND: &'static str = "dynamo_controller.UpperControllerState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.active_contracts.len() as u64);
-        for &(idx, p) in &self.active_contracts {
-            w.put_u64(idx as u64);
-            w.put_f64(p.as_watts());
-        }
-        w.put_opt_f64(self.contractual_limit.map(|p| p.as_watts()));
-        w.put_u64(self.alerts.len() as u64);
-        for alert in &self.alerts {
-            alert.encode_body(w);
-        }
-        w.put_u64(self.cycles);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut prev: Option<usize> = None;
-        let active_contracts = r.get_vec(|r| {
-            let idx = r.get_u64()? as usize;
-            if prev.is_some_and(|p| p >= idx) {
-                return Err(SnapError::Corrupt(
-                    "upper contracts not strictly index-sorted".into(),
-                ));
-            }
-            prev = Some(idx);
-            let watts = r.get_f64()?;
-            if !(watts.is_finite() && watts > 0.0) {
-                return Err(SnapError::Corrupt(format!(
-                    "contract limit must be positive, got {watts}"
-                )));
-            }
-            Ok((idx, Power::from_watts(watts)))
-        })?;
-        let contractual_limit = match r.get_opt_f64()? {
-            Some(w) if w.is_finite() && w > 0.0 => Some(Power::from_watts(w)),
-            Some(w) => {
-                return Err(SnapError::Corrupt(format!(
-                    "contractual limit must be positive, got {w}"
-                )))
-            }
-            None => None,
-        };
-        let alerts = r.get_vec(Alert::decode_body)?;
-        let cycles = r.get_count()?;
-        Ok(UpperControllerState {
-            active_contracts,
-            contractual_limit,
-            alerts,
-            cycles,
-        })
     }
 }
 

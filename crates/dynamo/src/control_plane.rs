@@ -3,19 +3,19 @@
 
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
 use dynamo_controller::{ServiceClass, ThreeBandConfig};
 use dynobs::ObsConfig;
 use dynrpc::LinkProfile;
 use powerinfra::{DeviceId, Power, Topology};
 
-use crate::events::{collect_due, restored_tier, tier_schedules, ControllerEvent};
-use crate::failover::{Failover, FailoverState};
+use crate::events::{collect_due, load_tier, save_tier, tier_schedules, ControllerEvent};
+use crate::failover::Failover;
 use crate::fleet::Fleet;
-use crate::leaf_exec::{LeafTier, LeafTierState};
-use crate::obs::{Observability, ObservabilityState};
-use crate::upper_exec::{UpperTier, UpperTierState};
+use crate::leaf_exec::LeafTier;
+use crate::obs::Observability;
+use crate::upper_exec::UpperTier;
 use dynpool::WorkerPool;
 
 /// Deployment configuration for the control plane.
@@ -343,44 +343,33 @@ impl DynamoSystem {
         out
     }
 
-    /// Captures the control plane's full dynamic state for a snapshot:
-    /// both tiers, failover bookkeeping, per-controller cycle
-    /// schedules, and observability. The sections are the flat wire
-    /// structs they have always been; what a leaf owns of the failover
-    /// and observability sections (its pending-failure flag, its last
-    /// band) is gathered here and split back by
-    /// [`LeafTier::restore`]. Pending incident dumps must be flushed
-    /// first (see [`crate::Datacenter`]'s checkpoint path).
-    pub(crate) fn state(&self) -> SystemState {
+    /// Saves the control plane's full dynamic state: both tiers,
+    /// failover bookkeeping, per-controller cycle schedules, and
+    /// observability, as the flat sections the wire has always had:
+    /// what a leaf owns of the failover and observability sections (its
+    /// pending-failure flag, its last band) is gathered here, and
+    /// [`DynamoSystem::load`] puts it back.
+    pub(crate) fn save(&self, w: &mut SnapWriter) {
         let leaves = &self.leaves.leaves;
-        let failed = leaves.iter().map(|l| l.failed).collect();
-        let shard_bands = leaves.iter().map(|l| l.band.code()).collect();
-        SystemState {
-            leaves: self.leaves.state(),
-            uppers: self.uppers.state(),
-            failover: self.failover.state(failed),
-            leaf_schedules: self.leaf_cycles.clone(),
-            upper_schedules: self.upper_cycles.clone(),
-            obs: self.obs.state(shard_bands),
-        }
+        self.leaves.save(w);
+        self.uppers.save(w);
+        self.failover.save(w, leaves.iter().map(|l| l.failed));
+        save_tier(&self.leaf_cycles, w);
+        save_tier(&self.upper_cycles, w);
+        self.obs.save(w, leaves.iter().map(|l| l.band));
     }
 
-    /// Restores the control plane from a decoded snapshot taken against
-    /// an identically-configured system.
-    pub(crate) fn restore(&mut self, state: &SystemState) -> Result<(), SnapError> {
-        self.leaves.restore(
-            &state.leaves,
-            &state.failover.leaf_failed,
-            &state.obs.shard_bands,
-        )?;
-        self.uppers.restore(&state.uppers)?;
-        self.failover.restore(&state.failover)?;
-        let leaf_cycles = restored_tier(&self.leaf_cycles, &state.leaf_schedules, "leaf")?;
-        let upper_cycles = restored_tier(&self.upper_cycles, &state.upper_schedules, "upper")?;
-        self.leaf_cycles = leaf_cycles;
-        self.upper_cycles = upper_cycles;
-        self.obs.restore(&state.obs)?;
-        Ok(())
+    /// Loads what [`DynamoSystem::save`] wrote into a system built
+    /// with the same configuration.
+    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.leaves.load(r)?;
+        self.uppers.load(r)?;
+        let leaves = &mut self.leaves.leaves;
+        self.failover
+            .load(r, leaves.iter_mut().map(|l| &mut l.failed))?;
+        load_tier(&mut self.leaf_cycles, r, "leaf")?;
+        load_tier(&mut self.upper_cycles, r, "upper")?;
+        self.obs.load(r, leaves.iter_mut().map(|l| &mut l.band))
     }
 
     /// Runs any controller cycles due at `now`. Call once per simulation
@@ -455,57 +444,5 @@ impl DynamoSystem {
             );
         }
         events
-    }
-}
-
-/// The control plane's full dynamic state: both controller tiers,
-/// failover bookkeeping, every per-controller cycle schedule, and the
-/// observability subsystem. Everything else the system holds — config,
-/// topology-derived geometry, the worker pool, scratch buffers — is
-/// rebuilt from the run parameters on restore.
-pub(crate) struct SystemState {
-    pub(crate) leaves: LeafTierState,
-    pub(crate) uppers: UpperTierState,
-    pub(crate) failover: FailoverState,
-    pub(crate) leaf_schedules: Vec<CycleSchedule>,
-    pub(crate) upper_schedules: Vec<CycleSchedule>,
-    pub(crate) obs: ObservabilityState,
-}
-
-impl Snapshot for SystemState {
-    const KIND: &'static str = "dynamo.SystemState";
-    // v2: the leaf tier's links carry their streams alone
-    // (`dynamo.LeafTierState` v2).
-    const VERSION: u32 = 2;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        self.leaves.encode_body(w);
-        self.uppers.encode_body(w);
-        self.failover.encode_body(w);
-        w.put_u64(self.leaf_schedules.len() as u64);
-        for s in &self.leaf_schedules {
-            s.encode_body(w);
-        }
-        w.put_u64(self.upper_schedules.len() as u64);
-        for s in &self.upper_schedules {
-            s.encode_body(w);
-        }
-        self.obs.encode_body(w);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let leaves = LeafTierState::decode_body(r)?;
-        let uppers = UpperTierState::decode_body(r)?;
-        let failover = FailoverState::decode_body(r)?;
-        let leaf_schedules = r.get_vec(CycleSchedule::decode_body)?;
-        let upper_schedules = r.get_vec(CycleSchedule::decode_body)?;
-        Ok(SystemState {
-            leaves,
-            uppers,
-            failover,
-            leaf_schedules,
-            upper_schedules,
-            obs: ObservabilityState::decode_body(r)?,
-        })
     }
 }

@@ -23,18 +23,18 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot, SECTION_MAGIC};
 use dcsim::{SimDuration, SimTime};
 use dynpool::WorkerPool;
 use powerinfra::{Breaker, BreakerStatus, DeviceId, Power, Topology};
 use workloads::ServiceKind;
 
-use crate::control_plane::{DynamoSystem, SystemState};
-use crate::fleet::{Fleet, FleetState};
-use crate::grid::{GridLayer, GridLayerState};
+use crate::control_plane::DynamoSystem;
+use crate::fleet::Fleet;
+use crate::grid::GridLayer;
 use crate::obs::TickPhase;
-use crate::telemetry::{BreakerEvent, Telemetry, TelemetryState};
-use crate::validator::{BreakerValidator, ValidatorState};
+use crate::telemetry::{BreakerEvent, Telemetry};
+use crate::validator::BreakerValidator;
 
 /// The one way the tick's fan-outs (fleet physics, same-instant leaf
 /// control dispatch) run: on a persistent pool as wide as the requested
@@ -516,20 +516,10 @@ impl Datacenter {
             .observability_mut()
             .flush_incidents()
             .expect("flush pending incident dumps before snapshotting");
+        let mut w = SnapWriter::new();
+        self.save(&mut w);
         DatacenterState {
-            now_ms: self.now.as_millis(),
-            fleet: self.fleet.state(),
-            system: self.system.state(),
-            telemetry: self.telemetry.state(),
-            breakers: self
-                .device_ids
-                .iter()
-                .map(|&id| self.topo.device(id).breaker.clone())
-                .collect(),
-            breaker_status: self.breaker_status.clone(),
-            validator: self.validator.state(),
-            alerts_seen: self.alerts_seen as u64,
-            grid: self.grid.as_ref().map(|g| g.state()),
+            body: w.into_bytes(),
         }
     }
 
@@ -539,72 +529,117 @@ impl Datacenter {
     /// bit-identically to the run that took the snapshot, at any worker
     /// thread count.
     ///
+    /// Each layer loads its part in place, checking it as it reads. A
+    /// refused snapshot changes nothing: the datacenter reloads the
+    /// bytes it saved just before the attempt.
+    ///
     /// # Errors
     ///
-    /// Fails without touching wall-clock state if the snapshot
-    /// disagrees with this datacenter's shape (different topology,
-    /// server mix, controller count, or ring capacities).
+    /// Fails if the snapshot disagrees with this datacenter's shape
+    /// (different topology, server mix, controller count, or ring
+    /// capacities) or configuration, or holds a value no run could
+    /// have produced.
     pub fn restore(&mut self, state: &DatacenterState) -> Result<(), SnapError> {
-        if state.breakers.len() != self.device_ids.len()
-            || state.breaker_status.len() != self.device_ids.len()
-        {
-            return Err(SnapError::Corrupt(format!(
-                "snapshot covers {} devices, rebuilt topology has {}",
-                state.breakers.len(),
-                self.device_ids.len()
-            )));
+        let mut before = SnapWriter::new();
+        self.save(&mut before);
+        let loaded = self.load_body(&state.body);
+        if loaded.is_err() {
+            self.load_body(before.as_bytes())
+                .expect("a datacenter reloads the bytes it saved");
         }
-        match (&mut self.grid, &state.grid) {
-            (Some(_), None) | (None, Some(_)) => {
-                return Err(SnapError::Corrupt(
-                    "snapshot and rebuilt datacenter disagree on grid layer presence".into(),
-                ))
-            }
-            _ => {}
-        }
-        // Every step advances the clock by one tick and the fleet by one
-        // physics tick: two words of the file that must agree, or every
-        // schedule and redraw interval is measured against a forged one.
-        let ticks = state.fleet.tick_index;
-        if ticks.checked_mul(self.tick.as_millis()) != Some(state.now_ms) {
-            return Err(SnapError::Corrupt(format!(
-                "snapshot clock t={} ms is not its fleet's {ticks} ticks of {}",
-                state.now_ms, self.tick
-            )));
-        }
-        // Ticks deliver controller events in time order and the recorder
-        // asserts it: none stored may be dated at or after the clock.
-        let events = &state.telemetry.controller_events;
-        if let Some(e) = events.iter().find(|e| e.at.as_millis() >= state.now_ms) {
-            return Err(SnapError::Corrupt(format!(
-                "controller event at {:?} in a snapshot taken at t={} ms",
-                e.at, state.now_ms
-            )));
-        }
-        // A breaker's rating and trip curve are this build's, not the
-        // file's: only the thermal state moves.
-        let mut breakers = Vec::with_capacity(self.device_ids.len());
-        for (&id, saved) in self.device_ids.iter().zip(&state.breakers) {
-            let restored = self.topo.device(id).breaker.restored(saved);
-            breakers.push(restored.map_err(|e| e.within(id))?);
-        }
-        self.fleet.restore(&state.fleet)?;
-        self.system.restore(&state.system)?;
-        self.telemetry.restore(&state.telemetry)?;
-        for (&id, breaker) in self.device_ids.iter().zip(breakers) {
-            self.topo.device_mut(id).breaker = breaker;
-        }
-        self.breaker_status.clone_from(&state.breaker_status);
-        self.validator.restore(&state.validator)?;
-        if let (Some(grid), Some(gs)) = (&mut self.grid, &state.grid) {
-            grid.restore(gs, SimTime::from_millis(state.now_ms))?;
-        }
-        self.alerts_seen = state.alerts_seen as usize;
-        self.now = SimTime::from_millis(state.now_ms);
         // The restored epochs are another run's: no memo survives.
         for t in &mut self.subtrees {
             t.memo_key = NEVER_FOLDED;
         }
+        loaded
+    }
+
+    /// Writes the body of a [`DatacenterState`]: the clock, then each
+    /// layer's part in the order the simulation nests them.
+    fn save(&self, w: &mut SnapWriter) {
+        w.put_u64(self.now.as_millis());
+        self.fleet.save(w);
+        self.system.save(w);
+        self.telemetry.save(w);
+        w.put_u64(self.device_ids.len() as u64);
+        for &id in &self.device_ids {
+            self.topo.device(id).breaker.encode_body(w);
+        }
+        w.put_u64(self.breaker_status.len() as u64);
+        for &s in &self.breaker_status {
+            w.put_u8(s.snap_code());
+        }
+        self.validator.save(w);
+        w.put_u64(self.alerts_seen as u64);
+        match &self.grid {
+            Some(g) => {
+                w.put_u8(1);
+                g.save(w);
+            }
+            None => w.put_u8(0),
+        }
+    }
+
+    /// Loads all of `body`, a body written by [`Datacenter::save`]: no
+    /// byte left over and no configuration mismatch noted.
+    fn load_body(&mut self, body: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::new(body);
+        self.load(&mut r)?;
+        r.finish(DatacenterState::KIND)
+    }
+
+    /// Reads a body written by [`Datacenter::save`] into this
+    /// datacenter, layer by layer, as [`Datacenter::restore`] describes.
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let now_ms = r.get_u64()?;
+        self.fleet.load(r)?;
+        // Every step advances the clock by one tick and the fleet by one
+        // physics tick: two words of the file that must agree, or every
+        // schedule and redraw interval is measured against a forged one.
+        let ticks = self.fleet.tick_index();
+        if ticks.checked_mul(self.tick.as_millis()) != Some(now_ms) {
+            return Err(SnapError::Corrupt(format!(
+                "snapshot clock t={now_ms} ms is not its fleet's {ticks} ticks of {}",
+                self.tick
+            )));
+        }
+        self.system.load(r)?;
+        self.telemetry.load(r)?;
+        // Ticks deliver controller events in time order and the recorder
+        // asserts it: none stored may be dated at or after the clock.
+        let events = self.telemetry.controller_events();
+        if let Some(e) = events.iter().find(|e| e.at.as_millis() >= now_ms) {
+            return Err(SnapError::Corrupt(format!(
+                "controller event at {:?} in a snapshot taken at t={now_ms} ms",
+                e.at
+            )));
+        }
+        // A breaker's rating and trip curve are this build's, not the
+        // file's: only the thermal state moves.
+        r.get_len(self.device_ids.len(), "devices")?;
+        for &id in &self.device_ids {
+            let saved = Breaker::decode_body(r)?;
+            let breaker = &mut self.topo.device_mut(id).breaker;
+            let restored = breaker.restored(&saved);
+            r.adopt(breaker, restored.map_err(|e| e.within(id)));
+        }
+        r.get_len(self.device_ids.len(), "devices")?;
+        for status in &mut self.breaker_status {
+            *status = BreakerStatus::from_snap_code(r.get_u8()?)?;
+        }
+        self.validator.load(r)?;
+        self.alerts_seen = r.get_u64()? as usize;
+        match (r.get_u8()?, &mut self.grid) {
+            (0, None) => {}
+            (1, Some(grid)) => grid.load(r, SimTime::from_millis(now_ms))?,
+            (0 | 1, _) => {
+                return Err(SnapError::Corrupt(
+                    "snapshot and rebuilt datacenter disagree on grid layer presence".into(),
+                ))
+            }
+            (other, _) => return Err(SnapError::Corrupt(format!("bad grid-layer tag {other}"))),
+        }
+        self.now = SimTime::from_millis(now_ms);
         Ok(())
     }
 
@@ -635,23 +670,17 @@ impl Datacenter {
 }
 
 /// The full dynamic state of a [`Datacenter`], produced by
-/// [`Datacenter::state`] and consumed by [`Datacenter::restore`].
+/// [`Datacenter::state`] and consumed by [`Datacenter::restore`]: the
+/// body bytes of its section. Serialize with
+/// [`Snapshot::to_snap_bytes`].
 ///
-/// The layers nest the way the simulation does: fleet physics, the
-/// control plane (both tiers, schedules, failover, observability),
-/// telemetry, per-device breaker thermal state, and the breaker
-/// validator. Serialize with [`Snapshot::to_snap_bytes`].
+/// The layers nest the way the simulation does: the clock, fleet
+/// physics, the control plane (both tiers, failover, schedules,
+/// observability), telemetry, per-device breaker thermal state, the
+/// breaker validator and the optional grid layer. Nothing is checked
+/// until a datacenter loads them.
 pub struct DatacenterState {
-    /// Simulated time at the tick boundary the snapshot was taken.
-    pub now_ms: u64,
-    pub(crate) fleet: FleetState,
-    pub(crate) system: SystemState,
-    pub(crate) telemetry: TelemetryState,
-    pub(crate) breakers: Vec<Breaker>,
-    pub(crate) breaker_status: Vec<BreakerStatus>,
-    pub(crate) validator: ValidatorState,
-    pub(crate) alerts_seen: u64,
-    pub(crate) grid: Option<GridLayerState>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Snapshot for DatacenterState {
@@ -662,58 +691,30 @@ impl Snapshot for DatacenterState {
     // objects, drops the control-flush watermarks and stores the masks
     // as bools.
     // v4: each leaf link's call counters and latency sum (five `u64`)
-    // left the control-plane section (`dynamo.SystemState` v2).
+    // left the control-plane section.
     const VERSION: u32 = 4;
 
     fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.now_ms);
-        self.fleet.encode_body(w);
-        self.system.encode_body(w);
-        self.telemetry.encode_body(w);
-        w.put_u64(self.breakers.len() as u64);
-        for b in &self.breakers {
-            b.encode_body(w);
-        }
-        w.put_u64(self.breaker_status.len() as u64);
-        for &s in &self.breaker_status {
-            w.put_u8(s.snap_code());
-        }
-        self.validator.encode_body(w);
-        w.put_u64(self.alerts_seen);
-        match &self.grid {
-            Some(g) => {
-                w.put_u8(1);
-                g.encode_body(w);
-            }
-            None => w.put_u8(0),
-        }
+        w.put_raw(&self.body);
     }
 
+    /// The framing around the body as it is: the body is bytes already,
+    /// so it is not copied once more to be measured — that copy would be
+    /// a third checkpoint-sized buffer live while a checkpoint is
+    /// written, and the peak resident set follows it.
+    fn write_section(&self, w: &mut SnapWriter) {
+        w.put_u32(SECTION_MAGIC);
+        w.put_str(Self::KIND);
+        w.put_u32(Self::VERSION);
+        w.put_u64(self.body.len() as u64);
+        w.put_raw(&self.body);
+    }
+
+    /// Takes the rest of the enclosing body: a datacenter's body is
+    /// always last.
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let now_ms = r.get_u64()?;
-        let fleet = FleetState::decode_body(r)?;
-        let system = SystemState::decode_body(r)?;
-        let telemetry = TelemetryState::decode_body(r)?;
-        let breakers = r.get_vec(Breaker::decode_body)?;
-        let breaker_status = r.get_vec(|r| BreakerStatus::from_snap_code(r.get_u8()?))?;
-        let validator = ValidatorState::decode_body(r)?;
-        let alerts_seen = r.get_u64()?;
-        let grid = match r.get_u8()? {
-            0 => None,
-            1 => Some(GridLayerState::decode_body(r)?),
-            other => return Err(SnapError::Corrupt(format!("bad grid-layer tag {other}"))),
-        };
-        Ok(DatacenterState {
-            now_ms,
-            fleet,
-            system,
-            telemetry,
-            breakers,
-            breaker_status,
-            validator,
-            alerts_seen,
-            grid,
-        })
+        let body = r.get_raw(r.remaining())?.to_vec();
+        Ok(DatacenterState { body })
     }
 }
 
@@ -770,7 +771,7 @@ impl std::fmt::Debug for Datacenter {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{DatacenterBuilder, ServicePlan};
     use dcsim::CycleSchedule;
@@ -1044,28 +1045,104 @@ mod tests {
         assert_eq!(dc.device_power(sb), dc.device_power(rpps[1]));
     }
 
-    #[test]
-    fn restore_rejects_a_band_code_no_band_has() {
-        let mut dc = small_dc(3, 2);
-        let mut state = dc.state();
-        assert!(dc.restore(&state).is_ok());
-        state.system.obs.shard_bands[1] = 4;
-        let err = dc.restore(&state).unwrap_err();
-        assert!(
-            err.to_string().contains("leaf 1 has unknown band code 4"),
-            "{err}"
-        );
+    /// Bytes `save` writes.
+    pub(crate) fn saved_len(save: impl FnOnce(&mut SnapWriter)) -> usize {
+        let mut w = SnapWriter::new();
+        save(&mut w);
+        w.len()
     }
 
-    /// `restore` must refuse `forged`, naming `what`, with nothing of
-    /// it installed: the datacenter still snapshots to `before`.
-    fn assert_refused(dc: &mut Datacenter, forged: &DatacenterState, what: &str) {
+    /// Where parts of the body `dc.state()` writes lie, from the
+    /// lengths of its parts saved alone and the layout DESIGN §13 gives.
+    struct Layout {
+        /// The control-plane section.
+        system: usize,
+        /// The fleet's `tick_index`.
+        tick_index: usize,
+        /// The first leaf and the first upper schedule.
+        leaf_schedules: usize,
+        upper_schedules: usize,
+        /// Leaf 0's band code.
+        bands: usize,
+        /// The telemetry schedule's period, then its next firing.
+        telemetry_schedule: usize,
+        /// The first breaker, and the length of each.
+        breakers: usize,
+        breaker_len: usize,
+    }
+
+    impl Layout {
+        fn of(dc: &Datacenter) -> Layout {
+            let (system, obs) = (dc.system(), dc.system().observability());
+            let (leaves, uppers) = (system.leaf_count(), system.upper_devices().len());
+            let fleet_end = 8 + saved_len(|w| dc.fleet.save(w));
+            let telemetry = fleet_end + saved_len(|w| dc.system.save(w));
+            // The observability section closes the control plane: the
+            // registry, the bands, both rings and the incident number.
+            let obs_start = telemetry
+                - saved_len(|w| obs.registry().save(w))
+                - (8 + 4 * leaves)
+                - saved_len(|w| obs.trace().encode_body(w))
+                - saved_len(|w| obs.flight().encode_body(w))
+                - 8;
+            let breakers = telemetry + saved_len(|w| dc.telemetry.save(w));
+            // The fleet section ends with `tick_index` and four per-leaf
+            // arrays: settled flags, then three `u64` columns.
+            let per_leaf = (8 + leaves) + 3 * (8 + 8 * leaves);
+            Layout {
+                system: fleet_end,
+                tick_index: fleet_end - per_leaf - 8,
+                leaf_schedules: obs_start - 24 * uppers - 8 - 24 * leaves,
+                upper_schedules: obs_start - 24 * uppers,
+                bands: obs_start + saved_len(|w| obs.registry().save(w)) + 8,
+                telemetry_schedule: breakers - 16,
+                breakers: breakers + 8,
+                breaker_len: saved_len(|w| dc.topo.device(dc.topo.root()).breaker.encode_body(w)),
+            }
+        }
+    }
+
+    /// Writes `bytes` over the body of `state` at `at`.
+    fn poke(state: &mut DatacenterState, at: usize, bytes: &[u8]) {
+        state.body[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Takes a snapshot of `dc`, forges it with `forge` (which reads
+    /// the offsets it needs off `dc` as it was then), runs `dc` 10 s on
+    /// and hands it the forgery: `restore` must refuse it, naming
+    /// `what`, and leave `dc` exactly as it was — it still snapshots to
+    /// the same bytes.
+    pub(crate) fn assert_refused(
+        dc: &mut Datacenter,
+        forge: impl FnOnce(&Datacenter, &mut DatacenterState),
+        what: &str,
+    ) {
+        let mut forged = dc.state();
+        forge(dc, &mut forged);
+        dc.run_for(SimDuration::from_secs(10));
         let before = dc.state().to_snap_bytes();
-        match dc.restore(forged) {
+        match dc.restore(&forged) {
             Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
             other => panic!("expected a refusal naming {what:?}, got {other:?}"),
         }
-        assert_eq!(dc.state().to_snap_bytes(), before);
+        assert_eq!(
+            dc.state().to_snap_bytes(),
+            before,
+            "{what}: the refusal changed state"
+        );
+    }
+
+    /// A band code is checked in the observability section, after the
+    /// fleet's and the controllers' sections have loaded.
+    #[test]
+    fn restore_rejects_a_band_code_no_band_has() {
+        let mut dc = small_dc(3, 2);
+        let honest = dc.state();
+        assert!(dc.restore(&honest).is_ok());
+        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+            poke(s, Layout::of(dc).bands + 4, &4u32.to_le_bytes())
+        };
+        assert_refused(&mut dc, forge, "leaf 1 has unknown band code 4");
     }
 
     /// A breaker's rating is configuration. Restored from the file, an
@@ -1077,12 +1154,22 @@ mod tests {
         dc.run_for(SimDuration::from_secs(5));
         let rpp = dc.topo.devices_at(DeviceLevel::Rpp)[1];
         let honest = dc.topo.device(rpp).breaker.clone();
-        let mut state = dc.state();
-        state.breakers[rpp.index()] = Breaker::new(honest.rating() * 2.0, *honest.curve());
-        assert_refused(&mut dc, &state, &format!("{rpp}: breaker in snapshot"));
-        let mut state = dc.state();
-        state.breakers[rpp.index()] = Breaker::new(honest.rating(), TripCurve::msb());
-        assert_refused(&mut dc, &state, &format!("{rpp}: breaker in snapshot"));
+        let doubled = Breaker::new(honest.rating() * 2.0, *honest.curve());
+        let recurved = Breaker::new(honest.rating(), TripCurve::msb());
+        for forged in [doubled, recurved] {
+            let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+                let layout = Layout::of(dc);
+                let mut w = SnapWriter::new();
+                forged.encode_body(&mut w);
+                assert_eq!(w.len(), layout.breaker_len);
+                poke(
+                    s,
+                    layout.breakers + rpp.index() * layout.breaker_len,
+                    w.as_bytes(),
+                );
+            };
+            assert_refused(&mut dc, forge, &format!("{rpp}: breaker in snapshot"));
+        }
         let honest = dc.state();
         assert!(dc.restore(&honest).is_ok());
     }
@@ -1093,17 +1180,32 @@ mod tests {
     fn restore_rejects_a_schedule_that_is_not_the_configured_one() {
         let mut dc = small_dc(3, 2);
         dc.run_for(SimDuration::from_secs(5));
+        let body = |s: CycleSchedule| {
+            let mut w = SnapWriter::new();
+            s.encode_body(&mut w);
+            w.into_bytes()
+        };
         let period = SimDuration::from_secs(4);
-        let mut state = dc.state();
-        state.system.leaf_schedules[2] = CycleSchedule::new(period);
-        assert_refused(&mut dc, &state, "leaf controller 2: schedule");
-        let mut state = dc.state();
-        state.system.upper_schedules[0] =
-            CycleSchedule::with_phase(SimDuration::from_secs(9), SimDuration::from_secs(1));
-        assert_refused(&mut dc, &state, "upper controller 0: schedule");
-        let mut state = dc.state();
-        state.telemetry.schedule = CycleSchedule::new(period);
-        assert_refused(&mut dc, &state, "schedule");
+        let leaf = body(CycleSchedule::new(period));
+        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+            poke(s, Layout::of(dc).leaf_schedules + 2 * 24, &leaf)
+        };
+        assert_refused(&mut dc, forge, "leaf controller 2: schedule");
+        let upper = body(CycleSchedule::with_phase(
+            SimDuration::from_secs(9),
+            SimDuration::from_secs(1),
+        ));
+        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+            poke(s, Layout::of(dc).upper_schedules, &upper)
+        };
+        assert_refused(&mut dc, forge, "upper controller 0: schedule");
+        // Telemetry stores its period and next firing only.
+        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+            let at = Layout::of(dc).telemetry_schedule;
+            poke(s, at, &period.as_millis().to_le_bytes());
+            poke(s, at + 8, &0u64.to_le_bytes());
+        };
+        assert_refused(&mut dc, forge, "schedule");
     }
 
     /// The clock and the fleet's tick count advance together; a file
@@ -1114,12 +1216,49 @@ mod tests {
     fn restore_rejects_a_clock_that_is_not_the_fleets_tick_count() {
         let mut dc = small_dc(3, 2);
         dc.run_for(SimDuration::from_secs(5));
-        let mut state = dc.state();
-        state.now_ms = 0xfff0_0000_0000_0000;
-        assert_refused(&mut dc, &state, "snapshot clock");
-        let mut state = dc.state();
-        state.fleet.tick_index = 1 << 40;
-        assert_refused(&mut dc, &state, "snapshot clock");
+        let forge = |_: &Datacenter, s: &mut DatacenterState| {
+            poke(s, 0, &0xfff0_0000_0000_0000_u64.to_le_bytes())
+        };
+        assert_refused(&mut dc, forge, "snapshot clock");
+        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+            poke(s, Layout::of(dc).tick_index, &(1u64 << 40).to_le_bytes())
+        };
+        assert_refused(&mut dc, forge, "snapshot clock");
+    }
+
+    /// Leaf `leaf`'s controller section in `state`, taken from `dc`,
+    /// with slot `pos` of its readings (`column` 0) or its caps (1)
+    /// rewritten to hold `watts`.
+    fn forge_slot(
+        dc: &Datacenter,
+        state: &mut DatacenterState,
+        (leaf, column, pos): (usize, usize, u64),
+        watts: f64,
+    ) {
+        let system = dc.system();
+        let controller = |i: usize| system.leaf_for(system.leaf_devices()[i]).expect("a leaf");
+        let saved = |i: usize| saved_len(|w| controller(i).save(w));
+        let start = Layout::of(dc).system + 8 + (0..leaf).map(saved).sum::<usize>();
+        let section = start..start + saved(leaf);
+        let (mut r, mut w) = (
+            SnapReader::new(&state.body[section.clone()]),
+            SnapWriter::new(),
+        );
+        for c in 0..2 {
+            let n = r.get_u64().unwrap();
+            w.put_u64(n);
+            for p in 0..n {
+                let slot = r.get_opt_f64().unwrap();
+                if (c, p) != (column, pos) {
+                    w.put_opt_f64(slot);
+                    continue;
+                }
+                assert!(c == 1 || slot.is_some(), "vacuous: no reading at {pos}");
+                w.put_opt_f64(Some(watts));
+            }
+        }
+        w.put_raw(r.get_raw(r.remaining()).unwrap());
+        state.body.splice(section, w.into_bytes());
     }
 
     /// A leaf controller's stored readings become the estimate for every
@@ -1147,40 +1286,25 @@ mod tests {
             .expect("a leaf")
             .name()
             .to_string();
-        let honest = dc.state();
-        assert!(honest.system.leaves.controllers[1].last_power[5].is_some());
         let forgeries = [
-            (true, f64::NAN, "reading NaN W is not a valid draw"),
-            (true, -5.0, "reading -5"),
-            (false, 0.0, "cap 0"),
-            (false, -1.0, "cap -1"),
-            (false, f64::INFINITY, "cap inf"),
-            (false, f64::NAN, "cap NaN"),
+            (0, f64::NAN, "reading NaN W is not a valid draw"),
+            (0, -5.0, "reading -5"),
+            (1, 0.0, "cap 0"),
+            (1, -1.0, "cap -1"),
+            (1, f64::INFINITY, "cap inf"),
+            (1, f64::NAN, "cap NaN"),
         ];
-        for (reading, watts, what) in forgeries {
-            let mut forged = dc.state();
-            let controller = &mut forged.system.leaves.controllers[1];
-            let slot = if reading {
-                &mut controller.last_power[5]
-            } else {
-                &mut controller.active_caps[5]
+        for (column, watts, what) in forgeries {
+            let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+                forge_slot(dc, s, (1, column, 5), watts);
+                let bytes = s.to_snap_bytes();
+                *s = DatacenterState::from_snap_bytes(&bytes).expect("forged bytes decode");
             };
-            *slot = Some(Power::from_watts(watts));
-            let bytes = forged.to_snap_bytes();
-            let decoded = DatacenterState::from_snap_bytes(&bytes).expect("forged bytes decode");
-            let mut target = build();
-            match target.restore(&decoded) {
-                Err(SnapError::Corrupt(msg)) => assert!(
-                    msg.contains(&format!("leaf '{name}' position 5: {what}")),
-                    "{msg}"
-                ),
-                other => panic!("{what}: expected a refusal, got {other:?}"),
-            }
+            assert_refused(&mut dc, forge, &format!("leaf '{name}' position 5: {what}"));
         }
-        let decoded = DatacenterState::from_snap_bytes(&honest.to_snap_bytes()).expect("decodes");
-        build()
-            .restore(&decoded)
-            .expect("the honest state restores");
+        let honest =
+            DatacenterState::from_snap_bytes(&dc.state().to_snap_bytes()).expect("decodes");
+        build().restore(&honest).expect("the honest state restores");
     }
 
     #[test]
@@ -1221,10 +1345,13 @@ mod tests {
             let report = crate::RunReport::from_datacenter(&dc);
             assert!(report.leaf_cap_events > 0, "vacuous: nothing capped");
             assert!(report.failovers > 0, "vacuous: no failover");
-            (dc.state().system.leaves.networks, report.to_string())
+            // Everything up to the schedules: the fleet, every
+            // controller, every leaf's link stream, the failover tallies.
+            let tiers = Layout::of(&dc).leaf_schedules;
+            (dc.state().body[..tiers].to_vec(), report.to_string())
         };
         let (observed, unobserved) = (run(crate::ObsConfig::on()), run(Default::default()));
-        assert_eq!(observed.0, unobserved.0, "leaf link streams");
+        assert_eq!(observed.0, unobserved.0, "fleet and controller tiers");
         assert_eq!(observed.1, unobserved.1, "run report");
     }
 }

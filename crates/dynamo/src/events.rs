@@ -11,7 +11,8 @@
 
 use std::sync::Arc;
 
-use dcsim::{CycleSchedule, SimDuration, SimTime, SnapError};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::{DeviceId, Power};
 
 /// A notable controller action, for telemetry and assertions.
@@ -85,31 +86,39 @@ pub(crate) fn collect_due(tier: &mut [CycleSchedule], now: SimTime, due: &mut Ve
     }
 }
 
-/// `tier` moved to the positions of `saved`, checked schedule by
-/// schedule against the configured one ([`CycleSchedule::restored`]).
-pub(crate) fn restored_tier(
-    tier: &[CycleSchedule],
-    saved: &[CycleSchedule],
-    level: &str,
-) -> Result<Vec<CycleSchedule>, SnapError> {
-    if saved.len() != tier.len() {
-        return Err(SnapError::Corrupt(format!(
-            "snapshot has {} {level} controller schedules, the rebuilt control plane {}",
-            saved.len(),
-            tier.len()
-        )));
+/// Saves a tier's schedules: a count, then each one's body.
+pub(crate) fn save_tier(tier: &[CycleSchedule], w: &mut SnapWriter) {
+    w.put_u64(tier.len() as u64);
+    for s in tier {
+        s.encode_body(w);
     }
-    let restored = tier.iter().zip(saved).enumerate().map(|(i, (s, saved))| {
-        s.restored(saved)
-            .map_err(|e| e.within(format_args!("{level} controller {i}")))
-    });
-    restored.collect()
+}
+
+/// Loads a tier saved by [`save_tier`]: each schedule takes its saved
+/// position if that is one of the configured schedule's
+/// ([`CycleSchedule::restored`]); a mismatch is noted naming the
+/// controller.
+pub(crate) fn load_tier(
+    tier: &mut [CycleSchedule],
+    r: &mut SnapReader<'_>,
+    level: &str,
+) -> Result<(), SnapError> {
+    r.get_len(tier.len(), "schedules")
+        .map_err(|e| e.within(format_args!("{level} tier")))?;
+    for (i, s) in tier.iter_mut().enumerate() {
+        let saved = CycleSchedule::decode_body(r)?;
+        let restored = s.restored(&saved);
+        r.adopt(
+            s,
+            restored.map_err(|e| e.within(format_args!("{level} controller {i}"))),
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcsim::snap::{SnapReader, SnapWriter, Snapshot};
     use dcsim::SimRng;
 
     fn due_at(tier: &mut [CycleSchedule], ms: u64) -> Vec<usize> {
@@ -185,17 +194,17 @@ mod tests {
     }
 
     /// A tier through the snapshot codec and into a freshly built twin.
-    fn snapshot_restore(tier: &[CycleSchedule], twin: &[CycleSchedule]) -> Vec<CycleSchedule> {
+    fn snapshot_restore(
+        tier: &[CycleSchedule],
+        mut twin: Vec<CycleSchedule>,
+    ) -> Vec<CycleSchedule> {
         let mut w = SnapWriter::new();
-        for s in tier {
-            s.encode_body(&mut w);
-        }
+        save_tier(tier, &mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let saved: Vec<CycleSchedule> = (0..tier.len())
-            .map(|_| CycleSchedule::decode_body(&mut r).unwrap())
-            .collect();
-        restored_tier(twin, &saved, "leaf").unwrap()
+        load_tier(&mut twin, &mut r, "leaf").unwrap();
+        r.finish("tier").unwrap();
+        twin
     }
 
     /// The scan against a brute-force reference, over random periods,
@@ -231,10 +240,10 @@ mod tests {
             for k in 0..ticks {
                 let now = k * tick;
                 if k == restore_at {
-                    let fresh = build();
+                    let [leaf, upper] = build();
                     twins = Some([
-                        snapshot_restore(&tiers[0], &fresh[0]),
-                        snapshot_restore(&tiers[1], &fresh[1]),
+                        snapshot_restore(&tiers[0], leaf),
+                        snapshot_restore(&tiers[1], upper),
                     ]);
                 }
                 for (level, tier) in tiers.iter_mut().enumerate() {

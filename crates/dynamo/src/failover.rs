@@ -8,28 +8,18 @@
 //! cycle consumes it, in whichever shard runs it); [`Failover`] holds
 //! what is shared — the upper tier's flags, the per-controller
 //! skipped-cycle tallies for reporting, and the running takeover count
-//! — and [`FailoverState`] is the flat wire form of both.
+//! — and saves both as one flat section.
 
-use dcsim::snap::{
-    get_bool_vec, get_count_vec, put_bool_slice, put_u64_slice, SnapError, SnapReader, SnapWriter,
-    Snapshot,
-};
+use dcsim::snap::{put_bool_slice, put_u64_slice, SnapError, SnapReader, SnapWriter};
 
 /// Pending upper-tier primary failures, skipped-cycle tallies and the
 /// cumulative failover count for both controller tiers.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Failover {
     upper_failed: Vec<bool>,
     leaf_skipped: Vec<u64>,
     upper_skipped: Vec<u64>,
     count: u64,
-}
-
-/// The leaves' pending-failure flags plus [`Failover`], as snapshotted.
-#[derive(Debug, Clone)]
-pub(crate) struct FailoverState {
-    pub(crate) leaf_failed: Vec<bool>,
-    shared: Failover,
 }
 
 impl Failover {
@@ -79,66 +69,47 @@ impl Failover {
         self.count
     }
 
-    /// The wire form, with the leaves' pending-failure flags.
-    pub(crate) fn state(&self, leaf_failed: Vec<bool>) -> FailoverState {
-        FailoverState {
-            leaf_failed,
-            shared: self.clone(),
+    /// Saves the leaves' pending-failure flags, `leaf_failed`, and
+    /// this state.
+    pub(crate) fn save(
+        &self,
+        w: &mut SnapWriter,
+        leaf_failed: impl ExactSizeIterator<Item = bool>,
+    ) {
+        w.put_u64(leaf_failed.len() as u64);
+        for failed in leaf_failed {
+            w.put_bool(failed);
         }
+        put_bool_slice(w, &self.upper_failed);
+        put_u64_slice(w, &self.leaf_skipped);
+        put_u64_slice(w, &self.upper_skipped);
+        w.put_u64(self.count);
     }
 
-    /// Overwrites this state from a decoded snapshot, validating that
-    /// the tier sizes match the rebuilt control plane. The caller
-    /// installs `state.leaf_failed` on the leaves.
-    pub(crate) fn restore(&mut self, state: &FailoverState) -> Result<(), SnapError> {
-        if state.leaf_failed.len() != self.leaf_skipped.len()
-            || state.shared.upper_failed.len() != self.upper_failed.len()
-        {
-            return Err(SnapError::Corrupt(format!(
-                "failover snapshot tier sizes ({} leaves, {} uppers) disagree with the \
-                 rebuilt control plane ({} leaves, {} uppers)",
-                state.leaf_failed.len(),
-                state.shared.upper_failed.len(),
-                self.leaf_skipped.len(),
-                self.upper_failed.len()
-            )));
+    /// Loads what [`Failover::save`] wrote, the leaves' flags into
+    /// `leaf_failed`, checking the tier sizes against the rebuilt
+    /// control plane.
+    pub(crate) fn load<'a>(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        leaf_failed: impl ExactSizeIterator<Item = &'a mut bool>,
+    ) -> Result<(), SnapError> {
+        r.get_len(leaf_failed.len(), "leaf failover flags")?;
+        for failed in leaf_failed {
+            *failed = r.get_bool()?;
         }
-        self.clone_from(&state.shared);
+        r.get_len(self.upper_failed.len(), "upper failover flags")?;
+        for failed in &mut self.upper_failed {
+            *failed = r.get_bool()?;
+        }
+        for tally in [&mut self.leaf_skipped, &mut self.upper_skipped] {
+            r.get_len(tally.len(), "skipped-cycle tallies")?;
+            for skipped in tally.iter_mut() {
+                *skipped = r.get_count()?;
+            }
+        }
+        self.count = r.get_count()?;
         Ok(())
-    }
-}
-
-impl Snapshot for FailoverState {
-    const KIND: &'static str = "dynamo.FailoverState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        put_bool_slice(w, &self.leaf_failed);
-        put_bool_slice(w, &self.shared.upper_failed);
-        put_u64_slice(w, &self.shared.leaf_skipped);
-        put_u64_slice(w, &self.shared.upper_skipped);
-        w.put_u64(self.shared.count);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let leaf_failed = get_bool_vec(r)?;
-        let upper_failed = get_bool_vec(r)?;
-        let leaf_skipped = get_count_vec(r)?;
-        let upper_skipped = get_count_vec(r)?;
-        if leaf_skipped.len() != leaf_failed.len() || upper_skipped.len() != upper_failed.len() {
-            return Err(SnapError::Corrupt(
-                "failover skipped tallies disagree with flag arrays".into(),
-            ));
-        }
-        Ok(FailoverState {
-            leaf_failed,
-            shared: Failover {
-                upper_failed,
-                leaf_skipped,
-                upper_skipped,
-                count: r.get_count()?,
-            },
-        })
     }
 }
 
@@ -158,15 +129,21 @@ mod tests {
     }
 
     #[test]
-    fn state_carries_the_leaf_flags_and_restore_checks_their_count() {
+    fn save_carries_the_leaf_flags_and_load_checks_their_count() {
         let mut f = Failover::new(3, 1);
         f.record_leaf(2);
-        let state = f.state(vec![true, false, true]);
-        let back = FailoverState::from_snap_bytes(&state.to_snap_bytes()).expect("round-trips");
-        assert_eq!(back.leaf_failed, [true, false, true]);
-        let mut twin = Failover::new(3, 1);
-        twin.restore(&back).expect("same tier sizes");
+        let mut w = SnapWriter::new();
+        f.save(&mut w, [true, false, true].into_iter());
+        let bytes = w.into_bytes();
+        let (mut twin, mut flags) = (Failover::new(3, 1), [false; 3]);
+        let mut r = SnapReader::new(&bytes);
+        twin.load(&mut r, flags.iter_mut())
+            .expect("same tier sizes");
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(flags, [true, false, true]);
         assert_eq!((twin.count(), twin.leaf_skipped()), (1, &[0, 0, 1][..]));
-        assert!(Failover::new(2, 1).restore(&back).is_err());
+        let mut two = [false; 2];
+        let mut r = SnapReader::new(&bytes);
+        assert!(Failover::new(2, 1).load(&mut r, two.iter_mut()).is_err());
     }
 }

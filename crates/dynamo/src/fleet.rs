@@ -73,7 +73,6 @@ mod leaf;
 mod snapshot;
 
 pub(crate) use leaf::{LeafAgents, LeafColumns, Markers};
-pub use snapshot::FleetState;
 
 /// Aggregate fleet statistics at an instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -226,6 +225,11 @@ impl Fleet {
     /// Always false — construction rejects empty fleets.
     pub fn is_empty(&self) -> bool {
         false
+    }
+
+    /// Physics ticks completed.
+    pub(crate) fn tick_index(&self) -> u64 {
+        self.tick_index
     }
 
     /// Sets the traffic pattern for a service.

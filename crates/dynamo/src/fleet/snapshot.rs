@@ -1,36 +1,87 @@
-//! The fleet's snapshot: its dynamic columns as plain data
-//! ([`FleetState`]) and the `state` / `restore` pair.
+//! The fleet's snapshot: its leaves' columns written and read as flat
+//! fleet-wide ones, by `save` and `load`.
+//!
+//! Everything derivable from configuration (the permutation layout,
+//! runs, server models, traffic patterns, LUTs) or from the columns
+//! themselves (the capped / down tallies) is rebuilt, not stored; the
+//! permutation and the per-server hardware generations are stored only
+//! to be *compared* with the rebuilt fleet, and the per-leaf power
+//! partials only to be checked against the fold of `power_w` they must
+//! equal.
 
-use dcsim::snap::{
-    get_bool_vec, get_count_vec, get_f64_vec, get_u64_vec, put_bool_slice, put_f64_slice,
-    put_u64_slice, SnapError, SnapReader, SnapWriter, Snapshot,
-};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimRng, SimTime};
-use workloads::kernel::{burst_from_columns, burst_to_columns};
-use workloads::WorkloadState;
+use workloads::{get_process, put_process};
 
 use super::leaf::{get_bit, put_bit};
 use super::{Fleet, LeafColumns};
 
+/// Writes one column gathered across the leaves, count first.
+fn put_column<T>(
+    w: &mut SnapWriter,
+    leaves: &[LeafColumns],
+    col: impl Fn(&LeafColumns) -> &[T],
+    put: impl Fn(&mut SnapWriter, &T),
+) {
+    w.put_u64(leaves.iter().map(|l| col(l).len() as u64).sum());
+    for x in leaves.iter().flat_map(col) {
+        put(w, x);
+    }
+}
+
+/// Reads a column written by [`put_column`] back into the leaves'.
+fn get_column<T>(
+    r: &mut SnapReader<'_>,
+    leaves: &mut [LeafColumns],
+    col: impl Fn(&mut LeafColumns) -> &mut [T],
+    mut get: impl FnMut(&mut SnapReader<'_>) -> Result<T, SnapError>,
+) -> Result<(), SnapError> {
+    r.get_len(leaves.iter_mut().map(|l| col(l).len()).sum(), "servers")?;
+    for x in leaves.iter_mut().flat_map(col) {
+        *x = get(r)?;
+    }
+    Ok(())
+}
+
+/// Writes one packed mask gathered across the leaves, a flag per
+/// server, count first.
+fn put_flags(w: &mut SnapWriter, leaves: &[LeafColumns], mask: impl Fn(&LeafColumns) -> &[u64]) {
+    w.put_u64(leaves.iter().map(|l| l.len() as u64).sum());
+    for leaf in leaves {
+        for i in 0..leaf.len() {
+            w.put_bool(get_bit(mask(leaf), i));
+        }
+    }
+}
+
+/// Reads flags written by [`put_flags`] into the leaves' masks. Every
+/// bit is written, so no stale state survives; tail bits stay zero.
+fn get_flags(
+    r: &mut SnapReader<'_>,
+    leaves: &mut [LeafColumns],
+    mask: impl Fn(&mut LeafColumns) -> &mut Vec<u64>,
+) -> Result<(), SnapError> {
+    r.get_len(leaves.iter().map(|l| l.len()).sum(), "servers")?;
+    for leaf in leaves {
+        for i in 0..leaf.len() {
+            let v = r.get_bool()?;
+            put_bit(mask(leaf), i, v);
+        }
+    }
+    Ok(())
+}
+
+/// The breaker pass folds these columns and asserts on the result.
+fn watts(name: &'static str) -> impl Fn(&mut SnapReader<'_>) -> Result<f64, SnapError> {
+    move |r| match r.get_f64()? {
+        x if x.is_finite() && x >= 0.0 => Ok(x),
+        bad => Err(SnapError::Corrupt(format!(
+            "fleet column {name} holds {bad}, not a finite non-negative value"
+        ))),
+    }
+}
+
 impl Fleet {
-    /// One column gathered across the leaves, in leaf order.
-    fn column<T: Clone>(&self, col: impl Fn(&LeafColumns) -> &[T]) -> Vec<T> {
-        let mut column = Vec::with_capacity(self.len());
-        for leaf in &self.leaves {
-            column.extend_from_slice(col(leaf));
-        }
-        column
-    }
-
-    /// One packed mask gathered across the leaves, a flag per server.
-    fn flags(&self, mask: impl Fn(&LeafColumns) -> &[u64]) -> Vec<bool> {
-        let mut flags = Vec::with_capacity(self.len());
-        for leaf in &self.leaves {
-            flags.extend((0..leaf.len()).map(|i| get_bit(mask(leaf), i)));
-        }
-        flags
-    }
-
     /// Position → server id over the whole fleet: each leaf's
     /// permutation, offset to fleet ids (a leaf's positions are its id
     /// range).
@@ -49,266 +100,27 @@ impl Fleet {
             .map(|&ix| self.models[ix as usize].config().generation.index())
     }
 
-    /// Captures the fleet's dynamic state for a snapshot: the leaves'
-    /// columns gathered into flat fleet-wide ones. Must be called at a
-    /// tick boundary.
-    pub fn state(&self) -> FleetState {
-        let mut generators = Vec::with_capacity(self.len());
-        for leaf in &self.leaves {
+    /// Saves the fleet's dynamic state: the leaves' columns as flat
+    /// fleet-wide ones, every `[..]` a `u64` count and then the
+    /// elements. Must be called at a tick boundary.
+    pub fn save(&self, w: &mut SnapWriter) {
+        let leaves = &self.leaves[..];
+        put_column(w, leaves, |l| &l.agent_rng, |w, rng| rng.encode_body(w));
+        put_flags(w, leaves, |l| &l.running);
+        w.put_u64(self.len() as u64);
+        for g in self.generations() {
+            w.put_u8(g as u8);
+        }
+        // One process record per position; kind and parameters are the
+        // server's service's.
+        w.put_u64(self.len() as u64);
+        for leaf in leaves {
             for (pos, &id) in leaf.perm.iter().enumerate() {
-                // The wire keeps one `WorkloadState` per process; kind
-                // and parameters are the server's service's.
                 let kind = self.services[leaf.first + id as usize];
-                generators.push(WorkloadState {
-                    kind: kind.index(),
-                    params: kind.params(),
-                    noise: leaf.wl_noise[pos],
-                    burst: burst_from_columns(leaf.wl_burst_until[pos], leaf.wl_burst_add[pos]),
-                    rng: leaf.wl_rng[pos].clone(),
-                });
+                let burst = (leaf.wl_burst_until[pos], leaf.wl_burst_add[pos]);
+                let (noise, rng) = (leaf.wl_noise[pos], &leaf.wl_rng[pos]);
+                put_process(w, kind, &kind.params(), noise, burst, rng);
             }
-        }
-        FleetState {
-            agent_rng: self.column(|l| &l.agent_rng),
-            running: self.flags(|l| &l.running),
-            generation: self.generations().map(|g| g as u8).collect(),
-            generators,
-            pending_restarts: self.pending_restarts.clone(),
-            rng: self.rng.clone(),
-            perm: self.permutation().collect(),
-            demand_w: self.column(|l| &l.demand_w),
-            limit_w: self.column(|l| &l.limit_w),
-            out_w: self.column(|l| &l.out_w),
-            not_init: self.flags(|l| &l.not_init),
-            alive: self.flags(|l| &l.alive),
-            util: self.column(|l| &l.util),
-            power_w: self.column(|l| &l.power_w),
-            leaf_power_w: self.leaves.iter().map(|l| l.partial_w).collect(),
-            tick_index: self.tick_index,
-            settled: self.leaves.iter().map(|l| l.settled).collect(),
-            last_draw_tick: self.leaves.iter().map(|l| l.last_draw_tick).collect(),
-            leaf_epoch: self.leaves.iter().map(|l| l.power_epoch).collect(),
-            agent_epoch: self.leaves.iter().map(|l| l.agent_epoch).collect(),
-        }
-    }
-
-    /// Restores dynamic state captured by [`Fleet::state`] into a fleet
-    /// rebuilt from the identical configuration (same server configs,
-    /// services, leaf spans and seed). The stored permutation and
-    /// hardware generations must equal the rebuilt ones — a mismatch
-    /// means the topology or server mix drifted and the snapshot does
-    /// not describe this fleet. Everything is checked before anything
-    /// is installed; the flat columns are then cut at the leaves'
-    /// spans, so no length or id from the file is used unchecked.
-    pub fn restore(&mut self, state: &FleetState) -> Result<(), SnapError> {
-        let n = self.len();
-        if state.agent_rng.len() != n
-            || state.running.len() != n
-            || state.generation.len() != n
-            || state.generators.len() != n
-            || state.perm.len() != n
-            || state.demand_w.len() != n
-            || state.limit_w.len() != n
-            || state.out_w.len() != n
-            || state.not_init.len() != n
-            || state.alive.len() != n
-            || state.util.len() != n
-            || state.power_w.len() != n
-        {
-            return Err(SnapError::Corrupt(format!(
-                "fleet snapshot server count disagrees with rebuilt fleet of {n}"
-            )));
-        }
-        if !self.permutation().eq(state.perm.iter().copied()) {
-            return Err(SnapError::Corrupt(
-                "fleet snapshot permutation differs from the rebuilt layout \
-                 (topology or server mix drifted since the snapshot)"
-                    .into(),
-            ));
-        }
-        // The settling state is only meaningful against the curve and
-        // LUT it was stepped with.
-        for (sid, (&stored, rebuilt)) in state.generation.iter().zip(self.generations()).enumerate()
-        {
-            if stored as usize != rebuilt {
-                return Err(SnapError::Corrupt(format!(
-                    "server {sid} generation changed: snapshot has LUT generation {stored}, \
-                     config rebuilds generation {rebuilt}"
-                )));
-            }
-        }
-        // `+Inf` is "uncapped"; anything else must be a positive limit.
-        if let Some(bad) = state.limit_w.iter().find(|l| l.is_nan() || **l <= 0.0) {
-            return Err(SnapError::Corrupt(format!("bad RAPL limit {bad} W")));
-        }
-        // The breaker pass asserts on the draws folded from these.
-        for (name, column) in [
-            ("demand_w", &state.demand_w),
-            ("out_w", &state.out_w),
-            ("util", &state.util),
-            ("power_w", &state.power_w),
-        ] {
-            if let Some(bad) = column.iter().find(|x| !(x.is_finite() && **x >= 0.0)) {
-                return Err(SnapError::Corrupt(format!(
-                    "fleet column {name} holds {bad}, not a finite non-negative value"
-                )));
-            }
-        }
-        let leaves = self.leaves.len();
-        if state.settled.len() != leaves
-            || state.last_draw_tick.len() != leaves
-            || state.leaf_epoch.len() != leaves
-            || state.agent_epoch.len() != leaves
-            || state.leaf_power_w.len() != leaves
-        {
-            return Err(SnapError::Corrupt(format!(
-                "fleet snapshot leaf count disagrees with rebuilt fleet of {leaves} leaves"
-            )));
-        }
-        for (l, leaf) in self.leaves.iter().enumerate() {
-            // A leaf's partial is the ascending fold of its servers'
-            // watts, and above rack level the partials are all the
-            // breaker pass reads: a stored one that disagrees would
-            // mis-state every RPP, SB and MSB draw.
-            let folded: f64 = state.power_w[leaf.span()].iter().sum();
-            if state.leaf_power_w[l].to_bits() != folded.to_bits() {
-                return Err(SnapError::Corrupt(format!(
-                    "leaf {l} power partial {} W is not the fold of its servers' power ({folded} W)",
-                    state.leaf_power_w[l]
-                )));
-            }
-            // A redraw integrates the ticks since the last one: it
-            // cannot have happened in the future.
-            if state.last_draw_tick[l] > state.tick_index {
-                return Err(SnapError::Corrupt(format!(
-                    "leaf {l} last redrew at tick {}, after the snapshot's tick {}",
-                    state.last_draw_tick[l], state.tick_index
-                )));
-            }
-        }
-        // The demand pass hoists each run's service parameters, so a
-        // process may only carry its own service's calibrated ones.
-        for (pos, (s, &sid)) in state.generators.iter().zip(&state.perm).enumerate() {
-            let kind = self.services[sid as usize];
-            if s.kind != kind.index() || s.params != kind.params() {
-                return Err(SnapError::Corrupt(format!(
-                    "workload state at position {pos} (service kind {}) is not a calibrated \
-                     {kind} process",
-                    s.kind
-                )));
-            }
-        }
-        // The watchdog restarts by server id.
-        if let Some(&(sid, _)) = state.pending_restarts.iter().find(|r| r.0 as usize >= n) {
-            return Err(SnapError::Corrupt(format!(
-                "pending restart of server {sid} in a fleet of {n}"
-            )));
-        }
-        for (l, leaf) in self.leaves.iter_mut().enumerate() {
-            let span = leaf.span();
-            for (pos, s) in state.generators[span.clone()].iter().enumerate() {
-                leaf.wl_rng[pos] = s.rng.clone();
-                leaf.wl_noise[pos] = s.noise;
-                (leaf.wl_burst_until[pos], leaf.wl_burst_add[pos]) = burst_to_columns(s.burst);
-            }
-            leaf.agent_rng
-                .clone_from_slice(&state.agent_rng[span.clone()]);
-            leaf.demand_w.copy_from_slice(&state.demand_w[span.clone()]);
-            leaf.limit_w.copy_from_slice(&state.limit_w[span.clone()]);
-            leaf.out_w.copy_from_slice(&state.out_w[span.clone()]);
-            leaf.util.copy_from_slice(&state.util[span.clone()]);
-            leaf.power_w.copy_from_slice(&state.power_w[span.clone()]);
-            // Every bit is written, so no stale state survives; tail
-            // bits stay zero.
-            for i in 0..span.len() {
-                put_bit(&mut leaf.running, i, state.running[span.start + i]);
-                put_bit(&mut leaf.not_init, i, state.not_init[span.start + i]);
-                put_bit(&mut leaf.alive, i, state.alive[span.start + i]);
-            }
-            leaf.partial_w = state.leaf_power_w[l];
-            leaf.settled = state.settled[l];
-            leaf.last_draw_tick = state.last_draw_tick[l];
-            leaf.power_epoch = state.leaf_epoch[l];
-            leaf.agent_epoch = state.agent_epoch[l];
-            // The tally is a function of the column: recount.
-            leaf.capped = leaf.limit_w.iter().filter(|w| w.is_finite()).count();
-        }
-        self.pending_restarts.clone_from(&state.pending_restarts);
-        self.rng = state.rng.clone();
-        self.tick_index = state.tick_index;
-        self.down_count = state.running.iter().filter(|&&up| !up).count();
-        Ok(())
-    }
-}
-
-/// Dynamic state of a [`Fleet`], snapshot-serializable. Everything
-/// derivable from configuration (the permutation layout, runs, server
-/// models, traffic patterns, LUTs) or from the columns themselves (the
-/// capped / down tallies) is rebuilt, not stored; the permutation and
-/// the per-server hardware generations are stored only to *verify* the
-/// rebuilt fleet matches, and the per-leaf power partials only to be
-/// verified against the fold of `power_w` they must equal.
-#[derive(Debug, Clone)]
-pub struct FleetState {
-    /// Per-agent sensor-noise streams, server-id order.
-    pub agent_rng: Vec<SimRng>,
-    /// Agent process-up flags, server-id order.
-    pub running: Vec<bool>,
-    /// [`serverpower::ServerGeneration::index`] of each server at
-    /// snapshot time, server-id order (validation only).
-    pub generation: Vec<u8>,
-    /// Per-server workload processes, *position* order.
-    pub generators: Vec<WorkloadState>,
-    /// Crashed agents pending watchdog restart.
-    pub pending_restarts: Vec<(u32, SimTime)>,
-    /// Fleet-event RNG stream (crash draws).
-    pub rng: SimRng,
-    /// Position → id permutation at snapshot time (validation only).
-    pub perm: Vec<u32>,
-    /// Batch arrays, position order (see the [`Fleet`] field docs).
-    pub demand_w: Vec<f64>,
-    /// RAPL limits in watts, `+Inf` = uncapped.
-    pub limit_w: Vec<f64>,
-    /// Settled RAPL output watts.
-    pub out_w: Vec<f64>,
-    /// First-step flags (set until the first live step).
-    pub not_init: Vec<bool>,
-    /// Liveness flags.
-    pub alive: Vec<bool>,
-    /// Post-clamp demand utilization.
-    pub util: Vec<f64>,
-    /// True power draw, server-id order.
-    pub power_w: Vec<f64>,
-    /// Per-leaf power partials: the ascending fold of `power_w` over
-    /// each leaf span (restore rejects anything else).
-    pub leaf_power_w: Vec<f64>,
-    /// Physics ticks completed.
-    pub tick_index: u64,
-    /// Per-leaf active-set flags.
-    pub settled: Vec<bool>,
-    /// Per-leaf tick of last demand redraw.
-    pub last_draw_tick: Vec<u64>,
-    /// Per-leaf power epochs.
-    pub leaf_epoch: Vec<u64>,
-    /// Per-leaf agent epochs.
-    pub agent_epoch: Vec<u64>,
-}
-
-impl Snapshot for FleetState {
-    const KIND: &'static str = "dynamo.FleetState";
-    const VERSION: u32 = 2;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.agent_rng.len() as u64);
-        for rng in &self.agent_rng {
-            rng.encode_body(w);
-        }
-        put_bool_slice(w, &self.running);
-        w.put_u64(self.generation.len() as u64);
-        w.put_raw(&self.generation);
-        w.put_u64(self.generators.len() as u64);
-        for g in &self.generators {
-            g.encode_body(w);
         }
         w.put_u64(self.pending_restarts.len() as u64);
         for &(sid, at) in &self.pending_restarts {
@@ -316,55 +128,173 @@ impl Snapshot for FleetState {
             w.put_u64(at.as_millis());
         }
         self.rng.encode_body(w);
-        w.put_u64(self.perm.len() as u64);
-        for &p in &self.perm {
+        w.put_u64(self.len() as u64);
+        for p in self.permutation() {
             w.put_u32(p);
         }
-        put_f64_slice(w, &self.demand_w);
-        put_f64_slice(w, &self.limit_w);
-        put_f64_slice(w, &self.out_w);
-        put_bool_slice(w, &self.not_init);
-        put_bool_slice(w, &self.alive);
-        put_f64_slice(w, &self.util);
-        put_f64_slice(w, &self.power_w);
-        put_f64_slice(w, &self.leaf_power_w);
+        let f64s = |w: &mut SnapWriter, x: &f64| w.put_f64(*x);
+        put_column(w, leaves, |l| &l.demand_w, f64s);
+        put_column(w, leaves, |l| &l.limit_w, f64s);
+        put_column(w, leaves, |l| &l.out_w, f64s);
+        put_flags(w, leaves, |l| &l.not_init);
+        put_flags(w, leaves, |l| &l.alive);
+        put_column(w, leaves, |l| &l.util, f64s);
+        put_column(w, leaves, |l| &l.power_w, f64s);
+        let per_leaf = |w: &mut SnapWriter, put: &dyn Fn(&mut SnapWriter, &LeafColumns)| {
+            w.put_u64(leaves.len() as u64);
+            for leaf in leaves {
+                put(w, leaf);
+            }
+        };
+        per_leaf(w, &|w, l| w.put_f64(l.partial_w));
         // The slot of the retired span generation: a fleet is built in
         // its leaves once, which the wire has always called 1.
         w.put_u64(1);
         w.put_u64(self.tick_index);
-        put_bool_slice(w, &self.settled);
-        put_u64_slice(w, &self.last_draw_tick);
-        put_u64_slice(w, &self.leaf_epoch);
-        put_u64_slice(w, &self.agent_epoch);
+        per_leaf(w, &|w, l| w.put_bool(l.settled));
+        per_leaf(w, &|w, l| w.put_u64(l.last_draw_tick));
+        per_leaf(w, &|w, l| w.put_u64(l.power_epoch));
+        per_leaf(w, &|w, l| w.put_u64(l.agent_epoch));
     }
 
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FleetState {
-            agent_rng: r.get_vec(SimRng::decode_body)?,
-            running: get_bool_vec(r)?,
-            generation: r.get_vec(|r| r.get_u8())?,
-            generators: r.get_vec(WorkloadState::decode_body)?,
-            pending_restarts: r
-                .get_vec(|r| Ok((r.get_u32()?, SimTime::from_millis(r.get_u64()?))))?,
-            rng: SimRng::decode_body(r)?,
-            perm: r.get_vec(|r| r.get_u32())?,
-            demand_w: get_f64_vec(r)?,
-            limit_w: get_f64_vec(r)?,
-            out_w: get_f64_vec(r)?,
-            not_init: get_bool_vec(r)?,
-            alive: get_bool_vec(r)?,
-            util: get_f64_vec(r)?,
-            power_w: get_f64_vec(r)?,
-            leaf_power_w: get_f64_vec(r)?,
-            tick_index: {
-                r.get_u64()?; // the retired span-generation slot
-                r.get_count()?
+    /// Loads what [`Fleet::save`] wrote into a fleet rebuilt from the
+    /// identical configuration (same server configs, services, leaf
+    /// spans and seed). Every count must be the rebuilt fleet's, so no
+    /// length or id from the file is used unchecked. A stored
+    /// permutation, hardware generation or workload calibration that is
+    /// not the rebuilt one means the topology or server mix drifted: a
+    /// mismatch ([`SnapReader::mismatch`]).
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = self.len();
+        get_column(
+            r,
+            &mut self.leaves,
+            |l| &mut l.agent_rng,
+            SimRng::decode_body,
+        )?;
+        get_flags(r, &mut self.leaves, |l| &mut l.running)?;
+        // The settling state is only meaningful against the curve and
+        // LUT it was stepped with.
+        r.get_len(n, "servers")?;
+        let mut changed = None;
+        for (sid, rebuilt) in self.generations().enumerate() {
+            let stored = r.get_u8()?;
+            if stored as usize != rebuilt && changed.is_none() {
+                changed = Some(SnapError::Corrupt(format!(
+                    "server {sid} generation changed: snapshot has LUT generation {stored}, \
+                     config rebuilds generation {rebuilt}"
+                )));
+            }
+        }
+        // The demand pass hoists each run's service parameters, so a
+        // process may only carry its own service's calibrated ones.
+        r.get_len(n, "servers")?;
+        for leaf in &mut self.leaves {
+            for pos in 0..leaf.len() {
+                let burst = (&mut leaf.wl_burst_until[pos], &mut leaf.wl_burst_add[pos]);
+                let (noise, rng) = (&mut leaf.wl_noise[pos], &mut leaf.wl_rng[pos]);
+                let (kind, params) = get_process(r, noise, burst, rng)?;
+                let svc = self.services[leaf.first + leaf.perm[pos] as usize];
+                if (kind, params) != (svc.index() as u64, svc.params()) && changed.is_none() {
+                    changed = Some(SnapError::Corrupt(format!(
+                        "workload state at position {} (service kind {kind}) is not a \
+                         calibrated {svc} process",
+                        leaf.first + pos
+                    )));
+                }
+            }
+        }
+        // The watchdog restarts by server id.
+        self.pending_restarts = r.get_vec(|r| match r.get_u32()? {
+            sid if (sid as usize) < n => Ok((sid, SimTime::from_millis(r.get_u64()?))),
+            sid => Err(SnapError::Corrupt(format!(
+                "pending restart of server {sid} in a fleet of {n}"
+            ))),
+        })?;
+        self.rng = SimRng::decode_body(r)?;
+        r.get_len(n, "servers")?;
+        let mut drifted = false;
+        for rebuilt in self.permutation() {
+            drifted |= r.get_u32()? != rebuilt;
+        }
+        if drifted && changed.is_none() {
+            changed = Some(SnapError::Corrupt(
+                "fleet snapshot permutation differs from the rebuilt layout \
+                 (topology or server mix drifted since the snapshot)"
+                    .into(),
+            ));
+        }
+        if let Some(e) = changed {
+            r.mismatch(e);
+        }
+        let leaves = &mut self.leaves[..];
+        get_column(r, leaves, |l| &mut l.demand_w, watts("demand_w"))?;
+        // `+Inf` is "uncapped"; anything else must be a positive limit.
+        get_column(
+            r,
+            leaves,
+            |l| &mut l.limit_w,
+            |r| match r.get_f64()? {
+                bad if bad.is_nan() || bad <= 0.0 => {
+                    Err(SnapError::Corrupt(format!("bad RAPL limit {bad} W")))
+                }
+                limit => Ok(limit),
             },
-            settled: get_bool_vec(r)?,
-            last_draw_tick: get_u64_vec(r)?,
-            leaf_epoch: get_count_vec(r)?,
-            agent_epoch: get_count_vec(r)?,
-        })
+        )?;
+        get_column(r, leaves, |l| &mut l.out_w, watts("out_w"))?;
+        get_flags(r, leaves, |l| &mut l.not_init)?;
+        get_flags(r, leaves, |l| &mut l.alive)?;
+        get_column(r, leaves, |l| &mut l.util, watts("util"))?;
+        get_column(r, leaves, |l| &mut l.power_w, watts("power_w"))?;
+        // A leaf's partial is the ascending fold of its servers' watts,
+        // and above rack level the partials are all the breaker pass
+        // reads: a stored one that disagrees would mis-state every RPP,
+        // SB and MSB draw.
+        r.get_len(leaves.len(), "leaves")?;
+        for (l, leaf) in leaves.iter_mut().enumerate() {
+            let (stored, folded) = (r.get_f64()?, leaf.power_w.iter().sum::<f64>());
+            if stored.to_bits() != folded.to_bits() {
+                return Err(SnapError::Corrupt(format!(
+                    "leaf {l} power partial {stored} W is not the fold of its servers' power \
+                     ({folded} W)"
+                )));
+            }
+            leaf.partial_w = stored;
+        }
+        r.get_u64()?; // the retired span-generation slot
+        self.tick_index = r.get_count()?;
+        let tick = self.tick_index;
+        let leaves = &mut self.leaves[..];
+        r.get_len(leaves.len(), "leaves")?;
+        for leaf in leaves.iter_mut() {
+            leaf.settled = r.get_bool()?;
+        }
+        // A redraw integrates the ticks since the last one: it cannot
+        // have happened in the future.
+        r.get_len(leaves.len(), "leaves")?;
+        for (l, leaf) in leaves.iter_mut().enumerate() {
+            leaf.last_draw_tick = match r.get_u64()? {
+                at if at > tick => {
+                    return Err(SnapError::Corrupt(format!(
+                        "leaf {l} last redrew at tick {at}, after the snapshot's tick {tick}"
+                    )))
+                }
+                at => at,
+            };
+        }
+        r.get_len(leaves.len(), "leaves")?;
+        for leaf in leaves.iter_mut() {
+            leaf.power_epoch = r.get_count()?;
+        }
+        r.get_len(leaves.len(), "leaves")?;
+        for leaf in leaves.iter_mut() {
+            leaf.agent_epoch = r.get_count()?;
+            // The tally is a function of the column: recount.
+            leaf.capped = leaf.limit_w.iter().filter(|w| w.is_finite()).count();
+        }
+        let down = |l: &LeafColumns| (0..l.len()).filter(|&i| !get_bit(&l.running, i)).count();
+        self.down_count = self.leaves.iter().map(down).sum();
+        Ok(())
     }
 }
 
@@ -385,89 +315,104 @@ mod tests {
         )
     }
 
+    fn saved(fleet: &Fleet) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        fleet.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// Loads `bytes` as a whole section: every byte read, no mismatch.
+    fn load(fleet: &mut Fleet, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::new(bytes);
+        fleet.load(&mut r)?;
+        r.finish("fleet")
+    }
+
+    /// `bytes` as a file forged to say `edit` would: loaded into a
+    /// fresh twin, edited there, saved again.
+    fn forge(fresh: impl Fn() -> Fleet, bytes: &[u8], edit: impl FnOnce(&mut Fleet)) -> Vec<u8> {
+        let mut twin = fresh();
+        load(&mut twin, bytes).expect("honest bytes load");
+        edit(&mut twin);
+        saved(&twin)
+    }
+
     #[test]
-    fn restore_rejects_a_snapshot_from_another_hardware_generation() {
+    fn load_rejects_a_snapshot_from_another_hardware_generation() {
         let mut haswell = build(ServerGeneration::Haswell2015);
         for s in 0..5 {
             haswell.step(SimTime::from_secs(s), SimDuration::from_secs(1));
         }
-        let state = haswell.state();
+        let bytes = saved(&haswell);
         // Same shape, same permutation — only the LUT differs.
         let mut westmere = build(ServerGeneration::Westmere2011);
-        match westmere.restore(&state) {
+        match load(&mut westmere, &bytes) {
             Err(SnapError::Corrupt(msg)) => {
                 assert!(msg.contains("generation changed"), "{msg}")
             }
             other => panic!("expected a generation mismatch, got {other:?}"),
         }
-        build(ServerGeneration::Haswell2015)
-            .restore(&state)
-            .expect("same generation restores");
+        load(&mut build(ServerGeneration::Haswell2015), &bytes).expect("same generation loads");
     }
 
     /// Above rack level the partials are all the breaker pass reads, so
     /// a stored one may only be the fold of the stored per-server
     /// watts — off by one ulp is a forgery.
     #[test]
-    fn restore_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers() {
+    fn load_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers() {
         let fresh = || build(ServerGeneration::Haswell2015);
         let mut fleet = fresh();
         for s in 0..5 {
             fleet.step(SimTime::from_secs(s), SimDuration::from_secs(1));
         }
-        let state = fleet.state();
-
-        let mut forged = state.clone();
-        forged.leaf_power_w[1] = f64::from_bits(forged.leaf_power_w[1].to_bits() + 1);
-        let mut target = fresh();
-        match target.restore(&forged) {
-            Err(SnapError::Corrupt(msg)) => assert!(msg.contains("leaf 1 power partial"), "{msg}"),
-            other => panic!("a forged partial must be rejected, got {other:?}"),
-        }
-        // Rejected before anything was installed.
-        assert_eq!(target.state().power_w, fresh().state().power_w);
+        let bytes = saved(&fleet);
+        let forged = forge(fresh, &bytes, |f| {
+            let partial = &mut f.leaves[1].partial_w;
+            *partial = f64::from_bits(partial.to_bits() + 1);
+        });
+        assert_refused(&forged, "leaf 1 power partial");
 
         let mut twin = fresh();
-        twin.restore(&state).expect("an honest snapshot restores");
+        load(&mut twin, &bytes).expect("an honest snapshot loads");
         for f in [&mut fleet, &mut twin] {
             f.step(SimTime::from_secs(5), SimDuration::from_secs(1));
         }
-        let (a, b) = (fleet.state(), twin.state());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.power_w), bits(&b.power_w));
-        assert_eq!(bits(&a.leaf_power_w), bits(&b.leaf_power_w));
+        assert_eq!(saved(&fleet), saved(&twin));
     }
 
-    /// `restore` hands `forged` to a fresh fleet and must refuse it,
-    /// naming `what`, before installing anything — and the fleet must
-    /// then still step (each forgery below used to restore `Ok` and
+    /// `load` hands `forged` to a fresh fleet and must refuse it, naming
+    /// `what`. The fleet then reloads the bytes it saved before the
+    /// attempt — the datacenter's rollback — and must step exactly like
+    /// an untouched twin (each forgery below used to restore `Ok` and
     /// panic in the next step).
-    fn assert_refused(forged: &FleetState, what: &str) {
+    fn assert_refused(forged: &[u8], what: &str) {
         let fresh = || build(ServerGeneration::Haswell2015);
         let mut target = fresh();
-        match target.restore(forged) {
+        let before = saved(&target);
+        match load(&mut target, forged) {
             Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
             other => panic!("expected a refusal naming {what:?}, got {other:?}"),
         }
+        load(&mut target, &before).expect("a fleet reloads its own bytes");
         target.step(SimTime::ZERO, SimDuration::from_secs(1));
         let mut twin = fresh();
         twin.step(SimTime::ZERO, SimDuration::from_secs(1));
-        assert_eq!(target.state().power_w, twin.state().power_w);
+        assert_eq!(saved(&target), saved(&twin));
     }
 
     /// The breaker pass folds these columns and asserts on the result:
     /// one forged watt used to restore `Ok` and panic a step later as
     /// `invalid breaker draw`.
     #[test]
-    fn restore_rejects_a_watt_column_that_is_negative_or_not_a_number() {
-        let mut fleet = build(ServerGeneration::Haswell2015);
+    fn load_rejects_a_watt_column_that_is_negative_or_not_a_number() {
+        let fresh = || build(ServerGeneration::Haswell2015);
+        let mut fleet = fresh();
         fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
+        let bytes = saved(&fleet);
         for bad in [-3.06e210, f64::NAN, f64::INFINITY] {
-            let mut forged = fleet.state();
-            forged.out_w[3] = bad;
+            let forged = forge(fresh, &bytes, |f| f.leaves[0].out_w[3] = bad);
             assert_refused(&forged, "fleet column out_w");
-            let mut forged = fleet.state();
-            forged.demand_w[0] = bad;
+            let forged = forge(fresh, &bytes, |f| f.leaves[0].demand_w[0] = bad);
             assert_refused(&forged, "fleet column demand_w");
         }
     }
@@ -476,11 +421,13 @@ mod tests {
     /// a server the fleet does not have is an index out of bounds one
     /// step later.
     #[test]
-    fn restore_rejects_a_pending_restart_of_a_server_it_does_not_have() {
-        let mut fleet = build(ServerGeneration::Haswell2015);
+    fn load_rejects_a_pending_restart_of_a_server_it_does_not_have() {
+        let fresh = || build(ServerGeneration::Haswell2015);
+        let mut fleet = fresh();
         fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
-        let mut forged = fleet.state();
-        forged.pending_restarts.push((8, SimTime::from_secs(1)));
+        let forged = forge(fresh, &saved(&fleet), |f| {
+            f.pending_restarts.push((8, SimTime::from_secs(1)))
+        });
         assert_refused(&forged, "pending restart of server 8");
     }
 
@@ -488,11 +435,13 @@ mod tests {
     /// redraw dated after the snapshot's own tick underflows that
     /// subtraction.
     #[test]
-    fn restore_rejects_a_redraw_dated_after_the_snapshot() {
-        let mut fleet = build(ServerGeneration::Haswell2015);
+    fn load_rejects_a_redraw_dated_after_the_snapshot() {
+        let fresh = || build(ServerGeneration::Haswell2015);
+        let mut fleet = fresh();
         fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
-        let mut forged = fleet.state();
-        forged.last_draw_tick[1] = forged.tick_index + 1;
+        let forged = forge(fresh, &saved(&fleet), |f| {
+            f.leaves[1].last_draw_tick = f.tick_index + 1
+        });
         assert_refused(&forged, "leaf 1 last redrew at tick 2");
     }
 
@@ -500,7 +449,7 @@ mod tests {
     /// element loop, so a snapshot may not smuggle in a process with
     /// any others — and the columns must round-trip what they hold.
     #[test]
-    fn restore_rejects_workload_states_that_are_not_the_services_own() {
+    fn load_rejects_workload_states_that_are_not_the_services_own() {
         let build = || {
             let services: Vec<ServiceKind> = (0..12).map(|i| ServiceKind::all()[i % 6]).collect();
             Fleet::new(
@@ -513,32 +462,51 @@ mod tests {
         let mut fleet = build();
         // Long enough that some process is mid-burst in the snapshot.
         let mut t = SimTime::ZERO;
-        while !fleet.state().generators.iter().any(|g| g.burst.is_some()) {
+        let bursting = |f: &Fleet| {
+            let until = f.leaves.iter().flat_map(|l| &l.wl_burst_until);
+            until.clone().any(|&u| u != SimTime::ZERO)
+        };
+        while !bursting(&fleet) {
             fleet.step(t, SimDuration::from_secs(1));
             t += SimDuration::from_secs(1);
             assert!(t < SimTime::from_secs(20_000), "no burst ever started");
         }
-        let state = fleet.state();
+        let bytes = saved(&fleet);
 
-        let mut retuned = state.clone();
-        retuned.generators[3].params.sigma *= 2.0;
-        let mut rekinded = state.clone();
-        rekinded.generators[3].kind = (rekinded.generators[3].kind + 1) % ServiceKind::COUNT;
+        // Process 3's record: its kind, eight parameters, then its
+        // noise, found as the first byte a flipped noise moves.
+        let flipped = forge(build, &bytes, |f| {
+            let noise = &mut f.leaves[0].wl_noise[3];
+            *noise = f64::from_bits(!noise.to_bits());
+        });
+        let noise_at = bytes
+            .iter()
+            .zip(&flipped)
+            .position(|(a, b)| a != b)
+            .unwrap();
+        let (kind_at, sigma_at) = (noise_at - 72, noise_at - 56);
+        let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let mut retuned = bytes.clone();
+        let sigma = f64::from_bits(word(&bytes, sigma_at)) * 2.0;
+        retuned[sigma_at..sigma_at + 8].copy_from_slice(&sigma.to_bits().to_le_bytes());
+        let mut rekinded = bytes.clone();
+        let kind = (word(&bytes, kind_at) + 1) % ServiceKind::COUNT as u64;
+        rekinded[kind_at..kind_at + 8].copy_from_slice(&kind.to_le_bytes());
         for (bad, what) in [(retuned, "params"), (rekinded, "kind")] {
-            match build().restore(&bad) {
+            match load(&mut build(), &bad) {
                 Err(SnapError::Corrupt(msg)) => assert!(msg.contains("calibrated"), "{msg}"),
                 other => panic!("foreign workload {what} must be rejected, got {other:?}"),
             }
         }
 
-        // The untouched state restores, and what comes back out is what
+        // The untouched bytes load, and what comes back out is what
         // went in — noise, bursts and streams through the columns.
         let mut twin = build();
-        twin.restore(&state).expect("own state restores");
-        assert_eq!(twin.state().generators, state.generators);
+        load(&mut twin, &bytes).expect("own bytes load");
+        assert_eq!(saved(&twin), bytes);
         for f in [&mut fleet, &mut twin] {
             f.step(t, SimDuration::from_secs(1));
         }
-        assert_eq!(twin.state().generators, fleet.state().generators);
+        assert_eq!(saved(&twin), saved(&fleet));
     }
 }

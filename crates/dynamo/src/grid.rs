@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimDuration, SimTime};
-use dyngrid::{EconConfig, EconController, EconControllerState, GridScenario};
+use dyngrid::{EconConfig, EconController, GridScenario};
 use powerinfra::{Dcups, DeviceId, DeviceLevel, Power, Topology};
 
 use crate::control_plane::DynamoSystem;
@@ -512,74 +512,91 @@ impl GridLayer {
         }
     }
 
-    /// Captures the layer's dynamic state.
-    pub(crate) fn state(&self) -> GridLayerState {
-        GridLayerState {
-            econ: self.econ.state(),
-            banks: self.banks.clone(),
-            episode: self.episode.map(|e| EpisodeState {
-                started_ms: e.started.as_millis(),
-                contained_at_ms: e.contained_at.map(|t| t.as_millis()),
-                violated: e.violated,
-            }),
-            curtailments: self.curtailments,
-            contained: self.contained,
-            violation_ms: self.violation_ms,
-            discharge_ms: self.discharge_ms,
-            charge_low_water: self.charge_low_water,
-            utility_draw_w: self.utility_draw_w,
-            any_below_full: self.any_below_full,
-            period_energy_j: self.period_energy_j,
-            period_ms: self.period_ms,
-            last_containment_ms: self.last_containment_ms,
+    /// Saves the layer's dynamic state.
+    pub(crate) fn save(&self, w: &mut SnapWriter) {
+        let put_opt_ms = |w: &mut SnapWriter, ms: Option<u64>| match ms {
+            Some(ms) => {
+                w.put_u8(1);
+                w.put_u64(ms);
+            }
+            None => w.put_u8(0),
+        };
+        self.econ.save(w);
+        w.put_u64(self.banks.len() as u64);
+        for b in &self.banks {
+            b.encode_body(w);
         }
+        match &self.episode {
+            Some(e) => {
+                w.put_u8(1);
+                w.put_u64(e.started.as_millis());
+                put_opt_ms(w, e.contained_at.map(|t| t.as_millis()));
+                w.put_bool(e.violated);
+            }
+            None => w.put_u8(0),
+        }
+        w.put_u64(self.curtailments);
+        w.put_u64(self.contained);
+        w.put_u64(self.violation_ms);
+        w.put_u64(self.discharge_ms);
+        w.put_f64(self.charge_low_water);
+        w.put_f64(self.utility_draw_w);
+        w.put_bool(self.any_below_full);
+        w.put_f64(self.period_energy_j);
+        w.put_u64(self.period_ms);
+        put_opt_ms(w, self.last_containment_ms);
     }
 
-    /// Restores dynamic state captured by [`GridLayer::state`].
-    pub(crate) fn restore(
-        &mut self,
-        state: &GridLayerState,
-        now: SimTime,
-    ) -> Result<(), SnapError> {
-        // A window opened, and was contained, before the snapshot.
-        let episode = state.episode.iter();
-        let times = episode.flat_map(|e| [Some(e.started_ms), e.contained_at_ms]);
-        if let Some(ms) = times.flatten().find(|&ms| ms > now.as_millis()) {
-            return Err(SnapError::Corrupt(format!(
-                "curtailment episode dated t={ms} ms in a snapshot taken at {now:?}"
-            )));
-        }
-        if state.banks.len() != self.banks.len() {
-            return Err(SnapError::Corrupt(format!(
-                "grid snapshot has {} DCUPS banks, rebuilt layer has {}",
-                state.banks.len(),
-                self.banks.len()
-            )));
-        }
+    /// Loads what [`GridLayer::save`] wrote at `now` into a layer built
+    /// with the same configuration.
+    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>, now: SimTime) -> Result<(), SnapError> {
+        let get_opt_ms = |r: &mut SnapReader<'_>, what: &str| match r.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(r.get_count()?)),
+            other => Err(SnapError::Corrupt(format!("bad {what} tag {other}"))),
+        };
+        self.econ.load(r)?;
         // A bank's sizing is this build's, not the file's: only charge
         // and state move.
-        let mut banks = Vec::with_capacity(self.banks.len());
-        for (i, (bank, saved)) in self.banks.iter().zip(&state.banks).enumerate() {
-            let restored = bank.restored(saved);
-            banks.push(restored.map_err(|e| e.within(format_args!("leaf {i} bank")))?);
+        r.get_len(self.banks.len(), "DCUPS banks")?;
+        for (i, bank) in self.banks.iter_mut().enumerate() {
+            let saved = Dcups::decode_body(r)?;
+            let restored = bank.restored(&saved);
+            r.adopt(
+                bank,
+                restored.map_err(|e| e.within(format_args!("leaf {i} bank"))),
+            );
         }
-        self.econ.restore(&state.econ)?;
-        self.banks = banks;
-        self.episode = state.episode.as_ref().map(|e| Episode {
-            started: SimTime::from_millis(e.started_ms),
-            contained_at: e.contained_at_ms.map(SimTime::from_millis),
-            violated: e.violated,
-        });
-        self.curtailments = state.curtailments;
-        self.contained = state.contained;
-        self.violation_ms = state.violation_ms;
-        self.discharge_ms = state.discharge_ms;
-        self.charge_low_water = state.charge_low_water;
-        self.utility_draw_w = state.utility_draw_w;
-        self.any_below_full = state.any_below_full;
-        self.period_energy_j = state.period_energy_j;
-        self.period_ms = state.period_ms;
-        self.last_containment_ms = state.last_containment_ms;
+        self.episode = match r.get_u8()? {
+            0 => None,
+            1 => {
+                let started_ms = r.get_count()?;
+                let contained_at_ms = get_opt_ms(r, "containment")?;
+                // A window opened, and was contained, before the snapshot.
+                let times = [Some(started_ms), contained_at_ms];
+                if let Some(ms) = times.into_iter().flatten().find(|&ms| ms > now.as_millis()) {
+                    return Err(SnapError::Corrupt(format!(
+                        "curtailment episode dated t={ms} ms in a snapshot taken at {now:?}"
+                    )));
+                }
+                Some(Episode {
+                    started: SimTime::from_millis(started_ms),
+                    contained_at: contained_at_ms.map(SimTime::from_millis),
+                    violated: r.get_bool()?,
+                })
+            }
+            other => return Err(SnapError::Corrupt(format!("bad episode tag {other}"))),
+        };
+        self.curtailments = r.get_count()?;
+        self.contained = r.get_count()?;
+        self.violation_ms = r.get_count()?;
+        self.discharge_ms = r.get_count()?;
+        self.charge_low_water = r.get_f64()?;
+        self.utility_draw_w = r.get_f64()?;
+        self.any_below_full = r.get_bool()?;
+        self.period_energy_j = r.get_f64()?;
+        self.period_ms = r.get_count()?;
+        self.last_containment_ms = get_opt_ms(r, "containment-time")?;
         // Cached aggregate, recomputed from the restored banks.
         let mut charge = 0.0;
         let mut cap = 0.0;
@@ -595,7 +612,8 @@ impl GridLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Datacenter, DatacenterBuilder, ServicePlan};
+    use crate::datacenter::tests::{assert_refused, saved_len};
+    use crate::{Datacenter, DatacenterBuilder, DatacenterState, ServicePlan};
     use dcsim::SimDuration;
     use dyngrid::GridScenario;
     use workloads::ServiceKind;
@@ -734,19 +752,23 @@ mod tests {
         let scenario = GridScenario::preset("curtailment-window").unwrap();
         let mut dc = grid_dc(39, GridConfig::for_scenario(scenario));
         dc.run_for(SimDuration::from_secs(400));
-        let refused = |dc: &mut Datacenter, bank: Dcups, what: &str| {
-            let mut state = dc.state();
-            state.grid.as_mut().unwrap().banks[1] = bank;
-            match dc.restore(&state) {
-                Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
-                other => panic!("expected a refusal naming {what:?}, got {other:?}"),
-            }
-        };
         let honest = dc.grid().unwrap().banks()[1].clone();
         let doubled = Dcups::with_recharge_frac(honest.design_load() * 2.0, honest.recharge_frac());
-        refused(&mut dc, doubled, "leaf 1 bank: DCUPS in snapshot");
         let faster = Dcups::with_recharge_frac(honest.design_load(), 1.0);
-        refused(&mut dc, faster, "leaf 1 bank: DCUPS in snapshot");
+        for bank in [doubled, faster] {
+            // The grid section closes the body: the economic
+            // controller, the bank count, then the banks.
+            let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+                let grid = dc.grid().unwrap();
+                let bank_len = saved_len(|w| honest.encode_body(w));
+                let start = s.body.len() - saved_len(|w| grid.save(w));
+                let at = start + saved_len(|w| grid.econ().save(w)) + 8 + bank_len;
+                let mut w = SnapWriter::new();
+                bank.encode_body(&mut w);
+                s.body[at..at + bank_len].copy_from_slice(w.as_bytes());
+            };
+            assert_refused(&mut dc, forge, "leaf 1 bank: DCUPS in snapshot");
+        }
         let honest = dc.state();
         assert!(dc.restore(&honest).is_ok());
     }
@@ -754,131 +776,21 @@ mod tests {
     #[test]
     fn grid_layer_state_round_trips_mid_curtailment() {
         let scenario = GridScenario::preset("curtailment-window").unwrap();
-        let mut dc = grid_dc(39, GridConfig::for_scenario(scenario));
+        let build = || grid_dc(39, GridConfig::for_scenario(scenario.clone()));
+        let mut dc = build();
         dc.run_for(SimDuration::from_secs(400));
         assert!(dc.grid().unwrap().curtailment_active());
-        let state = dc.grid().unwrap().state();
-        let bytes = state.to_snap_bytes();
-        let back = GridLayerState::from_snap_bytes(&bytes).expect("decode");
-        assert_eq!(state, back);
-        assert!(back.episode.is_some());
-        assert!(!back.banks.is_empty());
-    }
-}
-
-/// An in-flight curtailment window, snapshot form.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct EpisodeState {
-    pub(crate) started_ms: u64,
-    pub(crate) contained_at_ms: Option<u64>,
-    pub(crate) violated: bool,
-}
-
-/// The grid layer's dynamic state.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct GridLayerState {
-    pub(crate) econ: EconControllerState,
-    pub(crate) banks: Vec<Dcups>,
-    pub(crate) episode: Option<EpisodeState>,
-    pub(crate) curtailments: u64,
-    pub(crate) contained: u64,
-    pub(crate) violation_ms: u64,
-    pub(crate) discharge_ms: u64,
-    pub(crate) charge_low_water: f64,
-    pub(crate) utility_draw_w: f64,
-    pub(crate) any_below_full: bool,
-    pub(crate) period_energy_j: f64,
-    pub(crate) period_ms: u64,
-    pub(crate) last_containment_ms: Option<u64>,
-}
-
-impl Snapshot for GridLayerState {
-    const KIND: &'static str = "dynamo.GridLayerState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        self.econ.encode_body(w);
-        w.put_u64(self.banks.len() as u64);
-        for b in &self.banks {
-            b.encode_body(w);
-        }
-        match &self.episode {
-            Some(e) => {
-                w.put_u8(1);
-                w.put_u64(e.started_ms);
-                match e.contained_at_ms {
-                    Some(ms) => {
-                        w.put_u8(1);
-                        w.put_u64(ms);
-                    }
-                    None => w.put_u8(0),
-                }
-                w.put_bool(e.violated);
-            }
-            None => w.put_u8(0),
-        }
-        w.put_u64(self.curtailments);
-        w.put_u64(self.contained);
-        w.put_u64(self.violation_ms);
-        w.put_u64(self.discharge_ms);
-        w.put_f64(self.charge_low_water);
-        w.put_f64(self.utility_draw_w);
-        w.put_bool(self.any_below_full);
-        w.put_f64(self.period_energy_j);
-        w.put_u64(self.period_ms);
-        match self.last_containment_ms {
-            Some(ms) => {
-                w.put_u8(1);
-                w.put_u64(ms);
-            }
-            None => w.put_u8(0),
-        }
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let econ = EconControllerState::decode_body(r)?;
-        let banks = r.get_vec(Dcups::decode_body)?;
-        let episode = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let started_ms = r.get_count()?;
-                let contained_at_ms = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(r.get_count()?),
-                    other => {
-                        return Err(SnapError::Corrupt(format!("bad containment tag {other}")))
-                    }
-                };
-                Some(EpisodeState {
-                    started_ms,
-                    contained_at_ms,
-                    violated: r.get_bool()?,
-                })
-            }
-            other => return Err(SnapError::Corrupt(format!("bad episode tag {other}"))),
-        };
-        Ok(GridLayerState {
-            econ,
-            banks,
-            episode,
-            curtailments: r.get_count()?,
-            contained: r.get_count()?,
-            violation_ms: r.get_count()?,
-            discharge_ms: r.get_count()?,
-            charge_low_water: r.get_f64()?,
-            utility_draw_w: r.get_f64()?,
-            any_below_full: r.get_bool()?,
-            period_energy_j: r.get_f64()?,
-            period_ms: r.get_count()?,
-            last_containment_ms: match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_count()?),
-                other => {
-                    return Err(SnapError::Corrupt(format!(
-                        "bad containment-time tag {other}"
-                    )))
-                }
-            },
-        })
+        let bytes = saved_len(|w| dc.grid().unwrap().save(w));
+        let mut twin = build();
+        twin.restore(&dc.state()).expect("restores");
+        let grid = twin.grid().unwrap();
+        let mut w = SnapWriter::new();
+        grid.save(&mut w);
+        assert_eq!(w.len(), bytes);
+        let mut original = SnapWriter::new();
+        dc.grid().unwrap().save(&mut original);
+        assert_eq!(w.into_bytes(), original.into_bytes());
+        assert!(grid.curtailment_active());
+        assert!(!grid.banks().is_empty());
     }
 }

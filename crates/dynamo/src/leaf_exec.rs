@@ -41,18 +41,14 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use dcsim::snap::{
-    get_bool_vec, get_f64_vec, get_u64_vec, put_bool_slice, put_f64_slice, put_u64_slice,
-    SnapError, SnapReader, SnapWriter, Snapshot,
-};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{SimDuration, SimRng, SimTime};
 use dynamo_controller::{
-    ControlAction, LeafConfig, LeafController, LeafControllerState, LeafTransport, PowerSlot,
-    ServerHandle, ServiceClass,
+    ControlAction, LeafConfig, LeafController, LeafTransport, PowerSlot, ServerHandle, ServiceClass,
 };
 use dynobs::{Band, Shard};
 use dynpool::WorkerPool;
-use dynrpc::{AgentEndpoint, Network, NetworkState, Request, Response, RpcError};
+use dynrpc::{AgentEndpoint, Network, Request, Response, RpcError};
 use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 
 use crate::control_plane::SystemConfig;
@@ -309,125 +305,65 @@ impl LeafTier {
         }
     }
 
-    /// Captures the tier's dynamic state for a snapshot, gathered from
-    /// the leaves into flat arrays (the pending-failure flags and last
-    /// bands travel in the failover and observability sections —
-    /// see [`crate::control_plane::DynamoSystem::state`]). Everything
+    /// Saves the tier's dynamic state as flat per-leaf columns:
+    /// controller decision state, link streams, last aggregates, and
+    /// the quiescence markers that drive cycle elision (they must
+    /// round-trip exactly, or a resumed run would elide, or re-run,
+    /// cycles the unbroken run did not). The pending-failure flags and
+    /// last bands travel in the failover and observability sections —
+    /// see [`crate::control_plane::DynamoSystem::save`]. Everything
     /// else — devices, quotas, spans, server ids — is topology-derived
-    /// and rebuilt from config on restore. Event buffers are drained by
-    /// every dispatch, so at a tick boundary they are empty and not
-    /// saved.
-    pub(crate) fn state(&self) -> LeafTierState {
-        let leaves = &self.leaves;
-        LeafTierState {
-            controllers: leaves.iter().map(|l| l.controller.state()).collect(),
-            networks: leaves.iter().map(|l| l.network.state()).collect(),
-            last_aggregate_w: leaves.iter().map(|l| l.last_aggregate.as_watts()).collect(),
-            quiet: leaves.iter().map(|l| l.quiet).collect(),
-            seen_power_epoch: leaves.iter().map(|l| l.seen.power_epoch).collect(),
-            seen_draw_tick: leaves.iter().map(|l| l.seen.draw_tick).collect(),
-            seen_agent_epoch: leaves.iter().map(|l| l.seen.agent_epoch).collect(),
-        }
+    /// and rebuilt from config. Event buffers are drained by every
+    /// dispatch, so at a tick boundary they are empty and not saved.
+    pub(crate) fn save(&self, w: &mut SnapWriter) {
+        let column = |w: &mut SnapWriter, put: &dyn Fn(&mut SnapWriter, &Leaf)| {
+            w.put_u64(self.leaves.len() as u64);
+            for leaf in &self.leaves {
+                put(w, leaf);
+            }
+        };
+        column(w, &|w, l| l.controller.save(w));
+        column(w, &|w, l| l.network.save(w));
+        column(w, &|w, l| w.put_f64(l.last_aggregate.as_watts()));
+        column(w, &|w, l| w.put_bool(l.quiet));
+        column(w, &|w, l| w.put_u64(l.seen.power_epoch));
+        column(w, &|w, l| w.put_u64(l.seen.draw_tick));
+        column(w, &|w, l| w.put_u64(l.seen.agent_epoch));
     }
 
-    /// Restores the tier's dynamic state from a decoded snapshot taken
-    /// against an identically-configured control plane: the flat
-    /// arrays, the failover section's pending-failure flags and the
-    /// observability section's band codes, split back into the leaves.
-    pub(crate) fn restore(
-        &mut self,
-        state: &LeafTierState,
-        failed: &[bool],
-        shard_bands: &[u32],
-    ) -> Result<(), SnapError> {
-        let n = self.len();
-        // `decode_body` held the state's other arrays to this length.
-        if state.controllers.len() != n || failed.len() != n || shard_bands.len() != n {
-            return Err(SnapError::Corrupt(format!(
-                "snapshot has {} leaf controllers, {} leaf failover flags and {} leaf shards, \
-                 rebuilt control plane has {n} leaves",
-                state.controllers.len(),
-                failed.len(),
-                shard_bands.len()
-            )));
+    /// Loads what [`LeafTier::save`] wrote into a tier built with the
+    /// same leaves.
+    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = self.leaves.len();
+        r.get_len(n, "leaf controllers")?;
+        for l in &mut self.leaves {
+            l.controller.load(r)?;
         }
-        for (i, leaf) in self.leaves.iter_mut().enumerate() {
-            leaf.band = Band::from_code(shard_bands[i]).ok_or_else(|| {
-                SnapError::Corrupt(format!("leaf {i} has unknown band code {}", shard_bands[i]))
-            })?;
-            leaf.controller.restore(&state.controllers[i])?;
-            leaf.network.restore(&state.networks[i]);
-            leaf.last_aggregate = Power::from_watts(state.last_aggregate_w[i]);
-            leaf.quiet = state.quiet[i];
-            leaf.seen = Markers {
-                power_epoch: state.seen_power_epoch[i],
-                draw_tick: state.seen_draw_tick[i],
-                agent_epoch: state.seen_agent_epoch[i],
-            };
-            leaf.failed = failed[i];
+        r.get_len(n, "leaf links")?;
+        for l in &mut self.leaves {
+            l.network.load(r)?;
+        }
+        r.get_len(n, "leaf aggregates")?;
+        for l in &mut self.leaves {
+            l.last_aggregate = Power::from_watts(r.get_f64()?);
+        }
+        r.get_len(n, "leaf quiet flags")?;
+        for l in &mut self.leaves {
+            l.quiet = r.get_bool()?;
+        }
+        r.get_len(n, "leaf power epochs")?;
+        for l in &mut self.leaves {
+            l.seen.power_epoch = r.get_u64()?;
+        }
+        r.get_len(n, "leaf draw ticks")?;
+        for l in &mut self.leaves {
+            l.seen.draw_tick = r.get_u64()?;
+        }
+        r.get_len(n, "leaf agent epochs")?;
+        for l in &mut self.leaves {
+            l.seen.agent_epoch = r.get_u64()?;
         }
         Ok(())
-    }
-}
-
-/// The leaf tier's dynamic state: controller decision state, RPC RNG
-/// streams, last aggregates, and the quiescence markers that drive
-/// cycle elision. The markers must round-trip exactly or a resumed run
-/// would elide (or re-run) cycles the unbroken run did not.
-pub(crate) struct LeafTierState {
-    pub(crate) controllers: Vec<LeafControllerState>,
-    pub(crate) networks: Vec<NetworkState>,
-    pub(crate) last_aggregate_w: Vec<f64>,
-    pub(crate) quiet: Vec<bool>,
-    pub(crate) seen_power_epoch: Vec<u64>,
-    pub(crate) seen_draw_tick: Vec<u64>,
-    pub(crate) seen_agent_epoch: Vec<u64>,
-}
-
-impl Snapshot for LeafTierState {
-    const KIND: &'static str = "dynamo.LeafTierState";
-    // v2: a link's state is its stream alone (`dynrpc.NetworkState` v2).
-    const VERSION: u32 = 2;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.controllers.len() as u64);
-        for c in &self.controllers {
-            c.encode_body(w);
-        }
-        w.put_u64(self.networks.len() as u64);
-        for n in &self.networks {
-            n.encode_body(w);
-        }
-        put_f64_slice(w, &self.last_aggregate_w);
-        put_bool_slice(w, &self.quiet);
-        put_u64_slice(w, &self.seen_power_epoch);
-        put_u64_slice(w, &self.seen_draw_tick);
-        put_u64_slice(w, &self.seen_agent_epoch);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let state = LeafTierState {
-            controllers: r.get_vec(LeafControllerState::decode_body)?,
-            networks: r.get_vec(NetworkState::decode_body)?,
-            last_aggregate_w: get_f64_vec(r)?,
-            quiet: get_bool_vec(r)?,
-            seen_power_epoch: get_u64_vec(r)?,
-            seen_draw_tick: get_u64_vec(r)?,
-            seen_agent_epoch: get_u64_vec(r)?,
-        };
-        let n = state.controllers.len();
-        if state.networks.len() != n
-            || state.last_aggregate_w.len() != n
-            || state.quiet.len() != n
-            || state.seen_power_epoch.len() != n
-            || state.seen_draw_tick.len() != n
-            || state.seen_agent_epoch.len() != n
-        {
-            return Err(SnapError::Corrupt(
-                "leaf tier snapshot arrays disagree on leaf count".into(),
-            ));
-        }
-        Ok(state)
     }
 }
 
@@ -836,8 +772,13 @@ mod tests {
             }
             (
                 pulled,
-                network.state(),
-                fleet.state().agent_rng,
+                network,
+                {
+                    // The agents' noise streams, with the rest of the fleet.
+                    let mut w = dcsim::snap::SnapWriter::new();
+                    fleet.save(&mut w);
+                    w.into_bytes()
+                },
                 tally,
                 obs.prometheus_text(),
             )
@@ -845,7 +786,10 @@ mod tests {
         let (two_pass, per_call) = (run(true), run(false));
         assert_eq!(two_pass.0, per_call.0, "readings / failed lists");
         assert_eq!(two_pass.1, per_call.1, "link stream");
-        assert_eq!(two_pass.2, per_call.2, "per-agent noise streams");
+        assert_eq!(
+            two_pass.2, per_call.2,
+            "per-agent noise streams, and the fleet"
+        );
         assert_eq!(two_pass.3, per_call.3, "rpc tally");
         assert_eq!(two_pass.4, per_call.4, "merged registry");
 

@@ -61,12 +61,12 @@ pub use datacenter::{Datacenter, DatacenterState, ParallelMode};
 pub use dynobs::ObsConfig;
 pub use dynpool::WorkerPool;
 pub use events::{ControllerEvent, ControllerEventKind};
-pub use fleet::{Fleet, FleetState, FleetStats, TickTraffic};
+pub use fleet::{Fleet, FleetStats, TickTraffic};
 pub use grid::{DcupsBankConfig, GridConfig, GridLayer, GridSummary};
 pub use obs::{Observability, TickPhase, TICK_PHASES};
 pub use report::{LevelSummary, RunReport};
-pub use telemetry::{Telemetry, TelemetryConfig, TelemetryState};
-pub use validator::{BreakerValidator, ValidationAlert, ValidatorState};
+pub use telemetry::{Telemetry, TelemetryConfig};
+pub use validator::{BreakerValidator, ValidationAlert};
 
 /// Maps a workload-simulator service to the controller-facing metadata
 /// triple (name, priority, SLA floor). This is the seam where production

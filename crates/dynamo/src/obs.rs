@@ -21,7 +21,7 @@ use dcsim::{SimDuration, SimTime};
 use dynamo_controller::{ControlAction, CycleOutcome, LeafController};
 use dynobs::{
     Band, Buckets, CounterId, FlightKind, FlightRecord, FlightRecorder, GaugeId, HistogramId,
-    ObsConfig, Registry, RegistryBuilder, RegistryState, Shard, SpanKind, SpanRecord, TraceRing,
+    ObsConfig, Registry, RegistryBuilder, Shard, SpanKind, SpanRecord, TraceRing,
 };
 
 /// Tick phases instrumented by the `--profile-ticks` profiler, in the
@@ -657,50 +657,53 @@ impl Observability {
             .set_gauge(self.ids.sim_time, now.as_secs_f64());
     }
 
-    /// Captures the observability state for a snapshot: registry
-    /// values, the leaves' last decision bands, both rings, and the
-    /// incident sequence counter. Shards are empty at tick boundaries
-    /// (every dispatch merges what it wrote), so nothing of them is
-    /// saved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if incident dumps are pending — callers flush to disk
-    /// before snapshotting so a resume cannot silently drop or
-    /// duplicate an incident file.
-    pub(crate) fn state(&self, shard_bands: Vec<u32>) -> ObservabilityState {
-        assert!(
-            self.pending.is_empty(),
-            "flush_incidents() before snapshotting observability"
-        );
-        ObservabilityState {
-            registry: self.registry.state(),
-            shard_bands,
-            trace: self.trace.clone(),
-            flight: self.flight.clone(),
-            incident_seq: self.incident_seq,
+    /// Saves the observability state: registry values, the leaves'
+    /// last decision bands (`bands`), both rings, and the incident
+    /// sequence counter. Shards are empty at tick boundaries (every
+    /// dispatch merges what it wrote), and pending incident dumps are
+    /// not state — [`crate::Datacenter::state`] writes them out first,
+    /// so a resume can neither drop nor duplicate an incident file.
+    pub(crate) fn save(&self, w: &mut SnapWriter, bands: impl ExactSizeIterator<Item = Band>) {
+        self.registry.save(w);
+        w.put_u64(bands.len() as u64);
+        for band in bands {
+            w.put_u32(band.code());
         }
+        self.trace.encode_body(w);
+        self.flight.encode_body(w);
+        w.put_u64(self.incident_seq);
     }
 
-    /// Restores the observability state from a decoded snapshot taken
-    /// against an identically-configured control plane. The caller
-    /// installs `state.shard_bands` on the leaves.
-    pub(crate) fn restore(&mut self, state: &ObservabilityState) -> Result<(), SnapError> {
-        if state.trace.capacity() != TRACE_SPANS || state.flight.capacity() != FLIGHT_RECORDS {
+    /// Loads what [`Observability::save`] wrote, the leaves' bands into
+    /// `bands`, into a subsystem built with the same configuration.
+    pub(crate) fn load<'a>(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        bands: impl ExactSizeIterator<Item = &'a mut Band>,
+    ) -> Result<(), SnapError> {
+        self.registry.load(r)?;
+        r.get_len(bands.len(), "leaf bands")?;
+        for (i, band) in bands.enumerate() {
+            let code = r.get_u32()?;
+            *band = Band::from_code(code).ok_or_else(|| {
+                SnapError::Corrupt(format!("leaf {i} has unknown band code {code}"))
+            })?;
+        }
+        let (trace, flight) = (TraceRing::decode_body(r)?, FlightRecorder::decode_body(r)?);
+        if trace.capacity() != TRACE_SPANS || flight.capacity() != FLIGHT_RECORDS {
             return Err(SnapError::Corrupt(format!(
                 "observability snapshot ring capacities (trace {}, flight {}) are not this \
                  build's (trace {TRACE_SPANS}, flight {FLIGHT_RECORDS})",
-                state.trace.capacity(),
-                state.flight.capacity(),
+                trace.capacity(),
+                flight.capacity(),
             )));
         }
-        self.registry.restore(&state.registry)?;
         // Into the live rings' own buffers: a decoded ring is only as
         // large as what it holds, and installing it would put the first
         // records after a resume back on the heap.
-        self.trace.restore_from(&state.trace);
-        self.flight.restore_from(&state.flight);
-        self.incident_seq = state.incident_seq;
+        self.trace.restore_from(&trace);
+        self.flight.restore_from(&flight);
+        self.incident_seq = r.get_count()?;
         Ok(())
     }
 
@@ -715,44 +718,6 @@ impl Observability {
             let file = dir.join(format!("incident-{:04}-{trigger}.json", self.incident_seq));
             self.pending.push((file, json));
         }
-    }
-}
-
-/// The observability subsystem's dynamic state.
-pub(crate) struct ObservabilityState {
-    pub(crate) registry: RegistryState,
-    /// Each leaf's last decision band ([`Band::code`]).
-    pub(crate) shard_bands: Vec<u32>,
-    pub(crate) trace: TraceRing,
-    pub(crate) flight: FlightRecorder,
-    pub(crate) incident_seq: u64,
-}
-
-impl Snapshot for ObservabilityState {
-    const KIND: &'static str = "dynamo.ObservabilityState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        self.registry.encode_body(w);
-        w.put_u64(self.shard_bands.len() as u64);
-        for &band in &self.shard_bands {
-            w.put_u32(band);
-        }
-        self.trace.encode_body(w);
-        self.flight.encode_body(w);
-        w.put_u64(self.incident_seq);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let registry = RegistryState::decode_body(r)?;
-        let shard_bands = r.get_vec(|r| r.get_u32())?;
-        Ok(ObservabilityState {
-            registry,
-            shard_bands,
-            trace: TraceRing::decode_body(r)?,
-            flight: FlightRecorder::decode_body(r)?,
-            incident_seq: r.get_count()?,
-        })
     }
 }
 

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dcsim::snap::{get_f64_vec, put_f64_slice, SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{get_f64_vec, put_f64_slice, SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::{BreakerStatus, DeviceId, DeviceLevel, Power};
 use powerstats::Trace;
@@ -169,79 +169,79 @@ impl Telemetry {
             .collect()
     }
 
-    /// Captures the recorder's state for a snapshot: every trace, the
-    /// event stores, and the sampling schedule. Device traces are keyed
-    /// by raw device index in ascending order so the bytes are
-    /// deterministic regardless of hash-map iteration order.
-    pub fn state(&self) -> TelemetryState {
-        let mut traces: Vec<(u32, u64, Vec<f64>)> = self
-            .device_traces
-            .iter()
-            .map(|(dev, t)| {
-                (
-                    dev.index() as u32,
-                    t.start().as_millis(),
-                    t.values().to_vec(),
-                )
-            })
-            .collect();
-        traces.sort_unstable_by_key(|&(i, _, _)| i);
-        TelemetryState {
-            device_traces: traces,
-            capped_servers: (
-                self.capped_servers.start().as_millis(),
-                self.capped_servers.values().to_vec(),
-            ),
-            total_power: (
-                self.total_power.start().as_millis(),
-                self.total_power.values().to_vec(),
-            ),
-            controller_events: self.controller_events.clone(),
-            breaker_events: self.breaker_events.clone(),
-            schedule: self.schedule,
+    /// Saves the recorder's state: every trace as `(start millis, raw
+    /// values)`, the event stores, and the sampling schedule's period
+    /// and next firing (its phase is always zero). Device traces are
+    /// keyed by raw device index in ascending order so the bytes are
+    /// deterministic regardless of hash-map iteration order; the
+    /// sampling interval is configuration.
+    pub fn save(&self, w: &mut SnapWriter) {
+        let put_trace = |w: &mut SnapWriter, t: &Trace| {
+            w.put_u64(t.start().as_millis());
+            put_f64_slice(w, t.values());
+        };
+        let mut traces: Vec<(&DeviceId, &Trace)> = self.device_traces.iter().collect();
+        traces.sort_unstable_by_key(|&(dev, _)| dev.index());
+        w.put_u64(traces.len() as u64);
+        for (dev, t) in traces {
+            w.put_u32(dev.index() as u32);
+            put_trace(w, t);
         }
+        put_trace(w, &self.capped_servers);
+        put_trace(w, &self.total_power);
+        w.put_u64(self.controller_events.len() as u64);
+        for e in &self.controller_events {
+            put_controller_event(w, e);
+        }
+        w.put_u64(self.breaker_events.len() as u64);
+        for e in &self.breaker_events {
+            w.put_u64(e.at.as_millis());
+            w.put_u32(e.device.index() as u32);
+            w.put_u8(e.status.snap_code());
+        }
+        w.put_u64(self.schedule.period().as_millis());
+        w.put_u64(self.schedule.next_at().as_millis());
     }
 
-    /// Restores the recorder from a decoded snapshot taken against the
-    /// same topology and telemetry configuration.
-    pub fn restore(&mut self, state: &TelemetryState) -> Result<(), SnapError> {
+    /// Loads what [`Telemetry::save`] wrote into a recorder with the
+    /// same configuration.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let interval = self.config.sample_interval;
-        let schedule = self.schedule.restored(&state.schedule)?;
+        let get_trace = |r: &mut SnapReader<'_>| -> Result<Trace, SnapError> {
+            let start = SimTime::from_millis(r.get_u64()?);
+            Ok(Trace::new(interval, get_f64_vec(r)?).with_start(start))
+        };
         self.device_traces.clear();
-        for (idx, start_ms, values) in &state.device_traces {
-            let trace =
-                Trace::new(interval, values.clone()).with_start(SimTime::from_millis(*start_ms));
+        let mut prev: Option<u32> = None;
+        for _ in 0..r.get_u64()? {
+            let idx = r.get_u32()?;
+            if prev.is_some_and(|p| p >= idx) {
+                return Err(SnapError::Corrupt(
+                    "telemetry device traces not strictly ascending by device index".into(),
+                ));
+            }
+            prev = Some(idx);
+            let trace = get_trace(r)?;
             self.device_traces
-                .insert(DeviceId::from_index(*idx as usize), trace);
+                .insert(DeviceId::from_index(idx as usize), trace);
         }
-        self.capped_servers = Trace::new(interval, state.capped_servers.1.clone())
-            .with_start(SimTime::from_millis(state.capped_servers.0));
-        self.total_power = Trace::new(interval, state.total_power.1.clone())
-            .with_start(SimTime::from_millis(state.total_power.0));
-        self.controller_events.clone_from(&state.controller_events);
-        self.breaker_events.clone_from(&state.breaker_events);
-        self.schedule = schedule;
+        self.capped_servers = get_trace(r)?;
+        self.total_power = get_trace(r)?;
+        self.controller_events = r.get_vec(get_controller_event)?;
+        self.breaker_events = r.get_vec(|r| {
+            Ok(BreakerEvent {
+                at: SimTime::from_millis(r.get_u64()?),
+                device: DeviceId::from_index(r.get_u32()? as usize),
+                status: BreakerStatus::from_snap_code(r.get_u8()?)?,
+            })
+        })?;
+        let period = SimDuration::from_millis(r.get_u64()?);
+        let next = SimTime::from_millis(r.get_u64()?);
+        let saved = CycleSchedule::from_parts(period, SimDuration::ZERO, next)?;
+        let restored = self.schedule.restored(&saved);
+        r.adopt(&mut self.schedule, restored);
         Ok(())
     }
-}
-
-/// The telemetry recorder's dynamic state. Traces are stored as
-/// `(start millis, raw values)`; the sampling interval is part of the
-/// run configuration and re-applied on restore.
-pub struct TelemetryState {
-    /// `(device index, trace start, values)`, ascending by index.
-    pub device_traces: Vec<(u32, u64, Vec<f64>)>,
-    /// Capped-server count series as `(start millis, values)`.
-    pub capped_servers: (u64, Vec<f64>),
-    /// Fleet total power series as `(start millis, values)`.
-    pub total_power: (u64, Vec<f64>),
-    /// All controller events recorded so far.
-    pub controller_events: Vec<ControllerEvent>,
-    /// All breaker events recorded so far.
-    pub breaker_events: Vec<BreakerEvent>,
-    /// The sampling schedule (next due time). Always phase zero: the
-    /// section stores its period and next firing time only.
-    pub schedule: CycleSchedule,
 }
 
 fn put_controller_event(w: &mut SnapWriter, e: &ControllerEvent) {
@@ -298,70 +298,6 @@ fn get_controller_event(r: &mut SnapReader<'_>) -> Result<ControllerEvent, SnapE
         controller,
         kind,
     })
-}
-
-impl Snapshot for TelemetryState {
-    const KIND: &'static str = "dynamo.TelemetryState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.device_traces.len() as u64);
-        for (idx, start_ms, values) in &self.device_traces {
-            w.put_u32(*idx);
-            w.put_u64(*start_ms);
-            put_f64_slice(w, values);
-        }
-        w.put_u64(self.capped_servers.0);
-        put_f64_slice(w, &self.capped_servers.1);
-        w.put_u64(self.total_power.0);
-        put_f64_slice(w, &self.total_power.1);
-        w.put_u64(self.controller_events.len() as u64);
-        for e in &self.controller_events {
-            put_controller_event(w, e);
-        }
-        w.put_u64(self.breaker_events.len() as u64);
-        for e in &self.breaker_events {
-            w.put_u64(e.at.as_millis());
-            w.put_u32(e.device.index() as u32);
-            w.put_u8(e.status.snap_code());
-        }
-        w.put_u64(self.schedule.period().as_millis());
-        w.put_u64(self.schedule.next_at().as_millis());
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut prev: Option<u32> = None;
-        let device_traces = r.get_vec(|r| {
-            let idx = r.get_u32()?;
-            if prev.is_some_and(|p| p >= idx) {
-                return Err(SnapError::Corrupt(
-                    "telemetry device traces not strictly ascending by device index".into(),
-                ));
-            }
-            prev = Some(idx);
-            Ok((idx, r.get_u64()?, get_f64_vec(r)?))
-        })?;
-        let capped_servers = (r.get_u64()?, get_f64_vec(r)?);
-        let total_power = (r.get_u64()?, get_f64_vec(r)?);
-        let controller_events = r.get_vec(get_controller_event)?;
-        let breaker_events = r.get_vec(|r| {
-            Ok(BreakerEvent {
-                at: SimTime::from_millis(r.get_u64()?),
-                device: DeviceId::from_index(r.get_u32()? as usize),
-                status: BreakerStatus::from_snap_code(r.get_u8()?)?,
-            })
-        })?;
-        let period = SimDuration::from_millis(r.get_u64()?);
-        let next = SimTime::from_millis(r.get_u64()?);
-        Ok(TelemetryState {
-            device_traces,
-            capped_servers,
-            total_power,
-            controller_events,
-            breaker_events,
-            schedule: CycleSchedule::from_parts(period, SimDuration::ZERO, next)?,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -3,11 +3,9 @@
 
 use std::collections::HashMap;
 
-use dcsim::snap::{get_f64_vec, put_f64_slice, SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::SimTime;
-use dynamo_controller::{
-    ChildDirective, ChildReport, UpperConfig, UpperController, UpperControllerState,
-};
+use dynamo_controller::{ChildDirective, ChildReport, UpperConfig, UpperController};
 use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 
 use crate::control_plane::SystemConfig;
@@ -102,32 +100,31 @@ impl UpperTier {
         self.controllers.len()
     }
 
-    /// Captures the tier's dynamic state for a snapshot: controller
-    /// decision state plus the last child totals parents read. Devices,
-    /// children and quotas are topology-derived and rebuilt from
-    /// config; `report_scratch` is per-cycle scratch.
-    pub(crate) fn state(&self) -> UpperTierState {
-        UpperTierState {
-            controllers: self.controllers.iter().map(|c| c.state()).collect(),
-            last_total_w: self.last_total.iter().map(|p| p.as_watts()).collect(),
+    /// Saves the tier's dynamic state: controller decision state plus
+    /// the last child totals parents read. Devices, children and quotas
+    /// are topology-derived and rebuilt from config; `report_scratch`
+    /// is per-cycle scratch.
+    pub(crate) fn save(&self, w: &mut SnapWriter) {
+        w.put_u64(self.len() as u64);
+        for c in &self.controllers {
+            c.save(w);
+        }
+        w.put_u64(self.last_total.len() as u64);
+        for p in &self.last_total {
+            w.put_f64(p.as_watts());
         }
     }
 
-    /// Restores the tier's dynamic state from a decoded snapshot taken
-    /// against an identically-configured control plane.
-    pub(crate) fn restore(&mut self, state: &UpperTierState) -> Result<(), SnapError> {
-        if state.controllers.len() != self.len() {
-            return Err(SnapError::Corrupt(format!(
-                "upper tier snapshot has {} controllers, rebuilt control plane has {}",
-                state.controllers.len(),
-                self.len()
-            )));
+    /// Loads what [`UpperTier::save`] wrote into a tier built with the
+    /// same controllers.
+    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.get_len(self.len(), "upper controllers")?;
+        for c in &mut self.controllers {
+            c.load(r)?;
         }
-        for (c, s) in self.controllers.iter_mut().zip(&state.controllers) {
-            c.restore(s)?;
-        }
-        for (p, &w) in self.last_total.iter_mut().zip(&state.last_total_w) {
-            *p = Power::from_watts(w);
+        r.get_len(self.len(), "upper totals")?;
+        for p in &mut self.last_total {
+            *p = Power::from_watts(r.get_f64()?);
         }
         Ok(())
     }
@@ -226,39 +223,6 @@ impl UpperTier {
                 });
             }
         }
-    }
-}
-
-/// The upper tier's dynamic state.
-pub(crate) struct UpperTierState {
-    pub(crate) controllers: Vec<UpperControllerState>,
-    pub(crate) last_total_w: Vec<f64>,
-}
-
-impl Snapshot for UpperTierState {
-    const KIND: &'static str = "dynamo.UpperTierState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.controllers.len() as u64);
-        for c in &self.controllers {
-            c.encode_body(w);
-        }
-        put_f64_slice(w, &self.last_total_w);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let controllers = r.get_vec(UpperControllerState::decode_body)?;
-        let last_total_w = get_f64_vec(r)?;
-        if last_total_w.len() != controllers.len() {
-            return Err(SnapError::Corrupt(
-                "upper tier snapshot arrays disagree on controller count".into(),
-            ));
-        }
-        Ok(UpperTierState {
-            controllers,
-            last_total_w,
-        })
     }
 }
 

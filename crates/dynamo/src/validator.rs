@@ -139,58 +139,11 @@ impl BreakerValidator {
         &self.alerts
     }
 
-    /// Captures the validator's dynamic state for a snapshot. The
-    /// tolerance knobs are run configuration and not saved; the RNG
-    /// stream must round-trip because every observation draws meter
-    /// noise before any skip check.
-    pub fn state(&self) -> ValidatorState {
-        ValidatorState {
-            states: self.states.clone(),
-            alerts: self.alerts.clone(),
-            schedule: self.schedule,
-            rng: self.rng.clone(),
-        }
-    }
-
-    /// Restores the validator from a decoded snapshot taken against the
-    /// same topology.
-    pub fn restore(&mut self, state: &ValidatorState) -> Result<(), SnapError> {
-        if state.states.len() != self.states.len() {
-            return Err(SnapError::Corrupt(format!(
-                "validator snapshot covers {} devices, rebuilt validator has {}",
-                state.states.len(),
-                self.states.len()
-            )));
-        }
-        // A streak counts samples.
-        let mut observed = state.states.iter().flatten();
-        if let Some(s) = observed.find(|s| u64::from(s.bad_streak) > s.samples) {
-            return Err(SnapError::Corrupt(format!(
-                "validator streak of {} in {} samples",
-                s.bad_streak, s.samples
-            )));
-        }
-        self.schedule = self.schedule.restored(&state.schedule)?;
-        self.states.clone_from(&state.states);
-        self.alerts.clone_from(&state.alerts);
-        self.rng = state.rng.clone();
-        Ok(())
-    }
-}
-
-/// The breaker validator's dynamic state.
-pub struct ValidatorState {
-    states: Vec<Option<DeviceState>>,
-    alerts: Vec<ValidationAlert>,
-    schedule: CycleSchedule,
-    rng: SimRng,
-}
-
-impl Snapshot for ValidatorState {
-    const KIND: &'static str = "dynamo.ValidatorState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
+    /// Saves the validator's dynamic state. The tolerance knobs are
+    /// run configuration and not saved; the RNG stream must round-trip
+    /// because every observation draws meter noise before any skip
+    /// check.
+    pub fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.states.len() as u64);
         for state in &self.states {
             match state {
@@ -214,19 +167,36 @@ impl Snapshot for ValidatorState {
         self.rng.encode_body(w);
     }
 
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let states = r.get_vec(|r| match r.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(DeviceState {
-                correction: r.get_f64()?,
-                bad_streak: r.get_u32()?,
-                samples: r.get_count()?,
-            })),
-            other => Err(SnapError::Corrupt(format!(
-                "bad validator device-state tag {other}"
-            ))),
-        })?;
-        let alerts = r.get_vec(|r| {
+    /// Loads what [`BreakerValidator::save`] wrote into a validator
+    /// built for the same topology.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.get_len(self.states.len(), "validated devices")?;
+        for state in &mut self.states {
+            *state = match r.get_u8()? {
+                0 => None,
+                1 => Some(DeviceState {
+                    correction: r.get_f64()?,
+                    bad_streak: r.get_u32()?,
+                    samples: r.get_count()?,
+                }),
+                other => {
+                    return Err(SnapError::Corrupt(format!(
+                        "bad validator device-state tag {other}"
+                    )))
+                }
+            };
+            // A streak counts samples.
+            if let Some(s) = state
+                .as_ref()
+                .filter(|s| u64::from(s.bad_streak) > s.samples)
+            {
+                return Err(SnapError::Corrupt(format!(
+                    "validator streak of {} in {} samples",
+                    s.bad_streak, s.samples
+                )));
+            }
+        }
+        self.alerts = r.get_vec(|r| {
             Ok(ValidationAlert {
                 at: SimTime::from_millis(r.get_u64()?),
                 device: DeviceId::from_index(r.get_u32()? as usize),
@@ -234,12 +204,11 @@ impl Snapshot for ValidatorState {
                 aggregate: Power::from_watts(r.get_f64()?),
             })
         })?;
-        Ok(ValidatorState {
-            states,
-            alerts,
-            schedule: CycleSchedule::decode_body(r)?,
-            rng: SimRng::decode_body(r)?,
-        })
+        let saved = CycleSchedule::decode_body(r)?;
+        let restored = self.schedule.restored(&saved);
+        r.adopt(&mut self.schedule, restored);
+        self.rng = SimRng::decode_body(r)?;
+        Ok(())
     }
 }
 
@@ -347,5 +316,39 @@ mod tests {
         v.advance(SimTime::ZERO);
         assert!(!v.due(SimTime::from_secs(59)));
         assert!(v.due(SimTime::from_secs(60)));
+    }
+
+    fn saved(v: &BreakerValidator) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// A streak counts bad samples, so one longer than the device's
+    /// sample count is no state a run reaches: a file saying so loads
+    /// as a typed error. The honest bytes load and save back unchanged.
+    #[test]
+    fn load_rejects_a_streak_longer_than_its_samples() {
+        let dev = device();
+        let mut v = validator();
+        for m in 0..4 {
+            let (p, low) = (Power::from_kilowatts(100.0), Power::from_kilowatts(80.0));
+            v.observe(SimTime::from_mins(m), dev, p, low);
+        }
+        let honest = saved(&v);
+        let mut twin = validator();
+        twin.load(&mut SnapReader::new(&honest))
+            .expect("honest bytes load");
+        assert_eq!(saved(&twin), honest);
+
+        let state = twin.states[dev.index()].as_mut().expect("observed");
+        state.bad_streak = state.samples as u32 + 1;
+        let forged = saved(&twin);
+        match validator().load(&mut SnapReader::new(&forged)) {
+            Err(SnapError::Corrupt(msg)) => {
+                assert!(msg.contains("validator streak of 5 in 4 samples"), "{msg}")
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
     }
 }

@@ -488,9 +488,13 @@ fn forged_ring_capacity_allocates_within_the_input() {
 }
 
 /// A snapshot is untrusted input: a body that ends right after a forged
-/// element count must come back as a typed error, having asked the heap
-/// for no more than the input's own size — never for what the count
-/// promises.
+/// element count decodes to its bytes having asked the heap for no more
+/// than the input's own size, and `restore` refuses it with a typed
+/// error — never reserving what the count promises. What restore asks
+/// for on top of the input is the datacenter's own snapshot (the bytes
+/// it saves to roll back to, which cost what `state` costs) and the
+/// error. The datacenter is freshly built, so reloading those bytes
+/// asks for nothing.
 fn forged_snapshot_count_allocates_within_the_input() {
     let mut w = SnapWriter::new();
     w.put_u32(SECTION_MAGIC);
@@ -500,17 +504,38 @@ fn forged_snapshot_count_allocates_within_the_input() {
     w.put_u64(0); // now_ms
     w.put_u64(u64::MAX); // the fleet section's first element count
     let bytes = w.into_bytes();
-    let mut result = None;
-    count_allocs(|| result = Some(DatacenterState::from_snap_bytes(&bytes)));
+    let input = bytes.len() as u64;
+    let mut decoded = None;
+    count_allocs(|| decoded = Some(DatacenterState::from_snap_bytes(&bytes)));
+    let asked = BYTES.load(Ordering::SeqCst);
     assert!(
-        matches!(result, Some(Err(SnapError::UnexpectedEof { .. }))),
-        "a truncated body must be a typed error"
+        asked <= input,
+        "decoding {input} hostile bytes asked the heap for {asked}"
+    );
+    let state = decoded
+        .expect("decoded")
+        .expect("a body is bytes until a datacenter loads it");
+
+    let mut dc = dynamo::DatacenterBuilder::new()
+        .sbs_per_msb(1)
+        .rpps_per_sb(2)
+        .racks_per_rpp(2)
+        .servers_per_rack(16)
+        .uniform_service(ServiceKind::Web)
+        .seed(11)
+        .build();
+    count_allocs(|| drop(dc.state()));
+    let own = BYTES.load(Ordering::SeqCst);
+    let mut refused = None;
+    count_allocs(|| refused = Some(dc.restore(&state)));
+    assert!(
+        matches!(refused, Some(Err(SnapError::Corrupt(_)))),
+        "a forged count must be a typed refusal, got {refused:?}"
     );
     let asked = BYTES.load(Ordering::SeqCst);
     assert!(
-        asked <= bytes.len() as u64,
-        "decoding {} hostile bytes asked the heap for {asked}",
-        bytes.len()
+        asked <= input + own,
+        "restoring {input} hostile bytes asked the heap for {asked}, its own snapshot {own}"
     );
 }
 

@@ -304,86 +304,39 @@ impl EconController {
         }
     }
 
-    /// Captures the controller's dynamic state.
-    pub fn state(&self) -> EconControllerState {
-        EconControllerState {
-            schedule: self.schedule,
-            pushed_w: self.pushed_w,
-            utility_target_w: self.utility_target_w,
-            cycles: self.cycles,
-            limit_changes: self.limit_changes,
-        }
-    }
-
-    /// Restores dynamic state captured by [`EconController::state`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects a schedule whose period or phase disagrees with this
-    /// controller's configuration.
-    pub fn restore(&mut self, state: &EconControllerState) -> Result<(), SnapError> {
-        self.schedule = self.schedule.restored(&state.schedule)?;
-        self.pushed_w = state.pushed_w;
-        self.utility_target_w = state.utility_target_w;
-        self.cycles = state.cycles;
-        self.limit_changes = state.limit_changes;
-        Ok(())
-    }
-}
-
-/// Snapshot of an [`EconController`]'s dynamic state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EconControllerState {
-    /// The cycle schedule (period, phase, next fire).
-    pub schedule: CycleSchedule,
-    /// Pushed site contract (watts), if any.
-    pub pushed_w: Option<f64>,
-    /// Last derived utility target (watts), if any.
-    pub utility_target_w: Option<f64>,
-    /// Cycles run.
-    pub cycles: u64,
-    /// Contract changes pushed.
-    pub limit_changes: u64,
-}
-
-fn put_opt_f64(w: &mut SnapWriter, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            w.put_u8(1);
-            w.put_f64(x);
-        }
-        None => w.put_u8(0),
-    }
-}
-
-fn get_opt_f64(r: &mut SnapReader<'_>) -> Result<Option<f64>, SnapError> {
-    match r.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.get_f64()?)),
-        other => Err(SnapError::Corrupt(format!("bad option tag {other}"))),
-    }
-}
-
-impl Snapshot for EconControllerState {
-    const KIND: &'static str = "dyngrid.EconControllerState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
+    /// Saves the controller's dynamic state.
+    pub fn save(&self, w: &mut SnapWriter) {
         self.schedule.encode_body(w);
-        put_opt_f64(w, self.pushed_w);
-        put_opt_f64(w, self.utility_target_w);
+        for v in [self.pushed_w, self.utility_target_w] {
+            match v {
+                Some(x) => {
+                    w.put_u8(1);
+                    w.put_f64(x);
+                }
+                None => w.put_u8(0),
+            }
+        }
         w.put_u64(self.cycles);
         w.put_u64(self.limit_changes);
     }
 
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(EconControllerState {
-            schedule: CycleSchedule::decode_body(r)?,
-            pushed_w: get_opt_f64(r)?,
-            utility_target_w: get_opt_f64(r)?,
-            cycles: r.get_count()?,
-            limit_changes: r.get_count()?,
-        })
+    /// Loads state written by [`EconController::save`]. A schedule
+    /// whose period or phase disagrees with this controller's
+    /// configuration is a mismatch ([`SnapReader::adopt`]).
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let saved = CycleSchedule::decode_body(r)?;
+        let restored = self.schedule.restored(&saved);
+        r.adopt(&mut self.schedule, restored);
+        let mut get_opt_f64 = || match r.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(r.get_f64()?)),
+            other => Err(SnapError::Corrupt(format!("bad option tag {other}"))),
+        };
+        self.pushed_w = get_opt_f64()?;
+        self.utility_target_w = get_opt_f64()?;
+        self.cycles = r.get_count()?;
+        self.limit_changes = r.get_count()?;
+        Ok(())
     }
 }
 
@@ -517,16 +470,20 @@ mod tests {
 
     #[test]
     fn state_round_trips_through_snapshot_bytes() {
+        let saved = |ec: &EconController| {
+            let mut w = SnapWriter::new();
+            ec.save(&mut w);
+            w.into_bytes()
+        };
         let mut ec = controller();
         ec.cycle(SimTime::ZERO, &curtailed(0.8), Power::from_watts(50_000.0));
-        let state = ec.state();
-        let bytes = state.to_snap_bytes();
-        let decoded = EconControllerState::from_snap_bytes(&bytes).unwrap();
-        assert_eq!(decoded, state);
-        assert_eq!(bytes, decoded.to_snap_bytes());
+        let bytes = saved(&ec);
 
         let mut other = controller();
-        other.restore(&decoded).unwrap();
+        let mut r = SnapReader::new(&bytes);
+        other.load(&mut r).unwrap();
+        r.finish("econ").unwrap();
+        assert_eq!(saved(&other), bytes);
         assert_eq!(other.pushed(), ec.pushed());
         assert_eq!(other.cycles(), ec.cycles());
 
@@ -537,7 +494,9 @@ mod tests {
             },
             Power::from_watts(MW),
         );
-        assert!(mismatched.restore(&decoded).is_err());
+        let mut r = SnapReader::new(&bytes);
+        mismatched.load(&mut r).unwrap();
+        assert!(r.finish("econ").is_err());
     }
 
     #[test]

@@ -32,5 +32,5 @@
 mod econ;
 mod signal;
 
-pub use econ::{EconConfig, EconController, EconControllerState, EconDecision};
+pub use econ::{EconConfig, EconController, EconDecision};
 pub use signal::{GridScenario, GridSegment, GridSignal, NOMINAL_FREQUENCY_HZ, NOMINAL_PRICE};

@@ -59,8 +59,7 @@ pub mod trace;
 pub use export::{parse_prometheus, render_prometheus, ParsedFamily, ParsedHistogram, ParsedKind};
 pub use flight::{Band, FlightKind, FlightRecord, FlightRecorder};
 pub use registry::{
-    Buckets, CounterId, GaugeId, HistogramId, HistogramView, Registry, RegistryBuilder,
-    RegistryState, Shard,
+    Buckets, CounterId, GaugeId, HistogramId, HistogramView, Registry, RegistryBuilder, Shard,
 };
 pub use ring::{Ring, RingRecord};
 pub use trace::{SpanKind, SpanRecord, TraceRing};

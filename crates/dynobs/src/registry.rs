@@ -14,10 +14,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use dcsim::snap::{
-    get_count_vec, get_f64_vec, put_f64_slice, put_u64_slice, SnapError, SnapReader, SnapWriter,
-    Snapshot,
-};
+use dcsim::snap::{put_f64_slice, put_u64_slice, SnapError, SnapReader, SnapWriter};
 
 use crate::flight::FlightRecord;
 use crate::trace::SpanRecord;
@@ -486,121 +483,69 @@ impl Registry {
         })
     }
 
-    /// Captures the registry's metric *values* for a snapshot. The
-    /// layout (names, help, bucket bounds) is build-time configuration
-    /// and is not part of the state — a restored registry must be
-    /// rebuilt with the identical metric set first.
-    pub fn state(&self) -> RegistryState {
+    /// Saves the registry's metric *values*. The layout (names, help,
+    /// bucket bounds) is build-time configuration and is not saved — a
+    /// loading registry must be rebuilt with the identical metric set
+    /// first.
+    pub fn save(&self, w: &mut SnapWriter) {
         let totals = &self.totals;
-        RegistryState {
-            counters: totals.counters.clone(),
-            gauges: self.gauges.clone(),
-            hist_buckets: (0..totals.counts.len())
-                .map(|i| totals.buckets[totals.layout.slots(i)].to_vec())
-                .collect(),
-            hist_sums: totals.sums.clone(),
-            hist_counts: totals.counts.clone(),
+        put_u64_slice(w, &totals.counters);
+        put_f64_slice(w, &self.gauges);
+        w.put_u64(totals.counts.len() as u64);
+        for i in 0..totals.counts.len() {
+            put_u64_slice(w, &totals.buckets[totals.layout.slots(i)]);
         }
+        put_f64_slice(w, &totals.sums);
+        put_u64_slice(w, &totals.counts);
     }
 
-    /// Restores metric values captured by [`Registry::state`] into a
-    /// registry rebuilt with the same layout. Fails with
-    /// [`SnapError::Corrupt`], before anything is installed, if an
-    /// array length disagrees with the frozen layout, or if a
-    /// histogram is not one observations could have produced: its
-    /// buckets must sum (without overflow) to its count and its sum
-    /// must be finite — anything else renders an exposition
-    /// [`crate::parse_prometheus`] rejects.
-    pub fn restore(&mut self, state: &RegistryState) -> Result<(), SnapError> {
+    /// Loads metric values written by [`Registry::save`] into a
+    /// registry built with the same layout. Fails with
+    /// [`SnapError::Corrupt`] if an array length disagrees with the
+    /// frozen layout, or if a histogram is not one observations could
+    /// have produced: its buckets must sum (without overflow) to its
+    /// count and its sum must be finite — anything else renders an
+    /// exposition [`crate::parse_prometheus`] rejects.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let layout = |e: SnapError| e.within("metric layout");
         let totals = &mut self.totals;
         let hists = totals.counts.len();
-        if state.counters.len() != totals.counters.len()
-            || state.gauges.len() != self.gauges.len()
-            || state.hist_sums.len() != hists
-            || state.hist_counts.len() != hists
-            || state.hist_buckets.len() != hists
-        {
-            return Err(SnapError::Corrupt(
-                "registry state does not match the frozen metric layout".into(),
-            ));
+        r.get_len(totals.counters.len(), "counters")
+            .map_err(layout)?;
+        for c in &mut totals.counters {
+            *c = r.get_count()?;
         }
-        for (i, have) in state.hist_buckets.iter().enumerate() {
-            let want = totals.layout.slots(i).len();
-            if have.len() != want {
-                return Err(SnapError::Corrupt(format!(
-                    "histogram {i} bucket count mismatch: snapshot {}, layout {want}",
-                    have.len()
-                )));
-            }
-            let bucketed = have.iter().try_fold(0u64, |sum, &b| sum.checked_add(b));
-            if bucketed != Some(state.hist_counts[i]) || !state.hist_sums[i].is_finite() {
-                return Err(SnapError::Corrupt(format!(
-                    "histogram {i} is inconsistent: buckets sum to {bucketed:?}, count {}, sum {}",
-                    state.hist_counts[i], state.hist_sums[i]
-                )));
+        r.get_len(self.gauges.len(), "gauges").map_err(layout)?;
+        for g in &mut self.gauges {
+            *g = r.get_f64()?;
+        }
+        r.get_len(hists, "histograms").map_err(layout)?;
+        for i in 0..hists {
+            let slots = totals.layout.slots(i);
+            r.get_len(slots.len(), "buckets")
+                .map_err(|e| layout(e.within(format_args!("histogram {i}"))))?;
+            for b in &mut totals.buckets[slots] {
+                *b = r.get_count()?;
             }
         }
-        totals.counters.clone_from(&state.counters);
-        self.gauges.clone_from(&state.gauges);
-        for (i, have) in state.hist_buckets.iter().enumerate() {
-            totals.buckets[totals.layout.slots(i)].copy_from_slice(have);
+        r.get_len(hists, "histogram sums").map_err(layout)?;
+        for sum in &mut totals.sums {
+            *sum = r.get_f64()?;
         }
-        totals.sums.clone_from(&state.hist_sums);
-        totals.counts.clone_from(&state.hist_counts);
+        r.get_len(hists, "histogram counts").map_err(layout)?;
+        for i in 0..hists {
+            let count = r.get_count()?;
+            let buckets = &totals.buckets[totals.layout.slots(i)];
+            let bucketed = buckets.iter().try_fold(0u64, |sum, &b| sum.checked_add(b));
+            if bucketed != Some(count) || !totals.sums[i].is_finite() {
+                return Err(SnapError::Corrupt(format!(
+                    "histogram {i} is inconsistent: buckets sum to {bucketed:?}, count {count}, sum {}",
+                    totals.sums[i]
+                )));
+            }
+            totals.counts[i] = count;
+        }
         Ok(())
-    }
-}
-
-/// The metric *values* of a [`Registry`] (not its layout),
-/// snapshot-serializable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegistryState {
-    /// Counter values in registration order.
-    pub counters: Vec<u64>,
-    /// Gauge values in registration order.
-    pub gauges: Vec<f64>,
-    /// Per-histogram bucket counts (last slot is `+Inf`).
-    pub hist_buckets: Vec<Vec<u64>>,
-    /// Per-histogram observation sums.
-    pub hist_sums: Vec<f64>,
-    /// Per-histogram observation counts.
-    pub hist_counts: Vec<u64>,
-}
-
-impl Snapshot for RegistryState {
-    const KIND: &'static str = "dynobs.RegistryState";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        put_u64_slice(w, &self.counters);
-        put_f64_slice(w, &self.gauges);
-        w.put_u64(self.hist_buckets.len() as u64);
-        for buckets in &self.hist_buckets {
-            put_u64_slice(w, buckets);
-        }
-        put_f64_slice(w, &self.hist_sums);
-        put_u64_slice(w, &self.hist_counts);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let counters = get_count_vec(r)?;
-        let gauges = get_f64_vec(r)?;
-        let hist_buckets = r.get_vec(get_count_vec)?;
-        let hist_sums = get_f64_vec(r)?;
-        let hist_counts = get_count_vec(r)?;
-        let n = hist_buckets.len();
-        if hist_sums.len() != n || hist_counts.len() != n {
-            return Err(SnapError::Corrupt(
-                "histogram sum/count arrays disagree with bucket array count".into(),
-            ));
-        }
-        Ok(RegistryState {
-            counters,
-            gauges,
-            hist_buckets,
-            hist_sums,
-            hist_counts,
-        })
     }
 }
 
@@ -788,52 +733,58 @@ mod tests {
         assert!(a.buckets.iter().all(|&c| c > 0), "every bucket was hit");
     }
 
+    fn saved(r: &Registry) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        r.save(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
-    fn restore_round_trips_and_rejects_another_layout() {
+    fn load_round_trips_and_rejects_another_layout() {
         let (mut r, c, g, h) = small();
         r.add(c, 3);
         r.set_gauge(g, -1.5);
         r.observe(h, 0.5);
         r.observe(h, 7.0);
-        let state = r.state();
-        assert_eq!(state.hist_buckets, vec![vec![0, 1, 1]]);
+        assert_eq!(r.histogram(h).buckets, [0, 1, 1]);
+        let bytes = saved(&r);
         let (mut twin, ..) = small();
-        twin.restore(&state).unwrap();
-        assert_eq!(twin.state(), state);
+        twin.load(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(saved(&twin), bytes);
 
         let mut b = RegistryBuilder::new();
         b.counter("calls_total", "calls");
         b.gauge("power_watts", "power");
         b.histogram("latency_seconds", "latency", Buckets::explicit(&[0.1]));
-        let err = b.build(true).restore(&state).unwrap_err();
+        let err = b
+            .build(true)
+            .load(&mut SnapReader::new(&bytes))
+            .unwrap_err();
         assert!(matches!(err, SnapError::Corrupt(_)), "{err}");
     }
 
-    /// A histogram no sequence of observations produces restores as a
+    /// A histogram no sequence of observations produces loads as a
     /// typed error, not as an exposition `parse_prometheus` rejects or
-    /// a render that overflows its cumulative count.
+    /// a render that overflows its cumulative count. Each forgery is
+    /// the bytes of a registry edited into that histogram.
     #[test]
-    fn restore_rejects_an_inconsistent_histogram() {
+    fn load_rejects_an_inconsistent_histogram() {
         let (mut r, _, _, h) = small();
         r.observe(h, 0.5);
-        let good = r.state();
-        let forge = |edit: &dyn Fn(&mut RegistryState)| {
-            let mut state = good.clone();
-            edit(&mut state);
+        let forge = |edit: &dyn Fn(&mut Accumulator)| {
+            let (mut forged, ..) = small();
+            forged.load(&mut SnapReader::new(&saved(&r))).unwrap();
+            edit(&mut forged.totals);
             let (mut victim, ..) = small();
-            let result = victim.restore(&state);
-            if result.is_err() {
-                assert_eq!(victim.state(), small().0.state(), "nothing was installed");
-            }
-            result
+            victim.load(&mut SnapReader::new(&saved(&forged)))
         };
         for (what, result) in [
-            ("count", forge(&|s| s.hist_buckets[0] = vec![3, 4, 1])),
+            ("count", forge(&|t| t.buckets.copy_from_slice(&[3, 4, 1]))),
             (
                 "overflow",
-                forge(&|s| s.hist_buckets[0] = vec![u64::MAX, 2, 0]),
+                forge(&|t| t.buckets.copy_from_slice(&[u64::MAX, 2, 0])),
             ),
-            ("sum", forge(&|s| s.hist_sums[0] = f64::NAN)),
+            ("sum", forge(&|t| t.sums[0] = f64::NAN)),
         ] {
             assert!(matches!(result, Err(SnapError::Corrupt(_))), "{what}");
         }

@@ -221,8 +221,9 @@ impl LinkProfile {
 }
 
 /// A fallible, deterministic transport between one controller and its
-/// agents.
-#[derive(Debug, Clone)]
+/// agents. Two links are equal when their profiles and stream positions
+/// are.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     profile: LinkProfile,
     /// Exponential rate matching `profile.mean_latency`, precomputed at
@@ -338,42 +339,17 @@ impl Network {
         self.profile = profile;
     }
 
-    /// Captures the transport's dynamic state: its RNG stream position.
+    /// Saves the transport's dynamic state: its RNG stream position.
     /// The profile and its derived `rtt_rate` are configuration, rebuilt
     /// by the owner.
-    pub fn state(&self) -> NetworkState {
-        NetworkState {
-            rng: self.rng.clone(),
-        }
-    }
-
-    /// Restores state captured by [`Network::state`].
-    pub fn restore(&mut self, state: &NetworkState) {
-        self.rng = state.rng.clone();
-    }
-}
-
-/// The dynamic state of one [`Network`]: the RNG stream every drop,
-/// timeout and latency draw comes from. Implements [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkState {
-    /// RNG stream driving drop/timeout/latency draws.
-    pub rng: SimRng,
-}
-
-impl Snapshot for NetworkState {
-    const KIND: &'static str = "dynrpc.NetworkState";
-    // v2: the call counters and the latency sum left; the stream alone.
-    const VERSION: u32 = 2;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
+    pub fn save(&self, w: &mut SnapWriter) {
         self.rng.encode_body(w);
     }
 
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NetworkState {
-            rng: SimRng::decode_body(r)?,
-        })
+    /// Loads a stream position written by [`Network::save`].
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.rng = SimRng::decode_body(r)?;
+        Ok(())
     }
 }
 
@@ -531,11 +507,7 @@ mod tests {
             } else {
                 assert!(faulty.call(&mut b, Request::ReadPower).is_ok());
             }
-            assert_eq!(
-                faulty.state(),
-                clean.state(),
-                "call {call}: streams diverged"
-            );
+            assert_eq!(faulty, clean, "call {call}: streams diverged");
         }
         assert_eq!(timeouts, 1);
         assert_eq!((a.reads, b.reads), (10, 9));
@@ -564,7 +536,7 @@ mod tests {
                 Err(RpcError::AgentDown) => unreachable!("a link never answers for an agent"),
             }
         }
-        assert_eq!(fates.state(), calls.state());
+        assert_eq!(fates, calls);
         assert!(drops > 0 && timeouts > 0 && delivered > 0);
         assert_eq!(a.reads, delivered);
     }
@@ -608,34 +580,16 @@ mod tests {
                 delivered += 1;
             }
         }
-        assert_eq!(net.state().rng, twin, "streams ended apart");
-        assert!(drops > 1000 && timeouts > 1000 && delivered > 1000);
-    }
-
-    /// A link state written before the counters left the wire — the
-    /// stream, then five `u64` — is refused by version.
-    #[test]
-    fn a_v1_network_state_is_a_version_mismatch() {
-        let mut body = SnapWriter::new();
-        SimRng::seed_from(1).encode_body(&mut body);
-        for counter in [10, 8, 1, 1, 24] {
-            body.put_u64(counter);
-        }
-        let body = body.into_bytes();
-        let mut w = SnapWriter::new();
-        w.put_u32(dcsim::snap::SECTION_MAGIC);
-        w.put_str(NetworkState::KIND);
-        w.put_u32(1);
-        w.put_u64(body.len() as u64);
-        w.put_raw(&body);
+        let mut saved = SnapWriter::new();
+        net.save(&mut saved);
+        let mut stream = SnapWriter::new();
+        twin.encode_body(&mut stream);
         assert_eq!(
-            NetworkState::from_snap_bytes(&w.into_bytes()),
-            Err(SnapError::VersionMismatch {
-                kind: NetworkState::KIND.to_string(),
-                found: 1,
-                supported: 2,
-            })
+            saved.into_bytes(),
+            stream.into_bytes(),
+            "streams ended apart"
         );
+        assert!(drops > 1000 && timeouts > 1000 && delivered > 1000);
     }
 
     #[test]

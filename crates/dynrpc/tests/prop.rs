@@ -120,6 +120,6 @@ fn network_stats_are_consistent() {
         }
         assert_eq!(delivered + drops + timeouts, 300);
         assert_eq!(endpoint.0, delivered);
-        assert_eq!(net.state(), twin.state());
+        assert_eq!(net, twin);
     }
 }

@@ -20,7 +20,7 @@
 //! `now >= until`. A started burst always expires at least a second
 //! after it starts, so a live expiry is never zero;
 //! [`burst_to_columns`] / [`burst_from_columns`] convert to and from the
-//! `Option<(SimTime, f64)>` that [`crate::WorkloadState`] stores.
+//! `Option<(SimTime, f64)>` a snapshot stores ([`crate::put_process`]).
 
 use dcsim::{SimDuration, SimRng, SimTime};
 
@@ -164,7 +164,8 @@ pub fn burst_from_columns(burst_until: SimTime, burst_add: f64) -> Option<(SimTi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{ServiceKind, ServiceWorkload};
+    use crate::service::{put_process, ServiceKind, ServiceWorkload};
+    use dcsim::snap::{SnapWriter, Snapshot};
 
     /// The column kernel against the scalar process, bit for bit: every
     /// service, single-tick and 30-tick held steps, long enough that
@@ -214,11 +215,20 @@ mod tests {
                     "{kind} x{elapsed}: vacuous burst coverage {started}/{running}/{expired}"
                 );
                 for i in 0..N {
-                    let state = scalar[i].state();
-                    assert_eq!(state.noise.to_bits(), noise[i].to_bits());
-                    assert_eq!(state.burst, burst_from_columns(until[i], add[i]));
-                    // Full stream state, cached spare normal included.
-                    assert_eq!(state.rng, rng[i]);
+                    // Noise, burst and the full stream state (cached
+                    // spare normal included), as a snapshot writes them.
+                    let mut column = SnapWriter::new();
+                    put_process(
+                        &mut column,
+                        kind,
+                        &params,
+                        noise[i],
+                        (until[i], add[i]),
+                        &rng[i],
+                    );
+                    let mut process = SnapWriter::new();
+                    scalar[i].encode_body(&mut process);
+                    assert_eq!(column.into_bytes(), process.into_bytes());
                 }
             }
         }

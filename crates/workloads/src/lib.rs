@@ -45,5 +45,7 @@ mod service;
 mod traffic;
 
 pub use perf::ClusterPerf;
-pub use service::{OuCoeffs, ServiceKind, ServiceParams, ServiceWorkload, WorkloadState};
+pub use service::{
+    get_process, put_process, OuCoeffs, ServiceKind, ServiceParams, ServiceWorkload,
+};
 pub use traffic::{TrafficEvent, TrafficPattern};

@@ -343,113 +343,104 @@ impl ServiceWorkload {
     fn burst(&self) -> Option<(SimTime, f64)> {
         kernel::burst_from_columns(self.burst_until, self.burst_add)
     }
-
-    /// Captures the full process state (parameters included, so custom
-    /// `with_params` processes restore exactly).
-    pub fn state(&self) -> WorkloadState {
-        WorkloadState {
-            kind: self.kind.index(),
-            params: self.params,
-            noise: self.noise,
-            burst: self.burst(),
-            rng: self.rng.clone(),
-        }
-    }
-
-    /// Restores state captured by [`ServiceWorkload::state`].
-    ///
-    /// Fails with [`SnapError::Corrupt`] if the state belongs to a
-    /// different service kind.
-    pub fn restore(&mut self, state: &WorkloadState) -> Result<(), SnapError> {
-        if state.kind != self.kind.index() {
-            return Err(SnapError::Corrupt(format!(
-                "workload state for service kind {} restored onto {}",
-                state.kind,
-                self.kind.index()
-            )));
-        }
-        self.params = state.params;
-        self.noise = state.noise;
-        (self.burst_until, self.burst_add) = kernel::burst_to_columns(state.burst);
-        self.rng = state.rng.clone();
-        Ok(())
-    }
 }
 
-/// The dynamic state of one [`ServiceWorkload`]. Implements [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadState {
-    /// Service kind index ([`ServiceKind::index`]).
-    pub kind: usize,
-    /// Parameters in effect (may differ from the kind's defaults).
-    pub params: ServiceParams,
-    /// Mean-reverting noise state.
-    pub noise: f64,
-    /// Active burst, if any.
-    pub burst: Option<(SimTime, f64)>,
-    /// The process's RNG stream.
-    pub rng: SimRng,
+/// A process on the wire: its kind index, its parameters (so custom
+/// [`ServiceWorkload::with_params`] processes restore exactly), its
+/// noise, its burst in flight and its stream. [`ServiceWorkload`]
+/// writes itself with [`put_process`]; a caller that keeps its processes
+/// as columns writes each one with it too.
+pub fn put_process(
+    w: &mut SnapWriter,
+    kind: ServiceKind,
+    params: &ServiceParams,
+    noise: f64,
+    (burst_until, burst_add): (SimTime, f64),
+    rng: &SimRng,
+) {
+    w.put_u64(kind.index() as u64);
+    for p in [
+        params.base_util,
+        params.sigma,
+        params.theta,
+        params.burst_rate,
+        params.burst_min,
+        params.burst_max,
+        params.burst_dur_secs,
+        params.traffic_sensitivity,
+    ] {
+        w.put_f64(p);
+    }
+    w.put_f64(noise);
+    match kernel::burst_from_columns(burst_until, burst_add) {
+        Some((until, add)) => {
+            w.put_bool(true);
+            w.put_u64(until.as_millis());
+            w.put_f64(add);
+        }
+        None => w.put_bool(false),
+    }
+    rng.encode_body(w);
 }
 
-impl Snapshot for WorkloadState {
-    const KIND: &'static str = "workloads.WorkloadState";
+/// Reads a process written by [`put_process`] into its dynamic parts —
+/// noise, burst columns, stream — and returns the kind index and the
+/// parameters it names, for the caller to check.
+pub fn get_process(
+    r: &mut SnapReader<'_>,
+    noise: &mut f64,
+    (burst_until, burst_add): (&mut SimTime, &mut f64),
+    rng: &mut SimRng,
+) -> Result<(u64, ServiceParams), SnapError> {
+    let kind = r.get_u64()?;
+    let params = ServiceParams {
+        base_util: r.get_f64()?,
+        sigma: r.get_f64()?,
+        theta: r.get_f64()?,
+        burst_rate: r.get_f64()?,
+        burst_min: r.get_f64()?,
+        burst_max: r.get_f64()?,
+        burst_dur_secs: r.get_f64()?,
+        traffic_sensitivity: r.get_f64()?,
+    };
+    let stored_noise = r.get_f64()?;
+    let burst = if r.get_bool()? {
+        let until = SimTime::from_millis(r.get_u64()?);
+        Some((until, r.get_f64()?))
+    } else {
+        None
+    };
+    // Both are summed into a utilization every redraw.
+    if !stored_noise.is_finite() || burst.is_some_and(|(_, add)| !add.is_finite()) {
+        return Err(SnapError::Corrupt(format!(
+            "workload noise {stored_noise} / burst {burst:?} is not finite"
+        )));
+    }
+    *noise = stored_noise;
+    (*burst_until, *burst_add) = kernel::burst_to_columns(burst);
+    *rng = SimRng::decode_body(r)?;
+    Ok((kind, params))
+}
+
+impl Snapshot for ServiceWorkload {
+    const KIND: &'static str = "workloads.ServiceWorkload";
     const VERSION: u32 = 1;
 
     fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.kind as u64);
-        w.put_f64(self.params.base_util);
-        w.put_f64(self.params.sigma);
-        w.put_f64(self.params.theta);
-        w.put_f64(self.params.burst_rate);
-        w.put_f64(self.params.burst_min);
-        w.put_f64(self.params.burst_max);
-        w.put_f64(self.params.burst_dur_secs);
-        w.put_f64(self.params.traffic_sensitivity);
-        w.put_f64(self.noise);
-        match self.burst {
-            Some((until, add)) => {
-                w.put_bool(true);
-                w.put_u64(until.as_millis());
-                w.put_f64(add);
-            }
-            None => w.put_bool(false),
-        }
-        self.rng.encode_body(w);
+        let burst = (self.burst_until, self.burst_add);
+        put_process(w, self.kind, &self.params, self.noise, burst, &self.rng);
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let kind = r.get_u64()? as usize;
-        let params = ServiceParams {
-            base_util: r.get_f64()?,
-            sigma: r.get_f64()?,
-            theta: r.get_f64()?,
-            burst_rate: r.get_f64()?,
-            burst_min: r.get_f64()?,
-            burst_max: r.get_f64()?,
-            burst_dur_secs: r.get_f64()?,
-            traffic_sensitivity: r.get_f64()?,
-        };
-        let noise = r.get_f64()?;
-        let burst = if r.get_bool()? {
-            let until = SimTime::from_millis(r.get_u64()?);
-            let add = r.get_f64()?;
-            Some((until, add))
-        } else {
-            None
-        };
-        // Both are summed into a utilization every redraw.
-        if !noise.is_finite() || burst.is_some_and(|(_, add)| !add.is_finite()) {
-            return Err(SnapError::Corrupt(format!(
-                "workload noise {noise} / burst {burst:?} is not finite"
-            )));
-        }
-        Ok(WorkloadState {
-            kind,
-            params,
-            noise,
-            burst,
-            rng: SimRng::decode_body(r)?,
-        })
+        let mut wl = ServiceWorkload::new(ServiceKind::Web, SimRng::seed_from(0));
+        let burst = (&mut wl.burst_until, &mut wl.burst_add);
+        let (kind, params) = get_process(r, &mut wl.noise, burst, &mut wl.rng)?;
+        wl.kind = usize::try_from(kind)
+            .ok()
+            .and_then(|k| ServiceKind::all().get(k).copied())
+            .ok_or_else(|| SnapError::Corrupt(format!("bad service kind {kind}")))?;
+        wl.params = params;
+        Ok(wl)
     }
 }
 

@@ -9,9 +9,10 @@
 //!    instead of being misread into live state.
 //! 3. **Kind and framing violations** are detected, never misapplied.
 //!
-//! Composite states (controller tiers, observability, the whole
-//! datacenter) are exercised through a live run's `DatacenterState`,
-//! whose encoding nests every one of their bodies.
+//! Layers rebuilt from configuration (controller tiers, observability,
+//! the whole datacenter) have no section of their own: they are
+//! exercised through a live run's `DatacenterState`, whose body nests
+//! every one of theirs.
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
@@ -94,21 +95,57 @@ fn serverpower_types_roundtrip() {
 fn agent_network_and_workload_roundtrip() {
     // Per-agent state (noise stream, process-up bit) is columns of the
     // fleet snapshot now; `whole_datacenter_state_roundtrips` covers it.
-    let network = Network::new(LinkProfile::datacenter(), SimRng::seed_from(11));
-    roundtrip(&network.state());
+    // A link saves its stream alone and loads it into a link built with
+    // its profile: save -> load -> save is byte-identical.
+    let profile = LinkProfile::lossy(0.1, 0.1);
+    let mut network = Network::new(profile, SimRng::seed_from(11));
+    for _ in 0..17 {
+        let _ = network.attempt();
+    }
+    let mut w = SnapWriter::new();
+    network.save(&mut w);
+    let bytes = w.into_bytes();
+    let mut loaded = Network::new(profile, SimRng::seed_from(12));
+    let mut r = SnapReader::new(&bytes);
+    loaded.load(&mut r).expect("a link loads its own bytes");
+    assert_eq!(r.remaining(), 0);
+    let mut again = SnapWriter::new();
+    loaded.save(&mut again);
+    assert_eq!(
+        again.into_bytes(),
+        bytes,
+        "save -> load -> save moved a byte"
+    );
+    assert_eq!(loaded, network);
+    for _ in 0..32 {
+        assert_eq!(
+            loaded.attempt(),
+            network.attempt(),
+            "loaded stream diverged"
+        );
+    }
 
+    // A workload process is plain data: a section of its own.
     let mut workload = ServiceWorkload::new(ServiceKind::Cache, SimRng::seed_from(31));
     for t in 0..20 {
         workload.utilization(SimTime::from_secs(t), 1.3, SimDuration::from_secs(1));
     }
-    roundtrip(&workload.state());
+    let mut decoded = roundtrip(&workload);
+    for t in 20..60 {
+        let (now, dt) = (SimTime::from_secs(t), SimDuration::from_secs(1));
+        assert_eq!(
+            decoded.utilization(now, 1.3, dt).to_bits(),
+            workload.utilization(now, 1.3, dt).to_bits(),
+            "decoded process diverged at t={t} s"
+        );
+    }
 }
 
-/// A live datacenter's full state: nests FleetState, SystemState (leaf
-/// and upper controller tiers, failover flags, schedules,
-/// observability rings and registry), TelemetryState, breakers and the
-/// validator — the round-trip property therefore covers every
-/// composite `Snapshot` body in one pass.
+/// A live datacenter's full state: nests the fleet, the control plane
+/// (leaf and upper controller tiers, failover flags, schedules,
+/// observability rings and registry), telemetry, breakers and the
+/// validator — the round-trip property therefore covers every layer's
+/// body in one pass.
 #[test]
 fn whole_datacenter_state_roundtrips() {
     let mut dc = DatacenterBuilder::new()
@@ -200,10 +237,10 @@ fn threaded_datacenter_state_roundtrips_into_serial_twin() {
     );
 }
 
-/// Same property with the grid-interactive layer live: the nested
-/// `GridLayerState` (economic controller schedule, battery banks, the
-/// open curtailment episode and settlement accumulators) must survive
-/// the byte cycle mid-curtailment.
+/// Same property with the grid-interactive layer live: its nested body
+/// (economic controller schedule, battery banks, the open curtailment
+/// episode and settlement accumulators) must survive the byte cycle
+/// mid-curtailment.
 #[test]
 fn gridded_datacenter_state_roundtrips_mid_curtailment() {
     let build = || {
