@@ -396,16 +396,18 @@ pub trait Snapshot: Sized {
     /// Decodes the body (no framing) from `r`.
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 
-    /// Writes a full framed section.
+    /// Writes a full framed section. The body is encoded in place and
+    /// its length patched in behind it, so no section is copied to be
+    /// measured.
     fn write_section(&self, w: &mut SnapWriter) {
-        let mut body = SnapWriter::new();
-        self.encode_body(&mut body);
-        let body = body.into_bytes();
         w.put_u32(SECTION_MAGIC);
         w.put_str(Self::KIND);
         w.put_u32(Self::VERSION);
-        w.put_u64(body.len() as u64);
-        w.put_raw(&body);
+        let at = w.len();
+        w.put_u64(0);
+        self.encode_body(w);
+        let len = (w.len() - at - 8) as u64;
+        w.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Reads a full framed section, checking magic, kind, version and

@@ -75,13 +75,13 @@ impl Default for SystemConfig {
 /// phase zero and all cycles of a tier fall due at the same instants.
 pub struct DynamoSystem {
     config: SystemConfig,
-    leaves: LeafTier,
-    uppers: UpperTier,
-    failover: Failover,
+    pub(crate) leaves: LeafTier,
+    pub(crate) uppers: UpperTier,
+    pub(crate) failover: Failover,
     /// One cycle schedule per leaf controller, by leaf index.
-    leaf_cycles: Vec<CycleSchedule>,
+    pub(crate) leaf_cycles: Vec<CycleSchedule>,
     /// One cycle schedule per upper controller, by upper index.
-    upper_cycles: Vec<CycleSchedule>,
+    pub(crate) upper_cycles: Vec<CycleSchedule>,
     obs: Observability,
     /// Persistent worker pool for same-instant leaf dispatch, shared
     /// with the fleet by the embedding [`crate::Datacenter`]; its size

@@ -23,7 +23,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot, SECTION_MAGIC};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimDuration, SimTime};
 use dynpool::WorkerPool;
 use powerinfra::{Breaker, BreakerStatus, DeviceId, Power, Topology};
@@ -87,7 +87,7 @@ pub struct Datacenter {
     alerts_seen: usize,
     /// Grid-interactive layer (utility signals, economic contracts,
     /// DCUPS buffering), when the builder configured one.
-    grid: Option<GridLayer>,
+    pub(crate) grid: Option<GridLayer>,
     /// Record per-phase tick wall time into the observability
     /// registry's `dynamo_tick_phase_seconds_*` family. Off by
     /// default: wall clocks are non-deterministic, so determinism
@@ -698,18 +698,6 @@ impl Snapshot for DatacenterState {
         w.put_raw(&self.body);
     }
 
-    /// The framing around the body as it is: the body is bytes already,
-    /// so it is not copied once more to be measured — that copy would be
-    /// a third checkpoint-sized buffer live while a checkpoint is
-    /// written, and the peak resident set follows it.
-    fn write_section(&self, w: &mut SnapWriter) {
-        w.put_u32(SECTION_MAGIC);
-        w.put_str(Self::KIND);
-        w.put_u32(Self::VERSION);
-        w.put_u64(self.body.len() as u64);
-        w.put_raw(&self.body);
-    }
-
     /// Takes the rest of the enclosing body: a datacenter's body is
     /// always last.
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -775,6 +763,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::{DatacenterBuilder, ServicePlan};
     use dcsim::CycleSchedule;
+    use dynobs::Band;
     use powerinfra::{DeviceLevel, TripCurve};
     use workloads::{ServiceKind, TrafficPattern};
 
@@ -1052,54 +1041,17 @@ pub(crate) mod tests {
         w.len()
     }
 
-    /// Where parts of the body `dc.state()` writes lie, from the
-    /// lengths of its parts saved alone and the layout DESIGN §13 gives.
-    struct Layout {
-        /// The control-plane section.
-        system: usize,
-        /// The fleet's `tick_index`.
-        tick_index: usize,
-        /// The first leaf and the first upper schedule.
-        leaf_schedules: usize,
-        upper_schedules: usize,
-        /// Leaf 0's band code.
-        bands: usize,
-        /// The telemetry schedule's period, then its next firing.
-        telemetry_schedule: usize,
-        /// The first breaker, and the length of each.
-        breakers: usize,
-        breaker_len: usize,
-    }
-
-    impl Layout {
-        fn of(dc: &Datacenter) -> Layout {
-            let (system, obs) = (dc.system(), dc.system().observability());
-            let (leaves, uppers) = (system.leaf_count(), system.upper_devices().len());
-            let fleet_end = 8 + saved_len(|w| dc.fleet.save(w));
-            let telemetry = fleet_end + saved_len(|w| dc.system.save(w));
-            // The observability section closes the control plane: the
-            // registry, the bands, both rings and the incident number.
-            let obs_start = telemetry
-                - saved_len(|w| obs.registry().save(w))
-                - (8 + 4 * leaves)
-                - saved_len(|w| obs.trace().encode_body(w))
-                - saved_len(|w| obs.flight().encode_body(w))
-                - 8;
-            let breakers = telemetry + saved_len(|w| dc.telemetry.save(w));
-            // The fleet section ends with `tick_index` and four per-leaf
-            // arrays: settled flags, then three `u64` columns.
-            let per_leaf = (8 + leaves) + 3 * (8 + 8 * leaves);
-            Layout {
-                system: fleet_end,
-                tick_index: fleet_end - per_leaf - 8,
-                leaf_schedules: obs_start - 24 * uppers - 8 - 24 * leaves,
-                upper_schedules: obs_start - 24 * uppers,
-                bands: obs_start + saved_len(|w| obs.registry().save(w)) + 8,
-                telemetry_schedule: breakers - 16,
-                breakers: breakers + 8,
-                breaker_len: saved_len(|w| dc.topo.device(dc.topo.root()).breaker.encode_body(w)),
-            }
-        }
+    /// `state` as a file forged to say `edit` would: restored into
+    /// `twin`, a fresh build of the datacenter that took it, edited
+    /// there, saved again.
+    pub(crate) fn forged(
+        mut twin: Datacenter,
+        state: &DatacenterState,
+        edit: impl FnOnce(&mut Datacenter),
+    ) -> DatacenterState {
+        twin.restore(state).expect("an honest state restores");
+        edit(&mut twin);
+        twin.state()
     }
 
     /// Writes `bytes` over the body of `state` at `at`.
@@ -1139,8 +1091,21 @@ pub(crate) mod tests {
         let mut dc = small_dc(3, 2);
         let honest = dc.state();
         assert!(dc.restore(&honest).is_ok());
-        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
-            poke(s, Layout::of(dc).bands + 4, &4u32.to_le_bytes())
+        // No band has code 4, so no twin can save it: move leaf 1 to
+        // another band in a twin to find its code, and write 4 there.
+        let forge = |_: &Datacenter, s: &mut DatacenterState| {
+            let moved = forged(small_dc(3, 2), s, |t| {
+                let band = &mut t.system.leaves.leaves[1].band;
+                *band = if *band == Band::Cap {
+                    Band::Hold
+                } else {
+                    Band::Cap
+                };
+            });
+            let at = (s.body.iter().zip(&moved.body))
+                .position(|(a, b)| a != b)
+                .expect("the band moved");
+            poke(s, at, &4u32.to_le_bytes())
         };
         assert_refused(&mut dc, forge, "leaf 1 has unknown band code 4");
     }
@@ -1156,17 +1121,11 @@ pub(crate) mod tests {
         let honest = dc.topo.device(rpp).breaker.clone();
         let doubled = Breaker::new(honest.rating() * 2.0, *honest.curve());
         let recurved = Breaker::new(honest.rating(), TripCurve::msb());
-        for forged in [doubled, recurved] {
-            let forge = |dc: &Datacenter, s: &mut DatacenterState| {
-                let layout = Layout::of(dc);
-                let mut w = SnapWriter::new();
-                forged.encode_body(&mut w);
-                assert_eq!(w.len(), layout.breaker_len);
-                poke(
-                    s,
-                    layout.breakers + rpp.index() * layout.breaker_len,
-                    w.as_bytes(),
-                );
+        for breaker in [doubled, recurved] {
+            let forge = |_: &Datacenter, s: &mut DatacenterState| {
+                *s = forged(small_dc(3, 2), s, |t| {
+                    t.topo.device_mut(rpp).breaker = breaker;
+                })
             };
             assert_refused(&mut dc, forge, &format!("{rpp}: breaker in snapshot"));
         }
@@ -1180,31 +1139,20 @@ pub(crate) mod tests {
     fn restore_rejects_a_schedule_that_is_not_the_configured_one() {
         let mut dc = small_dc(3, 2);
         dc.run_for(SimDuration::from_secs(5));
-        let body = |s: CycleSchedule| {
-            let mut w = SnapWriter::new();
-            s.encode_body(&mut w);
-            w.into_bytes()
+        let forge_with = |edit: fn(&mut Datacenter)| {
+            move |_: &Datacenter, s: &mut DatacenterState| *s = forged(small_dc(3, 2), s, edit)
         };
-        let period = SimDuration::from_secs(4);
-        let leaf = body(CycleSchedule::new(period));
-        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
-            poke(s, Layout::of(dc).leaf_schedules + 2 * 24, &leaf)
-        };
+        let forge =
+            forge_with(|t| t.system.leaf_cycles[2] = CycleSchedule::new(SimDuration::from_secs(4)));
         assert_refused(&mut dc, forge, "leaf controller 2: schedule");
-        let upper = body(CycleSchedule::with_phase(
-            SimDuration::from_secs(9),
-            SimDuration::from_secs(1),
-        ));
-        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
-            poke(s, Layout::of(dc).upper_schedules, &upper)
-        };
+        let forge = forge_with(|t| {
+            t.system.upper_cycles[0] =
+                CycleSchedule::with_phase(SimDuration::from_secs(9), SimDuration::from_secs(1))
+        });
         assert_refused(&mut dc, forge, "upper controller 0: schedule");
         // Telemetry stores its period and next firing only.
-        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
-            let at = Layout::of(dc).telemetry_schedule;
-            poke(s, at, &period.as_millis().to_le_bytes());
-            poke(s, at + 8, &0u64.to_le_bytes());
-        };
+        let forge =
+            forge_with(|t| t.telemetry.schedule = CycleSchedule::new(SimDuration::from_secs(4)));
         assert_refused(&mut dc, forge, "schedule");
     }
 
@@ -1217,11 +1165,13 @@ pub(crate) mod tests {
         let mut dc = small_dc(3, 2);
         dc.run_for(SimDuration::from_secs(5));
         let forge = |_: &Datacenter, s: &mut DatacenterState| {
-            poke(s, 0, &0xfff0_0000_0000_0000_u64.to_le_bytes())
+            *s = forged(small_dc(3, 2), s, |t| {
+                t.now = SimTime::from_millis(0xfff0_0000_0000_0000)
+            })
         };
         assert_refused(&mut dc, forge, "snapshot clock");
-        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
-            poke(s, Layout::of(dc).tick_index, &(1u64 << 40).to_le_bytes())
+        let forge = |_: &Datacenter, s: &mut DatacenterState| {
+            *s = forged(small_dc(3, 2), s, |t| t.fleet.tick_index = 1 << 40)
         };
         assert_refused(&mut dc, forge, "snapshot clock");
     }
@@ -1235,11 +1185,15 @@ pub(crate) mod tests {
         (leaf, column, pos): (usize, usize, u64),
         watts: f64,
     ) {
-        let system = dc.system();
-        let controller = |i: usize| system.leaf_for(system.leaf_devices()[i]).expect("a leaf");
-        let saved = |i: usize| saved_len(|w| controller(i).save(w));
-        let start = Layout::of(dc).system + 8 + (0..leaf).map(saved).sum::<usize>();
-        let section = start..start + saved(leaf);
+        let leaves = &dc.system.leaves.leaves;
+        // The clock, the fleet, the controller count, the leaves before.
+        let start = saved_len(|w| {
+            w.put_u64(0);
+            dc.fleet.save(w);
+            w.put_u64(0);
+            leaves[..leaf].iter().for_each(|l| l.controller.save(w));
+        });
+        let section = start..start + saved_len(|w| leaves[leaf].controller.save(w));
         let (mut r, mut w) = (
             SnapReader::new(&state.body[section.clone()]),
             SnapWriter::new(),
@@ -1345,10 +1299,16 @@ pub(crate) mod tests {
             let report = crate::RunReport::from_datacenter(&dc);
             assert!(report.leaf_cap_events > 0, "vacuous: nothing capped");
             assert!(report.failovers > 0, "vacuous: no failover");
-            // Everything up to the schedules: the fleet, every
-            // controller, every leaf's link stream, the failover tallies.
-            let tiers = Layout::of(&dc).leaf_schedules;
-            (dc.state().body[..tiers].to_vec(), report.to_string())
+            // The fleet, every controller, every leaf's link stream,
+            // the failover tallies.
+            let mut w = SnapWriter::new();
+            let system = &dc.system;
+            dc.fleet.save(&mut w);
+            system.leaves.save(&mut w);
+            system.uppers.save(&mut w);
+            let failed = system.leaves.leaves.iter().map(|l| l.failed);
+            system.failover.save(&mut w, failed);
+            (w.into_bytes(), report.to_string())
         };
         let (observed, unobserved) = (run(crate::ObsConfig::on()), run(Default::default()));
         assert_eq!(observed.0, unobserved.0, "fleet and controller tiers");

@@ -133,7 +133,7 @@ pub struct Fleet {
     pool: Option<Arc<WorkerPool>>,
     /// Physics ticks completed so far; drives the leaf-phased demand
     /// redraw schedule. Incremented exactly once per step.
-    tick_index: u64,
+    pub(crate) tick_index: u64,
     /// Demand redraw period in ticks. `1` (the default) redraws every
     /// workload every tick — bit-identical to the always-redraw model.
     /// Larger values hold each leaf's demand between leaf-phased

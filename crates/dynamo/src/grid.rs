@@ -612,7 +612,7 @@ impl GridLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datacenter::tests::{assert_refused, saved_len};
+    use crate::datacenter::tests::{assert_refused, forged, saved_len};
     use crate::{Datacenter, DatacenterBuilder, DatacenterState, ServicePlan};
     use dcsim::SimDuration;
     use dyngrid::GridScenario;
@@ -750,22 +750,15 @@ mod tests {
     #[test]
     fn restore_rejects_a_bank_that_is_not_the_configured_one() {
         let scenario = GridScenario::preset("curtailment-window").unwrap();
-        let mut dc = grid_dc(39, GridConfig::for_scenario(scenario));
+        let build = || grid_dc(39, GridConfig::for_scenario(scenario.clone()));
+        let mut dc = build();
         dc.run_for(SimDuration::from_secs(400));
         let honest = dc.grid().unwrap().banks()[1].clone();
         let doubled = Dcups::with_recharge_frac(honest.design_load() * 2.0, honest.recharge_frac());
         let faster = Dcups::with_recharge_frac(honest.design_load(), 1.0);
         for bank in [doubled, faster] {
-            // The grid section closes the body: the economic
-            // controller, the bank count, then the banks.
-            let forge = |dc: &Datacenter, s: &mut DatacenterState| {
-                let grid = dc.grid().unwrap();
-                let bank_len = saved_len(|w| honest.encode_body(w));
-                let start = s.body.len() - saved_len(|w| grid.save(w));
-                let at = start + saved_len(|w| grid.econ().save(w)) + 8 + bank_len;
-                let mut w = SnapWriter::new();
-                bank.encode_body(&mut w);
-                s.body[at..at + bank_len].copy_from_slice(w.as_bytes());
+            let forge = |_: &Datacenter, s: &mut DatacenterState| {
+                *s = forged(build(), s, |t| t.grid.as_mut().unwrap().banks[1] = bank);
             };
             assert_refused(&mut dc, forge, "leaf 1 bank: DCUPS in snapshot");
         }

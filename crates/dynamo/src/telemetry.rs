@@ -53,7 +53,7 @@ pub struct Telemetry {
     total_power: Trace,
     controller_events: Vec<ControllerEvent>,
     breaker_events: Vec<BreakerEvent>,
-    schedule: CycleSchedule,
+    pub(crate) schedule: CycleSchedule,
 }
 
 impl Telemetry {

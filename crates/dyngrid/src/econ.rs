@@ -307,15 +307,8 @@ impl EconController {
     /// Saves the controller's dynamic state.
     pub fn save(&self, w: &mut SnapWriter) {
         self.schedule.encode_body(w);
-        for v in [self.pushed_w, self.utility_target_w] {
-            match v {
-                Some(x) => {
-                    w.put_u8(1);
-                    w.put_f64(x);
-                }
-                None => w.put_u8(0),
-            }
-        }
+        w.put_opt_f64(self.pushed_w);
+        w.put_opt_f64(self.utility_target_w);
         w.put_u64(self.cycles);
         w.put_u64(self.limit_changes);
     }
@@ -327,13 +320,8 @@ impl EconController {
         let saved = CycleSchedule::decode_body(r)?;
         let restored = self.schedule.restored(&saved);
         r.adopt(&mut self.schedule, restored);
-        let mut get_opt_f64 = || match r.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(r.get_f64()?)),
-            other => Err(SnapError::Corrupt(format!("bad option tag {other}"))),
-        };
-        self.pushed_w = get_opt_f64()?;
-        self.utility_target_w = get_opt_f64()?;
+        self.pushed_w = r.get_opt_f64()?;
+        self.utility_target_w = r.get_opt_f64()?;
         self.cycles = r.get_count()?;
         self.limit_changes = r.get_count()?;
         Ok(())

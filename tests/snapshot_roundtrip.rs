@@ -181,6 +181,11 @@ fn whole_datacenter_state_roundtrips() {
         .build();
     fresh.restore(&state).expect("decoded state must restore");
     assert_eq!(fresh.now(), SimTime::from_mins(5));
+    assert_eq!(
+        fresh.state().to_snap_bytes(),
+        state.to_snap_bytes(),
+        "save -> load -> save is not byte-identical"
+    );
 }
 
 /// Same property under the parallel tick: a pooled 4-worker run (real
@@ -215,6 +220,11 @@ fn threaded_datacenter_state_roundtrips_into_serial_twin() {
     let mut serial = build(1);
     serial.restore(&state).expect("decoded state must restore");
     assert_eq!(serial.now(), SimTime::from_mins(3));
+    assert_eq!(
+        serial.state().to_snap_bytes(),
+        state.to_snap_bytes(),
+        "save -> load -> save is not byte-identical"
+    );
 
     // Continue both for two more minutes: the resumed serial run must
     // match the unbroken threaded one byte for byte.
@@ -272,6 +282,11 @@ fn gridded_datacenter_state_roundtrips_mid_curtailment() {
         .expect("decoded grid state must restore");
     assert_eq!(fresh.now(), SimTime::from_mins(7));
     assert!(fresh.grid().unwrap().curtailment_active());
+    assert_eq!(
+        fresh.state().to_snap_bytes(),
+        state.to_snap_bytes(),
+        "save -> load -> save is not byte-identical"
+    );
 }
 
 // ---------------------------------------------------------------------------
