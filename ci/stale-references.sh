@@ -21,7 +21,9 @@
 # the table Figure 5 records and the suite type and its simulate call
 # folded into `fig5::run` (twelfth), or when each stateful layer came to
 # save and load itself and its plain-data `*State` mirror went
-# (thirteenth) — so a stale reference breaks
+# (thirteenth), or when a leaf came to record each round trip straight
+# into its histogram off a table and its round-trip buffer and the
+# batch fold went (fourteenth) — so a stale reference breaks
 # the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
@@ -37,7 +39,8 @@ set_leaf_spans|repartition|rechunk|leaf_span_generation|with_leaf_spans|re-span
 EventQueue|PeriodicSchedule|PhasePolicy|EvenSpread|CycleId|poll_interval|pop_before|with_tolerance
 NetworkStats|latency_sum|failure_rate|call_with_latency
 Fig5Suite|fig5::simulate
-\b(Fleet|System|LeafTier|UpperTier|Failover|Observability|Telemetry|Validator|GridLayer|Episode|LeafController|UpperController|Registry|EconController|Network|Workload)State\b|restored_tier' \
+\b(Fleet|System|LeafTier|UpperTier|Failover|Observability|Telemetry|Validator|GridLayer|Episode|LeafController|UpperController|Registry|EconController|Network|Workload)State\b|restored_tier
+observe_batch|\brtts\b|round-trip buffer|What a leaf buffers' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -13,9 +13,9 @@
 //! a cycle computes the same thing in any shard and leaves nothing to
 //! apply after the join except what is shared: events are buffered per
 //! leaf and merged in leaf-index order, and so is what the cycle
-//! recorded — the leaf's [`dynobs::Shard`], filled from the cycle's RPC
-//! tally and round-trip buffer when the cycle ends and merged, for the
-//! leaves that ran, by [`Observability::merge_leaves`] — making the
+//! recorded — the leaf's [`dynobs::Shard`], written round trip by round
+//! trip and from the cycle's RPC tally when the cycle ends, and merged,
+//! for the leaves that ran, by [`Observability::merge_leaves`] — making the
 //! whole run bit-identical at any width, and a warm steady-state
 //! dispatch allocates nothing.
 //!
@@ -26,7 +26,8 @@
 //! passes over the leaf's columns: the first walks the leaf's link
 //! stream alone and decides every call's fate ([`Network::attempt`]:
 //! drop, timeout, round trip; a crashed agent costs no draw; the round
-//! trip is converted only when the leaf records it), the second reads
+//! trip is read off the tier's [`RttTable`] only when the leaf records
+//! it), the second reads
 //! each delivered server through
 //! [`serverpower::ServerModel::read_power`] on its own noise stream,
 //! writing readings and the failed list in place. The link stream and
@@ -46,9 +47,9 @@ use dcsim::{SimDuration, SimRng, SimTime};
 use dynamo_controller::{
     ControlAction, LeafConfig, LeafController, LeafTransport, PowerSlot, ServerHandle, ServiceClass,
 };
-use dynobs::{Band, Shard};
+use dynobs::{Band, HistogramRecorder, Prebucketed, Shard};
 use dynpool::WorkerPool;
-use dynrpc::{AgentEndpoint, Network, Request, Response, RpcError};
+use dynrpc::{AgentEndpoint, Network, Request, Response, RpcError, RttTable};
 use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 
 use crate::control_plane::SystemConfig;
@@ -88,11 +89,9 @@ pub(crate) struct Leaf {
     /// The band the leaf's last recorded cycle landed in, to tell a
     /// band transition from a repeat.
     pub(crate) band: Band,
-    /// The round trips of the cycle's delivered RPCs, in call order,
-    /// handed to the shard in one batch when the cycle ends. Reused
-    /// across cycles (cleared, capacity kept); untouched with
-    /// observability off.
-    rtts: Vec<f64>,
+    /// The index of its link rate's table in [`LeafTier::rtt`];
+    /// unread with observability off.
+    rtt_table: usize,
     /// The cycle's events, merged in leaf index order after the join.
     /// Reused across dispatches (cleared, capacity kept).
     events: Vec<ControllerEvent>,
@@ -115,6 +114,19 @@ pub(crate) struct LeafTier {
     /// partitioned on exactly these.
     pub(crate) spans: Vec<Range<usize>>,
     pub(crate) index_of: HashMap<DeviceId, usize>,
+    /// What the leaves record round trips with; `None` with
+    /// observability off, when no table is built or read.
+    rtt: Option<RttRecording>,
+}
+
+/// How the tier records round trips: one [`RttTable`] per distinct link
+/// rate, shared by every leaf whose link has that rate, and the RTT
+/// histogram's bucket for each millisecond the tables cover.
+struct RttRecording {
+    tables: Vec<RttTable>,
+    /// `SimDuration::from_millis(ms).as_secs_f64()` in its bucket, for
+    /// `ms` in `0..RttTable::SPAN_MS`.
+    buckets: Prebucketed,
 }
 
 impl LeafTier {
@@ -167,16 +179,41 @@ impl LeafTier {
                 failed: false,
                 obs: obs.new_shard(),
                 band: Band::Hold,
-                rtts: Vec::new(),
+                rtt_table: 0,
                 events: Vec::new(),
             });
         }
         let spans = tile_leaf_spans(leaves.iter().map(|l| &l.controller), topo.server_count());
+        let rtt = obs.is_enabled().then(|| RttRecording {
+            tables: vec![RttTable::new(&config.rpc)],
+            buckets: rtt_buckets(obs),
+        });
         LeafTier {
             leaves,
             devices,
             spans,
             index_of,
+            rtt,
+        }
+    }
+
+    /// Points each of the `due` leaves at the table for its link's
+    /// current rate, building one for a rate no leaf had (a profile
+    /// set mid-run). A compare per leaf when nothing changed.
+    fn fit_rtt_tables(&mut self, due: &[usize]) {
+        let Some(rtt) = &mut self.rtt else { return };
+        for &i in due {
+            let leaf = &mut self.leaves[i];
+            if rtt.tables[leaf.rtt_table].fits(&leaf.network) {
+                continue;
+            }
+            leaf.rtt_table = match rtt.tables.iter().position(|t| t.fits(&leaf.network)) {
+                Some(k) => k,
+                None => {
+                    rtt.tables.push(RttTable::new(&leaf.network.profile()));
+                    rtt.tables.len() - 1
+                }
+            };
         }
     }
 
@@ -266,8 +303,10 @@ impl LeafTier {
             columns: &'a mut [LeafColumns],
         }
 
+        self.fit_rtt_tables(due);
         let (per, shards) = shard::chunking(pool, due.len());
         let devices = &self.devices;
+        let rtt = self.rtt.as_ref();
         let mut leaves = &mut self.leaves[..];
         let (mut columns, models) = fleet.agent_leaves();
         let mut chunks = due.chunks(per);
@@ -289,7 +328,7 @@ impl LeafTier {
             for &i in job.due {
                 let r = i - job.base;
                 let mut agents = LeafAgents::new(&mut job.columns[r], models);
-                job.leaves[r].run(now, devices[i], &mut agents, ids, i as u32);
+                job.leaves[r].run(now, devices[i], &mut agents, rtt, ids, i as u32);
             }
         });
         // Deterministic merge: drain the per-leaf event buffers in leaf
@@ -367,6 +406,16 @@ impl LeafTier {
     }
 }
 
+/// The RTT histogram's bucket for each whole millisecond an
+/// [`RttTable`] covers, as [`RttRecording::buckets`].
+fn rtt_buckets(obs: &Observability) -> Prebucketed {
+    let ms = 0..RttTable::SPAN_MS as u64;
+    obs.registry().prebucket(
+        obs.ids().rpc_rtt,
+        ms.map(|ms| SimDuration::from_millis(ms).as_secs_f64()),
+    )
+}
+
 /// Carves elements `skip..skip + take` off the front of `*rest`.
 fn window<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T] {
     front_mut(rest, skip);
@@ -384,6 +433,7 @@ impl Leaf {
         now: SimTime,
         device: DeviceId,
         agents: &mut LeafAgents<'_>,
+        rtt: Option<&RttRecording>,
         ids: &ObsIds,
         track: u32,
     ) {
@@ -396,7 +446,7 @@ impl Leaf {
             let event = self.take_over(now, device, ids, track);
             self.events.push(event);
         } else {
-            self.quiet = self.cycle(now, device, agents, ids, track);
+            self.quiet = self.cycle(now, device, agents, rtt, ids, track);
         }
         self.seen = agents.markers();
     }
@@ -433,6 +483,7 @@ impl Leaf {
         now: SimTime,
         device: DeviceId,
         agents: &mut LeafAgents<'_>,
+        rtt: Option<&RttRecording>,
         ids: &ObsIds,
         track: u32,
     ) -> bool {
@@ -442,7 +493,10 @@ impl Leaf {
         let mut link = LeafLink {
             network: &mut self.network,
             agents,
-            rtts: shard.is_enabled().then_some(&mut self.rtts),
+            rtt: rtt.and_then(|rtt| {
+                let table = &rtt.tables[self.rtt_table];
+                shard.recorder(&rtt.buckets).map(|hist| (table, hist))
+            }),
             tally: RpcTally::default(),
         };
         let outcome = self.controller.cycle_over(now, &mut link);
@@ -454,8 +508,6 @@ impl Leaf {
             drops,
             timeouts,
         } = link.tally;
-        shard.observe_batch(ids.rpc_rtt, &self.rtts);
-        self.rtts.clear();
         shard.add(ids.rpc_calls, calls);
         shard.add(ids.rpc_agent_down, agent_down);
         shard.add(ids.rpc_drops, drops);
@@ -520,26 +572,30 @@ impl Leaf {
 ///
 /// Per-RPC recording runs a couple of hundred times per cycle, so the
 /// counters accumulate here (one shard add each at the end — same
-/// totals) and a delivered call's round trip is one store into the
-/// leaf's buffer, folded into the RTT histogram in one batch when the
-/// cycle ends ([`Shard::observe_batch`]). Same slots, same sums, same
-/// order: the merged registry stays bit-identical to per-call shard
-/// recording. A round trip is converted to simulated time only here,
-/// for the buffer and the RTT sums, so with observability off the link
-/// draws it and nothing converts it.
+/// totals) and a delivered call's round trip goes straight into the
+/// leaf's RTT histogram: its milliseconds off the link rate's
+/// [`RttTable`], then that millisecond's bucket and seconds, resolved
+/// when the tier was built ([`HistogramRecorder::observe_nth`]); only a
+/// round trip past the table converts and searches the bounds. Same
+/// slots, same sum in the same order: the merged registry stays
+/// bit-identical to one `observe` of each converted round trip. With
+/// observability off the link draws the round trip and nothing reads
+/// it.
 struct LeafLink<'c, 'a> {
     network: &'c mut Network,
     agents: &'c mut LeafAgents<'a>,
-    /// [`Leaf::rtts`]; `None` with observability off.
-    rtts: Option<&'c mut Vec<f64>>,
+    /// The link rate's table and the leaf's open RTT histogram; `None`
+    /// with observability off.
+    rtt: Option<(&'c RttTable, HistogramRecorder<'c>)>,
     tally: RpcTally,
 }
 
 /// What one cycle's RPCs added up to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct RpcTally {
-    /// Summed round trips of delivered reads / actuations; summed only
-    /// when [`LeafLink::rtts`] records them, zero otherwise.
+    /// Summed round trips of delivered reads / actuations, in whole
+    /// milliseconds; summed only when [`LeafLink::rtt`] records them,
+    /// zero otherwise.
     pull_rtt: SimDuration,
     act_rtt: SimDuration,
     calls: u64,
@@ -552,8 +608,8 @@ impl LeafLink<'_, '_> {
     /// The link half of one call to server `sid`: a crashed agent
     /// answers nothing and costs no link draw; otherwise the link
     /// decides ([`Network::attempt`]). Counts the outcome and, when
-    /// recording, converts a delivered call's round trip into the
-    /// buffer and the read (`pull`) or actuation sum.
+    /// recording, a delivered call's round trip into the histogram and
+    /// the read (`pull`) or actuation sum.
     #[inline(always)]
     fn attempt(&mut self, sid: u32, pull: bool) -> Result<(), RpcError> {
         self.tally.calls += 1;
@@ -563,14 +619,19 @@ impl LeafLink<'_, '_> {
         }
         match self.network.attempt() {
             Ok(rtt) => {
-                if let Some(rtts) = &mut self.rtts {
-                    let rtt = rtt.duration();
-                    rtts.push(rtt.as_secs_f64());
-                    if pull {
-                        self.tally.pull_rtt += rtt;
+                if let Some((table, hist)) = &mut self.rtt {
+                    let ms = table.millis(rtt);
+                    if ms < RttTable::SPAN_MS as u64 {
+                        hist.observe_nth(ms as usize);
                     } else {
-                        self.tally.act_rtt += rtt;
+                        hist.observe(SimDuration::from_millis(ms).as_secs_f64());
                     }
+                    let sum = if pull {
+                        &mut self.tally.pull_rtt
+                    } else {
+                        &mut self.tally.act_rtt
+                    };
+                    *sum += SimDuration::from_millis(ms);
                 }
                 Ok(())
             }
@@ -726,9 +787,10 @@ mod tests {
     }
 
     /// The two-pass pull against the provided per-call loop, on twin
-    /// fleets over a lossy link: same readings, same failed list, same
-    /// link stream, same per-agent noise streams, same RPC tally, same
-    /// RTT histogram.
+    /// fleets over a lossy link, both recording through the tier's RTT
+    /// recorder: same readings, same failed list, same link stream,
+    /// same per-agent noise streams, same RPC tally, same merged
+    /// registry.
     #[test]
     fn two_pass_pull_is_the_per_call_pull() {
         use dynrpc::LinkProfile;
@@ -737,10 +799,12 @@ mod tests {
             let mut fleet = motley_fleet();
             let n = fleet.len();
             let ids: Vec<u32> = (0..n as u32).collect();
-            let mut network = Network::new(LinkProfile::lossy(0.05, 0.05), SimRng::seed_from(7));
+            let profile = LinkProfile::lossy(0.05, 0.05);
+            let mut network = Network::new(profile, SimRng::seed_from(7));
             let mut obs = Observability::new(&dynobs::ObsConfig::on());
             let mut shard = [obs.new_shard()];
-            let mut rtts = Vec::new();
+            let table = RttTable::new(&profile);
+            let buckets = rtt_buckets(&obs);
             let mut pulled = Vec::new();
             let mut tally = RpcTally::default();
             for round in 0..ROUNDS {
@@ -750,7 +814,7 @@ mod tests {
                 let mut link = LeafLink {
                     network: &mut network,
                     agents: &mut agents,
-                    rtts: Some(&mut rtts),
+                    rtt: shard[0].recorder(&buckets).map(|hist| (&table, hist)),
                     tally,
                 };
                 let mut readings = vec![PowerSlot::NONE; n];
@@ -761,8 +825,6 @@ mod tests {
                     PerCall(&mut link).pull(&ids, &mut readings, &mut failed);
                 }
                 tally = link.tally;
-                shard[0].observe_batch(obs.ids().rpc_rtt, &rtts);
-                rtts.clear();
                 obs.merge_leaves(&[0], &mut shard, |s| s);
                 let bits: Vec<Option<u64>> = readings
                     .iter()
@@ -802,6 +864,119 @@ mod tests {
         assert_eq!(bits[5], Some(0f64.to_bits()), "a dead host reads zero");
         assert!(!failed.is_empty() && failed.windows(2).all(|w| w[0] < w[1]));
         assert!(two_pass.4.contains("rpc_rtt"), "the RTT histogram exported");
+    }
+
+    /// FNV-1a over what an observed run exports: the report, the
+    /// Prometheus text (RTT histogram included) and the fleet-wide
+    /// power trace.
+    fn tail_fingerprint(dc: &crate::Datacenter) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fnv = |bytes: &[u8]| {
+            for &b in bytes {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        fnv(crate::RunReport::from_datacenter(dc).to_string().as_bytes());
+        fnv(dc.system().observability().prometheus_text().as_bytes());
+        for v in dc.telemetry().total_power().values() {
+            fnv(&v.to_bits().to_le_bytes());
+        }
+        hash
+    }
+
+    /// [`tail_fingerprint`] of [`observed_tail_churn`], recorded before
+    /// round trips were read off a table, when every one was converted
+    /// through `ln`.
+    const TAIL_GOLDEN: u64 = 0x5659_638c_f245_e160;
+
+    /// A churn run on slow lossy links (20 ms mean one way, so about a
+    /// fifth of the round trips reach 64 ms), observed, with a crash, a
+    /// failover and one link moved to another rate mid-run.
+    fn observed_tail_churn(threads: usize) -> crate::Datacenter {
+        use dynrpc::LinkProfile;
+        use workloads::{ServiceKind, TrafficPattern};
+        let mut dc = crate::DatacenterBuilder::new()
+            .sbs_per_msb(2)
+            .rpps_per_sb(2)
+            .racks_per_rpp(2)
+            .servers_per_rack(8)
+            .rpp_rating(Power::from_kilowatts(3.2))
+            .uniform_service(ServiceKind::Web)
+            .traffic(ServiceKind::Web, TrafficPattern::flat(1.5))
+            .rpc_profile(LinkProfile {
+                drop_prob: 0.01,
+                timeout_prob: 0.01,
+                mean_latency: SimDuration::from_millis(20),
+            })
+            .observability(dynobs::ObsConfig::on())
+            .seed(42)
+            .worker_threads(threads)
+            .build();
+        dc.run_for(SimDuration::from_secs(45));
+        dc.fleet_mut().set_server_alive(3, false);
+        dc.run_for(SimDuration::from_secs(15));
+        let victim = dc.system().leaf_devices()[0];
+        dc.system_mut().fail_primary(victim);
+        dc.run_for(SimDuration::from_secs(30));
+        dc.system_mut().leaves.leaves[2]
+            .network
+            .set_profile(LinkProfile {
+                drop_prob: 0.005,
+                timeout_prob: 0.02,
+                mean_latency: SimDuration::from_millis(35),
+            });
+        dc.run_for(SimDuration::from_secs(45));
+        dc
+    }
+
+    #[test]
+    fn observed_tail_churn_is_pinned_at_every_width() {
+        for threads in [1usize, 2, 8] {
+            let dc = observed_tail_churn(threads);
+            if threads == 1 {
+                let obs = dc.system().observability();
+                let rtt = obs.registry().histogram(obs.ids().rpc_rtt);
+                let past_64_ms: u64 = rtt
+                    .bounds
+                    .iter()
+                    .zip(rtt.buckets)
+                    .filter(|(&b, _)| b > 0.064)
+                    .map(|(_, &n)| n)
+                    .sum::<u64>()
+                    + rtt.buckets[rtt.bounds.len()];
+                assert!(
+                    past_64_ms * 10 > rtt.count,
+                    "vacuous: {past_64_ms} of {} round trips past 64 ms",
+                    rtt.count
+                );
+                // The moved link read the table built for its new rate;
+                // the others share the one built with the tier.
+                let tier = &dc.system().leaves;
+                let rtt = tier.rtt.as_ref().expect("an observed tier records");
+                assert_eq!(rtt.tables.len(), 2);
+                for (i, leaf) in tier.leaves.iter().enumerate() {
+                    assert_eq!(leaf.rtt_table, usize::from(i == 2), "leaf {i}");
+                    assert!(rtt.tables[leaf.rtt_table].fits(&leaf.network));
+                }
+            }
+            let hash = tail_fingerprint(&dc);
+            assert_eq!(
+                hash, TAIL_GOLDEN,
+                "observed tail churn moved at threads={threads}: {hash:#018x}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unobserved_tier_builds_no_table() {
+        let dc = crate::DatacenterBuilder::new()
+            .sbs_per_msb(1)
+            .rpps_per_sb(2)
+            .racks_per_rpp(1)
+            .servers_per_rack(4)
+            .build();
+        assert!(dc.system().leaves.rtt.is_none());
     }
 
     #[test]

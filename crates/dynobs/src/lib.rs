@@ -9,8 +9,10 @@
 //!   per-writer [`Shard`]s merged back in a fixed order (which keeps
 //!   float histogram sums bit-identical at any thread count). Registry
 //!   totals and shard deltas are the same accumulator over one shared
-//!   bucket layout, so there is one `add`, one `observe` /
-//!   [`Shard::observe_batch`] and one merge;
+//!   bucket layout, so there is one `add`, one `observe` and one
+//!   merge; a hot loop opens one histogram of its shard as a
+//!   [`HistogramRecorder`] and records values resolved to their buckets
+//!   once ([`Prebucketed`]) by index;
 //! - **cycle tracing** ([`TraceRing`]): bounded ring of sim-time
 //!   [`SpanRecord`]s, exportable as chrome-tracing JSON;
 //! - a **flight recorder** ([`FlightRecorder`]): fixed ring of the
@@ -59,7 +61,8 @@ pub mod trace;
 pub use export::{parse_prometheus, render_prometheus, ParsedFamily, ParsedHistogram, ParsedKind};
 pub use flight::{Band, FlightKind, FlightRecord, FlightRecorder};
 pub use registry::{
-    Buckets, CounterId, GaugeId, HistogramId, HistogramView, Registry, RegistryBuilder, Shard,
+    Buckets, CounterId, GaugeId, HistogramId, HistogramRecorder, HistogramView, Prebucketed,
+    Registry, RegistryBuilder, Shard,
 };
 pub use ring::{Ring, RingRecord};
 pub use trace::{SpanKind, SpanRecord, TraceRing};

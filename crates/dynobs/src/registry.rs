@@ -205,27 +205,30 @@ impl Accumulator {
 
     #[inline]
     fn observe(&mut self, id: HistogramId, value: f64) {
-        self.observe_batch(id, std::slice::from_ref(&value));
+        if let Some(mut h) = self.recorder(id, &[]) {
+            h.observe(value);
+        }
     }
 
-    /// Folds `values` into histogram `id` in order. The sum accumulates
-    /// in a local seeded from the stored sum, so a batch leaves exactly
-    /// the bits the same values observed one at a time would.
+    /// Histogram `id` open for recording, with `prebucketed` values at
+    /// hand; `None` when disabled.
     #[inline]
-    fn observe_batch(&mut self, id: HistogramId, values: &[f64]) {
+    fn recorder<'s>(
+        &'s mut self,
+        id: HistogramId,
+        prebucketed: &'s [(u32, f64)],
+    ) -> Option<HistogramRecorder<'s>> {
         if !self.enabled {
-            return;
+            return None;
         }
         let i = id.0 as usize;
-        let bounds = self.layout.bounds(i);
-        let buckets = &mut self.buckets[self.layout.slots(i)];
-        let mut sum = self.sums[i];
-        for &value in values {
-            buckets[bucket_slot(bounds, value)] += 1;
-            sum += value;
-        }
-        self.sums[i] = sum;
-        self.counts[i] += values.len() as u64;
+        Some(HistogramRecorder {
+            bounds: self.layout.bounds(i),
+            buckets: &mut self.buckets[self.layout.slots(i)],
+            sum: &mut self.sums[i],
+            count: &mut self.counts[i],
+            prebucketed,
+        })
     }
 
     /// Adds `part` into `self` and zeroes `part`.
@@ -360,6 +363,62 @@ pub struct HistogramView<'a> {
     pub count: u64,
 }
 
+/// Values of one histogram resolved to their buckets once, ahead of
+/// recording ([`Registry::prebucket`]): a hot loop that records the
+/// same few values over and over records the `n`-th by index
+/// ([`HistogramRecorder::observe_nth`]) instead of searching the
+/// bounds for it each time.
+#[derive(Debug, Clone)]
+pub struct Prebucketed {
+    /// The layout the slots index; only its registry's shards take it.
+    layout: Arc<Layout>,
+    id: HistogramId,
+    /// `(bucket slot, value)` per value, in the order given.
+    entries: Vec<(u32, f64)>,
+}
+
+/// One histogram of a [`Shard`], open for recording in call order:
+/// what a hot loop holds instead of going back through the shard for
+/// every value. Each value lands exactly as [`Shard::observe`] would put
+/// it — same bucket, count plus one, added to the running sum — so a
+/// run of values recorded here leaves the bits one `observe` per value
+/// leaves.
+#[derive(Debug)]
+pub struct HistogramRecorder<'s> {
+    bounds: &'s [f64],
+    buckets: &'s mut [u64],
+    sum: &'s mut f64,
+    count: &'s mut u64,
+    prebucketed: &'s [(u32, f64)],
+}
+
+impl HistogramRecorder<'_> {
+    /// Records `value`, searching the bounds for its bucket.
+    #[inline]
+    pub fn observe(&mut self, value: f64) {
+        self.put(bucket_slot(self.bounds, value), value);
+    }
+
+    /// Records the `n`-th value of the [`Prebucketed`] set the recorder
+    /// was opened with, in the bucket resolved for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not below the set's length.
+    #[inline]
+    pub fn observe_nth(&mut self, n: usize) {
+        let (slot, value) = self.prebucketed[n];
+        self.put(slot as usize, value);
+    }
+
+    #[inline]
+    fn put(&mut self, slot: usize, value: f64) {
+        self.buckets[slot] += 1;
+        *self.sum += value;
+        *self.count += 1;
+    }
+}
+
 /// The frozen metric set with its current values: the metric
 /// definitions, the gauges, and an accumulator of totals.
 #[derive(Debug, Clone)]
@@ -450,6 +509,21 @@ impl Registry {
             buckets: &totals.buckets[totals.layout.slots(i)],
             sum: totals.sums[i],
             count: totals.counts[i],
+        }
+    }
+
+    /// Resolves `values` of histogram `id` to their buckets once, for
+    /// [`Shard::recorder`].
+    pub fn prebucket(&self, id: HistogramId, values: impl IntoIterator<Item = f64>) -> Prebucketed {
+        let layout = &self.totals.layout;
+        let bounds = layout.bounds(id.0 as usize);
+        Prebucketed {
+            layout: Arc::clone(layout),
+            id,
+            entries: values
+                .into_iter()
+                .map(|v| (bucket_slot(bounds, v) as u32, v))
+                .collect(),
         }
     }
 
@@ -586,13 +660,22 @@ impl Shard {
         self.acc.observe(id, value);
     }
 
-    /// Records a run of observations of one histogram, in order —
-    /// bit-identical to one [`Shard::observe`] per value, with the
-    /// bounds and buckets resolved once. The control plane buffers a
-    /// leaf cycle's RPC round trips and hands them over here.
+    /// Opens the histogram `prebucketed` was resolved for, with its
+    /// values at hand; `None` when the shard is disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prebucketed` was resolved by another registry.
     #[inline]
-    pub fn observe_batch(&mut self, id: HistogramId, values: &[f64]) {
-        self.acc.observe_batch(id, values);
+    pub fn recorder<'s>(
+        &'s mut self,
+        prebucketed: &'s Prebucketed,
+    ) -> Option<HistogramRecorder<'s>> {
+        assert!(
+            Arc::ptr_eq(&self.acc.layout, &prebucketed.layout),
+            "values prebucketed by another registry"
+        );
+        self.acc.recorder(prebucketed.id, &prebucketed.entries)
     }
 
     /// Buffers a trace span (drained by the owner after the merge).
@@ -683,13 +766,16 @@ mod tests {
         assert_eq!(direct.histogram(h), sharded.histogram(h2));
     }
 
-    /// Batches of every size a leaf cycle produces (one pull of up to
-    /// 160 servers plus an actuation), of RTT-shaped values salted with
-    /// every exact bucket bound and zero, against one `observe` per
-    /// value: same buckets, same count, same sum bits.
+    /// Runs of every length a leaf cycle records (one pull of up to 160
+    /// servers plus an actuation), against one `observe` per value:
+    /// same buckets, same count, same sum bits. The prebucketed set is
+    /// every whole millisecond below 64 ms plus every exact bucket
+    /// bound; a run mixes its values, recorded by index, with values
+    /// outside it (zero-free exponentials and values past the top
+    /// bound), searched.
     #[test]
-    fn batch_observation_is_per_call_observation_bit_for_bit() {
-        // Two histograms so the batched one sits at a nonzero offset in
+    fn prebucketed_recording_is_per_call_observation_bit_for_bit() {
+        // Two histograms so the recorded one sits at a nonzero offset in
         // the flat bucket array.
         let build = || {
             let mut b = RegistryBuilder::new();
@@ -698,39 +784,68 @@ mod tests {
             (b.build(true), h)
         };
         let bounds = Buckets::log_linear(0.001, 2, 8);
+        let set: Vec<f64> = (0..64)
+            .map(|n| n as f64 / 1000.0)
+            .chain(bounds.bounds().iter().copied())
+            .collect();
         let mut rng = dcsim::SimRng::seed_from(20);
         let (mut per_call_reg, h1) = build();
-        let (mut batched_reg, h2) = build();
-        let (mut per_call, mut batched) = (per_call_reg.shard(), batched_reg.shard());
+        let (mut recorded_reg, h2) = build();
+        let table = recorded_reg.prebucket(h2, set.iter().copied());
+        let (mut per_call, mut recorded) = (per_call_reg.shard(), recorded_reg.shard());
         let mut total = 0u64;
         for n in 1..=161 {
-            let values: Vec<f64> = (0..n)
-                .map(|k| match rng.next_below(8) {
-                    0 => bounds.bounds()[(n + k) % bounds.bounds().len()],
-                    1 => 0.0,
-                    2 => 1.0, // past the top bound
-                    _ => rng.exponential(250.0),
+            // `Ok(i)`: the set's `i`-th value; `Err(v)`: `v` itself.
+            let values: Vec<Result<usize, f64>> = (0..n)
+                .map(|_| match rng.next_below(8) {
+                    0 => Err(0.3 + rng.next_f64()),
+                    1 => Err(rng.exponential(250.0)),
+                    _ => Ok(rng.next_below(set.len() as u64) as usize),
                 })
                 .collect();
             for &v in &values {
-                per_call.observe(h1, v);
+                per_call.observe(h1, v.map_or_else(|v| v, |i| set[i]));
             }
-            batched.observe_batch(h2, &values);
+            let mut rec = recorded.recorder(&table).expect("enabled");
+            for &v in &values {
+                match v {
+                    Ok(i) => rec.observe_nth(i),
+                    Err(v) => rec.observe(v),
+                }
+            }
             total += n as u64;
-            // Merge on some rounds only, so batches also land on a
-            // nonzero running sum.
+            // Merge on some rounds only, so runs also land on a nonzero
+            // running sum.
             if n % 3 == 0 {
                 per_call_reg.merge_shard(&mut per_call);
-                batched_reg.merge_shard(&mut batched);
+                recorded_reg.merge_shard(&mut recorded);
             }
         }
         per_call_reg.merge_shard(&mut per_call);
-        batched_reg.merge_shard(&mut batched);
-        let (a, b) = (per_call_reg.histogram(h1), batched_reg.histogram(h2));
+        recorded_reg.merge_shard(&mut recorded);
+        let (a, b) = (per_call_reg.histogram(h1), recorded_reg.histogram(h2));
         assert_eq!(a.buckets, b.buckets);
         assert_eq!((a.count, b.count), (total, total));
         assert_eq!(a.sum.to_bits(), b.sum.to_bits());
         assert!(a.buckets.iter().all(|&c| c > 0), "every bucket was hit");
+    }
+
+    #[test]
+    #[should_panic(expected = "values prebucketed by another registry")]
+    fn a_recorder_takes_only_its_own_registrys_values() {
+        let (a, _, _, h) = small();
+        let (b, ..) = small();
+        let table = a.prebucket(h, [0.05]);
+        b.shard().recorder(&table);
+    }
+
+    #[test]
+    fn a_disabled_shard_opens_no_recorder() {
+        let mut b = RegistryBuilder::new();
+        let h = b.histogram("rtt_seconds", "rtt", Buckets::explicit(&[0.1]));
+        let registry = b.build(false);
+        let table = registry.prebucket(h, [0.05, 0.5]);
+        assert!(registry.shard().recorder(&table).is_none());
     }
 
     fn saved(r: &Registry) -> Vec<u8> {

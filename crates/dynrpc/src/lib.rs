@@ -14,7 +14,8 @@
 //! * [`Network`] — a fallible transport with configurable drop/timeout
 //!   probabilities and latency, deterministic under a seed. Every call
 //!   draws its round trip; a [`RoundTrip`] is converted to simulated
-//!   time only by a caller that records it.
+//!   time only by a caller that records it, read off an [`RttTable`]
+//!   for the link's rate.
 //! * [`codec`] — the compact binary wire format (one tag byte +
 //!   little-endian fields), the simulator's stand-in for Thrift binary.
 //!
@@ -244,8 +245,9 @@ fn rtt_rate_of(profile: &LinkProfile) -> f64 {
 /// The round trip of one call that went on the wire, drawn but not yet
 /// converted: the attempt's latency uniform and the link's rate when it
 /// was drawn. Converting is an `ln` and a rounding, so a caller that
-/// records round trips calls [`RoundTrip::duration`] and every other
-/// caller drops the token for free.
+/// records round trips reads them off an [`RttTable`] (or calls
+/// [`RoundTrip::duration`]) and every other caller drops the token for
+/// free.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundTrip {
     u: f64,
@@ -261,6 +263,94 @@ impl RoundTrip {
     #[inline]
     pub fn duration(self) -> SimDuration {
         SimDuration::from_secs_f64(2.0 * exponential_quantile(self.u, self.rate))
+    }
+}
+
+/// Whole-millisecond round trips of one link rate, read off a table
+/// instead of converted. `at[k]` is the smallest `f64` uniform whose
+/// round trip ([`RoundTrip::duration`]) is at least `k + 1` ms, found
+/// by bisection over the bit patterns of `[0, 1)`; the conversion is
+/// monotone in the uniform, so a round trip under
+/// [`RttTable::SPAN_MS`] is the number of thresholds at or below its
+/// uniform — the conversion's milliseconds, bit for bit, with no `ln`.
+/// Only the tail past the table converts: at a 2 ms mean one way,
+/// about one round trip in ten million.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RttTable {
+    rate: f64,
+    /// `1.0` (past every uniform) for a millisecond count no uniform
+    /// reaches.
+    at: [f64; RttTable::SPAN_MS],
+}
+
+impl RttTable {
+    /// Round trips shorter than this many milliseconds are looked up.
+    pub const SPAN_MS: usize = 64;
+
+    /// The table for links with `profile`'s mean latency: 64
+    /// bisections, each a few conversions.
+    pub fn new(profile: &LinkProfile) -> Self {
+        let rate = rtt_rate_of(profile);
+        let millis = |bits: u64| {
+            let u = f64::from_bits(bits);
+            RoundTrip { u, rate }.duration().as_millis()
+        };
+        let one = 1.0f64.to_bits();
+        let mut at = [1.0; Self::SPAN_MS];
+        // The bits of a uniform that falls short of every threshold
+        // still to be found: 0.0 converts to 0 ms.
+        let mut short = 0u64;
+        for (k, threshold) in (1u64..).zip(&mut at) {
+            // Invariant: `short` converts to under `k` ms; `reach` is 1.0
+            // or converts to at least `k` ms. The conversion crosses
+            // k - 0.5 ms within a few ulps of `guess`, so a bracket 64
+            // ulps either side of it almost always holds and leaves a
+            // few steps; where it does not, the search covers the rest.
+            let mut reach = one;
+            let guess = (-(-rate * (k as f64 - 0.5) / 2000.0).exp_m1()).to_bits();
+            let (below, above) = (guess.saturating_sub(64), guess + 64);
+            if below > short && millis(below) < k {
+                short = below;
+            }
+            if above < one && millis(above) >= k {
+                reach = above;
+            }
+            while reach - short > 1 {
+                let mid = short + (reach - short) / 2;
+                if millis(mid) >= k {
+                    reach = mid;
+                } else {
+                    short = mid;
+                }
+            }
+            *threshold = f64::from_bits(reach);
+        }
+        RttTable { rate, at }
+    }
+
+    /// Whether this is the table for `net`'s current link rate.
+    pub fn fits(&self, net: &Network) -> bool {
+        self.rate == net.rtt_rate
+    }
+
+    /// The round trip's whole milliseconds:
+    /// `rtt.duration().as_millis()`, bit for bit. A round trip under
+    /// [`RttTable::SPAN_MS`] of this table's rate is a branch-free
+    /// binary search of the thresholds; one past it, or of another
+    /// rate, converts.
+    #[inline]
+    pub fn millis(&self, rtt: RoundTrip) -> u64 {
+        if rtt.u < self.at[Self::SPAN_MS - 1] && rtt.rate == self.rate {
+            let mut below = 0;
+            let mut step = Self::SPAN_MS / 2;
+            while step > 0 {
+                below += usize::from(self.at[below + step - 1] <= rtt.u) * step;
+                step /= 2;
+            }
+            below as u64
+        } else {
+            rtt.duration().as_millis()
+        }
     }
 }
 
@@ -590,6 +680,75 @@ mod tests {
             "streams ended apart"
         );
         assert!(drops > 1000 && timeouts > 1000 && delivered > 1000);
+    }
+
+    /// The profiles whose tables the exactness tests read: 1 ms
+    /// (`reliable`), 2 ms (`datacenter`), 5 ms (`lossy`) and 20 ms one
+    /// way.
+    fn table_profiles() -> [LinkProfile; 4] {
+        [
+            LinkProfile::reliable(),
+            LinkProfile::datacenter(),
+            LinkProfile::lossy(0.01, 0.01),
+            LinkProfile {
+                mean_latency: SimDuration::from_millis(20),
+                ..LinkProfile::lossy(0.01, 0.01)
+            },
+        ]
+    }
+
+    /// A table's milliseconds are the conversion's for 10⁶ uniforms off
+    /// a stream, and on both sides of every threshold: the threshold's
+    /// `f64` neighbours below and above, and the threshold itself.
+    #[test]
+    fn the_table_reads_the_conversion_bit_for_bit() {
+        for profile in table_profiles() {
+            let table = RttTable::new(&profile);
+            let rate = rtt_rate_of(&profile);
+            let check = |u: f64| {
+                let rtt = RoundTrip { u, rate };
+                assert_eq!(
+                    table.millis(rtt),
+                    rtt.duration().as_millis(),
+                    "u = {u:e} at {:?}",
+                    profile.mean_latency
+                );
+            };
+            let mut rng = SimRng::seed_from(0x7AB1E);
+            for _ in 0..1_000_000 {
+                check(rng.next_f64());
+            }
+            let reached: Vec<f64> = table.at.iter().copied().filter(|&t| t < 1.0).collect();
+            assert!(reached.windows(2).all(|w| w[0] < w[1]), "thresholds ascend");
+            for (k, &t) in (1u64..).zip(&reached) {
+                assert_eq!(RoundTrip { u: t, rate }.duration().as_millis(), k);
+                for u in [t.next_down(), t, t.next_up()] {
+                    check(u);
+                }
+            }
+            // Every link reaches the table's end, even the 1 ms one
+            // (within 1.3e-14 of 1).
+            assert_eq!(reached.len(), RttTable::SPAN_MS, "{profile:?}");
+            check(1.0f64.next_down());
+        }
+    }
+
+    /// A table answers a round trip of another rate by converting it.
+    #[test]
+    fn a_round_trip_of_another_rate_converts() {
+        let [reliable, _, _, slow] = table_profiles();
+        let table = RttTable::new(&reliable);
+        let mut net = Network::new(slow, SimRng::seed_from(5));
+        assert!(!table.fits(&net));
+        let mut seen = 0;
+        while seen < 1000 {
+            if let Ok(rtt) = net.attempt() {
+                assert_eq!(table.millis(rtt), rtt.duration().as_millis());
+                seen += 1;
+            }
+        }
+        net.set_profile(reliable);
+        assert!(table.fits(&net), "the table fits the link's new rate");
     }
 
     #[test]
