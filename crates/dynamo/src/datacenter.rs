@@ -123,13 +123,6 @@ struct Subtree {
     /// leaf keeps its epoch for the run; only a restore installs
     /// another run's, and it drops every memo.
     memo_key: u64,
-    /// For a device inside one leaf (every rack and RPP): the leaf's
-    /// power epoch at the device's last breaker step, if that step left
-    /// the breaker `Nominal` with zero heat. Such a step drew at most
-    /// the rating, and another at the same draw changes no bit, so the
-    /// breaker pass skips the draw and the step while the epoch holds.
-    /// A trip, [`Datacenter::reset_breaker`] and a restore clear it.
-    cold_key: u64,
 }
 
 /// A `memo_key` no fold was ever taken at.
@@ -164,14 +157,7 @@ impl Subtree {
             tiled,
             memo_w: 0.0,
             memo_key: NEVER_FOLDED,
-            cold_key: NEVER_FOLDED,
         }
-    }
-
-    /// The power epoch of the one leaf a device inside one leaf sits
-    /// in; `None` for a device over several.
-    fn leaf_epoch(&self, fleet: &Fleet) -> Option<u64> {
-        (self.leaves.len() == 1).then(|| fleet.leaves()[self.leaves.start].power_epoch())
     }
 
     /// The subtree's true power right now.
@@ -379,20 +365,11 @@ impl Datacenter {
         // 2. Breaker thermal models over true subtree power, in device
         // order — a parent before its children — each against the draw
         // read at that moment, so a trip's blackout is seen by every
-        // later device of the same tick. A cold breaker under an
-        // unchanged leaf is not stepped (`Subtree::cold_key`).
+        // later device of the same tick.
         for i in 0..self.device_ids.len() {
             let id = self.device_ids[i];
-            let tree = &mut self.subtrees[i];
-            let epoch = tree.leaf_epoch(&self.fleet);
-            if epoch == Some(tree.cold_key) {
-                continue;
-            }
-            let draw = tree.draw(&self.fleet);
-            let breaker = &mut self.topo.device_mut(id).breaker;
-            let status = breaker.step(draw, self.tick);
-            let cold = status == BreakerStatus::Nominal && breaker.thermal_state() == 0.0;
-            tree.cold_key = epoch.filter(|_| cold).unwrap_or(NEVER_FOLDED);
+            let draw = self.subtrees[i].draw(&self.fleet);
+            let status = self.topo.device_mut(id).breaker.step(draw, self.tick);
             if status != self.breaker_status[i] {
                 self.breaker_status[i] = status;
                 self.telemetry.record_breaker_event(BreakerEvent {
@@ -570,11 +547,9 @@ impl Datacenter {
             self.load_body(before.as_bytes())
                 .expect("a datacenter reloads the bytes it saved");
         }
-        // The restored epochs and breakers are another run's: no memo
-        // and no cold key survives.
+        // The restored epochs are another run's: no memo survives.
         for t in &mut self.subtrees {
             t.memo_key = NEVER_FOLDED;
-            t.cold_key = NEVER_FOLDED;
         }
         loaded
     }
@@ -680,7 +655,6 @@ impl Datacenter {
     pub fn reset_breaker(&mut self, device: DeviceId) {
         self.topo.device_mut(device).breaker.reset();
         self.breaker_status[device.index()] = BreakerStatus::Nominal;
-        self.subtrees[device.index()].cold_key = NEVER_FOLDED;
         // What is still behind an open breaker: an ancestor's range
         // covers the whole subtree, a descendant's part of it.
         let dark: Vec<Range<u32>> = (0..self.device_ids.len())
@@ -939,63 +913,6 @@ pub(crate) mod tests {
         assert_ne!(a.fleet.stats().total_power, b.fleet.stats().total_power);
         b.restore(&a.state()).expect("a same-shape state restores");
         assert_draws_exact(&mut b, "right after the restore");
-    }
-
-    /// A cold breaker's key is its leaf's power epoch too, so it recurs
-    /// when a restore installs a state whose epochs match: here the
-    /// run's own, with one rack's breaker heated in the file. A key kept
-    /// across the restore would skip that rack's next step and leave
-    /// its heat where the file put it; the run must step exactly as a
-    /// fresh restore of the same file does.
-    #[test]
-    fn a_restore_drops_every_stepped_key() {
-        let build = || {
-            DatacenterBuilder::new()
-                .sbs_per_msb(2)
-                .rpps_per_sb(2)
-                .racks_per_rpp(2)
-                .servers_per_rack(4)
-                .uniform_service(ServiceKind::Web)
-                .traffic(ServiceKind::Web, TrafficPattern::flat(0.5))
-                .demand_hold(30)
-                .seed(17)
-                .build()
-        };
-        let mut dc = build();
-        dc.run_for(SimDuration::from_secs(40));
-        let rack = dc.topo.devices_at(DeviceLevel::Rack)[0].index();
-        let holds = |dc: &Datacenter, i: usize| {
-            let t = &dc.subtrees[i];
-            t.leaf_epoch(&dc.fleet) == Some(t.cold_key)
-        };
-        assert!(holds(&dc, rack), "vacuous: the rack's key does not hold");
-        let held = (0..dc.subtrees.len()).filter(|&i| holds(&dc, i)).count();
-
-        let mut forger = build();
-        forger
-            .restore(&dc.state())
-            .expect("the run's own state restores");
-        let breaker = &mut forger.topo.device_mut(dc.device_ids[rack]).breaker;
-        breaker.step(breaker.rating() * 1.2, SimDuration::from_secs(10));
-        assert!(breaker.thermal_state() > 0.0);
-        let forged = forger.state();
-
-        dc.restore(&forged).expect("a heated breaker restores");
-        assert!(
-            (0..dc.subtrees.len()).all(|i| !holds(&dc, i)),
-            "{held} keys held before the restore; one survived it"
-        );
-        let mut fresh = build();
-        fresh.restore(&forged).expect("a heated breaker restores");
-        let epoch = fresh.subtrees[rack].leaf_epoch(&fresh.fleet);
-        dc.step();
-        fresh.step();
-        assert_eq!(
-            fresh.subtrees[rack].leaf_epoch(&fresh.fleet),
-            epoch,
-            "vacuous: the rack's leaf moved"
-        );
-        assert_eq!(dc.state().to_snap_bytes(), fresh.state().to_snap_bytes());
     }
 
     /// What stepping breakers against live draws buys: the tick an SB

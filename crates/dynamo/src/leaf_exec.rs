@@ -89,9 +89,6 @@ pub(crate) struct Leaf {
     /// The band the leaf's last recorded cycle landed in, to tell a
     /// band transition from a repeat.
     pub(crate) band: Band,
-    /// The index of its link rate's table in [`LeafTier::rtt`];
-    /// unread with observability off.
-    rtt_table: usize,
     /// The cycle's events, merged in leaf index order after the join.
     /// Reused across dispatches (cleared, capacity kept).
     events: Vec<ControllerEvent>,
@@ -119,11 +116,13 @@ pub(crate) struct LeafTier {
     rtt: Option<RttRecording>,
 }
 
-/// How the tier records round trips: one [`RttTable`] per distinct link
-/// rate, shared by every leaf whose link has that rate, and the RTT
-/// histogram's bucket for each millisecond the tables cover.
+/// How the tier records round trips: one [`RttTable`] for the
+/// configured link rate, shared by every leaf, and the RTT histogram's
+/// bucket for each millisecond the table covers. A link whose profile
+/// was changed mid-run ([`Network::set_profile`]) still reads it: the
+/// table converts a round trip of another rate exactly.
 struct RttRecording {
-    tables: Vec<RttTable>,
+    table: RttTable,
     /// `SimDuration::from_millis(ms).as_secs_f64()` in its bucket, for
     /// `ms` in `0..RttTable::SPAN_MS`.
     buckets: Prebucketed,
@@ -179,13 +178,12 @@ impl LeafTier {
                 failed: false,
                 obs: obs.new_shard(),
                 band: Band::Hold,
-                rtt_table: 0,
                 events: Vec::new(),
             });
         }
         let spans = tile_leaf_spans(leaves.iter().map(|l| &l.controller), topo.server_count());
         let rtt = obs.is_enabled().then(|| RttRecording {
-            tables: vec![RttTable::new(&config.rpc)],
+            table: RttTable::new(&config.rpc),
             buckets: rtt_buckets(obs),
         });
         LeafTier {
@@ -194,26 +192,6 @@ impl LeafTier {
             spans,
             index_of,
             rtt,
-        }
-    }
-
-    /// Points each of the `due` leaves at the table for its link's
-    /// current rate, building one for a rate no leaf had (a profile
-    /// set mid-run). A compare per leaf when nothing changed.
-    fn fit_rtt_tables(&mut self, due: &[usize]) {
-        let Some(rtt) = &mut self.rtt else { return };
-        for &i in due {
-            let leaf = &mut self.leaves[i];
-            if rtt.tables[leaf.rtt_table].fits(&leaf.network) {
-                continue;
-            }
-            leaf.rtt_table = match rtt.tables.iter().position(|t| t.fits(&leaf.network)) {
-                Some(k) => k,
-                None => {
-                    rtt.tables.push(RttTable::new(&leaf.network.profile()));
-                    rtt.tables.len() - 1
-                }
-            };
         }
     }
 
@@ -303,7 +281,6 @@ impl LeafTier {
             columns: &'a mut [LeafColumns],
         }
 
-        self.fit_rtt_tables(due);
         let (per, shards) = shard::chunking(pool, due.len());
         let devices = &self.devices;
         let rtt = self.rtt.as_ref();
@@ -493,10 +470,7 @@ impl Leaf {
         let mut link = LeafLink {
             network: &mut self.network,
             agents,
-            rtt: rtt.and_then(|rtt| {
-                let table = &rtt.tables[self.rtt_table];
-                shard.recorder(&rtt.buckets).map(|hist| (table, hist))
-            }),
+            rtt: rtt.and_then(|rtt| shard.recorder(&rtt.buckets).map(|hist| (&rtt.table, hist))),
             tally: RpcTally::default(),
         };
         let outcome = self.controller.cycle_over(now, &mut link);
@@ -573,10 +547,11 @@ impl Leaf {
 /// Per-RPC recording runs a couple of hundred times per cycle, so the
 /// counters accumulate here (one shard add each at the end — same
 /// totals) and a delivered call's round trip goes straight into the
-/// leaf's RTT histogram: its milliseconds off the link rate's
-/// [`RttTable`], then that millisecond's bucket and seconds, resolved
-/// when the tier was built ([`HistogramRecorder::observe_nth`]); only a
-/// round trip past the table converts and searches the bounds. Same
+/// leaf's RTT histogram: its milliseconds off the tier's [`RttTable`]
+/// (which converts one of another link rate), then that millisecond's
+/// bucket and seconds, resolved when the tier was built
+/// ([`HistogramRecorder::observe_nth`]); only a round trip past the
+/// table converts and searches the bounds. Same
 /// slots, same sum in the same order: the merged registry stays
 /// bit-identical to one `observe` of each converted round trip. With
 /// observability off the link draws the round trip and nothing reads
@@ -584,7 +559,7 @@ impl Leaf {
 struct LeafLink<'c, 'a> {
     network: &'c mut Network,
     agents: &'c mut LeafAgents<'a>,
-    /// The link rate's table and the leaf's open RTT histogram; `None`
+    /// The tier's table and the leaf's open RTT histogram; `None`
     /// with observability off.
     rtt: Option<(&'c RttTable, HistogramRecorder<'c>)>,
     tally: RpcTally,
@@ -950,15 +925,6 @@ mod tests {
                     "vacuous: {past_64_ms} of {} round trips past 64 ms",
                     rtt.count
                 );
-                // The moved link read the table built for its new rate;
-                // the others share the one built with the tier.
-                let tier = &dc.system().leaves;
-                let rtt = tier.rtt.as_ref().expect("an observed tier records");
-                assert_eq!(rtt.tables.len(), 2);
-                for (i, leaf) in tier.leaves.iter().enumerate() {
-                    assert_eq!(leaf.rtt_table, usize::from(i == 2), "leaf {i}");
-                    assert!(rtt.tables[leaf.rtt_table].fits(&leaf.network));
-                }
             }
             let hash = tail_fingerprint(&dc);
             assert_eq!(

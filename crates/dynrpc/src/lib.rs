@@ -328,11 +328,6 @@ impl RttTable {
         RttTable { rate, at }
     }
 
-    /// Whether this is the table for `net`'s current link rate.
-    pub fn fits(&self, net: &Network) -> bool {
-        self.rate == net.rtt_rate
-    }
-
     /// The round trip's whole milliseconds:
     /// `rtt.duration().as_millis()`, bit for bit. A round trip under
     /// [`RttTable::SPAN_MS`] of this table's rate is a branch-free
@@ -739,16 +734,21 @@ mod tests {
         let [reliable, _, _, slow] = table_profiles();
         let table = RttTable::new(&reliable);
         let mut net = Network::new(slow, SimRng::seed_from(5));
-        assert!(!table.fits(&net));
-        let mut seen = 0;
-        while seen < 1000 {
-            if let Ok(rtt) = net.attempt() {
-                assert_eq!(table.millis(rtt), rtt.duration().as_millis());
-                seen += 1;
+        assert_ne!(net.rtt_rate, table.rate);
+        let check = |net: &mut Network| {
+            let mut seen = 0;
+            while seen < 1000 {
+                if let Ok(rtt) = net.attempt() {
+                    assert_eq!(table.millis(rtt), rtt.duration().as_millis());
+                    seen += 1;
+                }
             }
-        }
+        };
+        check(&mut net);
+        // Moved back to the table's own rate, the link reads it again.
         net.set_profile(reliable);
-        assert!(table.fits(&net), "the table fits the link's new rate");
+        assert_eq!(net.rtt_rate, table.rate);
+        check(&mut net);
     }
 
     #[test]

@@ -563,44 +563,6 @@ mod tests {
         );
     }
 
-    /// What the datacenter's breaker pass rests on when it skips a cold
-    /// breaker under an unchanged leaf: a breaker a step left `Nominal`
-    /// with zero heat, stepped again at the same draw, changes no bit —
-    /// cold from the start or cooled to zero, at any draw up to its
-    /// rating.
-    #[test]
-    fn a_cold_nominal_breaker_stepped_again_at_the_same_draw_changes_no_bit() {
-        let bits = |b: &Breaker| {
-            let mut w = SnapWriter::new();
-            b.encode_body(&mut w);
-            w.into_bytes()
-        };
-        let rating_w = rpp_breaker().rating().as_watts();
-        let tick = SimDuration::from_secs(1);
-        for ratio in [0.0, 0.3, 0.999, 1.0] {
-            let draw = Power::from_watts(rating_w * ratio);
-            let mut cold = rpp_breaker();
-            cold.step(draw, tick);
-            let mut cooled = rpp_breaker();
-            cooled.step(
-                Power::from_watts(rating_w * 1.3),
-                SimDuration::from_secs(10),
-            );
-            assert!(cooled.heat > 0.0);
-            while cooled.heat != 0.0 {
-                cooled.step(draw, tick);
-            }
-            for mut b in [cold, cooled] {
-                assert_eq!((b.status, b.heat), (BreakerStatus::Nominal, 0.0));
-                let before = bits(&b);
-                for _ in 0..3 {
-                    assert_eq!(b.step(draw, tick), BreakerStatus::Nominal);
-                    assert_eq!(bits(&b), before, "ratio {ratio}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn tripped_latches_until_reset() {
         let mut b = rpp_breaker();
