@@ -23,7 +23,9 @@
 # save and load itself and its plain-data `*State` mirror went
 # (thirteenth), or when a leaf came to record each round trip straight
 # into its histogram off a table and its round-trip buffer and the
-# batch fold went (fourteenth) — so a stale reference breaks
+# batch fold went (fourteenth), or when the settings no caller changed
+# became constants and their config types, fields and builder paths
+# went (fifteenth) — so a stale reference breaks
 # the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
@@ -40,7 +42,8 @@ EventQueue|PeriodicSchedule|PhasePolicy|EvenSpread|CycleId|poll_interval|pop_bef
 NetworkStats|latency_sum|failure_rate|call_with_latency
 Fig5Suite|fig5::simulate
 \b(Fleet|System|LeafTier|UpperTier|Failover|Observability|Telemetry|Validator|GridLayer|Episode|LeafController|UpperController|Registry|EconController|Network|Workload)State\b|restored_tier
-observe_batch|\brtts\b|round-trip buffer|What a leaf buffers' \
+observe_batch|\brtts\b|round-trip buffer|What a leaf buffers
+GridConfig|DcupsBankConfig|EconConfig|TelemetryConfig|for_scenario|leaf_interval|upper_interval|sample_interval|leaf_bands|upper_bands|ServicePlan::Explicit' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -9,23 +9,24 @@ use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
 use crate::distribution::{distribute_cut, DistributionStats};
-use crate::threeband::{three_band_decision, BandDecision, ThreeBandConfig};
+use crate::threeband::{three_band_decision, BandDecision, PAPER_BANDS};
 use crate::types::{Alert, CapCommand, ControlAction, PowerSlot, ServerHandle, ServiceClass};
 use dynrpc::{Request, Response, RpcError};
 
-/// Configuration of a [`LeafController`].
+/// High-bucket-first bucket width (§III-C3): "a bucket size between 10
+/// and 30 W works well ... a bucket size of 20 W is used".
+const BUCKET_WIDTH: Power = Power::from_watts(20.0);
+
+/// Pull-failure fraction above which a cycle's aggregation is declared
+/// invalid (§III-C1: 20%).
+const MAX_FAILURE_FRAC: f64 = 0.20;
+
+/// Configuration of a [`LeafController`]. The bands are
+/// [`PAPER_BANDS`], fractions of the *effective* limit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LeafConfig {
     /// The physical breaker limit of the protected device.
     pub physical_limit: Power,
-    /// Three-band thresholds (fractions of the *effective* limit).
-    pub bands: ThreeBandConfig,
-    /// High-bucket-first bucket width. Paper: "a bucket size between 10
-    /// and 30 W works well ... a bucket size of 20 W is used".
-    pub bucket_width: Power,
-    /// Pull-failure fraction above which the aggregation is declared
-    /// invalid. Paper: 20%.
-    pub max_failure_frac: f64,
     /// Constant draw of non-server components behind the same breaker
     /// (top-of-rack switches etc., §III-C1); monitored but not
     /// controllable.
@@ -51,9 +52,6 @@ impl LeafConfig {
         );
         LeafConfig {
             physical_limit,
-            bands: ThreeBandConfig::default(),
-            bucket_width: Power::from_watts(20.0),
-            max_failure_frac: 0.20,
             non_server_overhead: Power::ZERO,
             dry_run: false,
         }
@@ -259,7 +257,7 @@ impl LeafController {
             })
             .collect();
         // The most failed pulls a cycle can have and still be valid.
-        let most_failures = ((n as f64 * config.max_failure_frac) as usize).min(n);
+        let most_failures = ((n as f64 * MAX_FAILURE_FRAC) as usize).min(n);
         LeafController {
             name,
             config,
@@ -482,14 +480,14 @@ impl LeafController {
 
         // -- 2. Failure handling.
         let failure_frac = failures as f64 / n as f64;
-        if failure_frac > self.config.max_failure_frac {
+        if failure_frac > MAX_FAILURE_FRAC {
             self.alerts.push(Alert {
                 at: now,
                 controller: self.name.to_string(),
                 message: format!(
                     "power aggregation invalid: {failures}/{n} pulls failed ({:.0}% > {:.0}%)",
                     failure_frac * 100.0,
-                    self.config.max_failure_frac * 100.0
+                    MAX_FAILURE_FRAC * 100.0
                 ),
             });
             return CycleOutcome {
@@ -521,8 +519,7 @@ impl LeafController {
             }
         }
         let limit = self.effective_limit();
-        let decision =
-            three_band_decision(total, limit, self.config.bands, self.active_cap_count > 0);
+        let decision = three_band_decision(total, limit, PAPER_BANDS, self.active_cap_count > 0);
 
         // -- 4. Act.
         let action = match decision {
@@ -537,7 +534,7 @@ impl LeafController {
                     },
                     |i| self.last_power[i].get().unwrap_or(Power::ZERO),
                     total_cut,
-                    self.config.bucket_width,
+                    BUCKET_WIDTH,
                     &mut |i, _, cap| cuts.push((i, cap)),
                 );
                 self.last_distribution = dist_stats;

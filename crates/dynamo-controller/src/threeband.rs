@@ -11,9 +11,8 @@ use serde::{Deserialize, Serialize};
 /// * Below `uncapping_threshold × limit` → remove caps.
 /// * In between → hold (hysteresis kills oscillation).
 ///
-/// Paper defaults: the capping threshold "is typically 99% of the limit
-/// of the breaker" and the capping target "is conservatively chosen to
-/// be 5% below the breaker limit for safety".
+/// Every deployed controller runs [`PAPER_BANDS`], which is also the
+/// default.
 ///
 /// # Example
 ///
@@ -34,13 +33,28 @@ pub struct ThreeBandConfig {
     pub uncapping_threshold: f64,
 }
 
+/// The bands every leaf and upper controller runs (§III-C2): the
+/// capping threshold "is typically 99% of the limit of the breaker" and
+/// the capping target "is conservatively chosen to be 5% below the
+/// breaker limit for safety"; uncapping below 90% leaves a 5% hold band
+/// under the target.
+pub const PAPER_BANDS: ThreeBandConfig = ThreeBandConfig {
+    capping_threshold: 0.99,
+    capping_target: 0.95,
+    uncapping_threshold: 0.90,
+};
+
+// The ordering `ThreeBandConfig::new` checks.
+const _: () = assert!(
+    0.0 < PAPER_BANDS.uncapping_threshold
+        && PAPER_BANDS.uncapping_threshold < PAPER_BANDS.capping_target
+        && PAPER_BANDS.capping_target < PAPER_BANDS.capping_threshold
+        && PAPER_BANDS.capping_threshold <= 1.0
+);
+
 impl Default for ThreeBandConfig {
     fn default() -> Self {
-        ThreeBandConfig {
-            capping_threshold: 0.99,
-            capping_target: 0.95,
-            uncapping_threshold: 0.90,
-        }
+        PAPER_BANDS
     }
 }
 

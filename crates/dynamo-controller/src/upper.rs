@@ -9,7 +9,7 @@ use powerinfra::Power;
 use serde::{Deserialize, Serialize};
 
 use crate::distribution::{distribute_cut, CutAssignment};
-use crate::threeband::{three_band_decision, BandDecision, ThreeBandConfig};
+use crate::threeband::{three_band_decision, BandDecision, PAPER_BANDS};
 use crate::types::Alert;
 
 /// How an upper controller distributes a needed power cut among its
@@ -27,16 +27,18 @@ pub enum CoordinationPolicy {
     UniformScale,
 }
 
-/// Configuration of an [`UpperController`].
+/// Bucket width for high-bucket-first among several offenders, as a
+/// fraction of the protected device's limit. The paper fixes only the
+/// leaf's 20 W server bucket; a child here is a whole device, so the
+/// bucket scales with the parent's limit.
+const BUCKET_FRAC: f64 = 0.01;
+
+/// Configuration of an [`UpperController`]. The bands are
+/// [`PAPER_BANDS`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UpperConfig {
     /// The protected device's breaker limit.
     pub physical_limit: Power,
-    /// Three-band thresholds.
-    pub bands: ThreeBandConfig,
-    /// Bucket width for high-bucket-first among multiple offenders.
-    /// Scales with the device (defaults to 1% of the physical limit).
-    pub bucket_width: Power,
     /// Cut distribution policy (default: the paper's
     /// punish-offender-first).
     pub policy: CoordinationPolicy,
@@ -55,8 +57,6 @@ impl UpperConfig {
         );
         UpperConfig {
             physical_limit,
-            bands: ThreeBandConfig::default(),
-            bucket_width: physical_limit * 0.01,
             policy: CoordinationPolicy::PunishOffenderFirst,
         }
     }
@@ -312,12 +312,8 @@ impl UpperController {
 
         let total: Power = reports.iter().map(|r| r.power).sum();
         let limit = self.effective_limit();
-        let decision = three_band_decision(
-            total,
-            limit,
-            self.config.bands,
-            !self.active_contracts.is_empty(),
-        );
+        let decision =
+            three_band_decision(total, limit, PAPER_BANDS, !self.active_contracts.is_empty());
 
         let mut directives = vec![ChildDirective::Unchanged; reports.len()];
         let mut capped = false;
@@ -348,7 +344,7 @@ impl UpperController {
                             class,
                             |i| powers[i],
                             total_cut,
-                            self.config.bucket_width,
+                            self.config.physical_limit * BUCKET_FRAC,
                             &mut |i, cut, cap| {
                                 cuts.push(CutAssignment {
                                     server_id: i as u32,

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::SimDuration;
-use dynamo::{Datacenter, DatacenterBuilder, DatacenterState, GridConfig, ObsConfig, RunReport};
+use dynamo::{Datacenter, DatacenterBuilder, DatacenterState, ObsConfig, RunReport};
 use dyngrid::GridScenario;
 use powerinfra::Power;
 use workloads::TrafficPattern;
@@ -146,7 +146,7 @@ fn build_datacenter(args: &Args) -> Result<Datacenter, String> {
         builder = builder.turbo(args.service);
     }
     if let Some(scenario) = grid_scenario_of(args)? {
-        builder = builder.grid(GridConfig::for_scenario(scenario));
+        builder = builder.grid(scenario);
     }
     if args.observing() {
         builder = builder.observability(ObsConfig {

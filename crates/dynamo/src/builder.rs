@@ -3,6 +3,7 @@
 use std::collections::HashSet;
 
 use dcsim::{SimDuration, SimRng};
+use dyngrid::GridScenario;
 use dynrpc::LinkProfile;
 use powerinfra::{DeviceLevel, Power, Topology, TopologyBuilder};
 use serverpower::{ServerConfig, ServerGeneration};
@@ -11,8 +12,8 @@ use workloads::{ServiceKind, TrafficPattern};
 use crate::control_plane::{DynamoSystem, SystemConfig};
 use crate::datacenter::{Datacenter, ParallelMode};
 use crate::fleet::Fleet;
-use crate::grid::{GridConfig, GridLayer};
-use crate::telemetry::{Telemetry, TelemetryConfig};
+use crate::grid::GridLayer;
+use crate::telemetry::Telemetry;
 use crate::validator::BreakerValidator;
 
 /// How services are assigned to servers.
@@ -27,8 +28,6 @@ pub enum ServicePlan {
     RowComposition(Vec<(ServiceKind, usize)>),
     /// Random assignment with the given weights.
     Mix(Vec<(ServiceKind, f64)>),
-    /// Explicit per-server assignment (must match the server count).
-    Explicit(Vec<ServiceKind>),
 }
 
 /// Builder for a complete simulated datacenter with the Dynamo control
@@ -64,13 +63,12 @@ pub struct DatacenterBuilder {
     estimation_bias: f64,
     crash_rate_per_hour: f64,
     seed: u64,
-    tick: SimDuration,
     worker_threads: usize,
     profile: bool,
     demand_hold: u32,
     system: SystemConfig,
-    telemetry: TelemetryConfig,
-    grid: Option<GridConfig>,
+    watched: Vec<DeviceLevel>,
+    grid: Option<GridScenario>,
 }
 
 impl Default for DatacenterBuilder {
@@ -85,12 +83,11 @@ impl Default for DatacenterBuilder {
             estimation_bias: 0.0,
             crash_rate_per_hour: 0.0,
             seed: 0,
-            tick: SimDuration::from_secs(1),
             worker_threads: 1,
             profile: false,
             demand_hold: 1,
             system: SystemConfig::default(),
-            telemetry: TelemetryConfig::default(),
+            watched: vec![DeviceLevel::Rpp, DeviceLevel::Sb, DeviceLevel::Msb],
             grid: None,
         }
     }
@@ -216,17 +213,6 @@ impl DatacenterBuilder {
         self
     }
 
-    /// Simulation tick (default 1 s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn tick(mut self, tick: SimDuration) -> Self {
-        assert!(!tick.is_zero(), "tick must be positive");
-        self.tick = tick;
-        self
-    }
-
     /// Worker threads for fleet physics and leaf control cycles,
     /// the stepping thread included (default 1; clamped at the leaf
     /// count, see [`Datacenter::set_worker_threads`]; the simulation is
@@ -315,39 +301,41 @@ impl DatacenterBuilder {
         self
     }
 
-    /// Hierarchy levels to record power traces for.
+    /// Hierarchy levels to record power traces for (default RPP, SB
+    /// and MSB). Tracing every rack in a big run is expensive;
+    /// experiments pick what they need.
     pub fn watch_levels(mut self, levels: Vec<DeviceLevel>) -> Self {
-        self.telemetry.levels = levels;
+        self.watched = levels;
         self
     }
 
-    /// Deploys the grid-interactive layer: the utility-signal scenario,
-    /// a site economic controller pushing contractual limits onto the
-    /// MSB controllers on its own slow cycle, and per-leaf DCUPS banks
-    /// riding short curtailments. See [`crate::GridConfig`].
-    pub fn grid(mut self, config: GridConfig) -> Self {
-        self.grid = Some(config);
+    /// Deploys the grid-interactive layer under `scenario`: a site
+    /// economic controller pushing contractual limits onto the MSB
+    /// controllers on its own slow cycle, and per-leaf DCUPS banks
+    /// riding short curtailments. See [`crate::GridLayer`].
+    pub fn grid(mut self, scenario: GridScenario) -> Self {
+        self.grid = Some(scenario);
         self
     }
 
-    /// Shorthand: deploys the grid layer with a named preset scenario
-    /// from [`dyngrid::GridScenario::preset`] and default economics.
+    /// Shorthand: deploys the grid layer under a named preset scenario
+    /// from [`GridScenario::preset`].
     ///
     /// # Panics
     ///
     /// Panics on an unknown preset name.
     pub fn grid_scenario(self, name: &str) -> Self {
-        let scenario = dyngrid::GridScenario::preset(name)
+        let scenario = GridScenario::preset(name)
             .unwrap_or_else(|| panic!("unknown grid scenario preset {name:?}"));
-        self.grid(GridConfig::for_scenario(scenario))
+        self.grid(scenario)
     }
 
     /// Builds the datacenter.
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration (explicit plan length
-    /// mismatch, empty mix, non-positive weights).
+    /// Panics on inconsistent configuration (empty mix, non-positive
+    /// weights, an empty row composition).
     pub fn build(self) -> Datacenter {
         let topo = self.topo.build();
         let n = topo.server_count();
@@ -388,21 +376,23 @@ impl DatacenterBuilder {
         fleet.set_demand_hold(self.demand_hold);
 
         let watched: Vec<_> = self
-            .telemetry
-            .levels
+            .watched
             .iter()
             .flat_map(|&lvl| topo.devices_at(lvl))
             .collect();
-        let telemetry = Telemetry::new(self.telemetry);
+        let telemetry = Telemetry::new();
         let validator = BreakerValidator::new(topo.device_count(), rng.split("breaker-validation"));
 
-        let grid = self.grid.map(|config| {
-            GridLayer::build(config, &topo, system.leaf_devices(), system.upper_devices())
+        let grid = self.grid.map(|scenario| {
+            GridLayer::build(
+                scenario,
+                &topo,
+                system.leaf_devices(),
+                system.upper_devices(),
+            )
         });
 
-        let mut dc = Datacenter::assemble(
-            topo, fleet, system, telemetry, watched, self.tick, validator, grid,
-        );
+        let mut dc = Datacenter::assemble(topo, fleet, system, telemetry, watched, validator, grid);
         dc.set_worker_threads(self.worker_threads);
         dc.set_profile_ticks(self.profile);
         dc
@@ -414,15 +404,6 @@ fn assign_services(topo: &Topology, plan: &ServicePlan, rng: &mut SimRng) -> Vec
     let n = topo.server_count();
     match plan {
         ServicePlan::Uniform(kind) => vec![*kind; n],
-        ServicePlan::Explicit(list) => {
-            assert_eq!(
-                list.len(),
-                n,
-                "explicit plan covers {} of {n} servers",
-                list.len()
-            );
-            list.clone()
-        }
         ServicePlan::Mix(weights) => {
             assert!(!weights.is_empty(), "mix plan needs at least one service");
             let total: f64 = weights.iter().map(|&(_, w)| w).sum();
@@ -524,33 +505,6 @@ mod tests {
             .filter(|&(_, k)| k == ServiceKind::Web)
             .count() as f64;
         assert!((web / n - 0.75).abs() < 0.08, "web fraction {}", web / n);
-    }
-
-    #[test]
-    fn explicit_plan_round_trips() {
-        let kinds: Vec<ServiceKind> = (0..10)
-            .map(|i| {
-                if i % 2 == 0 {
-                    ServiceKind::Web
-                } else {
-                    ServiceKind::Database
-                }
-            })
-            .collect();
-        let dc = tiny()
-            .service_plan(ServicePlan::Explicit(kinds.clone()))
-            .seed(1)
-            .build();
-        let got: Vec<ServiceKind> = dc.fleet().iter_services().map(|(_, k)| k).collect();
-        assert_eq!(got, kinds);
-    }
-
-    #[test]
-    #[should_panic(expected = "explicit plan covers")]
-    fn explicit_plan_length_mismatch_panics() {
-        tiny()
-            .service_plan(ServicePlan::Explicit(vec![ServiceKind::Web; 3]))
-            .build();
     }
 
     #[test]

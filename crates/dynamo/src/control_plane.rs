@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
-use dynamo_controller::{ServiceClass, ThreeBandConfig};
+use dynamo_controller::ServiceClass;
 use dynobs::ObsConfig;
 use dynrpc::LinkProfile;
 use powerinfra::{DeviceId, Power, Topology};
@@ -18,17 +18,27 @@ use crate::obs::Observability;
 use crate::upper_exec::UpperTier;
 use dynpool::WorkerPool;
 
-/// Deployment configuration for the control plane.
+/// Leaf pulling cycle (§III-C1: every leaf controller pulls its
+/// servers' power every 3 s).
+const LEAF_PERIOD: SimDuration = SimDuration::from_secs(3);
+
+/// Upper pulling cycle (paper: 9 s), three leaf cycles: upper
+/// controllers coordinate children that have each cycled since the
+/// last contract push.
+const UPPER_PERIOD: SimDuration = SimDuration::from_secs(9);
+
+// The stacked loops stay timescale-separated: each tier cycles slower
+// than the tier it drives, up to the grid layer's economic cycle.
+const _: () = assert!(
+    LEAF_PERIOD.as_millis() < UPPER_PERIOD.as_millis()
+        && UPPER_PERIOD.as_millis() < dyngrid::ECON_PERIOD.as_millis()
+);
+
+/// Deployment configuration for the control plane. Every controller
+/// runs [`dynamo_controller::PAPER_BANDS`], leaves every 3 s and uppers
+/// every 9 s.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// Bands for leaf controllers.
-    pub leaf_bands: ThreeBandConfig,
-    /// Bands for upper controllers.
-    pub upper_bands: ThreeBandConfig,
-    /// Leaf pulling cycle (paper: 3 s).
-    pub leaf_interval: SimDuration,
-    /// Upper pulling cycle (paper: 9 s).
-    pub upper_interval: SimDuration,
     /// The window each tier's cycle phases are staggered evenly over:
     /// controller `i` of an `n`-instance tier first fires at
     /// `phase_spread · i / n`. Zero (the default) is lockstep.
@@ -51,10 +61,6 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
-            leaf_bands: ThreeBandConfig::default(),
-            upper_bands: ThreeBandConfig::default(),
-            leaf_interval: SimDuration::from_secs(3),
-            upper_interval: SimDuration::from_secs(9),
             phase_spread: SimDuration::ZERO,
             rpc: LinkProfile::datacenter(),
             capping_enabled: true,
@@ -115,9 +121,9 @@ impl DynamoSystem {
     ) -> Self {
         let obs = Observability::new(&config.obs);
         let leaves = LeafTier::build(topo, service_of, &config, rng, &obs);
-        let uppers = UpperTier::build(topo, &config, &leaves);
-        let leaf_cycles = tier_schedules(config.leaf_interval, config.phase_spread, leaves.len());
-        let upper_cycles = tier_schedules(config.upper_interval, config.phase_spread, uppers.len());
+        let uppers = UpperTier::build(topo, &leaves);
+        let leaf_cycles = tier_schedules(LEAF_PERIOD, config.phase_spread, leaves.len());
+        let upper_cycles = tier_schedules(UPPER_PERIOD, config.phase_spread, uppers.len());
         let failover = Failover::new(leaves.len(), uppers.len());
         DynamoSystem {
             config,

@@ -53,8 +53,12 @@ pub enum ParallelMode {
     Pooled,
 }
 
+/// The simulation tick: every [`Datacenter::step`] advances the clock,
+/// server physics and every breaker by one second.
+const TICK: SimDuration = SimDuration::from_secs(1);
+
 /// A running datacenter: topology + fleet + control plane + telemetry,
-/// advanced by a fixed simulation tick.
+/// advanced by a fixed one-second simulation tick.
 ///
 /// Construct one with [`crate::DatacenterBuilder`]. Each [`Datacenter::step`]:
 ///
@@ -69,15 +73,12 @@ pub struct Datacenter {
     system: DynamoSystem,
     telemetry: Telemetry,
     now: SimTime,
-    tick: SimDuration,
     /// Where each device's subtree sits in the fleet, by device index.
     subtrees: Vec<Subtree>,
     /// Device ids in index order.
     device_ids: Vec<DeviceId>,
     /// Devices with telemetry traces.
     watched: Vec<DeviceId>,
-    /// Last observed breaker status per device index.
-    breaker_status: Vec<BreakerStatus>,
     /// Cross-validation of controller aggregates against coarse breaker
     /// readings (§VI).
     validator: BreakerValidator,
@@ -183,12 +184,10 @@ impl Datacenter {
         system: DynamoSystem,
         telemetry: Telemetry,
         watched: Vec<DeviceId>,
-        tick: SimDuration,
         validator: BreakerValidator,
         grid: Option<GridLayer>,
     ) -> Self {
         let device_ids: Vec<DeviceId> = topo.iter().map(|d| d.id).collect();
-        let breaker_status = vec![BreakerStatus::Nominal; topo.device_count()];
         let spans = system.leaf_spans();
         assert!(
             fleet.leaf_spans().eq(spans.iter().cloned()),
@@ -204,11 +203,9 @@ impl Datacenter {
             system,
             telemetry,
             now: SimTime::ZERO,
-            tick,
             subtrees,
             device_ids,
             watched,
-            breaker_status,
             validator,
             watched_scratch: Vec::new(),
             alerts_seen: 0,
@@ -359,19 +356,21 @@ impl Datacenter {
         // 1. Workloads and server physics, tile by tile. The wall time
         // lands in the `fused_tile` family; `fleet_step` (the retired
         // phase-at-a-time pass) stays in the exposition, all zeros.
-        self.fleet.step(now, self.tick);
+        self.fleet.step(now, TICK);
         lap.mark(&mut phase_secs, TickPhase::FusedTile);
 
         // 2. Breaker thermal models over true subtree power, in device
         // order — a parent before its children — each against the draw
         // read at that moment, so a trip's blackout is seen by every
-        // later device of the same tick.
+        // later device of the same tick. A transition is a status the
+        // step moved.
         for i in 0..self.device_ids.len() {
             let id = self.device_ids[i];
             let draw = self.subtrees[i].draw(&self.fleet);
-            let status = self.topo.device_mut(id).breaker.step(draw, self.tick);
-            if status != self.breaker_status[i] {
-                self.breaker_status[i] = status;
+            let breaker = &mut self.topo.device_mut(id).breaker;
+            let was = breaker.status();
+            let status = breaker.step(draw, TICK);
+            if status != was {
                 self.telemetry.record_breaker_event(BreakerEvent {
                     at: now,
                     device: id,
@@ -406,7 +405,7 @@ impl Datacenter {
             }
             grid.step(
                 now,
-                self.tick,
+                TICK,
                 Power::from_watts(site_w),
                 self.fleet.leaves(),
                 &mut self.system,
@@ -465,7 +464,7 @@ impl Datacenter {
         if lap.enabled() {
             let obs = self.system.observability_mut();
             for (k, &secs) in phase_secs.iter().enumerate() {
-                obs.observe_tick_phase(TICK_PHASE_ORDER[k], secs);
+                obs.observe_tick_phase(k, secs);
             }
         }
 
@@ -473,12 +472,12 @@ impl Datacenter {
         // the dumps pending for the next step's retry.
         let _ = self.system.observability_mut().flush_incidents();
 
-        self.now += self.tick;
+        self.now += TICK;
     }
 
     /// Runs the simulation for a duration.
     pub fn run_for(&mut self, duration: SimDuration) {
-        let steps = duration.as_millis() / self.tick.as_millis();
+        let steps = duration.as_millis() / TICK.as_millis();
         for _ in 0..steps {
             self.step();
         }
@@ -565,9 +564,11 @@ impl Datacenter {
         for &id in &self.device_ids {
             self.topo.device(id).breaker.encode_body(w);
         }
-        w.put_u64(self.breaker_status.len() as u64);
-        for &s in &self.breaker_status {
-            w.put_u8(s.snap_code());
+        // Each breaker's status again: part of the format, derived from
+        // the bodies above.
+        w.put_u64(self.device_ids.len() as u64);
+        for &id in &self.device_ids {
+            w.put_u8(self.topo.device(id).breaker.status().snap_code());
         }
         self.validator.save(w);
         w.put_u64(self.alerts_seen as u64);
@@ -597,10 +598,9 @@ impl Datacenter {
         // physics tick: two words of the file that must agree, or every
         // schedule and redraw interval is measured against a forged one.
         let ticks = self.fleet.tick_index();
-        if ticks.checked_mul(self.tick.as_millis()) != Some(now_ms) {
+        if ticks.checked_mul(TICK.as_millis()) != Some(now_ms) {
             return Err(SnapError::Corrupt(format!(
-                "snapshot clock t={now_ms} ms is not its fleet's {ticks} ticks of {}",
-                self.tick
+                "snapshot clock t={now_ms} ms is not its fleet's {ticks} ticks of {TICK}"
             )));
         }
         self.system.load(r)?;
@@ -623,9 +623,18 @@ impl Datacenter {
             let restored = breaker.restored(&saved);
             r.adopt(breaker, restored.map_err(|e| e.within(id)));
         }
+        // The status section repeats what the bodies hold; one that
+        // disagrees would make the next step book a transition no
+        // breaker made.
         r.get_len(self.device_ids.len(), "devices")?;
-        for status in &mut self.breaker_status {
-            *status = BreakerStatus::from_snap_code(r.get_u8()?)?;
+        for &id in &self.device_ids {
+            let saved = BreakerStatus::from_snap_code(r.get_u8()?)?;
+            let status = self.topo.device(id).breaker.status();
+            if saved != status {
+                return Err(SnapError::Corrupt(format!(
+                    "{id}: breaker status {saved:?} in snapshot, its breaker reads {status:?}"
+                )));
+            }
         }
         self.validator.load(r)?;
         self.alerts_seen = r.get_u64()? as usize;
@@ -654,12 +663,11 @@ impl Datacenter {
     /// Panics if `device` is not part of this topology.
     pub fn reset_breaker(&mut self, device: DeviceId) {
         self.topo.device_mut(device).breaker.reset();
-        self.breaker_status[device.index()] = BreakerStatus::Nominal;
         // What is still behind an open breaker: an ancestor's range
         // covers the whole subtree, a descendant's part of it.
-        let dark: Vec<Range<u32>> = (0..self.device_ids.len())
-            .filter(|&j| self.breaker_status[j] == BreakerStatus::Tripped)
-            .map(|j| self.subtrees[j].servers.clone())
+        let dark: Vec<Range<u32>> = (self.device_ids.iter().zip(&self.subtrees))
+            .filter(|(&id, _)| self.topo.device(id).breaker.status() == BreakerStatus::Tripped)
+            .map(|(_, t)| t.servers.clone())
             .collect();
         for s in self.servers_under(device) {
             if !dark.iter().any(|r| r.contains(&s)) {
@@ -705,18 +713,6 @@ impl Snapshot for DatacenterState {
         Ok(DatacenterState { body })
     }
 }
-
-/// All tick phases in accumulator-array order (`TickPhase as usize`),
-/// used to flush the per-tick sums into the registry.
-const TICK_PHASE_ORDER: [TickPhase; 7] = [
-    TickPhase::FleetStep,
-    TickPhase::BreakerFold,
-    TickPhase::Grid,
-    TickPhase::LeafDispatch,
-    TickPhase::Validator,
-    TickPhase::TelemetryMerge,
-    TickPhase::FusedTile,
-];
 
 /// Phase stopwatch for the tick profiler: an inert no-op when
 /// profiling is off, so the hot loop pays one branch per phase
@@ -872,7 +868,7 @@ pub(crate) mod tests {
 
             // The first SB trips on its own and blacks out its half.
             let sb = dc.topo.devices_at(DeviceLevel::Sb)[0];
-            while dc.breaker_status[sb.index()] != BreakerStatus::Tripped {
+            while dc.topo.device(sb).breaker.status() != BreakerStatus::Tripped {
                 dc.step();
                 assert_draws_exact(&mut dc, "stepping toward the trip");
                 assert!(dc.now < SimTime::from_secs(60), "the SB never tripped");
@@ -949,7 +945,7 @@ pub(crate) mod tests {
         loop {
             dc.step();
             let after = heat(&dc);
-            if dc.breaker_status[sb.index()] == BreakerStatus::Tripped {
+            if dc.topo.device(sb).breaker.status() == BreakerStatus::Tripped {
                 for (k, &d) in below.iter().enumerate() {
                     assert!(
                         before[k] > 0.0 && after[k] < before[k],
@@ -958,7 +954,7 @@ pub(crate) mod tests {
                         before[k],
                         after[k]
                     );
-                    assert_eq!(dc.breaker_status[d.index()], BreakerStatus::Nominal);
+                    assert_eq!(dc.topo.device(d).breaker.status(), BreakerStatus::Nominal);
                 }
                 break;
             }
@@ -988,14 +984,20 @@ pub(crate) mod tests {
         dc
     }
 
-    /// Trips `d`'s breaker with a surge; the next tick notices and
-    /// blacks its subtree out.
+    /// Trips `d`'s breaker in the breaker pass, which blacks its
+    /// subtree out: a 1 W breaker stands in until it trips, then the
+    /// configured one goes back, tripped out of band by a surge.
     fn trip(dc: &mut Datacenter, d: DeviceId) {
-        let dev = dc.topo.device_mut(d);
-        let surge = dev.rating * 100.0;
-        while dev.breaker.step(surge, SimDuration::from_secs(60)) != BreakerStatus::Tripped {}
-        dc.step();
-        assert_eq!(dc.breaker_status[d.index()], BreakerStatus::Tripped);
+        let honest = dc.topo.device(d).breaker.clone();
+        let weak = Breaker::new(Power::from_watts(1.0), *honest.curve());
+        dc.topo.device_mut(d).breaker = weak;
+        while dc.topo.device(d).breaker.status() != BreakerStatus::Tripped {
+            dc.step();
+        }
+        let mut tripped = honest;
+        let surge = tripped.rating() * 100.0;
+        while tripped.step(surge, SimDuration::from_secs(60)) != BreakerStatus::Tripped {}
+        dc.topo.device_mut(d).breaker = tripped;
         assert_eq!(dc.device_power(d), Power::ZERO);
     }
 
@@ -1011,7 +1013,7 @@ pub(crate) mod tests {
         trip(&mut dc, sb);
         dc.reset_breaker(rpps[0]);
         dc.run_for(SimDuration::from_secs(10));
-        assert_eq!(dc.breaker_status[sb.index()], BreakerStatus::Tripped);
+        assert_eq!(dc.topo.device(sb).breaker.status(), BreakerStatus::Tripped);
         assert_eq!(dc.device_power(sb), Power::ZERO);
         // Resetting the SB itself brings everything back.
         dc.reset_breaker(sb);
@@ -1028,7 +1030,10 @@ pub(crate) mod tests {
         trip(&mut dc, sb);
         dc.reset_breaker(sb);
         dc.run_for(SimDuration::from_secs(10));
-        assert_eq!(dc.breaker_status[rpps[0].index()], BreakerStatus::Tripped);
+        assert_eq!(
+            dc.topo.device(rpps[0]).breaker.status(),
+            BreakerStatus::Tripped
+        );
         assert_eq!(dc.device_power(rpps[0]), Power::ZERO);
         assert!(dc.device_power(rpps[1]) > Power::ZERO);
         assert_eq!(dc.device_power(sb), dc.device_power(rpps[1]));
@@ -1082,6 +1087,43 @@ pub(crate) mod tests {
             before,
             "{what}: the refusal changed state"
         );
+    }
+
+    /// The status section repeats each breaker's status. A file whose
+    /// section says otherwise would have the next step book a second
+    /// trip of a breaker already open, or a `Nominal` event no breaker
+    /// made with its subtree left dark: both are refused, naming the
+    /// device.
+    #[test]
+    fn restore_rejects_a_breaker_status_its_breaker_does_not_read() {
+        let mut dc = small_dc(3, 2);
+        let sb = dc.topo.devices_at(DeviceLevel::Sb)[0];
+        while dc.topo.device(sb).breaker.status() != BreakerStatus::Tripped {
+            dc.step();
+            assert!(dc.now < SimTime::from_secs(60), "the SB never tripped");
+        }
+        let rpp = dc.topo.devices_at(DeviceLevel::Rpp)[3];
+        assert_eq!(dc.topo.device(rpp).breaker.status(), BreakerStatus::Nominal);
+        for (d, status) in [(sb, BreakerStatus::Nominal), (rpp, BreakerStatus::Tripped)] {
+            let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+                // The clock, the layers, the breaker bodies, the count.
+                let at = saved_len(|w| {
+                    w.put_u64(0);
+                    dc.fleet.save(w);
+                    dc.system.save(w);
+                    dc.telemetry.save(w);
+                    w.put_u64(0);
+                    for &id in &dc.device_ids {
+                        dc.topo.device(id).breaker.encode_body(w);
+                    }
+                    w.put_u64(0);
+                });
+                poke(s, at + d.index(), &[status.snap_code()]);
+            };
+            assert_refused(&mut dc, forge, &format!("{d}: breaker status {status:?}"));
+        }
+        let honest = dc.state();
+        assert!(dc.restore(&honest).is_ok());
     }
 
     /// A band code is checked in the observability section, after the

@@ -4,7 +4,7 @@
 //! Sits between the utility meter and Dynamo's capping hierarchy, and
 //! runs on two timescales:
 //!
-//! * **slow (60 s default)** — the [`dyngrid::EconController`] reduces
+//! * **slow ([`dyngrid::ECON_PERIOD`])** — the [`dyngrid::EconController`] reduces
 //!   the current [`dyngrid::GridSignal`] to one site-wide contractual
 //!   limit and apportions it across the MSB upper controllers by
 //!   rating share, through [`crate::DynamoSystem::set_upper_contract`].
@@ -16,8 +16,9 @@
 //!   being ramped into (or ridden through entirely), batteries supply
 //!   `servers − target`, each bank respecting the charge-reserve floor
 //!   that preserves its 90 s outage rating at the leaf's current load.
-//!   When the signal clears, banks recharge at their configured rate —
-//!   and that recharge power counts *into* utility draw.
+//!   When the signal clears, banks recharge at a tenth of design load
+//!   ([`Dcups::new`]) — and that recharge power counts *into* utility
+//!   draw.
 //!
 //! Utility draw is therefore `servers − discharge + recharge`; breaker
 //! thermal models keep seeing true server draw, so the subtree-power
@@ -27,60 +28,18 @@ use std::sync::Arc;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimDuration, SimTime};
-use dyngrid::{EconConfig, EconController, GridScenario};
+use dyngrid::{EconController, GridScenario, ECON_PERIOD};
 use powerinfra::{Dcups, DeviceId, DeviceLevel, Power, Topology};
 
 use crate::control_plane::DynamoSystem;
 use crate::fleet::LeafColumns;
 
-/// Configuration of the per-leaf DCUPS banks the grid layer may ride.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DcupsBankConfig {
-    /// Whether banks participate at all. Disabled, the economic
-    /// controller still pushes contracts; there is just no buffer.
-    pub enabled: bool,
-    /// Recharge rate as a fraction of design load (see
-    /// [`Dcups::with_recharge_frac`]).
-    pub recharge_frac: f64,
-    /// Extra charge kept above the ride-through reserve floor, as a
-    /// fraction of capacity — margin against load rising between the
-    /// reserve computation and a real outage.
-    pub reserve_margin_frac: f64,
-}
+/// Extra charge a DCUPS bank keeps above its ride-through reserve
+/// floor, as a fraction of capacity: margin against load rising between
+/// the reserve computation and a real outage.
+const RESERVE_MARGIN_FRAC: f64 = 0.05;
 
-impl Default for DcupsBankConfig {
-    fn default() -> Self {
-        DcupsBankConfig {
-            enabled: true,
-            recharge_frac: 0.1,
-            reserve_margin_frac: 0.05,
-        }
-    }
-}
-
-/// Configuration of the whole grid layer, passed to
-/// [`crate::DatacenterBuilder::grid`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridConfig {
-    /// The utility signal schedule.
-    pub scenario: GridScenario,
-    /// Economic-controller tunables.
-    pub econ: EconConfig,
-    /// DCUPS bank policy.
-    pub dcups: DcupsBankConfig,
-}
-
-impl GridConfig {
-    /// A grid layer running `scenario` with default economics and
-    /// battery policy.
-    pub fn for_scenario(scenario: GridScenario) -> Self {
-        GridConfig {
-            scenario,
-            econ: EconConfig::default(),
-            dcups: DcupsBankConfig::default(),
-        }
-    }
-}
+const _: () = assert!(0.0 <= RESERVE_MARGIN_FRAC && RESERVE_MARGIN_FRAC < 1.0);
 
 /// An active curtailment window's bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,7 +89,6 @@ pub struct GridSummary {
 pub struct GridLayer {
     scenario: GridScenario,
     econ: EconController,
-    dcups_cfg: DcupsBankConfig,
     /// MSB devices carrying upper controllers, with their rating share
     /// of site capacity, in build order.
     msbs: Vec<(DeviceId, f64)>,
@@ -166,33 +124,18 @@ pub struct GridLayer {
 const CONTAIN_EPS_W: f64 = 0.5;
 
 impl GridLayer {
-    /// Builds the layer over the topology's MSB controllers and one
-    /// bank per leaf device.
+    /// Builds the layer running `scenario` over the topology's MSB
+    /// controllers and one bank per leaf device.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration or a topology without MSB
-    /// controllers.
+    /// Panics on a topology without MSB controllers.
     pub(crate) fn build(
-        config: GridConfig,
+        scenario: GridScenario,
         topo: &Topology,
         leaf_devices: &[DeviceId],
         upper_devices: &[DeviceId],
     ) -> Self {
-        config
-            .econ
-            .validate()
-            .expect("invalid grid economic config");
-        assert!(
-            config.dcups.recharge_frac > 0.0 && config.dcups.recharge_frac <= 1.0,
-            "DCUPS recharge fraction {} outside (0, 1]",
-            config.dcups.recharge_frac
-        );
-        assert!(
-            (0.0..1.0).contains(&config.dcups.reserve_margin_frac),
-            "DCUPS reserve margin {} outside [0, 1)",
-            config.dcups.reserve_margin_frac
-        );
         let msb_devices: Vec<DeviceId> = upper_devices
             .iter()
             .copied()
@@ -210,21 +153,14 @@ impl GridLayer {
             .iter()
             .map(|&d| (d, topo.device(d).rating.as_watts() / capacity.as_watts()))
             .collect();
-        let banks: Vec<Dcups> = if config.dcups.enabled {
-            leaf_devices
-                .iter()
-                .map(|&d| {
-                    Dcups::with_recharge_frac(topo.device(d).rating, config.dcups.recharge_frac)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let banks: Vec<Dcups> = leaf_devices
+            .iter()
+            .map(|&d| Dcups::new(topo.device(d).rating))
+            .collect();
         let n_banks = banks.len();
         GridLayer {
-            scenario: config.scenario,
-            econ: EconController::new(config.econ, capacity),
-            dcups_cfg: config.dcups,
+            scenario,
+            econ: EconController::new(capacity),
             msbs,
             banks,
             name: "grid-econ".into(),
@@ -260,8 +196,7 @@ impl GridLayer {
         &self.econ
     }
 
-    /// The per-leaf DCUPS banks (leaf build order; empty when banks are
-    /// disabled).
+    /// The per-leaf DCUPS banks, in leaf build order.
     pub fn banks(&self) -> &[Dcups] {
         &self.banks
     }
@@ -295,10 +230,10 @@ impl GridLayer {
     }
 
     /// Energy a bank may discharge on purpose: above both the
-    /// ride-through floor at `load` and the configured margin.
+    /// ride-through floor at `load` and [`RESERVE_MARGIN_FRAC`].
     fn bank_available_j(&self, i: usize, load: Power) -> f64 {
         let bank = &self.banks[i];
-        let margin_j = self.dcups_cfg.reserve_margin_frac * bank.capacity_joules();
+        let margin_j = RESERVE_MARGIN_FRAC * bank.capacity_joules();
         (bank.available_discharge_joules(load) - margin_j).max(0.0)
     }
 
@@ -311,10 +246,10 @@ impl GridLayer {
     /// The spend therefore decays geometrically toward the floor
     /// instead of slamming into it.
     fn ride_headroom(&self, leaves: &[LeafColumns]) -> Power {
-        if !self.dcups_cfg.enabled || self.banks.is_empty() {
+        if self.banks.is_empty() {
             return Power::ZERO;
         }
-        let plan_s = 2.0 * self.econ.config().period.as_millis() as f64 / 1000.0;
+        let plan_s = 2.0 * ECON_PERIOD.as_millis() as f64 / 1000.0;
         let mut total = 0.0;
         for (i, leaf) in leaves.iter().enumerate() {
             let avail_w = (self.bank_available_j(i, leaf.power()) / plan_s)
@@ -351,7 +286,7 @@ impl GridLayer {
             }
             return;
         }
-        let budget = SimDuration::from_millis(2 * self.econ.config().period.as_millis());
+        let budget = SimDuration::from_millis(2 * ECON_PERIOD.as_millis());
         if now > ep.started + budget {
             self.violation_ms += period_ms;
             let first = !ep.violated;
@@ -438,7 +373,7 @@ impl GridLayer {
         let dt_s = dt.as_millis() as f64 / 1000.0;
         let mut discharge_w = 0.0;
         let mut recharge_w = 0.0;
-        if self.dcups_cfg.enabled && !self.banks.is_empty() {
+        if !self.banks.is_empty() {
             let target_w = self.econ.utility_target().map(|p| p.as_watts());
             let need_w = target_w
                 .map(|t| (site_draw.as_watts() - t).max(0.0))
@@ -621,13 +556,16 @@ mod tests {
     /// A small datacenter whose MSB rating is pinned to ~1.15× its
     /// steady draw, so the default presets' 0.80 curtailment actually
     /// binds (0.92× draw) while the physical three-band stays in Hold.
-    fn grid_dc(seed: u64, config: GridConfig) -> Datacenter {
+    fn grid_dc(seed: u64, scenario: GridScenario) -> Datacenter {
         let baseline = {
             let mut dc = base(seed).build();
             dc.run_for(SimDuration::from_secs(60));
             dc.fleet().stats().total_power
         };
-        base(seed).msb_rating(baseline * 1.15).grid(config).build()
+        base(seed)
+            .msb_rating(baseline * 1.15)
+            .grid(scenario)
+            .build()
     }
 
     fn base(seed: u64) -> DatacenterBuilder {
@@ -643,21 +581,17 @@ mod tests {
             .seed(seed)
     }
 
-    fn no_batteries(scenario: GridScenario) -> GridConfig {
-        GridConfig {
-            scenario,
-            econ: EconConfig::default(),
-            dcups: DcupsBankConfig {
-                enabled: false,
-                ..DcupsBankConfig::default()
-            },
-        }
+    /// A layer with no banks to ride: the economic controller still
+    /// pushes contracts; there is just no buffer.
+    fn no_batteries(mut dc: Datacenter) -> Datacenter {
+        dc.grid.as_mut().expect("grid configured").banks.clear();
+        dc
     }
 
     #[test]
     fn curtailment_contained_by_contract_pushes_alone() {
         let scenario = GridScenario::preset("curtailment-window").unwrap();
-        let mut dc = grid_dc(31, no_batteries(scenario));
+        let mut dc = no_batteries(grid_dc(31, scenario));
         // Window is 300..900 s; the containment budget is two 60 s
         // economic periods. Run well past the clear.
         dc.run_for(SimDuration::from_secs(1000));
@@ -683,7 +617,7 @@ mod tests {
     #[test]
     fn batteries_ride_through_and_recharge() {
         let scenario = GridScenario::preset("curtailment-window").unwrap();
-        let mut dc = grid_dc(33, GridConfig::for_scenario(scenario));
+        let mut dc = grid_dc(33, scenario);
         dc.run_until(dcsim::SimTime::from_millis(600_000));
         let grid = dc.grid().unwrap();
         assert!(grid.curtailment_active());
@@ -708,7 +642,7 @@ mod tests {
 
     #[test]
     fn quiet_scenario_never_touches_contracts() {
-        let mut dc = grid_dc(35, GridConfig::for_scenario(GridScenario::nominal()));
+        let mut dc = grid_dc(35, GridScenario::nominal());
         dc.run_for(SimDuration::from_secs(600));
         let summary = dc.grid().unwrap().summary();
         assert_eq!(summary.limit_changes, 0, "{summary:?}");
@@ -729,7 +663,7 @@ mod tests {
     fn grid_runs_bit_identically_across_thread_counts() {
         let scenario = || GridScenario::preset("brownout").unwrap();
         let run = |threads: usize| {
-            let mut dc = grid_dc(37, GridConfig::for_scenario(scenario()));
+            let mut dc = grid_dc(37, scenario());
             dc.set_worker_threads(threads);
             dc.run_for(SimDuration::from_secs(400));
             let root = dc.topology().root();
@@ -750,7 +684,7 @@ mod tests {
     #[test]
     fn restore_rejects_a_bank_that_is_not_the_configured_one() {
         let scenario = GridScenario::preset("curtailment-window").unwrap();
-        let build = || grid_dc(39, GridConfig::for_scenario(scenario.clone()));
+        let build = || grid_dc(39, scenario.clone());
         let mut dc = build();
         dc.run_for(SimDuration::from_secs(400));
         let honest = dc.grid().unwrap().banks()[1].clone();
@@ -769,7 +703,7 @@ mod tests {
     #[test]
     fn grid_layer_state_round_trips_mid_curtailment() {
         let scenario = GridScenario::preset("curtailment-window").unwrap();
-        let build = || grid_dc(39, GridConfig::for_scenario(scenario.clone()));
+        let build = || grid_dc(39, scenario.clone());
         let mut dc = build();
         dc.run_for(SimDuration::from_secs(400));
         assert!(dc.grid().unwrap().curtailment_active());

@@ -159,14 +159,8 @@ impl LeafTier {
                     service: service_of(sid),
                 })
                 .collect();
-            let leaf_config = LeafConfig {
-                physical_limit: dev.rating,
-                bands: config.leaf_bands,
-                bucket_width: Power::from_watts(20.0),
-                max_failure_frac: 0.20,
-                non_server_overhead: Power::ZERO,
-                dry_run: config.dry_run,
-            };
+            let mut leaf_config = LeafConfig::new(dev.rating);
+            leaf_config.dry_run = config.dry_run;
             index_of.insert(rpp, leaves.len());
             leaves.push(Leaf {
                 controller: LeafController::new(dev.name.clone(), leaf_config, servers),

@@ -62,10 +62,10 @@ pub use dynobs::ObsConfig;
 pub use dynpool::WorkerPool;
 pub use events::{ControllerEvent, ControllerEventKind};
 pub use fleet::{Fleet, FleetStats, TickTraffic};
-pub use grid::{DcupsBankConfig, GridConfig, GridLayer, GridSummary};
+pub use grid::{GridLayer, GridSummary};
 pub use obs::{Observability, TickPhase, TICK_PHASES};
 pub use report::{LevelSummary, RunReport};
-pub use telemetry::{Telemetry, TelemetryConfig};
+pub use telemetry::Telemetry;
 pub use validator::{BreakerValidator, ValidationAlert};
 
 /// Maps a workload-simulator service to the controller-facing metadata

@@ -627,13 +627,13 @@ impl Observability {
         self.incident("curtailment-violation", now.as_millis());
     }
 
-    /// Records one tick phase's wall-clock duration (datacenter
-    /// context, only under `--profile-ticks`). Wall clocks are
+    /// Records the wall-clock duration of tick phase `phase`, its index
+    /// in [`TICK_PHASES`] (datacenter context, only under
+    /// `--profile-ticks`). Wall clocks are
     /// inherently non-deterministic, which is why the profiler is
     /// opt-in and stays off in every determinism test.
-    pub(crate) fn observe_tick_phase(&mut self, phase: TickPhase, secs: f64) {
-        self.registry
-            .observe(self.ids.tick_phase[phase as usize], secs);
+    pub(crate) fn observe_tick_phase(&mut self, phase: usize, secs: f64) {
+        self.registry.observe(self.ids.tick_phase[phase], secs);
     }
 
     /// The profiler's accumulated `(phase, ticks observed, total

@@ -6,30 +6,14 @@ use std::sync::Arc;
 
 use dcsim::snap::{get_f64_vec, put_f64_slice, SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimTime};
-use powerinfra::{BreakerStatus, DeviceId, DeviceLevel, Power};
+use powerinfra::{BreakerStatus, DeviceId, Power};
 use powerstats::Trace;
 
 use crate::events::{ControllerEvent, ControllerEventKind};
 
-/// What the telemetry recorder samples.
-#[derive(Debug, Clone)]
-pub struct TelemetryConfig {
-    /// Sampling interval (3 s in production — Table I's "fine-grained
-    /// real-time monitoring: 3-second granularity power readings").
-    pub sample_interval: SimDuration,
-    /// Hierarchy levels whose devices get power traces. Tracing every
-    /// rack in a big run is expensive; experiments pick what they need.
-    pub levels: Vec<DeviceLevel>,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            sample_interval: SimDuration::from_secs(3),
-            levels: vec![DeviceLevel::Rpp, DeviceLevel::Sb, DeviceLevel::Msb],
-        }
-    }
-}
+/// Sampling interval: Table I's "fine-grained real-time monitoring:
+/// 3-second granularity power readings".
+const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(3);
 
 /// A breaker state change worth recording.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,7 +31,6 @@ pub struct BreakerEvent {
 /// events, and breaker events.
 #[derive(Debug)]
 pub struct Telemetry {
-    config: TelemetryConfig,
     device_traces: HashMap<DeviceId, Trace>,
     capped_servers: Trace,
     total_power: Trace,
@@ -58,22 +41,15 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Creates an empty store.
-    pub fn new(config: TelemetryConfig) -> Self {
-        let interval = config.sample_interval;
+    pub(crate) fn new() -> Self {
         Telemetry {
-            config,
             device_traces: HashMap::new(),
-            capped_servers: Trace::empty(interval),
-            total_power: Trace::empty(interval),
+            capped_servers: Trace::empty(SAMPLE_PERIOD),
+            total_power: Trace::empty(SAMPLE_PERIOD),
             controller_events: Vec::new(),
             breaker_events: Vec::new(),
-            schedule: CycleSchedule::new(interval),
+            schedule: CycleSchedule::new(SAMPLE_PERIOD),
         }
-    }
-
-    /// The recorder's configuration.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
     }
 
     /// True if a sample is due at `now`.
@@ -96,7 +72,7 @@ impl Telemetry {
         for &(dev, p) in watched {
             self.device_traces
                 .entry(dev)
-                .or_insert_with(|| Trace::empty(self.config.sample_interval).with_start(now))
+                .or_insert_with(|| Trace::empty(SAMPLE_PERIOD).with_start(now))
                 .push(p.as_watts());
         }
         self.capped_servers.push(capped as f64);
@@ -203,13 +179,12 @@ impl Telemetry {
         w.put_u64(self.schedule.next_at().as_millis());
     }
 
-    /// Loads what [`Telemetry::save`] wrote into a recorder with the
-    /// same configuration.
+    /// Loads what [`Telemetry::save`] wrote. A schedule that is not the
+    /// 3 s sampling grid's is a mismatch ([`SnapReader::adopt`]).
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let interval = self.config.sample_interval;
         let get_trace = |r: &mut SnapReader<'_>| -> Result<Trace, SnapError> {
             let start = SimTime::from_millis(r.get_u64()?);
-            Ok(Trace::new(interval, get_f64_vec(r)?).with_start(start))
+            Ok(Trace::new(SAMPLE_PERIOD, get_f64_vec(r)?).with_start(start))
         };
         self.device_traces.clear();
         let mut prev: Option<u32> = None;
@@ -304,6 +279,7 @@ fn get_controller_event(r: &mut SnapReader<'_>) -> Result<ControllerEvent, SnapE
 mod tests {
     use super::*;
     use crate::events::ControllerEventKind;
+    use powerinfra::DeviceLevel;
 
     fn dev(topo: &powerinfra::Topology) -> DeviceId {
         topo.devices_at(DeviceLevel::Rpp)[0]
@@ -320,7 +296,7 @@ mod tests {
 
     #[test]
     fn samples_follow_the_schedule() {
-        let mut t = Telemetry::new(TelemetryConfig::default());
+        let mut t = Telemetry::new();
         assert!(t.sample_due(SimTime::ZERO));
         t.record_sample(SimTime::ZERO, &[], 0, Power::ZERO);
         assert!(!t.sample_due(SimTime::from_secs(2)));
@@ -331,7 +307,7 @@ mod tests {
     fn device_traces_accumulate() {
         let topo = topo();
         let d = dev(&topo);
-        let mut t = Telemetry::new(TelemetryConfig::default());
+        let mut t = Telemetry::new();
         for k in 0..5u64 {
             t.record_sample(
                 SimTime::from_secs(3 * k),
@@ -351,7 +327,7 @@ mod tests {
     fn breaker_trips_filters_status() {
         let topo = topo();
         let d = dev(&topo);
-        let mut t = Telemetry::new(TelemetryConfig::default());
+        let mut t = Telemetry::new();
         t.record_breaker_event(BreakerEvent {
             at: SimTime::ZERO,
             device: d,
@@ -371,7 +347,7 @@ mod tests {
     fn controller_events_append() {
         let topo = topo();
         let d = dev(&topo);
-        let mut t = Telemetry::new(TelemetryConfig::default());
+        let mut t = Telemetry::new();
         t.record_controller_events(vec![ControllerEvent {
             at: SimTime::ZERO,
             device: d,
@@ -399,7 +375,7 @@ mod tests {
             .servers_per_rack(2)
             .build();
         let rpps = topo.devices_at(DeviceLevel::Rpp);
-        let mut t = Telemetry::new(TelemetryConfig::default());
+        let mut t = Telemetry::new();
         // A parallel-path batch arrives in leaf-index order with mixed
         // devices; a staggered-phase batch can even mix timestamps.
         t.record_controller_events(vec![
@@ -426,7 +402,7 @@ mod tests {
     fn out_of_order_batches_are_rejected() {
         let topo = topo();
         let d = dev(&topo);
-        let mut t = Telemetry::new(TelemetryConfig::default());
+        let mut t = Telemetry::new();
         t.record_controller_events(vec![event(SimTime::from_secs(9), d)]);
         t.record_controller_events(vec![event(SimTime::from_secs(3), d)]);
     }

@@ -8,7 +8,6 @@ use dcsim::SimTime;
 use dynamo_controller::{ChildDirective, ChildReport, UpperConfig, UpperController};
 use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
 
-use crate::control_plane::SystemConfig;
 use crate::events::{ControllerEvent, ControllerEventKind};
 use crate::failover::Failover;
 use crate::leaf_exec::{Leaf, LeafTier};
@@ -38,7 +37,7 @@ pub(crate) struct UpperTier {
 impl UpperTier {
     /// Builds SB uppers over leaf children, then MSB uppers over SB
     /// uppers, using `leaves` to resolve leaf children by device id.
-    pub(crate) fn build(topo: &Topology, config: &SystemConfig, leaves: &LeafTier) -> Self {
+    pub(crate) fn build(topo: &Topology, leaves: &LeafTier) -> Self {
         let mut devices = Vec::new();
         let mut controllers = Vec::new();
         let mut children: Vec<Vec<ChildRef>> = Vec::new();
@@ -56,7 +55,7 @@ impl UpperTier {
             index_of.insert(sb, controllers.len());
             controllers.push(UpperController::new(
                 dev.name.clone(),
-                upper_config(config, dev.rating),
+                UpperConfig::new(dev.rating),
                 kids.len(),
             ));
             children.push(kids);
@@ -75,7 +74,7 @@ impl UpperTier {
             index_of.insert(msb, controllers.len());
             controllers.push(UpperController::new(
                 dev.name.clone(),
-                upper_config(config, dev.rating),
+                UpperConfig::new(dev.rating),
                 kids.len(),
             ));
             children.push(kids);
@@ -223,15 +222,5 @@ impl UpperTier {
                 });
             }
         }
-    }
-}
-
-/// The shared upper-controller configuration for a device rating.
-fn upper_config(config: &SystemConfig, rating: Power) -> UpperConfig {
-    UpperConfig {
-        physical_limit: rating,
-        bands: config.upper_bands,
-        bucket_width: rating * 0.01,
-        policy: dynamo_controller::CoordinationPolicy::PunishOffenderFirst,
     }
 }

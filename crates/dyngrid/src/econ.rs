@@ -2,18 +2,18 @@
 //! contractual limit out.
 //!
 //! Sits *above* Dynamo's capping hierarchy on a deliberately slow
-//! [`CycleSchedule`] (60 s default, versus 3 s leaf / 9 s upper
+//! [`CycleSchedule`] ([`ECON_PERIOD`], versus 3 s leaf / 9 s upper
 //! cycles). Each cycle it reduces the current [`GridSignal`] to a
 //! single **utility target** — the most binding of the curtailment
 //! limit, the price-response target and the under-frequency droop
 //! target — and moves the pushed contract toward `target + battery
 //! headroom` under two stability rules:
 //!
-//! * **ramp limiting** — the contract moves at most `ramp_frac` of
+//! * **ramp limiting** — the contract moves at most [`RAMP_FRAC`] of
 //!   capacity per cycle, so the hierarchy below sees a staircase, not a
 //!   step;
 //! * **asymmetric deadband** — upward moves (releasing a limit) are
-//!   suppressed inside `deadband_frac` of capacity, so a signal
+//!   suppressed inside [`DEADBAND_FRAC`] of capacity, so a signal
 //!   hovering at a threshold cannot make the controller flap; downward
 //!   moves always land exactly on the desired limit, because
 //!   containment beats hysteresis.
@@ -28,103 +28,73 @@
 //! better precisely because the contract is working; releasing on that
 //! signal would re-raise the draw, re-drain the banks and oscillate —
 //! the flap the deadband exists to prevent.)
+//!
+//! # Tunables
+//!
+//! The paper's Dynamo has no utility side, so none of these comes from
+//! it; each is fixed here with the reason it has its value, and the
+//! relations the control law needs between them are compile-time
+//! assertions below.
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::Power;
 
-use crate::signal::{GridSignal, NOMINAL_FREQUENCY_HZ};
+use crate::signal::{GridSignal, NOMINAL_FREQUENCY_HZ, NOMINAL_PRICE};
 
-/// Tunables for the economic controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EconConfig {
-    /// Cycle period. Must dominate the capping-loop periods below it
-    /// (3 s / 9 s) for the timescale-separation argument to hold.
-    pub period: SimDuration,
-    /// Phase offset of the cycle schedule.
-    pub phase: SimDuration,
-    /// Deadband as a fraction of site capacity: upward contract moves
-    /// smaller than this are suppressed.
-    pub deadband_frac: f64,
-    /// Maximum contract movement per cycle as a fraction of capacity.
-    /// The default (0.5) reaches any curtailment target within two
-    /// cycles — the containment budget the acceptance criteria quote.
-    pub ramp_frac: f64,
-    /// Price ($/MWh) at or above which the site sheds to
-    /// `price_target_frac` of capacity.
-    pub price_threshold: f64,
-    /// Utility-draw target during a price event, as a fraction of
-    /// capacity.
-    pub price_target_frac: f64,
-    /// Frequency deviation below nominal that is ignored (Hz).
-    pub freq_deadband_hz: f64,
-    /// Droop gain: fraction of capacity shed per Hz of under-frequency
-    /// beyond the deadband.
-    pub droop_per_hz: f64,
-    /// The controller never targets below this fraction of capacity,
-    /// whatever the signal asks — the site's essential load.
-    pub floor_frac: f64,
-}
+/// Economic cycle period, phase zero. It must dominate the capping
+/// loops below it (3 s leaf, 9 s upper) for the timescale-separation
+/// argument to hold (Peivandizadeh et al., PAPERS.md); at 60 s a
+/// contract push has settled through both tiers several times over
+/// before the next one. The `dynamo` crate asserts the relation at
+/// compile time against its own cycle constants.
+pub const ECON_PERIOD: SimDuration = SimDuration::from_secs(60);
 
-impl Default for EconConfig {
-    fn default() -> Self {
-        EconConfig {
-            period: SimDuration::from_secs(60),
-            phase: SimDuration::ZERO,
-            deadband_frac: 0.01,
-            ramp_frac: 0.5,
-            price_threshold: 200.0,
-            price_target_frac: 0.90,
-            freq_deadband_hz: 0.05,
-            droop_per_hz: 1.0,
-            floor_frac: 0.50,
-        }
-    }
-}
+/// Upward contract moves smaller than this fraction of site capacity
+/// are suppressed, and battery headroom is quantized to it. 1 %: a
+/// relaxed signal releases to within a percent of its target, and a
+/// draining bank can push at most `initial_headroom / deadband + 2`
+/// contracts an episode (module docs).
+const DEADBAND_FRAC: f64 = 0.01;
 
-impl EconConfig {
-    /// Checks the configuration for internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first inconsistent knob.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.period.as_millis() == 0 {
-            return Err("economic period must be positive".into());
-        }
-        if !(self.deadband_frac > 0.0 && self.deadband_frac < 1.0) {
-            return Err(format!(
-                "deadband_frac {} outside (0, 1)",
-                self.deadband_frac
-            ));
-        }
-        if !(self.ramp_frac > self.deadband_frac && self.ramp_frac <= 1.0) {
-            return Err(format!(
-                "ramp_frac {} must exceed deadband_frac {} and be <= 1",
-                self.ramp_frac, self.deadband_frac
-            ));
-        }
-        if !(self.price_target_frac > 0.0 && self.price_target_frac <= 1.0) {
-            return Err(format!(
-                "price_target_frac {} outside (0, 1]",
-                self.price_target_frac
-            ));
-        }
-        if !(self.floor_frac > 0.0 && self.floor_frac <= self.price_target_frac) {
-            return Err(format!(
-                "floor_frac {} outside (0, price_target_frac]",
-                self.floor_frac
-            ));
-        }
-        if self.droop_per_hz < 0.0 || self.freq_deadband_hz < 0.0 {
-            return Err("droop_per_hz and freq_deadband_hz must be non-negative".into());
-        }
-        if !self.price_threshold.is_finite() {
-            return Err("price_threshold must be finite".into());
-        }
-        Ok(())
-    }
-}
+/// Most the contract moves in one cycle, as a fraction of capacity.
+/// Every target sits at or above [`FLOOR_FRAC`], so half of capacity
+/// reaches any of them from an uncontracted site in one cycle; the grid
+/// layer's containment budget of two periods leaves the capping
+/// hierarchy the second one to settle.
+const RAMP_FRAC: f64 = 0.5;
+
+/// Price ($/MWh) at or above which the site sheds to
+/// [`PRICE_TARGET_FRAC`] of capacity: five times the nominal price, so
+/// the `price-spike` preset (400) triggers it and the `brownout`
+/// preset's elevated 120 does not.
+const PRICE_THRESHOLD: f64 = 5.0 * NOMINAL_PRICE;
+
+/// Utility-draw target during a price event, as a fraction of capacity:
+/// a 10 % economic shed, shallower than any curtailment preset.
+const PRICE_TARGET_FRAC: f64 = 0.90;
+
+/// Frequency deviation below nominal that is ignored (Hz), so that
+/// normal grid wander never moves the contract.
+const FREQ_DEADBAND_HZ: f64 = 0.05;
+
+/// Droop gain: fraction of capacity shed per Hz of under-frequency
+/// beyond the deadband. At 1.0 the `frequency-excursion` preset's
+/// 59.75 Hz dip sheds 20 % and its 59.90 Hz tail 5 %.
+const DROOP_PER_HZ: f64 = 1.0;
+
+/// The controller never targets below this fraction of capacity,
+/// whatever the signal asks — the site's essential load.
+const FLOOR_FRAC: f64 = 0.50;
+
+// What the control law needs of the tunables.
+const _: () = assert!(ECON_PERIOD.as_millis() > 0);
+const _: () = assert!(0.0 < DEADBAND_FRAC && DEADBAND_FRAC < 1.0);
+const _: () = assert!(DEADBAND_FRAC < RAMP_FRAC && RAMP_FRAC <= 1.0);
+const _: () = assert!(0.0 < PRICE_TARGET_FRAC && PRICE_TARGET_FRAC <= 1.0);
+const _: () = assert!(0.0 < FLOOR_FRAC && FLOOR_FRAC <= PRICE_TARGET_FRAC);
+const _: () = assert!(DROOP_PER_HZ >= 0.0 && FREQ_DEADBAND_HZ >= 0.0);
+const _: () = assert!(PRICE_THRESHOLD.is_finite());
 
 /// What one economic cycle decided.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,7 +113,6 @@ pub struct EconDecision {
 /// law.
 #[derive(Debug, Clone)]
 pub struct EconController {
-    config: EconConfig,
     /// Site contractual capacity all fractions are quoted against.
     capacity: Power,
     schedule: CycleSchedule,
@@ -160,26 +129,17 @@ impl EconController {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration or non-positive capacity.
-    pub fn new(config: EconConfig, capacity: Power) -> Self {
-        config
-            .validate()
-            .expect("invalid economic controller config");
+    /// Panics on a non-positive capacity.
+    pub fn new(capacity: Power) -> Self {
         assert!(capacity.as_watts() > 0.0, "site capacity must be positive");
         EconController {
-            config,
             capacity,
-            schedule: CycleSchedule::with_phase(config.period, config.phase),
+            schedule: CycleSchedule::new(ECON_PERIOD),
             pushed_w: None,
             utility_target_w: None,
             cycles: 0,
             limit_changes: 0,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &EconConfig {
-        &self.config
     }
 
     /// The site contractual capacity.
@@ -222,14 +182,14 @@ impl EconController {
         if let Some(frac) = signal.curtail_frac {
             t = t.min(c * frac);
         }
-        if signal.price_per_mwh >= self.config.price_threshold {
-            t = t.min(c * self.config.price_target_frac);
+        if signal.price_per_mwh >= PRICE_THRESHOLD {
+            t = t.min(c * PRICE_TARGET_FRAC);
         }
-        let under = (NOMINAL_FREQUENCY_HZ - self.config.freq_deadband_hz) - signal.frequency_hz;
+        let under = (NOMINAL_FREQUENCY_HZ - FREQ_DEADBAND_HZ) - signal.frequency_hz;
         if under > 0.0 {
-            t = t.min(c * (1.0 - self.config.droop_per_hz * under));
+            t = t.min(c * (1.0 - DROOP_PER_HZ * under));
         }
-        t.is_finite().then(|| t.max(c * self.config.floor_frac))
+        t.is_finite().then(|| t.max(c * FLOOR_FRAC))
     }
 
     /// Runs one economic cycle: fires the schedule and moves the pushed
@@ -251,8 +211,8 @@ impl EconController {
         self.cycles += 1;
 
         let c = self.capacity.as_watts();
-        let deadband = self.config.deadband_frac * c;
-        let ramp = self.config.ramp_frac * c;
+        let deadband = DEADBAND_FRAC * c;
+        let ramp = RAMP_FRAC * c;
         let prev_target = self.utility_target_w;
         let target = self.target_w(signal);
         self.utility_target_w = target;
@@ -314,8 +274,8 @@ impl EconController {
     }
 
     /// Loads state written by [`EconController::save`]. A schedule
-    /// whose period or phase disagrees with this controller's
-    /// configuration is a mismatch ([`SnapReader::adopt`]).
+    /// whose period or phase is not [`ECON_PERIOD`] at phase zero is a
+    /// mismatch ([`SnapReader::adopt`]).
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let saved = CycleSchedule::decode_body(r)?;
         let restored = self.schedule.restored(&saved);
@@ -336,7 +296,7 @@ mod tests {
     const MW: f64 = 1_000_000.0;
 
     fn controller() -> EconController {
-        EconController::new(EconConfig::default(), Power::from_watts(MW))
+        EconController::new(Power::from_watts(MW))
     }
 
     fn curtailed(frac: f64) -> GridSignal {
@@ -356,24 +316,6 @@ mod tests {
         let d2 = ec.cycle(SimTime::from_secs(60), &sig, Power::ZERO);
         assert!(!d2.changed, "already at target, deadband holds");
         assert_eq!(ec.limit_changes(), 1);
-    }
-
-    #[test]
-    fn deep_target_takes_the_ramp_staircase() {
-        let mut ec = EconController::new(
-            EconConfig {
-                ramp_frac: 0.15,
-                floor_frac: 0.3,
-                ..EconConfig::default()
-            },
-            Power::from_watts(MW),
-        );
-        let sig = curtailed(0.7);
-        let d1 = ec.cycle(SimTime::ZERO, &sig, Power::ZERO);
-        assert_eq!(d1.contract.unwrap().as_watts(), 0.85 * MW);
-        let d2 = ec.cycle(SimTime::from_secs(60), &sig, Power::ZERO);
-        assert_eq!(d2.contract.unwrap().as_watts(), 0.70 * MW);
-        assert_eq!(ec.limit_changes(), 2);
     }
 
     #[test]
@@ -475,45 +417,14 @@ mod tests {
         assert_eq!(other.pushed(), ec.pushed());
         assert_eq!(other.cycles(), ec.cycles());
 
-        let mut mismatched = EconController::new(
-            EconConfig {
-                period: SimDuration::from_secs(30),
-                ..EconConfig::default()
-            },
-            Power::from_watts(MW),
-        );
-        let mut r = SnapReader::new(&bytes);
-        mismatched.load(&mut r).unwrap();
+        // A file whose schedule cycles every 30 s: its bytes load,
+        // and the reader notes the mismatch.
+        let mut w = SnapWriter::new();
+        CycleSchedule::new(SimDuration::from_secs(30)).encode_body(&mut w);
+        let mut forged = w.into_bytes();
+        forged.extend_from_slice(&bytes[forged.len()..]);
+        let mut r = SnapReader::new(&forged);
+        controller().load(&mut r).unwrap();
         assert!(r.finish("econ").is_err());
-    }
-
-    #[test]
-    fn invalid_configs_are_named() {
-        for (cfg, needle) in [
-            (
-                EconConfig {
-                    deadband_frac: 0.0,
-                    ..EconConfig::default()
-                },
-                "deadband",
-            ),
-            (
-                EconConfig {
-                    ramp_frac: 0.005,
-                    ..EconConfig::default()
-                },
-                "ramp",
-            ),
-            (
-                EconConfig {
-                    floor_frac: 0.95,
-                    ..EconConfig::default()
-                },
-                "floor",
-            ),
-        ] {
-            let err = cfg.validate().unwrap_err();
-            assert!(err.contains(needle), "{err}");
-        }
     }
 }

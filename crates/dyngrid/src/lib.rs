@@ -11,7 +11,7 @@
 //!   presets (`brownout`, `curtailment-window`, `frequency-excursion`,
 //!   `price-spike`) and a text signal-file format;
 //! * [`EconController`] — a site-level economic controller on its own
-//!   slow [`dcsim::CycleSchedule`] (60 s default) that translates grid
+//!   slow [`dcsim::CycleSchedule`] ([`ECON_PERIOD`], 60 s) that translates grid
 //!   signals into temporary *contractual* limits for the §III-D
 //!   hierarchy (`min(physical, contractual)`), with ramp-rate limiting
 //!   and an asymmetric deadband so the 3 s / 9 s capping loops below it
@@ -32,5 +32,5 @@
 mod econ;
 mod signal;
 
-pub use econ::{EconConfig, EconController, EconDecision};
+pub use econ::{EconController, EconDecision, ECON_PERIOD};
 pub use signal::{GridScenario, GridSegment, GridSignal, NOMINAL_FREQUENCY_HZ, NOMINAL_PRICE};

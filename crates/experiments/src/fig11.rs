@@ -96,7 +96,7 @@ pub fn run(scale: Scale) -> Fig11 {
         .find(|e| matches!(e.kind, ControllerEventKind::LeafUncapped))
         .map(|e| e.at.as_secs() / 60);
 
-    let bands = dc.system().config().leaf_bands;
+    let bands = dynamo_controller::PAPER_BANDS;
     Fig11 {
         limit_kw,
         bands_kw: (
