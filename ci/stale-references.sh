@@ -25,7 +25,10 @@
 # into its histogram off a table and its round-trip buffer and the
 # batch fold went (fourteenth), or when the settings no caller changed
 # became constants and their config types, fields and builder paths
-# went (fifteenth) — so a stale reference breaks
+# went (fifteenth), or when every device came to carry the server-id
+# range it feeds, the server → rack index went, and the settle kernel
+# kept one scalar reference beside the shipping packed kernel
+# (sixteenth) — so a stale reference breaks
 # the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
@@ -43,7 +46,8 @@ NetworkStats|latency_sum|failure_rate|call_with_latency
 Fig5Suite|fig5::simulate
 \b(Fleet|System|LeafTier|UpperTier|Failover|Observability|Telemetry|Validator|GridLayer|Episode|LeafController|UpperController|Registry|EconController|Network|Workload)State\b|restored_tier
 observe_batch|\brtts\b|round-trip buffer|What a leaf buffers
-GridConfig|DcupsBankConfig|EconConfig|TelemetryConfig|for_scenario|leaf_interval|upper_interval|sample_interval|leaf_bands|upper_bands|ServicePlan::Explicit' \
+GridConfig|DcupsBankConfig|EconConfig|TelemetryConfig|for_scenario|leaf_interval|upper_interval|sample_interval|leaf_bands|upper_bands|ServicePlan::Explicit
+server_racks|step_batch_settled\b|step_batch_scalar' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

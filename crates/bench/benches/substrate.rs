@@ -5,7 +5,7 @@
 //! editable; every other per-layer number already lives there.
 
 use dcsim::{SimDuration, SimRng, SimTime};
-use dynamo::{service_class_of, DynamoSystem, Fleet, SystemConfig};
+use dynamo::{DynamoSystem, Fleet, SystemConfig};
 use powerinfra::TopologyBuilder;
 use serverpower::{ServerConfig, ServerGeneration};
 use workloads::kernel::{draw_batch, DrawStep};
@@ -49,12 +49,12 @@ fn bench_leaf_pull() {
         .racks_per_rpp(4)
         .servers_per_rack(LEAF_SERVERS / 4)
         .build();
-    let service_of = |_sid: u32| service_class_of(ServiceKind::Web);
+    let services = vec![ServiceKind::Web; LEAF_SERVERS];
     let mut rng = SimRng::seed_from(5);
-    let mut system = DynamoSystem::build(&topo, &service_of, SystemConfig::default(), &mut rng);
+    let mut system = DynamoSystem::build(&topo, &services, SystemConfig::default(), &mut rng);
     let mut fleet = Fleet::new(
         vec![ServerConfig::new(ServerGeneration::Haswell2015); LEAF_SERVERS],
-        vec![ServiceKind::Web; LEAF_SERVERS],
+        services,
         SimRng::seed_from(6),
         system.leaf_spans(),
     );

@@ -10,7 +10,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::distribution::{distribute_cut, DistributionStats};
 use crate::threeband::{three_band_decision, BandDecision, PAPER_BANDS};
-use crate::types::{Alert, CapCommand, ControlAction, PowerSlot, ServerHandle, ServiceClass};
+use crate::types::{
+    Alert, CapCommand, ClassTable, ControlAction, PowerSlot, ServerHandle, ServiceClass,
+};
 use dynrpc::{Request, Response, RpcError};
 
 /// High-bucket-first bucket width (§III-C3): "a bucket size between 10
@@ -146,10 +148,10 @@ pub struct CycleOutcome {
 /// plug in.
 ///
 /// Per server it keeps what §III-C needs and no more: the id, which of
-/// the leaf's few distinct [`ServiceClass`]es the server runs (an index
-/// into a per-leaf table), and the last reading and the cap in force as
-/// [`PowerSlot`]s — everything position-indexed, in the order the
-/// handles were given.
+/// a few distinct [`ServiceClass`]es the server runs (an index into a
+/// [`ClassTable`] it may share with other controllers), and the last
+/// reading and the cap in force as [`PowerSlot`]s — everything
+/// position-indexed, in the order the servers were given.
 ///
 /// # Example
 ///
@@ -185,13 +187,8 @@ pub struct LeafController {
     config: LeafConfig,
     /// Each position's server id.
     ids: Vec<u32>,
-    /// The distinct service classes of the leaf, in order of first
-    /// appearance.
-    classes: Vec<ServiceClass>,
-    /// Each class's estimation group: the first class with the same
-    /// service name. Fixed at construction, so the §III-C1 estimator
-    /// finds a failed pull's peers by comparing integers.
-    peer_group: Vec<u32>,
+    /// The service classes `class_of` indexes.
+    classes: Arc<ClassTable>,
     /// Each position's index into `classes`.
     class_of: Vec<u32>,
     /// Most recent reading (or estimate) per position.
@@ -218,9 +215,10 @@ pub struct LeafController {
 
 impl LeafController {
     /// Creates a controller protecting one leaf device. Only each
-    /// handle's id and an index into the leaf's table of distinct
-    /// service classes are kept; two servers are estimation peers when
-    /// their services have the same name.
+    /// handle's id and an index into a table of the leaf's distinct
+    /// service classes, in order of first appearance, are kept; two
+    /// servers are estimation peers when their services have the same
+    /// name.
     ///
     /// # Panics
     ///
@@ -228,14 +226,8 @@ impl LeafController {
     /// control is a configuration error — or names a server twice,
     /// which would count its draw twice.
     pub fn new(name: impl Into<Arc<str>>, config: LeafConfig, servers: Vec<ServerHandle>) -> Self {
-        let name = name.into();
-        assert!(
-            !servers.is_empty(),
-            "leaf controller needs at least one server"
-        );
-        let n = servers.len();
-        let mut ids = Vec::with_capacity(n);
-        let mut class_of = Vec::with_capacity(n);
+        let mut ids = Vec::with_capacity(servers.len());
+        let mut class_of = Vec::with_capacity(servers.len());
         // A leaf runs a handful of services: scanning the classes seen
         // so far beats hashing every name.
         let mut classes: Vec<ServiceClass> = Vec::new();
@@ -247,15 +239,41 @@ impl LeafController {
             }
             ids.push(server_id);
         }
+        let classes = Arc::new(ClassTable::new(classes));
+        LeafController::with_classes(name, config, ids, classes, class_of)
+    }
+
+    /// Creates a controller protecting the servers `ids`, position
+    /// `pos` running class `class_of[pos]` of the shared `classes`:
+    /// what [`LeafController::new`] builds from handles, without a
+    /// handle or a class per server.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids` is empty, names a server twice, or is not as
+    /// long as `class_of`, or if a class index is out of the table.
+    pub fn with_classes(
+        name: impl Into<Arc<str>>,
+        config: LeafConfig,
+        ids: Vec<u32>,
+        classes: Arc<ClassTable>,
+        class_of: Vec<u32>,
+    ) -> Self {
+        let name = name.into();
+        assert!(!ids.is_empty(), "leaf controller needs at least one server");
+        assert_eq!(
+            ids.len(),
+            class_of.len(),
+            "leaf controller {name} needs one class index per server"
+        );
+        assert!(
+            class_of.iter().all(|&k| (k as usize) < classes.len()),
+            "leaf controller {name} is given a class outside its table"
+        );
         if let Some(dup) = first_duplicate(&ids) {
             panic!("leaf controller {name} is given server {dup} twice");
         }
-        let peer_group = (0..classes.len())
-            .map(|k| {
-                let earlier = classes[..k].iter().position(|c| c.name == classes[k].name);
-                earlier.unwrap_or(k) as u32
-            })
-            .collect();
+        let n = ids.len();
         // The most failed pulls a cycle can have and still be valid.
         let most_failures = ((n as f64 * MAX_FAILURE_FRAC) as usize).min(n);
         LeafController {
@@ -263,7 +281,6 @@ impl LeafController {
             config,
             ids,
             classes,
-            peer_group,
             class_of,
             last_power: vec![PowerSlot::NONE; n],
             active_caps: vec![PowerSlot::NONE; n],
@@ -499,7 +516,7 @@ impl LeafController {
             };
         }
         let mut estimated = 0;
-        let group = |i: usize| self.peer_group[self.class_of[i] as usize];
+        let group = |i: usize| self.classes.peer_group(self.class_of[i]);
         for &pos in &self.scratch_failed {
             let pos = pos as usize;
             if let Some(est) = estimate_for(group, &self.last_power, &self.scratch_readings, pos) {
@@ -529,7 +546,7 @@ impl LeafController {
                 let (leftover, dist_stats) = distribute_cut(
                     n,
                     |i| {
-                        let class = &self.classes[self.class_of[i] as usize];
+                        let class = self.classes.class(self.class_of[i]);
                         (class.priority, class.sla_min_cap)
                     },
                     |i| self.last_power[i].get().unwrap_or(Power::ZERO),

@@ -47,7 +47,9 @@ pub use distribution::{
 pub use leaf::{CycleOutcome, LeafConfig, LeafController, LeafTransport};
 pub use pi::{PiConfig, PiController, PiDecision};
 pub use threeband::{three_band_decision, BandDecision, ThreeBandConfig, PAPER_BANDS};
-pub use types::{Alert, CapCommand, ControlAction, PowerSlot, ServerHandle, ServiceClass};
+pub use types::{
+    Alert, CapCommand, ClassTable, ControlAction, PowerSlot, ServerHandle, ServiceClass,
+};
 pub use upper::{
     ChildDirective, ChildReport, CoordinationPolicy, UpperConfig, UpperController, UpperOutcome,
 };

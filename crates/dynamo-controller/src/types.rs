@@ -39,6 +39,54 @@ impl ServiceClass {
     }
 }
 
+/// The distinct service classes a set of leaf controllers draw on,
+/// shared behind an `Arc` so that a controller keeps one class index
+/// per server and no class of its own. Two classes are estimation peers
+/// (§III-C1) when their services have the same name.
+#[derive(Debug)]
+pub struct ClassTable {
+    classes: Vec<ServiceClass>,
+    /// Each class's estimation group: the first class with the same
+    /// service name, so peers are found by comparing integers.
+    peer_group: Vec<u32>,
+}
+
+impl ClassTable {
+    /// A table over `classes`, indexed in the given order.
+    pub fn new(classes: Vec<ServiceClass>) -> Self {
+        let peer_group = (0..classes.len())
+            .map(|k| {
+                let earlier = classes[..k].iter().position(|c| c.name == classes[k].name);
+                earlier.unwrap_or(k) as u32
+            })
+            .collect();
+        ClassTable {
+            classes,
+            peer_group,
+        }
+    }
+
+    /// Number of classes.
+    pub fn len(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// Whether the table has no class.
+    pub fn is_empty(&self) -> bool {
+        self.classes.is_empty()
+    }
+
+    /// Class `k`.
+    pub fn class(&self, k: u32) -> &ServiceClass {
+        &self.classes[k as usize]
+    }
+
+    /// Class `k`'s estimation group.
+    pub fn peer_group(&self, k: u32) -> u32 {
+        self.peer_group[k as usize]
+    }
+}
+
 /// An `Option<Power>` in eight bytes — a reading, an estimate or a cap,
 /// or none — so a leaf controller's per-server columns are one `f64`
 /// each where an `Option<Power>` is sixteen bytes. An [`OptF64`] of

@@ -346,8 +346,7 @@ impl DatacenterBuilder {
 
         let mut sensor_rng = rng.split("sensors");
         let fleet_rng = rng.split("fleet");
-        let service_of = |sid: u32| crate::service_class_of(services[sid as usize]);
-        let system = DynamoSystem::build(&topo, &service_of, self.system, &mut rng.split("system"));
+        let system = DynamoSystem::build(&topo, &services, self.system, &mut rng.split("system"));
 
         // The fleet is built straight into the control plane's leaves,
         // each server's configuration drawn as the build reaches it (in
@@ -433,12 +432,15 @@ fn assign_services(topo: &Topology, plan: &ServicePlan, rng: &mut SimRng) -> Vec
             let mut services = vec![ServiceKind::Web; n];
             for rpp in topo.devices_at(DeviceLevel::Rpp) {
                 let row = topo.servers_under(rpp);
-                let mut block_iter = blocks
+                let blocks = blocks
                     .iter()
                     .flat_map(|&(kind, count)| std::iter::repeat_n(kind, count))
                     .cycle();
-                for sid in row {
-                    services[sid as usize] = block_iter.next().expect("cycled iterator never ends");
+                for (service, kind) in services[row.start as usize..row.end as usize]
+                    .iter_mut()
+                    .zip(blocks)
+                {
+                    *service = kind;
                 }
             }
             services

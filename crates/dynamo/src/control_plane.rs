@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
-use dynamo_controller::ServiceClass;
 use dynobs::ObsConfig;
 use dynrpc::LinkProfile;
 use powerinfra::{DeviceId, Power, Topology};
+use workloads::ServiceKind;
 
 use crate::events::{collect_due, load_tier, save_tier, tier_schedules, ControllerEvent};
 use crate::failover::Failover;
@@ -107,20 +107,22 @@ pub struct DynamoSystem {
 }
 
 impl DynamoSystem {
-    /// Builds the controller hierarchy for `topo`, using `service_of`
-    /// to fetch the controller-facing metadata of each server.
+    /// Builds the controller hierarchy for `topo`, server `i` running
+    /// `services[i]`, whose controller-facing metadata is
+    /// [`crate::service_class_of`].
     ///
     /// # Panics
     ///
-    /// Panics if the topology has no RPP devices.
+    /// Panics if the topology has no RPP devices, or if `services` does
+    /// not name one service per server.
     pub fn build(
         topo: &Topology,
-        service_of: &dyn Fn(u32) -> ServiceClass,
+        services: &[ServiceKind],
         config: SystemConfig,
         rng: &mut SimRng,
     ) -> Self {
         let obs = Observability::new(&config.obs);
-        let leaves = LeafTier::build(topo, service_of, &config, rng, &obs);
+        let leaves = LeafTier::build(topo, services, &config, rng, &obs);
         let uppers = UpperTier::build(topo, &leaves);
         let leaf_cycles = tier_schedules(LEAF_PERIOD, config.phase_spread, leaves.len());
         let upper_cycles = tier_schedules(UPPER_PERIOD, config.phase_spread, uppers.len());

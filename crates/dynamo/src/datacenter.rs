@@ -99,8 +99,7 @@ pub struct Datacenter {
 /// Where one device's subtree sits in the fleet's id space, fixed at
 /// assembly, and how its power is read on the tick.
 struct Subtree {
-    /// The servers the device feeds: always one contiguous ascending id
-    /// range ([`Datacenter::assemble`] asserts it).
+    /// The servers the device feeds: its [`powerinfra::Device::servers`].
     servers: Range<u32>,
     /// The fleet leaves overlapping `servers`.
     leaves: Range<usize>,
@@ -130,21 +129,17 @@ struct Subtree {
 const NEVER_FOLDED: u64 = u64::MAX;
 
 impl Subtree {
-    /// Locates the subtree feeding `ids` (ascending) among the fleet's
-    /// leaf `spans`.
+    /// Locates the subtree feeding `servers` among the fleet's leaf
+    /// `spans`.
     ///
     /// # Panics
     ///
-    /// Panics, naming the device, unless `ids` is one contiguous
-    /// ascending range that whole leaves tile or one leaf contains —
-    /// the only shapes [`powerinfra::TopologyBuilder`] lays out.
-    fn locate(name: &str, ids: &[u32], spans: &[Range<usize>]) -> Subtree {
-        let start = ids.first().copied().unwrap_or(0);
-        assert!(
-            !ids.is_empty() && ids.iter().zip(start..).all(|(&sid, k)| sid == k),
-            "device {name} does not feed one contiguous ascending server range"
-        );
-        let (lo, hi) = (start as usize, start as usize + ids.len());
+    /// Panics, naming the device, unless `servers` is a non-empty range
+    /// that whole leaves tile or one leaf contains — the only shapes
+    /// [`powerinfra::TopologyBuilder`] lays out.
+    fn locate(name: &str, servers: Range<u32>, spans: &[Range<usize>]) -> Subtree {
+        assert!(!servers.is_empty(), "device {name} feeds no servers");
+        let (lo, hi) = (servers.start as usize, servers.end as usize);
         let leaves =
             spans.partition_point(|s| s.end <= lo)..spans.partition_point(|s| s.start < hi);
         let tiled = spans[leaves.start].start == lo && spans[leaves.end - 1].end == hi;
@@ -153,7 +148,7 @@ impl Subtree {
             "device {name} is neither tiled by whole leaves nor inside one leaf"
         );
         Subtree {
-            servers: start..hi as u32,
+            servers,
             leaves,
             tiled,
             memo_w: 0.0,
@@ -195,7 +190,7 @@ impl Datacenter {
         );
         let subtrees = topo
             .iter()
-            .map(|d| Subtree::locate(&d.name, &topo.servers_under(d.id), spans))
+            .map(|d| Subtree::locate(&d.name, d.servers.clone(), spans))
             .collect();
         Datacenter {
             topo,
@@ -792,7 +787,7 @@ pub(crate) mod tests {
     /// leaves from the control plane.
     fn independent_draw(dc: &Datacenter, d: DeviceId) -> f64 {
         let ids = dc.topo.servers_under(d);
-        let (lo, hi) = (ids[0] as usize, ids[ids.len() - 1] as usize + 1);
+        let (lo, hi) = (ids.start as usize, ids.end as usize);
         let flat =
             |r: Range<usize>| -> f64 { r.map(|s| dc.fleet.power_of(s as u32).as_watts()).sum() };
         let spans = dc.system.leaf_spans();
@@ -1304,15 +1299,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "device rack-x does not feed one contiguous")]
-    fn a_subtree_with_a_gap_panics_naming_the_device() {
-        Subtree::locate("rack-x", &[4, 5, 7], &[0..4, 4..8]);
+    #[should_panic(expected = "device rack-x feeds no servers")]
+    fn a_subtree_feeding_no_servers_panics_naming_the_device() {
+        Subtree::locate("rack-x", 4..4, &[0..4, 4..8]);
     }
 
     #[test]
     #[should_panic(expected = "device pdu-y is neither tiled")]
     fn a_subtree_straddling_leaves_panics_naming_the_device() {
-        Subtree::locate("pdu-y", &[2, 3, 4, 5], &[0..4, 4..8]);
+        Subtree::locate("pdu-y", 2..6, &[0..4, 4..8]);
     }
 
     /// Observability converts round trips the unobserved run never

@@ -177,8 +177,8 @@ pub(super) fn put_bit(words: &mut [u64], i: usize, v: bool) {
 }
 
 /// The batching key: servers with equal keys share every hoisted
-/// constant of the demand loop. Stable-sorting a leaf by this key
-/// groups its servers into maximal runs.
+/// constant of the demand loop. Sorting a leaf by this key, ties in id
+/// order, groups its servers into maximal runs.
 fn run_key(config: &ServerConfig, service: ServiceKind) -> (u8, u8, u8, u64, u64) {
     let turbo = config.turbo;
     (
@@ -261,14 +261,18 @@ impl LeafColumns {
         self.power_epoch += 1;
     }
 
-    /// Sorts the leaf's positions by run key (stable, so equal keys
-    /// keep id order) and scans them into runs. `services` is the
-    /// leaf's, in id order; `model_ix` must already be in place.
+    /// Sorts the leaf's positions by run key (equal keys keep id
+    /// order) and scans them into runs, computing each server's key
+    /// once. `services` is the leaf's, in id order; `model_ix` must
+    /// already be in place.
     pub(super) fn lay_out(&mut self, models: &[Arc<ServerModel>], services: &[ServiceKind]) {
         let model = |id: u32| &models[self.model_ix[id as usize] as usize];
-        let key = |id: u32| run_key(model(id).config(), services[id as usize]);
+        let keys: Vec<_> = (0..self.len() as u32)
+            .map(|id| run_key(model(id).config(), services[id as usize]))
+            .collect();
+        let key = |id: u32| keys[id as usize];
         let mut perm = std::mem::take(&mut self.perm);
-        perm.sort_by_key(|&id| key(id));
+        perm.sort_unstable_by_key(|&id| (key(id), id));
         let mut runs = Vec::new();
         let mut start = 0;
         for pos in 1..=perm.len() {
@@ -440,17 +444,15 @@ pub(super) fn start(
     models: &[Arc<ServerModel>],
     wl_streams: &mut SimRng,
 ) {
-    let mut by_id: Vec<SimRng> = Vec::new();
     for leaf in leaves.iter_mut() {
-        by_id.clear();
-        by_id.extend(leaf.span().map(|sid| wl_streams.split_index(sid as u64)));
-        leaf.wl_rng = leaf
-            .perm
-            .iter()
-            .map(|&id| by_id[id as usize].clone())
-            .collect();
+        // Every slot is overwritten: the splits run in id order and each
+        // lands at its server's position.
+        let mut wl_rng = vec![wl_streams.clone(); leaf.len()];
+        for (id, sid) in leaf.span().enumerate() {
+            wl_rng[leaf.inv[id] as usize] = wl_streams.split_index(sid as u64);
+        }
+        leaf.wl_rng = wl_rng;
     }
-    drop(by_id);
     let no_burst = workloads::kernel::burst_to_columns(None);
     fill(leaves, |l| &mut l.wl_noise, |_, _| 0.0);
     fill(leaves, |l| &mut l.wl_burst_until, |_, _| no_burst.0);

@@ -45,12 +45,13 @@ use std::sync::Arc;
 use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{SimDuration, SimRng, SimTime};
 use dynamo_controller::{
-    ControlAction, LeafConfig, LeafController, LeafTransport, PowerSlot, ServerHandle, ServiceClass,
+    ClassTable, ControlAction, LeafConfig, LeafController, LeafTransport, PowerSlot,
 };
 use dynobs::{Band, HistogramRecorder, Prebucketed, Shard};
 use dynpool::WorkerPool;
 use dynrpc::{AgentEndpoint, Network, Request, Response, RpcError, RttTable};
 use powerinfra::{DeviceId, DeviceLevel, Power, Topology};
+use workloads::ServiceKind;
 
 use crate::control_plane::SystemConfig;
 use crate::events::{ControllerEvent, ControllerEventKind};
@@ -130,40 +131,60 @@ struct RttRecording {
 
 impl LeafTier {
     /// Builds one leaf controller per RPP in `topo`, in device order,
-    /// each recording into its own shard of `obs`.
+    /// each recording into its own shard of `obs`. Server `i` runs
+    /// `services[i]`; every controller indexes one shared table of the
+    /// [`crate::service_class_of`] every service kind maps to.
     ///
     /// # Panics
     ///
-    /// Panics if the topology has no RPP devices, or if the leaves'
-    /// servers do not tile the fleet contiguously in leaf order
+    /// Panics if the topology has no RPP devices, if `services` does
+    /// not name one service per server, or if the leaves' servers do
+    /// not tile the fleet contiguously in leaf order
     /// ([`powerinfra::TopologyBuilder`] always lays them out that way).
     pub(crate) fn build(
         topo: &Topology,
-        service_of: &dyn Fn(u32) -> ServiceClass,
+        services: &[ServiceKind],
         config: &SystemConfig,
         rng: &mut SimRng,
         obs: &Observability,
     ) -> Self {
         let devices = topo.devices_at(DeviceLevel::Rpp);
         assert!(!devices.is_empty(), "topology has no RPPs to protect");
+        assert_eq!(
+            services.len(),
+            topo.server_count(),
+            "the control plane needs one service per server"
+        );
+        let spans = tile_leaf_spans(
+            devices
+                .iter()
+                .map(|&rpp| (topo.device(rpp).name.as_str(), topo.servers_under(rpp))),
+            topo.server_count(),
+        );
+        let classes = Arc::new(ClassTable::new(
+            ServiceKind::all().map(crate::service_class_of).to_vec(),
+        ));
 
-        let mut leaves = Vec::new();
-        let mut index_of = HashMap::new();
-        for &rpp in &devices {
+        let mut leaves = Vec::with_capacity(devices.len());
+        let mut index_of = HashMap::with_capacity(devices.len());
+        for (&rpp, span) in devices.iter().zip(&spans) {
             let dev = topo.device(rpp);
-            let servers: Vec<ServerHandle> = topo
-                .servers_under(rpp)
-                .into_iter()
-                .map(|sid| ServerHandle {
-                    server_id: sid,
-                    service: service_of(sid),
-                })
+            let ids = (span.start as u32..span.end as u32).collect();
+            let class_of = services[span.clone()]
+                .iter()
+                .map(|k| k.index() as u32)
                 .collect();
             let mut leaf_config = LeafConfig::new(dev.rating);
             leaf_config.dry_run = config.dry_run;
             index_of.insert(rpp, leaves.len());
             leaves.push(Leaf {
-                controller: LeafController::new(dev.name.clone(), leaf_config, servers),
+                controller: LeafController::with_classes(
+                    dev.name.as_str(),
+                    leaf_config,
+                    ids,
+                    Arc::clone(&classes),
+                    class_of,
+                ),
                 network: Network::new(config.rpc, rng.split(&dev.name)),
                 last_aggregate: Power::ZERO,
                 quota: dev.quota,
@@ -175,7 +196,6 @@ impl LeafTier {
                 events: Vec::new(),
             });
         }
-        let spans = tile_leaf_spans(leaves.iter().map(|l| &l.controller), topo.server_count());
         let rtt = obs.is_enabled().then(|| RttRecording {
             table: RttTable::new(&config.rpc),
             buckets: rtt_buckets(obs),
@@ -632,9 +652,9 @@ impl LeafTransport for LeafLink<'_, '_> {
     /// loop on one stream and a loop of independent reads.
     fn pull(&mut self, ids: &[u32], readings: &mut [PowerSlot], failed: &mut Vec<u32>) {
         // The leaf's ids are exactly its contiguous server-id span, in
-        // order — [`tile_leaf_spans`] asserts it when the tier is built
-        // — so both passes count ids up from the span's start instead
-        // of streaming the id column through the cache.
+        // order — the tier builds them from it — so both passes count
+        // ids up from the span's start instead of streaming the id
+        // column through the cache.
         let span = self.agents.server_ids();
         assert_eq!(ids.len(), span.len(), "leaf ids are not its span");
         debug_assert!(ids.iter().copied().eq(span.clone()));
@@ -659,8 +679,8 @@ impl LeafTransport for LeafLink<'_, '_> {
     }
 }
 
-/// Each leaf's server ids as one contiguous ascending range, the ranges
-/// tiling `0..server_count` in leaf order — the precondition for
+/// Each named leaf's server range as a fleet span, checking that the
+/// ranges tile `0..server_count` in leaf order — the precondition for
 /// partitioning the fleet into one leaf per controller.
 /// [`powerinfra::TopologyBuilder`], the only way to construct a
 /// topology, always lays servers out this way.
@@ -669,25 +689,21 @@ impl LeafTransport for LeafLink<'_, '_> {
 ///
 /// Panics, naming the offending leaf, if the layout is anything else.
 fn tile_leaf_spans<'a>(
-    controllers: impl IntoIterator<Item = &'a LeafController>,
+    leaves: impl IntoIterator<Item = (&'a str, Range<u32>)>,
     server_count: usize,
 ) -> Vec<Range<usize>> {
     let mut next = 0usize;
-    let spans = controllers
+    let spans = leaves
         .into_iter()
-        .map(|c| {
-            let start = next;
-            for &sid in c.server_ids() {
-                assert_eq!(
-                    sid as usize,
-                    next,
-                    "leaf {} does not own a contiguous server range in leaf order",
-                    c.name_shared()
-                );
-                next += 1;
-            }
-            assert!(next > start, "leaf {} has no servers", c.name_shared());
-            start..next
+        .map(|(name, servers)| {
+            let span = servers.start as usize..servers.end as usize;
+            assert_eq!(
+                span.start, next,
+                "leaf {name} does not own a contiguous server range in leaf order"
+            );
+            assert!(!span.is_empty(), "leaf {name} has no servers");
+            next = span.end;
+            span
         })
         .collect();
     assert_eq!(next, server_count, "leaf spans must cover the fleet");
@@ -697,17 +713,6 @@ fn tile_leaf_spans<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn leaf(name: &str, ids: &[u32]) -> LeafController {
-        let servers = ids
-            .iter()
-            .map(|&server_id| ServerHandle {
-                server_id,
-                service: ServiceClass::new("web", 1, Power::from_watts(200.0)),
-            })
-            .collect();
-        LeafController::new(name, LeafConfig::new(Power::from_kilowatts(100.0)), servers)
-    }
 
     /// A [`LeafLink`] stripped of its `pull` override: the same per-call
     /// method under the trait's provided per-server loop.
@@ -941,25 +946,25 @@ mod tests {
 
     #[test]
     fn contiguous_leaves_tile_the_fleet() {
-        let leaves = [leaf("a", &[0, 1, 2]), leaf("b", &[3, 4]), leaf("c", &[5])];
-        assert_eq!(tile_leaf_spans(&leaves, 6), vec![0..3, 3..5, 5..6]);
+        let leaves = [("a", 0..3), ("b", 3..5), ("c", 5..6)];
+        assert_eq!(tile_leaf_spans(leaves, 6), vec![0..3, 3..5, 5..6]);
     }
 
     #[test]
     #[should_panic(expected = "leaf rpp-b does not own a contiguous server range")]
     fn a_gap_names_the_offending_leaf() {
-        tile_leaf_spans(&[leaf("rpp-a", &[0, 1]), leaf("rpp-b", &[3, 4])], 5);
+        tile_leaf_spans([("rpp-a", 0..2), ("rpp-b", 3..5)], 5);
     }
 
     #[test]
     #[should_panic(expected = "leaf rpp-b does not own a contiguous server range")]
-    fn interleaved_leaves_name_the_offending_leaf() {
-        tile_leaf_spans(&[leaf("rpp-a", &[0, 1]), leaf("rpp-b", &[3, 2])], 4);
+    fn overlapping_leaves_name_the_offending_leaf() {
+        tile_leaf_spans([("rpp-a", 0..2), ("rpp-b", 1..4)], 4);
     }
 
     #[test]
     #[should_panic(expected = "leaf spans must cover the fleet")]
     fn a_short_tiling_panics() {
-        tile_leaf_spans(&[leaf("rpp-a", &[0, 1, 2])], 4);
+        tile_leaf_spans([("rpp-a", 0..3)], 4);
     }
 }

@@ -117,10 +117,9 @@ fn build_with(obs: ObsConfig) -> (Fleet, DynamoSystem) {
         obs,
         ..SystemConfig::default()
     };
-    let service_of = |_: u32| dynamo::service_class_of(ServiceKind::Web);
     let system = DynamoSystem::build(
         &topo,
-        &service_of,
+        &services,
         config,
         &mut SimRng::seed_from(11).split("sys"),
     );
@@ -593,20 +592,22 @@ fn site_topology() -> Topology {
 }
 
 /// Live heap bytes of the site's control plane right after it is built
-/// (58.6 B a server): per server an id, a service-class index and three
+/// (54.8 B a server): per server an id, a service-class index and three
 /// eight-byte power slots (reading, cap, scratch) — 32 B — plus per
 /// leaf its controller, network link, recording shard and a failed-pull
-/// list sized for the most failures a valid cycle can have (~4.2 KB).
+/// list sized for the most failures a valid cycle can have (~3.6 KB),
+/// and one class table for all the leaves.
 /// Growth fails the gate; a change that adds per-server state on
 /// purpose re-baselines it in the same diff (DESIGN.md §7, "What a
 /// server costs").
-const SITE_CONTROL_PLANE_BYTES: u64 = 7_206_773;
+const SITE_CONTROL_PLANE_BYTES: u64 = 6_735_850;
 
-/// Live heap bytes of the rest of the built site (182.3 B a server) —
+/// Live heap bytes of the rest of the built site (170.6 B a server) —
 /// the fleet's columns (~157 B a server, two 40-byte RNG streams among
-/// them), topology, subtrees, breakers, telemetry and validator — under
-/// the same discipline.
-const SITE_FLEET_BYTES: u64 = 22_404_471;
+/// them), topology (a server-id range per device, no per-server list),
+/// subtrees, breakers, telemetry and validator — under the same
+/// discipline.
+const SITE_FLEET_BYTES: u64 = 20_963_304;
 
 /// The memory a site datacenter costs once built, split into control
 /// plane and fleet, against the baked constants; and the build's
@@ -616,11 +617,11 @@ const SITE_FLEET_BYTES: u64 = 22_404_471;
 /// habits of returning memory.
 fn site_build_footprint_has_not_grown() {
     let topo = site_topology();
-    let service_of = |_: u32| dynamo::service_class_of(ServiceKind::Web);
+    let services = vec![ServiceKind::Web; topo.server_count()];
     let (system, control_plane, _) = live_and_peak(|| {
         DynamoSystem::build(
             &topo,
-            &service_of,
+            &services,
             SystemConfig::default(),
             &mut SimRng::seed_from(0),
         )
@@ -651,11 +652,48 @@ fn site_build_footprint_has_not_grown() {
     );
 }
 
+/// Heap allocations a site build may make per power device.
+const SITE_BUILD_ALLOCS_PER_DEVICE: u64 = 12;
+
+/// Building a datacenter allocates per device and per leaf, never per
+/// server: every device feeds a server-id range, and nothing on the
+/// build path makes a handle, a class or a string per server. The
+/// site's build stays under [`SITE_BUILD_ALLOCS_PER_DEVICE`] allocations
+/// a device, and doubling the servers behind each rack moves the count
+/// by under 1%.
+fn site_build_allocations_scale_with_devices() {
+    let devices = site_topology().device_count() as u64;
+    let count = |servers_per_rack: usize| {
+        let builder = site().servers_per_rack(servers_per_rack);
+        let mut dc = None;
+        let allocs = count_allocs(|| dc = Some(builder.build()));
+        drop(dc);
+        allocs
+    };
+    let (at_40, at_80) = (count(40), count(80));
+    println!(
+        "alloc::site_build_allocations: {at_40} for {devices} devices at 40 servers a rack, \
+         {at_80} at 80"
+    );
+    assert!(
+        at_40 <= SITE_BUILD_ALLOCS_PER_DEVICE * devices,
+        "building the site made {at_40} allocations for {devices} devices"
+    );
+    assert!(
+        at_40.abs_diff(at_80) as f64 <= 0.01 * at_40 as f64,
+        "doubling the servers a rack moved the build's allocations from {at_40} to {at_80}"
+    );
+}
+
 fn main() {
     let cases: &[(&str, fn())] = &[
         (
             "site_build_footprint_has_not_grown",
             site_build_footprint_has_not_grown,
+        ),
+        (
+            "site_build_allocations_scale_with_devices",
+            site_build_allocations_scale_with_devices,
         ),
         (
             "steady_state_leaf_ticks_do_not_allocate",

@@ -3,7 +3,7 @@
 //! failover, staged rollout, and operator overrides.
 
 use dcsim::{SimDuration, SimRng, SimTime};
-use dynamo::{service_class_of, ControllerEventKind, DynamoSystem, Fleet, SystemConfig};
+use dynamo::{ControllerEventKind, DynamoSystem, Fleet, SystemConfig};
 use powerinfra::{DeviceLevel, Power, Topology, TopologyBuilder};
 use serverpower::{ServerConfig, ServerGeneration};
 use workloads::ServiceKind;
@@ -17,13 +17,10 @@ fn topo() -> Topology {
         .build()
 }
 
-fn service_of(_sid: u32) -> dynamo_controller::ServiceClass {
-    service_class_of(ServiceKind::Web)
-}
-
 fn build_system(topo: &Topology, config: SystemConfig) -> DynamoSystem {
     let mut rng = SimRng::seed_from(1);
-    DynamoSystem::build(topo, &service_of, config, &mut rng)
+    let services = vec![ServiceKind::Web; topo.server_count()];
+    DynamoSystem::build(topo, &services, config, &mut rng)
 }
 
 /// A fleet of `n` servers in the leaves of `spans`.

@@ -1,5 +1,7 @@
 //! Power devices and hierarchy levels.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::breaker::Breaker;
@@ -117,10 +119,10 @@ pub struct Device {
     pub parent: Option<DeviceId>,
     /// Child power devices (empty for racks).
     pub children: Vec<DeviceId>,
-    /// Servers attached below this device. Populated for racks; empty for
-    /// higher levels (use [`crate::Topology::servers_under`] to collect
-    /// transitively).
-    pub servers: Vec<u32>,
+    /// The servers this device feeds, transitively: one contiguous id
+    /// range at every level, which its children's ranges tile in child
+    /// order ([`crate::Topology::validate`] checks it).
+    pub servers: Range<u32>,
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The power delivery device tree.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -9,7 +9,10 @@ use crate::device::{Device, DeviceId, DeviceLevel};
 use crate::units::Power;
 
 /// The full power delivery hierarchy of (part of) a datacenter:
-/// MSBs → SBs → RPPs → racks, with servers hanging off racks.
+/// MSBs → SBs → RPPs → racks, with servers hanging off racks. Every
+/// device feeds one contiguous block of server ids, its
+/// [`Device::servers`], which its children's blocks tile in child order
+/// and the roots' blocks tile from server 0.
 ///
 /// Built with [`TopologyBuilder`]; immutable in shape afterwards (breaker
 /// state is the only mutable part, via [`Topology::device_mut`]).
@@ -30,8 +33,6 @@ use crate::units::Power;
 pub struct Topology {
     devices: Vec<Device>,
     roots: Vec<DeviceId>,
-    /// Rack device for every server id.
-    server_racks: Vec<DeviceId>,
 }
 
 impl Topology {
@@ -95,29 +96,31 @@ impl Topology {
 
     /// Number of servers in the whole topology.
     pub fn server_count(&self) -> usize {
-        self.server_racks.len()
+        self.roots
+            .last()
+            .map_or(0, |&r| self.device(r).servers.end as usize)
     }
 
-    /// The rack a server is mounted in.
+    /// The rack a server is mounted in: the device whose range holds it
+    /// at each level, from its root down.
     ///
     /// # Panics
     ///
     /// Panics if `server` is out of range.
     pub fn rack_of(&self, server: u32) -> DeviceId {
-        self.server_racks[server as usize]
+        let holder =
+            |ids: &[DeviceId]| ids[ids.partition_point(|&d| self.device(d).servers.end <= server)];
+        let mut id = holder(&self.roots);
+        while !self.device(id).children.is_empty() {
+            id = holder(&self.device(id).children);
+        }
+        id
     }
 
-    /// All servers fed (transitively) by `id`, in ascending id order.
-    pub fn servers_under(&self, id: DeviceId) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(d) = stack.pop() {
-            let dev = self.device(d);
-            out.extend_from_slice(&dev.servers);
-            stack.extend_from_slice(&dev.children);
-        }
-        out.sort_unstable();
-        out
+    /// All servers fed (transitively) by `id`: one contiguous ascending
+    /// id range.
+    pub fn servers_under(&self, id: DeviceId) -> Range<u32> {
+        self.device(id).servers.clone()
     }
 
     /// The chain of devices from `id` up to (and including) its root.
@@ -157,15 +160,14 @@ impl Topology {
     fn render_node(&self, id: DeviceId, depth: usize, out: &mut String) {
         let device = self.device(id);
         let indent = "  ".repeat(depth);
-        let servers = device.servers.len();
         out.push_str(&format!(
             "{indent}{} [{}]  rating {}  quota {}{}\n",
             device.level.label(),
             device.name,
             device.rating,
             device.quota,
-            if servers > 0 {
-                format!("  ({servers} servers + DCUPS)")
+            if device.level == DeviceLevel::Rack {
+                format!("  ({} servers + DCUPS)", device.servers.len())
             } else {
                 String::new()
             },
@@ -187,7 +189,9 @@ impl Topology {
     /// [`TopologyBuilder::build`] in debug builds.
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        let mut seen_servers: HashMap<u32, DeviceId> = HashMap::new();
+        if let Err(gap) = self.tile_end(0, &self.roots) {
+            problems.push(format!("roots do not tile the servers: {gap}"));
+        }
         for dev in &self.devices {
             if dev.rating.as_watts() <= 0.0 {
                 problems.push(format!("{}: non-positive rating {}", dev.name, dev.rating));
@@ -217,33 +221,41 @@ impl Topology {
                     dev.name
                 ));
             }
-            if dev.level != DeviceLevel::Rack && !dev.servers.is_empty() {
-                problems.push(format!(
-                    "{}: non-rack device hosts servers directly",
+            if dev.servers.is_empty() {
+                problems.push(format!("{}: feeds no servers", dev.name));
+            }
+            if dev.children.is_empty() {
+                continue;
+            }
+            match self.tile_end(dev.servers.start, &dev.children) {
+                Ok(end) if end == dev.servers.end => {}
+                Ok(end) => problems.push(format!(
+                    "{}: its children's servers end at {end}, not {}",
+                    dev.name, dev.servers.end
+                )),
+                Err(gap) => problems.push(format!(
+                    "{}: its children do not tile its servers: {gap}",
                     dev.name
-                ));
+                )),
             }
-            for &s in &dev.servers {
-                if let Some(prev) = seen_servers.insert(s, dev.id) {
-                    problems.push(format!(
-                        "server {s} hosted by both {} and {}",
-                        self.device(prev).name,
-                        dev.name
-                    ));
-                }
-                if self.server_racks.get(s as usize) != Some(&dev.id) {
-                    problems.push(format!("server {s}: rack index out of sync"));
-                }
-            }
-        }
-        if seen_servers.len() != self.server_racks.len() {
-            problems.push(format!(
-                "server index claims {} servers, racks host {}",
-                self.server_racks.len(),
-                seen_servers.len()
-            ));
         }
         problems
+    }
+
+    /// Where the server ranges of `ids`, laid end to end in order from
+    /// `start`, end; or the first one that leaves a gap or overlaps.
+    fn tile_end(&self, start: u32, ids: &[DeviceId]) -> Result<u32, String> {
+        ids.iter().try_fold(start, |next, &id| {
+            let dev = self.device(id);
+            if dev.servers.start == next {
+                Ok(dev.servers.end)
+            } else {
+                Err(format!(
+                    "{} starts at server {}, not {next}",
+                    dev.name, dev.servers.start
+                ))
+            }
+        })
     }
 }
 
@@ -357,8 +369,9 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any count is zero or any rating non-positive, or (debug
-    /// builds) if the resulting tree fails validation.
+    /// Panics if any count is zero, any rating non-positive or the
+    /// servers overflow `u32` ids, or (debug builds) if the resulting
+    /// tree fails validation.
     pub fn build(self) -> Topology {
         assert!(
             self.suites > 0
@@ -381,55 +394,60 @@ impl TopologyBuilder {
             );
         }
 
-        let mut topo = Topology {
-            devices: Vec::new(),
-            roots: Vec::new(),
-            server_racks: Vec::new(),
-        };
-        let mut next_server: u32 = 0;
+        // Each device feeds the next block of its level's size.
+        let rack_servers = self.servers_per_rack;
+        let rpp_servers = rack_servers * self.racks_per_rpp;
+        let sb_servers = rpp_servers * self.rpps_per_sb;
+        let msb_servers = sb_servers * self.sbs_per_msb;
+        let total = msb_servers * self.msbs_per_suite * self.suites;
+        assert!(
+            u32::try_from(total).is_ok(),
+            "{total} servers overflow u32 server ids: {self:?}"
+        );
+        let block = |first: usize, len: usize| first as u32..(first + len) as u32;
+        let roots = self.suites * self.msbs_per_suite;
+        let per_root = 1 + self.sbs_per_msb * (1 + self.rpps_per_sb * (1 + self.racks_per_rpp));
 
+        let mut topo = Topology {
+            devices: Vec::with_capacity(roots * per_root),
+            roots: Vec::with_capacity(roots),
+        };
         for suite in 0..self.suites {
             for msb_i in 0..self.msbs_per_suite {
-                let msb = push_device(
+                let msb_first = (suite * self.msbs_per_suite + msb_i) * msb_servers;
+                let msb = self.push_device(
                     &mut topo,
                     format!("suite{suite}/msb{msb_i}"),
                     DeviceLevel::Msb,
-                    self.msb_rating,
-                    TripCurve::msb(),
                     None,
+                    block(msb_first, msb_servers),
                 );
                 for sb_i in 0..self.sbs_per_msb {
-                    let sb = push_device(
+                    let sb_first = msb_first + sb_i * sb_servers;
+                    let sb = self.push_device(
                         &mut topo,
                         format!("suite{suite}/msb{msb_i}/sb{sb_i}"),
                         DeviceLevel::Sb,
-                        self.sb_rating,
-                        TripCurve::sb(),
                         Some(msb),
+                        block(sb_first, sb_servers),
                     );
                     for rpp_i in 0..self.rpps_per_sb {
-                        let rpp = push_device(
+                        let rpp_first = sb_first + rpp_i * rpp_servers;
+                        let rpp = self.push_device(
                             &mut topo,
                             format!("suite{suite}/msb{msb_i}/sb{sb_i}/rpp{rpp_i}"),
                             DeviceLevel::Rpp,
-                            self.rpp_rating,
-                            TripCurve::rpp(),
                             Some(sb),
+                            block(rpp_first, rpp_servers),
                         );
                         for rack_i in 0..self.racks_per_rpp {
-                            let rack = push_device(
+                            self.push_device(
                                 &mut topo,
                                 format!("suite{suite}/msb{msb_i}/sb{sb_i}/rpp{rpp_i}/rack{rack_i}"),
                                 DeviceLevel::Rack,
-                                self.rack_rating,
-                                TripCurve::rack(),
                                 Some(rpp),
+                                block(rpp_first + rack_i * rack_servers, rack_servers),
                             );
-                            for _ in 0..self.servers_per_rack {
-                                topo.devices[rack.index()].servers.push(next_server);
-                                topo.server_racks.push(rack);
-                                next_server += 1;
-                            }
                         }
                     }
                 }
@@ -444,33 +462,42 @@ impl TopologyBuilder {
         );
         topo
     }
-}
 
-fn push_device(
-    topo: &mut Topology,
-    name: String,
-    level: DeviceLevel,
-    rating: Power,
-    curve: TripCurve,
-    parent: Option<DeviceId>,
-) -> DeviceId {
-    let id = DeviceId(topo.devices.len() as u32);
-    topo.devices.push(Device {
-        id,
-        name,
-        level,
-        rating,
-        quota: rating, // refined by assign_quotas
-        breaker: Breaker::new(rating, curve),
-        parent,
-        children: Vec::new(),
-        servers: Vec::new(),
-    });
-    match parent {
-        Some(p) => topo.devices[p.index()].children.push(id),
-        None => topo.roots.push(id),
+    /// Appends a `level` device with its configured rating and trip
+    /// curve, room for its children, under `parent` (a root when none),
+    /// feeding `servers`.
+    fn push_device(
+        &self,
+        topo: &mut Topology,
+        name: String,
+        level: DeviceLevel,
+        parent: Option<DeviceId>,
+        servers: Range<u32>,
+    ) -> DeviceId {
+        let (rating, curve, children) = match level {
+            DeviceLevel::Msb => (self.msb_rating, TripCurve::msb(), self.sbs_per_msb),
+            DeviceLevel::Sb => (self.sb_rating, TripCurve::sb(), self.rpps_per_sb),
+            DeviceLevel::Rpp => (self.rpp_rating, TripCurve::rpp(), self.racks_per_rpp),
+            DeviceLevel::Rack => (self.rack_rating, TripCurve::rack(), 0),
+        };
+        let id = DeviceId(topo.devices.len() as u32);
+        topo.devices.push(Device {
+            id,
+            name,
+            level,
+            rating,
+            quota: rating, // refined by assign_quotas
+            breaker: Breaker::new(rating, curve),
+            parent,
+            children: Vec::with_capacity(children),
+            servers,
+        });
+        match parent {
+            Some(p) => topo.devices[p.index()].children.push(id),
+            None => topo.roots.push(id),
+        }
+        id
     }
-    id
 }
 
 /// Sets each device's quota (planned peak) to an equal share of its
@@ -541,7 +568,7 @@ mod tests {
         let rpp = topo.devices_at(DeviceLevel::Rpp)[0];
         assert_eq!(topo.servers_under(rpp).len(), 2 * 3);
         let rack = topo.devices_at(DeviceLevel::Rack)[0];
-        assert_eq!(topo.servers_under(rack), vec![0, 1, 2]);
+        assert_eq!(topo.servers_under(rack), 0..3);
     }
 
     #[test]
@@ -633,6 +660,20 @@ mod tests {
         topo.device_mut(root).quota = Power::from_megawatts(99.0);
         let problems = topo.validate();
         assert!(problems.iter().any(|p| p.contains("quota")), "{problems:?}");
+    }
+
+    #[test]
+    fn validate_detects_a_gap_between_siblings() {
+        let mut topo = small();
+        let rack = topo.devices_at(DeviceLevel::Rack)[1];
+        topo.device_mut(rack).servers = 4..6;
+        let problems = topo.validate();
+        assert!(
+            problems
+                .iter()
+                .any(|p| p.contains("suite0/msb0/sb0/rpp0: its children do not tile")),
+            "{problems:?}"
+        );
     }
 
     #[test]

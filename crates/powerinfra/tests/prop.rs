@@ -2,7 +2,9 @@
 //! deterministic [`SimRng`] stream.
 
 use dcsim::{SimDuration, SimRng};
-use powerinfra::{Breaker, BreakerStatus, Power, TopologyBuilder, TripCurve};
+use powerinfra::{
+    Breaker, BreakerStatus, DeviceId, DeviceLevel, Power, Topology, TopologyBuilder, TripCurve,
+};
 
 /// A breaker fed any waveform that never exceeds its rating never
 /// leaves Nominal, and its thermal state stays at zero-ish.
@@ -103,6 +105,83 @@ fn built_topologies_validate() {
         for dev in topo.iter() {
             assert!(dev.quota <= dev.rating);
         }
+    }
+}
+
+/// A random shape of up to 2 suites × 2 MSBs × 3 SBs × 3 RPPs × 3
+/// racks × 12 servers.
+fn random_topology(rng: &mut SimRng) -> Topology {
+    let mut count = |most: u64| 1 + rng.next_below(most) as usize;
+    TopologyBuilder::new()
+        .suites(count(2))
+        .msbs_per_suite(count(2))
+        .sbs_per_msb(count(3))
+        .rpps_per_sb(count(3))
+        .racks_per_rpp(count(3))
+        .servers_per_rack(count(12))
+        .build()
+}
+
+/// What `servers_under` returned when racks listed their servers: the
+/// servers of every rack below `id`, collected transitively and sorted,
+/// with rack `k` (in id order) holding the `k`-th block of
+/// `servers_per_rack` ids.
+fn collected_servers(topo: &Topology, id: DeviceId, per_rack: u32) -> Vec<u32> {
+    let racks = topo.devices_at(DeviceLevel::Rack);
+    let mut out = Vec::new();
+    let mut stack = vec![id];
+    while let Some(d) = stack.pop() {
+        if let Some(k) = racks.iter().position(|&r| r == d) {
+            out.extend(k as u32 * per_rack..(k as u32 + 1) * per_rack);
+        }
+        stack.extend_from_slice(&topo.device(d).children);
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Every device's server range is what the transitive collect-and-sort
+/// returned, its children's ranges tile it in child order, the racks
+/// tile the whole fleet in id order, and `rack_of` inverts the rack
+/// ranges.
+#[test]
+fn server_ranges_tile_every_level() {
+    let mut rng = SimRng::seed_from(0x1F_4A).split("server-ranges");
+    for _ in 0..40 {
+        let topo = random_topology(&mut rng);
+        assert!(topo.validate().is_empty(), "{:?}", topo.validate());
+        let racks = topo.devices_at(DeviceLevel::Rack);
+        let per_rack = topo.device(racks[0]).servers.len() as u32;
+        for dev in topo.iter() {
+            let range = topo.servers_under(dev.id);
+            assert_eq!(range, dev.servers);
+            assert_eq!(
+                range.clone().collect::<Vec<u32>>(),
+                collected_servers(&topo, dev.id, per_rack),
+                "{}",
+                dev.name
+            );
+            let mut next = range.start;
+            for &c in &dev.children {
+                let child = topo.servers_under(c);
+                assert_eq!(child.start, next, "{}'s children leave a gap", dev.name);
+                assert!(!child.is_empty());
+                next = child.end;
+            }
+            if !dev.children.is_empty() {
+                assert_eq!(next, range.end, "{}'s children stop short", dev.name);
+            }
+        }
+        let mut next = 0;
+        for &rack in &racks {
+            let range = topo.servers_under(rack);
+            assert_eq!(range.start, next);
+            for s in range.clone() {
+                assert_eq!(topo.rack_of(s), rack);
+            }
+            next = range.end;
+        }
+        assert_eq!(next as usize, topo.server_count());
     }
 }
 

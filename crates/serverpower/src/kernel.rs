@@ -116,10 +116,13 @@ pub fn turbo_demand_batch(demand_w: &mut [f64], idle_w: f64, power_factor: f64) 
 /// Drawn power is *not* written here; it is `out_w[i] * alive[i]`, which
 /// callers compute while scattering results back to id order.
 ///
+/// One plain loop over `f64` masks: the scalar reference the fleet's
+/// [`step_batch_settled_bits`] is pinned against bitwise by the
+/// kernel-parity tests. No shipping path runs it.
+///
 /// # Panics
 ///
 /// Panics if the slices disagree in length.
-#[inline]
 pub fn step_batch(
     demand_w: &[f64],
     limit_w: &[f64],
@@ -128,12 +131,30 @@ pub fn step_batch(
     out_w: &mut [f64],
     alpha: f64,
 ) {
-    step_batch_settled(demand_w, limit_w, alive, not_init, out_w, alpha);
+    let n = demand_w.len();
+    assert_eq!(limit_w.len(), n);
+    assert_eq!(alive.len(), n);
+    assert_eq!(not_init.len(), n);
+    assert_eq!(out_w.len(), n);
+    for i in 0..n {
+        step_element(
+            demand_w[i],
+            limit_w[i],
+            alive[i],
+            &mut not_init[i],
+            &mut out_w[i],
+            alpha,
+        );
+    }
 }
 
-/// [`step_batch`] that additionally reports whether the pass was a
-/// *fixed point*: `true` iff no `out_w` or `not_init` element changed
-/// its bit pattern.
+/// The fleet's settle kernel: [`step_batch`] over *bit-packed* masks,
+/// reporting whether the pass was a *fixed point* — `true` iff no
+/// `out_w` or `not_init` element changed its bit pattern. `alive` and
+/// `not_init` arrive as one bit per server (bit `i % 64` of word
+/// `i / 64`, bit set ⇔ mask value `1.0`) instead of one `f64` each,
+/// cutting the mask traffic of the settle stride from 16 bytes per
+/// server to a quarter byte.
 ///
 /// A fixed-point pass is the exact floating-point identity, and because
 /// the kernel is a pure function of `(demand, limit, alive, state)`,
@@ -144,106 +165,22 @@ pub fn step_batch(
 /// away from `target` because the increment underflows the ulp of
 /// `out`.
 ///
-/// Runs in [`LANES`]-wide chunks with a scalar tail. Elementwise
-/// arithmetic is identical to [`step_batch_scalar`] (pinned bitwise by
-/// the kernel-parity tests); the per-lane change masks are OR-folded,
-/// which is associative and commutative on bits, so lane order cannot
-/// affect the result — the fixed-fold-order argument for cross-host
-/// determinism.
-pub fn step_batch_settled(
-    demand_w: &[f64],
-    limit_w: &[f64],
-    alive: &[f64],
-    not_init: &mut [f64],
-    out_w: &mut [f64],
-    alpha: f64,
-) -> bool {
-    let n = demand_w.len();
-    assert_eq!(limit_w.len(), n);
-    assert_eq!(alive.len(), n);
-    assert_eq!(not_init.len(), n);
-    assert_eq!(out_w.len(), n);
-    let mut changed = [0u64; LANES];
-    let whole = n - n % LANES;
-    for base in (0..whole).step_by(LANES) {
-        // Indexed on purpose: the `base + l` shape is what the
-        // autovectorizer recognizes as a lane loop.
-        #[allow(clippy::needless_range_loop)]
-        for l in 0..LANES {
-            let i = base + l;
-            changed[l] |= step_element(
-                demand_w[i],
-                limit_w[i],
-                alive[i],
-                &mut not_init[i],
-                &mut out_w[i],
-                alpha,
-            );
-        }
-    }
-    for i in whole..n {
-        changed[0] |= step_element(
-            demand_w[i],
-            limit_w[i],
-            alive[i],
-            &mut not_init[i],
-            &mut out_w[i],
-            alpha,
-        );
-    }
-    changed.iter().fold(0, |a, &c| a | c) == 0
-}
-
-/// Scalar reference implementation of [`step_batch_settled`]: one plain
-/// loop, no chunking. Not on any shipping path — it exists so the
-/// parity tests can pin scalar ≡ chunked bitwise.
-pub fn step_batch_scalar(
-    demand_w: &[f64],
-    limit_w: &[f64],
-    alive: &[f64],
-    not_init: &mut [f64],
-    out_w: &mut [f64],
-    alpha: f64,
-) -> bool {
-    let n = demand_w.len();
-    assert_eq!(limit_w.len(), n);
-    assert_eq!(alive.len(), n);
-    assert_eq!(not_init.len(), n);
-    assert_eq!(out_w.len(), n);
-    let mut changed = 0u64;
-    for i in 0..n {
-        changed |= step_element(
-            demand_w[i],
-            limit_w[i],
-            alive[i],
-            &mut not_init[i],
-            &mut out_w[i],
-            alpha,
-        );
-    }
-    changed == 0
-}
-
-/// [`step_batch_settled`] over *bit-packed* masks: `alive` and
-/// `not_init` arrive as one bit per server (bit `i % 64` of word
-/// `i / 64`, bit set ⇔ mask value `1.0`) instead of one `f64` each,
-/// cutting the mask traffic of the settle stride from 16 bytes per
-/// server to a quarter byte.
-///
-/// Bit-identity with the `f64`-mask kernel is by construction, not by
-/// rounding luck: each element's mask bits are materialized to exactly
-/// `0.0`/`1.0` and fed through the same `step_element` arithmetic, so
-/// every intermediate is the identical `f64` expression. The `not_init`
-/// write-back `ni *= 1 - alive` is computed word-wide as
+/// Bit-identity with the `f64`-mask [`step_batch`] is by construction,
+/// not by rounding luck: each element's mask bits are materialized to
+/// exactly `0.0`/`1.0` and fed through the same `step_element`
+/// arithmetic, so every intermediate is the identical `f64` expression.
+/// The `not_init` write-back `ni *= 1 - alive` is computed word-wide as
 /// `ni_word & !alive_word`, which is the same function on {0, 1}-valued
 /// masks (the products are exact).
 ///
 /// Tail bits of the last word (positions past `demand_w.len()`) must be
 /// zero in both mask words; they are preserved as written.
 ///
-/// Chunked like [`step_batch_settled`]: a word's 64 elements split
-/// evenly into [`LANES`]-wide chunks, so only the final partial word
-/// takes the scalar remainder path.
+/// Runs in [`LANES`]-wide chunks: a word's 64 elements split evenly, so
+/// only the final partial word takes the scalar remainder path. The
+/// per-lane change masks are OR-folded, which is associative and
+/// commutative on bits, so lane order cannot affect the result — the
+/// fixed-fold-order argument for cross-host determinism.
 ///
 /// # Panics
 ///
@@ -308,49 +245,8 @@ pub fn step_batch_settled_bits(
     changed.iter().fold(0, |a, &c| a | c) == 0
 }
 
-/// Scalar reference implementation of [`step_batch_settled_bits`]. Not
-/// on any shipping path — it exists so the parity tests can pin
-/// packed ≡ `f64`-mask and scalar ≡ chunked bitwise.
-pub fn step_batch_scalar_bits(
-    demand_w: &[f64],
-    limit_w: &[f64],
-    alive_bits: &[u64],
-    not_init_bits: &mut [u64],
-    out_w: &mut [f64],
-    alpha: f64,
-) -> bool {
-    let n = demand_w.len();
-    assert_eq!(limit_w.len(), n);
-    assert_eq!(out_w.len(), n);
-    let words = n.div_ceil(64);
-    assert!(alive_bits.len() >= words);
-    assert!(not_init_bits.len() >= words);
-    let mut changed = 0u64;
-    for w in 0..words {
-        let a_word = alive_bits[w];
-        let ni_word = not_init_bits[w];
-        let lo = w * 64;
-        let hi = (lo + 64).min(n);
-        for i in lo..hi {
-            let b = i - lo;
-            let alive = ((a_word >> b) & 1) as f64;
-            let mut ni = ((ni_word >> b) & 1) as f64;
-            changed |= step_element(
-                demand_w[i],
-                limit_w[i],
-                alive,
-                &mut ni,
-                &mut out_w[i],
-                alpha,
-            );
-        }
-        not_init_bits[w] = ni_word & !a_word;
-    }
-    changed == 0
-}
-
 /// One element of the batch step: the scalar arithmetic shared verbatim
-/// by the chunked kernels and their scalar references. Returns a
+/// by the packed kernel and its scalar reference. Returns a
 /// nonzero mask iff the element's state (`out_w`, `not_init`) changed
 /// bit pattern.
 #[inline(always)]
@@ -448,10 +344,10 @@ mod tests {
         // the pass where nothing moved.
         let demand = [180.0];
         let limit = [f64::INFINITY];
-        let alive = [1.0];
-        let mut not_init = [0.0];
+        let alive = [1];
+        let mut not_init = [0];
         let mut out_b = [180.0005];
-        assert!(!step_batch_settled(
+        assert!(!step_batch_settled_bits(
             &demand,
             &limit,
             &alive,
@@ -460,7 +356,7 @@ mod tests {
             alpha
         ));
         assert_eq!(out_b[0].to_bits(), 180.0f64.to_bits());
-        assert!(step_batch_settled(
+        assert!(step_batch_settled_bits(
             &demand,
             &limit,
             &alive,
@@ -536,8 +432,8 @@ mod tests {
             let mut ni_bits = pack_bits(&ni_f);
             let mut out_b = out_f.clone();
             for _ in 0..40 {
-                let fixed_f =
-                    step_batch_settled(&demand, &limit, &alive, &mut ni_f, &mut out_f, alpha);
+                let before = (out_f.clone(), ni_f.clone());
+                step_batch(&demand, &limit, &alive, &mut ni_f, &mut out_f, alpha);
                 let fixed_b = step_batch_settled_bits(
                     &demand,
                     &limit,
@@ -546,47 +442,13 @@ mod tests {
                     &mut out_b,
                     alpha,
                 );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let fixed_f = bits(&before.0) == bits(&out_f) && bits(&before.1) == bits(&ni_f);
                 assert_eq!(fixed_f, fixed_b);
                 for i in 0..n {
                     assert_eq!(out_f[i].to_bits(), out_b[i].to_bits(), "out[{i}] n={n}");
                 }
                 assert_eq!(pack_bits(&ni_f), ni_bits, "not_init words n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_scalar_and_chunked_agree_bitwise() {
-        let alpha = settle_alpha(1.0, 5.0);
-        for n in [7, 64, 130] {
-            let (demand, limit, alive, ni_f, out) = churn_batch(n);
-            let alive_bits = pack_bits(&alive);
-            let mut ni_s = pack_bits(&ni_f);
-            let mut ni_l = ni_s.clone();
-            let mut out_s = out.clone();
-            let mut out_l = out;
-            for _ in 0..25 {
-                let fs = step_batch_scalar_bits(
-                    &demand,
-                    &limit,
-                    &alive_bits,
-                    &mut ni_s,
-                    &mut out_s,
-                    alpha,
-                );
-                let fl = step_batch_settled_bits(
-                    &demand,
-                    &limit,
-                    &alive_bits,
-                    &mut ni_l,
-                    &mut out_l,
-                    alpha,
-                );
-                assert_eq!(fs, fl);
-                assert_eq!(ni_s, ni_l);
-                for i in 0..n {
-                    assert_eq!(out_s[i].to_bits(), out_l[i].to_bits());
-                }
             }
         }
     }

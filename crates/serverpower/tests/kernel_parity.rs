@@ -2,15 +2,15 @@
 //!
 //! Two families of pins:
 //!
-//! 1. **Parity** — the scalar reference loop
-//!    ([`kernel::step_batch_scalar`]) and the fixed-lane chunked kernel
-//!    the fleet runs ([`kernel::step_batch_settled`]) are bit-identical
-//!    to each other and to the one-element [`kernel::settle`]
-//!    arithmetic, at every slice length (exercising whole chunks and
-//!    scalar tails).
+//! 1. **Parity** — the packed-mask, fixed-lane chunked kernel the fleet
+//!    runs ([`kernel::step_batch_settled_bits`]) is bit-identical to the
+//!    scalar `f64`-mask reference loop ([`kernel::step_batch`]) and to
+//!    the one-element [`kernel::settle`] arithmetic, at every slice
+//!    length (exercising whole chunks, partial mask words and scalar
+//!    tails), and its fixed-point verdict is exactly "no bit moved".
 //!
 //! 2. **The active-set premise** — a pass reported as a fixed point by
-//!    [`kernel::step_batch_settled`] is the exact floating-point
+//!    [`kernel::step_batch_settled_bits`] is the exact floating-point
 //!    identity, and stays one for all future passes with unchanged
 //!    inputs. This is what lets the fleet skip settled leaves without
 //!    perturbing a single bit.
@@ -48,23 +48,45 @@ fn random_batch(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>,
     (demand, limit, alive, not_init, out)
 }
 
+/// An `f64` mask packed one bit per element, as the fleet stores it.
+fn pack(mask: &[f64]) -> Vec<u64> {
+    let mut words = vec![0u64; mask.len().div_ceil(64)];
+    for (i, &m) in mask.iter().enumerate() {
+        if m != 0.0 {
+            words[i / 64] |= 1 << (i % 64);
+        }
+    }
+    words
+}
+
+/// The bit patterns of a column, to compare passes by.
+fn bits(column: &[f64]) -> Vec<u64> {
+    column.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn scalar_reference_and_chunked_kernel_are_bit_identical() {
-    // Lengths straddling the lane width: tails of every residue class,
-    // plus empty and sub-chunk slices.
+    // Lengths straddling the lane width and the mask word: tails of
+    // every residue class, plus empty and sub-chunk slices.
     for &n in &[0usize, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 160, 257] {
         for seed in 0..5u64 {
             let (demand, limit, alive, ni0, out0) = random_batch(n, 1000 + seed);
             let alpha = kernel::settle_alpha(1.0 + seed as f64, 0.6);
+            let alive_bits = pack(&alive);
 
             let (mut ni_s, mut out_s) = (ni0.clone(), out0.clone());
-            let (mut ni_c, mut out_c) = (ni0.clone(), out0.clone());
+            let (mut ni_c, mut out_c) = (pack(&ni0), out0.clone());
             for _ in 0..25 {
-                let fs = kernel::step_batch_scalar(
-                    &demand, &limit, &alive, &mut ni_s, &mut out_s, alpha,
-                );
-                let fc = kernel::step_batch_settled(
-                    &demand, &limit, &alive, &mut ni_c, &mut out_c, alpha,
+                let before = (bits(&out_s), bits(&ni_s));
+                kernel::step_batch(&demand, &limit, &alive, &mut ni_s, &mut out_s, alpha);
+                let fs = before == (bits(&out_s), bits(&ni_s));
+                let fc = kernel::step_batch_settled_bits(
+                    &demand,
+                    &limit,
+                    &alive_bits,
+                    &mut ni_c,
+                    &mut out_c,
+                    alpha,
                 );
                 assert_eq!(fs, fc, "fixed-point verdicts diverged (n={n} seed={seed})");
                 for i in 0..n {
@@ -73,24 +95,34 @@ fn scalar_reference_and_chunked_kernel_are_bit_identical() {
                         out_c[i].to_bits(),
                         "chunked out[{i}] drifted (n={n} seed={seed})"
                     );
-                    assert_eq!(ni_s[i].to_bits(), ni_c[i].to_bits());
                 }
+                assert_eq!(pack(&ni_s), ni_c, "not_init words (n={n} seed={seed})");
             }
         }
     }
 }
 
 /// One-element reference: the documented per-index expressions of
-/// `step_batch`, evaluated through [`kernel::settle`] so the batch path
-/// is pinned against the same helper the scalar `Rapl::step` uses.
+/// `step_batch`, evaluated through [`kernel::settle`] so the packed
+/// kernel is pinned against the same helper the scalar `Rapl::step`
+/// uses.
 #[test]
 fn batch_matches_one_element_settle_arithmetic() {
-    let (demand, limit, alive, mut ni, mut out) = random_batch(97, 7);
+    let (demand, limit, alive, ni, mut out) = random_batch(97, 7);
     let alpha = kernel::settle_alpha(1.0, 0.6);
-    let mut ni_ref = ni.clone();
+    let alive_bits = pack(&alive);
+    let mut ni_bits = pack(&ni);
+    let mut ni_ref = ni;
     let mut out_ref = out.clone();
     for step in 0..40 {
-        kernel::step_batch(&demand, &limit, &alive, &mut ni, &mut out, alpha);
+        kernel::step_batch_settled_bits(
+            &demand,
+            &limit,
+            &alive_bits,
+            &mut ni_bits,
+            &mut out,
+            alpha,
+        );
         for i in 0..97 {
             let target = demand[i].min(limit[i]);
             let eff = alive[i] * (alpha + ni_ref[i] * (1.0 - alpha));
@@ -101,12 +133,8 @@ fn batch_matches_one_element_settle_arithmetic() {
                 out_ref[i].to_bits(),
                 "out[{i}] drifted from settle() reference at step {step}"
             );
-            assert_eq!(
-                ni[i].to_bits(),
-                ni_ref[i].to_bits(),
-                "not_init[{i}] drifted at step {step}"
-            );
         }
+        assert_eq!(ni_bits, pack(&ni_ref), "not_init drifted at step {step}");
     }
 }
 
@@ -158,11 +186,12 @@ fn lut_batch_matches_scalar() {
 #[test]
 fn fixed_point_is_the_exact_identity_forever() {
     for seed in 0..10u64 {
-        let (demand, limit, alive, mut ni, mut out) = random_batch(64, 5000 + seed);
+        let (demand, limit, alive, ni, mut out) = random_batch(64, 5000 + seed);
+        let (alive, mut ni) = (pack(&alive), pack(&ni));
         let alpha = kernel::settle_alpha(1.0, 0.6);
         let mut settled_at = None;
         for pass in 0..400 {
-            if kernel::step_batch_settled(&demand, &limit, &alive, &mut ni, &mut out, alpha) {
+            if kernel::step_batch_settled_bits(&demand, &limit, &alive, &mut ni, &mut out, alpha) {
                 settled_at = Some(pass);
                 break;
             }
@@ -176,7 +205,7 @@ fn fixed_point_is_the_exact_identity_forever() {
         let ni_frozen = ni.clone();
         for pass in 0..100 {
             let fixed =
-                kernel::step_batch_settled(&demand, &limit, &alive, &mut ni, &mut out, alpha);
+                kernel::step_batch_settled_bits(&demand, &limit, &alive, &mut ni, &mut out, alpha);
             assert!(fixed, "pass {pass} after the fixed point was not one");
             for i in 0..64 {
                 assert_eq!(
@@ -184,8 +213,8 @@ fn fixed_point_is_the_exact_identity_forever() {
                     out_frozen[i].to_bits(),
                     "out[{i}] moved after the fixed point (seed {seed})"
                 );
-                assert_eq!(ni[i].to_bits(), ni_frozen[i].to_bits());
             }
+            assert_eq!(ni, ni_frozen);
         }
     }
 }
@@ -222,34 +251,34 @@ fn settle_at_target_is_exact_identity_across_magnitudes() {
 fn dead_server_is_immediately_a_fixed_point() {
     let demand = [240.0, 310.0];
     let limit = [f64::INFINITY, 180.0];
-    let alive = [0.0, 0.0];
-    let mut ni = [0.0, 1.0];
+    let alive = [0b00];
+    let mut ni = [0b10];
     let mut out = [150.0, 0.0];
     for _ in 0..5 {
-        assert!(kernel::step_batch_settled(
+        assert!(kernel::step_batch_settled_bits(
             &demand, &limit, &alive, &mut ni, &mut out, 0.8
         ));
     }
     assert_eq!(out, [150.0, 0.0]);
-    assert_eq!(ni, [0.0, 1.0]);
+    assert_eq!(ni, [0b10]);
 }
 
 #[test]
 fn uninitialized_live_server_is_not_a_fixed_point_until_snapped() {
     let demand = [240.0];
     let limit = [f64::INFINITY];
-    let alive = [1.0];
-    let mut ni = [1.0];
+    let alive = [1];
+    let mut ni = [1];
     let mut out = [0.0];
     let alpha = kernel::settle_alpha(1.0, 0.6);
     // First pass snaps output to target and clears not_init: a change.
-    assert!(!kernel::step_batch_settled(
+    assert!(!kernel::step_batch_settled_bits(
         &demand, &limit, &alive, &mut ni, &mut out, alpha
     ));
     assert_eq!(out, [240.0]);
-    assert_eq!(ni, [0.0]);
+    assert_eq!(ni, [0]);
     // Now at target: the very next pass is the identity.
-    assert!(kernel::step_batch_settled(
+    assert!(kernel::step_batch_settled_bits(
         &demand, &limit, &alive, &mut ni, &mut out, alpha
     ));
 }

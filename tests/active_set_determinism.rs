@@ -67,7 +67,7 @@ fn run(threads: usize, hold: u32) -> Observed {
 
     let leaves: Vec<_> = dc.system().leaf_devices().to_vec();
     dc.system_mut().fail_primary(leaves[0]);
-    let victim = dc.topology().servers_under(leaves[1])[0];
+    let victim = dc.topology().servers_under(leaves[1]).start;
     dc.fleet_mut().set_server_alive(victim, false);
     dc.run_until(SimTime::from_mins(3));
     dc.fleet_mut().set_server_alive(victim, true);
@@ -161,7 +161,7 @@ fn hold_of_one_matches_the_default_builder() {
         dc.run_until(SimTime::from_mins(2));
         let leaves: Vec<_> = dc.system().leaf_devices().to_vec();
         dc.system_mut().fail_primary(leaves[0]);
-        let victim = dc.topology().servers_under(leaves[1])[0];
+        let victim = dc.topology().servers_under(leaves[1]).start;
         dc.fleet_mut().set_server_alive(victim, false);
         dc.run_until(SimTime::from_mins(3));
         dc.fleet_mut().set_server_alive(victim, true);
@@ -205,7 +205,7 @@ fn draw_cache_tracks_out_of_band_kills() {
     // read exactly zero for the RPP and for the rack below it, however
     // warm the rack's memo was.
     let victims = dc.topology().servers_under(target);
-    for &sid in &victims {
+    for sid in victims.clone() {
         dc.fleet_mut().set_server_alive(sid, false);
     }
     assert!(dc.draw_cache_is_exact(), "stale draw right after the kill");
@@ -218,7 +218,7 @@ fn draw_cache_tracks_out_of_band_kills() {
     assert_eq!(sampled(&dc, target).1, 0.0, "stale RPP draw");
 
     // Revive and settle: power must come back through the same reads.
-    for &sid in &victims {
+    for sid in victims {
         dc.fleet_mut().set_server_alive(sid, true);
     }
     assert!(

@@ -110,7 +110,7 @@ fn elided_leaf_reruns_after_out_of_band_kill() {
         .leaf_aggregate(leaf)
         .expect("leaf has an aggregate after warmup");
     let victims = dc.topology().servers_under(leaf);
-    for &sid in &victims {
+    for sid in victims {
         dc.fleet_mut().set_server_alive(sid, false);
     }
     // Two full 3-tick cycle periods: the kill bumps the leaf's agent
