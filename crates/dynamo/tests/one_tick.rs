@@ -8,6 +8,8 @@
 //!
 //! * a fault-churn run reproduces, at threads 1/2/8/64, the fingerprint
 //!   recorded at the last commit that still had all the twins;
+//! * the same run's incident dumps and chrome trace are pinned byte for
+//!   byte at threads 1/2/8;
 //! * the sampled total power equals an independent flat fold at every
 //!   telemetry sample of a capping episode;
 //! * a cap programmed out of band through `Fleet::agent_rpc` takes
@@ -41,7 +43,15 @@ fn site(threads: usize) -> DatacenterBuilder {
 /// than the slow upper tier can protect them: a run exercises caps,
 /// trips and blackouts organically.
 fn build(threads: usize) -> Datacenter {
-    site(threads).sb_rating(Power::from_kilowatts(4.0)).build()
+    build_with_obs(threads, ObsConfig::on())
+}
+
+/// [`build`] observed as `obs` says.
+fn build_with_obs(threads: usize, obs: ObsConfig) -> Datacenter {
+    site(threads)
+        .sb_rating(Power::from_kilowatts(4.0))
+        .observability(obs)
+        .build()
 }
 
 /// Deterministic fault-churn script: every mutation site that feeds
@@ -162,6 +172,95 @@ fn churn_snapshot_bytes_are_pinned_at_every_width() {
         assert_eq!(
             hash, CHURN_SNAPSHOT_GOLDEN,
             "snapshot bytes moved at threads={threads}: {hash:#018x}"
+        );
+    }
+}
+
+/// FNV-1a over every `incident-*.json` the churn run wrote, in name
+/// order (name and bytes), then its chrome trace. Recorded before the
+/// leaf tier stopped buffering spans and flight records in its shards
+/// and the serial merge began to build them from each leaf's event.
+const CHURN_INCIDENT_GOLDEN: u64 = 0x29d2_2d77_a9ed_1136;
+
+#[test]
+fn churn_incident_dumps_are_pinned_at_every_width() {
+    for threads in [1usize, 2, 8] {
+        let dir = std::env::temp_dir().join(format!(
+            "dynamo-one-tick-incidents-{}-{threads}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut dc = build_with_obs(
+            threads,
+            ObsConfig {
+                enabled: true,
+                incident_dir: Some(dir.clone()),
+            },
+        );
+        churn(&mut dc);
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("the churn run wrote incident dumps")
+            .map(|e| e.expect("incident dir entry").path())
+            .filter(|p| {
+                p.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with("incident-"))
+            })
+            .collect();
+        files.sort();
+        let dumps: Vec<(String, String)> = files
+            .iter()
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (
+                    name,
+                    std::fs::read_to_string(p).expect("read incident dump"),
+                )
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).expect("remove incident dir");
+
+        if threads == 1 {
+            // Not vacuous: a leaf-triggered dump fired on a tick an
+            // upper controller also recorded on, so the dump pins that
+            // leaf triggers fire before the tick's upper records.
+            let leaves = dc.system().leaf_count() as u32;
+            let upper_at = |at_ms: u64| {
+                dumps.iter().any(|(_, json)| {
+                    (leaves..leaves + dc.system().upper_count() as u32).any(|track| {
+                        json.contains(&format!("{{\"at_ms\":{at_ms},\"track\":{track},"))
+                    })
+                })
+            };
+            let shared = dumps.iter().any(|(name, json)| {
+                let leaf_trigger =
+                    name.ends_with("-capping-episode.json") || name.ends_with("-failover.json");
+                let at_ms: u64 = json
+                    .split("\"at_ms\":")
+                    .nth(1)
+                    .and_then(|rest| rest.split(',').next())
+                    .and_then(|n| n.parse().ok())
+                    .expect("a dump names its tick");
+                leaf_trigger && upper_at(at_ms)
+            });
+            assert!(
+                shared,
+                "vacuous: no leaf-triggered dump shares its tick with an upper record \
+                 ({} dumps)",
+                dumps.len()
+            );
+        }
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for (name, json) in &dumps {
+            fnv1a(&mut hash, name.as_bytes());
+            fnv1a(&mut hash, json.as_bytes());
+        }
+        fnv1a(
+            &mut hash,
+            dc.system().observability().chrome_trace().as_bytes(),
+        );
+        assert_eq!(
+            hash, CHURN_INCIDENT_GOLDEN,
+            "incident dumps or chrome trace moved at threads={threads}: {hash:#018x}"
         );
     }
 }
