@@ -28,7 +28,11 @@
 # went (fifteenth), or when every device came to carry the server-id
 # range it feeds, the server → rack index went, and the settle kernel
 # kept one scalar reference beside the shipping packed kernel
-# (sixteenth) — so a stale reference breaks
+# (sixteenth), or when a leaf shard came to carry numbers only, each
+# controller action came to be recorded once, as an event the serial
+# merge builds spans and flight records from, and leaf and upper
+# failovers came to share one recorder (seventeenth) — so a stale
+# reference breaks
 # the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
@@ -47,7 +51,8 @@ Fig5Suite|fig5::simulate
 \b(Fleet|System|LeafTier|UpperTier|Failover|Observability|Telemetry|Validator|GridLayer|Episode|LeafController|UpperController|Registry|EconController|Network|Workload)State\b|restored_tier
 observe_batch|\brtts\b|round-trip buffer|What a leaf buffers
 GridConfig|DcupsBankConfig|EconConfig|TelemetryConfig|for_scenario|leaf_interval|upper_interval|sample_interval|leaf_bands|upper_bands|ServicePlan::Explicit
-server_racks|step_batch_settled\b|step_batch_scalar' \
+server_racks|step_batch_settled\b|step_batch_scalar
+take_spans|take_flights|record_leaf_failover|record_upper_failover' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

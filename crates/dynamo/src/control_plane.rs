@@ -101,8 +101,9 @@ pub struct DynamoSystem {
     leaf_due: Vec<usize>,
     /// Scratch: upper indices due this tick, ascending. Reused.
     upper_due: Vec<usize>,
-    /// Reused scratch for the post-elision due list (see
-    /// [`LeafTier::filter_quiescent`]).
+    /// Reused scratch for the leaves that ran: the post-elision due list
+    /// (see [`LeafTier::filter_quiescent`]), or the takeovers of a
+    /// monitoring-only tick.
     live_due: Vec<usize>,
 }
 
@@ -401,45 +402,30 @@ impl DynamoSystem {
                 "the fleet's leaf spans are not the control plane's: \
                  build it with Fleet::new(.., system.leaf_spans())"
             );
-            let mut live = std::mem::take(&mut self.live_due);
-            let ran: &[usize] = if self.config.capping_enabled {
+            let mut ran = std::mem::take(&mut self.live_due);
+            if self.config.capping_enabled {
                 // Quiescent-cycle elision: split the due list into
                 // leaves that must run and cycles that are provably
                 // no-op recomputations. The filter runs serially before
                 // the dispatch, so the split — and everything
                 // downstream — is identical at any width.
-                self.leaves.filter_quiescent(due, fleet, &mut live);
+                self.leaves.filter_quiescent(due, fleet, &mut ran);
                 self.obs
-                    .record_elided_cycles((due.len() - live.len()) as u64);
-                if !live.is_empty() {
-                    self.leaves.run_due(
-                        now,
-                        &live,
-                        self.pool.as_deref(),
-                        &mut self.failover,
-                        fleet,
-                        &mut events,
-                        self.obs.ids(),
-                    );
+                    .record_elided_cycles((due.len() - ran.len()) as u64);
+                if !ran.is_empty() {
+                    let pool = self.pool.as_deref();
+                    self.leaves.run_due(now, &ran, pool, fleet, self.obs.ids());
                 }
-                &live
             } else {
-                self.leaves.monitor_due(
-                    now,
-                    due,
-                    &mut self.failover,
-                    fleet,
-                    &mut events,
-                    self.obs.ids(),
-                );
-                due
-            };
-            // Fold the shards of the leaves that ran into the registry
-            // in leaf index order, so the merged state is bit-identical
-            // at any width. An elided leaf wrote nothing to its shard.
-            self.obs
-                .merge_leaves(ran, &mut self.leaves.leaves, |l| &mut l.obs);
-            self.live_due = live;
+                self.leaves.monitor_due(now, due, fleet, &mut ran);
+            }
+            // Merge what the leaves that ran kept, in leaf index order,
+            // so the registry and the rings are bit-identical at any
+            // width. An elided leaf kept nothing.
+            self.obs.merge_leaves(now, &ran, &mut self.leaves.leaves);
+            self.leaves
+                .collect_events(&ran, &mut self.failover, &mut events);
+            self.live_due = ran;
         }
         if !self.upper_due.is_empty() && self.config.capping_enabled {
             self.uppers.run_due(

@@ -375,7 +375,7 @@ impl Datacenter {
                     self.system.observability_mut().record_breaker_trip(
                         now,
                         i as u32,
-                        self.topo.device(id).name.as_str().into(),
+                        &self.topo.device(id).name,
                     );
                     // A tripped breaker blacks out everything below
                     // it. Routed through the fleet's alive hook so the
@@ -430,10 +430,11 @@ impl Datacenter {
             if alerts > self.alerts_seen {
                 let delta = (alerts - self.alerts_seen) as u64;
                 self.alerts_seen = alerts;
-                let obs = self.system.observability_mut();
-                if obs.is_enabled() {
-                    obs.record_validator_alerts(now, delta, &"breaker-validator".into());
-                }
+                self.system.observability_mut().record_validator_alerts(
+                    now,
+                    delta,
+                    "breaker-validator",
+                );
             }
         }
         lap.mark(&mut phase_secs, TickPhase::Validator);

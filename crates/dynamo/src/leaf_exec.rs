@@ -11,13 +11,15 @@
 //! its leaves here and the same leaves of the fleet
 //! ([`Fleet::agent_leaves`]). A leaf on either side owns its state, so
 //! a cycle computes the same thing in any shard and leaves nothing to
-//! apply after the join except what is shared: events are buffered per
-//! leaf and merged in leaf-index order, and so is what the cycle
-//! recorded — the leaf's [`dynobs::Shard`], written round trip by round
-//! trip and from the cycle's RPC tally when the cycle ends, and merged,
-//! for the leaves that ran, by [`Observability::merge_leaves`] — making the
-//! whole run bit-identical at any width, and a warm steady-state
-//! dispatch allocates nothing.
+//! apply after the join except what is shared. A cycle keeps its action
+//! as at most one event, and its counters and histograms in the leaf's
+//! [`dynobs::Shard`] (written round trip by round trip, and from the
+//! cycle's RPC tally when the cycle ends). For the leaves that ran,
+//! [`Observability::merge_leaves`] then folds the shards and builds the
+//! spans and flight records from the events, and
+//! [`LeafTier::collect_events`] hands the events on, both in leaf-index
+//! order — making the whole run bit-identical at any width, and a warm
+//! steady-state dispatch allocates nothing.
 //!
 //! A cycle reaches its leaf's columns through a [`LeafLink`] — the
 //! leaf's [`Network`] in front of a borrowed [`LeafAgents`] view —
@@ -57,7 +59,7 @@ use crate::control_plane::SystemConfig;
 use crate::events::{ControllerEvent, ControllerEventKind};
 use crate::failover::Failover;
 use crate::fleet::{Fleet, LeafAgents, LeafColumns, Markers};
-use crate::obs::{band_of, record_leaf_cycle, record_leaf_failover, ObsIds, Observability};
+use crate::obs::{band_of, ObsIds, Observability};
 use crate::shard::{self, front_mut};
 
 /// One leaf controller and everything its cycle mutates.
@@ -90,9 +92,17 @@ pub(crate) struct Leaf {
     /// The band the leaf's last recorded cycle landed in, to tell a
     /// band transition from a repeat.
     pub(crate) band: Band,
-    /// The cycle's events, merged in leaf index order after the join.
-    /// Reused across dispatches (cleared, capacity kept).
-    events: Vec<ControllerEvent>,
+    /// What the leaf's last run did — its cycle's action (`None`: a
+    /// hold) or a backup's takeover — until the dispatch's merge takes
+    /// it ([`LeafTier::collect_events`]).
+    pub(crate) event: Option<ControllerEvent>,
+    /// The last cycle's summed round trips of delivered reads and of
+    /// actuations (zero with observability off).
+    pub(crate) pull_rtt: SimDuration,
+    pub(crate) act_rtt: SimDuration,
+    /// Whether the last cycle's cap, if it capped, opened a capping
+    /// episode: no caps were active before it, and it actuates.
+    pub(crate) episode_start: bool,
 }
 
 /// [`Leaf::seen`] before the leaf's first real cycle.
@@ -193,7 +203,10 @@ impl LeafTier {
                 failed: false,
                 obs: obs.new_shard(),
                 band: Band::Hold,
-                events: Vec::new(),
+                event: None,
+                pull_rtt: SimDuration::ZERO,
+                act_rtt: SimDuration::ZERO,
+                episode_start: false,
             });
         }
         let rtt = obs.is_enabled().then(|| RttRecording {
@@ -247,21 +260,21 @@ impl LeafTier {
     /// each due leaf just tracks its true aggregate so upper tiers and
     /// telemetry still see power. The fleet leaf's partial (maintained
     /// by its step as the same ascending fold) makes this a single
-    /// lookup.
+    /// lookup. A failed primary's backup takes over instead; those
+    /// leaves are the ones that ran, pushed into `ran` (cleared first).
     pub(crate) fn monitor_due(
         &mut self,
         now: SimTime,
         due: &[usize],
-        failover: &mut Failover,
         fleet: &Fleet,
-        events: &mut Vec<ControllerEvent>,
-        ids: &ObsIds,
+        ran: &mut Vec<usize>,
     ) {
+        ran.clear();
         for &i in due {
             let leaf = &mut self.leaves[i];
             if std::mem::take(&mut leaf.failed) {
-                failover.record_leaf(i);
-                events.push(leaf.take_over(now, self.devices[i], ids, i as u32));
+                leaf.event = Some(leaf.take_over(now, self.devices[i]));
+                ran.push(i);
                 continue;
             }
             leaf.last_aggregate = fleet.leaf_power(i);
@@ -274,17 +287,14 @@ impl LeafTier {
     /// fleet's leaves from its first due leaf to its last, so it may
     /// include non-due leaves — it walks only its `due` sublist. Per
     /// leaf, in the shard: [`Leaf::run`] against the leaf's agent view.
-    /// After the join, events are merged in leaf index order, so the
-    /// result is bit-identical at any width.
-    #[allow(clippy::too_many_arguments)]
+    /// What each leaf kept is merged after the join, in leaf index
+    /// order, so the result is bit-identical at any width.
     pub(crate) fn run_due(
         &mut self,
         now: SimTime,
         due: &[usize],
         pool: Option<&WorkerPool>,
-        failover: &mut Failover,
         fleet: &mut Fleet,
-        events: &mut Vec<ControllerEvent>,
         ids: &ObsIds,
     ) {
         struct LeafJob<'a> {
@@ -319,15 +329,23 @@ impl LeafTier {
             for &i in job.due {
                 let r = i - job.base;
                 let mut agents = LeafAgents::new(&mut job.columns[r], models);
-                job.leaves[r].run(now, devices[i], &mut agents, rtt, ids, i as u32);
+                job.leaves[r].run(now, devices[i], &mut agents, rtt, ids);
             }
         });
-        // Deterministic merge: drain the per-leaf event buffers in leaf
-        // index order, counting each takeover into the shared tallies
-        // the shards cannot touch.
-        for &i in due {
-            for event in self.leaves[i].events.drain(..) {
-                if matches!(event.kind, ControllerEventKind::Failover) {
+    }
+
+    /// Moves the events of the leaves that `ran` into `events`, in leaf
+    /// index order, counting each takeover into the failover tallies
+    /// the shards cannot touch.
+    pub(crate) fn collect_events(
+        &mut self,
+        ran: &[usize],
+        failover: &mut Failover,
+        events: &mut Vec<ControllerEvent>,
+    ) {
+        for &i in ran {
+            if let Some(event) = self.leaves[i].event.take() {
+                if event.kind == ControllerEventKind::Failover {
                     failover.record_leaf(i);
                 }
                 events.push(event);
@@ -343,8 +361,9 @@ impl LeafTier {
     /// last bands travel in the failover and observability sections —
     /// see [`crate::control_plane::DynamoSystem::save`]. Everything
     /// else — devices, quotas, spans, server ids — is topology-derived
-    /// and rebuilt from config. Event buffers are drained by every
-    /// dispatch, so at a tick boundary they are empty and not saved.
+    /// and rebuilt from config. Every dispatch takes the events it left
+    /// and the merge reads the round-trip sums and episode flags before
+    /// the next cycle overwrites them, so none of them is saved.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
         let column = |w: &mut SnapWriter, put: &dyn Fn(&mut SnapWriter, &Leaf)| {
             w.put_u64(self.leaves.len() as u64);
@@ -426,44 +445,33 @@ impl Leaf {
         agents: &mut LeafAgents<'_>,
         rtt: Option<&RttRecording>,
         ids: &ObsIds,
-        track: u32,
     ) {
-        self.events.clear();
         if std::mem::take(&mut self.failed) {
             // One cycle of downtime, then the redundant instance
             // (sharing the same decision state via its own polling)
             // continues.
             self.quiet = false;
-            let event = self.take_over(now, device, ids, track);
-            self.events.push(event);
+            self.event = Some(self.take_over(now, device));
         } else {
-            self.quiet = self.cycle(now, device, agents, rtt, ids, track);
+            self.quiet = self.cycle(now, device, agents, rtt, ids);
         }
         self.seen = agents.markers();
     }
 
-    /// The backup controller taking over after a primary failure:
-    /// records the takeover in the leaf's shard and builds its event.
-    /// The caller skips the leaf's cycle.
-    fn take_over(
-        &mut self,
-        now: SimTime,
-        device: DeviceId,
-        ids: &ObsIds,
-        track: u32,
-    ) -> ControllerEvent {
-        let name = self.controller.name_shared();
-        record_leaf_failover(&mut self.obs, ids, now, track, Arc::clone(&name));
+    /// The backup controller taking over after a primary failure. The
+    /// caller skips the leaf's cycle.
+    fn take_over(&self, now: SimTime, device: DeviceId) -> ControllerEvent {
         ControllerEvent {
             at: now,
             device,
-            controller: name,
+            controller: self.controller.name_shared(),
             kind: ControllerEventKind::Failover,
         }
     }
 
-    /// One controller cycle against the leaf's agent view, its event
-    /// (if any) buffered in `events`.
+    /// One controller cycle against the leaf's agent view: its counters
+    /// and histograms go into the leaf's shard, its action into
+    /// [`Leaf::event`].
     ///
     /// Returns whether the cycle was *quiescent* — a clean Hold with no
     /// pull failures and no caps left active — which is the
@@ -476,10 +484,9 @@ impl Leaf {
         agents: &mut LeafAgents<'_>,
         rtt: Option<&RttRecording>,
         ids: &ObsIds,
-        track: u32,
     ) -> bool {
-        let caps_before = self.controller.active_cap_count();
-        let dry_run = self.controller.config().dry_run;
+        self.episode_start =
+            self.controller.active_cap_count() == 0 && !self.controller.config().dry_run;
         let shard = &mut self.obs;
         let mut link = LeafLink {
             network: &mut self.network,
@@ -496,6 +503,7 @@ impl Leaf {
             drops,
             timeouts,
         } = link.tally;
+        (self.pull_rtt, self.act_rtt) = (pull_rtt, act_rtt);
         shard.add(ids.rpc_calls, calls);
         shard.add(ids.rpc_agent_down, agent_down);
         shard.add(ids.rpc_drops, drops);
@@ -506,49 +514,42 @@ impl Leaf {
         shard.inc(ids.leaf_cycles);
         shard.add(ids.pull_failures, outcome.pull_failures as u64);
         shard.add(ids.estimated_readings, outcome.estimated as u64);
-        shard.inc(match band_of(&outcome.action) {
-            Band::Hold => ids.band_hold,
-            Band::Cap => ids.band_cap,
-            Band::Uncap => ids.band_uncap,
-            Band::Invalid => ids.band_invalid,
-        });
-        if shard.is_enabled() {
-            record_leaf_cycle(
-                shard,
-                &mut self.band,
-                ids,
-                now,
-                track,
-                &self.controller,
-                &outcome,
-                caps_before,
-                dry_run,
-                pull_rtt,
-                act_rtt,
-            );
-        }
-        let kind = match &outcome.action {
+        let action = match &outcome.action {
             ControlAction::Capped {
                 total_cut,
                 commands,
-            } => Some(ControllerEventKind::LeafCapped {
-                total_cut: *total_cut,
-                servers: commands.len(),
-            }),
+            } => {
+                let dist = self.controller.last_distribution();
+                shard.observe(ids.cut_watts, total_cut.as_watts());
+                shard.observe(ids.capped_servers, commands.len() as f64);
+                shard.observe(ids.dist_buckets, f64::from(dist.buckets_expanded));
+                shard.add(ids.dist_groups, u64::from(dist.groups_touched));
+                if dist.leftover_watts > 0.0 {
+                    shard.inc(ids.dist_shortfalls);
+                }
+                Some(ControllerEventKind::LeafCapped {
+                    total_cut: *total_cut,
+                    servers: commands.len(),
+                })
+            }
             ControlAction::Uncapped => Some(ControllerEventKind::LeafUncapped),
             ControlAction::Invalid => Some(ControllerEventKind::LeafInvalid {
                 failures: outcome.pull_failures,
             }),
             ControlAction::Hold => None,
         };
-        if let Some(kind) = kind {
-            self.events.push(ControllerEvent {
-                at: now,
-                device,
-                controller: self.controller.name_shared(),
-                kind,
-            });
-        }
+        shard.inc(match band_of(action.as_ref()) {
+            Band::Hold => ids.band_hold,
+            Band::Cap => ids.band_cap,
+            Band::Uncap => ids.band_uncap,
+            Band::Invalid => ids.band_invalid,
+        });
+        self.event = action.map(|kind| ControllerEvent {
+            at: now,
+            device,
+            controller: self.controller.name_shared(),
+            kind,
+        });
         matches!(outcome.action, ControlAction::Hold)
             && outcome.pull_failures == 0
             && self.controller.active_cap_count() == 0
@@ -775,8 +776,9 @@ mod tests {
             let ids: Vec<u32> = (0..n as u32).collect();
             let profile = LinkProfile::lossy(0.05, 0.05);
             let mut network = Network::new(profile, SimRng::seed_from(7));
-            let mut obs = Observability::new(&dynobs::ObsConfig::on());
-            let mut shard = [obs.new_shard()];
+            let obs = Observability::new(&dynobs::ObsConfig::on());
+            let mut registry = obs.registry().clone();
+            let mut shard = obs.new_shard();
             let table = RttTable::new(&profile);
             let buckets = rtt_buckets(&obs);
             let mut pulled = Vec::new();
@@ -788,7 +790,7 @@ mod tests {
                 let mut link = LeafLink {
                     network: &mut network,
                     agents: &mut agents,
-                    rtt: shard[0].recorder(&buckets).map(|hist| (&table, hist)),
+                    rtt: shard.recorder(&buckets).map(|hist| (&table, hist)),
                     tally,
                 };
                 let mut readings = vec![PowerSlot::NONE; n];
@@ -799,7 +801,7 @@ mod tests {
                     PerCall(&mut link).pull(&ids, &mut readings, &mut failed);
                 }
                 tally = link.tally;
-                obs.merge_leaves(&[0], &mut shard, |s| s);
+                registry.merge_shard(&mut shard);
                 let bits: Vec<Option<u64>> = readings
                     .iter()
                     .map(|r| r.get().map(|p| p.as_watts().to_bits()))
@@ -816,7 +818,7 @@ mod tests {
                     w.into_bytes()
                 },
                 tally,
-                obs.prometheus_text(),
+                dynobs::render_prometheus(&registry),
             )
         };
         let (two_pass, per_call) = (run(true), run(false));

@@ -3,26 +3,33 @@
 //!
 //! Every leaf controller owns one [`dynobs::Shard`]
 //! ([`Observability::new_shard`]), which travels with the leaf into
-//! whichever shard of the leaf dispatch runs it, so hot-path recording
-//! is lock-free and allocation-free; after every leaf dispatch
-//! [`Observability::merge_leaves`] folds the shards of the leaves that
-//! ran back in ascending leaf-index order, which keeps the merged
-//! registry (float histogram sums included) bit-identical at any
-//! worker-thread count. Everything that runs serially — elided cycles
-//! (counted once per dispatch, before it), upper controllers, and
-//! datacenter-level sources (breakers, the validator) — records into
-//! the registry directly.
+//! whichever shard of the leaf dispatch runs it, so its counters and
+//! histograms are recorded lock-free and allocation-free. A leaf cycle
+//! writes nothing else: it keeps its action as at most one
+//! [`crate::ControllerEvent`], its two round-trip sums and whether a cap
+//! opened an episode. After every leaf dispatch
+//! [`Observability::merge_leaves`] walks the leaves that ran in
+//! ascending leaf-index order, folds each shard into the registry and
+//! builds the leaf's spans and flight records from what it kept, which
+//! keeps the registry (float histogram sums included) and both rings
+//! bit-identical at any worker-thread count. Everything that runs
+//! serially — elided cycles (counted once per dispatch, before it),
+//! upper controllers, and datacenter-level sources (breakers, the
+//! validator) — records into the registry directly; an upper controller
+//! hands its event to the same builders a leaf's goes through.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use dcsim::{SimDuration, SimTime};
-use dynamo_controller::{ControlAction, CycleOutcome, LeafController};
+use dcsim::SimTime;
 use dynobs::{
     Band, Buckets, CounterId, FlightKind, FlightRecord, FlightRecorder, GaugeId, HistogramId,
     ObsConfig, Registry, RegistryBuilder, Shard, SpanKind, SpanRecord, TraceRing,
 };
+
+use crate::events::ControllerEventKind;
+use crate::leaf_exec::Leaf;
 
 /// Tick phases instrumented by the `--profile-ticks` profiler, in the
 /// order `Datacenter::step` runs them. Index positions are frozen:
@@ -403,144 +410,142 @@ impl Observability {
         self.registry.add(self.ids.leaf_cycles_elided, n);
     }
 
-    /// Folds the shards (`shard_of` a leaf) of the leaves that `ran`
-    /// into the registry and drains their span/flight buffers, in
-    /// ascending leaf-index order (`ran` is sorted). Incident triggers
-    /// found among the flight records (failovers, capping-episode
-    /// starts) fire here, after the record is in the ring, so the dump
-    /// contains its own trigger.
-    pub(crate) fn merge_leaves<L>(
-        &mut self,
-        ran: &[usize],
-        leaves: &mut [L],
-        shard_of: impl Fn(&mut L) -> &mut Shard,
-    ) {
+    /// Folds what the leaves that `ran` at `now` kept into the registry
+    /// and the rings, in ascending leaf-index order (`ran` is sorted):
+    /// each leaf's shard ([`Registry::merge_shard`]), then the records
+    /// its takeover or cycle makes. Incident triggers (failovers,
+    /// capping-episode starts) fire once every leaf is in the ring, so a
+    /// dump carries the full tick's leaf context and contains its own
+    /// trigger, and before any upper record of the tick.
+    pub(crate) fn merge_leaves(&mut self, now: SimTime, ran: &[usize], leaves: &mut [Leaf]) {
         if !self.registry.is_enabled() {
             return;
         }
-        // Incident triggers are deferred until every shard is in the
-        // ring, so a dump carries the full tick's context. The buffer
-        // only allocates in ticks that actually trigger.
-        let mut triggers: Vec<(&'static str, u64)> = Vec::new();
+        // Only allocates in ticks that actually trigger.
+        let mut triggers: Vec<&'static str> = Vec::new();
         for &i in ran {
-            let shard = shard_of(&mut leaves[i]);
-            self.registry.merge_shard(shard);
-            for span in shard.take_spans() {
-                self.trace.push(span);
-            }
-            for record in shard.take_flights() {
-                let at_ms = record.at_ms;
-                let trigger = match &record.kind {
-                    FlightKind::Failover => Some("failover"),
-                    FlightKind::LeafCapped {
-                        episode_start: true,
-                        ..
-                    } => Some("capping-episode"),
-                    _ => None,
-                };
-                self.flight.push(record);
-                if let Some(trigger) = trigger {
-                    triggers.push((trigger, at_ms));
-                }
-            }
+            let leaf = &mut leaves[i];
+            self.registry.merge_shard(&mut leaf.obs);
+            triggers.extend(self.record_leaf(now, i as u32, leaf));
         }
-        for (trigger, at_ms) in triggers {
-            self.incident(trigger, at_ms);
+        for trigger in triggers {
+            self.incident(trigger, now.as_millis());
         }
     }
 
-    /// Records one upper-controller cycle (serial context).
-    pub(crate) fn record_upper_cycle(
+    /// Records what leaf `track` did at `now`: its takeover, or its
+    /// cycle — the pull, distribution, actuation and cycle spans, a band
+    /// transition (moving [`Leaf::band`]) and the action's flight
+    /// record. Returns the incident trigger it fired, if any.
+    fn record_leaf(&mut self, now: SimTime, track: u32, leaf: &mut Leaf) -> Option<&'static str> {
+        let name = leaf.controller.name_shared();
+        let action = leaf.event.as_ref().map(|e| &e.kind);
+        if let Some(takeover @ ControllerEventKind::Failover) = action {
+            return self.record_action(now, track, &name, takeover, false);
+        }
+        let start_us = now.as_millis() * 1000;
+        let pull_us = leaf.pull_rtt.as_millis() * 1000;
+        let act_us = leaf.act_rtt.as_millis() * 1000;
+        self.push_span(SpanKind::RpcPull, track, start_us, pull_us, &name);
+        let band = band_of(action);
+        if band == Band::Cap {
+            self.push_span(SpanKind::Distribution, track, start_us + pull_us, 0, &name);
+        }
+        if act_us > 0 {
+            let start = start_us + pull_us;
+            self.push_span(SpanKind::Actuation, track, start, act_us, &name);
+        }
+        let cycle_us = pull_us + act_us;
+        self.push_span(SpanKind::LeafCycle, track, start_us, cycle_us, &name);
+        let from = std::mem::replace(&mut leaf.band, band);
+        if from != band {
+            let transition = FlightKind::BandTransition { from, to: band };
+            self.push_flight(now, track, Arc::clone(&name), transition);
+        }
+        self.record_action(now, track, &name, action?, leaf.episode_start)
+    }
+
+    /// Records what upper controller `track` did at `now` (serial
+    /// context): its takeover, or its cycle — a span, and `action`'s
+    /// flight record when it pushed or released contracts.
+    pub(crate) fn record_upper(
         &mut self,
         now: SimTime,
         track: u32,
         name: &Arc<str>,
-        capped: bool,
-        uncapped: bool,
-        contracts: u32,
+        action: Option<&ControllerEventKind>,
     ) {
         if !self.registry.is_enabled() {
             return;
         }
-        self.registry.inc(self.ids.upper_cycles);
-        self.trace.push(SpanRecord {
-            kind: SpanKind::UpperCycle,
-            track,
-            start_us: now.as_millis() * 1000,
-            dur_us: 0,
-            name: Arc::clone(name),
-        });
-        if capped {
-            self.registry.inc(self.ids.upper_capped);
-            self.registry
-                .add(self.ids.upper_contracts, contracts as u64);
-            self.flight.push(FlightRecord {
-                at_ms: now.as_millis(),
-                track,
-                controller: Arc::clone(name),
-                kind: FlightKind::UpperCapped { contracts },
-            });
-        } else if uncapped {
-            self.registry.inc(self.ids.upper_uncapped);
-            self.flight.push(FlightRecord {
-                at_ms: now.as_millis(),
-                track,
-                controller: Arc::clone(name),
-                kind: FlightKind::UpperUncapped,
-            });
+        if !matches!(action, Some(ControllerEventKind::Failover)) {
+            self.registry.inc(self.ids.upper_cycles);
+            self.push_span(SpanKind::UpperCycle, track, now.as_millis() * 1000, 0, name);
+        }
+        if let Some(trigger) = action.and_then(|a| self.record_action(now, track, name, a, false)) {
+            self.incident(trigger, now.as_millis());
         }
     }
 
-    /// Records an upper-controller failover (serial context).
-    pub(crate) fn record_upper_failover(&mut self, now: SimTime, track: u32, name: &Arc<str>) {
-        if !self.registry.is_enabled() {
-            return;
-        }
-        self.registry.inc(self.ids.failovers);
-        self.trace.push(SpanRecord {
-            kind: SpanKind::Failover,
-            track,
-            start_us: now.as_millis() * 1000,
-            dur_us: 0,
-            name: Arc::clone(name),
-        });
-        self.flight.push(FlightRecord {
-            at_ms: now.as_millis(),
-            track,
-            controller: Arc::clone(name),
-            kind: FlightKind::Failover,
-        });
-        self.incident("failover", now.as_millis());
+    /// Records controller action `action` at `now` on `track`, for
+    /// either tier: its counters, a takeover's span, and its flight
+    /// record ([`flight_kind`]). Returns the incident trigger the action
+    /// fires — a takeover, or a cap that opened a capping episode — for
+    /// the caller to fire when the tick's context is in the ring.
+    fn record_action(
+        &mut self,
+        now: SimTime,
+        track: u32,
+        name: &Arc<str>,
+        action: &ControllerEventKind,
+        episode_start: bool,
+    ) -> Option<&'static str> {
+        let kind = flight_kind(action, episode_start);
+        let trigger = match kind {
+            FlightKind::Failover => {
+                self.registry.inc(self.ids.failovers);
+                self.push_span(SpanKind::Failover, track, now.as_millis() * 1000, 0, name);
+                Some("failover")
+            }
+            FlightKind::LeafCapped {
+                episode_start: true,
+                ..
+            } => Some("capping-episode"),
+            FlightKind::UpperCapped { contracts } => {
+                self.registry.inc(self.ids.upper_capped);
+                self.registry
+                    .add(self.ids.upper_contracts, u64::from(contracts));
+                None
+            }
+            FlightKind::UpperUncapped => {
+                self.registry.inc(self.ids.upper_uncapped);
+                None
+            }
+            _ => None,
+        };
+        self.push_flight(now, track, Arc::clone(name), kind);
+        trigger
     }
 
-    /// Records a breaker trip (datacenter context).
-    pub(crate) fn record_breaker_trip(&mut self, now: SimTime, track: u32, name: Arc<str>) {
+    /// Records a breaker trip on device `track` (datacenter context).
+    pub(crate) fn record_breaker_trip(&mut self, now: SimTime, track: u32, name: &str) {
         if !self.registry.is_enabled() {
             return;
         }
         self.registry.inc(self.ids.breaker_trips);
-        self.flight.push(FlightRecord {
-            at_ms: now.as_millis(),
-            track,
-            controller: name,
-            kind: FlightKind::BreakerTrip,
-        });
+        self.push_flight(now, track, name, FlightKind::BreakerTrip);
         self.incident("breaker-trip", now.as_millis());
     }
 
     /// Records `n` new breaker-validator alerts (datacenter context).
-    pub(crate) fn record_validator_alerts(&mut self, now: SimTime, n: u64, name: &Arc<str>) {
+    pub(crate) fn record_validator_alerts(&mut self, now: SimTime, n: u64, name: &str) {
         if !self.registry.is_enabled() || n == 0 {
             return;
         }
         self.registry.add(self.ids.validator_alerts, n);
+        let name: Arc<str> = name.into();
         for _ in 0..n {
-            self.flight.push(FlightRecord {
-                at_ms: now.as_millis(),
-                track: 0,
-                controller: Arc::clone(name),
-                kind: FlightKind::ValidatorAlert,
-            });
+            self.push_flight(now, 0, Arc::clone(&name), FlightKind::ValidatorAlert);
         }
         self.incident("validator-alert", now.as_millis());
     }
@@ -615,15 +620,11 @@ impl Observability {
         if !self.registry.is_enabled() {
             return;
         }
-        self.flight.push(FlightRecord {
-            at_ms: now.as_millis(),
-            track: 0,
-            controller: Arc::clone(name),
-            kind: FlightKind::CurtailmentViolation {
-                limit_watts,
-                draw_watts,
-            },
-        });
+        let kind = FlightKind::CurtailmentViolation {
+            limit_watts,
+            draw_watts,
+        };
+        self.push_flight(now, 0, Arc::clone(name), kind);
         self.incident("curtailment-violation", now.as_millis());
     }
 
@@ -707,6 +708,42 @@ impl Observability {
         Ok(())
     }
 
+    /// Pushes one span onto the trace ring.
+    fn push_span(
+        &mut self,
+        kind: SpanKind,
+        track: u32,
+        start_us: u64,
+        dur_us: u64,
+        name: &Arc<str>,
+    ) {
+        self.trace.push(SpanRecord {
+            kind,
+            track,
+            start_us,
+            dur_us,
+            name: Arc::clone(name),
+        });
+    }
+
+    /// Pushes one record onto the flight ring. Callers record only when
+    /// observability is on, so a name that is not yet shared
+    /// (`controller` a `&str`) is copied only then.
+    fn push_flight(
+        &mut self,
+        now: SimTime,
+        track: u32,
+        controller: impl Into<Arc<str>>,
+        kind: FlightKind,
+    ) {
+        self.flight.push(FlightRecord {
+            at_ms: now.as_millis(),
+            track,
+            controller: controller.into(),
+            kind,
+        });
+    }
+
     /// Fires one incident trigger: counts it and, when an incident
     /// directory is configured, queues a dump of the flight ring. With
     /// no directory this is a counter bump — no allocation.
@@ -721,153 +758,35 @@ impl Observability {
     }
 }
 
-/// Records a leaf failover into the leaf's shard — shared by the serial
-/// loop and the parallel workers so both paths buffer the identical
-/// records.
-pub(crate) fn record_leaf_failover(
-    shard: &mut Shard,
-    ids: &ObsIds,
-    now: SimTime,
-    track: u32,
-    name: Arc<str>,
-) {
-    shard.inc(ids.failovers);
-    if shard.is_enabled() {
-        shard.span(SpanRecord {
-            kind: SpanKind::Failover,
-            track,
-            start_us: now.as_millis() * 1000,
-            dur_us: 0,
-            name: Arc::clone(&name),
-        });
-        shard.flight(FlightRecord {
-            at_ms: now.as_millis(),
-            track,
-            controller: name,
-            kind: FlightKind::Failover,
-        });
-    }
-}
-
-/// Maps a leaf control action to its decision band.
-pub(crate) fn band_of(action: &ControlAction) -> Band {
+/// The decision band a leaf cycle whose action is `action` lands in;
+/// `None` is a hold.
+pub(crate) fn band_of(action: Option<&ControllerEventKind>) -> Band {
     match action {
-        ControlAction::Capped { .. } => Band::Cap,
-        ControlAction::Uncapped => Band::Uncap,
-        ControlAction::Invalid => Band::Invalid,
-        ControlAction::Hold => Band::Hold,
+        Some(ControllerEventKind::LeafCapped { .. }) => Band::Cap,
+        Some(ControllerEventKind::LeafUncapped) => Band::Uncap,
+        Some(ControllerEventKind::LeafInvalid { .. }) => Band::Invalid,
+        _ => Band::Hold,
     }
 }
 
-/// Records the detailed (enabled-only) telemetry of one leaf cycle into
-/// the leaf's shard: band transitions (moving `last_band`, the leaf's
-/// band after its previous recorded cycle), capping flights,
-/// distribution stats and the cycle/pull/distribution/actuation spans.
-/// The cheap always-on counters are recorded at the call site; callers
-/// gate this behind [`Shard::is_enabled`] so the disabled path never
-/// clones a name.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn record_leaf_cycle(
-    shard: &mut Shard,
-    last_band: &mut Band,
-    ids: &ObsIds,
-    now: SimTime,
-    track: u32,
-    controller: &LeafController,
-    outcome: &CycleOutcome,
-    caps_before: usize,
-    dry_run: bool,
-    pull_rtt: SimDuration,
-    act_rtt: SimDuration,
-) {
-    let name = controller.name_shared();
-    let at_ms = now.as_millis();
-    let start_us = at_ms * 1000;
-    let band = band_of(&outcome.action);
-    let prev = std::mem::replace(last_band, band);
-    if prev != band {
-        shard.flight(FlightRecord {
-            at_ms,
-            track,
-            controller: Arc::clone(&name),
-            kind: FlightKind::BandTransition {
-                from: prev,
-                to: band,
-            },
-        });
+/// The flight record kind of controller action `action`, for either
+/// tier; `episode_start` says whether a leaf cap opened a capping
+/// episode.
+fn flight_kind(action: &ControllerEventKind, episode_start: bool) -> FlightKind {
+    match *action {
+        ControllerEventKind::LeafCapped { total_cut, servers } => FlightKind::LeafCapped {
+            cut_watts: total_cut.as_watts(),
+            servers: servers as u32,
+            episode_start,
+        },
+        ControllerEventKind::LeafUncapped => FlightKind::LeafUncapped,
+        ControllerEventKind::LeafInvalid { failures } => FlightKind::LeafInvalid {
+            failures: failures as u32,
+        },
+        ControllerEventKind::UpperCapped { contracts } => FlightKind::UpperCapped {
+            contracts: contracts as u32,
+        },
+        ControllerEventKind::UpperUncapped => FlightKind::UpperUncapped,
+        ControllerEventKind::Failover => FlightKind::Failover,
     }
-    match &outcome.action {
-        ControlAction::Capped {
-            total_cut,
-            commands,
-        } => {
-            let dist = controller.last_distribution();
-            shard.observe(ids.cut_watts, total_cut.as_watts());
-            shard.observe(ids.capped_servers, commands.len() as f64);
-            shard.observe(ids.dist_buckets, f64::from(dist.buckets_expanded));
-            shard.add(ids.dist_groups, u64::from(dist.groups_touched));
-            if dist.leftover_watts > 0.0 {
-                shard.inc(ids.dist_shortfalls);
-            }
-            shard.flight(FlightRecord {
-                at_ms,
-                track,
-                controller: Arc::clone(&name),
-                kind: FlightKind::LeafCapped {
-                    cut_watts: total_cut.as_watts(),
-                    servers: commands.len() as u32,
-                    episode_start: caps_before == 0 && !dry_run,
-                },
-            });
-        }
-        ControlAction::Uncapped => shard.flight(FlightRecord {
-            at_ms,
-            track,
-            controller: Arc::clone(&name),
-            kind: FlightKind::LeafUncapped,
-        }),
-        ControlAction::Invalid => shard.flight(FlightRecord {
-            at_ms,
-            track,
-            controller: Arc::clone(&name),
-            kind: FlightKind::LeafInvalid {
-                failures: outcome.pull_failures as u32,
-            },
-        }),
-        ControlAction::Hold => {}
-    }
-    let pull_us = pull_rtt.as_millis() * 1000;
-    let act_us = act_rtt.as_millis() * 1000;
-    shard.span(SpanRecord {
-        kind: SpanKind::RpcPull,
-        track,
-        start_us,
-        dur_us: pull_us,
-        name: Arc::clone(&name),
-    });
-    if outcome.action.is_capped() {
-        shard.span(SpanRecord {
-            kind: SpanKind::Distribution,
-            track,
-            start_us: start_us + pull_us,
-            dur_us: 0,
-            name: Arc::clone(&name),
-        });
-    }
-    if act_us > 0 {
-        shard.span(SpanRecord {
-            kind: SpanKind::Actuation,
-            track,
-            start_us: start_us + pull_us,
-            dur_us: act_us,
-            name: Arc::clone(&name),
-        });
-    }
-    shard.span(SpanRecord {
-        kind: SpanKind::LeafCycle,
-        track,
-        start_us,
-        dur_us: pull_us + act_us,
-        name,
-    });
 }

@@ -143,84 +143,81 @@ impl UpperTier {
         // Upper trace tracks sit above the leaf tracks.
         let track_base = leaves.len() as u32;
         for &i in due {
-            if failover.take_upper(i) {
-                let name = self.controllers[i].name_shared();
-                obs.record_upper_failover(now, track_base + i as u32, &name);
+            let action = if failover.take_upper(i) {
+                Some(ControllerEventKind::Failover)
+            } else {
+                self.cycle(i, now, leaves)
+            };
+            let name = self.controllers[i].name_shared();
+            obs.record_upper(now, track_base + i as u32, &name, action.as_ref());
+            if let Some(kind) = action {
                 events.push(ControllerEvent {
                     at: now,
                     device: self.devices[i],
                     controller: name,
-                    kind: ControllerEventKind::Failover,
-                });
-                continue;
-            }
-            self.report_scratch.clear();
-            for &child in &self.children[i] {
-                self.report_scratch.push(match child {
-                    ChildRef::Leaf(j) => ChildReport {
-                        power: leaves[j].last_aggregate,
-                        quota: leaves[j].quota,
-                        physical_limit: leaves[j].controller.config().physical_limit,
-                    },
-                    ChildRef::Upper(j) => ChildReport {
-                        power: self.last_total[j],
-                        quota: self.quotas[j],
-                        physical_limit: self.controllers[j].config().physical_limit,
-                    },
+                    kind,
                 });
             }
-            let outcome = self.controllers[i].cycle(now, &self.report_scratch);
-            self.last_total[i] = outcome.total;
+        }
+    }
 
-            // Apply directives to children (contract propagation).
-            // Indexed access instead of iterating `children[i]` keeps
-            // the child list borrow disjoint from the controller
-            // mutations below — no per-cycle clone of the child list.
-            let mut contracts = 0;
-            for (k, &directive) in outcome.directives.iter().enumerate() {
-                let limit = match directive {
-                    ChildDirective::SetContract(l) => {
-                        contracts += 1;
-                        Some(l)
-                    }
-                    ChildDirective::ClearContract => None,
-                    ChildDirective::Unchanged => continue,
-                };
-                match self.children[i][k] {
-                    ChildRef::Leaf(j) => {
-                        // The leaf's effective limit moved from outside
-                        // the fleet: its next cycle must run for real.
-                        leaves[j].quiet = false;
-                        leaves[j].controller.set_contractual_limit(limit);
-                    }
-                    ChildRef::Upper(j) => self.controllers[j].set_contractual_limit(limit),
+    /// Upper `i`'s cycle: reads its children's reports, applies the
+    /// directives it decides, and returns its action — contracts
+    /// pushed or released — if any.
+    fn cycle(
+        &mut self,
+        i: usize,
+        now: SimTime,
+        leaves: &mut [Leaf],
+    ) -> Option<ControllerEventKind> {
+        self.report_scratch.clear();
+        for &child in &self.children[i] {
+            self.report_scratch.push(match child {
+                ChildRef::Leaf(j) => ChildReport {
+                    power: leaves[j].last_aggregate,
+                    quota: leaves[j].quota,
+                    physical_limit: leaves[j].controller.config().physical_limit,
+                },
+                ChildRef::Upper(j) => ChildReport {
+                    power: self.last_total[j],
+                    quota: self.quotas[j],
+                    physical_limit: self.controllers[j].config().physical_limit,
+                },
+            });
+        }
+        let outcome = self.controllers[i].cycle(now, &self.report_scratch);
+        self.last_total[i] = outcome.total;
+
+        // Apply directives to children (contract propagation).
+        // Indexed access instead of iterating `children[i]` keeps the
+        // child list borrow disjoint from the controller mutations
+        // below — no per-cycle clone of the child list.
+        let mut contracts = 0;
+        for (k, &directive) in outcome.directives.iter().enumerate() {
+            let limit = match directive {
+                ChildDirective::SetContract(l) => {
+                    contracts += 1;
+                    Some(l)
                 }
+                ChildDirective::ClearContract => None,
+                ChildDirective::Unchanged => continue,
+            };
+            match self.children[i][k] {
+                ChildRef::Leaf(j) => {
+                    // The leaf's effective limit moved from outside the
+                    // fleet: its next cycle must run for real.
+                    leaves[j].quiet = false;
+                    leaves[j].controller.set_contractual_limit(limit);
+                }
+                ChildRef::Upper(j) => self.controllers[j].set_contractual_limit(limit),
             }
-            if obs.is_enabled() {
-                obs.record_upper_cycle(
-                    now,
-                    track_base + i as u32,
-                    &self.controllers[i].name_shared(),
-                    outcome.capped,
-                    outcome.uncapped,
-                    contracts as u32,
-                );
-            }
-            if outcome.capped {
-                events.push(ControllerEvent {
-                    at: now,
-                    device: self.devices[i],
-                    controller: self.controllers[i].name_shared(),
-                    kind: ControllerEventKind::UpperCapped { contracts },
-                });
-            } else if outcome.uncapped {
-                events.push(ControllerEvent {
-                    at: now,
-                    device: self.devices[i],
-                    controller: self.controllers[i].name_shared(),
-                    kind: ControllerEventKind::UpperUncapped,
-                });
-            }
+        }
+        if outcome.capped {
+            Some(ControllerEventKind::UpperCapped { contracts })
+        } else if outcome.uncapped {
+            Some(ControllerEventKind::UpperUncapped)
+        } else {
+            None
         }
     }
 }

@@ -236,7 +236,12 @@ impl FlightKind {
 pub struct FlightRecord {
     /// Simulated time, milliseconds.
     pub at_ms: u64,
-    /// Controller track (leaf index, or leaf-count + upper index).
+    /// Which instance recorded it, by kind: a leaf's index for the leaf
+    /// kinds, a band transition and a leaf failover; the leaf count plus
+    /// the upper's index for the upper kinds and an upper failover (the
+    /// trace tracks); the tripped breaker's device index
+    /// (`powerinfra::DeviceId::index`) for a breaker trip; 0 for a
+    /// validator alert and a curtailment violation.
     pub track: u32,
     /// Controller's interned name.
     pub controller: Arc<str>,

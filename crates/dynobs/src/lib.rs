@@ -20,7 +20,10 @@
 //!   structured JSON incident file on triggers like failovers.
 //!
 //! Both rings are the one generic [`Ring`] over a [`RingRecord`]: a
-//! new record type and sink costs one `impl`.
+//! new record type and sink costs one `impl`. Only their owner writes
+//! them, serially; a [`Shard`] carries metric deltas and nothing else,
+//! so a writer on another thread hands back numbers, and the owner
+//! builds the records from what it kept.
 //!
 //! Exporters ([`render_prometheus`], [`TraceRing::to_chrome_json`])
 //! serialise everything; the strict

@@ -16,9 +16,6 @@ use std::sync::Arc;
 
 use dcsim::snap::{put_f64_slice, put_u64_slice, SnapError, SnapReader, SnapWriter};
 
-use crate::flight::FlightRecord;
-use crate::trace::SpanRecord;
-
 /// Handle to a registered counter (monotone `u64`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(pub(crate) u32);
@@ -447,8 +444,6 @@ impl Registry {
                 totals.counters.len(),
                 Arc::clone(&totals.layout),
             ),
-            spans: Vec::new(),
-            flights: Vec::new(),
         }
     }
 
@@ -624,15 +619,12 @@ impl Registry {
 }
 
 /// One hot-path writer's private recorder: an accumulator of metric
-/// deltas plus buffers of [`SpanRecord`]s and [`FlightRecord`]s, all
-/// handed to the owner after the writer's work (the merge, then the two
-/// drains, in the same fixed order). Recording is plain array writes; a
-/// disabled shard ignores every operation.
+/// deltas, handed to the owner after the writer's work
+/// ([`Registry::merge_shard`], in a fixed order). Recording is plain
+/// array writes; a disabled shard ignores every operation.
 #[derive(Debug, Clone)]
 pub struct Shard {
     acc: Accumulator,
-    spans: Vec<SpanRecord>,
-    flights: Vec<FlightRecord>,
 }
 
 impl Shard {
@@ -676,36 +668,6 @@ impl Shard {
             "values prebucketed by another registry"
         );
         self.acc.recorder(prebucketed.id, &prebucketed.entries)
-    }
-
-    /// Buffers a trace span (drained by the owner after the merge).
-    #[inline]
-    pub fn span(&mut self, record: SpanRecord) {
-        if !self.acc.enabled {
-            return;
-        }
-        self.spans.push(record);
-    }
-
-    /// Buffers a flight-recorder record (drained by the owner after
-    /// the merge).
-    #[inline]
-    pub fn flight(&mut self, record: FlightRecord) {
-        if !self.acc.enabled {
-            return;
-        }
-        self.flights.push(record);
-    }
-
-    /// Drains the buffered spans, keeping the buffer's capacity.
-    pub fn take_spans(&mut self) -> std::vec::Drain<'_, SpanRecord> {
-        self.spans.drain(..)
-    }
-
-    /// Drains the buffered flight records, keeping the buffer's
-    /// capacity.
-    pub fn take_flights(&mut self) -> std::vec::Drain<'_, FlightRecord> {
-        self.flights.drain(..)
     }
 }
 
