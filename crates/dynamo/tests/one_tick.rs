@@ -198,25 +198,16 @@ fn churn_incident_dumps_are_pinned_at_every_width() {
             },
         );
         churn(&mut dc);
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
+        let mut dumps: Vec<(String, String)> = std::fs::read_dir(&dir)
             .expect("the churn run wrote incident dumps")
             .map(|e| e.expect("incident dir entry").path())
-            .filter(|p| {
-                p.file_name()
-                    .is_some_and(|n| n.to_string_lossy().starts_with("incident-"))
+            .filter_map(|p| {
+                let name = p.file_name()?.to_string_lossy().into_owned();
+                let json = std::fs::read_to_string(&p).expect("read incident dump");
+                name.starts_with("incident-").then_some((name, json))
             })
             .collect();
-        files.sort();
-        let dumps: Vec<(String, String)> = files
-            .iter()
-            .map(|p| {
-                let name = p.file_name().unwrap().to_string_lossy().into_owned();
-                (
-                    name,
-                    std::fs::read_to_string(p).expect("read incident dump"),
-                )
-            })
-            .collect();
+        dumps.sort();
         std::fs::remove_dir_all(&dir).expect("remove incident dir");
 
         if threads == 1 {
