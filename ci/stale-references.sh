@@ -31,8 +31,10 @@
 # (sixteenth), or when a leaf shard came to carry numbers only, each
 # controller action came to be recorded once, as an event the serial
 # merge builds spans and flight records from, and leaf and upper
-# failovers came to share one recorder (seventeenth) — so a stale
-# reference breaks
+# failovers came to share one recorder (seventeenth), or when Figure 6
+# came to read its two quantiles by selection and its rows stopped
+# keeping a sorted pool (eighteenth: the field and reads of it, not the
+# `Cdf` type, which stays) — so a stale reference breaks
 # the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
@@ -52,7 +54,8 @@ Fig5Suite|fig5::simulate
 observe_batch|\brtts\b|round-trip buffer|What a leaf buffers
 GridConfig|DcupsBankConfig|EconConfig|TelemetryConfig|for_scenario|leaf_interval|upper_interval|sample_interval|leaf_bands|upper_bands|ServicePlan::Explicit
 server_racks|step_batch_settled\b|step_batch_scalar
-take_spans|take_flights|record_leaf_failover|record_upper_failover' \
+take_spans|take_flights|record_leaf_failover|record_upper_failover
+\.cdf\b|\bcdf: *cdf\b|full CDF, for plotting' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

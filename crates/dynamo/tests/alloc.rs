@@ -592,15 +592,16 @@ fn site_topology() -> Topology {
 }
 
 /// Live heap bytes of the site's control plane right after it is built
-/// (54.8 B a server): per server an id, a service-class index and three
+/// (42.9 B a server): per server an id, a service-class index and three
 /// eight-byte power slots (reading, cap, scratch) — 32 B — plus per
-/// leaf its controller, network link, recording shard and a failed-pull
-/// list sized for the most failures a valid cycle can have (~3.6 KB),
-/// and one class table for all the leaves.
+/// leaf its controller, network link, recording shard (no value
+/// buffers: the site is unobserved) and a failed-pull list sized for
+/// the most failures a valid cycle can have (~1.7 KB), and one class
+/// table for all the leaves.
 /// Growth fails the gate; a change that adds per-server state on
 /// purpose re-baselines it in the same diff (DESIGN.md §7, "What a
 /// server costs").
-const SITE_CONTROL_PLANE_BYTES: u64 = 6_735_850;
+const SITE_CONTROL_PLANE_BYTES: u64 = 5_273_578;
 
 /// Live heap bytes of the rest of the built site (170.6 B a server) —
 /// the fleet's columns (~157 B a server, two 40-byte RNG streams among

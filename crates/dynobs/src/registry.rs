@@ -228,9 +228,27 @@ impl Accumulator {
         })
     }
 
+    /// A zeroed accumulator over `self`'s layout. A disabled one keeps
+    /// the layout and no values: it ignores every operation, so it
+    /// allocates nothing for them.
+    fn empty_like(&self) -> Self {
+        let layout = Arc::clone(&self.layout);
+        if self.enabled {
+            return Accumulator::zeroed(true, self.counters.len(), layout);
+        }
+        Accumulator {
+            enabled: false,
+            layout,
+            counters: Vec::new(),
+            buckets: Vec::new(),
+            sums: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
     /// Adds `part` into `self` and zeroes `part`.
     fn merge(&mut self, part: &mut Accumulator) {
-        if !self.enabled {
+        if !self.enabled || !part.enabled {
             return;
         }
         for (total, p) in self.counters.iter_mut().zip(&mut part.counters) {
@@ -435,15 +453,10 @@ impl Registry {
     }
 
     /// Creates a zeroed shard matching this registry's layout, for one
-    /// hot-path writer.
+    /// hot-path writer. A disabled registry's shard holds no values.
     pub fn shard(&self) -> Shard {
-        let totals = &self.totals;
         Shard {
-            acc: Accumulator::zeroed(
-                totals.enabled,
-                totals.counters.len(),
-                Arc::clone(&totals.layout),
-            ),
+            acc: self.totals.empty_like(),
         }
     }
 
@@ -883,6 +896,20 @@ mod tests {
         assert!(!r.is_enabled() && !s.is_enabled());
         assert_eq!(r.counter_value(c), 0);
         assert_eq!(r.histogram(h).count, 0);
+        // An unobserved shard allocates no recording buffers.
+        let acc = &s.acc;
+        assert!(acc.counters.is_empty() && acc.buckets.is_empty());
+        assert!(acc.sums.is_empty() && acc.counts.is_empty());
+        // Merged into a live registry of the same layout, it adds
+        // nothing.
+        let (mut live, c, _, _) = small();
+        live.inc(c);
+        let mut off = RegistryBuilder::new();
+        off.counter("calls_total", "calls");
+        off.gauge("power_watts", "power");
+        off.histogram("latency_seconds", "latency", Buckets::explicit(&[0.1, 1.0]));
+        live.merge_shard(&mut off.build(false).shard());
+        assert_eq!(live.counter_value(c), 1);
     }
 
     #[test]

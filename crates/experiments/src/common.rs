@@ -80,14 +80,15 @@ pub fn fmt_f(value: f64, decimals: usize) -> String {
 
 use dcsim::{SimDuration, SimRng, SimTime};
 use dynamo::DatacenterBuilder;
-use powerstats::{sliding_variation, Trace};
+use powerstats::{for_each_variation, variation_windows, Trace};
 use serverpower::ServerGeneration;
 use workloads::{ServiceKind, ServiceWorkload};
 
 /// Runs `n_servers` independent utilization processes of one service for
 /// `hours` of simulated time (3 s sampling, nominal traffic) and pools
 /// the per-window power variations, normalized to each server's
-/// peak-hour mean power — the §II-B / Figure 6 methodology.
+/// peak-hour mean power — the §II-B / Figure 6 methodology. The pool is
+/// allocated once, at its exact size.
 pub fn service_variation_samples(
     kind: ServiceKind,
     n_servers: usize,
@@ -99,19 +100,23 @@ pub fn service_variation_samples(
     let mut root = SimRng::seed_from(seed);
     let mut all = Vec::new();
     let dt = SimDuration::from_secs(3);
+    let samples = (hours * 1200) as usize;
     for i in 0..n_servers {
         let mut wl = ServiceWorkload::new(kind, root.split_index(i as u64));
         let mut t = SimTime::ZERO;
-        let mut trace = Trace::empty(dt);
-        for _ in 0..(hours * 1200) {
+        let mut values = Vec::with_capacity(samples);
+        for _ in 0..samples {
             let u = wl.utilization(t, 1.0, dt);
-            trace.push(curve.power_at(u).as_watts());
+            values.push(curve.power_at(u).as_watts());
             t += dt;
         }
-        let norm = trace.peak_mean(0.3);
-        for v in sliding_variation(&trace, window) {
-            all.push(v / norm * 100.0);
+        let trace = Trace::new(dt, values);
+        if i == 0 {
+            // Every server's trace is as long as this one.
+            all.reserve_exact(n_servers * variation_windows(&trace, window));
         }
+        let norm = trace.peak_mean(0.3);
+        for_each_variation(&trace, window, |v| all.push(v / norm * 100.0));
     }
     all
 }

@@ -1,8 +1,8 @@
-//! Figure 6: per-service power variation CDFs at the 60 s window,
-//! with (p50, p99) per service.
+//! Figure 6: per-service power variation at the 60 s window, read as
+//! (p50, p99) per service.
 
 use dcsim::SimDuration;
-use powerstats::Cdf;
+use powerstats::quantile_of;
 use workloads::ServiceKind;
 
 use crate::common::{fmt_f, render_table, service_variation_samples, Scale};
@@ -17,7 +17,7 @@ pub const PAPER_VALUES: [(ServiceKind, f64, f64); 6] = [
     (ServiceKind::NewsFeed, 42.4, 78.1),
 ];
 
-/// One service's regenerated distribution.
+/// One service's regenerated median and tail.
 #[derive(Debug, Clone)]
 pub struct Fig6Row {
     /// The service.
@@ -30,8 +30,6 @@ pub struct Fig6Row {
     pub paper_p50: f64,
     /// Paper's p99.
     pub paper_p99: f64,
-    /// The full CDF, for plotting.
-    pub cdf: Cdf,
 }
 
 /// The regenerated Figure 6.
@@ -50,15 +48,15 @@ pub fn run(scale: Scale) -> Fig6 {
     let rows = PAPER_VALUES
         .iter()
         .map(|&(service, paper_p50, paper_p99)| {
-            let samples = service_variation_samples(service, n_servers, hours, window, 600);
-            let cdf = Cdf::from_samples(samples);
+            // One service's pool at a time, read by two selections
+            // and dropped before the next service's is drawn.
+            let mut pool = service_variation_samples(service, n_servers, hours, window, 600);
             Fig6Row {
                 service,
-                p50: cdf.median(),
-                p99: cdf.p99(),
+                p50: quantile_of(&mut pool, 0.5),
+                p99: quantile_of(&mut pool, 0.99),
                 paper_p50,
                 paper_p99,
-                cdf,
             }
         })
         .collect();

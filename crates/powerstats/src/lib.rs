@@ -4,10 +4,12 @@
 //!
 //! * [`Trace`] — a regularly-sampled power time series.
 //! * [`sliding_variation`] — the Figure 4 metric: worst-case max-minus-min
-//!   power variation within a sliding time window.
+//!   power variation within a sliding time window ([`for_each_variation`]
+//!   visits them without collecting).
 //! * [`Cdf`] — empirical cumulative distributions with percentile lookup
 //!   (the p50/p99 values quoted throughout Figures 5 and 6);
-//!   [`quantile_of`] reads one quantile of a pool nobody keeps.
+//!   [`quantile_of`] reads one quantile of a pool nobody keeps, and
+//!   [`TailQuantile`] an upper one of a pool nobody holds.
 //! * [`episodes_above`] — activity-episode detection (Figure 14's "seven
 //!   capping episodes").
 //! * [`power_slope`] — the rate at which power can rise in a window.
@@ -36,8 +38,8 @@ mod summary;
 mod trace;
 mod variation;
 
-pub use cdf::{quantile_of, Cdf};
+pub use cdf::{quantile_of, Cdf, TailQuantile};
 pub use episodes::{episodes_above, Episode};
 pub use summary::Summary;
 pub use trace::Trace;
-pub use variation::{power_slope, sliding_variation};
+pub use variation::{for_each_variation, power_slope, sliding_variation, variation_windows};

@@ -13,7 +13,8 @@ use crate::trace::Trace;
 /// A window of `w` samples covers `(w − 1) × interval` of time; the
 /// function chooses `w` so the window spans at least `window` (i.e. a 60 s
 /// window over 3 s samples uses 21 samples). Returns one value per window
-/// position. Runs in `O(n)` using monotonic deques.
+/// position ([`variation_windows`] of them), as
+/// [`for_each_variation`] visits them.
 ///
 /// Returns an empty vector when the trace is shorter than one window.
 ///
@@ -32,15 +33,37 @@ use crate::trace::Trace;
 /// assert_eq!(v, vec![50.0, 50.0]); // windows of 3 samples
 /// ```
 pub fn sliding_variation(trace: &Trace, window: SimDuration) -> Vec<f64> {
+    let mut out = Vec::with_capacity(variation_windows(trace, window));
+    for_each_variation(trace, window, |v| out.push(v));
+    out
+}
+
+/// How many window positions [`sliding_variation`] yields over `trace`:
+/// none when the trace is shorter than one window.
+///
+/// # Panics
+///
+/// Panics if `window` is zero.
+pub fn variation_windows(trace: &Trace, window: SimDuration) -> usize {
     assert!(!window.is_zero(), "variation window must be positive");
+    (trace.len() + 1).saturating_sub(window_samples(trace.interval(), window))
+}
+
+/// Hands `visit` each window's variation, in window order — what
+/// [`sliding_variation`] collects, for a caller that keeps none of them.
+/// Runs in `O(n)` using monotonic deques.
+///
+/// # Panics
+///
+/// Panics if `window` is zero.
+pub fn for_each_variation(trace: &Trace, window: SimDuration, mut visit: impl FnMut(f64)) {
+    if variation_windows(trace, window) == 0 {
+        return;
+    }
     let w = window_samples(trace.interval(), window);
     let values = trace.values();
-    if values.len() < w {
-        return Vec::new();
-    }
     let mut maxq: VecDeque<usize> = VecDeque::new();
     let mut minq: VecDeque<usize> = VecDeque::new();
-    let mut out = Vec::with_capacity(values.len() - w + 1);
     for i in 0..values.len() {
         while maxq.back().is_some_and(|&j| values[j] <= values[i]) {
             maxq.pop_back();
@@ -58,10 +81,9 @@ pub fn sliding_variation(trace: &Trace, window: SimDuration) -> Vec<f64> {
             while *minq.front().expect("nonempty") < lo {
                 minq.pop_front();
             }
-            out.push(values[*maxq.front().unwrap()] - values[*minq.front().unwrap()]);
+            visit(values[*maxq.front().unwrap()] - values[*minq.front().unwrap()]);
         }
     }
-    out
 }
 
 /// Computes the power *slope* per window: the largest increase from the
