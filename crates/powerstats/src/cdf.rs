@@ -403,18 +403,19 @@ mod tests {
     }
 
     /// Streams `pool` through a [`TailQuantile`] in the given order,
-    /// checking after every value that it holds at most `2k` of them
-    /// (and never more than the pool), and returns its answer.
+    /// checking after every value that it never held more than `2k` of
+    /// them (nor more than the pool) — its buffer, allocated at that
+    /// bound, has not grown — and returns its answer.
     fn stream(pool: &[f64], q: f64) -> f64 {
         let mut tail = TailQuantile::new(pool.len(), q);
         let bound = (2 * tail.k).min(pool.len());
         for &v in pool {
             tail.push(v);
             assert!(
-                tail.held.len() <= bound,
-                "n {}, q {q}: held {} > {bound}",
+                tail.held.capacity() <= bound,
+                "n {}, q {q}: grew to hold {} > {bound}",
                 pool.len(),
-                tail.held.len()
+                tail.held.capacity()
             );
         }
         tail.finish()
