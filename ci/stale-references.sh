@@ -34,8 +34,13 @@
 # failovers came to share one recorder (seventeenth), or when Figure 6
 # came to read its two quantiles by selection and its rows stopped
 # keeping a sorted pool (eighteenth: the field and reads of it, not the
-# `Cdf` type, which stays) — so a stale reference breaks
-# the build instead of waiting for the next reader. Lives here,
+# `Cdf` type, which stays), or when the public API nothing shipped went:
+# the cluster performance accumulator and the streaming summary only it
+# used, the power slope, the CDF's plot points, the batch-wave scenario,
+# the DCUPS blackout helpers, the per-instance RAPL tau, the leaf's
+# non-server overhead and the saturating time difference (nineteenth;
+# `Summary` qualified, since `GridSummary` stays) — so a stale reference
+# breaks the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
 grep -rniE 'BENCH_controlplane|paper_scale|PooledAuto|pr[59]_baseline
@@ -55,7 +60,8 @@ observe_batch|\brtts\b|round-trip buffer|What a leaf buffers
 GridConfig|DcupsBankConfig|EconConfig|TelemetryConfig|for_scenario|leaf_interval|upper_interval|sample_interval|leaf_bands|upper_bands|ServicePlan::Explicit
 server_racks|step_batch_settled\b|step_batch_scalar
 take_spans|take_flights|record_leaf_failover|record_upper_failover
-\.cdf\b|\bcdf: *cdf\b|full CDF, for plotting' \
+\.cdf\b|\bcdf: *cdf\b|full CDF, for plotting
+ClusterPerf|workloads::perf|power_slope|plot_points|batch_job_waves|blackout_eta|racks_powered|with_tau|non_server_overhead|saturating_since|powerstats::Summary' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -274,15 +274,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element of a slice, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.next_below(items.len() as u64) as usize])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -423,15 +414,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_empty_and_nonempty() {
-        let mut rng = SimRng::seed_from(71);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        let items = [1, 2, 3];
-        assert!(items.contains(rng.choose(&items).unwrap()));
     }
 
     #[test]

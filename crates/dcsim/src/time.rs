@@ -10,8 +10,6 @@ use std::ops::{Add, AddAssign, Sub};
 
 use serde::{Deserialize, Serialize};
 
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-
 /// A point in simulated time, measured in milliseconds from simulation
 /// start.
 ///
@@ -72,12 +70,6 @@ impl SimTime {
         self.0 as f64 / 1000.0
     }
 
-    /// Duration elapsed since `earlier`, or [`SimDuration::ZERO`] if
-    /// `earlier` is in the future.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// The earlier of two time points.
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
@@ -86,19 +78,6 @@ impl SimTime {
     /// The later of two time points.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
-    }
-}
-
-impl Snapshot for SimTime {
-    const KIND: &'static str = "dcsim.SimTime";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SimTime(r.get_u64()?))
     }
 }
 
@@ -185,19 +164,6 @@ impl SimDuration {
     /// True if this duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-}
-
-impl Snapshot for SimDuration {
-    const KIND: &'static str = "dcsim.SimDuration";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SimDuration(r.get_u64()?))
     }
 }
 
@@ -319,14 +285,6 @@ mod tests {
     #[should_panic(expected = "later SimTime")]
     fn negative_interval_panics() {
         let _ = SimTime::from_secs(1) - SimTime::from_secs(2);
-    }
-
-    #[test]
-    fn saturating_since_clamps_to_zero() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(5);
-        assert_eq!(late.saturating_since(early), SimDuration::from_secs(4));
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
     }
 
     #[test]

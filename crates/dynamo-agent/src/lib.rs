@@ -138,11 +138,6 @@ impl Agent {
     pub fn stats(&self) -> AgentStats {
         self.stats
     }
-
-    /// The power limit currently programmed on the host, if any.
-    pub fn current_cap(&self) -> Option<Power> {
-        self.server.rapl().limit()
-    }
 }
 
 /// The host as its agent sees it for the duration of one request: the
@@ -294,7 +289,7 @@ mod tests {
             a.handle(Request::SetCap(target)),
             Response::CapAck { ok: true }
         );
-        assert_eq!(a.current_cap(), Some(target));
+        assert_eq!(a.server().rapl().limit(), Some(target));
         for _ in 0..5 {
             a.server_mut().step(SimDuration::from_secs(1));
         }
@@ -310,7 +305,7 @@ mod tests {
             a.server_mut().step(SimDuration::from_secs(1));
         }
         a.handle(Request::ClearCap);
-        assert_eq!(a.current_cap(), None);
+        assert_eq!(a.server().rapl().limit(), None);
         for _ in 0..5 {
             a.server_mut().step(SimDuration::from_secs(1));
         }
@@ -328,7 +323,7 @@ mod tests {
             a.handle(Request::SetCap(Power::from_watts(-10.0))),
             Response::CapAck { ok: false }
         );
-        assert_eq!(a.current_cap(), None);
+        assert_eq!(a.server().rapl().limit(), None);
         assert_eq!(a.stats().rejected, 2);
     }
 
@@ -356,7 +351,7 @@ mod tests {
         a.handle(Request::SetCap(cap));
         a.crash();
         a.restart();
-        assert_eq!(a.current_cap(), Some(cap));
+        assert_eq!(a.server().rapl().limit(), Some(cap));
     }
 
     #[test]

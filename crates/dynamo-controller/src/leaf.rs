@@ -29,10 +29,6 @@ const MAX_FAILURE_FRAC: f64 = 0.20;
 pub struct LeafConfig {
     /// The physical breaker limit of the protected device.
     pub physical_limit: Power,
-    /// Constant draw of non-server components behind the same breaker
-    /// (top-of-rack switches etc., §III-C1); monitored but not
-    /// controllable.
-    pub non_server_overhead: Power,
     /// Dry-run mode (§VI): the controller computes decisions and logs
     /// them but never sends actuation RPCs. Used for end-to-end testing
     /// of service-specific logic "without actually throttling the
@@ -54,21 +50,8 @@ impl LeafConfig {
         );
         LeafConfig {
             physical_limit,
-            non_server_overhead: Power::ZERO,
             dry_run: false,
         }
-    }
-
-    /// Enables dry-run mode (compute and log decisions, never actuate).
-    pub fn with_dry_run(mut self) -> Self {
-        self.dry_run = true;
-        self
-    }
-
-    /// Sets the uncontrolled non-server draw behind the breaker.
-    pub fn with_overhead(mut self, overhead: Power) -> Self {
-        self.non_server_overhead = overhead;
-        self
     }
 }
 
@@ -157,7 +140,9 @@ pub struct CycleOutcome {
 ///
 /// ```
 /// use dcsim::{SimDuration, SimTime};
-/// use dynamo_controller::{LeafConfig, LeafController, ServerHandle, ServiceClass};
+/// use dynamo_controller::{
+///     ControlAction, LeafConfig, LeafController, ServerHandle, ServiceClass,
+/// };
 /// use dynrpc::{PowerReading, Request, Response};
 /// use powerinfra::Power;
 ///
@@ -177,7 +162,7 @@ pub struct CycleOutcome {
 ///     ))),
 ///     _ => Ok(Response::CapAck { ok: true }),
 /// });
-/// assert!(outcome.action.is_capped());
+/// assert!(matches!(outcome.action, ControlAction::Capped { .. }));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LeafController {
@@ -529,7 +514,7 @@ impl LeafController {
         std::mem::swap(&mut self.last_power, &mut self.scratch_readings);
 
         // -- 3. Aggregate and decide.
-        let mut total = self.config.non_server_overhead;
+        let mut total = Power::ZERO;
         for reading in &self.last_power {
             if let Some(p) = reading.get() {
                 total += p;
@@ -912,18 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn overhead_counts_toward_the_limit() {
-        let servers = web_servers(2);
-        let cfg = LeafConfig::new(watts(1000.0)).with_overhead(watts(300.0));
-        let mut c = LeafController::new("rpp", cfg, servers);
-        let mut fleet = Fleet::new(&[(0, 350.0), (1, 350.0)]);
-        let out = c.cycle(SimTime::ZERO, |s, r| fleet.call(s, r));
-        // 700 + 300 = 1000 ≥ 99% threshold → cap.
-        assert!(out.action.is_capped());
-        assert_eq!(out.aggregated, Some(watts(1000.0)));
-    }
-
-    #[test]
     fn failed_actuation_is_not_recorded_as_active() {
         let mut fleet = Fleet::new(&[(0, 300.0), (1, 300.0), (2, 300.0), (3, 300.0)]);
         let mut c = leaf(1200.0, web_servers(4));
@@ -1161,8 +1134,9 @@ mod tests {
     #[test]
     fn dry_run_logs_decisions_without_actuating() {
         let mut fleet = Fleet::new(&[(0, 300.0), (1, 300.0), (2, 300.0), (3, 300.0)]);
-        let cfg = LeafConfig::new(watts(1200.0)).with_dry_run();
+        let cfg = LeafConfig::new(watts(1200.0));
         let mut c = LeafController::new("rpp-dry", cfg, web_servers(4));
+        c.set_dry_run(true);
         let out = c.cycle(SimTime::ZERO, |s, r| fleet.call(s, r));
         match out.action {
             ControlAction::Capped { commands, .. } => {

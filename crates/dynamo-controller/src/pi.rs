@@ -108,11 +108,6 @@ impl PiController {
         self.config
     }
 
-    /// True while the controller holds caps.
-    pub fn is_engaged(&self) -> bool {
-        self.engaged
-    }
-
     /// Runs one control cycle: observes the aggregated power against
     /// the effective limit and returns what to do.
     ///
@@ -191,7 +186,7 @@ mod tests {
     fn below_setpoint_holds() {
         let mut pi = PiController::new(PiConfig::default());
         assert_eq!(pi.update(kw(80.0), LIMIT), PiDecision::Hold);
-        assert!(!pi.is_engaged());
+        assert!(!pi.engaged);
     }
 
     #[test]
@@ -208,7 +203,7 @@ mod tests {
             }
             plant_step(&mut power, demand, allowed);
         }
-        assert!(pi.is_engaged());
+        assert!(pi.engaged);
         let setpoint = 95_000.0;
         assert!(
             (power - setpoint).abs() < 2_000.0,
@@ -221,7 +216,7 @@ mod tests {
         let mut pi = PiController::new(PiConfig::default());
         // Engage on a surge...
         pi.update(kw(110.0), LIMIT);
-        assert!(pi.is_engaged());
+        assert!(pi.engaged);
         // ...then the demand disappears: three calm cycles later, release.
         let mut released = false;
         for _ in 0..5 {
@@ -231,7 +226,7 @@ mod tests {
             }
         }
         assert!(released);
-        assert!(!pi.is_engaged());
+        assert!(!pi.engaged);
     }
 
     #[test]
@@ -249,7 +244,7 @@ mod tests {
             }
         }
         assert!(actions <= 20);
-        assert!(pi.is_engaged());
+        assert!(pi.engaged);
     }
 
     #[test]

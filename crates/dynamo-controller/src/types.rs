@@ -163,6 +163,7 @@ pub enum ControlAction {
 
 impl ControlAction {
     /// True for the `Capped` variant.
+    #[cfg(test)]
     pub fn is_capped(&self) -> bool {
         matches!(self, ControlAction::Capped { .. })
     }

@@ -126,8 +126,6 @@ pub struct Fleet {
     /// Crashed agents pending restart: (server, restart time).
     pending_restarts: Vec<(u32, SimTime)>,
     rng: SimRng,
-    /// Uniform RAPL time constant of the fleet's servers.
-    tau_secs: f64,
     /// Persistent worker pool shared with the leaf control plane; its
     /// size is the step's shard count (one shard without a pool).
     pool: Option<Arc<WorkerPool>>,
@@ -209,7 +207,6 @@ impl Fleet {
             watchdog_delay: SimDuration::from_secs(30),
             pending_restarts: Vec::new(),
             rng: rng.split("fleet-events"),
-            tau_secs: Rapl::new().tau_secs(),
             pool: None,
             tick_index: 0,
             demand_hold: 1,
@@ -335,17 +332,13 @@ impl Fleet {
         })
     }
 
-    /// The service running on server `sid`.
-    pub fn service_of(&self, sid: u32) -> ServiceKind {
-        self.services[sid as usize]
-    }
-
     /// The shared hardware model of `leaf`'s server `id`.
     fn model_of(&self, leaf: &LeafColumns, id: usize) -> &ServerModel {
         &self.models[leaf.model_ix[id] as usize]
     }
 
     /// The static configuration of server `sid`.
+    #[cfg(test)]
     pub fn config_of(&self, sid: u32) -> &ServerConfig {
         let (leaf, id) = self.locate(sid);
         self.model_of(leaf, id).config()
@@ -423,6 +416,7 @@ impl Fleet {
 
     /// The demand utilization server `sid` was stepped with most
     /// recently.
+    #[cfg(test)]
     pub fn utilization_of(&self, sid: u32) -> f64 {
         let (leaf, id) = self.locate(sid);
         leaf.util[leaf.inv[id] as usize]
@@ -458,7 +452,7 @@ impl Fleet {
         let ctx = StepCtx {
             mults: self.traffic_multipliers(now),
             ou: ou_coefficients(dt),
-            alpha: kernel::settle_alpha(dt.as_secs_f64(), self.tau_secs),
+            alpha: kernel::settle_alpha(dt.as_secs_f64(), Rapl::TAU_SECS),
             now,
             dt,
             tick: self.tick_index,

@@ -287,15 +287,6 @@ impl GridScenario {
         let idx = self.segments.partition_point(|s| s.start <= now);
         &self.segments[idx - 1].signal
     }
-
-    /// Whether any segment ever deviates from the nominal signal — a
-    /// scenario that never does lets callers skip event tracking
-    /// entirely.
-    pub fn has_activity(&self) -> bool {
-        self.segments
-            .iter()
-            .any(|s| s.signal != GridSignal::nominal())
-    }
 }
 
 #[cfg(test)]
@@ -327,14 +318,6 @@ mod tests {
         );
         assert_eq!(s.signal_at(SimTime::from_secs(900)).curtail_frac, None);
         assert_eq!(s.signal_at(SimTime::from_secs(86_400)).curtail_frac, None);
-    }
-
-    #[test]
-    fn nominal_has_no_activity_and_presets_do() {
-        assert!(!GridScenario::nominal().has_activity());
-        for name in ["brownout", "curtailment-window", "price-spike"] {
-            assert!(GridScenario::preset(name).unwrap().has_activity());
-        }
     }
 
     #[test]

@@ -503,11 +503,6 @@ impl Registry {
         self.totals.counters[id.0 as usize]
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0 as usize]
-    }
-
     /// Borrowed view of a histogram's state.
     pub fn histogram(&self, id: HistogramId) -> HistogramView<'_> {
         let i = id.0 as usize;
@@ -706,7 +701,10 @@ mod tests {
         r.observe(h, 0.5);
         r.observe(h, 5.0);
         assert_eq!(r.counter_value(c), 5);
-        assert_eq!(r.gauge_value(g), 220.5);
+        assert_eq!(
+            r.gauges().collect::<Vec<_>>(),
+            [("power_watts", "power", 220.5)]
+        );
         let v = r.histogram(h);
         assert_eq!(v.buckets, &[1, 1, 1]);
         assert_eq!(v.count, 3);

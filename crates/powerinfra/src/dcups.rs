@@ -8,7 +8,7 @@
 //! like Figure 12's before servers actually go dark.
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use dcsim::{SimDuration, SimTime};
+use dcsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::units::Power;
@@ -210,6 +210,7 @@ impl Dcups {
 
     /// Time the battery can carry `load` from its current charge, or
     /// `None` for a non-positive load (it lasts indefinitely).
+    #[cfg(test)]
     pub fn runtime_at(&self, load: Power) -> Option<SimDuration> {
         if load.as_watts() <= 0.0 {
             return None;
@@ -242,21 +243,6 @@ impl Dcups {
             }
         }
         self.state
-    }
-
-    /// Whether the backed racks have power right now (either from the
-    /// utility or from the battery).
-    pub fn racks_powered(&self, utility_present: bool) -> bool {
-        utility_present || self.state != DcupsState::Depleted
-    }
-
-    /// When (from `now`) the racks would go dark if the outage persists
-    /// at `load`, or `None` if already depleted or the load is zero.
-    pub fn blackout_eta(&self, now: SimTime, load: Power) -> Option<SimTime> {
-        if self.state == DcupsState::Depleted {
-            return None;
-        }
-        self.runtime_at(load).map(|d| now + d)
     }
 }
 
@@ -323,24 +309,20 @@ mod tests {
             ups.step(false, load, SimDuration::from_secs(1));
         }
         assert_eq!(ups.state(), DcupsState::Depleted);
-        assert!(!ups.racks_powered(false));
-        assert!(ups.racks_powered(true));
         ups.step(true, load, SimDuration::from_secs(10));
         assert_eq!(ups.state(), DcupsState::Standby);
         assert!(ups.charge_fraction() > 0.0);
     }
 
     #[test]
-    fn blackout_eta_tracks_charge() {
+    fn runtime_tracks_charge() {
         let mut ups = six_racks();
         let load = ups.design_load();
-        let eta = ups.blackout_eta(SimTime::ZERO, load).unwrap();
-        assert_eq!(eta.as_secs(), 90);
+        assert_eq!(ups.runtime_at(load).unwrap().as_secs(), 90);
         for _ in 0..30 {
             ups.step(false, load, SimDuration::from_secs(1));
         }
-        let eta2 = ups.blackout_eta(SimTime::from_secs(30), load).unwrap();
-        assert_eq!(eta2.as_secs(), 90);
+        assert_eq!(ups.runtime_at(load).unwrap().as_secs(), 60);
     }
 
     #[test]

@@ -57,17 +57,6 @@ impl DeviceLevel {
         }
     }
 
-    /// The level directly below, or `None` for racks (whose children are
-    /// servers, not power devices).
-    pub fn child_level(self) -> Option<DeviceLevel> {
-        match self {
-            DeviceLevel::Msb => Some(DeviceLevel::Sb),
-            DeviceLevel::Sb => Some(DeviceLevel::Rpp),
-            DeviceLevel::Rpp => Some(DeviceLevel::Rack),
-            DeviceLevel::Rack => None,
-        }
-    }
-
     /// Short label used in reports ("MSB", "SB", "RPP", "Rack").
     pub fn label(self) -> &'static str {
         match self {
@@ -147,14 +136,6 @@ mod tests {
             DeviceLevel::Rack.default_rating(),
             Power::from_kilowatts(12.6)
         );
-    }
-
-    #[test]
-    fn child_levels_follow_figure_2() {
-        assert_eq!(DeviceLevel::Msb.child_level(), Some(DeviceLevel::Sb));
-        assert_eq!(DeviceLevel::Sb.child_level(), Some(DeviceLevel::Rpp));
-        assert_eq!(DeviceLevel::Rpp.child_level(), Some(DeviceLevel::Rack));
-        assert_eq!(DeviceLevel::Rack.child_level(), None);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Power {
         self.0 / 1e3
     }
 
-    /// The value in megawatts.
-    pub fn as_megawatts(self) -> f64 {
-        self.0 / 1e6
-    }
-
     /// This power as a fraction of `denom` (e.g. draw over rating).
     ///
     /// # Panics
@@ -177,7 +172,7 @@ mod tests {
         assert_eq!(Power::from_kilowatts(1.0).as_watts(), 1000.0);
         assert_eq!(Power::from_megawatts(2.5).as_kilowatts(), 2500.0);
         assert_eq!(Power::from_watts(250.0).as_kilowatts(), 0.25);
-        assert_eq!(Power::from_megawatts(30.0).as_megawatts(), 30.0);
+        assert_eq!(Power::from_megawatts(30.0).as_watts(), 30e6);
     }
 
     #[test]

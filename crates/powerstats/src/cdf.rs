@@ -205,7 +205,7 @@ impl TailQuantile {
 ///
 /// let cdf = Cdf::from_samples(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
 /// assert_eq!(cdf.quantile(0.5), 3.0);
-/// assert_eq!(cdf.fraction_below(3.0), 0.4); // strictly below
+/// assert_eq!(cdf.quantile(0.25), 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cdf {
@@ -224,16 +224,6 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
-    /// Number of underlying samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false: construction requires at least one sample.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// The `q`-quantile for `q` in `[0, 1]`, e.g. `quantile(0.99)` is p99.
     ///
     /// # Panics
@@ -245,48 +235,6 @@ impl Cdf {
             return self.sorted[0];
         }
         type7_between(self.sorted[lo], self.sorted[hi], frac)
-    }
-
-    /// Median (p50).
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// 99th percentile, quoted throughout the paper's Figures 5 and 6.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-
-    /// Fraction of samples strictly below `x` (the y-value plotted at `x`).
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        let idx = self.sorted.partition_point(|&v| v < x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// Minimum sample.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction")
-    }
-
-    /// Evenly-spaced `(value, cumulative_fraction)` points for plotting,
-    /// with `points >= 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points < 2`.
-    pub fn plot_points(&self, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "need at least 2 plot points");
-        (0..points)
-            .map(|i| {
-                let q = i as f64 / (points - 1) as f64;
-                (self.quantile(q), q)
-            })
-            .collect()
     }
 }
 
@@ -307,32 +255,24 @@ mod tests {
     fn single_sample_is_every_quantile() {
         let cdf = Cdf::from_samples(vec![7.0]);
         assert_eq!(cdf.quantile(0.0), 7.0);
-        assert_eq!(cdf.median(), 7.0);
-        assert_eq!(cdf.p99(), 7.0);
+        assert_eq!(cdf.quantile(0.5), 7.0);
+        assert_eq!(cdf.quantile(0.99), 7.0);
     }
 
     #[test]
     fn unsorted_input_is_sorted() {
         let cdf = Cdf::from_samples(vec![3.0, 1.0, 2.0]);
-        assert_eq!(cdf.min(), 1.0);
-        assert_eq!(cdf.max(), 3.0);
-        assert_eq!(cdf.median(), 2.0);
+        assert_eq!(cdf.quantile(0.0), 1.0);
+        assert_eq!(cdf.quantile(1.0), 3.0);
+        assert_eq!(cdf.quantile(0.5), 2.0);
     }
 
     #[test]
     fn p99_close_to_max_for_large_uniform() {
         let samples: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         let cdf = Cdf::from_samples(samples);
-        assert!((cdf.p99() - 989.01).abs() < 0.1, "p99={}", cdf.p99());
-    }
-
-    #[test]
-    fn fraction_below_is_strict() {
-        let cdf = Cdf::from_samples(vec![1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(cdf.fraction_below(2.0), 0.25);
-        assert_eq!(cdf.fraction_below(2.5), 0.75);
-        assert_eq!(cdf.fraction_below(100.0), 1.0);
-        assert_eq!(cdf.fraction_below(0.0), 0.0);
+        let p99 = cdf.quantile(0.99);
+        assert!((p99 - 989.01).abs() < 0.1, "p99={p99}");
     }
 
     #[test]
@@ -351,18 +291,6 @@ mod tests {
     #[should_panic(expected = "outside [0,1]")]
     fn out_of_range_quantile_panics() {
         Cdf::from_samples(vec![1.0]).quantile(1.5);
-    }
-
-    #[test]
-    fn plot_points_span_the_range() {
-        let cdf = Cdf::from_samples((0..=10).map(|i| i as f64).collect());
-        let pts = cdf.plot_points(11);
-        assert_eq!(pts.first().unwrap(), &(0.0, 0.0));
-        assert_eq!(pts.last().unwrap(), &(10.0, 1.0));
-        // Monotone in both coordinates.
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0 && w[0].1 <= w[1].1);
-        }
     }
 
     /// The selection quantile is the sorted one to the bit — over ties,

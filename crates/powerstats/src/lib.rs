@@ -6,14 +6,13 @@
 //! * [`sliding_variation`] — the Figure 4 metric: worst-case max-minus-min
 //!   power variation within a sliding time window ([`for_each_variation`]
 //!   visits them without collecting).
-//! * [`Cdf`] — empirical cumulative distributions with percentile lookup
-//!   (the p50/p99 values quoted throughout Figures 5 and 6);
-//!   [`quantile_of`] reads one quantile of a pool nobody keeps, and
-//!   [`TailQuantile`] an upper one of a pool nobody holds.
+//! * [`quantile_of`] — one type-7 quantile of a pool nobody keeps (the
+//!   p50/p99 values Figure 6 quotes), read by selection, and
+//!   [`TailQuantile`] an upper one of a pool nobody holds (Figure 5's
+//!   p99s); [`Cdf`], the sorted pool, is the reference both are tested
+//!   against.
 //! * [`episodes_above`] — activity-episode detection (Figure 14's "seven
 //!   capping episodes").
-//! * [`power_slope`] — the rate at which power can rise in a window.
-//! * [`Summary`] — streaming mean/min/max/stddev.
 //!
 //! # Example
 //!
@@ -34,12 +33,10 @@
 
 mod cdf;
 mod episodes;
-mod summary;
 mod trace;
 mod variation;
 
 pub use cdf::{quantile_of, Cdf, TailQuantile};
 pub use episodes::{episodes_above, Episode};
-pub use summary::Summary;
 pub use trace::Trace;
-pub use variation::{for_each_variation, power_slope, sliding_variation, variation_windows};
+pub use variation::{for_each_variation, sliding_variation, variation_windows};

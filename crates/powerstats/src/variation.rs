@@ -1,4 +1,4 @@
-//! Sliding-window power variation and power slope (§II-B, Figure 4).
+//! Sliding-window power variation (§II-B, Figure 4).
 
 use std::collections::VecDeque;
 
@@ -86,37 +86,6 @@ pub fn for_each_variation(trace: &Trace, window: SimDuration, mut visit: impl Fn
     }
 }
 
-/// Computes the power *slope* per window: the largest increase from the
-/// window's start sample to any later sample within the window, divided by
-/// the elapsed time — "the rate at which power can increase in a specific
-/// time window" (§II-B). Units: value-units per second.
-///
-/// Returns an empty vector when the trace is shorter than one window.
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn power_slope(trace: &Trace, window: SimDuration) -> Vec<f64> {
-    assert!(!window.is_zero(), "slope window must be positive");
-    let w = window_samples(trace.interval(), window);
-    let values = trace.values();
-    if values.len() < w || w < 2 {
-        return Vec::new();
-    }
-    let dt = trace.interval().as_secs_f64();
-    let mut out = Vec::with_capacity(values.len() - w + 1);
-    for start in 0..=(values.len() - w) {
-        let base = values[start];
-        let mut best = 0.0f64;
-        for (k, &v) in values[start + 1..start + w].iter().enumerate() {
-            let slope = (v - base) / ((k + 1) as f64 * dt);
-            best = best.max(slope);
-        }
-        out.push(best);
-    }
-    out
-}
-
 /// Number of samples covering `window` at the trace's sampling interval.
 fn window_samples(interval: SimDuration, window: SimDuration) -> usize {
     let ratio = window.as_millis().div_ceil(interval.as_millis());
@@ -201,32 +170,12 @@ mod tests {
     fn short_trace_yields_empty() {
         let t = trace(&[1.0, 2.0]);
         assert!(sliding_variation(&t, SimDuration::from_secs(60)).is_empty());
-        assert!(power_slope(&t, SimDuration::from_secs(60)).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_panics() {
         sliding_variation(&trace(&[1.0; 10]), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn slope_detects_ramp_rate() {
-        // 10 units per 3 s sample = 3.333 units/s.
-        let vals: Vec<f64> = (0..30).map(|i| 100.0 + 10.0 * i as f64).collect();
-        let t = trace(&vals);
-        let slopes = power_slope(&t, SimDuration::from_secs(30));
-        for s in slopes {
-            assert!((s - 10.0 / 3.0).abs() < 1e-9, "slope {s}");
-        }
-    }
-
-    #[test]
-    fn slope_of_decreasing_trace_is_zero() {
-        let vals: Vec<f64> = (0..30).map(|i| 300.0 - 5.0 * i as f64).collect();
-        let t = trace(&vals);
-        let slopes = power_slope(&t, SimDuration::from_secs(15));
-        assert!(slopes.iter().all(|&s| s == 0.0));
     }
 
     #[test]

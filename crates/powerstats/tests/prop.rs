@@ -2,7 +2,7 @@
 //! deterministic [`SimRng`] stream.
 
 use dcsim::{SimDuration, SimRng};
-use powerstats::{power_slope, sliding_variation, Cdf, Summary, Trace};
+use powerstats::{sliding_variation, Cdf, Trace};
 
 const CASES: usize = 100;
 
@@ -65,26 +65,8 @@ fn longer_windows_dominate() {
     }
 }
 
-/// Power slope is non-negative and zero for non-increasing traces.
-#[test]
-fn slope_nonnegative() {
-    let mut rng = SimRng::seed_from(0x57A7).split("slope");
-    for _ in 0..CASES {
-        let values = random_values(&mut rng, 10, 200, 0.0, 1e5);
-        let trace = Trace::new(SimDuration::from_secs(3), values.clone());
-        for s in power_slope(&trace, SimDuration::from_secs(30)) {
-            assert!(s >= 0.0);
-        }
-        let mut sorted = values;
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let falling = Trace::new(SimDuration::from_secs(3), sorted);
-        for s in power_slope(&falling, SimDuration::from_secs(30)) {
-            assert_eq!(s, 0.0);
-        }
-    }
-}
-
-/// CDF quantiles are monotone in q and bounded by min/max.
+/// CDF quantiles are monotone in q and bounded by the smallest and
+/// largest sample.
 #[test]
 fn cdf_quantiles_monotone_and_bounded() {
     let mut rng = SimRng::seed_from(0x57A7).split("quantiles");
@@ -95,49 +77,9 @@ fn cdf_quantiles_monotone_and_bounded() {
         for i in 0..=50 {
             let q = cdf.quantile(i as f64 / 50.0);
             assert!(q >= prev);
-            assert!(q >= cdf.min() - 1e-9 && q <= cdf.max() + 1e-9);
+            assert!(q >= cdf.quantile(0.0) - 1e-9 && q <= cdf.quantile(1.0) + 1e-9);
             prev = q;
         }
-    }
-}
-
-/// `fraction_below` is a valid CDF: monotone, 0 below min, 1 above
-/// max.
-#[test]
-fn fraction_below_is_a_cdf() {
-    let mut rng = SimRng::seed_from(0x57A7).split("fraction");
-    for _ in 0..CASES {
-        let samples = random_values(&mut rng, 1, 100, -1e3, 1e3);
-        let cdf = Cdf::from_samples(samples);
-        assert_eq!(cdf.fraction_below(cdf.min() - 1.0), 0.0);
-        assert_eq!(cdf.fraction_below(cdf.max() + 1.0), 1.0);
-        let mut prev = 0.0;
-        let mut x = cdf.min();
-        while x <= cdf.max() {
-            let f = cdf.fraction_below(x);
-            assert!(f >= prev - 1e-12);
-            prev = f;
-            x += (cdf.max() - cdf.min()).max(1.0) / 20.0;
-        }
-    }
-}
-
-/// Merging summaries is equivalent to a single pass, for any split
-/// point.
-#[test]
-fn summary_merge_any_split() {
-    let mut rng = SimRng::seed_from(0x57A7).split("merge");
-    for _ in 0..CASES {
-        let data = random_values(&mut rng, 2, 200, -1e6, 1e6);
-        let split = ((data.len() as f64 * rng.uniform(0.0, 1.0)) as usize).min(data.len());
-        let full: Summary = data.iter().copied().collect();
-        let mut left: Summary = data[..split].iter().copied().collect();
-        let right: Summary = data[split..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), full.count());
-        assert!((left.mean() - full.mean()).abs() < 1e-6 * (1.0 + full.mean().abs()));
-        let scale = 1.0 + full.population_variance().abs();
-        assert!((left.population_variance() - full.population_variance()).abs() < 1e-5 * scale);
     }
 }
 

@@ -7,7 +7,6 @@
 //! chosen so the output settles within ~2 s, which is the property the
 //! controller design depends on (it forces the pulling period above 2 s).
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::SimDuration;
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
@@ -41,9 +40,6 @@ use serde::{Deserialize, Serialize};
 pub struct Rapl {
     limit: Option<Power>,
     output: Power,
-    /// First-order time constant in seconds. Default 0.6 s ⇒ ~95%
-    /// settled after 1.8 s, matching Figure 9.
-    tau_secs: f64,
     initialized: bool,
 }
 
@@ -53,61 +49,18 @@ impl Default for Rapl {
     }
 }
 
-impl Snapshot for Rapl {
-    const KIND: &'static str = "serverpower.Rapl";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_opt_f64(self.limit.map(Power::as_watts));
-        w.put_f64(self.output.as_watts());
-        w.put_f64(self.tau_secs);
-        w.put_bool(self.initialized);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let limit = r.get_opt_f64()?.map(Power::from_watts);
-        if let Some(l) = limit {
-            if !(l.is_valid_draw() && l.as_watts() > 0.0) {
-                return Err(SnapError::Corrupt(format!("bad RAPL limit {l:?}")));
-            }
-        }
-        let output = Power::from_watts(r.get_f64()?);
-        let tau_secs = r.get_f64()?;
-        if !(tau_secs > 0.0 && tau_secs.is_finite()) {
-            return Err(SnapError::Corrupt(format!("bad RAPL tau {tau_secs}")));
-        }
-        Ok(Rapl {
-            limit,
-            output,
-            tau_secs,
-            initialized: r.get_bool()?,
-        })
-    }
-}
-
 impl Rapl {
+    /// First-order time constant in seconds, the same for every server:
+    /// ~95% settled after 1.8 s, matching Figure 9.
+    pub const TAU_SECS: f64 = 0.6;
+
     /// Creates an uncapped actuator.
     pub fn new() -> Self {
         Rapl {
             limit: None,
             output: Power::ZERO,
-            tau_secs: 0.6,
             initialized: false,
         }
-    }
-
-    /// Overrides the settling time constant (seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau_secs` is not strictly positive and finite.
-    pub fn with_tau(mut self, tau_secs: f64) -> Self {
-        assert!(
-            tau_secs > 0.0 && tau_secs.is_finite(),
-            "invalid tau {tau_secs}"
-        );
-        self.tau_secs = tau_secs;
-        self
     }
 
     /// The currently programmed limit, if any.
@@ -116,6 +69,7 @@ impl Rapl {
     }
 
     /// True if a power limit is currently set.
+    #[cfg(test)]
     pub fn is_capped(&self) -> bool {
         self.limit.is_some()
     }
@@ -158,18 +112,13 @@ impl Rapl {
             self.initialized = true;
             return self.output;
         }
-        let alpha = crate::kernel::settle_alpha(dt.as_secs_f64(), self.tau_secs);
+        let alpha = crate::kernel::settle_alpha(dt.as_secs_f64(), Rapl::TAU_SECS);
         self.output = Power::from_watts(crate::kernel::settle(
             self.output.as_watts(),
             target.as_watts(),
             alpha,
         ));
         self.output
-    }
-
-    /// The first-order time constant in seconds.
-    pub fn tau_secs(&self) -> f64 {
-        self.tau_secs
     }
 
     /// The most recent actual power (after dynamics).
@@ -294,26 +243,5 @@ mod tests {
     #[should_panic(expected = "limit must be positive")]
     fn zero_limit_panics() {
         Rapl::new().set_limit(Power::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid tau")]
-    fn invalid_tau_panics() {
-        let _ = Rapl::new().with_tau(0.0);
-    }
-
-    #[test]
-    fn settles_faster_with_smaller_tau() {
-        let demand = Power::from_watts(240.0);
-        let limit = Power::from_watts(180.0);
-        let run = |tau: f64| {
-            let mut rapl = Rapl::new().with_tau(tau);
-            rapl.step(demand, DT);
-            rapl.set_limit(limit);
-            settle(&mut rapl, demand, 0.5)
-        };
-        let fast = run(0.2);
-        let slow = run(1.0);
-        assert!(fast < slow, "fast {fast} should be below slow {slow}");
     }
 }

@@ -29,8 +29,6 @@ use crate::curve::PowerCurve;
 pub struct PowerSensor {
     /// Relative standard deviation of the reading noise.
     noise_frac: f64,
-    /// Reading resolution in watts (sensor firmware reports whole watts).
-    resolution_watts: f64,
 }
 
 impl PowerSensor {
@@ -44,18 +42,7 @@ impl PowerSensor {
             noise_frac >= 0.0 && noise_frac.is_finite(),
             "invalid noise {noise_frac}"
         );
-        PowerSensor {
-            noise_frac,
-            resolution_watts: 1.0,
-        }
-    }
-
-    /// A noiseless, full-resolution sensor (useful in tests).
-    pub fn ideal() -> Self {
-        PowerSensor {
-            noise_frac: 0.0,
-            resolution_watts: 0.0,
-        }
+        PowerSensor { noise_frac }
     }
 
     /// Reads `true_power` through the sensor.
@@ -65,10 +52,8 @@ impl PowerSensor {
         if self.noise_frac > 0.0 {
             w *= 1.0 + rng.normal(0.0, self.noise_frac);
         }
-        if self.resolution_watts > 0.0 {
-            w = (w / self.resolution_watts).round() * self.resolution_watts;
-        }
-        Power::from_watts(w.max(0.0))
+        // Sensor firmware reports whole watts.
+        Power::from_watts(w.round().max(0.0))
     }
 }
 
@@ -144,14 +129,6 @@ impl PowerEstimator {
 mod tests {
     use super::*;
     use crate::curve::ServerGeneration;
-
-    #[test]
-    fn ideal_sensor_is_exact() {
-        let s = PowerSensor::ideal();
-        let mut rng = SimRng::seed_from(1);
-        let p = Power::from_watts(213.7);
-        assert_eq!(s.read(p, &mut rng), p);
-    }
 
     #[test]
     fn noisy_sensor_is_unbiased() {

@@ -385,15 +385,6 @@ impl Server {
         self.model.breakdown(self.power())
     }
 
-    /// The utilization level the server actually achieves under its
-    /// current cap (inverse of the power curve at the drawn power).
-    pub fn achieved_utilization(&self) -> f64 {
-        if !self.alive {
-            return 0.0;
-        }
-        self.model.achieved_utilization_at(self.power())
-    }
-
     /// Relative performance versus a turbo-off, uncapped baseline — see
     /// [`ServerModel::performance_factor`]. A dead server performs
     /// nothing.
@@ -558,13 +549,14 @@ mod tests {
     #[test]
     fn achieved_utilization_tracks_cap() {
         let mut s = Server::new(0, ServerConfig::new(ServerGeneration::Haswell2015));
+        let achieved = |s: &Server| s.model().achieved_utilization_at(s.power());
         stepped(&mut s, 1.0, 5);
-        assert!((s.achieved_utilization() - 1.0).abs() < 0.01);
+        assert!((achieved(&s) - 1.0).abs() < 0.01);
         // Cap at the 60%-utilization power level.
         let p60 = s.curve().power_at(0.6);
         s.rapl_mut().set_limit(p60);
         stepped(&mut s, 1.0, 5);
-        assert!((s.achieved_utilization() - 0.6).abs() < 0.02);
+        assert!((achieved(&s) - 0.6).abs() < 0.02);
     }
 
     #[test]

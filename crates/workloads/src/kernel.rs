@@ -165,7 +165,7 @@ pub fn burst_from_columns(burst_until: SimTime, burst_add: f64) -> Option<(SimTi
 mod tests {
     use super::*;
     use crate::service::{put_process, ServiceKind, ServiceWorkload};
-    use dcsim::snap::{SnapWriter, Snapshot};
+    use dcsim::snap::SnapWriter;
 
     /// The column kernel against the scalar process, bit for bit: every
     /// service, single-tick and 30-tick held steps, long enough that
@@ -227,7 +227,7 @@ mod tests {
                         &rng[i],
                     );
                     let mut process = SnapWriter::new();
-                    scalar[i].encode_body(&mut process);
+                    scalar[i].put(&mut process);
                     assert_eq!(column.into_bytes(), process.into_bytes());
                 }
             }

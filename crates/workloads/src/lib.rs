@@ -14,8 +14,11 @@
 //!
 //! It also models cluster-level *traffic*: the diurnal daily cycle plus
 //! the operational events the paper's case studies revolve around —
-//! [`scenarios`] packages the three §IV shapes (production load test,
-//! site recovery surge, batch job waves) as ready-made patterns.
+//! [`scenarios`] packages two §IV shapes (production load test, site
+//! recovery surge) as ready-made patterns.
+//!
+//! How capping costs performance is a server's, not a workload's:
+//! `serverpower::Server::performance_factor` is what Figure 13 reads.
 //!
 //! # Example
 //!
@@ -39,12 +42,10 @@
 #![warn(missing_docs)]
 
 pub mod kernel;
-mod perf;
 pub mod scenarios;
 mod service;
 mod traffic;
 
-pub use perf::ClusterPerf;
 pub use service::{
     get_process, put_process, OuCoeffs, ServiceKind, ServiceParams, ServiceWorkload,
 };

@@ -1,10 +1,11 @@
 //! Ready-made traffic scenarios for the paper's operational events.
 //!
-//! The three case studies in §IV all hinge on a traffic shape: a
-//! production load test (Figure 11), a site outage followed by a
-//! recovery surge (Figure 12), and day-long batch job waves (Figure 14).
-//! These constructors build those shapes so experiments, tests and
-//! downstream users share one calibrated definition.
+//! Two of the case studies in §IV hinge on a traffic shape: a
+//! production load test (Figure 11) and a site outage followed by a
+//! recovery surge (Figure 12). These constructors build those shapes so
+//! experiments, tests and downstream users share one calibrated
+//! definition. Figure 14's seven batch job waves are listed where
+//! `experiments::fig14` builds them.
 
 use dcsim::{SimDuration, SimTime};
 
@@ -57,39 +58,6 @@ pub fn site_recovery(outage_start: SimTime, surge: f64) -> TrafficPattern {
         .with_event(ev(m(95), m(120), 0.95))
 }
 
-/// Figure 14's scenario: batch processing with `waves` distinct
-/// job-submission surges of `wave_intensity`× spread evenly across
-/// `horizon`, on a quiet base of `base`× nominal load. Each wave lasts
-/// half its slot.
-///
-/// # Panics
-///
-/// Panics if `waves` is zero, `horizon` is zero, or intensities are not
-/// positive.
-pub fn batch_job_waves(
-    base: f64,
-    waves: usize,
-    wave_intensity: f64,
-    horizon: SimDuration,
-) -> TrafficPattern {
-    assert!(waves > 0, "need at least one wave");
-    assert!(!horizon.is_zero(), "horizon must be positive");
-    assert!(
-        base > 0.0 && wave_intensity > 0.0,
-        "intensities must be positive"
-    );
-    let mut pattern = TrafficPattern::flat(base);
-    let slot = horizon.as_secs() / waves as u64;
-    for w in 0..waves {
-        let start = SimTime::from_secs(w as u64 * slot + slot / 4);
-        let end = start + SimDuration::from_secs(slot / 2);
-        pattern = pattern.with_event(
-            TrafficEvent::new(start, end, wave_intensity).with_ramp(SimDuration::from_mins(5)),
-        );
-    }
-    pattern
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,28 +97,5 @@ mod tests {
     #[should_panic(expected = "surge must exceed")]
     fn undershooting_surge_panics() {
         site_recovery(SimTime::ZERO, 0.9);
-    }
-
-    #[test]
-    fn job_waves_count_and_spacing() {
-        let horizon = SimDuration::from_hours(24);
-        let p = batch_job_waves(0.85, 7, 1.5, horizon);
-        assert_eq!(p.events().len(), 7);
-        // Sample the day at 1-minute resolution and count surges above
-        // the base.
-        let mut above = 0;
-        for m in 0..(24 * 60) {
-            if p.multiplier(SimTime::from_mins(m)) > 0.85 * 1.3 {
-                above += 1;
-            }
-        }
-        // Each wave occupies ~half its slot: about 12 of 24 hours total.
-        assert!((500..900).contains(&above), "{above} surge-minutes");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one wave")]
-    fn zero_waves_panics() {
-        batch_job_waves(1.0, 0, 1.5, SimDuration::from_hours(1));
     }
 }

@@ -334,22 +334,25 @@ impl ServiceWorkload {
         )
     }
 
-    /// True while a burst is in flight (exposed for tests/telemetry).
+    /// True while a burst is in flight.
+    #[cfg(test)]
     pub fn in_burst(&self) -> bool {
-        self.burst().is_some()
+        kernel::burst_from_columns(self.burst_until, self.burst_add).is_some()
     }
 
-    /// The burst in flight, if any: (expires_at, additional_utilization).
-    fn burst(&self) -> Option<(SimTime, f64)> {
-        kernel::burst_from_columns(self.burst_until, self.burst_add)
+    /// Writes the process with [`put_process`], as a checkpoint writes
+    /// each process a fleet keeps as columns.
+    #[cfg(test)]
+    pub(crate) fn put(&self, w: &mut SnapWriter) {
+        let burst = (self.burst_until, self.burst_add);
+        put_process(w, self.kind, &self.params, self.noise, burst, &self.rng);
     }
 }
 
 /// A process on the wire: its kind index, its parameters (so custom
 /// [`ServiceWorkload::with_params`] processes restore exactly), its
-/// noise, its burst in flight and its stream. [`ServiceWorkload`]
-/// writes itself with [`put_process`]; a caller that keeps its processes
-/// as columns writes each one with it too.
+/// noise, its burst in flight and its stream. A fleet keeps its
+/// processes as columns and writes each one with it.
 pub fn put_process(
     w: &mut SnapWriter,
     kind: ServiceKind,
@@ -420,28 +423,6 @@ pub fn get_process(
     (*burst_until, *burst_add) = kernel::burst_to_columns(burst);
     *rng = SimRng::decode_body(r)?;
     Ok((kind, params))
-}
-
-impl Snapshot for ServiceWorkload {
-    const KIND: &'static str = "workloads.ServiceWorkload";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        let burst = (self.burst_until, self.burst_add);
-        put_process(w, self.kind, &self.params, self.noise, burst, &self.rng);
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut wl = ServiceWorkload::new(ServiceKind::Web, SimRng::seed_from(0));
-        let burst = (&mut wl.burst_until, &mut wl.burst_add);
-        let (kind, params) = get_process(r, &mut wl.noise, burst, &mut wl.rng)?;
-        wl.kind = usize::try_from(kind)
-            .ok()
-            .and_then(|k| ServiceKind::all().get(k).copied())
-            .ok_or_else(|| SnapError::Corrupt(format!("bad service kind {kind}")))?;
-        wl.params = params;
-        Ok(wl)
-    }
 }
 
 #[cfg(test)]
@@ -558,7 +539,7 @@ mod tests {
             .iter()
             .map(|&k| Cdf::from_samples(variation_samples(k, 6, 2, 101)))
             .collect();
-        let p50s: Vec<f64> = cdfs.iter().map(|c| c.median()).collect();
+        let p50s: Vec<f64> = cdfs.iter().map(|c| c.quantile(0.5)).collect();
         for (i, w) in p50s.windows(2).enumerate() {
             assert!(
                 w[0] < w[1],
@@ -570,7 +551,7 @@ mod tests {
             );
         }
         // f4's p99 dominates every other service's p99.
-        let p99s: Vec<f64> = cdfs.iter().map(|c| c.p99()).collect();
+        let p99s: Vec<f64> = cdfs.iter().map(|c| c.quantile(0.99)).collect();
         let f4_p99 = p99s[0];
         for (s, &p) in services.iter().zip(&p99s).skip(1) {
             assert!(
@@ -586,7 +567,7 @@ mod tests {
         // Loose absolute bands around the published p50s.
         let check = |kind: ServiceKind, lo: f64, hi: f64| {
             let cdf = Cdf::from_samples(variation_samples(kind, 6, 2, 202));
-            let p50 = cdf.median();
+            let p50 = cdf.quantile(0.5);
             assert!(
                 (lo..hi).contains(&p50),
                 "{}: p50 {p50:.1} outside [{lo},{hi})",

@@ -19,8 +19,8 @@ use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
 use dynamo_repro::dynamo::{DatacenterBuilder, ObsConfig};
 use dynamo_repro::dynrpc::{LinkProfile, Network};
 use dynamo_repro::powerinfra::{Breaker, Dcups, Power, TripCurve};
-use dynamo_repro::serverpower::Rapl;
-use dynamo_repro::workloads::{ServiceKind, ServiceWorkload, TrafficPattern};
+use dynamo_repro::workloads::kernel::{self, DrawStep};
+use dynamo_repro::workloads::{get_process, put_process, OuCoeffs, ServiceKind, TrafficPattern};
 
 /// The property: one full cycle through the binary format loses
 /// nothing, proven by re-encoding.
@@ -39,9 +39,6 @@ fn roundtrip<T: Snapshot>(value: &T) -> T {
 
 #[test]
 fn dcsim_types_roundtrip() {
-    roundtrip(&SimTime::from_millis(86_399_123));
-    roundtrip(&SimDuration::from_millis(2_750));
-
     // An advanced RNG stream: position and underlying state both carry.
     let mut rng = SimRng::seed_from(123);
     for _ in 0..17 {
@@ -84,14 +81,6 @@ fn powerinfra_types_roundtrip() {
 }
 
 #[test]
-fn serverpower_types_roundtrip() {
-    let mut rapl = Rapl::new();
-    rapl.set_limit(Power::from_watts(180.0));
-    rapl.step(Power::from_watts(240.0), SimDuration::from_secs(1));
-    roundtrip(&rapl);
-}
-
-#[test]
 fn agent_network_and_workload_roundtrip() {
     // Per-agent state (noise stream, process-up bit) is columns of the
     // fleet snapshot now; `whole_datacenter_state_roundtrips` covers it.
@@ -125,18 +114,50 @@ fn agent_network_and_workload_roundtrip() {
         );
     }
 
-    // A workload process is plain data: a section of its own.
-    let mut workload = ServiceWorkload::new(ServiceKind::Cache, SimRng::seed_from(31));
-    for t in 0..20 {
-        workload.utilization(SimTime::from_secs(t), 1.3, SimDuration::from_secs(1));
+    // A workload process is columns, as the fleet keeps it: a
+    // checkpoint writes it with `put_process` and loads it into the
+    // columns of a process built with another stream.
+    struct Process {
+        rng: SimRng,
+        noise: f64,
+        burst: (SimTime, f64),
     }
-    let mut decoded = roundtrip(&workload);
+    let (kind, dt) = (ServiceKind::Cache, SimDuration::from_secs(1));
+    let params = kind.params();
+    let ou = OuCoeffs::for_params(&params, dt);
+    let step = |p: &mut Process, t: u64| {
+        let step = DrawStep::new(&params, SimTime::from_secs(t), 1.3, dt, ou);
+        let (until, add) = &mut p.burst;
+        kernel::step_element(&step, &mut p.rng, &mut p.noise, until, add)
+    };
+    let put = |p: &Process| {
+        let mut w = SnapWriter::new();
+        put_process(&mut w, kind, &params, p.noise, p.burst, &p.rng);
+        w.into_bytes()
+    };
+    let fresh = |seed| Process {
+        rng: SimRng::seed_from(seed),
+        noise: 0.0,
+        burst: kernel::burst_to_columns(None),
+    };
+    let mut workload = fresh(31);
+    for t in 0..20 {
+        step(&mut workload, t);
+    }
+    let bytes = put(&workload);
+    let mut loaded = fresh(32);
+    let mut r = SnapReader::new(&bytes);
+    let burst = (&mut loaded.burst.0, &mut loaded.burst.1);
+    let named = get_process(&mut r, &mut loaded.noise, burst, &mut loaded.rng)
+        .expect("a process loads its own bytes");
+    assert_eq!(r.remaining(), 0);
+    assert_eq!(named, (kind.index() as u64, params));
+    assert_eq!(put(&loaded), bytes, "save -> load -> save moved a byte");
     for t in 20..60 {
-        let (now, dt) = (SimTime::from_secs(t), SimDuration::from_secs(1));
         assert_eq!(
-            decoded.utilization(now, 1.3, dt).to_bits(),
-            workload.utilization(now, 1.3, dt).to_bits(),
-            "decoded process diverged at t={t} s"
+            step(&mut loaded, t).to_bits(),
+            step(&mut workload, t).to_bits(),
+            "loaded process diverged at t={t} s"
         );
     }
 }
@@ -374,8 +395,8 @@ fn a_v3_datacenter_envelope_is_a_version_mismatch() {
 
 #[test]
 fn wrong_kind_is_rejected() {
-    let bytes = SimTime::from_secs(1).to_snap_bytes();
-    let err = SimDuration::from_snap_bytes(&bytes).expect_err("kind mismatch must not decode");
+    let bytes = SimRng::seed_from(1).to_snap_bytes();
+    let err = CycleSchedule::from_snap_bytes(&bytes).expect_err("kind mismatch must not decode");
     assert!(
         matches!(err, SnapError::KindMismatch { .. }),
         "expected KindMismatch, got {err}"
