@@ -50,7 +50,10 @@ impl Snapshot for Checkpoint {
     // v3: the schedule digest.
     // v4: the datacenter state's leaf links lost their counters
     // (`dynamo.DatacenterState` v4).
-    const VERSION: u32 = 4;
+    // v5: the datacenter state's breakers lost their cooling constant
+    // and its leaves came to keep one epoch (`dynamo.DatacenterState`
+    // v5).
+    const VERSION: u32 = 5;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_str(&self.envelope);

@@ -17,7 +17,7 @@
 //! `Subtree::draw`. A device whose covering leaves tile its servers
 //! exactly (every RPP, SB and MSB) sums those partials; a device inside
 //! one leaf (a rack) folds its servers flat and keeps that fold until
-//! the leaf's power epoch moves. See DESIGN.md §12 for the counts
+//! the leaf's epoch moves. See DESIGN.md §12 for the counts
 //! behind that split.
 
 use std::ops::Range;
@@ -118,8 +118,9 @@ struct Subtree {
     /// settled fleet change no power bit on most ticks, and every rack
     /// is stepped every tick.
     memo_w: f64,
-    /// The power epoch of the one covering leaf at fold time. Every
-    /// change to a server's drawn power bumps its leaf's epoch, and a
+    /// The epoch of the one covering leaf at fold time. Every change
+    /// to a server's drawn power bumps its leaf's epoch (so do redraws,
+    /// crashes and restarts, which only refold to the same bits), and a
     /// leaf keeps its epoch for the run; only a restore installs
     /// another run's, and it drops every memo.
     memo_key: u64,
@@ -162,7 +163,7 @@ impl Subtree {
         if self.tiled {
             return Power::from_watts(leaves.iter().map(|l| l.power().as_watts()).sum());
         }
-        let key = leaves[0].power_epoch();
+        let key = leaves[0].epoch();
         if self.memo_key != key {
             self.memo_w = leaves[0].power_sum(self.servers.clone());
             self.memo_key = key;
@@ -696,7 +697,11 @@ impl Snapshot for DatacenterState {
     // as bools.
     // v4: each leaf link's call counters and latency sum (five `u64`)
     // left the control-plane section.
-    const VERSION: u32 = 4;
+    // v5: the breakers' cooling constant, the same in every breaker,
+    // left their bodies, and each leaf's power and agent epochs (fleet
+    // section) and its three seen markers (control-plane section)
+    // became one epoch each.
+    const VERSION: u32 = 5;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_raw(&self.body);
@@ -876,7 +881,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// A rack's memo is keyed on its leaf's power epoch alone, so a key
+    /// A rack's memo is keyed on its leaf's epoch alone, so a key
     /// recurs only when a restore installs another run's epochs. Two
     /// same-shape runs on different seeds, stepped alike, reach the
     /// same epochs with different watts: restoring one into the other
@@ -898,9 +903,8 @@ pub(crate) mod tests {
             a.step();
             b.step();
         }
-        let epochs = |dc: &Datacenter| -> Vec<u64> {
-            dc.fleet.leaves().iter().map(|l| l.power_epoch()).collect()
-        };
+        let epochs =
+            |dc: &Datacenter| -> Vec<u64> { dc.fleet.leaves().iter().map(|l| l.epoch()).collect() };
         assert_eq!(epochs(&a), epochs(&b), "vacuous: the epochs differ");
         assert_ne!(a.fleet.stats().total_power, b.fleet.stats().total_power);
         b.restore(&a.state()).expect("a same-shape state restores");

@@ -12,7 +12,7 @@
 //! output, utilization, drawn watts, the agents' noise streams, the
 //! packed liveness / first-step / process-up masks, its layout, and
 //! its own aggregates — power partial, settled flag, last-redraw tick,
-//! power and agent epochs, capped tally. What is a pure function of
+//! epoch, capped tally. What is a pure function of
 //! configuration stays here: the table of shared [`ServerModel`]s and
 //! each server's service. Every index inside a leaf is leaf-local;
 //! only the by-`sid` accessors below find the leaf first
@@ -39,8 +39,9 @@
 //! those partials, taken by the datacenter's breaker pass. No other
 //! sum is stored: [`Fleet::stats`] folds the per-server watts flat on
 //! every call, [`Fleet::power_sum`] over whatever ids it is given. A
-//! per-leaf power epoch versions the leaf's watts for the one consumer
-//! that keeps a sum below leaf level (a rack's draw), and a snapshot's
+//! per-leaf epoch versions the leaf for the one consumer that keeps a
+//! sum below leaf level (a rack's draw) and for the leaf controller's
+//! quiescent-cycle elision, and a snapshot's
 //! partials are checked against its per-server watts on the way back
 //! in.
 //!
@@ -72,7 +73,7 @@ use leaf::{get_bit, put_bit, StepCtx};
 mod leaf;
 mod snapshot;
 
-pub(crate) use leaf::{LeafAgents, LeafColumns, Markers};
+pub(crate) use leaf::{LeafAgents, LeafColumns};
 
 /// Aggregate fleet statistics at an instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -275,11 +276,6 @@ impl Fleet {
     pub fn set_demand_hold(&mut self, ticks: u32) {
         assert!(ticks >= 1, "demand hold must be >= 1 tick, got {ticks}");
         self.demand_hold = ticks;
-    }
-
-    /// Current demand redraw period (ticks).
-    pub fn demand_hold(&self) -> u32 {
-        self.demand_hold
     }
 
     /// Number of leaves currently settled (their next physics pass
@@ -494,7 +490,7 @@ impl Fleet {
                 for id in 0..leaf.len() {
                     if get_bit(&leaf.running, id) && self.rng.chance(p) {
                         put_bit(&mut leaf.running, id, false);
-                        leaf.agent_epoch += 1;
+                        leaf.epoch += 1;
                         self.down_count += 1;
                         self.pending_restarts
                             .push(((leaf.first + id) as u32, now + self.watchdog_delay));
@@ -519,7 +515,7 @@ impl Fleet {
                 put_bit(&mut leaf.running, id, true);
                 self.down_count -= 1;
             }
-            leaf.agent_epoch += 1;
+            leaf.epoch += 1;
         }
     }
 
@@ -789,7 +785,7 @@ mod tests {
                 assert_eq!(one.utilization_of(i), wide.utilization_of(i), "server {i}");
             }
             let per_leaf = |f: &Fleet| -> Vec<(u64, u64, bool)> {
-                let row = |l: &LeafColumns| (l.partial_w.to_bits(), l.power_epoch, l.settled);
+                let row = |l: &LeafColumns| (l.partial_w.to_bits(), l.epoch, l.settled);
                 f.leaves.iter().map(row).collect()
             };
             assert_eq!(per_leaf(&one), per_leaf(wide));
@@ -889,7 +885,7 @@ mod tests {
             assert_eq!(fleet.settled_leaf_count(), 2, "fleet failed to settle");
             let before = fleet.power_of(5);
             let cap = before - Power::from_watts(30.0);
-            let epoch = fleet.leaves[1].power_epoch;
+            let epoch = fleet.leaves[1].epoch;
 
             let ack = fleet.agent_rpc(5, Request::SetCap(cap));
             assert_eq!(ack, Response::CapAck { ok: true });
@@ -903,7 +899,7 @@ mod tests {
             assert!(fleet.leaves[0].settled, "the other leaf is untouched");
             // …while drawn power (and so every cached sum) has not moved.
             assert_eq!(fleet.power_of(5), before);
-            assert_eq!(fleet.leaves[1].power_epoch, epoch);
+            assert_eq!(fleet.leaves[1].epoch, epoch);
 
             fleet.step(t, SimDuration::from_secs(1));
             let after = fleet.power_of(5);
@@ -911,7 +907,7 @@ mod tests {
                 cap < after && after < before,
                 "one step moves toward the cap: {before} -> {after} (cap {cap})"
             );
-            assert!(fleet.leaves[1].power_epoch > epoch);
+            assert!(fleet.leaves[1].epoch > epoch);
             for _ in 0..10 {
                 fleet.step(t, SimDuration::from_secs(1));
             }
@@ -1021,11 +1017,11 @@ mod tests {
         assert_eq!(fleet.settled_leaf_count(), 4, "fleet failed to settle");
 
         // Crash: immediate zero draw, leaf unsettled, epoch bumped.
-        let epoch0 = fleet.leaves[0].power_epoch;
+        let epoch0 = fleet.leaves[0].epoch;
         fleet.set_server_alive(0, false);
         assert_eq!(fleet.power_of(0), Power::ZERO);
         assert!(!fleet.leaves[0].settled, "crash must unsettle its leaf");
-        assert_eq!(fleet.leaves[0].power_epoch, epoch0 + 1);
+        assert_eq!(fleet.leaves[0].epoch, epoch0 + 1);
         tick(&mut fleet, &mut t);
 
         // Revive: draw returns to the retained actuator output.
@@ -1060,21 +1056,23 @@ mod tests {
         // on the cap, so a spike above the cap leaves the clamped
         // target — and therefore the leaf's power bits — unchanged.
         fleet.set_traffic(ServiceKind::Web, TrafficPattern::flat(3.0));
-        let before_spike: Vec<u64> = fleet.leaves.iter().map(|l| l.power_epoch).collect();
+        let before_spike: Vec<Power> = (0..4).map(|l| fleet.leaf_power(l)).collect();
+        let clamped = Power::from_watts(130.0) * 50.0;
+        assert_eq!(before_spike[1], clamped);
         for _ in 0..55 {
             tick(&mut fleet, &mut t);
+            assert_eq!(
+                fleet.leaf_power(1),
+                clamped,
+                "cap-clamped leaf must stay at its fixed point through the spike"
+            );
         }
         for l in [0, 2, 3] {
             assert!(
-                fleet.leaves[l].power_epoch > before_spike[l],
+                fleet.leaf_power(l) > before_spike[l],
                 "leaf {l} never reacted to the traffic spike"
             );
         }
-        assert_eq!(
-            fleet.leaves[1].power_epoch, before_spike[1],
-            "cap-clamped leaf must stay at its fixed point through the spike"
-        );
-        assert_eq!(fleet.leaf_power(1), Power::from_watts(130.0) * 50.0);
     }
 
     #[test]

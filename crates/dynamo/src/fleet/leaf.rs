@@ -69,21 +69,6 @@ pub(super) struct StepCtx {
     pub(super) hold: u64,
 }
 
-/// What a leaf controller's pull could observe having changed since its
-/// last cycle: the control plane's staleness witness for
-/// quiescent-cycle elision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Markers {
-    /// [`LeafColumns::power_epoch`].
-    pub(crate) power_epoch: u64,
-    /// Tick of the leaf's last demand redraw.
-    pub(crate) draw_tick: u64,
-    /// Bumped whenever something a pull observes changes outside the
-    /// power epoch: an agent process crashing or restarting, a server's
-    /// liveness flipping.
-    pub(crate) agent_epoch: u64,
-}
-
 /// The servers of one leaf as parallel columns, with the leaf's own
 /// aggregates and versions. The per-server workload and physics state
 /// is in *position* order — a stable sort of the leaf's servers by
@@ -150,10 +135,11 @@ pub(crate) struct LeafColumns {
     /// Tick of the last demand redraw; held redraws scale the workload
     /// step `dt` by the elapsed tick count.
     pub(super) last_draw_tick: u64,
-    /// Bumped whenever the leaf's drawn power may have changed bits.
-    pub(super) power_epoch: u64,
-    /// See [`Markers::agent_epoch`].
-    pub(super) agent_epoch: u64,
+    /// The leaf's version: bumped by every step that changed state
+    /// bits, every demand redraw, every agent crash and watchdog
+    /// restart and every liveness write — whatever a pull of the leaf
+    /// or a fold of its watts could observe. See [`LeafColumns::epoch`].
+    pub(super) epoch: u64,
     /// Servers with a RAPL limit programmed: moved at the moment a
     /// limit flips between finite and `+Inf`.
     pub(super) capped: usize,
@@ -227,18 +213,12 @@ impl LeafColumns {
         self.power_w[local].iter().sum()
     }
 
-    /// The leaf's power version; see [`Markers`].
-    pub(crate) fn power_epoch(&self) -> u64 {
-        self.power_epoch
-    }
-
-    /// What a pull of this leaf would be sensitive to, as of now.
-    pub(crate) fn markers(&self) -> Markers {
-        Markers {
-            power_epoch: self.power_epoch,
-            draw_tick: self.last_draw_tick,
-            agent_epoch: self.agent_epoch,
-        }
+    /// The leaf's version. Two reads of it that agree bracket no change
+    /// a controller's pull could see — the control plane's witness for
+    /// quiescent-cycle elision — and no change to any server's drawn
+    /// watts, which keys a rack's memoized fold.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Whether server `id` is powered.
@@ -256,9 +236,8 @@ impl LeafColumns {
         self.partial_w = self.power_w.iter().sum();
         // A pull now reads differently, the liveness mask is a kernel
         // input, and drawn power changed right now.
-        self.agent_epoch += 1;
         self.settled = false;
-        self.power_epoch += 1;
+        self.epoch += 1;
     }
 
     /// Sorts the leaf's positions by run key (equal keys keep id
@@ -365,8 +344,8 @@ impl LeafColumns {
     /// 3. **Publish** — the partial is re-folded in id order over the
     ///    whole leaf (fusing it into the permuted scatter would change
     ///    association), `settled` becomes the AND of the tiles'
-    ///    fixed-point reports, and the power epoch is bumped iff any
-    ///    tile changed state bits.
+    ///    fixed-point reports, and the epoch is bumped by a redraw and
+    ///    by any tile that changed state bits.
     pub(super) fn step(&mut self, ctx: &StepCtx) {
         let due = ctx.hold <= 1 || ctx.tick % ctx.hold == self.index as u64 % ctx.hold;
         if self.settled && !due {
@@ -375,6 +354,7 @@ impl LeafColumns {
         let elapsed = if due {
             let e = (ctx.tick - self.last_draw_tick).max(1);
             self.last_draw_tick = ctx.tick;
+            self.epoch += 1;
             e
         } else {
             0
@@ -405,7 +385,7 @@ impl LeafColumns {
         self.partial_w = self.power_w.iter().sum();
         self.settled = fixed;
         if !fixed {
-            self.power_epoch += 1;
+            self.epoch += 1;
         }
     }
 
@@ -536,9 +516,9 @@ impl<'a> LeafAgents<'a> {
         get_bit(&self.leaf.running, sid as usize - self.leaf.first)
     }
 
-    /// See [`LeafColumns::markers`].
-    pub(crate) fn markers(&self) -> Markers {
-        self.leaf.markers()
+    /// See [`LeafColumns::epoch`].
+    pub(crate) fn epoch(&self) -> u64 {
+        self.leaf.epoch
     }
 
     /// What a delivered `ReadPower` to server `sid` reads: its settled

@@ -153,8 +153,7 @@ impl Fleet {
         w.put_u64(self.tick_index);
         per_leaf(w, &|w, l| w.put_bool(l.settled));
         per_leaf(w, &|w, l| w.put_u64(l.last_draw_tick));
-        per_leaf(w, &|w, l| w.put_u64(l.power_epoch));
-        per_leaf(w, &|w, l| w.put_u64(l.agent_epoch));
+        per_leaf(w, &|w, l| w.put_u64(l.epoch));
     }
 
     /// Loads what [`Fleet::save`] wrote into a fleet rebuilt from the
@@ -284,11 +283,7 @@ impl Fleet {
         }
         r.get_len(leaves.len(), "leaves")?;
         for leaf in leaves.iter_mut() {
-            leaf.power_epoch = r.get_count()?;
-        }
-        r.get_len(leaves.len(), "leaves")?;
-        for leaf in leaves.iter_mut() {
-            leaf.agent_epoch = r.get_count()?;
+            leaf.epoch = r.get_count()?;
             // The tally is a function of the column: recount.
             leaf.capped = leaf.limit_w.iter().filter(|w| w.is_finite()).count();
         }

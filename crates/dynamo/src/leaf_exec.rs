@@ -58,7 +58,7 @@ use workloads::ServiceKind;
 use crate::control_plane::SystemConfig;
 use crate::events::{ControllerEvent, ControllerEventKind};
 use crate::failover::Failover;
-use crate::fleet::{Fleet, LeafAgents, LeafColumns, Markers};
+use crate::fleet::{Fleet, LeafAgents, LeafColumns};
 use crate::obs::{band_of, ObsIds, Observability};
 use crate::shard::{self, front_mut};
 
@@ -73,16 +73,17 @@ pub(crate) struct Leaf {
     pub(crate) quota: Power,
     /// The leaf's last real cycle was a clean Hold — no pull failures,
     /// no active caps, no failover takeover — so, as long as `seen`
-    /// still matches the fleet and the link is lossless, re-running the
-    /// cycle would observe the same fleet state and decide Hold again.
+    /// still reads the fleet leaf's epoch and the link is lossless,
+    /// re-running the cycle would observe the same fleet state and
+    /// decide Hold again.
     /// Cleared by anything that could change the next decision from
     /// outside the fleet: an upper directive, an operator contract
     /// override, a rollout-phase flip, a primary failover.
     pub(crate) quiet: bool,
-    /// The fleet leaf's markers as of the last real cycle
-    /// ([`NEVER_RAN`] before the first). See
-    /// [`LeafTier::filter_quiescent`].
-    seen: Markers,
+    /// The fleet leaf's epoch ([`LeafColumns::epoch`]) as of the last
+    /// real cycle. Read only while `quiet`, which no leaf is before its
+    /// first real cycle. See [`LeafTier::filter_quiescent`].
+    seen: u64,
     /// The primary has crashed: the next cycle is skipped while the
     /// backup takes over (§III-E).
     pub(crate) failed: bool,
@@ -104,13 +105,6 @@ pub(crate) struct Leaf {
     /// episode: no caps were active before it, and it actuates.
     pub(crate) episode_start: bool,
 }
-
-/// [`Leaf::seen`] before the leaf's first real cycle.
-const NEVER_RAN: Markers = Markers {
-    power_epoch: u64::MAX,
-    draw_tick: u64::MAX,
-    agent_epoch: u64::MAX,
-};
 
 /// The leaf tier: its leaves, plus the immutable per-leaf geometry the
 /// public accessors return as slices.
@@ -199,7 +193,7 @@ impl LeafTier {
                 last_aggregate: Power::ZERO,
                 quota: dev.quota,
                 quiet: false,
-                seen: NEVER_RAN,
+                seen: 0,
                 failed: false,
                 obs: obs.new_shard(),
                 band: Band::Hold,
@@ -229,12 +223,13 @@ impl LeafTier {
     /// A leaf's cycle is elided only when it is *provably* a no-op
     /// recomputation: the leaf decided a clean Hold last time
     /// ([`Leaf::quiet`]), its link cannot drop or time out, no
-    /// failover is pending, and every marker of its fleet leaf — power
-    /// epoch, demand-redraw tick, agent epoch — still reads what the
-    /// last real cycle captured. The elided cycle's RPC and
+    /// failover is pending, and its fleet leaf's epoch still reads what
+    /// the last real cycle captured: since then no server of the leaf
+    /// was redrawn, changed drawn-power or RAPL-output bits, crashed,
+    /// was restarted or changed liveness. The elided cycle's RPC and
     /// sensor-noise RNG draws are *not* consumed, so elision (like the
-    /// demand hold that enables it — with `demand_hold == 1` the redraw
-    /// tick changes every tick and nothing ever elides) changes the
+    /// demand hold that enables it — with `demand_hold == 1` every leaf
+    /// redraws every tick and nothing ever elides) changes the
     /// trajectory relative to a run without it, while remaining
     /// deterministic and thread-count independent.
     pub(crate) fn filter_quiescent(&self, due: &[usize], fleet: &Fleet, out: &mut Vec<usize>) {
@@ -244,7 +239,7 @@ impl LeafTier {
             let elidable = leaf.quiet
                 && !leaf.failed
                 && leaf.network.profile().is_lossless()
-                && leaf.seen == fleet.leaves()[i].markers();
+                && leaf.seen == fleet.leaves()[i].epoch();
             if !elidable {
                 out.push(i);
             }
@@ -355,8 +350,8 @@ impl LeafTier {
 
     /// Saves the tier's dynamic state as flat per-leaf columns:
     /// controller decision state, link streams, last aggregates, and
-    /// the quiescence markers that drive cycle elision (they must
-    /// round-trip exactly, or a resumed run would elide, or re-run,
+    /// the quiet flags and seen epochs that drive cycle elision (they
+    /// must round-trip exactly, or a resumed run would elide, or re-run,
     /// cycles the unbroken run did not). The pending-failure flags and
     /// last bands travel in the failover and observability sections —
     /// see [`crate::control_plane::DynamoSystem::save`]. Everything
@@ -375,9 +370,7 @@ impl LeafTier {
         column(w, &|w, l| l.network.save(w));
         column(w, &|w, l| w.put_f64(l.last_aggregate.as_watts()));
         column(w, &|w, l| w.put_bool(l.quiet));
-        column(w, &|w, l| w.put_u64(l.seen.power_epoch));
-        column(w, &|w, l| w.put_u64(l.seen.draw_tick));
-        column(w, &|w, l| w.put_u64(l.seen.agent_epoch));
+        column(w, &|w, l| w.put_u64(l.seen));
     }
 
     /// Loads what [`LeafTier::save`] wrote into a tier built with the
@@ -400,17 +393,9 @@ impl LeafTier {
         for l in &mut self.leaves {
             l.quiet = r.get_bool()?;
         }
-        r.get_len(n, "leaf power epochs")?;
+        r.get_len(n, "leaf epochs")?;
         for l in &mut self.leaves {
-            l.seen.power_epoch = r.get_u64()?;
-        }
-        r.get_len(n, "leaf draw ticks")?;
-        for l in &mut self.leaves {
-            l.seen.draw_tick = r.get_u64()?;
-        }
-        r.get_len(n, "leaf agent epochs")?;
-        for l in &mut self.leaves {
-            l.seen.agent_epoch = r.get_u64()?;
+            l.seen = r.get_u64()?;
         }
         Ok(())
     }
@@ -435,8 +420,8 @@ fn window<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T
 impl Leaf {
     /// One due cycle, in whichever shard the leaf landed: the cycle
     /// against the leaf's agent view (or the backup's takeover), and
-    /// the markers the cycle saw (the control tick does not step the
-    /// fleet, and a cap write moves no marker, so they read the same
+    /// the epoch the cycle saw (the control tick does not step the
+    /// fleet, and a cap write moves no epoch, so it reads the same
     /// before and after it).
     fn run(
         &mut self,
@@ -455,7 +440,7 @@ impl Leaf {
         } else {
             self.quiet = self.cycle(now, device, agents, rtt, ids);
         }
-        self.seen = agents.markers();
+        self.seen = agents.epoch();
     }
 
     /// The backup controller taking over after a primary failure. The

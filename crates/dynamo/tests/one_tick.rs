@@ -159,8 +159,11 @@ fn churn_reproduces_the_pre_collapse_golden_at_every_width() {
 /// Re-recorded when each leaf link's five `u64` — calls, successes,
 /// timeouts, drops and the latency sum — left the wire and the
 /// `DatacenterState` version went 3 → 4 (it was `0x365308a5b2daec9a`);
-/// `CHURN_GOLDEN` did not move.
-const CHURN_SNAPSHOT_GOLDEN: u64 = 0x9593_66f1_146a_e94c;
+/// `CHURN_GOLDEN` did not move. Re-recorded when the breakers' cooling
+/// constant left their bodies, each leaf's three elision markers and two
+/// epochs became one epoch, and the version went 4 → 5 (it was
+/// `0x959366f1146ae94c`); `CHURN_GOLDEN` did not move.
+const CHURN_SNAPSHOT_GOLDEN: u64 = 0xddb9_44be_018e_dd1b;
 
 #[test]
 fn churn_snapshot_bytes_are_pinned_at_every_width() {

@@ -200,12 +200,14 @@ pub struct Breaker {
     /// Thermal accumulator in `[0, 1]`; trips at 1.
     heat: f64,
     status: BreakerStatus,
-    /// Cooling time constant: seconds for a fully heated breaker to shed
-    /// ~63% of its thermal state once the overload clears.
-    cooling_tau_secs: f64,
 }
 
 impl Breaker {
+    /// Cooling time constant, the same for every breaker: seconds for a
+    /// fully heated breaker to shed ~63% of its thermal state once the
+    /// overload clears.
+    pub const COOLING_TAU_SECS: f64 = 120.0;
+
     /// Creates a breaker with the given rating and trip characteristic.
     ///
     /// # Panics
@@ -221,7 +223,6 @@ impl Breaker {
             curve,
             heat: 0.0,
             status: BreakerStatus::Nominal,
-            cooling_tau_secs: 120.0,
         }
     }
 
@@ -273,7 +274,7 @@ impl Breaker {
             // every device, nearly every tick — stays at +0.0 whatever
             // the factor, so it skips the `exp`.
             if self.heat != 0.0 {
-                self.heat *= (-dt_secs / self.cooling_tau_secs).exp();
+                self.heat *= (-dt_secs / Breaker::COOLING_TAU_SECS).exp();
                 if self.heat < 1e-9 {
                     self.heat = 0.0;
                 }
@@ -291,9 +292,9 @@ impl Breaker {
     }
 
     /// This breaker in the thermal state of `saved`: heat and status
-    /// are taken from it and nothing else. Rating, trip curve and
-    /// cooling constant are configuration, so `saved` must carry this
-    /// breaker's own, and a thermal level in `[0, 1]`.
+    /// are taken from it and nothing else. Rating and trip curve are
+    /// configuration, so `saved` must carry this breaker's own, and a
+    /// thermal level in `[0, 1]`.
     pub fn restored(&self, saved: &Breaker) -> Result<Breaker, SnapError> {
         let restored = Breaker {
             heat: saved.heat,
@@ -312,7 +313,8 @@ impl Breaker {
 
 impl Snapshot for Breaker {
     const KIND: &'static str = "powerinfra.Breaker";
-    const VERSION: u32 = 1;
+    // v2: the cooling constant, the same in every breaker, left the body.
+    const VERSION: u32 = 2;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_f64(self.rating.as_watts());
@@ -322,7 +324,6 @@ impl Snapshot for Breaker {
         w.put_f64(self.curve.instant_ratio);
         w.put_f64(self.heat);
         w.put_u8(self.status.snap_code());
-        w.put_f64(self.cooling_tau_secs);
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -341,7 +342,6 @@ impl Snapshot for Breaker {
             curve,
             heat: r.get_f64()?,
             status: BreakerStatus::from_snap_code(r.get_u8()?)?,
-            cooling_tau_secs: r.get_f64()?,
         })
     }
 }
@@ -514,7 +514,7 @@ mod tests {
                 b.status = BreakerStatus::Overloaded;
             }
         } else {
-            b.heat *= (-dt_secs / b.cooling_tau_secs).exp();
+            b.heat *= (-dt_secs / Breaker::COOLING_TAU_SECS).exp();
             if b.heat < 1e-9 {
                 b.heat = 0.0;
             }

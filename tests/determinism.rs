@@ -1,33 +1,23 @@
 //! Cross-cutting determinism guarantees: the whole simulation is a pure
-//! function of its seed, at any thread count, which is what makes the
-//! experiment harness and the property tests trustworthy.
+//! function of its seed, which is what makes the experiment harness and
+//! the property tests trustworthy. That it is the same function at any
+//! thread count is the `determinism` case of `schedules.rs`.
 
+mod common;
+
+use common::mixed;
 use dcsim::{SimDuration, SimRng};
-use dynamo_repro::dynamo::{DatacenterBuilder, ServicePlan};
-use dynamo_repro::powerinfra::{DeviceLevel, Power};
-use dynamo_repro::workloads::{ServiceKind, TrafficPattern};
+use dynamo_repro::dynamo::{Datacenter, ObsConfig};
+use dynamo_repro::powerinfra::DeviceLevel;
 
-fn build(seed: u64, threads: usize) -> dynamo_repro::dynamo::Datacenter {
-    DatacenterBuilder::new()
-        .sbs_per_msb(2)
-        .rpps_per_sb(2)
-        .racks_per_rpp(2)
-        .servers_per_rack(16)
-        .rpp_rating(Power::from_kilowatts(18.0))
-        .service_plan(ServicePlan::Mix(vec![
-            (ServiceKind::Web, 0.5),
-            (ServiceKind::Cache, 0.3),
-            (ServiceKind::Hadoop, 0.2),
-        ]))
-        .traffic(ServiceKind::Web, TrafficPattern::diurnal())
-        .agent_crash_rate(0.5)
-        .worker_threads(threads)
-        .seed(seed)
-        .build()
+fn build(seed: u64, threads: usize) -> Datacenter {
+    let mut spec = mixed([Some(18.0), None, None], 0.5, seed);
+    spec.obs = ObsConfig::default();
+    spec.builder(threads).build()
 }
 
 /// A fingerprint of the observable end state.
-fn fingerprint(dc: &dynamo_repro::dynamo::Datacenter) -> (u64, usize, usize, usize) {
+fn fingerprint(dc: &Datacenter) -> (u64, usize, usize, usize) {
     let total_bits = dc.fleet().stats().total_power.as_watts().to_bits();
     (
         total_bits,
@@ -46,31 +36,6 @@ fn same_seed_same_universe() {
     };
     assert_eq!(run(17), run(17));
     assert_ne!(run(17), run(18), "different seeds must diverge");
-}
-
-#[test]
-fn thread_count_does_not_change_physics() {
-    // Parallel fleet stepping must be bit-identical to serial — the
-    // per-server RNG streams are independent by construction.
-    let mut serial = build(23, 1);
-    let mut parallel = build(23, 4);
-    serial.run_for(SimDuration::from_mins(5));
-    parallel.run_for(SimDuration::from_mins(5));
-    assert_eq!(fingerprint(&serial), fingerprint(&parallel));
-    // Spot-check per-device traces, not just totals.
-    for rpp in serial.topology().devices_at(DeviceLevel::Rpp) {
-        assert_eq!(
-            serial
-                .telemetry()
-                .device_trace(rpp)
-                .map(|t| t.values().to_vec()),
-            parallel
-                .telemetry()
-                .device_trace(rpp)
-                .map(|t| t.values().to_vec()),
-            "trace diverged for {rpp}"
-        );
-    }
 }
 
 #[test]

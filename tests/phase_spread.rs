@@ -1,24 +1,21 @@
 //! Staggered controller phases: with a nonzero phase spread, leaf
 //! cycles fire at distinct sim times while each leaf's cadence stays
-//! exactly one leaf interval (3 s), and the staggered control plane is
-//! still bit-identical across worker thread counts.
+//! exactly one leaf interval (3 s). That the staggered control plane
+//! equals the reference oracle at every width is the `staggered` case of
+//! `schedules.rs`.
 
+mod common;
+
+use common::Spec;
 use dcsim::SimDuration;
-use dynamo_repro::dynamo::{Datacenter, DatacenterBuilder, RunReport};
-use dynamo_repro::powerinfra::Power;
-use dynamo_repro::workloads::{ServiceKind, TrafficPattern};
+use dynamo_repro::dynamo::Datacenter;
 
-fn staggered(threads: usize) -> Datacenter {
-    DatacenterBuilder::new()
-        .sbs_per_msb(1)
-        .rpps_per_sb(4)
-        .racks_per_rpp(1)
-        .servers_per_rack(8)
-        .uniform_service(ServiceKind::Web)
-        .phase_spread(SimDuration::from_secs(3))
-        .worker_threads(threads)
-        .seed(17)
-        .build()
+/// Four one-rack leaves of web servers, their phases spread over
+/// `spread`.
+fn staggered(spread: u64) -> Datacenter {
+    let mut spec = Spec::new([1, 4, 1, 8], 17);
+    spec.spread = SimDuration::from_secs(spread);
+    spec.builder(1).build()
 }
 
 /// Per-leaf firing times (in seconds) over `secs` one-second ticks,
@@ -43,7 +40,7 @@ fn firing_times(dc: &mut Datacenter, secs: u64) -> Vec<Vec<u64>> {
 
 #[test]
 fn spread_leaves_fire_at_distinct_times_with_exact_cadence() {
-    let mut dc = staggered(1);
+    let mut dc = staggered(3);
 
     // Four leaves across a 3 s spread get phase offsets 0/750/1500/2250 ms.
     let leaves: Vec<_> = dc.system().leaf_devices().to_vec();
@@ -78,58 +75,9 @@ fn spread_leaves_fire_at_distinct_times_with_exact_cadence() {
 
 #[test]
 fn lockstep_leaves_fire_together() {
-    let mut dc = DatacenterBuilder::new()
-        .sbs_per_msb(1)
-        .rpps_per_sb(4)
-        .racks_per_rpp(1)
-        .servers_per_rack(8)
-        .uniform_service(ServiceKind::Web)
-        .seed(17)
-        .build();
+    let mut dc = staggered(0);
     let fired = firing_times(&mut dc, 12);
     for times in &fired {
         assert_eq!(times, &fired[0], "lockstep leaves diverged");
-    }
-}
-
-#[test]
-fn staggered_control_plane_is_bit_identical_across_threads() {
-    // With phases staggered, each tick dispatches only the due subset of
-    // leaves; the parallel path must carve that subset exactly like the
-    // serial loop runs it.
-    let run = |threads: usize| {
-        let mut dc = DatacenterBuilder::new()
-            .sbs_per_msb(2)
-            .rpps_per_sb(2)
-            .racks_per_rpp(2)
-            .servers_per_rack(16)
-            .rpp_rating(Power::from_kilowatts(7.4))
-            .uniform_service(ServiceKind::Web)
-            .traffic(ServiceKind::Web, TrafficPattern::flat(1.4))
-            .phase_spread(SimDuration::from_secs(3))
-            .worker_threads(threads)
-            .seed(41)
-            .build();
-        dc.run_for(SimDuration::from_mins(4));
-        (
-            dc.telemetry().controller_events().to_vec(),
-            RunReport::from_datacenter(&dc),
-        )
-    };
-    let (serial_events, serial_report) = run(1);
-    assert!(
-        serial_report.leaf_cap_events > 0,
-        "no capping activity:\n{serial_report}"
-    );
-    for threads in [2usize, 4] {
-        let (events, report) = run(threads);
-        assert_eq!(
-            serial_events, events,
-            "events diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial_report, report,
-            "report diverged at {threads} threads"
-        );
     }
 }

@@ -372,7 +372,7 @@ fn assert_datacenter_version_refused(version: u32) {
             supported,
         }) => {
             assert_eq!(kind, DatacenterState::KIND);
-            assert_eq!((found, supported), (version, 4));
+            assert_eq!((found, supported), (version, DatacenterState::VERSION));
         }
         Err(other) => panic!("expected VersionMismatch, got {other}"),
         Ok(_) => panic!("a v{version} envelope must not decode"),
@@ -391,6 +391,13 @@ fn a_v2_datacenter_envelope_is_a_version_mismatch() {
 #[test]
 fn a_v3_datacenter_envelope_is_a_version_mismatch() {
     assert_datacenter_version_refused(3);
+}
+
+/// A file written while every breaker carried the cooling constant and
+/// each leaf its power and agent epochs (envelope version 4) is refused.
+#[test]
+fn a_v4_datacenter_envelope_is_a_version_mismatch() {
+    assert_datacenter_version_refused(4);
 }
 
 #[test]
