@@ -43,7 +43,7 @@
 # to be judged against a naive reference datacenter and the parity suites
 # that compared it only with itself went, the breakers' cooling constant
 # became a constant and each leaf's elision markers one epoch (twentieth:
-# the suite files that went whole, the per-breaker field and the agent
+# the suite file that went whole, the per-breaker field and the agent
 # epoch) — so a stale reference
 # breaks the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
@@ -67,7 +67,7 @@ server_racks|step_batch_settled\b|step_batch_scalar
 take_spans|take_flights|record_leaf_failover|record_upper_failover
 \.cdf\b|\bcdf: *cdf\b|full CDF, for plotting
 ClusterPerf|workloads::perf|power_slope|plot_points|batch_job_waves|blackout_eta|racks_powered|with_tau|non_server_overhead|saturating_since|powerstats::Summary
-parallel_determinism|failover_parity|\.cooling_tau_secs|cooling_tau_secs: (f64,|120|r\.)|agent_epoch' \
+failover_parity|\.cooling_tau_secs|cooling_tau_secs: (f64,|120|r\.)|agent_epoch' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -1,17 +1,40 @@
 //! Active-set physics at the datacenter level: with `demand_hold(30)`
 //! settled leaves skip their settle pass and each rack keeps its draw
 //! while its leaf's power epoch stands still, so a mutation that
-//! bypasses the step must still reach every read. That the held run
-//! equals the reference oracle at every width is the `stressed_held`
-//! case of `schedules.rs`.
+//! bypasses the step must still reach every read, and the held run must
+//! equal the reference oracle at every width (`scenario/mod.rs`).
 
 mod common;
+mod oracle;
+mod scenario;
 
 use common::mixed;
 use dcsim::SimTime;
 use dynamo_repro::dynamo::Datacenter;
 use dynamo_repro::dynrpc::LinkProfile;
 use dynamo_repro::powerinfra::DeviceLevel;
+use scenario::{check, stressed_case, stressed_guards, widths};
+
+/// Hold 30 lets settled leaves skip physics and racks keep their draws,
+/// under crashes, lossy links, two failovers and an out-of-band kill
+/// and revive of leaf 1's first server.
+#[test]
+fn active_set_control_plane_is_bit_identical_across_threads() {
+    let base = check(&stressed_case(Some(30)), &widths(None, &[1, 2, 8, 64]));
+    stressed_guards(&base);
+    assert!(base.max_settled > 0, "no leaf ever settled");
+}
+
+/// An explicit hold of 1 is the default builder's model: every leaf
+/// redraws every tick.
+#[test]
+fn hold_of_one_matches_the_default_builder() {
+    let one = check(&stressed_case(Some(1)), &[]);
+    let mut default = stressed_case(Some(1));
+    default.spec.hold = None;
+    let default = check(&default, &[]);
+    assert!(one.texts == default.texts, "hold 1 differs");
+}
 
 #[test]
 fn draw_cache_tracks_out_of_band_kills() {

@@ -1,20 +1,34 @@
-//! What a checkpoint refuses and what it keeps stable. That a run
-//! resumed from one equals the unbroken run, at any width and with the
-//! grid layer mid-curtailment, is the `checkpointed` and
-//! `grid_curtailment` cases of `schedules.rs`.
+//! Checkpoints: a run resumed from one must equal the reference oracle
+//! and the unbroken run at any width (`scenario/mod.rs`), and a
+//! checkpoint refuses what it cannot restore and keeps its bytes
+//! stable. The grid layer mid-curtailment is the `grid_curtailment`
+//! case of `schedules.rs`.
 
 mod common;
+mod oracle;
+mod scenario;
 
 use common::{mixed, Spec};
 use dcsim::snap::Snapshot;
 use dcsim::SimDuration;
 use dynamo_repro::dynamo::{Datacenter, DatacenterState};
+use scenario::{check, checkpointed_case, widths};
 
 /// A mixed fleet with crashing agents and staggered phases.
 fn build() -> Datacenter {
-    let mut spec = mixed([Some(18.0), None, None], 0.5, 41);
-    spec.spread = SimDuration::from_secs(2);
-    spec.builder(1).build()
+    checkpointed_case().spec.builder(1).build()
+}
+
+/// Resumed at 250 s, between the two failovers, on one thread.
+#[test]
+fn resume_is_bit_identical_serial() {
+    check(&checkpointed_case(), &widths(Some(250), &[1]));
+}
+
+/// Resumed at 250 s into the sharded tick, at 2 and 8 workers.
+#[test]
+fn resume_is_bit_identical_across_threads_and_modes() {
+    check(&checkpointed_case(), &widths(Some(250), &[2, 8]));
 }
 
 #[test]

@@ -3,33 +3,74 @@
 //! On lossless agent links, with demand held between redraws, a leaf
 //! whose controller last saw a clean Hold and whose servers are
 //! unchanged would recompute byte-identical state — the control plane
-//! elides that cycle outright. That it engages and changes nothing the
-//! reference oracle can see, at any width and across a checkpoint, is
-//! the `steady_elision` case of `schedules.rs`. These tests pin its
-//! mechanics: every invalidation source — demand redraw, out-of-band
+//! elides that cycle outright. It must engage and change nothing the
+//! reference oracle can see, at any width and across a checkpoint
+//! (`scenario/mod.rs`). The other tests pin its mechanics: every invalidation source — demand redraw, out-of-band
 //! kill, a lossy link — forces the next cycle to really run, and the
 //! maintained tallies it reads match live scans.
 
 mod common;
+mod oracle;
+mod scenario;
 
 use common::{flat, metric, web, Spec};
 use dcsim::SimTime;
 use dynamo_repro::dynamo::{Datacenter, ObsConfig};
 use dynamo_repro::dynrpc::LinkProfile;
 use dynamo_repro::workloads::TrafficPattern;
+use scenario::{case, check, widths, Run, Scenario};
 
 /// The steady-state configuration from the bench matrix, scaled down:
 /// an under-budget fleet (no active caps) on `rpc` links, demand
 /// redraws held for 30 ticks.
-fn build_steady(rpc: Option<LinkProfile>) -> Datacenter {
+fn steady(rpc: Option<LinkProfile>) -> Spec {
     let mut spec = Spec::new([2, 4, 2, 20], 97);
     (spec.traffic, spec.rpc) = (web(TrafficPattern::flat(0.7)), rpc);
     (spec.obs, spec.hold) = (ObsConfig::on(), Some(30));
-    spec.builder(1).build()
+    spec
+}
+
+fn build_steady(rpc: Option<LinkProfile>) -> Datacenter {
+    steady(rpc).builder(1).build()
+}
+
+/// The steady state on lossless links over `secs`, agents crashing now
+/// and then.
+fn crashing_steady(secs: u64) -> Scenario {
+    let mut spec = steady(Some(LinkProfile::reliable()));
+    spec.crash_rate = 0.5;
+    case(spec, secs, [])
 }
 
 fn counter(dc: &Datacenter, name: &str) -> u64 {
     metric(&dc.system().observability().prometheus_text(), name)
+}
+
+/// Elided and run cycles by the run's metrics.
+fn cycle_counts(run: &Run) -> (u64, u64) {
+    let elided = metric(&run.texts.1, "dynamo_leaf_cycles_elided_total");
+    (elided, metric(&run.texts.1, "dynamo_leaf_cycles_total"))
+}
+
+/// With agents crashing now and then, most due cycles are elided, at
+/// every width.
+#[test]
+fn elision_engages_and_changes_nothing_across_threads() {
+    let base = check(&crashing_steady(300), &widths(None, &[1, 2, 4, 8]));
+    let (elided, ran) = cycle_counts(&base);
+    assert!(elided > ran && ran > 0, "{elided} elided, {ran} ran");
+    // Every due cycle counted once: 8 leaves every 3 s for 5 minutes.
+    assert_eq!(elided + ran, 8 * 100, "a due cycle went uncounted");
+}
+
+/// A checkpoint deep in the steady state, at 5 minutes, resumes eliding
+/// the same cycles through 8 minutes.
+#[test]
+fn resume_elides_exactly_like_the_unbroken_run() {
+    let mut sc = crashing_steady(480);
+    sc.at_resume = |dc| dc.fleet().settled_leaf_count() > 0;
+    let (elided, ran) = cycle_counts(&check(&sc, &widths(Some(300), &[2])));
+    assert!(elided > ran, "{elided} elided, {ran} ran");
 }
 
 #[test]

@@ -8,7 +8,10 @@
 //! breakers in device order. None of the product's machinery is here:
 //! no columns, shards or pool, no active-set skip, no rack memo, no
 //! two-pass pull, no epochs. DESIGN.md's "The reference oracle" says
-//! what the product must equal and what the oracle leaves out.
+//! what the product must equal and what the oracle leaves out. A test
+//! file's scripts use what they need of its acts.
+
+#![allow(dead_code)]
 
 use std::ops::Range;
 use std::sync::Arc;

@@ -1,219 +1,23 @@
-//! One table of named scenarios, each run under a list of schedules and
-//! held to one statement: at every schedule the run equals the reference
-//! oracle (`oracle/mod.rs`) bit for bit — controller events, each leaf's
-//! aggregate and cycle count, breaker transitions, watched device
-//! traces, the capped and total series and every server's final watts —
-//! and its run report and Prometheus text equal its straight width-1
-//! run's. A schedule is a worker width and, optionally, a tick at which
-//! the run is snapshotted through the full encoding, restored into a
-//! freshly built datacenter and carried on. Each case's own assertions
-//! are vacuity guards: the run must exercise what the statement is
-//! about, or equality proves nothing.
+//! The table of named scenarios, each run under a list of schedules and
+//! held to the one statement of `scenario/mod.rs`: at every schedule the
+//! run equals the reference oracle bit for bit, and its report and
+//! Prometheus text equal its straight width-1 run's. The stressed,
+//! held, steady-elision and checkpointed cases live beside the
+//! mechanics they exercise, in `parallel_determinism.rs`,
+//! `active_set_determinism.rs`, `cycle_elision.rs` and
+//! `checkpoint_parity.rs`.
 
 mod common;
 mod oracle;
+mod scenario;
 
-use std::ops::Range;
-
-use common::{flat, metric, mixed, web, Spec};
-use dcsim::snap::Snapshot;
+use common::{flat, mixed, Spec};
 use dcsim::{SimDuration, SimTime};
-use dynamo_repro::dynamo::{ControllerEventKind, Datacenter, DatacenterState, ObsConfig};
-use dynamo_repro::dynamo::{RunReport, ServicePlan};
-use dynamo_repro::dynrpc::LinkProfile;
-use dynamo_repro::powerinfra::{DeviceLevel, Power};
+use dynamo_repro::dynamo::{ControllerEventKind, ObsConfig, ServicePlan};
+use dynamo_repro::powerinfra::DeviceLevel;
 use dynamo_repro::workloads::{ServiceKind, TrafficEvent, TrafficPattern};
-use oracle::{Act, Dev, Observed, On, Oracle, Site};
-
-const fn leaf(i: usize) -> Dev {
-    (DeviceLevel::Rpp, i)
-}
-
-const fn fail(d: Dev) -> Act {
-    Act::At(d, On::Fail)
-}
-
-struct Scenario {
-    spec: Spec,
-    secs: u64,
-    /// Acts by tick.
-    script: Vec<(u64, Act)>,
-    /// What must hold at a checkpoint, in the run that takes it and in
-    /// the run restored from it.
-    at_resume: fn(&Datacenter) -> bool,
-}
-
-fn case(spec: Spec, secs: u64, script: impl IntoIterator<Item = (u64, Act)>) -> Scenario {
-    let script = script.into_iter().collect();
-    Scenario {
-        spec,
-        secs,
-        script,
-        at_resume: |_| true,
-    }
-}
-
-/// A worker width and the tick a checkpoint is taken and resumed at.
-type Schedule = (usize, Option<u64>);
-
-fn widths(resume_at: Option<u64>, ws: &[usize]) -> Vec<Schedule> {
-    ws.iter().map(|&w| (w, resume_at)).collect()
-}
-
-/// A finished run of the datacenter under test.
-struct Run {
-    dc: Datacenter,
-    seen: Observed,
-    report: RunReport,
-    /// The report's text and the Prometheus exposition.
-    texts: (String, String),
-    /// The most leaves the fleet held settled after any tick.
-    max_settled: usize,
-}
-
-/// Steps `site` over `ticks`, each tick's acts first, calling `after`
-/// after each step.
-fn drive<S: Site>(
-    site: &mut S,
-    sc: &Scenario,
-    ticks: Range<u64>,
-    noted: &mut Vec<Power>,
-    mut after: impl FnMut(&S),
-) {
-    for t in ticks {
-        for (_, act) in sc.script.iter().filter(|&&(at, _)| at == t) {
-            site.act(act, noted);
-        }
-        site.step();
-        after(site);
-    }
-}
-
-/// Snapshots `dc` and restores it into a freshly built twin.
-fn resume(sc: &Scenario, mut dc: Datacenter, width: usize) -> Datacenter {
-    assert!((sc.at_resume)(&dc), "the checkpoint misses its point");
-    let bytes = dc.state().to_snap_bytes();
-    let state = DatacenterState::from_snap_bytes(&bytes).expect("a snapshot decodes");
-    let mut fresh = sc.spec.builder(width).build();
-    fresh.restore(&state).expect("a snapshot restores");
-    assert_eq!(fresh.now(), dc.now());
-    let settled = |dc: &Datacenter| dc.fleet().settled_leaf_count();
-    assert_eq!(settled(&fresh), settled(&dc), "the settled set restores");
-    assert!((sc.at_resume)(&fresh), "the restore loses the point");
-    fresh
-}
-
-fn run(sc: &Scenario, (width, resume_at): Schedule) -> Run {
-    let mut dc = sc.spec.builder(width).build();
-    let (mut noted, mut max_settled) = (Vec::new(), 0);
-    let mut after = |dc: &Datacenter| {
-        max_settled = max_settled.max(dc.fleet().settled_leaf_count());
-    };
-    let split = resume_at.unwrap_or(sc.secs);
-    drive(&mut dc, sc, 0..split, &mut noted, &mut after);
-    if split < sc.secs {
-        dc = resume(sc, dc, width);
-        drive(&mut dc, sc, split..sc.secs, &mut noted, &mut after);
-    }
-    let report = RunReport::from_datacenter(&dc);
-    let texts = (
-        report.to_string(),
-        dc.system().observability().prometheus_text(),
-    );
-    let seen = Observed::of(&dc);
-    Run {
-        dc,
-        seen,
-        report,
-        texts,
-        max_settled,
-    }
-}
-
-/// Holds `got` to `want` by their pretty `Debug` texts, naming the first
-/// line that differs and the field it is in.
-fn same(what: &str, got: &Observed, want: &Observed) {
-    let (got, want) = (format!("{got:#?}"), format!("{want:#?}"));
-    let mut field = "";
-    for (i, (a, b)) in got.lines().zip(want.lines()).enumerate() {
-        if a.starts_with("    ") && !a.starts_with("     ") {
-            field = a;
-        }
-        assert!(a == b, "{what}: line {i}, in {field}: {a} against {b}");
-    }
-    assert_eq!(got.lines().count(), want.lines().count(), "{what}: length");
-}
-
-/// The statement: `sc` run straight at width 1 against the oracle, then
-/// under each of `schedules`. The oracle has no grid layer: a case with
-/// one is judged by its straight width-1 run. Returns the straight run
-/// for the case's guards.
-fn check(sc: &Scenario, schedules: &[Schedule]) -> Run {
-    let base = run(sc, (1, None));
-    let oracle = sc.spec.grid.is_none().then(|| {
-        let mut oracle = Oracle::new(&sc.spec, &sc.spec.builder(1).build());
-        drive(&mut oracle, sc, 0..sc.secs, &mut Vec::new(), |_| {});
-        let seen = oracle.observed();
-        same("the straight width-1 run", &base.seen, &seen);
-        seen
-    });
-    let want = oracle.as_ref().unwrap_or(&base.seen);
-    for &s in schedules.iter().filter(|&&s| s != (1, None)) {
-        let got = run(sc, s);
-        same(&format!("{s:?}"), &got.seen, want);
-        assert!(got.texts == base.texts, "{s:?}: report or metrics differ");
-        assert_eq!(got.max_settled, base.max_settled, "{s:?}: settled leaves");
-    }
-    base
-}
-
-/// A tight RPP rating keeps the three-band controller moving between
-/// Cap and Uncap, agents crash, links drop and time out, and two
-/// failovers are injected. With a demand hold, leaf 1's first server is
-/// also killed out of band and revived, each audited at once.
-fn stressed_case(hold: Option<u32>) -> Scenario {
-    let mut spec = mixed([Some(7.4), None, None], 0.5, 41);
-    (spec.rpc, spec.hold) = (Some(LinkProfile::lossy(0.05, 0.05)), hold);
-    let mut sc = case(spec, 300, [(120, fail(leaf(0))), (180, fail(leaf(2)))]);
-    if hold.is_some() {
-        let (kill, revive) = (Act::Kill(32..33), Act::Revive(32..33));
-        sc.script.extend([(120, kill), (180, revive)]);
-        sc.script.extend([120, 180].map(|t| (t, Act::Audit)));
-    }
-    sc
-}
-
-fn stressed_guards(run: &Run) {
-    let report = &run.report;
-    assert!(report.leaf_cap_events > 0, "no capping activity:\n{report}");
-    assert!(report.failovers >= 2, "failover injection missed");
-    let families = "cycles_total rpc_drops_total failovers_total cut_watts_sum";
-    for family in families.split(' ') {
-        assert!(run.texts.1.contains(family), "metrics miss {family}");
-    }
-}
-
-/// 3, 5 and 7 do not divide the 4-leaf tier; 16 and 64 are more
-/// workers than leaves, which the pool clamps.
-#[test]
-fn stressed() {
-    let schedules = widths(None, &[1, 2, 3, 5, 7, 8, 16, 64]);
-    stressed_guards(&check(&stressed_case(None), &schedules));
-}
-
-/// The demand hold lets settled leaves skip physics and racks keep their
-/// draws; an explicit hold of 1 is the default builder's model.
-#[test]
-fn stressed_held() {
-    let base = check(&stressed_case(Some(30)), &widths(None, &[1, 2, 8, 64]));
-    stressed_guards(&base);
-    assert!(base.max_settled > 0, "no leaf ever settled");
-    let one = check(&stressed_case(Some(1)), &[]);
-    let mut default = stressed_case(Some(1));
-    default.spec.hold = None;
-    let default = check(&default, &[]);
-    assert!(one.texts == default.texts, "hold 1 differs");
-}
+use oracle::{Act, On};
+use scenario::{case, check, fail, leaf, widths, TWO_FAILOVERS};
 
 #[test]
 fn dry_run() {
@@ -265,30 +69,6 @@ fn fig14_capping() {
     assert_eq!(report.breaker_trips, 0);
 }
 
-/// An under-budget fleet on lossless links with demand held for 30
-/// ticks, agents crashing now and then: most due cycles are elided, and
-/// a checkpoint deep in the steady state resumes eliding the same ones.
-#[test]
-fn steady_elision() {
-    let mut spec = Spec::new([2, 4, 2, 20], 97);
-    (spec.traffic, spec.crash_rate) = (web(TrafficPattern::flat(0.7)), 0.5);
-    (spec.rpc, spec.obs, spec.hold) = (Some(LinkProfile::reliable()), ObsConfig::on(), Some(30));
-    let counts = |run: Run| {
-        let elided = metric(&run.texts.1, "dynamo_leaf_cycles_elided_total");
-        (elided, metric(&run.texts.1, "dynamo_leaf_cycles_total"))
-    };
-    let schedules = widths(None, &[1, 2, 4, 8]);
-    let (elided, ran) = counts(check(&case(spec.clone(), 300, []), &schedules));
-    assert!(elided > ran && ran > 0, "{elided} elided, {ran} ran");
-    // Every due cycle counted once: 8 leaves every 3 s for 5 minutes.
-    assert_eq!(elided + ran, 8 * 100, "a due cycle went uncounted");
-
-    let mut longer = case(spec, 480, []);
-    longer.at_resume = |dc| dc.fleet().settled_leaf_count() > 0;
-    let (elided, ran) = counts(check(&longer, &widths(Some(300), &[2])));
-    assert!(elided > ran, "{elided} elided, {ran} ran");
-}
-
 /// Contractual limits (§III-D) on a leaf and on the MSB, sized off their
 /// draws at 60 s, applied at 120 s, cleared at 240 s and re-applied
 /// tighter at 360 s — the traffic the grid layer's economic controller
@@ -331,21 +111,6 @@ fn fault_churn() {
     sc.script.extend(after_steps.map(|t| (t + 1, Act::Audit)));
     let base = check(&sc, &widths(None, &[1, 2, 8, 64]));
     assert!(base.report.breaker_trips > 0, "nothing tripped");
-}
-
-/// Leaf failovers at 100 s and 300 s: one on each side of a checkpoint
-/// at 250 s or 400 s.
-const TWO_FAILOVERS: [(u64, Act); 2] = [(100, fail(leaf(1))), (300, fail(leaf(3)))];
-
-/// Every stateful layer crosses the checkpoint: clock, RNG streams,
-/// fleet physics, both tiers, failover flags, staggered schedules,
-/// telemetry, observability, breaker heat and the validator.
-#[test]
-fn checkpointed() {
-    let mut spec = mixed([Some(18.0), None, None], 0.5, 41);
-    spec.spread = SimDuration::from_secs(2);
-    let schedules = widths(Some(250), &[1, 2, 8]);
-    check(&case(spec, 500, TWO_FAILOVERS), &schedules);
 }
 
 /// The grid layer's curtailment window (300–900 s) binds on a low MSB
