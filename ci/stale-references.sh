@@ -44,7 +44,12 @@
 # that compared it only with itself went, the breakers' cooling constant
 # became a constant and each leaf's elision markers one epoch (twentieth:
 # the suite file that went whole, the per-breaker field and the agent
-# epoch) — so a stale reference
+# epoch), or when a checkpoint stopped storing what its state
+# determines and a leaf's flags came to travel with the leaf: the grid's
+# recharge flag, the fleet's retired span-generation slot, the leaf
+# failover flags the failover section gathered and the refusal test of a
+# stored leaf partial that no longer exists (twenty-first) — so a stale
+# reference
 # breaks the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
 cd "$(dirname "$0")/.." || exit 2
@@ -67,7 +72,8 @@ server_racks|step_batch_settled\b|step_batch_scalar
 take_spans|take_flights|record_leaf_failover|record_upper_failover
 \.cdf\b|\bcdf: *cdf\b|full CDF, for plotting
 ClusterPerf|workloads::perf|power_slope|plot_points|batch_job_waves|blackout_eta|racks_powered|with_tau|non_server_overhead|saturating_since|powerstats::Summary
-failover_parity|\.cooling_tau_secs|cooling_tau_secs: (f64,|120|r\.)|agent_epoch' \
+failover_parity|\.cooling_tau_secs|cooling_tau_secs: (f64,|120|r\.)|agent_epoch
+any_below_full|retired span|leaf_failed|load_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -53,7 +53,10 @@ impl Snapshot for Checkpoint {
     // v5: the datacenter state's breakers lost their cooling constant
     // and its leaves came to keep one epoch (`dynamo.DatacenterState`
     // v5).
-    const VERSION: u32 = 5;
+    // v6: the datacenter state stores nothing a restore can derive, and
+    // a leaf's failover flag and band moved into the leaf tier's section
+    // (`dynamo.DatacenterState` v6).
+    const VERSION: u32 = 6;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_str(&self.envelope);

@@ -354,18 +354,14 @@ impl DynamoSystem {
 
     /// Saves the control plane's full dynamic state: both tiers,
     /// failover bookkeeping, per-controller cycle schedules, and
-    /// observability, as the flat sections the wire has always had:
-    /// what a leaf owns of the failover and observability sections (its
-    /// pending-failure flag, its last band) is gathered here, and
-    /// [`DynamoSystem::load`] puts it back.
+    /// observability.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
-        let leaves = &self.leaves.leaves;
         self.leaves.save(w);
         self.uppers.save(w);
-        self.failover.save(w, leaves.iter().map(|l| l.failed));
+        self.failover.save(w);
         save_tier(&self.leaf_cycles, w);
         save_tier(&self.upper_cycles, w);
-        self.obs.save(w, leaves.iter().map(|l| l.band));
+        self.obs.save(w);
     }
 
     /// Loads what [`DynamoSystem::save`] wrote into a system built
@@ -373,12 +369,10 @@ impl DynamoSystem {
     pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.leaves.load(r)?;
         self.uppers.load(r)?;
-        let leaves = &mut self.leaves.leaves;
-        self.failover
-            .load(r, leaves.iter_mut().map(|l| &mut l.failed))?;
+        self.failover.load(r)?;
         load_tier(&mut self.leaf_cycles, r, "leaf")?;
         load_tier(&mut self.upper_cycles, r, "upper")?;
-        self.obs.load(r, leaves.iter_mut().map(|l| &mut l.band))
+        self.obs.load(r)
     }
 
     /// Runs any controller cycles due at `now`. Call once per simulation

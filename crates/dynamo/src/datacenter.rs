@@ -701,7 +701,13 @@ impl Snapshot for DatacenterState {
     // left their bodies, and each leaf's power and agent epochs (fleet
     // section) and its three seen markers (control-plane section)
     // became one epoch each.
-    const VERSION: u32 = 5;
+    // v6: nothing a restore can derive is stored: the fleet section lost
+    // its demand, drawn-power and leaf-partial columns and the retired
+    // span-generation slot, the failover section its takeover count and
+    // the grid layer its recharge flag; each leaf's pending-failure flag
+    // and last band moved from the failover and observability sections
+    // into the leaf tier's.
+    const VERSION: u32 = 6;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_raw(&self.body);
@@ -1126,8 +1132,8 @@ pub(crate) mod tests {
         assert!(dc.restore(&honest).is_ok());
     }
 
-    /// A band code is checked in the observability section, after the
-    /// fleet's and the controllers' sections have loaded.
+    /// A band code is checked in the leaf tier's section, after the
+    /// fleet's and the leaf controllers' have loaded.
     #[test]
     fn restore_rejects_a_band_code_no_band_has() {
         let mut dc = small_dc(3, 2);
@@ -1342,14 +1348,17 @@ pub(crate) mod tests {
             assert!(report.leaf_cap_events > 0, "vacuous: nothing capped");
             assert!(report.failovers > 0, "vacuous: no failover");
             // The fleet, every controller, every leaf's link stream,
-            // the failover tallies.
+            // the failover tallies. A leaf's last band is the
+            // recorder's own, kept only by an observed run.
+            for leaf in &mut dc.system.leaves.leaves {
+                leaf.band = Band::Hold;
+            }
             let mut w = SnapWriter::new();
             let system = &dc.system;
             dc.fleet.save(&mut w);
             system.leaves.save(&mut w);
             system.uppers.save(&mut w);
-            let failed = system.leaves.leaves.iter().map(|l| l.failed);
-            system.failover.save(&mut w, failed);
+            system.failover.save(&mut w);
             (w.into_bytes(), report.to_string())
         };
         let (observed, unobserved) = (run(crate::ObsConfig::on()), run(Default::default()));

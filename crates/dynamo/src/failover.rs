@@ -5,21 +5,20 @@
 //! keeps its own copy of the decision state — takes over at the next
 //! cycle. The simulator models that as one skipped cycle per induced
 //! failure. A leaf's pending-failure flag lives with the leaf (its
-//! cycle consumes it, in whichever shard runs it); [`Failover`] holds
-//! what is shared — the upper tier's flags, the per-controller
-//! skipped-cycle tallies for reporting, and the running takeover count
-//! — and saves both as one flat section.
+//! cycle consumes it, in whichever shard runs it, and it is saved with
+//! the leaf); [`Failover`] holds what is shared — the upper tier's
+//! flags and the per-controller skipped-cycle tallies, whose sum is the
+//! takeover count.
 
 use dcsim::snap::{put_bool_slice, put_u64_slice, SnapError, SnapReader, SnapWriter};
 
-/// Pending upper-tier primary failures, skipped-cycle tallies and the
-/// cumulative failover count for both controller tiers.
+/// Pending upper-tier primary failures and the skipped-cycle tallies
+/// of both controller tiers.
 #[derive(Debug)]
 pub(crate) struct Failover {
     upper_failed: Vec<bool>,
     leaf_skipped: Vec<u64>,
     upper_skipped: Vec<u64>,
-    count: u64,
 }
 
 impl Failover {
@@ -29,7 +28,6 @@ impl Failover {
             upper_failed: vec![false; upper_count],
             leaf_skipped: vec![0; leaf_count],
             upper_skipped: vec![0; upper_count],
-            count: 0,
         }
     }
 
@@ -45,7 +43,6 @@ impl Failover {
         if self.upper_failed[i] {
             self.upper_failed[i] = false;
             self.upper_skipped[i] += 1;
-            self.count += 1;
             true
         } else {
             false
@@ -56,7 +53,6 @@ impl Failover {
     /// own flag).
     pub(crate) fn record_leaf(&mut self, i: usize) {
         self.leaf_skipped[i] += 1;
-        self.count += 1;
     }
 
     /// Cycles each leaf controller skipped to a backup takeover.
@@ -64,40 +60,21 @@ impl Failover {
         &self.leaf_skipped
     }
 
-    /// Total failovers so far.
+    /// Total failovers so far: every takeover skipped one cycle.
     pub(crate) fn count(&self) -> u64 {
-        self.count
+        self.leaf_skipped.iter().chain(&self.upper_skipped).sum()
     }
 
-    /// Saves the leaves' pending-failure flags, `leaf_failed`, and
-    /// this state.
-    pub(crate) fn save(
-        &self,
-        w: &mut SnapWriter,
-        leaf_failed: impl ExactSizeIterator<Item = bool>,
-    ) {
-        w.put_u64(leaf_failed.len() as u64);
-        for failed in leaf_failed {
-            w.put_bool(failed);
-        }
+    /// Saves the upper tier's flags and both tiers' tallies.
+    pub(crate) fn save(&self, w: &mut SnapWriter) {
         put_bool_slice(w, &self.upper_failed);
         put_u64_slice(w, &self.leaf_skipped);
         put_u64_slice(w, &self.upper_skipped);
-        w.put_u64(self.count);
     }
 
-    /// Loads what [`Failover::save`] wrote, the leaves' flags into
-    /// `leaf_failed`, checking the tier sizes against the rebuilt
-    /// control plane.
-    pub(crate) fn load<'a>(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        leaf_failed: impl ExactSizeIterator<Item = &'a mut bool>,
-    ) -> Result<(), SnapError> {
-        r.get_len(leaf_failed.len(), "leaf failover flags")?;
-        for failed in leaf_failed {
-            *failed = r.get_bool()?;
-        }
+    /// Loads what [`Failover::save`] wrote, checking the tier sizes
+    /// against the rebuilt control plane.
+    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.get_len(self.upper_failed.len(), "upper failover flags")?;
         for failed in &mut self.upper_failed {
             *failed = r.get_bool()?;
@@ -108,7 +85,6 @@ impl Failover {
                 *skipped = r.get_count()?;
             }
         }
-        self.count = r.get_count()?;
         Ok(())
     }
 }
@@ -129,21 +105,20 @@ mod tests {
     }
 
     #[test]
-    fn save_carries_the_leaf_flags_and_load_checks_their_count() {
+    fn load_checks_the_tier_sizes_and_the_count_is_the_tallies() {
         let mut f = Failover::new(3, 1);
         f.record_leaf(2);
+        f.fail_upper(0);
         let mut w = SnapWriter::new();
-        f.save(&mut w, [true, false, true].into_iter());
+        f.save(&mut w);
         let bytes = w.into_bytes();
-        let (mut twin, mut flags) = (Failover::new(3, 1), [false; 3]);
+        let mut twin = Failover::new(3, 1);
         let mut r = SnapReader::new(&bytes);
-        twin.load(&mut r, flags.iter_mut())
-            .expect("same tier sizes");
+        twin.load(&mut r).expect("same tier sizes");
         assert_eq!(r.remaining(), 0);
-        assert_eq!(flags, [true, false, true]);
-        assert_eq!((twin.count(), twin.leaf_skipped()), (1, &[0, 0, 1][..]));
-        let mut two = [false; 2];
+        assert!(twin.take_upper(0), "the pending flag survives");
+        assert_eq!((twin.count(), twin.leaf_skipped()), (2, &[0, 0, 1][..]));
         let mut r = SnapReader::new(&bytes);
-        assert!(Failover::new(2, 1).load(&mut r, two.iter_mut()).is_err());
+        assert!(Failover::new(2, 1).load(&mut r).is_err());
     }
 }

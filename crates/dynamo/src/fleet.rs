@@ -34,16 +34,14 @@
 //!
 //! Each leaf keeps the bottom layer of the hierarchy's bottom-up
 //! aggregation (§III-C): the ascending flat fold of its servers' drawn
-//! watts, refolded by every step that walks it and by
-//! [`Fleet::set_server_alive`]. Everything above a leaf is a sum of
-//! those partials, taken by the datacenter's breaker pass. No other
-//! sum is stored: [`Fleet::stats`] folds the per-server watts flat on
-//! every call, [`Fleet::power_sum`] over whatever ids it is given. A
-//! per-leaf epoch versions the leaf for the one consumer that keeps a
-//! sum below leaf level (a rack's draw) and for the leaf controller's
-//! quiescent-cycle elision, and a snapshot's
-//! partials are checked against its per-server watts on the way back
-//! in.
+//! watts, refolded by every step that walks it, by
+//! [`Fleet::set_server_alive`] and by a restore, which stores neither.
+//! Everything above a leaf is a sum of those partials, taken by the
+//! datacenter's breaker pass. No other sum is stored: [`Fleet::stats`]
+//! folds the per-server watts flat on every call, [`Fleet::power_sum`]
+//! over whatever ids it is given. A per-leaf epoch versions the leaf
+//! for the one consumer that keeps a sum below leaf level (a rack's
+//! draw) and for the leaf controller's quiescent-cycle elision.
 //!
 //! # The control plane's view
 //!
@@ -197,7 +195,7 @@ impl Fleet {
         for leaf in &mut leaves {
             leaf.lay_out(&models, &services[leaf.span()]);
         }
-        leaf::start(&mut leaves, &models, &mut wl_streams);
+        leaf::start(&mut leaves, &mut wl_streams);
         assert!(configs.next().is_none(), "configs/services length mismatch");
         Fleet {
             models,
@@ -431,8 +429,8 @@ impl Fleet {
     }
 
     /// Advances every server by one tick: samples traffic, steps every
-    /// leaf (`LeafColumns::step`: demand draw, settle kernel, power
-    /// scatter, tile by tile), and processes agent crash/restart
+    /// leaf (`LeafColumns::step`: demand draw and settle kernel tile by
+    /// tile, then the power scatter), and processes agent crash/restart
     /// events.
     ///
     /// The leaves are cut into contiguous shards, one per worker of the

@@ -21,13 +21,14 @@ use serverpower::{kernel, PowerLut, ServerConfig, ServerModel};
 use workloads::kernel::{draw_batch, DrawStep};
 use workloads::{OuCoeffs, ServiceKind};
 
-/// Step tile size in servers: each tile's demand draw, settle kernel,
-/// and power scatter run back-to-back while the tile's slices are
-/// cache-hot, instead of three leaf-wide array passes. A tile spans ~5
-/// hot `f64` arrays × 8 B × 2048 ≈ 80 KiB — comfortably L2-resident —
-/// and must stay a multiple of 64 so every tile covers whole mask words
-/// (and of the kernel lane width, which divides 64). A leaf no larger
-/// than a tile (the 160-server RPP) is one tile.
+/// Step tile size in servers: each tile's demand draw and settle kernel
+/// run back-to-back while the tile's slices are cache-hot, instead of
+/// two leaf-wide array passes. A tile spans ~5 hot `f64` arrays × 8 B ×
+/// 2048 ≈ 80 KiB — comfortably L2-resident — and must stay a multiple
+/// of 64 so every tile covers whole mask words (and of the kernel lane
+/// width, which divides 64). A leaf no larger than a tile (the
+/// 160-server RPP) is one tile, so its power scatter still finds it
+/// resident.
 const FUSE_TILE: usize = 2048;
 
 /// One maximal contiguous position range of a leaf's servers sharing a
@@ -49,6 +50,19 @@ struct Run {
     /// [`ServiceKind::index`] — the traffic-multiplier /
     /// OU-coefficient index for the whole run.
     svc: u8,
+}
+
+impl Run {
+    /// Demanded watts at utilization `util`, this run's positions: the
+    /// batched LUT evaluation, then on a turbo run the batched turbo
+    /// premium — each bit-identical to its scalar form. At utilization
+    /// 0 this is exactly the idle watts, turbo or not.
+    fn demand(&self, util: &[f64], demand_w: &mut [f64]) {
+        self.lut.power_batch_w(util, demand_w);
+        if self.turbo {
+            kernel::turbo_demand_batch(demand_w, self.idle_w, self.turbo_pf);
+        }
+    }
 }
 
 /// Per-tick constants of the physics step, shared by every leaf.
@@ -120,11 +134,11 @@ pub(crate) struct LeafColumns {
     /// Bit-packed agent-process-up mask, id order (set = running).
     pub(super) running: Vec<u64>,
     /// True power draw of each server after its last physics step, id
-    /// order (`out_w * alive`, scattered through `perm`).
+    /// order: `out_w * alive`, scattered through `perm` by
+    /// [`LeafColumns::publish`].
     pub(super) power_w: Vec<f64>,
-    /// The ascending flat fold of `power_w`, refolded by every step
-    /// that walks the leaf and by [`LeafColumns::set_alive`]: the bottom
-    /// layer of the hierarchy's bottom-up aggregation (§III-C).
+    /// The ascending flat fold of `power_w`, refolded with it: the
+    /// bottom layer of the hierarchy's bottom-up aggregation (§III-C).
     pub(super) partial_w: f64,
     /// Set iff the leaf's last physics pass was a *fixed point*
     /// (changed no bit of `out_w` / `not_init`), so repeating it with
@@ -230,14 +244,39 @@ impl LeafColumns {
     /// partial exact — a dead server reads zero watts immediately, a
     /// revived one its retained actuator output.
     pub(super) fn set_alive(&mut self, id: usize, alive: bool) {
-        let pos = self.inv[id] as usize;
-        put_bit(&mut self.alive, pos, alive);
-        self.power_w[id] = if alive { self.out_w[pos] } else { 0.0 };
-        self.partial_w = self.power_w.iter().sum();
+        put_bit(&mut self.alive, self.inv[id] as usize, alive);
+        self.publish();
         // A pull now reads differently, the liveness mask is a kernel
         // input, and drawn power changed right now.
         self.settled = false;
         self.epoch += 1;
+    }
+
+    /// Drawn power from the settled output and liveness: `out_w *
+    /// alive` scattered back to id order (`(bit as f64)` is exactly
+    /// `0.0` / `1.0`, and `out_w` is finite and non-negative, so a dead
+    /// server draws `0.0`), then the partial refolded in id order over
+    /// the whole leaf (fusing it into the permuted scatter would change
+    /// association).
+    fn publish(&mut self) {
+        for (pos, &id) in self.perm.iter().enumerate() {
+            let alive = ((self.alive[pos / 64] >> (pos % 64)) & 1) as f64;
+            self.power_w[id as usize] = self.out_w[pos] * alive;
+        }
+        self.partial_w = self.power_w.iter().sum();
+    }
+
+    /// Rebuilds what is a function of the leaf's state rather than
+    /// state itself: every server's demand from its utilization, and
+    /// drawn power and the partial from output and liveness. A server
+    /// never drawn for holds utilization 0, whose demand is its idle
+    /// watts.
+    pub(super) fn derive(&mut self) {
+        for run in &self.runs {
+            let r = run.range.clone();
+            run.demand(&self.util[r.clone()], &mut self.demand_w[r]);
+        }
+        self.publish();
     }
 
     /// Sorts the leaf's positions by run key (equal keys keep id
@@ -282,9 +321,8 @@ impl LeafColumns {
     /// [`draw_batch`] over the workload columns with everything uniform
     /// across the run — the service's parameters, the traffic target,
     /// the burst probability, the OU coefficients — hoisted into one
-    /// [`DrawStep`], then the batched LUT evaluation and (per turbo
-    /// run) the batched turbo premium: the vector passes feeding the
-    /// settle kernel, each bit-identical to its scalar form.
+    /// [`DrawStep`], then [`Run::demand`]: the vector passes feeding
+    /// the settle kernel.
     ///
     /// `elapsed` is the tick count since the leaf's last redraw; held
     /// redraws integrate the skipped interval by scaling the workload
@@ -318,11 +356,7 @@ impl LeafColumns {
                 &mut self.wl_burst_add[ra..rb],
                 &mut self.util[ra..rb],
             );
-            run.lut
-                .power_batch_w(&self.util[ra..rb], &mut self.demand_w[ra..rb]);
-            if run.turbo {
-                kernel::turbo_demand_batch(&mut self.demand_w[ra..rb], run.idle_w, run.turbo_pf);
-            }
+            run.demand(&self.util[ra..rb], &mut self.demand_w[ra..rb]);
         }
     }
 
@@ -336,16 +370,13 @@ impl LeafColumns {
     /// 2. **Tiles** — the leaf is walked in [`FUSE_TILE`]-sized,
     ///    word-aligned tiles; per tile the demand redraw (when due under
     ///    the leaf-phased hold schedule, with the elapsed interval
-    ///    folded into `dt`), the packed-mask settle kernel, and the
-    ///    power scatter (`out_w * alive` back to id order — `(bit as
-    ///    f64)` is exactly `0.0` / `1.0`) run back-to-back while the
-    ///    tile is cache-hot. Tiling is unobservable: every pass is
-    ///    elementwise.
-    /// 3. **Publish** — the partial is re-folded in id order over the
-    ///    whole leaf (fusing it into the permuted scatter would change
-    ///    association), `settled` becomes the AND of the tiles'
-    ///    fixed-point reports, and the epoch is bumped by a redraw and
-    ///    by any tile that changed state bits.
+    ///    folded into `dt`) and the packed-mask settle kernel run
+    ///    back-to-back while the tile is cache-hot. Tiling is
+    ///    unobservable: every pass is elementwise.
+    /// 3. **Publish** — drawn power and the partial are rebuilt from
+    ///    the new output ([`LeafColumns::publish`]), `settled` becomes
+    ///    the AND of the tiles' fixed-point reports, and the epoch is
+    ///    bumped by a redraw and by any tile that changed state bits.
     pub(super) fn step(&mut self, ctx: &StepCtx) {
         let due = ctx.hold <= 1 || ctx.tick % ctx.hold == self.index as u64 % ctx.hold;
         if self.settled && !due {
@@ -376,13 +407,9 @@ impl LeafColumns {
                 &mut self.out_w[t0..t1],
                 ctx.alpha,
             );
-            for pos in t0..t1 {
-                let alive = ((self.alive[pos / 64] >> (pos % 64)) & 1) as f64;
-                self.power_w[self.perm[pos] as usize] = self.out_w[pos] * alive;
-            }
             t0 = t1;
         }
-        self.partial_w = self.power_w.iter().sum();
+        self.publish();
         self.settled = fixed;
         if !fixed {
             self.epoch += 1;
@@ -411,19 +438,15 @@ impl LeafColumns {
 
 /// Gives laid-out `leaves` the columns a fresh fleet starts with: every
 /// agent running, every server alive and awaiting its first step, no
-/// noise, no burst, no limit, zero output (matching a live read) and
-/// idle demand (matching a live `demand_power` read); each workload
-/// stream is split from `wl_streams` in id order and stored at its
-/// server's position. One column at a time across all the leaves, so
-/// a column's leaves sit end to end in memory: the step then reads each column as one long stream, which
-/// the hardware prefetcher follows far better than a leaf's dozen
-/// short ones (a site step ran ~10% slower with each leaf's columns
-/// side by side).
-pub(super) fn start(
-    leaves: &mut [LeafColumns],
-    models: &[Arc<ServerModel>],
-    wl_streams: &mut SimRng,
-) {
+/// noise, no burst, no limit, zero utilization and output, and what
+/// those determine ([`LeafColumns::derive`]: idle demand, zero drawn
+/// power); each workload stream is split from `wl_streams` in id order
+/// and stored at its server's position. One column at a time across
+/// all the leaves, so a column's leaves sit end to end in memory: the
+/// step then reads each column as one long stream, which the hardware
+/// prefetcher follows far better than a leaf's dozen short ones (a site
+/// step ran ~10% slower with each leaf's columns side by side).
+pub(super) fn start(leaves: &mut [LeafColumns], wl_streams: &mut SimRng) {
     for leaf in leaves.iter_mut() {
         // Every slot is overwritten: the splits run in id order and each
         // lands at its server's position.
@@ -438,15 +461,7 @@ pub(super) fn start(
     fill(leaves, |l| &mut l.wl_burst_until, |_, _| no_burst.0);
     fill(leaves, |l| &mut l.wl_burst_add, |_, _| no_burst.1);
     fill(leaves, |l| &mut l.util, |_, _| 0.0);
-    fill(
-        leaves,
-        |l| &mut l.demand_w,
-        |l, pos| {
-            models[l.model_ix[l.perm[pos] as usize] as usize]
-                .lut()
-                .idle_w()
-        },
-    );
+    fill(leaves, |l| &mut l.demand_w, |_, _| 0.0);
     fill(leaves, |l| &mut l.limit_w, |_, _| f64::INFINITY);
     fill(leaves, |l| &mut l.out_w, |_, _| 0.0);
     fill(leaves, |l| &mut l.power_w, |_, _| 0.0);
@@ -462,7 +477,7 @@ pub(super) fn start(
         leaf.not_init = mask.clone();
         leaf.alive = mask.clone();
         leaf.running = mask;
-        leaf.partial_w = leaf.power_w.iter().sum();
+        leaf.derive();
     }
 }
 

@@ -3,11 +3,12 @@
 //!
 //! Everything derivable from configuration (the permutation layout,
 //! runs, server models, traffic patterns, LUTs) or from the columns
-//! themselves (the capped / down tallies) is rebuilt, not stored; the
-//! permutation and the per-server hardware generations are stored only
-//! to be *compared* with the rebuilt fleet, and the per-leaf power
-//! partials only to be checked against the fold of `power_w` they must
-//! equal.
+//! themselves is rebuilt, not stored: the capped / down tallies,
+//! demand (from utilization), drawn power (from output and liveness)
+//! and the per-leaf power partials, through the code the step runs
+//! ([`LeafColumns::derive`]). The permutation and the per-server
+//! hardware generations are stored only to be *compared* with the
+//! rebuilt fleet.
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimRng, SimTime};
@@ -133,23 +134,17 @@ impl Fleet {
             w.put_u32(p);
         }
         let f64s = |w: &mut SnapWriter, x: &f64| w.put_f64(*x);
-        put_column(w, leaves, |l| &l.demand_w, f64s);
         put_column(w, leaves, |l| &l.limit_w, f64s);
         put_column(w, leaves, |l| &l.out_w, f64s);
         put_flags(w, leaves, |l| &l.not_init);
         put_flags(w, leaves, |l| &l.alive);
         put_column(w, leaves, |l| &l.util, f64s);
-        put_column(w, leaves, |l| &l.power_w, f64s);
         let per_leaf = |w: &mut SnapWriter, put: &dyn Fn(&mut SnapWriter, &LeafColumns)| {
             w.put_u64(leaves.len() as u64);
             for leaf in leaves {
                 put(w, leaf);
             }
         };
-        per_leaf(w, &|w, l| w.put_f64(l.partial_w));
-        // The slot of the retired span generation: a fleet is built in
-        // its leaves once, which the wire has always called 1.
-        w.put_u64(1);
         w.put_u64(self.tick_index);
         per_leaf(w, &|w, l| w.put_bool(l.settled));
         per_leaf(w, &|w, l| w.put_u64(l.last_draw_tick));
@@ -227,7 +222,6 @@ impl Fleet {
             r.mismatch(e);
         }
         let leaves = &mut self.leaves[..];
-        get_column(r, leaves, |l| &mut l.demand_w, watts("demand_w"))?;
         // `+Inf` is "uncapped"; anything else must be a positive limit.
         get_column(
             r,
@@ -244,23 +238,6 @@ impl Fleet {
         get_flags(r, leaves, |l| &mut l.not_init)?;
         get_flags(r, leaves, |l| &mut l.alive)?;
         get_column(r, leaves, |l| &mut l.util, watts("util"))?;
-        get_column(r, leaves, |l| &mut l.power_w, watts("power_w"))?;
-        // A leaf's partial is the ascending fold of its servers' watts,
-        // and above rack level the partials are all the breaker pass
-        // reads: a stored one that disagrees would mis-state every RPP,
-        // SB and MSB draw.
-        r.get_len(leaves.len(), "leaves")?;
-        for (l, leaf) in leaves.iter_mut().enumerate() {
-            let (stored, folded) = (r.get_f64()?, leaf.power_w.iter().sum::<f64>());
-            if stored.to_bits() != folded.to_bits() {
-                return Err(SnapError::Corrupt(format!(
-                    "leaf {l} power partial {stored} W is not the fold of its servers' power \
-                     ({folded} W)"
-                )));
-            }
-            leaf.partial_w = stored;
-        }
-        r.get_u64()?; // the retired span-generation slot
         self.tick_index = r.get_count()?;
         let tick = self.tick_index;
         let leaves = &mut self.leaves[..];
@@ -286,6 +263,7 @@ impl Fleet {
             leaf.epoch = r.get_count()?;
             // The tally is a function of the column: recount.
             leaf.capped = leaf.limit_w.iter().filter(|w| w.is_finite()).count();
+            leaf.derive();
         }
         let down = |l: &LeafColumns| (0..l.len()).filter(|&i| !get_bit(&l.running, i)).count();
         self.down_count = self.leaves.iter().map(down).sum();
@@ -350,29 +328,51 @@ mod tests {
         load(&mut build(ServerGeneration::Haswell2015), &bytes).expect("same generation loads");
     }
 
-    /// Above rack level the partials are all the breaker pass reads, so
-    /// a stored one may only be the fold of the stored per-server
-    /// watts — off by one ulp is a forgery.
+    /// Drawn power is the output of a live server, a partial the fold
+    /// of its leaf's drawn power and demand the price of utilization: a
+    /// file has no say in any of them. One forged to draw 100 W more at
+    /// server 4 than its output, with the partial refolded to match,
+    /// used to restore `Ok` and report the forged watts.
     #[test]
-    fn load_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers() {
+    fn load_derives_drawn_power_partials_and_demand_from_the_servers_state() {
         let fresh = || build(ServerGeneration::Haswell2015);
         let mut fleet = fresh();
         for s in 0..5 {
             fleet.step(SimTime::from_secs(s), SimDuration::from_secs(1));
         }
-        let bytes = saved(&fleet);
-        let forged = forge(fresh, &bytes, |f| {
-            let partial = &mut f.leaves[1].partial_w;
-            *partial = f64::from_bits(partial.to_bits() + 1);
+        fleet.set_server_alive(6, false);
+        let forged = forge(fresh, &saved(&fleet), |f| {
+            let leaf = &mut f.leaves[1];
+            leaf.power_w[0] += 100.0;
+            leaf.partial_w = leaf.power_w.iter().sum();
+            leaf.demand_w[0] += 100.0;
         });
-        assert_refused(&forged, "leaf 1 power partial");
-
-        let mut twin = fresh();
-        load(&mut twin, &bytes).expect("an honest snapshot loads");
-        for f in [&mut fleet, &mut twin] {
-            f.step(SimTime::from_secs(5), SimDuration::from_secs(1));
+        let mut target = fresh();
+        load(&mut target, &forged).expect("the file holds no value out of range");
+        for sid in 0..8 {
+            let (leaf, id) = target.locate(sid);
+            let pos = leaf.inv[id] as usize;
+            let drawn = if leaf.is_alive(id) {
+                leaf.out_w[pos]
+            } else {
+                0.0
+            };
+            assert_eq!(
+                target.power_of(sid).as_watts().to_bits(),
+                drawn.to_bits(),
+                "server {sid} draws {} W on an output of {drawn} W",
+                target.power_of(sid).as_watts()
+            );
         }
-        assert_eq!(saved(&fleet), saved(&twin));
+        for (l, leaf) in target.leaves.iter().enumerate() {
+            let folded: f64 = leaf.power_w.iter().sum();
+            assert_eq!(
+                leaf.partial_w.to_bits(),
+                folded.to_bits(),
+                "leaf {l} partial"
+            );
+            assert_eq!(leaf.demand_w, fleet.leaves[l].demand_w, "leaf {l} demand");
+        }
     }
 
     /// `load` hands `forged` to a fresh fleet and must refuse it, naming
@@ -407,8 +407,6 @@ mod tests {
         for bad in [-3.06e210, f64::NAN, f64::INFINITY] {
             let forged = forge(fresh, &bytes, |f| f.leaves[0].out_w[3] = bad);
             assert_refused(&forged, "fleet column out_w");
-            let forged = forge(fresh, &bytes, |f| f.leaves[0].demand_w[0] = bad);
-            assert_refused(&forged, "fleet column demand_w");
         }
     }
 

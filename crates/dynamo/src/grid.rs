@@ -98,8 +98,6 @@ pub struct GridLayer {
     name: Arc<str>,
     /// Per-bank available-discharge scratch (watts), sized once.
     avail_scratch: Vec<f64>,
-    /// Whether any bank is below full charge (recharge fast-path skip).
-    any_below_full: bool,
     /// Cached aggregate charge fraction; exact while no bank stepped.
     charge_frac: f64,
     /// Utility draw last tick (watts).
@@ -165,7 +163,6 @@ impl GridLayer {
             banks,
             name: "grid-econ".into(),
             avail_scratch: vec![0.0; n_banks],
-            any_below_full: false,
             charge_frac: 1.0,
             utility_draw_w: 0.0,
             episode: None,
@@ -399,29 +396,28 @@ impl GridLayer {
                     }
                 }
                 if discharge_w > 0.0 {
-                    self.any_below_full = true;
                     self.discharge_ms += dt.as_millis();
                     system
                         .observability_mut()
                         .record_dcups_discharge(dt.as_millis() / 1000);
                     self.refresh_charge_frac();
                 }
-            } else if self.any_below_full && target_w.is_none() {
-                // Quiet grid: recharge. The recharge power is real load
-                // and counts into utility draw.
-                let mut all_full = true;
+            } else if target_w.is_none() {
+                // Quiet grid: recharge the banks below capacity. The
+                // recharge power is real load and counts into utility
+                // draw.
+                let mut stepped = false;
                 for bank in &mut self.banks {
                     if bank.charge_joules() < bank.capacity_joules() {
                         let before = bank.charge_joules();
                         bank.step(true, Power::ZERO, dt);
                         recharge_w += (bank.charge_joules() - before) / dt_s;
-                        if bank.charge_joules() < bank.capacity_joules() {
-                            all_full = false;
-                        }
+                        stepped = true;
                     }
                 }
-                self.any_below_full = !all_full;
-                self.refresh_charge_frac();
+                if stepped {
+                    self.refresh_charge_frac();
+                }
             }
         }
 
@@ -476,7 +472,6 @@ impl GridLayer {
         w.put_u64(self.discharge_ms);
         w.put_f64(self.charge_low_water);
         w.put_f64(self.utility_draw_w);
-        w.put_bool(self.any_below_full);
         w.put_f64(self.period_energy_j);
         w.put_u64(self.period_ms);
         put_opt_ms(w, self.last_containment_ms);
@@ -528,7 +523,6 @@ impl GridLayer {
         self.discharge_ms = r.get_count()?;
         self.charge_low_water = r.get_f64()?;
         self.utility_draw_w = r.get_f64()?;
-        self.any_below_full = r.get_bool()?;
         self.period_energy_j = r.get_f64()?;
         self.period_ms = r.get_count()?;
         self.last_containment_ms = get_opt_ms(r, "containment-time")?;

@@ -349,14 +349,12 @@ impl LeafTier {
     }
 
     /// Saves the tier's dynamic state as flat per-leaf columns:
-    /// controller decision state, link streams, last aggregates, and
-    /// the quiet flags and seen epochs that drive cycle elision (they
-    /// must round-trip exactly, or a resumed run would elide, or re-run,
-    /// cycles the unbroken run did not). The pending-failure flags and
-    /// last bands travel in the failover and observability sections —
-    /// see [`crate::control_plane::DynamoSystem::save`]. Everything
-    /// else — devices, quotas, spans, server ids — is topology-derived
-    /// and rebuilt from config. Every dispatch takes the events it left
+    /// controller decision state, link streams, last aggregates, the
+    /// quiet flags and seen epochs that drive cycle elision (they must
+    /// round-trip exactly, or a resumed run would elide, or re-run,
+    /// cycles the unbroken run did not), the pending-failure flags and
+    /// the last bands. Everything else — devices, quotas, spans, server
+    /// ids — is topology-derived and rebuilt from config. Every dispatch takes the events it left
     /// and the merge reads the round-trip sums and episode flags before
     /// the next cycle overwrites them, so none of them is saved.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
@@ -371,6 +369,8 @@ impl LeafTier {
         column(w, &|w, l| w.put_f64(l.last_aggregate.as_watts()));
         column(w, &|w, l| w.put_bool(l.quiet));
         column(w, &|w, l| w.put_u64(l.seen));
+        column(w, &|w, l| w.put_bool(l.failed));
+        column(w, &|w, l| w.put_u32(l.band.code()));
     }
 
     /// Loads what [`LeafTier::save`] wrote into a tier built with the
@@ -396,6 +396,17 @@ impl LeafTier {
         r.get_len(n, "leaf epochs")?;
         for l in &mut self.leaves {
             l.seen = r.get_u64()?;
+        }
+        r.get_len(n, "leaf failover flags")?;
+        for l in &mut self.leaves {
+            l.failed = r.get_bool()?;
+        }
+        r.get_len(n, "leaf bands")?;
+        for (i, l) in self.leaves.iter_mut().enumerate() {
+            let code = r.get_u32()?;
+            l.band = Band::from_code(code).ok_or_else(|| {
+                SnapError::Corrupt(format!("leaf {i} has unknown band code {code}"))
+            })?;
         }
         Ok(())
     }

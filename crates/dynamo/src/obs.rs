@@ -658,38 +658,23 @@ impl Observability {
             .set_gauge(self.ids.sim_time, now.as_secs_f64());
     }
 
-    /// Saves the observability state: registry values, the leaves'
-    /// last decision bands (`bands`), both rings, and the incident
-    /// sequence counter. Shards are empty at tick boundaries (every
-    /// dispatch merges what it wrote), and pending incident dumps are
-    /// not state — [`crate::Datacenter::state`] writes them out first,
-    /// so a resume can neither drop nor duplicate an incident file.
-    pub(crate) fn save(&self, w: &mut SnapWriter, bands: impl ExactSizeIterator<Item = Band>) {
+    /// Saves the observability state: registry values, both rings, and
+    /// the incident sequence counter. Shards are empty at tick
+    /// boundaries (every dispatch merges what it wrote), and pending
+    /// incident dumps are not state — [`crate::Datacenter::state`]
+    /// writes them out first, so a resume can neither drop nor
+    /// duplicate an incident file.
+    pub(crate) fn save(&self, w: &mut SnapWriter) {
         self.registry.save(w);
-        w.put_u64(bands.len() as u64);
-        for band in bands {
-            w.put_u32(band.code());
-        }
         self.trace.encode_body(w);
         self.flight.encode_body(w);
         w.put_u64(self.incident_seq);
     }
 
-    /// Loads what [`Observability::save`] wrote, the leaves' bands into
-    /// `bands`, into a subsystem built with the same configuration.
-    pub(crate) fn load<'a>(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        bands: impl ExactSizeIterator<Item = &'a mut Band>,
-    ) -> Result<(), SnapError> {
+    /// Loads what [`Observability::save`] wrote into a subsystem built
+    /// with the same configuration.
+    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.registry.load(r)?;
-        r.get_len(bands.len(), "leaf bands")?;
-        for (i, band) in bands.enumerate() {
-            let code = r.get_u32()?;
-            *band = Band::from_code(code).ok_or_else(|| {
-                SnapError::Corrupt(format!("leaf {i} has unknown band code {code}"))
-            })?;
-        }
         let (trace, flight) = (TraceRing::decode_body(r)?, FlightRecorder::decode_body(r)?);
         if trace.capacity() != TRACE_SPANS || flight.capacity() != FLIGHT_RECORDS {
             return Err(SnapError::Corrupt(format!(

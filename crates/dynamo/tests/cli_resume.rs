@@ -24,14 +24,15 @@ fn resuming_an_old_version_checkpoint_exits_2_with_a_typed_error() {
     );
 
     // A section opens with the magic (u32), the kind (u64 length, then
-    // its bytes) and the version (u32): rewrite the version to 4, the
-    // format before the breakers' cooling constant left the wire.
+    // its bytes) and the version (u32): rewrite the version to 5, the
+    // format that still stored drawn power, demand and the leaf
+    // partials.
     let mut bytes = std::fs::read(dir.join("checkpoint-00001.snap")).unwrap();
     let at = 4 + 8 + KIND.len();
     assert_eq!(&bytes[12..at], KIND.as_bytes());
-    assert_eq!(bytes[at..at + 4], 5u32.to_le_bytes(), "current version");
-    bytes[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
-    let old = dir.join("checkpoint-v4.snap");
+    assert_eq!(bytes[at..at + 4], 6u32.to_le_bytes(), "current version");
+    bytes[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
+    let old = dir.join("checkpoint-v5.snap");
     std::fs::write(&old, &bytes).unwrap();
 
     let resumed = Command::new(SIM)
@@ -44,7 +45,7 @@ fn resuming_an_old_version_checkpoint_exits_2_with_a_typed_error() {
     assert!(
         stderr.starts_with("error: ")
             && stderr.contains(KIND)
-            && stderr.contains("version 4 but this build supports version 5"),
+            && stderr.contains("version 5 but this build supports version 6"),
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");

@@ -162,8 +162,13 @@ fn churn_reproduces_the_pre_collapse_golden_at_every_width() {
 /// `CHURN_GOLDEN` did not move. Re-recorded when the breakers' cooling
 /// constant left their bodies, each leaf's three elision markers and two
 /// epochs became one epoch, and the version went 4 → 5 (it was
-/// `0x959366f1146ae94c`); `CHURN_GOLDEN` did not move.
-const CHURN_SNAPSHOT_GOLDEN: u64 = 0xddb9_44be_018e_dd1b;
+/// `0x959366f1146ae94c`); `CHURN_GOLDEN` did not move. Re-recorded when
+/// drawn power, demand, the leaf partials, the unread span-generation
+/// slot, the takeover count and the grid's recharge flag left the wire,
+/// each leaf's failover flag and band moved into the leaf tier's
+/// section, and the version went 5 → 6 (it was `0xddb944be018edd1b`);
+/// `CHURN_GOLDEN` did not move.
+const CHURN_SNAPSHOT_GOLDEN: u64 = 0x87fe_8318_8f1b_9cdd;
 
 #[test]
 fn churn_snapshot_bytes_are_pinned_at_every_width() {

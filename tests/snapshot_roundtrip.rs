@@ -201,6 +201,10 @@ fn whole_datacenter_state_roundtrips() {
         .seed(13)
         .build();
     fresh.restore(&state).expect("decoded state must restore");
+    assert!(
+        fresh.draw_cache_is_exact(),
+        "a restored draw is not its servers' fold"
+    );
     assert_eq!(fresh.now(), SimTime::from_mins(5));
     assert_eq!(
         fresh.state().to_snap_bytes(),
@@ -240,6 +244,10 @@ fn threaded_datacenter_state_roundtrips_into_serial_twin() {
     let state = roundtrip(&dc.state());
     let mut serial = build(1);
     serial.restore(&state).expect("decoded state must restore");
+    assert!(
+        serial.draw_cache_is_exact(),
+        "a restored draw is not its servers' fold"
+    );
     assert_eq!(serial.now(), SimTime::from_mins(3));
     assert_eq!(
         serial.state().to_snap_bytes(),
@@ -301,6 +309,10 @@ fn gridded_datacenter_state_roundtrips_mid_curtailment() {
     fresh
         .restore(&state)
         .expect("decoded grid state must restore");
+    assert!(
+        fresh.draw_cache_is_exact(),
+        "a restored draw is not its servers' fold"
+    );
     assert_eq!(fresh.now(), SimTime::from_mins(7));
     assert!(fresh.grid().unwrap().curtailment_active());
     assert_eq!(
@@ -398,6 +410,14 @@ fn a_v3_datacenter_envelope_is_a_version_mismatch() {
 #[test]
 fn a_v4_datacenter_envelope_is_a_version_mismatch() {
     assert_datacenter_version_refused(4);
+}
+
+/// A file written while the fleet section still stored drawn power,
+/// demand and the leaf partials beside the state they are functions of
+/// (envelope version 5) is refused.
+#[test]
+fn a_v5_datacenter_envelope_is_a_version_mismatch() {
+    assert_datacenter_version_refused(5);
 }
 
 #[test]
