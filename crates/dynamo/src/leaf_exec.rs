@@ -354,9 +354,10 @@ impl LeafTier {
     /// round-trip exactly, or a resumed run would elide, or re-run,
     /// cycles the unbroken run did not), the pending-failure flags and
     /// the last bands. Everything else — devices, quotas, spans, server
-    /// ids — is topology-derived and rebuilt from config. Every dispatch takes the events it left
-    /// and the merge reads the round-trip sums and episode flags before
-    /// the next cycle overwrites them, so none of them is saved.
+    /// ids — is topology-derived and rebuilt from config. Every
+    /// dispatch takes the events it left and the merge reads the
+    /// round-trip sums and episode flags before the next cycle
+    /// overwrites them, so none of them is saved.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
         let column = |w: &mut SnapWriter, put: &dyn Fn(&mut SnapWriter, &Leaf)| {
             w.put_u64(self.leaves.len() as u64);
