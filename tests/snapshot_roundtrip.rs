@@ -16,7 +16,7 @@
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
-use dynamo_repro::dynamo::{DatacenterBuilder, ObsConfig};
+use dynamo_repro::dynamo::{Datacenter, DatacenterBuilder, ObsConfig};
 use dynamo_repro::dynrpc::{LinkProfile, Network};
 use dynamo_repro::powerinfra::{Breaker, Dcups, Power, TripCurve};
 use dynamo_repro::workloads::kernel::{self, DrawStep};
@@ -162,6 +162,30 @@ fn agent_network_and_workload_roundtrip() {
     }
 }
 
+/// `restored`, just restored from a state `original` took, draws what
+/// `original` draws: every server's watts and its demand (through the
+/// fleet's performance factor, a function of both), and every device's
+/// draw as the tick reads it is the fold of its servers' watts. None of
+/// these is on the wire; restore derives them.
+fn assert_restored_draws(original: &Datacenter, restored: &mut Datacenter) {
+    let (a, b) = (original.fleet(), restored.fleet());
+    let n = a.len() as u32;
+    for sid in 0..n {
+        let (was, is) = (a.power_of(sid).as_watts(), b.power_of(sid).as_watts());
+        assert_eq!(
+            was.to_bits(),
+            is.to_bits(),
+            "server {sid}: {was} W → {is} W"
+        );
+    }
+    let (was, is) = (a.mean_performance(0..n), b.mean_performance(0..n));
+    assert_eq!(was.to_bits(), is.to_bits(), "mean performance {was} → {is}");
+    assert!(
+        restored.draw_cache_is_exact(),
+        "a restored draw is not its servers' fold"
+    );
+}
+
 /// A live datacenter's full state: nests the fleet, the control plane
 /// (leaf and upper controller tiers, failover flags, schedules,
 /// observability rings and registry), telemetry, breakers and the
@@ -201,10 +225,7 @@ fn whole_datacenter_state_roundtrips() {
         .seed(13)
         .build();
     fresh.restore(&state).expect("decoded state must restore");
-    assert!(
-        fresh.draw_cache_is_exact(),
-        "a restored draw is not its servers' fold"
-    );
+    assert_restored_draws(&dc, &mut fresh);
     assert_eq!(fresh.now(), SimTime::from_mins(5));
     assert_eq!(
         fresh.state().to_snap_bytes(),
@@ -244,10 +265,7 @@ fn threaded_datacenter_state_roundtrips_into_serial_twin() {
     let state = roundtrip(&dc.state());
     let mut serial = build(1);
     serial.restore(&state).expect("decoded state must restore");
-    assert!(
-        serial.draw_cache_is_exact(),
-        "a restored draw is not its servers' fold"
-    );
+    assert_restored_draws(&dc, &mut serial);
     assert_eq!(serial.now(), SimTime::from_mins(3));
     assert_eq!(
         serial.state().to_snap_bytes(),
@@ -309,10 +327,7 @@ fn gridded_datacenter_state_roundtrips_mid_curtailment() {
     fresh
         .restore(&state)
         .expect("decoded grid state must restore");
-    assert!(
-        fresh.draw_cache_is_exact(),
-        "a restored draw is not its servers' fold"
-    );
+    assert_restored_draws(&dc, &mut fresh);
     assert_eq!(fresh.now(), SimTime::from_mins(7));
     assert!(fresh.grid().unwrap().curtailment_active());
     assert_eq!(
