@@ -1158,6 +1158,47 @@ pub(crate) mod tests {
         assert_refused(&mut dc, forge, "leaf 1 has unknown band code 4");
     }
 
+    /// A leaf's pending-failure flag is saved with the leaf. Taken
+    /// before the cycle that consumes it, a checkpoint resumes into the
+    /// same one skipped cycle the unbroken run records; a flag column a
+    /// leaf too long is refused.
+    #[test]
+    fn a_pending_leaf_failure_survives_a_checkpoint() {
+        let mut dc = small_dc(3, 2);
+        let victim = dc.system().leaf_devices()[1];
+        let i = dc.system.leaves.index_of[&victim];
+        dc.system_mut().fail_primary(victim);
+        let state = dc.state();
+        let mut resumed = small_dc(3, 2);
+        resumed.restore(&state).expect("an honest state restores");
+        assert!(resumed.system.leaves.leaves[i].failed, "the flag was lost");
+        for run in [&mut dc, &mut resumed] {
+            run.run_for(SimDuration::from_secs(10));
+            let skipped = run.system().skipped_cycles_per_leaf();
+            let per_leaf: Vec<u64> = skipped.iter().map(|(_, n)| *n).collect();
+            let mut expected = vec![0; per_leaf.len()];
+            expected[i] = 1;
+            assert_eq!((run.system().failovers(), per_leaf), (1, expected));
+        }
+        assert_eq!(dc.state().to_snap_bytes(), resumed.state().to_snap_bytes());
+        let forge = |_: &Datacenter, s: &mut DatacenterState| {
+            // Leaf `i`'s flag is the first byte a twin with it flipped
+            // saves differently; the column's count sits before the
+            // flags of the leaves ahead of it.
+            let flipped = forged(small_dc(3, 2), s, |t| {
+                t.system.leaves.leaves[i].failed ^= true;
+            });
+            let flag = (s.body.iter().zip(&flipped.body))
+                .position(|(a, b)| a != b)
+                .expect("the flag moved");
+            let n = small_dc(3, 2).system.leaves.leaves.len() as u64;
+            let at = flag - i - 8;
+            assert_eq!(s.body[at..at + 8], n.to_le_bytes(), "the column's count");
+            poke(s, at, &(n + 1).to_le_bytes());
+        };
+        assert_refused(&mut dc, forge, "leaf failover flags");
+    }
+
     /// A breaker's rating is configuration. Restored from the file, an
     /// RPP rewritten from 900 W to 1800 W resumed into a report of one
     /// trip where the unbroken run has two.

@@ -328,11 +328,13 @@ mod tests {
         load(&mut build(ServerGeneration::Haswell2015), &bytes).expect("same generation loads");
     }
 
-    /// Drawn power is the output of a live server, a partial the fold
-    /// of its leaf's drawn power and demand the price of utilization: a
-    /// file has no say in any of them. One forged to draw 100 W more at
-    /// server 4 than its output, with the partial refolded to match,
-    /// used to restore `Ok` and report the forged watts.
+    /// `load` derives drawn power (the output of a live server), each
+    /// leaf's partial (the fold of its drawn power) and demand (the
+    /// price of utilization) from the servers' state: the section
+    /// carries none of them, so a file forged to draw more than its
+    /// output, as an earlier format allowed, cannot be written. A fresh
+    /// fleet holds idle watts, so a load that kept its own columns
+    /// fails here.
     #[test]
     fn load_derives_drawn_power_partials_and_demand_from_the_servers_state() {
         let fresh = || build(ServerGeneration::Haswell2015);
@@ -341,14 +343,8 @@ mod tests {
             fleet.step(SimTime::from_secs(s), SimDuration::from_secs(1));
         }
         fleet.set_server_alive(6, false);
-        let forged = forge(fresh, &saved(&fleet), |f| {
-            let leaf = &mut f.leaves[1];
-            leaf.power_w[0] += 100.0;
-            leaf.partial_w = leaf.power_w.iter().sum();
-            leaf.demand_w[0] += 100.0;
-        });
         let mut target = fresh();
-        load(&mut target, &forged).expect("the file holds no value out of range");
+        load(&mut target, &saved(&fleet)).expect("honest bytes load");
         for sid in 0..8 {
             let (leaf, id) = target.locate(sid);
             let pos = leaf.inv[id] as usize;
