@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::OptF64;
 
 /// A deterministic xoshiro256++ pseudo-random number generator.
@@ -40,37 +40,6 @@ pub struct SimRng {
     /// generator at 40 bytes where an `Option<f64>` pads it to 48 (two
     /// streams per simulated server).
     spare_normal: OptF64,
-}
-
-impl Snapshot for SimRng {
-    const KIND: &'static str = "dcsim.SimRng";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        for &s in &self.state {
-            w.put_u64(s);
-        }
-        w.put_opt_f64(self.spare_normal.get());
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = r.get_u64()?;
-        }
-        // Box-Muller yields finite variates only, and the cached one is
-        // handed out unchecked.
-        let spare_normal = r.get_opt_f64()?;
-        if spare_normal.is_some_and(|z| !z.is_finite()) {
-            return Err(SnapError::Corrupt(format!(
-                "cached normal variate {spare_normal:?} is not finite"
-            )));
-        }
-        Ok(SimRng {
-            state,
-            spare_normal: spare_normal.into(),
-        })
-    }
 }
 
 /// The exponential distribution's inverse CDF: the variate at rate
@@ -111,6 +80,35 @@ impl SimRng {
             state,
             spare_normal: OptF64::NONE,
         }
+    }
+
+    /// Writes the stream's position: its four state words and the
+    /// cached normal variate.
+    pub fn save(&self, w: &mut SnapWriter) {
+        for &s in &self.state {
+            w.put_u64(s);
+        }
+        w.put_opt_f64(self.spare_normal.get());
+    }
+
+    /// A stream at the position [`SimRng::save`] wrote.
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut state = [0u64; 4];
+        for s in &mut state {
+            *s = r.get_u64()?;
+        }
+        // Box-Muller yields finite variates only, and the cached one is
+        // handed out unchecked.
+        let spare_normal = r.get_opt_f64()?;
+        if spare_normal.is_some_and(|z| !z.is_finite()) {
+            return Err(SnapError::Corrupt(format!(
+                "cached normal variate {spare_normal:?} is not finite"
+            )));
+        }
+        Ok(SimRng {
+            state,
+            spare_normal: spare_normal.into(),
+        })
     }
 
     /// Derives an independent child generator keyed by `label`.
@@ -425,6 +423,16 @@ mod tests {
         assert_eq!(rng.next_u64(), restored.next_u64());
     }
 
+    /// `rng` saved and decoded again.
+    fn decoded(rng: &SimRng) -> SimRng {
+        let mut w = SnapWriter::new();
+        rng.save(&mut w);
+        let mut r = SnapReader::new(w.as_bytes());
+        let back = SimRng::decode(&mut r).expect("own bytes decode");
+        assert_eq!(r.remaining(), 0);
+        back
+    }
+
     /// The cached variate lives in an `OptF64`: the generator is
     /// 40 bytes, and equality, clones and the snapshot all carry a
     /// pending variate exactly, and its absence.
@@ -441,7 +449,7 @@ mod tests {
         let (clone, fresh) = (rng.clone(), SimRng::seed_from(91));
         assert_eq!(clone, rng);
         assert_ne!(fresh, rng, "a pending variate is part of the state");
-        let restored = SimRng::from_snap_bytes(&rng.to_snap_bytes()).expect("own bytes decode");
+        let restored = decoded(&rng);
         assert_eq!(restored, rng);
         for mut twin in [clone, restored] {
             let mut original = rng.clone();
@@ -456,7 +464,7 @@ mod tests {
         let second = rng.next_normal();
         assert!(!rng.spare_normal.is_some() && first != second);
         // Without one pending, a round trip stays without one.
-        let restored = SimRng::from_snap_bytes(&rng.to_snap_bytes()).expect("own bytes decode");
+        let restored = decoded(&rng);
         assert_eq!(restored, rng);
         assert!(!restored.spare_normal.is_some());
     }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::{SimDuration, SimTime};
 
 /// The cadence of one periodic loop inside a time-stepped simulation: a
@@ -62,28 +62,6 @@ impl CycleSchedule {
         }
     }
 
-    /// A schedule standing at `next`, as a snapshot recorded it. Only
-    /// the period is checked here; [`CycleSchedule::restored`] checks
-    /// the rest against the configured schedule.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Corrupt`] if `period` is zero.
-    pub fn from_parts(
-        period: SimDuration,
-        phase: SimDuration,
-        next: SimTime,
-    ) -> Result<Self, SnapError> {
-        if period.is_zero() {
-            return Err(SnapError::Corrupt("zero cycle period".into()));
-        }
-        Ok(CycleSchedule {
-            period,
-            phase,
-            next,
-        })
-    }
-
     /// The period.
     pub fn period(&self) -> SimDuration {
         self.period
@@ -116,38 +94,38 @@ impl CycleSchedule {
         true
     }
 
-    /// This schedule moved to where `saved` stood. Period and phase are
-    /// configuration: `saved` must carry this schedule's own, and a
-    /// firing time on their grid.
-    pub fn restored(&self, saved: &CycleSchedule) -> Result<CycleSchedule, SnapError> {
-        let on_grid = saved
-            .next
-            .as_millis()
-            .checked_sub(self.phase.as_millis())
-            .is_some_and(|since| since % self.period.as_millis() == 0);
-        if (saved.period, saved.phase) != (self.period, self.phase) || !on_grid {
-            return Err(SnapError::Corrupt(format!(
-                "schedule {saved:?} in snapshot is not a position of the configured {self:?}"
-            )));
-        }
-        Ok(*saved)
-    }
-}
-
-impl Snapshot for CycleSchedule {
-    const KIND: &'static str = "dcsim.CycleSchedule";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
+    /// Writes the schedule: its period and phase, then its next
+    /// firing.
+    pub fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.period.as_millis());
         w.put_u64(self.phase.as_millis());
         w.put_u64(self.next.as_millis());
     }
 
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let period = SimDuration::from_millis(r.get_u64()?);
-        let phase = SimDuration::from_millis(r.get_u64()?);
-        CycleSchedule::from_parts(period, phase, SimTime::from_millis(r.get_u64()?))
+    /// Loads what [`CycleSchedule::save`] wrote into this schedule.
+    /// Period and phase are configuration: the stored ones must be this
+    /// schedule's own, and the stored firing time a point of their
+    /// grid, or the difference is noted ([`SnapReader::mismatch`]) and
+    /// the schedule stays as it is. Only `next` moves.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let saved = CycleSchedule {
+            period: SimDuration::from_millis(r.get_u64()?),
+            phase: SimDuration::from_millis(r.get_u64()?),
+            next: SimTime::from_millis(r.get_u64()?),
+        };
+        let on_grid = saved
+            .next
+            .as_millis()
+            .checked_sub(self.phase.as_millis())
+            .is_some_and(|since| since % self.period.as_millis() == 0);
+        if (saved.period, saved.phase) == (self.period, self.phase) && on_grid {
+            self.next = saved.next;
+        } else {
+            r.mismatch(SnapError::Corrupt(format!(
+                "schedule {saved:?} in snapshot is not a position of the configured {self:?}"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -192,10 +170,46 @@ mod tests {
         CycleSchedule::new(SimDuration::ZERO);
     }
 
+    /// `saved`'s bytes loaded into `into`: whether they were taken,
+    /// and where `into` then stands.
+    fn load(saved: &CycleSchedule, mut into: CycleSchedule) -> (bool, SimTime) {
+        let mut w = SnapWriter::new();
+        saved.save(&mut w);
+        let mut r = SnapReader::new(w.as_bytes());
+        into.load(&mut r).expect("a schedule's bytes read");
+        (r.finish("schedule").is_ok(), into.next_at())
+    }
+
     #[test]
-    fn a_zero_period_does_not_decode() {
-        let zero = CycleSchedule::from_parts(SimDuration::ZERO, SimDuration::ZERO, SimTime::ZERO);
-        assert!(matches!(zero, Err(SnapError::Corrupt(_))));
+    fn load_takes_next_and_nothing_else() {
+        let configured =
+            CycleSchedule::with_phase(SimDuration::from_secs(3), SimDuration::from_millis(500));
+        let mut moved = configured;
+        moved.fire(SimTime::from_secs(7));
+        assert_eq!(load(&moved, configured), (true, moved.next_at()));
+        let start = configured.next_at();
+        // Another period or phase, and a firing time off the grid.
+        let mut off_grid = moved;
+        off_grid.next = SimTime::from_millis(7_600);
+        for saved in [
+            CycleSchedule::with_phase(SimDuration::from_secs(4), SimDuration::from_millis(500)),
+            CycleSchedule::new(SimDuration::from_secs(3)),
+            off_grid,
+        ] {
+            assert_eq!(load(&saved, configured), (false, start), "{saved:?}");
+        }
+    }
+
+    /// A zero period in the file is another period than any schedule's.
+    #[test]
+    fn a_zero_period_does_not_load() {
+        let zero = CycleSchedule {
+            period: SimDuration::ZERO,
+            phase: SimDuration::ZERO,
+            next: SimTime::ZERO,
+        };
+        let configured = CycleSchedule::new(SimDuration::from_secs(3));
+        assert_eq!(load(&zero, configured), (false, SimTime::ZERO));
     }
 
     #[test]

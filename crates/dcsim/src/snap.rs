@@ -19,14 +19,17 @@
 //! a decoder consumed exactly what the encoder produced
 //! ([`SnapError::TrailingBytes`] otherwise).
 //!
-//! Plain values — a clock, a stream, a schedule, a breaker — implement
-//! [`Snapshot`] on themselves. A layer that holds parts rebuilt from
-//! configuration (a fleet, a controller tier) cannot be made from bytes
-//! alone, so it has no type of its own on the wire: it writes its body
-//! with a `save(&self, &mut SnapWriter)` and reads one back into itself,
-//! rebuilt from the same configuration, with a `load(&mut self, &mut
-//! SnapReader) -> Result<(), SnapError>` that checks each value against
-//! the rebuilt object as it reads it. Nested bodies are never framed.
+//! Only the outermost values are framed: `dynamo::DatacenterState` and
+//! `dynamo-sim`'s checkpoint implement [`Snapshot`], and their versions
+//! are the only ones a reader checks. Everything inside them — a layer,
+//! a schedule, a breaker, a ring — writes its body with a `save(&self,
+//! &mut SnapWriter)` and reads one back into itself, built from the same
+//! configuration, with a `load(&mut self, &mut SnapReader) -> Result<(),
+//! SnapError>` that checks each value against the built object as it
+//! reads it. A value whose bytes are the whole value (a stream, an
+//! alert) may be made by a constructor-style `decode` instead. Nested
+//! bodies are never framed and carry no kind and no version: a change
+//! to any of them bumps the version of the section that holds it.
 //!
 //! Floating-point values are stored as raw IEEE-754 bits
 //! ([`f64::to_bits`]), which is what makes *snapshot → restore → run*
@@ -209,8 +212,8 @@ impl SnapWriter {
 ///
 /// A `load` that finds a stored value disagreeing with the
 /// configuration of the object it loads into — a schedule's period, a
-/// breaker's rating, the server mix — notes it ([`SnapReader::adopt`],
-/// [`SnapReader::mismatch`]) and reads on; [`SnapReader::finish`]
+/// breaker's rating, the server mix — notes it
+/// ([`SnapReader::mismatch`]) and reads on; [`SnapReader::finish`]
 /// reports the first one noted. So a file written under another
 /// configuration is refused for the first difference in its *shape*
 /// (a count, a tag, a section present or absent) wherever that lies,
@@ -319,15 +322,19 @@ impl<'a> SnapReader<'a> {
         self.mismatch.get_or_insert(e);
     }
 
-    /// Puts `restored` — the rebuilt value with what a snapshot may
-    /// move of it — in `slot`, or, if the stored value disagrees with
-    /// the configuration, notes the mismatch and leaves `slot` as
-    /// built.
-    pub fn adopt<T>(&mut self, slot: &mut T, restored: Result<T, SnapError>) {
-        match restored {
-            Ok(v) => *slot = v,
-            Err(e) => self.mismatch(e),
+    /// Runs `load`, naming `part` in what it refuses: the error it
+    /// returns, and the mismatch it notes if it is the first.
+    pub fn within<T>(
+        &mut self,
+        part: impl fmt::Display,
+        load: impl FnOnce(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<T, SnapError> {
+        let first = self.mismatch.is_none();
+        let loaded = load(self).map_err(|e| e.within(&part));
+        if first {
+            self.mismatch = self.mismatch.take().map(|e| e.within(&part));
         }
+        loaded
     }
 
     /// Ends a load of a section of `kind`: every byte read, and no
@@ -372,16 +379,16 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// A value that can be written to and made again from a versioned
-/// binary section.
+/// A value that is written to and made again from a versioned, framed
+/// binary section: a whole file, or a whole part of one.
 ///
 /// Implementors provide only the body codec; the trait supplies the
 /// section framing (magic + kind + version + length) and the version
-/// forward-check. It is for types whose bytes are the whole value. A
-/// layer that holds parts rebuilt from configuration does not implement
-/// it: it saves its body into a [`SnapWriter`] and loads one into
-/// itself from a [`SnapReader`] (see the module docs), and its body
-/// nests, unframed, in the body of the section that owns it.
+/// forward-check. Only the outermost values implement it
+/// (`dynamo::DatacenterState` and `dynamo-sim`'s checkpoint): what they
+/// hold saves its body into a [`SnapWriter`] and loads one into itself
+/// from a [`SnapReader`] (see the module docs), nested, unframed, in
+/// the body of the section that owns it.
 pub trait Snapshot: Sized {
     /// Stable section identifier, e.g. `"dcsim.SimRng"`. Namespaced by
     /// crate so kinds never collide across the workspace.
@@ -664,15 +671,25 @@ mod tests {
             .to_string()
             .contains("snapshot has 18446744073709551615 leaves, this build has 3"));
 
-        let mut slot = 1;
         let mut r = SnapReader::new(&bytes);
-        r.adopt(&mut slot, Ok(2));
-        r.adopt(&mut slot, Err(SnapError::Corrupt("first".into())));
-        r.mismatch(SnapError::Corrupt("second".into()));
-        assert_eq!(slot, 2, "a mismatch leaves the slot as it was");
-        r.get_u64().unwrap();
-        r.get_u64().unwrap();
-        assert_eq!(r.finish("k"), Err(SnapError::Corrupt("first".into())));
+        let named = r.within("part 1", |r| {
+            r.mismatch(SnapError::Corrupt("first".into()));
+            r.get_u64()
+        });
+        assert_eq!(named, Ok(3));
+        r.within("part 2", |r| {
+            r.mismatch(SnapError::Corrupt("second".into()));
+            Ok(())
+        })
+        .unwrap();
+        let refused = r.within("part 3", |r| r.get_len(3, "leaves"));
+        assert!(
+            matches!(refused, Err(SnapError::Corrupt(m)) if m.starts_with("part 3: snapshot has"))
+        );
+        assert_eq!(
+            r.finish("k"),
+            Err(SnapError::Corrupt("part 1: first".into()))
+        );
         let mut r = SnapReader::new(&bytes);
         r.mismatch(SnapError::Corrupt("first".into()));
         assert!(matches!(

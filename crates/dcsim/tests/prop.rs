@@ -1,14 +1,14 @@
 //! Randomized property tests for the simulation kernel, driven by the
 //! kernel's own deterministic [`SimRng`] stream.
 
-use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime, Snapshot};
+use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime, SnapReader, SnapWriter};
 
 const CASES: usize = 200;
 
 /// A schedule fires at a tick exactly when its grid `phase + k·period`
 /// has a point since the previous tick (at or before the first), at any
-/// period, phase and tick size; and a copy decoded from its snapshot
-/// bytes mid-run fires on the same ticks.
+/// period, phase and tick size; and a schedule built alike that loads
+/// its saved bytes mid-run fires on the same ticks.
 #[test]
 fn schedule_fires_on_the_ticks_that_reach_its_grid() {
     let mut rng = SimRng::seed_from(0xD_51).split("cycle-grid");
@@ -21,15 +21,22 @@ fn schedule_fires_on_the_ticks_that_reach_its_grid() {
         };
         let tick = 1 + rng.next_below(10_000);
         let resume_at = rng.next_below(200);
-        let mut s = CycleSchedule::with_phase(
+        let configured = CycleSchedule::with_phase(
             SimDuration::from_millis(period),
             SimDuration::from_millis(phase),
         );
+        let mut s = configured;
         let mut copy = None;
         let mut prev: Option<u64> = None;
         for k in 0..200 {
             if k == resume_at {
-                copy = Some(CycleSchedule::from_snap_bytes(&s.to_snap_bytes()).unwrap());
+                let mut w = SnapWriter::new();
+                s.save(&mut w);
+                let (mut loaded, mut r) = (configured, SnapReader::new(w.as_bytes()));
+                loaded.load(&mut r).unwrap();
+                r.finish("schedule")
+                    .expect("a schedule loads its own position");
+                copy = Some(loaded);
             }
             let now = k * tick;
             let reached = now.checked_sub(phase).is_some_and(|since| {
@@ -40,7 +47,7 @@ fn schedule_fires_on_the_ticks_that_reach_its_grid() {
             assert_eq!(s.fire(t), reached, "period {period} phase {phase} t={now}");
             assert!(!s.fire(t), "fired twice at t={now}");
             if let Some(c) = &mut copy {
-                assert_eq!(c.fire(t), reached, "decoded copy diverged at t={now}");
+                assert_eq!(c.fire(t), reached, "loaded copy diverged at t={now}");
             }
             prev = Some(now);
         }

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::SimTime;
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
@@ -384,7 +384,7 @@ impl LeafController {
         w.put_opt_f64(self.contractual_limit.map(Power::as_watts));
         w.put_u64(self.alerts.len() as u64);
         for a in &self.alerts {
-            a.encode_body(w);
+            a.save(w);
         }
         w.put_u64(self.cycles);
         w.put_u32(self.last_distribution.groups_touched);
@@ -430,7 +430,7 @@ impl LeafController {
         }
         self.active_cap_count = self.active_caps.iter().filter(|c| c.is_some()).count();
         self.contractual_limit = get_contract(r)?;
-        self.alerts = r.get_vec(Alert::decode_body)?;
+        self.alerts = r.get_vec(Alert::decode)?;
         self.cycles = r.get_count()?;
         self.last_distribution = DistributionStats {
             groups_touched: r.get_u32()?,

@@ -1,6 +1,6 @@
 //! Shared controller-facing types.
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{OptF64, SimTime};
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
@@ -181,17 +181,16 @@ pub struct Alert {
     pub message: String,
 }
 
-impl Snapshot for Alert {
-    const KIND: &'static str = "dynamo_controller.Alert";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
+impl Alert {
+    /// Writes the alert.
+    pub fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.at.as_millis());
         w.put_str(&self.controller);
         w.put_str(&self.message);
     }
 
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    /// An alert as [`Alert::save`] wrote it.
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Alert {
             at: SimTime::from_millis(r.get_u64()?),
             controller: r.get_str()?,

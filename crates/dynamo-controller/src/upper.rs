@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::SimTime;
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
@@ -243,7 +243,7 @@ impl UpperController {
         w.put_opt_f64(self.contractual_limit.map(|p| p.as_watts()));
         w.put_u64(self.alerts.len() as u64);
         for alert in &self.alerts {
-            alert.encode_body(w);
+            alert.save(w);
         }
         w.put_u64(self.cycles);
     }
@@ -284,7 +284,7 @@ impl UpperController {
             .get_opt_f64()?
             .map(|w| positive("contractual limit", w))
             .transpose()?;
-        self.alerts = r.get_vec(Alert::decode_body)?;
+        self.alerts = r.get_vec(Alert::decode)?;
         self.cycles = r.get_count()?;
         Ok(())
     }

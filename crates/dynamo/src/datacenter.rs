@@ -26,7 +26,7 @@ use std::sync::Arc;
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimDuration, SimTime};
 use dynpool::WorkerPool;
-use powerinfra::{Breaker, BreakerStatus, DeviceId, Power, Topology};
+use powerinfra::{BreakerStatus, DeviceId, Power, Topology};
 use workloads::ServiceKind;
 
 use crate::control_plane::DynamoSystem;
@@ -559,7 +559,7 @@ impl Datacenter {
         self.telemetry.save(w);
         w.put_u64(self.device_ids.len() as u64);
         for &id in &self.device_ids {
-            self.topo.device(id).breaker.encode_body(w);
+            self.topo.device(id).breaker.save(w);
         }
         // Each breaker's status again: part of the format, derived from
         // the bodies above.
@@ -615,10 +615,8 @@ impl Datacenter {
         // file's: only the thermal state moves.
         r.get_len(self.device_ids.len(), "devices")?;
         for &id in &self.device_ids {
-            let saved = Breaker::decode_body(r)?;
             let breaker = &mut self.topo.device_mut(id).breaker;
-            let restored = breaker.restored(&saved);
-            r.adopt(breaker, restored.map_err(|e| e.within(id)));
+            r.within(id, |r| breaker.load(r))?;
         }
         // The status section repeats what the bodies hold; one that
         // disagrees would make the next step book a transition no
@@ -767,7 +765,7 @@ pub(crate) mod tests {
     use crate::{DatacenterBuilder, ServicePlan};
     use dcsim::CycleSchedule;
     use dynobs::Band;
-    use powerinfra::{DeviceLevel, TripCurve};
+    use powerinfra::{Breaker, DeviceLevel, TripCurve};
     use workloads::{ServiceKind, TrafficPattern};
 
     /// 1 MSB / 2 SBs / 4 RPP leaves / 32 servers, with SB breakers so
@@ -1120,7 +1118,7 @@ pub(crate) mod tests {
                     dc.telemetry.save(w);
                     w.put_u64(0);
                     for &id in &dc.device_ids {
-                        dc.topo.device(id).breaker.encode_body(w);
+                        dc.topo.device(id).breaker.save(w);
                     }
                     w.put_u64(0);
                 });
@@ -1197,6 +1195,39 @@ pub(crate) mod tests {
             poke(s, at, &(n + 1).to_le_bytes());
         };
         assert_refused(&mut dc, forge, "leaf failover flags");
+    }
+
+    /// A ring's header must be one that pushes write. A file whose
+    /// trace ring stores a `next` other than its total modulo its
+    /// capacity resumes into a ring that, once full, overwrites a span
+    /// other than the oldest, and its incident dumps silently differ
+    /// from the unbroken run's: it is refused.
+    #[test]
+    fn restore_rejects_a_ring_header_no_run_writes() {
+        let mut dc = DatacenterBuilder::new()
+            .sbs_per_msb(1)
+            .rpps_per_sb(2)
+            .racks_per_rpp(2)
+            .servers_per_rack(4)
+            .observability(crate::ObsConfig::on())
+            .seed(3)
+            .build();
+        dc.run_for(SimDuration::from_secs(30));
+        let forge = |dc: &Datacenter, s: &mut DatacenterState| {
+            let trace = dc.system().observability().trace();
+            let (cap, total) = (trace.capacity() as u64, trace.total_recorded());
+            let len = trace.len() as u64;
+            assert!((2..cap).contains(&len), "vacuous: {len} spans");
+            let header: Vec<u8> = [cap, total % cap, total, len]
+                .iter()
+                .flat_map(|word| word.to_le_bytes())
+                .collect();
+            let at = (s.body.windows(header.len()))
+                .position(|w| w == header)
+                .expect("the trace ring's header");
+            poke(s, at + 8, &(total % cap - 1).to_le_bytes());
+        };
+        assert_refused(&mut dc, forge, "trace ring geometry invalid");
     }
 
     /// A breaker's rating is configuration. Restored from the file, an

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::{DeviceId, Power};
 
@@ -90,13 +90,13 @@ pub(crate) fn collect_due(tier: &mut [CycleSchedule], now: SimTime, due: &mut Ve
 pub(crate) fn save_tier(tier: &[CycleSchedule], w: &mut SnapWriter) {
     w.put_u64(tier.len() as u64);
     for s in tier {
-        s.encode_body(w);
+        s.save(w);
     }
 }
 
 /// Loads a tier saved by [`save_tier`]: each schedule takes its saved
 /// position if that is one of the configured schedule's
-/// ([`CycleSchedule::restored`]); a mismatch is noted naming the
+/// ([`CycleSchedule::load`]); a mismatch is noted naming the
 /// controller.
 pub(crate) fn load_tier(
     tier: &mut [CycleSchedule],
@@ -106,12 +106,7 @@ pub(crate) fn load_tier(
     r.get_len(tier.len(), "schedules")
         .map_err(|e| e.within(format_args!("{level} tier")))?;
     for (i, s) in tier.iter_mut().enumerate() {
-        let saved = CycleSchedule::decode_body(r)?;
-        let restored = s.restored(&saved);
-        r.adopt(
-            s,
-            restored.map_err(|e| e.within(format_args!("{level} controller {i}"))),
-        );
+        r.within(format_args!("{level} controller {i}"), |r| s.load(r))?;
     }
     Ok(())
 }

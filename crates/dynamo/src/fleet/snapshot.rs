@@ -10,7 +10,7 @@
 //! hardware generations are stored only to be *compared* with the
 //! rebuilt fleet.
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{SimRng, SimTime};
 use workloads::{get_process, put_process};
 
@@ -106,7 +106,7 @@ impl Fleet {
     /// elements. Must be called at a tick boundary.
     pub fn save(&self, w: &mut SnapWriter) {
         let leaves = &self.leaves[..];
-        put_column(w, leaves, |l| &l.agent_rng, |w, rng| rng.encode_body(w));
+        put_column(w, leaves, |l| &l.agent_rng, |w, rng| rng.save(w));
         put_flags(w, leaves, |l| &l.running);
         w.put_u64(self.len() as u64);
         for g in self.generations() {
@@ -128,7 +128,7 @@ impl Fleet {
             w.put_u32(sid);
             w.put_u64(at.as_millis());
         }
-        self.rng.encode_body(w);
+        self.rng.save(w);
         w.put_u64(self.len() as u64);
         for p in self.permutation() {
             w.put_u32(p);
@@ -160,12 +160,7 @@ impl Fleet {
     /// mismatch ([`SnapReader::mismatch`]).
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = self.len();
-        get_column(
-            r,
-            &mut self.leaves,
-            |l| &mut l.agent_rng,
-            SimRng::decode_body,
-        )?;
+        get_column(r, &mut self.leaves, |l| &mut l.agent_rng, SimRng::decode)?;
         get_flags(r, &mut self.leaves, |l| &mut l.running)?;
         // The settling state is only meaningful against the curve and
         // LUT it was stepped with.
@@ -205,7 +200,7 @@ impl Fleet {
                 "pending restart of server {sid} in a fleet of {n}"
             ))),
         })?;
-        self.rng = SimRng::decode_body(r)?;
+        self.rng = SimRng::decode(r)?;
         r.get_len(n, "servers")?;
         let mut drifted = false;
         for rebuilt in self.permutation() {

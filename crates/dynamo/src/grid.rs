@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{SimDuration, SimTime};
 use dyngrid::{EconController, GridScenario, ECON_PERIOD};
 use powerinfra::{Dcups, DeviceId, DeviceLevel, Power, Topology};
@@ -455,7 +455,7 @@ impl GridLayer {
         self.econ.save(w);
         w.put_u64(self.banks.len() as u64);
         for b in &self.banks {
-            b.encode_body(w);
+            b.save(w);
         }
         match &self.episode {
             Some(e) => {
@@ -490,12 +490,7 @@ impl GridLayer {
         // and state move.
         r.get_len(self.banks.len(), "DCUPS banks")?;
         for (i, bank) in self.banks.iter_mut().enumerate() {
-            let saved = Dcups::decode_body(r)?;
-            let restored = bank.restored(&saved);
-            r.adopt(
-                bank,
-                restored.map_err(|e| e.within(format_args!("leaf {i} bank"))),
-            );
+            r.within(format_args!("leaf {i} bank"), |r| bank.load(r))?;
         }
         self.episode = match r.get_u8()? {
             0 => None,

@@ -21,7 +21,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::SimTime;
 use dynobs::{
     Band, Buckets, CounterId, FlightKind, FlightRecord, FlightRecorder, GaugeId, HistogramId,
@@ -666,8 +666,8 @@ impl Observability {
     /// duplicate an incident file.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
         self.registry.save(w);
-        self.trace.encode_body(w);
-        self.flight.encode_body(w);
+        self.trace.save(w);
+        self.flight.save(w);
         w.put_u64(self.incident_seq);
     }
 
@@ -675,20 +675,8 @@ impl Observability {
     /// with the same configuration.
     pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.registry.load(r)?;
-        let (trace, flight) = (TraceRing::decode_body(r)?, FlightRecorder::decode_body(r)?);
-        if trace.capacity() != TRACE_SPANS || flight.capacity() != FLIGHT_RECORDS {
-            return Err(SnapError::Corrupt(format!(
-                "observability snapshot ring capacities (trace {}, flight {}) are not this \
-                 build's (trace {TRACE_SPANS}, flight {FLIGHT_RECORDS})",
-                trace.capacity(),
-                flight.capacity(),
-            )));
-        }
-        // Into the live rings' own buffers: a decoded ring is only as
-        // large as what it holds, and installing it would put the first
-        // records after a resume back on the heap.
-        self.trace.restore_from(&trace);
-        self.flight.restore_from(&flight);
+        self.trace.load(r)?;
+        self.flight.load(r)?;
         self.incident_seq = r.get_count()?;
         Ok(())
     }

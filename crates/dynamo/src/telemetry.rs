@@ -180,7 +180,7 @@ impl Telemetry {
     }
 
     /// Loads what [`Telemetry::save`] wrote. A schedule that is not the
-    /// 3 s sampling grid's is a mismatch ([`SnapReader::adopt`]).
+    /// 3 s sampling grid's is a mismatch ([`CycleSchedule::load`]).
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let get_trace = |r: &mut SnapReader<'_>| -> Result<Trace, SnapError> {
             let start = SimTime::from_millis(r.get_u64()?);
@@ -210,11 +210,15 @@ impl Telemetry {
                 status: BreakerStatus::from_snap_code(r.get_u8()?)?,
             })
         })?;
-        let period = SimDuration::from_millis(r.get_u64()?);
-        let next = SimTime::from_millis(r.get_u64()?);
-        let saved = CycleSchedule::from_parts(period, SimDuration::ZERO, next)?;
-        let restored = self.schedule.restored(&saved);
-        r.adopt(&mut self.schedule, restored);
+        // Period and next firing: the schedule's own form at phase zero.
+        let (stored, mut words) = (r.get_raw(16)?, [0; 24]);
+        words[..8].copy_from_slice(&stored[..8]);
+        words[16..].copy_from_slice(&stored[8..]);
+        let mut schedule = SnapReader::new(&words);
+        self.schedule.load(&mut schedule)?;
+        if let Err(e) = schedule.finish("schedule") {
+            r.mismatch(e);
+        }
         Ok(())
     }
 }

@@ -12,7 +12,7 @@
 //! alert when the two disagree persistently (broken sensors, stale
 //! metadata, mis-wired rows).
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
 use powerinfra::{DeviceId, Power};
 
@@ -163,8 +163,8 @@ impl BreakerValidator {
             w.put_f64(a.breaker.as_watts());
             w.put_f64(a.aggregate.as_watts());
         }
-        self.schedule.encode_body(w);
-        self.rng.encode_body(w);
+        self.schedule.save(w);
+        self.rng.save(w);
     }
 
     /// Loads what [`BreakerValidator::save`] wrote into a validator
@@ -204,10 +204,8 @@ impl BreakerValidator {
                 aggregate: Power::from_watts(r.get_f64()?),
             })
         })?;
-        let saved = CycleSchedule::decode_body(r)?;
-        let restored = self.schedule.restored(&saved);
-        r.adopt(&mut self.schedule, restored);
-        self.rng = SimRng::decode_body(r)?;
+        self.schedule.load(r)?;
+        self.rng = SimRng::decode(r)?;
         Ok(())
     }
 }

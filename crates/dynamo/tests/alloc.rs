@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapWriter, Snapshot, SECTION_MAGIC};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot, SECTION_MAGIC};
 use dcsim::{SimDuration, SimRng, SimTime};
 use dynamo::{
     DatacenterBuilder, DatacenterState, DynamoSystem, Fleet, ObsConfig, SystemConfig, WorkerPool,
@@ -436,54 +436,53 @@ fn resumed_run_with_a_part_full_ring_does_not_allocate() {
     );
 }
 
-/// One ring section with a forged header — `cap` and the record count
-/// both `u64::MAX` — and a tail that ends inside the first record.
-fn forged_ring_section(kind: &str, version: u32) -> Vec<u8> {
-    let mut body = SnapWriter::new();
-    for header in [u64::MAX, 0, 0, u64::MAX] {
-        body.put_u64(header);
-    }
-    body.put_raw(&[0; 7]);
-    let body = body.into_bytes();
+/// A ring's bytes with the forged header `[cap, next, total, count]`
+/// and a tail that ends inside the first record.
+fn forged_ring(header: [u64; 4]) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    w.put_u32(SECTION_MAGIC);
-    w.put_str(kind);
-    w.put_u32(version);
-    w.put_u64(body.len() as u64);
-    w.put_raw(&body);
+    header.into_iter().for_each(|word| w.put_u64(word));
+    w.put_raw(&[0; 7]);
     w.into_bytes()
 }
 
-/// The observability rings store their capacity on the wire; like any
-/// count it is untrusted, and decoding must reserve for what the input
-/// can back, not for what the header claims.
+/// The observability rings store their capacity and record count on
+/// the wire; like any count they are untrusted, and loading a ring
+/// into a live one must ask the heap for nothing the header claims: a
+/// capacity and a count that promise the moon are refused, at the cost
+/// of the refusal's message alone, and a full ring's header over seven
+/// bytes of record ends in a truncation having asked for no more than
+/// the input's size.
 fn forged_ring_capacity_allocates_within_the_input() {
     use dynobs::{FlightRecorder, TraceRing};
-    let trace = forged_ring_section(TraceRing::KIND, TraceRing::VERSION);
-    let flight = forged_ring_section(FlightRecorder::KIND, FlightRecorder::VERSION);
-    let mut results = (None, None);
-    count_allocs(|| {
-        results = (
-            Some(TraceRing::from_snap_bytes(&trace).map(drop)),
-            Some(FlightRecorder::from_snap_bytes(&flight).map(drop)),
-        )
-    });
-    assert!(
-        matches!(
-            results,
-            (
-                Some(Err(SnapError::UnexpectedEof { .. })),
-                Some(Err(SnapError::UnexpectedEof { .. }))
-            )
-        ),
-        "a truncated ring body must be a typed error, got {results:?}"
-    );
-    let asked = BYTES.load(Ordering::SeqCst);
-    let input = (trace.len() + flight.len()) as u64;
-    assert!(
-        asked <= input,
-        "decoding {input} hostile bytes asked the heap for {asked}"
-    );
+    const CAP: usize = 256;
+    let (mut trace, mut flight) = (TraceRing::new(CAP), FlightRecorder::new(CAP));
+    let cap = CAP as u64;
+    for (header, truncated) in [
+        ([u64::MAX, 0, 0, u64::MAX], false),
+        ([cap, 0, cap, cap], true),
+    ] {
+        let bytes = forged_ring(header);
+        let mut results = Vec::with_capacity(2);
+        count_allocs(|| {
+            results.push(trace.load(&mut SnapReader::new(&bytes)));
+            results.push(flight.load(&mut SnapReader::new(&bytes)));
+        });
+        let asked = BYTES.load(Ordering::SeqCst);
+        let mut budget = 2 * bytes.len() as u64;
+        for result in &results {
+            match result {
+                Err(SnapError::UnexpectedEof { .. }) if truncated => {}
+                // A message's `format!` grows its buffer at most twice
+                // over the text.
+                Err(SnapError::Corrupt(msg)) if !truncated => budget += 4 * msg.len() as u64,
+                other => panic!("{header:?}: expected a typed refusal, got {other:?}"),
+            }
+        }
+        assert!(
+            asked <= budget,
+            "{header:?}: loading hostile bytes asked the heap for {asked} (budget {budget})"
+        );
+    }
 }
 
 /// A snapshot is untrusted input: a body that ends right after a forged

@@ -36,7 +36,7 @@
 //! relations the control law needs between them are compile-time
 //! assertions below.
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::Power;
 
@@ -266,7 +266,7 @@ impl EconController {
 
     /// Saves the controller's dynamic state.
     pub fn save(&self, w: &mut SnapWriter) {
-        self.schedule.encode_body(w);
+        self.schedule.save(w);
         w.put_opt_f64(self.pushed_w);
         w.put_opt_f64(self.utility_target_w);
         w.put_u64(self.cycles);
@@ -275,11 +275,9 @@ impl EconController {
 
     /// Loads state written by [`EconController::save`]. A schedule
     /// whose period or phase is not [`ECON_PERIOD`] at phase zero is a
-    /// mismatch ([`SnapReader::adopt`]).
+    /// mismatch ([`CycleSchedule::load`]).
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let saved = CycleSchedule::decode_body(r)?;
-        let restored = self.schedule.restored(&saved);
-        r.adopt(&mut self.schedule, restored);
+        self.schedule.load(r)?;
         self.pushed_w = r.get_opt_f64()?;
         self.utility_target_w = r.get_opt_f64()?;
         self.cycles = r.get_count()?;
@@ -420,7 +418,7 @@ mod tests {
         // A file whose schedule cycles every 30 s: its bytes load,
         // and the reader notes the mismatch.
         let mut w = SnapWriter::new();
-        CycleSchedule::new(SimDuration::from_secs(30)).encode_body(&mut w);
+        CycleSchedule::new(SimDuration::from_secs(30)).save(&mut w);
         let mut forged = w.into_bytes();
         forged.extend_from_slice(&bytes[forged.len()..]);
         let mut r = SnapReader::new(&forged);

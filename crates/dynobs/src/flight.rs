@@ -263,7 +263,7 @@ impl FlightRecord {
 }
 
 impl RingRecord for FlightRecord {
-    const KIND: &'static str = "dynobs.FlightRecorder";
+    const NAME: &'static str = "flight recorder";
 
     fn encode(&self, w: &mut SnapWriter) {
         w.put_u64(self.at_ms);
@@ -309,7 +309,7 @@ impl Ring<FlightRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcsim::snap::Snapshot;
+    use dcsim::snap::{SnapReader, SnapWriter};
 
     fn rec(at_ms: u64, kind: FlightKind) -> FlightRecord {
         FlightRecord {
@@ -338,9 +338,11 @@ mod tests {
                 draw_watts: 25_500.0,
             },
         ));
-        let bytes = fr.to_snap_bytes();
-        let decoded = FlightRecorder::from_snap_bytes(&bytes).unwrap();
-        assert_eq!(decoded.iter().next(), fr.iter().next());
+        let mut w = SnapWriter::new();
+        fr.save(&mut w);
+        let mut loaded = FlightRecorder::new(2);
+        loaded.load(&mut SnapReader::new(w.as_bytes())).unwrap();
+        assert_eq!(loaded.iter().next(), fr.iter().next());
         let json = fr.incident_json("curtailment-violation", 5000, 1);
         assert!(json.contains("\"kind\":\"curtailment_violation\""));
         assert!(json.contains("\"limit_watts\":24000"));

@@ -3,12 +3,12 @@
 //! [`crate::FlightRecorder`] a `Ring<FlightRecord>`. A new record type
 //! costs one [`RingRecord`] impl.
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 
-/// A record a [`Ring`] can hold and snapshot.
+/// A record a [`Ring`] can hold and save.
 pub trait RingRecord: Clone {
-    /// Snapshot section kind of a ring of these records.
-    const KIND: &'static str;
+    /// What a ring of these records is called in a refusal.
+    const NAME: &'static str;
 
     /// Writes one record.
     fn encode(&self, w: &mut SnapWriter);
@@ -50,19 +50,47 @@ impl<T: RingRecord> Ring<T> {
         self.total += 1;
     }
 
-    /// Overwrites this ring's contents with `other`'s, into this ring's
-    /// own buffer: a ring restored from a decoded snapshot keeps its
-    /// up-front allocation (a decoded ring's buffer is only as large as
-    /// what it holds), so pushes after a resume stay off the heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn restore_from(&mut self, other: &Ring<T>) {
-        assert_eq!(self.cap, other.cap, "{} capacity mismatch", T::KIND);
-        self.buf.clone_from(&other.buf);
-        self.next = other.next;
-        self.total = other.total;
+    /// Writes the ring: its capacity, where the next record goes, the
+    /// total ever pushed, and the records it holds.
+    pub fn save(&self, w: &mut SnapWriter) {
+        w.put_u64(self.cap as u64);
+        w.put_u64(self.next as u64);
+        w.put_u64(self.total);
+        w.put_u64(self.buf.len() as u64);
+        for record in &self.buf {
+            record.encode(w);
+        }
+    }
+
+    /// Loads what [`Ring::save`] wrote into this ring's own buffer, so
+    /// pushes after a resume stay off the heap. The stored capacity
+    /// must be this ring's, and the rest of the header one that pushes
+    /// write — `next` the total modulo the capacity, as many records
+    /// as the total up to the capacity — or the ring is refused before
+    /// a record is read: any other `next` would have the ring, once
+    /// full, overwrite a record that is not the oldest.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let (cap, next, total, len) = (r.get_u64()?, r.get_u64()?, r.get_count()?, r.get_u64()?);
+        if cap != self.cap as u64 {
+            return Err(SnapError::Corrupt(format!(
+                "{} capacity {cap} in snapshot is not this build's {}",
+                T::NAME,
+                self.cap
+            )));
+        }
+        if next != total % cap || len != total.min(cap) {
+            return Err(SnapError::Corrupt(format!(
+                "{} geometry invalid: cap {cap}, len {len}, next {next}, total {total}",
+                T::NAME
+            )));
+        }
+        self.buf.clear();
+        for _ in 0..len {
+            self.buf.push(T::decode(r)?);
+        }
+        self.next = next as usize;
+        self.total = total;
+        Ok(())
     }
 
     /// Number of records currently held.
@@ -96,44 +124,6 @@ impl<T: RingRecord> Ring<T> {
     }
 }
 
-impl<T: RingRecord> Snapshot for Ring<T> {
-    const KIND: &'static str = T::KIND;
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(self.cap as u64);
-        w.put_u64(self.next as u64);
-        w.put_u64(self.total);
-        w.put_u64(self.buf.len() as u64);
-        for record in &self.buf {
-            record.encode(w);
-        }
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let cap = r.get_u64()? as usize;
-        let next = r.get_u64()? as usize;
-        let total = r.get_count()?;
-        // `cap` is the ring's logical size and, like the record count,
-        // untrusted: the buffer is reserved for what the input can back
-        // (`get_vec`), never for what the header claims.
-        let buf = r.get_vec(T::decode)?;
-        let len = buf.len();
-        if cap == 0 || len > cap || next >= cap {
-            return Err(SnapError::Corrupt(format!(
-                "{} geometry invalid: cap {cap}, len {len}, next {next}",
-                T::KIND
-            )));
-        }
-        Ok(Ring {
-            buf,
-            cap,
-            next,
-            total,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::fmt::Debug;
@@ -160,32 +150,34 @@ mod tests {
         }
     }
 
-    /// A ring section whose body is the four header words and then
-    /// whatever `tail` writes.
-    fn section<T: RingRecord>(
-        [cap, next, count]: [u64; 3],
-        tail: impl FnOnce(&mut SnapWriter),
-    ) -> Vec<u8> {
-        let mut body = SnapWriter::new();
-        for header in [cap, next, 0, count] {
-            body.put_u64(header);
-        }
-        tail(&mut body);
-        let body = body.into_bytes();
+    /// A ring's bytes: the four header words and then whatever `tail`
+    /// writes.
+    fn saved(header: [u64; 4], tail: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.put_u32(dcsim::snap::SECTION_MAGIC);
-        w.put_str(Ring::<T>::KIND);
-        w.put_u32(Ring::<T>::VERSION);
-        w.put_u64(body.len() as u64);
-        w.put_raw(&body);
+        header.into_iter().for_each(|word| w.put_u64(word));
+        tail(&mut w);
+        w.into_bytes()
+    }
+
+    /// `bytes` loaded into `ring`, every byte read.
+    fn load<T: RingRecord>(ring: &mut Ring<T>, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::new(bytes);
+        ring.load(&mut r)?;
+        r.finish(T::NAME)
+    }
+
+    fn bytes_of<T: RingRecord>(ring: &Ring<T>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        ring.save(&mut w);
         w.into_bytes()
     }
 
     /// Everything a ring promises, for records made by `make(stamp)`.
     fn suite<T: RingRecord + PartialEq + Debug>(make: fn(u64) -> T) {
         const CAP: usize = 5;
-        // Drop-oldest order and the true count, and a snapshot round
-        // trip, at every fill level from empty to wrapped twice.
+        // Drop-oldest order and the true count, and a save -> load ->
+        // save round trip, at every fill level from empty to wrapped
+        // twice.
         let mut ring = Ring::<T>::new(CAP);
         assert!(ring.is_empty());
         for pushed in 0..=2 * CAP as u64 + 1 {
@@ -197,47 +189,52 @@ mod tests {
                 .iter()
                 .eq((oldest..pushed).map(make).collect::<Vec<_>>().iter()));
 
-            let decoded = Ring::<T>::from_snap_bytes(&ring.to_snap_bytes()).unwrap();
-            assert!(decoded.iter().eq(ring.iter()));
-            assert_eq!(decoded.total_recorded(), pushed);
-            assert_eq!(decoded.to_snap_bytes(), ring.to_snap_bytes());
+            let mut loaded = Ring::<T>::new(CAP);
+            load(&mut loaded, &bytes_of(&ring)).unwrap();
+            assert!(loaded.iter().eq(ring.iter()));
+            assert_eq!(loaded.total_recorded(), pushed);
+            assert_eq!(bytes_of(&loaded), bytes_of(&ring));
             ring.push(make(pushed));
         }
 
-        // A decoded ring is input-sized; `restore_from` fills the
-        // restored ring's own up-front buffer.
+        // A ring loads into its own up-front buffer, and holds what the
+        // ring that saved it held, whatever it held before.
         let mut source = Ring::<T>::new(64);
         (0..5).for_each(|t| source.push(make(t)));
-        let decoded = Ring::<T>::from_snap_bytes(&source.to_snap_bytes()).unwrap();
-        assert!(decoded.buf.capacity() < 64);
-        let mut restored = Ring::<T>::new(64);
-        restored.restore_from(&decoded);
-        assert!(restored.buf.capacity() >= 64);
-        assert_eq!(restored.total_recorded(), 5);
-        assert!(restored.iter().eq(source.iter()));
+        let mut loaded = Ring::<T>::new(64);
+        (0..70).for_each(|t| loaded.push(make(t)));
+        load(&mut loaded, &bytes_of(&source)).unwrap();
+        assert!(loaded.buf.capacity() >= 64);
+        assert_eq!(loaded.total_recorded(), 5);
+        assert!(loaded.iter().eq(source.iter()));
 
-        // Forged geometry is a typed error. With `cap` and the count
-        // both promising the moon and the body ending three bytes into
-        // the first record, that error is the truncation: nothing was
-        // reserved for the claim.
-        let truncated = section::<T>([u64::MAX, 0, u64::MAX], |w| w.put_raw(&[0, 1, 2]));
+        // A body that ends three bytes into the first record is a
+        // truncation.
+        let truncated = saved([CAP as u64, 0, CAP as u64, CAP as u64], |w| {
+            w.put_raw(&[0, 1, 2])
+        });
         assert!(matches!(
-            Ring::<T>::from_snap_bytes(&truncated),
+            load(&mut Ring::<T>::new(CAP), &truncated),
             Err(SnapError::UnexpectedEof { .. })
         ));
-        for (geometry, ok) in [
-            ([2, 1, 2], true),
-            ([0, 0, 0], false), // cap == 0
-            ([1, 0, 2], false), // len > cap
-            ([2, 2, 2], false), // next >= cap
+        // A header pushes never write is a typed error: `[cap, next,
+        // total, count]`, loaded into a ring of that capacity (at
+        // least one).
+        for (header, ok) in [
+            ([2, 1, 3, 2], true),
+            ([0, 0, 0, 0], false),        // cap == 0
+            ([1, 0, 0, 2], false),        // len > cap
+            ([2, 2, 2, 2], false),        // next >= cap
+            ([5, 1, 3, 3], false),        // next is not total % cap
+            ([5, 3, 3, 2], false),        // len is not min(total, cap)
+            ([5, 0, 10, 5], true),        // wrapped twice
+            ([u64::MAX, 0, 0, 0], false), // another capacity
         ] {
-            let records = |w: &mut SnapWriter| (0..geometry[2]).for_each(|t| make(t).encode(w));
-            match Ring::<T>::from_snap_bytes(&section::<T>(geometry, records)) {
-                Ok(_) => assert!(ok, "{geometry:?} was accepted"),
-                Err(e) => assert!(
-                    !ok && matches!(e, SnapError::Corrupt(_)),
-                    "{geometry:?}: {e}"
-                ),
+            let records = |w: &mut SnapWriter| (0..header[3]).for_each(|t| make(t).encode(w));
+            let mut ring = Ring::<T>::new((header[0] as usize).clamp(1, CAP));
+            match load(&mut ring, &saved(header, records)) {
+                Ok(()) => assert!(ok, "{header:?} was accepted"),
+                Err(e) => assert!(!ok && matches!(e, SnapError::Corrupt(_)), "{header:?}: {e}"),
             }
         }
     }

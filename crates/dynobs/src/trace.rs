@@ -79,7 +79,7 @@ pub struct SpanRecord {
 }
 
 impl RingRecord for SpanRecord {
-    const KIND: &'static str = "dynobs.TraceRing";
+    const NAME: &'static str = "trace ring";
 
     fn encode(&self, w: &mut SnapWriter) {
         w.put_u8(self.kind.code());

@@ -53,7 +53,7 @@
 
 pub mod codec;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{exponential_quantile, SimDuration, SimRng};
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
@@ -428,12 +428,12 @@ impl Network {
     /// The profile and its derived `rtt_rate` are configuration, rebuilt
     /// by the owner.
     pub fn save(&self, w: &mut SnapWriter) {
-        self.rng.encode_body(w);
+        self.rng.save(w);
     }
 
     /// Loads a stream position written by [`Network::save`].
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rng = SimRng::decode_body(r)?;
+        self.rng = SimRng::decode(r)?;
         Ok(())
     }
 }
@@ -668,7 +668,7 @@ mod tests {
         let mut saved = SnapWriter::new();
         net.save(&mut saved);
         let mut stream = SnapWriter::new();
-        twin.encode_body(&mut stream);
+        twin.save(&mut stream);
         assert_eq!(
             saved.into_bytes(),
             stream.into_bytes(),

@@ -15,7 +15,7 @@
 //! integrated as a thermal accumulator so that arbitrary power waveforms —
 //! not just step overloads — trip correctly.
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -291,32 +291,9 @@ impl Breaker {
         self.status = BreakerStatus::Nominal;
     }
 
-    /// This breaker in the thermal state of `saved`: heat and status
-    /// are taken from it and nothing else. Rating and trip curve are
-    /// configuration, so `saved` must carry this breaker's own, and a
-    /// thermal level in `[0, 1]`.
-    pub fn restored(&self, saved: &Breaker) -> Result<Breaker, SnapError> {
-        let restored = Breaker {
-            heat: saved.heat,
-            status: saved.status,
-            ..self.clone()
-        };
-        // `!=` also refuses a NaN anywhere in `saved`.
-        if restored != *saved || !(0.0..=1.0).contains(&saved.heat) {
-            return Err(SnapError::Corrupt(format!(
-                "breaker in snapshot ({saved:?}) is not a state of the configured one ({self:?})"
-            )));
-        }
-        Ok(restored)
-    }
-}
-
-impl Snapshot for Breaker {
-    const KIND: &'static str = "powerinfra.Breaker";
-    // v2: the cooling constant, the same in every breaker, left the body.
-    const VERSION: u32 = 2;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
+    /// Writes the breaker: its rating and trip curve, then its thermal
+    /// state.
+    pub fn save(&self, w: &mut SnapWriter) {
         w.put_f64(self.rating.as_watts());
         w.put_f64(self.curve.k);
         w.put_f64(self.curve.alpha);
@@ -326,23 +303,37 @@ impl Snapshot for Breaker {
         w.put_u8(self.status.snap_code());
     }
 
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let rating = Power::from_watts(r.get_f64()?);
-        if !(rating.as_watts() > 0.0 && rating.as_watts().is_finite()) {
-            return Err(SnapError::Corrupt(format!("bad breaker rating {rating}")));
-        }
-        let curve = TripCurve {
-            k: r.get_f64()?,
-            alpha: r.get_f64()?,
-            min_trip_secs: r.get_f64()?,
-            instant_ratio: r.get_f64()?,
-        };
-        Ok(Breaker {
-            rating,
-            curve,
+    /// Loads what [`Breaker::save`] wrote into this breaker. Rating and
+    /// trip curve are configuration: the stored ones must be this
+    /// breaker's own, and the stored thermal level lie in `[0, 1]`, or
+    /// the difference is noted ([`SnapReader::mismatch`]) and the
+    /// breaker stays as it is. Only heat and status move.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let saved = Breaker {
+            rating: Power::from_watts(r.get_f64()?),
+            curve: TripCurve {
+                k: r.get_f64()?,
+                alpha: r.get_f64()?,
+                min_trip_secs: r.get_f64()?,
+                instant_ratio: r.get_f64()?,
+            },
             heat: r.get_f64()?,
             status: BreakerStatus::from_snap_code(r.get_u8()?)?,
-        })
+        };
+        let restored = Breaker {
+            heat: saved.heat,
+            status: saved.status,
+            ..self.clone()
+        };
+        // `!=` also refuses a NaN anywhere in `saved`.
+        if restored != saved || !(0.0..=1.0).contains(&saved.heat) {
+            r.mismatch(SnapError::Corrupt(format!(
+                "breaker in snapshot ({saved:?}) is not a state of the configured one ({self:?})"
+            )));
+        } else {
+            *self = restored;
+        }
+        Ok(())
     }
 }
 
@@ -590,32 +581,45 @@ mod tests {
         rpp_breaker().step(Power::from_watts(f64::NAN), SimDuration::from_secs(1));
     }
 
-    /// `<= 0.0` lets NaN through, and a NaN rating panics the next
-    /// step's `ratio_of`.
+    /// `saved`'s bytes loaded into `into`: whether they were taken,
+    /// and what `into` then holds.
+    fn load(saved: &Breaker, mut into: Breaker) -> (bool, Breaker) {
+        let mut w = SnapWriter::new();
+        saved.save(&mut w);
+        let mut r = SnapReader::new(w.as_bytes());
+        into.load(&mut r).expect("a breaker's bytes read");
+        (r.finish("breaker").is_ok(), into)
+    }
+
+    /// A rating is compared with the configured one, so one that is
+    /// not a number — which would panic the next step's `ratio_of` —
+    /// does not load.
     #[test]
     fn a_rating_that_is_not_a_number_does_not_decode() {
-        let mut w = SnapWriter::new();
-        rpp_breaker().encode_body(&mut w);
-        let mut bytes = w.into_bytes();
         for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
-            bytes[..8].copy_from_slice(&bad.to_bits().to_le_bytes());
-            let decoded = Breaker::decode_body(&mut SnapReader::new(&bytes));
-            assert!(matches!(decoded, Err(SnapError::Corrupt(_))), "{bad}");
+            let forged = Breaker {
+                rating: Power::from_watts(bad),
+                ..rpp_breaker()
+            };
+            assert_eq!(
+                load(&forged, rpp_breaker()),
+                (false, rpp_breaker()),
+                "{bad}"
+            );
         }
     }
 
     #[test]
-    fn restored_takes_the_thermal_state_and_nothing_else() {
+    fn load_takes_the_thermal_state_and_nothing_else() {
         let mut hot = rpp_breaker();
         hot.step(Power::from_kilowatts(266.0), SimDuration::from_secs(10));
-        let restored = rpp_breaker().restored(&hot).unwrap();
-        assert_eq!(restored, hot);
+        assert_eq!(load(&hot, rpp_breaker()), (true, hot.clone()));
         let mut overheated = hot.clone();
         overheated.heat = 1.5;
-        assert!(rpp_breaker().restored(&overheated).is_err());
+        assert!(!load(&overheated, rpp_breaker()).0);
         overheated.heat = f64::NAN;
-        assert!(rpp_breaker().restored(&overheated).is_err());
+        assert!(!load(&overheated, rpp_breaker()).0);
         let other = Breaker::new(Power::from_kilowatts(380.0), TripCurve::rpp());
-        assert!(other.restored(&hot).is_err());
+        assert_eq!(load(&hot, other.clone()), (false, other));
     }
 }

@@ -7,7 +7,7 @@
 //! upstream interruption — the window an operator has during events
 //! like Figure 12's before servers actually go dark.
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -61,54 +61,6 @@ pub struct Dcups {
 /// OCP ride-through rating.
 pub const RIDE_THROUGH: SimDuration = SimDuration::from_secs(90);
 
-impl Snapshot for Dcups {
-    const KIND: &'static str = "powerinfra.Dcups";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_f64(self.design_load.as_watts());
-        w.put_f64(self.capacity_j);
-        w.put_f64(self.charge_j);
-        w.put_f64(self.recharge_frac);
-        w.put_u8(match self.state {
-            DcupsState::Standby => 0,
-            DcupsState::Discharging => 1,
-            DcupsState::Depleted => 2,
-        });
-    }
-
-    fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let design_load = Power::from_watts(r.get_f64()?);
-        if !(design_load.as_watts() > 0.0 && design_load.as_watts().is_finite()) {
-            return Err(SnapError::Corrupt(format!(
-                "bad DCUPS design load {design_load}"
-            )));
-        }
-        let capacity_j = r.get_f64()?;
-        let charge_j = r.get_f64()?;
-        let recharge_frac = r.get_f64()?;
-        if !(recharge_frac > 0.0 && recharge_frac <= 1.0) {
-            return Err(SnapError::Corrupt(format!(
-                "bad DCUPS recharge fraction {recharge_frac}"
-            )));
-        }
-        Ok(Dcups {
-            design_load,
-            capacity_j,
-            charge_j,
-            recharge_frac,
-            state: match r.get_u8()? {
-                0 => DcupsState::Standby,
-                1 => DcupsState::Discharging,
-                2 => DcupsState::Depleted,
-                other => {
-                    return Err(SnapError::Corrupt(format!("bad DCUPS state {other}")));
-                }
-            },
-        })
-    }
-}
-
 impl Dcups {
     /// Creates a fully-charged unit sized to carry `design_load` for the
     /// OCP 90-second rating.
@@ -144,23 +96,51 @@ impl Dcups {
         }
     }
 
-    /// This unit in the battery state of `saved`: charge and state are
-    /// taken from it and nothing else. Design load, capacity and
-    /// recharge rate are configuration, so `saved` must carry this
-    /// unit's own, and a charge within the capacity.
-    pub fn restored(&self, saved: &Dcups) -> Result<Dcups, SnapError> {
+    /// Writes the unit: its sizing, then its charge and state.
+    pub fn save(&self, w: &mut SnapWriter) {
+        w.put_f64(self.design_load.as_watts());
+        w.put_f64(self.capacity_j);
+        w.put_f64(self.charge_j);
+        w.put_f64(self.recharge_frac);
+        w.put_u8(match self.state {
+            DcupsState::Standby => 0,
+            DcupsState::Discharging => 1,
+            DcupsState::Depleted => 2,
+        });
+    }
+
+    /// Loads what [`Dcups::save`] wrote into this unit. Design load,
+    /// capacity and recharge rate are configuration: the stored ones
+    /// must be this unit's own, and the stored charge lie within the
+    /// capacity, or the difference is noted ([`SnapReader::mismatch`])
+    /// and the unit stays as it is. Only charge and state move.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let saved = Dcups {
+            design_load: Power::from_watts(r.get_f64()?),
+            capacity_j: r.get_f64()?,
+            charge_j: r.get_f64()?,
+            recharge_frac: r.get_f64()?,
+            state: match r.get_u8()? {
+                0 => DcupsState::Standby,
+                1 => DcupsState::Discharging,
+                2 => DcupsState::Depleted,
+                other => return Err(SnapError::Corrupt(format!("bad DCUPS state {other}"))),
+            },
+        };
         let restored = Dcups {
             charge_j: saved.charge_j,
             state: saved.state,
             ..self.clone()
         };
         // `!=` also refuses a NaN anywhere in `saved`.
-        if restored != *saved || !(0.0..=self.capacity_j).contains(&saved.charge_j) {
-            return Err(SnapError::Corrupt(format!(
+        if restored != saved || !(0.0..=self.capacity_j).contains(&saved.charge_j) {
+            r.mismatch(SnapError::Corrupt(format!(
                 "DCUPS in snapshot ({saved:?}) is not a state of the configured one ({self:?})"
             )));
+        } else {
+            *self = restored;
         }
-        Ok(restored)
+        Ok(())
     }
 
     /// The design load.
@@ -380,33 +360,43 @@ mod tests {
         assert_eq!(ups.reserve_floor_joules(Power::ZERO), 0.0);
     }
 
+    /// `saved`'s bytes loaded into `into`: whether they were taken,
+    /// and what `into` then holds.
+    fn load(saved: &Dcups, mut into: Dcups) -> (bool, Dcups) {
+        let mut w = SnapWriter::new();
+        saved.save(&mut w);
+        let mut r = SnapReader::new(w.as_bytes());
+        into.load(&mut r).expect("a unit's bytes read");
+        (r.finish("DCUPS").is_ok(), into)
+    }
+
     #[test]
-    fn snapshot_round_trips_custom_recharge_frac_at_version_1() {
-        let mut ups = Dcups::with_recharge_frac(Power::from_kilowatts(20.0), 0.25);
+    fn a_custom_recharge_frac_round_trips() {
+        let configured = || Dcups::with_recharge_frac(Power::from_kilowatts(20.0), 0.25);
+        let mut ups = configured();
         ups.step(
             false,
             Power::from_kilowatts(12.0),
             SimDuration::from_secs(30),
         );
-        let bytes = ups.to_snap_bytes();
-        let decoded = Dcups::from_snap_bytes(&bytes).unwrap();
-        assert_eq!(decoded, ups);
-        assert_eq!(bytes, decoded.to_snap_bytes());
-        assert_eq!(Dcups::VERSION, 1, "byte layout unchanged: same version");
+        assert_eq!(load(&ups, configured()), (true, ups.clone()));
+        // The classic unit recharges at a tenth: another configuration.
+        let classic = Dcups::new(Power::from_kilowatts(20.0));
+        assert_eq!(load(&ups, classic.clone()), (false, classic));
     }
 
     #[test]
-    fn restored_takes_charge_and_state_and_nothing_else() {
+    fn load_takes_charge_and_state_and_nothing_else() {
         let mut drained = six_racks();
         drained.step(false, drained.design_load(), SimDuration::from_secs(30));
-        assert_eq!(six_racks().restored(&drained).unwrap(), drained);
+        assert_eq!(load(&drained, six_racks()), (true, drained.clone()));
         // More charge than the battery holds, or none that is a number.
         for bad in [drained.capacity_j * 2.0, -1.0, f64::NAN] {
             let mut forged = drained.clone();
             forged.charge_j = bad;
-            assert!(six_racks().restored(&forged).is_err(), "{bad}");
+            assert_eq!(load(&forged, six_racks()), (false, six_racks()), "{bad}");
         }
         let bigger = Dcups::new(Power::from_kilowatts(100.0));
-        assert!(bigger.restored(&drained).is_err());
+        assert!(!load(&drained, bigger).0);
     }
 }

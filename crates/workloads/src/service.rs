@@ -1,6 +1,6 @@
 //! Per-service utilization processes (Figure 6 of the paper).
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{SimDuration, SimRng, SimTime};
 use powerinfra::Power;
 use serde::{Deserialize, Serialize};
@@ -383,7 +383,7 @@ pub fn put_process(
         }
         None => w.put_bool(false),
     }
-    rng.encode_body(w);
+    rng.save(w);
 }
 
 /// Reads a process written by [`put_process`] into its dynamic parts —
@@ -421,7 +421,7 @@ pub fn get_process(
     }
     *noise = stored_noise;
     (*burst_until, *burst_add) = kernel::burst_to_columns(burst);
-    *rng = SimRng::decode_body(r)?;
+    *rng = SimRng::decode(r)?;
     Ok((kind, params))
 }
 

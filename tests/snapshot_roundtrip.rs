@@ -1,22 +1,24 @@
-//! The snapshot contract, property-tested across every implementing
-//! type reachable from public APIs:
+//! The snapshot contract, property-tested across the parts reachable
+//! from public APIs:
 //!
-//! 1. **Lossless round-trip** — `encode → decode → encode` is
-//!    byte-identical. (A decode that loses information would silently
+//! 1. **Lossless round-trip** — `save → load → save` is byte-identical
+//!    for every part, and `encode → decode → encode` for the framed
+//!    `DatacenterState`. (A load that loses information would silently
 //!    corrupt resumed runs.)
-//! 2. **Version skew fails loudly** — a snapshot written at a bumped
+//! 2. **Version skew fails loudly** — a state written at another
 //!    version is rejected with a clear [`SnapError::VersionMismatch`]
 //!    instead of being misread into live state.
 //! 3. **Kind and framing violations** are detected, never misapplied.
 //!
-//! Layers rebuilt from configuration (controller tiers, observability,
-//! the whole datacenter) have no section of their own: they are
+//! A part has no section of its own: it loads into a value built from
+//! the same configuration, and the layers rebuilt from configuration
+//! (controller tiers, observability, the whole datacenter) are
 //! exercised through a live run's `DatacenterState`, whose body nests
 //! every one of theirs.
 
 use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
-use dynamo_repro::dynamo::{Datacenter, DatacenterBuilder, ObsConfig};
+use dynamo_repro::dynamo::{Datacenter, DatacenterBuilder, DatacenterState, ObsConfig};
 use dynamo_repro::dynrpc::{LinkProfile, Network};
 use dynamo_repro::powerinfra::{Breaker, Dcups, Power, TripCurve};
 use dynamo_repro::workloads::kernel::{self, DrawStep};
@@ -37,6 +39,32 @@ fn roundtrip<T: Snapshot>(value: &T) -> T {
     decoded
 }
 
+/// The property for a part: `value` saved and loaded into `into`, a
+/// value built as `value` was, leaves every byte read and saves the
+/// same bytes again. Returns the loaded part.
+fn reloaded<T>(
+    value: &T,
+    mut into: T,
+    save: fn(&T, &mut SnapWriter),
+    load: fn(&mut T, &mut SnapReader<'_>) -> Result<(), SnapError>,
+) -> T {
+    let mut w = SnapWriter::new();
+    save(value, &mut w);
+    let bytes = w.into_bytes();
+    let mut r = SnapReader::new(&bytes);
+    load(&mut into, &mut r)
+        .and_then(|()| r.finish("part"))
+        .unwrap_or_else(|e| panic!("a part failed to load its own bytes: {e}"));
+    let mut again = SnapWriter::new();
+    save(&into, &mut again);
+    assert_eq!(
+        again.into_bytes(),
+        bytes,
+        "save -> load -> save moved a byte"
+    );
+    into
+}
+
 #[test]
 fn dcsim_types_roundtrip() {
     // An advanced RNG stream: position and underlying state both carry.
@@ -45,30 +73,49 @@ fn dcsim_types_roundtrip() {
         rng.next_u64();
     }
     rng.normal(0.0, 1.0);
-    let restored = roundtrip(&rng);
+    let mut restored = reloaded(&rng, SimRng::seed_from(0), SimRng::save, |rng, r| {
+        *rng = SimRng::decode(r)?;
+        Ok(())
+    });
     let mut a = rng.clone();
-    let mut b = restored;
     for _ in 0..32 {
-        assert_eq!(a.next_u64(), b.next_u64(), "restored stream diverged");
+        assert_eq!(
+            a.next_u64(),
+            restored.next_u64(),
+            "restored stream diverged"
+        );
     }
 
-    let mut cycle = CycleSchedule::with_phase(SimDuration::from_secs(3), SimDuration::from_secs(1));
+    let configured =
+        || CycleSchedule::with_phase(SimDuration::from_secs(3), SimDuration::from_secs(1));
+    let mut cycle = configured();
     cycle.fire(SimTime::from_secs(4));
-    roundtrip(&cycle);
+    let loaded = reloaded(
+        &cycle,
+        configured(),
+        CycleSchedule::save,
+        CycleSchedule::load,
+    );
+    assert_eq!(loaded, cycle);
 }
 
 #[test]
 fn powerinfra_types_roundtrip() {
     // A breaker with accumulated thermal state, mid-way to a trip.
-    let mut breaker = Breaker::new(Power::from_kilowatts(10.0), TripCurve::rpp());
+    let rpp = || Breaker::new(Power::from_kilowatts(10.0), TripCurve::rpp());
+    let mut breaker = rpp();
     for _ in 0..30 {
         breaker.step(Power::from_kilowatts(14.0), SimDuration::from_secs(1));
     }
     assert!(breaker.thermal_state() > 0.0, "vacuity: no heat built up");
-    roundtrip(&breaker);
+    assert_eq!(
+        reloaded(&breaker, rpp(), Breaker::save, Breaker::load),
+        breaker
+    );
 
     // A DCUPS that has been discharging on battery.
-    let mut dcups = Dcups::new(Power::from_kilowatts(50.0));
+    let unit = || Dcups::new(Power::from_kilowatts(50.0));
+    let mut dcups = unit();
     for _ in 0..60 {
         dcups.step(
             false,
@@ -77,7 +124,7 @@ fn powerinfra_types_roundtrip() {
         );
     }
     assert!(dcups.charge_fraction() < 1.0, "vacuity: battery still full");
-    roundtrip(&dcups);
+    assert_eq!(reloaded(&dcups, unit(), Dcups::save, Dcups::load), dcups);
 }
 
 #[test]
@@ -341,42 +388,61 @@ fn gridded_datacenter_state_roundtrips_mid_curtailment() {
 // Version skew and framing violations.
 // ---------------------------------------------------------------------------
 
-/// Pretends to be a future revision of the RNG snapshot: same kind
-/// string, bumped version, arbitrary body.
-struct FutureRng;
-
-impl Snapshot for FutureRng {
-    const KIND: &'static str = <SimRng as Snapshot>::KIND;
-    const VERSION: u32 = <SimRng as Snapshot>::VERSION + 1;
-
-    fn encode_body(&self, w: &mut SnapWriter) {
-        w.put_u64(0xDEAD_BEEF);
-    }
-
-    fn decode_body(_: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FutureRng)
-    }
+/// A section of `kind` at `version` around `body`.
+fn framed(kind: &str, version: u32, body: &[u8]) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put_u32(dcsim::snap::SECTION_MAGIC);
+    w.put_str(kind);
+    w.put_u32(version);
+    w.put_u64(body.len() as u64);
+    w.put_raw(body);
+    w.into_bytes()
 }
 
+/// The state of a small datacenter a minute into its run.
+fn small_state() -> DatacenterState {
+    let mut dc = DatacenterBuilder::new()
+        .sbs_per_msb(1)
+        .rpps_per_sb(1)
+        .racks_per_rpp(2)
+        .servers_per_rack(4)
+        .seed(5)
+        .build();
+    dc.run_for(SimDuration::from_mins(1));
+    dc.state()
+}
+
+/// The body of `state`, unframed.
+fn body_of(state: &DatacenterState) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    state.encode_body(&mut w);
+    w.into_bytes()
+}
+
+/// A live state's body framed as a future revision would frame it is
+/// refused by version, naming the kind, before a body byte is read.
 #[test]
 fn bumped_version_is_rejected_with_a_clear_error() {
-    let bytes = FutureRng.to_snap_bytes();
-    let err = SimRng::from_snap_bytes(&bytes).expect_err("future snapshot must not decode");
+    let next = DatacenterState::VERSION + 1;
+    let bytes = framed(DatacenterState::KIND, next, &body_of(&small_state()));
+    let err = match DatacenterState::from_snap_bytes(&bytes) {
+        Ok(_) => panic!("a future snapshot must not decode"),
+        Err(e) => e,
+    };
     match &err {
         SnapError::VersionMismatch {
             kind,
             found,
             supported,
         } => {
-            assert_eq!(*kind, <SimRng as Snapshot>::KIND.to_string());
-            assert_eq!(*found, <SimRng as Snapshot>::VERSION + 1);
-            assert_eq!(*supported, <SimRng as Snapshot>::VERSION);
+            assert_eq!(kind, DatacenterState::KIND);
+            assert_eq!((*found, *supported), (next, DatacenterState::VERSION));
         }
         other => panic!("expected VersionMismatch, got {other}"),
     }
     let msg = err.to_string();
     assert!(
-        msg.contains("version") && msg.contains(<SimRng as Snapshot>::KIND),
+        msg.contains("version") && msg.contains(DatacenterState::KIND),
         "error must name the kind and the version problem: {msg}"
     );
 }
@@ -385,14 +451,8 @@ fn bumped_version_is_rejected_with_a_clear_error() {
 /// eight-byte body and expects it refused by version, before a single
 /// body byte is interpreted.
 fn assert_datacenter_version_refused(version: u32) {
-    use dynamo_repro::dynamo::DatacenterState;
-    let mut w = SnapWriter::new();
-    w.put_u32(dcsim::snap::SECTION_MAGIC);
-    w.put_str(DatacenterState::KIND);
-    w.put_u32(version);
-    w.put_u64(8);
-    w.put_u64(0);
-    match DatacenterState::from_snap_bytes(&w.into_bytes()) {
+    let bytes = framed(DatacenterState::KIND, version, &0u64.to_le_bytes());
+    match DatacenterState::from_snap_bytes(&bytes) {
         Err(SnapError::VersionMismatch {
             kind,
             found,
@@ -437,25 +497,37 @@ fn a_v5_datacenter_envelope_is_a_version_mismatch() {
 
 #[test]
 fn wrong_kind_is_rejected() {
-    let bytes = SimRng::seed_from(1).to_snap_bytes();
-    let err = CycleSchedule::from_snap_bytes(&bytes).expect_err("kind mismatch must not decode");
-    assert!(
-        matches!(err, SnapError::KindMismatch { .. }),
-        "expected KindMismatch, got {err}"
-    );
+    let body = body_of(&small_state());
+    let bytes = framed("dynamo-sim.Checkpoint", DatacenterState::VERSION, &body);
+    match DatacenterState::from_snap_bytes(&bytes) {
+        Err(SnapError::KindMismatch { expected, found }) => {
+            assert_eq!(
+                (expected.as_str(), found.as_str()),
+                (DatacenterState::KIND, "dynamo-sim.Checkpoint")
+            );
+        }
+        Err(other) => panic!("expected KindMismatch, got {other}"),
+        Ok(_) => panic!("kind mismatch must not decode"),
+    }
 }
 
 #[test]
 fn truncated_and_padded_sections_are_rejected() {
-    let bytes = SimRng::seed_from(1).to_snap_bytes();
+    let bytes = small_state().to_snap_bytes();
     assert!(
-        SimRng::from_snap_bytes(&bytes[..bytes.len() - 3]).is_err(),
+        matches!(
+            DatacenterState::from_snap_bytes(&bytes[..bytes.len() - 3]),
+            Err(SnapError::UnexpectedEof { .. })
+        ),
         "truncated snapshot must not decode"
     );
     let mut padded = bytes.clone();
     padded.extend_from_slice(&[0, 0, 0]);
     assert!(
-        SimRng::from_snap_bytes(&padded).is_err(),
+        matches!(
+            DatacenterState::from_snap_bytes(&padded),
+            Err(SnapError::TrailingBytes { extra: 3, .. })
+        ),
         "trailing garbage must not decode"
     );
 }
@@ -470,7 +542,6 @@ fn truncated_and_padded_sections_are_rejected() {
 /// restores into a fresh twin and steps it.
 #[test]
 fn a_forged_state_is_a_typed_error_or_a_run_never_a_panic() {
-    use dynamo_repro::dynamo::{Datacenter, DatacenterState};
     const FORGERIES: [u64; 9] = [
         0x7ff8_0000_0000_0000, // NaN
         0x7ff0_0000_0000_0000, // +inf
