@@ -561,12 +561,6 @@ impl Datacenter {
         for &id in &self.device_ids {
             self.topo.device(id).breaker.save(w);
         }
-        // Each breaker's status again: part of the format, derived from
-        // the bodies above.
-        w.put_u64(self.device_ids.len() as u64);
-        for &id in &self.device_ids {
-            w.put_u8(self.topo.device(id).breaker.status().snap_code());
-        }
         self.validator.save(w);
         w.put_u64(self.alerts_seen as u64);
         match &self.grid {
@@ -617,19 +611,6 @@ impl Datacenter {
         for &id in &self.device_ids {
             let breaker = &mut self.topo.device_mut(id).breaker;
             r.within(id, |r| breaker.load(r))?;
-        }
-        // The status section repeats what the bodies hold; one that
-        // disagrees would make the next step book a transition no
-        // breaker made.
-        r.get_len(self.device_ids.len(), "devices")?;
-        for &id in &self.device_ids {
-            let saved = BreakerStatus::from_snap_code(r.get_u8()?)?;
-            let status = self.topo.device(id).breaker.status();
-            if saved != status {
-                return Err(SnapError::Corrupt(format!(
-                    "{id}: breaker status {saved:?} in snapshot, its breaker reads {status:?}"
-                )));
-            }
         }
         self.validator.load(r)?;
         self.alerts_seen = r.get_u64()? as usize;
@@ -705,7 +686,10 @@ impl Snapshot for DatacenterState {
     // the grid layer its recharge flag; each leaf's pending-failure flag
     // and last band moved from the failover and observability sections
     // into the leaf tier's.
-    const VERSION: u32 = 6;
+    // v7: the breaker-status section, a copy of the status each breaker
+    // body holds, went, and telemetry's sampling schedule is saved as
+    // every schedule is (period, phase, next; it stored period and next).
+    const VERSION: u32 = 7;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_raw(&self.body);
@@ -1093,11 +1077,11 @@ pub(crate) mod tests {
         );
     }
 
-    /// The status section repeats each breaker's status. A file whose
-    /// section says otherwise would have the next step book a second
-    /// trip of a breaker already open, or a `Nominal` event no breaker
-    /// made with its subtree left dark: both are refused, naming the
-    /// device.
+    /// A breaker's status is saved in its body, beside the heat that
+    /// fixes it. A file whose status its heat does not have would have
+    /// the next step book a second trip of a breaker already open, or a
+    /// `Nominal` event no breaker made with its subtree left dark: both
+    /// are refused, naming the device.
     #[test]
     fn restore_rejects_a_breaker_status_its_breaker_does_not_read() {
         let mut dc = small_dc(3, 2);
@@ -1110,21 +1094,21 @@ pub(crate) mod tests {
         assert_eq!(dc.topo.device(rpp).breaker.status(), BreakerStatus::Nominal);
         for (d, status) in [(sb, BreakerStatus::Nominal), (rpp, BreakerStatus::Tripped)] {
             let forge = |dc: &Datacenter, s: &mut DatacenterState| {
-                // The clock, the layers, the breaker bodies, the count.
-                let at = saved_len(|w| {
+                // The clock, the layers, the count, the breaker bodies
+                // up to `d`'s, whose last byte is its status.
+                let end = saved_len(|w| {
                     w.put_u64(0);
                     dc.fleet.save(w);
                     dc.system.save(w);
                     dc.telemetry.save(w);
                     w.put_u64(0);
-                    for &id in &dc.device_ids {
+                    for &id in &dc.device_ids[..=d.index()] {
                         dc.topo.device(id).breaker.save(w);
                     }
-                    w.put_u64(0);
                 });
-                poke(s, at + d.index(), &[status.snap_code()]);
+                poke(s, end - 1, &[status.snap_code()]);
             };
-            assert_refused(&mut dc, forge, &format!("{d}: breaker status {status:?}"));
+            assert_refused(&mut dc, forge, &format!("{d}: breaker in snapshot"));
         }
         let honest = dc.state();
         assert!(dc.restore(&honest).is_ok());
@@ -1270,7 +1254,7 @@ pub(crate) mod tests {
                 CycleSchedule::with_phase(SimDuration::from_secs(9), SimDuration::from_secs(1))
         });
         assert_refused(&mut dc, forge, "upper controller 0: schedule");
-        // Telemetry stores its period and next firing only.
+        // Telemetry has one schedule, named by nothing more.
         let forge =
             forge_with(|t| t.telemetry.schedule = CycleSchedule::new(SimDuration::from_secs(4)));
         assert_refused(&mut dc, forge, "schedule");

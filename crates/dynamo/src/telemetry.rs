@@ -146,11 +146,10 @@ impl Telemetry {
     }
 
     /// Saves the recorder's state: every trace as `(start millis, raw
-    /// values)`, the event stores, and the sampling schedule's period
-    /// and next firing (its phase is always zero). Device traces are
-    /// keyed by raw device index in ascending order so the bytes are
-    /// deterministic regardless of hash-map iteration order; the
-    /// sampling interval is configuration.
+    /// values)`, the event stores, and the sampling schedule. Device
+    /// traces are keyed by raw device index in ascending order so the
+    /// bytes are deterministic regardless of hash-map iteration order;
+    /// the sampling interval is configuration.
     pub fn save(&self, w: &mut SnapWriter) {
         let put_trace = |w: &mut SnapWriter, t: &Trace| {
             w.put_u64(t.start().as_millis());
@@ -175,8 +174,7 @@ impl Telemetry {
             w.put_u32(e.device.index() as u32);
             w.put_u8(e.status.snap_code());
         }
-        w.put_u64(self.schedule.period().as_millis());
-        w.put_u64(self.schedule.next_at().as_millis());
+        self.schedule.save(w);
     }
 
     /// Loads what [`Telemetry::save`] wrote. A schedule that is not the
@@ -210,15 +208,7 @@ impl Telemetry {
                 status: BreakerStatus::from_snap_code(r.get_u8()?)?,
             })
         })?;
-        // Period and next firing: the schedule's own form at phase zero.
-        let (stored, mut words) = (r.get_raw(16)?, [0; 24]);
-        words[..8].copy_from_slice(&stored[..8]);
-        words[16..].copy_from_slice(&stored[8..]);
-        let mut schedule = SnapReader::new(&words);
-        self.schedule.load(&mut schedule)?;
-        if let Err(e) = schedule.finish("schedule") {
-            r.mismatch(e);
-        }
+        self.schedule.load(r)?;
         Ok(())
     }
 }

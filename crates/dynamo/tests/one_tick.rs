@@ -167,8 +167,12 @@ fn churn_reproduces_the_pre_collapse_golden_at_every_width() {
 /// slot, the takeover count and the grid's recharge flag left the wire,
 /// each leaf's failover flag and band moved into the leaf tier's
 /// section, and the version went 5 → 6 (it was `0xddb944be018edd1b`);
-/// `CHURN_GOLDEN` did not move.
-const CHURN_SNAPSHOT_GOLDEN: u64 = 0x87fe_8318_8f1b_9cdd;
+/// `CHURN_GOLDEN` did not move. Re-recorded when the breaker-status
+/// section, a copy of the status each breaker body holds, left the wire,
+/// telemetry came to save its schedule as every schedule is saved
+/// (period, phase, next), and the version went 6 → 7 (it was
+/// `0x87fe83188f1b9cdd`); `CHURN_GOLDEN` did not move.
+const CHURN_SNAPSHOT_GOLDEN: u64 = 0x15b8_1c02_3b62_6152;
 
 #[test]
 fn churn_snapshot_bytes_are_pinned_at_every_width() {

@@ -305,9 +305,11 @@ impl Breaker {
 
     /// Loads what [`Breaker::save`] wrote into this breaker. Rating and
     /// trip curve are configuration: the stored ones must be this
-    /// breaker's own, and the stored thermal level lie in `[0, 1]`, or
-    /// the difference is noted ([`SnapReader::mismatch`]) and the
-    /// breaker stays as it is. Only heat and status move.
+    /// breaker's own, the stored thermal level must lie in `[0, 1]`, and
+    /// the status must be one that level has (a breaker is tripped
+    /// exactly when its heat is 1), or the difference is noted
+    /// ([`SnapReader::mismatch`]) and the breaker stays as it is. Only
+    /// heat and status move.
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let saved = Breaker {
             rating: Power::from_watts(r.get_f64()?),
@@ -326,7 +328,9 @@ impl Breaker {
             ..self.clone()
         };
         // `!=` also refuses a NaN anywhere in `saved`.
-        if restored != saved || !(0.0..=1.0).contains(&saved.heat) {
+        let tripped = saved.status == BreakerStatus::Tripped;
+        if restored != saved || !(0.0..=1.0).contains(&saved.heat) || tripped != (saved.heat == 1.0)
+        {
             r.mismatch(SnapError::Corrupt(format!(
                 "breaker in snapshot ({saved:?}) is not a state of the configured one ({self:?})"
             )));
@@ -621,5 +625,23 @@ mod tests {
         assert!(!load(&overheated, rpp_breaker()).0);
         let other = Breaker::new(Power::from_kilowatts(380.0), TripCurve::rpp());
         assert_eq!(load(&hot, other.clone()), (false, other));
+        // A status its heat does not have: tripped below the threshold,
+        // or not tripped at it.
+        let mut tripped = rpp_breaker();
+        while tripped.step(Power::from_kilowatts(380.0), SimDuration::from_secs(10))
+            != BreakerStatus::Tripped
+        {}
+        assert_eq!(load(&tripped, rpp_breaker()), (true, tripped.clone()));
+        for (heat, status) in [
+            (0.5, BreakerStatus::Tripped),
+            (1.0, BreakerStatus::Overloaded),
+        ] {
+            let forged = Breaker {
+                heat,
+                status,
+                ..rpp_breaker()
+            };
+            assert!(!load(&forged, rpp_breaker()).0, "{status:?} at {heat}");
+        }
     }
 }

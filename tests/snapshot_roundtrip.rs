@@ -495,6 +495,14 @@ fn a_v5_datacenter_envelope_is_a_version_mismatch() {
     assert_datacenter_version_refused(5);
 }
 
+/// A file written while a section repeated each breaker's status beside
+/// the body that holds it, and telemetry stored its schedule in a form
+/// of its own (envelope version 6), is refused.
+#[test]
+fn a_v6_datacenter_envelope_is_a_version_mismatch() {
+    assert_datacenter_version_refused(6);
+}
+
 #[test]
 fn wrong_kind_is_rejected() {
     let body = body_of(&small_state());
