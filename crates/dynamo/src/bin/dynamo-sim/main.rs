@@ -56,19 +56,22 @@ impl Snapshot for Checkpoint {
     // v6: the datacenter state stores nothing a restore can derive, and
     // a leaf's failover flag and band moved into the leaf tier's section
     // (`dynamo.DatacenterState` v6).
-    const VERSION: u32 = 6;
+    // v7: the datacenter state is a framed section of its own, whose
+    // version is checked on its own; this one moves only with the
+    // envelope.
+    const VERSION: u32 = 7;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_str(&self.envelope);
         w.put_u64(self.schedule_digest);
-        self.state.encode_body(w);
+        self.state.write_section(w);
     }
 
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Checkpoint {
             envelope: r.get_str()?,
             schedule_digest: r.get_u64()?,
-            state: DatacenterState::decode_body(r)?,
+            state: DatacenterState::read_section(r)?,
         })
     }
 }

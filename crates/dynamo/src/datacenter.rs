@@ -695,8 +695,8 @@ impl Snapshot for DatacenterState {
         w.put_raw(&self.body);
     }
 
-    /// Takes the rest of the enclosing body: a datacenter's body is
-    /// always last.
+    /// Takes the rest of the section: it holds a datacenter's body and
+    /// nothing else.
     fn decode_body(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let body = r.get_raw(r.remaining())?.to_vec();
         Ok(DatacenterState { body })
