@@ -48,7 +48,12 @@
 # determines and a leaf's flags came to travel with the leaf: the grid's
 # recharge flag, the fleet's retired span-generation slot, the leaf
 # failover flags the failover section gathered and the refusal test of a
-# stored leaf partial that no longer exists (twenty-first) — so a stale
+# stored leaf partial that no longer exists (twenty-first), or when
+# every checkpoint part came to load itself in place and only the two
+# outermost types kept a framed section: the decode-then-`restored`-
+# then-`adopt` steps, the rings' `restore_from` and the section kinds of
+# the stream, schedule, breaker, DCUPS unit, alert and both rings that
+# no reader ever checked (twenty-second) — so a stale
 # reference
 # breaks the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
@@ -73,7 +78,8 @@ take_spans|take_flights|record_leaf_failover|record_upper_failover
 \.cdf\b|\bcdf: *cdf\b|full CDF, for plotting
 ClusterPerf|workloads::perf|power_slope|plot_points|batch_job_waves|blackout_eta|racks_powered|with_tau|non_server_overhead|saturating_since|powerstats::Summary
 failover_parity|\.cooling_tau_secs|cooling_tau_secs: (f64,|120|r\.)|agent_epoch
-any_below_full|retired span|leaf_failed|load_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers' \
+any_below_full|retired span|leaf_failed|load_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers
+restored\(|adopt\(|restore_from|dcsim\.(SimRng|CycleSchedule)|powerinfra\.(Breaker|Dcups)|dynamo_controller\.Alert|dynobs\.(TraceRing|FlightRecorder)' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic  : u32  (0x534E4150, "SNAP")
-//! kind   : str  (length-prefixed UTF-8, e.g. "dcsim.SimRng")
+//! kind   : str  (length-prefixed UTF-8, e.g. "dynamo.DatacenterState")
 //! version: u32
 //! length : u64  (body byte count)
 //! body   : [u8; length]
@@ -390,8 +390,8 @@ impl<'a> SnapReader<'a> {
 /// from a [`SnapReader`] (see the module docs), nested, unframed, in
 /// the body of the section that owns it.
 pub trait Snapshot: Sized {
-    /// Stable section identifier, e.g. `"dcsim.SimRng"`. Namespaced by
-    /// crate so kinds never collide across the workspace.
+    /// Stable section identifier, e.g. `"dynamo.DatacenterState"`.
+    /// Namespaced by crate so kinds never collide across the workspace.
     const KIND: &'static str;
     /// Format version. Bump on any body layout change; old builds then
     /// refuse newer snapshots with a clear [`SnapError::VersionMismatch`].
