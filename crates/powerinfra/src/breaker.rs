@@ -599,7 +599,7 @@ mod tests {
     /// not a number — which would panic the next step's `ratio_of` —
     /// does not load.
     #[test]
-    fn a_rating_that_is_not_a_number_does_not_decode() {
+    fn a_rating_that_is_not_a_number_does_not_load() {
         for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
             let forged = Breaker {
                 rating: Power::from_watts(bad),
