@@ -53,7 +53,10 @@
 # outermost types kept a framed section: the decode-then-`restored`-
 # then-`adopt` steps, the rings' `restore_from` and the section kinds of
 # the stream, schedule, breaker, DCUPS unit, alert and both rings that
-# no reader ever checked (twenty-second) — so a stale
+# no reader ever checked (twenty-second), or when telemetry came to keep
+# its series XOR-packed in watched order: the raw-vector decoder only it
+# used, the datacenter's per-sample reading buffer and the resumed run's
+# allowance for two growing series (twenty-third) — so a stale
 # reference
 # breaks the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
@@ -79,7 +82,8 @@ take_spans|take_flights|record_leaf_failover|record_upper_failover
 ClusterPerf|workloads::perf|power_slope|plot_points|batch_job_waves|blackout_eta|racks_powered|with_tau|non_server_overhead|saturating_since|powerstats::Summary
 failover_parity|\.cooling_tau_secs|cooling_tau_secs: (f64,|120|r\.)|agent_epoch
 any_below_full|retired span|leaf_failed|load_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers
-restored\(|adopt\(|restore_from|dcsim\.(SimRng|CycleSchedule)|powerinfra\.(Breaker|Dcups)|dynamo_controller\.Alert|dynobs\.(TraceRing|FlightRecorder)' \
+restored\(|adopt\(|restore_from|dcsim\.(SimRng|CycleSchedule)|powerinfra\.(Breaker|Dcups)|dynamo_controller\.Alert|dynobs\.(TraceRing|FlightRecorder)
+get_f64_vec|watched_scratch|GROWING_SERIES' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -452,11 +452,14 @@ pub trait Snapshot: Sized {
         Ok(value)
     }
 
-    /// Encodes `self` as a standalone framed byte vector.
+    /// Encodes `self` as a standalone framed byte vector, whose
+    /// capacity is its length.
     fn to_snap_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.write_section(&mut w);
-        w.into_bytes()
+        let mut bytes = w.into_bytes();
+        bytes.shrink_to_fit();
+        bytes
     }
 
     /// Decodes a value from a standalone framed byte vector, requiring
@@ -488,11 +491,6 @@ pub fn put_f64_slice(w: &mut SnapWriter, xs: &[f64]) {
     for &x in xs {
         w.put_f64(x);
     }
-}
-
-/// Decodes an `f64` vector written by [`put_f64_slice`].
-pub fn get_f64_vec(r: &mut SnapReader<'_>) -> Result<Vec<f64>, SnapError> {
-    r.get_vec(|r| r.get_f64())
 }
 
 /// Encodes a slice of bools with a length prefix (one byte each).
@@ -708,7 +706,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.get_vec(|r| r.get_u64()).unwrap(), vec![1, 2, 3]);
-        let fs = get_f64_vec(&mut r).unwrap();
+        let fs = r.get_vec(|r| r.get_f64()).unwrap();
         assert_eq!(fs[0], f64::INFINITY);
         assert_eq!(fs[1].to_bits(), (-0.0f64).to_bits());
         assert_eq!(fs[2], 3.25);

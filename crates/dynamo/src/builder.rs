@@ -379,7 +379,7 @@ impl DatacenterBuilder {
             .iter()
             .flat_map(|&lvl| topo.devices_at(lvl))
             .collect();
-        let telemetry = Telemetry::new();
+        let telemetry = Telemetry::new(watched);
         let validator = BreakerValidator::new(topo.device_count(), rng.split("breaker-validation"));
 
         let grid = self.grid.map(|scenario| {
@@ -391,7 +391,7 @@ impl DatacenterBuilder {
             )
         });
 
-        let mut dc = Datacenter::assemble(topo, fleet, system, telemetry, watched, validator, grid);
+        let mut dc = Datacenter::assemble(topo, fleet, system, telemetry, validator, grid);
         dc.set_worker_threads(self.worker_threads);
         dc.set_profile_ticks(self.profile);
         dc

@@ -77,13 +77,9 @@ pub struct Datacenter {
     subtrees: Vec<Subtree>,
     /// Device ids in index order.
     device_ids: Vec<DeviceId>,
-    /// Devices with telemetry traces.
-    watched: Vec<DeviceId>,
     /// Cross-validation of controller aggregates against coarse breaker
     /// readings (§VI).
     validator: BreakerValidator,
-    /// Reused buffer for per-sample watched-device readings.
-    watched_scratch: Vec<(DeviceId, Power)>,
     /// Validator alerts already forwarded to observability.
     alerts_seen: usize,
     /// Grid-interactive layer (utility signals, economic contracts,
@@ -173,13 +169,11 @@ impl Subtree {
 }
 
 impl Datacenter {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         topo: Topology,
         fleet: Fleet,
         system: DynamoSystem,
         telemetry: Telemetry,
-        watched: Vec<DeviceId>,
         validator: BreakerValidator,
         grid: Option<GridLayer>,
     ) -> Self {
@@ -201,9 +195,7 @@ impl Datacenter {
             now: SimTime::ZERO,
             subtrees,
             device_ids,
-            watched,
             validator,
-            watched_scratch: Vec::new(),
             alerts_seen: 0,
             grid,
             profile_ticks: false,
@@ -442,19 +434,18 @@ impl Datacenter {
 
         // 5. Telemetry sampling.
         if self.telemetry.sample_due(now) {
-            let mut watched = std::mem::take(&mut self.watched_scratch);
-            watched.clear();
-            for &d in &self.watched {
-                watched.push((d, self.subtrees[d.index()].draw(&self.fleet)));
-            }
             let stats = self.fleet.stats();
             let obs = self.system.observability_mut();
             if obs.is_enabled() {
                 obs.set_gauges(now, stats.total_power.as_watts(), stats.capped_servers);
             }
-            self.telemetry
-                .record_sample(now, &watched, stats.capped_servers, stats.total_power);
-            self.watched_scratch = watched;
+            let (subtrees, fleet) = (&mut self.subtrees, &self.fleet);
+            self.telemetry.record_sample(
+                now,
+                |d| subtrees[d.index()].draw(fleet),
+                stats.capped_servers,
+                stats.total_power,
+            );
         }
         lap.mark(&mut phase_secs, TickPhase::TelemetryMerge);
 
@@ -514,9 +505,10 @@ impl Datacenter {
             .expect("flush pending incident dumps before snapshotting");
         let mut w = SnapWriter::new();
         self.save(&mut w);
-        DatacenterState {
-            body: w.into_bytes(),
-        }
+        // The writer grew by doubling: keep only the bytes written.
+        let mut body = w.into_bytes();
+        body.shrink_to_fit();
+        DatacenterState { body }
     }
 
     /// Restores the simulation from a snapshot taken by
@@ -1258,6 +1250,66 @@ pub(crate) mod tests {
         let forge =
             forge_with(|t| t.telemetry.schedule = CycleSchedule::new(SimDuration::from_secs(4)));
         assert_refused(&mut dc, forge, "schedule");
+    }
+
+    /// Telemetry traces this build's watched devices, or none before
+    /// the first sample. A file that traces one more device (an
+    /// unwatched rack), one fewer, or none once sampling has begun is
+    /// refused, naming telemetry and the first device the sets differ
+    /// on.
+    #[test]
+    fn restore_rejects_a_traced_device_set_that_is_not_the_watched_one() {
+        let mut dc = small_dc(3, 2);
+        let unsampled = dc.state();
+        small_dc(3, 2)
+            .restore(&unsampled)
+            .expect("no sample yet, no trace");
+        dc.run_for(SimDuration::from_secs(5));
+        let rack = dc.topo.devices_at(DeviceLevel::Rack)[0];
+        let last = *dc.telemetry.watched.last().expect("a watched device");
+        type Edit = fn(&mut Telemetry, DeviceId);
+        let edits: [(Edit, String); 3] = [
+            (
+                |t, rack| {
+                    let at = t.watched.partition_point(|&d| d < rack);
+                    t.watched.insert(at, rack);
+                    t.device_series.insert(at, t.device_series[0].clone());
+                },
+                format!("telemetry traces {rack} where this build watches"),
+            ),
+            (
+                |t, _| {
+                    t.watched.pop();
+                    t.device_series.pop();
+                },
+                format!("telemetry traces no device where this build watches {last}"),
+            ),
+            (
+                |t, _| t.device_series.clear(),
+                "telemetry traces no device where this build watches dev#".into(),
+            ),
+        ];
+        for (edit, what) in edits {
+            let forge = |_: &Datacenter, s: &mut DatacenterState| {
+                *s = forged(small_dc(3, 2), s, |t| edit(&mut t.telemetry, rack))
+            };
+            assert_refused(&mut dc, forge, &what);
+        }
+        let honest = dc.state();
+        assert!(dc.restore(&honest).is_ok());
+    }
+
+    /// A state and its framed bytes hold exactly what was written: a
+    /// body left in the doubling writer's buffer would keep up to twice
+    /// its size alive for as long as the state is held.
+    #[test]
+    fn snapshot_buffers_hold_only_their_bytes() {
+        let mut dc = small_dc(3, 2);
+        dc.run_for(SimDuration::from_secs(30));
+        let state = dc.state();
+        assert_eq!(state.body.capacity(), state.body.len());
+        let bytes = state.to_snap_bytes();
+        assert_eq!(bytes.capacity(), bytes.len());
     }
 
     /// The clock and the fleet's tick count advance together; a file

@@ -1,13 +1,12 @@
 //! Fine-grained power monitoring (§VI: "Monitoring is as important as
 //! capping").
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use dcsim::snap::{get_f64_vec, put_f64_slice, SnapError, SnapReader, SnapWriter};
+use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::{BreakerStatus, DeviceId, Power};
-use powerstats::Trace;
+use powerstats::{PackedTrace, Trace};
 
 use crate::events::{ControllerEvent, ControllerEventKind};
 
@@ -29,23 +28,34 @@ pub struct BreakerEvent {
 /// The telemetry store for one simulation run: per-device power traces
 /// at the sampling interval, the capped-server count series, controller
 /// events, and breaker events.
+///
+/// Every series is kept XOR-packed ([`PackedTrace`]) and decoded when
+/// read: a held demand repeats most samples bit for bit, and a repeat
+/// costs one bit.
 #[derive(Debug)]
 pub struct Telemetry {
-    device_traces: HashMap<DeviceId, Trace>,
-    capped_servers: Trace,
-    total_power: Trace,
+    /// The devices traced, ascending by index.
+    pub(crate) watched: Vec<DeviceId>,
+    /// One series per watched device, in `watched` order, from the
+    /// first sample on; none before it.
+    pub(crate) device_series: Vec<PackedTrace>,
+    capped_servers: PackedTrace,
+    total_power: PackedTrace,
     controller_events: Vec<ControllerEvent>,
     breaker_events: Vec<BreakerEvent>,
     pub(crate) schedule: CycleSchedule,
 }
 
 impl Telemetry {
-    /// Creates an empty store.
-    pub(crate) fn new() -> Self {
+    /// Creates an empty store tracing `watched` (each device once).
+    pub(crate) fn new(mut watched: Vec<DeviceId>) -> Self {
+        watched.sort_unstable();
+        watched.dedup();
         Telemetry {
-            device_traces: HashMap::new(),
-            capped_servers: Trace::empty(SAMPLE_PERIOD),
-            total_power: Trace::empty(SAMPLE_PERIOD),
+            watched,
+            device_series: Vec::new(),
+            capped_servers: PackedTrace::empty(SAMPLE_PERIOD),
+            total_power: PackedTrace::empty(SAMPLE_PERIOD),
             controller_events: Vec::new(),
             breaker_events: Vec::new(),
             schedule: CycleSchedule::new(SAMPLE_PERIOD),
@@ -57,23 +67,25 @@ impl Telemetry {
         self.schedule.due(now)
     }
 
-    /// Records one sample row. `device_power` yields the current power
-    /// of each watched device; `capped` and `total` are fleet-level.
+    /// Records one sample row: `power_of` reads the current power of
+    /// each watched device, in ascending index order; `capped` and
+    /// `total` are fleet-level.
     ///
     /// Call only when [`Telemetry::sample_due`]; the recorder advances
     /// its own schedule.
-    pub fn record_sample(
+    pub(crate) fn record_sample(
         &mut self,
         now: SimTime,
-        watched: &[(DeviceId, Power)],
+        mut power_of: impl FnMut(DeviceId) -> Power,
         capped: usize,
         total: Power,
     ) {
-        for &(dev, p) in watched {
-            self.device_traces
-                .entry(dev)
-                .or_insert_with(|| Trace::empty(SAMPLE_PERIOD).with_start(now))
-                .push(p.as_watts());
+        if self.device_series.is_empty() {
+            let series = PackedTrace::empty(SAMPLE_PERIOD).with_start(now);
+            self.device_series = vec![series; self.watched.len()];
+        }
+        for (series, &dev) in self.device_series.iter_mut().zip(&self.watched) {
+            series.push(power_of(dev).as_watts());
         }
         self.capped_servers.push(capped as f64);
         self.total_power.push(total.as_watts());
@@ -111,19 +123,25 @@ impl Telemetry {
         self.breaker_events.push(event);
     }
 
-    /// The power trace of `device`, if watched.
-    pub fn device_trace(&self, device: DeviceId) -> Option<&Trace> {
-        self.device_traces.get(&device)
+    /// The power trace of `device`, decoded, if watched and sampled.
+    pub fn device_trace(&self, device: DeviceId) -> Option<Trace> {
+        self.packed_trace(device).map(PackedTrace::decode)
     }
 
-    /// The capped-server count series.
-    pub fn capped_servers(&self) -> &Trace {
-        &self.capped_servers
+    /// The packed series of `device`, if watched and sampled.
+    pub(crate) fn packed_trace(&self, device: DeviceId) -> Option<&PackedTrace> {
+        let i = self.watched.binary_search(&device).ok()?;
+        self.device_series.get(i)
     }
 
-    /// The fleet total power series.
-    pub fn total_power(&self) -> &Trace {
-        &self.total_power
+    /// The capped-server count series, decoded.
+    pub fn capped_servers(&self) -> Trace {
+        self.capped_servers.decode()
+    }
+
+    /// The fleet total power series, decoded.
+    pub fn total_power(&self) -> Trace {
+        self.total_power.decode()
     }
 
     /// All controller events so far.
@@ -145,25 +163,23 @@ impl Telemetry {
             .collect()
     }
 
-    /// Saves the recorder's state: every trace as `(start millis, raw
-    /// values)`, the event stores, and the sampling schedule. Device
-    /// traces are keyed by raw device index in ascending order so the
-    /// bytes are deterministic regardless of hash-map iteration order;
-    /// the sampling interval is configuration.
+    /// Saves the recorder's state: every series as `(start millis, raw
+    /// values)`, decoded as it is written, the event stores, and the
+    /// sampling schedule. Device series are keyed by raw device index in
+    /// ascending order; the sampling interval is configuration.
     pub fn save(&self, w: &mut SnapWriter) {
-        let put_trace = |w: &mut SnapWriter, t: &Trace| {
-            w.put_u64(t.start().as_millis());
-            put_f64_slice(w, t.values());
+        let put_series = |w: &mut SnapWriter, s: &PackedTrace| {
+            w.put_u64(s.start().as_millis());
+            w.put_u64(s.len() as u64);
+            s.values().for_each(|v| w.put_f64(v));
         };
-        let mut traces: Vec<(&DeviceId, &Trace)> = self.device_traces.iter().collect();
-        traces.sort_unstable_by_key(|&(dev, _)| dev.index());
-        w.put_u64(traces.len() as u64);
-        for (dev, t) in traces {
+        w.put_u64(self.device_series.len() as u64);
+        for (dev, s) in self.watched.iter().zip(&self.device_series) {
             w.put_u32(dev.index() as u32);
-            put_trace(w, t);
+            put_series(w, s);
         }
-        put_trace(w, &self.capped_servers);
-        put_trace(w, &self.total_power);
+        put_series(w, &self.capped_servers);
+        put_series(w, &self.total_power);
         w.put_u64(self.controller_events.len() as u64);
         for e in &self.controller_events {
             put_controller_event(w, e);
@@ -177,29 +193,51 @@ impl Telemetry {
         self.schedule.save(w);
     }
 
-    /// Loads what [`Telemetry::save`] wrote. A schedule that is not the
-    /// 3 s sampling grid's is a mismatch ([`CycleSchedule::load`]).
+    /// Loads what [`Telemetry::save`] wrote, packing each series as it
+    /// reads it. The traced devices are this build's watched set, or
+    /// none before the first sample: another set is a mismatch, and so
+    /// is a schedule that is not the 3 s sampling grid's
+    /// ([`CycleSchedule::load`]).
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let get_trace = |r: &mut SnapReader<'_>| -> Result<Trace, SnapError> {
+        let get_series = |r: &mut SnapReader<'_>| -> Result<PackedTrace, SnapError> {
             let start = SimTime::from_millis(r.get_u64()?);
-            Ok(Trace::new(SAMPLE_PERIOD, get_f64_vec(r)?).with_start(start))
-        };
-        self.device_traces.clear();
-        let mut prev: Option<u32> = None;
-        for _ in 0..r.get_u64()? {
-            let idx = r.get_u32()?;
-            if prev.is_some_and(|p| p >= idx) {
-                return Err(SnapError::Corrupt(
-                    "telemetry device traces not strictly ascending by device index".into(),
-                ));
+            let len = r.get_u64()?;
+            // Eight bytes a sample: a length the input cannot hold is
+            // refused before a block is taken for it.
+            if len > (r.remaining() / 8) as u64 {
+                return Err(SnapError::UnexpectedEof {
+                    context: "telemetry series",
+                });
             }
-            prev = Some(idx);
-            let trace = get_trace(r)?;
-            self.device_traces
-                .insert(DeviceId::from_index(idx as usize), trace);
+            let mut series = PackedTrace::empty(SAMPLE_PERIOD).with_start(start);
+            for _ in 0..len {
+                series.push(r.get_f64()?);
+            }
+            Ok(series)
+        };
+        let mut devices = Vec::new();
+        self.device_series.clear();
+        for _ in 0..r.get_u64()? {
+            devices.push(DeviceId::from_index(r.get_u32()? as usize));
+            self.device_series.push(get_series(r)?);
         }
-        self.capped_servers = get_trace(r)?;
-        self.total_power = get_trace(r)?;
+        self.capped_servers = get_series(r)?;
+        self.total_power = get_series(r)?;
+        let unsampled = devices.is_empty() && self.capped_servers.is_empty();
+        if devices != self.watched && !unsampled {
+            // The first device the two sets disagree on.
+            let at = devices
+                .iter()
+                .zip(&self.watched)
+                .take_while(|(a, b)| a == b)
+                .count();
+            let name = |set: &[DeviceId]| set.get(at).map_or("no device".into(), |d| d.to_string());
+            r.mismatch(SnapError::Corrupt(format!(
+                "telemetry traces {} where this build watches {}",
+                name(&devices),
+                name(&self.watched)
+            )));
+        }
         self.controller_events = r.get_vec(get_controller_event)?;
         self.breaker_events = r.get_vec(|r| {
             Ok(BreakerEvent {
@@ -290,9 +328,9 @@ mod tests {
 
     #[test]
     fn samples_follow_the_schedule() {
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(Vec::new());
         assert!(t.sample_due(SimTime::ZERO));
-        t.record_sample(SimTime::ZERO, &[], 0, Power::ZERO);
+        t.record_sample(SimTime::ZERO, |_| Power::ZERO, 0, Power::ZERO);
         assert!(!t.sample_due(SimTime::from_secs(2)));
         assert!(t.sample_due(SimTime::from_secs(3)));
     }
@@ -301,11 +339,12 @@ mod tests {
     fn device_traces_accumulate() {
         let topo = topo();
         let d = dev(&topo);
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(vec![d]);
+        assert!(t.device_trace(d).is_none(), "no sample yet");
         for k in 0..5u64 {
             t.record_sample(
                 SimTime::from_secs(3 * k),
-                &[(d, Power::from_kilowatts(100.0 + k as f64))],
+                |_| Power::from_kilowatts(100.0 + k as f64),
                 k as usize,
                 Power::from_kilowatts(100.0),
             );
@@ -321,7 +360,7 @@ mod tests {
     fn breaker_trips_filters_status() {
         let topo = topo();
         let d = dev(&topo);
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(Vec::new());
         t.record_breaker_event(BreakerEvent {
             at: SimTime::ZERO,
             device: d,
@@ -341,7 +380,7 @@ mod tests {
     fn controller_events_append() {
         let topo = topo();
         let d = dev(&topo);
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(Vec::new());
         t.record_controller_events(vec![ControllerEvent {
             at: SimTime::ZERO,
             device: d,
@@ -369,7 +408,7 @@ mod tests {
             .servers_per_rack(2)
             .build();
         let rpps = topo.devices_at(DeviceLevel::Rpp);
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(Vec::new());
         // A parallel-path batch arrives in leaf-index order with mixed
         // devices; a staggered-phase batch can even mix timestamps.
         t.record_controller_events(vec![
@@ -391,12 +430,44 @@ mod tests {
         assert_eq!(keys[0].1, rpps[0]);
     }
 
+    /// Under held demand most samples repeat their predecessor bit for
+    /// bit, and a repeat costs one bit: a lossless `demand_hold(30)` run
+    /// keeps its RPP series in under a quarter of their raw bytes.
+    #[test]
+    fn held_demand_packs_rpp_series_under_a_quarter_of_raw() {
+        let mut dc = crate::DatacenterBuilder::new()
+            .sbs_per_msb(2)
+            .rpps_per_sb(4)
+            .racks_per_rpp(4)
+            .servers_per_rack(10)
+            .uniform_service(workloads::ServiceKind::Web)
+            .traffic(
+                workloads::ServiceKind::Web,
+                workloads::TrafficPattern::flat(0.7),
+            )
+            .demand_hold(30)
+            .rpc_profile(dynrpc::LinkProfile::reliable())
+            .seed(2016)
+            .build();
+        dc.run_for(SimDuration::from_mins(10));
+        let rpps = dc.topology().devices_at(DeviceLevel::Rpp);
+        let (mut packed, mut samples) = (0, 0);
+        for &rpp in &rpps {
+            let series = dc.telemetry().packed_trace(rpp).expect("RPPs are watched");
+            packed += series.encoded_bits();
+            samples += series.len();
+        }
+        assert_eq!(samples, rpps.len() * 200);
+        let bits_per_sample = packed as f64 / samples as f64;
+        assert!(bits_per_sample < 16.0, "{bits_per_sample} bits a sample");
+    }
+
     #[test]
     #[should_panic(expected = "arrived after events")]
     fn out_of_order_batches_are_rejected() {
         let topo = topo();
         let d = dev(&topo);
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(Vec::new());
         t.record_controller_events(vec![event(SimTime::from_secs(9), d)]);
         t.record_controller_events(vec![event(SimTime::from_secs(3), d)]);
     }

@@ -382,12 +382,10 @@ fn idle_fleet_step_does_not_allocate() {
 /// whose scratch is already warm: the very next leaf ticks push spans,
 /// and must find the ring's configured capacity still reserved.
 ///
-/// The only heap traffic allowed is the telemetry recorder's: its two
-/// fleet-level series (no device is watched) are growing `Vec`s by
-/// design, a restore leaves each exactly full, and each grows once at
-/// its next sample.
+/// The telemetry recorder's two fleet-level series (no device is
+/// watched) take a 512-byte block only when the one they write fills,
+/// and none fills in these ticks: nothing is allowed.
 fn resumed_run_with_a_part_full_ring_does_not_allocate() {
-    const GROWING_SERIES: u64 = 2;
     let build = || {
         dynamo::DatacenterBuilder::new()
             .sbs_per_msb(1)
@@ -430,10 +428,7 @@ fn resumed_run_with_a_part_full_ring_does_not_allocate() {
         twin.system().observability().trace().total_recorded() > spans,
         "vacuous: no span was recorded after the resume"
     );
-    assert_eq!(
-        total, GROWING_SERIES,
-        "the first ticks after a resume allocated beyond the telemetry series"
-    );
+    assert_eq!(total, 0, "the first ticks after a resume allocated");
 }
 
 /// A ring's bytes with the forged header `[cap, next, total, count]`
@@ -534,6 +529,70 @@ fn forged_snapshot_count_allocates_within_the_input() {
     assert!(
         asked <= input + own,
         "restoring {input} hostile bytes asked the heap for {asked}, its own snapshot {own}"
+    );
+}
+
+/// A telemetry series' sample count is untrusted too: a count of 2^40
+/// samples over sixteen bytes of input is refused before a block is
+/// taken for it. Restoring the forgery asks the heap for no more than
+/// its input beyond what restoring the honest file asks (the bytes
+/// `restore` saves to roll back to, and reloading them).
+fn forged_series_length_allocates_within_the_input() {
+    let mut dc = dynamo::DatacenterBuilder::new()
+        .sbs_per_msb(1)
+        .rpps_per_sb(2)
+        .racks_per_rpp(2)
+        .servers_per_rack(16)
+        .uniform_service(ServiceKind::Web)
+        .watch_levels(Vec::new())
+        .seed(11)
+        .build();
+    dc.run_for(SimDuration::from_secs(30));
+    let honest = dc.state().to_snap_bytes();
+    let head = 4 + 8 + DatacenterState::KIND.len() + 4 + 8;
+    // No device series, then the two fleet-level series from t=0, each
+    // its sample count and its samples.
+    let mut key = vec![0];
+    for series in [
+        dc.telemetry().capped_servers(),
+        dc.telemetry().total_power(),
+    ] {
+        key.extend([0, series.len() as u64]);
+        key.extend(series.values().iter().map(|v| v.to_bits()));
+    }
+    let key: Vec<u8> = key.iter().flat_map(|word| word.to_le_bytes()).collect();
+    let body = &honest[head..];
+    let at: Vec<usize> = (body.windows(key.len()).enumerate())
+        .filter(|(_, w)| *w == key)
+        .map(|(i, _)| i + 16)
+        .collect();
+    assert_eq!(at.len(), 1, "the telemetry section's fleet-level series");
+    let mut forged_body = body[..at[0]].to_vec();
+    forged_body.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    forged_body.extend_from_slice(&[0; 16]);
+    let mut w = SnapWriter::new();
+    w.put_u32(SECTION_MAGIC);
+    w.put_str(DatacenterState::KIND);
+    w.put_u32(DatacenterState::VERSION);
+    w.put_u64(forged_body.len() as u64);
+    w.put_raw(&forged_body);
+    let forged = w.into_bytes();
+    let input = forged.len() as u64;
+    let forged = DatacenterState::from_snap_bytes(&forged).expect("a body is bytes");
+    let honest = DatacenterState::from_snap_bytes(&honest).expect("own snapshot decodes");
+
+    count_allocs(|| dc.restore(&honest).expect("the honest file restores"));
+    let restored = BYTES.load(Ordering::SeqCst);
+    let mut refused = None;
+    count_allocs(|| refused = Some(dc.restore(&forged)));
+    assert!(
+        matches!(refused, Some(Err(SnapError::UnexpectedEof { .. }))),
+        "a forged series length must be a truncation, got {refused:?}"
+    );
+    let asked = BYTES.load(Ordering::SeqCst);
+    assert!(
+        asked <= input + restored,
+        "restoring {input} hostile bytes asked the heap for {asked}, the honest file {restored}"
     );
 }
 
@@ -738,6 +797,10 @@ fn main() {
         (
             "forged_snapshot_count_allocates_within_the_input",
             forged_snapshot_count_allocates_within_the_input,
+        ),
+        (
+            "forged_series_length_allocates_within_the_input",
+            forged_series_length_allocates_within_the_input,
         ),
         (
             "forged_ring_capacity_allocates_within_the_input",

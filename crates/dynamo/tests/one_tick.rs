@@ -279,7 +279,8 @@ fn sampled_total_power_equals_a_flat_fold_at_every_sample() {
     let mut samples = 0;
     for _ in 0..360 {
         dc.step();
-        let recorded = dc.telemetry().total_power().values();
+        let total = dc.telemetry().total_power();
+        let recorded = total.values();
         if recorded.len() == samples {
             continue;
         }

@@ -6,7 +6,7 @@ use std::sync::{Mutex, PoisonError};
 use dcsim::SimDuration;
 use dynamo::{Datacenter, ServicePlan};
 use powerinfra::DeviceLevel;
-use powerstats::{for_each_variation, variation_windows, TailQuantile, Trace};
+use powerstats::{for_each_variation, variation_windows, TailQuantile};
 use workloads::{ServiceKind, TrafficPattern};
 
 use crate::common::{datacenter, fmt_f, render_table, Scale};
@@ -118,33 +118,30 @@ fn suite(scale: Scale) -> (Datacenter, u64) {
 /// [`recorded`].
 pub fn run(scale: Scale) -> Fig5 {
     let (dc, hours) = suite(scale);
+    // Every watched series holds one sample per telemetry row, as the
+    // fleet total does: its shape counts each device's windows.
+    let windows = {
+        let total = dc.telemetry().total_power();
+        WINDOWS_SECS.map(|wsecs| variation_windows(&total, SimDuration::from_secs(wsecs)))
+    };
     let rows = PAPER_P99
         .iter()
         .map(|&(level, paper_p99)| {
-            // Each device's variations in % of its own peak-hour mean.
-            let normalized: Vec<(&Trace, f64)> = dc
-                .topology()
-                .devices_at(level)
-                .iter()
-                .map(|&dev| {
-                    let trace = dc.telemetry().device_trace(dev).expect("level was watched");
-                    (trace, trace.peak_mean(0.3))
-                })
-                .collect();
-            // The level's pooled variations stream past a selector
-            // that holds only their top 1%.
-            let p99 = WINDOWS_SECS.map(|wsecs| {
-                let window = SimDuration::from_secs(wsecs);
-                let pooled = normalized
-                    .iter()
-                    .map(|&(trace, _)| variation_windows(trace, window))
-                    .sum();
-                let mut tail = TailQuantile::new(pooled, 0.99);
-                for &(trace, norm) in &normalized {
-                    for_each_variation(trace, window, |v| tail.push(v / norm * 100.0));
+            // The level's pooled variations, each in % of its device's
+            // peak-hour mean, stream past selectors that hold only
+            // their top 1%. One device's trace is decoded at a time, and
+            // each selector sees the devices in level order.
+            let devices = dc.topology().devices_at(level);
+            let mut tails = windows.map(|n| TailQuantile::new(devices.len() * n, 0.99));
+            for &dev in &devices {
+                let trace = dc.telemetry().device_trace(dev).expect("level was watched");
+                let norm = trace.peak_mean(0.3);
+                for (tail, wsecs) in tails.iter_mut().zip(WINDOWS_SECS) {
+                    let window = SimDuration::from_secs(wsecs);
+                    for_each_variation(&trace, window, |v| tail.push(v / norm * 100.0));
                 }
-                tail.finish()
-            });
+            }
+            let p99 = tails.map(TailQuantile::finish);
             Fig5Row {
                 level,
                 p99,
@@ -243,7 +240,7 @@ mod tests {
                 .filter_map(|&dev| dc.telemetry().device_trace(dev))
             {
                 let norm = trace.peak_mean(0.3);
-                for v in sliding_variation(trace, SimDuration::from_secs(60)) {
+                for v in sliding_variation(&trace, SimDuration::from_secs(60)) {
                     pooled.push(v / norm * 100.0);
                 }
             }

@@ -2,7 +2,8 @@
 //!
 //! Implements the measurement machinery behind §II-B of the paper:
 //!
-//! * [`Trace`] — a regularly-sampled power time series.
+//! * [`Trace`] — a regularly-sampled power time series, and
+//!   [`PackedTrace`] the same series kept XOR-packed while it grows.
 //! * [`sliding_variation`] — the Figure 4 metric: worst-case max-minus-min
 //!   power variation within a sliding time window ([`for_each_variation`]
 //!   visits them without collecting).
@@ -33,10 +34,12 @@
 
 mod cdf;
 mod episodes;
+mod packed;
 mod trace;
 mod variation;
 
 pub use cdf::{quantile_of, Cdf, TailQuantile};
 pub use episodes::{episodes_above, Episode};
+pub use packed::PackedTrace;
 pub use trace::Trace;
 pub use variation::{for_each_variation, sliding_variation, variation_windows};

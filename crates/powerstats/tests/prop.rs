@@ -2,7 +2,7 @@
 //! deterministic [`SimRng`] stream.
 
 use dcsim::{SimDuration, SimRng};
-use powerstats::{sliding_variation, Cdf, Trace};
+use powerstats::{sliding_variation, Cdf, PackedTrace, Trace};
 
 const CASES: usize = 100;
 
@@ -97,5 +97,74 @@ fn downsample_preserves_mean() {
             let mean_kept = values[..kept].iter().sum::<f64>() / kept as f64;
             assert!((down.mean() - mean_kept).abs() < 1e-9 * (1.0 + mean_kept));
         }
+    }
+}
+
+/// Packs `values` and reads them back: every bit of every sample, read
+/// before and after a last push.
+fn assert_round_trips(values: &[f64]) {
+    let mut packed = PackedTrace::empty(SimDuration::from_secs(3));
+    for &v in values {
+        packed.push(v);
+    }
+    let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let decoded = packed.decode();
+    assert_eq!(bits(decoded.values()), bits(values));
+    assert_eq!(decoded.values().len(), packed.len());
+    // A push after a read extends the series as if no read happened.
+    let tail = f64::from_bits(0x7ff8_dead_beef_0001);
+    packed.push(tail);
+    let mut extended = values.to_vec();
+    extended.push(tail);
+    assert_eq!(bits(packed.decode().values()), bits(&extended));
+    assert_eq!(packed.values().count(), extended.len());
+}
+
+/// The packed series gives back every value it took bit for bit: NaN
+/// payloads, signed zeros, infinities, subnormals, long repeat runs,
+/// alternating values and random walks, at 0, 1 and many samples.
+#[test]
+fn packed_traces_round_trip_every_bit() {
+    let specials = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff4_0000_0000_0000),
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::from_bits(1),
+        f64::from_bits(1),
+        f64::MAX,
+        f64::MIN,
+        1.0,
+    ];
+    assert_round_trips(&[]);
+    for &v in &specials {
+        assert_round_trips(&[v]);
+        assert_round_trips(&[v; 3000]);
+    }
+    let mut rng = SimRng::seed_from(0x57A7).split("packed");
+    for _ in 0..CASES {
+        let n = rng.next_below(2000) as usize;
+        let mut v = rng.uniform(0.0, 1e5);
+        let values: Vec<f64> = (0..n)
+            .map(|i| {
+                match rng.next_below(6) {
+                    // Held: the last value again.
+                    0 | 1 => {}
+                    2 => v = rng.uniform(0.0, 1e5),
+                    3 => v += rng.normal(0.0, 10.0),
+                    4 => v = specials[rng.next_below(specials.len() as u64) as usize],
+                    _ => v = if i % 2 == 0 { 1.0 } else { -2.5e-300 },
+                }
+                v
+            })
+            .collect();
+        assert_round_trips(&values);
+        let alternating: Vec<f64> = (0..n).map(|i| specials[i % 2 + 4]).collect();
+        assert_round_trips(&alternating);
     }
 }

@@ -48,7 +48,7 @@ fn telemetry_traces_support_the_variation_analysis() {
     dc.run_for(SimDuration::from_mins(30));
     let sb = dc.topology().devices_at(DeviceLevel::Sb)[0];
     let trace = dc.telemetry().device_trace(sb).unwrap();
-    let vars = sliding_variation(trace, SimDuration::from_secs(60));
+    let vars = sliding_variation(&trace, SimDuration::from_secs(60));
     assert!(!vars.is_empty());
     assert!(vars.iter().all(|&v| v >= 0.0));
     // Some variation exists: web workloads move.
@@ -57,11 +57,14 @@ fn telemetry_traces_support_the_variation_analysis() {
 
 #[test]
 fn watch_levels_control_what_is_traced() {
-    let mut dc = small_dc().watch_levels(vec![DeviceLevel::Sb]).build();
+    // A level listed twice is traced once: one sample a row.
+    let levels = vec![DeviceLevel::Sb, DeviceLevel::Sb];
+    let mut dc = small_dc().watch_levels(levels).build();
     dc.run_for(SimDuration::from_mins(1));
     let sb = dc.topology().devices_at(DeviceLevel::Sb)[0];
     let rpp = dc.topology().devices_at(DeviceLevel::Rpp)[0];
-    assert!(dc.telemetry().device_trace(sb).is_some());
+    let trace = dc.telemetry().device_trace(sb).expect("SBs are watched");
+    assert_eq!(trace.len(), dc.telemetry().total_power().len());
     assert!(dc.telemetry().device_trace(rpp).is_none());
 }
 
