@@ -56,7 +56,11 @@
 # no reader ever checked (twenty-second), or when telemetry came to keep
 # its series XOR-packed in watched order: the raw-vector decoder only it
 # used, the datacenter's per-sample reading buffer and the resumed run's
-# allowance for two growing series (twenty-third) — so a stale
+# allowance for two growing series (twenty-third), or when a checkpoint
+# came to hold only state, its configuration one digest per section: the
+# per-part compares of the fleet's generations and permutation, of a
+# process's calibration, and of a ring's capacity, with their messages,
+# and `put_process`'s kind and parameter arguments (twenty-fourth) — so a stale
 # reference
 # breaks the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
@@ -83,7 +87,8 @@ ClusterPerf|workloads::perf|power_slope|plot_points|batch_job_waves|blackout_eta
 failover_parity|\.cooling_tau_secs|cooling_tau_secs: (f64,|120|r\.)|agent_epoch
 any_below_full|retired span|leaf_failed|load_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers
 restored\(|adopt\(|restore_from|dcsim\.(SimRng|CycleSchedule)|powerinfra\.(Breaker|Dcups)|dynamo_controller\.Alert|dynobs\.(TraceRing|FlightRecorder)
-get_f64_vec|watched_scratch|GROWING_SERIES' \
+get_f64_vec|watched_scratch|GROWING_SERIES
+generation changed|not a calibrated|permutation differs|capacity [^ ]* in snapshot|fn generations\(|fn permutation\(|put_process\([^)]*(kind|params)' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 use crate::{SimDuration, SimTime};
 
 /// The cadence of one periodic loop inside a time-stepped simulation: a
@@ -94,35 +94,34 @@ impl CycleSchedule {
         true
     }
 
-    /// Writes the schedule: its period and phase, then its next
-    /// firing.
+    /// Folds the schedule's configuration, its period and phase, into
+    /// its section's digest.
+    pub fn fold_config(&self, d: &mut ConfigDigest) {
+        d.put_u64(self.period.as_millis());
+        d.put_u64(self.phase.as_millis());
+    }
+
+    /// Writes the schedule's state: its next firing. Period and phase
+    /// are configuration ([`CycleSchedule::fold_config`]).
     pub fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.period.as_millis());
-        w.put_u64(self.phase.as_millis());
         w.put_u64(self.next.as_millis());
     }
 
-    /// Loads what [`CycleSchedule::save`] wrote into this schedule.
-    /// Period and phase are configuration: the stored ones must be this
-    /// schedule's own, and the stored firing time a point of their
-    /// grid, or the difference is noted ([`SnapReader::mismatch`]) and
-    /// the schedule stays as it is. Only `next` moves.
+    /// Loads what [`CycleSchedule::save`] wrote into this schedule. The
+    /// stored firing time must be a point of this schedule's grid, or
+    /// the difference is noted ([`SnapReader::mismatch`]) and the
+    /// schedule stays as it is.
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let saved = CycleSchedule {
-            period: SimDuration::from_millis(r.get_u64()?),
-            phase: SimDuration::from_millis(r.get_u64()?),
-            next: SimTime::from_millis(r.get_u64()?),
-        };
-        let on_grid = saved
-            .next
-            .as_millis()
+        let next = SimTime::from_millis(r.get_u64()?);
+        let on_grid = (next.as_millis())
             .checked_sub(self.phase.as_millis())
             .is_some_and(|since| since % self.period.as_millis() == 0);
-        if (saved.period, saved.phase) == (self.period, self.phase) && on_grid {
-            self.next = saved.next;
+        if on_grid {
+            self.next = next;
         } else {
             r.mismatch(SnapError::Corrupt(format!(
-                "schedule {saved:?} in snapshot is not a position of the configured {self:?}"
+                "schedule firing at {next:?} in snapshot is not a position of the configured \
+                 {self:?}"
             )));
         }
         Ok(())
@@ -170,14 +169,23 @@ mod tests {
         CycleSchedule::new(SimDuration::ZERO);
     }
 
-    /// `saved`'s bytes loaded into `into`: whether they were taken,
-    /// and where `into` then stands.
-    fn load(saved: &CycleSchedule, mut into: CycleSchedule) -> (bool, SimTime) {
+    /// `saved` written as a section of one schedule and loaded into
+    /// `into`: what the load refused, if anything, and where `into` then
+    /// stands.
+    fn load(saved: &CycleSchedule, mut into: CycleSchedule) -> (Result<(), SnapError>, SimTime) {
         let mut w = SnapWriter::new();
+        w.put_config(|d| saved.fold_config(d));
         saved.save(&mut w);
         let mut r = SnapReader::new(w.as_bytes());
-        into.load(&mut r).expect("a schedule's bytes read");
-        (r.finish("schedule").is_ok(), into.next_at())
+        r.config("schedule", |d| into.fold_config(d))
+            .and_then(|()| into.load(&mut r))
+            .expect("a schedule's bytes read");
+        (r.finish("schedule"), into.next_at())
+    }
+
+    /// Whether `loaded` refused a file for its section's digest.
+    fn digest_refused(loaded: &Result<(), SnapError>) -> bool {
+        matches!(loaded, Err(SnapError::Corrupt(m)) if m.starts_with("schedule configuration"))
     }
 
     #[test]
@@ -186,18 +194,24 @@ mod tests {
             CycleSchedule::with_phase(SimDuration::from_secs(3), SimDuration::from_millis(500));
         let mut moved = configured;
         moved.fire(SimTime::from_secs(7));
-        assert_eq!(load(&moved, configured), (true, moved.next_at()));
+        assert_eq!(load(&moved, configured), (Ok(()), moved.next_at()));
         let start = configured.next_at();
-        // Another period or phase, and a firing time off the grid.
-        let mut off_grid = moved;
-        off_grid.next = SimTime::from_millis(7_600);
+        // Another period or phase: the section's digest differs.
         for saved in [
             CycleSchedule::with_phase(SimDuration::from_secs(4), SimDuration::from_millis(500)),
             CycleSchedule::new(SimDuration::from_secs(3)),
-            off_grid,
         ] {
-            assert_eq!(load(&saved, configured), (false, start), "{saved:?}");
+            assert!(digest_refused(&load(&saved, configured).0), "{saved:?}");
         }
+        // A firing time off the grid is noted, and not taken.
+        let mut off_grid = moved;
+        off_grid.next = SimTime::from_millis(7_600);
+        let (loaded, at) = load(&off_grid, configured);
+        assert!(
+            matches!(&loaded, Err(SnapError::Corrupt(m)) if m.contains("not a position")),
+            "{loaded:?}"
+        );
+        assert_eq!(at, start);
     }
 
     /// A zero period in the file is another period than any schedule's.
@@ -209,7 +223,7 @@ mod tests {
             next: SimTime::ZERO,
         };
         let configured = CycleSchedule::new(SimDuration::from_secs(3));
-        assert_eq!(load(&zero, configured), (false, SimTime::ZERO));
+        assert!(digest_refused(&load(&zero, configured).0));
     }
 
     #[test]

@@ -31,6 +31,14 @@
 //! bodies are never framed and carry no kind and no version: a change
 //! to any of them bumps the version of the section that holds it.
 //!
+//! A part that saves state only meaningful against its configuration
+//! (a breaker's heat against its rating, a schedule's next firing
+//! against its period) does not store that configuration: its section
+//! folds it into one [`ConfigDigest`] word ([`SnapWriter::put_config`]),
+//! and the load folds the rebuilt value's the same way
+//! ([`SnapReader::config`]). A file written under another configuration
+//! is refused for that one word, naming the section.
+//!
 //! Floating-point values are stored as raw IEEE-754 bits
 //! ([`f64::to_bits`]), which is what makes *snapshot → restore → run*
 //! bit-identical to the unbroken run: no decimal round-trip, no
@@ -196,6 +204,12 @@ impl SnapWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Appends the [`ConfigDigest`] word of the configuration `fold`
+    /// folds: what [`SnapReader::config`] checks on load.
+    pub fn put_config(&mut self, fold: impl FnOnce(&mut ConfigDigest)) {
+        self.put_u64(ConfigDigest::of(fold));
+    }
+
     /// Appends `Some(f64)` as `1` + bits, `None` as `0`.
     pub fn put_opt_f64(&mut self, v: Option<f64>) {
         match v {
@@ -210,14 +224,15 @@ impl SnapWriter {
 
 /// Bounds-checked little-endian reader over a snapshot byte slice.
 ///
-/// A `load` that finds a stored value disagreeing with the
-/// configuration of the object it loads into — a schedule's period, a
-/// breaker's rating, the server mix — notes it
-/// ([`SnapReader::mismatch`]) and reads on; [`SnapReader::finish`]
-/// reports the first one noted. So a file written under another
-/// configuration is refused for the first difference in its *shape*
-/// (a count, a tag, a section present or absent) wherever that lies,
-/// and for its first differing value only when the shapes agree.
+/// A `load` that finds a section's configuration digest other than the
+/// rebuilt object's ([`SnapReader::config`]), or a stored state that
+/// object cannot take — a schedule's firing off its grid, a breaker's
+/// heat past its trip — notes it ([`SnapReader::mismatch`]) and reads
+/// on; [`SnapReader::finish`] reports the first one noted. So a file
+/// written under another configuration is refused for the first
+/// difference in its *shape* (a count, a tag, a section present or
+/// absent) wherever that lies, and for its first differing digest only
+/// when the shapes agree.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -249,6 +264,13 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
+    /// Reads the next `N` bytes.
+    fn take_array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], SnapError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N, context)?);
+        Ok(out)
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.take(1, "u8")?[0])
@@ -256,14 +278,12 @@ impl<'a> SnapReader<'a> {
 
     /// Reads a `u32`.
     pub fn get_u32(&mut self) -> Result<u32, SnapError> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array("u32")?))
     }
 
     /// Reads a `u64`.
     pub fn get_u64(&mut self) -> Result<u64, SnapError> {
-        let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array("u64")?))
     }
 
     /// Reads a `u64` that counts what a run did: events, epochs,
@@ -313,6 +333,25 @@ impl<'a> SnapReader<'a> {
                 "snapshot has {n} {what}, this build has {expected}"
             ))),
         }
+    }
+
+    /// Reads the word [`SnapWriter::put_config`] wrote for `section`
+    /// and notes a mismatch naming the section if it is not the
+    /// [`ConfigDigest`] of the configuration `fold` folds, the rebuilt
+    /// value's.
+    pub fn config(
+        &mut self,
+        section: &str,
+        fold: impl FnOnce(&mut ConfigDigest),
+    ) -> Result<(), SnapError> {
+        let (stored, rebuilt) = (self.get_u64()?, ConfigDigest::of(fold));
+        if stored != rebuilt {
+            self.mismatch(SnapError::Corrupt(format!(
+                "{section} configuration is not this build's (digest {stored:#018x} in \
+                 snapshot, {rebuilt:#018x} rebuilt)"
+            )));
+        }
+        Ok(())
     }
 
     /// Notes `e`, a stored value that disagrees with the configuration
@@ -376,6 +415,41 @@ impl<'a> SnapReader<'a> {
             out.push(elem(self)?);
         }
         Ok(out)
+    }
+}
+
+/// The configuration of a section folded into one word, with the
+/// `put_*` calls of a [`SnapWriter`]: see the module docs.
+///
+/// Each value is folded as its 64-bit image through SplitMix64's
+/// finaliser, so a configuration has the same word on every platform
+/// and Rust version (`std`'s `DefaultHasher` promises neither).
+#[derive(Debug, Clone)]
+pub struct ConfigDigest {
+    h: u64,
+}
+
+impl ConfigDigest {
+    /// The word of what `fold` folds into a fresh digest.
+    fn of(fold: impl FnOnce(&mut ConfigDigest)) -> u64 {
+        let mut d = ConfigDigest { h: 0 };
+        fold(&mut d);
+        d.h
+    }
+
+    /// Folds a `u64`.
+    pub fn put_u64(&mut self, v: u64) {
+        // The golden-ratio step keeps a run of zeros from folding to
+        // zero, so its length counts.
+        let mut z = (self.h.wrapping_add(0x9E37_79B9_7F4A_7C15)) ^ v;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.h = z ^ (z >> 31);
+    }
+
+    /// Folds an `f64` as its raw bits.
+    pub fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
     }
 }
 
@@ -695,6 +769,35 @@ mod tests {
             Err(SnapError::TrailingBytes { extra: 16, .. })
         ));
         assert_eq!(SnapReader::new(&[]).finish("k"), Ok(()));
+    }
+
+    /// A digest word is a pure function of the values folded, in
+    /// order, pinned here so a change to the fold shows as a change of
+    /// format; a section whose rebuilt word differs is noted, by name.
+    #[test]
+    fn config_digests_are_pinned_and_checked() {
+        let fold = |d: &mut ConfigDigest| {
+            d.put_u64(3_000);
+            d.put_f64(-0.0);
+        };
+        assert_eq!(ConfigDigest::of(fold), 0xb00f_fb2f_59a6_7b28);
+        assert_ne!(ConfigDigest::of(|d| d.put_u64(0)), ConfigDigest::of(|_| {}));
+        assert_ne!(
+            ConfigDigest::of(|d| d.put_u64(0)),
+            ConfigDigest::of(|d| (0..2).for_each(|_| d.put_u64(0)))
+        );
+        let mut w = SnapWriter::new();
+        w.put_config(fold);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        r.config("breakers", fold).unwrap();
+        assert_eq!(r.finish("k"), Ok(()));
+        let mut r = SnapReader::new(&bytes);
+        r.config("breakers", |d| d.put_u64(3_000)).unwrap();
+        assert!(matches!(
+            r.finish("k"),
+            Err(SnapError::Corrupt(m)) if m.starts_with("breakers configuration is not this build's")
+        ));
     }
 
     #[test]

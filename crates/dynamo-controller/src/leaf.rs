@@ -430,7 +430,7 @@ impl LeafController {
         }
         self.active_cap_count = self.active_caps.iter().filter(|c| c.is_some()).count();
         self.contractual_limit = get_contract(r)?;
-        self.alerts = r.get_vec(Alert::decode)?;
+        self.alerts = r.get_vec(|r| Alert::decode(r, &self.name))?;
         self.cycles = r.get_count()?;
         self.last_distribution = DistributionStats {
             groups_touched: r.get_u32()?,

@@ -182,18 +182,18 @@ pub struct Alert {
 }
 
 impl Alert {
-    /// Writes the alert.
+    /// Writes the alert: when and why. The controller that raised it is
+    /// the one that saves it.
     pub fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.at.as_millis());
-        w.put_str(&self.controller);
         w.put_str(&self.message);
     }
 
-    /// An alert as [`Alert::save`] wrote it.
-    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    /// An alert as [`Alert::save`] wrote it, raised by `controller`.
+    pub fn decode(r: &mut SnapReader<'_>, controller: &str) -> Result<Self, SnapError> {
         Ok(Alert {
             at: SimTime::from_millis(r.get_u64()?),
-            controller: r.get_str()?,
+            controller: controller.to_string(),
             message: r.get_str()?,
         })
     }

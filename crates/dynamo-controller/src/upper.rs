@@ -284,7 +284,7 @@ impl UpperController {
             .get_opt_f64()?
             .map(|w| positive("contractual limit", w))
             .transpose()?;
-        self.alerts = r.get_vec(Alert::decode)?;
+        self.alerts = r.get_vec(|r| Alert::decode(r, &self.name))?;
         self.cycles = r.get_count()?;
         Ok(())
     }

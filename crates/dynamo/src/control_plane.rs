@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter};
+use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimRng, SimTime};
 use dynobs::ObsConfig;
 use dynrpc::LinkProfile;
@@ -122,7 +122,7 @@ impl DynamoSystem {
         config: SystemConfig,
         rng: &mut SimRng,
     ) -> Self {
-        let obs = Observability::new(&config.obs);
+        let obs = Observability::new(&config.obs, topo.iter());
         let leaves = LeafTier::build(topo, services, &config, rng, &obs);
         let uppers = UpperTier::build(topo, &leaves);
         let leaf_cycles = tier_schedules(LEAF_PERIOD, config.phase_spread, leaves.len());
@@ -352,11 +352,22 @@ impl DynamoSystem {
         out
     }
 
-    /// Saves the control plane's full dynamic state: both tiers,
-    /// failover bookkeeping, per-controller cycle schedules, and
-    /// observability.
+    /// Folds the control plane's configuration into its section's
+    /// digest: every controller's cycle schedule and the rings'
+    /// capacities.
+    fn fold_config(&self, d: &mut ConfigDigest) {
+        for s in self.leaf_cycles.iter().chain(&self.upper_cycles) {
+            s.fold_config(d);
+        }
+        self.obs.fold_config(d);
+    }
+
+    /// Saves the control plane's full dynamic state: its configuration
+    /// digest, both tiers, failover bookkeeping, per-controller cycle
+    /// schedules, and observability.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
-        self.leaves.save(w);
+        w.put_config(|d| self.fold_config(d));
+        self.leaves.save(w, self.obs.is_enabled());
         self.uppers.save(w);
         self.failover.save(w);
         save_tier(&self.leaf_cycles, w);
@@ -365,14 +376,20 @@ impl DynamoSystem {
     }
 
     /// Loads what [`DynamoSystem::save`] wrote into a system built
-    /// with the same configuration.
-    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// with the same configuration over `topo`.
+    pub(crate) fn load(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        topo: &Topology,
+    ) -> Result<(), SnapError> {
+        r.config("control plane", |d| self.fold_config(d))?;
         self.leaves.load(r)?;
         self.uppers.load(r)?;
         self.failover.load(r)?;
         load_tier(&mut self.leaf_cycles, r, "leaf")?;
         load_tier(&mut self.upper_cycles, r, "upper")?;
-        self.obs.load(r)
+        let (leaves, uppers) = (&self.leaves.leaves, &self.uppers.controllers);
+        self.obs.load(r, leaves, uppers, topo)
     }
 
     /// Runs any controller cycles due at `now`. Call once per simulation

@@ -23,7 +23,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter, Snapshot};
 use dcsim::{SimDuration, SimTime};
 use dynpool::WorkerPool;
 use powerinfra::{BreakerStatus, DeviceId, Power, Topology};
@@ -365,11 +365,9 @@ impl Datacenter {
                     status,
                 });
                 if status == BreakerStatus::Tripped {
-                    self.system.observability_mut().record_breaker_trip(
-                        now,
-                        i as u32,
-                        &self.topo.device(id).name,
-                    );
+                    self.system
+                        .observability_mut()
+                        .record_breaker_trip(now, i as u32);
                     // A tripped breaker blacks out everything below
                     // it. Routed through the fleet's alive hook so the
                     // power column and the leaf partials stay exact
@@ -423,11 +421,9 @@ impl Datacenter {
             if alerts > self.alerts_seen {
                 let delta = (alerts - self.alerts_seen) as u64;
                 self.alerts_seen = alerts;
-                self.system.observability_mut().record_validator_alerts(
-                    now,
-                    delta,
-                    "breaker-validator",
-                );
+                self.system
+                    .observability_mut()
+                    .record_validator_alerts(now, delta);
             }
         }
         lap.mark(&mut phase_secs, TickPhase::Validator);
@@ -549,6 +545,7 @@ impl Datacenter {
         self.fleet.save(w);
         self.system.save(w);
         self.telemetry.save(w);
+        w.put_config(|d| self.fold_breakers(d));
         w.put_u64(self.device_ids.len() as u64);
         for &id in &self.device_ids {
             self.topo.device(id).breaker.save(w);
@@ -561,6 +558,14 @@ impl Datacenter {
                 g.save(w);
             }
             None => w.put_u8(0),
+        }
+    }
+
+    /// Folds every breaker's configuration, in device order, into the
+    /// breakers' section digest.
+    fn fold_breakers(&self, d: &mut ConfigDigest) {
+        for &id in &self.device_ids {
+            self.topo.device(id).breaker.fold_config(d);
         }
     }
 
@@ -586,7 +591,7 @@ impl Datacenter {
                 "snapshot clock t={now_ms} ms is not its fleet's {ticks} ticks of {TICK}"
             )));
         }
-        self.system.load(r)?;
+        self.system.load(r, &self.topo)?;
         self.telemetry.load(r)?;
         // Ticks deliver controller events in time order and the recorder
         // asserts it: none stored may be dated at or after the clock.
@@ -599,6 +604,7 @@ impl Datacenter {
         }
         // A breaker's rating and trip curve are this build's, not the
         // file's: only the thermal state moves.
+        r.config("breakers", |d| self.fold_breakers(d))?;
         r.get_len(self.device_ids.len(), "devices")?;
         for &id in &self.device_ids {
             let breaker = &mut self.topo.device_mut(id).breaker;
@@ -681,7 +687,16 @@ impl Snapshot for DatacenterState {
     // v7: the breaker-status section, a copy of the status each breaker
     // body holds, went, and telemetry's sampling schedule is saved as
     // every schedule is (period, phase, next; it stored period and next).
-    const VERSION: u32 = 7;
+    // v8: configuration left the wire: each section stores one digest of
+    // it (fleet, control plane, telemetry, breakers, validator, grid
+    // layer) where the fleet echoed each server's service calibration,
+    // generation and place in the permutation, and breakers, DCUPS
+    // units, schedules and rings their ratings, sizing, periods and
+    // capacities; span and flight records lost their names (their
+    // tracks name them), telemetry series went on the wire packed as
+    // they are held, the fleet's flags as their mask words, and a leaf's
+    // band only in an observed run.
+    const VERSION: u32 = 8;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_raw(&self.body);
@@ -740,7 +755,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::{DatacenterBuilder, ServicePlan};
     use dcsim::CycleSchedule;
-    use dynobs::Band;
+    use dynobs::{Band, FlightKind};
     use powerinfra::{Breaker, DeviceLevel, TripCurve};
     use workloads::{ServiceKind, TrafficPattern};
 
@@ -750,6 +765,11 @@ pub(crate) mod tests {
     /// device that is exactly one leaf (RPP) and a sub-leaf device
     /// (rack); with one, the rack tiles a leaf too.
     fn small_dc(seed: u64, racks_per_rpp: usize) -> Datacenter {
+        small(seed, racks_per_rpp).build()
+    }
+
+    /// [`small_dc`]'s builder.
+    fn small(seed: u64, racks_per_rpp: usize) -> DatacenterBuilder {
         DatacenterBuilder::new()
             .sbs_per_msb(2)
             .rpps_per_sb(2)
@@ -763,7 +783,6 @@ pub(crate) mod tests {
             ]))
             .traffic(ServiceKind::Web, TrafficPattern::flat(1.5))
             .seed(seed)
-            .build()
     }
 
     /// Device `d`'s draw folded from `power_of` alone, in the
@@ -1086,13 +1105,15 @@ pub(crate) mod tests {
         assert_eq!(dc.topo.device(rpp).breaker.status(), BreakerStatus::Nominal);
         for (d, status) in [(sb, BreakerStatus::Nominal), (rpp, BreakerStatus::Tripped)] {
             let forge = |dc: &Datacenter, s: &mut DatacenterState| {
-                // The clock, the layers, the count, the breaker bodies
-                // up to `d`'s, whose last byte is its status.
+                // The clock, the layers, the breakers' digest and count,
+                // the breaker bodies up to `d`'s, whose last byte is its
+                // status.
                 let end = saved_len(|w| {
                     w.put_u64(0);
                     dc.fleet.save(w);
                     dc.system.save(w);
                     dc.telemetry.save(w);
+                    w.put_u64(0);
                     w.put_u64(0);
                     for &id in &dc.device_ids[..=d.index()] {
                         dc.topo.device(id).breaker.save(w);
@@ -1107,16 +1128,18 @@ pub(crate) mod tests {
     }
 
     /// A band code is checked in the leaf tier's section, after the
-    /// fleet's and the leaf controllers' have loaded.
+    /// fleet's and the leaf controllers' have loaded. Only an observed
+    /// run reads a leaf's band, so only its file holds one.
     #[test]
     fn restore_rejects_a_band_code_no_band_has() {
-        let mut dc = small_dc(3, 2);
+        let observed = || small(3, 2).observability(crate::ObsConfig::on()).build();
+        let mut dc = observed();
         let honest = dc.state();
         assert!(dc.restore(&honest).is_ok());
         // No band has code 4, so no twin can save it: move leaf 1 to
         // another band in a twin to find its code, and write 4 there.
         let forge = |_: &Datacenter, s: &mut DatacenterState| {
-            let moved = forged(small_dc(3, 2), s, |t| {
+            let moved = forged(observed(), s, |t| {
                 let band = &mut t.system.leaves.leaves[1].band;
                 *band = if *band == Band::Cap {
                     Band::Hold
@@ -1127,7 +1150,7 @@ pub(crate) mod tests {
             let at = (s.body.iter().zip(&moved.body))
                 .position(|(a, b)| a != b)
                 .expect("the band moved");
-            poke(s, at, &4u32.to_le_bytes())
+            poke(s, at, &[4])
         };
         assert_refused(&mut dc, forge, "leaf 1 has unknown band code 4");
     }
@@ -1194,21 +1217,23 @@ pub(crate) mod tests {
             let (cap, total) = (trace.capacity() as u64, trace.total_recorded());
             let len = trace.len() as u64;
             assert!((2..cap).contains(&len), "vacuous: {len} spans");
-            let header: Vec<u8> = [cap, total % cap, total, len]
+            let header: Vec<u8> = [total % cap, total, len]
                 .iter()
                 .flat_map(|word| word.to_le_bytes())
                 .collect();
             let at = (s.body.windows(header.len()))
                 .position(|w| w == header)
                 .expect("the trace ring's header");
-            poke(s, at + 8, &(total % cap - 1).to_le_bytes());
+            poke(s, at, &(total % cap - 1).to_le_bytes());
         };
         assert_refused(&mut dc, forge, "trace ring geometry invalid");
     }
 
     /// A breaker's rating is configuration. Restored from the file, an
     /// RPP rewritten from 900 W to 1800 W resumed into a report of one
-    /// trip where the unbroken run has two.
+    /// trip where the unbroken run has two: a file written where one
+    /// breaker is rated, or curved, otherwise is refused for the
+    /// breakers' digest.
     #[test]
     fn restore_rejects_a_breaker_that_is_not_the_configured_one() {
         let mut dc = small_dc(3, 2);
@@ -1223,14 +1248,15 @@ pub(crate) mod tests {
                     t.topo.device_mut(rpp).breaker = breaker;
                 })
             };
-            assert_refused(&mut dc, forge, &format!("{rpp}: breaker in snapshot"));
+            assert_refused(&mut dc, forge, "breakers configuration is not this build's");
         }
         let honest = dc.state();
         assert!(dc.restore(&honest).is_ok());
     }
 
     /// So is every schedule's period and phase: a leaf that cycles
-    /// every 3 s does not resume cycling every 4.
+    /// every 3 s does not resume cycling every 4. A file written where
+    /// one schedule is another is refused for its section's digest.
     #[test]
     fn restore_rejects_a_schedule_that_is_not_the_configured_one() {
         let mut dc = small_dc(3, 2);
@@ -1240,16 +1266,28 @@ pub(crate) mod tests {
         };
         let forge =
             forge_with(|t| t.system.leaf_cycles[2] = CycleSchedule::new(SimDuration::from_secs(4)));
-        assert_refused(&mut dc, forge, "leaf controller 2: schedule");
+        assert_refused(
+            &mut dc,
+            forge,
+            "control plane configuration is not this build's",
+        );
         let forge = forge_with(|t| {
             t.system.upper_cycles[0] =
                 CycleSchedule::with_phase(SimDuration::from_secs(9), SimDuration::from_secs(1))
         });
-        assert_refused(&mut dc, forge, "upper controller 0: schedule");
-        // Telemetry has one schedule, named by nothing more.
+        assert_refused(
+            &mut dc,
+            forge,
+            "control plane configuration is not this build's",
+        );
+        // Telemetry has one schedule, in its own section.
         let forge =
             forge_with(|t| t.telemetry.schedule = CycleSchedule::new(SimDuration::from_secs(4)));
-        assert_refused(&mut dc, forge, "schedule");
+        assert_refused(
+            &mut dc,
+            forge,
+            "telemetry configuration is not this build's",
+        );
     }
 
     /// Telemetry traces this build's watched devices, or none before
@@ -1299,6 +1337,56 @@ pub(crate) mod tests {
         assert!(dc.restore(&honest).is_ok());
     }
 
+    /// A checkpoint holds only state. On an observed run with a
+    /// failover, the fleet's section is the bytes its layout gives its
+    /// state — streams, process state and columns, no configuration
+    /// ([`Fleet::layout_len`]); a breaker is its heat and status; a span
+    /// record is its fixed 21 bytes and a flight record its time, track
+    /// and kind; and no controller's name is anywhere in the
+    /// observability section. A name or a configuration echo coming
+    /// back fails here.
+    #[test]
+    fn checkpoint_carries_only_state() {
+        let mut dc = small(3, 2)
+            .capping_enabled(true)
+            .observability(crate::ObsConfig::on())
+            .build();
+        dc.run_for(SimDuration::from_mins(2));
+        let leaf = dc.system().leaf_devices()[1];
+        dc.system_mut().fail_primary(leaf);
+        dc.run_for(SimDuration::from_mins(1));
+        let fleet = saved_len(|w| dc.fleet.save(w));
+        assert_eq!(fleet, dc.fleet.layout_len(), "fleet section");
+        println!("fleet section: {fleet} B for {} servers", dc.fleet.len());
+        for &id in &dc.device_ids {
+            assert_eq!(saved_len(|w| dc.topo.device(id).breaker.save(w)), 9);
+        }
+        let obs = dc.system().observability();
+        let (trace, flight) = (obs.trace(), obs.flight());
+        assert!(trace.len() > 10 && flight.len() > 2, "vacuous rings");
+        assert_eq!(saved_len(|w| trace.save(w)), 24 + 21 * trace.len());
+        let payload = |kind: &FlightKind| match kind {
+            FlightKind::LeafCapped { .. } => 14,
+            FlightKind::LeafInvalid { .. } | FlightKind::UpperCapped { .. } => 5,
+            FlightKind::BandTransition { .. } => 9,
+            FlightKind::CurtailmentViolation { .. } => 17,
+            _ => 1,
+        };
+        let records: usize = flight.iter().map(|r| 12 + payload(&r.kind)).sum();
+        assert_eq!(saved_len(|w| flight.save(w)), 24 + records);
+        assert!(
+            flight.iter().any(|r| r.kind == FlightKind::Failover),
+            "vacuous: no takeover"
+        );
+        let mut w = SnapWriter::new();
+        obs.save(&mut w);
+        let rings = w.into_bytes();
+        for name in trace.iter().map(|s| &s.name) {
+            let named = rings.windows(name.len()).any(|w| w == name.as_bytes());
+            assert!(!named, "the observability section names {name}");
+        }
+    }
+
     /// A state and its framed bytes hold exactly what was written: a
     /// body left in the doubling writer's buffer would keep up to twice
     /// its size alive for as long as the state is held.
@@ -1342,10 +1430,12 @@ pub(crate) mod tests {
         watts: f64,
     ) {
         let leaves = &dc.system.leaves.leaves;
-        // The clock, the fleet, the controller count, the leaves before.
+        // The clock, the fleet, the control plane's digest, the
+        // controller count, the leaves before.
         let start = saved_len(|w| {
             w.put_u64(0);
             dc.fleet.save(w);
+            w.put_u64(0);
             w.put_u64(0);
             leaves[..leaf].iter().for_each(|l| l.controller.save(w));
         });
@@ -1458,13 +1548,10 @@ pub(crate) mod tests {
             // The fleet, every controller, every leaf's link stream,
             // the failover tallies. A leaf's last band is the
             // recorder's own, kept only by an observed run.
-            for leaf in &mut dc.system.leaves.leaves {
-                leaf.band = Band::Hold;
-            }
             let mut w = SnapWriter::new();
             let system = &dc.system;
             dc.fleet.save(&mut w);
-            system.leaves.save(&mut w);
+            system.leaves.save(&mut w, false);
             system.uppers.save(&mut w);
             system.failover.save(&mut w);
             (w.into_bytes(), report.to_string())

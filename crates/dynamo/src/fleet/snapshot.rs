@@ -6,16 +6,20 @@
 //! themselves is rebuilt, not stored: the capped / down tallies,
 //! demand (from utilization), drawn power (from output and liveness)
 //! and the per-leaf power partials, through the code the step runs
-//! ([`LeafColumns::derive`]). The permutation and the per-server
-//! hardware generations are stored only to be *compared* with the
-//! rebuilt fleet.
+//! ([`LeafColumns::derive`]). The configuration the state is only
+//! meaningful against — the permutation, each server's service and
+//! hardware generation, every service's calibration — is one digest
+//! word ([`Fleet::fold_config`]).
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter};
+use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 use dcsim::{SimRng, SimTime};
-use workloads::{get_process, put_process};
+use workloads::{get_process, put_process, ServiceKind, ServiceParams};
 
-use super::leaf::{get_bit, put_bit};
+use super::leaf::get_bit;
 use super::{Fleet, LeafColumns};
+
+/// What a fleet's section is called in a refusal.
+const SECTION: &str = "fleet";
 
 /// Writes one column gathered across the leaves, count first.
 fn put_column<T>(
@@ -44,29 +48,29 @@ fn get_column<T>(
     Ok(())
 }
 
-/// Writes one packed mask gathered across the leaves, a flag per
-/// server, count first.
+/// Writes one packed mask gathered across the leaves as the words each
+/// leaf holds it in, count first.
 fn put_flags(w: &mut SnapWriter, leaves: &[LeafColumns], mask: impl Fn(&LeafColumns) -> &[u64]) {
-    w.put_u64(leaves.iter().map(|l| l.len() as u64).sum());
-    for leaf in leaves {
-        for i in 0..leaf.len() {
-            w.put_bool(get_bit(mask(leaf), i));
-        }
-    }
+    put_column(w, leaves, mask, |w, &word| w.put_u64(word));
 }
 
 /// Reads flags written by [`put_flags`] into the leaves' masks. Every
-/// bit is written, so no stale state survives; tail bits stay zero.
+/// word is written, so no stale state survives; a bit past a leaf's
+/// last server is refused, so tail bits stay zero.
 fn get_flags(
     r: &mut SnapReader<'_>,
     leaves: &mut [LeafColumns],
+    name: &str,
     mask: impl Fn(&mut LeafColumns) -> &mut Vec<u64>,
 ) -> Result<(), SnapError> {
-    r.get_len(leaves.iter().map(|l| l.len()).sum(), "servers")?;
-    for leaf in leaves {
-        for i in 0..leaf.len() {
-            let v = r.get_bool()?;
-            put_bit(mask(leaf), i, v);
+    get_column(r, leaves, |l| &mut mask(l)[..], |r| r.get_u64())?;
+    for (l, leaf) in leaves.iter_mut().enumerate() {
+        let n = leaf.len();
+        let tail = mask(leaf).last().map_or(0, |&word| word >> (n % 64));
+        if n % 64 != 0 && tail != 0 {
+            return Err(SnapError::Corrupt(format!(
+                "fleet mask {name} of leaf {l} sets a bit past its {n} servers"
+            )));
         }
     }
     Ok(())
@@ -83,44 +87,53 @@ fn watts(name: &'static str) -> impl Fn(&mut SnapReader<'_>) -> Result<f64, Snap
 }
 
 impl Fleet {
-    /// Position → server id over the whole fleet: each leaf's
-    /// permutation, offset to fleet ids (a leaf's positions are its id
-    /// range).
-    fn permutation(&self) -> impl Iterator<Item = u32> + '_ {
-        self.leaves
-            .iter()
-            .flat_map(|l| l.perm.iter().map(|&id| l.first as u32 + id))
+    /// Folds the fleet's configuration into its section's digest: the
+    /// calibration `params` gives every service, then, position by
+    /// position, the server there, its service and its hardware
+    /// generation. The settling state is only meaningful against the
+    /// curve and LUT it was stepped with, and the demand pass hoists
+    /// each run's service parameters.
+    fn fold_config(&self, d: &mut ConfigDigest, params: fn(ServiceKind) -> ServiceParams) {
+        for p in ServiceKind::all().map(params) {
+            for x in [
+                p.base_util,
+                p.sigma,
+                p.theta,
+                p.burst_rate,
+                p.burst_min,
+                p.burst_max,
+                p.burst_dur_secs,
+                p.traffic_sensitivity,
+            ] {
+                d.put_f64(x);
+            }
+        }
+        for leaf in &self.leaves {
+            for &id in &leaf.perm {
+                let sid = leaf.first + id as usize;
+                let model = &self.models[leaf.model_ix[id as usize] as usize];
+                d.put_u64(sid as u64);
+                d.put_u64(self.services[sid].index() as u64);
+                d.put_u64(model.config().generation.index() as u64);
+            }
+        }
     }
 
-    /// [`serverpower::ServerGeneration::index`] of every server, id
-    /// order.
-    fn generations(&self) -> impl Iterator<Item = usize> + '_ {
-        self.leaves
-            .iter()
-            .flat_map(|l| &l.model_ix)
-            .map(|&ix| self.models[ix as usize].config().generation.index())
-    }
-
-    /// Saves the fleet's dynamic state: the leaves' columns as flat
-    /// fleet-wide ones, every `[..]` a `u64` count and then the
-    /// elements. Must be called at a tick boundary.
+    /// Saves the fleet's dynamic state: the configuration digest, then
+    /// the leaves' columns as flat fleet-wide ones, every `[..]` a
+    /// `u64` count and then the elements. Must be called at a tick
+    /// boundary.
     pub fn save(&self, w: &mut SnapWriter) {
         let leaves = &self.leaves[..];
+        w.put_config(|d| self.fold_config(d, ServiceKind::params));
         put_column(w, leaves, |l| &l.agent_rng, |w, rng| rng.save(w));
         put_flags(w, leaves, |l| &l.running);
-        w.put_u64(self.len() as u64);
-        for g in self.generations() {
-            w.put_u8(g as u8);
-        }
-        // One process record per position; kind and parameters are the
-        // server's service's.
+        // One process record per position.
         w.put_u64(self.len() as u64);
         for leaf in leaves {
-            for (pos, &id) in leaf.perm.iter().enumerate() {
-                let kind = self.services[leaf.first + id as usize];
+            for pos in 0..leaf.len() {
                 let burst = (leaf.wl_burst_until[pos], leaf.wl_burst_add[pos]);
-                let (noise, rng) = (leaf.wl_noise[pos], &leaf.wl_rng[pos]);
-                put_process(w, kind, &kind.params(), noise, burst, rng);
+                put_process(w, leaf.wl_noise[pos], burst, &leaf.wl_rng[pos]);
             }
         }
         w.put_u64(self.pending_restarts.len() as u64);
@@ -129,10 +142,6 @@ impl Fleet {
             w.put_u64(at.as_millis());
         }
         self.rng.save(w);
-        w.put_u64(self.len() as u64);
-        for p in self.permutation() {
-            w.put_u32(p);
-        }
         let f64s = |w: &mut SnapWriter, x: &f64| w.put_f64(*x);
         put_column(w, leaves, |l| &l.limit_w, f64s);
         put_column(w, leaves, |l| &l.out_w, f64s);
@@ -151,46 +160,59 @@ impl Fleet {
         per_leaf(w, &|w, l| w.put_u64(l.epoch));
     }
 
+    /// The bytes DESIGN.md §13's fleet layout gives this fleet's state:
+    /// per server its two streams, its process state (noise, and a
+    /// burst in flight) and its limit, output and utilization; per leaf
+    /// its three flag masks' words and three words of its own; the
+    /// pending restarts, the fleet's stream, the counts, the tick and
+    /// the digest. No configuration.
+    #[cfg(test)]
+    pub(crate) fn layout_len(&self) -> usize {
+        let stream = |rng: &SimRng| {
+            let mut w = SnapWriter::new();
+            rng.save(&mut w);
+            w.len()
+        };
+        let mut servers = 0;
+        for leaf in &self.leaves {
+            for pos in 0..leaf.len() {
+                let burst = (leaf.wl_burst_until[pos], leaf.wl_burst_add[pos]);
+                let process = 8
+                    + 1
+                    + 16 * workloads::kernel::burst_from_columns(burst.0, burst.1).map_or(0, |_| 1);
+                let streams = stream(&leaf.agent_rng[pos]) + stream(&leaf.wl_rng[pos]);
+                servers += streams + process + 3 * 8;
+            }
+        }
+        let words: usize = self.leaves.iter().map(|l| l.len().div_ceil(64)).sum();
+        let leaves = self.leaves.len();
+        // Twelve counts, the tick and the digest.
+        let words_of_its_own = 14 * 8;
+        servers
+            + 3 * 8 * words
+            + (1 + 2 * 8) * leaves
+            + 12 * self.pending_restarts.len()
+            + stream(&self.rng)
+            + words_of_its_own
+    }
+
     /// Loads what [`Fleet::save`] wrote into a fleet rebuilt from the
     /// identical configuration (same server configs, services, leaf
     /// spans and seed). Every count must be the rebuilt fleet's, so no
-    /// length or id from the file is used unchecked. A stored
-    /// permutation, hardware generation or workload calibration that is
-    /// not the rebuilt one means the topology or server mix drifted: a
-    /// mismatch ([`SnapReader::mismatch`]).
+    /// length or id from the file is used unchecked. A digest that is
+    /// not the rebuilt fleet's means the topology or server mix drifted:
+    /// a mismatch naming the section ([`SnapReader::config`]).
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = self.len();
+        r.config(SECTION, |d| self.fold_config(d, ServiceKind::params))?;
         get_column(r, &mut self.leaves, |l| &mut l.agent_rng, SimRng::decode)?;
-        get_flags(r, &mut self.leaves, |l| &mut l.running)?;
-        // The settling state is only meaningful against the curve and
-        // LUT it was stepped with.
-        r.get_len(n, "servers")?;
-        let mut changed = None;
-        for (sid, rebuilt) in self.generations().enumerate() {
-            let stored = r.get_u8()?;
-            if stored as usize != rebuilt && changed.is_none() {
-                changed = Some(SnapError::Corrupt(format!(
-                    "server {sid} generation changed: snapshot has LUT generation {stored}, \
-                     config rebuilds generation {rebuilt}"
-                )));
-            }
-        }
-        // The demand pass hoists each run's service parameters, so a
-        // process may only carry its own service's calibrated ones.
+        get_flags(r, &mut self.leaves, "running", |l| &mut l.running)?;
         r.get_len(n, "servers")?;
         for leaf in &mut self.leaves {
             for pos in 0..leaf.len() {
                 let burst = (&mut leaf.wl_burst_until[pos], &mut leaf.wl_burst_add[pos]);
                 let (noise, rng) = (&mut leaf.wl_noise[pos], &mut leaf.wl_rng[pos]);
-                let (kind, params) = get_process(r, noise, burst, rng)?;
-                let svc = self.services[leaf.first + leaf.perm[pos] as usize];
-                if (kind, params) != (svc.index() as u64, svc.params()) && changed.is_none() {
-                    changed = Some(SnapError::Corrupt(format!(
-                        "workload state at position {} (service kind {kind}) is not a \
-                         calibrated {svc} process",
-                        leaf.first + pos
-                    )));
-                }
+                get_process(r, noise, burst, rng)?;
             }
         }
         // The watchdog restarts by server id.
@@ -201,21 +223,6 @@ impl Fleet {
             ))),
         })?;
         self.rng = SimRng::decode(r)?;
-        r.get_len(n, "servers")?;
-        let mut drifted = false;
-        for rebuilt in self.permutation() {
-            drifted |= r.get_u32()? != rebuilt;
-        }
-        if drifted && changed.is_none() {
-            changed = Some(SnapError::Corrupt(
-                "fleet snapshot permutation differs from the rebuilt layout \
-                 (topology or server mix drifted since the snapshot)"
-                    .into(),
-            ));
-        }
-        if let Some(e) = changed {
-            r.mismatch(e);
-        }
         let leaves = &mut self.leaves[..];
         // `+Inf` is "uncapped"; anything else must be a positive limit.
         get_column(
@@ -230,8 +237,8 @@ impl Fleet {
             },
         )?;
         get_column(r, leaves, |l| &mut l.out_w, watts("out_w"))?;
-        get_flags(r, leaves, |l| &mut l.not_init)?;
-        get_flags(r, leaves, |l| &mut l.alive)?;
+        get_flags(r, leaves, "not_init", |l| &mut l.not_init)?;
+        get_flags(r, leaves, "alive", |l| &mut l.alive)?;
         get_column(r, leaves, |l| &mut l.util, watts("util"))?;
         self.tick_index = r.get_count()?;
         let tick = self.tick_index;
@@ -316,9 +323,12 @@ mod tests {
         let mut westmere = build(ServerGeneration::Westmere2011);
         match load(&mut westmere, &bytes) {
             Err(SnapError::Corrupt(msg)) => {
-                assert!(msg.contains("generation changed"), "{msg}")
+                assert!(
+                    msg.starts_with("fleet configuration is not this build's"),
+                    "{msg}"
+                )
             }
-            other => panic!("expected a generation mismatch, got {other:?}"),
+            other => panic!("expected the fleet's digest mismatch, got {other:?}"),
         }
         load(&mut build(ServerGeneration::Haswell2015), &bytes).expect("same generation loads");
     }
@@ -415,6 +425,21 @@ mod tests {
         assert_refused(&forged, "pending restart of server 8");
     }
 
+    /// A flag travels as the mask word it is held in: a word with a bit
+    /// set past its leaf's last server would be counted by every fold
+    /// of the mask, so it is refused.
+    #[test]
+    fn load_rejects_a_flag_past_a_leafs_last_server() {
+        let fresh = || build(ServerGeneration::Haswell2015);
+        let mut fleet = fresh();
+        fleet.step(SimTime::ZERO, SimDuration::from_secs(1));
+        let forged = forge(fresh, &saved(&fleet), |f| f.leaves[0].alive[0] |= 1 << 4);
+        assert_refused(
+            &forged,
+            "fleet mask alive of leaf 0 sets a bit past its 4 servers",
+        );
+    }
+
     /// A redraw integrates the ticks since the leaf's last one: a last
     /// redraw dated after the snapshot's own tick underflows that
     /// subtraction.
@@ -431,18 +456,30 @@ mod tests {
 
     /// The demand pass hoists each run's service parameters out of the
     /// element loop, so a snapshot may not smuggle in a process with
-    /// any others — and the columns must round-trip what they hold.
+    /// any others — a file written where a service is calibrated
+    /// otherwise, or where a server runs another service, is refused
+    /// for the fleet's digest — and the columns must round-trip what
+    /// they hold.
     #[test]
     fn load_rejects_workload_states_that_are_not_the_services_own() {
-        let build = || {
-            let services: Vec<ServiceKind> = (0..12).map(|i| ServiceKind::all()[i % 6]).collect();
+        let services = |rekind: Option<usize>| {
+            let mut services: Vec<ServiceKind> =
+                (0..12).map(|i| ServiceKind::all()[i % 6]).collect();
+            if let Some(sid) = rekind {
+                let next = (services[sid].index() + 1) % ServiceKind::COUNT;
+                services[sid] = ServiceKind::all()[next];
+            }
+            services
+        };
+        let build_with = |rekind| {
             Fleet::new(
                 vec![ServerConfig::new(ServerGeneration::Haswell2015); 12],
-                services,
+                services(rekind),
                 SimRng::seed_from(19),
                 &[0..6, 6..12],
             )
         };
+        let build = || build_with(None);
         let mut fleet = build();
         // Long enough that some process is mid-burst in the snapshot.
         let mut t = SimTime::ZERO;
@@ -457,28 +494,23 @@ mod tests {
         }
         let bytes = saved(&fleet);
 
-        // Process 3's record: its kind, eight parameters, then its
-        // noise, found as the first byte a flipped noise moves.
-        let flipped = forge(build, &bytes, |f| {
-            let noise = &mut f.leaves[0].wl_noise[3];
-            *noise = f64::from_bits(!noise.to_bits());
-        });
-        let noise_at = bytes
-            .iter()
-            .zip(&flipped)
-            .position(|(a, b)| a != b)
-            .unwrap();
-        let (kind_at, sigma_at) = (noise_at - 72, noise_at - 56);
-        let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-        let mut retuned = bytes.clone();
-        let sigma = f64::from_bits(word(&bytes, sigma_at)) * 2.0;
-        retuned[sigma_at..sigma_at + 8].copy_from_slice(&sigma.to_bits().to_le_bytes());
-        let mut rekinded = bytes.clone();
-        let kind = (word(&bytes, kind_at) + 1) % ServiceKind::COUNT as u64;
-        rekinded[kind_at..kind_at + 8].copy_from_slice(&kind.to_le_bytes());
-        for (bad, what) in [(retuned, "params"), (rekinded, "kind")] {
+        // Process 3's service retuned (its sigma doubled), or the
+        // server at position 3 running the next service.
+        let retuned = |kind: ServiceKind| ServiceParams {
+            sigma: kind.params().sigma * 2.0,
+            ..kind.params()
+        };
+        let mut retuned_bytes = bytes.clone();
+        let mut w = SnapWriter::new();
+        w.put_config(|d| fleet.fold_config(d, retuned));
+        retuned_bytes[..8].copy_from_slice(w.as_bytes());
+        let rekinded = saved(&build_with(Some(fleet.leaves[0].perm[3] as usize)));
+        for (bad, what) in [(retuned_bytes, "params"), (rekinded, "kind")] {
             match load(&mut build(), &bad) {
-                Err(SnapError::Corrupt(msg)) => assert!(msg.contains("calibrated"), "{msg}"),
+                Err(SnapError::Corrupt(msg)) => assert!(
+                    msg.starts_with("fleet configuration is not this build's"),
+                    "{msg}"
+                ),
                 other => panic!("foreign workload {what} must be rejected, got {other:?}"),
             }
         }

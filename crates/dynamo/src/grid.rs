@@ -24,9 +24,7 @@
 //! thermal models keep seeing true server draw, so the subtree-power
 //! path and every determinism invariant are untouched.
 
-use std::sync::Arc;
-
-use dcsim::snap::{SnapError, SnapReader, SnapWriter};
+use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 use dcsim::{SimDuration, SimTime};
 use dyngrid::{EconController, GridScenario, ECON_PERIOD};
 use powerinfra::{Dcups, DeviceId, DeviceLevel, Power, Topology};
@@ -94,8 +92,6 @@ pub struct GridLayer {
     msbs: Vec<(DeviceId, f64)>,
     /// One aggregate DCUPS bank per leaf, in leaf build order.
     banks: Vec<Dcups>,
-    /// Interned name for flight records.
-    name: Arc<str>,
     /// Per-bank available-discharge scratch (watts), sized once.
     avail_scratch: Vec<f64>,
     /// Cached aggregate charge fraction; exact while no bank stepped.
@@ -161,7 +157,6 @@ impl GridLayer {
             econ: EconController::new(capacity),
             msbs,
             banks,
-            name: "grid-econ".into(),
             avail_scratch: vec![0.0; n_banks],
             charge_frac: 1.0,
             utility_draw_w: 0.0,
@@ -292,7 +287,7 @@ impl GridLayer {
             let obs = system.observability_mut();
             obs.record_grid_violation_tick(period_ms / 1000);
             if first {
-                obs.record_curtailment_violation(now, &self.name, limit_w, mean_w);
+                obs.record_curtailment_violation(now, limit_w, mean_w);
             }
         }
     }
@@ -443,8 +438,16 @@ impl GridLayer {
         }
     }
 
-    /// Saves the layer's dynamic state.
+    /// Folds the layer's configuration, the economic controller's and
+    /// every bank's sizing, into its section's digest.
+    fn fold_config(&self, d: &mut ConfigDigest) {
+        self.econ.fold_config(d);
+        self.banks.iter().for_each(|b| b.fold_config(d));
+    }
+
+    /// Saves the layer's dynamic state, after its configuration digest.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
+        w.put_config(|d| self.fold_config(d));
         let put_opt_ms = |w: &mut SnapWriter, ms: Option<u64>| match ms {
             Some(ms) => {
                 w.put_u8(1);
@@ -485,9 +488,8 @@ impl GridLayer {
             1 => Ok(Some(r.get_count()?)),
             other => Err(SnapError::Corrupt(format!("bad {what} tag {other}"))),
         };
+        r.config("grid layer", |d| self.fold_config(d))?;
         self.econ.load(r)?;
-        // A bank's sizing is this build's, not the file's: only charge
-        // and state move.
         r.get_len(self.banks.len(), "DCUPS banks")?;
         for (i, bank) in self.banks.iter_mut().enumerate() {
             r.within(format_args!("leaf {i} bank"), |r| bank.load(r))?;
@@ -667,9 +669,9 @@ mod tests {
         assert_eq!(s1, s2);
     }
 
-    /// A bank's sizing is configuration: a file that doubles a
-    /// battery's capacity (or says it holds more than it can) is not a
-    /// state of this site.
+    /// A bank's sizing is configuration: a file written where a
+    /// battery's capacity, or its recharge rate, is another is refused
+    /// for the grid layer's digest.
     #[test]
     fn restore_rejects_a_bank_that_is_not_the_configured_one() {
         let scenario = GridScenario::preset("curtailment-window").unwrap();
@@ -683,7 +685,11 @@ mod tests {
             let forge = |_: &Datacenter, s: &mut DatacenterState| {
                 *s = forged(build(), s, |t| t.grid.as_mut().unwrap().banks[1] = bank);
             };
-            assert_refused(&mut dc, forge, "leaf 1 bank: DCUPS in snapshot");
+            assert_refused(
+                &mut dc,
+                forge,
+                "grid layer configuration is not this build's",
+            );
         }
         let honest = dc.state();
         assert!(dc.restore(&honest).is_ok());

@@ -352,13 +352,14 @@ impl LeafTier {
     /// controller decision state, link streams, last aggregates, the
     /// quiet flags and seen epochs that drive cycle elision (they must
     /// round-trip exactly, or a resumed run would elide, or re-run,
-    /// cycles the unbroken run did not), the pending-failure flags and
-    /// the last bands. Everything else — devices, quotas, spans, server
-    /// ids — is topology-derived and rebuilt from config. Every
+    /// cycles the unbroken run did not), the pending-failure flags and,
+    /// when the run is `observed`, the last bands (only the observed
+    /// merge reads them), behind a tag that says whether they follow. Everything else — devices, quotas, spans,
+    /// server ids — is topology-derived and rebuilt from config. Every
     /// dispatch takes the events it left and the merge reads the
     /// round-trip sums and episode flags before the next cycle
     /// overwrites them, so none of them is saved.
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
+    pub(crate) fn save(&self, w: &mut SnapWriter, observed: bool) {
         let column = |w: &mut SnapWriter, put: &dyn Fn(&mut SnapWriter, &Leaf)| {
             w.put_u64(self.leaves.len() as u64);
             for leaf in &self.leaves {
@@ -371,11 +372,15 @@ impl LeafTier {
         column(w, &|w, l| w.put_bool(l.quiet));
         column(w, &|w, l| w.put_u64(l.seen));
         column(w, &|w, l| w.put_bool(l.failed));
-        column(w, &|w, l| w.put_u32(l.band.code()));
+        w.put_bool(observed);
+        if observed {
+            column(w, &|w, l| w.put_u8(l.band.code() as u8));
+        }
     }
 
     /// Loads what [`LeafTier::save`] wrote into a tier built with the
-    /// same leaves.
+    /// same leaves. A file from an unobserved run holds no bands: every
+    /// leaf's is then the `Hold` such a run keeps, observed here or not.
     pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = self.leaves.len();
         r.get_len(n, "leaf controllers")?;
@@ -402,10 +407,14 @@ impl LeafTier {
         for l in &mut self.leaves {
             l.failed = r.get_bool()?;
         }
+        if !r.get_bool()? {
+            self.leaves.iter_mut().for_each(|l| l.band = Band::Hold);
+            return Ok(());
+        }
         r.get_len(n, "leaf bands")?;
         for (i, l) in self.leaves.iter_mut().enumerate() {
-            let code = r.get_u32()?;
-            l.band = Band::from_code(code).ok_or_else(|| {
+            let code = r.get_u8()?;
+            l.band = Band::from_code(code.into()).ok_or_else(|| {
                 SnapError::Corrupt(format!("leaf {i} has unknown band code {code}"))
             })?;
         }
@@ -773,7 +782,7 @@ mod tests {
             let ids: Vec<u32> = (0..n as u32).collect();
             let profile = LinkProfile::lossy(0.05, 0.05);
             let mut network = Network::new(profile, SimRng::seed_from(7));
-            let obs = Observability::new(&dynobs::ObsConfig::on());
+            let obs = Observability::new(&dynobs::ObsConfig::on(), std::iter::empty());
             let mut registry = obs.registry().clone();
             let mut shard = obs.new_shard();
             let table = RttTable::new(&profile);

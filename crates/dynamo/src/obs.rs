@@ -18,15 +18,18 @@
 //! validator) — records into the registry directly; an upper controller
 //! hands its event to the same builders a leaf's goes through.
 
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter};
+use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 use dcsim::SimTime;
+use dynamo_controller::UpperController;
 use dynobs::{
     Band, Buckets, CounterId, FlightKind, FlightRecord, FlightRecorder, GaugeId, HistogramId,
     ObsConfig, Registry, RegistryBuilder, Shard, SpanKind, SpanRecord, TraceRing,
 };
+use powerinfra::{Device, Topology};
 
 use crate::events::ControllerEventKind;
 use crate::leaf_exec::Leaf;
@@ -309,6 +312,29 @@ pub struct Observability {
     /// Incident dumps not yet written to disk. Only ever non-empty when
     /// an incident directory is configured.
     pending: Vec<(PathBuf, String)>,
+    /// What records outside the controller tiers, named; only while
+    /// recording is on.
+    owners: Option<Owners>,
+}
+
+/// The interned names of what records outside the controller tiers:
+/// every device, by index (a breaker trip's track), the breaker
+/// validator and the grid layer.
+struct Owners {
+    devices: Vec<Arc<str>>,
+    validator: Arc<str>,
+    grid: Arc<str>,
+}
+
+impl Owners {
+    /// The names of a datacenter whose devices, by index, are `devices`.
+    fn of<'a>(devices: impl Iterator<Item = &'a Device>) -> Self {
+        Owners {
+            devices: devices.map(|d| d.name.as_str().into()).collect(),
+            validator: "breaker-validator".into(),
+            grid: "grid-econ".into(),
+        }
+    }
 }
 
 /// Spans retained for trace export.
@@ -317,10 +343,12 @@ const TRACE_SPANS: usize = 16_384;
 const FLIGHT_RECORDS: usize = 256;
 
 impl Observability {
-    /// Builds the registry, rings and recorder.
-    pub(crate) fn new(config: &ObsConfig) -> Self {
+    /// Builds the registry, rings and recorder for a datacenter whose
+    /// devices, by index, are `devices`.
+    pub(crate) fn new<'a>(config: &ObsConfig, devices: impl Iterator<Item = &'a Device>) -> Self {
         let mut b = RegistryBuilder::new();
         let ids = register(&mut b);
+        let owners = config.enabled.then(|| Owners::of(devices));
         Observability {
             registry: b.build(config.enabled),
             ids,
@@ -332,6 +360,7 @@ impl Observability {
                 .flatten(),
             incident_seq: 0,
             pending: Vec::new(),
+            owners,
         }
     }
 
@@ -527,23 +556,28 @@ impl Observability {
         trigger
     }
 
-    /// Records a breaker trip on device `track` (datacenter context).
-    pub(crate) fn record_breaker_trip(&mut self, now: SimTime, track: u32, name: &str) {
-        if !self.registry.is_enabled() {
+    /// Records a breaker trip on device `track`, its index (datacenter
+    /// context).
+    pub(crate) fn record_breaker_trip(&mut self, now: SimTime, track: u32) {
+        let Some(name) = self
+            .owners
+            .as_ref()
+            .map(|o| Arc::clone(&o.devices[track as usize]))
+        else {
             return;
-        }
+        };
         self.registry.inc(self.ids.breaker_trips);
         self.push_flight(now, track, name, FlightKind::BreakerTrip);
         self.incident("breaker-trip", now.as_millis());
     }
 
     /// Records `n` new breaker-validator alerts (datacenter context).
-    pub(crate) fn record_validator_alerts(&mut self, now: SimTime, n: u64, name: &str) {
-        if !self.registry.is_enabled() || n == 0 {
+    pub(crate) fn record_validator_alerts(&mut self, now: SimTime, n: u64) {
+        let owners = self.owners.as_ref().filter(|_| n > 0);
+        let Some(name) = owners.map(|o| Arc::clone(&o.validator)) else {
             return;
-        }
+        };
         self.registry.add(self.ids.validator_alerts, n);
-        let name: Arc<str> = name.into();
         for _ in 0..n {
             self.push_flight(now, 0, Arc::clone(&name), FlightKind::ValidatorAlert);
         }
@@ -613,18 +647,17 @@ impl Observability {
     pub(crate) fn record_curtailment_violation(
         &mut self,
         now: SimTime,
-        name: &Arc<str>,
         limit_watts: f64,
         draw_watts: f64,
     ) {
-        if !self.registry.is_enabled() {
+        let Some(name) = self.owners.as_ref().map(|o| Arc::clone(&o.grid)) else {
             return;
-        }
+        };
         let kind = FlightKind::CurtailmentViolation {
             limit_watts,
             draw_watts,
         };
-        self.push_flight(now, 0, Arc::clone(name), kind);
+        self.push_flight(now, 0, name, kind);
         self.incident("curtailment-violation", now.as_millis());
     }
 
@@ -658,6 +691,12 @@ impl Observability {
             .set_gauge(self.ids.sim_time, now.as_secs_f64());
     }
 
+    /// Folds the rings' capacities into the control plane's digest.
+    pub(crate) fn fold_config(&self, d: &mut ConfigDigest) {
+        self.trace.fold_config(d);
+        self.flight.fold_config(d);
+    }
+
     /// Saves the observability state: registry values, both rings, and
     /// the incident sequence counter. Shards are empty at tick
     /// boundaries (every dispatch merges what it wrote), and pending
@@ -672,13 +711,41 @@ impl Observability {
     }
 
     /// Loads what [`Observability::save`] wrote into a subsystem built
-    /// with the same configuration.
-    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// with the same configuration, over `leaves`, `uppers` and the
+    /// devices of `topo`. No record carries its name: each takes the
+    /// interned one of what its kind and track say recorded it
+    /// ([`owner_of_span`], [`owner_of_flight`]). A subsystem that does
+    /// not record interns no device names; one that loads a recorded
+    /// file names its records afresh.
+    pub(crate) fn load(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        leaves: &[Leaf],
+        uppers: &[UpperController],
+        topo: &Topology,
+    ) -> Result<(), SnapError> {
         self.registry.load(r)?;
-        self.trace.load(r)?;
-        self.flight.load(r)?;
+        let controllers = Controllers { leaves, uppers };
+        self.trace
+            .load(r, |(kind, track)| owner_of_span(&controllers, kind, track))?;
+        let fresh = OnceCell::new();
+        let owners = || match &self.owners {
+            Some(owners) => owners,
+            None => fresh.get_or_init(|| Owners::of(topo.iter())),
+        };
+        self.flight.load(r, |(kind, track)| {
+            owner_of_flight(&owners, &controllers, kind, track)
+        })?;
         self.incident_seq = r.get_count()?;
         Ok(())
+    }
+
+    /// Every name [`Owners`] interns, for tests that check a restored
+    /// record shares its owner's.
+    #[cfg(test)]
+    fn owner_names(&self) -> impl Iterator<Item = &Arc<str>> {
+        let owners = self.owners.iter();
+        owners.flat_map(|o| o.devices.iter().chain([&o.validator, &o.grid]))
     }
 
     /// Pushes one span onto the trace ring.
@@ -731,6 +798,74 @@ impl Observability {
     }
 }
 
+/// The tier of controllers a record is made by.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Leaf,
+    Upper,
+}
+
+/// The controllers whose tracks the records name: leaf `i` is track
+/// `i`, upper `j` track `leaves.len() + j`.
+struct Controllers<'a> {
+    leaves: &'a [Leaf],
+    uppers: &'a [UpperController],
+}
+
+impl Controllers<'_> {
+    /// The interned name of the controller on `track`, if there is one
+    /// and it is of `tier` (any tier for `None`).
+    fn on(&self, tier: Option<Tier>, track: u32) -> Option<Arc<str>> {
+        let track = track as usize;
+        match self.leaves.get(track) {
+            Some(leaf) if tier != Some(Tier::Upper) => Some(leaf.controller.name_shared()),
+            Some(_) => None,
+            None if tier == Some(Tier::Leaf) => None,
+            None => (self.uppers.get(track - self.leaves.len())).map(|u| u.name_shared()),
+        }
+    }
+}
+
+/// The interned name of the controller that records a span of `kind` on
+/// `track`, if that track has one of the kind's tier: an upper cycle is
+/// an upper's, a takeover either tier's, the rest a leaf's.
+fn owner_of_span(controllers: &Controllers<'_>, kind: SpanKind, track: u32) -> Option<Arc<str>> {
+    let tier = match kind {
+        SpanKind::UpperCycle => Some(Tier::Upper),
+        SpanKind::Failover => None,
+        SpanKind::LeafCycle | SpanKind::RpcPull | SpanKind::Distribution | SpanKind::Actuation => {
+            Some(Tier::Leaf)
+        }
+    };
+    controllers.on(tier, track)
+}
+
+/// The interned name of what records a flight record of `kind` on
+/// `track`, if that names anything: a device for a breaker trip, the
+/// validator or the grid layer on track 0 (all in `owners`), else the
+/// controller of its tier on that track ([`Controllers::on`]).
+fn owner_of_flight<'a>(
+    owners: impl Fn() -> &'a Owners,
+    controllers: &Controllers<'_>,
+    kind: FlightKind,
+    track: u32,
+) -> Option<Arc<str>> {
+    let on_zero = |name: fn(&Owners) -> &Arc<str>| (track == 0).then(|| Arc::clone(name(owners())));
+    match kind {
+        FlightKind::BreakerTrip => owners().devices.get(track as usize).cloned(),
+        FlightKind::ValidatorAlert => on_zero(|o| &o.validator),
+        FlightKind::CurtailmentViolation { .. } => on_zero(|o| &o.grid),
+        FlightKind::Failover => controllers.on(None, track),
+        FlightKind::UpperCapped { .. } | FlightKind::UpperUncapped => {
+            controllers.on(Some(Tier::Upper), track)
+        }
+        FlightKind::LeafCapped { .. }
+        | FlightKind::LeafUncapped
+        | FlightKind::LeafInvalid { .. }
+        | FlightKind::BandTransition { .. } => controllers.on(Some(Tier::Leaf), track),
+    }
+}
+
 /// The decision band a leaf cycle whose action is `action` lands in;
 /// `None` is a hold.
 pub(crate) fn band_of(action: Option<&ControllerEventKind>) -> Band {
@@ -761,5 +896,220 @@ fn flight_kind(action: &ControllerEventKind, episode_start: bool) -> FlightKind 
         },
         ControllerEventKind::UpperUncapped => FlightKind::UpperUncapped,
         ControllerEventKind::Failover => FlightKind::Failover,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dcsim::snap::{SnapError, Snapshot};
+    use dcsim::SimDuration;
+    use powerinfra::Power;
+    use workloads::{ServiceKind, TrafficPattern};
+
+    use super::*;
+    use crate::{Datacenter, DatacenterBuilder, DatacenterState};
+
+    /// An observed eight-leaf row over lossy links, tight enough at its
+    /// RPPs to cap, run `threads` wide.
+    fn observed(threads: usize) -> Datacenter {
+        row(threads).observability(ObsConfig::on()).build()
+    }
+
+    /// [`observed`]'s builder, recording nothing.
+    fn row(threads: usize) -> DatacenterBuilder {
+        DatacenterBuilder::new()
+            .sbs_per_msb(2)
+            .rpps_per_sb(4)
+            .racks_per_rpp(2)
+            .servers_per_rack(4)
+            .rpp_rating(Power::from_kilowatts(2.1))
+            .uniform_service(ServiceKind::Web)
+            .traffic(ServiceKind::Web, TrafficPattern::flat(1.4))
+            .rpc_profile(dynrpc::LinkProfile::lossy(0.05, 0.05))
+            .worker_threads(threads)
+            .seed(29)
+    }
+
+    /// [`observed`] one wide, run through every kind of record: caps,
+    /// takeovers in both tiers, a breaker trip and validator alerts.
+    fn scripted() -> Datacenter {
+        let mut dc = observed(1);
+        dc.run_for(SimDuration::from_mins(2));
+        let (leaf, upper) = (
+            dc.system().leaf_devices()[3],
+            dc.system().upper_devices()[1],
+        );
+        dc.system_mut().fail_primary(leaf);
+        dc.system_mut().fail_primary(upper);
+        dc.run_for(SimDuration::from_mins(1));
+        let now = dc.now();
+        let obs = dc.system_mut().observability_mut();
+        obs.record_breaker_trip(now, 5);
+        obs.record_validator_alerts(now, 2);
+        dc.run_for(SimDuration::from_secs(30));
+        dc
+    }
+
+    /// The interned name of the controller on `track`, from the tier it
+    /// lives in.
+    fn controller(dc: &Datacenter, track: u32) -> Arc<str> {
+        let system = dc.system();
+        let leaves = system.leaf_devices();
+        match leaves.get(track as usize) {
+            Some(&d) => system.leaf_for(d).map(|c| c.name_shared()),
+            None => {
+                let d = system.upper_devices()[track as usize - leaves.len()];
+                system.upper_for(d).map(|c| c.name_shared())
+            }
+        }
+        .expect("every track names a controller")
+    }
+
+    /// A restored twin, at one worker and at eight, holds its records
+    /// under its own controllers' and devices' names — one allocation
+    /// each, shared with the controller — and renders the trace and the
+    /// next incident dump byte for byte as the unbroken run does.
+    #[test]
+    fn restored_rings_name_records_by_their_tracks() {
+        for threads in [1, 8] {
+            let mut unbroken = scripted();
+            let state = DatacenterState::from_snap_bytes(&unbroken.state().to_snap_bytes())
+                .expect("own snapshot decodes");
+            let mut twin = observed(threads);
+            twin.restore(&state).expect("twin restores");
+            let obs = twin.system().observability();
+            let kinds: Vec<&str> = obs.flight().iter().map(|r| r.kind.label()).collect();
+            for kind in ["leaf_capped", "failover", "breaker_trip", "validator_alert"] {
+                assert!(kinds.contains(&kind), "vacuous: no {kind} record");
+            }
+            let upper = |s: &SpanRecord| s.kind == SpanKind::UpperCycle;
+            assert!(obs.trace().iter().any(upper), "vacuous: no upper span");
+            for span in obs.trace().iter() {
+                let owner = controller(&twin, span.track);
+                assert!(Arc::ptr_eq(&span.name, &owner), "{span:?}");
+            }
+            for record in obs.flight().iter() {
+                let shared = match record.kind {
+                    FlightKind::BreakerTrip | FlightKind::ValidatorAlert => obs
+                        .owner_names()
+                        .any(|n| Arc::ptr_eq(n, &record.controller)),
+                    _ => Arc::ptr_eq(&record.controller, &controller(&twin, record.track)),
+                };
+                assert!(shared, "{record:?}");
+            }
+            let (a, b) = (unbroken.system(), twin.system());
+            assert_eq!(
+                a.observability().chrome_trace(),
+                b.observability().chrome_trace(),
+                "{threads} wide"
+            );
+            // Both runs on to the next incident: it dumps the same ring.
+            let seen = unbroken.system().observability().incidents();
+            while unbroken.system().observability().incidents() == seen {
+                unbroken.step();
+                twin.step();
+                assert!(
+                    unbroken.now() < SimTime::from_mins(30),
+                    "no further incident"
+                );
+            }
+            let dump = |dc: &Datacenter| {
+                let obs = dc.system().observability();
+                (obs.incidents(), obs.flight().incident_json("next", 0, 0))
+            };
+            assert_eq!(dump(&unbroken), dump(&twin), "{threads} wide");
+            assert_eq!(
+                unbroken.system().observability().chrome_trace(),
+                twin.system().observability().chrome_trace()
+            );
+        }
+    }
+
+    /// Whether a run records is chosen per leg (a `dynamo-sim` resume
+    /// may add or drop `--metrics-out`): a recorded file restores into
+    /// a twin that records nothing, its records named as the recording
+    /// run named them, and an unrecorded file into a twin that records,
+    /// every leaf's band the `Hold` an unrecorded run keeps.
+    #[test]
+    fn a_file_restores_whether_or_not_the_twin_records() {
+        let mut recorded = scripted();
+        let mut quiet = row(1).build();
+        quiet
+            .restore(&recorded.state())
+            .expect("a recorded file restores");
+        let names = |dc: &Datacenter| -> Vec<String> {
+            let obs = dc.system().observability();
+            let spans = obs.trace().iter().map(|s| s.name.to_string());
+            spans
+                .chain(obs.flight().iter().map(|r| r.controller.to_string()))
+                .collect()
+        };
+        assert_eq!(names(&quiet), names(&recorded));
+        assert!(names(&quiet).iter().any(|n| n.contains("rpp")), "vacuous");
+
+        let mut unrecorded = row(1).build();
+        unrecorded.run_for(SimDuration::from_mins(2));
+        let mut twin = scripted();
+        twin.restore(&unrecorded.state())
+            .expect("an unrecorded file restores");
+        let leaves = &twin.system().leaves.leaves;
+        assert!(leaves.iter().all(|l| l.band == Band::Hold));
+    }
+
+    /// `dc`'s state with `edit` made to its rings, restored into a twin:
+    /// the refusal.
+    fn refusal(edit: impl FnOnce(&mut Observability)) -> SnapError {
+        let mut dc = scripted();
+        edit(dc.system_mut().observability_mut());
+        let state = dc.state();
+        match observed(1).restore(&state) {
+            Err(e) => e,
+            Ok(()) => panic!("a forged ring restored"),
+        }
+    }
+
+    /// A span's track is an index into the controllers, leaves then
+    /// uppers: one past the last names nothing, and a leaf's kind of
+    /// span on an upper's track is no span a run records.
+    #[test]
+    fn restore_rejects_a_span_track_past_the_controllers() {
+        let dc = observed(1);
+        let tracks = (dc.system().leaf_count() + dc.system().upper_count()) as u32;
+        let leaves = dc.system().leaf_count() as u32;
+        for (kind, track) in [
+            (SpanKind::UpperCycle, tracks),
+            (SpanKind::Failover, tracks),
+            (SpanKind::RpcPull, leaves),
+        ] {
+            let err = refusal(|obs| {
+                let name = Arc::clone(&obs.trace.iter().next().expect("a span").name);
+                obs.push_span(kind, track, 0, 0, &name);
+            });
+            let what = format!("{} span on track {track} names no controller", kind.label());
+            assert!(
+                matches!(&err, SnapError::Corrupt(m) if m.contains(&what)),
+                "{err}"
+            );
+        }
+    }
+
+    /// A breaker trip's track is a device index, and a validator alert's
+    /// is 0: a trip past the last device, an alert on another track, or
+    /// an upper's record on a leaf's track names nothing of its kind.
+    #[test]
+    fn restore_rejects_a_flight_record_whose_track_names_no_device_of_its_kind() {
+        let devices = observed(1).topology().device_count() as u32;
+        for (kind, track) in [
+            (FlightKind::BreakerTrip, devices),
+            (FlightKind::ValidatorAlert, 1),
+            (FlightKind::UpperUncapped, 0),
+        ] {
+            let err = refusal(|obs| obs.push_flight(SimTime::ZERO, track, "forged", kind));
+            let what = format!("{} record on track {track} names nothing", kind.label());
+            assert!(
+                matches!(&err, SnapError::Corrupt(m) if m.contains(&what)),
+                "{err}"
+            );
+        }
     }
 }

@@ -163,23 +163,19 @@ impl Telemetry {
             .collect()
     }
 
-    /// Saves the recorder's state: every series as `(start millis, raw
-    /// values)`, decoded as it is written, the event stores, and the
-    /// sampling schedule. Device series are keyed by raw device index in
-    /// ascending order; the sampling interval is configuration.
+    /// Saves the recorder's state: the digest of its sampling period,
+    /// every series packed as it is held ([`PackedTrace::save`]), the
+    /// event stores, and the sampling schedule's state. Device series
+    /// are keyed by raw device index in ascending order.
     pub fn save(&self, w: &mut SnapWriter) {
-        let put_series = |w: &mut SnapWriter, s: &PackedTrace| {
-            w.put_u64(s.start().as_millis());
-            w.put_u64(s.len() as u64);
-            s.values().for_each(|v| w.put_f64(v));
-        };
+        w.put_config(|d| self.schedule.fold_config(d));
         w.put_u64(self.device_series.len() as u64);
         for (dev, s) in self.watched.iter().zip(&self.device_series) {
             w.put_u32(dev.index() as u32);
-            put_series(w, s);
+            s.save(w);
         }
-        put_series(w, &self.capped_servers);
-        put_series(w, &self.total_power);
+        self.capped_servers.save(w);
+        self.total_power.save(w);
         w.put_u64(self.controller_events.len() as u64);
         for e in &self.controller_events {
             put_controller_event(w, e);
@@ -193,26 +189,16 @@ impl Telemetry {
         self.schedule.save(w);
     }
 
-    /// Loads what [`Telemetry::save`] wrote, packing each series as it
-    /// reads it. The traced devices are this build's watched set, or
-    /// none before the first sample: another set is a mismatch, and so
-    /// is a schedule that is not the 3 s sampling grid's
-    /// ([`CycleSchedule::load`]).
+    /// Loads what [`Telemetry::save`] wrote, each series as it was held
+    /// and checked to decode to its count ([`PackedTrace::load`]). The
+    /// traced devices are this build's watched set, or none before the
+    /// first sample: another set is a mismatch, and so is a sampling
+    /// period that is not this build's.
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.config("telemetry", |d| self.schedule.fold_config(d))?;
         let get_series = |r: &mut SnapReader<'_>| -> Result<PackedTrace, SnapError> {
-            let start = SimTime::from_millis(r.get_u64()?);
-            let len = r.get_u64()?;
-            // Eight bytes a sample: a length the input cannot hold is
-            // refused before a block is taken for it.
-            if len > (r.remaining() / 8) as u64 {
-                return Err(SnapError::UnexpectedEof {
-                    context: "telemetry series",
-                });
-            }
-            let mut series = PackedTrace::empty(SAMPLE_PERIOD).with_start(start);
-            for _ in 0..len {
-                series.push(r.get_f64()?);
-            }
+            let mut series = PackedTrace::empty(SAMPLE_PERIOD);
+            series.load(r)?;
             Ok(series)
         };
         let mut devices = Vec::new();

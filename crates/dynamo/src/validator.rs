@@ -144,6 +144,7 @@ impl BreakerValidator {
     /// because every observation draws meter noise before any skip
     /// check.
     pub fn save(&self, w: &mut SnapWriter) {
+        w.put_config(|d| self.schedule.fold_config(d));
         w.put_u64(self.states.len() as u64);
         for state in &self.states {
             match state {
@@ -170,6 +171,7 @@ impl BreakerValidator {
     /// Loads what [`BreakerValidator::save`] wrote into a validator
     /// built for the same topology.
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.config("validator", |d| self.schedule.fold_config(d))?;
         r.get_len(self.states.len(), "validated devices")?;
         for state in &mut self.states {
             *state = match r.get_u8()? {

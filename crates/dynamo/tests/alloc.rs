@@ -431,36 +431,76 @@ fn resumed_run_with_a_part_full_ring_does_not_allocate() {
     assert_eq!(total, 0, "the first ticks after a resume allocated");
 }
 
-/// A ring's bytes with the forged header `[cap, next, total, count]`
-/// and a tail that ends inside the first record.
-fn forged_ring(header: [u64; 4]) -> Vec<u8> {
+/// Allocations restoring a datacenter with a full trace ring may make:
+/// the rollback snapshot as it grows, the two series' blocks, the
+/// controllers' alert lists, the flight records' kinds — and none per
+/// span, of which there are 16,384.
+const FULL_RING_RESTORE_ALLOCS: u64 = 256;
+
+/// A span record on the wire carries no name, and a restored span
+/// shares its controller's interned one: restoring a full 16,384-span
+/// ring costs the heap nothing per span.
+fn restoring_a_full_span_ring_allocates_no_name_per_span() {
+    let build = || {
+        dynamo::DatacenterBuilder::new()
+            .sbs_per_msb(2)
+            .rpps_per_sb(4)
+            .racks_per_rpp(2)
+            .servers_per_rack(4)
+            .uniform_service(ServiceKind::Web)
+            .observability(ObsConfig::on())
+            .watch_levels(Vec::new())
+            .seed(11)
+            .build()
+    };
+    let mut source = build();
+    while {
+        let trace = source.system().observability().trace();
+        trace.len() < trace.capacity()
+    } {
+        source.step();
+    }
+    let state = DatacenterState::from_snap_bytes(&source.state().to_snap_bytes())
+        .expect("own snapshot decodes");
+    let spans = source.system().observability().trace().len();
+    let mut twin = build();
+    let allocs = count_allocs(|| twin.restore(&state).expect("twin restores"));
+    println!("alloc::full_ring_restore: {allocs} allocations for {spans} spans");
+    assert!(
+        allocs <= FULL_RING_RESTORE_ALLOCS,
+        "restoring {spans} spans made {allocs} allocations: a name per span is back"
+    );
+}
+
+/// A ring's bytes with the forged header `[next, total, count]` and a
+/// tail that ends inside the first record.
+fn forged_ring(header: [u64; 3]) -> Vec<u8> {
     let mut w = SnapWriter::new();
     header.into_iter().for_each(|word| w.put_u64(word));
     w.put_raw(&[0; 7]);
     w.into_bytes()
 }
 
-/// The observability rings store their capacity and record count on
-/// the wire; like any count they are untrusted, and loading a ring
-/// into a live one must ask the heap for nothing the header claims: a
-/// capacity and a count that promise the moon are refused, at the cost
-/// of the refusal's message alone, and a full ring's header over seven
-/// bytes of record ends in a truncation having asked for no more than
-/// the input's size.
+/// The observability rings store their record count on the wire (their
+/// capacity is configuration, in the control plane's digest); like any
+/// count it is untrusted, and loading a ring into a live one must ask
+/// the heap for nothing the header claims: a count that promises the
+/// moon is refused, at the cost of the refusal's message alone, and a
+/// full ring's header over seven bytes of record ends in a truncation
+/// having asked for no more than the input's size.
 fn forged_ring_capacity_allocates_within_the_input() {
     use dynobs::{FlightRecorder, TraceRing};
     const CAP: usize = 256;
     let (mut trace, mut flight) = (TraceRing::new(CAP), FlightRecorder::new(CAP));
     let cap = CAP as u64;
-    for (header, truncated) in [
-        ([u64::MAX, 0, 0, u64::MAX], false),
-        ([cap, 0, cap, cap], true),
-    ] {
+    let name: Arc<str> = "leaf-0".into();
+    for (header, truncated) in [([0, 0, u64::MAX], false), ([0, cap, cap], true)] {
         let bytes = forged_ring(header);
         let mut results = Vec::with_capacity(2);
         count_allocs(|| {
-            results.push(trace.load(&mut SnapReader::new(&bytes)));
-            results.push(flight.load(&mut SnapReader::new(&bytes)));
+            let names = || Some(Arc::clone(&name));
+            results.push(trace.load(&mut SnapReader::new(&bytes), |_| names()));
+            results.push(flight.load(&mut SnapReader::new(&bytes), |_| names()));
         });
         let asked = BYTES.load(Ordering::SeqCst);
         let mut budget = 2 * bytes.len() as u64;
@@ -493,8 +533,9 @@ fn forged_snapshot_count_allocates_within_the_input() {
     w.put_u32(SECTION_MAGIC);
     w.put_str(DatacenterState::KIND);
     w.put_u32(DatacenterState::VERSION);
-    w.put_u64(16);
+    w.put_u64(24);
     w.put_u64(0); // now_ms
+    w.put_u64(0); // the fleet section's configuration digest
     w.put_u64(u64::MAX); // the fleet section's first element count
     let bytes = w.into_bytes();
     let input = bytes.len() as u64;
@@ -532,11 +573,11 @@ fn forged_snapshot_count_allocates_within_the_input() {
     );
 }
 
-/// A telemetry series' sample count is untrusted too: a count of 2^40
-/// samples over sixteen bytes of input is refused before a block is
-/// taken for it. Restoring the forgery asks the heap for no more than
-/// its input beyond what restoring the honest file asks (the bytes
-/// `restore` saves to roll back to, and reloading them).
+/// A telemetry series' bit count is untrusted too: a series claiming
+/// 2^46 bits (2^40 words) over sixteen bytes of input is refused before
+/// a block is taken for it. Restoring the forgery asks the heap for no
+/// more than its input beyond what restoring the honest file asks (the
+/// bytes `restore` saves to roll back to, and reloading them).
 fn forged_series_length_allocates_within_the_input() {
     let mut dc = dynamo::DatacenterBuilder::new()
         .sbs_per_msb(1)
@@ -551,24 +592,26 @@ fn forged_series_length_allocates_within_the_input() {
     let honest = dc.state().to_snap_bytes();
     let head = 4 + 8 + DatacenterState::KIND.len() + 4 + 8;
     // No device series, then the two fleet-level series from t=0, each
-    // its sample count and its samples.
-    let mut key = vec![0];
+    // packed as held: its start, sample count, bit count and words.
+    let mut key = SnapWriter::new();
+    key.put_u64(0);
     for series in [
         dc.telemetry().capped_servers(),
         dc.telemetry().total_power(),
     ] {
-        key.extend([0, series.len() as u64]);
-        key.extend(series.values().iter().map(|v| v.to_bits()));
+        let mut packed = powerstats::PackedTrace::empty(series.interval());
+        series.values().iter().for_each(|&v| packed.push(v));
+        packed.save(&mut key);
     }
-    let key: Vec<u8> = key.iter().flat_map(|word| word.to_le_bytes()).collect();
+    let key = key.into_bytes();
     let body = &honest[head..];
     let at: Vec<usize> = (body.windows(key.len()).enumerate())
         .filter(|(_, w)| *w == key)
-        .map(|(i, _)| i + 16)
+        .map(|(i, _)| i + 24)
         .collect();
     assert_eq!(at.len(), 1, "the telemetry section's fleet-level series");
     let mut forged_body = body[..at[0]].to_vec();
-    forged_body.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    forged_body.extend_from_slice(&(1u64 << 46).to_le_bytes());
     forged_body.extend_from_slice(&[0; 16]);
     let mut w = SnapWriter::new();
     w.put_u32(SECTION_MAGIC);
@@ -757,6 +800,10 @@ fn main() {
         (
             "steady_state_leaf_ticks_do_not_allocate",
             steady_state_leaf_ticks_do_not_allocate,
+        ),
+        (
+            "restoring_a_full_span_ring_allocates_no_name_per_span",
+            restoring_a_full_span_ring_allocates_no_name_per_span,
         ),
         (
             "steady_state_leaf_ticks_do_not_allocate_with_observability",

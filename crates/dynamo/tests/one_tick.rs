@@ -171,8 +171,18 @@ fn churn_reproduces_the_pre_collapse_golden_at_every_width() {
 /// section, a copy of the status each breaker body holds, left the wire,
 /// telemetry came to save its schedule as every schedule is saved
 /// (period, phase, next), and the version went 6 → 7 (it was
-/// `0x87fe83188f1b9cdd`); `CHURN_GOLDEN` did not move.
-const CHURN_SNAPSHOT_GOLDEN: u64 = 0x15b8_1c02_3b62_6152;
+/// `0x87fe83188f1b9cdd`); `CHURN_GOLDEN` did not move. Re-recorded when
+/// configuration left the wire for one digest per section (each
+/// server's service calibration, generation and place in the
+/// permutation; breakers' ratings and curves, DCUPS sizing, schedules'
+/// periods and phases, rings' capacities), span and flight records
+/// stopped writing the names their tracks give (and alerts the name of
+/// the controller that holds them), telemetry series went
+/// out packed as held, the fleet's flags as their mask words and a
+/// leaf's band only in an observed run (behind a one-byte tag), and the
+/// version went 7 → 8 (it
+/// was `0x15b81c023b626152`); `CHURN_GOLDEN` did not move.
+const CHURN_SNAPSHOT_GOLDEN: u64 = 0x729d_8f4b_c082_11ca;
 
 #[test]
 fn churn_snapshot_bytes_are_pinned_at_every_width() {

@@ -36,7 +36,7 @@
 //! relations the control law needs between them are compile-time
 //! assertions below.
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter};
+use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::Power;
 
@@ -264,6 +264,13 @@ impl EconController {
         }
     }
 
+    /// Folds the controller's configuration, its site capacity and
+    /// cycle schedule, into its section's digest.
+    pub fn fold_config(&self, d: &mut ConfigDigest) {
+        d.put_f64(self.capacity.as_watts());
+        self.schedule.fold_config(d);
+    }
+
     /// Saves the controller's dynamic state.
     pub fn save(&self, w: &mut SnapWriter) {
         self.schedule.save(w);
@@ -273,9 +280,9 @@ impl EconController {
         w.put_u64(self.limit_changes);
     }
 
-    /// Loads state written by [`EconController::save`]. A schedule
-    /// whose period or phase is not [`ECON_PERIOD`] at phase zero is a
-    /// mismatch ([`CycleSchedule::load`]).
+    /// Loads state written by [`EconController::save`]. A next cycle
+    /// off the [`ECON_PERIOD`] grid is a mismatch
+    /// ([`CycleSchedule::load`]).
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.schedule.load(r)?;
         self.pushed_w = r.get_opt_f64()?;
@@ -415,14 +422,21 @@ mod tests {
         assert_eq!(other.pushed(), ec.pushed());
         assert_eq!(other.cycles(), ec.cycles());
 
-        // A file whose schedule cycles every 30 s: its bytes load,
-        // and the reader notes the mismatch.
+        // A file written where the schedule cycles every 30 s: its
+        // bytes load, and the reader notes its section's digest.
+        let mut thirty = ec.clone();
+        thirty.schedule = CycleSchedule::new(SimDuration::from_secs(30));
         let mut w = SnapWriter::new();
-        CycleSchedule::new(SimDuration::from_secs(30)).save(&mut w);
-        let mut forged = w.into_bytes();
-        forged.extend_from_slice(&bytes[forged.len()..]);
+        w.put_config(|d| thirty.fold_config(d));
+        thirty.save(&mut w);
+        let forged = w.into_bytes();
         let mut r = SnapReader::new(&forged);
-        controller().load(&mut r).unwrap();
-        assert!(r.finish("econ").is_err());
+        let mut into = controller();
+        r.config("grid layer", |d| into.fold_config(d)).unwrap();
+        into.load(&mut r).unwrap();
+        assert!(matches!(
+            r.finish("econ"),
+            Err(SnapError::Corrupt(m)) if m.starts_with("grid layer configuration")
+        ));
     }
 }

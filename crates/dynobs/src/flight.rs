@@ -265,19 +265,31 @@ impl FlightRecord {
 impl RingRecord for FlightRecord {
     const NAME: &'static str = "flight recorder";
 
+    type Owner = (FlightKind, u32);
+
     fn encode(&self, w: &mut SnapWriter) {
         w.put_u64(self.at_ms);
         w.put_u32(self.track);
-        w.put_str(&self.controller);
         self.kind.encode_snap(w);
     }
 
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    fn decode(
+        r: &mut SnapReader<'_>,
+        name: &impl Fn(Self::Owner) -> Option<Arc<str>>,
+    ) -> Result<Self, SnapError> {
+        let (at_ms, track) = (r.get_u64()?, r.get_u32()?);
+        let kind = FlightKind::decode_snap(r)?;
+        let controller = name((kind, track)).ok_or_else(|| {
+            SnapError::Corrupt(format!(
+                "{} record on track {track} names nothing of its kind",
+                kind.label()
+            ))
+        })?;
         Ok(FlightRecord {
-            at_ms: r.get_u64()?,
-            track: r.get_u32()?,
-            controller: r.get_str()?.into(),
-            kind: FlightKind::decode_snap(r)?,
+            at_ms,
+            track,
+            controller,
+            kind,
         })
     }
 }
@@ -341,7 +353,11 @@ mod tests {
         let mut w = SnapWriter::new();
         fr.save(&mut w);
         let mut loaded = FlightRecorder::new(2);
-        loaded.load(&mut SnapReader::new(w.as_bytes())).unwrap();
+        let leaf: Arc<str> = "leaf-1".into();
+        let names = |(_, track)| (track == 1).then(|| Arc::clone(&leaf));
+        loaded
+            .load(&mut SnapReader::new(w.as_bytes()), names)
+            .unwrap();
         assert_eq!(loaded.iter().next(), fr.iter().next());
         let json = fr.incident_json("curtailment-violation", 5000, 1);
         assert!(json.contains("\"kind\":\"curtailment_violation\""));

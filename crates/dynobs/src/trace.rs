@@ -81,21 +81,32 @@ pub struct SpanRecord {
 impl RingRecord for SpanRecord {
     const NAME: &'static str = "trace ring";
 
+    type Owner = (SpanKind, u32);
+
     fn encode(&self, w: &mut SnapWriter) {
         w.put_u8(self.kind.code());
         w.put_u32(self.track);
         w.put_u64(self.start_us);
         w.put_u64(self.dur_us);
-        w.put_str(&self.name);
     }
 
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    fn decode(
+        r: &mut SnapReader<'_>,
+        name: &impl Fn(Self::Owner) -> Option<Arc<str>>,
+    ) -> Result<Self, SnapError> {
+        let (kind, track) = (SpanKind::from_snap_code(r.get_u8()?)?, r.get_u32()?);
+        let name = name((kind, track)).ok_or_else(|| {
+            SnapError::Corrupt(format!(
+                "{} span on track {track} names no controller",
+                kind.label()
+            ))
+        })?;
         Ok(SpanRecord {
-            kind: SpanKind::from_snap_code(r.get_u8()?)?,
-            track: r.get_u32()?,
+            kind,
+            track,
             start_us: r.get_u64()?,
             dur_us: r.get_u64()?,
-            name: r.get_str()?.into(),
+            name,
         })
     }
 }

@@ -15,7 +15,7 @@
 //! integrated as a thermal accumulator so that arbitrary power waveforms —
 //! not just step overloads — trip correctly.
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter};
+use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 use dcsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -291,51 +291,39 @@ impl Breaker {
         self.status = BreakerStatus::Nominal;
     }
 
-    /// Writes the breaker: its rating and trip curve, then its thermal
-    /// state.
+    /// Folds the breaker's configuration, its rating and trip curve,
+    /// into its section's digest.
+    pub fn fold_config(&self, d: &mut ConfigDigest) {
+        d.put_f64(self.rating.as_watts());
+        d.put_f64(self.curve.k);
+        d.put_f64(self.curve.alpha);
+        d.put_f64(self.curve.min_trip_secs);
+        d.put_f64(self.curve.instant_ratio);
+    }
+
+    /// Writes the breaker's thermal state: its heat and status. Rating
+    /// and trip curve are configuration ([`Breaker::fold_config`]).
     pub fn save(&self, w: &mut SnapWriter) {
-        w.put_f64(self.rating.as_watts());
-        w.put_f64(self.curve.k);
-        w.put_f64(self.curve.alpha);
-        w.put_f64(self.curve.min_trip_secs);
-        w.put_f64(self.curve.instant_ratio);
         w.put_f64(self.heat);
         w.put_u8(self.status.snap_code());
     }
 
-    /// Loads what [`Breaker::save`] wrote into this breaker. Rating and
-    /// trip curve are configuration: the stored ones must be this
-    /// breaker's own, the stored thermal level must lie in `[0, 1]`, and
-    /// the status must be one that level has (a breaker is tripped
-    /// exactly when its heat is 1), or the difference is noted
-    /// ([`SnapReader::mismatch`]) and the breaker stays as it is. Only
-    /// heat and status move.
+    /// Loads what [`Breaker::save`] wrote into this breaker. The stored
+    /// thermal level must lie in `[0, 1]` and the status be one that
+    /// level has (a breaker is tripped exactly when its heat is 1), or
+    /// the difference is noted ([`SnapReader::mismatch`]) and the
+    /// breaker stays as it is.
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let saved = Breaker {
-            rating: Power::from_watts(r.get_f64()?),
-            curve: TripCurve {
-                k: r.get_f64()?,
-                alpha: r.get_f64()?,
-                min_trip_secs: r.get_f64()?,
-                instant_ratio: r.get_f64()?,
-            },
-            heat: r.get_f64()?,
-            status: BreakerStatus::from_snap_code(r.get_u8()?)?,
-        };
-        let restored = Breaker {
-            heat: saved.heat,
-            status: saved.status,
-            ..self.clone()
-        };
-        // `!=` also refuses a NaN anywhere in `saved`.
-        let tripped = saved.status == BreakerStatus::Tripped;
-        if restored != saved || !(0.0..=1.0).contains(&saved.heat) || tripped != (saved.heat == 1.0)
-        {
-            r.mismatch(SnapError::Corrupt(format!(
-                "breaker in snapshot ({saved:?}) is not a state of the configured one ({self:?})"
-            )));
+        let heat = r.get_f64()?;
+        let status = BreakerStatus::from_snap_code(r.get_u8()?)?;
+        let tripped = status == BreakerStatus::Tripped;
+        if (0.0..=1.0).contains(&heat) && tripped == (heat == 1.0) {
+            (self.heat, self.status) = (heat, status);
         } else {
-            *self = restored;
+            r.mismatch(SnapError::Corrupt(format!(
+                "breaker in snapshot ({status:?} at heat {heat}) is not a state of the \
+                 configured one ({self:?})"
+            )));
         }
         Ok(())
     }
@@ -585,19 +573,28 @@ mod tests {
         rpp_breaker().step(Power::from_watts(f64::NAN), SimDuration::from_secs(1));
     }
 
-    /// `saved`'s bytes loaded into `into`: whether they were taken,
-    /// and what `into` then holds.
-    fn load(saved: &Breaker, mut into: Breaker) -> (bool, Breaker) {
+    /// `saved` written as a section of one breaker and loaded into
+    /// `into`: what the load refused, if anything, and what `into` then
+    /// holds.
+    fn load(saved: &Breaker, mut into: Breaker) -> (Result<(), SnapError>, Breaker) {
         let mut w = SnapWriter::new();
+        w.put_config(|d| saved.fold_config(d));
         saved.save(&mut w);
         let mut r = SnapReader::new(w.as_bytes());
-        into.load(&mut r).expect("a breaker's bytes read");
-        (r.finish("breaker").is_ok(), into)
+        r.config("breakers", |d| into.fold_config(d))
+            .and_then(|()| into.load(&mut r))
+            .expect("a breaker's bytes read");
+        (r.finish("breaker"), into)
     }
 
-    /// A rating is compared with the configured one, so one that is
-    /// not a number — which would panic the next step's `ratio_of` —
-    /// does not load.
+    /// Whether `loaded` refused a file for its section's digest.
+    fn digest_refused(loaded: &Result<(), SnapError>) -> bool {
+        matches!(loaded, Err(SnapError::Corrupt(m)) if m.starts_with("breakers configuration"))
+    }
+
+    /// A rating is configuration, so one that is not a number — which
+    /// would panic the next step's `ratio_of` — is another section
+    /// digest than the configured breaker's.
     #[test]
     fn a_rating_that_is_not_a_number_does_not_load() {
         for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
@@ -605,11 +602,7 @@ mod tests {
                 rating: Power::from_watts(bad),
                 ..rpp_breaker()
             };
-            assert_eq!(
-                load(&forged, rpp_breaker()),
-                (false, rpp_breaker()),
-                "{bad}"
-            );
+            assert!(digest_refused(&load(&forged, rpp_breaker()).0), "{bad}");
         }
     }
 
@@ -617,21 +610,26 @@ mod tests {
     fn load_takes_the_thermal_state_and_nothing_else() {
         let mut hot = rpp_breaker();
         hot.step(Power::from_kilowatts(266.0), SimDuration::from_secs(10));
-        assert_eq!(load(&hot, rpp_breaker()), (true, hot.clone()));
+        assert_eq!(load(&hot, rpp_breaker()), (Ok(()), hot.clone()));
+        let refused = |saved: &Breaker| {
+            let (loaded, into) = load(saved, rpp_breaker());
+            let noted = matches!(&loaded, Err(SnapError::Corrupt(m)) if m.contains("not a state"));
+            noted && into == rpp_breaker()
+        };
         let mut overheated = hot.clone();
         overheated.heat = 1.5;
-        assert!(!load(&overheated, rpp_breaker()).0);
+        assert!(refused(&overheated));
         overheated.heat = f64::NAN;
-        assert!(!load(&overheated, rpp_breaker()).0);
+        assert!(refused(&overheated));
         let other = Breaker::new(Power::from_kilowatts(380.0), TripCurve::rpp());
-        assert_eq!(load(&hot, other.clone()), (false, other));
+        assert!(digest_refused(&load(&hot, other).0));
         // A status its heat does not have: tripped below the threshold,
         // or not tripped at it.
         let mut tripped = rpp_breaker();
         while tripped.step(Power::from_kilowatts(380.0), SimDuration::from_secs(10))
             != BreakerStatus::Tripped
         {}
-        assert_eq!(load(&tripped, rpp_breaker()), (true, tripped.clone()));
+        assert_eq!(load(&tripped, rpp_breaker()), (Ok(()), tripped.clone()));
         for (heat, status) in [
             (0.5, BreakerStatus::Tripped),
             (1.0, BreakerStatus::Overloaded),
@@ -641,7 +639,7 @@ mod tests {
                 status,
                 ..rpp_breaker()
             };
-            assert!(!load(&forged, rpp_breaker()).0, "{status:?} at {heat}");
+            assert!(refused(&forged), "{status:?} at {heat}");
         }
     }
 }

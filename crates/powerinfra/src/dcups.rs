@@ -7,7 +7,7 @@
 //! upstream interruption — the window an operator has during events
 //! like Figure 12's before servers actually go dark.
 
-use dcsim::snap::{SnapError, SnapReader, SnapWriter};
+use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 use dcsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -96,12 +96,18 @@ impl Dcups {
         }
     }
 
-    /// Writes the unit: its sizing, then its charge and state.
+    /// Folds the unit's configuration, its sizing (design load,
+    /// capacity, recharge rate), into its section's digest.
+    pub fn fold_config(&self, d: &mut ConfigDigest) {
+        d.put_f64(self.design_load.as_watts());
+        d.put_f64(self.capacity_j);
+        d.put_f64(self.recharge_frac);
+    }
+
+    /// Writes the unit's state: its charge and state. The sizing is
+    /// configuration ([`Dcups::fold_config`]).
     pub fn save(&self, w: &mut SnapWriter) {
-        w.put_f64(self.design_load.as_watts());
-        w.put_f64(self.capacity_j);
         w.put_f64(self.charge_j);
-        w.put_f64(self.recharge_frac);
         w.put_u8(match self.state {
             DcupsState::Standby => 0,
             DcupsState::Discharging => 1,
@@ -109,36 +115,25 @@ impl Dcups {
         });
     }
 
-    /// Loads what [`Dcups::save`] wrote into this unit. Design load,
-    /// capacity and recharge rate are configuration: the stored ones
-    /// must be this unit's own, and the stored charge lie within the
-    /// capacity, or the difference is noted ([`SnapReader::mismatch`])
-    /// and the unit stays as it is. Only charge and state move.
+    /// Loads what [`Dcups::save`] wrote into this unit. The stored
+    /// charge must lie within the capacity, or the difference is noted
+    /// ([`SnapReader::mismatch`]) and the unit stays as it is.
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let saved = Dcups {
-            design_load: Power::from_watts(r.get_f64()?),
-            capacity_j: r.get_f64()?,
-            charge_j: r.get_f64()?,
-            recharge_frac: r.get_f64()?,
-            state: match r.get_u8()? {
-                0 => DcupsState::Standby,
-                1 => DcupsState::Discharging,
-                2 => DcupsState::Depleted,
-                other => return Err(SnapError::Corrupt(format!("bad DCUPS state {other}"))),
-            },
+        let charge_j = r.get_f64()?;
+        let state = match r.get_u8()? {
+            0 => DcupsState::Standby,
+            1 => DcupsState::Discharging,
+            2 => DcupsState::Depleted,
+            other => return Err(SnapError::Corrupt(format!("bad DCUPS state {other}"))),
         };
-        let restored = Dcups {
-            charge_j: saved.charge_j,
-            state: saved.state,
-            ..self.clone()
-        };
-        // `!=` also refuses a NaN anywhere in `saved`.
-        if restored != saved || !(0.0..=self.capacity_j).contains(&saved.charge_j) {
-            r.mismatch(SnapError::Corrupt(format!(
-                "DCUPS in snapshot ({saved:?}) is not a state of the configured one ({self:?})"
-            )));
+        // `contains` also refuses a NaN.
+        if (0.0..=self.capacity_j).contains(&charge_j) {
+            (self.charge_j, self.state) = (charge_j, state);
         } else {
-            *self = restored;
+            r.mismatch(SnapError::Corrupt(format!(
+                "DCUPS in snapshot ({state:?} holding {charge_j} J) is not a state of the \
+                 configured one ({self:?})"
+            )));
         }
         Ok(())
     }
@@ -360,14 +355,22 @@ mod tests {
         assert_eq!(ups.reserve_floor_joules(Power::ZERO), 0.0);
     }
 
-    /// `saved`'s bytes loaded into `into`: whether they were taken,
-    /// and what `into` then holds.
-    fn load(saved: &Dcups, mut into: Dcups) -> (bool, Dcups) {
+    /// `saved` written as a section of one unit and loaded into `into`:
+    /// what the load refused, if anything, and what `into` then holds.
+    fn load(saved: &Dcups, mut into: Dcups) -> (Result<(), SnapError>, Dcups) {
         let mut w = SnapWriter::new();
+        w.put_config(|d| saved.fold_config(d));
         saved.save(&mut w);
         let mut r = SnapReader::new(w.as_bytes());
-        into.load(&mut r).expect("a unit's bytes read");
-        (r.finish("DCUPS").is_ok(), into)
+        r.config("DCUPS", |d| into.fold_config(d))
+            .and_then(|()| into.load(&mut r))
+            .expect("a unit's bytes read");
+        (r.finish("DCUPS"), into)
+    }
+
+    /// Whether `loaded` refused a file for its section's digest.
+    fn digest_refused(loaded: &Result<(), SnapError>) -> bool {
+        matches!(loaded, Err(SnapError::Corrupt(m)) if m.starts_with("DCUPS configuration"))
     }
 
     #[test]
@@ -379,24 +382,29 @@ mod tests {
             Power::from_kilowatts(12.0),
             SimDuration::from_secs(30),
         );
-        assert_eq!(load(&ups, configured()), (true, ups.clone()));
+        assert_eq!(load(&ups, configured()), (Ok(()), ups.clone()));
         // The classic unit recharges at a tenth: another configuration.
         let classic = Dcups::new(Power::from_kilowatts(20.0));
-        assert_eq!(load(&ups, classic.clone()), (false, classic));
+        assert!(digest_refused(&load(&ups, classic).0));
     }
 
     #[test]
     fn load_takes_charge_and_state_and_nothing_else() {
         let mut drained = six_racks();
         drained.step(false, drained.design_load(), SimDuration::from_secs(30));
-        assert_eq!(load(&drained, six_racks()), (true, drained.clone()));
+        assert_eq!(load(&drained, six_racks()), (Ok(()), drained.clone()));
         // More charge than the battery holds, or none that is a number.
         for bad in [drained.capacity_j * 2.0, -1.0, f64::NAN] {
             let mut forged = drained.clone();
             forged.charge_j = bad;
-            assert_eq!(load(&forged, six_racks()), (false, six_racks()), "{bad}");
+            let (loaded, into) = load(&forged, six_racks());
+            assert!(
+                matches!(&loaded, Err(SnapError::Corrupt(m)) if m.contains("not a state")),
+                "{bad}: {loaded:?}"
+            );
+            assert_eq!(into, six_racks(), "{bad}");
         }
         let bigger = Dcups::new(Power::from_kilowatts(100.0));
-        assert!(!load(&drained, bigger).0);
+        assert!(digest_refused(&load(&drained, bigger).0));
     }
 }

@@ -218,14 +218,7 @@ mod tests {
                     // Noise, burst and the full stream state (cached
                     // spare normal included), as a snapshot writes them.
                     let mut column = SnapWriter::new();
-                    put_process(
-                        &mut column,
-                        kind,
-                        &params,
-                        noise[i],
-                        (until[i], add[i]),
-                        &rng[i],
-                    );
+                    put_process(&mut column, noise[i], (until[i], add[i]), &rng[i]);
                     let mut process = SnapWriter::new();
                     scalar[i].put(&mut process);
                     assert_eq!(column.into_bytes(), process.into_bytes());

@@ -345,35 +345,20 @@ impl ServiceWorkload {
     #[cfg(test)]
     pub(crate) fn put(&self, w: &mut SnapWriter) {
         let burst = (self.burst_until, self.burst_add);
-        put_process(w, self.kind, &self.params, self.noise, burst, &self.rng);
+        put_process(w, self.noise, burst, &self.rng);
     }
 }
 
-/// A process on the wire: its kind index, its parameters (so custom
-/// [`ServiceWorkload::with_params`] processes restore exactly), its
-/// noise, its burst in flight and its stream. A fleet keeps its
-/// processes as columns and writes each one with it.
+/// A process on the wire: its noise, its burst in flight and its
+/// stream. Its kind and parameters are configuration, folded into the
+/// digest of the section that holds it. A fleet keeps its processes as
+/// columns and writes each one with it.
 pub fn put_process(
     w: &mut SnapWriter,
-    kind: ServiceKind,
-    params: &ServiceParams,
     noise: f64,
     (burst_until, burst_add): (SimTime, f64),
     rng: &SimRng,
 ) {
-    w.put_u64(kind.index() as u64);
-    for p in [
-        params.base_util,
-        params.sigma,
-        params.theta,
-        params.burst_rate,
-        params.burst_min,
-        params.burst_max,
-        params.burst_dur_secs,
-        params.traffic_sensitivity,
-    ] {
-        w.put_f64(p);
-    }
     w.put_f64(noise);
     match kernel::burst_from_columns(burst_until, burst_add) {
         Some((until, add)) => {
@@ -387,25 +372,13 @@ pub fn put_process(
 }
 
 /// Reads a process written by [`put_process`] into its dynamic parts —
-/// noise, burst columns, stream — and returns the kind index and the
-/// parameters it names, for the caller to check.
+/// noise, burst columns, stream.
 pub fn get_process(
     r: &mut SnapReader<'_>,
     noise: &mut f64,
     (burst_until, burst_add): (&mut SimTime, &mut f64),
     rng: &mut SimRng,
-) -> Result<(u64, ServiceParams), SnapError> {
-    let kind = r.get_u64()?;
-    let params = ServiceParams {
-        base_util: r.get_f64()?,
-        sigma: r.get_f64()?,
-        theta: r.get_f64()?,
-        burst_rate: r.get_f64()?,
-        burst_min: r.get_f64()?,
-        burst_max: r.get_f64()?,
-        burst_dur_secs: r.get_f64()?,
-        traffic_sensitivity: r.get_f64()?,
-    };
+) -> Result<(), SnapError> {
     let stored_noise = r.get_f64()?;
     let burst = if r.get_bool()? {
         let until = SimTime::from_millis(r.get_u64()?);
@@ -422,7 +395,7 @@ pub fn get_process(
     *noise = stored_noise;
     (*burst_until, *burst_add) = kernel::burst_to_columns(burst);
     *rng = SimRng::decode(r)?;
-    Ok((kind, params))
+    Ok(())
 }
 
 #[cfg(test)]

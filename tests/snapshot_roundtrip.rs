@@ -179,7 +179,7 @@ fn agent_network_and_workload_roundtrip() {
     };
     let put = |p: &Process| {
         let mut w = SnapWriter::new();
-        put_process(&mut w, kind, &params, p.noise, p.burst, &p.rng);
+        put_process(&mut w, p.noise, p.burst, &p.rng);
         w.into_bytes()
     };
     let fresh = |seed| Process {
@@ -195,10 +195,9 @@ fn agent_network_and_workload_roundtrip() {
     let mut loaded = fresh(32);
     let mut r = SnapReader::new(&bytes);
     let burst = (&mut loaded.burst.0, &mut loaded.burst.1);
-    let named = get_process(&mut r, &mut loaded.noise, burst, &mut loaded.rng)
+    get_process(&mut r, &mut loaded.noise, burst, &mut loaded.rng)
         .expect("a process loads its own bytes");
     assert_eq!(r.remaining(), 0);
-    assert_eq!(named, (kind.index() as u64, params));
     assert_eq!(put(&loaded), bytes, "save -> load -> save moved a byte");
     for t in 20..60 {
         assert_eq!(
@@ -501,6 +500,14 @@ fn a_v5_datacenter_envelope_is_a_version_mismatch() {
 #[test]
 fn a_v6_datacenter_envelope_is_a_version_mismatch() {
     assert_datacenter_version_refused(6);
+}
+
+/// A file written while every section echoed its configuration, span
+/// and flight records their names and telemetry its samples raw
+/// (envelope version 7) is refused.
+#[test]
+fn a_v7_datacenter_envelope_is_a_version_mismatch() {
+    assert_datacenter_version_refused(7);
 }
 
 #[test]
