@@ -60,7 +60,11 @@
 # came to hold only state, its configuration one digest per section: the
 # per-part compares of the fleet's generations and permutation, of a
 # process's calibration, and of a ring's capacity, with their messages,
-# and `put_process`'s kind and parameter arguments (twenty-fourth) — so a stale
+# and `put_process`'s kind and parameter arguments (twenty-fourth), or
+# when a record came to name what made it by index alone and names to be
+# looked up only to render text: the controllers' shared-name getter,
+# the ring record's owner type and the recording-only table of owners
+# (twenty-fifth) — so a stale
 # reference
 # breaks the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
@@ -88,7 +92,8 @@ failover_parity|\.cooling_tau_secs|cooling_tau_secs: (f64,|120|r\.)|agent_epoch
 any_below_full|retired span|leaf_failed|load_rejects_a_leaf_partial_that_is_not_the_fold_of_its_servers
 restored\(|adopt\(|restore_from|dcsim\.(SimRng|CycleSchedule)|powerinfra\.(Breaker|Dcups)|dynamo_controller\.Alert|dynobs\.(TraceRing|FlightRecorder)
 get_f64_vec|watched_scratch|GROWING_SERIES
-generation changed|not a calibrated|permutation differs|capacity [^ ]* in snapshot|fn generations\(|fn permutation\(|put_process\([^)]*(kind|params)' \
+generation changed|not a calibrated|permutation differs|capacity [^ ]* in snapshot|fn generations\(|fn permutation\(|put_process\([^)]*(kind|params)
+name_shared\(|type Owner\b|Owners::of' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -166,8 +166,8 @@ pub struct CycleOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LeafController {
-    /// Interned name: cloning it for telemetry events is a refcount
-    /// bump, not a heap allocation.
+    /// Name, shared with whoever built the controller: a controller
+    /// named after its device holds that device's one copy.
     name: Arc<str>,
     config: LeafConfig,
     /// Each position's server id.
@@ -282,11 +282,6 @@ impl LeafController {
     /// The controller's name (usually the protected device's name).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The interned name; cloning the returned `Arc` is allocation-free.
-    pub fn name_shared(&self) -> Arc<str> {
-        Arc::clone(&self.name)
     }
 
     /// The configuration in use.
@@ -430,7 +425,7 @@ impl LeafController {
         }
         self.active_cap_count = self.active_caps.iter().filter(|c| c.is_some()).count();
         self.contractual_limit = get_contract(r)?;
-        self.alerts = r.get_vec(|r| Alert::decode(r, &self.name))?;
+        self.alerts = r.get_vec(Alert::decode)?;
         self.cycles = r.get_count()?;
         self.last_distribution = DistributionStats {
             groups_touched: r.get_u32()?,
@@ -485,7 +480,6 @@ impl LeafController {
         if failure_frac > MAX_FAILURE_FRAC {
             self.alerts.push(Alert {
                 at: now,
-                controller: self.name.to_string(),
                 message: format!(
                     "power aggregation invalid: {failures}/{n} pulls failed ({:.0}% > {:.0}%)",
                     failure_frac * 100.0,
@@ -543,7 +537,6 @@ impl LeafController {
                 if leftover.as_watts() > 1.0 {
                     self.alerts.push(Alert {
                         at: now,
-                        controller: self.name.to_string(),
                         message: format!(
                             "SLA floors prevented {leftover} of a {total_cut} cut; device may overload"
                         ),

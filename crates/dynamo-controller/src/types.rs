@@ -170,30 +170,27 @@ impl ControlAction {
 }
 
 /// An operator alert (§III-E: exceeding the failure threshold "will
-/// instead send an alarm for a human operator to intervene").
+/// instead send an alarm for a human operator to intervene"), held by
+/// the controller that raised it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Alert {
     /// When the alert fired.
     pub at: SimTime,
-    /// The controller that raised it.
-    pub controller: String,
     /// Human-readable cause.
     pub message: String,
 }
 
 impl Alert {
-    /// Writes the alert: when and why. The controller that raised it is
-    /// the one that saves it.
+    /// Writes the alert: when and why.
     pub fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.at.as_millis());
         w.put_str(&self.message);
     }
 
-    /// An alert as [`Alert::save`] wrote it, raised by `controller`.
-    pub fn decode(r: &mut SnapReader<'_>, controller: &str) -> Result<Self, SnapError> {
+    /// An alert as [`Alert::save`] wrote it.
+    pub fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Alert {
             at: SimTime::from_millis(r.get_u64()?),
-            controller: controller.to_string(),
             message: r.get_str()?,
         })
     }

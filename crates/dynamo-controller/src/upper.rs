@@ -140,8 +140,8 @@ pub struct UpperOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct UpperController {
-    /// Interned name: cloning it for telemetry events is a refcount
-    /// bump, not a heap allocation.
+    /// Name, shared with whoever built the controller: a controller
+    /// named after its device holds that device's one copy.
     name: Arc<str>,
     config: UpperConfig,
     child_count: usize,
@@ -175,11 +175,6 @@ impl UpperController {
     /// The controller's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The interned name; cloning the returned `Arc` is allocation-free.
-    pub fn name_shared(&self) -> Arc<str> {
-        Arc::clone(&self.name)
     }
 
     /// The configuration in use.
@@ -284,7 +279,7 @@ impl UpperController {
             .get_opt_f64()?
             .map(|w| positive("contractual limit", w))
             .transpose()?;
-        self.alerts = r.get_vec(|r| Alert::decode(r, &self.name))?;
+        self.alerts = r.get_vec(Alert::decode)?;
         self.cycles = r.get_count()?;
         Ok(())
     }
@@ -360,7 +355,6 @@ impl UpperController {
                 if leftover.as_watts() > 1.0 {
                     self.alerts.push(Alert {
                         at: now,
-                        controller: self.name.to_string(),
                         message: format!(
                             "children cannot absorb {leftover} of a {total_cut} cut; \
                              device {} may trip",
@@ -381,7 +375,6 @@ impl UpperController {
                 if touched_compliant {
                     self.alerts.push(Alert {
                         at: now,
-                        controller: self.name.to_string(),
                         message: "offender excess insufficient; compliant children capped too"
                             .to_string(),
                     });

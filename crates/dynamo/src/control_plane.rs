@@ -122,9 +122,10 @@ impl DynamoSystem {
         config: SystemConfig,
         rng: &mut SimRng,
     ) -> Self {
-        let obs = Observability::new(&config.obs, topo.iter());
+        let mut obs = Observability::new(&config.obs);
         let leaves = LeafTier::build(topo, services, &config, rng, &obs);
         let uppers = UpperTier::build(topo, &leaves);
+        obs.name_tracks(topo, &leaves.devices, &uppers.devices);
         let leaf_cycles = tier_schedules(LEAF_PERIOD, config.phase_spread, leaves.len());
         let upper_cycles = tier_schedules(UPPER_PERIOD, config.phase_spread, uppers.len());
         let failover = Failover::new(leaves.len(), uppers.len());
@@ -308,7 +309,7 @@ impl DynamoSystem {
             .leaves
             .iter()
             .zip(self.failover.leaf_skipped())
-            .map(|(l, &n)| (l.controller.name_shared().to_string(), n))
+            .map(|(l, &n)| (l.controller.name().to_string(), n))
             .collect()
     }
 
@@ -376,20 +377,15 @@ impl DynamoSystem {
     }
 
     /// Loads what [`DynamoSystem::save`] wrote into a system built
-    /// with the same configuration over `topo`.
-    pub(crate) fn load(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        topo: &Topology,
-    ) -> Result<(), SnapError> {
+    /// with the same configuration.
+    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.config("control plane", |d| self.fold_config(d))?;
         self.leaves.load(r)?;
         self.uppers.load(r)?;
         self.failover.load(r)?;
         load_tier(&mut self.leaf_cycles, r, "leaf")?;
         load_tier(&mut self.upper_cycles, r, "upper")?;
-        let (leaves, uppers) = (&self.leaves.leaves, &self.uppers.controllers);
-        self.obs.load(r, leaves, uppers, topo)
+        self.obs.load(r)
     }
 
     /// Runs any controller cycles due at `now`. Call once per simulation

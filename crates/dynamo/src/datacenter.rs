@@ -591,7 +591,7 @@ impl Datacenter {
                 "snapshot clock t={now_ms} ms is not its fleet's {ticks} ticks of {TICK}"
             )));
         }
-        self.system.load(r, &self.topo)?;
+        self.system.load(r)?;
         self.telemetry.load(r)?;
         // Ticks deliver controller events in time order and the recorder
         // asserts it: none stored may be dated at or after the clock.
@@ -600,6 +600,25 @@ impl Datacenter {
             return Err(SnapError::Corrupt(format!(
                 "controller event at {:?} in a snapshot taken at t={now_ms} ms",
                 e.at
+            )));
+        }
+        // A controller event's device names the controller that acted,
+        // and a breaker event's the breaker: one that names no such
+        // device was made by no run.
+        let system = &self.system;
+        let protected = |d| system.leaf_for(d).is_some() || system.upper_for(d).is_some();
+        if let Some(e) = events.iter().find(|e| !protected(e.device)) {
+            return Err(SnapError::Corrupt(format!(
+                "controller event on {}, which no controller protects",
+                e.device
+            )));
+        }
+        let breakers = self.device_ids.len();
+        let events = self.telemetry.breaker_events();
+        if let Some(e) = events.iter().find(|e| e.device.index() >= breakers) {
+            return Err(SnapError::Corrupt(format!(
+                "breaker event on {}, past the last of {breakers} devices",
+                e.device
             )));
         }
         // A breaker's rating and trip curve are this build's, not the
@@ -696,7 +715,9 @@ impl Snapshot for DatacenterState {
     // tracks name them), telemetry series went on the wire packed as
     // they are held, the fleet's flags as their mask words, and a leaf's
     // band only in an observed run.
-    const VERSION: u32 = 8;
+    // v9: a controller event lost its controller's name (its device
+    // names the controller).
+    const VERSION: u32 = 9;
 
     fn encode_body(&self, w: &mut SnapWriter) {
         w.put_raw(&self.body);
@@ -753,6 +774,7 @@ impl std::fmt::Debug for Datacenter {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::events::{ControllerEvent, ControllerEventKind};
     use crate::{DatacenterBuilder, ServicePlan};
     use dcsim::CycleSchedule;
     use dynobs::{Band, FlightKind};
@@ -1127,6 +1149,53 @@ pub(crate) mod tests {
         assert!(dc.restore(&honest).is_ok());
     }
 
+    /// A controller event names its controller by the device it
+    /// protects: an event on a rack, which no controller protects, or
+    /// on a device past the last is refused, naming the device.
+    #[test]
+    fn restore_rejects_a_controller_event_on_a_device_no_controller_protects() {
+        let mut dc = small_dc(3, 2);
+        dc.run_for(SimDuration::from_secs(30));
+        let rack = dc.topo.devices_at(DeviceLevel::Rack)[0];
+        let past = DeviceId::from_index(dc.topo.device_count() + 1000);
+        for device in [rack, past] {
+            let forge = |_: &Datacenter, s: &mut DatacenterState| {
+                *s = forged(small_dc(3, 2), s, |t| {
+                    let last = t.telemetry.controller_events().last();
+                    let at = last.map_or(SimTime::ZERO, |e| e.at);
+                    let kind = ControllerEventKind::LeafUncapped;
+                    let event = ControllerEvent { at, device, kind };
+                    t.telemetry.record_controller_events(vec![event]);
+                })
+            };
+            let what = format!("controller event on {device}, which no controller protects");
+            assert_refused(&mut dc, forge, &what);
+        }
+        let honest = dc.state();
+        assert!(dc.restore(&honest).is_ok());
+    }
+
+    /// A breaker event names its breaker's device: a forged trip past the
+    /// last device, which the report would count, is refused.
+    #[test]
+    fn restore_rejects_a_breaker_event_past_the_last_device() {
+        let mut dc = small_dc(3, 2);
+        dc.run_for(SimDuration::from_secs(30));
+        let device = DeviceId::from_index(dc.topo.device_count() + 2000);
+        let forge = |_: &Datacenter, s: &mut DatacenterState| {
+            *s = forged(small_dc(3, 2), s, |t| {
+                let (at, status) = (SimTime::ZERO, BreakerStatus::Tripped);
+                t.telemetry
+                    .record_breaker_event(BreakerEvent { at, device, status });
+            })
+        };
+        let devices = dc.topo.device_count();
+        let what = format!("breaker event on {device}, past the last of {devices} devices");
+        assert_refused(&mut dc, forge, &what);
+        let honest = dc.state();
+        assert!(dc.restore(&honest).is_ok());
+    }
+
     /// A band code is checked in the leaf tier's section, after the
     /// fleet's and the leaf controllers' have loaded. Only an observed
     /// run reads a leaf's band, so only its file holds one.
@@ -1343,8 +1412,8 @@ pub(crate) mod tests {
     /// ([`Fleet::layout_len`]); a breaker is its heat and status; a span
     /// record is its fixed 21 bytes and a flight record its time, track
     /// and kind; and no controller's name is anywhere in the
-    /// observability section. A name or a configuration echo coming
-    /// back fails here.
+    /// observability or telemetry section. A name or a configuration
+    /// echo coming back fails here.
     #[test]
     fn checkpoint_carries_only_state() {
         let mut dc = small(3, 2)
@@ -1378,12 +1447,15 @@ pub(crate) mod tests {
             flight.iter().any(|r| r.kind == FlightKind::Failover),
             "vacuous: no takeover"
         );
+        assert!(!dc.telemetry.controller_events().is_empty(), "vacuous");
         let mut w = SnapWriter::new();
         obs.save(&mut w);
-        let rings = w.into_bytes();
-        for name in trace.iter().map(|s| &s.name) {
-            let named = rings.windows(name.len()).any(|w| w == name.as_bytes());
-            assert!(!named, "the observability section names {name}");
+        dc.telemetry.save(&mut w);
+        let sections = w.into_bytes();
+        for &id in dc.system().leaf_devices() {
+            let name = &dc.topo.device(id).name;
+            let named = sections.windows(name.len()).any(|w| w == name.as_bytes());
+            assert!(!named, "a saved section names {name}");
         }
     }
 

@@ -9,8 +9,6 @@
 //! in index order — to find the controllers due at a tick. A zero phase
 //! spread puts every schedule of a tier on the same grid (lockstep).
 
-use std::sync::Arc;
-
 use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::{DeviceId, Power};
@@ -20,10 +18,8 @@ use powerinfra::{DeviceId, Power};
 pub struct ControllerEvent {
     /// When it happened.
     pub at: SimTime,
-    /// The protected device.
+    /// The protected device, which names the controller that acted.
     pub device: DeviceId,
-    /// The controller's name (interned — cloning events is cheap).
-    pub controller: Arc<str>,
     /// What happened.
     pub kind: ControllerEventKind,
 }

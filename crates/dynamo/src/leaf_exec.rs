@@ -162,7 +162,7 @@ impl LeafTier {
         let spans = tile_leaf_spans(
             devices
                 .iter()
-                .map(|&rpp| (topo.device(rpp).name.as_str(), topo.servers_under(rpp))),
+                .map(|&rpp| (&*topo.device(rpp).name, topo.servers_under(rpp))),
             topo.server_count(),
         );
         let classes = Arc::new(ClassTable::new(
@@ -183,7 +183,7 @@ impl LeafTier {
             index_of.insert(rpp, leaves.len());
             leaves.push(Leaf {
                 controller: LeafController::with_classes(
-                    dev.name.as_str(),
+                    dev.name.clone(),
                     leaf_config,
                     ids,
                     Arc::clone(&classes),
@@ -470,7 +470,6 @@ impl Leaf {
         ControllerEvent {
             at: now,
             device,
-            controller: self.controller.name_shared(),
             kind: ControllerEventKind::Failover,
         }
     }
@@ -553,7 +552,6 @@ impl Leaf {
         self.event = action.map(|kind| ControllerEvent {
             at: now,
             device,
-            controller: self.controller.name_shared(),
             kind,
         });
         matches!(outcome.action, ControlAction::Hold)
@@ -782,7 +780,7 @@ mod tests {
             let ids: Vec<u32> = (0..n as u32).collect();
             let profile = LinkProfile::lossy(0.05, 0.05);
             let mut network = Network::new(profile, SimRng::seed_from(7));
-            let obs = Observability::new(&dynobs::ObsConfig::on(), std::iter::empty());
+            let obs = Observability::new(&dynobs::ObsConfig::on());
             let mut registry = obs.registry().clone();
             let mut shard = obs.new_shard();
             let table = RttTable::new(&profile);

@@ -18,18 +18,17 @@
 //! validator) — records into the registry directly; an upper controller
 //! hands its event to the same builders a leaf's goes through.
 
-use std::cell::OnceCell;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 use dcsim::SimTime;
-use dynamo_controller::UpperController;
 use dynobs::{
     Band, Buckets, CounterId, FlightKind, FlightRecord, FlightRecorder, GaugeId, HistogramId,
     ObsConfig, Registry, RegistryBuilder, Shard, SpanKind, SpanRecord, TraceRing,
 };
-use powerinfra::{Device, Topology};
+use powerinfra::{DeviceId, Topology};
 
 use crate::events::ControllerEventKind;
 use crate::leaf_exec::Leaf;
@@ -312,27 +311,73 @@ pub struct Observability {
     /// Incident dumps not yet written to disk. Only ever non-empty when
     /// an incident directory is configured.
     pending: Vec<(PathBuf, String)>,
-    /// What records outside the controller tiers, named; only while
-    /// recording is on.
-    owners: Option<Owners>,
+    /// What the records' tracks name, looked up when text is rendered.
+    names: Names,
 }
 
-/// The interned names of what records outside the controller tiers:
-/// every device, by index (a breaker trip's track), the breaker
-/// validator and the grid layer.
-struct Owners {
+/// The names a record's kind and track look up, built once with the
+/// control plane whether or not it records: every device's, by index (a
+/// breaker trip's track), and the device each controller track protects
+/// — leaf `i` on track `i`, upper `j` on track `leaves + j`. A name is
+/// the topology's one allocation, which the device's controller shares
+/// too.
+#[derive(Default)]
+struct Names {
     devices: Vec<Arc<str>>,
-    validator: Arc<str>,
-    grid: Arc<str>,
+    /// The device index of each track's controller, leaves then uppers.
+    tracks: Vec<u32>,
+    /// How many of the tracks are leaves'.
+    leaves: usize,
 }
 
-impl Owners {
-    /// The names of a datacenter whose devices, by index, are `devices`.
-    fn of<'a>(devices: impl Iterator<Item = &'a Device>) -> Self {
-        Owners {
-            devices: devices.map(|d| d.name.as_str().into()).collect(),
-            validator: "breaker-validator".into(),
-            grid: "grid-econ".into(),
+impl Names {
+    /// The tracks of the leaf tier, of the upper tier, and of both.
+    fn tiers(&self) -> [Range<usize>; 3] {
+        let all = 0..self.tracks.len();
+        [0..self.leaves, self.leaves..all.end, all]
+    }
+
+    /// The name of the controller on `track`, if `tier` holds the track.
+    fn controller(&self, track: u32, tier: Range<usize>) -> Option<&str> {
+        let track = track as usize;
+        tier.contains(&track)
+            .then(|| &*self.devices[self.tracks[track] as usize])
+    }
+
+    /// What made `span`, if its track has a controller of the span
+    /// kind's tier: an upper cycle is an upper's, a takeover either
+    /// tier's, the rest a leaf's.
+    fn span(&self, span: &SpanRecord) -> Option<&str> {
+        let [leaves, uppers, all] = self.tiers();
+        let tier = match span.kind {
+            SpanKind::UpperCycle => uppers,
+            SpanKind::Failover => all,
+            SpanKind::LeafCycle
+            | SpanKind::RpcPull
+            | SpanKind::Distribution
+            | SpanKind::Actuation => leaves,
+        };
+        self.controller(span.track, tier)
+    }
+
+    /// What made `record`, if its track names something of its kind: a
+    /// device for a breaker trip, the validator or the grid layer on
+    /// track 0, else the controller of its tier on that track.
+    fn flight(&self, record: &FlightRecord) -> Option<&str> {
+        let [leaves, uppers, all] = self.tiers();
+        let on_zero = |name| (record.track == 0).then_some(name);
+        match record.kind {
+            FlightKind::BreakerTrip => self.devices.get(record.track as usize).map(|n| &**n),
+            FlightKind::ValidatorAlert => on_zero("breaker-validator"),
+            FlightKind::CurtailmentViolation { .. } => on_zero("grid-econ"),
+            FlightKind::Failover => self.controller(record.track, all),
+            FlightKind::UpperCapped { .. } | FlightKind::UpperUncapped => {
+                self.controller(record.track, uppers)
+            }
+            FlightKind::LeafCapped { .. }
+            | FlightKind::LeafUncapped
+            | FlightKind::LeafInvalid { .. }
+            | FlightKind::BandTransition { .. } => self.controller(record.track, leaves),
         }
     }
 }
@@ -343,12 +388,11 @@ const TRACE_SPANS: usize = 16_384;
 const FLIGHT_RECORDS: usize = 256;
 
 impl Observability {
-    /// Builds the registry, rings and recorder for a datacenter whose
-    /// devices, by index, are `devices`.
-    pub(crate) fn new<'a>(config: &ObsConfig, devices: impl Iterator<Item = &'a Device>) -> Self {
+    /// Builds the registry, rings and recorder. No track names anything
+    /// until [`Observability::name_tracks`].
+    pub(crate) fn new(config: &ObsConfig) -> Self {
         let mut b = RegistryBuilder::new();
         let ids = register(&mut b);
-        let owners = config.enabled.then(|| Owners::of(devices));
         Observability {
             registry: b.build(config.enabled),
             ids,
@@ -360,8 +404,25 @@ impl Observability {
                 .flatten(),
             incident_seq: 0,
             pending: Vec::new(),
-            owners,
+            names: Names::default(),
         }
+    }
+
+    /// Names what the tracks point at: the devices of `topo`, by index,
+    /// and the controller tracks, `leaves` in leaf order, then `uppers`
+    /// in upper order.
+    pub(crate) fn name_tracks(
+        &mut self,
+        topo: &Topology,
+        leaves: &[DeviceId],
+        uppers: &[DeviceId],
+    ) {
+        let tracks = leaves.iter().chain(uppers);
+        self.names = Names {
+            devices: topo.iter().map(|d| Arc::clone(&d.name)).collect(),
+            tracks: tracks.map(|d| d.index() as u32).collect(),
+            leaves: leaves.len(),
+        };
     }
 
     /// Whether recording is live.
@@ -384,6 +445,13 @@ impl Observability {
         &self.flight
     }
 
+    /// The name of what made `record`, one of [`Observability::flight`]'s:
+    /// the controller on its track, the device a breaker trip names, the
+    /// breaker validator or the grid layer.
+    pub fn recorded_by(&self, record: &FlightRecord) -> &str {
+        self.names.flight(record).unwrap_or_default()
+    }
+
     /// Renders the registry in Prometheus text exposition format.
     pub fn prometheus_text(&self) -> String {
         dynobs::render_prometheus(&self.registry)
@@ -391,7 +459,8 @@ impl Observability {
 
     /// Renders the span ring as chrome-tracing JSON.
     pub fn chrome_trace(&self) -> String {
-        self.trace.to_chrome_json()
+        let name = |s: &SpanRecord| self.names.span(s).unwrap_or_default();
+        self.trace.to_chrome_json(name)
     }
 
     /// Incident triggers fired so far.
@@ -467,31 +536,27 @@ impl Observability {
     /// transition (moving [`Leaf::band`]) and the action's flight
     /// record. Returns the incident trigger it fired, if any.
     fn record_leaf(&mut self, now: SimTime, track: u32, leaf: &mut Leaf) -> Option<&'static str> {
-        let name = leaf.controller.name_shared();
         let action = leaf.event.as_ref().map(|e| &e.kind);
         if let Some(takeover @ ControllerEventKind::Failover) = action {
-            return self.record_action(now, track, &name, takeover, false);
+            return self.record_action(now, track, takeover, false);
         }
         let start_us = now.as_millis() * 1000;
         let pull_us = leaf.pull_rtt.as_millis() * 1000;
         let act_us = leaf.act_rtt.as_millis() * 1000;
-        self.push_span(SpanKind::RpcPull, track, start_us, pull_us, &name);
+        self.push_span(SpanKind::RpcPull, track, start_us, pull_us);
         let band = band_of(action);
         if band == Band::Cap {
-            self.push_span(SpanKind::Distribution, track, start_us + pull_us, 0, &name);
+            self.push_span(SpanKind::Distribution, track, start_us + pull_us, 0);
         }
         if act_us > 0 {
-            let start = start_us + pull_us;
-            self.push_span(SpanKind::Actuation, track, start, act_us, &name);
+            self.push_span(SpanKind::Actuation, track, start_us + pull_us, act_us);
         }
-        let cycle_us = pull_us + act_us;
-        self.push_span(SpanKind::LeafCycle, track, start_us, cycle_us, &name);
+        self.push_span(SpanKind::LeafCycle, track, start_us, pull_us + act_us);
         let from = std::mem::replace(&mut leaf.band, band);
         if from != band {
-            let transition = FlightKind::BandTransition { from, to: band };
-            self.push_flight(now, track, Arc::clone(&name), transition);
+            self.push_flight(now, track, FlightKind::BandTransition { from, to: band });
         }
-        self.record_action(now, track, &name, action?, leaf.episode_start)
+        self.record_action(now, track, action?, leaf.episode_start)
     }
 
     /// Records what upper controller `track` did at `now` (serial
@@ -501,7 +566,6 @@ impl Observability {
         &mut self,
         now: SimTime,
         track: u32,
-        name: &Arc<str>,
         action: Option<&ControllerEventKind>,
     ) {
         if !self.registry.is_enabled() {
@@ -509,9 +573,9 @@ impl Observability {
         }
         if !matches!(action, Some(ControllerEventKind::Failover)) {
             self.registry.inc(self.ids.upper_cycles);
-            self.push_span(SpanKind::UpperCycle, track, now.as_millis() * 1000, 0, name);
+            self.push_span(SpanKind::UpperCycle, track, now.as_millis() * 1000, 0);
         }
-        if let Some(trigger) = action.and_then(|a| self.record_action(now, track, name, a, false)) {
+        if let Some(trigger) = action.and_then(|a| self.record_action(now, track, a, false)) {
             self.incident(trigger, now.as_millis());
         }
     }
@@ -525,7 +589,6 @@ impl Observability {
         &mut self,
         now: SimTime,
         track: u32,
-        name: &Arc<str>,
         action: &ControllerEventKind,
         episode_start: bool,
     ) -> Option<&'static str> {
@@ -533,7 +596,7 @@ impl Observability {
         let trigger = match kind {
             FlightKind::Failover => {
                 self.registry.inc(self.ids.failovers);
-                self.push_span(SpanKind::Failover, track, now.as_millis() * 1000, 0, name);
+                self.push_span(SpanKind::Failover, track, now.as_millis() * 1000, 0);
                 Some("failover")
             }
             FlightKind::LeafCapped {
@@ -552,34 +615,29 @@ impl Observability {
             }
             _ => None,
         };
-        self.push_flight(now, track, Arc::clone(name), kind);
+        self.push_flight(now, track, kind);
         trigger
     }
 
     /// Records a breaker trip on device `track`, its index (datacenter
     /// context).
     pub(crate) fn record_breaker_trip(&mut self, now: SimTime, track: u32) {
-        let Some(name) = self
-            .owners
-            .as_ref()
-            .map(|o| Arc::clone(&o.devices[track as usize]))
-        else {
+        if !self.registry.is_enabled() {
             return;
-        };
+        }
         self.registry.inc(self.ids.breaker_trips);
-        self.push_flight(now, track, name, FlightKind::BreakerTrip);
+        self.push_flight(now, track, FlightKind::BreakerTrip);
         self.incident("breaker-trip", now.as_millis());
     }
 
     /// Records `n` new breaker-validator alerts (datacenter context).
     pub(crate) fn record_validator_alerts(&mut self, now: SimTime, n: u64) {
-        let owners = self.owners.as_ref().filter(|_| n > 0);
-        let Some(name) = owners.map(|o| Arc::clone(&o.validator)) else {
+        if !self.registry.is_enabled() || n == 0 {
             return;
-        };
+        }
         self.registry.add(self.ids.validator_alerts, n);
         for _ in 0..n {
-            self.push_flight(now, 0, Arc::clone(&name), FlightKind::ValidatorAlert);
+            self.push_flight(now, 0, FlightKind::ValidatorAlert);
         }
         self.incident("validator-alert", now.as_millis());
     }
@@ -650,14 +708,14 @@ impl Observability {
         limit_watts: f64,
         draw_watts: f64,
     ) {
-        let Some(name) = self.owners.as_ref().map(|o| Arc::clone(&o.grid)) else {
+        if !self.registry.is_enabled() {
             return;
-        };
+        }
         let kind = FlightKind::CurtailmentViolation {
             limit_watts,
             draw_watts,
         };
-        self.push_flight(now, 0, name, kind);
+        self.push_flight(now, 0, kind);
         self.incident("curtailment-violation", now.as_millis());
     }
 
@@ -711,75 +769,45 @@ impl Observability {
     }
 
     /// Loads what [`Observability::save`] wrote into a subsystem built
-    /// with the same configuration, over `leaves`, `uppers` and the
-    /// devices of `topo`. No record carries its name: each takes the
-    /// interned one of what its kind and track say recorded it
-    /// ([`owner_of_span`], [`owner_of_flight`]). A subsystem that does
-    /// not record interns no device names; one that loads a recorded
-    /// file names its records afresh.
-    pub(crate) fn load(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        leaves: &[Leaf],
-        uppers: &[UpperController],
-        topo: &Topology,
-    ) -> Result<(), SnapError> {
+    /// with the same configuration. A record whose track names nothing
+    /// of its kind ([`Names`]) is refused: no run records one.
+    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.registry.load(r)?;
-        let controllers = Controllers { leaves, uppers };
-        self.trace
-            .load(r, |(kind, track)| owner_of_span(&controllers, kind, track))?;
-        let fresh = OnceCell::new();
-        let owners = || match &self.owners {
-            Some(owners) => owners,
-            None => fresh.get_or_init(|| Owners::of(topo.iter())),
-        };
-        self.flight.load(r, |(kind, track)| {
-            owner_of_flight(&owners, &controllers, kind, track)
-        })?;
+        self.trace.load(r)?;
+        if let Some(s) = self.trace.iter().find(|s| self.names.span(s).is_none()) {
+            return Err(SnapError::Corrupt(format!(
+                "{} span on track {} names no controller",
+                s.kind.label(),
+                s.track
+            )));
+        }
+        self.flight.load(r)?;
+        if let Some(f) = self.flight.iter().find(|f| self.names.flight(f).is_none()) {
+            return Err(SnapError::Corrupt(format!(
+                "{} record on track {} names nothing of its kind",
+                f.kind.label(),
+                f.track
+            )));
+        }
         self.incident_seq = r.get_count()?;
         Ok(())
     }
 
-    /// Every name [`Owners`] interns, for tests that check a restored
-    /// record shares its owner's.
-    #[cfg(test)]
-    fn owner_names(&self) -> impl Iterator<Item = &Arc<str>> {
-        let owners = self.owners.iter();
-        owners.flat_map(|o| o.devices.iter().chain([&o.validator, &o.grid]))
-    }
-
     /// Pushes one span onto the trace ring.
-    fn push_span(
-        &mut self,
-        kind: SpanKind,
-        track: u32,
-        start_us: u64,
-        dur_us: u64,
-        name: &Arc<str>,
-    ) {
+    fn push_span(&mut self, kind: SpanKind, track: u32, start_us: u64, dur_us: u64) {
         self.trace.push(SpanRecord {
             kind,
             track,
             start_us,
             dur_us,
-            name: Arc::clone(name),
         });
     }
 
-    /// Pushes one record onto the flight ring. Callers record only when
-    /// observability is on, so a name that is not yet shared
-    /// (`controller` a `&str`) is copied only then.
-    fn push_flight(
-        &mut self,
-        now: SimTime,
-        track: u32,
-        controller: impl Into<Arc<str>>,
-        kind: FlightKind,
-    ) {
+    /// Pushes one record onto the flight ring.
+    fn push_flight(&mut self, now: SimTime, track: u32, kind: FlightKind) {
         self.flight.push(FlightRecord {
             at_ms: now.as_millis(),
             track,
-            controller: controller.into(),
             kind,
         });
     }
@@ -791,78 +819,12 @@ impl Observability {
         self.registry.inc(self.ids.incidents);
         if let Some(dir) = &self.incident_dir {
             self.incident_seq += 1;
-            let json = self.flight.incident_json(trigger, at_ms, self.incident_seq);
-            let file = dir.join(format!("incident-{:04}-{trigger}.json", self.incident_seq));
+            let seq = self.incident_seq;
+            let name = |f: &FlightRecord| self.names.flight(f).unwrap_or_default();
+            let json = self.flight.incident_json(trigger, at_ms, seq, name);
+            let file = dir.join(format!("incident-{seq:04}-{trigger}.json"));
             self.pending.push((file, json));
         }
-    }
-}
-
-/// The tier of controllers a record is made by.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Leaf,
-    Upper,
-}
-
-/// The controllers whose tracks the records name: leaf `i` is track
-/// `i`, upper `j` track `leaves.len() + j`.
-struct Controllers<'a> {
-    leaves: &'a [Leaf],
-    uppers: &'a [UpperController],
-}
-
-impl Controllers<'_> {
-    /// The interned name of the controller on `track`, if there is one
-    /// and it is of `tier` (any tier for `None`).
-    fn on(&self, tier: Option<Tier>, track: u32) -> Option<Arc<str>> {
-        let track = track as usize;
-        match self.leaves.get(track) {
-            Some(leaf) if tier != Some(Tier::Upper) => Some(leaf.controller.name_shared()),
-            Some(_) => None,
-            None if tier == Some(Tier::Leaf) => None,
-            None => (self.uppers.get(track - self.leaves.len())).map(|u| u.name_shared()),
-        }
-    }
-}
-
-/// The interned name of the controller that records a span of `kind` on
-/// `track`, if that track has one of the kind's tier: an upper cycle is
-/// an upper's, a takeover either tier's, the rest a leaf's.
-fn owner_of_span(controllers: &Controllers<'_>, kind: SpanKind, track: u32) -> Option<Arc<str>> {
-    let tier = match kind {
-        SpanKind::UpperCycle => Some(Tier::Upper),
-        SpanKind::Failover => None,
-        SpanKind::LeafCycle | SpanKind::RpcPull | SpanKind::Distribution | SpanKind::Actuation => {
-            Some(Tier::Leaf)
-        }
-    };
-    controllers.on(tier, track)
-}
-
-/// The interned name of what records a flight record of `kind` on
-/// `track`, if that names anything: a device for a breaker trip, the
-/// validator or the grid layer on track 0 (all in `owners`), else the
-/// controller of its tier on that track ([`Controllers::on`]).
-fn owner_of_flight<'a>(
-    owners: impl Fn() -> &'a Owners,
-    controllers: &Controllers<'_>,
-    kind: FlightKind,
-    track: u32,
-) -> Option<Arc<str>> {
-    let on_zero = |name: fn(&Owners) -> &Arc<str>| (track == 0).then(|| Arc::clone(name(owners())));
-    match kind {
-        FlightKind::BreakerTrip => owners().devices.get(track as usize).cloned(),
-        FlightKind::ValidatorAlert => on_zero(|o| &o.validator),
-        FlightKind::CurtailmentViolation { .. } => on_zero(|o| &o.grid),
-        FlightKind::Failover => controllers.on(None, track),
-        FlightKind::UpperCapped { .. } | FlightKind::UpperUncapped => {
-            controllers.on(Some(Tier::Upper), track)
-        }
-        FlightKind::LeafCapped { .. }
-        | FlightKind::LeafUncapped
-        | FlightKind::LeafInvalid { .. }
-        | FlightKind::BandTransition { .. } => controllers.on(Some(Tier::Leaf), track),
     }
 }
 
@@ -950,25 +912,24 @@ mod tests {
         dc
     }
 
-    /// The interned name of the controller on `track`, from the tier it
-    /// lives in.
-    fn controller(dc: &Datacenter, track: u32) -> Arc<str> {
+    /// The name of the controller on `track`, from the tier it lives in.
+    fn controller(dc: &Datacenter, track: u32) -> &str {
         let system = dc.system();
         let leaves = system.leaf_devices();
         match leaves.get(track as usize) {
-            Some(&d) => system.leaf_for(d).map(|c| c.name_shared()),
+            Some(&d) => system.leaf_for(d).map(|c| c.name()),
             None => {
                 let d = system.upper_devices()[track as usize - leaves.len()];
-                system.upper_for(d).map(|c| c.name_shared())
+                system.upper_for(d).map(|c| c.name())
             }
         }
         .expect("every track names a controller")
     }
 
-    /// A restored twin, at one worker and at eight, holds its records
-    /// under its own controllers' and devices' names — one allocation
-    /// each, shared with the controller — and renders the trace and the
-    /// next incident dump byte for byte as the unbroken run does.
+    /// A restored twin, at one worker and at eight, names its records by
+    /// their tracks after its own controllers and devices, and renders
+    /// the trace and the next incident dump byte for byte as the
+    /// unbroken run does.
     #[test]
     fn restored_rings_name_records_by_their_tracks() {
         for threads in [1, 8] {
@@ -985,17 +946,16 @@ mod tests {
             let upper = |s: &SpanRecord| s.kind == SpanKind::UpperCycle;
             assert!(obs.trace().iter().any(upper), "vacuous: no upper span");
             for span in obs.trace().iter() {
-                let owner = controller(&twin, span.track);
-                assert!(Arc::ptr_eq(&span.name, &owner), "{span:?}");
+                let name = obs.names.span(span);
+                assert_eq!(name, Some(controller(&twin, span.track)), "{span:?}");
             }
             for record in obs.flight().iter() {
-                let shared = match record.kind {
-                    FlightKind::BreakerTrip | FlightKind::ValidatorAlert => obs
-                        .owner_names()
-                        .any(|n| Arc::ptr_eq(n, &record.controller)),
-                    _ => Arc::ptr_eq(&record.controller, &controller(&twin, record.track)),
+                let owner = match record.kind {
+                    FlightKind::BreakerTrip => &twin.topology().iter().nth(5).unwrap().name,
+                    FlightKind::ValidatorAlert => "breaker-validator",
+                    _ => controller(&twin, record.track),
                 };
-                assert!(shared, "{record:?}");
+                assert_eq!(obs.recorded_by(record), owner, "{record:?}");
             }
             let (a, b) = (unbroken.system(), twin.system());
             assert_eq!(
@@ -1015,7 +975,9 @@ mod tests {
             }
             let dump = |dc: &Datacenter| {
                 let obs = dc.system().observability();
-                (obs.incidents(), obs.flight().incident_json("next", 0, 0))
+                let name = |r: &FlightRecord| obs.recorded_by(r);
+                let json = obs.flight().incident_json("next", 0, 0, name);
+                (obs.incidents(), json)
             };
             assert_eq!(dump(&unbroken), dump(&twin), "{threads} wide");
             assert_eq!(
@@ -1039,10 +1001,9 @@ mod tests {
             .expect("a recorded file restores");
         let names = |dc: &Datacenter| -> Vec<String> {
             let obs = dc.system().observability();
-            let spans = obs.trace().iter().map(|s| s.name.to_string());
-            spans
-                .chain(obs.flight().iter().map(|r| r.controller.to_string()))
-                .collect()
+            let spans = obs.trace().iter().map(|s| obs.names.span(s).unwrap());
+            let flights = obs.flight().iter().map(|r| obs.recorded_by(r));
+            spans.chain(flights).map(str::to_string).collect()
         };
         assert_eq!(names(&quiet), names(&recorded));
         assert!(names(&quiet).iter().any(|n| n.contains("rpp")), "vacuous");
@@ -1081,10 +1042,7 @@ mod tests {
             (SpanKind::Failover, tracks),
             (SpanKind::RpcPull, leaves),
         ] {
-            let err = refusal(|obs| {
-                let name = Arc::clone(&obs.trace.iter().next().expect("a span").name);
-                obs.push_span(kind, track, 0, 0, &name);
-            });
+            let err = refusal(|obs| obs.push_span(kind, track, 0, 0));
             let what = format!("{} span on track {track} names no controller", kind.label());
             assert!(
                 matches!(&err, SnapError::Corrupt(m) if m.contains(&what)),
@@ -1104,7 +1062,7 @@ mod tests {
             (FlightKind::ValidatorAlert, 1),
             (FlightKind::UpperUncapped, 0),
         ] {
-            let err = refusal(|obs| obs.push_flight(SimTime::ZERO, track, "forged", kind));
+            let err = refusal(|obs| obs.push_flight(SimTime::ZERO, track, kind));
             let what = format!("{} record on track {track} names nothing", kind.label());
             assert!(
                 matches!(&err, SnapError::Corrupt(m) if m.contains(&what)),

@@ -1,8 +1,6 @@
 //! Fine-grained power monitoring (§VI: "Monitoring is as important as
 //! capping").
 
-use std::sync::Arc;
-
 use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{CycleSchedule, SimDuration, SimTime};
 use powerinfra::{BreakerStatus, DeviceId, Power};
@@ -240,7 +238,6 @@ impl Telemetry {
 fn put_controller_event(w: &mut SnapWriter, e: &ControllerEvent) {
     w.put_u64(e.at.as_millis());
     w.put_u32(e.device.index() as u32);
-    w.put_str(&e.controller);
     match &e.kind {
         ControllerEventKind::LeafCapped { total_cut, servers } => {
             w.put_u8(0);
@@ -264,7 +261,6 @@ fn put_controller_event(w: &mut SnapWriter, e: &ControllerEvent) {
 fn get_controller_event(r: &mut SnapReader<'_>) -> Result<ControllerEvent, SnapError> {
     let at = SimTime::from_millis(r.get_u64()?);
     let device = DeviceId::from_index(r.get_u32()? as usize);
-    let controller: Arc<str> = r.get_str()?.into();
     let kind = match r.get_u8()? {
         0 => ControllerEventKind::LeafCapped {
             total_cut: Power::from_watts(r.get_f64()?),
@@ -285,12 +281,7 @@ fn get_controller_event(r: &mut SnapReader<'_>) -> Result<ControllerEvent, SnapE
             )))
         }
     };
-    Ok(ControllerEvent {
-        at,
-        device,
-        controller,
-        kind,
-    })
+    Ok(ControllerEvent { at, device, kind })
 }
 
 #[cfg(test)]
@@ -370,7 +361,6 @@ mod tests {
         t.record_controller_events(vec![ControllerEvent {
             at: SimTime::ZERO,
             device: d,
-            controller: "rpp0".into(),
             kind: ControllerEventKind::LeafUncapped,
         }]);
         assert_eq!(t.controller_events().len(), 1);
@@ -380,7 +370,6 @@ mod tests {
         ControllerEvent {
             at,
             device,
-            controller: "c".into(),
             kind: ControllerEventKind::LeafUncapped,
         }
     }

@@ -148,13 +148,11 @@ impl UpperTier {
             } else {
                 self.cycle(i, now, leaves)
             };
-            let name = self.controllers[i].name_shared();
-            obs.record_upper(now, track_base + i as u32, &name, action.as_ref());
+            obs.record_upper(now, track_base + i as u32, action.as_ref());
             if let Some(kind) = action {
                 events.push(ControllerEvent {
                     at: now,
                     device: self.devices[i],
-                    controller: name,
                     kind,
                 });
             }

@@ -437,9 +437,8 @@ fn resumed_run_with_a_part_full_ring_does_not_allocate() {
 /// span, of which there are 16,384.
 const FULL_RING_RESTORE_ALLOCS: u64 = 256;
 
-/// A span record on the wire carries no name, and a restored span
-/// shares its controller's interned one: restoring a full 16,384-span
-/// ring costs the heap nothing per span.
+/// A span record carries no name, on the wire or in memory: restoring a
+/// full 16,384-span ring costs the heap nothing per span.
 fn restoring_a_full_span_ring_allocates_no_name_per_span() {
     let build = || {
         dynamo::DatacenterBuilder::new()
@@ -493,14 +492,12 @@ fn forged_ring_capacity_allocates_within_the_input() {
     const CAP: usize = 256;
     let (mut trace, mut flight) = (TraceRing::new(CAP), FlightRecorder::new(CAP));
     let cap = CAP as u64;
-    let name: Arc<str> = "leaf-0".into();
     for (header, truncated) in [([0, 0, u64::MAX], false), ([0, cap, cap], true)] {
         let bytes = forged_ring(header);
         let mut results = Vec::with_capacity(2);
         count_allocs(|| {
-            let names = || Some(Arc::clone(&name));
-            results.push(trace.load(&mut SnapReader::new(&bytes), |_| names()));
-            results.push(flight.load(&mut SnapReader::new(&bytes), |_| names()));
+            results.push(trace.load(&mut SnapReader::new(&bytes)));
+            results.push(flight.load(&mut SnapReader::new(&bytes)));
         });
         let asked = BYTES.load(Ordering::SeqCst);
         let mut budget = 2 * bytes.len() as u64;
@@ -693,23 +690,25 @@ fn site_topology() -> Topology {
 }
 
 /// Live heap bytes of the site's control plane right after it is built
-/// (42.9 B a server): per server an id, a service-class index and three
+/// (40.8 B a server): per server an id, a service-class index and three
 /// eight-byte power slots (reading, cap, scratch) — 32 B — plus per
 /// leaf its controller, network link, recording shard (no value
 /// buffers: the site is unobserved) and a failed-pull list sized for
-/// the most failures a valid cycle can have (~1.7 KB), and one class
-/// table for all the leaves.
+/// the most failures a valid cycle can have (~1.7 KB), one class
+/// table for all the leaves, a pointer to every device's name (the
+/// topology holds the name, and its controller shares it) and the two
+/// rings' nameless records.
 /// Growth fails the gate; a change that adds per-server state on
 /// purpose re-baselines it in the same diff (DESIGN.md §7, "What a
 /// server costs").
-const SITE_CONTROL_PLANE_BYTES: u64 = 5_273_578;
+const SITE_CONTROL_PLANE_BYTES: u64 = 5_009_690;
 
-/// Live heap bytes of the rest of the built site (170.6 B a server) —
+/// Live heap bytes of the rest of the built site (170.2 B a server) —
 /// the fleet's columns (~157 B a server, two 40-byte RNG streams among
 /// them), topology (a server-id range per device, no per-server list),
 /// subtrees, breakers, telemetry and validator — under the same
 /// discipline.
-const SITE_FLEET_BYTES: u64 = 20_963_304;
+const SITE_FLEET_BYTES: u64 = 20_919_872;
 
 /// The memory a site datacenter costs once built, split into control
 /// plane and fleet, against the baked constants; and the build's

@@ -74,20 +74,20 @@ fn resuming_an_old_version_checkpoint_exits_2_with_a_typed_error() {
     );
 }
 
-/// The state inside at 7, the format that still echoed each section's
-/// configuration: the checkpoint's version is current, and the state's
-/// own section refuses it.
+/// The state inside at 8, the format whose controller events still
+/// carried their controller's name: the checkpoint's version is current,
+/// and the state's own section refuses it.
 #[test]
 fn resuming_a_checkpoint_whose_state_is_an_older_version_exits_2() {
     let (dir, mut bytes) = checkpoint("old-state");
     let kind_at = (bytes.windows(STATE_KIND.len()))
         .position(|w| w == STATE_KIND.as_bytes())
         .expect("the state's section");
-    set_version(&mut bytes, kind_at - 12, STATE_KIND, 8, 7);
+    set_version(&mut bytes, kind_at - 12, STATE_KIND, 9, 8);
     assert_resume_refused(
         &dir,
         &bytes,
         STATE_KIND,
-        "version 7 but this build supports version 8",
+        "version 8 but this build supports version 9",
     );
 }

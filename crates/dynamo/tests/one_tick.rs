@@ -181,8 +181,12 @@ fn churn_reproduces_the_pre_collapse_golden_at_every_width() {
 /// out packed as held, the fleet's flags as their mask words and a
 /// leaf's band only in an observed run (behind a one-byte tag), and the
 /// version went 7 → 8 (it
-/// was `0x15b81c023b626152`); `CHURN_GOLDEN` did not move.
-const CHURN_SNAPSHOT_GOLDEN: u64 = 0x729d_8f4b_c082_11ca;
+/// was `0x15b81c023b626152`); `CHURN_GOLDEN` did not move. Re-recorded
+/// when a controller event stopped writing its controller's name (its
+/// device names the controller) and the version went 8 → 9 (it was
+/// `0x729d8f4bc08211ca`); `CHURN_GOLDEN` and `CHURN_INCIDENT_GOLDEN` did
+/// not move.
+const CHURN_SNAPSHOT_GOLDEN: u64 = 0xc423_be22_3735_f2af;
 
 #[test]
 fn churn_snapshot_bytes_are_pinned_at_every_width() {

@@ -3,8 +3,6 @@
 //! file" when something goes wrong (failover, validator alert, capping
 //! episode start, breaker trip).
 
-use std::sync::Arc;
-
 use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::export::escape_json;
@@ -231,8 +229,9 @@ impl FlightKind {
     }
 }
 
-/// One flight-recorder entry.
-#[derive(Debug, Clone, PartialEq)]
+/// One flight-recorder entry. Its kind and track say what recorded it;
+/// the ring's owner names that when it renders.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightRecord {
     /// Simulated time, milliseconds.
     pub at_ms: u64,
@@ -243,19 +242,17 @@ pub struct FlightRecord {
     /// (`powerinfra::DeviceId::index`) for a breaker trip; 0 for a
     /// validator alert and a curtailment violation.
     pub track: u32,
-    /// Controller's interned name.
-    pub controller: Arc<str>,
     /// What happened.
     pub kind: FlightKind,
 }
 
 impl FlightRecord {
-    fn to_json(&self) -> String {
+    fn to_json(self, controller: &str) -> String {
         format!(
             "{{\"at_ms\":{},\"track\":{},\"controller\":\"{}\",\"kind\":\"{}\",\"detail\":{}}}",
             self.at_ms,
             self.track,
-            escape_json(&self.controller),
+            escape_json(controller),
             self.kind.label(),
             self.kind.detail_json()
         )
@@ -265,31 +262,17 @@ impl FlightRecord {
 impl RingRecord for FlightRecord {
     const NAME: &'static str = "flight recorder";
 
-    type Owner = (FlightKind, u32);
-
     fn encode(&self, w: &mut SnapWriter) {
         w.put_u64(self.at_ms);
         w.put_u32(self.track);
         self.kind.encode_snap(w);
     }
 
-    fn decode(
-        r: &mut SnapReader<'_>,
-        name: &impl Fn(Self::Owner) -> Option<Arc<str>>,
-    ) -> Result<Self, SnapError> {
-        let (at_ms, track) = (r.get_u64()?, r.get_u32()?);
-        let kind = FlightKind::decode_snap(r)?;
-        let controller = name((kind, track)).ok_or_else(|| {
-            SnapError::Corrupt(format!(
-                "{} record on track {track} names nothing of its kind",
-                kind.label()
-            ))
-        })?;
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(FlightRecord {
-            at_ms,
-            track,
-            controller,
-            kind,
+            at_ms: r.get_u64()?,
+            track: r.get_u32()?,
+            kind: FlightKind::decode_snap(r)?,
         })
     }
 }
@@ -300,8 +283,15 @@ pub type FlightRecorder = Ring<FlightRecord>;
 
 impl Ring<FlightRecord> {
     /// Renders an incident dump: the trigger, when it fired, and the
-    /// ring's full contents (oldest first) as structured JSON.
-    pub fn incident_json(&self, trigger: &str, at_ms: u64, seq: u64) -> String {
+    /// ring's full contents (oldest first) as structured JSON, `name`
+    /// naming what made each record.
+    pub fn incident_json<'a>(
+        &self,
+        trigger: &str,
+        at_ms: u64,
+        seq: u64,
+        name: impl Fn(&FlightRecord) -> &'a str,
+    ) -> String {
         let mut out = String::with_capacity(128 + self.len() * 128);
         out.push_str(&format!(
             "{{\"incident\":{seq},\"trigger\":\"{}\",\"at_ms\":{at_ms},\"records\":[",
@@ -311,7 +301,7 @@ impl Ring<FlightRecord> {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&r.to_json());
+            out.push_str(&r.to_json(name(r)));
         }
         out.push_str("]}");
         out
@@ -327,7 +317,6 @@ mod tests {
         FlightRecord {
             at_ms,
             track: 1,
-            controller: "leaf-1".into(),
             kind,
         }
     }
@@ -353,13 +342,9 @@ mod tests {
         let mut w = SnapWriter::new();
         fr.save(&mut w);
         let mut loaded = FlightRecorder::new(2);
-        let leaf: Arc<str> = "leaf-1".into();
-        let names = |(_, track)| (track == 1).then(|| Arc::clone(&leaf));
-        loaded
-            .load(&mut SnapReader::new(w.as_bytes()), names)
-            .unwrap();
+        loaded.load(&mut SnapReader::new(w.as_bytes())).unwrap();
         assert_eq!(loaded.iter().next(), fr.iter().next());
-        let json = fr.incident_json("curtailment-violation", 5000, 1);
+        let json = fr.incident_json("curtailment-violation", 5000, 1, |_| "grid-econ");
         assert!(json.contains("\"kind\":\"curtailment_violation\""));
         assert!(json.contains("\"limit_watts\":24000"));
     }
@@ -382,7 +367,7 @@ mod tests {
                 to: Band::Cap,
             },
         ));
-        let json = fr.incident_json("failover", 12000, 7);
+        let json = fr.incident_json("failover", 12000, 7, |_| "leaf-1");
         assert!(json.starts_with("{\"incident\":7,\"trigger\":\"failover\",\"at_ms\":12000,"));
         assert!(json.contains("\"kind\":\"leaf_capped\""));
         assert!(json.contains("\"episode_start\":true"));

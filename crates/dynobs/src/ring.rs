@@ -3,32 +3,21 @@
 //! [`crate::FlightRecorder`] a `Ring<FlightRecord>`. A new record type
 //! costs one [`RingRecord`] impl.
 
-use std::sync::Arc;
-
 use dcsim::snap::{ConfigDigest, SnapError, SnapReader, SnapWriter};
 
 /// A record a [`Ring`] can hold and save.
 ///
-/// A record names what recorded it, but its track and kind already say
-/// which of its owner's controllers or devices that was: the name is not
-/// written, and a load asks the owner for its interned one.
+/// A record holds no name: its kind and track say what recorded it,
+/// and the ring's owner looks the name up when it renders text.
 pub trait RingRecord: Clone {
     /// What a ring of these records is called in a refusal.
     const NAME: &'static str;
 
-    /// What the owner finds a record's name by: its kind and its track.
-    type Owner;
-
-    /// Writes one record, without its name.
+    /// Writes one record.
     fn encode(&self, w: &mut SnapWriter);
 
-    /// Reads one record written by [`RingRecord::encode`], naming it
-    /// with what `name` hands back for its kind and track; a record
-    /// that names nothing is refused.
-    fn decode(
-        r: &mut SnapReader<'_>,
-        name: &impl Fn(Self::Owner) -> Option<Arc<str>>,
-    ) -> Result<Self, SnapError>;
+    /// Reads one record written by [`RingRecord::encode`].
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 }
 
 /// Fixed-capacity ring of the most recent records: `push` overwrites
@@ -83,18 +72,13 @@ impl<T: RingRecord> Ring<T> {
     }
 
     /// Loads what [`Ring::save`] wrote into this ring's own buffer, so
-    /// pushes after a resume stay off the heap, each record named by
-    /// `name` ([`RingRecord::decode`]). The header must be one that
+    /// pushes after a resume stay off the heap. The header must be one that
     /// pushes into a ring of this capacity write — `next` the total
     /// modulo the capacity, as many records as the total up to the
     /// capacity — or the ring is refused before a record is read: any
     /// other `next` would have the ring, once full, overwrite a record
     /// that is not the oldest.
-    pub fn load(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        name: impl Fn(T::Owner) -> Option<Arc<str>>,
-    ) -> Result<(), SnapError> {
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let (next, total, len) = (r.get_u64()?, r.get_count()?, r.get_u64()?);
         let cap = self.cap as u64;
         if next != total % cap || len != total.min(cap) {
@@ -105,7 +89,7 @@ impl<T: RingRecord> Ring<T> {
         }
         self.buf.clear();
         for _ in 0..len {
-            self.buf.push(T::decode(r, &name)?);
+            self.buf.push(T::decode(r)?);
         }
         self.next = next as usize;
         self.total = total;
@@ -150,28 +134,12 @@ mod tests {
     use super::*;
     use crate::{FlightKind, FlightRecord, SpanKind, SpanRecord};
 
-    thread_local! {
-        /// The one controller the test rings' records name.
-        static LEAF: Arc<str> = "leaf-3".into();
-    }
-
-    fn leaf() -> Arc<str> {
-        LEAF.with(Arc::clone)
-    }
-
-    /// The owner of the test records: track 3 is `leaf-3`, no other
-    /// track names anything.
-    fn names<K>((_, track): (K, u32)) -> Option<Arc<str>> {
-        (track == 3).then(leaf)
-    }
-
     fn span(stamp: u64) -> SpanRecord {
         SpanRecord {
             kind: SpanKind::LeafCycle,
             track: 3,
             start_us: stamp,
             dur_us: 10,
-            name: leaf(),
         }
     }
 
@@ -179,7 +147,6 @@ mod tests {
         FlightRecord {
             at_ms: stamp,
             track: 3,
-            controller: leaf(),
             kind: FlightKind::LeafInvalid { failures: 2 },
         }
     }
@@ -194,12 +161,9 @@ mod tests {
     }
 
     /// `bytes` loaded into `ring`, every byte read.
-    fn load<T: RingRecord<Owner = (K, u32)>, K>(
-        ring: &mut Ring<T>,
-        bytes: &[u8],
-    ) -> Result<(), SnapError> {
+    fn load<T: RingRecord>(ring: &mut Ring<T>, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::new(bytes);
-        ring.load(&mut r, names)?;
+        ring.load(&mut r)?;
         r.finish(T::NAME)
     }
 
@@ -210,10 +174,10 @@ mod tests {
     }
 
     /// Everything a ring promises, for records made by `make(stamp)`,
-    /// each named `name(record)`, on track 3, in `record_bytes` bytes.
-    fn suite<T, K>(make: fn(u64) -> T, name: fn(&T) -> &Arc<str>, record_bytes: usize)
+    /// in `record_bytes` bytes.
+    fn suite<T>(make: fn(u64) -> T, record_bytes: usize)
     where
-        T: RingRecord<Owner = (K, u32)> + PartialEq + Debug,
+        T: RingRecord + PartialEq + Debug,
     {
         const CAP: usize = 5;
         // Drop-oldest order and the true count, and a save -> load ->
@@ -239,7 +203,6 @@ mod tests {
             );
             load(&mut loaded, &bytes).unwrap();
             assert!(loaded.iter().eq(ring.iter()));
-            assert!(loaded.iter().all(|r| Arc::ptr_eq(name(r), &leaf())));
             assert_eq!(loaded.total_recorded(), pushed);
             assert_eq!(bytes_of(&loaded), bytes);
             ring.push(make(pushed));
@@ -282,25 +245,6 @@ mod tests {
             }
         }
 
-        // A record whose track names nothing is refused.
-        let mut w = SnapWriter::new();
-        let mut ring = Ring::<T>::new(CAP);
-        ring.push(make(0));
-        ring.save(&mut w);
-        let mut bytes = w.into_bytes();
-        let honest = bytes.clone();
-        let track = (bytes.windows(4).enumerate().skip(24))
-            .find(|(_, w)| *w == 3u32.to_le_bytes())
-            .map(|(at, _)| at)
-            .expect("the record's track");
-        bytes[track..track + 4].copy_from_slice(&4u32.to_le_bytes());
-        let refused = load(&mut Ring::<T>::new(CAP), &bytes);
-        assert!(
-            matches!(&refused, Err(SnapError::Corrupt(m)) if m.contains("track 4 names")),
-            "{refused:?}"
-        );
-        load(&mut Ring::<T>::new(CAP), &honest).unwrap();
-
         // Another capacity is another configuration.
         let mut w = SnapWriter::new();
         w.put_config(|d| ring.fold_config(d));
@@ -315,11 +259,11 @@ mod tests {
 
     #[test]
     fn span_ring() {
-        suite(span, |s| &s.name, 21);
+        suite(span, 21);
     }
 
     #[test]
     fn flight_ring() {
-        suite(flight, |f| &f.controller, 17);
+        suite(flight, 17);
     }
 }

@@ -2,8 +2,6 @@
 //! exportable as chrome-tracing JSON (load in `chrome://tracing` or
 //! Perfetto).
 
-use std::sync::Arc;
-
 use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::export::escape_json;
@@ -63,8 +61,9 @@ impl SpanKind {
     }
 }
 
-/// One completed span, stamped with simulated time.
-#[derive(Debug, Clone, PartialEq)]
+/// One completed span, stamped with simulated time. Its track says which
+/// controller made it; the ring's owner names it when it renders.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanRecord {
     /// What was measured.
     pub kind: SpanKind,
@@ -74,14 +73,10 @@ pub struct SpanRecord {
     pub start_us: u64,
     /// Duration, microseconds of simulated time.
     pub dur_us: u64,
-    /// Owning controller's interned name.
-    pub name: Arc<str>,
 }
 
 impl RingRecord for SpanRecord {
     const NAME: &'static str = "trace ring";
-
-    type Owner = (SpanKind, u32);
 
     fn encode(&self, w: &mut SnapWriter) {
         w.put_u8(self.kind.code());
@@ -90,23 +85,12 @@ impl RingRecord for SpanRecord {
         w.put_u64(self.dur_us);
     }
 
-    fn decode(
-        r: &mut SnapReader<'_>,
-        name: &impl Fn(Self::Owner) -> Option<Arc<str>>,
-    ) -> Result<Self, SnapError> {
-        let (kind, track) = (SpanKind::from_snap_code(r.get_u8()?)?, r.get_u32()?);
-        let name = name((kind, track)).ok_or_else(|| {
-            SnapError::Corrupt(format!(
-                "{} span on track {track} names no controller",
-                kind.label()
-            ))
-        })?;
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(SpanRecord {
-            kind,
-            track,
+            kind: SpanKind::from_snap_code(r.get_u8()?)?,
+            track: r.get_u32()?,
             start_us: r.get_u64()?,
             dur_us: r.get_u64()?,
-            name,
         })
     }
 }
@@ -118,8 +102,8 @@ impl Ring<SpanRecord> {
     /// Renders the retained spans as chrome-tracing JSON
     /// (`traceEvents` array of complete `"ph":"X"` events; `ts`/`dur`
     /// are microseconds of simulated time, `tid` is the controller
-    /// track).
-    pub fn to_chrome_json(&self) -> String {
+    /// track, and `name` names the controller that made each span).
+    pub fn to_chrome_json<'a>(&self, name: impl Fn(&SpanRecord) -> &'a str) -> String {
         let mut out = String::with_capacity(64 + self.len() * 128);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         for (i, s) in self.iter().enumerate() {
@@ -132,7 +116,7 @@ impl Ring<SpanRecord> {
                 s.start_us,
                 s.dur_us,
                 s.track,
-                escape_json(&s.name)
+                escape_json(name(s))
             ));
         }
         out.push_str("]}");
@@ -150,7 +134,6 @@ mod tests {
             track: 3,
             start_us,
             dur_us: 10,
-            name: "leaf-3".into(),
         }
     }
 
@@ -158,7 +141,7 @@ mod tests {
     fn chrome_json_shape() {
         let mut ring = TraceRing::new(4);
         ring.push(span(SpanKind::RpcPull, 1000));
-        let json = ring.to_chrome_json();
+        let json = ring.to_chrome_json(|_| "leaf-3");
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.contains("\"name\":\"rpc_pull\""));
         assert!(json.contains("\"ts\":1000"));
@@ -172,7 +155,7 @@ mod tests {
         let ring = TraceRing::new(2);
         assert!(ring.is_empty());
         assert_eq!(
-            ring.to_chrome_json(),
+            ring.to_chrome_json(|_| "leaf-3"),
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
         );
     }

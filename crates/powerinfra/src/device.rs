@@ -1,6 +1,7 @@
 //! Power devices and hierarchy levels.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -92,8 +93,9 @@ impl std::fmt::Display for DeviceLevel {
 pub struct Device {
     /// This device's handle.
     pub id: DeviceId,
-    /// Human-readable name, e.g. `"suite0/msb1/sb2/rpp0"`.
-    pub name: String,
+    /// Human-readable name, e.g. `"suite0/msb1/sb2/rpp0"`: one
+    /// allocation, which whatever else names the device shares.
+    pub name: Arc<str>,
     /// Hierarchy level.
     pub level: DeviceLevel,
     /// Breaker rating (the physical power limit).

@@ -483,7 +483,7 @@ impl TopologyBuilder {
         let id = DeviceId(topo.devices.len() as u32);
         topo.devices.push(Device {
             id,
-            name,
+            name: name.into(),
             level,
             rating,
             quota: rating, // refined by assign_quotas
@@ -639,7 +639,7 @@ mod tests {
     fn names_encode_the_path() {
         let topo = small();
         let rack = topo.devices_at(DeviceLevel::Rack)[0];
-        assert_eq!(topo.device(rack).name, "suite0/msb0/sb0/rpp0/rack0");
+        assert_eq!(&*topo.device(rack).name, "suite0/msb0/sb0/rpp0/rack0");
     }
 
     #[test]

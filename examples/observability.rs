@@ -83,7 +83,7 @@ fn main() {
         println!(
             "  t={:>7}ms {:<24} {}",
             record.at_ms,
-            &*record.controller,
+            obs.recorded_by(record),
             record.kind.label()
         );
     }

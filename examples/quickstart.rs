@@ -62,7 +62,8 @@ fn main() {
         dc.telemetry().breaker_trips().len()
     );
     for e in events.iter().take(8) {
-        println!("  [{}] {} -> {:?}", e.at, e.controller, e.kind);
+        let controller = &dc.topology().device(e.device).name;
+        println!("  [{}] {} -> {:?}", e.at, controller, e.kind);
     }
 
     println!(

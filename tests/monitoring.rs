@@ -118,10 +118,7 @@ fn controller_events_carry_device_and_time() {
     for e in events {
         assert_eq!(e.device, rpp, "event attributed to the wrong device");
         assert!(e.at >= SimTime::ZERO && e.at <= dc.now());
-        assert!(
-            e.controller.contains("rpp"),
-            "controller name {:?}",
-            e.controller
-        );
+        let controller = &dc.topology().device(e.device).name;
+        assert!(controller.contains("rpp"), "controller name {controller:?}");
     }
 }

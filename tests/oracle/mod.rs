@@ -234,7 +234,7 @@ impl Oracle {
             let ids: Vec<u32> = dev.servers.clone().collect();
             let kind = |&s: &u32| servers[s as usize].1.kind().index() as u32;
             let kinds = ids.iter().map(kind).collect();
-            let (classes, name) = (Arc::clone(&classes), dev.name.as_str());
+            let (classes, name) = (Arc::clone(&classes), &*dev.name);
             Leaf {
                 device,
                 controller: LeafController::with_classes(name, config, ids, classes, kinds),
@@ -252,7 +252,7 @@ impl Oracle {
         let upper = |(i, &d): (usize, &DeviceId)| {
             let dev = topo.device(d);
             let config = UpperConfig::new(dev.rating);
-            let upper = UpperController::new(dev.name.as_str(), config, dev.children.len());
+            let upper = UpperController::new(&*dev.name, config, dev.children.len());
             (d, upper, schedule(9, i, uppers.len()))
         };
         let uppers = uppers.iter().enumerate().map(upper).collect();
@@ -400,14 +400,9 @@ impl Oracle {
         }
     }
 
-    fn event(&mut self, device: DeviceId, controller: Arc<str>, kind: Kind) {
+    fn event(&mut self, device: DeviceId, kind: Kind) {
         let at = self.now;
-        self.seen.events.push(ControllerEvent {
-            at,
-            device,
-            controller,
-            kind,
-        });
+        self.seen.events.push(ControllerEvent { at, device, kind });
     }
 
     /// Leaf `i`'s due cycle: the backup's takeover if its primary failed;
@@ -419,10 +414,9 @@ impl Oracle {
         let fold = Power::from_watts(self.flat(span.clone()));
         let failed = std::mem::take(&mut self.failed[device.index()]);
         let leaf = &mut self.leaves[i];
-        let name = leaf.controller.name_shared();
         if failed {
             (leaf.quiet, leaf.touched) = (false, false);
-            return self.event(device, name, Kind::Failover);
+            return self.event(device, Kind::Failover);
         }
         if !self.capping {
             self.reported[device.index()] = fold;
@@ -458,15 +452,15 @@ impl Oracle {
             ControlAction::Invalid => Kind::LeafInvalid { failures },
             ControlAction::Hold => return,
         };
-        self.event(device, name, kind);
+        self.event(device, kind);
     }
 
     /// Upper `u`'s due cycle over its children's reports, pushing the
     /// contracts it decides; or the backup's takeover.
     fn upper_cycle(&mut self, u: usize) {
-        let (device, name) = (self.uppers[u].0, self.uppers[u].1.name_shared());
+        let device = self.uppers[u].0;
         if std::mem::take(&mut self.failed[device.index()]) {
-            return self.event(device, name, Kind::Failover);
+            return self.event(device, Kind::Failover);
         }
         let children = self.topo.device(device).children.clone();
         let report = |&c: &DeviceId| {
@@ -493,9 +487,9 @@ impl Oracle {
             }
         }
         if outcome.capped {
-            self.event(device, name, Kind::UpperCapped { contracts });
+            self.event(device, Kind::UpperCapped { contracts });
         } else if outcome.uncapped {
-            self.event(device, name, Kind::UpperUncapped);
+            self.event(device, Kind::UpperUncapped);
         }
     }
 }

@@ -510,6 +510,14 @@ fn a_v7_datacenter_envelope_is_a_version_mismatch() {
     assert_datacenter_version_refused(7);
 }
 
+/// A file written while each controller event still carried its
+/// controller's name beside the device that names it (envelope version
+/// 8) is refused.
+#[test]
+fn a_v8_datacenter_envelope_is_a_version_mismatch() {
+    assert_datacenter_version_refused(8);
+}
+
 #[test]
 fn wrong_kind_is_rejected() {
     let body = body_of(&small_state());
