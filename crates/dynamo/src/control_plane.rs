@@ -341,16 +341,17 @@ impl DynamoSystem {
         }
     }
 
-    /// All alerts raised by any controller.
-    pub fn alerts(&self) -> Vec<dynamo_controller::Alert> {
-        let mut out = Vec::new();
-        for leaf in &self.leaves.leaves {
-            out.extend_from_slice(leaf.controller.alerts());
-        }
-        for c in &self.uppers.controllers {
-            out.extend_from_slice(c.alerts());
-        }
-        out
+    /// All alerts raised by any controller, each with the device its
+    /// raiser protects: leaves in leaf build order, then uppers.
+    pub fn alerts(&self) -> Vec<(DeviceId, dynamo_controller::Alert)> {
+        let leaves = self.leaves.devices.iter().zip(&self.leaves.leaves);
+        let leaves = leaves.map(|(&d, l)| (d, l.controller.alerts()));
+        let uppers = self.uppers.devices.iter().zip(&self.uppers.controllers);
+        let uppers = uppers.map(|(&d, c)| (d, c.alerts()));
+        leaves
+            .chain(uppers)
+            .flat_map(|(d, alerts)| alerts.iter().map(move |a| (d, a.clone())))
+            .collect()
     }
 
     /// Folds the control plane's configuration into its section's

@@ -1452,7 +1452,8 @@ pub(crate) mod tests {
         obs.save(&mut w);
         dc.telemetry.save(&mut w);
         let sections = w.into_bytes();
-        for &id in dc.system().leaf_devices() {
+        let system = dc.system();
+        for &id in system.leaf_devices().iter().chain(system.upper_devices()) {
             let name = &dc.topo.device(id).name;
             let named = sections.windows(name.len()).any(|w| w == name.as_bytes());
             assert!(!named, "a saved section names {name}");

@@ -382,6 +382,10 @@ impl Names {
     }
 }
 
+/// Why a ring's record must have a name: every record is pushed with a
+/// track the build named, or refused at load.
+const UNNAMED: &str = "a record's track names nothing: tracks not named at build";
+
 /// Spans retained for trace export.
 const TRACE_SPANS: usize = 16_384;
 /// Flight records retained per incident dump.
@@ -389,7 +393,8 @@ const FLIGHT_RECORDS: usize = 256;
 
 impl Observability {
     /// Builds the registry, rings and recorder. No track names anything
-    /// until [`Observability::name_tracks`].
+    /// until [`Observability::name_tracks`], so nothing may be recorded,
+    /// loaded or rendered before it.
     pub(crate) fn new(config: &ObsConfig) -> Self {
         let mut b = RegistryBuilder::new();
         let ids = register(&mut b);
@@ -448,8 +453,13 @@ impl Observability {
     /// The name of what made `record`, one of [`Observability::flight`]'s:
     /// the controller on its track, the device a breaker trip names, the
     /// breaker validator or the grid layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `record`'s track names nothing of its kind here, as no
+    /// record this run made or loaded does.
     pub fn recorded_by(&self, record: &FlightRecord) -> &str {
-        self.names.flight(record).unwrap_or_default()
+        self.names.flight(record).expect(UNNAMED)
     }
 
     /// Renders the registry in Prometheus text exposition format.
@@ -459,7 +469,7 @@ impl Observability {
 
     /// Renders the span ring as chrome-tracing JSON.
     pub fn chrome_trace(&self) -> String {
-        let name = |s: &SpanRecord| self.names.span(s).unwrap_or_default();
+        let name = |s: &SpanRecord| self.names.span(s).expect(UNNAMED);
         self.trace.to_chrome_json(name)
     }
 
@@ -820,7 +830,7 @@ impl Observability {
         if let Some(dir) = &self.incident_dir {
             self.incident_seq += 1;
             let seq = self.incident_seq;
-            let name = |f: &FlightRecord| self.names.flight(f).unwrap_or_default();
+            let name = |f: &FlightRecord| self.names.flight(f).expect(UNNAMED);
             let json = self.flight.incident_json(trigger, at_ms, seq, name);
             let file = dir.join(format!("incident-{seq:04}-{trigger}.json"));
             self.pending.push((file, json));

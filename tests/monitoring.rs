@@ -96,7 +96,15 @@ fn degraded_network_raises_invalid_aggregation_alerts() {
     );
     let alerts = dc.system().alerts();
     assert!(!alerts.is_empty(), "no operator alerts raised");
-    assert!(alerts.iter().all(|a| a.at <= dc.now()));
+    assert!(alerts.iter().all(|(_, a)| a.at <= dc.now()));
+    let system = dc.system();
+    let controllers = system.leaf_devices().iter().chain(system.upper_devices());
+    assert!(
+        alerts
+            .iter()
+            .all(|(d, _)| controllers.clone().any(|c| c == d)),
+        "an alert names no controller's device"
+    );
 }
 
 #[test]
