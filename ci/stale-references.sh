@@ -64,7 +64,9 @@
 # when a record came to name what made it by index alone and names to be
 # looked up only to render text: the controllers' shared-name getter,
 # the ring record's owner type and the recording-only table of owners
-# (twenty-fifth) — so a stale
+# (twenty-fifth), or when a server came to cost only its state: the
+# stored drawn-watts column a leaf derives instead and the per-leaf
+# pull buffers the tier lends per shard (twenty-sixth) — so a stale
 # reference
 # breaks the build instead of waiting for the next reader. Lives here,
 # outside the searched paths, so the pattern does not find itself.
@@ -93,7 +95,8 @@ any_below_full|retired span|leaf_failed|load_rejects_a_leaf_partial_that_is_not_
 restored\(|adopt\(|restore_from|dcsim\.(SimRng|CycleSchedule)|powerinfra\.(Breaker|Dcups)|dynamo_controller\.Alert|dynobs\.(TraceRing|FlightRecorder)
 get_f64_vec|watched_scratch|GROWING_SERIES
 generation changed|not a calibrated|permutation differs|capacity [^ ]* in snapshot|fn generations\(|fn permutation\(|put_process\([^)]*(kind|params)
-name_shared\(|type Owner\b|Owners::of' \
+name_shared\(|type Owner\b|Owners::of
+\bpower_w\b|scratch_readings|scratch_failed' \
     README.md DESIGN.md EXPERIMENTS.md .github/workflows .claude \
     crates examples tests src
 case $? in

@@ -23,6 +23,10 @@ const BUCKET_WIDTH: Power = Power::from_watts(20.0);
 /// invalid (§III-C1: 20%).
 const MAX_FAILURE_FRAC: f64 = 0.20;
 
+/// The most servers one controller protects: a position's class index
+/// is a `u16`, and a leaf has no more classes than servers.
+const MAX_SERVERS: usize = 1 << 16;
+
 /// Configuration of a [`LeafController`]. The bands are
 /// [`PAPER_BANDS`], fractions of the *effective* limit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,6 +97,46 @@ pub trait LeafTransport {
     }
 }
 
+/// The buffers a cycle's pull fills: one reading slot per server and
+/// the positions whose pull failed. A cycle holds them only while it
+/// runs, so one pair serves every controller cycled one after another:
+/// a tier of controllers lends one pair to each thread that cycles them
+/// ([`LeafController::cycle_with`]), and a controller cycled through
+/// [`LeafController::cycle`] keeps its own.
+#[derive(Debug, Clone, Default)]
+pub struct PullScratch {
+    readings: Vec<PowerSlot>,
+    failed: Vec<u32>,
+}
+
+impl PullScratch {
+    /// Buffers that no valid cycle of a leaf of up to `servers` servers
+    /// grows: a reading slot for every server, and room for the most
+    /// failed pulls a valid cycle can have.
+    pub fn for_servers(servers: usize) -> Self {
+        PullScratch {
+            readings: Vec::with_capacity(servers),
+            failed: Vec::with_capacity(most_failures(servers)),
+        }
+    }
+
+    /// Readies the buffers for a pull of `n` servers: every slot none,
+    /// no failure, and room for as many failures as a valid cycle can
+    /// have — grown here, once, if they were made smaller.
+    fn reset(&mut self, n: usize) {
+        self.readings.clear();
+        self.readings.resize(n, PowerSlot::NONE);
+        self.failed.clear();
+        self.failed.reserve(most_failures(n));
+    }
+}
+
+/// The most failed pulls a cycle over `n` servers can have and still be
+/// valid.
+fn most_failures(n: usize) -> usize {
+    ((n as f64 * MAX_FAILURE_FRAC) as usize).min(n)
+}
+
 /// A per-call closure as a [`LeafTransport`].
 struct CallFn<F>(F);
 
@@ -131,10 +175,11 @@ pub struct CycleOutcome {
 /// plug in.
 ///
 /// Per server it keeps what §III-C needs and no more: the id, which of
-/// a few distinct [`ServiceClass`]es the server runs (an index into a
-/// [`ClassTable`] it may share with other controllers), and the last
-/// reading and the cap in force as [`PowerSlot`]s — everything
-/// position-indexed, in the order the servers were given.
+/// a few distinct [`ServiceClass`]es the server runs (a 16-bit index
+/// into a [`ClassTable`] it may share with other controllers), and the
+/// last reading and the cap in force as [`PowerSlot`]s — everything
+/// position-indexed, in the order the servers were given. What a pull
+/// fills lives only as long as the cycle, in a [`PullScratch`].
 ///
 /// # Example
 ///
@@ -175,7 +220,7 @@ pub struct LeafController {
     /// The service classes `class_of` indexes.
     classes: Arc<ClassTable>,
     /// Each position's index into `classes`.
-    class_of: Vec<u32>,
+    class_of: Vec<u16>,
     /// Most recent reading (or estimate) per position.
     last_power: Vec<PowerSlot>,
     /// Caps currently in force, per position.
@@ -186,14 +231,13 @@ pub struct LeafController {
     contractual_limit: Option<Power>,
     alerts: Vec<Alert>,
     cycles: u64,
-    /// Per-cycle pull results, swapped with `last_power` when the
-    /// cycle's aggregation is valid, so the steady-state (Hold) cycle
-    /// path allocates and copies nothing.
-    scratch_readings: Vec<PowerSlot>,
-    /// Positions whose pull failed this cycle, reused across cycles and
-    /// sized for the most failures a valid cycle can have, so that no
-    /// valid cycle grows it.
-    scratch_failed: Vec<u32>,
+    /// The pull buffers of cycles run through
+    /// [`LeafController::cycle_over`]: sized by
+    /// [`LeafController::new`], empty after
+    /// [`LeafController::with_classes`] until such a cycle first needs
+    /// them, so a controller whose cycles are lent buffers
+    /// ([`LeafController::cycle_with`]) never holds any.
+    scratch: PullScratch,
     /// Stats of the most recent cut distribution (observability).
     last_distribution: DistributionStats,
 }
@@ -208,59 +252,67 @@ impl LeafController {
     /// # Panics
     ///
     /// Panics if `servers` is empty — a leaf controller with nothing to
-    /// control is a configuration error — or names a server twice,
-    /// which would count its draw twice.
+    /// control is a configuration error — names a server twice, which
+    /// would count its draw twice, or, naming the leaf, holds more than
+    /// 65,536 servers.
     pub fn new(name: impl Into<Arc<str>>, config: LeafConfig, servers: Vec<ServerHandle>) -> Self {
-        let mut ids = Vec::with_capacity(servers.len());
-        let mut class_of = Vec::with_capacity(servers.len());
+        let name = name.into();
+        check_server_count(&name, servers.len());
+        let n = servers.len();
+        let mut ids = Vec::with_capacity(n);
+        let mut class_of = Vec::with_capacity(n);
         // A leaf runs a handful of services: scanning the classes seen
         // so far beats hashing every name.
         let mut classes: Vec<ServiceClass> = Vec::new();
         for ServerHandle { server_id, service } in servers {
             let class = classes.iter().position(|c| *c == service);
-            class_of.push(class.unwrap_or(classes.len()) as u32);
+            // A leaf has no more classes than its at most 65,536
+            // servers, so every index fits.
+            class_of.push(class.unwrap_or(classes.len()) as u16);
             if class.is_none() {
                 classes.push(service);
             }
             ids.push(server_id);
         }
         let classes = Arc::new(ClassTable::new(classes));
-        LeafController::with_classes(name, config, ids, classes, class_of)
+        let mut controller = LeafController::with_classes(name, config, ids, classes, class_of);
+        controller.scratch = PullScratch::for_servers(n);
+        controller
     }
 
     /// Creates a controller protecting the servers `ids`, position
     /// `pos` running class `class_of[pos]` of the shared `classes`:
     /// what [`LeafController::new`] builds from handles, without a
-    /// handle or a class per server.
+    /// handle or a class per server, and without pull buffers of its
+    /// own until a cycle needs them (see [`LeafController::cycle_with`]).
     ///
     /// # Panics
     ///
     /// Panics if `ids` is empty, names a server twice, or is not as
-    /// long as `class_of`, or if a class index is out of the table.
+    /// long as `class_of`, if a class index is out of the table, or,
+    /// naming the leaf, if `ids` holds more than 65,536 servers.
     pub fn with_classes(
         name: impl Into<Arc<str>>,
         config: LeafConfig,
         ids: Vec<u32>,
         classes: Arc<ClassTable>,
-        class_of: Vec<u32>,
+        class_of: Vec<u16>,
     ) -> Self {
         let name = name.into();
-        assert!(!ids.is_empty(), "leaf controller needs at least one server");
+        check_server_count(&name, ids.len());
         assert_eq!(
             ids.len(),
             class_of.len(),
             "leaf controller {name} needs one class index per server"
         );
         assert!(
-            class_of.iter().all(|&k| (k as usize) < classes.len()),
+            class_of.iter().all(|&k| usize::from(k) < classes.len()),
             "leaf controller {name} is given a class outside its table"
         );
         if let Some(dup) = first_duplicate(&ids) {
             panic!("leaf controller {name} is given server {dup} twice");
         }
         let n = ids.len();
-        // The most failed pulls a cycle can have and still be valid.
-        let most_failures = ((n as f64 * MAX_FAILURE_FRAC) as usize).min(n);
         LeafController {
             name,
             config,
@@ -273,8 +325,7 @@ impl LeafController {
             contractual_limit: None,
             alerts: Vec::new(),
             cycles: 0,
-            scratch_readings: Vec::with_capacity(n),
-            scratch_failed: Vec::with_capacity(most_failures),
+            scratch: PullScratch::default(),
             last_distribution: DistributionStats::default(),
         }
     }
@@ -456,24 +507,40 @@ impl LeafController {
 
     /// [`LeafController::cycle`] over a [`LeafTransport`]: step 1 is the
     /// transport's [`pull`](LeafTransport::pull), every actuation its
-    /// [`call`](LeafTransport::call).
+    /// [`call`](LeafTransport::call). The pull fills the controller's
+    /// own buffers ([`LeafController::cycle_with`] lends others).
     pub fn cycle_over<T>(&mut self, now: SimTime, transport: &mut T) -> CycleOutcome
+    where
+        T: LeafTransport + ?Sized,
+    {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let outcome = self.cycle_with(now, transport, &mut scratch);
+        self.scratch = scratch;
+        outcome
+    }
+
+    /// [`LeafController::cycle_over`] with the pull filling `scratch`,
+    /// which the cycle leaves holding nothing the next one reads: one
+    /// pair serves any number of controllers cycled in turn. Buffers
+    /// from [`PullScratch::for_servers`] at least this leaf's size are
+    /// grown by no valid cycle.
+    pub fn cycle_with<T>(
+        &mut self,
+        now: SimTime,
+        transport: &mut T,
+        scratch: &mut PullScratch,
+    ) -> CycleOutcome
     where
         T: LeafTransport + ?Sized,
     {
         self.cycles += 1;
         let n = self.ids.len();
 
-        // -- 1. Pull power readings into reusable scratch buffers.
-        self.scratch_readings.clear();
-        self.scratch_readings.resize(n, PowerSlot::NONE);
-        self.scratch_failed.clear();
-        transport.pull(
-            &self.ids,
-            &mut self.scratch_readings,
-            &mut self.scratch_failed,
-        );
-        let failures = self.scratch_failed.len();
+        // -- 1. Pull power readings into the lent buffers.
+        scratch.reset(n);
+        let PullScratch { readings, failed } = scratch;
+        transport.pull(&self.ids, readings, failed);
+        let failures = failed.len();
 
         // -- 2. Failure handling.
         let failure_frac = failures as f64 / n as f64;
@@ -495,17 +562,16 @@ impl LeafController {
             };
         }
         let mut estimated = 0;
-        let group = |i: usize| self.classes.peer_group(self.class_of[i]);
-        for &pos in &self.scratch_failed {
+        let group = |i: usize| self.classes.peer_group(u32::from(self.class_of[i]));
+        for &pos in failed.iter() {
             let pos = pos as usize;
-            if let Some(est) = estimate_for(group, &self.last_power, &self.scratch_readings, pos) {
-                self.scratch_readings[pos] = PowerSlot::some(est);
+            if let Some(est) = estimate_for(group, &self.last_power, readings, pos) {
+                readings[pos] = PowerSlot::some(est);
                 estimated += 1;
             }
         }
-        // This cycle's readings become the last ones; the old buffer is
-        // the next cycle's scratch.
-        std::mem::swap(&mut self.last_power, &mut self.scratch_readings);
+        // This cycle's readings become the last ones.
+        self.last_power.copy_from_slice(readings);
 
         // -- 3. Aggregate and decide.
         let mut total = Power::ZERO;
@@ -525,7 +591,7 @@ impl LeafController {
                 let (leftover, dist_stats) = distribute_cut(
                     n,
                     |i| {
-                        let class = self.classes.class(self.class_of[i]);
+                        let class = self.classes.class(u32::from(self.class_of[i]));
                         (class.priority, class.sla_min_cap)
                     },
                     |i| self.last_power[i].get().unwrap_or(Power::ZERO),
@@ -633,6 +699,16 @@ fn by_id(ids: &[u32], slots: &[PowerSlot]) -> HashMap<u32, Power> {
         .zip(slots)
         .filter_map(|(&id, slot)| slot.get().map(|p| (id, p)))
         .collect()
+}
+
+/// Refuses a server count no controller holds: none, or, naming the
+/// leaf, more than [`MAX_SERVERS`].
+fn check_server_count(name: &str, n: usize) {
+    assert!(n > 0, "leaf controller needs at least one server");
+    assert!(
+        n <= MAX_SERVERS,
+        "leaf controller {name} has {n} servers; a leaf holds at most {MAX_SERVERS}"
+    );
 }
 
 /// The first id that occurs twice, if any. Leaves are usually handed
@@ -1122,6 +1198,69 @@ mod tests {
     #[should_panic(expected = "at least one server")]
     fn empty_server_list_panics() {
         LeafController::new("rpp", LeafConfig::new(watts(1000.0)), vec![]);
+    }
+
+    /// `n` web servers on one shared class, by index.
+    fn indexed(name: &str, n: u32) -> LeafController {
+        let classes = Arc::new(ClassTable::new(vec![ServiceClass::new(
+            "web",
+            1,
+            watts(210.0),
+        )]));
+        let config = LeafConfig::new(watts(1e9));
+        let class_of = vec![0; n as usize];
+        LeafController::with_classes(name, config, (0..n).collect(), classes, class_of)
+    }
+
+    /// A position's class index is 16 bits: 65,536 servers is a leaf,
+    /// one more is refused naming it, by both constructors.
+    #[test]
+    fn a_leaf_of_65_536_servers_is_the_largest() {
+        let c = indexed("rpp-wide", 1 << 16);
+        assert_eq!(c.server_ids().len(), 65_536);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "leaf controller rpp-wide has 65537 servers; a leaf holds at most 65536"
+    )]
+    fn a_leaf_of_65_537_indexed_servers_panics_naming_it() {
+        indexed("rpp-wide", (1 << 16) + 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "leaf controller rpp-wide has 65537 servers; a leaf holds at most 65536"
+    )]
+    fn a_leaf_of_65_537_handles_panics_naming_it() {
+        LeafController::new("rpp-wide", LeafConfig::new(watts(1e9)), web_servers(65_537));
+    }
+
+    /// One lent pair of buffers serves controllers of different sizes
+    /// cycled in turn, and a cycle through it decides exactly what the
+    /// controller's own buffers would: readings, estimates, failures.
+    #[test]
+    fn lent_buffers_cycle_like_the_controllers_own() {
+        let mut scratch = PullScratch::for_servers(6);
+        for n in [6u32, 2, 5] {
+            let powers: Vec<(u32, f64)> = (0..n).map(|i| (i, 250.0 + f64::from(i))).collect();
+            let (mut a, mut b) = (Fleet::new(&powers), Fleet::new(&powers));
+            a.down = vec![1];
+            b.down = vec![1];
+            let (mut lent, mut own) = (indexed("lent", n), indexed("own", n));
+            for t in 0..3 {
+                let now = SimTime::from_secs(3 * t);
+                let x = lent.cycle_with(now, &mut CallFn(|s, r| a.call(s, r)), &mut scratch);
+                let y = own.cycle(now, |s, r| b.call(s, r));
+                assert_eq!(x, y, "{n} servers, cycle {t}");
+            }
+            assert_eq!(lent.last_power(), own.last_power());
+            assert_eq!(
+                lent.scratch.readings.capacity(),
+                0,
+                "lent cycles keep no buffer"
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod upper;
 pub use distribution::{
     distribute_power_cut, distribute_power_cut_with_stats, CutAssignment, DistributionStats,
 };
-pub use leaf::{CycleOutcome, LeafConfig, LeafController, LeafTransport};
+pub use leaf::{CycleOutcome, LeafConfig, LeafController, LeafTransport, PullScratch};
 pub use pi::{PiConfig, PiController, PiDecision};
 pub use threeband::{three_band_decision, BandDecision, ThreeBandConfig, PAPER_BANDS};
 pub use types::{

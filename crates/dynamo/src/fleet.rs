@@ -9,14 +9,17 @@
 //! fixed for the fleet's life, as an RPP's servers are), and a leaf
 //! owns everything about its servers that
 //! a tick mutates: the workload processes, demand, RAPL limit, settled
-//! output, utilization, drawn watts, the agents' noise streams, the
-//! packed liveness / first-step / process-up masks, its layout, and
-//! its own aggregates — power partial, settled flag, last-redraw tick,
-//! epoch, capped tally. What is a pure function of
-//! configuration stays here: the table of shared [`ServerModel`]s and
-//! each server's service. Every index inside a leaf is leaf-local;
-//! only the by-`sid` accessors below find the leaf first
-//! ([`Fleet::locate`]).
+//! output, utilization, the agents' noise streams, the packed liveness
+//! / first-step / process-up masks, its layout, and its own aggregates
+//! — power partial, settled flag, last-redraw tick, epoch, capped
+//! tally. A server's drawn watts are not stored: they are its output
+//! times its liveness bit, read through the layout
+//! ([`LeafColumns::drawn_w`]). What is a pure function of configuration
+//! stays here: the table of shared [`ServerModel`]s and each server's
+//! service. Every index inside a leaf is leaf-local, and 16 bits wide
+//! (a leaf holds at most 65,536 servers, a fleet at most 65,536
+//! distinct models); only the by-`sid` accessors below find the leaf
+//! first ([`Fleet::locate`]).
 //!
 //! # One step
 //!
@@ -35,11 +38,12 @@
 //! Each leaf keeps the bottom layer of the hierarchy's bottom-up
 //! aggregation (§III-C): the ascending flat fold of its servers' drawn
 //! watts, refolded by every step that walks it, by
-//! [`Fleet::set_server_alive`] and by a restore, which stores neither.
-//! Everything above a leaf is a sum of those partials, taken by the
-//! datacenter's breaker pass. No other sum is stored: [`Fleet::stats`]
-//! folds the per-server watts flat on every call, [`Fleet::power_sum`]
-//! over whatever ids it is given. A per-leaf epoch versions the leaf
+//! [`Fleet::set_server_alive`] and by a restore, which stores no
+//! partial. Everything above a leaf is a sum of those partials, taken
+//! by the datacenter's breaker pass. No other sum is stored:
+//! [`Fleet::stats`] folds the per-server watts flat on every call,
+//! [`Fleet::power_sum`] over whatever ids it is given — each reading
+//! the same derived values, in id order. A per-leaf epoch versions the leaf
 //! for the one consumer that keeps a sum below leaf level (a rack's
 //! draw) and for the leaf controller's quiescent-cycle elision.
 //!
@@ -66,7 +70,7 @@ use serverpower::{kernel, Rapl, ServerConfig, ServerModel};
 use workloads::{OuCoeffs, ServiceKind, TrafficPattern};
 
 use crate::shard;
-use leaf::{get_bit, put_bit, StepCtx};
+use leaf::{get_bit, put_bit, StepCtx, MAX_LEAF_SERVERS};
 
 mod leaf;
 mod snapshot;
@@ -155,8 +159,10 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics if `services` is empty, if `configs` yields a different
-    /// number of configurations, or unless `spans` ascend and tile the
-    /// fleet.
+    /// number of configurations, unless `spans` ascend and tile the
+    /// fleet, or, naming the leaf, if a leaf holds more than 65,536
+    /// servers or brings the fleet's distinct server models past
+    /// 65,536.
     pub fn new(
         configs: impl IntoIterator<Item = ServerConfig>,
         services: Vec<ServiceKind>,
@@ -174,11 +180,11 @@ impl Fleet {
             .enumerate()
             .map(|(index, span)| LeafColumns::blank(index, span.clone()))
             .collect();
+        let mut configured = 0;
         for leaf in &mut leaves {
             leaf.model_ix.reserve_exact(leaf.len());
             leaf.agent_rng.reserve_exact(leaf.len());
-            for sid in leaf.span() {
-                let config = configs.next().expect("configs/services length mismatch");
+            for (sid, config) in leaf.span().zip(configs.by_ref()) {
                 let ix = models
                     .iter()
                     .position(|m| *m.config() == config)
@@ -186,17 +192,21 @@ impl Fleet {
                         models.push(Arc::new(ServerModel::new(config)));
                         models.len() - 1
                     });
-                leaf.model_ix.push(ix as u32);
+                leaf.model_ix.push(model_index(ix, leaf.index));
                 leaf.agent_rng.push(agent_streams.split_index(sid as u64));
+                configured += 1;
             }
         }
+        assert!(
+            configured == services.len() && configs.next().is_none(),
+            "configs/services length mismatch"
+        );
         // A loop of its own, so the leaves' small run tables, which the
         // step reads once per leaf, are allocated side by side.
         for leaf in &mut leaves {
             leaf.lay_out(&models, &services[leaf.span()]);
         }
         leaf::start(&mut leaves, &mut wl_streams);
-        assert!(configs.next().is_none(), "configs/services length mismatch");
         Fleet {
             models,
             services,
@@ -328,7 +338,7 @@ impl Fleet {
 
     /// The shared hardware model of `leaf`'s server `id`.
     fn model_of(&self, leaf: &LeafColumns, id: usize) -> &ServerModel {
-        &self.models[leaf.model_ix[id] as usize]
+        &self.models[usize::from(leaf.model_ix[id])]
     }
 
     /// The static configuration of server `sid`.
@@ -367,9 +377,8 @@ impl Fleet {
     }
 
     /// Powers a server on or off (breaker blackout path), keeping the
-    /// drawn power and the leaf partial exact — a dead server reads
-    /// zero watts immediately, a revived one its retained actuator
-    /// output.
+    /// leaf partial exact — a dead server reads zero watts immediately,
+    /// a revived one its retained actuator output.
     pub fn set_server_alive(&mut self, sid: u32, alive: bool) {
         let leaf = self.leaf_of(sid);
         let leaf = &mut self.leaves[leaf];
@@ -379,13 +388,13 @@ impl Fleet {
     /// The true (physics) power of server `sid` right now.
     pub fn power_of(&self, sid: u32) -> Power {
         let (leaf, id) = self.locate(sid);
-        Power::from_watts(leaf.power_w[id])
+        Power::from_watts(leaf.drawn_w(id))
     }
 
     /// Sum of true power over `sids`, folded flat in the order given
     /// (ascending ids everywhere in this crate).
     pub fn power_sum(&self, sids: impl IntoIterator<Item = u32>) -> Power {
-        Power::from_watts(self.located(sids).map(|(leaf, id)| leaf.power_w[id]).sum())
+        Power::from_watts(self.located(sids).map(|(leaf, id)| leaf.drawn_w(id)).sum())
     }
 
     /// The maintained power partial of leaf `leaf`: the ascending flat
@@ -425,13 +434,13 @@ impl Fleet {
             return 0.0;
         }
         self.model_of(leaf, id)
-            .achieved_utilization_at(Power::from_watts(leaf.power_w[id]))
+            .achieved_utilization_at(Power::from_watts(leaf.drawn_w(id)))
     }
 
     /// Advances every server by one tick: samples traffic, steps every
     /// leaf (`LeafColumns::step`: demand draw and settle kernel tile by
-    /// tile, then the power scatter), and processes agent crash/restart
-    /// events.
+    /// tile, then the partial's refold), and processes agent
+    /// crash/restart events.
     ///
     /// The leaves are cut into contiguous shards, one per worker of the
     /// attached pool ([`Fleet::attach_pool`]; one shard without a pool,
@@ -453,14 +462,10 @@ impl Fleet {
             hold: self.demand_hold as u64,
         };
         let pool = self.pool.as_deref();
-        let (per, shards) = shard::chunking(pool, self.leaves.len());
-        let mut chunks = self.leaves.chunks_mut(per);
-        shard::run_sharded(
-            pool,
-            shards,
-            || chunks.next().expect("one chunk of leaves per shard"),
-            |leaves| leaves.iter_mut().for_each(|leaf| leaf.step(&ctx)),
-        );
+        let per = shard::chunk_len(pool, self.leaves.len());
+        shard::run_sharded(pool, self.leaves.chunks_mut(per), |leaves| {
+            leaves.iter_mut().for_each(|leaf| leaf.step(&ctx))
+        });
         self.tick_index += 1;
         self.process_failures(now, dt);
     }
@@ -536,7 +541,7 @@ impl Fleet {
                 }
                 self.model_of(leaf, id).performance_factor(
                     Power::from_watts(leaf.demand_w[leaf.inv[id] as usize]),
-                    Power::from_watts(leaf.power_w[id]),
+                    Power::from_watts(leaf.drawn_w(id)),
                 )
             })
             .sum();
@@ -547,7 +552,7 @@ impl Fleet {
     /// the down tally (each maintained at its mutation sites) plus the
     /// flat ascending fold over the per-server watts.
     pub fn stats(&self) -> FleetStats {
-        let watts = self.leaves.iter().flat_map(|l| &l.power_w);
+        let watts = self.leaves.iter().flat_map(LeafColumns::drawn);
         FleetStats {
             capped_servers: self.leaves.iter().map(|l| l.capped).sum(),
             agents_down: self.down_count,
@@ -574,7 +579,8 @@ impl Fleet {
     }
 }
 
-/// Asserts that `spans` ascend and tile `0..n`, none empty.
+/// Asserts that `spans` ascend and tile `0..n`, none empty and none
+/// holding more than [`MAX_LEAF_SERVERS`] servers.
 fn check_spans(spans: &[Range<usize>], n: usize) {
     let mut next = 0;
     for (l, span) in spans.iter().enumerate() {
@@ -582,9 +588,26 @@ fn check_spans(spans: &[Range<usize>], n: usize) {
             span.start == next && span.end > span.start,
             "leaf span {l} is {span:?}; spans must ascend and tile the fleet from {next}"
         );
+        assert!(
+            span.len() <= MAX_LEAF_SERVERS,
+            "leaf span {l} holds {} servers; a leaf holds at most {MAX_LEAF_SERVERS}",
+            span.len()
+        );
         next = span.end;
     }
     assert_eq!(next, n, "leaf spans must cover the fleet");
+}
+
+/// Index `ix` of the fleet's model table as leaf `leaf` stores it.
+///
+/// # Panics
+///
+/// Panics, naming the leaf, if `ix` is past the [`MAX_LEAF_SERVERS`]
+/// models a fleet holds.
+fn model_index(ix: usize, leaf: usize) -> u16 {
+    u16::try_from(ix).unwrap_or_else(|_| {
+        panic!("leaf {leaf} brings the fleet past {MAX_LEAF_SERVERS} distinct server models")
+    })
 }
 
 /// Per-service OU coefficients for this tick length, hoisting the
@@ -1143,7 +1166,7 @@ mod tests {
                 (leaf.model_ix.capacity(), leaf.agent_rng.capacity()),
                 (n, n)
             );
-            assert_eq!((leaf.wl_rng.capacity(), leaf.power_w.capacity()), (n, n));
+            assert_eq!((leaf.wl_rng.capacity(), leaf.out_w.capacity()), (n, n));
         }
     }
 
@@ -1168,5 +1191,67 @@ mod tests {
             SimRng::seed_from(1),
             &spans(&[1]),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn too_few_configs_panic() {
+        Fleet::new(
+            vec![ServerConfig::new(ServerGeneration::Haswell2015); 1],
+            vec![ServiceKind::Web; 2],
+            SimRng::seed_from(1),
+            &spans(&[2]),
+        );
+    }
+
+    /// A leaf's indices are 16 bits: 65,536 servers is a leaf, one more
+    /// is refused naming it — checked on the spans, before anything is
+    /// built.
+    #[test]
+    fn a_leaf_of_65_536_servers_is_the_largest() {
+        check_spans(&spans(&[3, MAX_LEAF_SERVERS]), 3 + MAX_LEAF_SERVERS);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf span 1 holds 65537 servers; a leaf holds at most 65536")]
+    fn a_leaf_of_65_537_servers_panics_naming_the_leaf() {
+        check_spans(&spans(&[3, MAX_LEAF_SERVERS + 1]), 4 + MAX_LEAF_SERVERS);
+    }
+
+    #[test]
+    fn the_65_536th_model_is_the_last_a_leaf_can_index() {
+        assert_eq!(model_index(0, 0), 0);
+        assert_eq!(model_index(MAX_LEAF_SERVERS - 1, 7), u16::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf 7 brings the fleet past 65536 distinct server models")]
+    fn a_65_537th_model_panics_naming_the_leaf() {
+        model_index(MAX_LEAF_SERVERS, 7);
+    }
+
+    /// Drawn watts are derived, not stored: every fold — a server's
+    /// own, the leaf's partial, a range's sum and the fleet's total —
+    /// reads the same values in the same order, so each equals the
+    /// flat fold of `power_of` bit for bit, through a cap and a kill.
+    #[test]
+    fn every_fold_of_drawn_power_reads_the_same_bits() {
+        let mut fleet = mixed_fleet(&spans(&[70, 130]), 17);
+        let t = run(&mut fleet, 6);
+        cap_servers(&mut fleet, 40..90, Power::from_watts(150.0));
+        fleet.set_server_alive(3, false);
+        fleet.set_server_alive(140, false);
+        fleet.step(t, SimDuration::from_secs(1));
+        let flat = |r: Range<u32>| -> f64 { r.map(|s| fleet.power_of(s).as_watts()).sum() };
+        assert_eq!(fleet.power_of(3), Power::ZERO);
+        for (l, span) in [(0, 0..70), (1, 70..200)] {
+            let want = flat(span.clone()).to_bits();
+            assert_eq!(fleet.leaf_power(l).as_watts().to_bits(), want, "leaf {l}");
+            assert_eq!(fleet.power_sum(span).as_watts().to_bits(), want);
+        }
+        let rack = &fleet.leaves[1];
+        assert_eq!(rack.power_sum(100..140).to_bits(), flat(100..140).to_bits());
+        let total = fleet.stats().total_power.as_watts();
+        assert_eq!(total.to_bits(), flat(0..200).to_bits());
     }
 }

@@ -27,9 +27,13 @@ use workloads::{OuCoeffs, ServiceKind};
 /// 2048 ≈ 80 KiB — comfortably L2-resident — and must stay a multiple
 /// of 64 so every tile covers whole mask words (and of the kernel lane
 /// width, which divides 64). A leaf no larger than a tile (the
-/// 160-server RPP) is one tile, so its power scatter still finds it
-/// resident.
+/// 160-server RPP) is one tile, so the refold of its partial still
+/// finds it resident.
 const FUSE_TILE: usize = 2048;
+
+/// The most servers a leaf holds, and the most distinct server models a
+/// fleet holds: a leaf's positions, ids and model indices are `u16`.
+pub(super) const MAX_LEAF_SERVERS: usize = 1 << 16;
 
 /// One maximal contiguous position range of a leaf's servers sharing a
 /// generation, service, and turbo setting. All batch-loop constants of
@@ -88,9 +92,10 @@ pub(super) struct StepCtx {
 /// is in *position* order — a stable sort of the leaf's servers by
 /// `(generation, service, turbo)`, so the demand loop walks [`Run`]s
 /// with no per-element branching; what the outside world reads per
-/// server (drawn watts, the agent's streams and flags) is in id order.
-/// Each workload process owns a private RNG stream, so the storage
-/// order is unobservable.
+/// server (the agent's streams and flags) is in id order. Drawn watts
+/// are not stored: [`LeafColumns::drawn_w`] derives them. Each workload
+/// process owns a private RNG stream, so the storage order is
+/// unobservable.
 #[derive(Default)]
 pub(crate) struct LeafColumns {
     /// This leaf's index in the fleet: its phase of the demand-redraw
@@ -98,9 +103,10 @@ pub(crate) struct LeafColumns {
     pub(super) index: usize,
     /// Server id of the leaf's server 0.
     pub(super) first: usize,
-    /// Position → id, and its inverse.
-    pub(super) perm: Vec<u32>,
-    pub(super) inv: Vec<u32>,
+    /// Position → id, and its inverse ([`MAX_LEAF_SERVERS`] bounds
+    /// both).
+    pub(super) perm: Vec<u16>,
+    pub(super) inv: Vec<u16>,
     /// Maximal equal-key position ranges with hoisted loop constants.
     runs: Vec<Run>,
     /// Workload processes, position order: each one's private RNG
@@ -128,17 +134,14 @@ pub(crate) struct LeafColumns {
     /// Bit-packed liveness mask, same packing (set = alive).
     pub(super) alive: Vec<u64>,
     /// Id → index into the fleet's model table.
-    pub(super) model_ix: Vec<u32>,
+    pub(super) model_ix: Vec<u16>,
     /// Per-agent sensor-noise streams, id order.
     pub(super) agent_rng: Vec<SimRng>,
     /// Bit-packed agent-process-up mask, id order (set = running).
     pub(super) running: Vec<u64>,
-    /// True power draw of each server after its last physics step, id
-    /// order: `out_w * alive`, scattered through `perm` by
-    /// [`LeafColumns::publish`].
-    pub(super) power_w: Vec<f64>,
-    /// The ascending flat fold of `power_w`, refolded with it: the
-    /// bottom layer of the hierarchy's bottom-up aggregation (§III-C).
+    /// The ascending flat fold of every server's drawn watts, in id
+    /// order, refolded by [`LeafColumns::refold`]: the bottom layer of
+    /// the hierarchy's bottom-up aggregation (§III-C).
     pub(super) partial_w: f64,
     /// Set iff the leaf's last physics pass was a *fixed point*
     /// (changed no bit of `out_w` / `not_init`), so repeating it with
@@ -193,8 +196,9 @@ fn run_key(config: &ServerConfig, service: ServiceKind) -> (u8, u8, u8, u64, u64
 impl LeafColumns {
     /// A leaf over `span` in id order with no columns yet: unsettled,
     /// epochs zero, last redrawn at tick 0.
+    /// The span must hold at most [`MAX_LEAF_SERVERS`] servers.
     pub(super) fn blank(index: usize, span: Range<usize>) -> Self {
-        let ids: Vec<u32> = (0..span.len() as u32).collect();
+        let ids: Vec<u16> = (0..=u16::MAX).take(span.len()).collect();
         LeafColumns {
             index,
             first: span.start,
@@ -224,7 +228,32 @@ impl LeafColumns {
     /// all under this leaf), in watts.
     pub(crate) fn power_sum(&self, servers: Range<u32>) -> f64 {
         let local = servers.start as usize - self.first..servers.end as usize - self.first;
-        self.power_w[local].iter().sum()
+        local.map(|id| self.drawn_w(id)).sum()
+    }
+
+    /// What server `id` draws after its last physics step, in watts:
+    /// its settled output while it is alive, `0.0` while it is dead —
+    /// `out_w` times the liveness bit, `out_w` being finite and
+    /// non-negative, and what a `ReadPower` reads.
+    #[inline]
+    pub(super) fn drawn_w(&self, id: usize) -> f64 {
+        self.drawn_at(usize::from(self.inv[id]))
+    }
+
+    /// [`LeafColumns::drawn_w`] of the server at position `pos`: a
+    /// select, which a gather runs faster than the multiply.
+    #[inline]
+    fn drawn_at(&self, pos: usize) -> f64 {
+        if get_bit(&self.alive, pos) {
+            self.out_w[pos]
+        } else {
+            0.0
+        }
+    }
+
+    /// Every server's drawn watts, id order.
+    pub(super) fn drawn(&self) -> impl Iterator<Item = f64> + '_ {
+        self.inv.iter().map(|&pos| self.drawn_at(usize::from(pos)))
     }
 
     /// The leaf's version. Two reads of it that agree bracket no change
@@ -240,43 +269,36 @@ impl LeafColumns {
         get_bit(&self.alive, self.inv[id] as usize)
     }
 
-    /// Powers server `id` on or off, keeping drawn power and the
-    /// partial exact — a dead server reads zero watts immediately, a
-    /// revived one its retained actuator output.
+    /// Powers server `id` on or off, keeping the partial exact — a dead
+    /// server reads zero watts immediately, a revived one its retained
+    /// actuator output.
     pub(super) fn set_alive(&mut self, id: usize, alive: bool) {
         put_bit(&mut self.alive, self.inv[id] as usize, alive);
-        self.publish();
+        self.refold();
         // A pull now reads differently, the liveness mask is a kernel
         // input, and drawn power changed right now.
         self.settled = false;
         self.epoch += 1;
     }
 
-    /// Drawn power from the settled output and liveness: `out_w *
-    /// alive` scattered back to id order (`(bit as f64)` is exactly
-    /// `0.0` / `1.0`, and `out_w` is finite and non-negative, so a dead
-    /// server draws `0.0`), then the partial refolded in id order over
-    /// the whole leaf (fusing it into the permuted scatter would change
-    /// association).
-    fn publish(&mut self) {
-        for (pos, &id) in self.perm.iter().enumerate() {
-            let alive = ((self.alive[pos / 64] >> (pos % 64)) & 1) as f64;
-            self.power_w[id as usize] = self.out_w[pos] * alive;
-        }
-        self.partial_w = self.power_w.iter().sum();
+    /// Refolds the partial from the settled output and liveness: the
+    /// servers' drawn watts gathered through `inv` and summed in id
+    /// order over the whole leaf — the values and the order every fold
+    /// of drawn power reads.
+    fn refold(&mut self) {
+        self.partial_w = self.drawn().sum();
     }
 
     /// Rebuilds what is a function of the leaf's state rather than
     /// state itself: every server's demand from its utilization, and
-    /// drawn power and the partial from output and liveness. A server
-    /// never drawn for holds utilization 0, whose demand is its idle
-    /// watts.
+    /// the partial from output and liveness. A server never drawn for
+    /// holds utilization 0, whose demand is its idle watts.
     pub(super) fn derive(&mut self) {
         for run in &self.runs {
             let r = run.range.clone();
             run.demand(&self.util[r.clone()], &mut self.demand_w[r]);
         }
-        self.publish();
+        self.refold();
     }
 
     /// Sorts the leaf's positions by run key (equal keys keep id
@@ -284,11 +306,12 @@ impl LeafColumns {
     /// once. `services` is the leaf's, in id order; `model_ix` must
     /// already be in place.
     pub(super) fn lay_out(&mut self, models: &[Arc<ServerModel>], services: &[ServiceKind]) {
-        let model = |id: u32| &models[self.model_ix[id as usize] as usize];
-        let keys: Vec<_> = (0..self.len() as u32)
-            .map(|id| run_key(model(id).config(), services[id as usize]))
+        let model = |id: u16| &models[usize::from(self.model_ix[usize::from(id)])];
+        let keys: Vec<_> = (0..=u16::MAX)
+            .take(self.len())
+            .map(|id| run_key(model(id).config(), services[usize::from(id)]))
             .collect();
-        let key = |id: u32| keys[id as usize];
+        let key = |id: u16| keys[usize::from(id)];
         let mut perm = std::mem::take(&mut self.perm);
         perm.sort_unstable_by_key(|&id| (key(id), id));
         let mut runs = Vec::new();
@@ -306,12 +329,12 @@ impl LeafColumns {
                 lut,
                 turbo_pf: turbo.map_or(1.0, |t| t.power_factor),
                 turbo: turbo.is_some(),
-                svc: services[id as usize].index() as u8,
+                svc: services[usize::from(id)].index() as u8,
             });
             start = pos;
         }
-        for (pos, &id) in perm.iter().enumerate() {
-            self.inv[id as usize] = pos as u32;
+        for (pos, &id) in (0..=u16::MAX).zip(&perm) {
+            self.inv[usize::from(id)] = pos;
         }
         self.perm = perm;
         self.runs = runs;
@@ -365,16 +388,15 @@ impl LeafColumns {
     /// 1. **Skip check** — a leaf that is settled (its last pass was a
     ///    fixed point) and not due for a redraw is skipped outright: its
     ///    next pass is provably the exact floating-point identity, so
-    ///    its columns, drawn power, and partial already hold the step's
-    ///    result.
+    ///    its columns and partial already hold the step's result.
     /// 2. **Tiles** — the leaf is walked in [`FUSE_TILE`]-sized,
     ///    word-aligned tiles; per tile the demand redraw (when due under
     ///    the leaf-phased hold schedule, with the elapsed interval
     ///    folded into `dt`) and the packed-mask settle kernel run
     ///    back-to-back while the tile is cache-hot. Tiling is
     ///    unobservable: every pass is elementwise.
-    /// 3. **Publish** — drawn power and the partial are rebuilt from
-    ///    the new output ([`LeafColumns::publish`]), `settled` becomes
+    /// 3. **Refold** — the partial is rebuilt from the new output
+    ///    ([`LeafColumns::refold`]), `settled` becomes
     ///    the AND of the tiles' fixed-point reports, and the epoch is
     ///    bumped by a redraw and by any tile that changed state bits.
     pub(super) fn step(&mut self, ctx: &StepCtx) {
@@ -409,7 +431,7 @@ impl LeafColumns {
             );
             t0 = t1;
         }
-        self.publish();
+        self.refold();
         self.settled = fixed;
         if !fixed {
             self.epoch += 1;
@@ -423,12 +445,11 @@ impl LeafColumns {
         const F64: usize = 8;
         // The settle stride: demand/limit gathered, out/util read and
         // rewritten, the packed masks and the settled flag tested, the
-        // result scattered into id-ordered `power_w` through `perm`,
-        // and the partial written once.
+        // partial gathered in id order through `inv` (the tile is still
+        // resident) and written once.
         let bytes = (self.demand_w.len() + self.limit_w.len()) * F64
             + (self.out_w.len() + self.util.len()) * 2 * F64
-            + self.perm.len() * size_of::<u32>()
-            + self.power_w.len() * F64
+            + self.inv.len() * size_of::<u16>()
             + (self.not_init.len() + self.alive.len()) * size_of::<u64>()
             + size_of::<bool>()
             + F64;
@@ -439,8 +460,8 @@ impl LeafColumns {
 /// Gives laid-out `leaves` the columns a fresh fleet starts with: every
 /// agent running, every server alive and awaiting its first step, no
 /// noise, no burst, no limit, zero utilization and output, and what
-/// those determine ([`LeafColumns::derive`]: idle demand, zero drawn
-/// power); each workload stream is split from `wl_streams` in id order
+/// those determine ([`LeafColumns::derive`]: idle demand, a zero
+/// partial); each workload stream is split from `wl_streams` in id order
 /// and stored at its server's position. One column at a time across
 /// all the leaves, so a column's leaves sit end to end in memory: the
 /// step then reads each column as one long stream, which the hardware
@@ -464,7 +485,6 @@ pub(super) fn start(leaves: &mut [LeafColumns], wl_streams: &mut SimRng) {
     fill(leaves, |l| &mut l.demand_w, |_, _| 0.0);
     fill(leaves, |l| &mut l.limit_w, |_, _| f64::INFINITY);
     fill(leaves, |l| &mut l.out_w, |_, _| 0.0);
-    fill(leaves, |l| &mut l.power_w, |_, _| 0.0);
     for leaf in leaves {
         // Every bit of the span set, tail bits zero.
         let n = leaf.len();

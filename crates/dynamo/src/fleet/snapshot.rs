@@ -4,9 +4,9 @@
 //! Everything derivable from configuration (the permutation layout,
 //! runs, server models, traffic patterns, LUTs) or from the columns
 //! themselves is rebuilt, not stored: the capped / down tallies,
-//! demand (from utilization), drawn power (from output and liveness)
-//! and the per-leaf power partials, through the code the step runs
-//! ([`LeafColumns::derive`]). The configuration the state is only
+//! demand (from utilization) and the per-leaf power partials (from
+//! output and liveness, which drawn power is read off), through the
+//! code the step runs ([`LeafColumns::derive`]). The configuration the state is only
 //! meaningful against — the permutation, each server's service and
 //! hardware generation, every service's calibration — is one digest
 //! word ([`Fleet::fold_config`]).
@@ -110,8 +110,9 @@ impl Fleet {
         }
         for leaf in &self.leaves {
             for &id in &leaf.perm {
-                let sid = leaf.first + id as usize;
-                let model = &self.models[leaf.model_ix[id as usize] as usize];
+                let id = usize::from(id);
+                let sid = leaf.first + id;
+                let model = &self.models[usize::from(leaf.model_ix[id])];
                 d.put_u64(sid as u64);
                 d.put_u64(self.services[sid].index() as u64);
                 d.put_u64(model.config().generation.index() as u64);
@@ -366,7 +367,9 @@ mod tests {
             );
         }
         for (l, leaf) in target.leaves.iter().enumerate() {
-            let folded: f64 = leaf.power_w.iter().sum();
+            let folded: f64 = (0..leaf.len())
+                .map(|id| target.power_of((leaf.first + id) as u32).as_watts())
+                .sum();
             assert_eq!(
                 leaf.partial_w.to_bits(),
                 folded.to_bits(),

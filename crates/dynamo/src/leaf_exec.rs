@@ -47,7 +47,7 @@ use std::sync::Arc;
 use dcsim::snap::{SnapError, SnapReader, SnapWriter};
 use dcsim::{SimDuration, SimRng, SimTime};
 use dynamo_controller::{
-    ClassTable, ControlAction, LeafConfig, LeafController, LeafTransport, PowerSlot,
+    ClassTable, ControlAction, LeafConfig, LeafController, LeafTransport, PowerSlot, PullScratch,
 };
 use dynobs::{Band, HistogramRecorder, Prebucketed, Shard};
 use dynpool::WorkerPool;
@@ -119,6 +119,11 @@ pub(crate) struct LeafTier {
     /// What the leaves record round trips with; `None` with
     /// observability off, when no table is built or read.
     rtt: Option<RttRecording>,
+    /// The pull buffers the tier lends its controllers, one pair per
+    /// shard of a dispatch, each sized for the widest leaf: one pair at
+    /// build, grown to a pool's width the first time one is seen. No
+    /// controller holds buffers of its own.
+    scratch: Vec<PullScratch>,
 }
 
 /// How the tier records round trips: one [`RttTable`] for the
@@ -168,16 +173,15 @@ impl LeafTier {
         let classes = Arc::new(ClassTable::new(
             ServiceKind::all().map(crate::service_class_of).to_vec(),
         ));
+        // A leaf's servers run at most `ServiceKind::COUNT` classes.
+        let class = |k: &ServiceKind| k.index() as u16;
 
         let mut leaves = Vec::with_capacity(devices.len());
         let mut index_of = HashMap::with_capacity(devices.len());
         for (&rpp, span) in devices.iter().zip(&spans) {
             let dev = topo.device(rpp);
             let ids = (span.start as u32..span.end as u32).collect();
-            let class_of = services[span.clone()]
-                .iter()
-                .map(|k| k.index() as u32)
-                .collect();
+            let class_of = services[span.clone()].iter().map(class).collect();
             let mut leaf_config = LeafConfig::new(dev.rating);
             leaf_config.dry_run = config.dry_run;
             index_of.insert(rpp, leaves.len());
@@ -207,12 +211,14 @@ impl LeafTier {
             table: RttTable::new(&config.rpc),
             buckets: rtt_buckets(obs),
         });
+        let scratch = vec![PullScratch::for_servers(widest(&spans))];
         LeafTier {
             leaves,
             devices,
             spans,
             index_of,
             rtt,
+            scratch,
         }
     }
 
@@ -277,13 +283,14 @@ impl LeafTier {
     }
 
     /// Runs the due leaves' cycles. The due set is cut into contiguous
-    /// chunks, one shard each ([`shard::chunking`] over `pool`); a
+    /// chunks, one shard each ([`shard::chunk_len`] over `pool`); a
     /// shard holds the sub-slice of the tier's leaves and of the
     /// fleet's leaves from its first due leaf to its last, so it may
-    /// include non-due leaves — it walks only its `due` sublist. Per
-    /// leaf, in the shard: [`Leaf::run`] against the leaf's agent view.
-    /// What each leaf kept is merged after the join, in leaf index
-    /// order, so the result is bit-identical at any width.
+    /// include non-due leaves — it walks only its `due` sublist — and
+    /// one pair of the tier's pull buffers. Per leaf, in the shard:
+    /// [`Leaf::run`] against the leaf's agent view. What each leaf kept
+    /// is merged after the join, in leaf index order, so the result is
+    /// bit-identical at any width.
     pub(crate) fn run_due(
         &mut self,
         now: SimTime,
@@ -298,33 +305,45 @@ impl LeafTier {
             base: usize,
             leaves: &'a mut [Leaf],
             columns: &'a mut [LeafColumns],
+            scratch: &'a mut PullScratch,
         }
 
-        let (per, shards) = shard::chunking(pool, due.len());
+        let per = shard::chunk_len(pool, due.len());
+        // A pair of buffers for every shard the pool can run: made the
+        // first time a pool that wide dispatches, never again.
+        let shards = pool.map_or(1, WorkerPool::workers).min(self.leaves.len());
+        if self.scratch.len() < shards {
+            let widest = widest(&self.spans);
+            self.scratch
+                .resize_with(shards, || PullScratch::for_servers(widest));
+        }
         let devices = &self.devices;
         let rtt = self.rtt.as_ref();
         let mut leaves = &mut self.leaves[..];
         let (mut columns, models) = fleet.agent_leaves();
-        let mut chunks = due.chunks(per);
         let mut next_leaf = 0usize;
-        let carve = || {
-            let chunk = chunks.next().expect("one due chunk per shard");
-            let lo = chunk[0];
-            let hi = chunk[chunk.len() - 1] + 1;
-            let (skip, take) = (lo - next_leaf, hi - lo);
-            next_leaf = hi;
-            LeafJob {
-                due: chunk,
-                base: lo,
-                leaves: window(&mut leaves, skip, take),
-                columns: window(&mut columns, skip, take),
-            }
-        };
-        shard::run_sharded(pool, shards, carve, |job| {
+        // `chunk_len` cuts at most `shards` chunks, so the zip drops
+        // none; every chunk is non-empty.
+        let jobs = due
+            .chunks(per)
+            .zip(&mut self.scratch)
+            .map(|(chunk, scratch)| {
+                let (lo, hi) = (chunk[0], chunk[chunk.len() - 1] + 1);
+                let (skip, take) = (lo - next_leaf, hi - lo);
+                next_leaf = hi;
+                LeafJob {
+                    due: chunk,
+                    base: lo,
+                    leaves: window(&mut leaves, skip, take),
+                    columns: window(&mut columns, skip, take),
+                    scratch,
+                }
+            });
+        shard::run_sharded(pool, jobs, |job| {
             for &i in job.due {
                 let r = i - job.base;
                 let mut agents = LeafAgents::new(&mut job.columns[r], models);
-                job.leaves[r].run(now, devices[i], &mut agents, rtt, ids);
+                job.leaves[r].run(now, devices[i], &mut agents, job.scratch, rtt, ids);
             }
         });
     }
@@ -432,6 +451,11 @@ fn rtt_buckets(obs: &Observability) -> Prebucketed {
     )
 }
 
+/// The most servers any of `spans` holds.
+fn widest(spans: &[Range<usize>]) -> usize {
+    spans.iter().map(Range::len).max().unwrap_or(0)
+}
+
 /// Carves elements `skip..skip + take` off the front of `*rest`.
 fn window<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T] {
     front_mut(rest, skip);
@@ -449,6 +473,7 @@ impl Leaf {
         now: SimTime,
         device: DeviceId,
         agents: &mut LeafAgents<'_>,
+        scratch: &mut PullScratch,
         rtt: Option<&RttRecording>,
         ids: &ObsIds,
     ) {
@@ -459,7 +484,7 @@ impl Leaf {
             self.quiet = false;
             self.event = Some(self.take_over(now, device));
         } else {
-            self.quiet = self.cycle(now, device, agents, rtt, ids);
+            self.quiet = self.cycle(now, device, agents, scratch, rtt, ids);
         }
         self.seen = agents.epoch();
     }
@@ -474,9 +499,9 @@ impl Leaf {
         }
     }
 
-    /// One controller cycle against the leaf's agent view: its counters
-    /// and histograms go into the leaf's shard, its action into
-    /// [`Leaf::event`].
+    /// One controller cycle against the leaf's agent view, pulling into
+    /// the shard's lent buffers: its counters and histograms go into
+    /// the leaf's shard, its action into [`Leaf::event`].
     ///
     /// Returns whether the cycle was *quiescent* — a clean Hold with no
     /// pull failures and no caps left active — which is the
@@ -487,6 +512,7 @@ impl Leaf {
         now: SimTime,
         device: DeviceId,
         agents: &mut LeafAgents<'_>,
+        scratch: &mut PullScratch,
         rtt: Option<&RttRecording>,
         ids: &ObsIds,
     ) -> bool {
@@ -499,7 +525,7 @@ impl Leaf {
             rtt: rtt.and_then(|rtt| shard.recorder(&rtt.buckets).map(|hist| (&rtt.table, hist))),
             tally: RpcTally::default(),
         };
-        let outcome = self.controller.cycle_over(now, &mut link);
+        let outcome = self.controller.cycle_with(now, &mut link, scratch);
         let RpcTally {
             pull_rtt,
             act_rtt,

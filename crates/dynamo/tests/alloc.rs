@@ -667,6 +667,45 @@ fn a_first_cycle_losing_a_fifth_of_its_pulls_does_not_allocate() {
     assert_eq!(allocations, 0, "a valid cycle's failed pulls allocated");
 }
 
+/// A controller built without pull buffers of its own (`with_classes`,
+/// as the leaf tier builds its controllers, which it lends buffers to)
+/// and cycled on its own makes them in its first cycle: every later
+/// cycle — holding, or losing a fifth of its pulls and estimating
+/// them — touches no heap.
+fn a_warm_standalone_cycle_does_not_allocate() {
+    use dynamo_controller::{ClassTable, ControlAction, LeafConfig, LeafController};
+    use dynrpc::{PowerReading, Response, RpcError};
+    let classes = Arc::new(ClassTable::new(vec![dynamo::service_class_of(
+        ServiceKind::Web,
+    )]));
+    let config = LeafConfig::new(powerinfra::Power::from_kilowatts(100.0));
+    let ids = (0..160).collect();
+    let mut leaf = LeafController::with_classes("rpp", config, ids, classes, vec![0; 160]);
+    let read = |lossy: bool| {
+        move |sid: u32, _| match sid % 5 {
+            0 if lossy => Err(RpcError::Timeout),
+            _ => Ok(Response::Power(PowerReading::total_only(
+                powerinfra::Power::from_watts(250.0),
+            ))),
+        }
+    };
+    let first = leaf.cycle(SimTime::ZERO, read(false));
+    assert_eq!(first.action, ControlAction::Hold);
+    for (t, lossy) in [(3, true), (6, false), (9, true)] {
+        let mut outcome = None;
+        let allocations = count_allocs(|| {
+            outcome = Some(leaf.cycle(SimTime::from_secs(t), read(lossy)));
+        });
+        let outcome = outcome.expect("the cycle ran");
+        let lost = if lossy { 32 } else { 0 };
+        assert_eq!(
+            (outcome.pull_failures, outcome.estimated, outcome.action),
+            (lost, lost, ControlAction::Hold)
+        );
+        assert_eq!(allocations, 0, "a warm standalone cycle at {t} s allocated");
+    }
+}
+
 /// The full ~30 MW site: 12 MSBs x 4 SBs x 16 RPPs x 4 racks x 40
 /// servers = 768 leaves, 122,880 servers (Web, the builder's default) —
 /// the shape of `dynbench`'s two site workloads.
@@ -690,25 +729,25 @@ fn site_topology() -> Topology {
 }
 
 /// Live heap bytes of the site's control plane right after it is built
-/// (40.8 B a server): per server an id, a service-class index and three
-/// eight-byte power slots (reading, cap, scratch) — 32 B — plus per
-/// leaf its controller, network link, recording shard (no value
-/// buffers: the site is unobserved) and a failed-pull list sized for
-/// the most failures a valid cycle can have (~1.7 KB), one class
-/// table for all the leaves, a pointer to every device's name (the
-/// topology holds the name, and its controller shares it) and the two
-/// rings' nameless records.
+/// (30.0 B a server): per server a four-byte id, a two-byte
+/// service-class index and two eight-byte power slots (reading, cap)
+/// — 22 B — plus per leaf its controller, network link and recording
+/// shard (no value buffers: the site is unobserved), one class table
+/// and one pair of pull buffers (readings, failed pulls) for all the
+/// leaves, a pointer to every device's name (the topology holds the
+/// name, and its controller shares it) and the two rings' nameless
+/// records.
 /// Growth fails the gate; a change that adds per-server state on
 /// purpose re-baselines it in the same diff (DESIGN.md §7, "What a
 /// server costs").
-const SITE_CONTROL_PLANE_BYTES: u64 = 5_009_690;
+const SITE_CONTROL_PLANE_BYTES: u64 = 3_684_042;
 
-/// Live heap bytes of the rest of the built site (170.2 B a server) —
-/// the fleet's columns (~157 B a server, two 40-byte RNG streams among
-/// them), topology (a server-id range per device, no per-server list),
+/// Live heap bytes of the rest of the built site (156.1 B a server) —
+/// the fleet's columns (~143 B a server, two 40-byte RNG streams among
+/// them; drawn watts are derived, not stored), topology (a server-id range per device, no per-server list),
 /// subtrees, breakers, telemetry and validator — under the same
 /// discipline.
-const SITE_FLEET_BYTES: u64 = 20_919_872;
+const SITE_FLEET_BYTES: u64 = 19_181_120;
 
 /// The memory a site datacenter costs once built, split into control
 /// plane and fleet, against the baked constants; and the build's
@@ -753,8 +792,9 @@ fn site_build_footprint_has_not_grown() {
     );
 }
 
-/// Heap allocations a site build may make per power device.
-const SITE_BUILD_ALLOCS_PER_DEVICE: u64 = 12;
+/// Heap allocations a site build may make per power device (it makes
+/// 25,059 for 3,900 devices).
+const SITE_BUILD_ALLOCS_PER_DEVICE: u64 = 7;
 
 /// Building a datacenter allocates per device and per leaf, never per
 /// server: every device feeds a server-id range, and nothing on the
@@ -855,6 +895,10 @@ fn main() {
         (
             "a_first_cycle_losing_a_fifth_of_its_pulls_does_not_allocate",
             a_first_cycle_losing_a_fifth_of_its_pulls_does_not_allocate,
+        ),
+        (
+            "a_warm_standalone_cycle_does_not_allocate",
+            a_warm_standalone_cycle_does_not_allocate,
         ),
     ];
     for (name, case) in cases {

@@ -13,10 +13,14 @@ use dynamo::DatacenterBuilder;
 /// the test; a change that widens the hot set on purpose (a new power
 /// domain's columns, say) re-baselines this constant in the same diff.
 ///
-/// Restated once, from 7,422,048, by exactly one term: a leaf's
+/// Restated twice. From 7,422,048 by exactly one term: a leaf's
 /// settled flag is a `bool` the leaf owns (768 x 1 B) where it was a
-/// bit of twelve fleet-wide packed words (96 B) — +672 B.
-const SITE_FUSED_BYTES_PER_TICK: u64 = 7_422_720;
+/// bit of twelve fleet-wide packed words (96 B) — +672 B. Then from
+/// 7,422,720 by two: drawn watts are derived, not stored, so no
+/// id-ordered `f64` column is scattered (−8 B a server), and the
+/// partial gathers through the 16-bit `inv` where the scatter walked
+/// the 32-bit `perm` (−2 B a server) — −1,228,800 B.
+const SITE_FUSED_BYTES_PER_TICK: u64 = 6_193_920;
 
 #[test]
 fn site_roofline_has_not_grown() {

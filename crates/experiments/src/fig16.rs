@@ -16,8 +16,8 @@ pub struct Fig16Server {
     pub server_id: u32,
     /// Service.
     pub service: ServiceKind,
-    /// Current power (W).
-    pub power_w: f64,
+    /// The reading (or estimate) the capping decision used (W).
+    pub reading_w: f64,
     /// Computed cap, if one is in force (W).
     pub cap_w: Option<f64>,
 }
@@ -74,14 +74,14 @@ pub fn run(scale: Scale) -> Fig16 {
         .map(|(sid, service)| Fig16Server {
             server_id: sid,
             service,
-            power_w: readings.get(&sid).map_or(0.0, |p| p.as_watts()),
+            reading_w: readings.get(&sid).map_or(0.0, |p| p.as_watts()),
             cap_w: caps_map.get(&sid).map(|p| p.as_watts()),
         })
         .collect();
     servers.sort_by(|a, b| {
         a.service
             .cmp(&b.service)
-            .then(b.power_w.partial_cmp(&a.power_w).expect("finite power"))
+            .then(b.reading_w.partial_cmp(&a.reading_w).expect("finite power"))
     });
 
     let caps: Vec<f64> = servers.iter().filter_map(|s| s.cap_w).collect();
@@ -92,13 +92,13 @@ pub fn run(scale: Scale) -> Fig16 {
         .iter()
         .filter(throttleable)
         .filter(|s| s.cap_w.is_some())
-        .map(|s| s.power_w)
+        .map(|s| s.reading_w)
         .fold(f64::INFINITY, f64::min);
     let max_uncapped_power_w = servers
         .iter()
         .filter(throttleable)
         .filter(|s| s.cap_w.is_none())
-        .map(|s| s.power_w)
+        .map(|s| s.reading_w)
         .fold(0.0, f64::max);
 
     Fig16 {
@@ -133,7 +133,7 @@ impl std::fmt::Display for Fig16 {
                 .map(|s| {
                     vec![
                         s.server_id.to_string(),
-                        fmt_f(s.power_w, 1),
+                        fmt_f(s.reading_w, 1),
                         s.cap_w.map_or("-".to_string(), |c| fmt_f(c, 1)),
                     ]
                 })
@@ -206,10 +206,10 @@ mod tests {
             // At decision time the cap equals the reading minus the cut,
             // so it can never exceed the reading.
             assert!(
-                cap <= s.power_w + 1e-6,
+                cap <= s.reading_w + 1e-6,
                 "server {} cap {cap:.1} W above its {:.1} W decision-time reading",
                 s.server_id,
-                s.power_w
+                s.reading_w
             );
         }
     }

@@ -13,7 +13,7 @@ use crate::common::{fmt_f, render_table};
 /// The regenerated Figure 9 trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig9 {
-    /// `(time_s, power_w)` at 100 ms resolution over an 18 s run.
+    /// `(time_s, watts)` at 100 ms resolution over an 18 s run.
     pub series: Vec<(f64, f64)>,
     /// When the cap command was issued (paper: 4.650 s).
     pub cap_at: f64,

@@ -232,7 +232,7 @@ impl Oracle {
             let mut config = LeafConfig::new(dev.rating);
             config.dry_run = sys.dry_run;
             let ids: Vec<u32> = dev.servers.clone().collect();
-            let kind = |&s: &u32| servers[s as usize].1.kind().index() as u32;
+            let kind = |&s: &u32| servers[s as usize].1.kind().index() as u16;
             let kinds = ids.iter().map(kind).collect();
             let (classes, name) = (Arc::clone(&classes), &*dev.name);
             Leaf {
